@@ -2,23 +2,20 @@
 
 Every flagship experiment now bottoms out in ``repro.cluster.simtime``
 (ROADMAP item 3: the event loop *is* the hardware), so this experiment
-benchmarks the kernel itself.  Each workload kernel runs under every
-feature stage so the wins are attributable:
+benchmarks the kernel itself.  Each workload kernel runs under three
+stages:
 
 * **seed** — the frozen pre-rebuild kernel (``repro.bench.legacy_simtime``):
   one binary heap, dataclass events, trampolined zero-delay hops;
-* **heap** — the new kernel with every switch off (dispatch rewrite only);
-* **bucket** — bucketed calendar queue replaces the single heap;
-* **batch** — same-instant batching drains one timestamp per heap touch;
-* **ring** — the microtask ring for zero-delay events plus inline
-  resumption (the shipping default);
-* **fastforward** — ring plus opt-in analytic idle fast-forward
+* **live** — ``repro.cluster.simtime`` as shipped: microtask ring, bucket
+  calendar, same-instant batching, inline resumption;
+* **fastforward** — live plus opt-in analytic idle fast-forward
   (``RuntimeConfig(sim_fast_forward=True)``), measured on wall clock
   because it removes events rather than dispatching them faster.
 
-``run_kernel`` enforces the bit-for-bit witness internally: every exact
-stage (seed included) must produce an identical execution checksum, and
-fast-forward must preserve the model-visible trace.  Results land in
+``run_kernel`` enforces the bit-for-bit witness internally: seed and live
+must produce an identical execution checksum, and fast-forward must
+preserve the model-visible trace.  Results land in
 ``BENCH_SIMCORE.json``; CI replays this at reduced scale and fails its
 (non-blocking) step on a >20% events/sec regression vs. the committed
 baseline.
@@ -43,7 +40,7 @@ def test_e26_simcore_throughput():
     print(render_table(results))
 
     kernels = results["kernels"]
-    # the tentpole: the full fast path is a multiple of the frozen seed on
+    # the live kernel is a multiple of the frozen seed on
     # the event-heavy loops (the committed scale-1.0 baseline shows >= 3x
     # on e17; the in-test bound is looser to absorb runner noise)
     assert kernels["e17_soak_loop"]["speedup_total"] >= 2.0
@@ -57,7 +54,7 @@ def test_e26_simcore_throughput():
     # simulation on wall clock
     idle_ff = kernels["idle_poll"]["stages"]["fastforward"]
     assert idle_ff["ff_jumps"] > 0
-    assert idle_ff["wall_speedup_vs_ring"] > 1.0
+    assert idle_ff["wall_speedup_vs_live"] > 1.0
 
     artifacts = os.environ.get("BENCH_ARTIFACTS")
     out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")

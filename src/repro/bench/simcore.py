@@ -1,4 +1,4 @@
-"""BENCH_SIMCORE — events/sec on the simulator core, per kernel feature.
+"""BENCH_SIMCORE — events/sec on the simulator core vs. the frozen seed.
 
 The flagship scenarios (E17 soak, E21 data plane, E22/E23 overload+serving,
 E25 HA) all bottom out in ``repro.cluster.simtime``; at serving scale the
@@ -23,23 +23,16 @@ Four kernels:
 * ``idle_poll`` — 1 ms pollers over long idle spans with sparse real work.
   Stresses the opt-in idle fast-forward.
 
-Each kernel runs under cumulative stages so every change is attributable::
+Each kernel runs under three stages::
 
     seed        the frozen pre-rebuild kernel (bench/legacy_simtime.py)
-    heap        the live kernel forced onto its legacy single-heap path
-    bucket      + per-timestamp bucket calendar (tuple events)
-    batching    + same-instant batch drain (one heap pop per instant)
-    ring        + microtask ring for zero-delay events + inline resumption
-    fastforward + analytic idle skip (only meaningful for idle_poll)
+    live        repro.cluster.simtime as shipped
+    fastforward live + analytic idle skip (only meaningful for idle_poll)
 
-(``seed`` vs ``heap`` isolates the allocation cuts that apply to every
-queue discipline: tuple events, shared callback lists, cached bound
-methods, flattened constructors.)
-
-Every stage must produce a bit-for-bit identical execution — the kernels
-record completion traces and the harness asserts the checksums match,
-*including* on the frozen seed kernel (fast-forward is exempt: it coalesces
-poller wake-ups by design, so only its model-visible trace is compared).
+``seed`` and ``live`` must produce a bit-for-bit identical execution — the
+kernels record completion traces and the harness asserts the checksums
+match (fast-forward is exempt: it coalesces poller wake-ups by design, so
+only its model-visible trace is compared).
 
 Run directly for a table + JSON::
 
@@ -69,17 +62,7 @@ __all__ = [
     "compare_results",
 ]
 
-# Cumulative feature stages (each includes everything above it).  The flag
-# dict is None for the seed stage: it runs the frozen legacy module, which
-# has no switches.
-STAGES: List[Tuple[str, Optional[Dict[str, bool]]]] = [
-    ("seed", None),
-    ("heap", dict(bucket_queue=False, instant_batching=False, microtask_ring=False)),
-    ("bucket", dict(bucket_queue=True, instant_batching=False, microtask_ring=False)),
-    ("batching", dict(bucket_queue=True, instant_batching=True, microtask_ring=False)),
-    ("ring", dict(bucket_queue=True, instant_batching=True, microtask_ring=True)),
-    ("fastforward", dict(bucket_queue=True, instant_batching=True, microtask_ring=True)),
-]
+STAGES: List[str] = ["seed", "live", "fastforward"]
 
 
 def _checksum(trace: List) -> str:
@@ -360,21 +343,19 @@ KERNELS: List[Tuple[str, Callable[[Any, Any, float], Tuple[List, List]]]] = [
 def run_stage(
     kernel: Callable[[Any, Any, float], Tuple[List, List]],
     stage: str,
-    flags: Optional[Dict[str, bool]],
     scale: float,
 ) -> Dict[str, Any]:
-    if flags is None:
+    if stage == "seed":
         mod: Any = legacy_simtime
         sim = legacy_simtime.Simulator()
     else:
         mod = simtime
-        sim = simtime.Simulator(**flags)
-        if stage == "fastforward":
-            sim.fast_forward = True
+        sim = simtime.Simulator()
+        sim.fast_forward = stage == "fastforward"
     t0 = time.perf_counter()
     full_trace, model_trace = kernel(mod, sim, scale)
     wall = time.perf_counter() - t0
-    if flags is None:
+    if stage == "seed":
         # the frozen kernel predates events_executed(): every scheduled
         # event except the still-pending ones was dispatched
         events = sim._seq - len(sim._queue)
@@ -408,15 +389,15 @@ def run_kernel(
     # best-of-rounds per stage does the rest.
     stages: Dict[str, Dict[str, Any]] = {}
     for _ in range(max(1, repeats)):
-        for stage, flags in STAGES:
-            r = run_stage(kernel, stage, flags, scale)
+        for stage in STAGES:
+            r = run_stage(kernel, stage, scale)
             best = stages.get(stage)
             if best is None or r["wall_s"] < best["wall_s"]:
                 stages[stage] = r
 
-    # Bit-for-bit witness: every exact stage — including the frozen seed
-    # kernel — replays the same execution.
-    exact = [s for s, _ in STAGES if s != "fastforward"]
+    # Bit-for-bit witness: the live kernel replays the frozen seed kernel's
+    # execution.
+    exact = [s for s in STAGES if s != "fastforward"]
     checks = {stages[s]["checksum"] for s in exact}
     if len(checks) != 1:
         raise AssertionError(
@@ -424,7 +405,7 @@ def run_kernel(
             + ", ".join(f"{s}={stages[s]['checksum']}" for s in exact)
         )
     # Fast-forward must preserve the model-visible execution.
-    if stages["fastforward"]["model_checksum"] != stages["ring"]["model_checksum"]:
+    if stages["fastforward"]["model_checksum"] != stages["live"]["model_checksum"]:
         raise AssertionError(f"{name}: fast-forward changed the model-visible trace")
 
     base = stages["seed"]["events_per_sec"]
@@ -432,15 +413,15 @@ def run_kernel(
         r["speedup_vs_seed"] = r["events_per_sec"] / base if base > 0 else 0.0
     # Wall-clock attribution for fast-forward (it *removes* events, so
     # events/sec is the wrong lens for it).
-    ff, ring = stages["fastforward"], stages["ring"]
-    ff["wall_speedup_vs_ring"] = (
-        ring["wall_s"] / ff["wall_s"] if ff["wall_s"] > 0 else 0.0
+    ff, live = stages["fastforward"], stages["live"]
+    ff["wall_speedup_vs_live"] = (
+        live["wall_s"] / ff["wall_s"] if ff["wall_s"] > 0 else 0.0
     )
     return {
         "scale": scale,
         "events": stages["seed"]["events"],
         "stages": stages,
-        "speedup_total": stages["ring"]["speedup_vs_seed"],
+        "speedup_total": stages["live"]["speedup_vs_seed"],
     }
 
 
@@ -497,7 +478,7 @@ def render_table(results: Dict[str, Any]) -> str:
     from repro.bench.harness import ResultTable
 
     table = ResultTable(
-        "SIMCORE: simulator-core events/sec by kernel feature (cumulative)",
+        "SIMCORE: simulator-core events/sec, live kernel vs. the frozen seed",
         ["kernel", "stage", "events", "wall", "M ev/s", "vs seed"],
     )
     for name, k in results["kernels"].items():
@@ -506,7 +487,7 @@ def render_table(results: Dict[str, Any]) -> str:
             if stage == "fastforward":
                 extra = (
                     f" ({r['ff_jumps']} jumps, "
-                    f"{r['wall_speedup_vs_ring']:.1f}x wall vs ring)"
+                    f"{r['wall_speedup_vs_live']:.1f}x wall vs live)"
                 )
             table.add_row(
                 name,

@@ -5,8 +5,8 @@ transfers are split into fixed-size *chunks* pipelined across hops
 (cut-through forwarding): while chunk *c* serializes on hop *h*, chunk
 *c+1* serializes on hop *h-1*, so an H-hop route costs roughly one full
 serialization plus (H-1) chunk-times instead of H full serializations.
-Setting :attr:`Network.chunk_bytes` to ``None`` recovers the legacy
-store-and-forward model (the whole object is one chunk).
+A payload no larger than :attr:`Network.chunk_bytes` is one chunk, which
+each hop stores and forwards whole.
 
 Small control messages use a fixed frame size so that the control plane's
 hop count — the quantity Gen-2 reduces — shows up directly in virtual time.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterable, List, Sequence, Tuple
 
 from .simtime import Process, Resource, Signal, Simulator
 from .topology import Topology
@@ -108,16 +108,18 @@ class Network:
         self,
         sim: Simulator,
         topology: Topology,
-        chunk_bytes: Optional[int] = DEFAULT_CHUNK_BYTES,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         max_chunks: int = MAX_CHUNKS_PER_TRANSFER,
     ):
+        if chunk_bytes < 1:
+            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
+        if max_chunks < 1:
+            raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
         self.sim = sim
         self.topology = topology
         self.stats = NetworkStats()
-        # ``None`` disables chunking: every transfer is one store-and-forward
-        # unit per hop (the pre-fast-data-plane behaviour)
         self.chunk_bytes = chunk_bytes
-        self.max_chunks = max(1, max_chunks)
+        self.max_chunks = max_chunks
         # a telemetry MetricsRegistry (duck-typed: this layer sits below
         # repro.telemetry); the runtime wires it in so per-link bytes,
         # messages, and busy-time land in the cluster-wide metrics plane
@@ -284,9 +286,8 @@ class Network:
 
     def _chunk_sizes(self, nbytes: int) -> List[int]:
         """Split ``nbytes`` into pipeline chunks summing exactly to
-        ``nbytes``.  With chunking disabled (or a small payload) the whole
-        object is one chunk — the legacy store-and-forward unit."""
-        if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
+        ``nbytes``.  A payload of at most ``chunk_bytes`` is one chunk."""
+        if nbytes <= self.chunk_bytes:
             return [nbytes]
         n = min(self.max_chunks, -(-nbytes // self.chunk_bytes))
         base, rem = divmod(nbytes, n)

@@ -40,11 +40,16 @@ single-heap kernel:
   ``transfer_time_estimate``).
 
 Installing a schedule perturbation (:meth:`Simulator.set_perturbation`)
-falls back to the legacy single-heap path, whose tie keys the perturbation
-re-ranks; the bucket/ring features re-engage when it is cleared.  The
-per-feature constructor switches exist so the ``BENCH_SIMCORE`` benchmark
-can attribute throughput to each change; production code uses the all-on
-default, which reproduces the legacy kernel's dispatch order bit-for-bit.
+switches to the *perturbation queue*: a single heap keyed ``(time, (rank,
+seq))``, the only structure that can order re-ranked ties.  The ring and
+calendar re-engage when it is cleared.  Unperturbed, the kernel reproduces
+the frozen seed kernel's (``repro.bench.legacy_simtime``) dispatch order
+bit-for-bit.
+
+One invariant keeps the enqueue paths short: a non-empty ring always
+belongs to the current instant, so a zero-delay enqueue is a bare append.
+Virtual time only moves in the run loops, which drain the ring before
+advancing, and ``run(until)`` never rewinds the clock.
 """
 
 from __future__ import annotations
@@ -103,19 +108,12 @@ def _push0(sim: "Simulator", item: tuple) -> None:
     """Append a zero-delay event ``(fn, args)`` to the current instant.
 
     The common-path subset of ``Simulator.schedule(0.0, ...)`` without the
-    call-frame and vararg overhead; falls back to schedule() for the legacy
-    heap, ring-off stages, and the rewound-ring corner.
+    call-frame and vararg overhead; falls back to schedule() while a
+    perturbation is installed.
     """
     if sim._fastpath:
-        ring = sim._ring
-        if ring:
-            if sim._ring_time == sim._now:
-                ring.append(item)
-                return
-        else:
-            sim._ring_time = sim._now
-            ring.append(item)
-            return
+        sim._ring.append(item)
+        return
     sim.schedule(0.0, item[0], *item[1])
 
 
@@ -127,15 +125,8 @@ def _push0_aw(sim: "Simulator", aw: "Awaitable") -> None:
     method.  Falls back to an equivalent ``trigger`` event off the fast path.
     """
     if sim._fastpath:
-        ring = sim._ring
-        if ring:
-            if sim._ring_time == sim._now:
-                ring.append(aw)
-                return
-        else:
-            sim._ring_time = sim._now
-            ring.append(aw)
-            return
+        sim._ring.append(aw)
+        return
     sim.schedule(0.0, aw.trigger, aw.value)
 
 
@@ -246,16 +237,8 @@ class Timeout(Awaitable):
             now = sim._now
             t = now + delay
             if t == now:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == now:
-                        ring.append(self)
-                        return
-                    # rewound-ring corner: route via the calendar below
-                else:
-                    sim._ring_time = now
-                    ring.append(self)
-                    return
+                sim._ring.append(self)
+                return
             buckets = sim._buckets
             lst = buckets.get(t)
             if lst is None:
@@ -290,16 +273,8 @@ def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
         now = sim._now
         t = now + delay
         if t == now:
-            ring = sim._ring
-            if ring:
-                if sim._ring_time == now:
-                    ring.append(self)
-                    return self
-                # rewound-ring corner: route via the calendar below
-            else:
-                sim._ring_time = now
-                ring.append(self)
-                return self
+            sim._ring.append(self)
+            return self
         buckets = sim._buckets
         lst = buckets.get(t)
         if lst is None:
@@ -437,15 +412,8 @@ class Process(Awaitable):
         # The start event, with _push0's fast path inlined (a process is
         # born per message send; the helper frame is measurable).
         if sim._fastpath:
-            ring = sim._ring
-            if ring:
-                if sim._ring_time == sim._now:
-                    ring.append((step, _START_ARGS))
-                    return
-            else:
-                sim._ring_time = sim._now
-                ring.append((step, _START_ARGS))
-                return
+            sim._ring.append((step, _START_ARGS))
+            return
         sim.schedule(0.0, step, None, None)
 
     def interrupt(self, cause: Any = None) -> None:
@@ -500,7 +468,7 @@ class Process(Awaitable):
                 # (we were dispatched directly by the run loop, so
                 # returning would hand control straight back to it).
                 sim = self.sim
-                if sim._inline_ok and not sim._ring and sim._trigger_depth == 0:
+                if sim._fastpath and not sim._ring and sim._trigger_depth == 0:
                     sim.inline_steps += 1
                     send_value = awaited.value
                     throw_exc = None
@@ -628,15 +596,8 @@ class Channel:
             getter.value = item
             sim = self.sim
             if sim._fastpath:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == sim._now:
-                        ring.append(getter)
-                        return
-                else:
-                    sim._ring_time = sim._now
-                    ring.append(getter)
-                    return
+                sim._ring.append(getter)
+                return
             sim.schedule(0.0, getter.trigger, item)
         else:
             self._items.append(item)
@@ -656,15 +617,8 @@ class Channel:
             # queued while the consumer was busy).
             sig.value = self._items.popleft()
             if sim._fastpath:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == sim._now:
-                        ring.append(sig)
-                        return sig
-                else:
-                    sim._ring_time = sim._now
-                    ring.append(sig)
-                    return sig
+                sim._ring.append(sig)
+                return sig
             sim.schedule(0.0, sig.trigger, sig.value)
         else:
             self._getters.append(sig)
@@ -693,8 +647,8 @@ class Channel:
 @dataclass(order=True, slots=True)
 class _ScheduledEvent:
     time: float
-    # a bare int normally; ``(rank, int)`` when a perturbation is installed
-    # (both orderings are total because the int component stays unique)
+    # ``(rank, seq)``: the perturbation's rank re-keys ties at one instant;
+    # the order stays total because the seq component is unique
     seq: Any
     fn: Callable = field(compare=False)
     args: tuple = field(compare=False, default=())
@@ -711,25 +665,16 @@ class Simulator:
       deques plus a heap of distinct times; advancing to an instant promotes
       its whole bucket to the ring in one heap pop.
 
-    The legacy single-heap path remains for schedule perturbations (their
-    re-ranked tie keys need a real priority queue) and as the benchmark
-    baseline (``bucket_queue=False``).  The feature switches are cumulative:
-    ``instant_batching`` requires ``bucket_queue`` and ``microtask_ring``
-    requires ``instant_batching``.
+    While a schedule perturbation is installed both tiers stand empty and
+    the **perturbation queue** — one heap keyed ``(time, (rank, seq))`` —
+    carries every event: re-ranked tie keys need a real priority queue.
     """
 
-    def __init__(
-        self,
-        *,
-        bucket_queue: bool = True,
-        instant_batching: bool = True,
-        microtask_ring: bool = True,
-    ) -> None:
-        # legacy heap (perturbation path / attribution baseline)
+    def __init__(self) -> None:
+        # perturbation queue (used only while a perturbation is installed)
         self._queue: list[_ScheduledEvent] = []
         # two-tier fast path
         self._ring: deque = deque()
-        self._ring_time = 0.0
         self._buckets: dict = {}
         self._times: list = []
         self._seq = 0
@@ -738,7 +683,7 @@ class Simulator:
         # schedule perturbation hook: maps (seq, delay) -> (rank, delay).
         # ``rank`` re-keys ties at one instant; ``delay`` may be stretched
         # (never shrunk below zero) to jitter delivery within causal
-        # constraints.  None (the default) is the bit-for-bit legacy path.
+        # constraints.
         self._perturb: Optional[Callable[[int, float], tuple]] = None
         self._trigger_depth = 0
         # -- idle fast-forward (opt-in; see poll_timeout/arm_poller) ---------
@@ -751,19 +696,11 @@ class Simulator:
         # -- counters ---------------------------------------------------------
         self.inline_steps = 0  # process resumptions that skipped the queue
         self._dispatched = 0  # queue entries fired (flushed per instant)
-        self._opt_bucket = True
-        self._opt_batch = True
-        self._opt_ring = True
-        self._use_heap = False
-        self._inline_ok = True
-        # _fastpath gates the inlined enqueue blocks (Timeout.__init__,
-        # _push0): ring discipline active and no perturbation installed.
+        # True iff no perturbation is installed: the ring + calendar carry
+        # the order, the inlined enqueue blocks (Timeout.__init__, _push0)
+        # and inline resumption are open.  False routes everything through
+        # the perturbation queue.
         self._fastpath = True
-        self.configure(
-            bucket_queue=bucket_queue,
-            instant_batching=instant_batching,
-            microtask_ring=microtask_ring,
-        )
         # Instance attributes shadow the factory methods below with
         # C-dispatched partials: model code calls sim.timeout()/sim.process()
         # tens of thousands of times per run and the pure-Python wrapper
@@ -771,38 +708,6 @@ class Simulator:
         self.timeout = partial(_make_timeout, self)
         self.process = partial(Process, self)
         self.signal = partial(Signal, self)
-
-    # -- configuration ---------------------------------------------------------
-
-    def configure(
-        self,
-        *,
-        bucket_queue: Optional[bool] = None,
-        instant_batching: Optional[bool] = None,
-        microtask_ring: Optional[bool] = None,
-    ) -> None:
-        """Flip kernel feature switches (benchmark attribution knobs).
-
-        Must be called while the simulator is idle: entries authored under
-        one queue discipline cannot be re-keyed into another.
-        """
-        if self.pending_events():
-            raise SimulationError(
-                "kernel features must be configured on an idle simulator"
-            )
-        if bucket_queue is not None:
-            self._opt_bucket = bucket_queue
-        if instant_batching is not None:
-            self._opt_batch = instant_batching
-        if microtask_ring is not None:
-            self._opt_ring = microtask_ring
-        if self._opt_batch and not self._opt_bucket:
-            raise ValueError("instant_batching requires bucket_queue")
-        if self._opt_ring and not self._opt_batch:
-            raise ValueError("microtask_ring requires instant_batching")
-        self._use_heap = self._perturb is not None or not self._opt_bucket
-        self._inline_ok = self._opt_ring and self._perturb is None
-        self._fastpath = self._opt_ring and not self._use_heap
 
     @property
     def now(self) -> float:
@@ -813,58 +718,44 @@ class Simulator:
     ) -> None:
         """Install (or clear) a schedule perturbation.
 
-        Must be called while the event queue is empty: mixing plain-int and
-        ``(rank, int)`` tie keys in one heap would make entries incomparable.
-        While installed, the kernel falls back to the legacy single-heap
-        path (the perturbation re-ranks its tie keys); clearing it restores
-        the configured bucket/ring fast path.
+        Must be called while the simulator is idle: entries authored under
+        one queue discipline cannot be re-keyed into the other.  While
+        installed, every event goes through the perturbation queue (the
+        perturbation re-ranks its tie keys); clearing it restores the
+        ring + calendar.
         """
         if self.pending_events():
             raise SimulationError(
                 "a schedule perturbation must be installed on an idle simulator"
             )
         self._perturb = perturb
-        self._use_heap = perturb is not None or not self._opt_bucket
-        self._inline_ok = self._opt_ring and perturb is None
-        self._fastpath = self._opt_ring and not self._use_heap
+        self._fastpath = perturb is None
 
     # -- scheduling ------------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        if self._use_heap:
-            # Only the heap path materializes seq as a tie key; the fast
-            # structures below are FIFO by construction, so they carry the
-            # (time, seq) order without numbering each entry (dispatch
+        if not self._fastpath:
+            # Only the perturbation queue materializes seq as a tie key; the
+            # fast structures below are FIFO by construction, so they carry
+            # the (time, seq) order without numbering each entry (dispatch
             # counting lives in the run loops — see events_executed).
             self._seq += 1
-            if self._perturb is None:
-                key: Any = self._seq
-            else:
-                rank, delay = self._perturb(self._seq, delay)
-                key = (rank, self._seq)
+            rank, delay = self._perturb(self._seq, delay)
             heapq.heappush(
-                self._queue, _ScheduledEvent(self._now + delay, key, fn, args)
+                self._queue,
+                _ScheduledEvent(self._now + delay, (rank, self._seq), fn, args),
             )
             return
         now = self._now
         t = now + delay
-        if t == now and self._opt_ring:
+        if t == now:
             # Zero-delay (or underflowed-to-now) event: it belongs to the
             # current instant and its seq is larger than everything already
             # pending there, so a FIFO append preserves (time, seq) order.
-            ring = self._ring
-            if ring:
-                if self._ring_time == now:
-                    ring.append((fn, args))
-                    return
-                # pathological: virtual time was rewound under a pending
-                # ring (run(until=past)); fall through to the calendar
-            else:
-                self._ring_time = now
-                ring.append((fn, args))
-                return
+            self._ring.append((fn, args))
+            return
         # A bucket is a bare (fn, args) tuple while it holds one event —
         # most distinct timestamps never see a second — and becomes a FIFO
         # deque on the first collision.
@@ -905,17 +796,13 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         tick = Signal(self)
-        if self.fast_forward and not self._use_heap:
+        if self.fast_forward and self._fastpath:
             now = self._now
             t = now + delay
-            if t == now and self._opt_ring:
+            if t == now:
                 # degenerate interval: never deferrable, plain ring event
-                ring = self._ring
-                if ring and self._ring_time == now or not ring:
-                    if not ring:
-                        self._ring_time = now
-                    ring.append((tick.trigger, (value,)))
-                    return tick
+                self._ring.append((tick.trigger, (value,)))
+                return tick
             lst = self._buckets.get(t)
             if lst is None:
                 self._buckets[t] = (tick.trigger, (value,))
@@ -1010,7 +897,6 @@ class Simulator:
         for cb in self._ff_listeners:
             cb(old, target)
         self._ring = deque(deferred)
-        self._ring_time = target
         return True
 
     # -- factories -------------------------------------------------------------
@@ -1034,14 +920,11 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None when idle."""
-        if self._use_heap:
+        if not self._fastpath:
             return self._queue[0].time if self._queue else None
-        best: Optional[float] = self._ring_time if self._ring else None
-        if self._times:
-            t = self._times[0]
-            if best is None or t < best:
-                best = t
-        return best
+        if self._ring:
+            return self._now  # the calendar only holds later instants
+        return self._times[0] if self._times else None
 
     def pending_events(self) -> int:
         """Events scheduled but not yet dispatched (across all tiers)."""
@@ -1067,22 +950,23 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or virtual time passes ``until``.
 
-        Returns the virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped.  The clock never
+        rewinds: ``until`` in the past dispatches nothing and returns ``now``.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and until < self._now:
+            return self._now
         self._running = True
         try:
-            if self._use_heap:
-                return self._run_heap(until)
-            if self._opt_batch:
+            if self._fastpath:
                 return self._run_batched(until)
-            return self._run_unbatched(until)
+            return self._run_perturbed(until)
         finally:
             self._running = False
 
-    def _run_heap(self, until: Optional[float]) -> float:
-        """The legacy single-heap loop (perturbations / baseline)."""
+    def _run_perturbed(self, until: Optional[float]) -> float:
+        """The perturbation-queue loop: one heap pop per event."""
         queue = self._queue
         heappop = heapq.heappop
         while queue:
@@ -1101,7 +985,6 @@ class Simulator:
         buckets = self._buckets
         pc = self._poll_counts  # mutated in place everywhere: safe to hoist
         heappop = heapq.heappop
-        opt_ring = self._opt_ring
         tup = tuple  # local: checked once per dispatched event
         # ``t > horizon`` is never true for an unbounded run, so the horizon
         # branches below (which read the original ``until``) are only
@@ -1116,40 +999,8 @@ class Simulator:
             ring = self._ring
             if ring:
                 # events pending at the current instant (left over from a
-                # previous run() or pushed between runs)
-                t = self._ring_time
-                if times and times[0] < t:
-                    # pathological: time was rewound under a pending ring —
-                    # the calendar holds an earlier instant; drain it first
-                    # without touching the ring (cold path).
-                    t = times[0]
-                    if t > horizon:
-                        self._now = until
-                        break
-                    self._now = t
-                    heappop(times)
-                    lst = buckets.pop(t)
-                    if pc:
-                        pc.pop(t, None)
-                    if type(lst) is deque:
-                        while lst:
-                            e = lst.popleft()
-                            nd += 1
-                            if type(e) is tup:
-                                e[0](*e[1])
-                            else:
-                                e.trigger(e.value)
-                    else:
-                        nd += 1
-                        if type(lst) is tup:
-                            lst[0](*lst[1])
-                        else:
-                            lst.trigger(lst.value)
-                    continue
-                if t > horizon:
-                    self._now = until
-                    break
-                self._now = t
+                # previous run() or pushed between runs): they belong to
+                # ``now``, which run() checked is not past the horizon
                 pop = ring.popleft  # ring identity is stable within a drain
                 while ring:
                     e = pop()
@@ -1206,12 +1057,11 @@ class Simulator:
                             w._step(lst.value, None)
                     else:
                         lst.trigger(lst.value)
-                elif opt_ring:
+                else:
                     # promote the whole bucket to the ring: everything at
                     # this instant drains without re-touching the heap, and
                     # zero-delay schedules append behind it in seq order
                     self._ring = ring = lst
-                    self._ring_time = t
                     pop = ring.popleft
                     while ring:
                         e = pop()
@@ -1232,51 +1082,10 @@ class Simulator:
                                     w._step(e.value, None)
                             else:
                                 e.trigger(e.value)
-                else:
-                    while lst:
-                        e = lst.popleft()
-                        nd += 1
-                        if type(e) is tup:
-                            e[0](*e[1])
-                        else:
-                            e.trigger(e.value)
             else:
                 break
         if nd:
             self._dispatched += nd
-        return self._now
-
-    def _run_unbatched(self, until: Optional[float]) -> float:
-        """Bucket calendar without batching: re-consult the heap per event."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            if until is not None and t > until:
-                self._now = until
-                break
-            self._now = t
-            lst = buckets[t]
-            if type(lst) is deque:
-                e = lst.popleft()
-                if not lst:
-                    del buckets[t]
-                    heapq.heappop(times)
-                    if self._poll_counts:
-                        self._poll_counts.pop(t, None)
-            else:
-                e = lst
-                del buckets[t]
-                heapq.heappop(times)
-                if self._poll_counts:
-                    self._poll_counts.pop(t, None)
-            self._dispatched += 1
-            if type(e) is tuple:
-                e[0](*e[1])
-            else:
-                # pre-valued awaitable entry (unreachable while the fast
-                # path is off, but kept equivalent for safety)
-                e.trigger(e.value)
         return self._now
 
     def run_until_complete(self, proc: Process, limit: float = math.inf) -> Any:

@@ -52,14 +52,14 @@ class RuntimeConfig:
     # (replication/EC) can be layered on via ``reliable_cache``.
     max_lineage_replays: int = 32
     # -- retry policy (transient failures: interrupts, lost leases, fetch
-    # failures).  Backoff is exponential with deterministic per-attempt
+    # failures).  Backoff is exponential (doubling, see
+    # ``overload.RETRY_BACKOFF_FACTOR``) with deterministic per-attempt
     # jitter so reruns of a seeded chaos schedule are bit-identical.
     max_retries: int = 4
     retry_backoff_base: float = 1e-3  # seconds before the first retry
-    retry_backoff_factor: float = 2.0
     # jitter fraction of the backoff.  The per-attempt jitter is *hashed*,
     # not drawn: ``frac = int(md5(f"{task_id}:{retries}")[:8], 16) / 0xFFFFFFFF``
-    # and ``delay = base * factor**(retries-1) * (1 + retry_jitter * frac)``
+    # and ``delay = base * 2**(retries-1) * (1 + retry_jitter * frac)``
     # (see ``overload.backoff_jitter_fraction``).  md5 is stable across
     # processes, platforms and Python versions, so seeded chaos replays are
     # bit-identical; tests/test_overload.py pins exact values of the
@@ -88,21 +88,6 @@ class RuntimeConfig:
     # orphan tasks, placement hazards, memory over-subscription) before any
     # task is submitted, and refuse to launch plans with errors.
     strict_plans: bool = False
-    # -- fast data plane.  Each mechanism has its own switch so the
-    # benchmarks can A/B them independently; turning all four off recovers
-    # the legacy store-and-forward data plane bit-for-bit.
-    # chunked cut-through: pipeline bulk transfers across hops in fixed
-    # chunks instead of serializing the whole object once per hop
-    chunked_transfers: bool = True
-    # concurrent consumers of one object on one device share a single
-    # in-flight transfer instead of each paying the bytes
-    fetch_dedup: bool = True
-    # push-mode waves distribute one object to many consumers along a
-    # spanning tree (serialize once per link) instead of per-consumer unicasts
-    multicast_pushes: bool = True
-    # locality placement prices per-link queueing + degradation into its
-    # transfer-time estimates instead of assuming an idle fabric
-    contention_aware_placement: bool = True
     # -- overload control.  Four independent mechanisms, each behind its own
     # switch; the all-off default reproduces pre-overload event traces
     # bit-for-bit (no extra events, no extra virtual time).
@@ -131,7 +116,6 @@ class RuntimeConfig:
     # device-attributed transient failures + health signals; open devices
     # shed load, half-open devices take one probe at a time.
     device_circuit_breakers: bool = False
-    breaker_failure_threshold: int = 5
     breaker_reset_after: float = 5e-3  # virtual seconds OPEN before probing
     breaker_probe_successes: int = 2
     # -- serving frontend (repro.serving).  These gate how a
@@ -153,10 +137,6 @@ class RuntimeConfig:
     # waits in a bounded room of serving_queue_depth, shed beyond.
     serving_max_inflight: Optional[int] = None
     serving_queue_depth: int = 256
-    # head-node balancer: rebalance a session off a head running hotter
-    # than the coldest by this factor for this many consecutive checks.
-    serving_rebalance_threshold: float = 2.0
-    serving_rebalance_patience: int = 3
     # -- distributed sanitizer (repro.analysis.dist, "Skadi-TSan").  Which
     # probe modes to arm: "trace" collects the protocol-event stream,
     # "invariants" runs the protocol monitors online, "hb" collects the
@@ -175,15 +155,8 @@ class RuntimeConfig:
     # all — every hook site is an ``ha is None`` check — so the legacy
     # event traces (and their virtual timings) are reproduced bit-for-bit.
     ha_replicas: int = 0
-    # leader -> standby WAL flush cadence in virtual seconds; the flush
-    # doubles as the liveness beacon the standbys watch.
-    ha_sync_interval: float = 1e-3
-    # consecutive silent sync intervals before a standby calls an election
-    ha_miss_threshold: int = 3
     # seed mixed with the new epoch for the deterministic winner draw
     ha_election_seed: int = 0
-    # virtual seconds the election winner spends replaying one WAL record
-    ha_replay_cost: float = 2e-7
     # -- simulator core.  Opt-in analytic idle fast-forward: when every
     # event at the queue head is a *poller* tick (heartbeats, WAL syncs,
     # breaker probes created via ``Simulator.poll_timeout``) and no
@@ -194,8 +167,6 @@ class RuntimeConfig:
     # traces bit-for-bit, and fast-forward intentionally elides idle poll
     # events (event *counts* differ even though outcomes do not).
     sim_fast_forward: bool = False
-    # accounting
-    track_task_timeline: bool = True
 
     def describe(self) -> str:
         return (

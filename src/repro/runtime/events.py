@@ -14,7 +14,7 @@ as a :class:`RuntimeEvent`.  The log serves three masters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 __all__ = ["RuntimeEvent", "EventLog"]
 
@@ -48,11 +48,9 @@ class EventLog:
 
     def __init__(self) -> None:
         self.events: List[RuntimeEvent] = []
-        # observer poked on every record — the telemetry plane mirrors the
-        # log into incident counters so both views share one source of truth
-        self.on_record: Optional[Callable[[RuntimeEvent], None]] = None
-        # additional observers (the dist-sanitizer probe mirrors chaos
-        # injections without displacing the telemetry hook above)
+        # poked, in registration order, on every record: the telemetry plane
+        # mirrors the log into incident counters (one source of truth) and
+        # the dist-sanitizer probe mirrors chaos injections
         self._observers: List[Callable[[RuntimeEvent], None]] = []
 
     def add_observer(self, observer: Callable[[RuntimeEvent], None]) -> None:
@@ -61,8 +59,6 @@ class EventLog:
     def record(self, time: float, kind: str, **detail: Any) -> RuntimeEvent:
         ev = RuntimeEvent(time, kind, tuple(sorted(detail.items())))
         self.events.append(ev)
-        if self.on_record is not None:
-            self.on_record(ev)
         for observer in self._observers:
             observer(ev)
         return ev

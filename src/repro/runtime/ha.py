@@ -5,8 +5,8 @@ and blacklist state — lives on the head node, which PRs 1-8 treated as
 immortal.  This module makes it killable.  The leader appends every
 control-plane mutation to a write-ahead log (:class:`WalRecord`) and
 flushes the un-synced tail to N standby server nodes over the simulated
-network every ``ha_sync_interval`` virtual seconds; the flush doubles as
-the liveness beacon the standbys watch.  When ``ha_miss_threshold``
+network every ``SYNC_INTERVAL`` virtual seconds; the flush doubles as
+the liveness beacon the standbys watch.  When ``MISS_THRESHOLD``
 consecutive intervals pass without a sync, a standby calls a seeded
 deterministic election: the winner bumps the fencing epoch, replays its
 replica of the log to rebuild the directory and failure views, re-points
@@ -34,6 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import ServerlessRuntime
 
 __all__ = ["WalRecord", "HAController"]
+
+# leader -> standby WAL flush cadence in virtual seconds; the flush doubles
+# as the liveness beacon the standbys watch
+SYNC_INTERVAL = 1e-3
+# consecutive silent sync intervals before a standby calls an election
+MISS_THRESHOLD = 3
+# virtual seconds the election winner spends replaying one WAL record
+REPLAY_COST = 2e-7
 
 
 class WalRecord:
@@ -199,11 +207,10 @@ class HAController:
         each standby as one message.  The batch is also the liveness beacon —
         an idle leader still syncs (empty batches), so silence means death
         or partition, never mere quiet."""
-        interval = self.cfg.ha_sync_interval
         stall = 0
         progress = self.runtime._progress_counter()
         while self._live(gen) and self.runtime._has_pending_work():
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(SYNC_INTERVAL)
             if not self._live(gen):
                 return
             if not self.gcs_up:
@@ -239,12 +246,11 @@ class HAController:
 
     def _watch_loop(self, node_id: str, gen: int) -> Generator:
         """Standby-side: count silent sync intervals; elect on the threshold."""
-        interval = self.cfg.ha_sync_interval
-        deadline = self.cfg.ha_miss_threshold * interval
+        deadline = MISS_THRESHOLD * SYNC_INTERVAL
         stall = 0
         progress = self.runtime._progress_counter()
         while self._live(gen) and self.runtime._has_pending_work():
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(SYNC_INTERVAL)
             if not self._live(gen):
                 return
             if node_id == self.leader_node:
@@ -315,8 +321,8 @@ class HAController:
             rng = random.Random((self.cfg.ha_election_seed << 16) ^ new_epoch)
             winner = rng.choice(candidates)
             log = list(self.replica_logs.get(winner, ()))
-            if self.cfg.ha_replay_cost > 0.0 and log:
-                yield self.sim.timeout(self.cfg.ha_replay_cost * len(log))
+            if log:
+                yield self.sim.timeout(REPLAY_COST * len(log))
             self.records_replayed += len(log)
             yield from rt._complete_failover(winner, new_epoch, log)
         finally:

@@ -57,6 +57,9 @@ class AdmissionRejectedError(RuntimeError):
 
 # -- deterministic retry backoff ---------------------------------------------
 
+# each retry waits this many times longer than the one before it
+RETRY_BACKOFF_FACTOR = 2.0
+
 
 def backoff_jitter_fraction(task_id: str, retries: int) -> float:
     """The pinned jitter fraction in [0, 1] for attempt ``retries`` of a task.
@@ -76,9 +79,7 @@ def retry_backoff_delay(config, task_id: str, retries: int) -> float:
     ``retries`` is the attempt number being scheduled (1 for the first
     retry).  Bit-identical to the pre-overload runtime implementation.
     """
-    base = config.retry_backoff_base * config.retry_backoff_factor ** max(
-        0, retries - 1
-    )
+    base = config.retry_backoff_base * RETRY_BACKOFF_FACTOR ** max(0, retries - 1)
     return base * (1.0 + config.retry_jitter * backoff_jitter_fraction(task_id, retries))
 
 
@@ -127,6 +128,10 @@ class RetryBudget:
 
 
 # -- circuit breakers ---------------------------------------------------------
+
+
+# consecutive device-attributed failures that trip a CLOSED breaker
+BREAKER_FAILURE_THRESHOLD = 5
 
 
 class BreakerState(enum.Enum):
@@ -233,12 +238,10 @@ class BreakerBoard:
 
     def __init__(
         self,
-        threshold: int,
         reset_after: float,
         probe_successes: int,
         on_transition: Optional[Callable[[str, BreakerState, BreakerState], None]] = None,
     ):
-        self.threshold = threshold
         self.reset_after = reset_after
         self.probe_successes = probe_successes
         self.on_transition = on_transition
@@ -249,7 +252,7 @@ class BreakerBoard:
         if br is None:
             br = CircuitBreaker(
                 device_id,
-                self.threshold,
+                BREAKER_FAILURE_THRESHOLD,
                 self.reset_after,
                 self.probe_successes,
                 on_transition=self.on_transition,

@@ -120,6 +120,14 @@ class OwnershipTable:
         if had or entry.state is not old:
             self._observe("drop_location", entry, old)
 
+    def reset_pending(self, object_id: str) -> None:
+        """Lineage replay re-runs the producer: the entry awaits it afresh."""
+        entry = self.entry(object_id)
+        old = entry.state
+        entry.state = ValueState.PENDING
+        entry.locations.clear()
+        self._observe("replay_reset", entry, old)
+
     def drop_node(self, node_id: str) -> List[str]:
         """A node died: forget its copies; return newly-lost object ids."""
         lost = []

@@ -56,6 +56,11 @@ DRIVER = "driver"
 
 ACTOR_CHECKPOINT_PREFIX = "__actor__/"
 
+# the task has concluded, one way or another: nothing more will run for it
+_TERMINAL = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+# an attempt is live on a device (leased, fetching arguments, or executing)
+_IN_FLIGHT = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+
 
 class TaskError(RuntimeError):
     """A task payload raised; surfaces at ``get``."""
@@ -214,9 +219,6 @@ class ServerlessRuntime:
         # the lower layers can be handed their (duck-typed) registries
         self.telemetry = Telemetry(clock=lambda: self.sim.now)
         self.net.metrics = self.telemetry.registry
-        if not self.config.chunked_transfers:
-            # legacy store-and-forward: every transfer is one chunk per hop
-            self.net.chunk_bytes = None
         self.ownership = OwnershipTable()
         self.lineage = LineageGraph()
         # control-plane HA controller; stays None unless ha_replicas > 0
@@ -243,7 +245,6 @@ class ServerlessRuntime:
             schedulable,
             endpoint=self.gcs_endpoint,
             metrics=self.telemetry.registry,
-            contention_aware=self.config.contention_aware_placement,
         )
         self.scheduler.alive_filter = self._device_alive
 
@@ -278,7 +279,7 @@ class ServerlessRuntime:
         self.log = EventLog()
         # every event-log record mirrors into skadi_incidents_total, so
         # EventLog.counts() and the metrics plane agree by construction
-        self.log.on_record = self._on_incident
+        self.log.add_observer(self._on_incident)
         reg = self.telemetry.registry
         self._m_submitted = reg.counter(
             "skadi_tasks_submitted_total", "tasks submitted to the runtime"
@@ -330,7 +331,6 @@ class ServerlessRuntime:
         self._device_inflight: Dict[str, int] = {}  # attempts per device (breakers)
         if cfg.device_circuit_breakers:
             self._breakers = BreakerBoard(
-                cfg.breaker_failure_threshold,
                 cfg.breaker_reset_after,
                 cfg.breaker_probe_successes,
                 on_transition=self._on_breaker_transition,
@@ -588,11 +588,17 @@ class ServerlessRuntime:
         tell which objects it actually took down."""
         if not self.ownership.contains(object_id):
             return
-        entry = self.ownership.entry(object_id)
-        entry.locations.add(target.node_id)
-        for node_id in list(entry.locations):
+        # directory upkeep is the GCS acting, whichever caller's put forced
+        # the eviction; that caller's own attribution resumes afterwards
+        probe = self.probe
+        if probe is not None:
+            caller_site, probe.site = probe.site, "gcs"
+        self.ownership.add_location(object_id, target.node_id)
+        for node_id in self.ownership.locations(object_id):
             if node_id != target.node_id and not self._node_has_copy(node_id, object_id):
-                entry.locations.discard(node_id)
+                self.ownership.drop_location(object_id, node_id)
+        if probe is not None:
+            probe.site = caller_site
 
     def _node_has_copy(self, node_id: str, object_id: str) -> bool:
         node = self.cluster.nodes.get(node_id)
@@ -1144,7 +1150,7 @@ class ServerlessRuntime:
         (releasing any fetch-dedup followers via the leader's ``end_fetch``),
         and its speculative twin.  Every cancellation source funnels here, so
         every one lands in the event log with its ``reason``."""
-        if ctx.state in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED):
+        if ctx.state in _TERMINAL:
             return False
         ctx.state = TaskState.CANCELLED
         ctx.error = f"cancelled: {reason}"
@@ -1436,17 +1442,10 @@ class ServerlessRuntime:
     def _queue_push(self, object_id: str, ctx: _TaskCtx) -> None:
         """Start (or coalesce) a proactive push of one object to one consumer.
 
-        With multicast enabled, pushes of the same object queued at the same
-        virtual instant are batched and flushed one event later as a single
-        spanning-tree distribution; otherwise each consumer gets a unicast.
+        Pushes of the same object queued at the same virtual instant are
+        batched and flushed one event later as a single spanning-tree
+        distribution (a unicast when only one device is waiting).
         """
-        assert ctx.device is not None
-        if not self.config.multicast_pushes:
-            self.sim.process(
-                self._push_to(object_id, ctx),
-                name=f"push:{object_id}->{ctx.device.device_id}",
-            )
-            return
         batch = self._pending_pushes.setdefault(object_id, [])
         batch.append(ctx)
         if len(batch) == 1:
@@ -1500,12 +1499,11 @@ class ServerlessRuntime:
         # register each leg with the fetch-dedup registry so concurrent
         # pulls/pushes of the same object ride this distribution
         guards: List[Tuple[Raylet, str]] = []
-        if self.config.fetch_dedup:
-            for dev_id in targets:
-                raylet = self._raylet_of_device.get(dev_id)
-                if raylet is not None and raylet.pending_fetch(object_id, dev_id) is None:
-                    raylet.begin_fetch(object_id, dev_id)
-                    guards.append((raylet, dev_id))
+        for dev_id in targets:
+            raylet = self._raylet_of_device.get(dev_id)
+            if raylet is not None and raylet.pending_fetch(object_id, dev_id) is None:
+                raylet.begin_fetch(object_id, dev_id)
+                guards.append((raylet, dev_id))
         span = self.telemetry.tracer.start_span(
             f"mcast:{object_id}",
             "transfer",
@@ -1550,34 +1548,28 @@ class ServerlessRuntime:
         push_site = f"push:{object_id}->{ctx.device.device_id}"
         if self.probe_edges is not None:
             self.probe_edges.push_start(push_site, object_id)
-        if self.config.fetch_dedup:
-            pending = ctx.raylet.pending_fetch(object_id, ctx.device.device_id)
-            if pending is not None:
-                # another push/pull is already moving this object here
-                ctx.raylet.note_deduped_fetch(ctx.device.device_id, object_id)
-                yield pending
-                if self.probe is not None:
-                    self.probe.fetch_join(
-                        push_site, object_id, ctx.device.device_id
-                    )
-                if (
-                    ctx.raylet.store_of(ctx.device.device_id).contains(object_id)
-                    and not sig.triggered
-                ):
-                    sig.succeed()
-                return
+        pending = ctx.raylet.pending_fetch(object_id, ctx.device.device_id)
+        if pending is not None:
+            # another push/pull is already moving this object here
+            ctx.raylet.note_deduped_fetch(ctx.device.device_id, object_id)
+            yield pending
+            if self.probe is not None:
+                self.probe.fetch_join(push_site, object_id, ctx.device.device_id)
+            if (
+                ctx.raylet.store_of(ctx.device.device_id).contains(object_id)
+                and not sig.triggered
+            ):
+                sig.succeed()
+            return
         src_store = self._find_store_with(object_id)
         if src_store is None:
             return  # lost; recovery path will handle it
         entry = self.ownership.entry(object_id)
         dst_store = ctx.raylet.store_of(ctx.device.device_id)
         if src_store is not dst_store:
-            guard = (
-                self.config.fetch_dedup
-                and ctx.raylet.pending_fetch(object_id, ctx.device.device_id) is None
-            )
-            if guard:
-                ctx.raylet.begin_fetch(object_id, ctx.device.device_id)
+            # nothing is pending here (checked above, no yield since), so
+            # this push leads: concurrent pulls/pushes ride it
+            ctx.raylet.begin_fetch(object_id, ctx.device.device_id)
             span = self.telemetry.tracer.start_span(
                 f"push:{object_id}",
                 "transfer",
@@ -1596,8 +1588,7 @@ class ServerlessRuntime:
                 )
             finally:
                 span.finish(self.sim.now)
-                if guard:
-                    ctx.raylet.end_fetch(object_id, ctx.device.device_id)
+                ctx.raylet.end_fetch(object_id, ctx.device.device_id)
             if not dst_store.contains(object_id):
                 try:
                     dst_store.put(object_id, src_store.get(object_id).value, entry.nbytes)
@@ -1634,9 +1625,6 @@ class ServerlessRuntime:
 
     def _pull_inner(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
         assert ctx.device is not None and ctx.raylet is not None
-        if not self.config.fetch_dedup:
-            yield from self._fetch_object(ref, ctx)
-            return
         device_id = ctx.device.device_id
         pending = ctx.raylet.pending_fetch(ref.object_id, device_id)
         if pending is not None:
@@ -1897,8 +1885,8 @@ class ServerlessRuntime:
                     self._actor_calls[spec.actor_id] = (
                         self._actor_calls.get(spec.actor_id, 0) + 1
                     )
-                    cadence = max(1, self.config.actor_checkpoint_every)
-                    if self._actor_calls[spec.actor_id] % cadence == 0:
+                    every = self.config.actor_checkpoint_every
+                    if every > 0 and self._actor_calls[spec.actor_id] % every == 0:
                         yield from self._checkpoint_actor(spec.actor_id)
             finally:
                 if acquired_actor:
@@ -1906,15 +1894,9 @@ class ServerlessRuntime:
                 if counted_started:
                     self.scheduler.task_finished(device.device_id)
 
-            # a speculative twin (or a lineage replay) may have committed the
-            # result while we ran; first commit wins, the rest stand down
-            main = self._ctxs.get(spec.task_id, ctx)
-            if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
-                or self.ownership.is_ready(ctx.ref.object_id)
-            ):
+            if self._attempt_superseded(ctx):
                 return
+            main = self._ctxs.get(spec.task_id, ctx)
 
             # 5. store the output locally
             store = raylet.store_of(device.device_id)
@@ -1987,8 +1969,7 @@ class ServerlessRuntime:
             if (
                 loser is not None
                 and loser.proc is not None
-                and loser.state
-                in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                and loser.state in _IN_FLIGHT
             ):
                 loser.proc.interrupt("speculative twin won")
             self.tasks_finished += 1
@@ -2009,8 +1990,7 @@ class ServerlessRuntime:
                 ).set(self._retry_budget.tokens(device.node_id))
             if self._breakers is not None:
                 self._breakers.record_success(device.device_id, self.sim.now)
-            if self.config.track_task_timeline:
-                self.timelines.append(ctx.timeline)
+            self.timelines.append(ctx.timeline)
 
             # 8. proactive pushes to subscribed consumers (a wave of
             # consumers coalesces into one multicast distribution)
@@ -2023,44 +2003,31 @@ class ServerlessRuntime:
             if not main.done.triggered:
                 main.done.succeed()
         except Interrupt as intr:
-            if ctx.is_clone:
-                return  # backup copy: the original (or the winner) carries on
-            main = self._ctxs.get(spec.task_id, ctx)
-            if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
-                or self.ownership.is_ready(ctx.ref.object_id)
-            ):
-                return  # interrupted after the result already committed
-            self._retry_or_fail(ctx, cause=str(intr.cause or "interrupted"))
+            # a backup copy stands down silently: the original (or the
+            # winner) carries on
+            if not (ctx.is_clone or self._attempt_superseded(ctx)):
+                self._retry_or_fail(ctx, cause=str(intr.cause or "interrupted"))
         except _DeadlineExceededError:
-            if ctx.is_clone:
-                return
-            main = self._ctxs.get(spec.task_id, ctx)
-            if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
-                or self.ownership.is_ready(ctx.ref.object_id)
-            ):
-                return
-            self._cancel_and_propagate(main, reason="deadline_exceeded")
+            if not (ctx.is_clone or self._attempt_superseded(ctx)):
+                self._cancel_and_propagate(
+                    self._ctxs.get(spec.task_id, ctx), reason="deadline_exceeded"
+                )
         except _TransientTaskError as exc:
-            if ctx.is_clone:
-                return
-            main = self._ctxs.get(spec.task_id, ctx)
-            if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
-                or self.ownership.is_ready(ctx.ref.object_id)
-            ):
-                return
-            self._retry_or_fail(ctx, cause=str(exc))
+            if not (ctx.is_clone or self._attempt_superseded(ctx)):
+                self._retry_or_fail(ctx, cause=str(exc))
         except Exception as exc:  # payload error: permanent, not retried
             if isinstance(exc, (UnrecoverableObjectError, PlacementError)):
                 raise
             if ctx.is_clone:
                 return  # the original will hit (and report) the same error
             self._fail_ctx(ctx, f"{type(exc).__name__}: {exc}")
+
+    def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
+        """This attempt's outcome no longer matters: its task concluded or
+        its result already committed (a speculative twin or a lineage replay
+        got there first).  First commit wins; the rest stand down."""
+        main = self._ctxs.get(ctx.spec.task_id, ctx)
+        return main.state in _TERMINAL or self.ownership.is_ready(ctx.ref.object_id)
 
     # -- retries, timeouts & speculation ------------------------------------
 
@@ -2178,8 +2145,7 @@ class ServerlessRuntime:
         yield self.sim.timeout(self.config.task_timeout)
         if (
             ctx.attempt == attempt
-            and ctx.state
-            in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+            and ctx.state in _IN_FLIGHT
             and not self.ownership.is_ready(ctx.ref.object_id)
             and ctx.proc is not None
         ):
@@ -2199,8 +2165,7 @@ class ServerlessRuntime:
             ctx.attempt != attempt
             or ctx.twin is not None
             or self._ctxs.get(ctx.spec.task_id) is not ctx
-            or ctx.state
-            not in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+            or ctx.state not in _IN_FLIGHT
             or self.ownership.is_ready(ctx.ref.object_id)
         ):
             return
@@ -2475,11 +2440,7 @@ class ServerlessRuntime:
         """Any non-terminal task (including pending retries) that lists the
         object as a dependency still needs its directory entry."""
         for ctx in self._ctxs.values():
-            if ctx.state in (
-                TaskState.FINISHED,
-                TaskState.FAILED,
-                TaskState.CANCELLED,
-            ):
+            if ctx.state in _TERMINAL:
                 continue
             if any(dep.object_id == object_id for dep in ctx.spec.dependencies):
                 return True
@@ -2659,19 +2620,26 @@ class ServerlessRuntime:
         if self.ha is not None:
             self.ha.append("node_alive", node=node_id)
 
-    def _interrupt_tasks_on(self, node_id: str, cause: str) -> None:
-        """In-flight attempts placed on the node resubmit themselves."""
+    def _interrupt_attempts(
+        self, hit: Callable[[_TaskCtx], bool], cause: str
+    ) -> None:
+        """Interrupt every in-flight attempt (speculative twins included)
+        that ``hit`` selects; each resubmits itself via the retry path."""
         for ctx in list(self._ctxs.values()):
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
-                    and victim.device is not None
-                    and victim.device.node_id == node_id
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                    and victim.state in _IN_FLIGHT
                     and victim.proc is not None
+                    and hit(victim)
                 ):
-                    victim.proc.interrupt(f"node {node_id}: {cause}")
+                    victim.proc.interrupt(cause)
+
+    def _interrupt_tasks_on(self, node_id: str, cause: str) -> None:
+        self._interrupt_attempts(
+            lambda v: v.device is not None and v.device.node_id == node_id,
+            f"node {node_id}: {cause}",
+        )
 
     # -- control-plane HA: head death, election, failover ---------------------
     #
@@ -2689,11 +2657,7 @@ class ServerlessRuntime:
         and returns instead of scheduling a retry against a dead GCS."""
         for task_id in sorted(self._ctxs):
             ctx = self._ctxs[task_id]
-            if ctx.state in (
-                TaskState.FINISHED,
-                TaskState.FAILED,
-                TaskState.CANCELLED,
-            ):
+            if ctx.state in _TERMINAL:
                 continue
             self._fail_ctx(ctx, reason)
             for victim in (ctx, ctx.twin):
@@ -2975,16 +2939,9 @@ class ServerlessRuntime:
                 and entry.state == ValueState.READY
                 and not self._node_has_copy(node_id, entry.object_id)
             ):
-                entry.locations.discard(node_id)
-                if not entry.locations:
-                    entry.state = ValueState.LOST
+                self.ownership.drop_location(entry.object_id, node_id)
+                if entry.state == ValueState.LOST:
                     lost.append(entry.object_id)
-                    if self.probe is not None:
-                        # mirrors the in-place transition above (this
-                        # path bypasses the table's mutators)
-                        self.probe.ownership_op(
-                            "drop_location", entry.object_id, "READY", "LOST", 0
-                        )
         self._record(
             "device_dead",
             device=device_id,
@@ -3112,18 +3069,12 @@ class ServerlessRuntime:
             if original is not None:
                 self._raylet_of_device[dev_id] = original
         # attempts mid-flight through the takeover raylet must re-dispatch
-        for ctx in list(self._ctxs.values()):
-            for victim in (ctx, ctx.twin):
-                if (
-                    victim is not None
-                    and victim.raylet is head_raylet
-                    and victim.device is not None
-                    and victim.device.device_id in adopted
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
-                    and victim.proc is not None
-                ):
-                    victim.proc.interrupt("control handed back to revived raylet")
+        self._interrupt_attempts(
+            lambda v: v.raylet is head_raylet
+            and v.device is not None
+            and v.device.device_id in adopted,
+            "control handed back to revived raylet",
+        )
         self._record("raylet_takeover_end", node=node_id, devices=sorted(adopted))
 
     def _mark_blade_dead(self, node_id: str, cause: str) -> List[str]:
@@ -3154,30 +3105,13 @@ class ServerlessRuntime:
             self.ha.append("blade_alive", node=node_id)
 
     def _interrupt_tasks_on_device(self, device_id: str, cause: str) -> None:
-        """In-flight attempts placed on one device resubmit themselves."""
-        for ctx in list(self._ctxs.values()):
-            for victim in (ctx, ctx.twin):
-                if (
-                    victim is not None
-                    and victim.device is not None
-                    and victim.device.device_id == device_id
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
-                    and victim.proc is not None
-                ):
-                    victim.proc.interrupt(f"device {device_id}: {cause}")
+        self._interrupt_attempts(
+            lambda v: v.device is not None and v.device.device_id == device_id,
+            f"device {device_id}: {cause}",
+        )
 
     def _interrupt_tasks_on_raylet(self, raylet: Raylet, cause: str) -> None:
-        for ctx in list(self._ctxs.values()):
-            for victim in (ctx, ctx.twin):
-                if (
-                    victim is not None
-                    and victim.raylet is raylet
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
-                    and victim.proc is not None
-                ):
-                    victim.proc.interrupt(cause)
+        self._interrupt_attempts(lambda v: v.raylet is raylet, cause)
 
     def _recover_lost_dependencies(self, lost: List[str]) -> None:
         """Proactive recovery: a lost object some open task still depends on
@@ -3187,7 +3121,7 @@ class ServerlessRuntime:
         lost_set = set(lost)
         needed = set()
         for ctx in self._ctxs.values():
-            if ctx.state in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED):
+            if ctx.state in _TERMINAL:
                 continue
             for dep in ctx.spec.dependencies:
                 if dep.object_id in lost_set:
@@ -3284,15 +3218,9 @@ class ServerlessRuntime:
                 # sites and lease keys, so a replay is not confused with
                 # the task's first life
                 self.probe.replay(spec.task_id)
+                self.probe.site = "gcs"  # recovery is a control-plane act
             for out_oid in old_ids:
-                entry = self.ownership.entry(out_oid)
-                if self.probe is not None:
-                    self.probe.site = "gcs"  # recovery is a control-plane act
-                    self.probe.ownership_op(
-                        "replay_reset", out_oid, entry.state.name, "PENDING", 0
-                    )
-                entry.state = ValueState.PENDING
-                entry.locations.clear()
+                self.ownership.reset_pending(out_oid)
             ctx = _TaskCtx(spec, ObjectRef(old_ids[0], task_id=spec.task_id), Signal(self.sim))
             ctx.timeline.submitted = self.sim.now
             self._open_task_span(ctx, replayed=True)

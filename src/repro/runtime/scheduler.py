@@ -38,7 +38,6 @@ class Scheduler:
         schedulable_devices: Sequence[Device],
         endpoint: str,
         metrics=None,
-        contention_aware: bool = False,
     ):
         if not schedulable_devices:
             raise PlacementError("no schedulable devices in the cluster")
@@ -47,8 +46,6 @@ class Scheduler:
         self.policy = policy
         self.endpoint = endpoint  # where the scheduler runs (control messages)
         self.metrics = metrics  # optional telemetry MetricsRegistry
-        # price per-link queueing into locality estimates (vs. idle fabric)
-        self.contention_aware = contention_aware
         self._devices = list(schedulable_devices)
         self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
         self._rr_cursor = 0
@@ -203,11 +200,10 @@ class Scheduler:
         """Data-centric: minimize estimated bytes-over-links to gather inputs,
         then compute time, then queueing.
 
-        With ``contention_aware`` the estimates price in each link's queued
-        backlog and residual busy window, so a candidate behind a hot link
-        loses to an equally-distant candidate on an idle path."""
+        The estimates price in each link's queued backlog and residual busy
+        window, so a candidate behind a hot link loses to an equally-distant
+        candidate on an idle path."""
         deps = task.dependencies
-        contended = self.contention_aware
 
         def cost(device: Device) -> tuple:
             move_time = 0.0
@@ -223,7 +219,7 @@ class Scheduler:
                         self._node_data_endpoint(loc),
                         device.device_id,
                         entry.nbytes,
-                        contended=contended,
+                        contended=True,
                     )
                     for loc in sorted(entry.locations)
                 )

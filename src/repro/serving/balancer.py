@@ -7,7 +7,7 @@ congestion and a single point of failure, so the balancer:
 * spreads new sessions across heads, least-loaded first, using a sliding
   window :class:`MessageRateTracker` per head;
 * watches for *sustained* skew — one head running hotter than the coldest
-  by more than ``skew_threshold`` for ``skew_patience`` consecutive
+  by more than ``SKEW_THRESHOLD`` for ``SKEW_PATIENCE`` consecutive
   observations — and migrates one session at a time from the hottest to
   the coldest head (one at a time, because a bulk migration would just
   trade which head is hot);
@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.runtime import ServerlessRuntime
 
 __all__ = ["MessageRateTracker", "HeadNodeBalancer"]
+
+# rebalance a session off a head running hotter than the coldest by this
+# factor for this many consecutive observations
+SKEW_THRESHOLD = 2.0
+SKEW_PATIENCE = 3
 
 
 class MessageRateTracker:
@@ -66,11 +71,8 @@ class HeadNodeBalancer:
         heads: Optional[Sequence[str]] = None,
         *,
         window: float = 0.05,
-        skew_threshold: Optional[float] = None,
-        skew_patience: Optional[int] = None,
     ):
         self.runtime = runtime
-        cfg = runtime.config
         if heads is None:
             heads = [n.node_id for n in runtime.cluster.nodes_of_kind(NodeKind.SERVER)]
         if not heads:
@@ -79,12 +81,6 @@ class HeadNodeBalancer:
         self.trackers: Dict[str, MessageRateTracker] = {
             head: MessageRateTracker(window) for head in self.heads
         }
-        self.skew_threshold = (
-            cfg.serving_rebalance_threshold if skew_threshold is None else skew_threshold
-        )
-        self.skew_patience = (
-            cfg.serving_rebalance_patience if skew_patience is None else skew_patience
-        )
         self.sessions: Dict[str, str] = {}  # session id -> head node id
         self.rebalances = 0
         self.failovers = 0
@@ -176,12 +172,12 @@ class HeadNodeBalancer:
         rates = {h: self.trackers[h].rate(now) for h in live}
         hot = max(live, key=lambda h: (rates[h], h))
         cold = min(live, key=lambda h: (rates[h], h))
-        if rates[hot] > self.skew_threshold * max(rates[cold], 1e-9):
+        if rates[hot] > SKEW_THRESHOLD * max(rates[cold], 1e-9):
             self._skew_streak += 1
         else:
             self._skew_streak = 0
             return
-        if self._skew_streak < self.skew_patience:
+        if self._skew_streak < SKEW_PATIENCE:
             return
         self._skew_streak = 0
         victims = sorted(s for s, h in self.sessions.items() if h == hot)

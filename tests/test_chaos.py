@@ -204,6 +204,28 @@ class TestHeartbeatDetection:
         assert rt.health is not None and rt.health.beats_received > 0
         assert monkey.injected  # the crash actually fired
 
+    def test_miss_threshold_sets_the_detection_delay(self):
+        """Suspicion lands ``miss_threshold`` silent intervals after the
+        crash: a threshold of 1 suspects two intervals before 3 does."""
+
+        def suspected_at(miss_threshold):
+            rt = ServerlessRuntime(
+                build_serverful(n_servers=3),
+                chaos_config(heartbeat_miss_threshold=miss_threshold),
+            )
+            ChaosMonkey(rt, ChaosSchedule().crash_node(2e-3, "server1")).arm()
+            refs = [
+                rt.submit(lambda i=i: i * i, compute_cost=5e-3, name=f"sq{i}")
+                for i in range(12)
+            ]
+            assert rt.get(refs) == [i * i for i in range(12)]
+            first = rt.log.of_kind("node_suspected")[0]
+            assert first["node"] == "server1"
+            return first.time
+
+        interval = chaos_config().heartbeat_interval
+        assert suspected_at(3) - suspected_at(1) == pytest.approx(2 * interval)
+
     def test_restarted_node_is_unsuspected_by_a_beat(self):
         rt = ServerlessRuntime(build_serverful(n_servers=3), chaos_config())
         schedule = ChaosSchedule().crash_node(2e-3, "server1", restart_after=6e-3)
@@ -224,6 +246,26 @@ class TestHeartbeatDetection:
         assert rt.health.beats_sent > 0
         # heartbeats ride the same accounted control plane as everything else
         assert rt.net.stats.messages > rt.health.beats_sent
+
+    def test_fast_forward_skips_idle_heartbeat_rounds(self):
+        """One long task on a quiet cluster: with ``sim_fast_forward`` the
+        kernel jumps the idle heartbeat rounds (crediting the beats healthy
+        raylets would have sent) instead of simulating them — same answer,
+        nobody suspected, a fraction of the events."""
+
+        def run(fast_forward):
+            rt = ServerlessRuntime(
+                build_serverful(n_servers=3),
+                chaos_config(sim_fast_forward=fast_forward),
+            )
+            assert rt.get(rt.submit(lambda: 42, compute_cost=0.5, name="long")) == 42
+            assert rt.log.count("node_suspected") == 0
+            return rt
+
+        exact, skipped = run(False), run(True)
+        assert exact.sim.ff_jumps == 0 and skipped.sim.ff_jumps >= 1
+        assert skipped.sim.events_executed() * 10 < exact.sim.events_executed()
+        assert skipped.health.beats_received >= exact.health.beats_received
 
     def test_heartbeats_off_by_default(self):
         rt = ServerlessRuntime(
@@ -352,10 +394,38 @@ class TestActorReconstruction:
     def _size(state):
         return len(state.seen)
 
-    def _runtime(self):
+    class _Counter:
+        def __init__(self):
+            self.n = 0
+
+    @staticmethod
+    def _bump(state):
+        state.n += 1
+        return state.n
+
+    def _runtime(self, **overrides):
         cluster = build_serverful(n_servers=3)
         cache = make_reliable_cache(cluster, ReplicationScheme(2))
-        return ServerlessRuntime(cluster, chaos_config(), reliable_cache=cache)
+        return ServerlessRuntime(cluster, chaos_config(**overrides), reliable_cache=cache)
+
+    @pytest.mark.parametrize(
+        "every,resumes_at",
+        [
+            (0, 1),  # checkpointing off: only the creation-time state survives
+            (1, 4),  # checkpointed after call 3
+            (2, 3),  # checkpointed after call 2; call 3 is lost with the node
+        ],
+    )
+    def test_checkpoint_cadence(self, every, resumes_at):
+        rt = self._runtime(actor_checkpoint_every=every)
+        actor = rt.create_actor(
+            self._Counter, pinned_device=cpu_of(rt.cluster, "server1").device_id
+        )
+        for expected in (1, 2, 3):
+            assert rt.get(actor.call(self._bump)) == expected
+        rt.fail_node("server1")
+        assert rt.get(actor.call(self._bump)) == resumes_at
+        assert rt.actor_restarts == 1
 
     def test_actor_restarts_from_checkpoint_on_surviving_node(self):
         rt = self._runtime()

@@ -17,6 +17,11 @@ from repro.runtime import (
 )
 
 
+# a chunk size no payload here reaches: every transfer is one chunk, which
+# each hop stores and forwards whole (the comparator for cut-through)
+ONE_CHUNK = 1 << 40
+
+
 def line_topology(n_hops: int = 3) -> Topology:
     """a0 - a1 - ... - a<n_hops>, uniform links."""
     topo = Topology()
@@ -46,7 +51,7 @@ class TestChunkedTransfers:
             sim.run()
             return sim.now
 
-        assert timed(None) / timed(256 * 1024) >= 2.0
+        assert timed(ONE_CHUNK) / timed(256 * 1024) >= 2.0
 
     def test_single_hop_unchanged_by_chunking(self):
         """Pipelining has nothing to overlap on one hop: same time either way
@@ -59,7 +64,7 @@ class TestChunkedTransfers:
             sim.run()
             return sim.now
 
-        assert timed(256 * 1024) == pytest.approx(timed(None))
+        assert timed(256 * 1024) == pytest.approx(timed(ONE_CHUNK))
 
     def test_estimate_matches_sim_chunked(self, sim):
         net = Network(sim, line_topology(4), chunk_bytes=256 * 1024)
@@ -68,12 +73,13 @@ class TestChunkedTransfers:
         assert p.triggered
         assert sim.now == pytest.approx(net.transfer_time_estimate("a0", "a4", 32 * MB))
 
-    def test_legacy_estimate_is_store_and_forward(self, sim):
-        """chunk_bytes=None recovers the pre-pipelining closed form:
-        sum of per-hop (latency + nbytes/bandwidth)."""
+    def test_single_chunk_estimate_is_store_and_forward(self, sim):
+        """A payload that fits one chunk has nothing to pipeline, so the
+        estimate is the closed form: sum of per-hop (latency +
+        nbytes/bandwidth)."""
         topo = line_topology(3)
-        net = Network(sim, topo, chunk_bytes=None)
         nbytes = 8 * MB
+        net = Network(sim, topo, chunk_bytes=nbytes)
         expected = sum(
             topo.link(a, b).transfer_time(nbytes) for a, b in topo.route("a0", "a3")
         )
@@ -97,6 +103,14 @@ class TestChunkedTransfers:
         sizes = net._chunk_sizes(24 * 1024**3)  # a 24 GB blade spill
         assert len(sizes) == 32
         assert sum(sizes) == 24 * 1024**3
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(chunk_bytes=0), dict(chunk_bytes=-4096), dict(max_chunks=0)]
+    )
+    def test_chunking_parameters_are_validated(self, sim, kwargs):
+        # chunk_bytes=0 used to divide by zero at the first large transfer
+        with pytest.raises(ValueError):
+            Network(sim, line_topology(1), **kwargs)
 
     def test_zero_hop_transfer(self, sim):
         net = Network(sim, line_topology(1), chunk_bytes=256 * 1024)
@@ -291,19 +305,13 @@ class TestFetchDedup:
         return rt.net.stats.transfers
 
     def test_concurrent_fetches_share_one_transfer(self):
-        rt = _fanout_runtime(fetch_dedup=True)
+        rt = _fanout_runtime()
         assert self._run_fanout(rt) == 1
         raylet = rt.raylet_for_device("server1/cpu")
         assert raylet.fetches_deduped == self.N - 1
 
-    def test_dedup_off_pays_per_consumer(self):
-        rt = _fanout_runtime(fetch_dedup=False)
-        assert self._run_fanout(rt) == self.N
-
     def test_push_mode_dedups_same_device_wave(self):
-        rt = _fanout_runtime(
-            resolution=ResolutionMode.PUSH, fetch_dedup=True, multicast_pushes=False
-        )
+        rt = _fanout_runtime(resolution=ResolutionMode.PUSH)
         assert self._run_fanout(rt) == 1
 
 
@@ -324,9 +332,7 @@ class TestMulticastPushes:
         return rt
 
     def test_wave_coalesces_into_multicast(self):
-        rt = self._run_wave(
-            _fanout_runtime(resolution=ResolutionMode.PUSH, multicast_pushes=True)
-        )
+        rt = self._run_wave(_fanout_runtime(resolution=ResolutionMode.PUSH))
         assert rt.net.stats.multicasts == 1
         assert rt.net.stats.multicast_bytes_saved > 0
         saved = rt.telemetry.registry.counter(
@@ -335,26 +341,21 @@ class TestMulticastPushes:
         )
         assert saved.value > 0
 
-    def test_multicast_off_uses_unicasts(self):
-        rt = self._run_wave(
-            _fanout_runtime(resolution=ResolutionMode.PUSH, multicast_pushes=False)
-        )
-        assert rt.net.stats.multicasts == 0
-
     def test_multicast_moves_fewer_link_bytes(self):
-        on = self._run_wave(
-            _fanout_runtime(resolution=ResolutionMode.PUSH, multicast_pushes=True)
+        rt = self._run_wave(_fanout_runtime(resolution=ResolutionMode.PUSH))
+        edges, unicast_hops = rt.net.multicast_tree(
+            "server0/cpu", ["server1/cpu", "server2/cpu"]
         )
-        off = self._run_wave(
-            _fanout_runtime(resolution=ResolutionMode.PUSH, multicast_pushes=False)
-        )
-        assert sum(on.net.stats.bytes_by_link.values()) < sum(
-            off.net.stats.bytes_by_link.values()
+        assert len(edges) < unicast_hops
+        # the counter is exactly the link crossings that one unicast per
+        # consumer would have paid on top of what the tree delivered
+        assert rt.net.stats.multicast_bytes_saved == 8 * MB * (
+            unicast_hops - len(edges)
         )
 
 
 class TestContentionAwarePlacement:
-    def _placed_device(self, contention_aware: bool) -> str:
+    def _placed_device(self, backlog: bool) -> str:
         from repro.cluster.cluster import build_serverful
 
         rt = ServerlessRuntime(
@@ -362,13 +363,12 @@ class TestContentionAwarePlacement:
             RuntimeConfig(
                 resolution=ResolutionMode.PULL,
                 scheduling=SchedulingPolicy.LOCALITY,
-                contention_aware_placement=contention_aware,
             ),
         )
         ref = rt.put(b"x" * 64, nbytes=32 * MB)  # lands on server0's CPU store
         # pile backlog onto server0's PCIe link: the local GPU stays the
         # shortest route, but everything queued ahead makes it slow *now*
-        for _ in range(4):
+        for _ in range(4 if backlog else 0):
             rt.net.transfer("server0/cpu", "server0/gpu0", 256 * MB)
         out = rt.submit(
             lambda x: len(x),
@@ -380,14 +380,8 @@ class TestContentionAwarePlacement:
         rt.get(out)
         return rt.timelines[-1].device_id
 
-    def test_flag_reaches_scheduler(self):
-        assert _fanout_runtime(contention_aware_placement=True).scheduler.contention_aware
-        assert not _fanout_runtime(
-            contention_aware_placement=False
-        ).scheduler.contention_aware
-
     def test_steers_off_hot_link(self):
-        # idle-fabric model: the local GPU is nearest, backlog is invisible
-        assert self._placed_device(contention_aware=False) == "server0/gpu0"
-        # contention-aware: the queued PCIe bytes make the remote GPU cheaper
-        assert self._placed_device(contention_aware=True) == "server1/gpu0"
+        # idle fabric: the local GPU is nearest
+        assert self._placed_device(backlog=False) == "server0/gpu0"
+        # the queued PCIe bytes make the remote GPU cheaper
+        assert self._placed_device(backlog=True) == "server1/gpu0"

@@ -209,6 +209,25 @@ class TestBladeFailure:
             n_servers=1, n_gpu_cards=0, n_fpga_cards=0, n_mem_blades=1
         )
 
+    def test_spill_upkeep_is_visible_to_the_sanitizer(self):
+        # driver puts: the third evicts the first to the blade *inside* its
+        # store.put, between the driver's create and mark_ready
+        rt = ServerlessRuntime(self._cluster(), omniscient_config(sanitizers=("trace",)))
+        refs = [rt.put(tag, nbytes=self.NB) for tag in "ABC"]
+        spilled = refs[0].object_id
+        assert rt.ownership.locations(spilled) == ["memblade0"]
+        moves = [
+            (e.site, e.kind, e.get("locations"))
+            for e in rt.probe.trace
+            if e.kind in ("own_add_location", "own_drop_location")
+            and e.get("object") == spilled
+        ]
+        # the directory upkeep is the GCS acting ...
+        assert moves == [("gcs", "own_add_location", 2), ("gcs", "own_drop_location", 1)]
+        # ... and the put that forced it keeps its own attribution afterwards
+        ready = [e for e in rt.probe.trace if e.kind == "own_mark_ready"][-1]
+        assert (ready.site, ready.get("object")) == ("driver", refs[2].object_id)
+
     def test_blade_death_loses_only_spilled_objects(self):
         rt = ServerlessRuntime(self._cluster(), omniscient_config())
         a, b, c = self._spilled_workload(rt)

@@ -29,7 +29,8 @@ import pytest
 
 from repro.chaos import ChaosMonkey, ChaosSchedule, HeadFailure
 from repro.chaos.events import ScheduleValidationError
-from repro.cluster import build_serverful
+from repro.cluster import build_physical_disagg, build_serverful
+from repro.cluster.hardware import GB
 from repro.runtime import (
     ResolutionMode,
     RuntimeConfig,
@@ -215,6 +216,66 @@ class TestWalReplay:
             if e.state is ValueState.READY
         }
         assert before == after
+
+    @staticmethod
+    def _assert_wal_tracks(rt, object_id):
+        """The last WAL snapshot of the object equals the live entry."""
+        live = rt.ownership.entry(object_id)
+        snapshots = [
+            r.get()
+            for r in rt.ha.wal
+            if r.kind == "own" and r.get()["object"] == object_id
+        ]
+        assert snapshots[-1]["state"] == live.state.name
+        assert snapshots[-1]["locations"] == tuple(sorted(live.locations))
+
+    # The directory used to have back doors (device death, spill upkeep,
+    # lineage reset) that mutated entries in place: the WAL kept its stale
+    # snapshot, and an elected standby would have replayed it.
+
+    def test_device_death_reaches_the_wal(self):
+        rt = ServerlessRuntime(build_physical_disagg(), RuntimeConfig(ha_replicas=1))
+        ref = rt.submit(lambda: 7, pinned_device="gpucard0/gpu0", name="on-gpu")
+        assert rt.get(ref) == 7
+        rt.fail_device("gpucard0/gpu0")
+        live = rt.ownership.entry(ref.object_id)
+        assert live.state is ValueState.LOST and not live.locations
+        self._assert_wal_tracks(rt, ref.object_id)
+
+    def test_spill_reaches_the_wal(self):
+        cluster = build_physical_disagg(
+            n_servers=2, n_gpu_cards=0, n_fpga_cards=0, n_mem_blades=1
+        )
+        rt = ServerlessRuntime(cluster, RuntimeConfig(ha_replicas=1))
+        refs = [  # three such outputs overflow the 64 GB head CPU store
+            rt.submit(
+                lambda: "x",
+                compute_cost=1e-3,
+                output_nbytes=24 * GB,
+                pinned_device="server0/cpu",
+            )
+            for _ in range(3)
+        ]
+        rt.get(refs)
+        oldest = refs[0].object_id  # LRU-spilled to the blade
+        assert rt.ownership.locations(oldest) == ["memblade0"]
+        self._assert_wal_tracks(rt, oldest)
+
+    def test_lineage_reset_reaches_the_wal(self):
+        rt = ServerlessRuntime(build_physical_disagg(), RuntimeConfig(ha_replicas=1))
+        ref = rt.submit(lambda: 7, pinned_device="gpucard0/gpu0", name="on-gpu")
+        assert rt.get(ref) == 7
+        rt.fail_device("gpucard0/gpu0")
+        rt.restore_device("gpucard0/gpu0")
+        assert rt.get(ref) == 7  # replayed from lineage
+        states = [
+            r.get()["state"]
+            for r in rt.ha.wal
+            if r.kind == "own" and r.get()["object"] == ref.object_id
+        ]
+        # the replay's reset to PENDING is logged between LOST and READY
+        assert states[-3:] == ["LOST", "PENDING", "READY"]
+        self._assert_wal_tracks(rt, ref.object_id)
 
     def test_append_noops_while_no_leader_serves(self):
         rt = ServerlessRuntime(build_serverful(n_servers=3), ha_config(1))

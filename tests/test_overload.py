@@ -91,9 +91,7 @@ class TestBackoffJitterPin:
                 assert frac == backoff_jitter_fraction(tid, retries)
 
     def test_delay_sequence_exact_values(self):
-        cfg = RuntimeConfig(
-            retry_backoff_base=1e-3, retry_backoff_factor=2.0, retry_jitter=0.5
-        )
+        cfg = RuntimeConfig(retry_backoff_base=1e-3, retry_jitter=0.5)
         delays = [retry_backoff_delay(cfg, "task1", r) for r in (1, 2, 3, 4)]
         assert delays == [
             0.001313637645173268,
@@ -403,7 +401,7 @@ class TestCancellation:
     def test_cancelled_consumer_releases_fetch_registry(self):
         """Acceptance: a cancelled consumer neither blocks nor leaks its
         raylet's in-flight fetch-registry entry."""
-        rt = make_rt(fetch_dedup=True)
+        rt = make_rt()
         payload = rt.put(b"x" * 64, nbytes=64 * MB)
         out = rt.submit(
             lambda x: len(x), (payload,), pinned_device="server1/cpu", name="victim"
@@ -421,7 +419,7 @@ class TestCancellation:
         assert rt.get(again) == 64
 
     def test_cancelled_leader_unblocks_dedup_follower(self):
-        rt = make_rt(fetch_dedup=True)
+        rt = make_rt()
         payload = rt.put(b"x" * 64, nbytes=64 * MB)
         leader = rt.submit(
             lambda x: len(x), (payload,), pinned_device="server1/cpu", name="leader"
@@ -599,9 +597,9 @@ class TestAllOffEquivalence:
 
     def test_e21_fanout_trace_identical_with_switches_off(self):
         e21 = load_bench("test_e21_fast_data_plane")
-        legacy = e21.run_fanout(e21.fanout_runtime(fetch_dedup=True), spread=False)
+        legacy = e21.run_fanout(e21.fanout_runtime(), spread=False)
         gated = e21.run_fanout(
-            e21.fanout_runtime(fetch_dedup=True, **OFF_SWITCHES), spread=False
+            e21.fanout_runtime(**OFF_SWITCHES), spread=False
         )
         assert legacy.log.signature() == gated.log.signature()
         assert legacy.net.stats.transfers == gated.net.stats.transfers

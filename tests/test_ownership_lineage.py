@@ -78,6 +78,17 @@ class TestOwnershipTable:
         table.add_location("o1", "n1")
         assert table.is_ready("o1")
 
+    def test_reset_pending_clears_copies_and_tells_the_observer(self):
+        table = OwnershipTable()
+        table.create("o1", "w", "t")
+        table.mark_ready("o1", "n0", 10)
+        seen = []
+        table.observer = lambda *op: seen.append(op)
+        table.reset_pending("o1")
+        entry = table.entry("o1")
+        assert entry.state is ValueState.PENDING and not entry.locations
+        assert seen == [("replay_reset", "o1", "READY", "PENDING", 0)]
+
     def test_unknown_object_raises(self):
         table = OwnershipTable()
         with pytest.raises(KeyError):

@@ -52,9 +52,9 @@ class TestAllOnEquivalence:
 
     def test_e21_fast_data_plane_fanout(self):
         e21 = load_bench("test_e21_fast_data_plane")
-        legacy = e21.run_fanout(e21.fanout_runtime(fetch_dedup=True), spread=False)
+        legacy = e21.run_fanout(e21.fanout_runtime(), spread=False)
         sanitized = e21.run_fanout(
-            e21.fanout_runtime(fetch_dedup=True, sanitizers=SANITIZERS),
+            e21.fanout_runtime(sanitizers=SANITIZERS),
             spread=False,
         )
         assert legacy.log.signature() == sanitized.log.signature()

@@ -526,11 +526,7 @@ class TestBalancer:
             bal.head_of("s0")
 
     def test_sustained_skew_triggers_one_rebalance(self):
-        rt = make_rt(
-            n_servers=2,
-            serving_rebalance_threshold=2.0,
-            serving_rebalance_patience=3,
-        )
+        rt = make_rt(n_servers=2)
         bal = HeadNodeBalancer(rt)
         hot = bal.assign("hot-session")
         cold = bal.assign("cold-session")
@@ -571,9 +567,9 @@ class TestServingEquivalence:
 
     def test_e21_fanout_trace_identical_with_serving_switches_on(self):
         e21 = load_bench("test_e21_fast_data_plane")
-        legacy = e21.run_fanout(e21.fanout_runtime(fetch_dedup=True), spread=False)
+        legacy = e21.run_fanout(e21.fanout_runtime(), spread=False)
         gated = e21.run_fanout(
-            e21.fanout_runtime(fetch_dedup=True, **SERVING_SWITCHES), spread=False
+            e21.fanout_runtime(**SERVING_SWITCHES), spread=False
         )
         assert legacy.log.signature() == gated.log.signature()
         assert legacy.sim.now == gated.sim.now

@@ -1,22 +1,26 @@
-"""Edge semantics of the rebuilt simulator core (ISSUE 10).
+"""Edge semantics of the simulator core.
 
-The kernel now runs on a two-tier queue (microtask ring + bucket calendar)
-with same-instant batching and an opt-in idle fast-forward.  These tests pin
-the behaviors the rebuild must not have changed:
+The kernel runs on a two-tier queue (microtask ring + bucket calendar) with
+same-instant batching and an opt-in idle fast-forward; an installed schedule
+perturbation moves every event onto the perturbation queue (one heap).
+These tests pin, on both queue disciplines:
 
-* ``run(until=)`` stopping exactly at an event's timestamp,
+* ``run(until=)`` stopping exactly at an event's timestamp, and never
+  rewinding the clock,
 * ``schedule_at`` clamping into the current instant mid-run,
-* ``peek()`` agreeing across both queue tiers and the legacy heap,
+* ``peek()`` agreeing across both queue tiers and the perturbation queue,
 * interrupt-vs-trigger races under the microtask ring,
 * a determinism witness — the frozen pre-rebuild kernel
-  (``repro.bench.legacy_simtime``) and every feature stage of the new one
-  produce identical traces on a randomized process soup,
+  (``repro.bench.legacy_simtime``), the live kernel, and the live kernel
+  under an identity perturbation produce identical traces on a randomized
+  process soup,
 * the satellite fixes (AnyOf loser detach, interrupt-safe ``Resource.use``,
   ``Channel.cancel_get``) and the fast-forward contract.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -29,17 +33,22 @@ from repro.cluster.simtime import (
     Simulator,
 )
 
-# every feature stage of the new kernel (cumulative switches)
-STAGE_FLAGS = [
-    ("heap", dict(bucket_queue=False, instant_batching=False, microtask_ring=False)),
-    ("bucket", dict(bucket_queue=True, instant_batching=False, microtask_ring=False)),
-    ("batch", dict(bucket_queue=True, instant_batching=True, microtask_ring=False)),
-    ("ring", dict(bucket_queue=True, instant_batching=True, microtask_ring=True)),
-]
 
 
-def new_sim(flags):
-    return Simulator(**flags)
+def identity_perturbation(seq, delay):
+    """rank == seq: the perturbation queue must reproduce ``(time, seq)``."""
+    return seq, delay
+
+
+def new_sim(queue):
+    sim = Simulator()
+    if queue == "perturbed":
+        sim.set_perturbation(identity_perturbation)
+    return sim
+
+
+# both queue disciplines of the live kernel
+QUEUES = ["ring", "perturbed"]
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +128,29 @@ def run_soup(mod, sim, seed: int):
 
 class TestDeterminismWitness:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_every_stage_matches_the_frozen_kernel(self, seed):
+    def test_live_kernel_matches_the_frozen_kernel(self, seed):
         reference = run_soup(legacy, legacy.Simulator(), seed)
-        for name, flags in STAGE_FLAGS:
-            got = run_soup(live, new_sim(flags), seed)
-            assert got == reference, f"stage {name!r} diverged on seed {seed}"
+        for queue in QUEUES:
+            got = run_soup(live, new_sim(queue), seed)
+            assert got == reference, f"{queue} queue diverged on seed {seed}"
 
-    def test_event_counts_agree_across_stages(self):
+    def test_event_counts_agree_across_queues(self):
         # inline resumptions replace queue dispatches one-for-one, so the
-        # total executed-event count is stage-invariant
+        # total executed-event count does not depend on the queue
         counts = set()
-        for _, flags in STAGE_FLAGS:
-            sim = new_sim(flags)
+        for queue in QUEUES:
+            sim = new_sim(queue)
             run_soup(live, sim, seed=9)
             n = sim.events_executed()
             assert n > 0
             counts.add(n)
-        assert len(counts) == 1, f"stage counts diverged: {counts}"
+        assert len(counts) == 1, f"queue counts diverged: {counts}"
 
 
 class TestRunUntil:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_event_exactly_at_until_fires(self, name, flags):
-        sim = new_sim(flags)
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_event_exactly_at_until_fires(self, queue):
+        sim = new_sim(queue)
         fired = []
         sim.schedule(1e-3, fired.append, "at-until")
         sim.schedule(2e-3, fired.append, "beyond")
@@ -153,19 +162,36 @@ class TestRunUntil:
         sim.run()
         assert fired == ["at-until", "beyond"]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_until_with_no_event_advances_clock(self, name, flags):
-        sim = new_sim(flags)
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_until_with_no_event_advances_clock(self, queue):
+        sim = new_sim(queue)
         sim.schedule(5e-3, lambda: None)
         assert sim.run(until=2e-3) == 2e-3
         assert sim.now == 2e-3
         assert sim.pending_events() == 1
 
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_until_in_the_past_is_a_no_op(self, queue):
+        sim = new_sim(queue)
+        fired = []
+        sim.schedule(1e-3, fired.append, "first")
+        sim.schedule(3e-3, fired.append, "later")
+        assert sim.run(until=2e-3) == 2e-3
+        sim.schedule(0.0, fired.append, "now")  # pending at the current instant
+        before = (sim.now, sim.peek(), sim.pending_events())
+        # the clock never rewinds: nothing dispatches, nothing moves
+        assert sim.run(until=1e-3) == 2e-3
+        assert (sim.now, sim.peek(), sim.pending_events()) == before
+        assert fired == ["first"]
+        # and the next run continues normally, in order
+        assert sim.run() == 3e-3
+        assert fired == ["first", "now", "later"]
+
 
 class TestScheduleAt:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_past_deadline_clamps_to_current_instant(self, name, flags):
-        sim = new_sim(flags)
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_past_deadline_clamps_to_current_instant(self, queue):
+        sim = new_sim(queue)
         log = []
 
         def proc():
@@ -192,8 +218,8 @@ class TestPeekAcrossTiers:
         sim.schedule(0.0, lambda: None)  # ring (current instant)
         assert sim.peek() == 0.0
 
-    def test_heap_stage(self):
-        sim = new_sim(dict(STAGE_FLAGS[0][1]))
+    def test_perturbation_queue(self):
+        sim = new_sim("perturbed")
         sim.schedule(2e-3, lambda: None)
         sim.schedule(1e-3, lambda: None)
         assert sim.peek() == 1e-3
@@ -213,12 +239,12 @@ class TestPeekAcrossTiers:
 
 
 class TestInterruptVsTriggerRaces:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_trigger_then_interrupt_same_instant(self, name, flags):
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_trigger_then_interrupt_same_instant(self, queue):
         # the succeed is scheduled before the interrupt in the same instant:
         # the waiter resumes with the value first, then the interrupt lands
         # at its next yield
-        sim = new_sim(flags)
+        sim = new_sim(queue)
         mod_sig = live.Signal(sim)
         log = []
 
@@ -242,13 +268,13 @@ class TestInterruptVsTriggerRaces:
         sim.run()
         assert log == [("value", "won"), ("interrupted", "lost")]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_interrupt_then_synchronous_trigger(self, name, flags):
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_interrupt_then_synchronous_trigger(self, queue):
         # interrupt() only *schedules* delivery; succeed() is synchronous.
         # Calling interrupt then succeed in one handler therefore resumes
         # the waiter with the value first, and the in-flight interrupt
         # lands on a completed process — a no-op.
-        sim = new_sim(flags)
+        sim = new_sim(queue)
         sig = live.Signal(sim)
         log = []
 
@@ -270,12 +296,12 @@ class TestInterruptVsTriggerRaces:
         sim.run()
         assert log == [("value", "late")]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_stale_waiter_after_interrupt_is_not_resumed(self, name, flags):
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_stale_waiter_after_interrupt_is_not_resumed(self, queue):
         # the process unwinds via interrupt and re-waits on something else;
         # the original signal's later fire hits a stale waiter slot and
         # must not resume the process out of its new wait
-        sim = new_sim(flags)
+        sim = new_sim(queue)
         sig = live.Signal(sim)
         log = []
 
@@ -483,7 +509,7 @@ class TestFastForward:
 
     def test_perturbation_disables_fast_forward(self):
         sim = Simulator()
-        sim.set_perturbation(lambda seq, delay: (seq, delay))
+        sim.set_perturbation(identity_perturbation)
         sim.fast_forward = True
         ticks: list = []
         self._poll_loop(sim, ticks, rounds=10)
@@ -493,28 +519,27 @@ class TestFastForward:
 
 
 class TestConfigurationGuards:
-    def test_flag_dependencies_enforced(self):
-        with pytest.raises(ValueError):
-            Simulator(bucket_queue=False, instant_batching=True)
-        with pytest.raises(ValueError):
-            Simulator(instant_batching=False, microtask_ring=True)
-
-    def test_configure_requires_idle_queue(self):
-        sim = Simulator()
-        sim.schedule(1e-3, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.configure(bucket_queue=False)
+    def test_simulator_has_no_switches(self):
+        # one kernel: the only thing that changes the queue discipline is an
+        # installed perturbation
+        assert not inspect.signature(Simulator).parameters
+        assert not hasattr(Simulator, "configure")
 
     def test_perturbation_requires_idle_queue(self):
         sim = Simulator()
         sim.schedule(1e-3, lambda: None)
         with pytest.raises(SimulationError):
-            sim.set_perturbation(lambda seq, delay: (seq, delay))
+            sim.set_perturbation(identity_perturbation)
 
-    def test_perturbation_falls_back_to_heap_and_restores(self):
+    def test_perturbation_switches_queue_and_restores(self):
         sim = Simulator()
-        assert not sim._use_heap
-        sim.set_perturbation(lambda seq, delay: (seq, delay))
-        assert sim._use_heap
+        assert sim._fastpath
+        sim.set_perturbation(identity_perturbation)
+        assert not sim._fastpath
+        sim.schedule(0.0, lambda: None)
+        assert sim._queue and not sim._ring
+        sim.run()
         sim.set_perturbation(None)
-        assert not sim._use_heap
+        assert sim._fastpath
+        sim.schedule(0.0, lambda: None)
+        assert sim._ring and not sim._queue
