@@ -88,8 +88,10 @@ class RuntimeConfig:
     # orphan tasks, placement hazards, memory over-subscription) before any
     # task is submitted, and refuse to launch plans with errors.
     strict_plans: bool = False
-    # -- overload control.  Four independent mechanisms, each behind its own
-    # switch; the all-off default reproduces pre-overload event traces
+    # -- overload control (repro.runtime.overload).  Four independent
+    # mechanisms, each behind its own switch; a switch that is on *installs*
+    # its subscribers on the runtime's lifecycle seam, and the all-off
+    # default installs nothing, so pre-overload event traces replay
     # bit-for-bit (no extra events, no extra virtual time).
     # bounded admission: refuse work beyond ``admission_queue_depth`` open
     # tasks instead of queueing without bound.  Policy decides how: reject
@@ -151,9 +153,9 @@ class RuntimeConfig:
     # to that many standby server nodes over the simulated network, stamps
     # a fencing epoch on every leader lease, and arms seeded deterministic
     # leader election + log replay when the head dies (the chaos
-    # ``fail_gcs`` fault).  The zero default constructs no controller at
-    # all — every hook site is an ``ha is None`` check — so the legacy
-    # event traces (and their virtual timings) are reproduced bit-for-bit.
+    # ``fail_gcs`` fault).  The zero default installs no controller — the
+    # runtime's seam lists stay empty — so the legacy event traces (and
+    # their virtual timings) are reproduced bit-for-bit.
     ha_replicas: int = 0
     # seed mixed with the new epoch for the deterministic winner draw
     ha_election_seed: int = 0

@@ -17,9 +17,12 @@ epoch are rejected at the raylet (:meth:`Raylet.accepts_epoch`), so a
 deposed-but-alive leader — the network-partition case — cannot corrupt
 the cluster it lost.
 
-Everything here is built only when ``RuntimeConfig.ha_replicas > 0``;
-the zero default leaves every hook on its legacy path so existing event
-traces replay bit-for-bit.
+The whole protocol — its state and every step — lives in this module.
+:func:`install` builds the controller only when
+``RuntimeConfig.ha_replicas > 0``; it then subscribes itself to the
+runtime's lifecycle seam and to the ownership table's observers.  With
+the zero default nothing is installed: the seam lists stay empty and
+existing event traces replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..cluster.node import NodeKind
 from .health import STALL_TICKS
+from .ownership import DRIVER, ValueState
+from .task import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import ServerlessRuntime
 
-__all__ = ["WalRecord", "HAController"]
+__all__ = ["WalRecord", "HAController", "install"]
 
 # leader -> standby WAL flush cadence in virtual seconds; the flush doubles
 # as the liveness beacon the standbys watch
@@ -66,19 +71,25 @@ class WalRecord:
         return f"WalRecord({self.seq}, e{self.epoch}, {self.kind}, {dict(self.detail)})"
 
 
-class HAController:
-    """Replicated WAL, leader liveness, election, and fencing epochs."""
+def install(runtime: "ServerlessRuntime") -> Optional["HAController"]:
+    """The controller, subscribed to ``runtime`` — or None with no standbys."""
+    if runtime.config.ha_replicas <= 0:
+        return None
+    return HAController(runtime)
 
-    def __init__(self, runtime: "ServerlessRuntime", config) -> None:
+
+class HAController:
+    """Replicated WAL, leader liveness, election, failover, fencing epochs."""
+
+    def __init__(self, runtime: "ServerlessRuntime") -> None:
         self.runtime = runtime
-        self.cfg = config
+        self.cfg = config = runtime.config
         self.sim = runtime.sim
         self.net = runtime.net
         servers = [n.node_id for n in runtime.cluster.nodes_of_kind(NodeKind.SERVER)]
         if not servers:
             raise ValueError("control-plane HA needs at least one server node")
-        self.leader_node: str = servers[0]  # matches _head_node()'s legacy pick
-        pool = servers[1:]
+        pool = servers[1:]  # servers[0] is the runtime's initial head
         if config.ha_replicas > len(pool):
             raise ValueError(
                 f"ha_replicas={config.ha_replicas} but only {len(pool)} "
@@ -93,9 +104,7 @@ class HAController:
         # what silence is measured against)
         self.replica_logs: Dict[str, List[WalRecord]] = {s: [] for s in self.standbys}
         self.last_sync: Dict[str, float] = {}
-        self.gcs_up = True
         self.cluster_lost = False
-        self.parked: List[Any] = []  # dispatches frozen while the GCS is down
         self.failovers = 0
         self.elections = 0
         self.syncs_delivered = 0
@@ -129,6 +138,18 @@ class HAController:
         # election counts, so HA runs pinned to exact simulation (idle
         # fast-forward never skips while a poller is armed).
         self.sim.arm_poller()
+        # subscriptions: the seam points this protocol acts at, in place
+        runtime.on_route.append(self.ensure_running)
+        runtime.on_dispatch.append(self._stamp_lease)
+        runtime.lease_gates.append(self._fence)
+        runtime.on_commit.append(self._buffer_report)
+        runtime.on_done.append(self._ack_report)
+        runtime.on_view_change.append(self.append)  # verdicts are leader writes
+        runtime.ownership.observers.append(self._on_ownership_op)
+
+    @property
+    def leader_node(self) -> str:
+        return self.runtime.head_node_id
 
     # -- the write-ahead log --------------------------------------------------
 
@@ -136,7 +157,7 @@ class HAController:
         """Log one leader write.  No-ops while no leader is serving: a dead
         head cannot make its mutations durable — that window is exactly what
         re-registration recovers."""
-        if not self.gcs_up or self.cluster_lost:
+        if not self.runtime.gcs_up or self.cluster_lost:
             return
         self._seq += 1
         self.wal.append(
@@ -144,27 +165,77 @@ class HAController:
         )
         self._m_wal.inc()
 
-    def on_ownership_op(self, op: str, object_id: str) -> None:
-        """Directory observer hook: snapshot the entry after every mutation.
+    def _on_ownership_op(
+        self, op: str, object_id: str, old: Optional[str], new: Optional[str], locs: int
+    ) -> None:
+        """Directory observer: snapshot the entry after every mutation.
 
         The WAL stores full snapshots rather than deltas, so replay is a
         last-write-wins upsert and needs no per-op semantics.
         """
-        rt = self.runtime
-        if rt.ownership.contains(object_id):
-            e = rt.ownership.entry(object_id)
-            self.append(
-                "own",
-                object=object_id,
-                owner=e.owner,
-                task=e.task_id,
-                state=e.state.name,
-                nbytes=e.nbytes,
-                locations=tuple(sorted(e.locations)),
-                device=e.device_id,
-            )
-        else:
+        if new is None:  # freed
             self.append("own_drop", object=object_id)
+            return
+        e = self.runtime.ownership.entry(object_id)
+        self.append(
+            "own",
+            object=object_id,
+            owner=e.owner,
+            task=e.task_id,
+            state=e.state.name,
+            nbytes=e.nbytes,
+            locations=tuple(sorted(e.locations)),
+            device=e.device_id,
+        )
+
+    # -- leases and done-reports (the per-task half of the protocol) ----------
+
+    def _stamp_lease(self, ctx: Any) -> None:
+        """Fencing: the lease carries the granting leader's epoch, and the
+        grant itself is a replicated control-plane write."""
+        ctx.lease_epoch = self.epoch
+        self.append(
+            "lease",
+            task=ctx.spec.task_id,
+            attempt=ctx.attempt,
+            device=ctx.device.device_id,
+            epoch=self.epoch,
+        )
+
+    def _fence(self, ctx: Any, raylet: Any) -> Optional[str]:
+        """Split-brain fencing at the raylet: a lease stamped with an older
+        epoch than the raylet has observed came from a deposed leader."""
+        rt = self.runtime
+        accepted = raylet.accepts_epoch(ctx.lease_epoch)
+        if not accepted:
+            rt._record(
+                "ha_stale_lease_rejected",
+                task=ctx.spec.task_id,
+                lease_epoch=ctx.lease_epoch,
+                raylet_epoch=raylet.gcs_epoch,
+                endpoint=raylet.endpoint,
+            )
+            self._m_fenced.inc()
+        if rt.probe is not None:
+            rt.probe.ha_fence(raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, accepted)
+        if not accepted:
+            return f"lease epoch {ctx.lease_epoch} fenced (raylet saw {raylet.gcs_epoch})"
+        raylet.observe_epoch(ctx.lease_epoch)
+        return None
+
+    @staticmethod
+    def _report(ctx: Any, device: Any, nbytes: int) -> Tuple:
+        return (ctx.ref.object_id, device.node_id, nbytes, device.device_id, ctx.spec.task_id)
+
+    def _buffer_report(self, ctx: Any, device: Any, nbytes: int) -> None:
+        """The raylet holds the ready-report until the GCS acks it; a head
+        that dies before acking gets it re-sent to the new leader at
+        re-registration."""
+        ctx.raylet.buffer_report(self._report(ctx, device, nbytes))
+
+    def _ack_report(self, ctx: Any, device: Any, nbytes: int, delivered: Any) -> None:
+        if delivered is not False and self.runtime.gcs_up:
+            ctx.raylet.ack_report(self._report(ctx, device, nbytes))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -213,14 +284,14 @@ class HAController:
             yield self.sim.timeout(SYNC_INTERVAL)
             if not self._live(gen):
                 return
-            if not self.gcs_up:
+            if not self.runtime.gcs_up:
                 return  # the leader is dead; only the watch loops matter now
             leader_ep = self._endpoint(self.leader_node)
             for standby in list(self.standbys):
                 delivered = yield self.net.message(
                     leader_ep, self._endpoint(standby), label="ha-sync"
                 )
-                if not self._live(gen) or not self.gcs_up:
+                if not self._live(gen) or not self.runtime.gcs_up:
                     return
                 if delivered is False or not self._node_alive(standby):
                     continue
@@ -259,7 +330,7 @@ class HAController:
                 # a dead standby detects nothing — and if the leader is down
                 # too and no standby anywhere is breathing, nobody is left to
                 # rebuild the control plane: the cluster is lost, not waiting
-                if not self.gcs_up and not any(
+                if not self.runtime.gcs_up and not any(
                     self._node_alive(s) for s in self.standbys
                 ):
                     self._declare_cluster_lost("no live standby to elect")
@@ -274,7 +345,7 @@ class HAController:
             latest = self.runtime._progress_counter()
             stall = stall + 1 if latest == progress else 0
             progress = latest
-            if stall >= STALL_TICKS and self.gcs_up and not self._election_running:
+            if stall >= STALL_TICKS and self.runtime.gcs_up and not self._election_running:
                 # park only while a live leader is serving — a standby must
                 # never stop watching mid-outage, that is its whole job
                 self.runtime._record(
@@ -324,9 +395,174 @@ class HAController:
             if log:
                 yield self.sim.timeout(REPLAY_COST * len(log))
             self.records_replayed += len(log)
-            yield from rt._complete_failover(winner, new_epoch, log)
+            yield from self._complete_failover(winner, new_epoch, log)
         finally:
             self._election_running = False
+
+    # -- failover -------------------------------------------------------------
+
+    def _complete_failover(
+        self, winner: str, new_epoch: int, log: List[WalRecord]
+    ) -> Generator:
+        """The election winner becomes the head: rebuild control state from
+        its WAL replica, adopt leadership under the bumped fencing epoch,
+        re-point the control endpoints, re-register the driver and every
+        live raylet, reconcile, restart detection, release parked work."""
+        rt = self.runtime
+        self._rebuild_control_state(log)
+        # adopt *before* re-registration so everything the raylets report
+        # lands in the new leader's WAL under the new epoch
+        self.adopt(winner, new_epoch, log)
+        rt._record("ha_leader_elected", epoch=new_epoch, node=winner, wal_records=len(log))
+        if rt.probe is not None:
+            rt.probe.ha_leader(new_epoch, winner)
+        self._reregister_driver()
+        yield from self._reregister_raylets(rt.gcs_endpoint, new_epoch)
+        self._reconcile_after_failover()
+        if rt.health is not None:
+            # the detector restarts seeded with the rebuilt dead-node view —
+            # the dead old head gets no grace period it has not earned
+            rt.health.reset_for_failover(set(rt._dead_nodes))
+        self.on_failover_complete()
+        rt._record("ha_failover_complete", epoch=new_epoch, node=winner)
+        rt._resume_parked()
+
+    def _rebuild_control_state(self, log: List[WalRecord]) -> None:
+        """Replay a WAL replica into fresh control-plane state.
+
+        Records carry full snapshots, so replay is a last-write-wins forward
+        pass.  Verdict records go through the runtime's view-only mutator:
+        they rebuild the *views* (dead sets, blacklist) without re-running
+        the reactions — the ownership snapshots in the same log already
+        reflect every drop the old leader performed, and interrupts/actor
+        restores happened on the old watch.  ``on_view_rebuilt`` subscribers
+        get the devices whose last logged breaker verdict is OPEN."""
+        rt = self.runtime
+        rt.ownership.clear()
+        rt._reset_view()
+        breaker_final: Dict[str, str] = {}
+        for rec in log:
+            d = rec.get()
+            if rec.kind == "own":
+                rt._probe_site("gcs")
+                rt.ownership.restore(
+                    d["object"],
+                    d["owner"],
+                    d["task"],
+                    ValueState[d["state"]],
+                    d["nbytes"],
+                    d["locations"],
+                    d["device"],
+                )
+            elif rec.kind == "own_drop":
+                rt.ownership.remove(d["object"])
+            elif rec.kind == "breaker":
+                breaker_final[d["device"]] = d["state"]
+            elif rec.kind != "lease":  # leases are a fencing audit; no replay
+                rt._apply_view(rec.kind, **d)
+                if rec.kind == "device_dead":
+                    breaker_final[d["device"]] = "OPEN"
+                elif rec.kind == "device_alive":
+                    breaker_final.pop(d["device"], None)
+        tripped = sorted(d for d, state in breaker_final.items() if state == "OPEN")
+        for hook in rt.on_view_rebuilt:
+            hook(tripped)
+
+    def _reregister_driver(self) -> None:
+        """The driver re-asserts every ref it still holds: objects created in
+        the un-synced window before the kill never reached a replica, so
+        their entries come back as PENDING and the normal machinery — retry,
+        re-sent done-reports, lineage — re-materializes them."""
+        rt = self.runtime
+        for oid in sorted(rt._ctx_of_object):
+            ctx = rt._ctx_of_object[oid]
+            if ctx.state in (TaskState.FAILED, TaskState.CANCELLED):
+                continue
+            if rt.ownership.contains(oid):
+                continue
+            rt._probe_site("gcs")
+            rt.ownership.restore(
+                oid, DRIVER, ctx.spec.task_id, ValueState.PENDING, 0, (), None
+            )
+
+    def _reregister_raylets(self, winner_ep: str, epoch: int) -> Generator:
+        """Every live raylet re-registers with the new leader: it learns the
+        fencing epoch, re-sends the done-reports the dead head never acked
+        (commits the WAL missed), and reports its store inventory so every
+        surviving copy re-enters the directory."""
+        rt = self.runtime
+        for raylet in sorted(
+            (r for r in rt._raylets if r.alive), key=lambda r: r.endpoint
+        ):
+            delivered = yield self.net.rpc(
+                winner_ep, raylet.endpoint, label="ha-register"
+            )
+            if delivered is False or not raylet.alive:
+                continue
+            raylet.observe_epoch(epoch)
+            yield raylet.control()
+            for report in raylet.unacked_reports():
+                oid, node_id, nbytes, device_id, task_id = report
+                if not rt.ownership.contains(oid):
+                    rt._probe_site("gcs")
+                    rt.ownership.restore(
+                        oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
+                    )
+                store = rt._store_of_device.get(device_id)
+                if store is not None and store.contains(oid):
+                    rt._probe_site("gcs")
+                    rt.ownership.mark_ready(oid, node_id, nbytes, device_id)
+                raylet.ack_report(report)
+            for dev_id in sorted(raylet.stores):
+                device = rt._device_by_id.get(dev_id)
+                if device is None or not device.alive:
+                    continue
+                store = raylet.stores[dev_id]
+                for oid, stored in list(store._objects.items()):
+                    if not rt.ownership.contains(oid):
+                        continue  # freed, or a put the driver no longer holds
+                    entry = rt.ownership.entry(oid)
+                    if entry.state in (ValueState.READY, ValueState.LOST):
+                        rt._probe_site("gcs")
+                        rt.ownership.add_location(oid, device.node_id)
+                    elif entry.state == ValueState.PENDING:
+                        ctx = rt._ctx_of_object.get(oid)
+                        if ctx is not None and ctx.state == TaskState.FINISHED:
+                            rt._probe_site("gcs")
+                            rt.ownership.mark_ready(
+                                oid, device.node_id, stored.nbytes, dev_id
+                            )
+
+    def _reconcile_after_failover(self) -> None:
+        """PENDING entries whose producing task FINISHED but whose bytes
+        survive on no live device: the commit landed and then died with its
+        only copy.  Mark them LOST so lineage replay (or a driver ``get``)
+        rebuilds them instead of waiting on a task that will never re-run."""
+        rt = self.runtime
+        lost: List[str] = []
+        for entry in sorted(rt.ownership.objects(), key=lambda e: e.object_id):
+            if entry.state is ValueState.LOST:
+                lost.append(entry.object_id)
+                continue
+            if entry.state is not ValueState.PENDING:
+                continue
+            ctx = rt._ctx_of_object.get(entry.object_id)
+            if ctx is None or ctx.state is not TaskState.FINISHED:
+                continue
+            rt._probe_site("gcs")
+            rt.ownership.restore(
+                entry.object_id,
+                entry.owner,
+                entry.task_id,
+                ValueState.LOST,
+                entry.nbytes,
+                (),
+                None,
+            )
+            lost.append(entry.object_id)
+        # a consumer parked in backoff (or about to requeue) would otherwise
+        # wait forever on an object no task will ever produce again
+        rt._recover_lost_dependencies(lost)
 
     # -- leader death and adoption --------------------------------------------
 
@@ -334,10 +570,10 @@ class HAController:
         """The chaos monkey killed the head.  Freeze the control plane: stop
         detection (a dead GCS counts nothing), park new dispatches, and let
         the standbys' watch loops notice the sync silence."""
-        if not self.gcs_up:
-            return
         rt = self.runtime
-        self.gcs_up = False
+        if not rt.gcs_up:
+            return
+        rt.gcs_up = False
         self._m_up.set(0.0)
         self.unavailable_since = self.sim.now
         # audit baseline for the zero-lost-READY claim: READY objects whose
@@ -358,23 +594,22 @@ class HAController:
         # itself the event that must restart them
         self.ensure_running()
 
-    def park(self, ctx: Any) -> None:
-        if ctx not in self.parked:
-            self.parked.append(ctx)
-
     def adopt(self, winner: str, new_epoch: int, log: List[WalRecord]) -> None:
-        """Install the election winner: new epoch, new leader, the replayed
-        replica becomes the authoritative WAL, surviving standbys re-sync
-        from scratch (one batched flush catches them up)."""
+        """Install the election winner: new epoch, new leader (the control
+        endpoints re-point at it), the replayed replica becomes the
+        authoritative WAL, surviving standbys re-sync from scratch (one
+        batched flush catches them up)."""
+        rt = self.runtime
         self.epoch = new_epoch
-        self.leader_node = winner
+        rt.head_node_id = winner
+        rt.gcs_endpoint = rt.scheduler.endpoint = self._endpoint(winner)
         self.standbys = [s for s in self.standbys if s != winner]
         self.wal = list(log)
         self._seq = len(self.wal)
         self.replica_logs = {s: [] for s in self.standbys}
         now = self.sim.now
         self.last_sync = {s: now for s in self.standbys}
-        self.gcs_up = True
+        rt.gcs_up = True
         self.cluster_lost = False
         self._m_epoch.set(float(new_epoch))
         self._m_up.set(1.0)
@@ -409,9 +644,6 @@ class HAController:
             self._failover_span.finish(self.sim.now)
             self._failover_span = None
         self._restart_loops()
-
-    def on_stale_lease(self) -> None:
-        self._m_fenced.inc()
 
     def _declare_cluster_lost(self, reason: str) -> None:
         """Every standby is gone too: nothing can rebuild the control plane."""

@@ -345,9 +345,11 @@ class HeartbeatMonitor:
                 )
                 for raylet in newly_silent:
                     self.suspected_endpoints.add(raylet.endpoint)
-                    # overload control: suspicion feeds the per-device
-                    # circuit breakers (no-op when breakers are off)
-                    self.runtime._on_endpoint_suspected(raylet)
+                    # suspicion blames every device behind the silent
+                    # raylet (an installed breaker board counts a failure)
+                    for dev in raylet.devices:
+                        for hook in self.runtime.on_device_fault:
+                            hook(dev, "endpoint suspected")
                 self._update_guard()
                 if all_silent and node_id not in self.suspected:
                     self.suspected.add(node_id)

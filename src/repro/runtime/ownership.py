@@ -15,7 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-__all__ = ["ValueState", "OwnershipEntry", "OwnershipTable"]
+__all__ = ["DRIVER", "ValueState", "OwnershipEntry", "OwnershipTable"]
+
+DRIVER = "driver"  # owner id of every ref the (single) driver program holds
 
 
 class ValueState(enum.Enum):
@@ -43,12 +45,13 @@ class OwnershipTable:
     def __init__(self) -> None:
         self._entries: Dict[str, OwnershipEntry] = {}
         self._handles = itertools.count(1)
-        # dist-sanitizer hook: called as observer(op, object_id, old_state,
-        # new_state, location_count) after every directory mutation.  None
-        # (the default) keeps every mutator on its legacy path.
-        self.observer: Optional[
+        # subscribers called in list order as observer(op, object_id,
+        # old_state, new_state, location_count) after every directory
+        # mutation: the dist-sanitizer probe and the HA write-ahead log each
+        # append themselves; the empty default costs one truth test
+        self.observers: List[
             Callable[[str, str, Optional[str], Optional[str], int], None]
-        ] = None
+        ] = []
 
     # enum ``.name`` goes through a descriptor on every read; the observer
     # fires per directory mutation, so resolve names via a plain dict
@@ -57,15 +60,13 @@ class OwnershipTable:
     def _observe(
         self, op: str, entry: OwnershipEntry, old: Optional[ValueState]
     ) -> None:
-        if self.observer is not None:
+        if self.observers:
             names = self._STATE_NAMES
-            self.observer(
-                op,
-                entry.object_id,
-                None if old is None else names[old],
-                names[entry.state],
-                len(entry.locations),
-            )
+            old_name = None if old is None else names[old]
+            for observer in self.observers:
+                observer(
+                    op, entry.object_id, old_name, names[entry.state], len(entry.locations)
+                )
 
     def create(self, object_id: str, owner: str, task_id: str) -> OwnershipEntry:
         if object_id in self._entries:
@@ -193,9 +194,24 @@ class OwnershipTable:
         self._observe("restore", entry, None)
         return entry
 
+    def free(self, object_id: str) -> None:
+        """The application released the object: the entry goes, and observers
+        see op ``"free"`` with no new state (the WAL logs it as a drop)."""
+        entry = self.entry(object_id)
+        old_name = self._STATE_NAMES[entry.state]
+        entry.locations.clear()  # anyone still holding the entry sees no copy
+        self.remove(object_id)
+        for observer in self.observers:
+            observer("free", object_id, old_name, None, 0)
+
     def remove(self, object_id: str) -> None:
-        """Forget an entry entirely (``free`` and WAL ``own_drop`` replay)."""
+        """Forget an entry silently (WAL ``own_drop`` replay)."""
         self._entries.pop(object_id, None)
+
+    def clear(self) -> None:
+        """Forget every entry silently (the GCS host died, or a failover is
+        about to rebuild the directory from a WAL replica)."""
+        self._entries.clear()
 
     def is_ready(self, object_id: str) -> bool:
         return self.contains(object_id) and self.entry(object_id).state == ValueState.READY

@@ -29,16 +29,15 @@ from ..telemetry import Telemetry
 from ..telemetry.critical_path import CriticalPathResult
 from ..telemetry.critical_path import critical_path as extract_critical_path
 from ..telemetry.spans import Span
-from .config import AdmissionPolicy, Generation, ResolutionMode, RuntimeConfig
+from . import ha, overload
+from .config import Generation, ResolutionMode, RuntimeConfig
 from .events import EventLog, RuntimeEvent
 from .health import HeartbeatMonitor
 from .ids import IdGenerator
 from .lineage import LineageGraph, UnrecoverableObjectError
 from .object_ref import ObjectRef, replace_refs
 from .object_store import LocalObjectStore, SpillFailedError, StoreUnavailableError
-from .overload import AdmissionRejectedError, BreakerBoard, BreakerState, RetryBudget
-from .overload import retry_backoff_delay as _retry_backoff_delay
-from .ownership import OwnershipTable, ValueState
+from .ownership import DRIVER, OwnershipTable, ValueState
 from .raylet import Raylet
 from .scheduler import PlacementError, Scheduler
 from .task import ANY_COMPUTE_KIND, TaskSpec, TaskState
@@ -52,14 +51,22 @@ __all__ = [
     "TaskTimeline",
 ]
 
-DRIVER = "driver"
-
 ACTOR_CHECKPOINT_PREFIX = "__actor__/"
 
 # the task has concluded, one way or another: nothing more will run for it
 _TERMINAL = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
 # an attempt is live on a device (leased, fetching arguments, or executing)
 _IN_FLIGHT = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+
+# The lifecycle seam: one plain list per point on the runtime, called in list
+# order at a fixed position in the task lifecycle.  DESIGN.md "Runtime core and
+# components" tabulates each point's position, signature and subscribers.
+SEAM = (
+    "submit_gates", "on_task_open", "on_route", "dispatch_gates", "on_dispatch",
+    "lease_gates", "on_commit", "on_done", "on_task_closed", "on_task_finished",
+    "on_device_fault", "retry_gates", "on_attempt_concluded", "on_view_change",
+    "on_view_rebuilt",
+)
 
 
 class TaskError(RuntimeError):
@@ -221,9 +228,16 @@ class ServerlessRuntime:
         self.net.metrics = self.telemetry.registry
         self.ownership = OwnershipTable()
         self.lineage = LineageGraph()
-        # control-plane HA controller; stays None unless ha_replicas > 0
-        # (set here so _head_node() can consult it during construction)
-        self.ha = None
+        # a component that is switched off is never constructed, so its
+        # seam lists stay empty
+        for point in SEAM:
+            setattr(self, point, [])
+        # the node hosting the GCS (an HA failover re-points it), whether a
+        # leader is serving there, and the dispatches parked while none is
+        servers = cluster.nodes_of_kind(NodeKind.SERVER)
+        self.head_node_id: str = (servers or list(cluster.nodes.values()))[0].node_id
+        self.gcs_up = True
+        self._parked: List[_TaskCtx] = []
 
         self._raylets: List[Raylet] = []
         self._raylet_of_device: Dict[str, Raylet] = {}
@@ -313,29 +327,11 @@ class ServerlessRuntime:
             "skadi_scheduler_waiting_tasks",
             "pull-mode tasks parked waiting for dependencies",
         )
-        # -- overload control (each mechanism builds only when switched on,
-        # so the all-off default adds zero state, events, or virtual time)
-        cfg = self.config
         self.tasks_cancelled = 0
         self.tasks_shed = 0
-        self._admitted_open = 0  # tasks holding a scheduler admission slot
-        self._admission_overflow: List[_TaskCtx] = []  # QUEUE_WITH_DEADLINE parking
-        self._admission_deferred: List[_TaskCtx] = []  # raylet-window deferrals
-        self._pumping_admission = False
-        self._retry_budget: Optional[RetryBudget] = (
-            RetryBudget(cfg.retry_budget_ratio, cfg.retry_budget_cap)
-            if cfg.retry_budget
-            else None
-        )
-        self._breakers: Optional[BreakerBoard] = None
-        self._device_inflight: Dict[str, int] = {}  # attempts per device (breakers)
-        if cfg.device_circuit_breakers:
-            self._breakers = BreakerBoard(
-                cfg.breaker_reset_after,
-                cfg.breaker_probe_successes,
-                on_transition=self._on_breaker_transition,
-            )
-            self.scheduler.breaker_filter = self._breaker_allows
+        # -- overload control (repro.runtime.overload): installed only when
+        # one of its switches is on; None otherwise
+        self.overload = overload.install(self)
         # observers poked whenever an object becomes ready (chaos uses this
         # for reactive fault injection: "kill the node when X materializes")
         self.object_ready_hooks: List[Callable[[str], None]] = []
@@ -364,29 +360,14 @@ class ServerlessRuntime:
             )
             if self.probe.any_live(*DistProbe.HB_EDGE_KINDS):
                 self.probe_edges = self.probe
-            self.ownership.observer = self.probe.ownership_op
+            self.ownership.observers.append(self.probe.ownership_op)
             for raylet in self._raylets:
                 raylet.probe = self.probe
             self.log.add_observer(self._mirror_chaos_event)
-        # -- control-plane HA (repro.runtime.ha): built only when standby
-        # replicas are requested, so the zero default adds no state, no
-        # events, and no virtual time — every hook is an ``ha is None`` check.
-        if cfg.ha_replicas > 0:
-            from .ha import HAController  # lazy: mirrors the probe import
-
-            self.ha = HAController(self, cfg)
-            # fan the directory observer out: the probe (if any) keeps its
-            # slot, and every mutation also snapshots into the WAL
-            prev_observer = self.ownership.observer
-            ha = self.ha
-            if prev_observer is None:
-                def _observe(op, oid, old, new, locs):
-                    ha.on_ownership_op(op, oid)
-            else:
-                def _observe(op, oid, old, new, locs, _prev=prev_observer):
-                    _prev(op, oid, old, new, locs)
-                    ha.on_ownership_op(op, oid)
-            self.ownership.observer = _observe
+        # -- control-plane HA (repro.runtime.ha): installed only when standby
+        # replicas are requested; None otherwise.  After the probe, so the
+        # WAL observes each directory mutation second.
+        self.ha = ha.install(self)
         # deferred frees: objects whose free() arrived while a consumer was
         # still in flight; drained as consumers conclude (see free())
         self._deferred_frees: List[str] = []
@@ -395,13 +376,7 @@ class ServerlessRuntime:
     # -- construction ----------------------------------------------------------
 
     def _head_node(self):
-        if self.ha is not None:
-            # leader-aware: after a failover the elected standby is the head
-            return self.cluster.node(self.ha.leader_node)
-        servers = self.cluster.nodes_of_kind(NodeKind.SERVER)
-        if servers:
-            return servers[0]
-        return next(iter(self.cluster.nodes.values()))
+        return self.cluster.node(self.head_node_id)
 
     def _build_raylets(self) -> None:
         spill_store = self._build_spill_store()
@@ -822,11 +797,9 @@ class ServerlessRuntime:
     def _submit_spec(self, spec: TaskSpec) -> ObjectRef:
         if self.config.deadline_propagation:
             self._inherit_deadline(spec)
-        queue_instead = False
-        if self.config.admission_control:
-            # may raise AdmissionRejectedError — before any ownership state
-            # exists, so a rejected submission is cleanly retryable
-            queue_instead = self._admission_gate(spec)
+        # a gate may raise (AdmissionRejectedError) — before any ownership
+        # state exists, so a rejected submission is cleanly retryable
+        parked = any([gate(spec) for gate in self.submit_gates])
         oid = self.ids.object_id()
         self._probe_site("driver")
         self.ownership.create(oid, owner=DRIVER, task_id=spec.task_id)
@@ -847,21 +820,10 @@ class ServerlessRuntime:
         self._ctxs[spec.task_id] = ctx
         self._ctx_of_object[oid] = ctx
         self._open_tasks += 1
-        if queue_instead:
-            self._admission_overflow.append(ctx)
-            if self.probe is not None:
-                self.probe.adm_queue(
-                    spec.task_id, self.config.admission_overflow_depth
-                )
-            self._record(
-                "admission_queued", task=spec.task_id, name=spec.name,
-                depth=len(self._admission_overflow),
-            )
-            self._meter_admission_depth()
-            return ref
-        if self.config.admission_control:
-            ctx.admitted = True
-            self._admitted_open += 1
+        for hook in self.on_task_open:
+            hook(ctx, parked)
+        if parked:
+            return ref  # whoever parked it re-routes it
         if spec.gang_group is not None:
             self._gangs.setdefault(spec.gang_group, []).append(ctx)
             return ref
@@ -885,12 +847,12 @@ class ServerlessRuntime:
             # scheduler-side skip: never dispatch work that is already doomed
             self._cancel_and_propagate(ctx, reason="deadline_exceeded")
             return
-        if self.health is not None and (self.ha is None or self.ha.gcs_up):
-            # a dead GCS counts no silence: detection stays down until the
-            # failover path restarts it on the election winner
+        if self.health is not None and self.gcs_up:
+            # a dead GCS counts no silence: detection stays down until a
+            # failover restarts it on the election winner
             self.health.ensure_running()
-        if self.ha is not None:
-            self.ha.ensure_running()
+        for hook in self.on_route:
+            hook()
         if self.config.resolution == ResolutionMode.PUSH:
             # Eager: place now, subscribe to inputs, raylet waits for pushes.
             self._dispatch(ctx, preplaced=preplaced)
@@ -904,120 +866,14 @@ class ServerlessRuntime:
     def _deps_ready(self, spec: TaskSpec) -> bool:
         return all(self.ownership.is_ready(r.object_id) for r in spec.dependencies)
 
-    # -- overload control: admission ------------------------------------------
-
-    def _admission_gate(self, spec: TaskSpec) -> bool:
-        """Scheduler-level bounded admission.  Returns True when the task
-        should park in the overflow queue; raises
-        :class:`AdmissionRejectedError` when it cannot be admitted at all."""
-        cfg = self.config
-        if self._admitted_open < cfg.admission_queue_depth:
-            return False
-        policy = cfg.admission_policy
-        if policy is AdmissionPolicy.SHED_LOWEST_PRIORITY:
-            victim = self._lowest_priority_pending(below=spec.priority)
-            if victim is not None:
-                self._count_shed("displaced_by_priority")
-                self._cancel_and_propagate(victim, reason="displaced_by_priority")
-                return False
-        elif (
-            policy is AdmissionPolicy.QUEUE_WITH_DEADLINE
-            # gangs cannot park member-by-member; they fall through to reject
-            and spec.gang_group is None
-            and len(self._admission_overflow) < cfg.admission_overflow_depth
-        ):
-            return True
-        # the tenant label rides along only when the submitter has one, so
-        # tenant-less (single-driver) traces keep their exact legacy detail
-        tenant_label = {} if spec.tenant is None else {"tenant": spec.tenant}
-        self._record(
-            "admission_rejected",
-            task=spec.task_id,
-            name=spec.name,
-            open_tasks=self._admitted_open,
-            **tenant_label,
-        )
-        self._count_shed("admission_reject")
-        self.telemetry.registry.counter(
-            "skadi_admission_rejected_total",
-            "submissions refused by the bounded admission queue",
-            **tenant_label,
-        ).inc()
-        if self.probe is not None:
-            self.probe.adm_reject(spec.task_id)
-        raise AdmissionRejectedError(
-            f"admission queue full ({self._admitted_open}/{cfg.admission_queue_depth} "
-            f"open tasks); task {spec.task_id} rejected",
-            reason="admission_reject",
-        )
-
-    def _lowest_priority_pending(self, below: int) -> Optional["_TaskCtx"]:
-        """The cheapest admitted victim: a PENDING, non-gang task with
-        priority strictly below ``below`` (deterministic tie-break)."""
-        victim: Optional[_TaskCtx] = None
-        for ctx in self._ctxs.values():
-            if (
-                not ctx.admitted
-                or ctx.state is not TaskState.PENDING
-                or ctx.spec.gang_group is not None
-                or ctx.spec.priority >= below
-            ):
-                continue
-            if victim is None or (ctx.spec.priority, ctx.spec.task_id) < (
-                victim.spec.priority,
-                victim.spec.task_id,
-            ):
-                victim = ctx
-        return victim
-
     def _task_closed(self, ctx: "_TaskCtx") -> None:
-        """Admission bookkeeping when a task reaches a terminal state:
-        release its scheduler slot and pump the overflow queue."""
+        """A task reached a terminal state."""
         if self._deferred_frees:
             # a consumer concluding may be the last reader holding up a
-            # deferred free() — drain before any admission bookkeeping
+            # deferred free() — drain before any subscriber's bookkeeping
             self._pump_deferred_frees()
-        if not self.config.admission_control:
-            return
-        if ctx.admitted:
-            ctx.admitted = False
-            self._admitted_open = max(0, self._admitted_open - 1)
-        if not self._pumping_admission:
-            self._pumping_admission = True
-            try:
-                self._pump_admission_overflow()
-            finally:
-                self._pumping_admission = False
-        self._meter_admission_depth()
-
-    def _pump_admission_overflow(self) -> None:
-        while (
-            self._admission_overflow
-            and self._admitted_open < self.config.admission_queue_depth
-        ):
-            ctx = self._admission_overflow.pop(0)
-            if self.probe is not None:
-                self.probe.adm_release(ctx.spec.task_id)
-            if ctx.state is not TaskState.PENDING:
-                continue
-            if ctx.spec.deadline is not None and self.sim.now >= ctx.spec.deadline:
-                # parked past its deadline: shed instead of launching
-                self._count_shed("queue_deadline")
-                self._cancel_and_propagate(ctx, reason="queue_deadline")
-                continue
-            ctx.admitted = True
-            self._admitted_open += 1
-            try:
-                self._route(ctx)
-            except PlacementError as exc:
-                self._retry_or_fail(ctx, cause=str(exc))
-
-    def _meter_admission_depth(self) -> None:
-        self.telemetry.registry.gauge(
-            "skadi_admission_queue_depth",
-            "task attempts admitted and not yet concluded, per scope",
-            scope="scheduler",
-        ).set(float(len(self._admission_overflow) + len(self._admission_deferred)))
+        for hook in self.on_task_closed:
+            hook(ctx)
 
     def _count_shed(self, reason: str) -> None:
         self.tasks_shed += 1
@@ -1026,59 +882,6 @@ class ServerlessRuntime:
             "tasks shed by overload control, by reason",
             reason=reason,
         ).inc()
-
-    def _raylet_with_capacity(
-        self, ctx: "_TaskCtx", depth: int
-    ) -> Optional[Tuple[Device, Raylet]]:
-        """The least-loaded live candidate whose raylet has window headroom."""
-        best: Optional[Tuple[Device, Raylet]] = None
-        try:
-            candidates = self.scheduler.candidates(ctx.spec)
-        except PlacementError:
-            return None
-        for device in candidates:
-            if not self._device_alive(device.device_id):
-                continue
-            raylet = self._raylet_of_device.get(device.device_id)
-            if raylet is None or not raylet.has_admission_capacity(depth):
-                continue
-            if best is None or (
-                raylet.admission_inflight,
-                device.device_id,
-            ) < (best[1].admission_inflight, best[0].device_id):
-                best = (device, raylet)
-        return best
-
-    def _pump_deferred(self) -> None:
-        """Re-dispatch raylet-window deferrals; anything still over the
-        window re-defers itself inside ``_dispatch``."""
-        if not self._admission_deferred:
-            return
-        pending, self._admission_deferred = self._admission_deferred, []
-        for ctx in pending:
-            if ctx.state is not TaskState.PENDING:
-                continue
-            if self._deadline_expired(ctx.spec):
-                self._cancel_and_propagate(ctx, reason="deadline_exceeded")
-                continue
-            try:
-                self._dispatch(ctx)
-            except PlacementError as exc:
-                self._retry_or_fail(ctx, cause=str(exc))
-        self._meter_admission_depth()
-
-    def _attempt_concluded(self, ctx: "_TaskCtx", device: Optional[Device]) -> None:
-        """Per-attempt bookkeeping at the end of ``_run_task``: release the
-        raylet admission window slot and the breaker inflight count."""
-        if self._breakers is not None and device is not None and not ctx.is_clone:
-            n = self._device_inflight.get(device.device_id, 0)
-            if n:
-                self._device_inflight[device.device_id] = n - 1
-        raylet = ctx.admit_raylet
-        if raylet is not None:
-            ctx.admit_raylet = None
-            raylet.conclude_attempt()
-            self._pump_deferred()
 
     # -- overload control: deadlines ------------------------------------------
 
@@ -1214,53 +1017,6 @@ class ServerlessRuntime:
                     seen.add(ctx.ref.object_id)
                     frontier.add(ctx.ref.object_id)
 
-    # -- overload control: circuit breakers -----------------------------------
-
-    def _breaker_allows(self, device_id: str) -> bool:
-        if self._breakers is None:
-            return True
-        return self._breakers.allow(
-            device_id, self.sim.now, self._device_inflight.get(device_id, 0)
-        )
-
-    def _on_breaker_transition(
-        self, device_id: str, old: BreakerState, new: BreakerState
-    ) -> None:
-        kind = {
-            BreakerState.OPEN: "breaker_open",
-            BreakerState.HALF_OPEN: "breaker_half_open",
-            BreakerState.CLOSED: "breaker_closed",
-        }[new]
-        if self.probe is not None:
-            self.probe.breaker_flip(device_id, old.name, new.name)
-        self._record(kind, device=device_id, previous=old.value)
-        if self.ha is not None:
-            self.ha.append("breaker", device=device_id, state=new.name)
-        reg = self.telemetry.registry
-        reg.counter(
-            "skadi_breaker_transitions_total",
-            "circuit-breaker state changes, by device and new state",
-            device=device_id,
-            state=new.value,
-        ).inc()
-        reg.gauge(
-            "skadi_breaker_state",
-            "per-device breaker state: 0 closed, 1 half-open, 2 open",
-            device=device_id,
-        ).set(
-            {BreakerState.CLOSED: 0.0, BreakerState.HALF_OPEN: 1.0,
-             BreakerState.OPEN: 2.0}[new]
-        )
-
-    def _on_endpoint_suspected(self, raylet: Raylet) -> None:
-        """Heartbeat suspicion feeds the breakers: a silent raylet's devices
-        accumulate failures so placement stops preferring them even before
-        the miss threshold declares them dead."""
-        if self._breakers is None:
-            return
-        for dev in raylet.devices:
-            self._breakers.record_failure(dev.device_id, self.sim.now)
-
     # -- span tracing --------------------------------------------------------
 
     def _open_task_span(self, ctx: _TaskCtx, replayed: bool = False) -> None:
@@ -1334,11 +1090,12 @@ class ServerlessRuntime:
 
     def _dispatch(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
         spec = ctx.spec
-        if self.ha is not None and not self.ha.gcs_up:
+        if not self.gcs_up:
             # the control plane is down: no leader can grant a lease.  Park
-            # the dispatch; failover re-routes everything parked here.
+            # the dispatch; a failover re-routes everything parked here.
             ctx.state = TaskState.PENDING
-            self.ha.park(ctx)
+            if ctx not in self._parked:
+                self._parked.append(ctx)
             return
         if spec.actor_id is not None:
             # reconstruction may have re-homed the actor since submission
@@ -1360,38 +1117,13 @@ class ServerlessRuntime:
                     )
                 ctx.device = live[0]
         ctx.raylet = self.raylet_for_device(ctx.device.device_id)
-        depth = self.config.raylet_admission_depth
-        if depth is not None and not ctx.is_clone and not preplaced:
-            if not ctx.raylet.has_admission_capacity(depth):
-                # steer to a candidate raylet with window headroom, else park
-                # until some attempt on any raylet concludes
-                alt = self._raylet_with_capacity(ctx, depth)
-                if alt is None:
-                    ctx.device = None
-                    ctx.raylet = None
-                    ctx.state = TaskState.PENDING
-                    self._admission_deferred.append(ctx)
-                    self._meter_admission_depth()
-                    return
-                ctx.device, ctx.raylet = alt
-            ctx.admit_raylet = ctx.raylet
-            ctx.raylet.admit_attempt()
-        if self._breakers is not None and not ctx.is_clone:
-            dev_id = ctx.device.device_id
-            self._device_inflight[dev_id] = self._device_inflight.get(dev_id, 0) + 1
+        for gate in self.dispatch_gates:
+            if not gate(ctx, preplaced):
+                return  # the gate that held it back re-dispatches it
         ctx.state = TaskState.SCHEDULED
         ctx.attempt += 1
-        if self.ha is not None:
-            # fencing: the lease carries the granting leader's epoch, and the
-            # grant itself is a replicated control-plane write
-            ctx.lease_epoch = self.ha.epoch
-            self.ha.append(
-                "lease",
-                task=spec.task_id,
-                attempt=ctx.attempt,
-                device=ctx.device.device_id,
-                epoch=self.ha.epoch,
-            )
+        for hook in self.on_dispatch:
+            hook(ctx)
         if self.probe_edges is not None and not ctx.is_clone:
             self.probe_edges.dispatch(
                 spec.task_id,
@@ -1625,14 +1357,16 @@ class ServerlessRuntime:
 
     def _pull_inner(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
         assert ctx.device is not None and ctx.raylet is not None
-        device_id = ctx.device.device_id
-        pending = ctx.raylet.pending_fetch(ref.object_id, device_id)
+        # bound once: a pull can outlive its attempt, and ``_retry_or_fail``
+        # clears ``ctx.raylet`` / ``ctx.device`` under it
+        raylet, device_id = ctx.raylet, ctx.device.device_id
+        pending = raylet.pending_fetch(ref.object_id, device_id)
         if pending is not None:
             # another consumer on this device is already fetching the
             # object: ride its transfer instead of paying the bytes again.
             # If the leader fails, the local-store recheck in _run_task
             # surfaces this as a transient fetch failure and retries.
-            ctx.raylet.note_deduped_fetch(device_id, ref.object_id)
+            raylet.note_deduped_fetch(device_id, ref.object_id)
             if self.ownership.contains(ref.object_id):
                 entry = self.ownership.entry(ref.object_id)
                 reg = self.telemetry.registry
@@ -1650,20 +1384,20 @@ class ServerlessRuntime:
                     device_id,
                 )
             return
-        ctx.raylet.begin_fetch(ref.object_id, device_id)
+        raylet.begin_fetch(ref.object_id, device_id)
         try:
             yield from self._fetch_object(ref, ctx)
         finally:
-            ctx.raylet.end_fetch(ref.object_id, device_id)
+            raylet.end_fetch(ref.object_id, device_id)
 
     def _fetch_object(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
         assert ctx.device is not None and ctx.raylet is not None
-        raylet = ctx.raylet
+        raylet, device = ctx.raylet, ctx.device  # see _pull_inner
         sibling_store = raylet.find_object(ref.object_id)
         if sibling_store is not None:
             yield raylet.control()
-            if self.ha is not None and not self.ownership.contains(ref.object_id):
-                return  # entry vanished across a failover rebuild; retried
+            if not self.ownership.contains(ref.object_id):
+                return  # entry vanished (failover rebuild, free): a miss
             src_store = sibling_store
             entry = self.ownership.entry(ref.object_id)
         else:
@@ -1673,11 +1407,10 @@ class ServerlessRuntime:
             )
             if located is False:
                 return  # chaos ate the lookup; the caller treats it as a miss
-            if self.ha is not None and (
-                not self.ha.gcs_up or not self.ownership.contains(ref.object_id)
-            ):
-                # no leader is serving lookups (or the failover rebuild
-                # dropped the entry): a transient miss, absorbed by retries
+            if not self.gcs_up or not self.ownership.contains(ref.object_id):
+                # no leader is serving lookups, or the entry is gone (a
+                # failover rebuild or a free dropped it): a transient miss,
+                # absorbed by retries
                 return
             entry = self.ownership.entry(ref.object_id)
             if self.probe_edges is not None:
@@ -1715,13 +1448,15 @@ class ServerlessRuntime:
         # 3. bulk data transfer to the consumer device
         moved = yield self.net.transfer(
             src_store.device.device_id,
-            ctx.device.device_id,
+            device.device_id,
             entry.nbytes,
             label=f"pull:{ref.object_id}",
         )
-        if moved is None and src_store.device.device_id != ctx.device.device_id:
+        if moved is None and src_store.device.device_id != device.device_id:
             return  # a partition blocked the bulk fetch
-        dst_store = raylet.store_of(ctx.device.device_id)
+        if not src_store.contains(ref.object_id):
+            return  # a crash emptied the source mid-transfer: a fetch miss
+        dst_store = raylet.store_of(device.device_id)
         if not dst_store.contains(ref.object_id):
             try:
                 dst_store.put(
@@ -1733,21 +1468,11 @@ class ServerlessRuntime:
                 self.probe.site = self.probe.attempt_site(
                     ctx.spec.task_id, ctx.attempt, ctx.is_clone
                 )
-            self.ownership.add_location(ref.object_id, ctx.device.node_id)
+            self.ownership.add_location(ref.object_id, device.node_id)
 
     # -- the task lifecycle -------------------------------------------------------------
 
     def _run_task(self, ctx: _TaskCtx) -> Generator:
-        device = ctx.device
-        try:
-            yield from self._run_task_inner(ctx)
-        finally:
-            # release the raylet admission window slot / breaker inflight
-            # count however the attempt ended (all no-ops when overload
-            # control is off)
-            self._attempt_concluded(ctx, device)
-
-    def _run_task_inner(self, ctx: _TaskCtx) -> Generator:
         spec, device, raylet = ctx.spec, ctx.device, ctx.raylet
         assert device is not None and raylet is not None
         acquired_actor = False
@@ -1761,31 +1486,10 @@ class ServerlessRuntime:
             )
             if delivered is False or not raylet.alive:
                 raise _TransientTaskError("lease lost in transit")
-            if self.ha is not None:
-                # split-brain fencing: a lease stamped with an older epoch
-                # than this raylet has observed came from a deposed leader
-                if not raylet.accepts_epoch(ctx.lease_epoch):
-                    self._record(
-                        "ha_stale_lease_rejected",
-                        task=spec.task_id,
-                        lease_epoch=ctx.lease_epoch,
-                        raylet_epoch=raylet.gcs_epoch,
-                        endpoint=raylet.endpoint,
-                    )
-                    self.ha.on_stale_lease()
-                    if self.probe is not None:
-                        self.probe.ha_fence(
-                            raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, False
-                        )
-                    raise _TransientTaskError(
-                        f"lease epoch {ctx.lease_epoch} fenced "
-                        f"(raylet saw {raylet.gcs_epoch})"
-                    )
-                if self.probe is not None:
-                    self.probe.ha_fence(
-                        raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, True
-                    )
-                raylet.observe_epoch(ctx.lease_epoch)
+            for gate in self.lease_gates:
+                refusal = gate(ctx, raylet)
+                if refusal is not None:
+                    raise _TransientTaskError(refusal)
             if self.probe_edges is not None:
                 self.probe_edges.attempt_start(spec.task_id, ctx.attempt, ctx.is_clone)
             yield raylet.control()
@@ -1933,28 +1637,13 @@ class ServerlessRuntime:
                 yield self.sim.timeout(cost)
 
             # 7. completion notification back to the scheduler/GCS
-            report = None
-            if self.ha is not None:
-                # the raylet holds the ready-report until the GCS acks it; a
-                # head that dies before acking gets it re-sent to the new
-                # leader at re-registration
-                report = (
-                    ctx.ref.object_id,
-                    device.node_id,
-                    nbytes,
-                    device.device_id,
-                    spec.task_id,
-                )
-                raylet.buffer_report(report)
+            for hook in self.on_commit:
+                hook(ctx, device, nbytes)
             delivered = yield self.net.message(
                 raylet.endpoint, self.scheduler.endpoint, label="done"
             )
-            if (
-                report is not None
-                and delivered is not False
-                and self.ha.gcs_up
-            ):
-                raylet.ack_report(report)
+            for hook in self.on_done:
+                hook(ctx, device, nbytes, delivered)
             if self.probe is not None:
                 self.probe.task_finish(spec.task_id)
             ctx.state = TaskState.FINISHED
@@ -1979,17 +1668,8 @@ class ServerlessRuntime:
             self._finish_task_span(main, ctx)
             self._open_tasks = max(0, self._open_tasks - 1)
             self._task_closed(main)
-            if self._retry_budget is not None and main.retries == 0:
-                # only *first-attempt* successes refill the budget, so retry
-                # volume stays capped at ratio x useful first-attempt volume
-                self._retry_budget.refill(device.node_id)
-                self.telemetry.registry.gauge(
-                    "skadi_retry_budget_tokens",
-                    "remaining retry-budget tokens per node",
-                    node=device.node_id,
-                ).set(self._retry_budget.tokens(device.node_id))
-            if self._breakers is not None:
-                self._breakers.record_success(device.device_id, self.sim.now)
+            for hook in self.on_task_finished:
+                hook(main, ctx, device)
             self.timelines.append(ctx.timeline)
 
             # 8. proactive pushes to subscribed consumers (a wave of
@@ -2021,6 +1701,9 @@ class ServerlessRuntime:
             if ctx.is_clone:
                 return  # the original will hit (and report) the same error
             self._fail_ctx(ctx, f"{type(exc).__name__}: {exc}")
+        finally:  # however the attempt ended
+            for hook in self.on_attempt_concluded:
+                hook(ctx, device)
 
     def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
         """This attempt's outcome no longer matters: its task concluded or
@@ -2036,18 +1719,19 @@ class ServerlessRuntime:
         from a shared RNG, so retry timing never depends on event order).
         The hash contract is pinned in ``overload.backoff_jitter_fraction``
         and documented in ``config.py``."""
-        return _retry_backoff_delay(self.config, ctx.spec.task_id, ctx.retries)
+        return overload.retry_backoff_delay(self.config, ctx.spec.task_id, ctx.retries)
 
     def _retry_or_fail(self, ctx: _TaskCtx, cause: str) -> None:
-        # the failing attempt's device feeds the breakers and keys the
-        # retry budget — capture it before the attempt state is cleared
+        # the failing attempt's device is what subscribers blame and budget
+        # against — capture it before the attempt state is cleared
         failed_device = ctx.device
         if self.probe_edges is not None and failed_device is not None:
             # only a real attempt (one that held a device) reports a failure;
             # placement errors never started one
             self.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
-        if self._breakers is not None and failed_device is not None:
-            self._breakers.record_failure(failed_device.device_id, self.sim.now)
+        if failed_device is not None:
+            for hook in self.on_device_fault:
+                hook(failed_device, cause)
         ctx.retries += 1
         ctx.device = None
         ctx.raylet = None
@@ -2058,31 +1742,9 @@ class ServerlessRuntime:
                 ctx, f"gave up after {self.config.max_retries} retries: {cause}"
             )
             return
-        if self._retry_budget is not None:
-            node = failed_device.node_id if failed_device is not None else "<cluster>"
-            if not self._retry_budget.try_consume(node):
-                # budget dry: shedding the retry breaks the storm's feedback
-                # loop (each retry would amplify the very overload that
-                # failed the first attempt)
-                self.telemetry.registry.counter(
-                    "skadi_retry_budget_exhausted_total",
-                    "retries refused because the node's budget ran dry",
-                    node=node,
-                ).inc()
-                self._record(
-                    "retry_budget_exhausted",
-                    task=ctx.spec.task_id,
-                    node=node,
-                    cause=cause,
-                )
-                self._count_shed("retry_budget_exhausted")
-                self._cancel_and_propagate(ctx, reason="retry_budget_exhausted")
-                return
-            self.telemetry.registry.gauge(
-                "skadi_retry_budget_tokens",
-                "remaining retry-budget tokens per node",
-                node=node,
-            ).set(self._retry_budget.tokens(node))
+        for gate in self.retry_gates:
+            if not gate(ctx, failed_device, cause):
+                return  # the gate shed the task instead
         self.tasks_retried += 1
         self._m_retried.inc()
         delay = self._backoff_delay(ctx)
@@ -2118,8 +1780,13 @@ class ServerlessRuntime:
             cause = self._dead_actors.get(ctx.spec.actor_id, "unknown")
             self._fail_ctx(ctx, f"actor {ctx.spec.actor_id} is dead: {cause}")
             return
+        self._place_or_retry(self._route, ctx)
+
+    def _place_or_retry(self, step: Callable[[_TaskCtx], None], ctx: _TaskCtx) -> None:
+        """Run a placement step (``_route`` or ``_dispatch``); mid-chaos the
+        cluster may have nowhere to run it right now — back off and retry."""
         try:
-            self._route(ctx)
+            step(ctx)
         except PlacementError as exc:
             self._retry_or_fail(ctx, cause=str(exc))
 
@@ -2263,10 +1930,7 @@ class ServerlessRuntime:
             if ctx.state != TaskState.PENDING:
                 continue  # failed (or got retried onto another queue) meanwhile
             if self._deps_ready(ctx.spec):
-                try:
-                    self._dispatch(ctx)
-                except PlacementError as exc:
-                    self._retry_or_fail(ctx, cause=str(exc))
+                self._place_or_retry(self._dispatch, ctx)
             else:
                 still_waiting.append(ctx)
         self._waiting = still_waiting
@@ -2458,17 +2122,12 @@ class ServerlessRuntime:
             self._spill_store.delete(oid)
         if self.reliable_cache is not None:
             self.reliable_cache.delete(oid)
-        if self.probe is not None:
-            # a quiesced free is the GCS acting after it processed every
-            # consumer's done-report: same-site program order is the honest
-            # happens-before edge that makes the drop race-free.  Only the
-            # legacy force path keeps the racy driver attribution.
-            self.probe.site = site
-            self.probe.ownership_op("free", oid, entry.state.name, None, 0)
-        if self.ha is not None:
-            self.ha.append("own_drop", object=oid)
-        entry.locations.clear()
-        self.ownership.remove(oid)
+        # a quiesced free is the GCS acting after it processed every
+        # consumer's done-report: same-site program order is the honest
+        # happens-before edge that makes the drop race-free.  Only the
+        # legacy force path keeps the racy driver attribution.
+        self._probe_site(site)
+        self.ownership.free(oid)
         self._ctx_of_object.pop(oid, None)
         return released
 
@@ -2588,15 +2247,10 @@ class ServerlessRuntime:
         in-flight tasks.  Idempotent per death."""
         if node_id in self._dead_nodes:
             return []
-        self._dead_nodes.add(node_id)
-        for raylet in self._raylets_by_node.get(node_id, []):
-            for dev in raylet.devices:
-                self.scheduler.blacklist(dev.device_id)
+        self._view_change("node_dead", node=node_id)
         self._probe_site("gcs")  # death declarations are the detector's act
         lost = self.ownership.drop_node(node_id)
         self._record("node_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        if self.ha is not None:
-            self.ha.append("node_dead", node=node_id)
         # actor state is volatile: actors homed there restart from their last
         # checkpoint on a surviving node, or die if there is none
         for actor_id in sorted(self._actor_device):
@@ -2612,13 +2266,42 @@ class ServerlessRuntime:
         """The control plane learned the node is (back) among the living."""
         if node_id not in self._dead_nodes:
             return
-        self._dead_nodes.discard(node_id)
-        for raylet in self._raylets_by_node.get(node_id, []):
-            for dev in raylet.devices:
-                self.scheduler.unblacklist(dev.device_id)
+        self._view_change("node_alive", node=node_id)
         self._record("node_alive", node=node_id)
-        if self.ha is not None:
-            self.ha.append("node_alive", node=node_id)
+
+    def _apply_view(
+        self, kind: str, node: Optional[str] = None, device: Optional[str] = None
+    ) -> None:
+        """The one mutator of the control plane's failure *view* — the dead
+        sets and the placement blacklist — for ``kind`` in
+        ``{node,device,blade}_{dead,alive}``.  The death/revival methods
+        reach it through :meth:`_view_change`; a failover replays a WAL
+        replica's verdicts straight through it, without the reactions
+        (drops, interrupts, actor restores) the old leader already ran."""
+        dead = kind.endswith("_dead")
+        if kind.startswith("device"):
+            members, member, devices = self._dead_devices, device, [device]
+        elif kind.startswith("node"):
+            members, member = self._dead_nodes, node
+            raylets = self._raylets_by_node.get(node, [])
+            devices = [dev.device_id for raylet in raylets for dev in raylet.devices]
+        else:  # a blade only stores: there is no compute to blacklist
+            members, member, devices = self._dead_blades, node, []
+        (members.add if dead else members.discard)(member)
+        for device_id in devices:
+            (self.scheduler.blacklist if dead else self.scheduler.unblacklist)(device_id)
+
+    def _reset_view(self) -> None:
+        """Forget every verdict (a failover is about to replay them)."""
+        self._dead_nodes.clear()
+        self._dead_devices.clear()
+        self._dead_blades.clear()
+        self.scheduler.clear_blacklist()
+
+    def _view_change(self, kind: str, **ids: str) -> None:
+        self._apply_view(kind, **ids)
+        for hook in self.on_view_change:
+            hook(kind, **ids)
 
     def _interrupt_attempts(
         self, hit: Callable[[_TaskCtx], bool], cause: str
@@ -2641,14 +2324,13 @@ class ServerlessRuntime:
             f"node {node_id}: {cause}",
         )
 
-    # -- control-plane HA: head death, election, failover ---------------------
+    # -- losing the control plane ----------------------------------------------
     #
     # The chaos monkey can kill the head node (ChaosSchedule.fail_gcs).  With
-    # standby replicas (RuntimeConfig.ha_replicas > 0) the HAController's
-    # watch loops detect the sync silence, elect a winner, and drive
-    # _complete_failover below; without replicas the control plane is simply
-    # gone — _on_gcs_lost fails every open task, which is the baseline the
-    # E25 benchmark measures replication against.
+    # the HA component installed (repro.runtime.ha) its standbys notice the
+    # sync silence, elect a winner and fail over; what stays here is the
+    # unreplicated baseline the E25 benchmark measures replication against,
+    # and the two steps every outcome shares.
 
     def _fail_open_tasks(self, reason: str) -> None:
         """Permanently fail every non-terminal task: the control plane is
@@ -2669,208 +2351,23 @@ class ServerlessRuntime:
         views, blacklist — died with the node and nothing holds a copy.
         Every open task fails and driver handles surface the loss."""
         self._record("gcs_lost", node=node_id)
+        self.gcs_up = False
         if self.health is not None:
             self.health.pause()
-        self.ownership._entries.clear()
+        self.ownership.clear()
         self._fail_open_tasks(
             f"control plane lost: GCS on {node_id} died with no standby"
         )
 
-    def _complete_failover(
-        self, winner: str, new_epoch: int, log: List
-    ) -> Generator:
-        """The election winner becomes the head: rebuild control state from
-        its WAL replica, adopt leadership under the bumped fencing epoch,
-        re-point the control endpoints, re-register the driver and every
-        live raylet, reconcile, restart detection, release parked work."""
-        ha = self.ha
-        assert ha is not None
-        self._rebuild_control_state(log)
-        # adopt *before* re-registration so everything the raylets report
-        # lands in the new leader's WAL under the new epoch
-        ha.adopt(winner, new_epoch, log)
-        self.gcs_endpoint = self.cluster.node(winner).attachment_endpoint
-        self.scheduler.endpoint = self.gcs_endpoint
-        self._record(
-            "ha_leader_elected", epoch=new_epoch, node=winner, wal_records=len(log)
-        )
-        if self.probe is not None:
-            self.probe.ha_leader(new_epoch, winner)
-        self._reregister_driver()
-        yield from self._reregister_raylets(self.gcs_endpoint, new_epoch)
-        self._reconcile_after_failover()
-        if self.health is not None:
-            # the detector restarts seeded with the rebuilt dead-node view —
-            # the dead old head gets no grace period it has not earned
-            self.health.reset_for_failover(set(self._dead_nodes))
-        ha.on_failover_complete()
-        self._record("ha_failover_complete", epoch=new_epoch, node=winner)
-        self._resume_parked()
-
-    def _rebuild_control_state(self, log: List) -> None:
-        """Replay a WAL replica into fresh control-plane state.
-
-        Records carry full snapshots, so replay is a last-write-wins forward
-        pass.  Death records rebuild the *views* (dead sets, blacklist,
-        breakers) without re-running their side effects — the ownership
-        snapshots in the same log already reflect every drop the old leader
-        performed, and interrupts/actor restores happened on the old watch."""
-        self.ownership._entries.clear()
-        self._dead_nodes.clear()
-        self._dead_devices.clear()
-        self._dead_blades.clear()
-        self.scheduler.clear_blacklist()
-        breaker_final: Dict[str, str] = {}
-        for rec in log:
-            d = rec.get()
-            if rec.kind == "own":
-                self._probe_site("gcs")
-                self.ownership.restore(
-                    d["object"],
-                    d["owner"],
-                    d["task"],
-                    ValueState[d["state"]],
-                    d["nbytes"],
-                    d["locations"],
-                    d["device"],
-                )
-            elif rec.kind == "own_drop":
-                self.ownership.remove(d["object"])
-            elif rec.kind == "node_dead":
-                self._dead_nodes.add(d["node"])
-                for raylet in self._raylets_by_node.get(d["node"], []):
-                    for dev in raylet.devices:
-                        self.scheduler.blacklist(dev.device_id)
-            elif rec.kind == "node_alive":
-                self._dead_nodes.discard(d["node"])
-                for raylet in self._raylets_by_node.get(d["node"], []):
-                    for dev in raylet.devices:
-                        self.scheduler.unblacklist(dev.device_id)
-            elif rec.kind == "device_dead":
-                self._dead_devices.add(d["device"])
-                self.scheduler.blacklist(d["device"])
-                breaker_final[d["device"]] = "OPEN"
-            elif rec.kind == "device_alive":
-                self._dead_devices.discard(d["device"])
-                self.scheduler.unblacklist(d["device"])
-                breaker_final.pop(d["device"], None)
-            elif rec.kind == "blade_dead":
-                self._dead_blades.add(d["node"])
-            elif rec.kind == "blade_alive":
-                self._dead_blades.discard(d["node"])
-            elif rec.kind == "breaker":
-                breaker_final[d["device"]] = d["state"]
-            # "lease" records are informational (fencing audit); no replay
-        if self._breakers is not None:
-            for device_id in sorted(breaker_final):
-                if breaker_final[device_id] == "OPEN":
-                    self._breakers.breaker(device_id).force_open(self.sim.now)
-
-    def _reregister_driver(self) -> None:
-        """The driver re-asserts every ref it still holds: objects created in
-        the un-synced window before the kill never reached a replica, so
-        their entries come back as PENDING and the normal machinery — retry,
-        re-sent done-reports, lineage — re-materializes them."""
-        for oid in sorted(self._ctx_of_object):
-            ctx = self._ctx_of_object[oid]
-            if ctx.state in (TaskState.FAILED, TaskState.CANCELLED):
-                continue
-            if self.ownership.contains(oid):
-                continue
-            self._probe_site("gcs")
-            self.ownership.restore(
-                oid, DRIVER, ctx.spec.task_id, ValueState.PENDING, 0, (), None
-            )
-
-    def _reregister_raylets(self, winner_ep: str, epoch: int) -> Generator:
-        """Every live raylet re-registers with the new leader: it learns the
-        fencing epoch, re-sends the done-reports the dead head never acked
-        (commits the WAL missed), and reports its store inventory so every
-        surviving copy re-enters the directory."""
-        for raylet in sorted(
-            (r for r in self._raylets if r.alive), key=lambda r: r.endpoint
-        ):
-            delivered = yield self.net.rpc(
-                winner_ep, raylet.endpoint, label="ha-register"
-            )
-            if delivered is False or not raylet.alive:
-                continue
-            raylet.observe_epoch(epoch)
-            yield raylet.control()
-            for report in raylet.unacked_reports():
-                oid, node_id, nbytes, device_id, task_id = report
-                if not self.ownership.contains(oid):
-                    self._probe_site("gcs")
-                    self.ownership.restore(
-                        oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
-                    )
-                store = self._store_of_device.get(device_id)
-                if store is not None and store.contains(oid):
-                    self._probe_site("gcs")
-                    self.ownership.mark_ready(oid, node_id, nbytes, device_id)
-                raylet.ack_report(report)
-            for dev_id in sorted(raylet.stores):
-                device = self._device_by_id.get(dev_id)
-                if device is None or not device.alive:
-                    continue
-                store = raylet.stores[dev_id]
-                for oid, stored in list(store._objects.items()):
-                    if not self.ownership.contains(oid):
-                        continue  # freed, or a put the driver no longer holds
-                    entry = self.ownership.entry(oid)
-                    if entry.state in (ValueState.READY, ValueState.LOST):
-                        self._probe_site("gcs")
-                        self.ownership.add_location(oid, device.node_id)
-                    elif entry.state == ValueState.PENDING:
-                        ctx = self._ctx_of_object.get(oid)
-                        if ctx is not None and ctx.state == TaskState.FINISHED:
-                            self._probe_site("gcs")
-                            self.ownership.mark_ready(
-                                oid, device.node_id, stored.nbytes, dev_id
-                            )
-
-    def _reconcile_after_failover(self) -> None:
-        """PENDING entries whose producing task FINISHED but whose bytes
-        survive on no live device: the commit landed and then died with its
-        only copy.  Mark them LOST so lineage replay (or a driver ``get``)
-        rebuilds them instead of waiting on a task that will never re-run."""
-        lost: List[str] = []
-        for entry in sorted(self.ownership.objects(), key=lambda e: e.object_id):
-            if entry.state is ValueState.LOST:
-                lost.append(entry.object_id)
-                continue
-            if entry.state is not ValueState.PENDING:
-                continue
-            ctx = self._ctx_of_object.get(entry.object_id)
-            if ctx is None or ctx.state is not TaskState.FINISHED:
-                continue
-            self._probe_site("gcs")
-            self.ownership.restore(
-                entry.object_id,
-                entry.owner,
-                entry.task_id,
-                ValueState.LOST,
-                entry.nbytes,
-                (),
-                None,
-            )
-            lost.append(entry.object_id)
-        # a consumer parked in backoff (or about to requeue) would otherwise
-        # wait forever on an object no task will ever produce again
-        self._recover_lost_dependencies(lost)
-
     def _resume_parked(self) -> None:
-        """Dispatches frozen during the leaderless window go back through
-        routing (the new leader's scheduler, blacklist, and epoch)."""
-        assert self.ha is not None
-        parked, self.ha.parked = self.ha.parked, []
+        """A leader serves again: dispatches frozen during the leaderless
+        window go back through routing (the new leader's scheduler,
+        blacklist, and epoch)."""
+        parked, self._parked = self._parked, []
         for ctx in parked:
             if ctx.state is not TaskState.PENDING:
                 continue
-            try:
-                self._route(ctx)
-            except PlacementError as exc:
-                self._retry_or_fail(ctx, cause=str(exc))
+            self._place_or_retry(self._route, ctx)
 
     # -- device-granular failure domains -------------------------------------
     #
@@ -2925,10 +2422,7 @@ class ServerlessRuntime:
         device = self._device_by_id.get(device_id)
         if device is None:
             return []
-        self._dead_devices.add(device_id)
-        if self._breakers is not None:
-            self._breakers.breaker(device_id).force_open(self.sim.now)
-        self.scheduler.blacklist(device_id)
+        self._view_change("device_dead", device=device_id)
         self._probe_site("gcs")  # death declarations are the detector's act
         self.ownership.drop_device(device_id)
         node_id = device.node_id
@@ -2949,8 +2443,6 @@ class ServerlessRuntime:
             cause=cause,
             objects_lost=len(lost),
         )
-        if self.ha is not None:
-            self.ha.append("device_dead", device=device_id)
         self.telemetry.registry.counter(
             "skadi_device_failures_total",
             "device deaths the control plane acted on, by device kind",
@@ -2969,14 +2461,8 @@ class ServerlessRuntime:
     def _mark_device_alive(self, device_id: str) -> None:
         if device_id not in self._dead_devices:
             return
-        self._dead_devices.discard(device_id)
-        if self._breakers is not None:
-            # the device earned its way back: probe before trusting it
-            self._breakers.breaker(device_id).on_recovered()
-        self.scheduler.unblacklist(device_id)
+        self._view_change("device_alive", device=device_id)
         self._record("device_alive", device=device_id)
-        if self.ha is not None:
-            self.ha.append("device_alive", device=device_id)
 
     def _on_device_report(self, device_id: str, alive: bool) -> None:
         """A heartbeat's device-status payload: a live raylet telling the GCS
@@ -3083,12 +2569,10 @@ class ServerlessRuntime:
         (there is no compute to blacklist — blades only store)."""
         if node_id in self._dead_blades:
             return []
-        self._dead_blades.add(node_id)
+        self._view_change("blade_dead", node=node_id)
         self._probe_site("gcs")  # death declarations are the detector's act
         lost = self.ownership.drop_node(node_id)
         self._record("blade_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        if self.ha is not None:
-            self.ha.append("blade_dead", node=node_id)
         self.telemetry.registry.counter(
             "skadi_blade_failures_total",
             "memory-blade deaths the control plane acted on",
@@ -3099,10 +2583,8 @@ class ServerlessRuntime:
     def _on_blade_alive(self, node_id: str) -> None:
         if node_id not in self._dead_blades:
             return
-        self._dead_blades.discard(node_id)
+        self._view_change("blade_alive", node=node_id)
         self._record("blade_alive", node=node_id)
-        if self.ha is not None:
-            self.ha.append("blade_alive", node=node_id)
 
     def _interrupt_tasks_on_device(self, device_id: str, cause: str) -> None:
         self._interrupt_attempts(
@@ -3228,12 +2710,7 @@ class ServerlessRuntime:
             self._ctxs[spec.task_id] = ctx
             self._ctx_of_object[old_ids[0]] = ctx
             self._open_tasks += 1
-            try:
-                self._route(ctx)
-            except PlacementError as exc:
-                # mid-chaos the cluster may have nowhere to run the replay
-                # right now; back off and try again
-                self._retry_or_fail(ctx, cause=str(exc))
+            self._place_or_retry(self._route, ctx)
 
     # -- introspection ---------------------------------------------------------------------
 

@@ -510,3 +510,57 @@ class TestReactiveInjection:
         monkey.arm()
         with pytest.raises(RuntimeError):
             monkey.arm()
+
+
+class TestPullOutlivesItsAttempt:
+    """Regression: a retry clears ``ctx.raylet``/``ctx.device`` while the
+    attempt's pull processes are still in flight.  The orphan used to die in
+    ``_pull_inner``'s ``finally`` (AttributeError on ``None.end_fetch``), or
+    copy from a source store a crash emptied during the transfer (an untyped
+    KeyError) — about 6 % of ``ChaosSchedule.random`` seeds on this episode."""
+
+    LANES, DEPTH, TASK_COST, SERVERS = 16, 20, 4e-3, 4
+
+    @pytest.mark.parametrize("schedule_seed", [6, 22, 25])
+    def test_soak_episode_survives_orphaned_pulls(self, schedule_seed):
+        cluster = build_serverful(n_servers=self.SERVERS)
+        rt = ServerlessRuntime(
+            cluster,
+            chaos_config(speculation_factor=4.0, actor_checkpoint_every=1),
+            reliable_cache=make_reliable_cache(cluster, ReplicationScheme(2)),
+        )
+        fallible = [f"server{i}" for i in range(1, self.SERVERS)]  # never the head
+        schedule = ChaosSchedule.random(
+            schedule_seed,
+            node_ids=fallible,
+            device_ids=[f"{node}/cpu" for node in fallible],
+            horizon=self.DEPTH * self.TASK_COST,
+            n_crashes=2,
+            n_partitions=1,
+            n_stragglers=1,
+        )
+        ChaosMonkey(rt, schedule).arm()
+        # home the auditor on a node the schedule will crash
+        victim = next(f.node_id for f in schedule if isinstance(f, NodeCrash))
+        auditor = rt.create_actor(
+            TestActorReconstruction._Auditor,
+            pinned_device=cpu_of(cluster, victim).device_id,
+        )
+        tails = []
+        for lane in range(self.LANES):
+            ref = rt.submit(lambda v=lane: v, compute_cost=self.TASK_COST)
+            for _ in range(self.DEPTH - 1):
+                ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=self.TASK_COST)
+            tails.append(ref)
+        total = rt.submit(lambda *xs: sum(xs), tuple(tails), compute_cost=1e-3)
+        marks = [
+            auditor.call(TestActorReconstruction._mark, lane, compute_cost=1e-3)
+            for lane in range(self.LANES)
+        ]
+        closed_form = sum(range(self.LANES)) + self.LANES * (self.DEPTH - 1)
+        assert rt.get(total, timeout=60.0) == closed_form
+        rt.get(marks, timeout=60.0)
+        size = auditor.call(TestActorReconstruction._size, compute_cost=1e-3)
+        assert rt.get(size, timeout=60.0) == self.LANES
+        assert rt.tasks_failed == 0
+        assert all(not raylet._inflight_fetches for raylet in rt._raylets)

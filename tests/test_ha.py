@@ -208,8 +208,8 @@ class TestWalReplay:
             if e.state is ValueState.READY
         }
         log = list(rt.ha.wal)
-        rt.ownership._entries.clear()
-        rt._rebuild_control_state(log)
+        rt.ownership.clear()
+        rt.ha._rebuild_control_state(log)
         after = {
             e.object_id: (e.state, e.nbytes, frozenset(e.locations))
             for e in rt.ownership.objects()
@@ -281,10 +281,10 @@ class TestWalReplay:
         rt = ServerlessRuntime(build_serverful(n_servers=3), ha_config(1))
         assert rt.ha is not None
         n = len(rt.ha.wal)
-        rt.ha.gcs_up = False
+        rt.gcs_up = False
         rt.ha.append("node_dead", node="server1")
         assert len(rt.ha.wal) == n  # a dead head cannot make writes durable
-        rt.ha.gcs_up = True
+        rt.gcs_up = True
         rt.ha.append("node_dead", node="server1")
         assert len(rt.ha.wal) == n + 1
         rec = rt.ha.wal[-1]

@@ -282,7 +282,7 @@ class TestAdmission:
         assert rt.get(refs) == [i * i for i in range(8)]
         raylet = rt.raylet_for_device("server0/cpu")
         assert raylet.admission_inflight == 0  # every attempt concluded
-        assert not rt._admission_deferred
+        assert not rt.overload.deferred
         depth = rt.telemetry.registry.gauge(
             "skadi_admission_queue_depth",
             "task attempts admitted and not yet concluded, per scope",
@@ -475,7 +475,7 @@ class TestRetryBudgetIntegration:
         quick = [rt.submit(lambda i=i: i, compute_cost=1e-4) for i in range(4)]
         assert rt.get(quick) == [0, 1, 2, 3]
         # 4 first-attempt successes refilled ratio=1 each (clamped at cap)
-        assert rt._retry_budget.tokens("server0") == 2.0
+        assert rt.overload.budget.tokens("server0") == 2.0
 
 
 # -- circuit breakers ---------------------------------------------------------
@@ -484,7 +484,7 @@ class TestRetryBudgetIntegration:
 class TestBreakerIntegration:
     def test_open_breaker_steers_placement(self):
         rt = make_rt(device_circuit_breakers=True)
-        rt._breakers.breaker("server0/cpu").force_open(rt.sim.now)
+        rt.overload.breakers.breaker("server0/cpu").force_open(rt.sim.now)
         assert rt.log.count("breaker_open") == 1
         refs = [rt.submit(lambda i=i: i) for i in range(3)]
         assert rt.get(refs) == [0, 1, 2]
@@ -494,7 +494,7 @@ class TestBreakerIntegration:
     def test_all_open_falls_back_to_placing_anyway(self):
         rt = make_rt(device_circuit_breakers=True, breaker_reset_after=100.0)
         for dev in ("server0/cpu", "server1/cpu"):
-            rt._breakers.breaker(dev).force_open(rt.sim.now)
+            rt.overload.breakers.breaker(dev).force_open(rt.sim.now)
         # a fully-tripped pool must not brick the scheduler
         assert rt.get(rt.submit(lambda: 5)) == 5
 
@@ -504,7 +504,7 @@ class TestBreakerIntegration:
             breaker_reset_after=1e-3,
             breaker_probe_successes=1,
         )
-        br = rt._breakers.breaker("server0/cpu")
+        br = rt.overload.breakers.breaker("server0/cpu")
         br.force_open(rt.sim.now)
         tripped = [rt.submit(lambda i=i: i, compute_cost=5e-3) for i in range(2)]
         assert rt.get(tripped) == [0, 1]  # placed elsewhere while OPEN
@@ -521,9 +521,9 @@ class TestBreakerIntegration:
     def test_dead_device_forces_the_breaker_open(self):
         rt = make_rt(device_circuit_breakers=True)
         rt._mark_device_dead("server1/cpu", cause="test")
-        assert rt._breakers.breaker("server1/cpu").state is BreakerState.OPEN
+        assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.OPEN
         rt._mark_device_alive("server1/cpu")
-        assert rt._breakers.breaker("server1/cpu").state is BreakerState.HALF_OPEN
+        assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.HALF_OPEN
 
 
 # -- the chaos-layer burst injector ------------------------------------------

@@ -83,7 +83,7 @@ class TestOwnershipTable:
         table.create("o1", "w", "t")
         table.mark_ready("o1", "n0", 10)
         seen = []
-        table.observer = lambda *op: seen.append(op)
+        table.observers.append(lambda *op: seen.append(op))
         table.reset_pending("o1")
         entry = table.entry("o1")
         assert entry.state is ValueState.PENDING and not entry.locations

@@ -1,0 +1,195 @@
+"""The runtime core and its components (DESIGN.md "Runtime core and components").
+
+* **Off means not installed.**  A default runtime has every seam list empty
+  and no component handle; each switch installs exactly its own subscribers.
+* **Tables drain.**  After the work is done, the components' parking lists
+  are empty (the first brick of the quiescence invariant, ROADMAP item 4).
+* **Structure guard.**  ``runtime.py`` does not reach back into the protocols
+  that left it: an ``ast`` walk fails on the names that would mean it does.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.chaos import ChaosMonkey, ChaosSchedule
+from repro.cluster import build_serverful
+from repro.runtime import (
+    AdmissionPolicy,
+    OwnershipTable,
+    ResolutionMode,
+    RuntimeConfig,
+    ServerlessRuntime,
+)
+from repro.runtime.runtime import SEAM
+
+RUNTIME_PY = Path(__file__).resolve().parents[1] / "src/repro/runtime/runtime.py"
+
+# switch -> the subscribers it (alone) installs, per seam point, in list order
+INSTALLS = {
+    "ha_replicas": (
+        dict(ha_replicas=1),
+        {
+            "on_route": ["ensure_running"],
+            "on_dispatch": ["_stamp_lease"],
+            "lease_gates": ["_fence"],
+            "on_commit": ["_buffer_report"],
+            "on_done": ["_ack_report"],
+            "on_view_change": ["append"],
+        },
+    ),
+    "admission_control": (
+        dict(admission_control=True),
+        {
+            "submit_gates": ["_admission_gate"],
+            "on_task_open": ["_task_open"],
+            "on_task_closed": ["_task_closed"],
+        },
+    ),
+    "raylet_admission_depth": (
+        dict(raylet_admission_depth=2),
+        {"dispatch_gates": ["_window_gate"], "on_attempt_concluded": ["_release_window"]},
+    ),
+    "retry_budget": (
+        dict(retry_budget=True),
+        {"on_task_finished": ["_refill_budget"], "retry_gates": ["_spend_budget"]},
+    ),
+    "device_circuit_breakers": (
+        dict(device_circuit_breakers=True),
+        {
+            "on_dispatch": ["_count_inflight"],
+            "on_task_finished": ["_breaker_success"],
+            "on_device_fault": ["_breaker_failure"],
+            "on_attempt_concluded": ["_uncount_inflight"],
+            "on_view_change": ["_breaker_follows_view"],
+            "on_view_rebuilt": ["_breakers_rebuilt"],
+        },
+    ),
+}
+
+
+def subscribers(rt: ServerlessRuntime) -> dict:
+    return {
+        point: [hook.__name__ for hook in getattr(rt, point)]
+        for point in SEAM
+        if getattr(rt, point)
+    }
+
+
+class TestOffMeansNotInstalled:
+    def test_default_runtime_installs_nothing(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig())
+        assert subscribers(rt) == {}
+        assert rt.ha is None and rt.overload is None
+        assert rt.ownership.observers == []
+
+    @pytest.mark.parametrize("switch", sorted(INSTALLS))
+    def test_each_switch_installs_exactly_its_subscribers(self, switch):
+        overrides, expected = INSTALLS[switch]
+        rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig(**overrides))
+        assert subscribers(rt) == expected
+        component = rt.ha if switch == "ha_replicas" else rt.overload
+        other = rt.overload if switch == "ha_replicas" else rt.ha
+        assert component is not None and other is None
+        for point in expected:
+            assert all(hook.__self__ is component for hook in getattr(rt, point))
+        observers = [hook.__name__ for hook in rt.ownership.observers]
+        assert observers == (["_on_ownership_op"] if switch == "ha_replicas" else [])
+
+
+class TestTablesDrain:
+    def test_admission_tables_are_empty_after_a_burst(self):
+        """E22's shape: open-loop load at 2x one server's capacity, with a
+        straggler — through a full admission queue, its overflow parking and
+        a raylet window."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=1),
+            RuntimeConfig(
+                resolution=ResolutionMode.PULL,
+                task_timeout=0.08,
+                max_retries=8,
+                retry_backoff_base=5e-3,
+                admission_control=True,
+                admission_queue_depth=16,
+                admission_policy=AdmissionPolicy.QUEUE_WITH_DEADLINE,
+                admission_overflow_depth=32,
+                raylet_admission_depth=8,
+                retry_budget=True,
+            ),
+        )
+        schedule = ChaosSchedule().burst(0.0, 240, duration=0.15, seed=22)
+        schedule.slow_device(0.01, "server0/cpu", 4.0, duration=0.10)
+        monkey = ChaosMonkey(
+            rt,
+            schedule,
+            task_source=lambda i: rt.submit(lambda: i, compute_cost=2e-2, name=f"load{i}"),
+        ).arm()
+        rt.sim.run()
+        assert rt.log.count("admission_queued") > 0  # the overflow was used
+        assert monkey.load_rejected > 0  # ... and overflowed
+        assert rt.tasks_finished > 0
+        assert rt.overload.overflow == [] and rt.overload.deferred == []
+        assert rt.overload.admitted_open == 0
+        assert all(raylet.admission_inflight == 0 for raylet in rt._raylets)
+
+    def test_failover_tables_are_empty_after_a_head_kill(self):
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=5),
+            RuntimeConfig(
+                resolution=ResolutionMode.PULL,
+                heartbeat_interval=1e-3,
+                heartbeat_miss_threshold=3,
+                max_retries=10,
+                retry_backoff_base=2e-3,
+                ha_replicas=2,
+            ),
+        )
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=10e-3)).arm()
+        tails = []
+        for lane in range(6):
+            ref = rt.submit(lambda v=lane: v, compute_cost=4e-3)
+            for _ in range(4):
+                ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=4e-3)
+            tails.append(ref)
+        total = rt.submit(lambda *xs: sum(xs), tuple(tails))
+        assert rt.get(total) == sum(range(6)) + 6 * 4
+        assert rt.ha.failovers == 1 and rt.gcs_up
+        assert rt._parked == []
+        assert all(not r.unacked_reports() for r in rt._raylets if r.alive)
+
+
+class TestStructureGuard:
+    """``runtime.py`` knows the seam, not the protocols behind it."""
+
+    BANNED_NAMES = {
+        "HAController", "BreakerBoard", "RetryBudget", "_breakers", "_retry_budget",
+        "_admitted_open", "_admission_overflow", "_admission_deferred",
+    }
+
+    def test_the_core_does_not_reach_into_its_components(self):
+        tree = ast.parse(RUNTIME_PY.read_text(), filename=str(RUNTIME_PY))
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert not named & self.BANNED_NAMES
+        (runtime_cls,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "ServerlessRuntime"
+        ]
+        reads = [
+            f"{method.name}:{node.lineno}"
+            for method in runtime_cls.body
+            if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+            for node in ast.walk(method)
+            if isinstance(node, ast.Attribute) and node.attr == "ha"
+        ]
+        assert not reads, f"ServerlessRuntime reads .ha outside __init__: {reads}"
+
+    def test_the_directory_has_a_subscriber_list_not_a_slot(self):
+        assert not hasattr(OwnershipTable(), "observer")
