@@ -1,12 +1,10 @@
 """The chaos monkey: arms a fault schedule against a live runtime.
 
 Injection is *physical*: a :class:`NodeCrash` kills raylets, wipes their
-stores, and interrupts the task attempts running there — and says nothing
-to the control plane.  With heartbeats enabled, recovery is driven end to
-end by detection (suspicion → blacklist → retry → actor reconstruction),
-which is the whole point of the exercise.  Without a failure detector the
-monkey falls back to telling the runtime directly (the pre-chaos
-omniscient path), so chaos schedules still work against legacy configs.
+stores, and interrupts the task attempts running there.  What each strike
+does to the hardware, and whether the control plane hears of it at once or
+has to detect it (suspicion → blacklist → retry → actor reconstruction),
+is :mod:`repro.runtime.failures`' business; the monkey only decides *when*.
 
 Every injection lands in the runtime's event log as a ``chaos_*`` event,
 so traces show faults next to the recovery storms they trigger and two
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Set, TYPE_CHECKING
 
-from ..cluster.hardware import DeviceKind
 from ..runtime.overload import AdmissionRejectedError
 from ..serving.arrivals import uniform_offsets
 from .events import (
@@ -117,61 +114,65 @@ class ChaosMonkey:
 
     def _inject(self, fault: Fault) -> None:
         self.injected.append(fault)
-        if isinstance(fault, NodeCrash):
-            self._crash(fault)
-        elif isinstance(fault, NetworkPartition):
-            self._partition(fault)
-        elif isinstance(fault, LinkDegradation):
-            self._degrade(fault)
-        elif isinstance(fault, MessageLoss):
-            self._lose(fault)
-        elif isinstance(fault, Straggler):
-            self._slow(fault)
-        elif isinstance(fault, DeviceFailure):
-            self._fail_device(fault)
-        elif isinstance(fault, BladeFailure):
-            self._fail_blade(fault)
-        elif isinstance(fault, DpuFailure):
-            self._fail_dpu(fault)
-        elif isinstance(fault, HeadFailure):
-            self._fail_head(fault)
-        elif isinstance(fault, LoadBurst):
-            self._burst(fault)
-        else:  # pragma: no cover - future fault kinds
+        inject = self._INJECTORS.get(type(fault))
+        if inject is None:  # pragma: no cover - future fault kinds
             raise TypeError(f"unknown fault {fault!r}")
+        inject(self, fault)
+
+    # -- failure domains: record the injection, strike, schedule the revival --
 
     def _crash(self, fault: NodeCrash) -> None:
-        rt = self.runtime
-        rt._record("chaos_node_crash", node=fault.node_id)
-        for raylet in rt._raylets_by_node.get(fault.node_id, []):
-            raylet.fail()
-        # a whole-node crash takes every device down with it — that is what
-        # distinguishes it from the device-granular faults below, and what
-        # the failure detector's triage probes will (correctly) find
-        node = rt.cluster.nodes.get(fault.node_id)
-        for dev in node.devices if node is not None else []:
-            dev.fail()
-        # attempts physically running there die with the node; their retry
-        # policy takes it from here
-        rt._interrupt_tasks_on(fault.node_id, "crashed")
-        if rt.health is None:
-            # nobody is listening for heartbeats: only driver fiat remains
-            rt._mark_node_dead(fault.node_id, cause="chaos crash")
+        self.runtime._record("chaos_node_crash", node=fault.node_id)
+        self.runtime.failures.fail_node(fault.node_id, cause="chaos crash")
         if fault.restart_after is not None:
             self.sim.schedule(fault.restart_after, self._restart, fault.node_id)
 
     def _restart(self, node_id: str) -> None:
+        self.runtime._record("chaos_node_restart", node=node_id)
+        self.runtime.failures.restart_node(node_id)
+
+    def _fail_head(self, fault: HeadFailure) -> None:
+        # resolved at fire time: after a failover the head is the elected
+        # standby, not the original server0
+        node_id = self.runtime.head_node_id
+        self.runtime._record("chaos_head_failure", node=node_id)
+        self.runtime.failures.fail_head()
+        if fault.restart_after is not None:
+            self.sim.schedule(fault.restart_after, self._restart, node_id)
+
+    def _fail_device(self, fault: DeviceFailure) -> None:
         rt = self.runtime
-        rt._record("chaos_node_restart", node=node_id)
-        node = rt.cluster.nodes.get(node_id)
-        for dev in node.devices if node is not None else []:
-            dev.restore()
-        for raylet in rt._raylets_by_node.get(node_id, []):
-            raylet.restart()
-        if rt.health is None:
-            rt._on_node_alive(node_id)
-        # with heartbeats: the revived raylets resume beating and the
-        # monitor un-suspects the node on the first delivered beat
+        node_id = rt.cluster.device(fault.device_id).node_id
+        rt._record("chaos_device_failure", device=fault.device_id, node=node_id)
+        rt.failures.fail_device(fault.device_id, cause="chaos device failure")
+        if fault.recover_after is not None:
+            self.sim.schedule(fault.recover_after, self._recover_device, fault.device_id)
+
+    def _recover_device(self, device_id: str) -> None:
+        self.runtime._record("chaos_device_recovery", device=device_id)
+        self.runtime.failures.restore_device(device_id)
+
+    def _fail_blade(self, fault: BladeFailure) -> None:
+        self.runtime._record("chaos_blade_failure", node=fault.node_id)
+        self.runtime.failures.fail_blade(fault.node_id, cause="chaos blade failure")
+        if fault.recover_after is not None:
+            self.sim.schedule(fault.recover_after, self._recover_blade, fault.node_id)
+
+    def _recover_blade(self, node_id: str) -> None:
+        self.runtime._record("chaos_blade_recovery", node=node_id)
+        self.runtime.failures.restore_blade(node_id)
+
+    def _fail_dpu(self, fault: DpuFailure) -> None:
+        self.runtime._record("chaos_dpu_failure", node=fault.node_id)
+        self.runtime.failures.fail_dpu(fault.node_id, cause="chaos dpu failure")
+        if fault.recover_after is not None:
+            self.sim.schedule(fault.recover_after, self._recover_dpu, fault.node_id)
+
+    def _recover_dpu(self, node_id: str) -> None:
+        self.runtime._record("chaos_dpu_recovery", node=node_id)
+        self.runtime.failures.restore_dpu(node_id)
+
+    # -- the fabric and the clock ----------------------------------------------
 
     def _partition(self, fault: NetworkPartition) -> None:
         rt = self.runtime
@@ -218,35 +219,6 @@ class ChaosMonkey:
         self.runtime._record("chaos_straggler_end", device=device_id)
         self.runtime.cluster.device(device_id).slowdown = 1.0
 
-    # -- control-plane kills ---------------------------------------------------
-
-    def _fail_head(self, fault: HeadFailure) -> None:
-        """Kill the current head node — and the GCS with it.
-
-        The victim is resolved at fire time (after a failover the head is
-        the elected standby, not the original server0).  The physical half
-        matches a node crash: raylets die, device memory vanishes, local
-        attempts interrupt.  The control half depends on replication:
-        with standbys the HA controller freezes the control plane and lets
-        the watch loops detect the silence; without, the GCS state is
-        simply gone and every open task fails.
-        """
-        rt = self.runtime
-        node_id = rt._head_node().node_id
-        rt._record("chaos_head_failure", node=node_id)
-        for raylet in rt._raylets_by_node.get(node_id, []):
-            raylet.fail()
-        node = rt.cluster.nodes.get(node_id)
-        for dev in node.devices if node is not None else []:
-            dev.fail()
-        rt._interrupt_tasks_on(node_id, "head crashed")
-        if rt.ha is not None:
-            rt.ha.on_leader_killed()
-        else:
-            rt._on_gcs_lost(node_id)
-        if fault.restart_after is not None:
-            self.sim.schedule(fault.restart_after, self._restart, node_id)
-
     # -- overload (open-loop arrival spikes) ----------------------------------
 
     def _burst(self, fault: LoadBurst) -> None:
@@ -273,110 +245,15 @@ class ChaosMonkey:
         else:
             self.load_submitted += 1
 
-    # -- device-granular failure domains -------------------------------------
-
-    def _fail_device(self, fault: DeviceFailure) -> None:
-        """A GPU/FPGA dies under a living host.  Physical half only: the
-        silicon and its memory go; with heartbeats the owning raylet reports
-        the death in its next beat (or, if the raylet lived *on* the device,
-        endpoint silence plus probe triage takes over)."""
-        rt = self.runtime
-        device = rt.cluster.device(fault.device_id)
-        rt._record("chaos_device_failure", device=fault.device_id, node=device.node_id)
-        device.fail()
-        store = rt._store_of_device.get(fault.device_id)
-        if store is not None:
-            store.clear()  # volatile device memory died with the silicon
-        for raylet in rt._raylets_by_node.get(device.node_id, []):
-            if raylet.host_device is device and raylet.alive:
-                if all(d is device for d in raylet.devices):
-                    raylet.fail()  # its only store just died anyway
-                else:
-                    raylet.fail_control()  # companion memory survives
-        rt._interrupt_tasks_on_device(fault.device_id, "device failed")
-        if rt.health is None:
-            rt._mark_device_dead(fault.device_id, cause="chaos device failure")
-            rt._adopt_orphans(device.node_id, cause="chaos device failure")
-        if fault.recover_after is not None:
-            self.sim.schedule(fault.recover_after, self._recover_device, fault.device_id)
-
-    def _recover_device(self, device_id: str) -> None:
-        rt = self.runtime
-        rt._record("chaos_device_recovery", device=device_id)
-        device = rt.cluster.device(device_id)
-        device.restore()  # back, but empty
-        for raylet in rt._raylets_by_node.get(device.node_id, []):
-            if raylet.host_device is device:
-                raylet.restart()
-        if rt.health is None:
-            rt._undo_takeover(device.node_id)
-            rt._mark_device_alive(device_id)
-        # with heartbeats: the next beat's status payload clears the device
-
-    def _fail_blade(self, fault: BladeFailure) -> None:
-        """A disaggregated-memory blade dies: spilled objects are gone.
-        Blades never beat, so detection rides on the GCS's probe loop."""
-        rt = self.runtime
-        rt._record("chaos_blade_failure", node=fault.node_id)
-        node = rt.cluster.nodes.get(fault.node_id)
-        if node is None:
-            return
-        blade = node.attachment_device
-        blade.fail()
-        store = rt._store_of_device.get(blade.device_id)
-        if store is not None:
-            store.clear()
-        if rt.health is None:
-            rt._mark_blade_dead(fault.node_id, cause="chaos blade failure")
-        if fault.recover_after is not None:
-            self.sim.schedule(fault.recover_after, self._recover_blade, fault.node_id)
-
-    def _recover_blade(self, node_id: str) -> None:
-        rt = self.runtime
-        rt._record("chaos_blade_recovery", node=node_id)
-        node = rt.cluster.nodes.get(node_id)
-        if node is None:
-            return
-        node.attachment_device.restore()
-        if rt.health is None:
-            rt._on_blade_alive(node_id)
-        # with heartbeats: the next successful probe un-suspects the blade
-
-    def _fail_dpu(self, fault: DpuFailure) -> None:
-        """The card's DPU dies; companion silicon and memory survive.  In
-        Gen-1 this kills the card's raylet (hosted on the DPU) without
-        wiping its stores — triage finds the companions alive and the head
-        raylet adopts them.  Gen-2 cards keep running untouched."""
-        rt = self.runtime
-        rt._record("chaos_dpu_failure", node=fault.node_id)
-        node = rt.cluster.nodes.get(fault.node_id)
-        dpu = node.first_of_kind(DeviceKind.DPU) if node is not None else None
-        if dpu is None:
-            return
-        dpu.fail()
-        for raylet in rt._raylets_by_node.get(fault.node_id, []):
-            if raylet.host_device is dpu and raylet.alive:
-                raylet.fail_control()  # stores live in companion memory
-                rt._interrupt_tasks_on_raylet(raylet, "dpu failed")
-        if rt.health is None:
-            rt._mark_device_dead(dpu.device_id, cause="chaos dpu failure")
-            rt._mark_dpu_dead(fault.node_id, cause="chaos dpu failure")
-        if fault.recover_after is not None:
-            self.sim.schedule(fault.recover_after, self._recover_dpu, fault.node_id)
-
-    def _recover_dpu(self, node_id: str) -> None:
-        rt = self.runtime
-        rt._record("chaos_dpu_recovery", node=node_id)
-        node = rt.cluster.nodes.get(node_id)
-        dpu = node.first_of_kind(DeviceKind.DPU) if node is not None else None
-        if dpu is None:
-            return
-        dpu.restore()
-        for raylet in rt._raylets_by_node.get(node_id, []):
-            if raylet.host_device is dpu:
-                raylet.restart()
-        if rt.health is None:
-            rt._mark_device_alive(dpu.device_id)
-            rt._on_dpu_alive(node_id)
-        # with heartbeats: the revived raylet's first beat triggers the
-        # hand-back of any adopted devices
+    _INJECTORS = {
+        NodeCrash: _crash,
+        NetworkPartition: _partition,
+        LinkDegradation: _degrade,
+        MessageLoss: _lose,
+        Straggler: _slow,
+        DeviceFailure: _fail_device,
+        BladeFailure: _fail_blade,
+        DpuFailure: _fail_dpu,
+        HeadFailure: _fail_head,
+        LoadBurst: _burst,
+    }

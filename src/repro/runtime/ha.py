@@ -146,6 +146,7 @@ class HAController:
         runtime.on_done.append(self._ack_report)
         runtime.on_view_change.append(self.append)  # verdicts are leader writes
         runtime.ownership.observers.append(self._on_ownership_op)
+        runtime.failures.head_lost = self.on_leader_killed  # freeze and elect
 
     @property
     def leader_node(self) -> str:
@@ -422,7 +423,7 @@ class HAController:
         if rt.health is not None:
             # the detector restarts seeded with the rebuilt dead-node view —
             # the dead old head gets no grace period it has not earned
-            rt.health.reset_for_failover(set(rt._dead_nodes))
+            rt.health.reset_for_failover(set(rt.failures.dead_nodes))
         self.on_failover_complete()
         rt._record("ha_failover_complete", epoch=new_epoch, node=winner)
         rt._resume_parked()
@@ -431,7 +432,7 @@ class HAController:
         """Replay a WAL replica into fresh control-plane state.
 
         Records carry full snapshots, so replay is a last-write-wins forward
-        pass.  Verdict records go through the runtime's view-only mutator:
+        pass.  Verdict records go through the failure view's only mutator:
         they rebuild the *views* (dead sets, blacklist) without re-running
         the reactions — the ownership snapshots in the same log already
         reflect every drop the old leader performed, and interrupts/actor
@@ -439,7 +440,7 @@ class HAController:
         get the devices whose last logged breaker verdict is OPEN."""
         rt = self.runtime
         rt.ownership.clear()
-        rt._reset_view()
+        rt.failures.reset_view()
         breaker_final: Dict[str, str] = {}
         for rec in log:
             d = rec.get()
@@ -459,7 +460,7 @@ class HAController:
             elif rec.kind == "breaker":
                 breaker_final[d["device"]] = d["state"]
             elif rec.kind != "lease":  # leases are a fencing audit; no replay
-                rt._apply_view(rec.kind, **d)
+                rt.failures.apply_view(rec.kind, **d)
                 if rec.kind == "device_dead":
                     breaker_final[d["device"]] = "OPEN"
                 elif rec.kind == "device_alive":
@@ -566,10 +567,11 @@ class HAController:
 
     # -- leader death and adoption --------------------------------------------
 
-    def on_leader_killed(self) -> None:
-        """The chaos monkey killed the head.  Freeze the control plane: stop
-        detection (a dead GCS counts nothing), park new dispatches, and let
-        the standbys' watch loops notice the sync silence."""
+    def on_leader_killed(self, node_id: str) -> None:
+        """The head node died (``FailureDomains.head_lost``, re-pointed here).
+        Freeze the control plane: stop detection (a dead GCS counts
+        nothing), park new dispatches, and let the standbys' watch loops
+        notice the sync silence."""
         rt = self.runtime
         if not rt.gcs_up:
             return
@@ -583,7 +585,7 @@ class HAController:
             e.object_id: e.nbytes
             for e in rt.ownership.objects()
             if e.state.name == "READY"
-            and any(loc != self.leader_node for loc in e.locations)
+            and any(loc != node_id for loc in e.locations)
         }
         if rt.health is not None:
             rt.health.pause()

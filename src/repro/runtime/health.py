@@ -1,11 +1,10 @@
 """Heartbeat-based failure detection over the simulated network.
 
-Before this module existed, the only failure path was an omniscient driver
-calling ``fail_node()`` — the runtime learned of a death by fiat, for free,
-instantly.  Real control planes pay for that knowledge: raylets emit
-periodic heartbeats, the GCS counts silent intervals, and recovery starts
-only after K missed beats — which is exactly why detection latency shows up
-in recovery tail latency (Ray's design, and the knob the chaos soak sweeps).
+Real control planes pay to learn of a death: raylets emit periodic
+heartbeats, the GCS counts silent intervals, and recovery starts only after
+K missed beats — which is exactly why detection latency shows up in recovery
+tail latency (Ray's design, and the knob the chaos soak sweeps).  This module
+only *reaches* verdicts; acting on one is :mod:`repro.runtime.failures`.
 
 Disaggregation changes the failure *unit*, so detection is device-granular:
 
@@ -246,7 +245,7 @@ class HeartbeatMonitor:
             )
             self.beats_sent += 1
             round_no = self.beats_sent
-            probe = getattr(self.runtime, "probe_edges", None)
+            probe = self.runtime.probe_edges
             if probe is not None:
                 probe.hb_send(raylet.endpoint, round_no)
             self._meter("skadi_heartbeats_sent_total", "heartbeats emitted per node", node_id)
@@ -266,9 +265,7 @@ class HeartbeatMonitor:
     def _meter(
         self, name: str, help_text: str, node_id: str, amount: float = 1.0
     ) -> None:
-        telemetry = getattr(self.runtime, "telemetry", None)
-        if telemetry is not None:
-            telemetry.registry.counter(name, help_text, node=node_id).inc(amount)
+        self.runtime.telemetry.registry.counter(name, help_text, node=node_id).inc(amount)
 
     def _beat(
         self,
@@ -278,13 +275,14 @@ class HeartbeatMonitor:
         round_no: Optional[int] = None,
     ) -> None:
         self.beats_received += 1
-        probe = getattr(self.runtime, "probe_edges", None)
+        probe = self.runtime.probe_edges
         if probe is not None and round_no is not None:
             probe.hb_recv(raylet.endpoint, round_no)
         self._meter(
             "skadi_heartbeats_received_total", "heartbeats the GCS received per node", node_id
         )
         now = self.sim.now
+        failures = self.runtime.failures
         self.last_seen[node_id] = now
         self.last_seen_endpoint[raylet.endpoint] = now
         if raylet.endpoint in self.suspected_endpoints:
@@ -292,14 +290,17 @@ class HeartbeatMonitor:
             self.runtime._record(
                 "raylet_unsuspected", node=node_id, endpoint=raylet.endpoint
             )
-            self.runtime._on_endpoint_alive(raylet)
+            failures.undo_takeover(raylet.node_id)
         if node_id in self.suspected:
             self.suspected.discard(node_id)
             self.runtime._record("node_unsuspected", node=node_id)
-            self.runtime._on_node_alive(node_id)
+            failures.node_alive(node_id)
         self._update_guard()
         for device_id, alive in status:
-            self.runtime._on_device_report(device_id, alive)
+            if alive:
+                failures.device_alive(device_id)
+            else:
+                failures.device_dead(device_id, cause="reported by raylet")
 
     def _probe(self, device: Device) -> Generator:
         """Probe a device endpoint through the network; returns liveness.
@@ -417,14 +418,18 @@ class HeartbeatMonitor:
         )
         if whole_node and not live:
             # every domain on the node is gone: the classic verdict
-            self.runtime._mark_node_dead(node_id, cause="missed heartbeats")
+            self.runtime.failures.node_dead(node_id, cause="missed heartbeats")
             return
         if whole_node:
             # not a node death after all — the silent endpoints stay
             # suspected individually and are handled per-domain below
             self.suspected.discard(node_id)
             self._update_guard()
-        self.runtime._on_triage_verdict(node_id, dead, live)
+        # orphaned live devices go to a takeover raylet
+        for dev in dead:
+            self.runtime.failures.device_dead(dev.device_id, cause="failed probe")
+        if live:
+            self.runtime.failures.adopt_orphans(node_id, cause="raylet silent")
 
     def _blade_probe_loop(self, node_id: str, epoch: int) -> Generator:
         """Blades have no raylet to beat, so the GCS polls them directly."""
@@ -444,12 +449,12 @@ class HeartbeatMonitor:
                 if node_id in self.suspected:
                     self.suspected.discard(node_id)
                     self.runtime._record("blade_unsuspected", node=node_id)
-                    self.runtime._on_blade_alive(node_id)
+                    self.runtime.failures.blade_alive(node_id)
                     self._update_guard()
             else:
                 misses += 1
                 if misses >= self.miss_threshold and node_id not in self.suspected:
                     self.suspected.add(node_id)
                     self.runtime._record("blade_suspected", node=node_id, misses=misses)
-                    self.runtime._mark_blade_dead(node_id, cause="missed probes")
+                    self.runtime.failures.blade_dead(node_id, cause="missed probes")
                     self._update_guard()

@@ -32,6 +32,7 @@ from ..telemetry.spans import Span
 from . import ha, overload
 from .config import Generation, ResolutionMode, RuntimeConfig
 from .events import EventLog, RuntimeEvent
+from .failures import FailureDomains
 from .health import HeartbeatMonitor
 from .ids import IdGenerator
 from .lineage import LineageGraph, UnrecoverableObjectError
@@ -278,12 +279,7 @@ class ServerlessRuntime:
         self._actor_kinds: Dict[str, FrozenSet[DeviceKind]] = {}
         self._actor_calls: Dict[str, int] = {}  # completed methods (ckpt cadence)
         self._dead_actors: Dict[str, str] = {}  # actor_id -> cause
-        self._dead_nodes: set = set()  # control-plane view (detected/declared)
-        # device-granular failure domains (control-plane view, like _dead_nodes)
-        self._dead_devices: set = set()  # device ids declared/detected dead
-        self._dead_blades: set = set()  # memory-blade node ids declared dead
-        self._takeovers: Dict[str, List[str]] = {}  # node -> adopted device ids
-        self._adopted_from: Dict[str, Raylet] = {}  # device id -> original raylet
+        self.failures = FailureDomains(self)  # always: a fault can always happen
         self.actor_restarts = 0
         self.timelines: List[TaskTimeline] = []
         self.tasks_finished = 0
@@ -2214,94 +2210,22 @@ class ServerlessRuntime:
         for dep in task.dependencies:
             self._restore_checkpoint_frontier(dep.object_id, visited)
 
-    # -- failures & recovery ----------------------------------------------------------------
+    # -- failures & recovery (the driver's handle on repro.runtime.failures) --------------
 
     def fail_node(self, node_id: str) -> List[str]:
-        """Kill a node *and* tell the control plane (driver omniscience).
-
-        Chaos crashes instead call only the physical half (``raylet.fail``)
-        and let heartbeat detection discover the death the honest way.
-        Returns the object ids that became LOST.
-        """
-        for raylet in self._raylets_by_node.get(node_id, []):
-            raylet.fail()
-        node = self.cluster.nodes.get(node_id)
-        for dev in node.devices if node is not None else []:
-            dev.fail()  # power loss takes every device down with the node
-        return self._mark_node_dead(node_id, cause="killed by driver")
+        """Kill a node *and* tell the control plane (driver omniscience; chaos
+        crashes leave the telling to detection).  Returns the ids now LOST."""
+        return self.failures.fail_node(node_id, "killed by driver", announce=True)
 
     def restart_node(self, node_id: str) -> None:
-        node = self.cluster.nodes.get(node_id)
-        for dev in node.devices if node is not None else []:
-            dev.restore()
-        for raylet in self._raylets_by_node.get(node_id, []):
-            raylet.restart()
-        if self.health is None:
-            # omniscient mode: the driver's word is the control plane's truth;
-            # with heartbeats the node must earn its way back with a real beat
-            self._on_node_alive(node_id)
+        self.failures.restart_node(node_id)
 
-    def _mark_node_dead(self, node_id: str, cause: str) -> List[str]:
-        """Control-plane reaction to a node death, however it was learned:
-        blacklist, drop object locations, reconstruct actors, interrupt
-        in-flight tasks.  Idempotent per death."""
-        if node_id in self._dead_nodes:
-            return []
-        self._view_change("node_dead", node=node_id)
-        self._probe_site("gcs")  # death declarations are the detector's act
-        lost = self.ownership.drop_node(node_id)
-        self._record("node_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        # actor state is volatile: actors homed there restart from their last
-        # checkpoint on a surviving node, or die if there is none
-        for actor_id in sorted(self._actor_device):
-            if actor_id in self._dead_actors:
-                continue
-            device_id = self._actor_device[actor_id]
-            if self.cluster.node_of_device(device_id).node_id == node_id:
-                self._restore_actor(actor_id, cause=f"node {node_id} failed")
-        self._interrupt_tasks_on(node_id, cause)
-        return lost
+    def fail_device(self, device_id: str) -> List[str]:
+        """Kill one device *and* tell the control plane.  Returns the ids now LOST."""
+        return self.failures.fail_device(device_id, "killed by driver", announce=True)
 
-    def _on_node_alive(self, node_id: str) -> None:
-        """The control plane learned the node is (back) among the living."""
-        if node_id not in self._dead_nodes:
-            return
-        self._view_change("node_alive", node=node_id)
-        self._record("node_alive", node=node_id)
-
-    def _apply_view(
-        self, kind: str, node: Optional[str] = None, device: Optional[str] = None
-    ) -> None:
-        """The one mutator of the control plane's failure *view* — the dead
-        sets and the placement blacklist — for ``kind`` in
-        ``{node,device,blade}_{dead,alive}``.  The death/revival methods
-        reach it through :meth:`_view_change`; a failover replays a WAL
-        replica's verdicts straight through it, without the reactions
-        (drops, interrupts, actor restores) the old leader already ran."""
-        dead = kind.endswith("_dead")
-        if kind.startswith("device"):
-            members, member, devices = self._dead_devices, device, [device]
-        elif kind.startswith("node"):
-            members, member = self._dead_nodes, node
-            raylets = self._raylets_by_node.get(node, [])
-            devices = [dev.device_id for raylet in raylets for dev in raylet.devices]
-        else:  # a blade only stores: there is no compute to blacklist
-            members, member, devices = self._dead_blades, node, []
-        (members.add if dead else members.discard)(member)
-        for device_id in devices:
-            (self.scheduler.blacklist if dead else self.scheduler.unblacklist)(device_id)
-
-    def _reset_view(self) -> None:
-        """Forget every verdict (a failover is about to replay them)."""
-        self._dead_nodes.clear()
-        self._dead_devices.clear()
-        self._dead_blades.clear()
-        self.scheduler.clear_blacklist()
-
-    def _view_change(self, kind: str, **ids: str) -> None:
-        self._apply_view(kind, **ids)
-        for hook in self.on_view_change:
-            hook(kind, **ids)
+    def restore_device(self, device_id: str) -> None:
+        self.failures.restore_device(device_id)
 
     def _interrupt_attempts(
         self, hit: Callable[[_TaskCtx], bool], cause: str
@@ -2317,12 +2241,6 @@ class ServerlessRuntime:
                     and hit(victim)
                 ):
                     victim.proc.interrupt(cause)
-
-    def _interrupt_tasks_on(self, node_id: str, cause: str) -> None:
-        self._interrupt_attempts(
-            lambda v: v.device is not None and v.device.node_id == node_id,
-            f"node {node_id}: {cause}",
-        )
 
     # -- losing the control plane ----------------------------------------------
     #
@@ -2368,232 +2286,6 @@ class ServerlessRuntime:
             if ctx.state is not TaskState.PENDING:
                 continue
             self._place_or_retry(self._route, ctx)
-
-    # -- device-granular failure domains -------------------------------------
-    #
-    # Disaggregation changes the failure unit (§2.3, fault tolerance): a GPU,
-    # a DPU, or a memory blade can die while everything around it lives.  The
-    # control plane reacts per *domain* — blacklist one device, adopt one
-    # card's stores, recover one blade's spilled objects — instead of
-    # declaring whole nodes dead.
-
-    def fail_device(self, device_id: str) -> List[str]:
-        """Kill one device *and* tell the control plane (driver omniscience).
-
-        Chaos injections instead do only the physical half and let heartbeat
-        payloads / probe triage discover the death the honest way.  Returns
-        the object ids that became LOST.
-        """
-        device = self._device_by_id[device_id]
-        device.fail()
-        store = self._store_of_device.get(device_id)
-        if store is not None:
-            store.clear()  # the memory died with the silicon
-        for raylet in self._raylets_by_node.get(device.node_id, []):
-            if raylet.host_device is device and raylet.alive:
-                if all(d is device for d in raylet.devices):
-                    raylet.fail()  # its only store just went with it anyway
-                else:
-                    raylet.fail_control()  # companion memory survives
-        self._interrupt_tasks_on_device(device_id, "device failed")
-        lost = self._mark_device_dead(device_id, cause="killed by driver")
-        self._adopt_orphans(device.node_id, cause="killed by driver")
-        return lost
-
-    def restore_device(self, device_id: str) -> None:
-        device = self._device_by_id[device_id]
-        device.restore()
-        for raylet in self._raylets_by_node.get(device.node_id, []):
-            if raylet.host_device is device:
-                raylet.restart()
-        if self.health is None:
-            self._undo_takeover(device.node_id)
-            self._mark_device_alive(device_id)
-        # with heartbeats the device must earn its way back: the next beat's
-        # status payload (or the revived raylet's first beat) clears it
-
-    def _mark_device_dead(self, device_id: str, cause: str) -> List[str]:
-        """Control-plane reaction to one device's death: blacklist exactly
-        that device, sever dangling DeviceHandles, mark objects whose only
-        copy sat in its memory LOST, re-home actors, and proactively recover
-        what open tasks still need.  Idempotent per death."""
-        if device_id in self._dead_devices:
-            return []
-        device = self._device_by_id.get(device_id)
-        if device is None:
-            return []
-        self._view_change("device_dead", device=device_id)
-        self._probe_site("gcs")  # death declarations are the detector's act
-        self.ownership.drop_device(device_id)
-        node_id = device.node_id
-        lost: List[str] = []
-        for entry in self.ownership.objects():
-            if (
-                node_id in entry.locations
-                and entry.state == ValueState.READY
-                and not self._node_has_copy(node_id, entry.object_id)
-            ):
-                self.ownership.drop_location(entry.object_id, node_id)
-                if entry.state == ValueState.LOST:
-                    lost.append(entry.object_id)
-        self._record(
-            "device_dead",
-            device=device_id,
-            node=node_id,
-            cause=cause,
-            objects_lost=len(lost),
-        )
-        self.telemetry.registry.counter(
-            "skadi_device_failures_total",
-            "device deaths the control plane acted on, by device kind",
-            kind=device.kind.value,
-        ).inc()
-        for actor_id in sorted(self._actor_device):
-            if (
-                actor_id not in self._dead_actors
-                and self._actor_device[actor_id] == device_id
-            ):
-                self._restore_actor(actor_id, cause=f"device {device_id} failed")
-        self._interrupt_tasks_on_device(device_id, cause)
-        self._recover_lost_dependencies(lost)
-        return lost
-
-    def _mark_device_alive(self, device_id: str) -> None:
-        if device_id not in self._dead_devices:
-            return
-        self._view_change("device_alive", device=device_id)
-        self._record("device_alive", device=device_id)
-
-    def _on_device_report(self, device_id: str, alive: bool) -> None:
-        """A heartbeat's device-status payload: a live raylet telling the GCS
-        how its managed silicon is doing."""
-        if alive:
-            self._mark_device_alive(device_id)
-        else:
-            self._mark_device_dead(device_id, cause="reported by raylet")
-
-    def _on_triage_verdict(self, node_id: str, dead, live) -> None:
-        """The failure detector probed a silent node's devices: act on the
-        dead domains, and hand orphaned live devices to a takeover raylet."""
-        for device in dead:
-            self._mark_device_dead(device.device_id, cause="failed probe")
-        if live:
-            self._adopt_orphans(node_id, cause="raylet silent")
-
-    def _on_endpoint_alive(self, raylet: Raylet) -> None:
-        """A suspected raylet endpoint beat again (restarted DPU, healed
-        link): the revived daemon reclaims anything the head adopted."""
-        self._undo_takeover(raylet.node_id)
-
-    def _mark_dpu_dead(self, node_id: str, cause: str) -> List[str]:
-        """Omniscient entry point for a DPU death (Gen-1: the card's raylet
-        dies, companion memory survives).  Gen-2 cards have no raylet on the
-        DPU, so there is nothing to adopt — the paper's single-point-of-
-        control contrast."""
-        return self._adopt_orphans(node_id, cause=cause)
-
-    def _on_dpu_alive(self, node_id: str) -> None:
-        self._undo_takeover(node_id)
-
-    def _adopt_orphans(self, node_id: str, cause: str) -> List[str]:
-        """Devices whose control daemon died while their silicon lives get
-        adopted by the head node's raylet: stores are handed over intact,
-        and every control action now crosses the fabric and serializes on
-        the head CPU — degraded mode, not an outage."""
-        head_raylet = self._raylets_by_node[self._head_node().node_id][0]
-        adopted = self._takeovers.setdefault(node_id, [])
-        new: List[str] = []
-        for raylet in self._raylets_by_node.get(node_id, []):
-            if raylet.alive or raylet is head_raylet:
-                continue
-            for dev in list(raylet.devices):
-                if (
-                    not dev.alive
-                    or dev.device_id in self._dead_devices
-                    or dev.device_id in adopted
-                    or dev.device_id not in raylet.stores
-                ):
-                    continue
-                head_raylet.stores[dev.device_id] = raylet.stores[dev.device_id]
-                head_raylet.devices.append(dev)
-                self._raylet_of_device[dev.device_id] = head_raylet
-                self._adopted_from[dev.device_id] = raylet
-                adopted.append(dev.device_id)
-                new.append(dev.device_id)
-            if new:
-                # in-flight attempts lost their control daemon; retries will
-                # re-dispatch through the takeover raylet
-                self._interrupt_tasks_on_raylet(raylet, f"raylet takeover: {cause}")
-        if not adopted:
-            self._takeovers.pop(node_id, None)
-        if new:
-            self._record(
-                "raylet_takeover",
-                node=node_id,
-                devices=sorted(new),
-                by=head_raylet.raylet_id,
-                cause=cause,
-            )
-            self.telemetry.registry.counter(
-                "skadi_raylet_takeovers_total",
-                "orphaned-device adoptions by a surviving raylet",
-            ).inc()
-        return new
-
-    def _undo_takeover(self, node_id: str) -> None:
-        """The original control daemon is back: hand its devices back."""
-        adopted = self._takeovers.pop(node_id, None)
-        if not adopted:
-            return
-        head_raylet = self._raylets_by_node[self._head_node().node_id][0]
-        for dev_id in adopted:
-            original = self._adopted_from.pop(dev_id, None)
-            head_raylet.stores.pop(dev_id, None)
-            head_raylet.devices = [
-                d for d in head_raylet.devices if d.device_id != dev_id
-            ]
-            if original is not None:
-                self._raylet_of_device[dev_id] = original
-        # attempts mid-flight through the takeover raylet must re-dispatch
-        self._interrupt_attempts(
-            lambda v: v.raylet is head_raylet
-            and v.device is not None
-            and v.device.device_id in adopted,
-            "control handed back to revived raylet",
-        )
-        self._record("raylet_takeover_end", node=node_id, devices=sorted(adopted))
-
-    def _mark_blade_dead(self, node_id: str, cause: str) -> List[str]:
-        """A memory blade died: every spilled object whose only copy sat
-        there is LOST and must come back via lineage or the reliable cache
-        (there is no compute to blacklist — blades only store)."""
-        if node_id in self._dead_blades:
-            return []
-        self._view_change("blade_dead", node=node_id)
-        self._probe_site("gcs")  # death declarations are the detector's act
-        lost = self.ownership.drop_node(node_id)
-        self._record("blade_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        self.telemetry.registry.counter(
-            "skadi_blade_failures_total",
-            "memory-blade deaths the control plane acted on",
-        ).inc()
-        self._recover_lost_dependencies(lost)
-        return lost
-
-    def _on_blade_alive(self, node_id: str) -> None:
-        if node_id not in self._dead_blades:
-            return
-        self._view_change("blade_alive", node=node_id)
-        self._record("blade_alive", node=node_id)
-
-    def _interrupt_tasks_on_device(self, device_id: str, cause: str) -> None:
-        self._interrupt_attempts(
-            lambda v: v.device is not None and v.device.device_id == device_id,
-            f"device {device_id}: {cause}",
-        )
-
-    def _interrupt_tasks_on_raylet(self, raylet: Raylet, cause: str) -> None:
-        self._interrupt_attempts(lambda v: v.raylet is raylet, cause)
 
     def _recover_lost_dependencies(self, lost: List[str]) -> None:
         """Proactive recovery: a lost object some open task still depends on

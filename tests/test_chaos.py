@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.caching.replication import ReplicationScheme
@@ -456,10 +458,14 @@ class TestActorReconstruction:
 
 
 class TestDeterminism:
-    def _soak(self, seed):
+    def _soak(self, seed, heartbeat_interval=1e-3):
         cluster = build_serverful(n_servers=3)
         cache = make_reliable_cache(cluster, ReplicationScheme(2))
-        rt = ServerlessRuntime(cluster, chaos_config(), reliable_cache=cache)
+        rt = ServerlessRuntime(
+            cluster,
+            chaos_config(heartbeat_interval=heartbeat_interval),
+            reliable_cache=cache,
+        )
         schedule = ChaosSchedule.random(
             seed,
             node_ids=["server1", "server2"],
@@ -490,6 +496,17 @@ class TestDeterminism:
         sig_a, _ = self._soak(42)
         sig_c, _ = self._soak(43)
         assert sig_a != sig_c
+
+    @pytest.mark.parametrize(
+        "heartbeat_interval,digest",
+        # recorded at the commit before failure domains left ServerlessRuntime
+        # (PR 14).  The detector-less row is the only pin on an omniscient
+        # NodeCrash interrupting twice (retries log cause "chaos crash").
+        [(1e-3, "da43b8793f65"), (None, "e74685497642")],
+    )
+    def test_signature_is_pinned_across_commits(self, heartbeat_interval, digest):
+        sig, _ = self._soak(42, heartbeat_interval)
+        assert hashlib.sha1(repr(sig).encode()).hexdigest()[:12] == digest
 
 
 class TestReactiveInjection:

@@ -520,9 +520,9 @@ class TestBreakerIntegration:
 
     def test_dead_device_forces_the_breaker_open(self):
         rt = make_rt(device_circuit_breakers=True)
-        rt._mark_device_dead("server1/cpu", cause="test")
+        rt.failures.device_dead("server1/cpu", cause="test")
         assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.OPEN
-        rt._mark_device_alive("server1/cpu")
+        rt.failures.device_alive("server1/cpu")
         assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.HALF_OPEN
 
 

@@ -8,6 +8,7 @@ from repro.caching.replication import ErasureCode, ReplicationScheme
 from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import DeviceKind
 from repro.runtime import (
+    Generation,
     ResolutionMode,
     RuntimeConfig,
     ServerlessRuntime,
@@ -361,3 +362,62 @@ class TestReplayExhaustion:
             rt.fail_node("server0")
             rt.restart_node("server0")
             assert rt.get(ref) == 3
+
+
+class TestDriverStrikes:
+    """The driver's handle on ``repro.runtime.failures``."""
+
+    UNKNOWN = [
+        (lambda rt: rt.fail_node("nope"), "nope", "node"),
+        (lambda rt: rt.restart_node("nope"), "nope", "node"),
+        (lambda rt: rt.fail_device("nope/gpu0"), "nope/gpu0", "device"),
+        (lambda rt: rt.restore_device("nope/gpu0"), "nope/gpu0", "device"),
+        # a real node of the wrong kind is as unknown as a typo
+        (lambda rt: rt.failures.fail_blade("server1", "test"), "server1", "memory_blade"),
+        (lambda rt: rt.failures.restore_blade("nope"), "nope", "memory_blade"),
+        (lambda rt: rt.failures.fail_dpu("server1", "test"), "server1", "disagg_device"),
+        (lambda rt: rt.failures.restore_dpu("nope"), "nope", "disagg_device"),
+    ]
+
+    @pytest.mark.parametrize("strike,target,kind", UNKNOWN)
+    def test_unknown_target_is_rejected_before_anything_changes(self, strike, target, kind):
+        rt = pull_runtime()
+        with pytest.raises(KeyError) as caught:
+            strike(rt)
+        assert repr(target) in str(caught.value) and kind in str(caught.value)
+        failures = rt.failures
+        assert not (failures.dead_nodes or failures.dead_devices or failures.dead_blades)
+        assert len(rt.log) == 0
+        assert rt.telemetry.registry.value("skadi_incidents_total", kind="node_dead") == 0
+        assert all(dev.alive for dev in rt.cluster.all_devices())
+
+    def test_driver_kills_announce_past_a_detector_but_revivals_do_not(self):
+        """With heartbeats on, ``fail_*`` is still the control plane's truth
+        at once; a revived domain has to earn its way back with a real beat."""
+        rt = ServerlessRuntime(
+            build_physical_disagg(),
+            RuntimeConfig(
+                resolution=ResolutionMode.PULL,
+                generation=Generation.GEN1,  # the card's raylet lives on its DPU
+                heartbeat_interval=1e-3,
+            ),
+        )
+        failures = rt.failures
+        rt.fail_node("server1")
+        rt.fail_device("gpucard1/gpu0")
+        # blades and DPUs have no method on the runtime: strike the module
+        failures.fail_blade("memblade0", "killed by driver", announce=True)
+        failures.fail_dpu("gpucard0", "killed by driver", announce=True)
+        assert failures.dead_nodes == {"server1"}
+        assert failures.dead_devices == {"gpucard1/gpu0", "gpucard0/dpu"}
+        assert failures.dead_blades == {"memblade0"}
+        assert failures.takeovers == {"gpucard0": ["gpucard0/gpu0"]}
+        rt.restart_node("server1")
+        rt.restore_device("gpucard1/gpu0")
+        failures.restore_blade("memblade0")
+        failures.restore_dpu("gpucard0")
+        assert all(dev.alive for dev in rt.cluster.all_devices())
+        assert failures.dead_nodes == {"server1"}
+        assert failures.dead_devices == {"gpucard1/gpu0", "gpucard0/dpu"}
+        assert failures.dead_blades == {"memblade0"}
+        assert rt.log.count("node_alive") == rt.log.count("device_alive") == 0

@@ -5,7 +5,8 @@
 * **Tables drain.**  After the work is done, the components' parking lists
   are empty (the first brick of the quiescence invariant, ROADMAP item 4).
 * **Structure guard.**  ``runtime.py`` does not reach back into the protocols
-  that left it: an ``ast`` walk fails on the names that would mean it does.
+  that left it, and nobody but ``failures.py`` strikes hardware or second-guesses
+  the announce rule: an ``ast`` walk fails on the names that would mean they do.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from repro.runtime import (
 )
 from repro.runtime.runtime import SEAM
 
-RUNTIME_PY = Path(__file__).resolve().parents[1] / "src/repro/runtime/runtime.py"
+SRC = Path(__file__).resolve().parents[1] / "src/repro"
+RUNTIME_PY = SRC / "runtime/runtime.py"
 
 # switch -> the subscribers it (alone) installs, per seam point, in list order
 INSTALLS = {
@@ -190,6 +192,46 @@ class TestStructureGuard:
             if isinstance(node, ast.Attribute) and node.attr == "ha"
         ]
         assert not reads, f"ServerlessRuntime reads .ha outside __init__: {reads}"
+
+    # what left for repro.runtime.failures: the 19 methods and the five tables
+    FAILURE_NAMES = {
+        "_mark_node_dead", "_on_node_alive", "_apply_view", "_reset_view", "_view_change",
+        "_interrupt_tasks_on", "_mark_device_dead", "_mark_device_alive",
+        "_on_device_report", "_on_triage_verdict", "_on_endpoint_alive", "_mark_dpu_dead",
+        "_on_dpu_alive", "_adopt_orphans", "_undo_takeover", "_mark_blade_dead",
+        "_on_blade_alive", "_interrupt_tasks_on_device", "_interrupt_tasks_on_raylet",
+        "_dead_nodes", "_dead_devices", "_dead_blades", "_takeovers", "_adopted_from",
+    }
+
+    def test_failure_domains_left_the_core(self):
+        tree = ast.parse(RUNTIME_PY.read_text(), filename=str(RUNTIME_PY))
+        defined = {
+            getattr(node, "name", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.Attribute))
+        }
+        assert not defined & self.FAILURE_NAMES
+
+    def test_the_monkey_strikes_only_through_failures(self):
+        """No physical act, no announce rule, no HA check and no private
+        runtime name (bar the event log) in ``chaos/monkey.py``."""
+        source = (SRC / "chaos/monkey.py").read_text()
+        assert "health is None" not in source
+        attrs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)]
+        assert not [a.lineno for a in attrs if a.attr == "ha"]
+        physical = {"fail", "fail_control", "restore", "restart", "clear"}
+        assert not [a.lineno for a in attrs if a.attr in physical]
+        private = [
+            f"{a.attr}:{a.lineno}"
+            for a in attrs
+            if a.attr.startswith("_")
+            and a.attr != "_record"
+            and ast.unparse(a.value).startswith(("rt", "self.runtime"))
+        ]
+        assert not private, f"monkey reads private runtime names: {private}"
+
+    def test_the_detector_assumes_a_whole_runtime(self):
+        assert "getattr(" not in (SRC / "runtime/health.py").read_text()
 
     def test_the_directory_has_a_subscriber_list_not_a_slot(self):
         assert not hasattr(OwnershipTable(), "observer")
