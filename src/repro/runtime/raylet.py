@@ -155,8 +155,8 @@ class Raylet:
             if not sig.triggered:
                 sig.succeed()
 
-    def note_deduped_fetch(self, device_id: str, object_id: Optional[str] = None) -> None:
-        if self.probe is not None and object_id is not None:
+    def note_deduped_fetch(self, device_id: str, object_id: str) -> None:
+        if self.probe is not None:
             self.probe.fetch_dedup(self.endpoint, object_id, device_id)
         self.fetches_deduped += 1
         if self.metrics is not None:

@@ -31,6 +31,7 @@ from ..telemetry.critical_path import critical_path as extract_critical_path
 from ..telemetry.spans import Span
 from . import ha, overload
 from .config import Generation, ResolutionMode, RuntimeConfig
+from .dataplane import DataPlane
 from .events import EventLog, RuntimeEvent
 from .failures import FailureDomains
 from .health import HeartbeatMonitor
@@ -245,8 +246,7 @@ class ServerlessRuntime:
         self._raylets_by_node: Dict[str, List[Raylet]] = {}
         self._build_raylets()
 
-        head = self._head_node()
-        self.gcs_endpoint = head.attachment_endpoint
+        self.gcs_endpoint = cluster.node(self.head_node_id).attachment_endpoint
         schedulable = [
             dev
             for dev in self.cluster.all_devices()
@@ -267,14 +267,9 @@ class ServerlessRuntime:
         self._ctx_of_object: Dict[str, _TaskCtx] = {}
         self._waiting: List[_TaskCtx] = []  # pull mode: deps not yet ready
         self._gangs: Dict[str, List[_TaskCtx]] = {}
-        self._subs: Dict[str, List[_TaskCtx]] = {}  # push subscriptions
-        self._arrivals: Dict[Tuple[str, str], Signal] = {}
-        # push-mode multicast coalescing: pushes of one object queued this
-        # instant, flushed as a single spanning-tree distribution
-        self._pending_pushes: Dict[str, List[_TaskCtx]] = {}
+        self.data = DataPlane(self)  # always: objects always move
         self._actor_state: Dict[str, Any] = {}
-        self._actor_locks: Dict[str, "Signal"] = {}
-        self._actor_queues: Dict[str, List] = {}
+        self._actor_locks: Dict[str, _ActorLock] = {}
         self._actor_device: Dict[str, str] = {}
         self._actor_kinds: Dict[str, FrozenSet[DeviceKind]] = {}
         self._actor_calls: Dict[str, int] = {}  # completed methods (ckpt cadence)
@@ -370,9 +365,6 @@ class ServerlessRuntime:
         self.scheduler._meter_capacity()  # publish the healthy-cluster baseline
 
     # -- construction ----------------------------------------------------------
-
-    def _head_node(self):
-        return self.cluster.node(self.head_node_id)
 
     def _build_raylets(self) -> None:
         spill_store = self._build_spill_store()
@@ -589,15 +581,23 @@ class ServerlessRuntime:
         nbytes = nbytes if nbytes is not None else estimate_nbytes(value)
         self._probe_site("driver")
         self.ownership.create(oid, owner=DRIVER, task_id="")
-        head = self._head_node()
-        raylet = self._raylets_by_node[head.node_id][0]
-        store = raylet.store_of(raylet.host_device.device_id)
-        store.put(oid, value, nbytes)
-        self.ownership.mark_ready(oid, head.node_id, nbytes, raylet.host_device.device_id)
-        if self.probe_edges is not None:
-            self.probe_edges.object_ready("driver", oid)
+        self._ready_at_head(oid, value, nbytes, "driver")
         self._on_object_ready(oid)
         return ObjectRef(oid, owner=DRIVER)
+
+    def _ready_at_head(self, object_id: str, value: Any, nbytes: int, site: str) -> None:
+        """Materialize a value in the head node's store and mark it READY
+        there: a driver put, or recovery (a control-plane act, site ``gcs``)
+        bringing a lost object back.  The caller pokes ``_on_object_ready``."""
+        raylet = self._raylets_by_node[self.head_node_id][0]
+        host = raylet.host_device
+        store = raylet.store_of(host.device_id)
+        if not store.contains(object_id):
+            store.put(object_id, value, nbytes or estimate_nbytes(value))
+        self._probe_site(site)
+        self.ownership.mark_ready(object_id, host.node_id, nbytes, host.device_id)
+        if self.probe_edges is not None:
+            self.probe_edges.object_ready(site, object_id)
 
     def get(self, refs, timeout: Optional[float] = None) -> Any:
         """Block the driver until ref(s) resolve; returns real value(s).
@@ -946,8 +946,8 @@ class ServerlessRuntime:
 
     def _cancel_ctx(self, ctx: "_TaskCtx", reason: str) -> bool:
         """Move one task to CANCELLED: stop its attempt, its in-flight pulls
-        (releasing any fetch-dedup followers via the leader's ``end_fetch``),
-        and its speculative twin.  Every cancellation source funnels here, so
+        (an interrupted dedup leader releases its followers), and its
+        speculative twin.  Every cancellation source funnels here, so
         every one lands in the event log with its ``reason``."""
         if ctx.state in _TERMINAL:
             return False
@@ -974,9 +974,8 @@ class ServerlessRuntime:
             **tenant_label,
         )
         self._open_tasks = max(0, self._open_tasks - 1)
-        for pull in ctx.pulls:
-            if pull is not None and not pull.triggered:
-                pull.interrupt(f"cancelled: {reason}")
+        for pull in ctx.pulls:  # a finished one ignores the interrupt
+            pull.interrupt(f"cancelled: {reason}")
         ctx.pulls = ()
         twin, ctx.twin = ctx.twin, None
         if twin is not None and twin.proc is not None and not twin.proc.triggered:
@@ -1127,8 +1126,7 @@ class ServerlessRuntime:
                 ctx.device.device_id,
                 [r.object_id for r in spec.dependencies],
             )
-        if self.config.resolution == ResolutionMode.PUSH:
-            self._register_subscriptions(ctx)
+        self.data.subscribe(ctx)
         ctx.proc = self.sim.process(self._run_task(ctx), name=f"task:{spec.task_id}")
         if self.config.task_timeout is not None:
             self.sim.process(
@@ -1142,329 +1140,6 @@ class ServerlessRuntime:
             self.sim.process(
                 self._speculation_watch(ctx, ctx.attempt), name=f"spy:{spec.task_id}"
             )
-
-    # -- push-mode plumbing ----------------------------------------------------------
-
-    def _arrival_signal(self, object_id: str, device_id: str) -> Signal:
-        key = (object_id, device_id)
-        sig = self._arrivals.get(key)
-        if sig is None:
-            sig = Signal(self.sim)
-            self._arrivals[key] = sig
-        return sig
-
-    def _register_subscriptions(self, ctx: _TaskCtx) -> None:
-        assert ctx.device is not None and ctx.raylet is not None
-        for ref in ctx.spec.dependencies:
-            oid = ref.object_id
-            if ctx.raylet.store_of(ctx.device.device_id).contains(oid):
-                sig = self._arrival_signal(oid, ctx.device.device_id)
-                if not sig.triggered:
-                    sig.succeed()
-                continue
-            self._subs.setdefault(oid, []).append(ctx)
-            if self.ownership.is_ready(oid):
-                # producer already done: push starts immediately
-                self._queue_push(oid, ctx)
-
-    def _queue_push(self, object_id: str, ctx: _TaskCtx) -> None:
-        """Start (or coalesce) a proactive push of one object to one consumer.
-
-        Pushes of the same object queued at the same virtual instant are
-        batched and flushed one event later as a single spanning-tree
-        distribution (a unicast when only one device is waiting).
-        """
-        batch = self._pending_pushes.setdefault(object_id, [])
-        batch.append(ctx)
-        if len(batch) == 1:
-            self.sim.schedule(0.0, self._flush_pushes, object_id)
-
-    def _flush_pushes(self, object_id: str) -> None:
-        batch = self._pending_pushes.pop(object_id, [])
-        if not batch:
-            return
-        by_dev: Dict[str, _TaskCtx] = {}
-        for ctx in batch:
-            assert ctx.device is not None
-            by_dev.setdefault(ctx.device.device_id, ctx)
-        if len(by_dev) == 1:
-            # a single consumer device: a tree would degenerate to the route
-            ctx = next(iter(by_dev.values()))
-            self.sim.process(
-                self._push_to(object_id, ctx),
-                name=f"push:{object_id}->{ctx.device.device_id}",
-            )
-            return
-        self.sim.process(
-            self._multicast_push(object_id, by_dev), name=f"mcast:{object_id}"
-        )
-
-    def _multicast_push(self, object_id: str, by_dev: Dict[str, _TaskCtx]) -> Generator:
-        """Distribute one ready object to a wave of consumer devices along a
-        spanning tree: each fabric link serializes the payload once, however
-        many consumers sit behind it."""
-        src_store = self._find_store_with(object_id)
-        if src_store is None:
-            return  # lost; recovery path will handle it
-        entry = self.ownership.entry(object_id)
-        src_dev = src_store.device.device_id
-        targets: List[str] = []
-        for dev_id in sorted(by_dev):
-            sig = self._arrival_signal(object_id, dev_id)
-            if sig.triggered:
-                continue
-            ctx = by_dev[dev_id]
-            assert ctx.raylet is not None
-            if dev_id == src_dev or ctx.raylet.store_of(dev_id).contains(object_id):
-                sig.succeed()
-                continue
-            targets.append(dev_id)
-        if not targets:
-            return
-        mcast_site = f"mcast:{object_id}"
-        if self.probe_edges is not None:
-            self.probe_edges.push_start(mcast_site, object_id, targets=len(targets))
-        # register each leg with the fetch-dedup registry so concurrent
-        # pulls/pushes of the same object ride this distribution
-        guards: List[Tuple[Raylet, str]] = []
-        for dev_id in targets:
-            raylet = self._raylet_of_device.get(dev_id)
-            if raylet is not None and raylet.pending_fetch(object_id, dev_id) is None:
-                raylet.begin_fetch(object_id, dev_id)
-                guards.append((raylet, dev_id))
-        span = self.telemetry.tracer.start_span(
-            f"mcast:{object_id}",
-            "transfer",
-            object_id=object_id,
-            nbytes=entry.nbytes,
-            consumers=len(targets),
-        )
-        try:
-            delivered = yield self.net.multicast(
-                src_dev, targets, entry.nbytes, label=f"push:{object_id}"
-            )
-        finally:
-            span.finish(self.sim.now)
-            for raylet, dev_id in guards:
-                raylet.end_fetch(object_id, dev_id)
-        reached = set(delivered or [])
-        self._probe_site(mcast_site)  # no yields below until every add_location
-        for dev_id in targets:
-            if dev_id not in reached:
-                continue  # partitioned off; its pull-retry path takes over
-            ctx = by_dev[dev_id]
-            assert ctx.device is not None and ctx.raylet is not None
-            dst_store = ctx.raylet.store_of(dev_id)
-            if not dst_store.contains(object_id):
-                try:
-                    dst_store.put(
-                        object_id, src_store.get(object_id).value, entry.nbytes
-                    )
-                except (SpillFailedError, StoreUnavailableError):
-                    continue
-                self.ownership.add_location(object_id, ctx.device.node_id)
-            sig = self._arrival_signal(object_id, dev_id)
-            if not sig.triggered:
-                sig.succeed()
-
-    def _push_to(self, object_id: str, ctx: _TaskCtx) -> Generator:
-        """Producer-side proactive push of one object to a consumer device."""
-        assert ctx.device is not None and ctx.raylet is not None
-        sig = self._arrival_signal(object_id, ctx.device.device_id)
-        if sig.triggered:
-            return
-        push_site = f"push:{object_id}->{ctx.device.device_id}"
-        if self.probe_edges is not None:
-            self.probe_edges.push_start(push_site, object_id)
-        pending = ctx.raylet.pending_fetch(object_id, ctx.device.device_id)
-        if pending is not None:
-            # another push/pull is already moving this object here
-            ctx.raylet.note_deduped_fetch(ctx.device.device_id, object_id)
-            yield pending
-            if self.probe is not None:
-                self.probe.fetch_join(push_site, object_id, ctx.device.device_id)
-            if (
-                ctx.raylet.store_of(ctx.device.device_id).contains(object_id)
-                and not sig.triggered
-            ):
-                sig.succeed()
-            return
-        src_store = self._find_store_with(object_id)
-        if src_store is None:
-            return  # lost; recovery path will handle it
-        entry = self.ownership.entry(object_id)
-        dst_store = ctx.raylet.store_of(ctx.device.device_id)
-        if src_store is not dst_store:
-            # nothing is pending here (checked above, no yield since), so
-            # this push leads: concurrent pulls/pushes ride it
-            ctx.raylet.begin_fetch(object_id, ctx.device.device_id)
-            span = self.telemetry.tracer.start_span(
-                f"push:{object_id}",
-                "transfer",
-                parent=self._span_of(ctx),
-                node=ctx.device.node_id,
-                device=ctx.device.device_id,
-                object_id=object_id,
-                nbytes=entry.nbytes,
-            )
-            try:
-                yield self.net.transfer(
-                    src_store.device.device_id,
-                    ctx.device.device_id,
-                    entry.nbytes,
-                    label=f"push:{object_id}",
-                )
-            finally:
-                span.finish(self.sim.now)
-                ctx.raylet.end_fetch(object_id, ctx.device.device_id)
-            if not dst_store.contains(object_id):
-                try:
-                    dst_store.put(object_id, src_store.get(object_id).value, entry.nbytes)
-                except (SpillFailedError, StoreUnavailableError):
-                    return  # the consumer's pull-retry path will surface this
-                self._probe_site(push_site)
-                self.ownership.add_location(object_id, ctx.device.node_id)
-        if not sig.triggered:
-            sig.succeed()
-
-    # -- pull-mode plumbing ----------------------------------------------------------
-
-    def _pull(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
-        """Ray's default resolution: locate via GCS, then fetch on demand.
-
-        Fast path: when the raylet itself manages a copy (Gen-1's DPU raylet
-        owns all of its card's memory — the Figure 3 ownership extension),
-        it skips the GCS and pull-request RPCs; it still pays its control
-        handling and the intra-card transfer through the DPU.
-        """
-        assert ctx.device is not None and ctx.raylet is not None
-        span = self.telemetry.tracer.start_span(
-            f"pull:{ref.object_id}",
-            "transfer",
-            parent=self._span_of(ctx),
-            node=ctx.device.node_id,
-            device=ctx.device.device_id,
-            object_id=ref.object_id,
-        )
-        try:
-            yield from self._pull_inner(ref, ctx)
-        finally:
-            span.finish(self.sim.now)
-
-    def _pull_inner(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
-        assert ctx.device is not None and ctx.raylet is not None
-        # bound once: a pull can outlive its attempt, and ``_retry_or_fail``
-        # clears ``ctx.raylet`` / ``ctx.device`` under it
-        raylet, device_id = ctx.raylet, ctx.device.device_id
-        pending = raylet.pending_fetch(ref.object_id, device_id)
-        if pending is not None:
-            # another consumer on this device is already fetching the
-            # object: ride its transfer instead of paying the bytes again.
-            # If the leader fails, the local-store recheck in _run_task
-            # surfaces this as a transient fetch failure and retries.
-            raylet.note_deduped_fetch(device_id, ref.object_id)
-            if self.ownership.contains(ref.object_id):
-                entry = self.ownership.entry(ref.object_id)
-                reg = self.telemetry.registry
-                reg.counter(
-                    "skadi_fetch_dedup_bytes_saved_total",
-                    "payload bytes not re-transferred thanks to fetch dedup",
-                ).inc(entry.nbytes)
-            yield pending
-            if self.probe is not None:
-                self.probe.fetch_join(
-                    self.probe.attempt_site(
-                        ctx.spec.task_id, ctx.attempt, ctx.is_clone
-                    ),
-                    ref.object_id,
-                    device_id,
-                )
-            return
-        raylet.begin_fetch(ref.object_id, device_id)
-        try:
-            yield from self._fetch_object(ref, ctx)
-        finally:
-            raylet.end_fetch(ref.object_id, device_id)
-
-    def _fetch_object(self, ref: ObjectRef, ctx: _TaskCtx) -> Generator:
-        assert ctx.device is not None and ctx.raylet is not None
-        raylet, device = ctx.raylet, ctx.device  # see _pull_inner
-        sibling_store = raylet.find_object(ref.object_id)
-        if sibling_store is not None:
-            yield raylet.control()
-            if not self.ownership.contains(ref.object_id):
-                return  # entry vanished (failover rebuild, free): a miss
-            src_store = sibling_store
-            entry = self.ownership.entry(ref.object_id)
-        else:
-            # 1. location lookup round-trip to the GCS
-            located = yield self.net.rpc(
-                raylet.endpoint, self.gcs_endpoint, label="locate"
-            )
-            if located is False:
-                return  # chaos ate the lookup; the caller treats it as a miss
-            if not self.gcs_up or not self.ownership.contains(ref.object_id):
-                # no leader is serving lookups, or the entry is gone (a
-                # failover rebuild or a free dropped it): a transient miss,
-                # absorbed by retries
-                return
-            entry = self.ownership.entry(ref.object_id)
-            if self.probe_edges is not None:
-                # a stability-assuming read: the fetch plan built from this
-                # state races with any concurrent LOST/reconcile transition
-                self.probe_edges.dir_read(
-                    self.probe_edges.attempt_site(
-                        ctx.spec.task_id, ctx.attempt, ctx.is_clone
-                    ),
-                    ref.object_id,
-                    entry.state.name,
-                )
-            if entry.state != ValueState.READY:
-                return  # lost/pending: surfaces as a transient fetch failure
-            src_store = self._find_store_with(ref.object_id)
-            if src_store is None:
-                if self._reconcile_stale_entry(ref.object_id):
-                    # the fetcher is an open consumer: recover the wiped
-                    # object now so its retry finds the fresh copy
-                    self._recover_lost_dependencies([ref.object_id])
-                return  # surfaces as a transient fetch failure; retried
-            # 2. pull request round-trip to the source raylet (+ its handling
-            # cost); spilled objects are served by the blade controller
-            src_raylet = self._raylet_of_device.get(src_store.device.device_id)
-            src_endpoint = (
-                src_raylet.endpoint
-                if src_raylet is not None
-                else src_store.device.device_id
-            )
-            asked = yield self.net.rpc(raylet.endpoint, src_endpoint, label="pullreq")
-            if asked is False:
-                return
-            if src_raylet is not None:
-                yield src_raylet.control()
-        # 3. bulk data transfer to the consumer device
-        moved = yield self.net.transfer(
-            src_store.device.device_id,
-            device.device_id,
-            entry.nbytes,
-            label=f"pull:{ref.object_id}",
-        )
-        if moved is None and src_store.device.device_id != device.device_id:
-            return  # a partition blocked the bulk fetch
-        if not src_store.contains(ref.object_id):
-            return  # a crash emptied the source mid-transfer: a fetch miss
-        dst_store = raylet.store_of(device.device_id)
-        if not dst_store.contains(ref.object_id):
-            try:
-                dst_store.put(
-                    ref.object_id, src_store.get(ref.object_id).value, entry.nbytes
-                )
-            except (SpillFailedError, StoreUnavailableError):
-                return  # surfaces as a fetch miss; the retry policy absorbs it
-            if self.probe is not None:
-                self.probe.site = self.probe.attempt_site(
-                    ctx.spec.task_id, ctx.attempt, ctx.is_clone
-                )
-            self.ownership.add_location(ref.object_id, device.node_id)
 
     # -- the task lifecycle -------------------------------------------------------------
 
@@ -1522,39 +1197,9 @@ class ServerlessRuntime:
                     "task arguments that had to be fetched over the fabric",
                     device=device.device_id,
                 ).inc(len(missing))
-            if self.config.resolution == ResolutionMode.PULL:
-                if missing:
-                    pulls = [
-                        self.sim.process(
-                            self._pull(ref, ctx), name=f"pull:{ref.object_id}"
-                        )
-                        for ref in missing
-                    ]
-                    # recorded so cancellation can interrupt the fetches —
-                    # a cancelled leader's ``end_fetch`` (in ``_pull_inner``'s
-                    # finally) releases any dedup followers riding it
-                    ctx.pulls = tuple(pulls)
-                    try:
-                        yield self.sim.all_of(pulls)
-                    finally:
-                        ctx.pulls = ()
-                    still_missing = [
-                        ref
-                        for ref in missing
-                        if not local_store.contains(ref.object_id)
-                    ]
-                    if still_missing:
-                        raise _TransientTaskError(
-                            f"failed to fetch {len(still_missing)} argument(s)"
-                        )
-            else:
-                sigs = [
-                    self._arrival_signal(ref.object_id, device.device_id)
-                    for ref in spec.dependencies
-                ]
-                pending = [s for s in sigs if not s.triggered]
-                if pending:
-                    yield self.sim.all_of(pending)
+            unfetched = yield from self.data.resolve(ctx, raylet, device, missing)
+            if unfetched:
+                raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
             if self._deadline_expired(spec):
                 # inputs took too long: skip the doomed execution
                 raise _DeadlineExceededError()
@@ -1668,13 +1313,8 @@ class ServerlessRuntime:
                 hook(main, ctx, device)
             self.timelines.append(ctx.timeline)
 
-            # 8. proactive pushes to subscribed consumers (a wave of
-            # consumers coalesces into one multicast distribution)
-            if self.config.resolution == ResolutionMode.PUSH:
-                for sub in self._subs.pop(ctx.ref.object_id, []):
-                    if sub.state is TaskState.CANCELLED:
-                        continue
-                    self._queue_push(ctx.ref.object_id, sub)
+            # 8. proactive pushes to subscribed consumers
+            self.data.publish(ctx.ref.object_id)
             self._on_object_ready(ctx.ref.object_id)
             if not main.done.triggered:
                 main.done.succeed()
@@ -1954,7 +1594,6 @@ class ServerlessRuntime:
         )
         device = self.scheduler.place(probe)
         self._actor_state[actor_id] = ctor(*args, **(kwargs or {}))
-        self._actor_queues[actor_id] = []
         self._actor_device[actor_id] = device.device_id
         self._actor_kinds[actor_id] = frozenset(supported_kinds)
         self._actor_calls[actor_id] = 0
@@ -2176,18 +1815,7 @@ class ServerlessRuntime:
         entry = self.ownership.entry(object_id)
         proc = self.durable_store.get(object_id)
         self.sim.run()
-        value = proc.value
-        head = self._head_node()
-        raylet = self._raylets_by_node[head.node_id][0]
-        store = raylet.store_of(raylet.host_device.device_id)
-        if not store.contains(object_id):
-            store.put(object_id, value, entry.nbytes)
-        self._probe_site("gcs")  # recovery is a control-plane act
-        self.ownership.mark_ready(
-            object_id, head.node_id, entry.nbytes, raylet.host_device.device_id
-        )
-        if self.probe_edges is not None:
-            self.probe_edges.object_ready("gcs", object_id)
+        self._ready_at_head(object_id, proc.value, entry.nbytes, "gcs")
         self._on_object_ready(object_id)
         return True
 
@@ -2344,17 +1972,7 @@ class ServerlessRuntime:
                 value = None
             else:
                 entry = self.ownership.entry(oid)
-                head = self._head_node()
-                raylet = self._raylets_by_node[head.node_id][0]
-                store = raylet.store_of(raylet.host_device.device_id)
-                if not store.contains(oid):
-                    store.put(oid, value, entry.nbytes or estimate_nbytes(value))
-                self._probe_site("gcs")  # recovery is a control-plane act
-                self.ownership.mark_ready(
-                    oid, head.node_id, entry.nbytes, raylet.host_device.device_id
-                )
-                if self.probe_edges is not None:
-                    self.probe_edges.object_ready("gcs", oid)
+                self._ready_at_head(oid, value, entry.nbytes, "gcs")
                 # charge the reconstruction time in virtual time
                 self.sim.schedule(cost, lambda: None)
                 self._record(

@@ -5,8 +5,10 @@
 * **Tables drain.**  After the work is done, the components' parking lists
   are empty (the first brick of the quiescence invariant, ROADMAP item 4).
 * **Structure guard.**  ``runtime.py`` does not reach back into the protocols
-  that left it, and nobody but ``failures.py`` strikes hardware or second-guesses
-  the announce rule: an ``ast`` walk fails on the names that would mean they do.
+  that left it, nobody but ``failures.py`` strikes hardware or second-guesses
+  the announce rule, and nobody but ``dataplane.py`` moves an object's bytes
+  (which it lands in one place): an ``ast``/text walk fails on the names that
+  would mean they do.
 """
 
 from __future__ import annotations
@@ -211,6 +213,48 @@ class TestStructureGuard:
             if isinstance(node, (ast.FunctionDef, ast.Attribute))
         }
         assert not defined & self.FAILURE_NAMES
+
+    # what left for repro.runtime.dataplane: the nine methods and the three tables
+    DATA_PLANE_NAMES = {
+        "_arrival_signal", "_register_subscriptions", "_queue_push", "_flush_pushes",
+        "_multicast_push", "_push_to", "_pull", "_pull_inner", "_fetch_object",
+        "_subs", "_arrivals", "_pending_pushes",
+    }
+
+    def test_the_data_plane_left_the_core(self):
+        """The core decides *when* to dispatch per resolution mode and calls
+        three entry points; it moves no bytes and keeps no fetch registry."""
+        source = RUNTIME_PY.read_text()
+        defined = {
+            getattr(node, "name", None) or getattr(node, "attr", None)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.Attribute))
+        }
+        assert not defined & self.DATA_PLANE_NAMES
+        assert source.count("config.resolution") == 1
+        for moved in (
+            "net.transfer(", "net.multicast(", "begin_fetch", "end_fetch", "note_deduped_fetch",
+        ):
+            assert moved not in source, moved
+        assert source.count("add_location") == 1  # _on_spilled
+        assert source.count("except (SpillFailedError, StoreUnavailableError)") == 1
+
+    def test_the_mover_is_written_once(self):
+        source = (SRC / "runtime/dataplane.py").read_text()
+        for once in (
+            "add_location", "net.transfer(", "net.multicast(", "note_deduped_fetch(",
+            "except (SpillFailedError, StoreUnavailableError)",
+        ):
+            assert source.count(once) == 1, once
+        tree = ast.parse(source)
+        imports = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "runtime" not in imports  # the core imports the module, not the reverse
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not named & {"ha", "overload"}  # no component check, as in failures.py
 
     def test_the_monkey_strikes_only_through_failures(self):
         """No physical act, no announce rule, no HA check and no private
