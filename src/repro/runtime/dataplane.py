@@ -19,7 +19,7 @@ waiting on that (object, device) arrival, and their retry re-subscribes them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..cluster.hardware import Device
 from ..cluster.simtime import Signal
@@ -38,6 +38,8 @@ class DataPlane:
     def __init__(self, runtime: Any):  # the core (it imports this module, not the reverse)
         self.rt = runtime
         self.push_mode = runtime.config.resolution == ResolutionMode.PUSH
+        # a live store holding the object, else a miss (with recovery started)
+        self._source = runtime.recovery.source
         self.subs: Dict[str, List[Any]] = {}  # object -> attempts awaiting its commit
         self.arrivals: Dict[Tuple[str, str], Signal] = {}  # (object, device) landed
         # pushes of one object queued this instant, flushed as a single
@@ -98,15 +100,6 @@ class DataPlane:
                 self._queue_push(object_id, sub)
 
     # -- the mover -------------------------------------------------------------
-
-    def _source(self, oid: str) -> Optional[LocalObjectStore]:
-        """A live store holding the object.  A directory that only claims one
-        is reconciled, and the wiped object recovered for its open consumers,
-        on the way to the miss."""
-        store = self.rt._find_store_with(oid)
-        if store is None and self.rt._reconcile_stale_entry(oid):
-            self.rt._recover_lost_dependencies([oid])
-        return store
 
     def _carry(self, src: LocalObjectStore, device_id: str, nbytes: int, label: str) -> Generator:
         """The bulk transfer.  Returns False when a partition blocked it."""

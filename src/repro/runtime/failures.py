@@ -238,7 +238,7 @@ class FailureDomains:
             if (
                 node_id in entry.locations
                 and entry.state == ValueState.READY
-                and not rt._node_has_copy(node_id, entry.object_id)
+                and not rt.recovery.node_has_copy(node_id, entry.object_id)
             ):
                 rt.ownership.drop_location(entry.object_id, node_id)
                 if entry.state == ValueState.LOST:
@@ -257,7 +257,7 @@ class FailureDomains:
         ).inc()
         self._rehome_actors(lambda dev: dev == device_id, f"device {device_id} failed")
         self._interrupt_device(device_id, cause)
-        rt._recover_lost_dependencies(lost)
+        rt.recovery.objects_lost(lost)
         return lost
 
     def _rehome_actors(self, homed_there: Callable[[str], bool], cause: str) -> None:
@@ -282,7 +282,7 @@ class FailureDomains:
             "skadi_blade_failures_total",
             "memory-blade deaths the control plane acted on",
         ).inc()
-        rt._recover_lost_dependencies(lost)
+        rt.recovery.objects_lost(lost)
         return lost
 
     # -- verdicts: revivals ----------------------------------------------------

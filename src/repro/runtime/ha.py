@@ -563,7 +563,7 @@ class HAController:
             lost.append(entry.object_id)
         # a consumer parked in backoff (or about to requeue) would otherwise
         # wait forever on an object no task will ever produce again
-        rt._recover_lost_dependencies(lost)
+        rt.recovery.objects_lost(lost)
 
     # -- leader death and adoption --------------------------------------------
 

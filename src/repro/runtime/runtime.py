@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
 from ..caching.kv import estimate_nbytes
-from ..caching.store import CachingLayer, CacheNode, ObjectLostError
+from ..caching.store import CachingLayer, CacheNode
 from ..cluster.cluster import Cluster
 from ..cluster.durable import DurableStore
 from ..cluster.hardware import Device, DeviceKind
@@ -39,10 +39,11 @@ from .ids import IdGenerator
 from .lineage import LineageGraph, UnrecoverableObjectError
 from .object_ref import ObjectRef, replace_refs
 from .object_store import LocalObjectStore, SpillFailedError, StoreUnavailableError
-from .ownership import DRIVER, OwnershipTable, ValueState
+from .ownership import DRIVER, OwnershipTable
 from .raylet import Raylet
+from .recovery import ABSENT, Recovery
 from .scheduler import PlacementError, Scheduler
-from .task import ANY_COMPUTE_KIND, TaskSpec, TaskState
+from .task import ANY_COMPUTE_KIND, TERMINAL_STATES, TaskSpec, TaskState
 
 __all__ = [
     "ServerlessRuntime",
@@ -55,8 +56,7 @@ __all__ = [
 
 ACTOR_CHECKPOINT_PREFIX = "__actor__/"
 
-# the task has concluded, one way or another: nothing more will run for it
-_TERMINAL = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+_TERMINAL = TERMINAL_STATES
 # an attempt is live on a device (leased, fetching arguments, or executing)
 _IN_FLIGHT = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
 
@@ -222,7 +222,6 @@ class ServerlessRuntime:
             self.sim.fast_forward = True
         self.reliable_cache = reliable_cache
         self.durable_store = durable_store
-        self._checkpoints: set = set()  # object ids checkpointed to durable
         self.ids = IdGenerator()
         # the telemetry plane must exist before raylets/stores are built so
         # the lower layers can be handed their (duck-typed) registries
@@ -244,6 +243,7 @@ class ServerlessRuntime:
         self._raylets: List[Raylet] = []
         self._raylet_of_device: Dict[str, Raylet] = {}
         self._raylets_by_node: Dict[str, List[Raylet]] = {}
+        self.recovery = Recovery(self)  # always: an object can always be lost
         self._build_raylets()
 
         self.gcs_endpoint = cluster.node(self.head_node_id).attachment_endpoint
@@ -359,9 +359,6 @@ class ServerlessRuntime:
         # replicas are requested; None otherwise.  After the probe, so the
         # WAL observes each directory mutation second.
         self.ha = ha.install(self)
-        # deferred frees: objects whose free() arrived while a consumer was
-        # still in flight; drained as consumers conclude (see free())
-        self._deferred_frees: List[str] = []
         self.scheduler._meter_capacity()  # publish the healthy-cluster baseline
 
     # -- construction ----------------------------------------------------------
@@ -383,7 +380,7 @@ class ServerlessRuntime:
                 raylet.metrics = self.telemetry.registry
                 for dev_id, store in raylet.stores.items():
                     store.metrics = self.telemetry.registry
-                    store.on_spill = self._on_spilled
+                    store.on_spill = self.recovery.on_spilled
                     self._store_of_device[dev_id] = store
                 for dev in raylet.devices:
                     self._raylet_of_device[dev.device_id] = raylet
@@ -483,96 +480,6 @@ class ServerlessRuntime:
             self.actor_restarts,
         )
 
-    def _find_store_with(self, object_id: str) -> Optional[LocalObjectStore]:
-        """A live, reachable store holding ``object_id``, if any.
-
-        Device-granular: a copy counts only if its backing device is alive
-        AND some live raylet can serve it — which, after a DPU takeover, may
-        be the head raylet rather than the card's own (dead) one.  Blade
-        nodes have no raylet at all; the blade controller itself serves.
-        """
-        entry = self.ownership.entry(object_id)
-        for node_id in sorted(entry.locations):
-            node = self.cluster.nodes.get(node_id)
-            if node is None:
-                continue
-            for dev in node.devices:
-                store = self._store_of_device.get(dev.device_id)
-                if store is None or not dev.alive or not store.contains(object_id):
-                    continue
-                raylet = self._raylet_of_device.get(dev.device_id)
-                if raylet is not None and not raylet.alive:
-                    continue
-                return store
-        # overflow objects live on the disaggregated-memory blade; an
-        # untracked copy (pre-directory spill) is still found here
-        if (
-            self._spill_store is not None
-            and self._spill_store.device.alive
-            and self._spill_store.contains(object_id)
-        ):
-            return self._spill_store
-        return None
-
-    def _reconcile_stale_entry(self, object_id: str) -> bool:
-        """The directory claims READY copies, but every claimed location is
-        live, healthy hardware that does not actually hold the object — a
-        fault wiped the memory and healed before any detector noticed
-        (e.g. a device power-cycled while the cluster sat idle).  Drop the
-        phantom locations so the entry goes LOST and normal recovery takes
-        over.  Copies on *dead* hardware are left alone: declaring those is
-        the failure detector's job, not ours."""
-        entry = self.ownership.entry(object_id)
-        if entry.state != ValueState.READY:
-            return False
-        if self._find_store_with(object_id) is not None:
-            return False
-        for node_id in entry.locations:
-            node = self.cluster.nodes.get(node_id)
-            if node is None:
-                return False
-            for dev in node.devices:
-                if not dev.alive:
-                    return False
-                raylet = self._raylet_of_device.get(dev.device_id)
-                if raylet is not None and not raylet.alive:
-                    return False
-        stale = sorted(entry.locations)
-        self._probe_site("gcs")  # reconciliation is a directory-side act
-        for node_id in stale:
-            self.ownership.drop_location(object_id, node_id)
-        self._record("object_reconciled", object=object_id, stale_locations=stale)
-        return True
-
-    def _on_spilled(self, object_id: str, target: LocalObjectStore) -> None:
-        """Directory upkeep after an LRU spill: the copy now lives on the
-        spill target's node, and any origin node that no longer holds a
-        sibling copy must be dropped — otherwise a later blade death cannot
-        tell which objects it actually took down."""
-        if not self.ownership.contains(object_id):
-            return
-        # directory upkeep is the GCS acting, whichever caller's put forced
-        # the eviction; that caller's own attribution resumes afterwards
-        probe = self.probe
-        if probe is not None:
-            caller_site, probe.site = probe.site, "gcs"
-        self.ownership.add_location(object_id, target.node_id)
-        for node_id in self.ownership.locations(object_id):
-            if node_id != target.node_id and not self._node_has_copy(node_id, object_id):
-                self.ownership.drop_location(object_id, node_id)
-        if probe is not None:
-            probe.site = caller_site
-
-    def _node_has_copy(self, node_id: str, object_id: str) -> bool:
-        node = self.cluster.nodes.get(node_id)
-        if node is None:
-            return False
-        return any(
-            self._store_of_device.get(dev.device_id) is not None
-            and self._store_of_device[dev.device_id].contains(object_id)
-            for dev in node.devices
-        )
-
     # -- public API: objects ------------------------------------------------------
 
     def put(self, value: Any, nbytes: Optional[int] = None) -> ObjectRef:
@@ -610,66 +517,24 @@ class ServerlessRuntime:
         single = isinstance(refs, ObjectRef)
         ref_list: List[ObjectRef] = [refs] if single else list(refs)
         deadline = None if timeout is None else self.sim.now + timeout
+        object_ids = [ref.object_id for ref in ref_list]
         for _attempt in range(self.config.max_lineage_replays + 1):
             self.sim.run(until=deadline)
-            lost = []
-            unresolved = []
-            for ref in ref_list:
-                ctx = self._ctx_of_object.get(ref.object_id)
-                if ctx is not None and ctx.state == TaskState.FAILED:
-                    raise TaskError(
-                        f"task {ctx.spec.task_id} ({ctx.spec.name}) failed: {ctx.error}"
-                    )
-                if ctx is not None and ctx.state == TaskState.CANCELLED:
-                    raise TaskCancelledError(
-                        f"task {ctx.spec.task_id} ({ctx.spec.name}) was {ctx.error}"
-                    )
-                if not self.ownership.contains(ref.object_id):
-                    raise KeyError(f"unknown object {ref.object_id!r}")
-                entry = self.ownership.entry(ref.object_id)
-                if entry.state == ValueState.LOST:
-                    lost.append(ref)
-                    unresolved.append(ref)
-                elif entry.state == ValueState.PENDING:
-                    unresolved.append(ref)
-                    if ctx is None:
-                        raise KeyError(
-                            f"object {ref.object_id!r} pending with no producing task"
-                        )
-                    failed = self._find_failed_upstream(ref.object_id, set())
-                    if failed is not None:
-                        if failed.state == TaskState.CANCELLED:
-                            raise TaskCancelledError(
-                                f"task {failed.spec.task_id} ({failed.spec.name}) "
-                                f"upstream of {ref.object_id} was {failed.error}"
-                            )
-                        raise TaskError(
-                            f"task {failed.spec.task_id} ({failed.spec.name}) "
-                            f"failed upstream of {ref.object_id}: {failed.error}"
-                        )
-                    # a pending target may be stuck behind a LOST input (the
-                    # producing task sits in the waiting queue); recover the
-                    # lost ancestors so the pipeline can resume
-                    for upstream in self._find_lost_upstream(ref.object_id, set()):
-                        if upstream not in [r.object_id for r in lost]:
-                            lost.append(ObjectRef(upstream))
-                elif not (
-                    self.reliable_cache is not None
-                    and self.reliable_cache.contains(ref.object_id)
-                ) and self._reconcile_stale_entry(ref.object_id):
-                    # READY per the directory but no copy survives anywhere:
-                    # recover the reconciled-to-LOST entry like any other
-                    lost.append(ref)
-                    unresolved.append(ref)
+            failed, where, lost, unresolved = self.recovery.triage(object_ids)
+            if failed is not None:
+                who = f"task {failed.spec.task_id} ({failed.spec.name})"
+                if failed.state == TaskState.CANCELLED:
+                    raise TaskCancelledError(f"{who}{where} was {failed.error}")
+                raise TaskError(f"{who} failed{where}: {failed.error}")
             if deadline is not None and unresolved and self.sim.now >= deadline:
                 raise GetTimeoutError(
-                    f"{len(unresolved)}/{len(ref_list)} refs unresolved after "
+                    f"{unresolved}/{len(ref_list)} refs unresolved after "
                     f"timeout={timeout} (virtual time {self.sim.now:.6f})"
                 )
             if not lost:
                 break
-            for ref in lost:
-                self._recover(ref)
+            for oid in lost:
+                self.recovery.recover(oid)
         else:
             raise UnrecoverableObjectError(
                 f"objects still lost after {self.config.max_lineage_replays} replays"
@@ -678,8 +543,8 @@ class ServerlessRuntime:
             # get() returning is the completion flowing back to the driver:
             # each producer's work is now ordered before whatever the driver
             # does next (a later free() is sanctioned, not racy).
-            self.probe_edges.get_resolve([ref.object_id for ref in ref_list])
-        values = [self._read_value(ref) for ref in ref_list]
+            self.probe_edges.get_resolve(object_ids)
+        values = [self.recovery.read_value(oid) for oid in object_ids]
         return values[0] if single else values
 
     def wait(
@@ -700,51 +565,6 @@ class ServerlessRuntime:
                     f"wait() deadlocked: only {len(ready)}/{num_returns} refs can become ready"
                 )
             self.sim.run(until=nxt)
-
-    def _find_failed_upstream(self, object_id: str, visited: set) -> Optional[_TaskCtx]:
-        """Walk a pending object's producer chain for a failed task."""
-        if object_id in visited:
-            return None
-        visited.add(object_id)
-        ctx = self._ctx_of_object.get(object_id)
-        if ctx is None:
-            return None
-        if ctx.state in (TaskState.FAILED, TaskState.CANCELLED):
-            return ctx
-        for dep in ctx.spec.dependencies:
-            found = self._find_failed_upstream(dep.object_id, visited)
-            if found is not None:
-                return found
-        return None
-
-    def _find_lost_upstream(self, object_id: str, visited: set) -> List[str]:
-        """Object ids in LOST state anywhere upstream of a pending object
-        (its producer is parked in the waiting queue behind them)."""
-        if object_id in visited:
-            return []
-        visited.add(object_id)
-        if (
-            self.ownership.contains(object_id)
-            and self.ownership.entry(object_id).state == ValueState.LOST
-        ):
-            return [object_id]
-        ctx = self._ctx_of_object.get(object_id)
-        spec = ctx.spec if ctx is not None else self.lineage.producer(object_id)
-        if spec is None:
-            return []
-        lost: List[str] = []
-        for dep in spec.dependencies:
-            lost.extend(self._find_lost_upstream(dep.object_id, visited))
-        return lost
-
-    def _read_value(self, ref: ObjectRef) -> Any:
-        store = self._find_store_with(ref.object_id)
-        if store is not None:
-            return store.get(ref.object_id).value
-        if self.reliable_cache is not None and self.reliable_cache.contains(ref.object_id):
-            value, _ = self.reliable_cache.get(ref.object_id)
-            return value
-        raise UnrecoverableObjectError(f"object {ref.object_id!r} has no live copy")
 
     # -- public API: tasks -----------------------------------------------------------
 
@@ -864,10 +684,9 @@ class ServerlessRuntime:
 
     def _task_closed(self, ctx: "_TaskCtx") -> None:
         """A task reached a terminal state."""
-        if self._deferred_frees:
-            # a consumer concluding may be the last reader holding up a
-            # deferred free() — drain before any subscriber's bookkeeping
-            self._pump_deferred_frees()
+        if self.recovery.deferred_frees:
+            # drain before any subscriber's bookkeeping
+            self.recovery.consumer_concluded()
         for hook in self.on_task_closed:
             hook(ctx)
 
@@ -1652,14 +1471,8 @@ class ServerlessRuntime:
         Returns False (and declares the actor dead) when there is no
         checkpoint to restore from or nowhere left to place it.
         """
-        key = ACTOR_CHECKPOINT_PREFIX + actor_id
-        snapshot = None
-        if self.reliable_cache is not None and self.reliable_cache.contains(key):
-            try:
-                snapshot, read_cost = self.reliable_cache.get(key)
-            except ObjectLostError:
-                snapshot = None
-        if snapshot is None:
+        snapshot = self.recovery.read_cache(ACTOR_CHECKPOINT_PREFIX + actor_id)
+        if snapshot is ABSENT:
             self._dead_actors[actor_id] = cause
             self._actor_state.pop(actor_id, None)
             self._record("actor_dead", actor=actor_id, cause=cause)
@@ -1683,7 +1496,6 @@ class ServerlessRuntime:
         self._actor_state[actor_id] = copy.deepcopy(snapshot)
         self._actor_device[actor_id] = device.device_id
         self._actor_locks.pop(actor_id, None)  # in-flight calls died with the node
-        self.sim.schedule(read_cost, lambda: None)  # charge the checkpoint read
         self.actor_restarts += 1
         self._m_restarts.inc()
         self._record(
@@ -1722,63 +1534,7 @@ class ServerlessRuntime:
         drop; it exists for the sanitizer's seeded-race fixtures.
         """
         refs = [refs] if isinstance(refs, ObjectRef) else list(refs)
-        released = 0
-        for ref in refs:
-            oid = ref.object_id
-            if not self.ownership.contains(oid):
-                continue
-            if not force and self._open_consumers(oid):
-                if oid not in self._deferred_frees:
-                    self._deferred_frees.append(oid)
-                    self._record("free_deferred", object=oid)
-                continue
-            released += self._free_object(oid, site="driver" if force else "gcs")
-        return released
-
-    def _open_consumers(self, object_id: str) -> bool:
-        """Any non-terminal task (including pending retries) that lists the
-        object as a dependency still needs its directory entry."""
-        for ctx in self._ctxs.values():
-            if ctx.state in _TERMINAL:
-                continue
-            if any(dep.object_id == object_id for dep in ctx.spec.dependencies):
-                return True
-        return False
-
-    def _free_object(self, oid: str, site: str = "driver") -> int:
-        entry = self.ownership.entry(oid)
-        released = 0
-        for node_id in list(entry.locations):
-            for raylet in self._raylets_by_node.get(node_id, []):
-                store = raylet.find_object(oid)
-                if store is not None and store.delete(oid):
-                    released += entry.nbytes
-        if self._spill_store is not None:
-            self._spill_store.delete(oid)
-        if self.reliable_cache is not None:
-            self.reliable_cache.delete(oid)
-        # a quiesced free is the GCS acting after it processed every
-        # consumer's done-report: same-site program order is the honest
-        # happens-before edge that makes the drop race-free.  Only the
-        # legacy force path keeps the racy driver attribution.
-        self._probe_site(site)
-        self.ownership.free(oid)
-        self._ctx_of_object.pop(oid, None)
-        return released
-
-    def _pump_deferred_frees(self) -> None:
-        still: List[str] = []
-        for oid in self._deferred_frees:
-            if not self.ownership.contains(oid):
-                continue
-            if self._open_consumers(oid):
-                still.append(oid)
-                continue
-            nbytes = self._free_object(oid, site="gcs")
-            self._record("free_completed", object=oid, nbytes=nbytes)
-        self._deferred_frees = still
-
-    # -- checkpointing (bounding lineage depth) -------------------------------------------
+        return self.recovery.free([ref.object_id for ref in refs], force)
 
     def checkpoint(self, refs) -> None:
         """Persist ready objects to durable storage.
@@ -1787,56 +1543,8 @@ class ServerlessRuntime:
         checkpoint bounds the replay depth of everything downstream of it
         (the lineage-stash style trade: durable writes now vs. replay later).
         """
-        if self.durable_store is None:
-            raise RuntimeError("runtime was built without a durable store")
         refs = [refs] if isinstance(refs, ObjectRef) else list(refs)
-        for ref in refs:
-            oid = ref.object_id
-            self.sim.run()  # ensure the producer finished
-            if not self.ownership.is_ready(oid):
-                raise ValueError(f"cannot checkpoint unready object {oid!r}")
-            entry = self.ownership.entry(oid)
-            store = self._find_store_with(oid)
-            if store is None:
-                raise UnrecoverableObjectError(f"{oid!r} has no live copy")
-            value = store.get(oid).value
-            proc = self.durable_store.put(oid, value, entry.nbytes)
-            self.sim.run()
-            assert proc.triggered
-            self._checkpoints.add(oid)
-
-    def _restore_from_checkpoint(self, object_id: str) -> bool:
-        if (
-            self.durable_store is None
-            or object_id not in self._checkpoints
-            or not self.durable_store.contains(object_id)
-        ):
-            return False
-        entry = self.ownership.entry(object_id)
-        proc = self.durable_store.get(object_id)
-        self.sim.run()
-        self._ready_at_head(object_id, proc.value, entry.nbytes, "gcs")
-        self._on_object_ready(object_id)
-        return True
-
-    def _restore_checkpoint_frontier(self, object_id: str, visited: set) -> None:
-        """Restore the shallowest checkpointed ancestors a replay of
-        ``object_id`` would need (each restore pays a durable read, so
-        restoring more than the frontier wastes recovery time)."""
-        if object_id in visited:
-            return
-        visited.add(object_id)
-        if not self.ownership.contains(object_id):
-            return
-        if self.ownership.entry(object_id).state == ValueState.READY:
-            return
-        if self._restore_from_checkpoint(object_id):
-            return
-        task = self.lineage.producer(object_id)
-        if task is None:
-            return
-        for dep in task.dependencies:
-            self._restore_checkpoint_frontier(dep.object_id, visited)
+        self.recovery.checkpoint([ref.object_id for ref in refs])
 
     # -- failures & recovery (the driver's handle on repro.runtime.failures) --------------
 
@@ -1915,112 +1623,26 @@ class ServerlessRuntime:
                 continue
             self._place_or_retry(self._route, ctx)
 
-    def _recover_lost_dependencies(self, lost: List[str]) -> None:
-        """Proactive recovery: a lost object some open task still depends on
-        is recovered now, instead of waiting for a driver ``get`` to notice."""
-        if not lost:
-            return
-        lost_set = set(lost)
-        needed = set()
-        for ctx in self._ctxs.values():
-            if ctx.state in _TERMINAL:
-                continue
-            for dep in ctx.spec.dependencies:
-                if dep.object_id in lost_set:
-                    needed.add(dep.object_id)
-        for oid in sorted(needed):
-            self._record("proactive_recovery", object=oid)
-            self._recover(ObjectRef(oid), proactive=True)
-
-    def _count_recovery(self, source: str, objects: int, nbytes: int) -> None:
-        reg = self.telemetry.registry
-        reg.counter(
-            "skadi_recovered_objects_total",
-            "objects recovered after a failure, by mechanism",
-            source=source,
-        ).inc(objects)
-        reg.counter(
-            "skadi_recovered_bytes_total",
-            "bytes recovered after a failure, by mechanism "
-            "(lineage counts recomputed bytes, caches count re-fetched bytes)",
-            source=source,
-        ).inc(nbytes)
-
-    def _recover(self, ref: ObjectRef, proactive: bool = False) -> None:
-        """Bring a LOST object back: checkpoint, reliable cache, or lineage."""
-        oid = ref.object_id
-        if not proactive and self._restore_from_checkpoint(oid):
-            self._record(
-                "object_recovered",
-                object=oid,
-                source="checkpoint",
-                nbytes=self.ownership.entry(oid).nbytes,
-            )
-            self._count_recovery("checkpoint", 1, self.ownership.entry(oid).nbytes)
-            return
-        # restore only the checkpoint *frontier* the replay actually needs:
-        # walking producers from the target, stop at the first checkpointed
-        # (or still-ready) ancestor on each path.  (Proactive recovery runs
-        # inside a simulation process, where the blocking durable reads of
-        # the checkpoint path cannot be issued; cache and lineage can.)
-        if not proactive:
-            self._restore_checkpoint_frontier(oid, set())
-        if self.reliable_cache is not None and self.reliable_cache.contains(oid):
-            try:
-                value, cost = self.reliable_cache.get(oid)
-            except ObjectLostError:
-                value = None
-            else:
-                entry = self.ownership.entry(oid)
-                self._ready_at_head(oid, value, entry.nbytes, "gcs")
-                # charge the reconstruction time in virtual time
-                self.sim.schedule(cost, lambda: None)
-                self._record(
-                    "object_recovered",
-                    object=oid,
-                    source="reliable_cache",
-                    nbytes=entry.nbytes,
-                )
-                self._count_recovery("reliable_cache", 1, entry.nbytes)
-                self._on_object_ready(oid)
-                return
-        plan = self.lineage.plan_recovery(oid, self.ownership)
-        self.lineage.replays += len(plan)
-        if plan:
-            self._record("lineage_replay", target=oid, tasks=len(plan))
-            target_entry = self.ownership.entry(oid)
-            recomputed = sum(
-                self.ownership.entry(out).nbytes
-                for spec in plan
-                for out in self.lineage.outputs_of(spec.task_id)
-                if self.ownership.contains(out)
-            )
-            self._record(
-                "object_recovered",
-                object=oid,
-                source="lineage",
-                nbytes=target_entry.nbytes,
-                recomputed_bytes=recomputed,
-            )
-            self._count_recovery("lineage", 1, recomputed)
-        for spec in plan:
-            old_ids = self.lineage.outputs_of(spec.task_id)
-            if self.probe is not None:
-                # reincarnation: later attempts of this task get distinct
-                # sites and lease keys, so a replay is not confused with
-                # the task's first life
-                self.probe.replay(spec.task_id)
-                self.probe.site = "gcs"  # recovery is a control-plane act
-            for out_oid in old_ids:
-                self.ownership.reset_pending(out_oid)
-            ctx = _TaskCtx(spec, ObjectRef(old_ids[0], task_id=spec.task_id), Signal(self.sim))
-            ctx.timeline.submitted = self.sim.now
-            self._open_task_span(ctx, replayed=True)
-            self._m_replays.inc()
-            self._ctxs[spec.task_id] = ctx
-            self._ctx_of_object[old_ids[0]] = ctx
-            self._open_tasks += 1
-            self._place_or_retry(self._route, ctx)
+    def _replay_task(self, spec: TaskSpec) -> None:
+        """Reincarnate a concluded task so its lost output is rebuilt
+        (lineage recovery's way into the task lifecycle)."""
+        old_ids = self.lineage.outputs_of(spec.task_id)
+        if self.probe is not None:
+            # reincarnation: later attempts of this task get distinct
+            # sites and lease keys, so a replay is not confused with
+            # the task's first life
+            self.probe.replay(spec.task_id)
+            self.probe.site = "gcs"  # recovery is a control-plane act
+        for out_oid in old_ids:
+            self.ownership.reset_pending(out_oid)
+        ctx = _TaskCtx(spec, ObjectRef(old_ids[0], task_id=spec.task_id), Signal(self.sim))
+        ctx.timeline.submitted = self.sim.now
+        self._open_task_span(ctx, replayed=True)
+        self._m_replays.inc()
+        self._ctxs[spec.task_id] = ctx
+        self._ctx_of_object[old_ids[0]] = ctx
+        self._open_tasks += 1
+        self._place_or_retry(self._route, ctx)
 
     # -- introspection ---------------------------------------------------------------------
 

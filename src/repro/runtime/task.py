@@ -17,7 +17,9 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..cluster.hardware import DeviceKind
 from .object_ref import ObjectRef, collect_refs
 
-__all__ = ["TaskSpec", "TaskState", "TaskResult", "ActorSpec", "ANY_COMPUTE_KIND"]
+__all__ = [
+    "TaskSpec", "TaskState", "TERMINAL_STATES", "TaskResult", "ActorSpec", "ANY_COMPUTE_KIND",
+]
 
 ANY_COMPUTE_KIND: FrozenSet[DeviceKind] = frozenset(
     {DeviceKind.CPU, DeviceKind.GPU, DeviceKind.FPGA}
@@ -32,6 +34,10 @@ class TaskState(enum.Enum):
     FINISHED = "finished"
     FAILED = "failed"
     CANCELLED = "cancelled"  # deadline passed, shed under overload, or upstream cancelled
+
+
+# the task has concluded, one way or another: nothing more will run for it
+TERMINAL_STATES = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from repro.caching.columnar import RecordBatch
 from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.simtime import Simulator
 from repro.ir.types import FrameType
+from repro.runtime.task import TERMINAL_STATES
 
 
 @pytest.fixture
@@ -79,3 +80,16 @@ def assert_batches_close(a: RecordBatch, b: RecordBatch, rtol: float = 1e-9) -> 
             np.testing.assert_allclose(ca, cb, rtol=rtol)
         else:
             np.testing.assert_array_equal(ca, cb)
+
+
+def assert_recovery_drained(rt) -> None:
+    """Drain the simulation, then: recovery and object lifetime hold nothing
+    back (the fourth brick of the quiescence invariant, ROADMAP item 4) — no
+    free is still deferred, every checkpoint belongs to a live directory
+    entry, and every task, replays included, concluded."""
+    rt.sim.run()
+    assert not rt.recovery.deferred_frees
+    assert all(rt.ownership.contains(oid) for oid in rt.recovery.checkpoints)
+    assert rt._open_tasks == 0
+    open_tasks = [c.spec.task_id for c in rt._ctxs.values() if c.state not in TERMINAL_STATES]
+    assert not open_tasks, f"tasks never concluded: {open_tasks}"

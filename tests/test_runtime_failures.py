@@ -16,6 +16,8 @@ from repro.runtime import (
 )
 from repro.runtime.runtime import make_reliable_cache
 
+from conftest import assert_recovery_drained
+
 
 def pull_runtime(cluster=None, **kwargs):
     return ServerlessRuntime(
@@ -46,6 +48,7 @@ class TestLineageRecovery:
         rt.restart_node("server0")
         assert rt.get(ref) == 4
         assert rt.lineage.replays == 4  # whole chain re-ran
+        assert_recovery_drained(rt)
 
     def test_replay_skips_surviving_prefixes(self):
         rt = pull_runtime()
@@ -61,6 +64,29 @@ class TestLineageRecovery:
         # the origin copy is alive); only b replays
         assert rt.get(b) == 11
         assert rt.lineage.replays == 1
+        assert_recovery_drained(rt)
+
+    @pytest.mark.parametrize(
+        "mode", [ResolutionMode.PUSH, ResolutionMode.PULL], ids=lambda m: m.name
+    )
+    def test_shared_ancestor_is_replayed_once(self, mode):
+        """Recovering ``a`` already replays ``x``; recovering ``b`` right
+        after must ride that replay, not launch ``x`` again (the second
+        attempt used to stand down without ever closing its task)."""
+        rt = ServerlessRuntime(build_physical_disagg(), RuntimeConfig(resolution=mode))
+        x_runs = []
+        kwargs = {"pinned_device": "server1/cpu"}
+        x = rt.submit(lambda: x_runs.append(1) or 1, name="x", **kwargs)
+        a = rt.submit(lambda v: v + 1, (x,), name="a", **kwargs)
+        b = rt.submit(lambda v: v + 2, (x,), name="b", **kwargs)
+        assert rt.get([a, b]) == [2, 3]
+        rt.fail_node("server1")
+        rt.restart_node("server1")
+        assert rt.get([a, b]) == [2, 3]
+        rt.sim.run()
+        assert rt.lineage.replays == 3  # x, a, b: each once
+        assert len(x_runs) == 2
+        assert_recovery_drained(rt)
 
     def test_driver_put_objects_are_unrecoverable(self):
         rt = pull_runtime()
@@ -68,6 +94,7 @@ class TestLineageRecovery:
         rt.fail_node("server0")  # puts land on the head node
         with pytest.raises(UnrecoverableObjectError):
             rt.get(ref)
+        assert_recovery_drained(rt)
 
     def test_midflight_interrupt_resubmits_elsewhere(self):
         rt = pull_runtime(cluster=build_serverful(n_servers=2))
@@ -80,6 +107,7 @@ class TestLineageRecovery:
         assert rt.get(ref) == "done"
         final = rt._ctx_of_object[ref.object_id]
         assert final.device.node_id != victim_node
+        assert_recovery_drained(rt)
 
 
 class TestReliableCache:
@@ -100,6 +128,7 @@ class TestReliableCache:
         rt.restart_node("server0")
         assert rt.get(ref) == 3
         assert rt.lineage.replays == 0  # cache served it; no re-execution
+        assert_recovery_drained(rt)
 
     def test_ec_cache_recovers(self):
         rt, cache = self._runtime_with_cache(ErasureCode(4, 2))
@@ -110,6 +139,7 @@ class TestReliableCache:
         rt.restart_node("server0")
         assert rt.get(ref) == 2
         assert rt.lineage.replays == 0
+        assert_recovery_drained(rt)
 
     def test_cache_write_costs_time(self):
         rt_plain = pull_runtime()
@@ -144,6 +174,7 @@ class TestActorFailure:
         rt.restart_node(home)
         with pytest.raises(TaskError, match="actor .* is dead"):
             rt.get(actor.call(inc))
+        assert_recovery_drained(rt)
 
     def test_actors_on_other_nodes_survive(self):
         rt = pull_runtime(cluster=build_serverful(n_servers=3))
@@ -169,6 +200,7 @@ class TestActorFailure:
         rt.restart_node(victim_node)
         for actor in actors[1:]:  # homed on other nodes: state intact
             assert rt.get(actor.call(bump)) == 2
+        assert_recovery_drained(rt)
 
     def test_replacement_actor_works(self):
         rt = pull_runtime(cluster=build_serverful(n_servers=3))
@@ -186,6 +218,7 @@ class TestActorFailure:
         rt.restart_node(home)
         fresh = rt.create_actor(Cell)
         assert rt.get(fresh.call(read)) == 100
+        assert_recovery_drained(rt)
 
 
 class TestSchedulerAfterFailure:
@@ -196,6 +229,7 @@ class TestSchedulerAfterFailure:
         rt.get(refs)
         nodes = {rt.timeline_of(r).device_id.split("/")[0] for r in refs}
         assert "server1" not in nodes
+        assert_recovery_drained(rt)
 
 
 class TestGetTimeout:
@@ -208,12 +242,14 @@ class TestGetTimeout:
             rt.get(ref, timeout=0.05)
         assert rt.sim.now == pytest.approx(0.05)
         assert rt.get(ref) == 42  # a later, patient get still resolves
+        assert_recovery_drained(rt)
 
     def test_timeout_not_raised_when_task_beats_it(self):
         rt = pull_runtime()
         ref = rt.submit(lambda: 7, compute_cost=1e-3)
         assert rt.get(ref, timeout=10.0) == 7
         assert rt.sim.now < 1.0  # get returned at completion, not the deadline
+        assert_recovery_drained(rt)
 
     def test_timeout_is_relative_to_current_sim_time(self):
         rt = pull_runtime()
@@ -223,6 +259,7 @@ class TestGetTimeout:
         # an absolute-deadline bug would see timeout=0.2 "already expired"
         # relative semantics give b a fresh 0.2s window
         assert rt.get(b, timeout=0.2) == 2
+        assert_recovery_drained(rt)
 
     def test_partial_resolution_reported(self):
         from repro.runtime import GetTimeoutError
@@ -232,6 +269,7 @@ class TestGetTimeout:
         slow = rt.submit(lambda: "s", compute_cost=1.0)
         with pytest.raises(GetTimeoutError, match="1/2 refs unresolved"):
             rt.get([fast, slow], timeout=0.05)
+        assert_recovery_drained(rt)
 
 
 class TestGetTimeoutDuringRecovery:
@@ -266,6 +304,7 @@ class TestGetTimeoutDuringRecovery:
         assert rt.get(ref) == "survived"
         assert rt.tasks_retried >= 1
         assert rt.tasks_failed == 0
+        assert_recovery_drained(rt)
 
     def test_timeout_during_lineage_replay_does_not_poison_it(self):
         from repro.runtime import GetTimeoutError
@@ -285,6 +324,7 @@ class TestGetTimeoutDuringRecovery:
         assert rt.get(ref) == "rebuilt"  # replay finished despite the timeout
         assert rt.lineage.replays >= 1
         assert rt.tasks_failed == 0
+        assert_recovery_drained(rt)
 
 
 class TestDeadActorPath:
@@ -311,6 +351,7 @@ class TestDeadActorPath:
                 rt.get(actor.call(self._bump))
         assert actor.actor_id in rt._dead_actors
         assert rt.log.count("actor_dead") == 1
+        assert_recovery_drained(rt)
 
     def test_checkpointed_actor_survives_fail_node(self):
         cluster = build_serverful(n_servers=3)
@@ -325,6 +366,7 @@ class TestDeadActorPath:
         assert rt.get(actor.call(self._bump)) == 4
         assert rt.actor_restarts == 1
         assert rt.cluster.node_of_device(actor.device_id).node_id != "server1"
+        assert_recovery_drained(rt)
 
 
 class TestReplayExhaustion:
@@ -350,6 +392,7 @@ class TestReplayExhaustion:
         with pytest.raises(UnrecoverableObjectError, match="after 2 replays"):
             rt.get(ref)
         rt.object_ready_hooks.remove(saboteur)
+        assert_recovery_drained(rt)
 
     def test_replay_budget_not_consumed_by_success(self):
         rt = pull_runtime()
@@ -362,6 +405,7 @@ class TestReplayExhaustion:
             rt.fail_node("server0")
             rt.restart_node("server0")
             assert rt.get(ref) == 3
+        assert_recovery_drained(rt)
 
 
 class TestDriverStrikes:
@@ -390,6 +434,7 @@ class TestDriverStrikes:
         assert len(rt.log) == 0
         assert rt.telemetry.registry.value("skadi_incidents_total", kind="node_dead") == 0
         assert all(dev.alive for dev in rt.cluster.all_devices())
+        assert_recovery_drained(rt)
 
     def test_driver_kills_announce_past_a_detector_but_revivals_do_not(self):
         """With heartbeats on, ``fail_*`` is still the control plane's truth
@@ -421,3 +466,4 @@ class TestDriverStrikes:
         assert failures.dead_devices == {"gpucard1/gpu0", "gpucard0/dpu"}
         assert failures.dead_blades == {"memblade0"}
         assert rt.log.count("node_alive") == rt.log.count("device_alive") == 0
+        assert_recovery_drained(rt)

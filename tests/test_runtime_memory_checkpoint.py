@@ -16,6 +16,8 @@ from repro.runtime import (
     write_chrome_trace,
 )
 
+from conftest import assert_recovery_drained
+
 
 def runtime_with_durable():
     cluster = build_physical_disagg()
@@ -32,6 +34,7 @@ class TestFree:
         ref = rt.submit(lambda: "x", output_nbytes=1 << 20)
         rt.get(ref)
         assert rt.free(ref) == 1 << 20
+        assert_recovery_drained(rt)
 
     def test_freed_object_is_gone(self):
         rt = ServerlessRuntime(build_physical_disagg())
@@ -40,6 +43,7 @@ class TestFree:
         rt.free(ref)
         with pytest.raises(KeyError):
             rt.get(ref)
+        assert_recovery_drained(rt)
 
     def test_free_is_idempotent_and_accepts_lists(self):
         rt = ServerlessRuntime(build_physical_disagg())
@@ -47,6 +51,7 @@ class TestFree:
         rt.get(refs)
         assert rt.free(refs) == 300
         assert rt.free(refs) == 0
+        assert_recovery_drained(rt)
 
     def test_free_releases_device_memory(self):
         cluster = build_physical_disagg()
@@ -60,6 +65,7 @@ class TestFree:
         assert cpu.memory_used > used_before
         rt.free(ref)
         assert cpu.memory_used == used_before
+        assert_recovery_drained(rt)
 
 
 class TestCheckpoint:
@@ -83,6 +89,7 @@ class TestCheckpoint:
         rt.restart_node("server0")
         assert rt.get(ref) == 7
         assert rt.lineage.replays == 3  # steps 5..7 only
+        assert_recovery_drained(rt)
 
     def test_checkpointed_object_itself_restores_without_replay(self):
         rt = runtime_with_durable()
@@ -94,6 +101,16 @@ class TestCheckpoint:
         rt.restart_node("server0")
         assert rt.get(ref) == 42
         assert rt.lineage.replays == 0
+        assert_recovery_drained(rt)
+
+    def test_free_forgets_the_checkpoint(self):
+        rt = runtime_with_durable()
+        ref = rt.submit(lambda: 42)
+        rt.get(ref)
+        rt.checkpoint(ref)
+        rt.free(ref)
+        assert ref.object_id not in rt.recovery.checkpoints
+        assert_recovery_drained(rt)
 
     def test_checkpoint_without_durable_store_rejected(self):
         rt = ServerlessRuntime(build_physical_disagg())
@@ -101,6 +118,7 @@ class TestCheckpoint:
         rt.get(ref)
         with pytest.raises(RuntimeError, match="durable store"):
             rt.checkpoint(ref)
+        assert_recovery_drained(rt)
 
     def test_checkpoint_costs_virtual_time(self):
         rt = runtime_with_durable()
@@ -109,6 +127,7 @@ class TestCheckpoint:
         before = rt.sim.now
         rt.checkpoint(ref)
         assert rt.sim.now > before  # durable write is not free
+        assert_recovery_drained(rt)
 
 
 class TestChromeTrace:
@@ -122,6 +141,7 @@ class TestChromeTrace:
             assert event["ph"] == "X"
             assert event["dur"] > 0
             assert event["tid"]  # device row
+        assert_recovery_drained(rt)
 
     def test_write_to_file_object(self):
         rt = ServerlessRuntime(build_physical_disagg())
@@ -131,6 +151,7 @@ class TestChromeTrace:
         assert count == 1
         payload = json.loads(buf.getvalue())
         assert payload["traceEvents"][0]["name"] == "solo"
+        assert_recovery_drained(rt)
 
     def test_write_to_path(self, tmp_path):
         rt = ServerlessRuntime(build_physical_disagg())
@@ -138,3 +159,4 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         write_chrome_trace(rt, str(path))
         assert json.loads(path.read_text())["traceEvents"]
+        assert_recovery_drained(rt)

@@ -236,7 +236,7 @@ class TestStructureGuard:
             "net.transfer(", "net.multicast(", "begin_fetch", "end_fetch", "note_deduped_fetch",
         ):
             assert moved not in source, moved
-        assert source.count("add_location") == 1  # _on_spilled
+        assert "add_location" not in source  # spill upkeep went with recovery.py
         assert source.count("except (SpillFailedError, StoreUnavailableError)") == 1
 
     def test_the_mover_is_written_once(self):
@@ -255,6 +255,83 @@ class TestStructureGuard:
             if isinstance(node, (ast.Name, ast.Attribute))
         }
         assert not named & {"ha", "overload"}  # no component check, as in failures.py
+
+    # what left for repro.runtime.recovery: the 15 methods and the two tables
+    RECOVERY_NAMES = {
+        "_find_store_with", "_reconcile_stale_entry", "_node_has_copy", "_on_spilled",
+        "_read_value", "_find_failed_upstream", "_find_lost_upstream", "_recover",
+        "_recover_lost_dependencies", "_restore_from_checkpoint",
+        "_restore_checkpoint_frontier", "_count_recovery", "_free_object",
+        "_open_consumers", "_pump_deferred_frees", "_deferred_frees", "_checkpoints",
+    }
+
+    def test_recovery_left_the_core(self):
+        """The core keeps ``put``/``get``/``wait``/``free``/``checkpoint`` as
+        API and the one way a replay enters the task lifecycle; it plans no
+        recovery, reads no checkpoint and keeps no lifetime table."""
+        source = RUNTIME_PY.read_text()
+        tree = ast.parse(source)
+        defined = {
+            getattr(node, "name", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.Attribute))
+        }
+        assert not defined & self.RECOVERY_NAMES
+        for moved in ("plan_recovery(", "durable_store.get(", "_deferred_frees", "_checkpoints"):
+            assert moved not in source, moved
+        (runtime_cls,) = [
+            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ServerlessRuntime"
+        ]
+        methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
+        assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
+        assert len(methods) <= 75 and len(source.splitlines()) <= 1750
+
+    def test_a_lost_object_comes_back_one_way(self):
+        source = (SRC / "runtime/recovery.py").read_text()
+        for once in (
+            "plan_recovery(",  # one planner call (the post-order planner stays in lineage.py)
+            "_ready_at_head(",  # one restore tail
+            '"object_recovered"',  # one attribution site, lineage's included
+            "sim.schedule(cost",  # one reliable-cache read-and-charge
+            "in self.rt._ctxs.values()",  # one consumer scan
+            "def _frontier(",  # one upstream walk besides the planner
+            "def _may_go(",  # one free decision
+            "raylet.alive",  # one device-alive-and-raylet-alive test
+        ):
+            assert source.count(once) == 1, once
+        assert source.count("self._may_go(") == 2  # free, and a consumer concluding
+        assert source.count("stack.pop()") == 1  # no second hand-written walk
+        tree = ast.parse(source)
+        imports = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "runtime" not in imports  # the core imports the module, not the reverse
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not named & {"ha", "overload"}
+        # the data plane names one recovery entry point; the verdicts another
+        dataplane = (SRC / "runtime/dataplane.py").read_text()
+        assert dataplane.count("recovery.") == 1 and "recovery.source" in dataplane
+        for caller in ("failures.py", "ha.py"):
+            text = (SRC / "runtime" / caller).read_text()
+            assert "_recover" not in text.replace("recovery.objects_lost(", "")
+
+    def test_what_the_ledger_tracer_patches_by_name_stays_put(self):
+        import repro.runtime.runtime as core
+        from repro.runtime import lineage
+
+        assert core.ServerlessRuntime.submit and core.ServerlessRuntime.get
+        assert core.ActorHandle.call
+        assert core.UnrecoverableObjectError is lineage.UnrecoverableObjectError
+        rt = ServerlessRuntime(build_serverful(n_servers=1), RuntimeConfig())
+        assert rt.reliable_cache is None and rt.durable_store is None
+        assert rt.lineage.replays == 0 and rt.recovery is not None
+        assert {
+            "create", "entry", "contains", "mark_ready", "add_location", "drop_location",
+            "reset_pending", "drop_node", "drop_device", "restore", "free", "remove", "clear",
+            "is_ready", "locations", "producing_task", "objects",
+        } <= set(vars(OwnershipTable))
 
     def test_the_monkey_strikes_only_through_failures(self):
         """No physical act, no announce rule, no HA check and no private
