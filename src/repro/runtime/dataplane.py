@@ -15,11 +15,19 @@ wrong, never an exception and never a silent success.  Each protocol turns a
 miss into its retry currency: a pull leaves the argument missing and
 ``resolve`` hands the core the count; a push interrupts the attempts still
 waiting on that (object, device) arrival, and their retry re-subscribes them.
+
+Both modes' "who waits for this commit" lives here: PUSH dispatches at once
+and keeps ``subs``, the attempts awaiting a push; PULL parks a task until its
+arguments are all READY and keeps ``waiting``.  A release pass rescans nothing:
+it takes the parked readers of every object that turned READY since the last
+pass — not only of the one being reported: the directory says READY at the
+commit, one ``done`` message before the report, and another object's report in
+that window is what dispatches the task — and confirms each before it goes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..cluster.hardware import Device
 from ..cluster.simtime import Signal
@@ -33,7 +41,8 @@ __all__ = ["DataPlane"]
 
 
 class DataPlane:
-    """Subscriptions, arrivals, the three protocols and the one mover."""
+    """Subscriptions, the waiting room, arrivals, the three protocols and the
+    one mover."""
 
     def __init__(self, runtime: Any):  # the core (it imports this module, not the reverse)
         self.rt = runtime
@@ -45,8 +54,58 @@ class DataPlane:
         # pushes of one object queued this instant, flushed as a single
         # spanning-tree distribution
         self.pending_pushes: Dict[str, List[Any]] = {}
+        # PULL: task -> (parking number, ctx, preplaced), parked until every
+        # argument is READY; and the objects that turned READY since the last pass
+        self.waiting: Dict[str, Tuple[int, Any, bool]] = {}
+        self._turned_ready: List[str] = []
+        self._parkings = 0
+        self._m_waiting = runtime.telemetry.registry.gauge(
+            "skadi_scheduler_waiting_tasks",
+            "pull-mode tasks parked waiting for dependencies",
+        )
+        if not self.push_mode:
+            runtime.ownership.observers.append(self._note_ready)
 
-    # -- the core's three entry points -----------------------------------------
+    # -- the core's six entry points -------------------------------------------
+
+    def hold(self, ctx: Any, preplaced: bool) -> bool:
+        """At routing: under PULL a task with an argument that is not READY
+        parks (keeping the devices a gang placement gave it) instead of being
+        dispatched.  PUSH never holds: its attempts wait on the device."""
+        if self.push_mode or self._args_ready(ctx.spec):
+            return False
+        self._parkings += 1
+        self.waiting[ctx.spec.task_id] = (self._parkings, ctx, preplaced)
+        self._m_waiting.set(float(len(self.waiting)))
+        return True
+
+    def released(self) -> Iterator[Tuple[Any, bool]]:
+        """At a commit report: the parked tasks to dispatch now, as ``(ctx,
+        preplaced)`` in parking order.  Lazy — each is confirmed only after
+        the core dispatched the one before it, which may have concluded it."""
+        if not self._turned_ready:
+            return
+        turned, self._turned_ready = self._turned_ready, []
+        waiting = self.waiting
+        due = {
+            waiting[ctx.spec.task_id]
+            for oid in turned
+            for ctx in self.rt._readers(oid)
+            if ctx.spec.task_id in waiting
+        }
+        for parked in sorted(due):  # by parking number: no two are equal
+            _, ctx, preplaced = parked
+            if waiting.get(ctx.spec.task_id) is parked and self._args_ready(ctx.spec):
+                del waiting[ctx.spec.task_id]
+                yield ctx, preplaced
+        if due:
+            self._m_waiting.set(float(len(waiting)))
+
+    def release(self, ctx: Any) -> None:
+        """At a task's conclusion: one cancelled or failed while parked stops
+        waiting — no later commit may come to find it."""
+        if self.waiting.pop(ctx.spec.task_id, None) is not None:
+            self._m_waiting.set(float(len(self.waiting)))
 
     def subscribe(self, ctx: Any) -> None:
         """At dispatch (PUSH only): the attempt will wait for each argument to
@@ -98,6 +157,20 @@ class DataPlane:
         for sub in self.subs.pop(object_id, ()):
             if sub.state is not TaskState.CANCELLED:
                 self._queue_push(object_id, sub)
+
+    # -- the waiting room (pull) -----------------------------------------------
+
+    def _args_ready(self, spec: Any) -> bool:
+        is_ready = self.rt.ownership.is_ready
+        return all(is_ready(ref.object_id) for ref in spec.dependencies)
+
+    def _note_ready(
+        self, op: str, object_id: str, old: Optional[str], new: Optional[str], copies: int
+    ) -> None:
+        """Directory observer: a commit, a copy landing for a LOST entry and
+        an HA restore are how an object turns READY.  Nobody parked, nobody to wake."""
+        if new == "READY" and old != "READY" and self.waiting:
+            self._turned_ready.append(object_id)
 
     # -- the mover -------------------------------------------------------------
 
@@ -157,9 +230,9 @@ class DataPlane:
         (not just the one whose subscription started the push) retries."""
         if not self._arrival(oid, device_id).triggered:
             self.rt._interrupt_attempts(
-                lambda c: c.device.device_id == device_id
-                and any(r.object_id == oid for r in c.spec.dependencies),
+                lambda c: c.device.device_id == device_id,
                 f"push of {oid} to {device_id} missed",
+                among=self.rt._readers(oid),
             )
 
     def _queue_push(self, oid: str, ctx: Any) -> None:

@@ -5,12 +5,17 @@ lineage, or (2) uses a reliable caching layer with data replication or EC."
 This module is way (1): a record of which task produced which object, and a
 planner that, given a lost object, walks the lineage backwards to emit the
 minimal re-execution plan in dependency order.
+
+The same record holds the edge the other way — which tasks *read* an object
+(:meth:`LineageGraph.consumers`) — so the cancellation cascade, the free
+decision, a missed push and the pull-mode waiting room look it up instead of
+walking the task table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from .ownership import OwnershipTable, ValueState
 from .task import TaskSpec
@@ -29,17 +34,37 @@ class _LineageRecord:
 
 
 class LineageGraph:
-    """Task table + object->producer edges."""
+    """Task table + object->producer and object->consumer edges."""
 
     def __init__(self) -> None:
         self._by_task: Dict[str, _LineageRecord] = {}
         self._producer_of: Dict[str, str] = {}  # object_id -> task_id
+        # object_id -> the task ids reading it; a bare id while there is one
+        # reader (most objects), so those cost the cyclic GC no container
+        self._consumers_of: Dict[str, Union[str, List[str]]] = {}
         self.replays = 0
 
     def record(self, task: TaskSpec, output_ids: List[str]) -> None:
-        self._by_task[task.task_id] = _LineageRecord(task, list(output_ids))
+        task_id = task.task_id
+        self._by_task[task_id] = _LineageRecord(task, list(output_ids))
         for oid in output_ids:
-            self._producer_of[oid] = task.task_id
+            self._producer_of[oid] = task_id
+        consumers_of = self._consumers_of
+        for ref in task.dependencies:
+            readers = consumers_of.get(ref.object_id)
+            if readers is None:
+                consumers_of[ref.object_id] = task_id
+            elif type(readers) is str:
+                if readers != task_id:  # else: the argument was passed twice
+                    consumers_of[ref.object_id] = [readers, task_id]
+            elif readers[-1] != task_id:
+                readers.append(task_id)
+
+    def consumers(self, object_id: str) -> Sequence[str]:
+        """The tasks that list ``object_id`` as a dependency, each once, in
+        submission order (a replay reuses its spec, so it keeps its place)."""
+        readers = self._consumers_of.get(object_id, ())
+        return (readers,) if type(readers) is str else readers
 
     def producer(self, object_id: str) -> Optional[TaskSpec]:
         task_id = self._producer_of.get(object_id)

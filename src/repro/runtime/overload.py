@@ -485,13 +485,9 @@ class OverloadControl:
         except PlacementError:
             return None
         roomy = []
-        for device in candidates:
-            raylet = rt._raylet_of_device.get(device.device_id)
-            if (
-                rt._device_alive(device.device_id)
-                and raylet is not None
-                and raylet.has_admission_capacity(depth)
-            ):
+        for device in candidates:  # live, and each has a raylet: candidates() saw to both
+            raylet = rt._raylet_of_device[device.device_id]
+            if raylet.has_admission_capacity(depth):
                 roomy.append((raylet.admission_inflight, device.device_id, device, raylet))
         return min(roomy)[2:] if roomy else None
 

@@ -338,17 +338,15 @@ class Recovery:
             self.checkpoints.add(oid)
 
     def _needed(self, object_ids: Iterable[str]) -> Set[str]:
-        """The one consumer scan: which of these objects some non-terminal
-        task (pending retries included) still lists as a dependency — and so
-        still needs a directory entry for, or a recovery of."""
-        wanted = set(object_ids)
-        needed: Set[str] = set()
-        for ctx in self.rt._ctxs.values():
-            if len(needed) == len(wanted):
-                break
-            if ctx.state not in TERMINAL_STATES:
-                needed.update(wanted.intersection(d.object_id for d in ctx.spec.dependencies))
-        return needed
+        """Which of these objects some non-terminal reader (pending retries
+        included) still lists as a dependency — and so still needs a directory
+        entry for, or a recovery of."""
+        readers = self.rt._readers
+        return {
+            oid
+            for oid in object_ids
+            if any(ctx.state not in TERMINAL_STATES for ctx in readers(oid))
+        }
 
     def _may_go(self, oid: str, force: bool = False) -> bool:
         """The one free decision: dropping the entry under an open consumer

@@ -30,7 +30,7 @@ from ..telemetry.critical_path import CriticalPathResult
 from ..telemetry.critical_path import critical_path as extract_critical_path
 from ..telemetry.spans import Span
 from . import ha, overload
-from .config import Generation, ResolutionMode, RuntimeConfig
+from .config import Generation, RuntimeConfig
 from .dataplane import DataPlane
 from .events import EventLog, RuntimeEvent
 from .failures import FailureDomains
@@ -265,7 +265,6 @@ class ServerlessRuntime:
 
         self._ctxs: Dict[str, _TaskCtx] = {}
         self._ctx_of_object: Dict[str, _TaskCtx] = {}
-        self._waiting: List[_TaskCtx] = []  # pull mode: deps not yet ready
         self._gangs: Dict[str, List[_TaskCtx]] = {}
         self.data = DataPlane(self)  # always: objects always move
         self._actor_state: Dict[str, Any] = {}
@@ -313,10 +312,6 @@ class ServerlessRuntime:
         self._m_stall = reg.histogram(
             "skadi_task_input_stall_seconds",
             "dispatch-to-inputs-ready stall per task (pull vs push attacks this)",
-        )
-        self._m_waiting = reg.gauge(
-            "skadi_scheduler_waiting_tasks",
-            "pull-mode tasks parked waiting for dependencies",
         )
         self.tasks_cancelled = 0
         self.tasks_shed = 0
@@ -658,7 +653,7 @@ class ServerlessRuntime:
         return [c.ref for c in ctxs]
 
     def _route(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
-        """Decide when to dispatch, per resolution mode."""
+        """Dispatch now, unless the data plane holds the task for its arguments."""
         if self._deadline_expired(ctx.spec):
             # scheduler-side skip: never dispatch work that is already doomed
             self._cancel_and_propagate(ctx, reason="deadline_exceeded")
@@ -669,24 +664,20 @@ class ServerlessRuntime:
             self.health.ensure_running()
         for hook in self.on_route:
             hook()
-        if self.config.resolution == ResolutionMode.PUSH:
-            # Eager: place now, subscribe to inputs, raylet waits for pushes.
+        if not self.data.hold(ctx, preplaced):
             self._dispatch(ctx, preplaced=preplaced)
-            return
-        if self._deps_ready(ctx.spec):
-            self._dispatch(ctx, preplaced=preplaced)
-        else:
-            self._waiting.append(ctx)
-            self._m_waiting.set(float(len(self._waiting)))
 
-    def _deps_ready(self, spec: TaskSpec) -> bool:
-        return all(self.ownership.is_ready(r.object_id) for r in spec.dependencies)
+    def _readers(self, object_id: str) -> List[_TaskCtx]:
+        """The live incarnation of every task that lists ``object_id`` as a
+        dependency, in submission order: the one answer to who reads it."""
+        return [self._ctxs[task_id] for task_id in self.lineage.consumers(object_id)]
 
     def _task_closed(self, ctx: "_TaskCtx") -> None:
         """A task reached a terminal state."""
         if self.recovery.deferred_frees:
             # drain before any subscriber's bookkeeping
             self.recovery.consumer_concluded()
+        self.data.release(ctx)
         for hook in self.on_task_closed:
             hook(ctx)
 
@@ -808,28 +799,22 @@ class ServerlessRuntime:
 
     def _cancel_downstream(self, root: "_TaskCtx") -> None:
         """Cascade a cancellation to transitive consumers that have not run
-        yet — their inputs will never materialize."""
-        frontier = {root.ref.object_id}
-        seen = set(frontier)
-        while frontier:
-            cancelled_oids, frontier = frontier, set()
-            for ctx in list(self._ctxs.values()):
-                if ctx.state not in (
-                    TaskState.PENDING,
-                    TaskState.SCHEDULED,
-                    TaskState.RESOLVING,
-                ):
-                    continue
+        yet — their inputs will never materialize.  Level by level over the
+        readers, each level in task-id order."""
+        level = [root.ref.object_id]
+        seen = set(level)
+        while level:
+            readers = {c.spec.task_id: c for oid in level for c in self._readers(oid)}
+            level = []
+            for task_id in sorted(readers):
+                ctx = readers[task_id]
                 if (
-                    any(
-                        dep.object_id in cancelled_oids
-                        for dep in ctx.spec.dependencies
-                    )
+                    ctx.state in (TaskState.PENDING, TaskState.SCHEDULED, TaskState.RESOLVING)
                     and self._cancel_ctx(ctx, reason="upstream_cancelled")
                     and ctx.ref.object_id not in seen
                 ):
                     seen.add(ctx.ref.object_id)
-                    frontier.add(ctx.ref.object_id)
+                    level.append(ctx.ref.object_id)
 
     # -- span tracing --------------------------------------------------------
 
@@ -918,18 +903,9 @@ class ServerlessRuntime:
                 spec.pinned_device = home
         if not preplaced or ctx.device is None:
             ctx.device = self.scheduler.place(spec)
-            # skip dead devices
+            # only a pinned device can be dead here: candidates() filters the rest
             if not self._device_alive(ctx.device.device_id):
-                live = [
-                    d
-                    for d in self.scheduler.candidates(spec)
-                    if self._device_alive(d.device_id)
-                ]
-                if not live:
-                    raise PlacementError(
-                        f"no live device for task {spec.task_id}"
-                    )
-                ctx.device = live[0]
+                raise PlacementError(f"no live device for task {spec.task_id}")
         ctx.raylet = self.raylet_for_device(ctx.device.device_id)
         for gate in self.dispatch_gates:
             if not gate(ctx, preplaced):
@@ -1237,11 +1213,13 @@ class ServerlessRuntime:
             return
         self._place_or_retry(self._route, ctx)
 
-    def _place_or_retry(self, step: Callable[[_TaskCtx], None], ctx: _TaskCtx) -> None:
+    def _place_or_retry(
+        self, step: Callable[[_TaskCtx, bool], None], ctx: _TaskCtx, preplaced: bool = False
+    ) -> None:
         """Run a placement step (``_route`` or ``_dispatch``); mid-chaos the
         cluster may have nowhere to run it right now — back off and retry."""
         try:
-            step(ctx)
+            step(ctx, preplaced)
         except PlacementError as exc:
             self._retry_or_fail(ctx, cause=str(exc))
 
@@ -1300,7 +1278,6 @@ class ServerlessRuntime:
                 d
                 for d in self.scheduler.candidates(ctx.spec)
                 if d.device_id != ctx.device.device_id
-                and self._device_alive(d.device_id)
             ]
         except PlacementError:
             return
@@ -1378,18 +1355,8 @@ class ServerlessRuntime:
         """Newly-ready objects poke observers and may unblock waiting tasks."""
         for hook in list(self.object_ready_hooks):
             hook(object_id)
-        if not self._waiting:
-            return
-        still_waiting: List[_TaskCtx] = []
-        for ctx in self._waiting:
-            if ctx.state != TaskState.PENDING:
-                continue  # failed (or got retried onto another queue) meanwhile
-            if self._deps_ready(ctx.spec):
-                self._place_or_retry(self._dispatch, ctx)
-            else:
-                still_waiting.append(ctx)
-        self._waiting = still_waiting
-        self._m_waiting.set(float(len(self._waiting)))
+        for ctx, preplaced in self.data.released():
+            self._place_or_retry(self._dispatch, ctx, preplaced)
 
     # -- actors ------------------------------------------------------------------------
 
@@ -1564,11 +1531,12 @@ class ServerlessRuntime:
         self.failures.restore_device(device_id)
 
     def _interrupt_attempts(
-        self, hit: Callable[[_TaskCtx], bool], cause: str
+        self, hit: Callable[[_TaskCtx], bool], cause: str, among: Optional[List[_TaskCtx]] = None
     ) -> None:
         """Interrupt every in-flight attempt (speculative twins included)
-        that ``hit`` selects; each resubmits itself via the retry path."""
-        for ctx in list(self._ctxs.values()):
+        that ``hit`` selects among these tasks (a fault strikes by device: all
+        of them); each resubmits itself via the retry path."""
+        for ctx in list(self._ctxs.values()) if among is None else among:
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None

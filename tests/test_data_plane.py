@@ -409,6 +409,7 @@ def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
         if sub.state in terminal
     ]
     assert not stale, f"subscriptions outlived their tasks: {stale}"
+    assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
 
 
 class TestCrossCommitWitness:

@@ -215,6 +215,22 @@ class TestGang:
         devices = {rt.timeline_of(r).device_id for r in refs}
         assert len(devices) == 4
 
+    @pytest.mark.parametrize("resolution", [ResolutionMode.PUSH, ResolutionMode.PULL])
+    def test_gang_waiting_for_an_argument_keeps_its_devices(self, resolution):
+        """Under PULL a member whose argument is not READY parks; when it is
+        released it runs where ``launch_gang`` placed it, not wherever a
+        second, per-member placement would put it."""
+        rt = ServerlessRuntime(build_serverful(n_servers=4), RuntimeConfig(resolution=resolution))
+        data = rt.submit(lambda: 7, compute_cost=5e-3, output_nbytes=1 << 20, name="producer")
+        refs = [
+            rt.submit(lambda x, i=i: x + i, (data,), gang_group="spmd", name=f"rank{i}")
+            for i in range(4)
+        ]
+        rt.launch_gang("spmd")
+        assert rt.get(refs) == [7, 8, 9, 10]
+        devices = sorted(rt.timeline_of(r).device_id for r in refs)
+        assert devices == [f"server{i}/cpu" for i in range(4)]
+
     def test_gang_tasks_do_not_run_before_launch(self):
         rt = make_runtime()
         ref = rt.submit(lambda: 1, gang_group="g2")

@@ -222,8 +222,8 @@ class TestStructureGuard:
     }
 
     def test_the_data_plane_left_the_core(self):
-        """The core decides *when* to dispatch per resolution mode and calls
-        three entry points; it moves no bytes and keeps no fetch registry."""
+        """The core calls six entry points; it moves no bytes, keeps no fetch
+        registry and does not know which resolution mode it runs under."""
         source = RUNTIME_PY.read_text()
         defined = {
             getattr(node, "name", None) or getattr(node, "attr", None)
@@ -231,7 +231,7 @@ class TestStructureGuard:
             if isinstance(node, (ast.FunctionDef, ast.Attribute))
         }
         assert not defined & self.DATA_PLANE_NAMES
-        assert source.count("config.resolution") == 1
+        assert "config.resolution" not in source
         for moved in (
             "net.transfer(", "net.multicast(", "begin_fetch", "end_fetch", "note_deduped_fetch",
         ):
@@ -293,7 +293,7 @@ class TestStructureGuard:
             "_ready_at_head(",  # one restore tail
             '"object_recovered"',  # one attribution site, lineage's included
             "sim.schedule(cost",  # one reliable-cache read-and-charge
-            "in self.rt._ctxs.values()",  # one consumer scan
+            "def _needed(",  # one "does an open task still read it" (over the readers)
             "def _frontier(",  # one upstream walk besides the planner
             "def _may_go(",  # one free decision
             "raylet.alive",  # one device-alive-and-raylet-alive test
@@ -316,6 +316,46 @@ class TestStructureGuard:
         for caller in ("failures.py", "ha.py"):
             text = (SRC / "runtime" / caller).read_text()
             assert "_recover" not in text.replace("recovery.objects_lost(", "")
+
+    # rt.<name> / self.rt.<name> that dataplane.py and recovery.py may use
+    # (DESIGN.md lists them per module)
+    CALLBACK_SURFACE = {
+        "dataplane.py": {
+            "config", "recovery", "telemetry", "ownership", "sim", "net", "probe", "probe_edges",
+            "gcs_up", "gcs_endpoint", "_span_of", "_probe_site", "_interrupt_attempts",
+            "_raylet_of_device", "_readers",
+        },
+        "recovery.py": {
+            "cluster", "ownership", "lineage", "reliable_cache", "durable_store", "sim",
+            "telemetry", "probe", "_record", "_probe_site", "_ready_at_head", "_on_object_ready",
+            "_replay_task", "_ctxs", "_ctx_of_object", "_raylet_of_device", "_raylets_by_node",
+            "_store_of_device", "_spill_store", "_readers",
+        },
+    }
+
+    def test_who_reads_an_object_is_recorded_once(self):
+        """The consumer edge has one record (``LineageGraph.consumers``) and
+        one reader (``_readers``); nothing re-derives it by walking ``_ctxs``,
+        and the pull waiting room is the data plane's."""
+        core = RUNTIME_PY.read_text()
+        assert core.count("_ctxs.values()") == 1  # _interrupt_attempts' by-device default
+        for gone in ("_waiting", "_deps_ready", "ResolutionMode"):
+            assert gone not in core, gone
+        assert core.count("lineage.consumers(") == 1
+        recovery = (SRC / "runtime/recovery.py").read_text()
+        assert "_ctxs.values()" not in recovery
+        dataplane = (SRC / "runtime/dataplane.py").read_text()
+        missed = dataplane[dataplane.index("def _missed("):dataplane.index("def _queue_push(")]
+        assert "spec.dependencies" not in missed and "among=self.rt._readers(oid)" in missed
+        for module, allowed in self.CALLBACK_SURFACE.items():
+            tree = ast.parse((SRC / "runtime" / module).read_text())
+            used = {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and ast.unparse(node.value) in ("rt", "self.rt", "runtime")
+            }
+            assert used == allowed, f"{module}: {sorted(used ^ allowed)}"
 
     def test_what_the_ledger_tracer_patches_by_name_stays_put(self):
         import repro.runtime.runtime as core
