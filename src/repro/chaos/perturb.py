@@ -14,7 +14,7 @@ numbers; the sanitizer's shrinker (``repro.analysis.dist.perturb``)
 narrows a failing window down to a minimal failing schedule.
 
 Hashing uses md5, the repo's determinism idiom (see
-``overload.backoff_jitter_fraction``): stable across processes, platforms
+``supervision.backoff_jitter_fraction``): stable across processes, platforms
 and Python versions, unlike ``hash()`` or a shared ``random`` stream.
 """
 

@@ -26,8 +26,6 @@ from .overload import (
     BreakerState,
     CircuitBreaker,
     RetryBudget,
-    backoff_jitter_fraction,
-    retry_backoff_delay,
 )
 from .object_store import (
     LocalObjectStore,
@@ -48,6 +46,7 @@ from .runtime import (
     make_reliable_cache,
 )
 from .scheduler import PlacementError, Scheduler
+from .supervision import backoff_jitter_fraction, retry_backoff_delay
 from .task import ANY_COMPUTE_KIND, ActorSpec, TaskSpec, TaskState
 from .trace import to_chrome_trace, write_chrome_trace
 

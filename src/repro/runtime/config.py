@@ -53,14 +53,14 @@ class RuntimeConfig:
     max_lineage_replays: int = 32
     # -- retry policy (transient failures: interrupts, lost leases, fetch
     # failures).  Backoff is exponential (doubling, see
-    # ``overload.RETRY_BACKOFF_FACTOR``) with deterministic per-attempt
+    # ``supervision.RETRY_BACKOFF_FACTOR``) with deterministic per-attempt
     # jitter so reruns of a seeded chaos schedule are bit-identical.
     max_retries: int = 4
     retry_backoff_base: float = 1e-3  # seconds before the first retry
     # jitter fraction of the backoff.  The per-attempt jitter is *hashed*,
     # not drawn: ``frac = int(md5(f"{task_id}:{retries}")[:8], 16) / 0xFFFFFFFF``
     # and ``delay = base * 2**(retries-1) * (1 + retry_jitter * frac)``
-    # (see ``overload.backoff_jitter_fraction``).  md5 is stable across
+    # (see ``supervision.backoff_jitter_fraction``).  md5 is stable across
     # processes, platforms and Python versions, so seeded chaos replays are
     # bit-identical; tests/test_overload.py pins exact values of the
     # sequence to keep refactors honest.

@@ -23,15 +23,11 @@ Three mechanism families live here:
   per-device state machines (CLOSED -> OPEN -> HALF_OPEN) driven by the
   existing health signals, shedding load from flaky devices instead of
   hammering them.
-
-The deterministic retry-backoff jitter helpers also live here so the hash
-contract (documented in ``runtime/config.py``) has a single home.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .config import AdmissionPolicy
@@ -50,8 +46,6 @@ __all__ = [
     "BreakerBoard",
     "OverloadControl",
     "install",
-    "backoff_jitter_fraction",
-    "retry_backoff_delay",
 ]
 
 
@@ -65,34 +59,6 @@ class AdmissionRejectedError(RuntimeError):
     def __init__(self, message: str, *, reason: str = "admission_reject"):
         super().__init__(message)
         self.reason = reason
-
-
-# -- deterministic retry backoff ---------------------------------------------
-
-# each retry waits this many times longer than the one before it
-RETRY_BACKOFF_FACTOR = 2.0
-
-
-def backoff_jitter_fraction(task_id: str, retries: int) -> float:
-    """The pinned jitter fraction in [0, 1] for attempt ``retries`` of a task.
-
-    Hashed (md5) from ``f"{task_id}:{retries}"`` — stable across processes,
-    platforms and Python versions, unlike ``hash()`` or ``random``.  A
-    regression test pins exact values so refactors cannot silently change
-    seeded chaos traces.
-    """
-    digest = hashlib.md5(f"{task_id}:{retries}".encode()).hexdigest()
-    return int(digest[:8], 16) / 0xFFFFFFFF
-
-
-def retry_backoff_delay(config, task_id: str, retries: int) -> float:
-    """Exponential backoff with deterministic per-attempt jitter.
-
-    ``retries`` is the attempt number being scheduled (1 for the first
-    retry).  Bit-identical to the pre-overload runtime implementation.
-    """
-    base = config.retry_backoff_base * RETRY_BACKOFF_FACTOR ** max(0, retries - 1)
-    return base * (1.0 + config.retry_jitter * backoff_jitter_fraction(task_id, retries))
 
 
 # -- retry budgets ------------------------------------------------------------

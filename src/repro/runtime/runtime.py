@@ -43,7 +43,8 @@ from .ownership import DRIVER, OwnershipTable
 from .raylet import Raylet
 from .recovery import ABSENT, Recovery
 from .scheduler import PlacementError, Scheduler
-from .task import ANY_COMPUTE_KIND, TERMINAL_STATES, TaskSpec, TaskState
+from .supervision import Supervisor
+from .task import ANY_COMPUTE_KIND, IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState
 
 __all__ = [
     "ServerlessRuntime",
@@ -57,8 +58,6 @@ __all__ = [
 ACTOR_CHECKPOINT_PREFIX = "__actor__/"
 
 _TERMINAL = TERMINAL_STATES
-# an attempt is live on a device (leased, fetching arguments, or executing)
-_IN_FLIGHT = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
 
 # The lifecycle seam: one plain list per point on the runtime, called in list
 # order at a fixed position in the task lifecycle.  DESIGN.md "Runtime core and
@@ -121,7 +120,7 @@ class _TaskCtx:
 
     __slots__ = (
         "spec", "ref", "device", "raylet", "done", "state", "timeline",
-        "error", "replays", "proc", "attempt", "retries", "twin", "is_clone",
+        "error", "proc", "attempt", "retries", "twin", "is_clone",
         "span", "pulls", "admitted", "admit_raylet", "lease_epoch",
     )
 
@@ -134,7 +133,6 @@ class _TaskCtx:
         self.state = TaskState.PENDING
         self.timeline = TaskTimeline(spec.task_id, spec.name)
         self.error: Optional[str] = None
-        self.replays = 0
         self.proc = None
         self.attempt = 0  # bumped per dispatch (watchdogs key off this)
         self.retries = 0  # transient-failure retries consumed
@@ -274,6 +272,7 @@ class ServerlessRuntime:
         self._actor_calls: Dict[str, int] = {}  # completed methods (ckpt cadence)
         self._dead_actors: Dict[str, str] = {}  # actor_id -> cause
         self.failures = FailureDomains(self)  # always: a fault can always happen
+        self.supervisor = Supervisor(self)  # always: an attempt can always fail
         self.actor_restarts = 0
         self.timelines: List[TaskTimeline] = []
         self.tasks_finished = 0
@@ -294,17 +293,11 @@ class ServerlessRuntime:
         self._m_failed = reg.counter(
             "skadi_tasks_failed_total", "tasks that permanently failed"
         )
-        self._m_retried = reg.counter(
-            "skadi_tasks_retried_total", "transient-failure retries consumed"
-        )
         self._m_replays = reg.counter(
             "skadi_lineage_replays_total", "tasks re-executed to rebuild lost objects"
         )
         self._m_restarts = reg.counter(
             "skadi_actor_restarts_total", "actors reconstructed from checkpoints"
-        )
-        self._m_speculations = reg.counter(
-            "skadi_speculations_total", "speculative backup copies launched"
         )
         self._m_latency = reg.histogram(
             "skadi_task_latency_seconds", "submit-to-finish latency per task"
@@ -644,10 +637,12 @@ class ServerlessRuntime:
     def launch_gang(self, gang_group: str) -> List[ObjectRef]:
         """Dispatch all tasks submitted under ``gang_group`` atomically."""
         ctxs = self._gangs.pop(gang_group, [])
-        if not ctxs:
+        # a member cancelled while the gang waited stays cancelled
+        pending = [c for c in ctxs if c.state is TaskState.PENDING]
+        if not pending:
             raise KeyError(f"no pending tasks in gang {gang_group!r}")
-        placements = self.scheduler.place_gang([c.spec for c in ctxs])
-        for ctx in ctxs:
+        placements = self.scheduler.place_gang([c.spec for c in pending])
+        for ctx in pending:
             ctx.device = placements[ctx.spec.task_id]
             self._route(ctx, preplaced=True)
         return [c.ref for c in ctxs]
@@ -923,201 +918,29 @@ class ServerlessRuntime:
             )
         self.data.subscribe(ctx)
         ctx.proc = self.sim.process(self._run_task(ctx), name=f"task:{spec.task_id}")
-        if self.config.task_timeout is not None:
-            self.sim.process(
-                self._timeout_watch(ctx, ctx.attempt), name=f"ttl:{spec.task_id}"
-            )
-        if (
-            self.config.speculation_factor is not None
-            and spec.actor_id is None  # actors are stateful: never speculate
-            and not ctx.is_clone
-        ):
-            self.sim.process(
-                self._speculation_watch(ctx, ctx.attempt), name=f"spy:{spec.task_id}"
-            )
+        self.supervisor.watch(ctx)
 
     # -- the task lifecycle -------------------------------------------------------------
 
     def _run_task(self, ctx: _TaskCtx) -> Generator:
+        """One attempt, phase by phase; however a phase ends, the attempt is
+        judged here."""
         spec, device, raylet = ctx.spec, ctx.device, ctx.raylet
         assert device is not None and raylet is not None
-        acquired_actor = False
-        counted_started = False
         try:
-            # 1. lease travels scheduler -> raylet; raylet handles it.  A
-            # dropped lease, or a raylet that died before handling it, is a
-            # transient failure the retry policy absorbs.
-            delivered = yield self.net.message(
-                self.scheduler.endpoint, raylet.endpoint, label="lease"
-            )
-            if delivered is False or not raylet.alive:
-                raise _TransientTaskError("lease lost in transit")
-            for gate in self.lease_gates:
-                refusal = gate(ctx, raylet)
-                if refusal is not None:
-                    raise _TransientTaskError(refusal)
-            if self.probe_edges is not None:
-                self.probe_edges.attempt_start(spec.task_id, ctx.attempt, ctx.is_clone)
-            yield raylet.control()
-            if not device.alive:
-                # the raylet can see its own silicon (local knowledge, no
-                # network): it refuses to launch onto a dead companion
-                raise _TransientTaskError(f"device {device.device_id} is dead")
-            if self._deadline_expired(spec):
-                # raylet-side skip: the lease arrived past the deadline
-                raise _DeadlineExceededError()
-            ctx.timeline.dispatched = self.sim.now
-            ctx.state = TaskState.RESOLVING
-
-            # 2. argument resolution: inputs must reach *this device's*
-            # store — a copy on a sibling device of the same card still has
-            # to cross the intra-card link (through the DPU)
-            local_store = raylet.store_of(device.device_id)
-            missing = [
-                ref
-                for ref in spec.dependencies
-                if not local_store.contains(ref.object_id)
-            ]
-            hits = len(spec.dependencies) - len(missing)
-            reg = self.telemetry.registry
-            if hits:
-                reg.counter(
-                    "skadi_store_hits_total",
-                    "task arguments already resident on the executing device",
-                    device=device.device_id,
-                ).inc(hits)
-            if missing:
-                reg.counter(
-                    "skadi_store_misses_total",
-                    "task arguments that had to be fetched over the fabric",
-                    device=device.device_id,
-                ).inc(len(missing))
-            unfetched = yield from self.data.resolve(ctx, raylet, device, missing)
-            if unfetched:
-                raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
-            if self._deadline_expired(spec):
-                # inputs took too long: skip the doomed execution
-                raise _DeadlineExceededError()
-            ctx.timeline.inputs_ready = self.sim.now
-
-            # Gen-1: the DPU raylet must poke the companion device
-            if raylet.endpoint != device.device_id:
-                yield self.net.message(raylet.endpoint, device.device_id, label="launch")
-
-            # 3. actor serialization, if any
-            if spec.actor_id is not None:
-                yield self._actor_acquire(spec.actor_id)
-                acquired_actor = True
-            try:
-                # 4. burn device time, then run the real payload
-                ctx.state = TaskState.RUNNING
-                self.scheduler.task_started(device.device_id)
-                counted_started = True
-                started_proc = device.execute(spec.compute_cost, label=spec.name)
-                ctx.timeline.started = self.sim.now
-                yield started_proc
-                if not raylet.alive:
-                    raise _TransientTaskError("raylet died during execution")
-                if not device.alive:
-                    raise _TransientTaskError("device died during execution")
-                value, nbytes = self._execute_payload(ctx)
-                if spec.actor_id is not None and self.reliable_cache is not None:
-                    self._actor_calls[spec.actor_id] = (
-                        self._actor_calls.get(spec.actor_id, 0) + 1
-                    )
-                    every = self.config.actor_checkpoint_every
-                    if every > 0 and self._actor_calls[spec.actor_id] % every == 0:
-                        yield from self._checkpoint_actor(spec.actor_id)
-            finally:
-                if acquired_actor:
-                    self._actor_release(spec.actor_id)
-                if counted_started:
-                    self.scheduler.task_finished(device.device_id)
-
+            yield from self._lease(ctx, device, raylet)
+            yield from self._resolve(ctx, device, raylet)
+            value, nbytes = yield from self._execute(ctx, device, raylet)
             if self._attempt_superseded(ctx):
                 return
             main = self._ctxs.get(spec.task_id, ctx)
-
-            # 5. store the output locally
-            store = raylet.store_of(device.device_id)
-            if store.contains(ctx.ref.object_id):  # replay may have raced
-                store.delete(ctx.ref.object_id)
-            try:
-                store.put(ctx.ref.object_id, value, nbytes)
-            except (SpillFailedError, StoreUnavailableError) as exc:
-                # a dead blade refusing the spill (or an output device dying
-                # under us) is a fault to retry around, not an app error
-                raise _TransientTaskError(str(exc)) from None
-            if self.probe is not None:
-                self.probe.site = self.probe.attempt_site(
-                    spec.task_id, ctx.attempt, ctx.is_clone
-                )
-            self.ownership.mark_ready(
-                ctx.ref.object_id, device.node_id, nbytes, device.device_id
-            )
-            if self.probe_edges is not None:
-                # the commit point: the done/ready announcements every
-                # downstream recv pairs with originate here
-                self.probe_edges.attempt_commit(
-                    spec.task_id, ctx.attempt, ctx.ref.object_id, ctx.is_clone
-                )
-                self.probe_edges.object_ready(
-                    self.probe_edges.site, ctx.ref.object_id
-                )
-
-            # 6. optional reliable-cache write (replication/EC)
-            if self.reliable_cache is not None:
-                cost = self.reliable_cache.put(
-                    ctx.ref.object_id, value, nbytes, preferred_node=device.node_id
-                )
-                yield self.sim.timeout(cost)
-
-            # 7. completion notification back to the scheduler/GCS
-            for hook in self.on_commit:
-                hook(ctx, device, nbytes)
-            delivered = yield self.net.message(
-                raylet.endpoint, self.scheduler.endpoint, label="done"
-            )
-            for hook in self.on_done:
-                hook(ctx, device, nbytes, delivered)
-            if self.probe is not None:
-                self.probe.task_finish(spec.task_id)
-            ctx.state = TaskState.FINISHED
-            ctx.timeline.finished = self.sim.now
-            ctx.timeline.device_id = device.device_id
-            if main is not ctx:  # a clone won: reflect completion on the main ctx
-                main.state = TaskState.FINISHED
-                main.timeline.finished = self.sim.now
-                main.timeline.device_id = device.device_id
-            loser = main.twin if ctx is main else main
-            main.twin = None
-            if (
-                loser is not None
-                and loser.proc is not None
-                and loser.state in _IN_FLIGHT
-            ):
-                loser.proc.interrupt("speculative twin won")
-            self.tasks_finished += 1
-            self._m_finished.inc()
-            self._m_latency.observe(ctx.timeline.latency)
-            self._m_stall.observe(ctx.timeline.input_stall)
-            self._finish_task_span(main, ctx)
-            self._open_tasks = max(0, self._open_tasks - 1)
-            self._task_closed(main)
-            for hook in self.on_task_finished:
-                hook(main, ctx, device)
-            self.timelines.append(ctx.timeline)
-
-            # 8. proactive pushes to subscribed consumers
-            self.data.publish(ctx.ref.object_id)
-            self._on_object_ready(ctx.ref.object_id)
-            if not main.done.triggered:
-                main.done.succeed()
+            yield from self._commit(ctx, device, raylet, value, nbytes)
+            self._finish(ctx, main, device)
         except Interrupt as intr:
             # a backup copy stands down silently: the original (or the
             # winner) carries on
             if not (ctx.is_clone or self._attempt_superseded(ctx)):
-                self._retry_or_fail(ctx, cause=str(intr.cause or "interrupted"))
+                self.supervisor.failed(ctx, cause=str(intr.cause or "interrupted"))
         except _DeadlineExceededError:
             if not (ctx.is_clone or self._attempt_superseded(ctx)):
                 self._cancel_and_propagate(
@@ -1125,7 +948,7 @@ class ServerlessRuntime:
                 )
         except _TransientTaskError as exc:
             if not (ctx.is_clone or self._attempt_superseded(ctx)):
-                self._retry_or_fail(ctx, cause=str(exc))
+                self.supervisor.failed(ctx, cause=str(exc))
         except Exception as exc:  # payload error: permanent, not retried
             if isinstance(exc, (UnrecoverableObjectError, PlacementError)):
                 raise
@@ -1136,82 +959,168 @@ class ServerlessRuntime:
             for hook in self.on_attempt_concluded:
                 hook(ctx, device)
 
+    def _lease(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
+        """Phase 1: the lease travels scheduler -> raylet; the raylet handles
+        it.  A dropped lease, or a raylet that died before handling it, is a
+        transient failure the retry policy absorbs."""
+        delivered = yield self.net.message(
+            self.scheduler.endpoint, raylet.endpoint, label="lease"
+        )
+        if delivered is False or not raylet.alive:
+            raise _TransientTaskError("lease lost in transit")
+        for gate in self.lease_gates:
+            refusal = gate(ctx, raylet)
+            if refusal is not None:
+                raise _TransientTaskError(refusal)
+        if self.probe_edges is not None:
+            self.probe_edges.attempt_start(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
+        yield raylet.control()
+        if not device.alive:
+            # the raylet can see its own silicon (local knowledge, no
+            # network): it refuses to launch onto a dead companion
+            raise _TransientTaskError(f"device {device.device_id} is dead")
+        if self._deadline_expired(ctx.spec):
+            # raylet-side skip: the lease arrived past the deadline
+            raise _DeadlineExceededError()
+        ctx.timeline.dispatched = self.sim.now
+        ctx.state = TaskState.RESOLVING
+
+    def _resolve(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
+        """Phase 2: the arguments must reach *this device's* store — a copy
+        on a sibling device of the same card still has to cross the intra-card
+        link (through the DPU)."""
+        spec = ctx.spec
+        local_store = raylet.store_of(device.device_id)
+        missing = [ref for ref in spec.dependencies if not local_store.contains(ref.object_id)]
+        hits = len(spec.dependencies) - len(missing)
+        reg = self.telemetry.registry
+        if hits:
+            reg.counter(
+                "skadi_store_hits_total",
+                "task arguments already resident on the executing device",
+                device=device.device_id,
+            ).inc(hits)
+        if missing:
+            reg.counter(
+                "skadi_store_misses_total",
+                "task arguments that had to be fetched over the fabric",
+                device=device.device_id,
+            ).inc(len(missing))
+        unfetched = yield from self.data.resolve(ctx, raylet, device, missing)
+        if unfetched:
+            raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
+        if self._deadline_expired(spec):
+            # inputs took too long: skip the doomed execution
+            raise _DeadlineExceededError()
+        ctx.timeline.inputs_ready = self.sim.now
+
+    def _execute(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
+        """Phase 3: take the actor's turn if any, burn device time, run the
+        real payload.  Returns ``(value, nbytes)``."""
+        spec = ctx.spec
+        # Gen-1: the DPU raylet must poke the companion device
+        if raylet.endpoint != device.device_id:
+            yield self.net.message(raylet.endpoint, device.device_id, label="launch")
+        if spec.actor_id is not None:
+            yield self._actor_acquire(spec.actor_id)
+        try:
+            ctx.state = TaskState.RUNNING
+            self.scheduler.task_started(device.device_id)
+            try:
+                started_proc = device.execute(spec.compute_cost, label=spec.name)
+                ctx.timeline.started = self.sim.now
+                yield started_proc
+                if not raylet.alive:
+                    raise _TransientTaskError("raylet died during execution")
+                if not device.alive:
+                    raise _TransientTaskError("device died during execution")
+                value, nbytes = self._execute_payload(ctx)
+                if spec.actor_id is not None and self.reliable_cache is not None:
+                    calls = self._actor_calls[spec.actor_id] = (
+                        self._actor_calls.get(spec.actor_id, 0) + 1
+                    )
+                    every = self.config.actor_checkpoint_every
+                    if every > 0 and calls % every == 0:
+                        yield from self._checkpoint_actor(spec.actor_id)
+            finally:
+                self.scheduler.task_finished(device.device_id)
+        finally:
+            if spec.actor_id is not None:
+                self._actor_release(spec.actor_id)
+        return value, nbytes
+
+    def _commit(
+        self, ctx: _TaskCtx, device: Device, raylet: Raylet, value: Any, nbytes: int
+    ) -> Generator:
+        """Phase 4: store the output locally, tell the directory, pay the
+        optional reliable-cache write, report ``done`` to the scheduler/GCS."""
+        spec, oid = ctx.spec, ctx.ref.object_id
+        store = raylet.store_of(device.device_id)
+        if store.contains(oid):  # replay may have raced
+            store.delete(oid)
+        try:
+            store.put(oid, value, nbytes)
+        except (SpillFailedError, StoreUnavailableError) as exc:
+            # a dead blade refusing the spill (or an output device dying
+            # under us) is a fault to retry around, not an app error
+            raise _TransientTaskError(str(exc)) from None
+        if self.probe is not None:
+            self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
+        self.ownership.mark_ready(oid, device.node_id, nbytes, device.device_id)
+        if self.probe_edges is not None:
+            # the commit point: the done/ready announcements every
+            # downstream recv pairs with originate here
+            self.probe_edges.attempt_commit(spec.task_id, ctx.attempt, oid, ctx.is_clone)
+            self.probe_edges.object_ready(self.probe_edges.site, oid)
+        if self.reliable_cache is not None:  # replication/EC
+            cost = self.reliable_cache.put(oid, value, nbytes, preferred_node=device.node_id)
+            yield self.sim.timeout(cost)
+        for hook in self.on_commit:
+            hook(ctx, device, nbytes)
+        delivered = yield self.net.message(
+            raylet.endpoint, self.scheduler.endpoint, label="done"
+        )
+        for hook in self.on_done:
+            hook(ctx, device, nbytes, delivered)
+
+    def _finish(self, ctx: _TaskCtx, main: _TaskCtx, device: Device) -> None:
+        """Phase 5: first commit wins — close the task on its main record,
+        stand the loser down, then push to subscribed consumers and wake the
+        parked ones."""
+        if self.probe is not None:
+            self.probe.task_finish(ctx.spec.task_id)
+        ctx.state = TaskState.FINISHED
+        ctx.timeline.finished = self.sim.now
+        ctx.timeline.device_id = device.device_id
+        if main is not ctx:  # a clone won: reflect completion on the main ctx
+            main.state = TaskState.FINISHED
+            main.timeline.finished = self.sim.now
+            main.timeline.device_id = device.device_id
+        loser = main.twin if ctx is main else main
+        main.twin = None
+        if loser is not None and loser.proc is not None and loser.state in IN_FLIGHT_STATES:
+            loser.proc.interrupt("speculative twin won")
+        self.tasks_finished += 1
+        self._m_finished.inc()
+        self._m_latency.observe(ctx.timeline.latency)
+        self._m_stall.observe(ctx.timeline.input_stall)
+        self._finish_task_span(main, ctx)
+        self._open_tasks = max(0, self._open_tasks - 1)
+        self._task_closed(main)
+        for hook in self.on_task_finished:
+            hook(main, ctx, device)
+        self.timelines.append(ctx.timeline)
+        self.data.publish(ctx.ref.object_id)
+        self._on_object_ready(ctx.ref.object_id)
+        if not main.done.triggered:
+            main.done.succeed()
+
     def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
         """This attempt's outcome no longer matters: its task concluded or
         its result already committed (a speculative twin or a lineage replay
         got there first).  First commit wins; the rest stand down."""
         main = self._ctxs.get(ctx.spec.task_id, ctx)
         return main.state in _TERMINAL or self.ownership.is_ready(ctx.ref.object_id)
-
-    # -- retries, timeouts & speculation ------------------------------------
-
-    def _backoff_delay(self, ctx: _TaskCtx) -> float:
-        """Exponential backoff with deterministic jitter (hashed, not drawn
-        from a shared RNG, so retry timing never depends on event order).
-        The hash contract is pinned in ``overload.backoff_jitter_fraction``
-        and documented in ``config.py``."""
-        return overload.retry_backoff_delay(self.config, ctx.spec.task_id, ctx.retries)
-
-    def _retry_or_fail(self, ctx: _TaskCtx, cause: str) -> None:
-        # the failing attempt's device is what subscribers blame and budget
-        # against — capture it before the attempt state is cleared
-        failed_device = ctx.device
-        if self.probe_edges is not None and failed_device is not None:
-            # only a real attempt (one that held a device) reports a failure;
-            # placement errors never started one
-            self.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
-        if failed_device is not None:
-            for hook in self.on_device_fault:
-                hook(failed_device, cause)
-        ctx.retries += 1
-        ctx.device = None
-        ctx.raylet = None
-        ctx.proc = None
-        ctx.state = TaskState.PENDING
-        if ctx.retries > self.config.max_retries:
-            self._fail_ctx(
-                ctx, f"gave up after {self.config.max_retries} retries: {cause}"
-            )
-            return
-        for gate in self.retry_gates:
-            if not gate(ctx, failed_device, cause):
-                return  # the gate shed the task instead
-        self.tasks_retried += 1
-        self._m_retried.inc()
-        delay = self._backoff_delay(ctx)
-        span = self._span_of(ctx)
-        if span is not None:
-            # the backoff window is pure recovery time on any path through it
-            self.telemetry.tracer.emit(
-                f"{ctx.spec.name or ctx.spec.task_id}:backoff",
-                "recovery",
-                self.sim.now,
-                self.sim.now + delay,
-                parent=span,
-                retry=ctx.retries,
-                cause=cause,
-            )
-        if self.probe_edges is not None:
-            self.probe_edges.retry(ctx.spec.task_id, ctx.attempt)
-        self._record(
-            "task_retry",
-            task=ctx.spec.task_id,
-            name=ctx.spec.name,
-            retry=ctx.retries,
-            cause=cause,
-        )
-        self.sim.schedule(delay, self._requeue, ctx)
-
-    def _requeue(self, ctx: _TaskCtx) -> None:
-        if ctx.state != TaskState.PENDING:
-            return  # the race resolved while we backed off (twin won, failed)
-        if self.ownership.is_ready(ctx.ref.object_id):
-            return
-        if ctx.spec.actor_id is not None and not self._ensure_actor_home(ctx):
-            cause = self._dead_actors.get(ctx.spec.actor_id, "unknown")
-            self._fail_ctx(ctx, f"actor {ctx.spec.actor_id} is dead: {cause}")
-            return
-        self._place_or_retry(self._route, ctx)
 
     def _place_or_retry(
         self, step: Callable[[_TaskCtx, bool], None], ctx: _TaskCtx, preplaced: bool = False
@@ -1221,7 +1130,7 @@ class ServerlessRuntime:
         try:
             step(ctx, preplaced)
         except PlacementError as exc:
-            self._retry_or_fail(ctx, cause=str(exc))
+            self.supervisor.failed(ctx, cause=str(exc))
 
     def _fail_ctx(self, ctx: _TaskCtx, error: str) -> None:
         ctx.state = TaskState.FAILED
@@ -1238,75 +1147,6 @@ class ServerlessRuntime:
         self._task_closed(ctx)
         if not ctx.done.triggered:
             ctx.done.succeed()
-
-    def _timeout_watch(self, ctx: _TaskCtx, attempt: int) -> Generator:
-        """Interrupt an attempt that outlives ``task_timeout`` (it will be
-        retried elsewhere by the normal transient-failure path)."""
-        yield self.sim.timeout(self.config.task_timeout)
-        if (
-            ctx.attempt == attempt
-            and ctx.state in _IN_FLIGHT
-            and not self.ownership.is_ready(ctx.ref.object_id)
-            and ctx.proc is not None
-        ):
-            self._record("task_timeout", task=ctx.spec.task_id, attempt=attempt)
-            ctx.proc.interrupt("execution timeout")
-
-    def _speculation_watch(self, ctx: _TaskCtx, attempt: int) -> Generator:
-        """After ``speculation_factor`` × the expected runtime, launch a
-        backup copy on a different device — the straggler mitigation."""
-        assert ctx.device is not None
-        spec_dev = ctx.device.spec
-        expected = spec_dev.dispatch_overhead + spec_dev.scaled_duration(
-            ctx.spec.compute_cost
-        )
-        yield self.sim.timeout(self.config.speculation_factor * max(expected, 1e-9))
-        if (
-            ctx.attempt != attempt
-            or ctx.twin is not None
-            or self._ctxs.get(ctx.spec.task_id) is not ctx
-            or ctx.state not in _IN_FLIGHT
-            or self.ownership.is_ready(ctx.ref.object_id)
-        ):
-            return
-        self._speculate(ctx)
-
-    def _speculate(self, ctx: _TaskCtx) -> None:
-        assert ctx.device is not None
-        try:
-            candidates = [
-                d
-                for d in self.scheduler.candidates(ctx.spec)
-                if d.device_id != ctx.device.device_id
-            ]
-        except PlacementError:
-            return
-        if not candidates:
-            return
-        backup = min(
-            candidates,
-            key=lambda d: (self.scheduler.outstanding(d.device_id), d.device_id),
-        )
-        clone = _TaskCtx(ctx.spec, ctx.ref, ctx.done)
-        clone.is_clone = True
-        clone.timeline.submitted = ctx.timeline.submitted
-        clone.device = backup
-        clone.raylet = self.raylet_for_device(backup.device_id)
-        clone.state = TaskState.SCHEDULED
-        clone.attempt = 1
-        ctx.twin = clone
-        self._m_speculations.inc()
-        if self.probe_edges is not None:
-            self.probe_edges.speculate(ctx.spec.task_id)
-        self._record(
-            "speculate",
-            task=ctx.spec.task_id,
-            slow=ctx.device.device_id,
-            backup=backup.device_id,
-        )
-        clone.proc = self.sim.process(
-            self._run_task(clone), name=f"twin:{ctx.spec.task_id}"
-        )
 
     def _checkpoint_actor(self, actor_id: str) -> Generator:
         """Snapshot the actor's state into the reliable cache (deep copy, so
@@ -1540,7 +1380,7 @@ class ServerlessRuntime:
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
-                    and victim.state in _IN_FLIGHT
+                    and victim.state in IN_FLIGHT_STATES
                     and victim.proc is not None
                     and hit(victim)
                 ):

@@ -18,7 +18,8 @@ from ..cluster.hardware import DeviceKind
 from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
-    "TaskSpec", "TaskState", "TERMINAL_STATES", "TaskResult", "ActorSpec", "ANY_COMPUTE_KIND",
+    "TaskSpec", "TaskState", "TERMINAL_STATES", "IN_FLIGHT_STATES", "TaskResult", "ActorSpec",
+    "ANY_COMPUTE_KIND",
 ]
 
 ANY_COMPUTE_KIND: FrozenSet[DeviceKind] = frozenset(
@@ -38,6 +39,8 @@ class TaskState(enum.Enum):
 
 # the task has concluded, one way or another: nothing more will run for it
 TERMINAL_STATES = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+# an attempt is live on a device (leased, fetching arguments, or executing)
+IN_FLIGHT_STATES = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
 
 
 @dataclass

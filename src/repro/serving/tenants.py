@@ -72,7 +72,7 @@ class Tenant:
 
 def _stable_fraction(key: str) -> float:
     """Deterministic [0, 1) hash — md5 for cross-platform stability (the
-    same contract as ``overload.backoff_jitter_fraction``)."""
+    same contract as ``supervision.backoff_jitter_fraction``)."""
     return int(hashlib.md5(key.encode()).hexdigest()[:8], 16) / 0x100000000
 
 

@@ -101,14 +101,18 @@ class TestBackoffJitterPin:
         ]
 
     def test_runtime_uses_the_pinned_delay(self):
-        rt = make_rt(n_servers=1)
+        """Pinned through what the runtime does: one refused lease, and the
+        re-dispatch comes exactly the pinned delay after the ``task_retry``."""
+        rt = make_rt(n_servers=1, retry_jitter=0.5)
+        refusals, dispatched = iter(["refused once"]), []
+        rt.lease_gates.append(lambda ctx, raylet: next(refusals, None))
+        rt.on_dispatch.append(lambda ctx: dispatched.append(rt.sim.now))
         ref = rt.submit(lambda: 1, name="probe")
-        ctx = rt._ctx_of_object[ref.object_id]
-        ctx.retries = 2
-        assert rt._backoff_delay(ctx) == retry_backoff_delay(
-            rt.config, ctx.spec.task_id, 2
-        )
         assert rt.get(ref) == 1
+        (retry,) = rt.log.of_kind("task_retry")
+        assert retry["cause"] == "refused once" and retry["retry"] == 1
+        delay = retry_backoff_delay(rt.config, retry["task"], 1)
+        assert dispatched == [0.0, retry.time + delay]
 
 
 # -- mechanism units ----------------------------------------------------------

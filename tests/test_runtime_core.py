@@ -12,7 +12,9 @@ from repro.runtime import (
     RuntimeConfig,
     SchedulingPolicy,
     ServerlessRuntime,
+    TaskCancelledError,
     TaskError,
+    TaskState,
 )
 
 
@@ -243,6 +245,31 @@ class TestGang:
         rt = make_runtime()
         with pytest.raises(KeyError):
             rt.launch_gang("ghost")
+
+    @pytest.mark.parametrize("resolution", [ResolutionMode.PUSH, ResolutionMode.PULL])
+    def test_a_member_cancelled_before_launch_stays_cancelled(self, resolution):
+        rt = ServerlessRuntime(build_serverful(n_servers=4), RuntimeConfig(resolution=resolution))
+        ran = []
+        refs = [
+            rt.submit(lambda i=i: ran.append(i) or i, gang_group="g", name=f"rank{i}")
+            for i in range(3)
+        ]
+        assert rt.cancel(refs[1])
+        assert rt.launch_gang("g") == refs  # every member's ref, in submission order
+        rt.sim.run()
+        assert ran == [0, 2]
+        assert rt.task_state(refs[1]) is TaskState.CANCELLED
+        assert (rt.tasks_cancelled, rt.tasks_finished) == (1, 2)
+        assert rt.get([refs[0], refs[2]]) == [0, 2]
+        with pytest.raises(TaskCancelledError):
+            rt.get(refs[1])
+
+    def test_a_gang_with_every_member_concluded_is_not_pending(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=2))
+        ref = rt.submit(lambda: 1, gang_group="g")
+        assert rt.cancel(ref)
+        with pytest.raises(KeyError):
+            rt.launch_gang("g")
 
 
 class TestServerfulCluster:
