@@ -168,7 +168,7 @@ def test_e17_chaos_soak(benchmark):
     assert soak["answer"] == EXPECTED_TOTAL == baseline["answer"]
     assert soak["audited"] == LANES
     assert rt.tasks_failed == 0
-    assert not rt._dead_actors
+    assert not rt.actors.dead
 
     # recovery was *detected*, not announced: every node_dead verdict came
     # from missed heartbeats, and the detector actually suspected someone

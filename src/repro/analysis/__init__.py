@@ -21,7 +21,7 @@ from .dataflow import (
     def_use,
 )
 from .diagnostics import Diagnostic, DiagnosticSet, Severity
-from .lint import LINT_RULES, LintRule, lint_function, lint_module
+from .lint import lint_function, lint_module
 from .sanitizer import DeviceView, PlanSanitizerError, sanitize_plan, strict_sanitize
 from .session import AnalysisSession, analysis_session, current_session
 from .verifier import strict_verify, verify_function, verify_module
@@ -42,8 +42,6 @@ __all__ = [
     "BufferSummary",
     "buffer_effects",
     "AliasSets",
-    "LintRule",
-    "LINT_RULES",
     "lint_function",
     "lint_module",
     "sanitize_plan",

@@ -14,140 +14,27 @@ either the pipeline was skipped or a pass regressed.  Rules:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ir.core import Function, Module
-from ..ir.passes import _attr_key, _fusable, _is_pure
-from .dataflow import DefUse, def_use
+from ..ir.passes import _attr_key, _fusable
+from .dataflow import def_use
 from .diagnostics import DiagnosticSet
 
-__all__ = ["LintRule", "LINT_RULES", "lint_function", "lint_module"]
+__all__ = ["lint_function", "lint_module"]
+
+DEAD_VALUE = "dead-value"
+REDUNDANT_MATERIALIZATION = "redundant-materialization"
+REFUSABLE_FUSION = "refusable-fusion"
+CONSTANT_FOLDABLE = "constant-foldable"
 
 
-class LintRule:
-    """One rule: inspect a function (with its def-use chains precomputed)
-    and append WARNING diagnostics."""
-
-    code = "lint"
-
-    def run(self, func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-        raise NotImplementedError
-
-
-class DeadValueRule(LintRule):
-    code = "dead-value"
-
-    def run(self, func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-        for index, op, value in chains.dead_results():
-            if not _is_pure(op):
-                continue  # opaque calls run for their effects; not dead
-            diags.warning(
-                self.code,
-                f"result {value!r} of {op.qualified} is never used",
-                func=func.name,
-                op_index=index,
-                op_text=op.to_text(),
-                hint="run DeadCodeElimination or drop the op",
-            )
-
-
-class RedundantMaterializationRule(LintRule):
-    code = "redundant-materialization"
-
-    def run(self, func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-        # group by the cheap (op, operand-ids) key first; the repr-based
-        # attr key is only worth computing for ops that actually collide
-        groups: Dict[Tuple[str, Tuple[int, ...]], List[int]] = {}
-        for index, op in enumerate(func.ops):
-            if not _is_pure(op) or len(op.results) != 1:
-                continue
-            key = (op.qualified, tuple(id(v) for v in op.operands))
-            groups.setdefault(key, []).append(index)
-        for indices in groups.values():
-            if len(indices) < 2:
-                continue
-            seen: Dict[str, int] = {}
-            for index in indices:
-                op = func.ops[index]
-                attr_key = _attr_key(op.attrs) if op.attrs else ""
-                first = seen.get(attr_key)
-                if first is not None:
-                    diags.warning(
-                        self.code,
-                        f"{op.qualified} recomputes (and rematerializes) the "
-                        f"value already produced by op#{first}",
-                        func=func.name,
-                        op_index=index,
-                        op_text=op.to_text(),
-                        hint="run CommonSubexpressionElimination or reuse "
-                        f"op#{first}'s result",
-                    )
-                else:
-                    seen[attr_key] = index
-
-
-class RefusableFusionRule(LintRule):
-    code = "refusable-fusion"
-
-    def run(self, func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-        for index, op in enumerate(func.ops):
-            if not _fusable(op):
-                continue
-            for value in op.operands:
-                producer = value.producer
-                if producer is None or not _fusable(producer):
-                    continue
-                if len(chains.uses_of(value)) != 1 or id(value) in chains.returned:
-                    continue  # result feeds several consumers: fusion blocked
-                diags.warning(
-                    self.code,
-                    f"elementwise chain {producer.qualified} -> {op.qualified} "
-                    "is unfused (two kernel launches where one would do)",
-                    func=func.name,
-                    op_index=index,
-                    op_text=op.to_text(),
-                    hint="run FuseElementwise",
-                )
-                break  # one report per consumer is enough
-
-
-class ConstantFoldableRule(LintRule):
-    code = "constant-foldable"
-
-    def run(self, func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-        for index, op in enumerate(func.ops):
-            if op.dialect != "linalg" or op.name == "constant":
-                continue
-            if len(op.results) != 1 or not op.operands:
-                continue
-            producers = [v.producer for v in op.operands]
-            if any(p is None or p.qualified != "linalg.constant" for p in producers):
-                continue
-            diags.warning(
-                self.code,
-                f"{op.qualified} consumes only constants; it could be folded "
-                "at compile time",
-                func=func.name,
-                op_index=index,
-                op_text=op.to_text(),
-                hint="run ConstantFold",
-            )
-
-
-LINT_RULES: List[LintRule] = [
-    DeadValueRule(),
-    RedundantMaterializationRule(),
-    RefusableFusionRule(),
-    ConstantFoldableRule(),
-]
-
-
-def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
-    """All four builtin rules in one walk over the ops (same findings as
-    running ``LINT_RULES`` one by one, interleaved per op instead of
-    grouped per rule).  The linter runs inside every strict pipeline, so
-    the clean-function path — one dialect lookup per op, no text
-    rendering — is kept as tight as the verifier's."""
+def lint_function(func: Function, diags: Optional[DiagnosticSet] = None) -> DiagnosticSet:
+    """All four rules in one walk over the ops.  The linter runs inside every
+    strict pipeline, so the clean-function path — one dialect lookup per op,
+    no text rendering — is kept as tight as the verifier's."""
+    diags = diags if diags is not None else DiagnosticSet()
+    chains = def_use(func)
     use_sites = chains.use_sites
     returned = chains.returned
     # redundant-materialization state: cheap key -> first op index, widened
@@ -165,7 +52,7 @@ def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
             for value in op.results:
                 if not use_sites.get(id(value)) and id(value) not in returned:
                     diags.warning(
-                        DeadValueRule.code,
+                        DEAD_VALUE,
                         f"result {value!r} of {op.qualified} is never used",
                         func=func.name,
                         op_index=index,
@@ -189,7 +76,7 @@ def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
                     first = entry.get(attr_key)
                     if first is not None:
                         diags.warning(
-                            RedundantMaterializationRule.code,
+                            REDUNDANT_MATERIALIZATION,
                             f"{op.qualified} recomputes (and rematerializes) the "
                             f"value already produced by op#{first}",
                             func=func.name,
@@ -211,7 +98,7 @@ def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
                 if len(use_sites.get(id(value), ())) != 1 or id(value) in returned:
                     continue  # result feeds several consumers: fusion blocked
                 diags.warning(
-                    RefusableFusionRule.code,
+                    REFUSABLE_FUSION,
                     f"elementwise chain {producer.qualified} -> {op.qualified} "
                     "is unfused (two kernel launches where one would do)",
                     func=func.name,
@@ -232,7 +119,7 @@ def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
             )
         ):
             diags.warning(
-                ConstantFoldableRule.code,
+                CONSTANT_FOLDABLE,
                 f"{op.qualified} consumes only constants; it could be folded "
                 "at compile time",
                 func=func.name,
@@ -240,29 +127,11 @@ def _lint_all(func: Function, chains: DefUse, diags: DiagnosticSet) -> None:
                 op_text=op.to_text(),
                 hint="run ConstantFold",
             )
-
-
-def lint_function(
-    func: Function,
-    diags: Optional[DiagnosticSet] = None,
-    rules: Optional[List[LintRule]] = None,
-) -> DiagnosticSet:
-    diags = diags if diags is not None else DiagnosticSet()
-    chains = def_use(func)
-    if rules is None:
-        _lint_all(func, chains, diags)
-    else:
-        for rule in rules:
-            rule.run(func, chains, diags)
     return diags
 
 
-def lint_module(
-    module: Module,
-    diags: Optional[DiagnosticSet] = None,
-    rules: Optional[List[LintRule]] = None,
-) -> DiagnosticSet:
+def lint_module(module: Module, diags: Optional[DiagnosticSet] = None) -> DiagnosticSet:
     diags = diags if diags is not None else DiagnosticSet()
     for func in module.functions.values():
-        lint_function(func, diags, rules)
+        lint_function(func, diags)
     return diags

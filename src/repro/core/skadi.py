@@ -93,23 +93,10 @@ class Skadi:
         """
         func = sql_to_ir(query, _catalog_of(tables))
         lines = ["== logical (relational) IR ==", func.to_text()]
+        lowered, graph, _sink, _stats = self._plan(func, tables)
         if self.optimize_ir:
-            PassManager(relational_optimizer()).run(func)
             lines += ["", "== after relational rules ==", func.to_text()]
-        lowered = lower_relational_to_df(func)
-        if self.optimize_ir:
-            PassManager().run(lowered)
         lines += ["", "== lowered (df/kernel) IR ==", lowered.to_text()]
-        graph, sink = ir_to_flowgraph(
-            lowered,
-            shards=self.shards,
-            table_rows={name: batch.num_rows for name, batch in tables.items()},
-            broadcast_threshold=self.broadcast_threshold,
-        )
-        if self.optimize_graph:
-            optimize(graph)
-            sink = self._sink_after_optimize(graph, sink)
-        pgraph = to_physical(graph)
         lines += ["", "== flowgraph =="]
         lines.extend(
             f"  {vertex.vertex_id} {vertex.name} x{vertex.parallelism}"
@@ -118,11 +105,14 @@ class Skadi:
         for edge in graph.edges:
             keyed = f" [shuffle on {edge.key!r}]" if edge.key else ""
             lines.append(f"  {edge.src} -> {edge.dst}:{edge.dst_port}{keyed}")
-        lines.append(f"  physical tasks: {pgraph.num_tasks}")
+        lines.append(f"  physical tasks: {to_physical(graph).num_tasks}")
         return "\n".join(lines)
 
-    def _run_ir(self, func: Function, tables: Mapping[str, RecordBatch]) -> RecordBatch:
-        report = QueryReport(ir_text=func.to_text())
+    def _plan(self, func: Function, tables: Mapping[str, RecordBatch]):
+        """Relational IR -> optimized FlowGraph, spelled once: ``explain``
+        describes the plan ``_run_ir`` executes.  Optimizes ``func`` in place
+        (lowering builds a new function); returns ``(lowered, graph, sink,
+        graph optimizer stats)``."""
         if self.optimize_ir:
             # relational rules first (filter pushdown shrinks the shuffles),
             # then the generic dialect-agnostic passes after lowering
@@ -130,18 +120,24 @@ class Skadi:
         lowered = lower_relational_to_df(func)
         if self.optimize_ir:
             PassManager().run(lowered)
-        report.lowered_text = lowered.to_text()
-        self._record_for_analysis(lowered)
         graph, sink = ir_to_flowgraph(
             lowered,
             shards=self.shards,
             table_rows={name: batch.num_rows for name, batch in tables.items()},
             broadcast_threshold=self.broadcast_threshold,
         )
+        opt_stats = None
         if self.optimize_graph:
-            report.opt_stats = optimize(graph)
+            opt_stats = optimize(graph)
             # fusion may replace the sink vertex; re-locate it
             sink = self._sink_after_optimize(graph, sink)
+        return lowered, graph, sink, opt_stats
+
+    def _run_ir(self, func: Function, tables: Mapping[str, RecordBatch]) -> RecordBatch:
+        report = QueryReport(ir_text=func.to_text())
+        lowered, graph, sink, report.opt_stats = self._plan(func, tables)
+        report.lowered_text = lowered.to_text()
+        self._record_for_analysis(lowered)
         report.graph_vertices = len(graph.vertices)
         result = self.run_flowgraph(graph, sink, tables, report=report)
         self.last_report = report

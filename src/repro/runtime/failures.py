@@ -213,7 +213,7 @@ class FailureDomains:
         rt._probe_site("gcs")  # death declarations are the detector's act
         lost = rt.ownership.drop_node(node_id)
         rt._record("node_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        self._rehome_actors(
+        rt.actors.rehome(
             lambda dev: rt.cluster.node_of_device(dev).node_id == node_id,
             f"node {node_id} failed",
         )
@@ -255,18 +255,10 @@ class FailureDomains:
             "device deaths the control plane acted on, by device kind",
             kind=device.kind.value,
         ).inc()
-        self._rehome_actors(lambda dev: dev == device_id, f"device {device_id} failed")
+        rt.actors.rehome(lambda dev: dev == device_id, f"device {device_id} failed")
         self._interrupt_device(device_id, cause)
         rt.recovery.objects_lost(lost)
         return lost
-
-    def _rehome_actors(self, homed_there: Callable[[str], bool], cause: str) -> None:
-        """Actor state is volatile: actors homed on the dead domain restart
-        from their last checkpoint elsewhere, or die if there is none."""
-        rt = self.rt
-        for actor_id in sorted(rt._actor_device):
-            if actor_id not in rt._dead_actors and homed_there(rt._actor_device[actor_id]):
-                rt._restore_actor(actor_id, cause=cause)
 
     def blade_dead(self, node_id: str, cause: str) -> List[str]:
         """A memory blade died: every spilled object whose only copy sat

@@ -14,7 +14,6 @@ and performance shapes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from ..telemetry.critical_path import CriticalPathResult
 from ..telemetry.critical_path import critical_path as extract_critical_path
 from ..telemetry.spans import Span
 from . import ha, overload
+from .actors import ActorHandle, Actors
 from .config import Generation, RuntimeConfig
 from .dataplane import DataPlane
 from .events import EventLog, RuntimeEvent
@@ -41,10 +41,10 @@ from .object_ref import ObjectRef, replace_refs
 from .object_store import LocalObjectStore, SpillFailedError, StoreUnavailableError
 from .ownership import DRIVER, OwnershipTable
 from .raylet import Raylet
-from .recovery import ABSENT, Recovery
+from .recovery import Recovery
 from .scheduler import PlacementError, Scheduler
 from .supervision import Supervisor
-from .task import ANY_COMPUTE_KIND, IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState
+from .task import IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState
 
 __all__ = [
     "ServerlessRuntime",
@@ -54,8 +54,6 @@ __all__ = [
     "GetTimeoutError",
     "TaskTimeline",
 ]
-
-ACTOR_CHECKPOINT_PREFIX = "__actor__/"
 
 _TERMINAL = TERMINAL_STATES
 
@@ -145,61 +143,6 @@ class _TaskCtx:
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
 
 
-class _ActorLock:
-    """FIFO mutual exclusion for one actor's method calls."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.busy = False
-        self.queue: List[Signal] = []
-
-    def acquire(self) -> Generator:
-        if not self.busy:
-            self.busy = True
-            return
-            yield  # noqa: unreachable — marks this function as a generator
-        turn = Signal(self.sim)
-        self.queue.append(turn)
-        yield turn  # the releasing holder passes the baton; busy stays True
-
-    def release(self) -> None:
-        if self.queue:
-            nxt = self.queue.pop(0)
-            self.sim.schedule(0.0, nxt.succeed)
-        else:
-            self.busy = False
-
-
-class ActorHandle:
-    """Client-side handle to a stateful actor."""
-
-    def __init__(self, runtime: "ServerlessRuntime", actor_id: str, device_id: str):
-        self._runtime = runtime
-        self.actor_id = actor_id
-        self._initial_device_id = device_id
-
-    @property
-    def device_id(self) -> str:
-        """The actor's *current* home — reconstruction may move it."""
-        return self._runtime._actor_device.get(self.actor_id, self._initial_device_id)
-
-    def call(
-        self,
-        method: Callable[..., Any],
-        *args: Any,
-        compute_cost: float = 1e-4,
-        output_nbytes: Optional[int] = None,
-        **kwargs: Any,
-    ) -> ObjectRef:
-        """Invoke ``method(state, *args, **kwargs)`` serially on the actor."""
-        return self._runtime._submit_actor_task(
-            self, method, args, kwargs, compute_cost, output_nbytes
-        )
-
-    def __repr__(self) -> str:
-        return f"ActorHandle({self.actor_id}@{self.device_id})"
-
-
 class ServerlessRuntime:
     """The distributed task execution engine over a simulated cluster."""
 
@@ -265,15 +208,9 @@ class ServerlessRuntime:
         self._ctx_of_object: Dict[str, _TaskCtx] = {}
         self._gangs: Dict[str, List[_TaskCtx]] = {}
         self.data = DataPlane(self)  # always: objects always move
-        self._actor_state: Dict[str, Any] = {}
-        self._actor_locks: Dict[str, _ActorLock] = {}
-        self._actor_device: Dict[str, str] = {}
-        self._actor_kinds: Dict[str, FrozenSet[DeviceKind]] = {}
-        self._actor_calls: Dict[str, int] = {}  # completed methods (ckpt cadence)
-        self._dead_actors: Dict[str, str] = {}  # actor_id -> cause
+        self.actors = Actors(self)  # always: an actor can always be created
         self.failures = FailureDomains(self)  # always: a fault can always happen
         self.supervisor = Supervisor(self)  # always: an attempt can always fail
-        self.actor_restarts = 0
         self.timelines: List[TaskTimeline] = []
         self.tasks_finished = 0
         self.tasks_failed = 0
@@ -295,9 +232,6 @@ class ServerlessRuntime:
         )
         self._m_replays = reg.counter(
             "skadi_lineage_replays_total", "tasks re-executed to rebuild lost objects"
-        )
-        self._m_restarts = reg.counter(
-            "skadi_actor_restarts_total", "actors reconstructed from checkpoints"
         )
         self._m_latency = reg.histogram(
             "skadi_task_latency_seconds", "submit-to-finish latency per task"
@@ -892,10 +826,7 @@ class ServerlessRuntime:
                 self._parked.append(ctx)
             return
         if spec.actor_id is not None:
-            # reconstruction may have re-homed the actor since submission
-            home = self._actor_device.get(spec.actor_id)
-            if home is not None:
-                spec.pinned_device = home
+            self.actors.home(spec)
         if not preplaced or ctx.device is None:
             ctx.device = self.scheduler.place(spec)
             # only a pinned device can be dead here: candidates() filters the rest
@@ -1021,8 +952,9 @@ class ServerlessRuntime:
         # Gen-1: the DPU raylet must poke the companion device
         if raylet.endpoint != device.device_id:
             yield self.net.message(raylet.endpoint, device.device_id, label="launch")
+        turn = None
         if spec.actor_id is not None:
-            yield self._actor_acquire(spec.actor_id)
+            turn = yield from self.actors.turn(spec.actor_id)
         try:
             ctx.state = TaskState.RUNNING
             self.scheduler.task_started(device.device_id)
@@ -1035,18 +967,13 @@ class ServerlessRuntime:
                 if not device.alive:
                     raise _TransientTaskError("device died during execution")
                 value, nbytes = self._execute_payload(ctx)
-                if spec.actor_id is not None and self.reliable_cache is not None:
-                    calls = self._actor_calls[spec.actor_id] = (
-                        self._actor_calls.get(spec.actor_id, 0) + 1
-                    )
-                    every = self.config.actor_checkpoint_every
-                    if every > 0 and calls % every == 0:
-                        yield from self._checkpoint_actor(spec.actor_id)
+                if spec.actor_id is not None:
+                    yield from self.actors.called(spec.actor_id)
             finally:
                 self.scheduler.task_finished(device.device_id)
         finally:
-            if spec.actor_id is not None:
-                self._actor_release(spec.actor_id)
+            if turn is not None:
+                turn.release()  # the one taken: a restore gives the actor a fresh one
         return value, nbytes
 
     def _commit(
@@ -1148,19 +1075,6 @@ class ServerlessRuntime:
         if not ctx.done.triggered:
             ctx.done.succeed()
 
-    def _checkpoint_actor(self, actor_id: str) -> Generator:
-        """Snapshot the actor's state into the reliable cache (deep copy, so
-        later in-place mutation cannot corrupt the checkpoint)."""
-        assert self.reliable_cache is not None
-        snapshot = copy.deepcopy(self._actor_state[actor_id])
-        nbytes = estimate_nbytes(snapshot)
-        home = self._actor_device.get(actor_id)
-        node = self.cluster.node_of_device(home).node_id if home else None
-        cost = self.reliable_cache.put(
-            ACTOR_CHECKPOINT_PREFIX + actor_id, snapshot, nbytes, preferred_node=node
-        )
-        yield self.sim.timeout(cost)
-
     def _execute_payload(self, ctx: _TaskCtx) -> Tuple[Any, int]:
         """Run the real Python function with resolved arguments."""
         spec = ctx.spec
@@ -1176,12 +1090,10 @@ class ServerlessRuntime:
         args = replace_refs(list(spec.args), resolved)
         kwargs = replace_refs(dict(spec.kwargs), resolved)
         if spec.actor_id is not None:
-            if spec.actor_id in self._dead_actors:
-                raise TaskError(
-                    f"actor {spec.actor_id} is dead: {self._dead_actors[spec.actor_id]}"
-                )
-            state = self._actor_state[spec.actor_id]
-            value = spec.func(state, *args, **kwargs)
+            epitaph = self.actors.epitaph(spec.actor_id)
+            if epitaph is not None:
+                raise TaskError(epitaph)
+            value = spec.func(self.actors.state[spec.actor_id], *args, **kwargs)
         else:
             value = spec.func(*args, **kwargs)
         nbytes = (
@@ -1211,116 +1123,13 @@ class ServerlessRuntime:
     ) -> ActorHandle:
         """Instantiate a stateful actor on a device chosen by the scheduler
         (or pinned explicitly)."""
-        actor_id = self.ids.actor_id()
-        probe = TaskSpec(
-            task_id=f"{actor_id}-placement",
-            func=ctor,
-            supported_kinds=frozenset(supported_kinds),
-            pinned_device=pinned_device,
+        return self.actors.create(
+            ctor, args, kwargs or {}, frozenset(supported_kinds), pinned_device
         )
-        device = self.scheduler.place(probe)
-        self._actor_state[actor_id] = ctor(*args, **(kwargs or {}))
-        self._actor_device[actor_id] = device.device_id
-        self._actor_kinds[actor_id] = frozenset(supported_kinds)
-        self._actor_calls[actor_id] = 0
-        if self.reliable_cache is not None:
-            # checkpoint 0: even an actor that dies before its first method
-            # call can be reconstructed
-            snapshot = copy.deepcopy(self._actor_state[actor_id])
-            self.reliable_cache.put(
-                ACTOR_CHECKPOINT_PREFIX + actor_id,
-                snapshot,
-                estimate_nbytes(snapshot),
-                preferred_node=device.node_id,
-            )
-        return ActorHandle(self, actor_id, device.device_id)
 
-    def _submit_actor_task(
-        self,
-        handle: ActorHandle,
-        method: Callable[..., Any],
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        compute_cost: float,
-        output_nbytes: Optional[int],
-    ) -> ObjectRef:
-        spec = TaskSpec(
-            task_id=self.ids.task_id(),
-            func=method,
-            args=tuple(args),
-            kwargs=dict(kwargs),
-            compute_cost=compute_cost,
-            output_nbytes=output_nbytes,
-            supported_kinds=ANY_COMPUTE_KIND,
-            pinned_device=handle.device_id,
-            name=f"{handle.actor_id}.{getattr(method, '__name__', 'method')}",
-            actor_id=handle.actor_id,
-        )
-        return self._submit_spec(spec)
-
-    def _actor_acquire(self, actor_id: str):
-        lock = self._actor_locks.get(actor_id)
-        if lock is None:
-            lock = _ActorLock(self.sim)
-            self._actor_locks[actor_id] = lock
-        return self.sim.process(lock.acquire(), name=f"{actor_id}:acquire")
-
-    def _actor_release(self, actor_id: str) -> None:
-        # reconstruction replaces the lock; a call interrupted mid-flight may
-        # release into the void, which is exactly right — its generation died
-        lock = self._actor_locks.get(actor_id)
-        if lock is not None:
-            lock.release()
-
-    def _restore_actor(self, actor_id: str, cause: str) -> bool:
-        """Restart a lost actor from its last checkpoint on a surviving node.
-
-        Returns False (and declares the actor dead) when there is no
-        checkpoint to restore from or nowhere left to place it.
-        """
-        snapshot = self.recovery.read_cache(ACTOR_CHECKPOINT_PREFIX + actor_id)
-        if snapshot is ABSENT:
-            self._dead_actors[actor_id] = cause
-            self._actor_state.pop(actor_id, None)
-            self._record("actor_dead", actor=actor_id, cause=cause)
-            return False
-        probe = TaskSpec(
-            task_id=f"{actor_id}-restart{self.actor_restarts}",
-            func=lambda: None,
-            supported_kinds=self._actor_kinds.get(
-                actor_id, frozenset({DeviceKind.CPU})
-            ),
-        )
-        try:
-            device = self.scheduler.place(probe)
-        except PlacementError:
-            self._dead_actors[actor_id] = f"{cause}; no surviving device"
-            self._actor_state.pop(actor_id, None)
-            self._record(
-                "actor_dead", actor=actor_id, cause=f"{cause}; no surviving device"
-            )
-            return False
-        self._actor_state[actor_id] = copy.deepcopy(snapshot)
-        self._actor_device[actor_id] = device.device_id
-        self._actor_locks.pop(actor_id, None)  # in-flight calls died with the node
-        self.actor_restarts += 1
-        self._m_restarts.inc()
-        self._record(
-            "actor_restart", actor=actor_id, device=device.device_id, cause=cause
-        )
-        return True
-
-    def _ensure_actor_home(self, ctx: _TaskCtx) -> bool:
-        """Before (re)dispatching an actor task: is the actor somewhere live?"""
-        aid = ctx.spec.actor_id
-        if aid in self._dead_actors:
-            return False
-        if aid not in self._actor_state:
-            return self._restore_actor(aid, cause="home state lost")
-        home = self._actor_device.get(aid)
-        if home is None or not self._device_alive(home):
-            return self._restore_actor(aid, cause="home device unavailable")
-        return True
+    @property
+    def actor_restarts(self) -> int:
+        return self.actors.restarts
 
     # -- explicit memory management -----------------------------------------------------
 

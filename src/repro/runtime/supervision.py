@@ -125,9 +125,9 @@ class Supervisor:
         rt = self.rt
         if ctx.state != TaskState.PENDING or rt.ownership.is_ready(ctx.ref.object_id):
             return  # the race resolved while we backed off (twin won, failed)
-        if ctx.spec.actor_id is not None and not rt._ensure_actor_home(ctx):
-            cause = rt._dead_actors.get(ctx.spec.actor_id, "unknown")
-            rt._fail_ctx(ctx, f"actor {ctx.spec.actor_id} is dead: {cause}")
+        actor_id = ctx.spec.actor_id
+        if actor_id is not None and not rt.actors.ensure_home(actor_id):
+            rt._fail_ctx(ctx, rt.actors.epitaph(actor_id))
             return
         rt._place_or_retry(rt._route, ctx)
 

@@ -86,8 +86,10 @@ def assert_recovery_drained(rt) -> None:
     """Drain the simulation, then: recovery and object lifetime hold nothing
     back (the fourth brick of the quiescence invariant, ROADMAP item 4) — no
     free is still deferred, every checkpoint belongs to a live directory
-    entry, and every task, replays included, concluded."""
+    entry, every task, replays included, concluded, and no actor's turn is
+    held or waited for."""
     rt.sim.run()
+    assert all(turn.in_use == 0 and turn.queued == 0 for turn in rt.actors.turns.values())
     assert not rt.recovery.deferred_frees
     assert all(rt.ownership.contains(oid) for oid in rt.recovery.checkpoints)
     assert rt._open_tasks == 0

@@ -441,7 +441,7 @@ class TestActorReconstruction:
         assert rt.log.count("actor_restart") == 1
         new_home = actor.device_id
         assert rt.cluster.node_of_device(new_home).node_id != "server1"
-        assert not rt._dead_actors
+        assert not rt.actors.dead
 
     def test_actor_dies_without_checkpoint(self):
         from repro.runtime import TaskError
@@ -453,7 +453,7 @@ class TestActorReconstruction:
         ref = actor.call(self._mark, 1, compute_cost=2e-2)
         with pytest.raises(TaskError, match="actor .* is dead"):
             rt.get(ref)
-        assert actor.actor_id in rt._dead_actors
+        assert actor.actor_id in rt.actors.dead
         assert rt.log.count("actor_dead") == 1
 
 

@@ -349,7 +349,7 @@ class TestDeadActorPath:
         for _ in range(2):  # dead is dead: no zombie revival on later calls
             with pytest.raises(TaskError, match="actor .* is dead"):
                 rt.get(actor.call(self._bump))
-        assert actor.actor_id in rt._dead_actors
+        assert actor.actor_id in rt.actors.dead
         assert rt.log.count("actor_dead") == 1
         assert_recovery_drained(rt)
 

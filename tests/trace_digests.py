@@ -9,15 +9,20 @@ control_messages bytes_moved sha1(metrics_summary)``, written at the test's
 teardown for the runtimes built since the previous one.  Without the option
 the plugin does nothing.  Set ``BENCH_ARTIFACTS`` when running it over
 ``benchmarks/`` so no committed baseline is rewritten.
+
+    python tests/trace_digests.py --compare A B
+
+exits 1 and lists the runtimes whose line differs in any column before the
+last (a trace moved); a line that differs only in its final-metrics column, or
+exists in one file only, is printed and does not fail.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
-
-from repro.runtime.runtime import ServerlessRuntime
 
 UNSEEDED = ("tests/test_properties.py",)  # hypothesis draws differ run to run
 
@@ -37,6 +42,8 @@ class _Recorder:
     def __init__(self, path: str):
         self.out = open(path, "w")
         self.built = []
+        from repro.runtime.runtime import ServerlessRuntime  # --compare runs without src/
+
         init, built = ServerlessRuntime.__init__, self.built
 
         def registering_init(rt, *args, **kwargs):
@@ -66,3 +73,27 @@ def pytest_configure(config):
     path = config.getoption("--trace-digests")
     if path:
         config.pluginmanager.register(_Recorder(path), "trace-digest-recorder")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    def load(path):
+        with open(path) as lines:
+            rows = [line.split() for line in lines]
+        return {" ".join(row[:-6]): (row[-6:-1], row[-1]) for row in rows}
+
+    a, b = load(path_a), load(path_b)
+    for key in sorted(a.keys() ^ b.keys()):
+        print(f"only in {path_a if key in a else path_b}: {key}")
+    both = sorted(a.keys() & b.keys())
+    for key in (k for k in both if a[k][0] == b[k][0] and a[k][1] != b[k][1]):
+        print(f"metrics only: {key} {a[key][1]} -> {b[key][1]}")
+    moved = [k for k in both if a[k][0] != b[k][0]]
+    for key in moved:
+        print(f"TRACE MOVED: {key} {' '.join(a[key][0])} -> {' '.join(b[key][0])}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4 or sys.argv[1] != "--compare":
+        sys.exit("usage: python tests/trace_digests.py --compare A B")
+    sys.exit(compare(sys.argv[2], sys.argv[3]))
