@@ -143,10 +143,10 @@ class RecordBatch:
     # -- access ------------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
-        for field, col in zip(self.schema.fields, self._columns, strict=False):
-            if field.name == name:
-                return col
-        raise KeyError(f"no column {name!r}; have {self.schema.names}")
+        try:
+            return self._columns[self.schema._index[name]]
+        except KeyError:
+            raise KeyError(f"no column {name!r}; have {self.schema.names}") from None
 
     def columns(self) -> Dict[str, np.ndarray]:
         return {f.name: c for f, c in zip(self.schema.fields, self._columns, strict=False)}
@@ -193,7 +193,7 @@ class RecordBatch:
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or len(mask) != self.num_rows:
             raise ValueError("mask must be a boolean array matching num_rows")
-        return RecordBatch(self.schema, [c[mask] for c in self._columns])
+        return self.take(np.flatnonzero(mask))  # scan the mask once, not once per column
 
     def take(self, indices: np.ndarray) -> "RecordBatch":
         indices = np.asarray(indices)

@@ -77,7 +77,7 @@ def _make_split_fn(task: PhysicalTask):
         batch = _gather(GatherMode.DIRECT, [batch])
         if not isinstance(batch, RecordBatch):
             raise TypeError(f"keyed edge over non-RecordBatch value ({type(batch)})")
-        return hash_partition(batch, key, n)[index]
+        return hash_partition(batch, key, n, only=(index,))[0]
 
     run_split.__name__ = f"split_{key}_{index}"
     return run_split

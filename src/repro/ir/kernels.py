@@ -8,7 +8,7 @@ format exists to support.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,20 +54,26 @@ def k_project(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
 
 
 def k_join(attrs: Dict[str, Any], left: RecordBatch, right: RecordBatch) -> RecordBatch:
+    """Inner equi-join: rows in probe (left) order, then build (right) order
+    within a key.  Keys compare as numpy compares them (mixed widths and
+    int/float after promotion); a NaN key matches nothing."""
     left_on, right_on = attrs["left_on"], attrs["right_on"]
-    build = right.column(right_on)
-    index: Dict[Any, List[int]] = {}
-    for i, key in enumerate(build.tolist()):
-        index.setdefault(key, []).append(i)
-    probe = left.column(left_on).tolist()
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    for i, key in enumerate(probe):
-        for j in index.get(key, ()):
-            left_idx.append(i)
-            right_idx.append(j)
-    li = np.asarray(left_idx, dtype=np.int64)
-    ri = np.asarray(right_idx, dtype=np.int64)
+    build, probe = right.column(right_on), left.column(left_on)
+    order = np.argsort(build, kind="stable")  # equal keys stay in build order
+    sorted_build = build[order]
+    head = np.ones(len(build), dtype=bool)  # first row of each run of equal keys
+    head[1:] = sorted_build[1:] != sorted_build[:-1]
+    starts = np.flatnonzero(head)
+    run_len = np.zeros(len(build) + 1, dtype=np.intp)  # by sorted position; 0 past the end
+    run_len[starts] = np.diff(starts, append=len(build))
+    lo = np.searchsorted(sorted_build, probe)
+    counts = run_len[lo]
+    # the search lands on a run's head: its own key's, or the next larger one's
+    landed = np.flatnonzero(counts)
+    counts[landed[sorted_build[lo[landed]] != probe[landed]]] = 0
+    li = np.repeat(np.arange(len(probe)), counts)
+    first_out = np.cumsum(counts) - counts  # where each probe row's matches start
+    ri = order[np.arange(len(li)) + np.repeat(lo - first_out, counts)]
     cols: Dict[str, np.ndarray] = {}
     for name in left.schema.names:
         cols[name] = left.column(name)[li]
@@ -79,62 +85,47 @@ def k_join(attrs: Dict[str, Any], left: RecordBatch, right: RecordBatch) -> Reco
     return RecordBatch.from_arrays(cols)
 
 
-_AGG_IMPL: Dict[str, Callable[[np.ndarray], Any]] = {
-    "sum": np.sum,
-    "count": len,
-    "mean": np.mean,
-    "min": np.min,
-    "max": np.max,
-}
+_REDUCE: Dict[str, np.ufunc] = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
 def k_aggregate(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
+    """Grouped (or, without keys, whole-frame) aggregates, groups in key
+    order.  ``count`` is int64, ``mean`` float64, ``min``/``max`` the source
+    column's dtype and ``sum`` what numpy's add-reduction makes of it (the
+    column's own for int64 and floats; bools count) — also for no rows."""
     keys = list(attrs.get("keys", ()))
-    aggs = list(attrs["aggs"])
-    if not keys:
-        cols: Dict[str, np.ndarray] = {}
-        for out_name, fn, colname in aggs:
-            source = batch.column(colname if fn != "count" else batch.schema.names[0])
-            value = _AGG_IMPL[fn](source) if batch.num_rows else _empty_agg(fn)
-            dtype = np.int64 if fn == "count" else None
-            cols[out_name] = np.asarray([value], dtype=dtype)
-        return RecordBatch.from_arrays(cols)
-
-    key_arrays = [batch.column(k) for k in keys]
-    # lexicographic group identification
-    order = np.lexsort(key_arrays[::-1])
-    sorted_keys = [arr[order] for arr in key_arrays]
-    if batch.num_rows == 0:
-        boundaries = np.asarray([], dtype=np.int64)
-    else:
-        changed = np.zeros(batch.num_rows, dtype=bool)
-        changed[0] = True
+    n = batch.num_rows
+    cols: Dict[str, np.ndarray] = {}
+    if keys:
+        key_arrays = [batch.column(k) for k in keys]
+        # lexicographic group identification
+        order = np.lexsort(key_arrays[::-1])
+        sorted_keys = [arr[order] for arr in key_arrays]
+        changed = np.zeros(n, dtype=bool)
+        changed[:1] = True
         for arr in sorted_keys:
             changed[1:] |= arr[1:] != arr[:-1]
-        boundaries = np.flatnonzero(changed)
-    cols = {}
-    for key_name, arr in zip(keys, sorted_keys, strict=False):
-        cols[key_name] = arr[boundaries]
-    group_slices = list(zip(boundaries, list(boundaries[1:]) + [batch.num_rows], strict=False))
-    for out_name, fn, colname in aggs:
+        starts = np.flatnonzero(changed)
+        for key_name, arr in zip(keys, sorted_keys, strict=False):
+            cols[key_name] = arr[starts]
+    else:  # one group, the whole frame as it stands, even when that is no row
+        order = slice(None)
+        starts = np.zeros(1, dtype=np.intp)
+    counts = np.diff(starts, append=n)
+    for out_name, fn, colname in attrs["aggs"]:
         if fn == "count":
-            cols[out_name] = np.asarray(
-                [b - a for a, b in group_slices], dtype=np.int64
-            )
+            cols[out_name] = counts.astype(np.int64, copy=False)
             continue
         source = batch.column(colname)[order]
-        cols[out_name] = np.asarray(
-            [_AGG_IMPL[fn](source[a:b]) for a, b in group_slices]
-        )
+        if n == 0 and not keys:  # reduceat cannot name an empty group
+            if fn != "sum":
+                raise ValueError(f"aggregate {fn!r} of an empty frame is undefined")
+            cols[out_name] = np.add.reduce(source, keepdims=True)
+        elif fn == "mean":
+            cols[out_name] = np.add.reduceat(source, starts, dtype=np.float64) / counts
+        else:
+            cols[out_name] = _REDUCE[fn].reduceat(source, starts)
     return RecordBatch.from_arrays(cols)
-
-
-def _empty_agg(fn: str) -> Any:
-    if fn == "count":
-        return 0
-    if fn == "sum":
-        return 0.0
-    raise ValueError(f"aggregate {fn!r} of an empty frame is undefined")
 
 
 def k_sort(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
@@ -254,12 +245,22 @@ def hk_normalize(tensor: np.ndarray) -> np.ndarray:
     return (tensor - tensor.mean(axis=0)) / std
 
 
-def hash_partition(batch: RecordBatch, column: str, num_partitions: int) -> List[RecordBatch]:
-    """Split a batch by hash of a key column (keyed-edge semantics)."""
+def hash_partition(
+    batch: RecordBatch,
+    column: str,
+    num_partitions: int,
+    only: Optional[Sequence[int]] = None,
+) -> List[RecordBatch]:
+    """Split a batch by hash of a key column (keyed-edge semantics), rows in
+    input order.  ``only`` names the partitions to build (indexed as the
+    full list would be); the default is all of them, in order."""
     if num_partitions < 1:
         raise ValueError(f"need >= 1 partitions, got {num_partitions}")
+    wanted = range(num_partitions)
+    if only is not None:
+        wanted = [wanted[p] for p in only]
     keys = batch.column(column)
     # deterministic integer hash (avoid PYTHONHASHSEED nondeterminism)
-    buckets = (keys.astype(np.int64) * np.int64(2654435761)) % num_partitions
+    buckets = (keys.astype(np.int64, copy=False) * np.int64(2654435761)) % num_partitions
     buckets = np.abs(buckets)
-    return [batch.filter(buckets == p) for p in range(num_partitions)]
+    return [batch.filter(buckets == p) for p in wanted]

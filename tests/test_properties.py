@@ -6,8 +6,8 @@ These check the invariants the whole reproduction rests on:
   task DAGs, under every generation/resolution configuration;
 * the simulator is deterministic: same program, same virtual trace;
 * the tiered cache never loses or corrupts objects under random workloads;
-* random SQL filters agree between the distributed path and the
-  reference interpreter.
+* random SQL filters, and random grouped aggregates behind a filter and a
+  join, agree between the distributed path and the reference interpreter.
 """
 
 from __future__ import annotations
@@ -202,3 +202,57 @@ class TestRandomSQL:
         assert sorted(out.column("oid").tolist()) == sorted(
             oracle.column("oid").tolist()
         )
+
+
+# -- random grouped aggregates ---------------------------------------------------------
+
+
+@st.composite
+def grouped_query(draw):
+    """GROUP BY one or two low-cardinality keys (fewer groups than shards can
+    be drawn), 1-3 aggregates over an int and a float column, optionally
+    behind a filter and a join against a small table with duplicate keys."""
+    keys = draw(st.lists(st.sampled_from(["g", "h"]), min_size=1, max_size=2, unique=True))
+    agg = st.tuples(st.sampled_from(["SUM", "MIN", "MAX", "AVG"]), st.sampled_from(["k", "x"]))
+    aggs = draw(st.lists(agg | st.just(("COUNT", "*")), min_size=1, max_size=3))
+    select = keys + [f"{fn}({column}) AS a{i}" for i, (fn, column) in enumerate(aggs)]
+    sql = f"SELECT {', '.join(select)} FROM t"
+    if draw(st.booleans()):
+        sql += " JOIN d ON g = dk"
+    clauses = draw(st.lists(filter_clause(), max_size=2))
+    if clauses:
+        sql += " WHERE " + f" {draw(st.sampled_from(['AND', 'OR']))} ".join(clauses)
+    return sql + f" GROUP BY {', '.join(keys)} ORDER BY {', '.join(keys)}"
+
+
+class TestRandomGroupedSQL:
+    @given(sql=grouped_query(), shards=st.sampled_from([1, 2, 4]),
+           broadcast_threshold=st.sampled_from([0, 5_000]))
+    @settings(max_examples=25, deadline=None)
+    def test_distributed_matches_interpreter(self, sql, shards, broadcast_threshold):
+        rng = np.random.default_rng(321)
+        tables = {
+            "t": RecordBatch.from_arrays(
+                {
+                    "g": rng.integers(0, 3, 200),
+                    "h": rng.integers(0, 2, 200),
+                    "k": rng.integers(0, 50, 200),
+                    "x": rng.integers(0, 50, 200) + 0.5,
+                }
+            ),
+            # duplicate keys (0), a key of t with no match (2), a match-less key (3)
+            "d": RecordBatch.from_arrays({"dk": np.array([0, 3, 1, 0]), "w": np.arange(4)}),
+        }
+        catalog = {
+            name: FrameType(tuple((f.name, f.dtype.name) for f in batch.schema.fields))
+            for name, batch in tables.items()
+        }
+        (oracle,) = run_function(sql_to_ir(sql, catalog), tables=tables)
+        out = Skadi(shards=shards, broadcast_threshold=broadcast_threshold).sql(sql, tables)
+        assert out.schema == oracle.schema and out.num_rows == oracle.num_rows
+        for name in oracle.schema.names:
+            got, want = out.column(name), oracle.column(name)
+            if want.dtype.kind == "f":
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0, err_msg=name)
+            else:
+                assert np.array_equal(got, want), name
