@@ -27,6 +27,7 @@ from repro.chaos import ChaosMonkey, ChaosSchedule, NetworkPartition, NodeCrash,
 from repro.cluster import DeviceKind, build_serverful
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import make_reliable_cache
+from repro.runtime.task import TERMINAL_STATES
 
 SEED = 20230622  # HotOS '23
 LANES = 8
@@ -111,6 +112,11 @@ def run_soak(seed, chaos=True, **config_overrides):
     answer = rt.get(total)
     rt.get(audits)
     audited = rt.get(auditor.call(audit_size, compute_cost=1e-3))
+    # a stall is a bug, not a recovery path: nothing waited out the detector's
+    # guard, and no task was left open behind the answer
+    assert rt.log.count("detector_stalled") == 0
+    assert rt._open_tasks == 0
+    assert all(ctx.state in TERMINAL_STATES for ctx in rt._ctxs.values())
     return {
         "rt": rt,
         "monkey": monkey,

@@ -31,6 +31,7 @@ from repro.bench import ResultTable, fmt_seconds
 from repro.chaos import ChaosMonkey, ChaosSchedule
 from repro.cluster import build_serverful
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime, TaskError
+from repro.runtime.task import TERMINAL_STATES
 
 LANES = 8
 DEPTH = 5
@@ -81,6 +82,11 @@ def run_failover(replicas: int):
     else:
         ha = rt.ha
         assert ha is not None
+        # a stall is a bug, not a recovery path: the failover's losses came
+        # back at their verdicts, and no task was left open behind the answer
+        assert rt.log.count("detector_stalled") == 0
+        assert rt._open_tasks == 0
+        assert all(ctx.state in TERMINAL_STATES for ctx in rt._ctxs.values())
         row.update(
             survived=True,
             answer=total,

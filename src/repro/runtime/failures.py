@@ -205,7 +205,8 @@ class FailureDomains:
 
     def node_dead(self, node_id: str, cause: str) -> List[str]:
         """A node died: blacklist, drop object locations, reconstruct
-        actors, interrupt in-flight tasks.  Idempotent per death."""
+        actors, interrupt in-flight tasks, and proactively recover what open
+        tasks still need.  Idempotent per death."""
         rt = self.rt
         if node_id in self.dead_nodes:
             return []
@@ -218,6 +219,7 @@ class FailureDomains:
             f"node {node_id} failed",
         )
         self._interrupt_node(node_id, cause)
+        rt.recovery.objects_lost(lost)
         return lost
 
     def device_dead(self, device_id: str, cause: str) -> List[str]:

@@ -865,7 +865,17 @@ class ServerlessRuntime:
             if self._attempt_superseded(ctx):
                 return
             main = self._ctxs.get(spec.task_id, ctx)
-            yield from self._commit(ctx, device, raylet, value, nbytes)
+            self._commit(ctx, device, raylet, value, nbytes)
+            try:
+                yield from self._announce(ctx, device, raylet, value, nbytes)
+            except Interrupt:
+                # first commit wins, and the winner closes the task: while the
+                # commit stands nobody else will, however its announcement
+                # ended.  Whoever closed the task first (a cancel, a lost
+                # control plane, a twin) still wins; a commit a verdict already
+                # revoked is a failed attempt like any other.
+                if main.state in _TERMINAL or not self.ownership.is_ready(ctx.ref.object_id):
+                    raise
             self._finish(ctx, main, device)
         except Interrupt as intr:
             # a backup copy stands down silently: the original (or the
@@ -978,9 +988,9 @@ class ServerlessRuntime:
 
     def _commit(
         self, ctx: _TaskCtx, device: Device, raylet: Raylet, value: Any, nbytes: int
-    ) -> Generator:
-        """Phase 4: store the output locally, tell the directory, pay the
-        optional reliable-cache write, report ``done`` to the scheduler/GCS."""
+    ) -> None:
+        """Phase 4, the commit point: store the output locally and tell the
+        directory.  No ``yield``: an attempt either committed or it did not."""
         spec, oid = ctx.spec, ctx.ref.object_id
         store = raylet.store_of(device.device_id)
         if store.contains(oid):  # replay may have raced
@@ -999,6 +1009,13 @@ class ServerlessRuntime:
             # downstream recv pairs with originate here
             self.probe_edges.attempt_commit(spec.task_id, ctx.attempt, oid, ctx.is_clone)
             self.probe_edges.object_ready(self.probe_edges.site, oid)
+
+    def _announce(
+        self, ctx: _TaskCtx, device: Device, raylet: Raylet, value: Any, nbytes: int
+    ) -> Generator:
+        """Phase 4, after the commit point: pay the optional reliable-cache
+        write, report ``done`` to the scheduler/GCS."""
+        oid = ctx.ref.object_id
         if self.reliable_cache is not None:  # replication/EC
             cost = self.reliable_cache.put(oid, value, nbytes, preferred_node=device.node_id)
             yield self.sim.timeout(cost)
@@ -1043,11 +1060,16 @@ class ServerlessRuntime:
             main.done.succeed()
 
     def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
-        """This attempt's outcome no longer matters: its task concluded or
-        its result already committed (a speculative twin or a lineage replay
-        got there first).  First commit wins; the rest stand down."""
+        """This attempt's outcome no longer matters: its task concluded, its
+        result already committed (a speculative twin or a lineage replay got
+        there first), or the task was reincarnated under it.  First commit
+        wins; the rest stand down."""
         main = self._ctxs.get(ctx.spec.task_id, ctx)
-        return main.state in _TERMINAL or self.ownership.is_ready(ctx.ref.object_id)
+        return (
+            (ctx is not main and ctx is not main.twin)  # a replay took the task over
+            or main.state in _TERMINAL
+            or self.ownership.is_ready(ctx.ref.object_id)
+        )
 
     def _place_or_retry(
         self, step: Callable[[_TaskCtx, bool], None], ctx: _TaskCtx, preplaced: bool = False

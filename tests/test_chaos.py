@@ -24,6 +24,8 @@ from repro.cluster.hardware import DeviceKind
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import make_reliable_cache
 
+from conftest import assert_recovery_drained
+
 
 def chaos_config(**overrides):
     """A runtime config tuned so retry budgets span the detection window."""
@@ -581,3 +583,5 @@ class TestPullOutlivesItsAttempt:
         assert rt.get(size, timeout=60.0) == self.LANES
         assert rt.tasks_failed == 0
         assert all(not raylet._inflight_fetches for raylet in rt._raylets)
+        assert rt.log.count("detector_stalled") == 0  # a stall is a bug, not a recovery path
+        assert_recovery_drained(rt)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import assert_recovery_drained
 from test_data_plane import assert_data_plane_drained
 
 from repro.chaos import ChaosMonkey, ChaosSchedule
@@ -160,6 +161,8 @@ def chaos(seed: int, arm) -> tuple:
     nodes = seeded_dag(seed, 80)
     values = outcome(rt, submit_dag(rt, nodes))
     assert values == eval_direct(nodes)
+    assert rt.log.count("detector_stalled") == 0  # a stall is a bug, not a recovery path
+    assert_recovery_drained(rt)
     return rt, values
 
 
@@ -186,6 +189,8 @@ def ha_failover(seed: int, arm) -> tuple:
     nodes = seeded_dag(seed, 80)
     values = outcome(rt, submit_dag(rt, nodes))
     assert rt.ha.failovers == 1 and values == eval_direct(nodes)
+    assert rt.log.count("detector_stalled") == 0
+    assert_recovery_drained(rt)
     return rt, values
 
 

@@ -40,6 +40,8 @@ from repro.runtime import (
 )
 from repro.runtime.raylet import Raylet
 
+from conftest import assert_recovery_drained
+
 
 def load_bench(name):
     """Import a benchmark scenario module by file path (benchmarks/ is not
@@ -107,12 +109,16 @@ class TestFailover:
         assert "ha_election_started" in kinds
         assert "ha_leader_elected" in kinds
         assert "ha_failover_complete" in kinds
+        assert "detector_stalled" not in kinds  # a stall is a bug, not a recovery path
+        assert_recovery_drained(rt)
 
     def test_failover_run_is_deterministic(self):
         def run():
             rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(2))
             ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=10e-3)).arm()
             total = rt.get(lane_workload(rt))
+            assert rt.log.count("detector_stalled") == 0
+            assert_recovery_drained(rt)
             return rt.log.signature(), total
 
         first = run()
@@ -146,6 +152,8 @@ class TestFailover:
         candidates = sorted(["server1", "server2", "server3"])
         expected = random.Random((11 << 16) ^ 2).choice(candidates)
         assert rt.ha is not None and rt.ha.leader_node == expected
+        assert rt.log.count("detector_stalled") == 0
+        assert_recovery_drained(rt)
 
     def test_replicas_must_fit_the_cluster(self):
         with pytest.raises(ValueError, match="ha_replicas"):

@@ -29,6 +29,8 @@ from repro.runtime import (
 )
 from repro.runtime.runtime import SEAM
 
+from conftest import assert_recovery_drained
+
 SRC = Path(__file__).resolve().parents[1] / "src/repro"
 RUNTIME_PY = SRC / "runtime/runtime.py"
 
@@ -176,6 +178,8 @@ class TestTablesDrain:
         assert rt.ha.failovers == 1 and rt.gcs_up
         assert rt._parked == []
         assert all(not r.unacked_reports() for r in rt._raylets if r.alive)
+        assert rt.log.count("detector_stalled") == 0  # a stall is a bug, not a recovery path
+        assert_recovery_drained(rt)
 
 
 class TestStructureGuard:
