@@ -1,15 +1,17 @@
 """E14 — predefined query-optimization rules (§2.1 step 2).
 
-Skadi "optimizes the graph using predefined rules".  Two classics, both of
+Skadi "optimizes the graph using predefined rules".  Three classics, all of
 which matter *more* under disaggregation because they shrink what crosses
 the fabric:
 
 * filter pushdown below joins — the shuffle moves filtered rows;
 * broadcast joins — a small dimension table is replicated to the fact
-  table's shards instead of hash-shuffling both sides.
+  table's shards instead of hash-shuffling both sides;
+* column pruning — a scan ships only the columns its query reads.
 
-Scheduling is round-robin here so shuffles really cross nodes (locality
-would co-locate everything and hide the effect).
+Scheduling is round-robin for the first two so shuffles really cross nodes
+(locality would co-locate everything and hide the effect); column pruning
+runs under both.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro import Skadi
 from repro.bench import ResultTable, fmt_bytes, fmt_seconds
-from repro.bench.workloads import customers_table, orders_table
+from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
 from repro.runtime import RuntimeConfig, SchedulingPolicy
 
 QUERY_PUSHDOWN = (
@@ -29,6 +31,10 @@ QUERY_PUSHDOWN = (
 QUERY_JOIN = (
     "SELECT region, SUM(amount) AS total FROM orders "
     "JOIN customers ON cust = cid GROUP BY region ORDER BY region"
+)
+QUERY_Q6 = (
+    "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem "
+    "WHERE l_discount BETWEEN 0.02 AND 0.04 AND l_quantity < 24"
 )
 
 
@@ -102,3 +108,46 @@ def test_e14_broadcast_vs_shuffle_join(benchmark):
     assert rep_bcast.bytes_moved < rep_shuffle.bytes_moved
     assert rep_bcast.physical_tasks < rep_shuffle.physical_tasks
     assert rep_bcast.sim_seconds < rep_shuffle.sim_seconds
+
+
+def test_e14_column_pruning(benchmark):
+    # TPC-H Q6's shape: three of lineitem's eight columns are read
+    lineitem = lineitem_like_table(30_000, seed=14)
+
+    def run_q6(optimize_ir, scheduling):
+        skadi = Skadi(
+            config=RuntimeConfig(scheduling=scheduling), shards=4, optimize_ir=optimize_ir
+        )
+        out = skadi.sql(QUERY_Q6, {"lineitem": lineitem})
+        return out, skadi.last_report
+
+    placements = (SchedulingPolicy.LOCALITY, SchedulingPolicy.ROUND_ROBIN)
+
+    def all_runs():
+        return {(p, on): run_q6(on, p) for p in placements for on in (False, True)}
+
+    runs = benchmark.pedantic(all_runs, rounds=1, iterations=1)
+
+    table = ResultTable(
+        "E14c: column pruning (Q6 shape, 30k rows x 8 columns, 4 shards)",
+        ["placement", "plan", "bytes over fabric", "virtual time"],
+    )
+    for (placement, on), (_out, rep) in runs.items():
+        table.add_row(placement.value, "3 of 8 columns" if on else "whole table",
+                      fmt_bytes(rep.bytes_moved), fmt_seconds(rep.sim_seconds))
+    table.show()
+
+    for placement in placements:
+        (out_plain, rep_plain), (out_pruned, rep_pruned) = (
+            runs[(placement, False)], runs[(placement, True)]
+        )
+        assert out_pruned == out_plain
+        assert rep_pruned.sim_seconds < rep_plain.sim_seconds
+    # co-located tasks: only the table crosses the fabric, and only 3 of 8 columns
+    assert runs[(SchedulingPolicy.LOCALITY, True)][1].bytes_moved * 8 == (
+        runs[(SchedulingPolicy.LOCALITY, False)][1].bytes_moved * 3
+    )
+    # spread tasks: the rows gathered for the sum are narrower too
+    assert runs[(SchedulingPolicy.ROUND_ROBIN, True)][1].bytes_moved * 8 <= (
+        runs[(SchedulingPolicy.ROUND_ROBIN, False)][1].bytes_moved * 3
+    )

@@ -104,6 +104,7 @@ def ir_to_flowgraph(
             vertex = graph.add_vertex(
                 f"scan:{op.attrs['table']}",
                 source_table=op.attrs["table"],
+                source_columns=op.attrs["schema"].names,
                 parallelism=shards,
                 compute_cost=cost,
             )

@@ -2,13 +2,14 @@
 
 The bridge Figure 2 sketches as pseudo-code ("b = [B.remote() ...]"): walk
 the physical graph in topological order and submit one runtime task per
-physical task, passing futures between them.  Tables are ``put`` once;
-source shards slice them; split tasks hash-partition for keyed edges.
+physical task, passing futures between them.  Each table is ``put`` once per
+set of columns its sources ship; source shards slice it; split tasks
+hash-partition for keyed edges.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..caching.columnar import RecordBatch, concat_batches
 from ..ir.interpreter import Interpreter
@@ -129,7 +130,7 @@ def launch_physical_graph(
     """
     _sanitize_before_launch(runtime, pgraph, strict)
     tables = dict(tables or {})
-    table_refs: Dict[str, ObjectRef] = {}
+    table_refs: Dict[Tuple[str, Optional[Tuple[str, ...]]], ObjectRef] = {}
     refs: Dict[str, ObjectRef] = {}
 
     for ptask_id in pgraph.order:
@@ -137,16 +138,21 @@ def launch_physical_graph(
         vertex = pgraph.logical.vertices[task.vertex_id]
 
         if task.kind == "source":
-            table_name = vertex.source_table
+            table_name, columns = vertex.source_table, vertex.source_columns
             assert table_name is not None
             if table_name not in tables:
                 raise KeyError(
                     f"source vertex {vertex.name!r} needs table {table_name!r}"
                 )
-            if table_name not in table_refs:
-                table_refs[table_name] = runtime.put(tables[table_name])
+            key = (table_name, columns)
+            if key not in table_refs:
+                table = tables[table_name]
+                # a projection is a view: no copy, and only its columns count
+                table_refs[key] = runtime.put(
+                    table if columns is None else table.select(columns)
+                )
             fn = _make_source_fn(vertex, task.shard, task.parallelism)
-            args = (table_refs[table_name],)
+            args = (table_refs[key],)
         elif task.kind == "split":
             fn = _make_split_fn(task)
             args = (refs[task.inputs[0][1][0]],)

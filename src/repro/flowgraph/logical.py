@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..cluster.hardware import DeviceKind
 from ..ir.core import Function
@@ -36,7 +36,8 @@ class Vertex:
     * ``ir_func`` — a hardware-agnostic IR function (MLIR-based vertex);
       its params bind the vertex inputs in order.
     * ``py_func`` — a handcrafted operator ``fn(*inputs) -> output``.
-    * ``source_table`` — a named input table (graph source).
+    * ``source_table`` — a named input table (graph source); it ships only
+      ``source_columns`` of it (``None``: every column).
     """
 
     vertex_id: str
@@ -44,6 +45,7 @@ class Vertex:
     ir_func: Optional[Function] = None
     py_func: Optional[Callable[..., Any]] = None
     source_table: Optional[str] = None
+    source_columns: Optional[Tuple[str, ...]] = None
     compute_cost: float = 1e-4  # CPU-seconds for the whole (unsharded) vertex
     output_nbytes: Optional[int] = None
     supported_kinds: FrozenSet[DeviceKind] = frozenset({DeviceKind.CPU})
@@ -111,6 +113,7 @@ class FlowGraph:
         ir_func: Optional[Function] = None,
         py_func: Optional[Callable[..., Any]] = None,
         source_table: Optional[str] = None,
+        source_columns: Optional[Tuple[str, ...]] = None,
         compute_cost: float = 1e-4,
         output_nbytes: Optional[int] = None,
         supported_kinds: Optional[FrozenSet[DeviceKind]] = None,
@@ -128,6 +131,7 @@ class FlowGraph:
             ir_func=ir_func,
             py_func=py_func,
             source_table=source_table,
+            source_columns=source_columns,
             compute_cost=compute_cost,
             output_nbytes=output_nbytes,
             supported_kinds=supported_kinds,

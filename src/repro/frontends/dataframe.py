@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ..caching.columnar import RecordBatch
-from ..ir.core import Builder, Function
+from ..ir.core import Builder, Function, op_def
 from ..ir.expr import Expr
 from ..ir.interpreter import run_function
 from ..ir.types import FrameType
@@ -77,20 +77,10 @@ class DataFrame:
         )
 
     def join(self, other: "DataFrame", left_on: str, right_on: str) -> "DataFrame":
-        columns = list(self.schema.columns)
-        taken = {c for c, _ in columns}
-        for name, dt in other.schema.columns:
-            if name == right_on:
-                continue
-            out = name if name not in taken else f"r_{name}"
-            columns.append((out, dt))
-            taken.add(out)
-        plan = _Plan(
-            "join",
-            (self._plan, other._plan),
-            (("left_on", left_on), ("right_on", right_on)),
-        )
-        return DataFrame(plan, FrameType(tuple(columns)))
+        attrs = {"left_on": left_on, "right_on": right_on}
+        (schema,) = op_def("relational", "join").infer([self.schema, other.schema], attrs)
+        plan = _Plan("join", (self._plan, other._plan), tuple(attrs.items()))
+        return DataFrame(plan, schema)
 
     def groupby(self, *keys: str) -> "GroupedFrame":
         for key in keys:

@@ -7,7 +7,7 @@ lowered to the physical ``df`` dialect by
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from ..core import OpDef, Operation, register_op
 from ..expr import Expr
 from ..types import FrameType, IRType
 
-__all__ = ["AGG_FUNCS"]
+__all__ = ["AGG_FUNCS", "join_output"]
 
 AGG_FUNCS = ("sum", "count", "mean", "min", "max")
 
@@ -66,6 +66,24 @@ def _infer_project(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRTyp
     return [FrameType(tuple(out), frame.num_rows)]
 
 
+def join_output(
+    left: Sequence[str], right: Sequence[str], right_on: str
+) -> Dict[str, Tuple[int, str]]:
+    """A join's output columns in order: output name -> (side, source name),
+    side 0 the left input and 1 the right.  Left columns keep their names; a
+    right column keeps its name unless it is taken, in which case it becomes
+    ``r_<name>``; ``right_on`` is dropped."""
+    output = {name: (0, name) for name in left}
+    for name in right:
+        if name == right_on:
+            continue
+        out_name = name if name not in output else f"r_{name}"
+        if out_name in output:
+            raise ValueError(f"join output column {out_name!r} is duplicated")
+        output[out_name] = (1, name)
+    return output
+
+
 def _infer_join(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRType]:
     left, right = _frame(types, 0), _frame(types, 1)
     left_on, right_on = attrs.get("left_on"), attrs.get("right_on")
@@ -75,15 +93,12 @@ def _infer_join(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRType]:
         raise KeyError(f"join key {left_on!r} missing from left frame")
     if not right.has_column(right_on):
         raise KeyError(f"join key {right_on!r} missing from right frame")
-    columns = list(left.columns)
-    taken = {c for c, _ in columns}
-    for name, dt in right.columns:
-        if name == right_on:
-            continue
-        out_name = name if name not in taken else f"r_{name}"
-        columns.append((out_name, dt))
-        taken.add(out_name)
-    return [FrameType(tuple(columns), num_rows=None)]
+    dtypes = (dict(left.columns), dict(right.columns))
+    columns = tuple(
+        (out_name, dtypes[side][name])
+        for out_name, (side, name) in join_output(left.names, right.names, right_on).items()
+    )
+    return [FrameType(columns, num_rows=None)]
 
 
 def _infer_aggregate(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRType]:

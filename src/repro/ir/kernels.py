@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..caching.columnar import RecordBatch
+from .dialects.relational import join_output
 from .expr import Expr
 
 __all__ = ["KERNELS", "HANDCRAFTED", "register_handcrafted", "hash_partition"]
@@ -26,10 +27,12 @@ def _columns(batch: RecordBatch) -> Dict[str, np.ndarray]:
 
 
 def k_scan(attrs: Dict[str, Any], *, tables: Mapping[str, RecordBatch]) -> RecordBatch:
+    """The columns the scan's schema declares, never the table's others (a
+    zero-copy projection)."""
     table = attrs["table"]
     if table not in tables:
         raise KeyError(f"scan of unknown table {table!r}; have {sorted(tables)}")
-    return tables[table]
+    return tables[table].select(attrs["schema"].names)
 
 
 def k_filter(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
@@ -74,14 +77,13 @@ def k_join(attrs: Dict[str, Any], left: RecordBatch, right: RecordBatch) -> Reco
     li = np.repeat(np.arange(len(probe)), counts)
     first_out = np.cumsum(counts) - counts  # where each probe row's matches start
     ri = order[np.arange(len(li)) + np.repeat(lo - first_out, counts)]
+    sides = ((left, li), (right, ri))
     cols: Dict[str, np.ndarray] = {}
-    for name in left.schema.names:
-        cols[name] = left.column(name)[li]
-    for name in right.schema.names:
-        if name == right_on:
-            continue
-        out_name = name if name not in cols else f"r_{name}"
-        cols[out_name] = right.column(name)[ri]
+    for out_name, (side, name) in join_output(
+        left.schema.names, right.schema.names, right_on
+    ).items():
+        batch, rows = sides[side]
+        cols[out_name] = batch.column(name)[rows]
     return RecordBatch.from_arrays(cols)
 
 

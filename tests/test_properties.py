@@ -210,19 +210,29 @@ class TestRandomSQL:
 @st.composite
 def grouped_query(draw):
     """GROUP BY one or two low-cardinality keys (fewer groups than shards can
-    be drawn), 1-3 aggregates over an int and a float column, optionally
-    behind a filter and a join against a small table with duplicate keys."""
-    keys = draw(st.lists(st.sampled_from(["g", "h"]), min_size=1, max_size=2, unique=True))
-    agg = st.tuples(st.sampled_from(["SUM", "MIN", "MAX", "AVG"]), st.sampled_from(["k", "x"]))
-    aggs = draw(st.lists(agg | st.just(("COUNT", "*")), min_size=1, max_size=3))
-    select = keys + [f"{fn}({column}) AS a{i}" for i, (fn, column) in enumerate(aggs)]
-    sql = f"SELECT {', '.join(select)} FROM t"
+    be drawn) with 1-3 aggregates over an int and a float column, or a narrow
+    select list ordered by all of itself (so ties are whole-row duplicates);
+    optionally behind a filter and a join against a small table with duplicate
+    keys whose ``x`` collides with ``t.x`` and is read as ``r_x``."""
+    joined = draw(st.booleans())
+    values = ["k", "x"] + (["r_x"] if joined else [])
     if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(["g", "h"]), min_size=1, max_size=2, unique=True))
+        agg = st.tuples(st.sampled_from(["SUM", "MIN", "MAX", "AVG"]), st.sampled_from(values))
+        aggs = draw(st.lists(agg | st.just(("COUNT", "*")), min_size=1, max_size=3))
+        select = keys + [f"{fn}({column}) AS a{i}" for i, (fn, column) in enumerate(aggs)]
+        tail = f" GROUP BY {', '.join(keys)} ORDER BY {', '.join(keys)}"
+    else:
+        columns = ["g", "h"] + values + (["w"] if joined else [])
+        select = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2, unique=True))
+        tail = f" ORDER BY {', '.join(select)}"
+    sql = f"SELECT {', '.join(select)} FROM t"
+    if joined:
         sql += " JOIN d ON g = dk"
     clauses = draw(st.lists(filter_clause(), max_size=2))
     if clauses:
         sql += " WHERE " + f" {draw(st.sampled_from(['AND', 'OR']))} ".join(clauses)
-    return sql + f" GROUP BY {', '.join(keys)} ORDER BY {', '.join(keys)}"
+    return sql + tail
 
 
 class TestRandomGroupedSQL:
@@ -241,7 +251,9 @@ class TestRandomGroupedSQL:
                 }
             ),
             # duplicate keys (0), a key of t with no match (2), a match-less key (3)
-            "d": RecordBatch.from_arrays({"dk": np.array([0, 3, 1, 0]), "w": np.arange(4)}),
+            "d": RecordBatch.from_arrays(
+                {"dk": np.array([0, 3, 1, 0]), "x": np.array([2.5, 9.5, 4.5, 7.5]), "w": np.arange(4)}
+            ),
         }
         catalog = {
             name: FrameType(tuple((f.name, f.dtype.name) for f in batch.schema.fields))

@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from pathlib import Path
 
-from repro import Skadi
+import numpy as np
+import pytest
+
+from repro import RecordBatch, Skadi
+from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
 from repro.core.planner import ir_to_flowgraph
 from repro.frontends.sql import sql_to_ir
-from repro.ir import FrameType, PassManager, run_function
+from repro.ir import Builder, FrameType, PassManager, run_function
 from repro.ir.expr import BinOp, Col, FuncCall, Lit, UnaryOp
 from repro.ir.lowering import lower_relational_to_df
+from repro.ir.passes import PassStats
 from repro.ir.relational_passes import (
+    PruneScanColumns,
     SplitConjunctiveFilter,
     relational_optimizer,
     rename_cols,
 )
+
+BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+if BENCHMARKS not in sys.path:
+    sys.path.insert(0, BENCHMARKS)
+
+from ledger.workloads import QUERIES  # noqa: E402
 
 CATALOG = {
     "orders": FrameType(
@@ -148,3 +161,190 @@ class TestBroadcastJoinPlanning:
         out_b = bcast.sql(JOIN_QUERY, tables)
         np.testing.assert_allclose(out_s.column("total"), out_b.column("total"))
         np.testing.assert_array_equal(out_s.column("region"), out_b.column("region"))
+
+
+# -- column pruning ---------------------------------------------------------------
+
+
+def catalog_of(tables):
+    return {
+        name: FrameType(tuple((f.name, f.dtype.name) for f in batch.schema.fields))
+        for name, batch in tables.items()
+    }
+
+
+def scan_schemas(func):
+    return {op.attrs["table"]: op.attrs["schema"].names for op in func.ops if op.name == "scan"}
+
+
+@pytest.fixture(scope="module")
+def ledger_tables():
+    return {
+        "lineitem": lineitem_like_table(800, seed=3),
+        "orders": orders_table(600, num_customers=40, seed=4),
+        "customers": customers_table(40, seed=5),
+    }
+
+
+@pytest.fixture(scope="module")
+def collide():
+    """``d.x`` collides with ``t.x``: a join reads it as ``r_x``."""
+    rng = np.random.default_rng(6)
+    return {
+        "t": RecordBatch.from_arrays(
+            {"g": rng.integers(0, 4, 60), "x": rng.random(60), "k": rng.integers(0, 9, 60)}
+        ),
+        "d": RecordBatch.from_arrays(
+            {"dk": np.array([0, 2, 2, 5]), "x": np.array([0.5, 1.5, 2.5, 3.5]), "w": np.arange(4)}
+        ),
+    }
+
+
+def build(tables, emit):
+    """A function whose body ``emit(builder, scan)`` writes over full-schema scans."""
+    catalog = catalog_of(tables)
+    b = Builder("f")
+
+    def scan(table):
+        return b.emit("relational", "scan", (), {"table": table, "schema": catalog[table]}).result()
+
+    func = b.ret(emit(b, scan).result())
+    func.verify()
+    return func
+
+
+class TestPruneScanColumns:
+    def optimized_equals_plain(self, make, tables):
+        """Optimize a fresh copy under ``verify_each``; the answer must not move,
+        and a second run of the pass must change nothing.  Returns the copy."""
+        (want,) = run_function(make(), tables=tables)
+        func = make()
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        (got,) = run_function(func, tables=tables)
+        assert got == want
+        assert not PruneScanColumns().run(func, PassStats())
+        return func
+
+    @pytest.mark.parametrize(
+        "query,schemas",
+        [
+            ("scan_agg", {"lineitem": (
+                "l_quantity", "l_extendedprice", "l_discount", "l_returnflag", "l_linestatus"
+            )}),
+            ("selective_filter", {"lineitem": ("l_quantity", "l_extendedprice", "l_discount")}),
+            ("join_group", {"orders": ("cust", "amount"), "customers": ("cid", "region")}),
+            ("top_k", {"orders": ("oid", "amount")}),
+        ],
+    )
+    def test_each_ledger_query_scans_only_what_it_reads(self, query, schemas, ledger_tables):
+        func = self.optimized_equals_plain(
+            lambda: sql_to_ir(QUERIES[query], catalog_of(ledger_tables)), ledger_tables
+        )
+        assert scan_schemas(func) == schemas
+
+    def test_count_star_keeps_exactly_one_column(self, ledger_tables):
+        func = self.optimized_equals_plain(
+            lambda: sql_to_ir("SELECT COUNT(*) AS n FROM orders", catalog_of(ledger_tables)),
+            ledger_tables,
+        )
+        assert scan_schemas(func) == {"orders": ("oid",)}
+
+    def test_reading_r_x_keeps_x_on_both_sides(self, collide):
+        func = self.optimized_equals_plain(
+            lambda: sql_to_ir("SELECT g, r_x FROM t JOIN d ON g = dk", catalog_of(collide)),
+            collide,
+        )
+        # without t.x the right side's x would come out as x, not r_x
+        assert scan_schemas(func) == {"t": ("g", "x"), "d": ("dk", "x")}
+
+    def test_distinct_keeps_every_column_of_its_input(self, collide):
+        def make():
+            return build(collide, lambda b, scan: b.emit(
+                "relational", "project",
+                [b.emit("relational", "distinct", [scan("t")]).result()],
+                {"columns": ("g",), "derived": ()},
+            ))
+
+        assert scan_schemas(self.optimized_equals_plain(make, collide)) == {"t": ("g", "x", "k")}
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_distributed_distinct_gives_the_oracles_rows(self, shards, collide):
+        sql = "SELECT DISTINCT g FROM t"
+        (want,) = run_function(sql_to_ir(sql, catalog_of(collide)), tables=collide)
+        got = Skadi(shards=shards).sql(sql, collide)
+        # no ORDER BY: the rows may come in shard order
+        assert got.schema == want.schema
+        assert sorted(got.column("g").tolist()) == sorted(want.column("g").tolist())
+
+    def test_kernel_call_operand_stays_whole(self, collide):
+        def make():
+            def emit(b, scan):
+                source = scan("t")
+                top = b.emit("kernel", "call", [source], {
+                    "kernel": "misc.top_k", "kwargs": {"column": "x", "k": 3},
+                    "result_type": source.type,
+                })
+                return b.emit("relational", "project", [top.result()], {"columns": ("g",)})
+            return build(collide, emit)
+
+        assert scan_schemas(self.optimized_equals_plain(make, collide)) == {"t": ("g", "x", "k")}
+
+    def test_frame_to_tensor_operand_stays_whole(self, collide):
+        def make():
+            return build(collide, lambda b, scan: b.emit(
+                "linalg", "frame_to_tensor", [scan("t")], {"columns": ("x",)}
+            ))
+
+        func = make()
+        (want,) = run_function(func, tables=collide)
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        assert scan_schemas(func) == {"t": ("g", "x", "k")}
+        (got,) = run_function(func, tables=collide)
+        assert np.array_equal(got, want)
+
+    def test_a_project_nobody_reads_from_keeps_one_column(self, collide):
+        def make():
+            return build(collide, lambda b, scan: b.emit(
+                "relational", "aggregate",
+                [b.emit("relational", "project", [scan("t")], {
+                    "columns": ("k",), "derived": (("y", Col("x") * Lit(2.0), "float64"),)
+                }).result()],
+                {"keys": (), "aggs": (("n", "count", "k"),)},
+            ))
+
+        func = self.optimized_equals_plain(make, collide)
+        project = next(op for op in func.ops if op.name == "project")
+        assert (project.attrs["columns"], project.attrs["derived"]) == (("k",), ())
+        assert scan_schemas(func) == {"t": ("k",)}
+
+    def test_selective_filter_ships_three_of_eight_columns(self):
+        lineitem = lineitem_like_table(800, seed=3)
+        skadi = Skadi(shards=4)
+        skadi.sql(QUERIES["selective_filter"], {"lineitem": lineitem})
+        assert skadi.last_report.bytes_moved * 8 == lineitem.nbytes * 3
+
+
+class TestScanReturnsItsSchema:
+    def test_join_reads_the_declared_side_of_a_name_both_tables_have(self, collide):
+        # t also has an x; the scan of t declares only g, so the x of the
+        # join is d.x — a scan that returned all of t would hand out t.x
+        b = Builder("f")
+        left = b.emit("relational", "scan", (), {
+            "table": "t", "schema": FrameType((("g", "int64"),)),
+        })
+        right = b.emit("relational", "scan", (), {
+            "table": "d", "schema": FrameType((("dk", "int64"), ("x", "float64"))),
+        })
+        join = b.emit("relational", "join", [left.result(), right.result()],
+                      {"left_on": "g", "right_on": "dk"})
+        func = b.ret(join.result())
+        func.verify()
+        assert join.result().type.names == ("g", "x")
+        (out,) = run_function(func, tables=collide)
+        assert out.schema.names == ["g", "x"]
+        d = collide["d"]
+        by_key = {}
+        for key, x in zip(d.column("dk").tolist(), d.column("x").tolist(), strict=True):
+            by_key.setdefault(key, []).append(x)
+        want = [x for g in collide["t"].column("g").tolist() for x in by_key.get(g, [])]
+        assert out.column("x").tolist() == want
