@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Tuple
 
 __all__ = ["ProtoEvent", "DistTrace", "ACCESS_CLASSES", "CONFLICTS"]
 
@@ -166,12 +166,6 @@ class DistTrace:
             seen.setdefault(event.site, None)
         return list(seen)
 
-    def kinds(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     def signature(self) -> List[Tuple[float, str, str, str]]:
         """A comparable fingerprint (time, site, kind, detail-repr)."""
         return [
@@ -208,12 +202,6 @@ class DistTrace:
     def load(cls, path: str) -> "DistTrace":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    @classmethod
-    def from_events(cls, events: Iterable[ProtoEvent]) -> "DistTrace":
-        trace = cls()
-        trace.events = list(events)
-        return trace
 
     @staticmethod
     def is_trace_file(path: str) -> bool:

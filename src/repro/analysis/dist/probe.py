@@ -1,11 +1,12 @@
 """The online probe: the runtime's single point of contact with Skadi-TSan.
 
 ``ServerlessRuntime`` creates one :class:`DistProbe` when
-``RuntimeConfig.sanitizers`` is non-empty and calls its hook methods at
-the protocol's synchronization points.  The probe owns the event
-vocabulary — message-key formats, site names, access classes — so the
-runtime hooks stay one-liners and the HB builder and monitors agree on
-the encoding by construction.
+``RuntimeConfig.sanitizers`` is non-empty, calls its hook methods at the
+protocol's synchronization points, and subscribes :meth:`DistProbe.incident`
+to its event log for the facts an incident record already states.  The
+probe owns the event vocabulary — message-key formats, site names, access
+classes — so the runtime hooks stay one-liners and the HB builder and
+monitors agree on the encoding by construction.
 
 Modes (``sanitizers`` tuple values):
 
@@ -539,7 +540,7 @@ class DistProbe:
         )
 
     # ------------------------------------------------------------------
-    # lineage / spans / chaos
+    # lineage
     # ------------------------------------------------------------------
 
     def lineage_record(
@@ -553,21 +554,33 @@ class DistProbe:
             (("object", object_id), ("task", task_id), ("deps", tuple(deps))),
         )
 
-    def span_link(self, span_id: str, parent_id: Optional[str], name: str) -> None:
-        """Span parent edges from the telemetry plane (trace enrichment)."""
-        if self._skip("span_link"):
-            return
-        self.emit(
-            self.site,
-            "span_link",
-            (("span", span_id), ("parent", parent_id), ("name", name)),
-        )
+    # ------------------------------------------------------------------
+    # incidents: records of the runtime's event log
+    # ------------------------------------------------------------------
 
-    def chaos(self, kind: str, **detail: Any) -> None:
-        event_kind = f"chaos_{kind}"
-        if self._skip(event_kind):
-            return
-        self.emit("chaos", event_kind, tuple(sorted(detail.items())))
+    def incident(self, ev: Any, overflow_depth: int) -> None:
+        """The protocol event an event-log record (a ``RuntimeEvent``) stands
+        for, if any; ``overflow_depth`` is the admission queue's bound, which
+        no record carries.  A chaos injection strikes from outside the
+        protocol: it has its own ``chaos`` site and no causal ancestry, so
+        anything it races with is a finding, not a missing edge."""
+        kind = ev.kind
+        if kind.startswith("chaos_"):
+            self.emit("chaos", kind, ev.detail)
+        elif kind == "task_cancelled":
+            self.task_cancel(ev["task"], ev["reason"])
+        elif kind == "speculate":
+            self.speculate(ev["task"])
+        elif kind.startswith("breaker_"):
+            # the record carries states by value ("half_open"), the probe by name
+            new = kind[len("breaker_"):]
+            self.breaker_flip(ev["device"], ev["previous"].upper(), new.upper())
+        elif kind == "admission_queued":
+            self.adm_queue(ev["task"], overflow_depth)
+        elif kind == "admission_rejected":
+            self.adm_reject(ev["task"])
+        elif kind == "ha_leader_elected":
+            self.ha_leader(ev["epoch"], ev["node"])
 
     # ------------------------------------------------------------------
     # results

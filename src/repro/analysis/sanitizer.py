@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..cluster.hardware import Device, DeviceKind
 from ..flowgraph.physical import PhysicalGraph, PhysicalTask
-from .diagnostics import DiagnosticSet, Severity
+from .diagnostics import DiagnosticSet
 
 __all__ = ["DeviceView", "sanitize_plan", "strict_sanitize", "PlanSanitizerError"]
 
@@ -361,7 +361,3 @@ def strict_sanitize(
     if not diags.ok:
         raise PlanSanitizerError(diags)
     return diags
-
-
-def worst_severity(diags: DiagnosticSet) -> Optional[Severity]:
-    return max((d.severity for d in diags), default=None)

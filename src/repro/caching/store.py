@@ -264,11 +264,6 @@ class CachingLayer:
             return 1.0
         return self.redundancy.storage_overhead
 
-    def total_stored_bytes(self) -> int:
-        return sum(
-            n.cache.used_bytes() for n in self._nodes.values() if n.alive
-        )
-
 
 def _tier_specs(cache: TieredCache) -> List[TierSpec]:
     return [t.spec for t in cache._tiers]

@@ -164,10 +164,6 @@ class Device:
         return self.spec.kind
 
     @property
-    def memory_free(self) -> int:
-        return self.spec.memory_bytes - self._mem_used
-
-    @property
     def memory_used(self) -> int:
         return self._mem_used
 

@@ -72,19 +72,6 @@ class NetworkStats:
     def record_link(self, key: Tuple[str, str], nbytes: int) -> None:
         self.bytes_by_link[key] = self.bytes_by_link.get(key, 0) + nbytes
 
-    def reset(self) -> None:
-        self.transfers = 0
-        self.messages = 0
-        self.messages_delivered = 0
-        self.attempted_transfers = 0
-        self.attempted_bytes = 0
-        self.bytes_moved = 0
-        self.dropped_messages = 0
-        self.blocked_transfers = 0
-        self.multicasts = 0
-        self.multicast_bytes_saved = 0
-        self.bytes_by_link.clear()
-
 
 class Network:
     """Executes transfers as simulation processes.

@@ -33,12 +33,6 @@ class Node:
     def add_device(self, device: Device) -> None:
         self.devices.append(device)
 
-    def device_by_id(self, device_id: str) -> Device:
-        for dev in self.devices:
-            if dev.device_id == device_id:
-                return dev
-        raise KeyError(f"no device {device_id!r} on node {self.node_id!r}")
-
     def devices_of_kind(self, kind: DeviceKind) -> List[Device]:
         return [d for d in self.devices if d.kind == kind]
 

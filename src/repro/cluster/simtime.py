@@ -831,10 +831,6 @@ class Simulator:
             raise SimulationError("disarm_poller without a matching arm_poller")
         self._ff_armed -= 1
 
-    @property
-    def pollers_armed(self) -> int:
-        return self._ff_armed
-
     def add_fast_forward_listener(self, cb: Callable[[float, float], None]) -> None:
         """Register ``cb(old_now, new_now)`` to run at every idle jump.
 

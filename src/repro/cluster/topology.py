@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .hardware import GB, USEC
 
@@ -62,21 +62,11 @@ class Topology:
         self._adj[b][a] = spec
         self._route_cache.clear()
 
-    @property
-    def endpoints(self) -> Iterable[str]:
-        return self._adj.keys()
-
-    def has_endpoint(self, endpoint: str) -> bool:
-        return endpoint in self._adj
-
     def link(self, a: str, b: str) -> LinkSpec:
         try:
             return self._adj[a][b]
         except KeyError:
             raise KeyError(f"no link {a!r} -> {b!r}") from None
-
-    def neighbors(self, endpoint: str) -> Iterable[str]:
-        return self._adj.get(endpoint, {}).keys()
 
     # -- fault injection hooks ----------------------------------------------
 

@@ -87,10 +87,6 @@ class Actors:
         self.calls: Dict[str, int] = {}  # completed methods (checkpoint cadence)
         self.dead: Dict[str, str] = {}  # actor id -> cause
         self.turns: Dict[str, Resource] = {}
-        self.restarts = 0
-        self._m_restarts = runtime.telemetry.registry.counter(
-            "skadi_actor_restarts_total", "actors reconstructed from checkpoints"
-        )
 
     def create(
         self,
@@ -171,7 +167,7 @@ class Actors:
         device = None
         if snapshot is not ABSENT:
             try:
-                device = self._place(f"{actor_id}-restart{self.restarts}", self.kinds[actor_id])
+                device = self._place(f"{actor_id}-restart{rt.actor_restarts}", self.kinds[actor_id])
             except PlacementError:
                 cause = f"{cause}; no surviving device"
         if device is None:
@@ -183,8 +179,6 @@ class Actors:
         self.device[actor_id] = device.device_id
         # the calls in flight died with the old home, and their turn with them
         self.turns[actor_id] = Resource(rt.sim, name=actor_id)
-        self.restarts += 1
-        self._m_restarts.inc()
         rt._record("actor_restart", actor=actor_id, device=device.device_id, cause=cause)
         return True
 

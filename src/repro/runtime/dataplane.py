@@ -201,8 +201,9 @@ class DataPlane:
         """Ride the fetch already bringing the object to this device instead
         of paying the bytes again."""
         raylet.note_deduped_fetch(device_id, oid)
-        yield pending
-        if self.rt.probe is not None:
+        ended = yield pending
+        # an aborted fetch (the raylet died) has no end to join
+        if ended is not False and self.rt.probe is not None:
             self.rt.probe.fetch_join(site, oid, device_id)
 
     def _span(self, name: str, ctx: Any, device: Device, **attrs: Any) -> Any:

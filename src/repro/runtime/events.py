@@ -1,22 +1,28 @@
-"""The runtime's failure/recovery event log.
+"""The runtime's failure/recovery event log, and what is derived from it.
 
 Every control-plane incident — a node death, a heartbeat suspicion, a
 lineage replay, a retry, an actor restart, a chaos injection — is recorded
-as a :class:`RuntimeEvent`.  The log serves three masters:
-
-* the Chrome trace exporter renders these as instant events, so recovery
-  storms are visible in Perfetto next to the task spans they perturb;
-* chaos tests assert that a seeded fault schedule reproduces the
-  *identical* event sequence (the determinism contract);
-* benchmarks count suspicions/retries/replays to attribute recovery cost.
+as a :class:`RuntimeEvent`, and recording it is all an incident site does.
+Subscribers derive the rest: the metrics plane counts each record
+(:func:`incident_counter`), the dist-sanitizer probe mirrors the ones that
+stand for a protocol event (``DistProbe.incident``), and the Chrome trace
+exporter marks recovery storms as instants (:func:`instant_category`).
+:data:`INCIDENTS` says what each kind feeds.  Chaos tests assert that a
+seeded fault schedule reproduces the *identical* log (the determinism
+contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
-__all__ = ["RuntimeEvent", "EventLog"]
+__all__ = [
+    "RuntimeEvent", "EventLog", "Series", "Incident", "INCIDENTS",
+    "instant_category", "incident_counter", "declare_series",
+]
 
 
 @dataclass(frozen=True)
@@ -44,13 +50,12 @@ class RuntimeEvent:
 
 
 class EventLog:
-    """An append-only event list with counting helpers."""
+    """An append-only event list with per-kind counts."""
 
     def __init__(self) -> None:
         self.events: List[RuntimeEvent] = []
-        # poked, in registration order, on every record: the telemetry plane
-        # mirrors the log into incident counters (one source of truth) and
-        # the dist-sanitizer probe mirrors chaos injections
+        self._counts: Dict[str, int] = {}
+        # poked, in registration order, on every record
         self._observers: List[Callable[[RuntimeEvent], None]] = []
 
     def add_observer(self, observer: Callable[[RuntimeEvent], None]) -> None:
@@ -59,6 +64,7 @@ class EventLog:
     def record(self, time: float, kind: str, **detail: Any) -> RuntimeEvent:
         ev = RuntimeEvent(time, kind, tuple(sorted(detail.items())))
         self.events.append(ev)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
         for observer in self._observers:
             observer(ev)
         return ev
@@ -67,14 +73,11 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
     def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return self._counts.get(kind, 0)
 
     def counts(self) -> Dict[str, int]:
         """Occurrences per kind, sorted by kind (comparable to telemetry)."""
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(self._counts.items()))
 
     def signature(self) -> List[Tuple[float, str, Tuple[Tuple[str, Any], ...]]]:
         """A comparable fingerprint: two seeded runs must produce equal
@@ -86,3 +89,151 @@ class EventLog:
 
     def __iter__(self) -> Iterator[RuntimeEvent]:
         return iter(self.events)
+
+
+# -- what each incident kind feeds ---------------------------------------------
+
+
+class Series(NamedTuple):
+    """A Prometheus counter of one incident kind: ``labels`` are detail keys
+    (a label wherever the record has the key), ``amount`` the detail keys of
+    the increment (the first present; else 1), ``fixed`` the labels the kind
+    itself implies."""
+
+    name: str
+    help: str
+    labels: Tuple[str, ...] = ()
+    amount: Tuple[str, ...] = ()
+    fixed: Tuple[Tuple[str, str], ...] = ()
+
+
+class Incident(NamedTuple):
+    """What one kind feeds: the category of its Chrome-trace instant (None:
+    no instant) and the series that count it."""
+
+    chrome: Optional[str] = None
+    series: Tuple[Series, ...] = ()
+
+
+def _counted(chrome: Optional[str], name: str, help: str, **keys: Any) -> Incident:
+    return Incident(chrome, (Series(name, help, **keys),))
+
+
+_FAILURE, _RECOVERY = Incident("failure"), Incident("recovery")
+_BREAKER = ("skadi_breaker_transitions_total",
+            "circuit-breaker state changes, by device and new state")
+
+# skadi_device_failures_total{kind} and skadi_shed_tasks_total{reason} stay at
+# their sites: no record carries the device kind, and four kinds feed the latter
+INCIDENTS: Dict[str, Incident] = {
+    "task_failed": _counted("failure", "skadi_tasks_failed_total", "tasks that permanently failed"),
+    "task_cancelled": _counted(
+        None, "skadi_tasks_cancelled_total", "tasks cancelled before completion, by reason",
+        labels=("reason", "tenant"),
+    ),
+    "task_retry": _counted(
+        "recovery", "skadi_tasks_retried_total", "transient-failure retries consumed"
+    ),
+    "speculate": _counted(
+        "recovery", "skadi_speculations_total", "speculative backup copies launched"
+    ),
+    "lineage_replay": _counted(
+        "recovery", "skadi_lineage_replays_total", "tasks re-executed to rebuild lost objects",
+        amount=("tasks",),
+    ),
+    "object_recovered": Incident(series=(
+        Series(
+            "skadi_recovered_objects_total", "objects recovered after a failure, by mechanism",
+            labels=("source",),
+        ),
+        Series(
+            "skadi_recovered_bytes_total",
+            "bytes recovered after a failure, by mechanism "
+            "(lineage counts recomputed bytes, caches count re-fetched bytes)",
+            labels=("source",), amount=("recomputed_bytes", "nbytes"),
+        ),
+    )),
+    "actor_restart": _counted(
+        "recovery", "skadi_actor_restarts_total", "actors reconstructed from checkpoints"
+    ),
+    "blade_dead": _counted(
+        "failure", "skadi_blade_failures_total", "memory-blade deaths the control plane acted on"
+    ),
+    "raylet_takeover": _counted(
+        "recovery", "skadi_raylet_takeovers_total",
+        "orphaned-device adoptions by a surviving raylet",
+    ),
+    **dict.fromkeys(
+        ("task_timeout", "actor_dead", "node_dead", "node_suspected", "detector_stalled",
+         "device_dead", "gcs_lost"),
+        _FAILURE,
+    ),
+    **dict.fromkeys(("node_alive", "node_unsuspected"), _RECOVERY),
+    "admission_rejected": _counted(
+        None, "skadi_admission_rejected_total",
+        "submissions refused by the bounded admission queue", labels=("tenant",),
+    ),
+    "retry_budget_exhausted": _counted(
+        None, "skadi_retry_budget_exhausted_total",
+        "retries refused because the node's budget ran dry", labels=("node",),
+    ),
+    **{
+        f"breaker_{state}": _counted(None, *_BREAKER, labels=("device",), fixed=(("state", state),))
+        for state in ("open", "half_open", "closed")
+    },
+    "ha_election_started": _counted(None, "skadi_ha_elections_total", "leader elections started"),
+    "ha_failover_complete": _counted(None, "skadi_ha_failovers_total", "failovers completed"),
+    "ha_stale_lease_rejected": _counted(
+        None, "skadi_ha_stale_leases_rejected_total", "deposed-leader leases fenced at raylets"
+    ),
+    "serving_session_failover": _counted(
+        None, "skadi_serving_failovers_total", "sessions reassigned off a dead head node"
+    ),
+    "serving_rebalanced": _counted(
+        None, "skadi_serving_rebalances_total", "sessions migrated off a sustained-hot head node"
+    ),
+}
+
+_NOTHING = Incident()
+
+
+def instant_category(kind: str) -> Optional[str]:
+    """The Chrome-trace category that marks ``kind`` (every chaos injection
+    is marked), or None for no mark."""
+    if kind.startswith("chaos_"):
+        return "chaos"
+    return INCIDENTS.get(kind, _NOTHING).chrome
+
+
+def incident_counter(registry: Any) -> Callable[[RuntimeEvent], None]:
+    """The metrics plane's one subscriber to an event log: it counts every
+    record in ``skadi_incidents_total`` by kind, then in every series
+    :data:`INCIDENTS` names for the kind."""
+    totals: Dict[str, Any] = {}  # kind -> its skadi_incidents_total counter, bound once
+
+    def count(ev: RuntimeEvent) -> None:
+        total = totals.get(ev.kind)
+        if total is None:
+            total = totals[ev.kind] = registry.counter(
+                "skadi_incidents_total", "control-plane incidents by event-log kind",
+                kind=ev.kind,
+            )
+        total.inc()
+        series = INCIDENTS.get(ev.kind, _NOTHING).series
+        if not series:
+            return
+        detail = ev.as_dict()
+        for s in series:
+            labels = {key: detail[key] for key in s.labels if key in detail}
+            labels.update(s.fixed)
+            amount = next((detail[key] for key in s.amount if key in detail), 1)
+            registry.counter(s.name, s.help, **labels).inc(amount)
+
+    return count
+
+
+def declare_series(registry: Any, kinds: Iterable[str]) -> None:
+    """Make the unlabelled series of ``kinds`` read 0 before their first incident."""
+    for kind in kinds:
+        for s in INCIDENTS[kind].series:
+            registry.counter(s.name, s.help)

@@ -252,6 +252,7 @@ class FailureDomains:
             cause=cause,
             objects_lost=len(lost),
         )
+        # the device kind is in no record: counted here
         rt.telemetry.registry.counter(
             "skadi_device_failures_total",
             "device deaths the control plane acted on, by device kind",
@@ -272,10 +273,6 @@ class FailureDomains:
         rt._probe_site("gcs")  # death declarations are the detector's act
         lost = rt.ownership.drop_node(node_id)
         rt._record("blade_dead", node=node_id, cause=cause, objects_lost=len(lost))
-        rt.telemetry.registry.counter(
-            "skadi_blade_failures_total",
-            "memory-blade deaths the control plane acted on",
-        ).inc()
         rt.recovery.objects_lost(lost)
         return lost
 
@@ -338,10 +335,6 @@ class FailureDomains:
                 by=head_raylet.raylet_id,
                 cause=cause,
             )
-            rt.telemetry.registry.counter(
-                "skadi_raylet_takeovers_total",
-                "orphaned-device adoptions by a surviving raylet",
-            ).inc()
 
     def undo_takeover(self, node_id: str) -> None:
         """The original control daemon is back (restarted DPU, healed link):

@@ -31,6 +31,7 @@ import random
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..cluster.node import NodeKind
+from .events import declare_series
 from .health import STALL_TICKS
 from .ownership import DRIVER, ValueState
 from .task import TaskState
@@ -105,8 +106,6 @@ class HAController:
         self.replica_logs: Dict[str, List[WalRecord]] = {s: [] for s in self.standbys}
         self.last_sync: Dict[str, float] = {}
         self.cluster_lost = False
-        self.failovers = 0
-        self.elections = 0
         self.syncs_delivered = 0
         self.records_replayed = 0
         self.unavailable_since: Optional[float] = None
@@ -123,10 +122,8 @@ class HAController:
         self._m_up = reg.gauge("skadi_ha_gcs_up", "1 while a leader is serving")
         self._m_wal = reg.counter("skadi_ha_wal_records_total", "control-plane mutations logged")
         self._m_syncs = reg.counter("skadi_ha_sync_batches_total", "WAL batches standbys received")
-        self._m_elections = reg.counter("skadi_ha_elections_total", "leader elections started")
-        self._m_failovers = reg.counter("skadi_ha_failovers_total", "failovers completed")
-        self._m_fenced = reg.counter(
-            "skadi_ha_stale_leases_rejected_total", "deposed-leader leases fenced at raylets"
+        declare_series(
+            reg, ("ha_election_started", "ha_failover_complete", "ha_stale_lease_rejected")
         )
         self._m_unavail = reg.histogram(
             "skadi_ha_unavailability_seconds", "head-kill to failover-complete windows"
@@ -151,6 +148,11 @@ class HAController:
     @property
     def leader_node(self) -> str:
         return self.runtime.head_node_id
+
+    @property
+    def failovers(self) -> int:
+        """Failovers completed: the log's ``ha_failover_complete`` records."""
+        return self.runtime.log.count("ha_failover_complete")
 
     # -- the write-ahead log --------------------------------------------------
 
@@ -216,8 +218,8 @@ class HAController:
                 raylet_epoch=raylet.gcs_epoch,
                 endpoint=raylet.endpoint,
             )
-            self._m_fenced.inc()
         if rt.probe is not None:
+            # an accepted lease is in no record: emitted here
             rt.probe.ha_fence(raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, accepted)
         if not accepted:
             return f"lease epoch {ctx.lease_epoch} fenced (raylet saw {raylet.gcs_epoch})"
@@ -368,8 +370,6 @@ class HAController:
             if not candidates:
                 self._declare_cluster_lost("no live standby to elect")
                 return
-            self.elections += 1
-            self._m_elections.inc()
             rt._record(
                 "ha_election_started",
                 initiator=initiator,
@@ -415,8 +415,6 @@ class HAController:
         # lands in the new leader's WAL under the new epoch
         self.adopt(winner, new_epoch, log)
         rt._record("ha_leader_elected", epoch=new_epoch, node=winner, wal_records=len(log))
-        if rt.probe is not None:
-            rt.probe.ha_leader(new_epoch, winner)
         self._reregister_driver()
         yield from self._reregister_raylets(rt.gcs_endpoint, new_epoch)
         self._reconcile_after_failover()
@@ -617,8 +615,6 @@ class HAController:
         self._m_up.set(1.0)
 
     def on_failover_complete(self) -> None:
-        self.failovers += 1
-        self._m_failovers.inc()
         rt = self.runtime
         restored = {
             e.object_id

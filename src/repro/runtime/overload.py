@@ -250,9 +250,6 @@ class BreakerBoard:
     def record_failure(self, device_id: str, now: float) -> None:
         self.breaker(device_id).record_failure(now)
 
-    def states(self) -> Dict[str, BreakerState]:
-        return {d: b.state for d, b in sorted(self._breakers.items())}
-
 
 # -- the installed component --------------------------------------------------
 
@@ -343,13 +340,6 @@ class OverloadControl:
             **tenant_label,
         )
         rt._count_shed("admission_reject")
-        rt.telemetry.registry.counter(
-            "skadi_admission_rejected_total",
-            "submissions refused by the bounded admission queue",
-            **tenant_label,
-        ).inc()
-        if rt.probe is not None:
-            rt.probe.adm_reject(spec.task_id)
         raise AdmissionRejectedError(
             f"admission queue full ({self.admitted_open}/{cfg.admission_queue_depth} "
             f"open tasks); task {spec.task_id} rejected",
@@ -376,8 +366,6 @@ class OverloadControl:
             return
         rt, spec = self.rt, ctx.spec
         self.overflow.append(ctx)
-        if rt.probe is not None:
-            rt.probe.adm_queue(spec.task_id, rt.config.admission_overflow_depth)
         rt._record(
             "admission_queued", task=spec.task_id, name=spec.name,
             depth=len(self.overflow),
@@ -505,11 +493,6 @@ class OverloadControl:
         # budget dry: shedding the retry breaks the storm's feedback loop
         # (each retry would amplify the very overload that failed the
         # first attempt)
-        rt.telemetry.registry.counter(
-            "skadi_retry_budget_exhausted_total",
-            "retries refused because the node's budget ran dry",
-            node=node,
-        ).inc()
         rt._record(
             "retry_budget_exhausted", task=ctx.spec.task_id, node=node, cause=cause
         )
@@ -556,19 +539,10 @@ class OverloadControl:
         self, device_id: str, old: BreakerState, new: BreakerState
     ) -> None:
         rt = self.rt
-        if rt.probe is not None:
-            rt.probe.breaker_flip(device_id, old.name, new.name)
         rt._record(f"breaker_{new.value}", device=device_id, previous=old.value)
         for hook in rt.on_view_change:  # a verdict, like a death: the WAL logs it
             hook("breaker", device=device_id, state=new.name)
-        reg = rt.telemetry.registry
-        reg.counter(
-            "skadi_breaker_transitions_total",
-            "circuit-breaker state changes, by device and new state",
-            device=device_id,
-            state=new.value,
-        ).inc()
-        reg.gauge(
+        rt.telemetry.registry.gauge(
             "skadi_breaker_state",
             "per-device breaker state: 0 closed, 1 half-open, 2 open",
             device=device_id,

@@ -170,13 +170,14 @@ class Raylet:
     def abort_fetches(self) -> None:
         """Release every waiter parked on this raylet's in-flight fetches
         (used on failure so followers fall into their retry paths instead
-        of waiting on a dead leader)."""
+        of waiting on a dead leader).  They wake to ``False``: no fetch
+        ended for them to join."""
         pending, self._inflight_fetches = self._inflight_fetches, {}
         for (object_id, device_id), sig in pending.items():
             if self.probe is not None:
                 self.probe.fetch_abort(self.endpoint, object_id, device_id)
             if not sig.triggered:
-                sig.succeed()
+                sig.succeed(False)
 
     def control(self, actions: int = 1):
         """A process charging ``actions`` control-plane handling costs.

@@ -15,7 +15,8 @@ one place:
   task still reads.
 * **One tail.**  Whatever supplied the value, :meth:`_restore` lands it:
   head-node store → directory READY (a control-plane act, site ``gcs``) →
-  ``object_recovered`` + the recovered-bytes counters → ``_on_object_ready``.
+  ``object_recovered`` (which the recovered-bytes counters count) →
+  ``_on_object_ready``.
   Lineage restores nothing itself (the replayed tasks commit like any task),
   so it only records what it planned.
 * **Proactive recovery runs inside a simulation process** (a verdict fires
@@ -263,7 +264,7 @@ class Recovery:
                 if ownership.contains(out)
             )
             nbytes = ownership.entry(object_id).nbytes
-            self._attribute(object_id, "lineage", nbytes, recomputed, recomputed_bytes=recomputed)
+            self._attribute(object_id, "lineage", nbytes, recomputed_bytes=recomputed)
         for spec in plan:
             rt._replay_task(spec)
 
@@ -296,28 +297,15 @@ class Recovery:
         nbytes = rt.ownership.entry(object_id).nbytes
         rt._ready_at_head(object_id, value, nbytes, "gcs")
         if attributed:
-            self._attribute(object_id, source, nbytes, nbytes)
+            self._attribute(object_id, source, nbytes)
         rt._on_object_ready(object_id)
 
-    def _attribute(
-        self, object_id: str, source: str, nbytes: int, counted: int, **detail: int
-    ) -> None:
-        """Every recovery lands in the log and the counters with its mechanism
-        (lineage counts recomputed bytes, the stores re-fetched bytes)."""
-        rt = self.rt
-        rt._record("object_recovered", object=object_id, source=source, nbytes=nbytes, **detail)
-        reg = rt.telemetry.registry
-        reg.counter(
-            "skadi_recovered_objects_total",
-            "objects recovered after a failure, by mechanism",
-            source=source,
-        ).inc(1)
-        reg.counter(
-            "skadi_recovered_bytes_total",
-            "bytes recovered after a failure, by mechanism "
-            "(lineage counts recomputed bytes, caches count re-fetched bytes)",
-            source=source,
-        ).inc(counted)
+    def _attribute(self, object_id: str, source: str, nbytes: int, **detail: int) -> None:
+        """Every recovery lands in the log with its mechanism (which the
+        recovered-* counters count)."""
+        self.rt._record(
+            "object_recovered", object=object_id, source=source, nbytes=nbytes, **detail
+        )
 
     # -- when an object may go -------------------------------------------------
 

@@ -15,6 +15,7 @@ and performance shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
 from ..caching.kv import estimate_nbytes
@@ -32,7 +33,7 @@ from . import ha, overload
 from .actors import ActorHandle, Actors
 from .config import Generation, RuntimeConfig
 from .dataplane import DataPlane
-from .events import EventLog, RuntimeEvent
+from .events import EventLog, RuntimeEvent, declare_series, incident_counter
 from .failures import FailureDomains
 from .health import HeartbeatMonitor
 from .ids import IdGenerator
@@ -143,6 +144,11 @@ class _TaskCtx:
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
 
 
+def _log_count(kind: str) -> property:
+    """A read-only attribute: how many ``kind`` records the runtime's log holds."""
+    return property(lambda rt: rt.log.count(kind))
+
+
 class ServerlessRuntime:
     """The distributed task execution engine over a simulated cluster."""
 
@@ -213,25 +219,21 @@ class ServerlessRuntime:
         self.supervisor = Supervisor(self)  # always: an attempt can always fail
         self.timelines: List[TaskTimeline] = []
         self.tasks_finished = 0
-        self.tasks_failed = 0
-        self.tasks_retried = 0
         self._open_tasks = 0  # not yet FINISHED/FAILED (heartbeat liveness)
         self.log = EventLog()
-        # every event-log record mirrors into skadi_incidents_total, so
-        # EventLog.counts() and the metrics plane agree by construction
-        self.log.add_observer(self._on_incident)
         reg = self.telemetry.registry
+        # an incident site only records: the metrics plane counts the record
+        # (events.INCIDENTS names its series), so EventLog.counts() and the
+        # metrics plane agree by construction
+        self.log.add_observer(incident_counter(reg))
+        declare_series(
+            reg, ("task_failed", "lineage_replay", "task_retry", "speculate", "actor_restart")
+        )
         self._m_submitted = reg.counter(
             "skadi_tasks_submitted_total", "tasks submitted to the runtime"
         )
         self._m_finished = reg.counter(
             "skadi_tasks_finished_total", "tasks that committed a result"
-        )
-        self._m_failed = reg.counter(
-            "skadi_tasks_failed_total", "tasks that permanently failed"
-        )
-        self._m_replays = reg.counter(
-            "skadi_lineage_replays_total", "tasks re-executed to rebuild lost objects"
         )
         self._m_latency = reg.histogram(
             "skadi_task_latency_seconds", "submit-to-finish latency per task"
@@ -240,7 +242,6 @@ class ServerlessRuntime:
             "skadi_task_input_stall_seconds",
             "dispatch-to-inputs-ready stall per task (pull vs push attacks this)",
         )
-        self.tasks_cancelled = 0
         self.tasks_shed = 0
         # -- overload control (repro.runtime.overload): installed only when
         # one of its switches is on; None otherwise
@@ -276,7 +277,11 @@ class ServerlessRuntime:
             self.ownership.observers.append(self.probe.ownership_op)
             for raylet in self._raylets:
                 raylet.probe = self.probe
-            self.log.add_observer(self._mirror_chaos_event)
+            # the incidents the log already states; no record carries the
+            # admission queue's bound, the config does
+            self.log.add_observer(
+                partial(self.probe.incident, overflow_depth=self.config.admission_overflow_depth)
+            )
         # -- control-plane HA (repro.runtime.ha): installed only when standby
         # replicas are requested; None otherwise.  After the probe, so the
         # WAL observes each directory mutation second.
@@ -357,22 +362,11 @@ class ServerlessRuntime:
     def _record(self, kind: str, **detail: Any) -> RuntimeEvent:
         return self.log.record(self.sim.now, kind, **detail)
 
-    def _on_incident(self, ev: RuntimeEvent) -> None:
-        self.telemetry.registry.counter(
-            "skadi_incidents_total",
-            "control-plane incidents by event-log kind",
-            kind=ev.kind,
-        ).inc()
-
-    def _mirror_chaos_event(self, ev: RuntimeEvent) -> None:
-        """Mirror chaos-monkey injections into the dist-sanitizer trace.
-
-        Faults strike from outside the protocol, so chaos events carry no
-        causal ancestry: they live on their own ``chaos`` site and anything
-        they race with is a genuine finding, not a missing edge.
-        """
-        if self.probe is not None and ev.kind.startswith("chaos_"):
-            self.probe.emit("chaos", ev.kind, ev.detail)
+    # the counters benchmarks and tests read are counts of what was recorded
+    tasks_failed = _log_count("task_failed")
+    tasks_cancelled = _log_count("task_cancelled")
+    tasks_retried = _log_count("task_retry")
+    actor_restarts = _log_count("actor_restart")
 
     def _probe_site(self, site: str) -> None:
         """Attribute the directly-following directory mutation to ``site``.
@@ -692,19 +686,10 @@ class ServerlessRuntime:
             return False
         ctx.state = TaskState.CANCELLED
         ctx.error = f"cancelled: {reason}"
-        self.tasks_cancelled += 1
-        if self.probe is not None:
-            self.probe.task_cancel(ctx.spec.task_id, reason)
+        self._close_failed_span(ctx, ctx.error)
         # tenant attribution only when the submitter carried one — the
         # label-less legacy series and event detail stay byte-identical
         tenant_label = {} if ctx.spec.tenant is None else {"tenant": ctx.spec.tenant}
-        self.telemetry.registry.counter(
-            "skadi_tasks_cancelled_total",
-            "tasks cancelled before completion, by reason",
-            reason=reason,
-            **tenant_label,
-        ).inc()
-        self._close_failed_span(ctx, ctx.error)
         self._record(
             "task_cancelled",
             task=ctx.spec.task_id,
@@ -1085,9 +1070,8 @@ class ServerlessRuntime:
         ctx.state = TaskState.FAILED
         ctx.error = error
         if self.probe is not None:
+            # the attempt it closes is in no record: emitted here
             self.probe.task_fail(ctx.spec.task_id, ctx.attempt, error)
-        self.tasks_failed += 1
-        self._m_failed.inc()
         self._close_failed_span(ctx, error)
         self._open_tasks = max(0, self._open_tasks - 1)
         self._record(
@@ -1148,10 +1132,6 @@ class ServerlessRuntime:
         return self.actors.create(
             ctor, args, kwargs or {}, frozenset(supported_kinds), pinned_device
         )
-
-    @property
-    def actor_restarts(self) -> int:
-        return self.actors.restarts
 
     # -- explicit memory management -----------------------------------------------------
 
@@ -1277,7 +1257,6 @@ class ServerlessRuntime:
         ctx = _TaskCtx(spec, ObjectRef(old_ids[0], task_id=spec.task_id), Signal(self.sim))
         ctx.timeline.submitted = self.sim.now
         self._open_task_span(ctx, replayed=True)
-        self._m_replays.inc()
         self._ctxs[spec.task_id] = ctx
         self._ctx_of_object[old_ids[0]] = ctx
         self._open_tasks += 1

@@ -99,10 +99,6 @@ class Scheduler:
     def is_blacklisted(self, device_id: str) -> bool:
         return device_id in self._blacklisted
 
-    @property
-    def blacklisted_devices(self) -> frozenset:
-        return frozenset(self._blacklisted)
-
     # -- bookkeeping the runtime drives -------------------------------------
 
     def task_started(self, device_id: str) -> None:

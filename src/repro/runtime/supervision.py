@@ -51,13 +51,6 @@ class Supervisor:
 
     def __init__(self, runtime: Any):  # the core (it imports this module, not the reverse)
         self.rt = runtime
-        reg = runtime.telemetry.registry
-        self._m_retried = reg.counter(
-            "skadi_tasks_retried_total", "transient-failure retries consumed"
-        )
-        self._m_speculations = reg.counter(
-            "skadi_speculations_total", "speculative backup copies launched"
-        )
 
     # -- the core's two entry points -------------------------------------------
 
@@ -98,8 +91,6 @@ class Supervisor:
         for gate in rt.retry_gates:
             if not gate(ctx, failed_device, cause):
                 return  # the gate shed the task instead
-        rt.tasks_retried += 1
-        self._m_retried.inc()
         delay = retry_backoff_delay(rt.config, ctx.spec.task_id, ctx.retries)
         span = rt._span_of(ctx)
         if span is not None:
@@ -114,6 +105,7 @@ class Supervisor:
                 cause=cause,
             )
         if rt.probe_edges is not None:
+            # the attempt it answers is in no record: emitted here
             rt.probe_edges.retry(ctx.spec.task_id, ctx.attempt)
         rt._record(
             "task_retry", task=ctx.spec.task_id, name=ctx.spec.name,
@@ -179,8 +171,5 @@ class Supervisor:
         clone.is_clone = True
         clone.timeline.submitted = ctx.timeline.submitted
         clone.device = backup
-        self._m_speculations.inc()
-        if rt.probe_edges is not None:
-            rt.probe_edges.speculate(ctx.spec.task_id)
         rt._record("speculate", task=ctx.spec.task_id, slow=slow, backup=backup.device_id)
         rt._dispatch(clone, preplaced=True)

@@ -3,9 +3,10 @@
 Every finished task becomes a complete ("X") event: row = device, span =
 [started, finished] in virtual microseconds, with the resolution stall as
 an annotated argument.  Failure/recovery incidents from the runtime's
-event log — node deaths, heartbeat suspicions, lineage replays, retries,
-actor restarts, chaos injections — become instant ("i") events, so a
-recovery storm is visible right next to the task spans it perturbs.  Load
+event log — node, device and blade deaths, heartbeat suspicions, lineage
+replays, retries, actor restarts, every chaos injection — become instant
+("i") events (``events.INCIDENTS`` names the kinds and their categories),
+so a recovery storm is visible right next to the task spans it perturbs.  Load
 the output in chrome://tracing or Perfetto.
 """
 
@@ -14,35 +15,10 @@ from __future__ import annotations
 import json
 from typing import IO, List, Union
 
+from .events import instant_category
 from .runtime import ServerlessRuntime
 
-__all__ = ["to_chrome_trace", "write_chrome_trace", "INSTANT_EVENT_KINDS"]
-
-# event-log kinds worth a mark in the trace, and the category they get
-INSTANT_EVENT_KINDS = {
-    "node_dead": "failure",
-    "node_alive": "recovery",
-    "node_suspected": "failure",
-    "node_unsuspected": "recovery",
-    "lineage_replay": "recovery",
-    "task_retry": "recovery",
-    "task_timeout": "failure",
-    "task_failed": "failure",
-    "actor_dead": "failure",
-    "actor_restart": "recovery",
-    "speculate": "recovery",
-    "detector_stalled": "failure",
-    "chaos_node_crash": "chaos",
-    "chaos_node_restart": "chaos",
-    "chaos_partition": "chaos",
-    "chaos_partition_heal": "chaos",
-    "chaos_link_degraded": "chaos",
-    "chaos_link_restored": "chaos",
-    "chaos_message_loss": "chaos",
-    "chaos_message_loss_end": "chaos",
-    "chaos_straggler": "chaos",
-    "chaos_straggler_end": "chaos",
-}
+__all__ = ["to_chrome_trace", "write_chrome_trace"]
 
 
 def to_chrome_trace(
@@ -81,7 +57,7 @@ def to_chrome_trace(
                 }
             )
     for ev in runtime.events:
-        cat = INSTANT_EVENT_KINDS.get(ev.kind)
+        cat = instant_category(ev.kind)
         if cat is None:
             continue
         detail = ev.as_dict()

@@ -82,9 +82,17 @@ class HeadNodeBalancer:
             head: MessageRateTracker(window) for head in self.heads
         }
         self.sessions: Dict[str, str] = {}  # session id -> head node id
-        self.rebalances = 0
-        self.failovers = 0
         self._skew_streak = 0
+
+    @property
+    def failovers(self) -> int:
+        """Sessions moved off a dead head: the log's ``serving_session_failover``s."""
+        return self.runtime.log.count("serving_session_failover")
+
+    @property
+    def rebalances(self) -> int:
+        """Sessions moved off a hot head: the log's ``serving_rebalanced`` records."""
+        return self.runtime.log.count("serving_rebalanced")
 
     # -- liveness -------------------------------------------------------------
 
@@ -122,11 +130,6 @@ class HeadNodeBalancer:
                 raise RuntimeError("every head node is dead; serving tier is down")
             new_head = self._coldest(live)
             self.sessions[session_id] = new_head
-            self.failovers += 1
-            self.runtime.telemetry.registry.counter(
-                "skadi_serving_failovers_total",
-                "sessions reassigned off a dead head node",
-            ).inc()
             self.runtime._record(
                 "serving_session_failover",
                 session=session_id,
@@ -185,11 +188,6 @@ class HeadNodeBalancer:
             return
         session = victims[0]
         self.sessions[session] = cold
-        self.rebalances += 1
-        self.runtime.telemetry.registry.counter(
-            "skadi_serving_rebalances_total",
-            "sessions migrated off a sustained-hot head node",
-        ).inc()
         self.runtime._record(
             "serving_rebalanced", session=session, hot_head=hot, cold_head=cold
         )

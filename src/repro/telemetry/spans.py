@@ -144,14 +144,8 @@ class Tracer:
     def finished_spans(self) -> List[Span]:
         return [s for s in self.spans if not s.is_open]
 
-    def spans_in_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
-
     def children_of(self, span_id: str) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span_id]
-
-    def by_id(self) -> Dict[str, Span]:
-        return {s.span_id: s for s in self.spans}
 
     def __len__(self) -> int:
         return len(self.spans)

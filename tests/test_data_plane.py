@@ -319,6 +319,32 @@ class TestFetchDedup:
         rt = _fanout_runtime(resolution=ResolutionMode.PUSH)
         assert self._run_fanout(rt) == 1
 
+    def test_followers_of_an_aborted_fetch_join_nothing(self):
+        """server1's CPU dies 1 ms into a 1 GB fetch: the leader's fetch is
+        aborted, and its followers wake up to a miss and retry.  None of them
+        joined a fetch that ended, so the sanitizer's fetch registry sees no
+        join."""
+        rt = _fanout_runtime(sanitizers=("invariants",))
+        ref = rt.put(b"payload", nbytes=1024 * MB)
+        outs = [
+            rt.submit(
+                lambda x: len(x), (ref,), compute_cost=1e-5,
+                pinned_device="server1/cpu", name=f"consumer{i}",
+            )
+            for i in range(self.N)
+        ]
+
+        def strike():
+            yield rt.sim.timeout(1e-3)
+            rt.fail_device("server1/cpu")
+            yield rt.sim.timeout(5e-3)
+            rt.restore_device("server1/cpu")
+
+        rt.sim.process(strike(), name="driver:strike")
+        assert rt.get(outs) == [7] * self.N
+        assert rt.log.count("task_retry") >= self.N
+        assert rt.probe.report().violations == []
+
 
 class TestMulticastPushes:
     def _run_wave(self, rt) -> ServerlessRuntime:

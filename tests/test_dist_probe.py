@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.dist.events import DistTrace, ProtoEvent
 from repro.analysis.dist.hb import build_hb
 from repro.analysis.dist.probe import DistProbe
+from repro.runtime.events import RuntimeEvent
 
 
 def make_probe(sanitizers=("hb",)):
@@ -156,7 +157,8 @@ class TestCausalVocabulary:
     def test_chaos_events_have_no_ancestry(self):
         probe = make_probe()
         probe.submit("t")
-        probe.chaos("node_crash", node="server1")
+        probe.incident(RuntimeEvent(0.0, "chaos_node_crash", (("node", "server1"),)), 0)
+        assert probe.trace[1].site == "chaos"
         hb = build_hb(probe.trace)
         assert hb.concurrent(0, 1)
 

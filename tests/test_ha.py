@@ -15,11 +15,14 @@ target.  These tests pin the full story end to end:
 * the chaos schedule extensions (``fail_gcs``, ``n_head_failures``)
   validate loudly and do not perturb legacy seed streams;
 * the all-off default (``ha_replicas=0``) builds nothing and replays the
-  flagship E17 signature bit-for-bit.
+  flagship E17 signature bit-for-bit;
+* under the sanitizer, a failover that fences stale leases feeds the
+  leadership and epoch monitors, which stay clean.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import random
 import sys
@@ -201,6 +204,42 @@ class TestSplitBrainFencing:
         assert raylet.accepts_epoch(3)
         raylet.observe_epoch(1)  # epochs never move backwards
         assert raylet.gcs_epoch == 2
+
+
+def fenced_failover(sanitizers=()):
+    """E25's failover (two standbys, heartbeats on) with the head's link
+    slowed 300x at 8 ms: leases the leader sends in its last 2 ms land after
+    the raylets re-registered under epoch 2, and the fence rejects them."""
+    rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(2, sanitizers=sanitizers))
+    schedule = ChaosSchedule().degrade_link(8e-3, "server0/cpu", "tor-switch", 300.0)
+    ChaosMonkey(rt, schedule.fail_gcs(at=10e-3)).arm()
+    assert rt.get(lane_workload(rt)) == expected_total()
+    return rt
+
+
+class TestSanitizedFailover:
+    """The sanitizer watches a real failover: the leadership and fencing
+    events reach its monitors, which no other test run feeds."""
+
+    def test_the_probe_sees_the_leader_and_the_fence(self):
+        rt = fenced_failover(sanitizers=("hb", "invariants"))
+        assert rt.log.signature() == fenced_failover().log.signature()
+        trace = rt.probe.trace
+        leaders = [e.detail for e in trace if e.kind == "ha_leader"]
+        assert leaders == [(("epoch", 2), ("node", "server1"))]
+        fences = [e for e in trace if e.kind == "ha_fence"]
+        rejected = [e for e in fences if not e.get("accepted")]
+        assert (len(fences), len(rejected)) == (36, 2)
+        assert all(e.get("lease_epoch") == 1 and e.get("raylet_epoch") == 2 for e in rejected)
+        assert rt.log.count("ha_stale_lease_rejected") == 2
+        assert rt.probe.report().violations == []
+        monitors = {m.name: m for m in rt.probe.engine.monitors}
+        assert monitors["leader-per-epoch"]._leader_of_epoch == {2: "server1"}
+        assert monitors["epoch-monotonic"]._last_leader_epoch == 2
+        # the whole protocol trace, pinned: moving where an event is emitted
+        # from must not move the event
+        signature = repr(trace.signature()).encode()
+        assert hashlib.sha1(signature).hexdigest()[:12] == "f5f51bf200c5"
 
 
 class TestWalReplay:

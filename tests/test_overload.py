@@ -9,6 +9,7 @@ chaos traces cannot drift through an innocent-looking refactor.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 from repro.chaos import ChaosMonkey, ChaosSchedule, LoadBurst
 from repro.cluster import build_serverful
-from repro.cluster.hardware import MB
+from repro.cluster.hardware import GB, MB
 from repro.runtime import (
     AdmissionPolicy,
     AdmissionRejectedError,
@@ -632,3 +633,85 @@ class TestAllOffEquivalence:
         )
         assert legacy.log.signature() == armed.log.signature()
         assert legacy.sim.now == armed.sim.now
+
+
+# -- the sanitizer watching overload control -----------------------------------
+
+
+def struck_overload_run(policy, sanitizers=()):
+    """A 1 GB argument in flight to server1 when its CPU dies (3 ms) and
+    comes back (8 ms), next to a burst the 4-deep admission queue parks or
+    refuses, every task under a deadline.  Returns the runtime, every
+    protocol event the probe emitted as ``(time, site, kind, detail)``, and
+    how many submissions were refused."""
+    rt = make_rt(
+        n_servers=3,
+        admission_control=True,
+        admission_queue_depth=4,
+        admission_policy=policy,
+        admission_overflow_depth=4,
+        deadline_propagation=True,
+        device_circuit_breakers=True,
+        breaker_reset_after=2e-3,
+        sanitizers=sanitizers,
+    )
+    emitted = []
+    if rt.probe is not None:
+        # "invariants" keeps no trace: record what the monitors are offered
+        emit = rt.probe.emit
+
+        def recording_emit(site, kind, detail=(), *args, **kwargs):
+            emitted.append((rt.sim.now, site, kind, detail))
+            emit(site, kind, detail, *args, **kwargs)
+
+        rt.probe.emit = recording_emit
+    big = rt.submit(
+        lambda: 1, name="big", output_nbytes=GB, pinned_device="server0/cpu",
+        compute_cost=1e-3,
+    )
+    reader = rt.submit(
+        lambda x: x + 1, (big,), name="reader", deadline=1.0,
+        pinned_device="server1/cpu", compute_cost=1e-3,
+    )
+    refused = 0
+    for i in range(4):
+        try:
+            rt.submit(lambda i=i: i, name=f"late{i}", deadline=5e-4, compute_cost=1e-3)
+        except AdmissionRejectedError:
+            refused += 1
+
+    def strike():
+        yield rt.sim.timeout(3e-3)
+        rt.fail_device("server1/cpu")
+        yield rt.sim.timeout(5e-3)
+        rt.restore_device("server1/cpu")
+
+    rt.sim.process(strike(), name="driver:strike")
+    rt.sim.run()
+    assert rt.task_state(reader) is TaskState.FINISHED
+    return rt, emitted, refused
+
+
+class TestSanitizedOverload:
+    """The breaker, admission and deadline monitors watch a real run; no
+    other test run feeds them."""
+
+    def test_the_monitors_see_breakers_admission_and_deadlines(self):
+        seen = set()
+        for policy, refusals, digest in (
+            (AdmissionPolicy.QUEUE_WITH_DEADLINE, 0, "8aef2dcd7d2f"),
+            (AdmissionPolicy.REJECT, 2, "d72f1aa905b4"),
+        ):
+            legacy, _, _ = struck_overload_run(policy)
+            rt, emitted, refused = struck_overload_run(policy, sanitizers=("invariants",))
+            assert rt.log.signature() == legacy.log.signature()
+            assert refused == refusals
+            assert rt.probe.report().violations == []
+            seen.update(kind for _, _, kind, _ in emitted)
+            # every emitted event, pinned: moving where an event is emitted
+            # from must not move the event
+            assert hashlib.sha1(repr(emitted).encode()).hexdigest()[:12] == digest
+        assert seen >= {
+            "breaker_flip", "deadline_inherit", "adm_queue", "adm_release",
+            "adm_reject", "fetch_abort",
+        }

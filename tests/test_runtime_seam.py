@@ -383,18 +383,18 @@ class TestStructureGuard:
         },
         "recovery.py": {
             "cluster", "ownership", "lineage", "reliable_cache", "durable_store", "sim",
-            "telemetry", "probe", "_record", "_probe_site", "_ready_at_head", "_on_object_ready",
+            "probe", "_record", "_probe_site", "_ready_at_head", "_on_object_ready",
             "_replay_task", "_ctxs", "_ctx_of_object", "_raylet_of_device", "_raylets_by_node",
             "_store_of_device", "_spill_store", "_readers",
         },
         "supervision.py": {
             "config", "sim", "telemetry", "ownership", "scheduler", "probe_edges", "gcs_up",
-            "on_device_fault", "retry_gates", "tasks_retried", "_dispatch", "_route",
+            "on_device_fault", "retry_gates", "_dispatch", "_route",
             "_place_or_retry", "_fail_ctx", "actors", "_span_of", "_record", "_ctxs",
         },
         "actors.py": {
-            "sim", "ids", "cluster", "config", "scheduler", "telemetry", "reliable_cache",
-            "recovery", "_record", "_submit_spec", "_device_alive",
+            "sim", "ids", "cluster", "config", "scheduler", "reliable_cache",
+            "recovery", "_record", "_submit_spec", "_device_alive", "actor_restarts",
         },
     }
 

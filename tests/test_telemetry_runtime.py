@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
 from repro.caching.replication import ReplicationScheme
+from repro.chaos import monkey
 from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import DeviceKind
 from repro.runtime import (
+    Generation,
     ResolutionMode,
     RuntimeConfig,
     ServerlessRuntime,
@@ -268,6 +273,32 @@ class TestChromeTraceIntegration:
         stalled = next(e for e in events if e["name"] == "detector_stalled")
         assert stalled["s"] == "g"
         assert stalled["pid"] == "control-plane"
+
+    def test_every_chaos_injection_is_an_instant(self):
+        """Every kind the chaos monkey can record is marked, whatever fault
+        it injects: device, blade and DPU faults, head kills and load bursts
+        included."""
+        kinds = set(re.findall(r'_record\(\s*"(chaos_\w+)"', inspect.getsource(monkey)))
+        assert len(kinds) == 18  # nine faults, eight revivals, the head kill
+        rt = pull_runtime()
+        for kind in sorted(kinds):
+            rt._record(kind)
+        instants = {e["name"]: e["cat"] for e in to_chrome_trace(rt) if e["ph"] == "i"}
+        assert instants == dict.fromkeys(kinds, "chaos")
+
+    def test_verdicts_of_every_fault_domain_are_instants(self):
+        rt = ServerlessRuntime(
+            build_physical_disagg(), RuntimeConfig(generation=Generation.GEN1)
+        )
+        rt.fail_device("gpucard0/gpu0")
+        rt.failures.fail_dpu("fpgacard0", "killed by driver", announce=True)  # head adopts
+        rt.failures.fail_blade("memblade0", "killed by driver", announce=True)
+        rt.failures.fail_head()  # no standby: the control plane is lost
+        instants = [(e["name"], e["cat"]) for e in to_chrome_trace(rt) if e["ph"] == "i"]
+        assert instants == [
+            ("device_dead", "failure"), ("device_dead", "failure"),
+            ("raylet_takeover", "recovery"), ("blade_dead", "failure"), ("gcs_lost", "failure"),
+        ]
 
     def test_spans_mode_replaces_timeline_slices(self):
         rt = pull_runtime()
