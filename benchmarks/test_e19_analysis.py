@@ -33,9 +33,7 @@ from repro.flowgraph.launch import launch_physical_graph
 from repro.flowgraph.optimizer import optimize
 from repro.flowgraph.physical import to_physical
 from repro.frontends.sql.planner import sql_to_ir
-from repro.ir.lowering import lower_relational_to_df
-from repro.ir.passes import PassManager
-from repro.ir.relational_passes import relational_optimizer
+from repro.ir.lowering import optimize_and_lower
 from repro.ir.types import FrameType
 from repro.runtime import RuntimeConfig, ServerlessRuntime
 
@@ -62,9 +60,7 @@ def build_plan():
     go into every ``QueryReport``) — everything except execution."""
     func = sql_to_ir(QUERY, CATALOG)
     ir_text = func.to_text()
-    PassManager(relational_optimizer()).run(func)
-    lowered = lower_relational_to_df(func)
-    PassManager().run(lowered)
+    lowered = optimize_and_lower(func)
     lowered_text = lowered.to_text()
     assert ir_text and lowered_text
     graph, _sink = ir_to_flowgraph(

@@ -1,25 +1,15 @@
 """Skadi-lint: static analysis over the IR, flowgraph, and runtime tiers.
 
 A compiler stack is only as trustworthy as its invariants: this package
-holds the strict collect-all IR verifier, a reusable dataflow framework
-(def-use, liveness, reaching definitions, buffer effects), lint rules for
-missed optimizations, a physical-plan sanitizer the scheduler runs in
-strict mode, and pass-level miscompile bisection.  ``python -m
-repro.analysis`` lints whole programs end to end.
+renders the IR's own checker as collect-all diagnostics, re-exports its
+def-use facts (with liveness and reaching-definition queries) next to buffer
+effects, and holds lint rules for missed optimizations, a physical-plan
+sanitizer the scheduler runs in strict mode, and pass-level miscompile
+bisection.  ``python -m repro.analysis`` lints whole programs end to end.
 """
 
-from .bisect import MiscompileReport, bisect_miscompile, clone_function
-from .dataflow import (
-    AliasSets,
-    BufferSummary,
-    DataflowAnalysis,
-    DefUse,
-    Effect,
-    Liveness,
-    ReachingDefinitions,
-    buffer_effects,
-    def_use,
-)
+from .bisect import bisect_miscompile, clone_function
+from .dataflow import AliasSets, BufferSummary, DefUse, Effect, buffer_effects, def_use
 from .diagnostics import Diagnostic, DiagnosticSet, Severity
 from .lint import lint_function, lint_module
 from .sanitizer import DeviceView, PlanSanitizerError, sanitize_plan, strict_sanitize
@@ -35,9 +25,6 @@ __all__ = [
     "strict_verify",
     "DefUse",
     "def_use",
-    "DataflowAnalysis",
-    "Liveness",
-    "ReachingDefinitions",
     "Effect",
     "BufferSummary",
     "buffer_effects",
@@ -48,7 +35,6 @@ __all__ = [
     "strict_sanitize",
     "DeviceView",
     "PlanSanitizerError",
-    "MiscompileReport",
     "bisect_miscompile",
     "clone_function",
     "AnalysisSession",

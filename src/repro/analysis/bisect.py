@@ -3,21 +3,19 @@
 When an optimized program is wrong, the question is never "is the pipeline
 broken" but "*which pass* broke it".  ``PassManager(verify_each=True)``
 already answers that by verifying after every individual pass application
-and raising :class:`MiscompileError` naming the first offender; this module
-wraps it into a report with the IR diff across the guilty rewrite, and a
-non-destructive entry point that works on a clone of the function.
+and raising :class:`MiscompileError` naming the first offender, with the IR
+diff across the guilty rewrite (``diff()`` / ``render()``); this module adds
+a non-destructive entry point that works on a clone of the function.
 """
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..ir.core import Function, Operation, Value
 from ..ir.passes import MiscompileError, Pass, PassManager
 
-__all__ = ["MiscompileReport", "bisect_miscompile", "clone_function"]
+__all__ = ["bisect_miscompile", "clone_function"]
 
 
 def clone_function(func: Function) -> Function:
@@ -46,57 +44,14 @@ def clone_function(func: Function) -> Function:
     return clone
 
 
-@dataclass
-class MiscompileReport:
-    """Which pass first broke which invariant, with the offending rewrite."""
-
-    pass_name: str
-    function_name: str
-    iteration: int
-    cause: str
-    before_text: str
-    after_text: str
-
-    @classmethod
-    def from_error(cls, exc: MiscompileError) -> "MiscompileReport":
-        return cls(
-            pass_name=exc.pass_name,
-            function_name=exc.function_name,
-            iteration=exc.iteration,
-            cause=exc.cause,
-            before_text=exc.before_text,
-            after_text=exc.after_text,
-        )
-
-    def diff(self) -> str:
-        """Unified diff of the guilty rewrite (before vs after the pass)."""
-        return "".join(
-            difflib.unified_diff(
-                self.before_text.splitlines(keepends=True),
-                self.after_text.splitlines(keepends=True),
-                fromfile=f"{self.function_name} (before {self.pass_name})",
-                tofile=f"{self.function_name} (after {self.pass_name})",
-                lineterm="\n",
-            )
-        )
-
-    def render(self) -> str:
-        return (
-            f"miscompile: pass {self.pass_name!r} broke {self.function_name!r} "
-            f"on iteration {self.iteration}\n"
-            f"invariant: {self.cause}\n"
-            f"{self.diff()}"
-        )
-
-
 def bisect_miscompile(
     func: Function,
     passes: Optional[List[Pass]] = None,
     max_iterations: int = 50,
     in_place: bool = False,
-) -> Optional[MiscompileReport]:
-    """Run the pipeline with verify-after-each-pass and report the first
-    invariant-breaking pass, or None when the pipeline is clean.
+) -> Optional[MiscompileError]:
+    """Run the pipeline with verify-after-each-pass and return the error
+    naming the first invariant-breaking pass, or None when it is clean.
 
     By default the pipeline runs on a clone, so the input function is left
     untouched whatever happens; pass ``in_place=True`` to keep the (partly
@@ -106,5 +61,5 @@ def bisect_miscompile(
     try:
         manager.run(target)
     except MiscompileError as exc:
-        return MiscompileReport.from_error(exc)
+        return exc
     return None

@@ -106,9 +106,7 @@ def _parse_table(spec: str) -> "tuple[str, tuple[tuple[str, str], ...]]":
 
 def _lint_sql(query: str, table_specs: List[str]) -> "tuple[bool, str]":
     from ..frontends.sql.planner import sql_to_ir
-    from ..ir.passes import PassManager
-    from ..ir.relational_passes import relational_optimizer
-    from ..ir.lowering import lower_relational_to_df
+    from ..ir.lowering import optimize_and_lower
     from ..ir.types import FrameType
 
     catalog: Dict[str, FrameType] = {}
@@ -118,10 +116,7 @@ def _lint_sql(query: str, table_specs: List[str]) -> "tuple[bool, str]":
 
     with analysis_session(name="sql") as session:
         try:
-            func = sql_to_ir(query, catalog)
-            PassManager(relational_optimizer()).run(func)
-            lowered = lower_relational_to_df(func)
-            PassManager().run(lowered)
+            lowered = optimize_and_lower(sql_to_ir(query, catalog))
             session.record_function(lowered)
         except Exception as exc:  # noqa: BLE001 — planning errors are findings
             session.diagnostics.error(

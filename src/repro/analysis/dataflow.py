@@ -1,13 +1,9 @@
-"""Reusable dataflow analyses over flat SSA functions.
+"""Dataflow facts over flat SSA functions.
 
-The IR's functions are single straight-line regions, so every classical
-bit-vector analysis degenerates to one forward or backward sweep — but the
-framework is written in the standard gen/kill style so new analyses are a
-subclass, not a new algorithm:
-
-* :func:`def_use` — def-use chains (where each value is defined and used)
-* :class:`Liveness` — which values are live before/after each op
-* :class:`ReachingDefinitions` — which definitions reach each program point
+* :func:`def_use` — def-use chains (where each value is defined and used);
+  ``DefUse.live_after`` and ``DefUse.reaches`` answer liveness and reaching
+  definitions, which in SSA are one-line questions to the def/use sites.
+  The IR computes them (``repro.ir.core``); this module re-exports them.
 * :func:`buffer_effects` — read/write/opaque effect summaries plus a
   may-alias relation for the kernel dialect (opaque ``kernel.call`` results
   may alias their operand buffers; everything else produces fresh buffers)
@@ -15,185 +11,20 @@ subclass, not a new algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from ..ir.core import Function, Operation, Value
+from ..ir.core import PARAM_SITE, DefUse, Function, Value, def_use, is_pure
 
 __all__ = [
     "DefUse",
     "def_use",
-    "DataflowAnalysis",
-    "Liveness",
-    "ReachingDefinitions",
+    "PARAM_SITE",
     "Effect",
     "BufferSummary",
     "buffer_effects",
     "AliasSets",
 ]
-
-
-# -- def-use chains --------------------------------------------------------------
-
-PARAM_SITE = -1  # def site index meaning "function parameter"
-
-
-@dataclass
-class DefUse:
-    """Def-use chains: value id -> def site (op index or PARAM_SITE) and
-    the op indices that read it (returns tracked separately)."""
-
-    func: Function
-    def_site: Dict[int, int] = field(default_factory=dict)
-    use_sites: Dict[int, List[int]] = field(default_factory=dict)
-    returned: Set[int] = field(default_factory=set)
-    values: Dict[int, Value] = field(default_factory=dict)
-
-    def uses_of(self, value: Value) -> List[int]:
-        return list(self.use_sites.get(id(value), []))
-
-    def is_dead(self, value: Value) -> bool:
-        return not self.use_sites.get(id(value)) and id(value) not in self.returned
-
-    def dead_results(self) -> List[Tuple[int, Operation, Value]]:
-        """(op index, op, result) for every result nothing consumes."""
-        return [
-            (index, op, value)
-            for index, op in enumerate(self.func.ops)
-            for value in op.results
-            if self.is_dead(value)
-        ]
-
-
-def def_use(func: Function) -> DefUse:
-    chains = DefUse(func)
-    for param in func.params:
-        chains.def_site[id(param)] = PARAM_SITE
-        chains.values[id(param)] = param
-    for index, op in enumerate(func.ops):
-        for operand in op.operands:
-            chains.use_sites.setdefault(id(operand), []).append(index)
-        for value in op.results:
-            chains.def_site[id(value)] = index
-            chains.values[id(value)] = value
-    for value in func.returns:
-        chains.returned.add(id(value))
-    return chains
-
-
-# -- gen/kill framework ----------------------------------------------------------
-
-
-class DataflowAnalysis:
-    """Classical gen/kill dataflow over the op list.
-
-    Subclasses define direction and the per-op ``gen``/``kill`` sets over
-    value ids; ``solve`` produces the in/out set at every op index.  On a
-    straight-line region a single sweep reaches the fixpoint, but the
-    solver iterates anyway so region-structured IR can reuse it later.
-    """
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-    direction = FORWARD
-
-    def __init__(self, func: Function):
-        self.func = func
-        self.in_sets: List[FrozenSet[int]] = []
-        self.out_sets: List[FrozenSet[int]] = []
-
-    # subclass interface ----------------------------------------------------
-
-    def boundary(self) -> Set[int]:
-        """The set at the region entry (forward) or exit (backward)."""
-        return set()
-
-    def gen(self, op: Operation) -> Set[int]:
-        raise NotImplementedError
-
-    def kill(self, op: Operation) -> Set[int]:
-        raise NotImplementedError
-
-    # solver ----------------------------------------------------------------
-
-    def transfer(self, op: Operation, state: Set[int]) -> Set[int]:
-        return (state - self.kill(op)) | self.gen(op)
-
-    def solve(self) -> "DataflowAnalysis":
-        ops = self.func.ops
-        n = len(ops)
-        ins: List[Set[int]] = [set() for _ in range(n)]
-        outs: List[Set[int]] = [set() for _ in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            if self.direction == self.FORWARD:
-                state = self.boundary()
-                for i in range(n):
-                    if ins[i] != state:
-                        ins[i] = set(state)
-                        changed = True
-                    state = self.transfer(ops[i], state)
-                    if outs[i] != state:
-                        outs[i] = set(state)
-                        changed = True
-            else:
-                state = self.boundary()
-                for i in range(n - 1, -1, -1):
-                    if outs[i] != state:
-                        outs[i] = set(state)
-                        changed = True
-                    state = self.transfer(ops[i], state)
-                    if ins[i] != state:
-                        ins[i] = set(state)
-                        changed = True
-        self.in_sets = [frozenset(s) for s in ins]
-        self.out_sets = [frozenset(s) for s in outs]
-        return self
-
-
-class Liveness(DataflowAnalysis):
-    """Backward: a value is live where a later use (or the return) needs it.
-
-    ``in_sets[i]`` is live-before op ``i``; ``out_sets[i]`` live-after."""
-
-    direction = DataflowAnalysis.BACKWARD
-
-    def boundary(self) -> Set[int]:
-        return {id(v) for v in self.func.returns}
-
-    def gen(self, op: Operation) -> Set[int]:
-        return {id(v) for v in op.operands}
-
-    def kill(self, op: Operation) -> Set[int]:
-        return {id(v) for v in op.results}
-
-    def live_after(self, index: int) -> FrozenSet[int]:
-        return self.out_sets[index]
-
-    def is_live_after(self, index: int, value: Value) -> bool:
-        return id(value) in self.out_sets[index]
-
-
-class ReachingDefinitions(DataflowAnalysis):
-    """Forward: which definitions reach each program point.  In SSA nothing
-    is ever killed, so ``in_sets[i]`` is exactly the set of values legal to
-    use at op ``i`` — the verifier's def-before-use rule as a lattice."""
-
-    direction = DataflowAnalysis.FORWARD
-
-    def boundary(self) -> Set[int]:
-        return {id(p) for p in self.func.params}
-
-    def gen(self, op: Operation) -> Set[int]:
-        return {id(v) for v in op.results}
-
-    def kill(self, op: Operation) -> Set[int]:
-        return set()  # SSA: a definition is never re-defined
-
-    def reaches(self, index: int, value: Value) -> bool:
-        return id(value) in self.in_sets[index]
 
 
 # -- buffer effects / aliasing (kernel dialect) ----------------------------------
@@ -260,11 +91,7 @@ def buffer_effects(func: Function) -> BufferSummary:
     effects: List[Effect] = []
     aliases = AliasSets()
     for index, op in enumerate(func.ops):
-        try:
-            pure = op.defn.pure
-        except KeyError:
-            pure = False  # unknown op: treat as opaque
-        opaque = not pure
+        opaque = not is_pure(op)
         reads = tuple(id(v) for v in op.operands)
         writes = tuple(id(v) for v in op.results)
         if opaque:

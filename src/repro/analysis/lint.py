@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ir.core import Function, Module
+from ..ir.core import Function, Module, def_use, is_pure
 from ..ir.passes import _attr_key, _fusable
-from .dataflow import def_use
 from .diagnostics import DiagnosticSet
 
 __all__ = ["lint_function", "lint_module"]
@@ -42,15 +41,9 @@ def lint_function(func: Function, diags: Optional[DiagnosticSet] = None) -> Diag
     cse_groups: Dict[Tuple[str, Tuple[int, ...]], object] = {}
 
     for index, op in enumerate(func.ops):
-        try:
-            defn = op.defn
-        except KeyError:
-            defn = None  # the verifier reports unknown-op; lint stays quiet
-        pure = defn.pure if defn is not None else False
-
-        if pure:
+        if is_pure(op):  # an unknown op is impure: the verifier reports it
             for value in op.results:
-                if not use_sites.get(id(value)) and id(value) not in returned:
+                if chains.is_dead(value):
                     diags.warning(
                         DEAD_VALUE,
                         f"result {value!r} of {op.qualified} is never used",
@@ -88,9 +81,7 @@ def lint_function(func: Function, diags: Optional[DiagnosticSet] = None) -> Diag
                     else:
                         entry[attr_key] = index
 
-        if op.qualified == "kernel.fused" or (
-            defn is not None and defn.elementwise
-        ):
+        if _fusable(op):
             for value in op.operands:
                 producer = value.producer
                 if producer is None or not _fusable(producer):

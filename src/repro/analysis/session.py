@@ -2,12 +2,12 @@
 
 The CLI cannot see a user program's intermediate IR or physical plans — they
 live inside ``Skadi`` calls.  An :class:`AnalysisSession` is a thread-local
-collector that the pipeline reports into from three choke points (the hooks
-are lazy one-liners in the production code):
+collector that the pipeline reports into from three choke points, each of
+which reads the active session from ``repro.ir.passes.OBSERVER``:
 
-* ``PassManager.run`` — forces verify-after-each-pass and, once a function
-  reaches its fixpoint, strict-verifies and lints it
-* ``Skadi._run_ir`` — catches functions that skip the pass pipeline
+* ``PassManager.run`` — forces verify-after-each-pass and records the
+  miscompile it raises
+* ``Skadi._run_ir`` — strict-verifies and lints the optimized IR
 * ``launch_physical_graph`` — sanitizes every physical plan against the
   runtime's cluster and blacklist before it launches
 
@@ -18,22 +18,20 @@ miscompiled program must not keep running).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Set
+from typing import Iterator, List, Optional, Set
 
+from ..ir.passes import OBSERVER, MiscompileError
 from .diagnostics import DiagnosticSet
 from .lint import lint_function
 from .verifier import verify_function
 
 __all__ = ["AnalysisSession", "analysis_session", "current_session"]
 
-_STATE = threading.local()
-
 
 def current_session() -> Optional["AnalysisSession"]:
     """The active session of this thread, or None (the common, zero-cost case)."""
-    return getattr(_STATE, "session", None)
+    return OBSERVER.session
 
 
 class AnalysisSession:
@@ -44,7 +42,7 @@ class AnalysisSession:
         self.diagnostics = DiagnosticSet()
         self.functions_checked = 0
         self.plans_checked = 0
-        self.miscompiles: list = []
+        self.miscompiles: List[MiscompileError] = []
         self._seen_functions: Set[int] = set()
         self._seen_plans: Set[int] = set()
 
@@ -78,18 +76,14 @@ class AnalysisSession:
             pgraph, devices=devices, blacklisted=blacklisted, diags=self.diagnostics
         )
 
-    def record_miscompile(self, exc) -> None:
-        """A verify-after-each-pass failure: keep the structured report."""
-        from .bisect import MiscompileReport
-
-        report = MiscompileReport.from_error(exc)
-        self.miscompiles.append(report)
+    def record_miscompile(self, exc: MiscompileError) -> None:
+        """A verify-after-each-pass failure: keep the error itself."""
+        self.miscompiles.append(exc)
         self.diagnostics.error(
             "miscompile",
-            f"pass {report.pass_name!r} broke {report.function_name!r}: "
-            f"{report.cause}",
-            func=report.function_name,
-            hint="see the bisection diff (MiscompileReport.diff())",
+            f"pass {exc.pass_name!r} broke {exc.function_name!r}: {exc.cause}",
+            func=exc.function_name,
+            hint="see the bisection diff (MiscompileError.diff())",
         )
 
     # -- reporting -----------------------------------------------------------
@@ -118,8 +112,8 @@ def analysis_session(name: str = "analysis") -> Iterator[AnalysisSession]:
         yield outer
         return
     session = AnalysisSession(name)
-    _STATE.session = session
+    OBSERVER.session = session
     try:
         yield session
     finally:
-        _STATE.session = None
+        OBSERVER.session = None

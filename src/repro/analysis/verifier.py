@@ -1,47 +1,29 @@
 """Collect-all strict IR verifier.
 
-``Function.verify()`` raises on the *first* broken invariant — right for a
-compiler pipeline that must stop.  A linter wants the opposite: every
-violation in one pass, as structured diagnostics.  This module re-checks
-the same invariants (plus a few only a whole-program view can see) and
-keeps going after each finding, so the CLI can print one complete report.
-
-Every diagnostic code here maps to exactly one invariant:
-
-====================== ========================================================
-code                   invariant
-====================== ========================================================
-duplicate-param        two params share a Value (or a name)
-unknown-op             op not in the dialect registry
-operand-arity          operand count differs from the OpDef
-use-before-def         operand used before any definition in this function
-cross-function-operand operand's producer lives in a different function
-op-invariant           the dialect's per-op ``verify`` hook failed
-infer-failed           type inference itself raised
-result-arity           inference yields a different number of results
-type-mismatch          a result's recorded type differs from inference
-producer-link-broken   a result's ``producer`` back-pointer is not its op
-duplicate-result       a Value is defined twice
-undefined-return       the function returns a value nothing defines
-op-after-return        an op sits past the last op that must execute
-====================== ========================================================
+The IR has one checker, :meth:`Function.findings`, with two reporting
+modes.  ``Function.verify()`` raises the first finding — right for a
+compiler pipeline that must stop.  A linter wants every violation in one
+pass, as structured diagnostics: :func:`verify_function` renders each
+finding as a :class:`Diagnostic` (the code is the invariant; the finding's
+docstring has the table of all 13) with the printed op and a fix-it hint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..ir.core import Function, IRVerificationError, Module, Operation
+from ..ir.core import Function, IRVerificationError, Module, _safe_text
 from .diagnostics import DiagnosticSet
 
 __all__ = ["verify_function", "verify_module", "strict_verify"]
 
-
-def _safe_text(op: Operation) -> str:
-    try:
-        return op.to_text()
-    except Exception:  # noqa: BLE001 — a broken op must not break its report
-        return repr(op)
+HINTS = {
+    "duplicate-param": "rename the colliding parameters",
+    "unknown-op": "register an OpDef or fix the dialect/name spelling",
+    "cross-function-operand": "pass the value through a parameter instead",
+    "type-mismatch": "rebuild the op through Builder.emit so types come from inference",
+    "op-after-return": "move the op before the return or drop it",
+}
 
 
 def verify_function(
@@ -49,188 +31,16 @@ def verify_function(
 ) -> DiagnosticSet:
     """Check every IR invariant on ``func``; never raises, always finishes."""
     diags = diags if diags is not None else DiagnosticSet()
-    name = func.name
-
-    if len({id(p) for p in func.params}) != len(func.params):
-        diags.error("duplicate-param", "two parameters share one SSA value", func=name)
-    param_names = [p.name for p in func.params]
-    if len(set(param_names)) != len(param_names):
+    for code, index, message in func.findings():
         diags.error(
-            "duplicate-param",
-            f"duplicate parameter names {param_names}",
-            func=name,
-            hint="rename the colliding parameters",
-        )
-
-    own_ops = None  # built lazily: only the error paths consult it
-    defined: Dict[int, str] = {id(v): v.name for v in func.params}
-    defns: list = []
-
-    for index, op in enumerate(func.ops):
-        # op text is rendered only on the error paths; formatting every op
-        # eagerly would dominate the cost of verifying clean functions
-        try:
-            defn = op.defn
-            defns.append(defn)
-        except KeyError:
-            defns.append(None)
-            diags.error(
-                "unknown-op",
-                f"{op.qualified} is not registered in any dialect",
-                func=name,
-                op_index=index,
-                op_text=_safe_text(op),
-                hint="register an OpDef or fix the dialect/name spelling",
-            )
-            for value in op.results:  # still define results: avoid cascades
-                defined.setdefault(id(value), value.name)
-            continue
-
-        for operand in op.operands:
-            if id(operand) in defined:
-                continue
-            if own_ops is None:
-                own_ops = {id(o) for o in func.ops}
-            if operand.producer is not None and id(operand.producer) not in own_ops:
-                diags.error(
-                    "cross-function-operand",
-                    f"{op.qualified} operand {operand!r} is produced by "
-                    f"{operand.producer.qualified} in a different function",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                    hint="pass the value through a parameter instead",
-                )
-            else:
-                diags.error(
-                    "use-before-def",
-                    f"{op.qualified} uses {operand!r} before its definition",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                )
-
-        if defn.num_operands is not None and len(op.operands) != defn.num_operands:
-            diags.error(
-                "operand-arity",
-                f"{op.qualified} expects {defn.num_operands} operands, "
-                f"got {len(op.operands)}",
-                func=name,
-                op_index=index,
-                op_text=_safe_text(op),
-            )
-
-        if defn.verify is not None:
-            try:
-                problem = defn.verify(op)
-            except Exception as exc:  # noqa: BLE001 — hook bugs become findings
-                problem = f"verify hook raised {type(exc).__name__}: {exc}"
-            if problem is not None:
-                diags.error(
-                    "op-invariant",
-                    f"{op.qualified}: {problem}",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                )
-
-        inferred = None
-        try:
-            inferred = defn.infer([v.type for v in op.operands], op.attrs)
-        except Exception as exc:  # noqa: BLE001 — inference errors are findings
-            diags.error(
-                "infer-failed",
-                f"{op.qualified} type inference failed: {exc}",
-                func=name,
-                op_index=index,
-                op_text=_safe_text(op),
-            )
-
-        if inferred is not None:
-            if len(inferred) != len(op.results):
-                diags.error(
-                    "result-arity",
-                    f"{op.qualified} has {len(op.results)} results, "
-                    f"inference says {len(inferred)}",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                )
-            for value, expected in zip(op.results, inferred, strict=False):
-                if value.type != expected:
-                    diags.error(
-                        "type-mismatch",
-                        f"{op.qualified} result {value!r} has type "
-                        f"{value.type!r}, inference says {expected!r}",
-                        func=name,
-                        op_index=index,
-                        op_text=_safe_text(op),
-                        hint="rebuild the op through Builder.emit so types "
-                        "come from inference",
-                    )
-
-        for value in op.results:
-            if value.producer is not op:
-                diags.error(
-                    "producer-link-broken",
-                    f"result {value!r} does not point back at its defining op",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                )
-            if id(value) in defined:
-                diags.error(
-                    "duplicate-result",
-                    f"value {value!r} is defined a second time "
-                    f"(first as {defined[id(value)]!r})",
-                    func=name,
-                    op_index=index,
-                    op_text=_safe_text(op),
-                )
-            else:
-                defined[id(value)] = value.name
-
-    for ret in func.returns:
-        if id(ret) not in defined:
-            diags.error(
-                "undefined-return",
-                f"function returns {ret!r} but nothing defines it",
-                func=name,
-            )
-
-    _check_ops_after_return(func, defns, diags)
-    return diags
-
-
-def _check_ops_after_return(
-    func: Function, defns: list, diags: DiagnosticSet
-) -> None:
-    """Mirror of ``Function._verify_no_ops_after_return`` as a diagnostic:
-    flag every op past the last one that must execute (a returned value's
-    producer, an impure op, or anything feeding either).  Walking backward,
-    the first must-execute op *is* the last one, so the scan usually stops
-    after a single step."""
-    if not func.returns:
-        return
-    live = {id(v) for v in func.returns}
-    last_must_execute = -1
-    for index in range(len(func.ops) - 1, -1, -1):
-        op = func.ops[index]
-        defn = defns[index]
-        pure = defn.pure if defn is not None else False
-        if not pure or any(id(r) in live for r in op.results):
-            last_must_execute = index
-            break
-    for index in range(last_must_execute + 1, len(func.ops)):
-        op = func.ops[index]
-        diags.error(
-            "op-after-return",
-            f"{op.qualified} appears after the return and can never be observed",
+            code,
+            message,
             func=func.name,
             op_index=index,
-            op_text=_safe_text(op),
-            hint="move the op before the return or drop it",
+            op_text=_safe_text(func.ops[index]) if index is not None else "",
+            hint=HINTS.get(code, ""),
         )
+    return diags
 
 
 def verify_module(

@@ -21,9 +21,8 @@ from ..flowgraph.physical import to_physical
 from ..frontends.dataframe import DataFrame
 from ..frontends.sql.planner import sql_to_ir
 from ..ir.core import Function
-from ..ir.lowering import lower_relational_to_df
-from ..ir.passes import PassManager
-from ..ir.relational_passes import relational_optimizer
+from ..ir.lowering import lower_relational_to_df, optimize_and_lower
+from ..ir.passes import OBSERVER
 from ..ir.types import FrameType
 from ..runtime.config import RuntimeConfig
 from ..runtime.object_ref import ObjectRef
@@ -114,12 +113,9 @@ class Skadi:
         (lowering builds a new function); returns ``(lowered, graph, sink,
         graph optimizer stats)``."""
         if self.optimize_ir:
-            # relational rules first (filter pushdown shrinks the shuffles),
-            # then the generic dialect-agnostic passes after lowering
-            PassManager(relational_optimizer()).run(func)
-        lowered = lower_relational_to_df(func)
-        if self.optimize_ir:
-            PassManager().run(lowered)
+            lowered = optimize_and_lower(func)
+        else:
+            lowered = lower_relational_to_df(func)
         graph, sink = ir_to_flowgraph(
             lowered,
             shards=self.shards,
@@ -137,23 +133,12 @@ class Skadi:
         report = QueryReport(ir_text=func.to_text())
         lowered, graph, sink, report.opt_stats = self._plan(func, tables)
         report.lowered_text = lowered.to_text()
-        self._record_for_analysis(lowered)
+        if OBSERVER.session is not None:  # under ``python -m repro.analysis``
+            OBSERVER.session.record_function(lowered)
         report.graph_vertices = len(graph.vertices)
         result = self.run_flowgraph(graph, sink, tables, report=report)
         self.last_report = report
         return result
-
-    @staticmethod
-    def _record_for_analysis(func: Function) -> None:
-        """Hand the post-optimization IR to the active analysis session
-        (``python -m repro.analysis``), when one exists."""
-        try:
-            from ..analysis.session import current_session
-        except ImportError:  # analysis layer absent/optional
-            return
-        session = current_session()
-        if session is not None:
-            session.record_function(func)
 
     @staticmethod
     def _sink_after_optimize(graph: FlowGraph, sink: Vertex) -> Vertex:

@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..caching.columnar import RecordBatch, concat_batches
 from ..ir.interpreter import Interpreter
 from ..ir.kernels import hash_partition
+from ..ir.passes import OBSERVER
 from ..runtime.object_ref import ObjectRef
 from ..runtime.runtime import ServerlessRuntime
 from .logical import GraphValidationError, Vertex
@@ -94,7 +95,7 @@ def _sanitize_before_launch(
     collects every finding even when not strict."""
     if strict is None:
         strict = runtime.config.strict_plans
-    session = _analysis_session()
+    session = OBSERVER.session
     if not strict and session is None:
         return
     diags = runtime.scheduler.sanitize_plan(pgraph)
@@ -104,14 +105,6 @@ def _sanitize_before_launch(
         from ..analysis.sanitizer import PlanSanitizerError
 
         raise PlanSanitizerError(diags)
-
-
-def _analysis_session():
-    try:
-        from ..analysis.session import current_session
-    except ImportError:  # analysis layer absent/optional
-        return None
-    return current_session()
 
 
 def launch_physical_graph(

@@ -32,7 +32,12 @@ from .dialects.kernel import FusedStep
 from .expr import BinOp, Col, Expr, FuncCall, Lit, UnaryOp, col, lit
 from .interpreter import Interpreter, execute_op, run_function
 from .kernels import HANDCRAFTED, KERNELS, hash_partition, register_handcrafted
-from .lowering import RELATIONAL_TO_DF, lower_relational_to_df, lower_to_physical
+from .lowering import (
+    RELATIONAL_TO_DF,
+    lower_relational_to_df,
+    lower_to_physical,
+    optimize_and_lower,
+)
 from .passes import (
     CommonSubexpressionElimination,
     ConstantFold,
@@ -72,6 +77,7 @@ __all__ = [
     "register_handcrafted",
     "hash_partition",
     "lower_relational_to_df",
+    "optimize_and_lower",
     "lower_to_physical",
     "RELATIONAL_TO_DF",
     "Pass",

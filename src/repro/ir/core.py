@@ -4,13 +4,19 @@ Mirrors MLIR's structure at the scale this project needs: a flat SSA region
 per function, dialect-namespaced operations with attribute dictionaries,
 type inference supplied by each dialect's op definitions, a verifier, and a
 deterministic textual form used in golden tests.
+
+Each fact about a function is computed here, once: the invariants
+(:meth:`Function.findings`, which ``Function.verify`` raises from and
+``repro.analysis`` renders), which ops must execute
+(:meth:`Function.must_execute`, DCE's walk), whether an op is pure
+(:func:`is_pure`), and who defines and reads each value (:func:`def_use`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .types import IRType
 
@@ -23,6 +29,10 @@ __all__ = [
     "OpDef",
     "register_op",
     "op_def",
+    "is_pure",
+    "DefUse",
+    "def_use",
+    "PARAM_SITE",
     "IRVerificationError",
 ]
 
@@ -101,8 +111,9 @@ class Operation:
         return f"{self.dialect}.{self.name}"
 
     @property
-    def defn(self) -> OpDef:
-        return op_def(self.dialect, self.name)
+    def defn(self) -> Optional[OpDef]:
+        """The op's definition, or None when no dialect registers it."""
+        return _OP_REGISTRY.get((self.dialect, self.name))
 
     def result(self, index: int = 0) -> Value:
         return self.results[index]
@@ -123,6 +134,24 @@ class Operation:
         return f"{self.qualified}({ops})"
 
 
+def is_pure(op: Operation) -> bool:
+    """Pure ops are freely removable (DCE) and mergeable (CSE).  An op no
+    dialect registers counts as impure: nothing is known of its effects."""
+    defn = op.defn
+    return defn is not None and defn.pure
+
+
+def _safe_text(op: Operation) -> str:
+    try:
+        return op.to_text()
+    except Exception:  # noqa: BLE001 — a broken op must not break its report
+        return repr(op)
+
+
+# One broken invariant: (code, op index or None for the whole function, message).
+Finding = Tuple[str, Optional[int], str]
+
+
 class Function:
     """A flat SSA function: params, an op list, and returned values."""
 
@@ -133,89 +162,128 @@ class Function:
         self.returns: List[Value] = []
 
     def verify(self) -> None:
-        if len({id(p) for p in self.params}) != len(self.params):
-            raise IRVerificationError(f"{self.name}: duplicate parameter value")
-        names = [p.name for p in self.params]
+        """Raise the first broken invariant (see :meth:`findings`)."""
+        for code, index, message in self.findings():
+            where = f": {_safe_text(self.ops[index])}" if index is not None else ""
+            raise IRVerificationError(f"{self.name}: [{code}] {message}{where}")
+
+    def findings(self) -> Iterator[Finding]:
+        """Every broken invariant, in op order; each code is one invariant:
+
+        ====================== ==================================================
+        code                   invariant
+        ====================== ==================================================
+        duplicate-param        two params share a Value (or a name)
+        use-before-def         operand used before any definition in this function
+        cross-function-operand operand's producer lives in a different function
+        unknown-op             op not in the dialect registry
+        operand-arity          operand count differs from the OpDef
+        op-invariant           the dialect's per-op ``verify`` hook failed
+        infer-failed           type inference itself raised
+        result-arity           inference yields a different number of results
+        type-mismatch          a result's recorded type differs from inference
+        duplicate-result       a Value is defined twice
+        producer-link-broken   a result's ``producer`` back-pointer is not its op
+        undefined-return       the function returns a value nothing defines
+        op-after-return        an op sits past the last op that must execute
+        ====================== ==================================================
+
+        Op text is never rendered here: checking a clean function stays as
+        cheap as one dialect lookup and one inference per op."""
+        params = self.params
+        if len({id(p) for p in params}) != len(params):
+            yield "duplicate-param", None, "duplicate parameter value"
+        names = [p.name for p in params]
         if len(set(names)) != len(names):
-            raise IRVerificationError(f"{self.name}: duplicate parameter names {names}")
-        own_ops = {id(op) for op in self.ops}
-        defined = {id(v) for v in self.params}
-        for op in self.ops:
+            yield "duplicate-param", None, f"duplicate parameter names {names}"
+        own_ops: Optional[Set[int]] = None  # built lazily: only errors consult it
+        defined = {id(p) for p in params}
+        for index, op in enumerate(self.ops):
             for operand in op.operands:
-                if id(operand) not in defined:
-                    if operand.producer is not None and id(operand.producer) not in own_ops:
-                        raise IRVerificationError(
-                            f"{self.name}: {op.qualified} operand {operand!r} is "
-                            f"defined by a different function "
-                            f"(producer {operand.producer.qualified} is not in "
-                            f"{self.name!r}): {op.to_text()}"
-                        )
-                    raise IRVerificationError(
-                        f"{self.name}: {op.qualified} uses {operand!r} before definition"
+                if id(operand) in defined:
+                    continue
+                if own_ops is None:
+                    own_ops = {id(o) for o in self.ops}
+                producer = operand.producer
+                if producer is not None and id(producer) not in own_ops:
+                    yield "cross-function-operand", index, (
+                        f"{op.qualified} operand {operand!r} is defined by a "
+                        f"different function (producer {producer.qualified} is "
+                        f"not in {self.name!r})"
+                    )
+                else:
+                    yield "use-before-def", index, (
+                        f"{op.qualified} uses {operand!r} before definition"
                     )
             defn = op.defn
+            if defn is None:
+                yield "unknown-op", index, f"{op.qualified} is not registered in any dialect"
+                defined.update(id(v) for v in op.results)  # avoid cascades
+                continue
             if defn.num_operands is not None and len(op.operands) != defn.num_operands:
-                raise IRVerificationError(
-                    f"{self.name}: {op.qualified} expects {defn.num_operands} operands, "
+                yield "operand-arity", index, (
+                    f"{op.qualified} expects {defn.num_operands} operands, "
                     f"got {len(op.operands)}"
                 )
             if defn.verify is not None:
-                problem = defn.verify(op)
+                try:
+                    problem = defn.verify(op)
+                except Exception as exc:  # noqa: BLE001 — hook bugs are findings
+                    problem = f"verify hook raised {type(exc).__name__}: {exc}"
                 if problem is not None:
-                    raise IRVerificationError(
-                        f"{self.name}: {op.qualified}: {problem}: {op.to_text()}"
+                    yield "op-invariant", index, f"{op.qualified}: {problem}"
+            inferred = None
+            try:
+                inferred = defn.infer([v.type for v in op.operands], op.attrs)
+            except Exception as exc:  # noqa: BLE001 — inference errors are findings
+                yield "infer-failed", index, f"{op.qualified} type inference failed: {exc}"
+            if inferred is not None:
+                if len(inferred) != len(op.results):
+                    yield "result-arity", index, (
+                        f"{op.qualified} has {len(op.results)} results, "
+                        f"inference says {len(inferred)}"
                     )
-            inferred = defn.infer([v.type for v in op.operands], op.attrs)
-            if len(inferred) != len(op.results):
-                raise IRVerificationError(
-                    f"{self.name}: {op.qualified} result arity mismatch"
-                )
-            for value, expected in zip(op.results, inferred, strict=False):
-                if value.type != expected:
-                    raise IRVerificationError(
-                        f"{self.name}: {op.qualified} result {value!r} has type "
-                        f"{value.type!r}, inference says {expected!r}"
-                    )
+                for value, expected in zip(op.results, inferred, strict=False):
+                    if value.type != expected:
+                        yield "type-mismatch", index, (
+                            f"{op.qualified} result {value!r} has type "
+                            f"{value.type!r}, inference says {expected!r}"
+                        )
+            for value in op.results:
                 if id(value) in defined:
-                    raise IRVerificationError(
-                        f"{self.name}: duplicate result value {value!r} "
-                        f"(already defined earlier): {op.to_text()}"
+                    yield "duplicate-result", index, (
+                        f"duplicate result value {value!r} (already defined earlier)"
                     )
                 defined.add(id(value))
+                if value.producer is not op:
+                    yield "producer-link-broken", index, (
+                        f"result {value!r} does not point back at its defining op"
+                    )
         for ret in self.returns:
             if id(ret) not in defined:
-                raise IRVerificationError(
-                    f"{self.name}: returns undefined value {ret!r}"
+                yield "undefined-return", None, f"returns undefined value {ret!r}"
+        # The return is the terminator: an op past the last one that must
+        # execute can never be observed (typically a builder that kept
+        # emitting after ``ret``).  Dead pure ops before it are DCE's job.
+        if self.returns:
+            last = next(self.must_execute(), -1)
+            for index in range(last + 1, len(self.ops)):
+                yield "op-after-return", index, (
+                    f"{self.ops[index].qualified} appears after the return "
+                    "and can never be observed"
                 )
-        self._verify_no_ops_after_return()
 
-    def _verify_no_ops_after_return(self) -> None:
-        """The return is the function's terminator: ops past the last one
-        that must execute (a returned value's producer, an impure op, or
-        anything feeding either) can never be observed — such a tail is
-        typically a builder that kept emitting after ``ret``.  Dead pure
-        ops *before* that point stay legal; they are DCE's job, not a
-        verification failure."""
-        if not self.returns:
-            return
+    def must_execute(self) -> Iterator[int]:
+        """Indices of the ops that must run, last first: the producers of
+        returned values, impure ops, and every op feeding one of those.
+        DCE keeps exactly these; the first one is where the function ends."""
         live = {id(v) for v in self.returns}
-        last_must_execute = -1
-        for index in range(len(self.ops) - 1, -1, -1):
-            op = self.ops[index]
-            try:
-                pure = op.defn.pure
-            except KeyError:
-                pure = False  # unknown op: assume effects
-            if not pure or any(id(r) in live for r in op.results):
-                last_must_execute = max(last_must_execute, index)
-                for operand in op.operands:
-                    live.add(id(operand))
-        if last_must_execute + 1 < len(self.ops):
-            offender = self.ops[last_must_execute + 1]
-            raise IRVerificationError(
-                f"{self.name}: {offender.qualified} appears after the return: "
-                f"{offender.to_text()}"
-            )
+        ops = self.ops
+        for index in range(len(ops) - 1, -1, -1):
+            op = ops[index]
+            if any(id(r) in live for r in op.results) or not is_pure(op):
+                live.update(id(v) for v in op.operands)
+                yield index
 
     def to_text(self) -> str:
         lines = []
@@ -228,13 +296,63 @@ class Function:
         lines.append("}")
         return "\n".join(lines)
 
-    def uses(self) -> Dict[int, List[Operation]]:
-        """value id -> consuming ops (plus None marker for returns)."""
-        table: Dict[int, List[Operation]] = {}
-        for op in self.ops:
-            for operand in op.operands:
-                table.setdefault(id(operand), []).append(op)
-        return table
+
+PARAM_SITE = -1  # def site index meaning "function parameter"
+
+
+@dataclass
+class DefUse:
+    """Def-use chains: value id -> def site (op index or PARAM_SITE) and
+    the op indices that read it (returns tracked separately).  In SSA a
+    value has one definition, so liveness and reaching definitions are
+    questions to these sites, not dataflow problems."""
+
+    func: Function
+    def_site: Dict[int, int] = field(default_factory=dict)
+    use_sites: Dict[int, List[int]] = field(default_factory=dict)
+    returned: Set[int] = field(default_factory=set)
+
+    def uses_of(self, value: Value) -> List[int]:
+        return list(self.use_sites.get(id(value), []))
+
+    def is_dead(self, value: Value) -> bool:
+        return not self.use_sites.get(id(value)) and id(value) not in self.returned
+
+    def dead_results(self) -> List[Tuple[int, Operation, Value]]:
+        """(op index, op, result) for every result nothing consumes."""
+        return [
+            (index, op, value)
+            for index, op in enumerate(self.func.ops)
+            for value in op.results
+            if self.is_dead(value)
+        ]
+
+    def live_after(self, index: int, value: Value) -> bool:
+        """Is ``value`` still needed once op ``index`` has run: defined by
+        then, and read by a later op or returned?"""
+        if self.def_site.get(id(value), PARAM_SITE) > index:
+            return False
+        return id(value) in self.returned or any(
+            site > index for site in self.use_sites.get(id(value), ())
+        )
+
+    def reaches(self, index: int, value: Value) -> bool:
+        """Is ``value`` defined before op ``index``, so legal for it to read?"""
+        site = self.def_site.get(id(value))
+        return site is not None and site < index
+
+
+def def_use(func: Function) -> DefUse:
+    chains = DefUse(func)
+    for param in func.params:
+        chains.def_site[id(param)] = PARAM_SITE
+    for index, op in enumerate(func.ops):
+        for operand in op.operands:
+            chains.use_sites.setdefault(id(operand), []).append(index)
+        for value in op.results:
+            chains.def_site[id(value)] = index
+    chains.returned.update(id(v) for v in func.returns)
+    return chains
 
 
 def _fmt_attr(value: Any) -> str:

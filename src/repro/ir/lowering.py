@@ -13,8 +13,15 @@ from typing import Dict, Optional, Sequence
 
 from .backends import ALL_BACKENDS, Backend, SelectionPolicy, select_backends
 from .core import Builder, Function, Value
+from .passes import PassManager
+from .relational_passes import relational_optimizer
 
-__all__ = ["lower_relational_to_df", "lower_to_physical", "RELATIONAL_TO_DF"]
+__all__ = [
+    "lower_relational_to_df",
+    "optimize_and_lower",
+    "lower_to_physical",
+    "RELATIONAL_TO_DF",
+]
 
 RELATIONAL_TO_DF: Dict[str, str] = {
     "scan": "source",
@@ -47,6 +54,17 @@ def lower_relational_to_df(func: Function, name: Optional[str] = None) -> Functi
             mapping[id(old)] = new
     lowered = builder.ret(*[mapping[id(v)] for v in func.returns])
     lowered.verify()
+    return lowered
+
+
+def optimize_and_lower(func: Function) -> Function:
+    """The IR half of planning a query, spelled once: the relational rules
+    rewrite ``func`` in place (filter pushdown shrinks the shuffles, column
+    pruning the scans), lowering builds the df function, and the generic
+    dialect-agnostic passes optimize that."""
+    PassManager(relational_optimizer()).run(func)
+    lowered = lower_relational_to_df(func)
+    PassManager().run(lowered)
     return lowered
 
 

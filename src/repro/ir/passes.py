@@ -9,10 +9,12 @@ regardless of which dialect (df, linalg) each op came from, so a SQL-derived
 
 from __future__ import annotations
 
+import difflib
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .core import Function, IRVerificationError, Module, Operation, Value
+from .core import Function, IRVerificationError, Module, Operation, Value, def_use, is_pure
 from .dialects.kernel import FusedStep
 from .types import IRType
 
@@ -49,16 +51,16 @@ class PassStats:
         self.ops_fused = sum(s.ops_fused for s in self.per_pass.values())
 
 
-def _analysis_session():
-    """The thread's active analysis session, if the CLI installed one.
+class _Observer(threading.local):
+    """The thread's analysis session, when one is active.  The session
+    (``repro.analysis.analysis_session``) installs itself here and the
+    pipeline's hooks — :class:`PassManager`, ``Skadi``, the plan launcher —
+    report to it, so the IR never imports the analysis layer."""
 
-    Imported lazily: ``repro.analysis`` depends on this module, and the
-    common (no-session) path must stay import-free and cheap."""
-    try:
-        from ..analysis.session import current_session
-    except ImportError:  # analysis layer absent/optional
-        return None
-    return current_session()
+    session: Any = None
+
+
+OBSERVER = _Observer()
 
 
 class MiscompileError(IRVerificationError):
@@ -85,6 +87,26 @@ class MiscompileError(IRVerificationError):
             f"(iteration {iteration}): {cause}"
         )
 
+    def diff(self) -> str:
+        """Unified diff of the guilty rewrite (before vs after the pass)."""
+        return "".join(
+            difflib.unified_diff(
+                self.before_text.splitlines(keepends=True),
+                self.after_text.splitlines(keepends=True),
+                fromfile=f"{self.function_name} (before {self.pass_name})",
+                tofile=f"{self.function_name} (after {self.pass_name})",
+                lineterm="\n",
+            )
+        )
+
+    def render(self) -> str:
+        return (
+            f"miscompile: pass {self.pass_name!r} broke {self.function_name!r} "
+            f"on iteration {self.iteration}\n"
+            f"invariant: {self.cause}\n"
+            f"{self.diff()}"
+        )
+
 
 class Pass:
     name = "pass"
@@ -100,13 +122,6 @@ def _replace_uses(func: Function, old: Value, new: Value, after_index: int) -> N
     func.returns = [new if v is old else v for v in func.returns]
 
 
-def _is_pure(op: Operation) -> bool:
-    try:
-        return op.defn.pure
-    except KeyError:
-        return False  # unknown op: assume side effects, leave it alone
-
-
 class DeadCodeElimination(Pass):
     """Drop pure ops whose results are never used; impure ops (opaque
     kernel calls) stay even when dead — we cannot see their effects."""
@@ -114,20 +129,14 @@ class DeadCodeElimination(Pass):
     name = "dce"
 
     def run(self, func: Function, stats: PassStats) -> bool:
-        live = {id(v) for v in func.returns}
-        kept: List[Operation] = []
-        changed = False
-        for op in reversed(func.ops):
-            if any(id(r) in live for r in op.results) or not _is_pure(op):
-                kept.append(op)
-                for operand in op.operands:
-                    live.add(id(operand))
-            else:
-                changed = True
-                stats.ops_removed += 1
+        kept = [func.ops[index] for index in func.must_execute()]
+        removed = len(func.ops) - len(kept)
+        if not removed:
+            return False
         kept.reverse()
         func.ops = kept
-        return changed
+        stats.ops_removed += removed
+        return True
 
 
 def _attr_key(attrs: Dict[str, Any]) -> str:
@@ -144,7 +153,7 @@ class CommonSubexpressionElimination(Pass):
         changed = False
         kept: List[Operation] = []
         for index, op in enumerate(func.ops):
-            if not _is_pure(op):
+            if not is_pure(op):
                 kept.append(op)  # opaque calls are never merged
                 continue
             key = (
@@ -226,12 +235,8 @@ def _as_fused(op: Operation) -> Tuple[List[Value], List[FusedStep], IRType]:
 
 
 def _fusable(op: Operation) -> bool:
-    if op.qualified == "kernel.fused":
-        return True
-    try:
-        return op.defn.elementwise
-    except KeyError:
-        return False
+    defn = op.defn
+    return defn is not None and (defn.elementwise or op.qualified == "kernel.fused")
 
 
 class FuseElementwise(Pass):
@@ -240,7 +245,7 @@ class FuseElementwise(Pass):
     name = "fuse-elementwise"
 
     def run(self, func: Function, stats: PassStats) -> bool:
-        uses = func.uses()
+        use_sites = def_use(func).use_sites
         for _ci, consumer in enumerate(func.ops):
             if not _fusable(consumer):
                 continue
@@ -249,8 +254,7 @@ class FuseElementwise(Pass):
                 if producer is None or not _fusable(producer):
                     continue
                 # the producer's result must feed only this consumer
-                consumers = uses.get(id(value), [])
-                if len(consumers) != 1 or value in func.returns:
+                if len(use_sites.get(id(value), ())) != 1 or value in func.returns:
                     continue
                 self._merge(func, producer, consumer, value)
                 stats.ops_fused += 1
@@ -330,7 +334,7 @@ class PassManager:
         self.verify_each = verify_each
 
     def run(self, target, verify_each: Optional[bool] = None) -> PassStats:
-        session = _analysis_session()
+        session = OBSERVER.session
         if verify_each is None:
             # an active analysis session forces bisection mode everywhere
             verify_each = self.verify_each or session is not None

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import Function, Operation, Value
+from .core import Function, Operation, Value, def_use
 from .dialects.relational import join_output
 from .expr import BinOp, Col, Expr, FuncCall, Lit, UnaryOp
 from .passes import Pass, PassStats, _replace_uses
@@ -97,7 +97,7 @@ class PushFilterThroughJoin(Pass):
     name = "pushdown-filter-join"
 
     def run(self, func: Function, stats: PassStats) -> bool:
-        uses = func.uses()
+        use_sites = def_use(func).use_sites
         for index, op in enumerate(func.ops):
             if (op.dialect, op.name) not in _FILTER_NAMES:
                 continue
@@ -105,7 +105,7 @@ class PushFilterThroughJoin(Pass):
             if join is None or (join.dialect, join.name) not in _JOIN_NAMES:
                 continue
             # the join result must feed only this filter
-            if len(uses.get(id(op.operands[0]), [])) != 1:
+            if len(use_sites.get(id(op.operands[0]), ())) != 1:
                 continue
             if op.operands[0] in func.returns:
                 continue

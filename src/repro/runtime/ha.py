@@ -298,7 +298,9 @@ class HAController:
                     return
                 if delivered is False or not self._node_alive(standby):
                     continue
-                replica = self.replica_logs[standby]
+                replica = self.replica_logs.get(standby)
+                if replica is None:
+                    continue  # elected leader while this batch was in flight
                 tail = self.wal[len(replica):]
                 replica.extend(tail)
                 self.last_sync[standby] = self.sim.now

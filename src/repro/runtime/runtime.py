@@ -763,8 +763,8 @@ class ServerlessRuntime:
         return main.span if main is not None else None
 
     def _finish_task_span(self, main: _TaskCtx, winner: _TaskCtx) -> None:
-        """Close the task span with the winning attempt's milestones and
-        emit its phase children (the critical-path extractor's raw input)."""
+        """Close the task span with the winning attempt's milestones (the
+        attrs ``telemetry.spans.task_phases`` reads its phases from)."""
         span = main.span
         if span is None or not span.is_open:
             return
@@ -779,22 +779,6 @@ class ServerlessRuntime:
             retries=main.retries,
         )
         span.finish(tl.finished)
-        for phase, category, lo, hi in (
-            ("schedule", "queue", tl.submitted, tl.dispatched),
-            ("resolve-inputs", "transfer", tl.dispatched, tl.inputs_ready),
-            ("wait-device", "queue", tl.inputs_ready, tl.started),
-            ("execute", "compute", tl.started, tl.finished),
-        ):
-            if hi - lo > 0:
-                self.telemetry.tracer.emit(
-                    f"{span.name}:{phase}",
-                    category,
-                    lo,
-                    hi,
-                    parent=span,
-                    node=span.node,
-                    device=span.device,
-                )
 
     def _close_failed_span(self, ctx: _TaskCtx, error: str) -> None:
         if ctx.span is not None and ctx.span.is_open:

@@ -27,7 +27,7 @@ def to_chrome_trace(
     """Build the trace-event list from a runtime's recorded timelines.
 
     ``spans=True`` replaces the timeline-derived task slices with the full
-    causal span graph (phase children and flow arrows included);
+    causal span graph (phase slices and flow arrows included);
     ``counters=True`` appends every gauge sample as a counter ("C") event.
     """
     events: List[dict] = []

@@ -1,7 +1,11 @@
 """Chrome-trace event generation from spans and metric time series.
 
-Two additions over the timeline-only exporter in ``repro.runtime.trace``:
+Three additions over the timeline-only exporter in ``repro.runtime.trace``:
 
+* **phase slices** — a finished task span is drawn with its non-empty
+  phases (``<task>:schedule``, ``:resolve-inputs``, ``:wait-device``,
+  ``:execute``) nested under it, read from its milestone attrs through
+  :func:`~repro.telemetry.spans.task_phases`;
 * **flow arrows** — every causal link between task spans becomes a paired
   ``"s"`` (start, at the producer's finish) / ``"f"`` (finish, at the
   consumer's resume) flow event, so Perfetto draws the arrows that make a
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .metrics import MetricsRegistry
-from .spans import Span
+from .spans import Span, task_phases
 
 __all__ = ["spans_to_chrome_events", "counters_to_chrome_events"]
 
@@ -53,6 +57,22 @@ def spans_to_chrome_events(spans: Sequence[Span], flows: bool = True) -> List[di
                 },
             }
         )
+        # milestones are set only when an attempt wins; a failed task has none
+        if span.category == "task" and "started" in span.attrs:
+            events.extend(
+                {
+                    "name": f"{span.name}:{phase}",
+                    "cat": bucket,
+                    "ph": "X",
+                    "ts": lo * 1e6,
+                    "dur": max((hi - lo) * 1e6, 0.01),
+                    "pid": _pid(span),
+                    "tid": span.device or bucket,
+                    "args": {"trace_id": span.trace_id, "parent_id": span.span_id},
+                }
+                for phase, bucket, lo, hi in task_phases(span)
+                if hi - lo > 0
+            )
     if not flows:
         return events
     flow_id = 0

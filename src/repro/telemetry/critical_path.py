@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from .spans import Span
+from .spans import Span, task_phases
 
 __all__ = ["PathSegment", "CriticalPathResult", "critical_path"]
 
@@ -69,21 +69,6 @@ class CriticalPathResult:
             if not seen or seen[-1] != seg.task_id:
                 seen.append(seg.task_id)
         return seen
-
-
-def _phases(span: Span) -> List[tuple]:
-    """A task span's internal milestones as (start, end, bucket) windows."""
-    submitted = span.start
-    dispatched = span.attrs.get("dispatched", span.start)
-    inputs_ready = span.attrs.get("inputs_ready", dispatched)
-    started = span.attrs.get("started", inputs_ready)
-    finished = span.end
-    return [
-        (submitted, dispatched, "queue"),  # scheduling + lease + retry backoff
-        (dispatched, inputs_ready, "transfer"),  # argument resolution
-        (inputs_ready, started, "queue"),  # device slot / actor lock wait
-        (started, finished, "compute"),
-    ]
 
 
 def _bucket(span: Span, phase_bucket: str) -> str:
@@ -139,11 +124,11 @@ def critical_path(
         lo = max(cur.start, gate_span.end) if gate_span is not None else cur.start
         task_id = str(cur.attrs.get("task_id", cur.span_id))
         group: List[PathSegment] = []
-        for a, b, phase in _phases(cur):
+        for _phase, bucket, a, b in task_phases(cur):
             a = max(a, lo)
             if b - a <= _EPS:
                 continue
-            group.append(PathSegment(task_id, cur.name, _bucket(cur, phase), a, b))
+            group.append(PathSegment(task_id, cur.name, _bucket(cur, bucket), a, b))
         chain.append(group)
         cur = gate_span
     # reverse the task order only — phases within a task are already forward

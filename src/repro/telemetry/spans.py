@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-__all__ = ["Span", "Tracer", "SPAN_CATEGORIES"]
+__all__ = ["Span", "Tracer", "SPAN_CATEGORIES", "task_phases"]
 
 # the attribution buckets critical-path analysis resolves spans into
 SPAN_CATEGORIES = ("task", "compute", "transfer", "queue", "recovery", "control")
@@ -53,6 +53,22 @@ class Span:
             raise ValueError(f"span {self.span_id} ends before it starts")
         self.end = end
         return self
+
+
+def task_phases(span: Span) -> List[Tuple[str, str, float, float]]:
+    """A task span's milestones as ``(phase, bucket, start, end)`` windows,
+    read from the attrs the runtime sets when it closes the span.  The one
+    table behind the critical path's attribution and the Chrome export's
+    phase slices."""
+    dispatched = span.attrs.get("dispatched", span.start)
+    inputs_ready = span.attrs.get("inputs_ready", dispatched)
+    started = span.attrs.get("started", inputs_ready)
+    return [
+        ("schedule", "queue", span.start, dispatched),  # scheduling + lease + retry backoff
+        ("resolve-inputs", "transfer", dispatched, inputs_ready),  # argument resolution
+        ("wait-device", "queue", inputs_ready, started),  # device slot / actor lock wait
+        ("execute", "compute", started, span.end),
+    ]
 
 
 class Tracer:

@@ -1,12 +1,12 @@
 """Pass-level miscompile bisection and per-pass statistics.
 
-Three deliberately miscompiling passes — each breaking a different
+Five deliberately miscompiling passes — each breaking a different
 invariant — must each be attributed by name, even when interleaved with
 the healthy pipeline."""
 
 import pytest
 
-from repro.analysis import MiscompileReport, bisect_miscompile, clone_function
+from repro.analysis import bisect_miscompile, clone_function
 from repro.ir import (
     Builder,
     CommonSubexpressionElimination,
@@ -16,6 +16,7 @@ from repro.ir import (
     MiscompileError,
     PassManager,
 )
+from repro.ir.core import Operation, Value
 from repro.ir.passes import Pass, PassStats
 from repro.ir.types import TensorType
 
@@ -72,14 +73,46 @@ class DuplicatesResult(Pass):
         return False
 
 
+class BreaksProducerLink(Pass):
+    """Miscompile #4: detaches a result from the op that defines it."""
+
+    name = "breaks-producer-link"
+
+    def run(self, func, stats):
+        for op in func.ops:
+            if op.name == "relu" and op.result().producer is op:
+                op.result().producer = None
+                return True
+        return False
+
+
+class EmitsUnregisteredOp(Pass):
+    """Miscompile #5: inserts an op no dialect registers."""
+
+    name = "emits-unregistered-op"
+
+    def run(self, func, stats):
+        if any(op.dialect == "nope" for op in func.ops):
+            return False
+        ghost = Operation("nope", "mystery", [func.params[0]], {})
+        ghost.results = [Value("g", _tensor(), producer=ghost)]
+        func.ops.insert(0, ghost)
+        return True
+
+
 @pytest.mark.parametrize(
     "bad_pass, cause_fragment",
     [
         (DropsNeededOp(), "defined by a different function"),
         (CorruptsResultType(), "inference says"),
         (DuplicatesResult(), "duplicate result value"),
+        (BreaksProducerLink(), "does not point back at its defining op"),
+        (EmitsUnregisteredOp(), "nope.mystery is not registered"),
     ],
-    ids=["drops-op", "corrupts-type", "duplicates-result"],
+    ids=[
+        "drops-op", "corrupts-type", "duplicates-result", "breaks-producer-link",
+        "emits-unregistered-op",
+    ],
 )
 def test_each_seeded_miscompile_is_attributed(bad_pass, cause_fragment):
     func = _chain()
@@ -151,16 +184,14 @@ def test_clone_function_is_deep_and_equivalent():
     func.verify()
 
 
-def test_miscompile_report_from_error_roundtrip():
+def test_bisection_returns_the_raised_error():
     func = _chain()
-    try:
+    with pytest.raises(MiscompileError) as info:
         PassManager([DropsNeededOp()], verify_each=True).run(func)
-    except MiscompileError as exc:
-        report = MiscompileReport.from_error(exc)
-        assert report.pass_name == exc.pass_name
-        assert report.before_text != report.after_text
-    else:
-        pytest.fail("expected a miscompile")
+    report = bisect_miscompile(_chain(), passes=[DropsNeededOp()])
+    assert isinstance(report, MiscompileError)
+    assert report.before_text != report.after_text
+    assert (report.pass_name, report.render()) == (info.value.pass_name, info.value.render())
 
 
 # -- per-pass statistics (the PassManager satellite) -----------------------------

@@ -1,11 +1,6 @@
-"""Dataflow framework: def-use, liveness, reaching defs, buffer effects."""
+"""Dataflow facts: def-use, liveness, reaching defs, buffer effects."""
 
-from repro.analysis import (
-    Liveness,
-    ReachingDefinitions,
-    buffer_effects,
-    def_use,
-)
+from repro.analysis import buffer_effects, def_use
 from repro.analysis.dataflow import PARAM_SITE
 from repro.ir import Builder
 from repro.ir.types import TensorType
@@ -63,22 +58,25 @@ def test_dead_results_found():
 
 def test_liveness_backward():
     func, x, add, dead, call, relu = _sample()
-    live = Liveness(func).solve()
+    chains = def_use(func)
     # before op0 (add): x is live, add's result not yet defined
-    assert id(x) in live.in_sets[0]
+    assert chains.live_after(-1, x)
+    assert not chains.live_after(-1, add.result())
     # add's result stays live until relu consumes it
-    assert live.is_live_after(0, add.result())
-    assert live.is_live_after(2, add.result())
-    assert not live.is_live_after(3, add.result())
+    assert chains.live_after(0, add.result())
+    assert chains.live_after(2, add.result())
+    assert not chains.live_after(3, add.result())
     # the returned value is live at the exit
-    assert live.is_live_after(3, relu.result())
+    assert chains.live_after(3, relu.result())
 
 
 def test_liveness_kills_definitions():
     func, x, add, dead, call, relu = _sample()
-    live = Liveness(func).solve()
+    chains = def_use(func)
     # before its definition the relu result is not live anywhere
-    assert id(relu.result()) not in live.in_sets[3]
+    assert not any(chains.live_after(i, relu.result()) for i in range(-1, 3))
+    # and a value read by nobody is never live
+    assert not any(chains.live_after(i, dead.result()) for i in range(4))
 
 
 # -- reaching definitions --------------------------------------------------------
@@ -86,22 +84,27 @@ def test_liveness_kills_definitions():
 
 def test_reaching_definitions_prefix_property():
     func, x, add, dead, call, relu = _sample()
-    reach = ReachingDefinitions(func).solve()
-    assert reach.reaches(0, x)
-    assert not reach.reaches(0, add.result())
-    assert reach.reaches(1, add.result())
-    assert reach.reaches(3, add.result())
+    chains = def_use(func)
+    assert chains.reaches(0, x)
+    assert not chains.reaches(0, add.result())
+    assert chains.reaches(1, add.result())
+    assert chains.reaches(3, add.result())
     # in SSA nothing is killed: everything defined reaches the end
-    assert id(x) in reach.out_sets[3]
+    assert chains.reaches(len(func.ops), x)
+    assert chains.reaches(len(func.ops), relu.result())
 
 
 def test_reaching_matches_verifier_def_before_use():
     """reaches(i, operand) is exactly the verifier's legality rule."""
     func, *_ = _sample()
-    reach = ReachingDefinitions(func).solve()
+    chains = def_use(func)
     for index, op in enumerate(func.ops):
         for operand in op.operands:
-            assert reach.reaches(index, operand)
+            assert chains.reaches(index, operand)
+    func.ops.reverse()  # relu now reads add's result before it exists
+    chains = def_use(func)
+    assert not chains.reaches(0, func.ops[0].operands[0])
+    assert "use-before-def" in {code for code, _, _ in func.findings()}
 
 
 # -- buffer effects / aliasing ---------------------------------------------------

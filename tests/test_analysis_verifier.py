@@ -1,4 +1,6 @@
-"""The collect-all verifier: one deliberately broken module per rule."""
+"""The IR's one checker in both reporting modes: one deliberately broken
+module per rule, flagged by ``verify_function`` and raised by
+``Function.verify()``."""
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ def _chain():
     return b.ret(relu.result()), x, add, relu
 
 
+def _raises(func):
+    """The raising mode rejects ``func`` too, with the IR's own error."""
+    with pytest.raises(IRVerificationError):
+        func.verify()
+
+
 def test_clean_function_has_no_diagnostics():
     func, *_ = _chain()
     assert not verify_function(func)
@@ -31,11 +39,13 @@ def test_duplicate_param_value():
     func = Function("f", [v, v])
     diags = verify_function(func)
     assert "duplicate-param" in diags.codes()
+    _raises(func)
 
 
 def test_duplicate_param_name():
     func = Function("f", [Value("x", _tensor()), Value("x", _tensor())])
     assert "duplicate-param" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_unknown_op():
@@ -46,6 +56,7 @@ def test_unknown_op():
     diags = verify_function(func)
     assert "unknown-op" in diags.codes()
     assert any("nope.mystery" in d.message for d in diags)
+    _raises(func)
 
 
 def test_operand_arity():
@@ -53,12 +64,14 @@ def test_operand_arity():
     add.operands.append(x)  # linalg.add wants exactly 2
     diags = verify_function(func)
     assert "operand-arity" in diags.codes()
+    _raises(func)
 
 
 def test_use_before_def():
     func, x, add, relu = _chain()
     func.ops.reverse()  # relu now reads add's result before it exists
     assert "use-before-def" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_cross_function_operand():
@@ -68,6 +81,7 @@ def test_cross_function_operand():
     diags = verify_function(func)
     assert "cross-function-operand" in diags.codes()
     assert any("different function" in d.message for d in diags)
+    _raises(func)
 
 
 def test_op_invariant_via_dialect_hook():
@@ -86,6 +100,7 @@ def test_op_invariant_via_dialect_hook():
     func.ops.insert(0, bad)
     diags = verify_function(func)
     assert "op-invariant" in diags.codes()
+    _raises(func)
 
 
 def test_infer_failed():
@@ -96,12 +111,14 @@ def test_infer_failed():
     func.params.append(bad.operands[1])
     func.ops.insert(0, bad)
     assert "infer-failed" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_result_arity():
     func, x, add, _ = _chain()
     add.results.append(Value("extra", _tensor(), producer=add))
     assert "result-arity" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_type_mismatch():
@@ -110,24 +127,28 @@ def test_type_mismatch():
     diags = verify_function(func)
     assert "type-mismatch" in diags.codes()
     assert any("inference says" in d.message for d in diags)
+    _raises(func)
 
 
 def test_producer_link_broken():
     func, x, add, _ = _chain()
     add.result().producer = None
     assert "producer-link-broken" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_duplicate_result():
     func, x, add, relu = _chain()
     relu.results = [add.result()]  # relu claims to define add's value again
     assert "duplicate-result" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_undefined_return():
     func, *_ = _chain()
     func.returns = [Value("phantom", _tensor())]
     assert "undefined-return" in verify_function(func).codes()
+    _raises(func)
 
 
 def test_op_after_return():
@@ -138,6 +159,7 @@ def test_op_after_return():
     diags = verify_function(func)
     assert "op-after-return" in diags.codes()
     assert any(d.op_index == len(func.ops) - 1 for d in diags)
+    _raises(func)
 
 
 def test_collect_all_reports_every_violation_at_once():
@@ -178,28 +200,3 @@ def test_diagnostic_rendering_mentions_op_text_and_hint():
     report = verify_function(func).render()
     assert "linalg.add" in report
     assert "hint:" in report
-
-
-def test_core_verify_and_collect_all_agree():
-    """Every broken module the strict verifier rejects, the collect-all
-    verifier must flag too (same invariants, two reporting styles)."""
-    breakers = []
-
-    def dup_result(func, x, add, relu):
-        relu.results = [add.result()]
-
-    def tail_op(func, x, add, relu):
-        t = Operation("linalg", "exp", [x], {})
-        t.results = [Value("t", _tensor(), producer=t)]
-        func.ops.append(t)
-
-    def bad_type(func, x, add, relu):
-        add.result().type = TensorType((9,), "int64")
-
-    breakers = [dup_result, tail_op, bad_type]
-    for breaker in breakers:
-        func, x, add, relu = _chain()
-        breaker(func, x, add, relu)
-        with pytest.raises(IRVerificationError):
-            func.verify()
-        assert not verify_function(func).ok

@@ -242,6 +242,24 @@ class TestSanitizedFailover:
         assert hashlib.sha1(signature).hexdigest()[:12] == "f5f51bf200c5"
 
 
+class TestSlowHeadLink:
+    """The head's link slowed 1000x at 3 ms: the standbys elect server1
+    before the head kill, and the kill forces a second election.  A sync
+    batch of the first leader's generation is still in flight when ``adopt``
+    drops the winner's replica; the pump skips the winner when it resumes."""
+
+    def test_two_elections_with_a_batch_in_flight(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(2))
+        schedule = ChaosSchedule().degrade_link(3e-3, "server0/cpu", "tor-switch", 1000.0)
+        ChaosMonkey(rt, schedule.fail_gcs(at=10e-3)).arm()
+        assert rt.get(lane_workload(rt)) == expected_total()
+        elected = [e["node"] for e in rt.events if e.kind == "ha_leader_elected"]
+        assert elected == ["server1", "server2"]
+        assert rt.ha.failovers == 2 and rt.ha.epoch == 3
+        assert rt.log.count("detector_stalled") == 0
+        assert_recovery_drained(rt)
+
+
 class TestWalReplay:
     """The WAL is the directory: replaying it rebuilds the control plane."""
 

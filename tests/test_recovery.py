@@ -56,37 +56,39 @@ class TestCrossCommitWitness:
     # identical under two PYTHONHASHSEEDs.  (frontier, get, PUSH) pins a known
     # leftover: the replay waits on a first-life arrival signal (ROADMAP item 3)
     # and gives up with "argument vanished".
+    # Re-recorded when a task's phases stopped being child spans (the Chrome
+    # export draws them): only span ids moved, every other span is equal.
     PINNED = {
-        ('matrix', 'checkpoint', 'get', 'PUSH'): "62e1d1276918",
-        ('matrix', 'checkpoint', 'get', 'PULL'): "098ff75f4520",
-        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "055df9e9aff0",
-        ('matrix', 'checkpoint', 'proactive', 'PULL'): "fda783137172",
-        ('matrix', 'frontier', 'get', 'PUSH'): "02a134d8f587",
-        ('matrix', 'frontier', 'get', 'PULL'): "41e06e391c8f",
-        ('matrix', 'frontier', 'proactive', 'PUSH'): "920d87f7ac3c",
-        ('matrix', 'frontier', 'proactive', 'PULL'): "689748276f53",
-        ('matrix', 'cache', 'get', 'PUSH'): "1309a72bd21f",
-        ('matrix', 'cache', 'get', 'PULL'): "d379831fe352",
-        ('matrix', 'cache', 'proactive', 'PUSH'): "d81779422043",
-        ('matrix', 'cache', 'proactive', 'PULL'): "af624e238562",
-        ('matrix', 'lineage', 'get', 'PUSH'): "c9dba3ce4317",
-        ('matrix', 'lineage', 'get', 'PULL'): "9b1d67b3e323",
-        ('matrix', 'lineage', 'proactive', 'PUSH'): "0b90dfa3fea1",
-        ('matrix', 'lineage', 'proactive', 'PULL'): "8f759cb2b6be",
-        ('matrix', 'unrecoverable', 'get', 'PUSH'): "b6d6946b04a4",
-        ('matrix', 'unrecoverable', 'get', 'PULL'): "bc77d33744ab",
-        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "dcadee25b3b2",
-        ('matrix', 'unrecoverable', 'proactive', 'PULL'): "c11605332637",
-        ('deferred_free', 'PUSH'): "9e43bff65a4d",
-        ('deferred_free', 'PULL'): "be0f27c732a6",
-        ('spill_then_blade_death', False, 'PUSH'): "1e0a6d462d69",
-        ('spill_then_blade_death', False, 'PULL'): "1e0a6d462d69",
-        ('spill_then_blade_death', True, 'PUSH'): "3ffc71b1f3aa",
-        ('spill_then_blade_death', True, 'PULL'): "bf435857f6f8",
-        ('stale_entry', False, 'PUSH'): "cacb33efb19a",
-        ('stale_entry', False, 'PULL'): "cacb33efb19a",
-        ('stale_entry', True, 'PUSH'): "c8b51f632b5e",
-        ('stale_entry', True, 'PULL'): "21be82631d57",
+        ('matrix', 'checkpoint', 'get', 'PUSH'): "4c675da94f75",
+        ('matrix', 'checkpoint', 'get', 'PULL'): "df675e1da435",
+        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "25fd9ecf1601",
+        ('matrix', 'checkpoint', 'proactive', 'PULL'): "52dd732554d0",
+        ('matrix', 'frontier', 'get', 'PUSH'): "fdf4cb14705e",
+        ('matrix', 'frontier', 'get', 'PULL'): "a6f97b8344fa",
+        ('matrix', 'frontier', 'proactive', 'PUSH'): "4cb8de4aa0c4",
+        ('matrix', 'frontier', 'proactive', 'PULL'): "1f234cc19266",
+        ('matrix', 'cache', 'get', 'PUSH'): "33eca6f18621",
+        ('matrix', 'cache', 'get', 'PULL'): "a540bf31ef48",
+        ('matrix', 'cache', 'proactive', 'PUSH'): "a56d1a85820f",
+        ('matrix', 'cache', 'proactive', 'PULL'): "567d8c8c83ee",
+        ('matrix', 'lineage', 'get', 'PUSH'): "8cd216d4ca7e",
+        ('matrix', 'lineage', 'get', 'PULL'): "7598fea3d5db",
+        ('matrix', 'lineage', 'proactive', 'PUSH'): "db9ec13af123",
+        ('matrix', 'lineage', 'proactive', 'PULL'): "9400d8b86b5e",
+        ('matrix', 'unrecoverable', 'get', 'PUSH'): "1aa81eb30560",
+        ('matrix', 'unrecoverable', 'get', 'PULL'): "26e5cb418e86",
+        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "5306ff46ddcc",
+        ('matrix', 'unrecoverable', 'proactive', 'PULL'): "5279fd1745b8",
+        ('deferred_free', 'PUSH'): "24094f8cb9c9",
+        ('deferred_free', 'PULL'): "b1b03feb9c0e",
+        ('spill_then_blade_death', False, 'PUSH'): "fead5f708e91",
+        ('spill_then_blade_death', False, 'PULL'): "fead5f708e91",
+        ('spill_then_blade_death', True, 'PUSH'): "3e386fab9b2e",
+        ('spill_then_blade_death', True, 'PULL'): "f7aade62fc45",
+        ('stale_entry', False, 'PUSH'): "09d2f4d437bb",
+        ('stale_entry', False, 'PULL'): "09d2f4d437bb",
+        ('stale_entry', True, 'PUSH'): "f4f816c99d5f",
+        ('stale_entry', True, 'PULL'): "57436221674f",
     }
 
     @staticmethod

@@ -69,23 +69,25 @@ class TestCrossCommitWitness:
     # (crash_restart, PUSH) pins a known leftover: the restarted node's arrival
     # signal is still triggered (ROADMAP item 3), so every retry finds the
     # argument "vanished" and the task gives up after 10 of them.
+    # Re-recorded when a task's phases stopped being child spans (the Chrome
+    # export draws them): only span ids moved, every other span is equal.
     PINNED = {
-        ('crash_restart', 'PUSH'): "56fcab37fb95",
-        ('crash_restart', 'PULL'): "272cbfdcc721",
-        ('timeout_straggler', 'PUSH'): "489d368def5d",
-        ('timeout_straggler', 'PULL'): "ccb0e9279eab",
+        ('crash_restart', 'PUSH'): "03cc947e554f",
+        ('crash_restart', 'PULL'): "0dd7aa683e1d",
+        ('timeout_straggler', 'PUSH'): "ea90cc8acab6",
+        ('timeout_straggler', 'PULL'): "a73a64996f33",
         ('retries_exhausted', 'PUSH'): "872605472467",
         ('retries_exhausted', 'PULL'): "872605472467",
         ('budget_shed', 'PUSH'): "083d27dfabc3",
         ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "25edd862c461",
-        ('placement_backoff', 'PULL'): "f7afc52a3cf3",
-        ('actor_requeue', 'PUSH'): "1a6f96d631b4",
-        ('actor_requeue', 'PULL'): "1a6f96d631b4",
-        ('backup_wins', 'PUSH'): "b5337c240fa8",
-        ('backup_wins', 'PULL'): "2817b4bcf631",
-        ('backup_loses', 'PUSH'): "ce16a4545358",
-        ('backup_loses', 'PULL'): "ce16a4545358",
+        ('placement_backoff', 'PUSH'): "396d9b88b32f",
+        ('placement_backoff', 'PULL'): "e99c9b9ce269",
+        ('actor_requeue', 'PUSH'): "3180ed627924",
+        ('actor_requeue', 'PULL'): "3180ed627924",
+        ('backup_wins', 'PUSH'): "bb409473b2d5",
+        ('backup_wins', 'PULL'): "a34fe335ff1b",
+        ('backup_loses', 'PUSH'): "eac2ee296401",
+        ('backup_loses', 'PULL'): "eac2ee296401",
     }
 
     @staticmethod

@@ -147,17 +147,27 @@ class TestRuntimeSpans:
             spans[c.object_id].span_id,
         }
 
-    def test_phase_children_tile_the_task_span(self):
+    def test_phase_events_tile_the_task_span(self):
         rt = pull_runtime()
         (_, _, _, d), _ = run_diamond(rt)
         span = rt.span_of(d)
-        children = rt.telemetry.tracer.children_of(span.span_id)
-        phase_children = [c for c in children if c.category != "transfer"]
-        covered = sum(c.duration for c in children if c.category in ("queue", "compute"))
-        transfer = sum(c.duration for c in children if c.category == "transfer"
-                       and c.name.endswith("resolve-inputs"))
-        assert covered + transfer == pytest.approx(span.duration)
-        assert phase_children  # at least queue/compute present
+        phases = [
+            e for e in to_chrome_trace(rt, spans=True)
+            if e["ph"] == "X" and e["name"].startswith(f"{span.name}:")
+            and e["args"]["parent_id"] == span.span_id
+        ]
+        assert {e["cat"] for e in phases} <= {"queue", "transfer", "compute"}
+        assert "compute" in {e["cat"] for e in phases}
+        # back to back from submission to finish, no gap and no overlap
+        assert phases[0]["ts"] == pytest.approx(span.start * 1e6)
+        for before, after in zip(phases, phases[1:], strict=False):
+            assert before["ts"] + before["dur"] == pytest.approx(after["ts"])
+        assert sum(e["dur"] for e in phases) == pytest.approx(span.duration * 1e6)
+        # the phases are drawn, not recorded: the tracer holds no child for them
+        assert not [
+            c for c in rt.telemetry.tracer.children_of(span.span_id)
+            if c.name.startswith(f"{span.name}:")
+        ]
 
     def test_pull_transfers_traced_under_task(self):
         rt = pull_runtime()
