@@ -93,3 +93,31 @@ def test_e15_query_suite(benchmark):
                 np.testing.assert_allclose(a, b, rtol=1e-9, err_msg=name)
             else:
                 np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_e15_second_pass_on_the_same_skadi():
+    """The suite twice on one Skadi: a table is laid out once (its puts,
+    source shards and hash partitions are kept), so pass 2 ships only what
+    each query computes.  The plan is the same size in both passes; what pass 2
+    did not run is reported as reused tasks, never as a cheaper plan."""
+    tables, _ = tables_and_catalog()
+    skadi = Skadi(shards=4)
+    passes = [
+        {name: (skadi.sql(sql, tables), skadi.last_report) for name, sql in QUERIES.items()}
+        for _ in range(2)
+    ]
+
+    table = ResultTable(
+        "E15: pass 2 on the same Skadi (4 shards)",
+        ["query", "tasks", "pass-1 bytes", "pass-2 bytes", "pass-2 reused tasks"],
+    )
+    for name in QUERIES:
+        (first, one), (again, two) = passes[0][name], passes[1][name]
+        table.add_row(
+            name, two.physical_tasks, fmt_bytes(one.bytes_moved),
+            fmt_bytes(two.bytes_moved), two.reused_tasks,
+        )
+        assert again == first, name
+        assert two.physical_tasks == one.physical_tasks and one.reused_tasks == 0
+        assert two.reused_tasks > 0 and two.bytes_moved < one.bytes_moved, name
+    table.show()

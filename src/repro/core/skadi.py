@@ -5,6 +5,13 @@ programs" (§2.1).  This class wires the whole stack: declarative input ->
 relational IR -> optimization -> FlowGraph -> physical sharded graph ->
 stateful serverless runtime over a simulated disaggregated cluster — and
 returns real values.
+
+The tables a query reads are immutable from its first launch on: Skadi lays
+each one out once (its puts, source shards and hash partitions,
+``flowgraph.launch.TableLayouts``) and every later query over the same table
+object reuses that layout.  Writing into a queried table's columns raises
+``ValueError``; to change a table, bind its name to a new ``RecordBatch``, and
+the old layout is freed.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..caching.columnar import RecordBatch, concat_batches
 from ..cluster.cluster import Cluster, build_physical_disagg
-from ..flowgraph.launch import collect_sink, launch_physical_graph
+from ..flowgraph.launch import TableLayouts, collect_sink, launch_physical_graph
 from ..flowgraph.logical import FlowGraph, Vertex
 from ..flowgraph.optimizer import GraphOptStats, optimize
 from ..flowgraph.physical import to_physical
@@ -46,7 +53,8 @@ class QueryReport:
     ir_text: str = ""
     lowered_text: str = ""
     graph_vertices: int = 0
-    physical_tasks: int = 0
+    physical_tasks: int = 0  # the plan's size, reused tasks included
+    reused_tasks: int = 0  # physical tasks a kept table layout answered
     sim_seconds: float = 0.0
     bytes_moved: int = 0
     control_messages: int = 0
@@ -72,6 +80,7 @@ class Skadi:
         self.optimize_ir = optimize_ir
         self.broadcast_threshold = broadcast_threshold
         self.last_report = QueryReport()
+        self.layouts = TableLayouts()
 
     # -- declarative entry points -------------------------------------------------
 
@@ -165,12 +174,15 @@ class Skadi:
         start_time = self.runtime.sim.now
         start_bytes = self.runtime.bytes_moved
         start_msgs = self.runtime.control_messages
+        start_reused = self.layouts.reused
+        self.layouts.keep(self.runtime, tables)
         outputs = launch_physical_graph(
-            self.runtime, pgraph, tables=tables, strict=strict
+            self.runtime, pgraph, tables=tables, strict=strict, layouts=self.layouts
         )
         result = collect_sink(self.runtime, outputs, sink)
         if report is not None:
             report.physical_tasks = pgraph.num_tasks
+            report.reused_tasks = self.layouts.reused - start_reused
             report.sim_seconds = self.runtime.sim.now - start_time
             report.bytes_moved = self.runtime.bytes_moved - start_bytes
             report.control_messages = self.runtime.control_messages - start_msgs

@@ -5,11 +5,24 @@ the physical graph in topological order and submit one runtime task per
 physical task, passing futures between them.  Each table is ``put`` once per
 set of columns its sources ship; source shards slice it; split tasks
 hash-partition for keyed edges.
+
+A table's layout — those puts, its source shards and their hash partitions —
+is a fact about the table, not the query, so ``TableLayouts`` keeps it across
+launches (Ray's objects are immutable, which is what lets every later query
+share one copy).  A source task is keyed on ``(source columns, shard,
+parallelism)`` of its table, a split task on ``(its source shard's key, split
+key, split index, split count)``; a split downstream of a compute vertex
+belongs to its query and is never reused.  On a hit the launch hands out the
+kept ``ObjectRef`` and submits nothing; a lost copy comes back by lineage
+replay from the kept put, like any other task output.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..caching.columnar import RecordBatch, concat_batches
 from ..ir.interpreter import Interpreter
@@ -20,7 +33,52 @@ from ..runtime.runtime import ServerlessRuntime
 from .logical import GraphValidationError, Vertex
 from .physical import GatherMode, PhysicalGraph, PhysicalTask
 
-__all__ = ["launch_physical_graph", "collect_sink"]
+__all__ = ["launch_physical_graph", "collect_sink", "TableLayouts"]
+
+
+@dataclass
+class TableLayout:
+    """One table as laid out on the cluster."""
+
+    table: Any
+    puts: Dict[Optional[Tuple[str, ...]], ObjectRef] = field(default_factory=dict)  # by columns
+    tasks: Dict[Tuple[Any, ...], ObjectRef] = field(default_factory=dict)  # by memo key
+
+    def refs(self) -> List[ObjectRef]:
+        return [*self.puts.values(), *self.tasks.values()]
+
+
+class TableLayouts:
+    """The layouts kept across launches, by table name.
+
+    ``keep`` admits a caller's ``RecordBatch`` tables before a launch.  A
+    table is immutable from then on: its column arrays, and every ndarray
+    ``.base`` under them, become read-only, so a later write raises
+    ``ValueError`` instead of silently disagreeing with the kept copies.  A
+    name bound to a different object frees the old layout and starts afresh,
+    and so does a layout whose put lost its last copy: a put has no lineage,
+    so nothing laid out from it could be rebuilt.
+    """
+
+    def __init__(self) -> None:
+        self.kept: Dict[str, TableLayout] = {}
+        self.reused = 0  # memo hits, over every launch
+
+    def keep(self, runtime: ServerlessRuntime, tables: Mapping[str, Any]) -> None:
+        for name, table in tables.items():
+            if not isinstance(table, RecordBatch):
+                continue
+            old = self.kept.get(name)
+            if old is not None:
+                is_ready = runtime.ownership.is_ready
+                if old.table is table and all(is_ready(r.object_id) for r in old.puts.values()):
+                    continue
+                runtime.free(old.refs())
+            for array in table.columns().values():
+                while isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+                    array = array.base
+            self.kept[name] = TableLayout(table)
 
 
 def _gather(mode: GatherMode, values: List[Any]) -> Any:
@@ -113,22 +171,28 @@ def launch_physical_graph(
     tables: Optional[Mapping[str, Any]] = None,
     gang_group: Optional[str] = None,
     strict: Optional[bool] = None,
+    layouts: Optional[TableLayouts] = None,
 ) -> Dict[str, List[ObjectRef]]:
     """Submit every physical task; returns vertex_id -> shard output refs.
 
     ``tables`` backs source vertices and IR ``scan`` ops.  When
     ``gang_group`` is given, all tasks are submitted as one gang (SPMD).
     ``strict`` sanitizes the plan first and refuses to launch on errors
-    (defaults to the runtime's ``strict_plans`` config).
+    (defaults to the runtime's ``strict_plans`` config).  ``layouts`` are the
+    table layouts kept from earlier launches (a table it does not keep is
+    laid out for this launch only).
     """
     _sanitize_before_launch(runtime, pgraph, strict)
     tables = dict(tables or {})
-    table_refs: Dict[Tuple[str, Optional[Tuple[str, ...]]], ObjectRef] = {}
+    layouts = TableLayouts() if layouts is None else layouts
+    laid_out = dict(layouts.kept)
+    memo_keys: Dict[str, Tuple[TableLayout, Tuple[Any, ...]]] = {}  # ptask -> its memo slot
     refs: Dict[str, ObjectRef] = {}
 
     for ptask_id in pgraph.order:
         task = pgraph.tasks[ptask_id]
         vertex = pgraph.logical.vertices[task.vertex_id]
+        layout, key = None, ()
 
         if task.kind == "source":
             table_name, columns = vertex.source_table, vertex.source_columns
@@ -137,21 +201,35 @@ def launch_physical_graph(
                 raise KeyError(
                     f"source vertex {vertex.name!r} needs table {table_name!r}"
                 )
-            key = (table_name, columns)
-            if key not in table_refs:
-                table = tables[table_name]
+            table = tables[table_name]
+            layout = laid_out.get(table_name)
+            if layout is None or layout.table is not table:
+                layout = laid_out[table_name] = TableLayout(table)
+            key = (columns, task.shard, task.parallelism)
+            if columns not in layout.puts:
                 # a projection is a view: no copy, and only its columns count
-                table_refs[key] = runtime.put(
+                layout.puts[columns] = runtime.put(
                     table if columns is None else table.select(columns)
                 )
             fn = _make_source_fn(vertex, task.shard, task.parallelism)
-            args = (table_refs[key],)
+            args = (layout.puts[columns],)
         elif task.kind == "split":
+            input_id = task.inputs[0][1][0]
+            if input_id in memo_keys:
+                layout, input_key = memo_keys[input_id]
+                key = (input_key, task.split_key, task.split_index, task.split_n)
             fn = _make_split_fn(task)
-            args = (refs[task.inputs[0][1][0]],)
+            args = (refs[input_id],)
         else:
             fn = _make_compute_fn(vertex, task, tables)
             args = tuple([refs[pid] for pid in pids] for _, pids in task.inputs)
+
+        if layout is not None:
+            memo_keys[ptask_id] = (layout, key)
+            if key in layout.tasks:
+                layouts.reused += 1
+                refs[ptask_id] = layout.tasks[key]
+                continue
 
         refs[ptask_id] = runtime.submit(
             fn,
@@ -163,6 +241,8 @@ def launch_physical_graph(
             name=task.name,
             gang_group=gang_group,
         )
+        if layout is not None:
+            layout.tasks[key] = refs[ptask_id]
 
     if gang_group is not None:
         runtime.launch_gang(gang_group)

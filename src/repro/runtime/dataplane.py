@@ -118,7 +118,13 @@ class DataPlane:
             oid = ref.object_id
             if local.contains(oid):
                 self._arrived(oid, device_id)
-            elif self.rt.ownership.is_ready(oid):
+                continue
+            sig = self.arrivals.get((oid, device_id))
+            if sig is not None and sig.triggered:
+                # an arrival lives only as long as its copy: this one announced
+                # a copy the store has since lost, and must not stop the push
+                del self.arrivals[oid, device_id]
+            if self.rt.ownership.is_ready(oid):
                 self._queue_push(oid, ctx)
             else:
                 self.subs.setdefault(oid, []).append(ctx)

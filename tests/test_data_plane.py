@@ -671,3 +671,23 @@ class TestPushMissIsAMiss:
         rt.sim.run()
         assert not rt._store_of_device["server2/cpu"].contains(produced.object_id)
         assert_data_plane_drained(rt)
+
+
+def test_an_arrival_lives_only_as_long_as_its_copy():
+    """A device that lost its copy (died, then came back empty) is pushed the
+    object again: the arrival signal of the first copy must not announce it.
+    Before the fix every attempt ran against a store without the argument and
+    the task gave up after its retries with "vanished before execution"."""
+    from repro.cluster.cluster import build_physical_disagg
+
+    rt = ServerlessRuntime(build_physical_disagg(), RuntimeConfig())
+    gpu = dict(supported_kinds=frozenset({DeviceKind.GPU}), pinned_device="gpucard0/gpu0")
+    a = rt.submit(lambda: 41, compute_cost=1e-3, output_nbytes=MB, pinned_device="server0/cpu")
+    assert rt.get(rt.submit(lambda x: x + 1, (a,), compute_cost=1e-3, **gpu)) == 42
+    rt.fail_device("gpucard0/gpu0")
+    rt.restore_device("gpucard0/gpu0")
+    assert rt.get(rt.submit(lambda x: x + 2, (a,), compute_cost=1e-3, **gpu)) == 43
+    assert rt.net.stats.bytes_moved == 2 * MB  # one push per life of the GPU's copy
+    assert rt.tasks_retried == 0
+    rt.sim.run()
+    assert_data_plane_drained(rt)

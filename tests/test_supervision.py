@@ -66,13 +66,16 @@ class TestCrossCommitWitness:
     # identical under two PYTHONHASHSEEDs.  Two cells are adapted: at that commit
     # a PUSH backup with an argument never got it (the fork this PR removed), so
     # (backup_wins, PUSH) and (backup_loses, *) run a task with no arguments.
-    # (crash_restart, PUSH) pins a known leftover: the restarted node's arrival
-    # signal is still triggered (ROADMAP item 3), so every retry finds the
-    # argument "vanished" and the task gives up after 10 of them.
     # Re-recorded when a task's phases stopped being child spans (the Chrome
     # export draws them): only span ids moved, every other span is equal.
+    # (crash_restart, PUSH) and (placement_backoff, PUSH) were re-recorded when
+    # an arrival signal stopped outliving its copy: the retry onto the
+    # restarted node (revived GPU) is pushed the argument again, so
+    # crash_restart returns 8 after 2 retries instead of giving up after 10
+    # with "argument vanished", and placement_backoff pays the 1 MiB push it
+    # used to skip by reading the node's CPU store.
     PINNED = {
-        ('crash_restart', 'PUSH'): "03cc947e554f",
+        ('crash_restart', 'PUSH'): "e8024b408bef",
         ('crash_restart', 'PULL'): "0dd7aa683e1d",
         ('timeout_straggler', 'PUSH'): "ea90cc8acab6",
         ('timeout_straggler', 'PULL'): "a73a64996f33",
@@ -80,7 +83,7 @@ class TestCrossCommitWitness:
         ('retries_exhausted', 'PULL'): "872605472467",
         ('budget_shed', 'PUSH'): "083d27dfabc3",
         ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "396d9b88b32f",
+        ('placement_backoff', 'PUSH'): "d71eb1b33870",
         ('placement_backoff', 'PULL'): "e99c9b9ce269",
         ('actor_requeue', 'PUSH'): "3180ed627924",
         ('actor_requeue', 'PULL'): "3180ed627924",

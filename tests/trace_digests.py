@@ -10,17 +10,25 @@ teardown for the runtimes built since the previous one.  Without the option
 the plugin does nothing.  Set ``BENCH_ARTIFACTS`` when running it over
 ``benchmarks/`` so no committed baseline is rewritten.
 
-    python tests/trace_digests.py --compare A B
+    python tests/trace_digests.py --compare A B [--expect tests/trace_moves.txt]
 
 exits 1 and lists the runtimes whose line differs in any column before the
 last (a trace moved); a line that differs only in its final-metrics column, or
 exists in one file only, is printed and does not fail.
+
+A change that means to move traces lists them in the ``--expect`` file, one
+``<nodeid prefix>  # reason`` per line (blank lines and lines starting with
+``#`` are skipped).  A move under a listed prefix prints ``EXPECTED MOVE`` and
+does not fail; an entry that matched no move fails as stale, so the file holds
+exactly one change's moves and the next change starts from an empty one.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
+from typing import Optional
 
 import pytest
 
@@ -75,7 +83,14 @@ def pytest_configure(config):
         config.pluginmanager.register(_Recorder(path), "trace-digest-recorder")
 
 
-def compare(path_a: str, path_b: str) -> int:
+def load_expected(path: str) -> dict:
+    """``<nodeid prefix>  # reason`` lines -> {prefix: reason}."""
+    with open(path) as lines:
+        entries = [line.partition("  #") for line in lines if not line.startswith("#")]
+    return {prefix.strip(): reason.strip() for prefix, _, reason in entries if prefix.strip()}
+
+
+def compare(path_a: str, path_b: str, expected: Optional[dict] = None) -> int:
     def load(path):
         with open(path) as lines:
             rows = [line.split() for line in lines]
@@ -87,13 +102,26 @@ def compare(path_a: str, path_b: str) -> int:
     both = sorted(a.keys() & b.keys())
     for key in (k for k in both if a[k][0] == b[k][0] and a[k][1] != b[k][1]):
         print(f"metrics only: {key} {a[key][1]} -> {b[key][1]}")
-    moved = [k for k in both if a[k][0] != b[k][0]]
-    for key in moved:
-        print(f"TRACE MOVED: {key} {' '.join(a[key][0])} -> {' '.join(b[key][0])}")
-    return 1 if moved else 0
+    expected = expected or {}
+    failed, matched = False, set()
+    for key in (k for k in both if a[k][0] != b[k][0]):
+        prefix = next((p for p in expected if key.startswith(p)), None)
+        change = f"{key} {' '.join(a[key][0])} -> {' '.join(b[key][0])}"
+        if prefix is None:
+            failed = True
+            print(f"TRACE MOVED: {change}")
+        else:
+            matched.add(prefix)
+            print(f"EXPECTED MOVE: {change}  # {expected[prefix]}")
+    for prefix in sorted(expected.keys() - matched):
+        failed = True
+        print(f"STALE EXPECTATION (no trace under it moved): {prefix}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4 or sys.argv[1] != "--compare":
-        sys.exit("usage: python tests/trace_digests.py --compare A B")
-    sys.exit(compare(sys.argv[2], sys.argv[3]))
+    parser = argparse.ArgumentParser(description="diff two trace-digest files")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), required=True)
+    parser.add_argument("--expect", metavar="FILE", help="the moves this change means to make")
+    args = parser.parse_args()
+    sys.exit(compare(*args.compare, load_expected(args.expect) if args.expect else None))
