@@ -156,7 +156,7 @@ def sanitize_plan(
                     op_text=_task_text(task),
                 )
                 unplaceable.add(ptask_id)
-            size = task.output_nbytes or 0
+            size = (task.output_nbytes or 0) * task.num_outputs
             if size and len(task.supported_kinds) == 1:
                 (kind,) = tuple(task.supported_kinds)
                 kind_only_bytes[kind] = kind_only_bytes.get(kind, 0) + size
@@ -165,7 +165,7 @@ def sanitize_plan(
                 task, order_index, by_id, blacklist, diags, graph_name
             ):
                 unplaceable.add(ptask_id)
-            size = task.output_nbytes or 0
+            size = (task.output_nbytes or 0) * task.num_outputs
             if size and pin in by_id:
                 pinned_bytes[pin] = pinned_bytes.get(pin, 0) + size
 

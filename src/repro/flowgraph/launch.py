@@ -3,18 +3,19 @@
 The bridge Figure 2 sketches as pseudo-code ("b = [B.remote() ...]"): walk
 the physical graph in topological order and submit one runtime task per
 physical task, passing futures between them.  Each table is ``put`` once per
-set of columns its sources ship; source shards slice it; split tasks
-hash-partition for keyed edges.
+set of columns its sources ship; source shards slice it; a split task
+hash-partitions one producer shard for a keyed edge in one pass, as one task
+with ``split_n`` outputs (``submit(num_returns=...)``).
 
 A table's layout — those puts, its source shards and their hash partitions —
 is a fact about the table, not the query, so ``TableLayouts`` keeps it across
 launches (Ray's objects are immutable, which is what lets every later query
 share one copy).  A source task is keyed on ``(source columns, shard,
 parallelism)`` of its table, a split task on ``(its source shard's key, split
-key, split index, split count)``; a split downstream of a compute vertex
-belongs to its query and is never reused.  On a hit the launch hands out the
-kept ``ObjectRef`` and submits nothing; a lost copy comes back by lineage
-replay from the kept put, like any other task output.
+key, split count)``; a split downstream of a compute vertex belongs to its
+query and is never reused.  On a hit the launch hands out the kept refs and
+submits nothing; a lost copy comes back by lineage replay from the kept put,
+like any other task output.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ class TableLayout:
 
     table: Any
     puts: Dict[Optional[Tuple[str, ...]], ObjectRef] = field(default_factory=dict)  # by columns
-    tasks: Dict[Tuple[Any, ...], ObjectRef] = field(default_factory=dict)  # by memo key
+    # by memo key: a task's outputs (one for a source shard, n for a split)
+    tasks: Dict[Tuple[Any, ...], List[ObjectRef]] = field(default_factory=dict)
 
     def refs(self) -> List[ObjectRef]:
-        return [*self.puts.values(), *self.tasks.values()]
+        return [*self.puts.values(), *(ref for outs in self.tasks.values() for ref in outs)]
 
 
 class TableLayouts:
@@ -131,15 +133,15 @@ def _make_compute_fn(vertex: Vertex, task: PhysicalTask, tables: Mapping[str, An
 
 
 def _make_split_fn(task: PhysicalTask):
-    key, index, n = task.split_key, task.split_index, task.split_n
+    key, n = task.split_key, task.split_n
 
     def run_split(batch: Any) -> Any:
-        batch = _gather(GatherMode.DIRECT, [batch])
         if not isinstance(batch, RecordBatch):
             raise TypeError(f"keyed edge over non-RecordBatch value ({type(batch)})")
-        return hash_partition(batch, key, n, only=(index,))[0]
+        parts = hash_partition(batch, key, n)
+        return parts if n > 1 else parts[0]
 
-    run_split.__name__ = f"split_{key}_{index}"
+    run_split.__name__ = f"split_{key}"
     return run_split
 
 
@@ -187,7 +189,10 @@ def launch_physical_graph(
     layouts = TableLayouts() if layouts is None else layouts
     laid_out = dict(layouts.kept)
     memo_keys: Dict[str, Tuple[TableLayout, Tuple[Any, ...]]] = {}  # ptask -> its memo slot
-    refs: Dict[str, ObjectRef] = {}
+    refs: Dict[str, List[ObjectRef]] = {}  # ptask -> its outputs
+
+    def read(producer_id: str, shard: int) -> ObjectRef:
+        return refs[producer_id][pgraph.tasks[producer_id].output_read_by(shard)]
 
     for ptask_id in pgraph.order:
         task = pgraph.tasks[ptask_id]
@@ -217,12 +222,12 @@ def launch_physical_graph(
             input_id = task.inputs[0][1][0]
             if input_id in memo_keys:
                 layout, input_key = memo_keys[input_id]
-                key = (input_key, task.split_key, task.split_index, task.split_n)
+                key = (input_key, task.split_key, task.split_n)
             fn = _make_split_fn(task)
-            args = (refs[input_id],)
+            args = (read(input_id, task.shard),)
         else:
             fn = _make_compute_fn(vertex, task, tables)
-            args = tuple([refs[pid] for pid in pids] for _, pids in task.inputs)
+            args = tuple([read(pid, task.shard) for pid in pids] for _, pids in task.inputs)
 
         if layout is not None:
             memo_keys[ptask_id] = (layout, key)
@@ -231,7 +236,7 @@ def launch_physical_graph(
                 refs[ptask_id] = layout.tasks[key]
                 continue
 
-        refs[ptask_id] = runtime.submit(
+        outputs = runtime.submit(
             fn,
             args,
             compute_cost=task.compute_cost,
@@ -240,7 +245,9 @@ def launch_physical_graph(
             pinned_device=task.pinned_device,
             name=task.name,
             gang_group=gang_group,
+            num_returns=task.num_outputs,
         )
+        refs[ptask_id] = outputs if task.num_outputs > 1 else [outputs]
         if layout is not None:
             layout.tasks[key] = refs[ptask_id]
 
@@ -248,7 +255,7 @@ def launch_physical_graph(
         runtime.launch_gang(gang_group)
 
     return {
-        vertex_id: [refs[pid] for pid in ptask_ids]
+        vertex_id: [refs[pid][0] for pid in ptask_ids]
         for vertex_id, ptask_ids in pgraph.shards_of.items()
     }
 

@@ -7,10 +7,10 @@ Concretely:
 * every logical vertex becomes ``parallelism`` physical tasks (Figure 2's
   subscripts);
 * a keyed edge from an m-way producer to an n-way consumer becomes a
-  shuffle: m*n *split* tasks select hash partitions, and each consumer
-  shard gathers its n partitions (split tasks co-locate with their
-  producer under data-centric scheduling, so only the partition crosses
-  the network);
+  shuffle: m *split* tasks, one per producer shard, each hash-partition
+  their shard once into n outputs, and consumer shard i gathers output i
+  of every split task (split tasks co-locate with their producer under
+  data-centric scheduling, so only the partitions cross the network);
 * hardware mapping is carried as ``supported_kinds`` plus optional
   per-shard device pins (how Figure 2's D becomes D1-gpu and D2-fpga).
 """
@@ -43,13 +43,21 @@ class PhysicalTask:
     parallelism: int
     inputs: List[Tuple[GatherMode, List[str]]] = field(default_factory=list)
     compute_cost: float = 1e-5
-    output_nbytes: Optional[int] = None
+    output_nbytes: Optional[int] = None  # per output
     supported_kinds: FrozenSet[DeviceKind] = frozenset({DeviceKind.CPU})
     pinned_device: Optional[str] = None
-    # split-task parameters
+    # split-task parameters: hash on ``split_key`` into ``split_n`` outputs
     split_key: Optional[str] = None
-    split_index: int = 0
     split_n: int = 1
+
+    @property
+    def num_outputs(self) -> int:
+        return self.split_n if self.kind == "split" else 1
+
+    def output_read_by(self, shard: int) -> int:
+        """Which of this task's outputs consumer shard ``shard`` reads: a
+        split's partition ``shard``, any other task's only output."""
+        return shard if self.kind == "split" else 0
 
     def __repr__(self) -> str:
         return f"PhysicalTask({self.ptask_id}:{self.name})"
@@ -171,13 +179,14 @@ def _shard_inputs(
         m = degree(src_vertex)
         src_shards = pgraph.shards_of[edge.src]
         if edge.key is not None:
-            # shuffle: per-producer split tasks, consumer gathers partition i
-            part_ids = [
-                _split_task(pgraph, src_vertex, src_ptask, edge.key, shard, n, j)
+            # shuffle: one split task per producer shard, consumer gathers
+            # output ``shard`` of each
+            split_ids = [
+                _split_task(pgraph, src_vertex, src_ptask, edge.key, n, j)
                 for j, src_ptask in enumerate(src_shards)
             ]
-            mode = GatherMode.CONCAT if len(part_ids) > 1 else GatherMode.DIRECT
-            inputs.append((mode, part_ids))
+            mode = GatherMode.CONCAT if len(split_ids) > 1 else GatherMode.DIRECT
+            inputs.append((mode, split_ids))
         elif m == n:
             inputs.append((GatherMode.DIRECT, [src_shards[shard]]))
         elif m == 1:
@@ -196,11 +205,10 @@ def _split_task(
     src_vertex: Vertex,
     src_ptask: str,
     key: str,
-    part_index: int,
     num_parts: int,
     src_shard: int,
 ) -> str:
-    ptask_id = f"{src_ptask}.part{part_index}"
+    ptask_id = f"{src_ptask}.split"
     if ptask_id in pgraph.tasks:
         return ptask_id
     src = pgraph.tasks[src_ptask]
@@ -208,9 +216,9 @@ def _split_task(
         ptask_id=ptask_id,
         kind="split",
         vertex_id=src_vertex.vertex_id,
-        name=f"split:{src_vertex.name}[{src_shard}]->{part_index}",
-        shard=part_index,
-        parallelism=num_parts,
+        name=f"split:{src_vertex.name}[{src_shard}]",
+        shard=src_shard,
+        parallelism=src.parallelism,
         inputs=[(GatherMode.DIRECT, [src_ptask])],
         compute_cost=1e-6,
         output_nbytes=(
@@ -220,7 +228,6 @@ def _split_task(
         ),
         supported_kinds=src_vertex.supported_kinds,
         split_key=key,
-        split_index=part_index,
         split_n=num_parts,
     )
     pgraph.add(task)

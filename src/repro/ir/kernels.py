@@ -8,7 +8,7 @@ format exists to support.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -247,22 +247,13 @@ def hk_normalize(tensor: np.ndarray) -> np.ndarray:
     return (tensor - tensor.mean(axis=0)) / std
 
 
-def hash_partition(
-    batch: RecordBatch,
-    column: str,
-    num_partitions: int,
-    only: Optional[Sequence[int]] = None,
-) -> List[RecordBatch]:
-    """Split a batch by hash of a key column (keyed-edge semantics), rows in
-    input order.  ``only`` names the partitions to build (indexed as the
-    full list would be); the default is all of them, in order."""
+def hash_partition(batch: RecordBatch, column: str, num_partitions: int) -> List[RecordBatch]:
+    """Split a batch by hash of a key column (keyed-edge semantics): every
+    partition, in order, rows in input order."""
     if num_partitions < 1:
         raise ValueError(f"need >= 1 partitions, got {num_partitions}")
-    wanted = range(num_partitions)
-    if only is not None:
-        wanted = [wanted[p] for p in only]
     keys = batch.column(column)
     # deterministic integer hash (avoid PYTHONHASHSEED nondeterminism)
     buckets = (keys.astype(np.int64, copy=False) * np.int64(2654435761)) % num_partitions
     buckets = np.abs(buckets)
-    return [batch.filter(buckets == p) for p in wanted]
+    return [batch.filter(buckets == p) for p in range(num_partitions)]

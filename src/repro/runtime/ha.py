@@ -227,18 +227,20 @@ class HAController:
         return None
 
     @staticmethod
-    def _report(ctx: Any, device: Any, nbytes: int) -> Tuple:
-        return (ctx.ref.object_id, device.node_id, nbytes, device.device_id, ctx.spec.task_id)
+    def _report(ctx: Any, device: Any, committed: List[Tuple]) -> Tuple:
+        """One done-report for every output the attempt committed."""
+        outputs = tuple((oid, nbytes) for oid, _value, nbytes in committed)
+        return (ctx.spec.task_id, device.node_id, device.device_id, outputs)
 
-    def _buffer_report(self, ctx: Any, device: Any, nbytes: int) -> None:
+    def _buffer_report(self, ctx: Any, device: Any, committed: List[Tuple]) -> None:
         """The raylet holds the ready-report until the GCS acks it; a head
         that dies before acking gets it re-sent to the new leader at
         re-registration."""
-        ctx.raylet.buffer_report(self._report(ctx, device, nbytes))
+        ctx.raylet.buffer_report(self._report(ctx, device, committed))
 
-    def _ack_report(self, ctx: Any, device: Any, nbytes: int, delivered: Any) -> None:
+    def _ack_report(self, ctx: Any, device: Any, committed: List[Tuple], delivered: Any) -> None:
         if delivered is not False and self.runtime.gcs_up:
-            ctx.raylet.ack_report(self._report(ctx, device, nbytes))
+            ctx.raylet.ack_report(self._report(ctx, device, committed))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -503,16 +505,17 @@ class HAController:
             raylet.observe_epoch(epoch)
             yield raylet.control()
             for report in raylet.unacked_reports():
-                oid, node_id, nbytes, device_id, task_id = report
-                if not rt.ownership.contains(oid):
-                    rt._probe_site("gcs")
-                    rt.ownership.restore(
-                        oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
-                    )
+                task_id, node_id, device_id, outputs = report
                 store = rt._store_of_device.get(device_id)
-                if store is not None and store.contains(oid):
-                    rt._probe_site("gcs")
-                    rt.ownership.mark_ready(oid, node_id, nbytes, device_id)
+                for oid, nbytes in outputs:
+                    if not rt.ownership.contains(oid):
+                        rt._probe_site("gcs")
+                        rt.ownership.restore(
+                            oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
+                        )
+                    if store is not None and store.contains(oid):
+                        rt._probe_site("gcs")
+                        rt.ownership.mark_ready(oid, node_id, nbytes, device_id)
                 raylet.ack_report(report)
             for dev_id in sorted(raylet.stores):
                 device = rt._device_by_id.get(dev_id)

@@ -45,8 +45,10 @@ class LineageGraph:
         self.replays = 0
 
     def record(self, task: TaskSpec, output_ids: List[str]) -> None:
+        """Record ``task`` as the producer of ``output_ids``; the list is kept,
+        not copied, so the caller must not change it."""
         task_id = task.task_id
-        self._by_task[task_id] = _LineageRecord(task, list(output_ids))
+        self._by_task[task_id] = _LineageRecord(task, output_ids)
         for oid in output_ids:
             self._producer_of[oid] = task_id
         consumers_of = self._consumers_of

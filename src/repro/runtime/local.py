@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .ids import IdGenerator
 from .object_ref import ObjectRef, collect_refs, replace_refs
 from .runtime import TaskError
+from .task import check_num_returns, split_returns
 
 __all__ = ["LocalRuntime", "LocalActorHandle"]
 
@@ -45,13 +46,13 @@ class LocalActorHandle:
 
 
 class _PendingTask:
-    __slots__ = ("func", "args", "kwargs", "future", "remaining", "lock")
+    __slots__ = ("func", "args", "kwargs", "futures", "remaining", "lock")
 
-    def __init__(self, func, args, kwargs, future, remaining):
+    def __init__(self, func, args, kwargs, futures, remaining):
         self.func = func
         self.args = args
         self.kwargs = kwargs
-        self.future = future
+        self.futures = futures  # one per output
         self.remaining = remaining
         self.lock = threading.Lock()
 
@@ -128,32 +129,35 @@ class LocalRuntime:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Dict[str, Any]] = None,
         name: str = "",
+        num_returns: int = 1,
         **_ignored: Any,
-    ) -> ObjectRef:
+    ) -> Union[ObjectRef, List[ObjectRef]]:
         """Launch a task; ObjectRef arguments resolve before it runs.
 
+        ``num_returns`` has the simulated runtime's contract: above 1 the
+        function returns that many values and a list of futures comes back.
         Extra keyword options of the simulated runtime (compute_cost,
         supported_kinds, ...) are accepted and ignored, so call sites can
         target either backend.
         """
         if self._closed:
             raise RuntimeError("runtime has been shut down")
+        check_num_returns(num_returns)
         kwargs = dict(kwargs or {})
-        oid = self._ids.object_id()
-        out: Future = Future()
+        refs = [ObjectRef(self._ids.object_id(), owner="local-driver") for _ in range(num_returns)]
+        outs: List[Future] = [Future() for _ in refs]
         with self._futures_lock:
-            self._futures[oid] = out
+            for ref, out in zip(refs, outs):
+                self._futures[ref.object_id] = out
 
         deps = collect_refs((args, kwargs))
-        task = _PendingTask(func, args, kwargs, out, remaining=len(deps))
+        task = _PendingTask(func, args, kwargs, outs, remaining=len(deps))
         if not deps:
             self._launch(task)
-            return ObjectRef(oid, owner="local-driver")
-
         for dep in deps:
             dep_future = self._future_of(dep)
             dep_future.add_done_callback(lambda _f, t=task: self._dep_done(t))
-        return ObjectRef(oid, owner="local-driver")
+        return refs if num_returns > 1 else refs[0]
 
     def _dep_done(self, task: _PendingTask) -> None:
         with task.lock:
@@ -176,9 +180,14 @@ class LocalRuntime:
                     resolved[ref.object_id] = future.result()
                 args = replace_refs(list(task.args), resolved)
                 kwargs = replace_refs(dict(task.kwargs), resolved)
-                task.future.set_result(task.func(*args, **kwargs))
+                name = getattr(task.func, "__name__", "task")
+                values = split_returns(task.func(*args, **kwargs), len(task.futures), name)
             except BaseException as exc:  # surface everything at get()
-                task.future.set_exception(exc)
+                for future in task.futures:
+                    future.set_exception(exc)
+                return
+            for future, value in zip(task.futures, values):
+                future.set_result(value)
 
         self._pool.submit(run)
 

@@ -214,7 +214,26 @@ class OwnershipTable:
         self._entries.clear()
 
     def is_ready(self, object_id: str) -> bool:
-        return self.contains(object_id) and self.entry(object_id).state == ValueState.READY
+        entry = self._entries.get(object_id)
+        return entry is not None and entry.state is ValueState.READY
+
+    def awaits_commit(self, object_id: str) -> bool:
+        """A producer's commit would fill the entry: it exists and is not
+        READY.  A freed object has no entry and awaits nothing."""
+        entry = self._entries.get(object_id)
+        return entry is not None and entry.state is not ValueState.READY
+
+    def committed(self, object_ids: Iterable[str]) -> bool:
+        """A commit filled these objects: one at least is READY and none
+        awaits a commit."""
+        ready = False
+        for object_id in object_ids:
+            entry = self._entries.get(object_id)
+            if entry is not None:
+                if entry.state is not ValueState.READY:
+                    return False
+                ready = True
+        return ready
 
     def locations(self, object_id: str) -> List[str]:
         return sorted(self.entry(object_id).locations)

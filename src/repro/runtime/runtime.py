@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple, Union
 
 from ..caching.kv import estimate_nbytes
 from ..caching.store import CachingLayer, CacheNode
@@ -45,7 +45,7 @@ from .raylet import Raylet
 from .recovery import Recovery
 from .scheduler import PlacementError, Scheduler
 from .supervision import Supervisor
-from .task import IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState
+from .task import IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState, split_returns
 
 __all__ = [
     "ServerlessRuntime",
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _TERMINAL = TERMINAL_STATES
+_Committed = List[Tuple[str, Any, int]]  # (object id, value, nbytes) an attempt committed
 
 # The lifecycle seam: one plain list per point on the runtime, called in list
 # order at a fixed position in the task lifecycle.  DESIGN.md "Runtime core and
@@ -118,14 +119,14 @@ class _TaskCtx:
     """Book-keeping for one in-flight task."""
 
     __slots__ = (
-        "spec", "ref", "device", "raylet", "done", "state", "timeline",
+        "spec", "outputs", "device", "raylet", "done", "state", "timeline",
         "error", "proc", "attempt", "retries", "twin", "is_clone",
         "span", "pulls", "admitted", "admit_raylet", "lease_epoch",
     )
 
-    def __init__(self, spec: TaskSpec, ref: ObjectRef, done: Signal):
+    def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal):
         self.spec = spec
-        self.ref = ref
+        self.outputs = outputs  # the task's output object ids, in return order
         self.device: Optional[Device] = None
         self.raylet: Optional[Raylet] = None
         self.done = done
@@ -499,8 +500,16 @@ class ServerlessRuntime:
         deadline: Optional[float] = None,
         priority: int = 0,
         tenant: Optional[str] = None,
-    ) -> ObjectRef:
-        """Launch a task; returns the future for its (single) output.
+        num_returns: int = 1,
+    ) -> Union[ObjectRef, List[ObjectRef]]:
+        """Launch a task; returns the future for its output.
+
+        With ``num_returns=n`` above 1 the function returns an n-sequence and
+        the task has n outputs: ``submit`` returns a list of n futures, one
+        attempt commits all n objects and one ``done`` message reports them.
+        They share one producer, so lineage replays it once for any of them,
+        and a replay rebuilds only the outputs that were lost.
+        ``output_nbytes`` is the size of each output.
 
         ``deadline`` is an *absolute* virtual time; with deadline propagation
         enabled it flows to downstream consumers (min over producers) and
@@ -523,46 +532,59 @@ class ServerlessRuntime:
             deadline=deadline,
             priority=priority,
             tenant=tenant,
+            num_returns=num_returns,
         )
         return self._submit_spec(spec)
 
-    def _submit_spec(self, spec: TaskSpec) -> ObjectRef:
+    def _submit_spec(self, spec: TaskSpec) -> Union[ObjectRef, List[ObjectRef]]:
         if self.config.deadline_propagation:
             self._inherit_deadline(spec)
         # a gate may raise (AdmissionRejectedError) — before any ownership
         # state exists, so a rejected submission is cleanly retryable
         parked = any([gate(spec) for gate in self.submit_gates])
-        oid = self.ids.object_id()
+        outputs = [self.ids.object_id() for _ in range(spec.num_returns)]
         self._probe_site("driver")
-        self.ownership.create(oid, owner=DRIVER, task_id=spec.task_id)
-        ref = ObjectRef(oid, owner=DRIVER, task_id=spec.task_id)
-        self.lineage.record(spec, [oid])
+        for oid in outputs:
+            self.ownership.create(oid, owner=DRIVER, task_id=spec.task_id)
+        self.lineage.record(spec, outputs)  # keeps the list, which the ctx shares
         if self.probe is not None:
-            self.probe.lineage_record(
-                oid, spec.task_id, [r.object_id for r in spec.dependencies]
-            )
+            deps = [r.object_id for r in spec.dependencies]
+            for oid in outputs:
+                self.probe.lineage_record(oid, spec.task_id, deps)
             # after the gate (a rejected submission never became a task) and
             # after the owner record: the submit message the dispatch joins
             # on represents the fully-registered task
             self.probe.submit(spec.task_id)
-        ctx = _TaskCtx(spec, ref, Signal(self.sim))
+        ctx = _TaskCtx(spec, outputs, Signal(self.sim))
         ctx.timeline.submitted = self.sim.now
         self._open_task_span(ctx)
         self._m_submitted.inc()
         self._ctxs[spec.task_id] = ctx
-        self._ctx_of_object[oid] = ctx
+        for oid in outputs:
+            self._ctx_of_object[oid] = ctx
         self._open_tasks += 1
         for hook in self.on_task_open:
             hook(ctx, parked)
-        if parked:
-            return ref  # whoever parked it re-routes it
-        if spec.gang_group is not None:
-            self._gangs.setdefault(spec.gang_group, []).append(ctx)
-            return ref
-        self._route(ctx)
-        return ref
+        if not parked:  # else whoever parked it re-routes it
+            if spec.gang_group is not None:
+                self._gangs.setdefault(spec.gang_group, []).append(ctx)
+            else:
+                self._route(ctx)
+        return self._returned(ctx)
 
-    def launch_gang(self, gang_group: str) -> List[ObjectRef]:
+    @staticmethod
+    def _returned(ctx: _TaskCtx) -> Union[ObjectRef, List[ObjectRef]]:
+        """What ``submit`` returns: the task's future, or a list of them."""
+        task_id = ctx.spec.task_id
+        if ctx.spec.num_returns == 1:
+            return ObjectRef(ctx.outputs[0], owner=DRIVER, task_id=task_id)
+        return [ObjectRef(oid, owner=DRIVER, task_id=task_id) for oid in ctx.outputs]
+
+    def _outputs_ready(self, ctx: _TaskCtx) -> bool:
+        """A commit is in and nothing is left to commit."""
+        return self.ownership.committed(ctx.outputs)
+
+    def launch_gang(self, gang_group: str) -> List[Union[ObjectRef, List[ObjectRef]]]:
         """Dispatch all tasks submitted under ``gang_group`` atomically."""
         ctxs = self._gangs.pop(gang_group, [])
         # a member cancelled while the gang waited stays cancelled
@@ -573,7 +595,7 @@ class ServerlessRuntime:
         for ctx in pending:
             ctx.device = placements[ctx.spec.task_id]
             self._route(ctx, preplaced=True)
-        return [c.ref for c in ctxs]
+        return [self._returned(c) for c in ctxs]
 
     def _route(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
         """Dispatch now, unless the data plane holds the task for its arguments."""
@@ -715,20 +737,19 @@ class ServerlessRuntime:
         """Cascade a cancellation to transitive consumers that have not run
         yet — their inputs will never materialize.  Level by level over the
         readers, each level in task-id order."""
-        level = [root.ref.object_id]
+        level = list(root.outputs)
         seen = set(level)
         while level:
             readers = {c.spec.task_id: c for oid in level for c in self._readers(oid)}
             level = []
             for task_id in sorted(readers):
                 ctx = readers[task_id]
-                if (
-                    ctx.state in (TaskState.PENDING, TaskState.SCHEDULED, TaskState.RESOLVING)
-                    and self._cancel_ctx(ctx, reason="upstream_cancelled")
-                    and ctx.ref.object_id not in seen
-                ):
-                    seen.add(ctx.ref.object_id)
-                    level.append(ctx.ref.object_id)
+                if ctx.state in (
+                    TaskState.PENDING, TaskState.SCHEDULED, TaskState.RESOLVING
+                ) and self._cancel_ctx(ctx, reason="upstream_cancelled"):
+                    fresh = [oid for oid in ctx.outputs if oid not in seen]
+                    seen.update(fresh)
+                    level += fresh
 
     # -- span tracing --------------------------------------------------------
 
@@ -830,22 +851,22 @@ class ServerlessRuntime:
         try:
             yield from self._lease(ctx, device, raylet)
             yield from self._resolve(ctx, device, raylet)
-            value, nbytes = yield from self._execute(ctx, device, raylet)
+            values = yield from self._execute(ctx, device, raylet)
             if self._attempt_superseded(ctx):
                 return
             main = self._ctxs.get(spec.task_id, ctx)
-            self._commit(ctx, device, raylet, value, nbytes)
+            committed = self._commit(ctx, device, raylet, values)
             try:
-                yield from self._announce(ctx, device, raylet, value, nbytes)
+                yield from self._announce(ctx, device, raylet, committed)
             except Interrupt:
                 # first commit wins, and the winner closes the task: while the
                 # commit stands nobody else will, however its announcement
                 # ended.  Whoever closed the task first (a cancel, a lost
                 # control plane, a twin) still wins; a commit a verdict already
                 # revoked is a failed attempt like any other.
-                if main.state in _TERMINAL or not self.ownership.is_ready(ctx.ref.object_id):
+                if main.state in _TERMINAL or not self._outputs_ready(ctx):
                     raise
-            self._finish(ctx, main, device)
+            self._finish(ctx, main, device, committed)
         except Interrupt as intr:
             # a backup copy stands down silently: the original (or the
             # winner) carries on
@@ -926,7 +947,7 @@ class ServerlessRuntime:
 
     def _execute(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
         """Phase 3: take the actor's turn if any, burn device time, run the
-        real payload.  Returns ``(value, nbytes)``."""
+        real payload.  Returns its outputs."""
         spec = ctx.spec
         # Gen-1: the DPU raylet must poke the companion device
         if raylet.endpoint != device.device_id:
@@ -945,7 +966,7 @@ class ServerlessRuntime:
                     raise _TransientTaskError("raylet died during execution")
                 if not device.alive:
                     raise _TransientTaskError("device died during execution")
-                value, nbytes = self._execute_payload(ctx)
+                values = self._execute_payload(ctx)
                 if spec.actor_id is not None:
                     yield from self.actors.called(spec.actor_id)
             finally:
@@ -953,50 +974,67 @@ class ServerlessRuntime:
         finally:
             if turn is not None:
                 turn.release()  # the one taken: a restore gives the actor a fresh one
-        return value, nbytes
+        return values
 
     def _commit(
-        self, ctx: _TaskCtx, device: Device, raylet: Raylet, value: Any, nbytes: int
-    ) -> None:
-        """Phase 4, the commit point: store the output locally and tell the
-        directory.  No ``yield``: an attempt either committed or it did not."""
-        spec, oid = ctx.spec, ctx.ref.object_id
-        store = raylet.store_of(device.device_id)
-        if store.contains(oid):  # replay may have raced
-            store.delete(oid)
+        self, ctx: _TaskCtx, device: Device, raylet: Raylet, values: Tuple[Any, ...]
+    ) -> _Committed:
+        """Phase 4, the commit point: store the outputs locally and tell the
+        directory.  No ``yield``: an attempt either committed or it did not.
+        An output still READY (a replay's sibling that was not lost) keeps
+        its copies, and a freed one stays freed; returns ``(object id,
+        value, nbytes)`` of each output this attempt committed."""
+        spec, store = ctx.spec, raylet.store_of(device.device_id)
+        size = spec.output_nbytes
+        committed = [
+            (oid, value, estimate_nbytes(value) if size is None else size)
+            for oid, value in zip(ctx.outputs, values)
+            if self.ownership.awaits_commit(oid)
+        ]
         try:
-            store.put(oid, value, nbytes)
+            for oid, value, nbytes in committed:
+                if store.contains(oid):  # replay may have raced
+                    store.delete(oid)
+                store.put(oid, value, nbytes)
         except (SpillFailedError, StoreUnavailableError) as exc:
             # a dead blade refusing the spill (or an output device dying
-            # under us) is a fault to retry around, not an app error
+            # under us) is a fault to retry around, not an app error; what
+            # was stored goes too, so nothing half-commits
+            for oid, _value, _nbytes in committed:
+                store.delete(oid)
             raise _TransientTaskError(str(exc)) from None
         if self.probe is not None:
             self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
-        self.ownership.mark_ready(oid, device.node_id, nbytes, device.device_id)
-        if self.probe_edges is not None:
-            # the commit point: the done/ready announcements every
-            # downstream recv pairs with originate here
-            self.probe_edges.attempt_commit(spec.task_id, ctx.attempt, oid, ctx.is_clone)
-            self.probe_edges.object_ready(self.probe_edges.site, oid)
+        for oid, _value, nbytes in committed:
+            self.ownership.mark_ready(oid, device.node_id, nbytes, device.device_id)
+            if self.probe_edges is not None:
+                # the commit point: the done/ready announcements every
+                # downstream recv pairs with originate here
+                self.probe_edges.attempt_commit(spec.task_id, ctx.attempt, oid, ctx.is_clone)
+                self.probe_edges.object_ready(self.probe_edges.site, oid)
+        return committed
 
     def _announce(
-        self, ctx: _TaskCtx, device: Device, raylet: Raylet, value: Any, nbytes: int
+        self, ctx: _TaskCtx, device: Device, raylet: Raylet, committed: _Committed
     ) -> Generator:
         """Phase 4, after the commit point: pay the optional reliable-cache
-        write, report ``done`` to the scheduler/GCS."""
-        oid = ctx.ref.object_id
+        writes, report ``done`` to the scheduler/GCS (one message, however
+        many outputs were committed)."""
         if self.reliable_cache is not None:  # replication/EC
-            cost = self.reliable_cache.put(oid, value, nbytes, preferred_node=device.node_id)
+            cost = sum(
+                self.reliable_cache.put(oid, value, nbytes, preferred_node=device.node_id)
+                for oid, value, nbytes in committed
+            )
             yield self.sim.timeout(cost)
         for hook in self.on_commit:
-            hook(ctx, device, nbytes)
+            hook(ctx, device, committed)
         delivered = yield self.net.message(
             raylet.endpoint, self.scheduler.endpoint, label="done"
         )
         for hook in self.on_done:
-            hook(ctx, device, nbytes, delivered)
+            hook(ctx, device, committed, delivered)
 
-    def _finish(self, ctx: _TaskCtx, main: _TaskCtx, device: Device) -> None:
+    def _finish(self, ctx: _TaskCtx, main: _TaskCtx, device: Device, committed: _Committed) -> None:
         """Phase 5: first commit wins — close the task on its main record,
         stand the loser down, then push to subscribed consumers and wake the
         parked ones."""
@@ -1023,21 +1061,22 @@ class ServerlessRuntime:
         for hook in self.on_task_finished:
             hook(main, ctx, device)
         self.timelines.append(ctx.timeline)
-        self.data.publish(ctx.ref.object_id)
-        self._on_object_ready(ctx.ref.object_id)
+        for oid, _value, _nbytes in committed:
+            self.data.publish(oid)
+            self._on_object_ready(oid)
         if not main.done.triggered:
             main.done.succeed()
 
     def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
         """This attempt's outcome no longer matters: its task concluded, its
-        result already committed (a speculative twin or a lineage replay got
+        results already committed (a speculative twin or a lineage replay got
         there first), or the task was reincarnated under it.  First commit
         wins; the rest stand down."""
         main = self._ctxs.get(ctx.spec.task_id, ctx)
         return (
             (ctx is not main and ctx is not main.twin)  # a replay took the task over
             or main.state in _TERMINAL
-            or self.ownership.is_ready(ctx.ref.object_id)
+            or self._outputs_ready(ctx)
         )
 
     def _place_or_retry(
@@ -1065,8 +1104,9 @@ class ServerlessRuntime:
         if not ctx.done.triggered:
             ctx.done.succeed()
 
-    def _execute_payload(self, ctx: _TaskCtx) -> Tuple[Any, int]:
-        """Run the real Python function with resolved arguments."""
+    def _execute_payload(self, ctx: _TaskCtx) -> Tuple[Any, ...]:
+        """Run the real Python function with resolved arguments; returns its
+        outputs."""
         spec = ctx.spec
         assert ctx.raylet is not None
         resolved: Dict[str, Any] = {}
@@ -1086,12 +1126,7 @@ class ServerlessRuntime:
             value = spec.func(self.actors.state[spec.actor_id], *args, **kwargs)
         else:
             value = spec.func(*args, **kwargs)
-        nbytes = (
-            spec.output_nbytes
-            if spec.output_nbytes is not None
-            else estimate_nbytes(value)
-        )
-        return value, nbytes
+        return split_returns(value, spec.num_returns, spec.name)
 
     def _on_object_ready(self, object_id: str) -> None:
         """Newly-ready objects poke observers and may unblock waiting tasks."""
@@ -1227,22 +1262,25 @@ class ServerlessRuntime:
             self._place_or_retry(self._route, ctx)
 
     def _replay_task(self, spec: TaskSpec) -> None:
-        """Reincarnate a concluded task so its lost output is rebuilt
-        (lineage recovery's way into the task lifecycle)."""
-        old_ids = self.lineage.outputs_of(spec.task_id)
+        """Reincarnate a concluded task so its lost outputs are rebuilt
+        (lineage recovery's way into the task lifecycle).  A READY output
+        keeps its entry and copies, and a freed one is not brought back."""
+        outputs = self.lineage.outputs_of(spec.task_id)
         if self.probe is not None:
             # reincarnation: later attempts of this task get distinct
             # sites and lease keys, so a replay is not confused with
             # the task's first life
             self.probe.replay(spec.task_id)
             self.probe.site = "gcs"  # recovery is a control-plane act
-        for out_oid in old_ids:
-            self.ownership.reset_pending(out_oid)
-        ctx = _TaskCtx(spec, ObjectRef(old_ids[0], task_id=spec.task_id), Signal(self.sim))
+        lost = [oid for oid in outputs if self.ownership.awaits_commit(oid)]
+        for oid in lost:
+            self.ownership.reset_pending(oid)
+        ctx = _TaskCtx(spec, outputs, Signal(self.sim))
         ctx.timeline.submitted = self.sim.now
         self._open_task_span(ctx, replayed=True)
         self._ctxs[spec.task_id] = ctx
-        self._ctx_of_object[old_ids[0]] = ctx
+        for oid in lost:
+            self._ctx_of_object[oid] = ctx
         self._open_tasks += 1
         self._place_or_retry(self._route, ctx)
 

@@ -115,7 +115,7 @@ class Supervisor:
 
     def _requeue(self, ctx: Any) -> None:
         rt = self.rt
-        if ctx.state != TaskState.PENDING or rt.ownership.is_ready(ctx.ref.object_id):
+        if ctx.state != TaskState.PENDING or rt._outputs_ready(ctx):
             return  # the race resolved while we backed off (twin won, failed)
         actor_id = ctx.spec.actor_id
         if actor_id is not None and not rt.actors.ensure_home(actor_id):
@@ -130,7 +130,7 @@ class Supervisor:
         return (
             ctx.attempt == attempt
             and ctx.state in IN_FLIGHT_STATES
-            and not self.rt.ownership.is_ready(ctx.ref.object_id)
+            and not self.rt._outputs_ready(ctx)
         )
 
     def _timeout_watch(self, ctx: Any, attempt: int) -> Generator:
@@ -166,8 +166,8 @@ class Supervisor:
             return
         outstanding = rt.scheduler.outstanding
         backup = min(candidates, key=lambda d: (outstanding(d.device_id), d.device_id))
-        # the same kind of record as the original, sharing its ref and completion
-        clone = ctx.twin = type(ctx)(ctx.spec, ctx.ref, ctx.done)
+        # the same kind of record as the original, sharing its outputs and completion
+        clone = ctx.twin = type(ctx)(ctx.spec, ctx.outputs, ctx.done)
         clone.is_clone = True
         clone.timeline.submitted = ctx.timeline.submitted
         clone.device = backup

@@ -19,7 +19,7 @@ from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
     "TaskSpec", "TaskState", "TERMINAL_STATES", "IN_FLIGHT_STATES", "TaskResult", "ActorSpec",
-    "ANY_COMPUTE_KIND",
+    "ANY_COMPUTE_KIND", "check_num_returns", "split_returns",
 ]
 
 ANY_COMPUTE_KIND: FrozenSet[DeviceKind] = frozenset(
@@ -66,12 +66,14 @@ class TaskSpec:
     # bookkeeping --------------------------------------------------------------
     name: str = ""
     actor_id: Optional[str] = None  # set for actor method calls
+    num_returns: int = 1  # outputs one attempt commits (see ``split_returns``)
 
     def __post_init__(self) -> None:
         if self.compute_cost < 0:
             raise ValueError(f"negative compute cost on {self.task_id}")
         if not self.supported_kinds:
             raise ValueError(f"task {self.task_id} supports no device kinds")
+        check_num_returns(self.num_returns)
         if not self.name:
             self.name = getattr(self.func, "__name__", "task")
 
@@ -83,6 +85,23 @@ class TaskSpec:
 
     def __repr__(self) -> str:
         return f"TaskSpec({self.task_id}, {self.name})"
+
+
+def check_num_returns(num_returns: int) -> None:
+    if num_returns < 1:
+        raise ValueError(f"num_returns must be >= 1, got {num_returns}")
+
+
+def split_returns(value: Any, num_returns: int, name: str) -> Tuple[Any, ...]:
+    """A payload's outputs: the value itself for one return, else the
+    ``num_returns`` items of the sequence it returned (a wrong count is the
+    payload's error, like any exception it raises)."""
+    if num_returns == 1:
+        return (value,)
+    values = tuple(value)
+    if len(values) != num_returns:
+        raise ValueError(f"{name} returned {len(values)} values for num_returns={num_returns}")
+    return values
 
 
 @dataclass

@@ -179,13 +179,16 @@ class TestPhysicalLowering:
         g.add_edge(s, r, key="k")
         pg = to_physical(g)
         splits = [t for t in pg.tasks.values() if t.kind == "split"]
-        assert len(splits) == 3 * 2
-        # each reduce shard gathers one partition from each source shard
+        # one split per source shard, each with one output per reduce shard
+        assert len(splits) == 3
+        assert all(t.num_outputs == 2 for t in splits)
+        # each reduce shard gathers its own partition from each split task
         reduce_tasks = [pg.tasks[t] for t in pg.shards_of[r.vertex_id]]
         for task in reduce_tasks:
             mode, producers = task.inputs[0]
             assert mode == GatherMode.CONCAT
-            assert len(producers) == 3
+            assert producers == [t.ptask_id for t in splits]
+            assert [pg.tasks[p].output_read_by(task.shard) for p in producers] == [task.shard] * 3
 
     def test_broadcast_and_gather_modes(self):
         g = FlowGraph()

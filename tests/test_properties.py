@@ -3,7 +3,8 @@
 These check the invariants the whole reproduction rests on:
 
 * the runtime computes exactly what direct evaluation computes, for random
-  task DAGs, under every generation/resolution configuration;
+  task DAGs, under every generation/resolution configuration, and what
+  ``LocalRuntime`` computes for random DAGs of tasks with several outputs;
 * the simulator is deterministic: same program, same virtual trace;
 * the tiered cache never loses or corrupts objects under random workloads;
 * random SQL filters, and random grouped aggregates behind a filter and a
@@ -25,6 +26,7 @@ from repro.ir import FrameType, run_function
 from repro.runtime import (
     ANY_COMPUTE_KIND,
     Generation,
+    LocalRuntime,
     ResolutionMode,
     RuntimeConfig,
     SchedulingPolicy,
@@ -110,6 +112,48 @@ class TestRandomDAGs:
         v2, t2 = eval_dag_runtime(nodes, config)
         assert v1 == v2
         assert t1 == t2  # bit-identical virtual clocks
+
+
+@st.composite
+def multi_return_dag(draw):
+    """A random DAG of tasks with 1-4 outputs: each task is a constant or
+    reads two outputs of earlier tasks; ``(num_returns, const, a, b)`` with
+    ``a``/``b`` naming ``(task, output)``."""
+    nodes, outputs = [], []
+    for i in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 4))
+        if not outputs or draw(st.booleans()):
+            nodes.append((k, draw(st.integers(-5, 5)), None, None))
+        else:
+            nodes.append((k, None, draw(st.sampled_from(outputs)), draw(st.sampled_from(outputs))))
+        outputs += [(i, j) for j in range(k)]
+    return nodes
+
+
+def spread(k, x, y):
+    """``k`` values from two inputs; a bare value when ``k`` is 1."""
+    values = tuple(x + j * y for j in range(1, k + 1))
+    return values if k > 1 else values[0]
+
+
+def eval_multi_return(runtime, nodes):
+    refs = []  # per task: its output refs
+    for k, const, a, b in nodes:
+        args = (k, const, 1) if const is not None else (k, refs[a[0]][a[1]], refs[b[0]][b[1]])
+        out = runtime.submit(spread, args, num_returns=k, supported_kinds=ANY_COMPUTE_KIND)
+        refs.append(out if k > 1 else [out])
+    return runtime.get([ref for outs in refs for ref in outs])
+
+
+class TestRandomMultiReturnDAGs:
+    @given(nodes=multi_return_dag())
+    @settings(max_examples=25, deadline=None)
+    def test_simulated_runtime_matches_the_local_one(self, nodes):
+        with LocalRuntime(max_workers=2) as local:
+            expected = eval_multi_return(local, nodes)
+        for resolution in (ResolutionMode.PUSH, ResolutionMode.PULL):
+            rt = ServerlessRuntime(build_physical_disagg(), RuntimeConfig(resolution=resolution))
+            assert eval_multi_return(rt, nodes) == expected, resolution
 
 
 # -- tiered cache invariants --------------------------------------------------------

@@ -9,8 +9,9 @@ inventory lines of ``columnar.py`` and ``kernels.py``).
 * **An aggregate has the dtype the IR declares**, also over no rows, through
   the distributed path (where partitions outnumber groups) and the interpreter.
 * **Cross-commit witness.**  Plan size, virtual cost and a digest of the rows
-  of the four ledger queries: the plan size and rows recorded before the numpy
-  kernels, the bytes and virtual cost since column pruning (see ``WITNESS``).
+  of the four ledger queries: the rows recorded before the numpy kernels, the
+  bytes since column pruning, the plan size and virtual cost since a split
+  task has one output per consumer shard (see ``WITNESS``).
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ import pytest
 
 from repro import RecordBatch, Skadi
 from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
+from repro.cluster import build_physical_disagg
+from repro.flowgraph import FlowGraph, launch_physical_graph, to_physical
 from repro.frontends.sql import sql_to_ir
 from repro.ir import FrameType, hash_partition, run_function
 from repro.ir.kernels import k_aggregate, k_join
+from repro.runtime import ServerlessRuntime
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 if BENCHMARKS not in sys.path:
@@ -192,7 +196,7 @@ class TestColumnLookup:
 class TestHashPartition:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("column", ["k", "k32", "f", "flag"])
-    def test_matches_build_all_and_only_builds_what_is_asked(self, seed, column):
+    def test_matches_build_all(self, seed, column):
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, int(rng.integers(0, 400)))
         for n in (1, 2, 3, 4, 7):
@@ -201,26 +205,32 @@ class TestHashPartition:
             assert len(got) == n
             for i in range(n):
                 assert_same_rows(got[i], want[i])
-                (one,) = hash_partition(batch, column, n, only=(i,))
-                assert_same_rows(one, want[i])
             assert sum(p.num_rows for p in got) == batch.num_rows
-
-    def test_only_is_indexed_like_the_list(self, small_batch):
-        parts = hash_partition(small_batch, "k", 3)
-        picked = hash_partition(small_batch, "k", 3, only=(2, 0, -1))
-        assert picked == [parts[2], parts[0], parts[-1]]
-        assert hash_partition(small_batch, "k", 3, only=()) == []
-        for bad in (3, -4):
-            with pytest.raises(IndexError):
-                hash_partition(small_batch, "k", 3, only=(bad,))
 
     def test_bad_arguments_still_raise(self, small_batch):
         with pytest.raises(ValueError, match=">= 1 partitions"):
             hash_partition(small_batch, "k", 0)
-        with pytest.raises(ValueError, match=">= 1 partitions"):
-            hash_partition(small_batch, "k", 0, only=(0,))
         with pytest.raises(KeyError, match="no column 'nope'"):
             hash_partition(small_batch, "nope", 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_one_split_task_gives_every_partition(self, n):
+        """A keyed edge into n shards is one split task with n outputs, and
+        consumer shard i reads output i: partition i, row for row."""
+        batch = random_batch(np.random.default_rng(n), 300)
+        graph = FlowGraph()
+        source = graph.add_vertex("t", source_table="t")
+        sink = graph.add_vertex("read", py_func=lambda part: part, parallelism=n)
+        graph.add_edge(source, sink, key="k")
+        pgraph = to_physical(graph)
+        (split,) = [t for t in pgraph.tasks.values() if t.kind == "split"]
+        assert split.num_outputs == n and pgraph.num_tasks == 2 + n
+        rt = ServerlessRuntime(build_physical_disagg())
+        outputs = launch_physical_graph(rt, pgraph, tables={"t": batch})
+        parts = rt.get(outputs[sink.vertex_id])
+        assert rt.tasks_finished == 2 + n
+        for got, want in zip(parts, hash_partition(batch, "k", n), strict=True):
+            assert_same_rows(got, want)
 
 
 # -- join -----------------------------------------------------------------------
@@ -451,32 +461,36 @@ def test_aggregate_result_has_the_declared_dtype(sql, shards, tables):
 
 # (query, shards, broadcast_threshold) -> QueryReport.physical_tasks,
 # sim_seconds (hex), bytes_moved, control_messages, result digest, under
-# PYTHONHASHSEED 1 and 2.  Physical tasks, control messages and the digest were
-# recorded at f88dfd4 (the dict-of-lists join, per-group aggregate, build-all
-# split): a change that only makes the kernels cheaper leaves them as they are.
-# Bytes and seconds were re-recorded on top of c352ce1, when a scan started to
-# ship only the columns its query reads (``PruneScanColumns``).  Every column is
-# 8 bytes wide: scan_agg ships 5 of lineitem's 8 columns, selective_filter 3 of
-# 8, top_k 2 of orders' 4, join_group 2 of orders' 4 and 2 of customers' 3.
+# PYTHONHASHSEED 1 and 2.  The digest was recorded at f88dfd4 (the dict-of-lists
+# join, per-group aggregate, build-all split): a change that only makes the
+# kernels cheaper leaves it as it is.  Bytes were re-recorded on top of c352ce1,
+# when a scan started to ship only the columns its query reads
+# (``PruneScanColumns``).  Every column is 8 bytes wide: scan_agg ships 5 of
+# lineitem's 8 columns, selective_filter 3 of 8, top_k 2 of orders' 4,
+# join_group 2 of orders' 4 and 2 of customers' 3.  Tasks, seconds and control
+# messages were re-recorded when a keyed edge from m shards became m split tasks
+# with one output per consumer shard instead of m x n one-output split tasks:
+# the shuffling rows (scan_agg and join_group over 2 and 4 shards) lost
+# m x (n - 1) tasks and 2 messages per task; bytes and digests did not move.
 WITNESS = {
+    ("join_group", 1, 0): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
+    ("join_group", 1, 5000): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
+    ("join_group", 2, 0): (17, "0x1.222d1e535795fp-11", 33600, 34, "8acbb804fb7ed424"),
+    ("join_group", 2, 5000): (12, "0x1.2461c940bbb1fp-11", 33600, 24, "8acbb804fb7ed424"),
+    ("join_group", 4, 0): (33, "0x1.a0f7805d0239ap-11", 33600, 66, "8acbb804fb7ed424"),
+    ("join_group", 4, 5000): (22, "0x1.6d7461c9b4138p-11", 33600, 44, "8acbb804fb7ed424"),
     ("scan_agg", 1, 0): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),
     ("scan_agg", 1, 5000): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),
-    ("scan_agg", 2, 0): (9, "0x1.2814237f03156p-11", 120000, 18, "4785aabea1cba10d"),
-    ("scan_agg", 2, 5000): (9, "0x1.2814237f03156p-11", 120000, 18, "4785aabea1cba10d"),
-    ("scan_agg", 4, 0): (25, "0x1.2e213542012c5p-10", 120000, 50, "4785aabea1cba10d"),
-    ("scan_agg", 4, 5000): (25, "0x1.2e213542012c5p-10", 120000, 50, "4785aabea1cba10d"),
+    ("scan_agg", 2, 0): (7, "0x1.2814237f03156p-11", 120000, 14, "4785aabea1cba10d"),
+    ("scan_agg", 2, 5000): (7, "0x1.2814237f03156p-11", 120000, 14, "4785aabea1cba10d"),
+    ("scan_agg", 4, 0): (13, "0x1.23107ab1e265cp-11", 120000, 26, "4785aabea1cba10d"),
+    ("scan_agg", 4, 5000): (13, "0x1.23107ab1e265cp-11", 120000, 26, "4785aabea1cba10d"),
     ("selective_filter", 1, 0): (2, "0x1.e1f89ad6b07b8p-12", 72000, 4, "3f284819853302d1"),
     ("selective_filter", 1, 5000): (2, "0x1.e1f89ad6b07b8p-12", 72000, 4, "3f284819853302d1"),
     ("selective_filter", 2, 0): (5, "0x1.8d2a1a10b7de5p-12", 72000, 10, "3f284819853302d1"),
     ("selective_filter", 2, 5000): (5, "0x1.8d2a1a10b7de5p-12", 72000, 10, "3f284819853302d1"),
     ("selective_filter", 4, 0): (9, "0x1.a29aa64ab7b45p-12", 72000, 18, "3f284819853302d1"),
     ("selective_filter", 4, 5000): (9, "0x1.a29aa64ab7b45p-12", 72000, 18, "3f284819853302d1"),
-    ("join_group", 1, 0): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
-    ("join_group", 1, 5000): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
-    ("join_group", 2, 0): (23, "0x1.3c60013e73d91p-11", 33600, 46, "8acbb804fb7ed424"),
-    ("join_group", 2, 5000): (14, "0x1.2461c940bbb1fp-11", 33600, 28, "8acbb804fb7ed424"),
-    ("join_group", 4, 0): (69, "0x1.6dc3a10d53a58p-10", 33600, 138, "8acbb804fb7ed424"),
-    ("join_group", 4, 5000): (34, "0x1.8cf383120337bp-11", 33600, 68, "8acbb804fb7ed424"),
     ("top_k", 1, 0): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
     ("top_k", 1, 5000): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
     ("top_k", 2, 0): (5, "0x1.66125c6129e6ap-12", 32000, 10, "7d29d79fabd20b88"),

@@ -388,7 +388,7 @@ class TestStructureGuard:
             "_store_of_device", "_spill_store", "_readers",
         },
         "supervision.py": {
-            "config", "sim", "telemetry", "ownership", "scheduler", "probe_edges", "gcs_up",
+            "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe_edges", "gcs_up",
             "on_device_fault", "retry_gates", "_dispatch", "_route",
             "_place_or_retry", "_fail_ctx", "actors", "_span_of", "_record", "_ctxs",
         },

@@ -53,9 +53,9 @@ def test_a_repeated_query_reuses_the_layout_and_moves_nothing(tables):
     report = skadi.last_report
     assert again == first
     assert report.bytes_moved == 0
-    # 4 source shards and their 4 x 4 hash partitions; the plan's size is
-    # what it was, reuse is reported beside it
-    assert report.reused_tasks == 20
+    # 4 source shards and the 4 split tasks that hash-partition them; the
+    # plan's size is what it was, reuse is reported beside it
+    assert report.reused_tasks == 8
     assert report.physical_tasks == plan.physical_tasks
 
 
@@ -120,7 +120,7 @@ def test_wiped_shards_are_replayed_from_the_kept_put(tables):
     def wipe(skadi):
         rt = skadi.runtime
         for layout in skadi.layouts.kept.values():
-            for ref in layout.tasks.values():
+            for ref in (ref for outputs in layout.tasks.values() for ref in outputs):
                 for store in rt._store_of_device.values():
                     store.delete(ref.object_id)  # memory gone, nobody told the GCS
 
