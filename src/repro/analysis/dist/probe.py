@@ -54,6 +54,7 @@ class DistProbe:
         "speculate",
         "dir_read",
         "push_start",
+        "land",
         "hb_send",
         "hb_recv",
     )
@@ -98,6 +99,10 @@ class DistProbe:
         # replay incarnation per task id: replayed attempts get distinct
         # attempt sites so a replay is not confused with its first life
         self._incarnation: Dict[str, int] = {}
+        # PUSH: the ``land:`` keys sent so far, and per attempt site the ones
+        # its next event receives (see ``arrived``)
+        self._landed: set[str] = set()
+        self._inbox: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # core emission
@@ -126,6 +131,8 @@ class DistProbe:
     ) -> None:
         seq = self._seq
         self._seq = seq + 1
+        if site in self._inbox:
+            recvs = (*recvs, *self._inbox.pop(site))
         engine = self.engine
         if not self.wants_trace:
             # invariants-only hot path: most protocol events interest no
@@ -467,6 +474,24 @@ class DistProbe:
             (("object", object_id), ("targets", targets)),
             recvs=(f"ready:{object_id}",),
         )
+
+    def land(self, site: str, object_id: str, device: str) -> None:
+        """A push put its copy in ``device``'s store and told the directory."""
+        if self._skip("land"):
+            return
+        key = f"land:{object_id}:{device}"
+        self._landed.add(key)
+        self.emit(site, "land", (("object", object_id), ("device", device)), sends=(key,))
+
+    def arrived(self, site: str, object_ids: Sequence[str], device: str) -> None:
+        """A PUSH attempt's arguments are on its device: the attempt's next
+        event receives the landing of each one a push brought, which orders
+        the pushes' directory writes before everything the attempt causes."""
+        keys = tuple(
+            key for key in (f"land:{oid}:{device}" for oid in object_ids) if key in self._landed
+        )
+        if keys:
+            self._inbox[site] = self._inbox.get(site, ()) + keys
 
     def fetch_join(self, site: str, object_id: str, device: str) -> None:
         """A parked follower resumed after its leader's fetch completed."""

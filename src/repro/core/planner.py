@@ -6,25 +6,40 @@ degrees and keyed edges chosen by operator kind:
 
 * scans become sharded source-scan vertices (data-parallel);
 * elementwise ops (filter/project) inherit their input's parallelism;
-* joins hash-shuffle both inputs on the join keys (partition-wise join);
-* keyed aggregates hash-shuffle on the first group key, so each shard owns
-  its keys entirely and local aggregation is exact;
-* global aggregates, sorts, and limits gather to parallelism 1.
+* joins hash-shuffle both inputs on the join keys (partition-wise join), or
+  broadcast a small side, gathered by a ``coalesce`` vertex, to every shard
+  of the big one;
+* an aggregate whose result is gathered anyway (it is keyless, its only user
+  is a sort or a limit, or it is the query's result) runs in two phases: a
+  partial aggregate on every shard of its input and a final one at
+  parallelism 1 that merges the partials (a ``mean`` travels as a sum and a
+  count), so no row is shuffled for it; graph fusion then folds the partial
+  into the elementwise or join vertex before it and the final into its sort;
+* a keyed aggregate that feeds a sharded consumer hash-shuffles on the first
+  group key, so each shard owns its keys entirely and local aggregation is
+  exact;
+* sorts, limits and aggregates over one shard gather to parallelism 1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..flowgraph.launch import coalesce
 from ..flowgraph.logical import FlowGraph, Vertex
 from ..ir.backends import op_work_elements
 from ..ir.core import Builder, Function, Operation
+from ..ir.expr import Col
 from ..ir.types import FrameType
 
 __all__ = ["ir_to_flowgraph", "PlanningError"]
 
 _ELEMENTWISE = {"filter", "project", "where", "select"}
+_PROJECT = {"relational": "project", "df": "select"}  # by dialect
 _SECONDS_PER_ELEMENT = 1e-9
+# planning estimates when statistics are absent
+_FILTER_SELECTIVITY = 0.5
+_AGGREGATE_SELECTIVITY = 0.1  # groups per input row
 
 
 class PlanningError(ValueError):
@@ -40,7 +55,7 @@ def _estimate_rows(op: Operation, est_rows: Dict[int, float], default_rows: int)
     if op.name in ("join", "hash_join"):
         return max(ins) if ins else base
     if op.name in ("aggregate", "hash_aggregate"):
-        return max(base * 0.1, 1.0)
+        return max(base * _AGGREGATE_SELECTIVITY, 1.0)
     if op.name == "limit":
         return min(base, float(op.attrs.get("n", base)))
     if op.name == "distinct":
@@ -61,7 +76,68 @@ def _single_op_func(op: Operation, name: str) -> Function:
     return func
 
 
-_FILTER_SELECTIVITY = 0.5  # planning estimate when statistics are absent
+def _is_gathered(op: Operation, func: Function, users: Dict[int, List[Operation]]) -> bool:
+    """Whether an aggregate's result ends up on one shard whatever the plan:
+    it is keyless, its only user is a sort or a limit, or it is the result."""
+    readers = [user.name for user in users.get(id(op.result()), ())]
+    return (
+        not op.attrs.get("keys")
+        or readers in (["sort"], ["limit"])
+        or op.result() is func.returns[0]
+    )
+
+
+def _two_phase(op: Operation, name: str) -> Tuple[Function, Function]:
+    """The partial and the final function of an aggregate.
+
+    The partial aggregates one shard (``partial``: a ``mean`` yields its
+    float64 sum, beside a count); the final aggregates the partials: counts
+    and sums add up, minima and maxima reduce again, and a mean is its
+    partial sums' mean over its partial counts' mean, which is undefined,
+    like the one-phase mean, exactly when no shard had a row.  A final with a
+    mean ends in a projection that divides, giving the one-phase schema."""
+    partial_aggs, final_aggs, means = [], [], {}
+    for out, fn, column in op.attrs["aggs"]:
+        if fn == "mean":
+            means[out] = count = f"{out}.n"
+            partial_aggs += [(out, fn, column), (count, "count", column)]
+            final_aggs += [(out, fn, out), (count, fn, count)]
+        else:
+            partial_aggs.append((out, fn, column))
+            final_aggs.append((out, "sum" if fn == "count" else fn, out))
+
+    builder = Builder(f"{name}:partial")
+    param = builder.add_param("in0", op.operands[0].type)
+    attrs = dict(op.attrs, aggs=tuple(partial_aggs), partial=True)
+    partial = builder.ret(builder.emit(op.dialect, op.name, [param], attrs).result())
+
+    builder = Builder(f"{name}:final")
+    param = builder.add_param("in0", partial.returns[0].type)
+    attrs = dict(op.attrs, aggs=tuple(final_aggs))
+    merged = builder.emit(op.dialect, op.name, [param], attrs).result()
+    if means:
+        dtypes = dict(merged.type.columns)
+        finish = tuple(
+            (out, Col(out) / Col(means[out]), "float64")
+            if out in means
+            else (out, Col(out), dtypes[out])
+            for out, _fn, _column in op.attrs["aggs"]
+        )
+        merged = builder.emit(
+            op.dialect,
+            _PROJECT[op.dialect],
+            [merged],
+            {"columns": tuple(op.attrs.get("keys", ())), "derived": finish},
+        ).result()
+    final = builder.ret(merged)
+    partial.verify()
+    final.verify()
+    return partial, final
+
+
+def _work_seconds(func: Function, rows: float) -> float:
+    """Modelled seconds to run ``func`` over frames of ``rows`` rows."""
+    return sum(op_work_elements(op, round(rows)) for op in func.ops) * _SECONDS_PER_ELEMENT
 
 
 def ir_to_flowgraph(
@@ -94,6 +170,10 @@ def ir_to_flowgraph(
         raise PlanningError(f"shards must be >= 1, got {shards}")
 
     table_rows = dict(table_rows or {})
+    users: Dict[int, List[Operation]] = {}
+    for op in func.ops:
+        for operand in op.operands:
+            users.setdefault(id(operand), []).append(op)
     graph = FlowGraph(name or func.name)
     produced: Dict[int, Tuple[Vertex, int]] = {}  # value id -> (vertex, parallelism)
     est_rows: Dict[int, float] = {}  # value id -> estimated cardinality
@@ -143,14 +223,14 @@ def ir_to_flowgraph(
             if use_broadcast:
                 small_vertex, small_par = in_info[small]
                 if small_par > 1:
-                    coalesce = graph.add_vertex(
+                    gathered = graph.add_vertex(
                         f"coalesce:{op.qualified}",
-                        py_func=lambda batch: batch,
+                        py_func=coalesce,
                         parallelism=1,
                         compute_cost=ests[small] * _SECONDS_PER_ELEMENT,
                     )
-                    graph.add_edge(small_vertex, coalesce)
-                    small_vertex = coalesce
+                    graph.add_edge(small_vertex, gathered)
+                    small_vertex = gathered
                 big_vertex, big_par = in_info[big]
                 vertex = graph.add_vertex(
                     f"{op.qualified}:broadcast",
@@ -172,16 +252,37 @@ def ir_to_flowgraph(
                 )
         elif op.name in ("aggregate", "hash_aggregate"):
             keys = tuple(op.attrs.get("keys", ()))
-            if keys and shards > 1 and in_info[0][1] > 1:
+            in_vertex, in_par = in_info[0]
+            if in_par > 1 and _is_gathered(op, func, users):
+                partial_func, final_func = _two_phase(op, wrapped.name)
+                partial = graph.add_vertex(
+                    f"{op.qualified}:partial",
+                    ir_func=partial_func,
+                    parallelism=in_par,
+                    compute_cost=_work_seconds(partial_func, default_rows),
+                )
+                graph.add_edge(in_vertex, partial, dst_port=0)
+                # the final reads groups, not rows: priced at the same guess
+                # of groups per row that the cardinality estimate makes
+                vertex = graph.add_vertex(
+                    f"{op.qualified}:final",
+                    ir_func=final_func,
+                    parallelism=1,
+                    compute_cost=_work_seconds(
+                        final_func, default_rows * _AGGREGATE_SELECTIVITY
+                    ),
+                )
+                graph.add_edge(partial, vertex, dst_port=0)
+            elif keys and in_par > 1:
                 vertex = graph.add_vertex(
                     op.qualified, ir_func=wrapped, parallelism=shards, compute_cost=cost
                 )
-                graph.add_edge(in_info[0][0], vertex, dst_port=0, key=keys[0])
+                graph.add_edge(in_vertex, vertex, dst_port=0, key=keys[0])
             else:
                 vertex = graph.add_vertex(
                     op.qualified, ir_func=wrapped, parallelism=1, compute_cost=cost
                 )
-                graph.add_edge(in_info[0][0], vertex, dst_port=0)
+                graph.add_edge(in_vertex, vertex, dst_port=0)
         elif op.name == "distinct":
             in_vertex, in_par = in_info[0]
             frame = op.operands[0].type

@@ -5,17 +5,20 @@ the physical graph in topological order and submit one runtime task per
 physical task, passing futures between them.  Each table is ``put`` once per
 set of columns its sources ship; source shards slice it; a split task
 hash-partitions one producer shard for a keyed edge in one pass, as one task
-with ``split_n`` outputs (``submit(num_returns=...)``).
+with ``split_n`` outputs (``submit(num_returns=...)``).  A task that reads
+several shards of one input concatenates them (a sort, a limit, the final of a
+two-phase aggregate, a ``coalesce``); anything else must travel a keyed edge.
 
-A table's layout — those puts, its source shards and their hash partitions —
-is a fact about the table, not the query, so ``TableLayouts`` keeps it across
-launches (Ray's objects are immutable, which is what lets every later query
-share one copy).  A source task is keyed on ``(source columns, shard,
-parallelism)`` of its table, a split task on ``(its source shard's key, split
-key, split count)``; a split downstream of a compute vertex belongs to its
-query and is never reused.  On a hit the launch hands out the kept refs and
-submits nothing; a lost copy comes back by lineage replay from the kept put,
-like any other task output.
+A table's layout — those puts, its source shards, their hash partitions and
+the ``coalesce`` of its shards that a broadcast join reads — is a fact about
+the table, not the query, so ``TableLayouts`` keeps it across launches (Ray's
+objects are immutable, which is what lets every later query share one copy).
+A source task is keyed on ``(source columns, shard, parallelism)`` of its
+table, a split task on ``(its source shard's key, split key, split count)``, a
+coalesce on ``("coalesce", *its input shards' keys)``; a task downstream of a
+compute vertex belongs to its query and is never reused.  On a hit the launch
+hands out the kept refs and submits nothing; a lost copy comes back by lineage
+replay from the kept put or the kept shards, like any other task output.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from ..runtime.runtime import ServerlessRuntime
 from .logical import GraphValidationError, Vertex
 from .physical import GatherMode, PhysicalGraph, PhysicalTask
 
-__all__ = ["launch_physical_graph", "collect_sink", "TableLayouts"]
+__all__ = ["launch_physical_graph", "collect_sink", "TableLayouts", "coalesce"]
+
+
+def coalesce(batch: Any) -> Any:
+    """The payload of a one-shard vertex that gathers its input's shards (the
+    broadcast side of a join): the gather concatenates, this passes it on."""
+    return batch
 
 
 @dataclass
@@ -43,7 +52,7 @@ class TableLayout:
 
     table: Any
     puts: Dict[Optional[Tuple[str, ...]], ObjectRef] = field(default_factory=dict)  # by columns
-    # by memo key: a task's outputs (one for a source shard, n for a split)
+    # by memo key: a task's outputs (n for a split, one for any other)
     tasks: Dict[Tuple[Any, ...], List[ObjectRef]] = field(default_factory=dict)
 
     def refs(self) -> List[ObjectRef]:
@@ -90,10 +99,7 @@ def _gather(mode: GatherMode, values: List[Any]) -> Any:
         return values
     if all(isinstance(v, RecordBatch) for v in values):
         return concat_batches(values)
-    raise TypeError(
-        "CONCAT gather over non-RecordBatch values; use a keyed edge or "
-        "an explicit combiner vertex"
-    )
+    raise TypeError("CONCAT gather over non-RecordBatch values; use a keyed edge")
 
 
 def _make_source_fn(vertex: Vertex, shard: int, n: int):
@@ -228,6 +234,10 @@ def launch_physical_graph(
         else:
             fn = _make_compute_fn(vertex, task, tables)
             args = tuple([read(pid, task.shard) for pid in pids] for _, pids in task.inputs)
+            if vertex.py_func is coalesce:
+                kept = [memo_keys.get(pid) for (_, pids) in task.inputs for pid in pids]
+                if all(kept) and len({id(slot[0]) for slot in kept}) == 1:
+                    layout, key = kept[0][0], ("coalesce", *(slot[1] for slot in kept))
 
         if layout is not None:
             memo_keys[ptask_id] = (layout, key)

@@ -11,6 +11,9 @@ Concretely:
   their shard once into n outputs, and consumer shard i gathers output i
   of every split task (split tasks co-locate with their producer under
   data-centric scheduling, so only the partitions cross the network);
+* an unkeyed edge from m shards into one is a gather: the consumer
+  concatenates every producer shard (how the planner's sorts, limits,
+  broadcast sides and the final phase of a gathered aggregate read);
 * hardware mapping is carried as ``supported_kinds`` plus optional
   per-shard device pins (how Figure 2's D becomes D1-gpu and D2-fpga).
 """

@@ -142,19 +142,9 @@ class GroupedFrame:
         if not aggs:
             raise ValueError("agg() needs at least one aggregate")
         spec = tuple((out, fn, col) for out, (fn, col) in aggs.items())
-        columns = [(k, self._frame.schema.dtype_of(k)) for k in self._keys]
-        for out, fn, colname in spec:
-            if fn == "count":
-                columns.append((out, "int64"))
-            elif fn == "mean":
-                columns.append((out, "float64"))
-            else:
-                columns.append((out, self._frame.schema.dtype_of(colname)))
-        return self._frame._derive(
-            "aggregate",
-            {"keys": self._keys, "aggs": spec},
-            FrameType(tuple(columns)),
-        )
+        attrs = {"keys": self._keys, "aggs": spec}
+        (schema,) = op_def("relational", "aggregate").infer([self._frame.schema], attrs)
+        return self._frame._derive("aggregate", attrs, schema)
 
 
 def from_table(name: str, schema: FrameType) -> DataFrame:

@@ -123,7 +123,10 @@ def _infer_aggregate(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRT
         else:
             if colname not in dtype_by_col:
                 raise KeyError(f"no column {colname!r} in {frame!r}")
-            columns.append((out_name, dtype_by_col[colname]))
+            dtype = dtype_by_col[colname]
+            if fn == "sum":  # numpy's add-reduction: bools and narrower ints widen
+                dtype = np.add.reduce(np.zeros(0, dtype)).dtype.name
+            columns.append((out_name, dtype))
     return [FrameType(tuple(columns), num_rows=None)]
 
 

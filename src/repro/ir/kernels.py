@@ -94,8 +94,14 @@ def k_aggregate(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
     """Grouped (or, without keys, whole-frame) aggregates, groups in key
     order.  ``count`` is int64, ``mean`` float64, ``min``/``max`` the source
     column's dtype and ``sum`` what numpy's add-reduction makes of it (the
-    column's own for int64 and floats; bools count) — also for no rows."""
+    column's own for int64 and floats; bools count) — also for no rows.
+
+    ``partial`` makes this the first phase of a two-phase aggregate (see
+    ``core.planner``): a ``mean`` stops at its float64 sum, which the final
+    phase divides, and a keyless aggregate of no rows yields no group, so a
+    shard with no rows adds nothing to the merge."""
     keys = list(attrs.get("keys", ()))
+    partial = attrs.get("partial", False)
     n = batch.num_rows
     cols: Dict[str, np.ndarray] = {}
     if keys:
@@ -112,19 +118,20 @@ def k_aggregate(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
             cols[key_name] = arr[starts]
     else:  # one group, the whole frame as it stands, even when that is no row
         order = slice(None)
-        starts = np.zeros(1, dtype=np.intp)
+        starts = np.zeros(0 if partial and n == 0 else 1, dtype=np.intp)
     counts = np.diff(starts, append=n)
     for out_name, fn, colname in attrs["aggs"]:
         if fn == "count":
             cols[out_name] = counts.astype(np.int64, copy=False)
             continue
         source = batch.column(colname)[order]
-        if n == 0 and not keys:  # reduceat cannot name an empty group
+        if n == 0 and len(starts):  # reduceat cannot name an empty group
             if fn != "sum":
                 raise ValueError(f"aggregate {fn!r} of an empty frame is undefined")
             cols[out_name] = np.add.reduce(source, keepdims=True)
         elif fn == "mean":
-            cols[out_name] = np.add.reduceat(source, starts, dtype=np.float64) / counts
+            sums = np.add.reduceat(source, starts, dtype=np.float64)
+            cols[out_name] = sums if partial else sums / counts
         else:
             cols[out_name] = _REDUCE[fn].reduceat(source, starts)
     return RecordBatch.from_arrays(cols)

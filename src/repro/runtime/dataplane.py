@@ -140,6 +140,13 @@ class DataPlane:
             waits = [sig for sig in sigs if not sig.triggered]
             if waits:
                 yield sim.all_of(waits)
+            probe = self.rt.probe_edges
+            if probe is not None:
+                probe.arrived(
+                    probe.attempt_site(ctx.spec.task_id, ctx.attempt, ctx.is_clone),
+                    [r.object_id for r in ctx.spec.dependencies],
+                    device.device_id,
+                )
             return 0
         if not missing:
             return 0
@@ -199,6 +206,8 @@ class DataPlane:
             return False  # refused: nowhere to spill, or the device died under us
         self.rt._probe_site(site)  # no yield between this and the mutation
         self.rt.ownership.add_location(oid, dst.node_id)
+        if self.push_mode and self.rt.probe_edges is not None:
+            self.rt.probe_edges.land(site, oid, dst.device.device_id)
         return True
 
     def _join(

@@ -97,6 +97,9 @@ class TestCrossCommitWitness:
     # (detector, PUSH) was re-recorded when an arrival signal stopped outliving
     # its copy: the three retries dispatched to the crashed, not yet declared
     # home push the argument its emptied store lost (same answer and clock).
+    # The PUSH cells in which a push lands were re-recorded when a landing
+    # started to send a ``land:`` message that the attempt it fed receives:
+    # only the probe trace moved (one ``land`` event per landing, one receive).
     PINNED = {
         ('cadence', 0, 'PUSH'): "5ebaf9fb7950",
         ('cadence', 0, 'PULL'): "5ebaf9fb7950",
@@ -104,15 +107,15 @@ class TestCrossCommitWitness:
         ('cadence', 1, 'PULL'): "06e989702428",
         ('cadence', 2, 'PUSH'): "0d207d74d019",
         ('cadence', 2, 'PULL'): "0d207d74d019",
-        ('detector', 'PUSH'): "9406a7e4796e",
+        ('detector', 'PUSH'): "47ba4bb031ca",
         ('detector', 'PULL'): "1c63992c49ca",
-        ('requeued', 'PUSH'): "843c190f662a",
+        ('requeued', 'PUSH'): "fa18e3b4d1a7",
         ('requeued', 'PULL'): "0ec09a41e9e6",
         ('no_checkpoint', 'PUSH'): "a3852cb2bf87",
         ('no_checkpoint', 'PULL'): "a3852cb2bf87",
         ('no_surviving_device', 'PUSH'): "78ea0059a589",
         ('no_surviving_device', 'PULL'): "78ea0059a589",
-        ('device_rehome', 'PUSH'): "f1a0077fdcdb",
+        ('device_rehome', 'PUSH'): "910e86d1132e",
         ('device_rehome', 'PULL'): "0430550716d1",
     }
 

@@ -453,9 +453,12 @@ class TestCrossCommitWitness:
     # protocol events each
     # Re-recorded when a task's phases stopped being child spans (the Chrome
     # export draws them): only span ids moved, every other span is equal.
+    # The PUSH cells in which a push lands were re-recorded when a landing
+    # started to send a ``land:`` message that the attempt it fed receives:
+    # only the probe trace moved (one ``land`` event per landing, one receive).
     PINNED = {
-        (ResolutionMode.PUSH, Generation.GEN1): "b6224d047d8d",
-        (ResolutionMode.PUSH, Generation.GEN2): "fbf168b92983",
+        (ResolutionMode.PUSH, Generation.GEN1): "800f3a5f7a45",
+        (ResolutionMode.PUSH, Generation.GEN2): "338bed12113c",
         (ResolutionMode.PULL, Generation.GEN1): "f97bfc7dd2ba",
         (ResolutionMode.PULL, Generation.GEN2): "db78af66fe41",
     }

@@ -252,12 +252,20 @@ class TestRandomSQL:
 
 
 @st.composite
+def shard_clause(draw):
+    """Keeps one run of ``t``'s rows, so it can empty whole shards."""
+    return f"row {draw(st.sampled_from(['<', '>=']))} {draw(st.integers(0, 200))}"
+
+
+@st.composite
 def grouped_query(draw):
     """GROUP BY one or two low-cardinality keys (fewer groups than shards can
-    be drawn) with 1-3 aggregates over an int and a float column, or a narrow
-    select list ordered by all of itself (so ties are whole-row duplicates);
-    optionally behind a filter and a join against a small table with duplicate
-    keys whose ``x`` collides with ``t.x`` and is read as ``r_x``."""
+    be drawn) with 1-3 aggregates over an int and a float column, ordered by
+    the keys or not (a gathered aggregate comes back in key order either way),
+    or a narrow select list ordered by all of itself (so ties are whole-row
+    duplicates); optionally behind a filter, which can empty shards, and a join
+    against a small table with duplicate keys whose ``x`` collides with
+    ``t.x`` and is read as ``r_x``."""
     joined = draw(st.booleans())
     values = ["k", "x"] + (["r_x"] if joined else [])
     if draw(st.booleans()):
@@ -265,7 +273,9 @@ def grouped_query(draw):
         agg = st.tuples(st.sampled_from(["SUM", "MIN", "MAX", "AVG"]), st.sampled_from(values))
         aggs = draw(st.lists(agg | st.just(("COUNT", "*")), min_size=1, max_size=3))
         select = keys + [f"{fn}({column}) AS a{i}" for i, (fn, column) in enumerate(aggs)]
-        tail = f" GROUP BY {', '.join(keys)} ORDER BY {', '.join(keys)}"
+        tail = f" GROUP BY {', '.join(keys)}"
+        if draw(st.booleans()):
+            tail += f" ORDER BY {', '.join(keys)}"
     else:
         columns = ["g", "h"] + values + (["w"] if joined else [])
         select = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2, unique=True))
@@ -273,7 +283,7 @@ def grouped_query(draw):
     sql = f"SELECT {', '.join(select)} FROM t"
     if joined:
         sql += " JOIN d ON g = dk"
-    clauses = draw(st.lists(filter_clause(), max_size=2))
+    clauses = draw(st.lists(filter_clause() | shard_clause(), max_size=2))
     if clauses:
         sql += " WHERE " + f" {draw(st.sampled_from(['AND', 'OR']))} ".join(clauses)
     return sql + tail
@@ -292,6 +302,7 @@ class TestRandomGroupedSQL:
                     "h": rng.integers(0, 2, 200),
                     "k": rng.integers(0, 50, 200),
                     "x": rng.integers(0, 50, 200) + 0.5,
+                    "row": np.arange(200),
                 }
             ),
             # duplicate keys (0), a key of t with no match (2), a match-less key (3)

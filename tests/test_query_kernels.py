@@ -10,8 +10,8 @@ inventory lines of ``columnar.py`` and ``kernels.py``).
   the distributed path (where partitions outnumber groups) and the interpreter.
 * **Cross-commit witness.**  Plan size, virtual cost and a digest of the rows
   of the four ledger queries: the rows recorded before the numpy kernels, the
-  bytes since column pruning, the plan size and virtual cost since a split
-  task has one output per consumer shard (see ``WITNESS``).
+  bytes since column pruning, the plan size and virtual cost since a gathered
+  aggregate runs in two phases (see ``WITNESS``).
 """
 
 from __future__ import annotations
@@ -468,29 +468,32 @@ def test_aggregate_result_has_the_declared_dtype(sql, shards, tables):
 # (``PruneScanColumns``).  Every column is 8 bytes wide: scan_agg ships 5 of
 # lineitem's 8 columns, selective_filter 3 of 8, top_k 2 of orders' 4,
 # join_group 2 of orders' 4 and 2 of customers' 3.  Tasks, seconds and control
-# messages were re-recorded when a keyed edge from m shards became m split tasks
-# with one output per consumer shard instead of m x n one-output split tasks:
-# the shuffling rows (scan_agg and join_group over 2 and 4 shards) lost
-# m x (n - 1) tasks and 2 messages per task; bytes and digests did not move.
+# messages were re-recorded when a gathered aggregate started to run as a
+# partial aggregate per shard, fused into the vertex before it, and a final one
+# fused into the sort: scan_agg and join_group over 2 and 4 shards lost their
+# m split tasks and their n-shard aggregate stage (2 messages per task), and
+# every sharded aggregate's time moved with the smaller final; selective_filter's
+# keyless aggregate kept its task count and moved in seconds only.  Bytes and
+# digests did not move.
 WITNESS = {
     ("join_group", 1, 0): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
     ("join_group", 1, 5000): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
-    ("join_group", 2, 0): (17, "0x1.222d1e535795fp-11", 33600, 34, "8acbb804fb7ed424"),
-    ("join_group", 2, 5000): (12, "0x1.2461c940bbb1fp-11", 33600, 24, "8acbb804fb7ed424"),
-    ("join_group", 4, 0): (33, "0x1.a0f7805d0239ap-11", 33600, 66, "8acbb804fb7ed424"),
-    ("join_group", 4, 5000): (22, "0x1.6d7461c9b4138p-11", 33600, 44, "8acbb804fb7ed424"),
+    ("join_group", 2, 0): (13, "0x1.05595ea7db7bcp-11", 33600, 26, "8acbb804fb7ed424"),
+    ("join_group", 2, 5000): (8, "0x1.078e09953f97dp-11", 33600, 16, "8acbb804fb7ed424"),
+    ("join_group", 4, 0): (25, "0x1.8423c0b1861f8p-11", 33600, 50, "8acbb804fb7ed424"),
+    ("join_group", 4, 5000): (14, "0x1.50a0a21e37f95p-11", 33600, 28, "8acbb804fb7ed424"),
     ("scan_agg", 1, 0): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),
     ("scan_agg", 1, 5000): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),
-    ("scan_agg", 2, 0): (7, "0x1.2814237f03156p-11", 120000, 14, "4785aabea1cba10d"),
-    ("scan_agg", 2, 5000): (7, "0x1.2814237f03156p-11", 120000, 14, "4785aabea1cba10d"),
-    ("scan_agg", 4, 0): (13, "0x1.23107ab1e265cp-11", 120000, 26, "4785aabea1cba10d"),
-    ("scan_agg", 4, 5000): (13, "0x1.23107ab1e265cp-11", 120000, 26, "4785aabea1cba10d"),
+    ("scan_agg", 2, 0): (5, "0x1.1255e9f241d16p-11", 120000, 10, "4785aabea1cba10d"),
+    ("scan_agg", 2, 5000): (5, "0x1.1255e9f241d16p-11", 120000, 10, "4785aabea1cba10d"),
+    ("scan_agg", 4, 0): (9, "0x1.ff00ece612185p-12", 120000, 18, "4785aabea1cba10d"),
+    ("scan_agg", 4, 5000): (9, "0x1.ff00ece612185p-12", 120000, 18, "4785aabea1cba10d"),
     ("selective_filter", 1, 0): (2, "0x1.e1f89ad6b07b8p-12", 72000, 4, "3f284819853302d1"),
     ("selective_filter", 1, 5000): (2, "0x1.e1f89ad6b07b8p-12", 72000, 4, "3f284819853302d1"),
-    ("selective_filter", 2, 0): (5, "0x1.8d2a1a10b7de5p-12", 72000, 10, "3f284819853302d1"),
-    ("selective_filter", 2, 5000): (5, "0x1.8d2a1a10b7de5p-12", 72000, 10, "3f284819853302d1"),
-    ("selective_filter", 4, 0): (9, "0x1.a29aa64ab7b45p-12", 72000, 18, "3f284819853302d1"),
-    ("selective_filter", 4, 5000): (9, "0x1.a29aa64ab7b45p-12", 72000, 18, "3f284819853302d1"),
+    ("selective_filter", 2, 0): (5, "0x1.8b113b1ca120ap-12", 72000, 10, "3f284819853302d1"),
+    ("selective_filter", 2, 5000): (5, "0x1.8b113b1ca120ap-12", 72000, 10, "3f284819853302d1"),
+    ("selective_filter", 4, 0): (9, "0x1.9f323bfe12c01p-12", 72000, 18, "3f284819853302d1"),
+    ("selective_filter", 4, 5000): (9, "0x1.9f323bfe12c01p-12", 72000, 18, "3f284819853302d1"),
     ("top_k", 1, 0): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
     ("top_k", 1, 5000): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
     ("top_k", 2, 0): (5, "0x1.66125c6129e6ap-12", 32000, 10, "7d29d79fabd20b88"),

@@ -62,28 +62,31 @@ class TestCrossCommitWitness:
     # again instead of finding a first-life signal, so (frontier, get) returns
     # 3 instead of giving up with "argument vanished", the proactive cells retry
     # half as often, and the get cells' replayed chain waits for each input.
+    # The PUSH cells in which a push lands were re-recorded when a landing
+    # started to send a ``land:`` message that the attempt it fed receives:
+    # only the probe trace moved (one ``land`` event per landing, one receive).
     PINNED = {
         ('matrix', 'checkpoint', 'get', 'PUSH'): "4c675da94f75",
         ('matrix', 'checkpoint', 'get', 'PULL'): "df675e1da435",
-        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "daf13092efdd",
+        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "f79c2d014289",
         ('matrix', 'checkpoint', 'proactive', 'PULL'): "52dd732554d0",
-        ('matrix', 'frontier', 'get', 'PUSH'): "5a180d568436",
+        ('matrix', 'frontier', 'get', 'PUSH'): "3fe4ff5f1145",
         ('matrix', 'frontier', 'get', 'PULL'): "a6f97b8344fa",
-        ('matrix', 'frontier', 'proactive', 'PUSH'): "1934dac85009",
+        ('matrix', 'frontier', 'proactive', 'PUSH'): "9549015fb26a",
         ('matrix', 'frontier', 'proactive', 'PULL'): "1f234cc19266",
         ('matrix', 'cache', 'get', 'PUSH'): "33eca6f18621",
         ('matrix', 'cache', 'get', 'PULL'): "a540bf31ef48",
-        ('matrix', 'cache', 'proactive', 'PUSH'): "a56d1a85820f",
+        ('matrix', 'cache', 'proactive', 'PUSH'): "75d8888e0ed8",
         ('matrix', 'cache', 'proactive', 'PULL'): "567d8c8c83ee",
         ('matrix', 'lineage', 'get', 'PUSH'): "f4dc699a031f",
         ('matrix', 'lineage', 'get', 'PULL'): "7598fea3d5db",
-        ('matrix', 'lineage', 'proactive', 'PUSH'): "de7aa85cebdb",
+        ('matrix', 'lineage', 'proactive', 'PUSH'): "099e0ec4e96f",
         ('matrix', 'lineage', 'proactive', 'PULL'): "9400d8b86b5e",
         ('matrix', 'unrecoverable', 'get', 'PUSH'): "e5e5dfffb887",
         ('matrix', 'unrecoverable', 'get', 'PULL'): "26e5cb418e86",
-        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "3e56d1bcab60",
+        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "c98105fa002b",
         ('matrix', 'unrecoverable', 'proactive', 'PULL'): "5279fd1745b8",
-        ('deferred_free', 'PUSH'): "24094f8cb9c9",
+        ('deferred_free', 'PUSH'): "5301ed57de64",
         ('deferred_free', 'PULL'): "b1b03feb9c0e",
         ('spill_then_blade_death', False, 'PUSH'): "fead5f708e91",
         ('spill_then_blade_death', False, 'PULL'): "fead5f708e91",
@@ -91,7 +94,7 @@ class TestCrossCommitWitness:
         ('spill_then_blade_death', True, 'PULL'): "f7aade62fc45",
         ('stale_entry', False, 'PUSH'): "09d2f4d437bb",
         ('stale_entry', False, 'PULL'): "09d2f4d437bb",
-        ('stale_entry', True, 'PUSH'): "f4f816c99d5f",
+        ('stale_entry', True, 'PUSH'): "7f63890ddf0f",
         ('stale_entry', True, 'PULL'): "57436221674f",
     }
 

@@ -34,15 +34,30 @@ class TestPlanner:
         keyed = [e for e in graph.edges if e.key is not None]
         assert {e.key for e in keyed} == {"cust", "cid"}
 
-    def test_keyed_aggregate_shuffles(self, catalog):
+    def test_a_gathered_keyed_aggregate_runs_in_two_phases(self, catalog):
         func = sql_to_ir(
             "SELECT cust, SUM(amount) AS s FROM orders GROUP BY cust", catalog
         )
         from repro.ir.lowering import lower_relational_to_df
 
-        graph, _ = ir_to_flowgraph(lower_relational_to_df(func), shards=3)
+        graph, sink = ir_to_flowgraph(lower_relational_to_df(func), shards=3)
+        assert not [e for e in graph.edges if e.key is not None]
+        shape = {v.name: v.parallelism for v in graph.vertices.values()}
+        assert shape == {
+            "scan:orders": 3, "df.hash_aggregate:partial": 3, "df.hash_aggregate:final": 1,
+        }
+        assert sink.name == "df.hash_aggregate:final"
+
+    def test_a_keyed_aggregate_feeding_a_sharded_consumer_shuffles(self, orders, customers):
+        per_customer = from_batch("orders", orders).groupby("cust").agg(total=("sum", "amount"))
+        regions = from_batch("customers", customers)
+        frame = per_customer.join(regions, left_on="cust", right_on="cid")
+        from repro.ir.lowering import lower_relational_to_df
+
+        graph, _ = ir_to_flowgraph(lower_relational_to_df(frame.to_ir()), shards=3)
         keyed = [e for e in graph.edges if e.key == "cust"]
-        assert len(keyed) == 1
+        assert len(keyed) == 2  # into the aggregate, and from it into the join
+        assert not any("partial" in v.name for v in graph.vertices.values())
 
     def test_global_aggregate_gathers(self, catalog):
         func = sql_to_ir("SELECT SUM(amount) AS s FROM orders", catalog)

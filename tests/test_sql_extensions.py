@@ -145,8 +145,16 @@ class TestExplain:
         assert "logical (relational) IR" in text
         assert "lowered (df/kernel) IR" in text
         assert "flowgraph" in text
+        # the result is gathered anyway: a partial per shard, fused into the
+        # filter, and one final; nothing is shuffled
+        assert "df.where+df.hash_aggregate:partial x2" in text
+        assert "df.hash_aggregate:final x1" in text
+        assert "shuffle on" not in text
+        assert "physical tasks: 5" in text
+
+    def test_explain_shows_a_shuffle(self, table):
+        text = Skadi(shards=2).explain("SELECT DISTINCT k FROM t", {"t": table})
         assert "shuffle on 'k'" in text
-        assert "physical tasks:" in text
 
     def test_explain_does_not_execute(self, table):
         skadi = Skadi(shards=2)

@@ -74,16 +74,19 @@ class TestCrossCommitWitness:
     # crash_restart returns 8 after 2 retries instead of giving up after 10
     # with "argument vanished", and placement_backoff pays the 1 MiB push it
     # used to skip by reading the node's CPU store.
+    # The PUSH cells in which a push lands were re-recorded when a landing
+    # started to send a ``land:`` message that the attempt it fed receives:
+    # only the probe trace moved (one ``land`` event per landing, one receive).
     PINNED = {
-        ('crash_restart', 'PUSH'): "e8024b408bef",
+        ('crash_restart', 'PUSH'): "1609c94e10d5",
         ('crash_restart', 'PULL'): "0dd7aa683e1d",
-        ('timeout_straggler', 'PUSH'): "ea90cc8acab6",
+        ('timeout_straggler', 'PUSH'): "45e2db9180a9",
         ('timeout_straggler', 'PULL'): "a73a64996f33",
         ('retries_exhausted', 'PUSH'): "872605472467",
         ('retries_exhausted', 'PULL'): "872605472467",
         ('budget_shed', 'PUSH'): "083d27dfabc3",
         ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "d71eb1b33870",
+        ('placement_backoff', 'PUSH'): "7dd579795227",
         ('placement_backoff', 'PULL'): "e99c9b9ce269",
         ('actor_requeue', 'PUSH'): "3180ed627924",
         ('actor_requeue', 'PULL'): "3180ed627924",

@@ -1,5 +1,6 @@
-"""Skadi lays each immutable table out once: the puts, source shards and hash
-partitions of a table are kept across queries (``flowgraph.launch.TableLayouts``).
+"""Skadi lays each immutable table out once: the puts, source shards, hash
+partitions and gathered broadcast side of a table are kept across queries
+(``flowgraph.launch.TableLayouts``).
 
 * A repeated query reuses them and moves no payload bytes; a query over other
   columns shares nothing.
@@ -53,10 +54,36 @@ def test_a_repeated_query_reuses_the_layout_and_moves_nothing(tables):
     report = skadi.last_report
     assert again == first
     assert report.bytes_moved == 0
-    # 4 source shards and the 4 split tasks that hash-partition them; the
-    # plan's size is what it was, reuse is reported beside it
-    assert report.reused_tasks == 8
+    # the 4 source shards; the plan's size is what it was, reuse is reported
+    # beside it
+    assert report.reused_tasks == 4
     assert report.physical_tasks == plan.physical_tasks
+
+
+def test_the_broadcast_side_is_kept_and_a_lost_copy_replays_from_the_kept_shards(tables):
+    skadi = Skadi(shards=4)
+    sql = QUERIES["join_group"]
+    first = skadi.sql(sql, tables)
+    again = skadi.sql(sql, tables)
+    report = skadi.last_report
+    assert again == first
+    # both tables' 4 source shards and the coalesce of customers' are kept;
+    # the filtered join with its partial aggregate (4) and the final (1) run
+    assert report.reused_tasks == 9
+    assert report.physical_tasks - report.reused_tasks == 5
+    assert report.bytes_moved == 0
+    ((key, (coalesced,)),) = [
+        (key, refs) for key, refs in skadi.layouts.kept["customers"].tasks.items()
+        if key[0] == "coalesce"
+    ]
+    assert len(key) == 1 + 4  # keyed on its four input shards' keys
+    rt = skadi.runtime
+    for store in rt._store_of_device.values():
+        store.delete(coalesced.object_id)  # memory gone, nobody told the GCS
+    assert skadi.sql(sql, tables) == first
+    # one replay, of the coalesce alone: its input shards are still there
+    assert rt.lineage.replays == 1
+    assert skadi.last_report.reused_tasks == 9
 
 
 def test_queries_over_different_columns_share_nothing(tables):
