@@ -108,7 +108,7 @@ def sanitize_plan(
 
     for order_index, ptask_id in enumerate(pgraph.order):
         task = tasks[ptask_id]
-        inputs = [pid for _, pids in task.inputs for pid in pids]
+        inputs = [pid for pids in task.inputs for pid in pids]
         inputs_by_task[ptask_id] = inputs
         for pid in inputs:
             feeds = consumers.get(pid)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from ..caching.columnar import RecordBatch, concat_batches
+from ..caching.columnar import RecordBatch
 from ..cluster.cluster import Cluster, build_physical_disagg
 from ..flowgraph.launch import TableLayouts, collect_sink, launch_physical_graph
 from ..flowgraph.logical import FlowGraph, Vertex
@@ -186,8 +186,6 @@ class Skadi:
             report.sim_seconds = self.runtime.sim.now - start_time
             report.bytes_moved = self.runtime.bytes_moved - start_bytes
             report.control_messages = self.runtime.control_messages - start_msgs
-        if isinstance(result, list) and all(isinstance(b, RecordBatch) for b in result):
-            result = concat_batches([b for b in result if b.num_rows])
         return result
 
     # -- task API passthrough ----------------------------------------------------------

@@ -8,7 +8,7 @@ from .optimizer import (
     optimize,
     prune_dead_vertices,
 )
-from .physical import GatherMode, PhysicalGraph, PhysicalTask, to_physical
+from .physical import PhysicalGraph, PhysicalTask, to_physical
 
 __all__ = [
     "FlowGraph",
@@ -21,7 +21,6 @@ __all__ = [
     "GraphOptStats",
     "PhysicalGraph",
     "PhysicalTask",
-    "GatherMode",
     "to_physical",
     "launch_physical_graph",
     "collect_sink",

@@ -3,22 +3,22 @@
 The bridge Figure 2 sketches as pseudo-code ("b = [B.remote() ...]"): walk
 the physical graph in topological order and submit one runtime task per
 physical task, passing futures between them.  Each table is ``put`` once per
-set of columns its sources ship; source shards slice it; a split task
-hash-partitions one producer shard for a keyed edge in one pass, as one task
-with ``split_n`` outputs (``submit(num_returns=...)``).  A task that reads
-several shards of one input concatenates them (a sort, a limit, the final of a
-two-phase aggregate, a ``coalesce``); anything else must travel a keyed edge.
+set of columns its sources ship; source shards slice it.  The producer of a
+keyed edge hash-partitions its own slice or payload in the same task, one
+output per consumer shard (``submit(num_returns=...)``).  A task that reads
+several shards of one input concatenates them (a shuffle's partitions, a sort,
+a limit, the final of a two-phase aggregate, a ``coalesce``).
 
-A table's layout — those puts, its source shards, their hash partitions and
+A table's layout — those puts, its source shards (hash-partitioned or not) and
 the ``coalesce`` of its shards that a broadcast join reads — is a fact about
 the table, not the query, so ``TableLayouts`` keeps it across launches (Ray's
 objects are immutable, which is what lets every later query share one copy).
-A source task is keyed on ``(source columns, shard, parallelism)`` of its
-table, a split task on ``(its source shard's key, split key, split count)``, a
-coalesce on ``("coalesce", *its input shards' keys)``; a task downstream of a
-compute vertex belongs to its query and is never reused.  On a hit the launch
-hands out the kept refs and submits nothing; a lost copy comes back by lineage
-replay from the kept put or the kept shards, like any other task output.
+A source task is keyed on ``(source columns, shard, parallelism, partition
+key, partition count)`` of its table, a coalesce on ``("coalesce", *its input
+shards' keys)``; a task downstream of a compute vertex belongs to its query and
+is never reused.  On a hit the launch hands out the kept refs and submits
+nothing; a lost copy comes back by lineage replay from the kept put or the kept
+shards, like any other task output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..ir.passes import OBSERVER
 from ..runtime.object_ref import ObjectRef
 from ..runtime.runtime import ServerlessRuntime
 from .logical import GraphValidationError, Vertex
-from .physical import GatherMode, PhysicalGraph, PhysicalTask
+from .physical import PhysicalGraph, PhysicalTask
 
 __all__ = ["launch_physical_graph", "collect_sink", "TableLayouts", "coalesce"]
 
@@ -52,7 +52,7 @@ class TableLayout:
 
     table: Any
     puts: Dict[Optional[Tuple[str, ...]], ObjectRef] = field(default_factory=dict)  # by columns
-    # by memo key: a task's outputs (n for a split, one for any other)
+    # by memo key: a task's outputs (n for a keyed edge's producer, else one)
     tasks: Dict[Tuple[Any, ...], List[ObjectRef]] = field(default_factory=dict)
 
     def refs(self) -> List[ObjectRef]:
@@ -92,63 +92,58 @@ class TableLayouts:
             self.kept[name] = TableLayout(table)
 
 
-def _gather(mode: GatherMode, values: List[Any]) -> Any:
-    if mode == GatherMode.DIRECT:
+def _gather(values: List[Any]) -> Any:
+    if len(values) == 1:
         return values[0]
-    if mode == GatherMode.LIST:
-        return values
     if all(isinstance(v, RecordBatch) for v in values):
         return concat_batches(values)
-    raise TypeError("CONCAT gather over non-RecordBatch values; use a keyed edge")
+    raise TypeError("gather over non-RecordBatch values; use a keyed edge")
 
 
-def _make_source_fn(vertex: Vertex, shard: int, n: int):
+def _partitioned(task: PhysicalTask, value: Any) -> Any:
+    """A keyed edge's producer hands out ``value``'s hash partitions, one per
+    consumer shard; any other task hands out ``value``."""
+    if task.partition_key is None:
+        return value
+    if not isinstance(value, RecordBatch):
+        raise TypeError(f"keyed edge over non-RecordBatch value ({type(value)})")
+    return hash_partition(value, task.partition_key, task.num_outputs)
+
+
+def _make_source_fn(vertex: Vertex, task: PhysicalTask):
+    shard, n = task.shard, task.parallelism
+
     def run_source(table: Any) -> Any:
         if not isinstance(table, RecordBatch):
             if n != 1:
                 raise GraphValidationError(
                     f"source {vertex.name!r}: only RecordBatch tables can be sharded"
                 )
-            return table
+            return _partitioned(task, table)
         rows = table.num_rows
         lo = rows * shard // n
         hi = rows * (shard + 1) // n
-        return table.slice(lo, hi - lo)
+        return _partitioned(task, table.slice(lo, hi - lo))
 
     run_source.__name__ = f"source_{vertex.name}"
     return run_source
 
 
 def _make_compute_fn(vertex: Vertex, task: PhysicalTask, tables: Mapping[str, Any]):
-    modes = [mode for mode, _ in task.inputs]
-
     def run_compute(*port_values: Any) -> Any:
-        values = [_gather(mode, list(v)) for mode, v in zip(modes, port_values, strict=False)]
+        values = [_gather(list(v)) for v in port_values]
         if vertex.ir_func is not None:
             inputs = {
                 param.name: value
                 for param, value in zip(vertex.ir_func.params, values, strict=False)
             }
             outs = Interpreter(tables).run(vertex.ir_func, inputs)
-            return outs[0] if len(outs) == 1 else tuple(outs)
+            return _partitioned(task, outs[0] if len(outs) == 1 else tuple(outs))
         assert vertex.py_func is not None
-        return vertex.py_func(*values)
+        return _partitioned(task, vertex.py_func(*values))
 
     run_compute.__name__ = vertex.name or "compute"
     return run_compute
-
-
-def _make_split_fn(task: PhysicalTask):
-    key, n = task.split_key, task.split_n
-
-    def run_split(batch: Any) -> Any:
-        if not isinstance(batch, RecordBatch):
-            raise TypeError(f"keyed edge over non-RecordBatch value ({type(batch)})")
-        parts = hash_partition(batch, key, n)
-        return parts if n > 1 else parts[0]
-
-    run_split.__name__ = f"split_{key}"
-    return run_split
 
 
 def _sanitize_before_launch(
@@ -181,7 +176,8 @@ def launch_physical_graph(
     strict: Optional[bool] = None,
     layouts: Optional[TableLayouts] = None,
 ) -> Dict[str, List[ObjectRef]]:
-    """Submit every physical task; returns vertex_id -> shard output refs.
+    """Submit every physical task; returns sink vertex_id -> shard output refs
+    (a keyed edge's producer shard has no single output to hand out).
 
     ``tables`` backs source vertices and IR ``scan`` ops.  When
     ``gang_group`` is given, all tasks are submitted as one gang (SPMD).
@@ -216,26 +212,19 @@ def launch_physical_graph(
             layout = laid_out.get(table_name)
             if layout is None or layout.table is not table:
                 layout = laid_out[table_name] = TableLayout(table)
-            key = (columns, task.shard, task.parallelism)
+            key = (columns, task.shard, task.parallelism, task.partition_key, task.num_outputs)
             if columns not in layout.puts:
                 # a projection is a view: no copy, and only its columns count
                 layout.puts[columns] = runtime.put(
                     table if columns is None else table.select(columns)
                 )
-            fn = _make_source_fn(vertex, task.shard, task.parallelism)
+            fn = _make_source_fn(vertex, task)
             args = (layout.puts[columns],)
-        elif task.kind == "split":
-            input_id = task.inputs[0][1][0]
-            if input_id in memo_keys:
-                layout, input_key = memo_keys[input_id]
-                key = (input_key, task.split_key, task.split_n)
-            fn = _make_split_fn(task)
-            args = (read(input_id, task.shard),)
         else:
             fn = _make_compute_fn(vertex, task, tables)
-            args = tuple([read(pid, task.shard) for pid in pids] for _, pids in task.inputs)
+            args = tuple([read(pid, task.shard) for pid in pids] for pids in task.inputs)
             if vertex.py_func is coalesce:
-                kept = [memo_keys.get(pid) for (_, pids) in task.inputs for pid in pids]
+                kept = [memo_keys.get(pid) for pids in task.inputs for pid in pids]
                 if all(kept) and len({id(slot[0]) for slot in kept}) == 1:
                     layout, key = kept[0][0], ("coalesce", *(slot[1] for slot in kept))
 
@@ -266,7 +255,7 @@ def launch_physical_graph(
 
     return {
         vertex_id: [refs[pid][0] for pid in ptask_ids]
-        for vertex_id, ptask_ids in pgraph.shards_of.items()
+        for vertex_id, ptask_ids in pgraph.sink_tasks().items()
     }
 
 

@@ -80,10 +80,6 @@ def fuse_linear_chains(graph: FlowGraph, stats: Optional[GraphOptStats] = None) 
                 continue
             if src.parallelism != dst.parallelism:
                 continue
-            if graph.in_edges(src.vertex_id) and any(
-                e.key is not None for e in graph.in_edges(src.vertex_id)
-            ):
-                pass  # producer's own inputs may be keyed; that is fine
             fused_func = _concat_ir(
                 src.ir_func, dst.ir_func, edge.dst_port, f"{src.name}+{dst.name}"
             )

@@ -6,61 +6,53 @@ Concretely:
 
 * every logical vertex becomes ``parallelism`` physical tasks (Figure 2's
   subscripts);
-* a keyed edge from an m-way producer to an n-way consumer becomes a
-  shuffle: m *split* tasks, one per producer shard, each hash-partition
-  their shard once into n outputs, and consumer shard i gathers output i
-  of every split task (split tasks co-locate with their producer under
-  data-centric scheduling, so only the partitions cross the network);
+* a keyed edge from an m-way producer to an n-way consumer (n > 1) becomes
+  a shuffle: each of the m producer shards hash-partitions its own output
+  into n outputs (``partition_key``, ``num_outputs``), and consumer shard i
+  reads output i of every producer shard, so only the partitions cross the
+  network; a keyed edge into one shard partitions nothing;
 * an unkeyed edge from m shards into one is a gather: the consumer
   concatenates every producer shard (how the planner's sorts, limits,
   broadcast sides and the final phase of a gathered aggregate read);
 * hardware mapping is carried as ``supported_kinds`` plus optional
   per-shard device pins (how Figure 2's D becomes D1-gpu and D2-fpga).
+
+An input port is the list of producer ids it reads: one value passes
+through, several are concatenated.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..cluster.hardware import DeviceKind
 from .logical import FlowGraph, GraphValidationError, Vertex
 
-__all__ = ["PhysicalTask", "PhysicalGraph", "GatherMode", "to_physical"]
-
-
-class GatherMode(enum.Enum):
-    DIRECT = "direct"  # exactly one producer: pass its value through
-    CONCAT = "concat"  # many producers: concatenate record batches
-    LIST = "list"  # many producers: pass the list as-is
+__all__ = ["PhysicalTask", "PhysicalGraph", "to_physical"]
 
 
 @dataclass
 class PhysicalTask:
     ptask_id: str
-    kind: str  # "source" | "compute" | "split"
+    kind: str  # "source" | "compute"
     vertex_id: str
     name: str
     shard: int
     parallelism: int
-    inputs: List[Tuple[GatherMode, List[str]]] = field(default_factory=list)
+    inputs: List[List[str]] = field(default_factory=list)  # per port: producer ids
     compute_cost: float = 1e-5
     output_nbytes: Optional[int] = None  # per output
     supported_kinds: FrozenSet[DeviceKind] = frozenset({DeviceKind.CPU})
     pinned_device: Optional[str] = None
-    # split-task parameters: hash on ``split_key`` into ``split_n`` outputs
-    split_key: Optional[str] = None
-    split_n: int = 1
-
-    @property
-    def num_outputs(self) -> int:
-        return self.split_n if self.kind == "split" else 1
+    # a keyed edge's producer: hash on ``partition_key`` into ``num_outputs``
+    partition_key: Optional[str] = None
+    num_outputs: int = 1
 
     def output_read_by(self, shard: int) -> int:
-        """Which of this task's outputs consumer shard ``shard`` reads: a
-        split's partition ``shard``, any other task's only output."""
-        return shard if self.kind == "split" else 0
+        """Which of this task's outputs consumer shard ``shard`` reads: its
+        partition ``shard`` of a keyed edge, else the only output."""
+        return shard if self.num_outputs > 1 else 0
 
     def __repr__(self) -> str:
         return f"PhysicalTask({self.ptask_id}:{self.name})"
@@ -95,7 +87,7 @@ class PhysicalGraph:
         ids are kept under their own key so callers can spot them)."""
         table: Dict[str, List[str]] = {pid: [] for pid in self.tasks}
         for pid, task in self.tasks.items():
-            for _, producer_ids in task.inputs:
+            for producer_ids in task.inputs:
                 for producer in producer_ids:
                     table.setdefault(producer, []).append(pid)
         return table
@@ -133,18 +125,22 @@ def to_physical(
             raise GraphValidationError(
                 f"{vertex!r}: {len(pins)} device pins for {n} shards"
             )
-        shard_ids: List[str] = []
-        # Keyed out-edges force the single-consumer restriction (see split logic).
-        keyed_out = [e for e in graph.out_edges(vertex.vertex_id) if e.key is not None]
-        if keyed_out and len(graph.out_edges(vertex.vertex_id)) > 1:
-            raise GraphValidationError(
-                f"{vertex!r} has a keyed out-edge and multiple consumers; "
-                "materialize an explicit copy vertex first"
-            )
+        # a keyed out-edge must be the only one: its producer partitions
+        out_edges = graph.out_edges(vertex.vertex_id)
+        partition_key, num_outputs = None, 1
+        if any(e.key is not None for e in out_edges):
+            if len(out_edges) > 1:
+                raise GraphValidationError(
+                    f"{vertex!r} has a keyed out-edge and multiple consumers; "
+                    "materialize an explicit copy vertex first"
+                )
+            consumer_degree = degree(graph.vertices[out_edges[0].dst])
+            if consumer_degree > 1:
+                partition_key, num_outputs = out_edges[0].key, consumer_degree
 
+        shard_ids: List[str] = []
         for shard in range(n):
             ptask_id = f"{vertex.vertex_id}.{shard}"
-            inputs = _shard_inputs(graph, pgraph, vertex, shard, n, degree)
             task = PhysicalTask(
                 ptask_id=ptask_id,
                 kind="source" if vertex.is_source else "compute",
@@ -152,15 +148,17 @@ def to_physical(
                 name=f"{vertex.name}[{shard}/{n}]",
                 shard=shard,
                 parallelism=n,
-                inputs=inputs,
+                inputs=_shard_inputs(graph, pgraph, vertex, shard, n, degree),
                 compute_cost=vertex.compute_cost / n,
                 output_nbytes=(
                     None
                     if vertex.output_nbytes is None
-                    else max(1, vertex.output_nbytes // n)
+                    else max(1, max(1, vertex.output_nbytes // n) // num_outputs)
                 ),
                 supported_kinds=vertex.supported_kinds,
                 pinned_device=pins[shard] if pins is not None else None,
+                partition_key=partition_key,
+                num_outputs=num_outputs,
             )
             pgraph.add(task)
             shard_ids.append(ptask_id)
@@ -175,63 +173,19 @@ def _shard_inputs(
     shard: int,
     n: int,
     degree,
-) -> List[Tuple[GatherMode, List[str]]]:
-    inputs: List[Tuple[GatherMode, List[str]]] = []
+) -> List[List[str]]:
+    inputs: List[List[str]] = []
     for edge in graph.in_edges(vertex.vertex_id):
-        src_vertex = graph.vertices[edge.src]
-        m = degree(src_vertex)
+        m = degree(graph.vertices[edge.src])
         src_shards = pgraph.shards_of[edge.src]
-        if edge.key is not None:
-            # shuffle: one split task per producer shard, consumer gathers
-            # output ``shard`` of each
-            split_ids = [
-                _split_task(pgraph, src_vertex, src_ptask, edge.key, n, j)
-                for j, src_ptask in enumerate(src_shards)
-            ]
-            mode = GatherMode.CONCAT if len(split_ids) > 1 else GatherMode.DIRECT
-            inputs.append((mode, split_ids))
+        if edge.key is not None or n == 1:
+            inputs.append(list(src_shards))  # shuffle (output ``shard`` of each) or gather
         elif m == n:
-            inputs.append((GatherMode.DIRECT, [src_shards[shard]]))
+            inputs.append([src_shards[shard]])
         elif m == 1:
-            inputs.append((GatherMode.DIRECT, [src_shards[0]]))  # broadcast
-        elif n == 1:
-            inputs.append((GatherMode.CONCAT, list(src_shards)))  # gather
+            inputs.append([src_shards[0]])  # broadcast
         else:
             raise GraphValidationError(
                 f"edge {edge.src}->{edge.dst}: resharding {m}->{n} requires a keyed edge"
             )
     return inputs
-
-
-def _split_task(
-    pgraph: PhysicalGraph,
-    src_vertex: Vertex,
-    src_ptask: str,
-    key: str,
-    num_parts: int,
-    src_shard: int,
-) -> str:
-    ptask_id = f"{src_ptask}.split"
-    if ptask_id in pgraph.tasks:
-        return ptask_id
-    src = pgraph.tasks[src_ptask]
-    task = PhysicalTask(
-        ptask_id=ptask_id,
-        kind="split",
-        vertex_id=src_vertex.vertex_id,
-        name=f"split:{src_vertex.name}[{src_shard}]",
-        shard=src_shard,
-        parallelism=src.parallelism,
-        inputs=[(GatherMode.DIRECT, [src_ptask])],
-        compute_cost=1e-6,
-        output_nbytes=(
-            None
-            if src.output_nbytes is None
-            else max(1, src.output_nbytes // num_parts)
-        ),
-        supported_kinds=src_vertex.supported_kinds,
-        split_key=key,
-        split_n=num_parts,
-    )
-    pgraph.add(task)
-    return ptask_id

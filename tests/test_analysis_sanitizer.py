@@ -9,7 +9,7 @@ from repro.cluster.cluster import build_physical_disagg
 from repro.cluster.hardware import DeviceKind
 from repro.flowgraph.launch import launch_physical_graph
 from repro.flowgraph.logical import FlowGraph
-from repro.flowgraph.physical import GatherMode, PhysicalTask, to_physical
+from repro.flowgraph.physical import PhysicalTask, to_physical
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import ServerlessRuntime
 
@@ -44,7 +44,7 @@ def test_clean_plan_is_clean():
 def test_unknown_input():
     _, pgraph = _plan()
     task = pgraph.tasks["v1.0"]
-    task.inputs[0][1].append("phantom.7")
+    task.inputs[0].append("phantom.7")
     diags = sanitize_plan(pgraph)
     assert "unknown-input" in diags.codes()
 
@@ -59,7 +59,7 @@ def test_no_input_compute():
 def test_plan_cycle():
     _, pgraph = _plan()
     # v0.0 -> v1.0 exists; make v0.0 read v1.0 back
-    pgraph.tasks["v0.0"].inputs = [(GatherMode.DIRECT, ["v1.0"])]
+    pgraph.tasks["v0.0"].inputs = [["v1.0"]]
     diags = sanitize_plan(pgraph)
     assert "plan-cycle" in diags.codes()
 
@@ -73,7 +73,7 @@ def test_orphan_task():
         name="orphan",
         shard=0,
         parallelism=1,
-        inputs=[(GatherMode.DIRECT, ["v0.0"])],
+        inputs=[["v0.0"]],
     )
     pgraph.add(orphan)
     diags = sanitize_plan(pgraph)

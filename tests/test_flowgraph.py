@@ -8,7 +8,6 @@ import pytest
 from repro.caching.columnar import RecordBatch
 from repro.flowgraph import (
     FlowGraph,
-    GatherMode,
     GraphValidationError,
     collect_sink,
     fuse_linear_chains,
@@ -172,25 +171,37 @@ class TestPhysicalLowering:
         assert pg.num_tasks == 6
         assert len(pg.shards_of[m.vertex_id]) == 3
 
-    def test_keyed_edge_creates_split_tasks(self):
+    def test_keyed_edge_partitions_in_its_producer(self):
         g = FlowGraph()
         s = g.add_vertex("s", source_table="t", parallelism=3)
         r = g.add_vertex("r", ir_func=ir_identity(), parallelism=2)
         g.add_edge(s, r, key="k")
         pg = to_physical(g)
-        splits = [t for t in pg.tasks.values() if t.kind == "split"]
-        # one split per source shard, each with one output per reduce shard
-        assert len(splits) == 3
-        assert all(t.num_outputs == 2 for t in splits)
-        # each reduce shard gathers its own partition from each split task
-        reduce_tasks = [pg.tasks[t] for t in pg.shards_of[r.vertex_id]]
-        for task in reduce_tasks:
-            mode, producers = task.inputs[0]
-            assert mode == GatherMode.CONCAT
-            assert producers == [t.ptask_id for t in splits]
+        assert {t.kind for t in pg.tasks.values()} == {"source", "compute"}
+        assert pg.num_tasks == 5
+        # every producer shard hash-partitions itself, one output per reduce shard
+        producers = pg.shards_of[s.vertex_id]
+        for pid in producers:
+            assert pg.tasks[pid].num_outputs == 2
+            assert pg.tasks[pid].partition_key == "k"
+        # reduce shard i reads output i of every producer shard
+        for task in (pg.tasks[t] for t in pg.shards_of[r.vertex_id]):
+            assert task.inputs == [producers]
             assert [pg.tasks[p].output_read_by(task.shard) for p in producers] == [task.shard] * 3
 
-    def test_broadcast_and_gather_modes(self):
+    def test_keyed_edge_into_one_shard_partitions_nothing(self):
+        g = FlowGraph()
+        s = g.add_vertex("s", source_table="t", parallelism=3)
+        r = g.add_vertex("r", ir_func=ir_identity(), parallelism=1)
+        g.add_edge(s, r, key="k")
+        pg = to_physical(g)
+        for pid in pg.shards_of[s.vertex_id]:
+            assert pg.tasks[pid].num_outputs == 1
+            assert pg.tasks[pid].partition_key is None
+        (reduce_task,) = (pg.tasks[t] for t in pg.shards_of[r.vertex_id])
+        assert reduce_task.inputs == [pg.shards_of[s.vertex_id]]
+
+    def test_broadcast_and_gather_inputs(self):
         g = FlowGraph()
         one = g.add_vertex("one", source_table="t", parallelism=1)
         wide = g.add_vertex("wide", ir_func=ir_identity(), parallelism=4)
@@ -198,9 +209,10 @@ class TestPhysicalLowering:
         g.add_edge(one, wide)  # broadcast 1 -> 4
         g.add_edge(wide, sink)  # gather 4 -> 1
         pg = to_physical(g)
+        for pid in pg.shards_of[wide.vertex_id]:
+            assert pg.tasks[pid].inputs == [pg.shards_of[one.vertex_id]]
         sink_task = pg.tasks[pg.shards_of[sink.vertex_id][0]]
-        mode, producers = sink_task.inputs[0]
-        assert mode == GatherMode.CONCAT and len(producers) == 4
+        assert sink_task.inputs == [pg.shards_of[wide.vertex_id]]
 
     def test_unkeyed_reshard_rejected(self):
         g = FlowGraph()

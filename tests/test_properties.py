@@ -263,10 +263,12 @@ def grouped_query(draw):
     be drawn) with 1-3 aggregates over an int and a float column, ordered by
     the keys or not (a gathered aggregate comes back in key order either way),
     or a narrow select list ordered by all of itself (so ties are whole-row
-    duplicates); optionally behind a filter, which can empty shards, and a join
-    against a small table with duplicate keys whose ``x`` collides with
-    ``t.x`` and is read as ``r_x``."""
+    duplicates), maybe ``DISTINCT`` (a keyed edge out of a compute producer);
+    optionally behind a filter, which can empty shards, and a join against a
+    small table with duplicate keys whose ``x`` collides with ``t.x`` and is
+    read as ``r_x``."""
     joined = draw(st.booleans())
+    distinct = ""
     values = ["k", "x"] + (["r_x"] if joined else [])
     if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(["g", "h"]), min_size=1, max_size=2, unique=True))
@@ -280,7 +282,8 @@ def grouped_query(draw):
         columns = ["g", "h"] + values + (["w"] if joined else [])
         select = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2, unique=True))
         tail = f" ORDER BY {', '.join(select)}"
-    sql = f"SELECT {', '.join(select)} FROM t"
+        distinct = draw(st.sampled_from(["", "DISTINCT "]))
+    sql = f"SELECT {distinct}{', '.join(select)} FROM t"
     if joined:
         sql += " JOIN d ON g = dk"
     clauses = draw(st.lists(filter_clause() | shard_clause(), max_size=2))

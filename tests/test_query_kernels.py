@@ -214,21 +214,22 @@ class TestHashPartition:
             hash_partition(small_batch, "nope", 2)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_one_split_task_gives_every_partition(self, n):
-        """A keyed edge into n shards is one split task with n outputs, and
-        consumer shard i reads output i: partition i, row for row."""
+    def test_one_producer_task_gives_every_partition(self, n):
+        """A keyed edge into n shards partitions in its producer: one source
+        task with n outputs, and consumer shard i reads output i: partition
+        i, row for row."""
         batch = random_batch(np.random.default_rng(n), 300)
         graph = FlowGraph()
         source = graph.add_vertex("t", source_table="t")
         sink = graph.add_vertex("read", py_func=lambda part: part, parallelism=n)
         graph.add_edge(source, sink, key="k")
         pgraph = to_physical(graph)
-        (split,) = [t for t in pgraph.tasks.values() if t.kind == "split"]
-        assert split.num_outputs == n and pgraph.num_tasks == 2 + n
+        (producer,) = [pgraph.tasks[pid] for pid in pgraph.shards_of[source.vertex_id]]
+        assert producer.num_outputs == n and pgraph.num_tasks == 1 + n
         rt = ServerlessRuntime(build_physical_disagg())
         outputs = launch_physical_graph(rt, pgraph, tables={"t": batch})
         parts = rt.get(outputs[sink.vertex_id])
-        assert rt.tasks_finished == 2 + n
+        assert rt.tasks_finished == 1 + n
         for got, want in zip(parts, hash_partition(batch, "k", n), strict=True):
             assert_same_rows(got, want)
 
@@ -474,13 +475,17 @@ def test_aggregate_result_has_the_declared_dtype(sql, shards, tables):
 # m split tasks and their n-shard aggregate stage (2 messages per task), and
 # every sharded aggregate's time moved with the smaller final; selective_filter's
 # keyless aggregate kept its task count and moved in seconds only.  Bytes and
+# digests did not move.  join_group's shuffle joins (1 shard, and 2 and 4 under
+# ``broadcast_threshold=0``) were re-recorded when a keyed edge started to
+# hash-partition inside its producer: each of the m source shards on each side
+# lost its split task (2 messages each, and its share of the time); bytes and
 # digests did not move.
 WITNESS = {
-    ("join_group", 1, 0): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
-    ("join_group", 1, 5000): (6, "0x1.fcad314f2d64dp-12", 33600, 12, "8acbb804fb7ed424"),
-    ("join_group", 2, 0): (13, "0x1.05595ea7db7bcp-11", 33600, 26, "8acbb804fb7ed424"),
+    ("join_group", 1, 0): (4, "0x1.c732fbfee97fap-12", 33600, 8, "8acbb804fb7ed424"),
+    ("join_group", 1, 5000): (4, "0x1.c732fbfee97fap-12", 33600, 8, "8acbb804fb7ed424"),
+    ("join_group", 2, 0): (9, "0x1.d53887ff73126p-12", 33600, 18, "8acbb804fb7ed424"),
     ("join_group", 2, 5000): (8, "0x1.078e09953f97dp-11", 33600, 16, "8acbb804fb7ed424"),
-    ("join_group", 4, 0): (25, "0x1.8423c0b1861f8p-11", 33600, 50, "8acbb804fb7ed424"),
+    ("join_group", 4, 0): (17, "0x1.34f8e0332ba68p-11", 33600, 34, "8acbb804fb7ed424"),
     ("join_group", 4, 5000): (14, "0x1.50a0a21e37f95p-11", 33600, 28, "8acbb804fb7ed424"),
     ("scan_agg", 1, 0): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),
     ("scan_agg", 1, 5000): (2, "0x1.72ff19f93ae9ep-11", 120000, 4, "4785aabea1cba10d"),

@@ -3,7 +3,9 @@ partitions and gathered broadcast side of a table are kept across queries
 (``flowgraph.launch.TableLayouts``).
 
 * A repeated query reuses them and moves no payload bytes; a query over other
-  columns shares nothing.
+  columns, or hash-partitioned on another key, shares nothing.
+* A keyed edge's source shard partitions itself, so a lost partition replays
+  that source task once.
 * The contract that makes this safe: a queried table is read-only, and a name
   bound to a new table frees the old layout.
 * A fault between passes never changes an answer.  The four ``sql_suite``
@@ -25,6 +27,9 @@ import pytest
 
 from repro import RecordBatch, Skadi
 from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
+from repro.frontends.sql import sql_to_ir
+from repro.ir import FrameType, run_function
+from repro.runtime.supervision import retry_backoff_delay
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 if BENCHMARKS not in sys.path:
@@ -42,6 +47,15 @@ def tables() -> Dict[str, RecordBatch]:
         "orders": orders_table(2000, num_customers=100, seed=12),
         "customers": customers_table(100, seed=13),
     }
+
+
+def reference(sql: str, tables: Dict[str, RecordBatch]) -> RecordBatch:
+    catalog = {
+        name: FrameType(tuple((f.name, f.dtype.name) for f in batch.schema.fields))
+        for name, batch in tables.items()
+    }
+    (out,) = run_function(sql_to_ir(sql, catalog), tables=tables)
+    return out
 
 
 def test_a_repeated_query_reuses_the_layout_and_moves_nothing(tables):
@@ -84,6 +98,77 @@ def test_the_broadcast_side_is_kept_and_a_lost_copy_replays_from_the_kept_shards
     # one replay, of the coalesce alone: its input shards are still there
     assert rt.lineage.replays == 1
     assert skadi.last_report.reused_tasks == 9
+
+
+def test_a_repeated_shuffle_join_reuses_the_partitioned_shards(tables):
+    skadi = Skadi(shards=4, broadcast_threshold=0)
+    sql = QUERIES["join_group"]
+    first = skadi.sql(sql, tables)
+    plan = skadi.last_report
+    again = skadi.sql(sql, tables)
+    report = skadi.last_report
+    assert again == first
+    # customers' 4 source shards, each kept with its 4 partitions, and orders'
+    # 4 (its filter partitions); the filter, join with its partial aggregate
+    # and the final run again: 9 tasks and 18 messages (with a split task per
+    # shard it was 12 kept tasks and 26 messages)
+    assert report.reused_tasks == 8
+    assert report.physical_tasks == plan.physical_tasks == 17
+    assert report.control_messages == 18
+    assert report.bytes_moved == 0
+    kept = skadi.layouts.kept["customers"].tasks
+    assert sorted(len(refs) for refs in kept.values()) == [4] * 4
+
+
+def test_a_lost_partition_replays_its_source_shard_once(tables):
+    skadi = Skadi(shards=4, broadcast_threshold=0)
+    sql = QUERIES["join_group"]
+    first = skadi.sql(sql, tables)
+    rt = skadi.runtime
+    lost = skadi.layouts.kept["customers"].tasks[(("cid", "region"), 0, 4, "cid", 4)][1]
+    for store in rt._store_of_device.values():
+        store.delete(lost.object_id)  # memory gone, nobody told the GCS
+    assert skadi.sql(sql, tables) == first
+    report = skadi.last_report
+    # the partition's producer is its source shard, replayed once from the put
+    assert rt.lineage.replays == 1
+    assert rt.lineage.producer(lost.object_id).name == "scan:customers[0/4]"
+    assert report.bytes_moved == 96 and report.control_messages == 21
+    # the join shard that read the partition retries once; past that backoff
+    # (1 ms, jittered by a hash of its task id) the pass takes 109.31 us.  With
+    # a split task per shard the split alone replayed and the pass took the
+    # same 109.31 us past the backoff, in 29 messages; the whole pass was
+    # 1,222.3 us there and is 1,305.0 us here, the difference being the
+    # backoff jitter of the retried task's id
+    (retry,) = rt.log.of_kind("task_retry")
+    backoff = retry_backoff_delay(rt.config, dict(retry.detail)["task"], 1)
+    assert report.sim_seconds - backoff == pytest.approx(109.31e-6, abs=0.01e-6)
+
+
+def test_a_table_partitioned_on_two_keys_keeps_two_layouts(tables):
+    queries = [
+        "SELECT cid, region FROM customers ORDER BY cid",
+        "SELECT region, SUM(qty) AS q, COUNT(*) AS n FROM orders JOIN customers ON cust = cid "
+        "GROUP BY region ORDER BY region",
+        "SELECT cid, SUM(qty) AS q FROM orders JOIN customers ON qty = region "
+        "GROUP BY cid ORDER BY cid",
+    ]
+    skadi = Skadi(shards=4, broadcast_threshold=0)
+    for sql in queries:  # integer columns only, so the answers compare exactly
+        assert skadi.sql(sql, tables) == reference(sql, tables), sql
+        assert skadi.last_report.reused_tasks == 0
+    kept = skadi.layouts.kept["customers"].tasks
+    # the same two columns, read whole, hashed on cid and hashed on region
+    assert sorted(kept, key=repr) == sorted(
+        (
+            (("cid", "region"), shard, 4, key, outputs)
+            for shard in range(4)
+            for key, outputs in ((None, 1), ("cid", 4), ("region", 4))
+        ),
+        key=repr,
+    )
+    refs = [ref.object_id for outputs in kept.values() for ref in outputs]
+    assert len(refs) == len(set(refs)) == 4 * (1 + 4 + 4)
 
 
 def test_queries_over_different_columns_share_nothing(tables):
