@@ -11,9 +11,10 @@ failures long after the trigger has passed.
 
 The serving frontend holds the tail instead: pacing bounds how much work
 is in the runtime at once, the bounded waiting room sheds the excess at
-the door in weighted-fair order, SLO deadlines ride into the runtime's
-deadline propagation, and admission control + retry budgets underneath
-catch whatever still leaks through.
+the door in weighted-fair order, and admission control + retry budgets
+underneath catch whatever still leaks through.  The on-config also stamps
+each stage with its tenant's SLO deadline (``serving_slo_deadlines``), but
+it leaves ``deadline_propagation`` off, so the stamps change nothing here.
 
 Scenario: one 16-slot CPU server (~800 tasks/s at the 2e-2 task cost; the
 stock template mix averages 2 tasks/request, so ~400 req/s of capacity).

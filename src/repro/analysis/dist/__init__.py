@@ -4,14 +4,12 @@ Four cooperating parts (ISSUE 8):
 
 - **Happens-before inference** (:mod:`.hb`): vector clocks over the
   probe's protocol-event stream, flagging conflicting causally-unordered
-  accesses to shared control-plane state (object-directory entries,
-  breaker state).
+  accesses to shared control-plane state (object-directory entries).
 - **Protocol invariant monitors** (:mod:`.invariants`): declarative
   checkers for single ownership, directory-state legality, lineage
-  acyclicity, breaker FSM legality, admission bounds, deadline
-  monotonicity, and fetch-dedup cancel-cascade completeness — runnable
-  online behind ``RuntimeConfig(sanitizers=...)`` or offline over a
-  dumped trace.
+  acyclicity, deadline monotonicity, and fetch-dedup cancel-cascade
+  completeness — runnable online behind ``RuntimeConfig(sanitizers=...)``
+  or offline over a dumped trace.
 - **Replay-divergence checking** (:mod:`.replay`): same seed twice,
   diff signatures, localize the first diverging event.
 - **Schedule perturbation** (:mod:`.perturb`): seeded reordering of
@@ -26,8 +24,6 @@ set and ``probe.trace.dump(path)`` is called.
 from .events import ACCESS_CLASSES, CONFLICTS, DistTrace, ProtoEvent
 from .hb import Access, HBResult, Race, build_hb, vc_leq
 from .invariants import (
-    AdmissionBoundsMonitor,
-    BreakerMonitor,
     DeadlineMonotonicityMonitor,
     DirectoryStateMonitor,
     FetchRegistryMonitor,
@@ -61,8 +57,6 @@ __all__ = [
     "SingleOwnerMonitor",
     "DirectoryStateMonitor",
     "LineageAcyclicityMonitor",
-    "BreakerMonitor",
-    "AdmissionBoundsMonitor",
     "DeadlineMonotonicityMonitor",
     "FetchRegistryMonitor",
     "TaskLifecycleMonitor",

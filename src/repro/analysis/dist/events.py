@@ -16,7 +16,7 @@ Sites
     the user-facing API surface (submit/put/get, replay orchestration).
 ``gcs``
     the logically-centralized control plane: scheduler, failure detector,
-    admission gate, retry budgets, circuit breakers.  One site — these
+    admission gate, retry budgets.  One site — these
     components share state and run interleaved on the head node today
     (ROADMAP item 2 is precisely about splitting this site; the sanitizer
     exists so that split can be checked).

@@ -11,8 +11,7 @@ rounds, fetch-dedup join, lineage replay — so two events with
 incomparable clocks genuinely could have executed in either order.
 
 Race detection then runs the classic vector-clock algorithm per shared
-variable (``dir:<oid>`` directory entries, ``breaker:<device>`` breaker
-state): conflicting access classes (see ``events.CONFLICTS``) on
+variable (``dir:<oid>`` directory entries): conflicting access classes (see ``events.CONFLICTS``) on
 causally-concurrent events are flagged.  Access history per variable is
 pruned FastTrack-style: an older access is dropped once a newer access
 happens-after it and subsumes it for future conflict checks (same class,
@@ -23,7 +22,7 @@ previous access would have).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .events import CONFLICTS, DistTrace, ProtoEvent
 

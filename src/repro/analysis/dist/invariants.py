@@ -15,8 +15,6 @@ The monitors:
 SingleOwnerMonitor            at most one live owner record per object id
 DirectoryStateMonitor         object-directory transitions follow the legal FSM
 LineageAcyclicityMonitor      lineage edges never form a cycle
-BreakerMonitor                CLOSED→OPEN→HALF_OPEN→{CLOSED,OPEN} legality
-AdmissionBoundsMonitor        queued-task counter stays within the configured depth
 DeadlineMonotonicityMonitor   effective deadline == min(own, inherited-from-producers)
 FetchRegistryMonitor          dedup begin/end pairing; cancelled leaders release followers
 TaskLifecycleMonitor          submit once; at most one terminal per incarnation
@@ -28,7 +26,7 @@ EpochMonotonicityMonitor      leader epochs strictly increase; fencing is consis
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .events import DistTrace, ProtoEvent
 
@@ -40,8 +38,6 @@ __all__ = [
     "SingleOwnerMonitor",
     "DirectoryStateMonitor",
     "LineageAcyclicityMonitor",
-    "BreakerMonitor",
-    "AdmissionBoundsMonitor",
     "DeadlineMonotonicityMonitor",
     "FetchRegistryMonitor",
     "TaskLifecycleMonitor",
@@ -230,80 +226,6 @@ class LineageAcyclicityMonitor(Monitor):
                 continue
             seen.add(node)
             stack.extend(self._deps.get(node, ()))
-
-
-class BreakerMonitor(Monitor):
-    """Circuit breakers may only move along the legal edges."""
-
-    name = "breaker-fsm"
-    kinds = ("breaker_flip",)
-
-    _LEGAL = frozenset(
-        {
-            ("CLOSED", "OPEN"),
-            ("OPEN", "HALF_OPEN"),
-            ("HALF_OPEN", "CLOSED"),
-            ("HALF_OPEN", "OPEN"),
-        }
-    )
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._state: Dict[str, str] = {}
-
-    def on_event(self, event: ProtoEvent) -> None:
-        if event.kind != "breaker_flip":
-            return
-        device = event.get("device")
-        old = event.get("old")
-        new = event.get("new")
-        tracked = self._state.get(device)
-        if tracked is not None and tracked != old:
-            self.flag(
-                f"flip claims old={old} but tracked state is {tracked}",
-                event.seq,
-                device,
-            )
-        if (old, new) not in self._LEGAL:
-            self.flag(f"illegal transition {old} -> {new}", event.seq, device)
-        self._state[device] = new
-
-
-class AdmissionBoundsMonitor(Monitor):
-    """The admission queue never exceeds its depth or goes negative."""
-
-    name = "admission-bounds"
-    kinds = ("adm_queue", "adm_release")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._depth = 0
-        self._queued: Set[str] = set()
-
-    def on_event(self, event: ProtoEvent) -> None:
-        if event.kind == "adm_queue":
-            task = event.get("task")
-            limit = event.get("limit")
-            self._depth += 1
-            self._queued.add(task)
-            if isinstance(limit, int) and self._depth > limit:
-                self.flag(
-                    f"queue depth {self._depth} exceeds limit {limit}",
-                    event.seq,
-                    task,
-                )
-        elif event.kind == "adm_release":
-            task = event.get("task")
-            if task not in self._queued:
-                self.flag(f"release of {task} which was never queued", event.seq, task)
-                return
-            self._queued.discard(task)
-            self._depth -= 1
-
-    def finish(self, partial: bool = False) -> None:
-        if not partial and self._queued:
-            parked = ", ".join(sorted(self._queued)[:5])
-            self.flag(f"{len(self._queued)} task(s) still parked at drain: {parked}")
 
 
 class DeadlineMonotonicityMonitor(Monitor):
@@ -555,8 +477,6 @@ def default_monitors() -> List[Monitor]:
         SingleOwnerMonitor(),
         DirectoryStateMonitor(),
         LineageAcyclicityMonitor(),
-        BreakerMonitor(),
-        AdmissionBoundsMonitor(),
         DeadlineMonotonicityMonitor(),
         FetchRegistryMonitor(),
         TaskLifecycleMonitor(),

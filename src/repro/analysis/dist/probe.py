@@ -382,22 +382,6 @@ class DistProbe:
     # overload protection (gcs)
     # ------------------------------------------------------------------
 
-    def breaker_flip(
-        self, device: str, old: str, new: str, site: str = "gcs"
-    ) -> None:
-        self.emit(
-            site,
-            "breaker_flip",
-            (("device", device), ("old", old), ("new", new)),
-            accesses=((f"breaker:{device}", "w"),),
-        )
-
-    def adm_queue(self, task_id: str, limit: int) -> None:
-        self.emit("gcs", "adm_queue", (("task", task_id), ("limit", limit)))
-
-    def adm_release(self, task_id: str) -> None:
-        self.emit("gcs", "adm_release", (("task", task_id),))
-
     def adm_reject(self, task_id: str) -> None:
         self.emit("gcs", "adm_reject", (("task", task_id),))
 
@@ -583,10 +567,9 @@ class DistProbe:
     # incidents: records of the runtime's event log
     # ------------------------------------------------------------------
 
-    def incident(self, ev: Any, overflow_depth: int) -> None:
+    def incident(self, ev: Any) -> None:
         """The protocol event an event-log record (a ``RuntimeEvent``) stands
-        for, if any; ``overflow_depth`` is the admission queue's bound, which
-        no record carries.  A chaos injection strikes from outside the
+        for, if any.  A chaos injection strikes from outside the
         protocol: it has its own ``chaos`` site and no causal ancestry, so
         anything it races with is a finding, not a missing edge."""
         kind = ev.kind
@@ -596,12 +579,6 @@ class DistProbe:
             self.task_cancel(ev["task"], ev["reason"])
         elif kind == "speculate":
             self.speculate(ev["task"])
-        elif kind.startswith("breaker_"):
-            # the record carries states by value ("half_open"), the probe by name
-            new = kind[len("breaker_"):]
-            self.breaker_flip(ev["device"], ev["previous"].upper(), new.upper())
-        elif kind == "admission_queued":
-            self.adm_queue(ev["task"], overflow_depth)
         elif kind == "admission_rejected":
             self.adm_reject(ev["task"])
         elif kind == "ha_leader_elected":

@@ -84,7 +84,7 @@ class ChaosMonkey:
         self._armed = True
         if any(not isinstance(f, LoadBurst) for f in self.schedule.faults):
             # Disruptive faults make every poll round load-bearing (silence
-            # counting, probes, breaker resets must be simulated exactly):
+            # counting and probes must be simulated exactly):
             # block the simulator's idle fast-forward for the whole run.
             # Pure LoadBurst schedules inject work, not failures, so the
             # detector's analytic model stays valid and jumps stay legal.

@@ -340,7 +340,7 @@ class AnyOf(Awaitable):
     The value is ``(index, value)`` of the first child to fire.
 
     Losing children are detached as soon as the winner fires: a long-lived
-    child (a breaker probe signal, an HA beacon) must not pin a dead
+    child (an HA beacon, a long watchdog timer) must not pin a dead
     combinator — and the closure graph hanging off it — for its whole
     lifetime.
     """

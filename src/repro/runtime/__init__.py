@@ -8,7 +8,6 @@ fault tolerance.
 """
 
 from .config import (
-    AdmissionPolicy,
     Generation,
     ResolutionMode,
     RuntimeConfig,
@@ -21,12 +20,7 @@ from .ids import IdGenerator
 from .lineage import LineageGraph, UnrecoverableObjectError
 from .local import LocalActorHandle, LocalRuntime
 from .object_ref import ObjectRef, collect_refs, replace_refs
-from .overload import (
-    AdmissionRejectedError,
-    BreakerState,
-    CircuitBreaker,
-    RetryBudget,
-)
+from .overload import AdmissionRejectedError, RetryBudget
 from .object_store import (
     LocalObjectStore,
     ObjectStoreFullError,
@@ -54,12 +48,9 @@ __all__ = [
     "Generation",
     "ResolutionMode",
     "SchedulingPolicy",
-    "AdmissionPolicy",
     "RuntimeConfig",
     "AdmissionRejectedError",
     "RetryBudget",
-    "CircuitBreaker",
-    "BreakerState",
     "backoff_jitter_fraction",
     "retry_backoff_delay",
     "TaskCancelledError",

@@ -10,7 +10,6 @@ __all__ = [
     "Generation",
     "ResolutionMode",
     "SchedulingPolicy",
-    "AdmissionPolicy",
     "RuntimeConfig",
 ]
 
@@ -33,14 +32,6 @@ class SchedulingPolicy(enum.Enum):
     ROUND_ROBIN = "round_robin"  # CPU-centric baseline
     LOCALITY = "locality"  # data-centric: minimize estimated input movement
     LEAST_LOADED = "least_loaded"
-
-
-class AdmissionPolicy(enum.Enum):
-    """What a full scheduler-level admission queue does with a new task."""
-
-    REJECT = "reject"  # raise AdmissionRejectedError to the caller
-    SHED_LOWEST_PRIORITY = "shed_lowest_priority"  # evict a lower-priority pending task
-    QUEUE_WITH_DEADLINE = "queue_with_deadline"  # park in a bounded overflow queue
 
 
 @dataclass
@@ -88,22 +79,16 @@ class RuntimeConfig:
     # orphan tasks, placement hazards, memory over-subscription) before any
     # task is submitted, and refuse to launch plans with errors.
     strict_plans: bool = False
-    # -- overload control (repro.runtime.overload).  Four independent
+    # -- overload control (repro.runtime.overload).  Three independent
     # mechanisms, each behind its own switch; a switch that is on *installs*
-    # its subscribers on the runtime's lifecycle seam, and the all-off
-    # default installs nothing, so pre-overload event traces replay
-    # bit-for-bit (no extra events, no extra virtual time).
+    # its subscribers on the runtime's lifecycle seam (deadlines are the
+    # core's own check), and the all-off default installs nothing, so
+    # pre-overload event traces replay bit-for-bit (no extra events, no
+    # extra virtual time).
     # bounded admission: refuse work beyond ``admission_queue_depth`` open
-    # tasks instead of queueing without bound.  Policy decides how: reject
-    # (AdmissionRejectedError), shed the lowest-priority pending task, or
-    # park in a bounded overflow queue drained as tasks close.
+    # tasks (AdmissionRejectedError) instead of queueing without bound.
     admission_control: bool = False
     admission_queue_depth: int = 64
-    admission_policy: AdmissionPolicy = AdmissionPolicy.REJECT
-    admission_overflow_depth: int = 64  # QUEUE_WITH_DEADLINE park capacity
-    # per-raylet admission window: max task attempts dispatched-but-not-
-    # concluded per raylet (None: no per-raylet bound)
-    raylet_admission_depth: Optional[int] = None
     # retry budgets: a per-node token bucket (start/cap ``retry_budget_cap``)
     # drained 1 token per retry, refilled ``retry_budget_ratio`` per
     # first-attempt success — retries cannot exceed ~ratio x useful work.
@@ -114,12 +99,6 @@ class RuntimeConfig:
     # through the graph; attempts past their deadline are skipped and the
     # task cancelled (cancellation cascades to downstream consumers).
     deadline_propagation: bool = False
-    # circuit breakers: per-device CLOSED/OPEN/HALF_OPEN state machines over
-    # device-attributed transient failures + health signals; open devices
-    # shed load, half-open devices take one probe at a time.
-    device_circuit_breakers: bool = False
-    breaker_reset_after: float = 5e-3  # virtual seconds OPEN before probing
-    breaker_probe_successes: int = 2
     # -- serving frontend (repro.serving).  These gate how a
     # ServingFrontend attached to this runtime behaves; none of them touch
     # the single-driver path, so the all-off defaults (and any setting,
@@ -131,8 +110,9 @@ class RuntimeConfig:
     # per-tenant quotas: shed a tenant's requests beyond its profile's
     # max_open open requests.
     serving_tenant_isolation: bool = False
-    # SLO deadlines: stamp submit(deadline=arrival+slo, priority=) from the
-    # tenant profile onto every request stage.
+    # SLO deadlines: stamp submit(deadline=arrival+slo) from the tenant
+    # profile onto every request stage (they act only under
+    # deadline_propagation).
     serving_slo_deadlines: bool = False
     # pacing: at most this many requests in flight in the runtime (None:
     # unbounded — every request dispatches the instant it arrives); excess
@@ -149,7 +129,7 @@ class RuntimeConfig:
     sanitizers: Tuple[str, ...] = ()
     # -- control-plane HA (repro.runtime.ha).  ``ha_replicas > 0`` keeps a
     # write-ahead log of control-plane mutations (ownership transitions,
-    # breaker flips, death/revival declarations, lease grants) replicated
+    # death/revival declarations, lease grants) replicated
     # to that many standby server nodes over the simulated network, stamps
     # a fencing epoch on every leader lease, and arms seeded deterministic
     # leader election + log replay when the head dies (the chaos
@@ -160,8 +140,8 @@ class RuntimeConfig:
     # seed mixed with the new epoch for the deterministic winner draw
     ha_election_seed: int = 0
     # -- simulator core.  Opt-in analytic idle fast-forward: when every
-    # event at the queue head is a *poller* tick (heartbeats, WAL syncs,
-    # breaker probes created via ``Simulator.poll_timeout``) and no
+    # event at the queue head is a *poller* tick (heartbeats and WAL syncs,
+    # created via ``Simulator.poll_timeout``) and no
     # component has armed exact polling (``Simulator.arm_poller`` — chaos
     # schedules and failure detection do), the kernel jumps virtual time
     # to the next real event instead of stepping through empty poll

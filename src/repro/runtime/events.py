@@ -97,14 +97,12 @@ class EventLog:
 class Series(NamedTuple):
     """A Prometheus counter of one incident kind: ``labels`` are detail keys
     (a label wherever the record has the key), ``amount`` the detail keys of
-    the increment (the first present; else 1), ``fixed`` the labels the kind
-    itself implies."""
+    the increment (the first present; else 1)."""
 
     name: str
     help: str
     labels: Tuple[str, ...] = ()
     amount: Tuple[str, ...] = ()
-    fixed: Tuple[Tuple[str, str], ...] = ()
 
 
 class Incident(NamedTuple):
@@ -120,11 +118,9 @@ def _counted(chrome: Optional[str], name: str, help: str, **keys: Any) -> Incide
 
 
 _FAILURE, _RECOVERY = Incident("failure"), Incident("recovery")
-_BREAKER = ("skadi_breaker_transitions_total",
-            "circuit-breaker state changes, by device and new state")
 
 # skadi_device_failures_total{kind} and skadi_shed_tasks_total{reason} stay at
-# their sites: no record carries the device kind, and four kinds feed the latter
+# their sites: no record carries the device kind or the shed reason
 INCIDENTS: Dict[str, Incident] = {
     "task_failed": _counted("failure", "skadi_tasks_failed_total", "tasks that permanently failed"),
     "task_cancelled": _counted(
@@ -177,10 +173,6 @@ INCIDENTS: Dict[str, Incident] = {
         None, "skadi_retry_budget_exhausted_total",
         "retries refused because the node's budget ran dry", labels=("node",),
     ),
-    **{
-        f"breaker_{state}": _counted(None, *_BREAKER, labels=("device",), fixed=(("state", state),))
-        for state in ("open", "half_open", "closed")
-    },
     "ha_election_started": _counted(None, "skadi_ha_elections_total", "leader elections started"),
     "ha_failover_complete": _counted(None, "skadi_ha_failovers_total", "failovers completed"),
     "ha_stale_lease_rejected": _counted(
@@ -225,7 +217,6 @@ def incident_counter(registry: Any) -> Callable[[RuntimeEvent], None]:
         detail = ev.as_dict()
         for s in series:
             labels = {key: detail[key] for key in s.labels if key in detail}
-            labels.update(s.fixed)
             amount = next((detail[key] for key in s.amount if key in detail), 1)
             registry.counter(s.name, s.help, **labels).inc(amount)
 

@@ -328,6 +328,9 @@ class FailureDomains:
                 self._interrupt_raylet(raylet, f"raylet takeover: {cause}")
         if new:
             self.takeovers[node_id] = adopted
+            # the adopted devices are placeable again; the capacity gauges
+            # were last metered while their daemon lay dead
+            rt.scheduler._meter_capacity()
             rt._record(
                 "raylet_takeover",
                 node=node_id,
@@ -350,6 +353,7 @@ class FailureDomains:
             head_raylet.devices = [
                 d for d in head_raylet.devices if d.device_id != dev_id
             ]
+        rt.scheduler._meter_capacity()
         # attempts mid-flight through the takeover raylet must re-dispatch
         rt._interrupt_attempts(
             lambda v: v.raylet is head_raylet

@@ -1,7 +1,7 @@
 """Control-plane high availability: replicated GCS metadata and failover.
 
-The GCS — ownership table, object directory, failure detector, breaker
-and blacklist state — lives on the head node, which PRs 1-8 treated as
+The GCS — ownership table, object directory, failure detector and
+blacklist state — lives on the head node, which the core alone treats as
 immortal.  This module makes it killable.  The leader appends every
 control-plane mutation to a write-ahead log (:class:`WalRecord`) and
 flushes the un-synced tail to N standby server nodes over the simulated
@@ -438,12 +438,10 @@ class HAController:
         they rebuild the *views* (dead sets, blacklist) without re-running
         the reactions — the ownership snapshots in the same log already
         reflect every drop the old leader performed, and interrupts/actor
-        restores happened on the old watch.  ``on_view_rebuilt`` subscribers
-        get the devices whose last logged breaker verdict is OPEN."""
+        restores happened on the old watch."""
         rt = self.runtime
         rt.ownership.clear()
         rt.failures.reset_view()
-        breaker_final: Dict[str, str] = {}
         for rec in log:
             d = rec.get()
             if rec.kind == "own":
@@ -459,17 +457,8 @@ class HAController:
                 )
             elif rec.kind == "own_drop":
                 rt.ownership.remove(d["object"])
-            elif rec.kind == "breaker":
-                breaker_final[d["device"]] = d["state"]
             elif rec.kind != "lease":  # leases are a fencing audit; no replay
                 rt.failures.apply_view(rec.kind, **d)
-                if rec.kind == "device_dead":
-                    breaker_final[d["device"]] = "OPEN"
-                elif rec.kind == "device_alive":
-                    breaker_final.pop(d["device"], None)
-        tripped = sorted(d for d, state in breaker_final.items() if state == "OPEN")
-        for hook in rt.on_view_rebuilt:
-            hook(tripped)
 
     def _reregister_driver(self) -> None:
         """The driver re-asserts every ref it still holds: objects created in

@@ -344,13 +344,7 @@ class HeartbeatMonitor:
                     r.endpoint in self.suspected_endpoints or _silent(r.endpoint)
                     for r in raylets
                 )
-                for raylet in newly_silent:
-                    self.suspected_endpoints.add(raylet.endpoint)
-                    # suspicion blames every device behind the silent
-                    # raylet (an installed breaker board counts a failure)
-                    for dev in raylet.devices:
-                        for hook in self.runtime.on_device_fault:
-                            hook(dev, "endpoint suspected")
+                self.suspected_endpoints.update(r.endpoint for r in newly_silent)
                 self._update_guard()
                 if all_silent and node_id not in self.suspected:
                     self.suspected.add(node_id)

@@ -56,10 +56,6 @@ class Raylet:
         # of paying the bytes again (fetch deduplication).
         self._inflight_fetches: Dict[Tuple[str, str], Signal] = {}
         self.fetches_deduped = 0
-        # admission window: task attempts dispatched to this raylet and not
-        # yet concluded (finished/failed/cancelled).  The runtime bounds this
-        # when per-raylet admission control is on.
-        self.admission_inflight = 0
         # telemetry MetricsRegistry, wired in by the runtime (duck-typed)
         self.metrics = None
         # dist-sanitizer probe, wired in by the runtime (duck-typed).  The
@@ -106,28 +102,6 @@ class Raylet:
             if store.contains(object_id):
                 return store
         return None
-
-    # -- admission window -----------------------------------------------------
-
-    def has_admission_capacity(self, depth: int) -> bool:
-        return self.admission_inflight < depth
-
-    def admit_attempt(self) -> None:
-        self.admission_inflight += 1
-        self._gauge_admission()
-
-    def conclude_attempt(self) -> None:
-        if self.admission_inflight > 0:
-            self.admission_inflight -= 1
-        self._gauge_admission()
-
-    def _gauge_admission(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "skadi_admission_queue_depth",
-                "task attempts admitted and not yet concluded, per scope",
-                scope=self.raylet_id,
-            ).set(self.admission_inflight)
 
     # -- fetch deduplication --------------------------------------------------
 

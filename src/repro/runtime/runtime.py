@@ -15,7 +15,6 @@ and performance shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple, Union
 
 from ..caching.kv import estimate_nbytes
@@ -63,10 +62,9 @@ _Committed = List[Tuple[str, Any, int]]  # (object id, value, nbytes) an attempt
 # order at a fixed position in the task lifecycle.  DESIGN.md "Runtime core and
 # components" tabulates each point's position, signature and subscribers.
 SEAM = (
-    "submit_gates", "on_task_open", "on_route", "dispatch_gates", "on_dispatch",
-    "lease_gates", "on_commit", "on_done", "on_task_closed", "on_task_finished",
-    "on_device_fault", "retry_gates", "on_attempt_concluded", "on_view_change",
-    "on_view_rebuilt",
+    "submit_gates", "on_task_open", "on_route", "on_dispatch", "lease_gates",
+    "on_commit", "on_done", "on_task_closed", "on_task_finished", "retry_gates",
+    "on_view_change",
 )
 
 
@@ -121,7 +119,7 @@ class _TaskCtx:
     __slots__ = (
         "spec", "outputs", "device", "raylet", "done", "state", "timeline",
         "error", "proc", "attempt", "retries", "twin", "is_clone",
-        "span", "pulls", "admitted", "admit_raylet", "lease_epoch",
+        "span", "pulls", "admitted", "lease_epoch",
     )
 
     def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal):
@@ -141,7 +139,6 @@ class _TaskCtx:
         self.span: Optional[Span] = None  # causal task span (telemetry)
         self.pulls: Tuple = ()  # this attempt's in-flight pull processes
         self.admitted = False  # holds a scheduler-level admission slot
-        self.admit_raylet: Optional[Raylet] = None  # holds a raylet window slot
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
 
 
@@ -278,11 +275,7 @@ class ServerlessRuntime:
             self.ownership.observers.append(self.probe.ownership_op)
             for raylet in self._raylets:
                 raylet.probe = self.probe
-            # the incidents the log already states; no record carries the
-            # admission queue's bound, the config does
-            self.log.add_observer(
-                partial(self.probe.incident, overflow_depth=self.config.admission_overflow_depth)
-            )
+            self.log.add_observer(self.probe.incident)  # the incidents the log already states
         # -- control-plane HA (repro.runtime.ha): installed only when standby
         # replicas are requested; None otherwise.  After the probe, so the
         # WAL observes each directory mutation second.
@@ -498,7 +491,6 @@ class ServerlessRuntime:
         name: str = "",
         gang_group: Optional[str] = None,
         deadline: Optional[float] = None,
-        priority: int = 0,
         tenant: Optional[str] = None,
         num_returns: int = 1,
     ) -> Union[ObjectRef, List[ObjectRef]]:
@@ -513,8 +505,7 @@ class ServerlessRuntime:
 
         ``deadline`` is an *absolute* virtual time; with deadline propagation
         enabled it flows to downstream consumers (min over producers) and
-        attempts past it are skipped and cancelled.  ``priority`` only
-        matters under shed-lowest-priority admission.  ``tenant`` attributes
+        attempts past it are skipped and cancelled.  ``tenant`` attributes
         the task to a serving tenant: cancellation and admission-rejection
         events/metrics carry it as a label (and nothing else changes).
         """
@@ -530,7 +521,6 @@ class ServerlessRuntime:
             name=name,
             gang_group=gang_group,
             deadline=deadline,
-            priority=priority,
             tenant=tenant,
             num_returns=num_returns,
         )
@@ -541,7 +531,8 @@ class ServerlessRuntime:
             self._inherit_deadline(spec)
         # a gate may raise (AdmissionRejectedError) — before any ownership
         # state exists, so a rejected submission is cleanly retryable
-        parked = any([gate(spec) for gate in self.submit_gates])
+        for gate in self.submit_gates:
+            gate(spec)
         outputs = [self.ids.object_id() for _ in range(spec.num_returns)]
         self._probe_site("driver")
         for oid in outputs:
@@ -564,12 +555,11 @@ class ServerlessRuntime:
             self._ctx_of_object[oid] = ctx
         self._open_tasks += 1
         for hook in self.on_task_open:
-            hook(ctx, parked)
-        if not parked:  # else whoever parked it re-routes it
-            if spec.gang_group is not None:
-                self._gangs.setdefault(spec.gang_group, []).append(ctx)
-            else:
-                self._route(ctx)
+            hook(ctx)
+        if spec.gang_group is not None:
+            self._gangs.setdefault(spec.gang_group, []).append(ctx)
+        else:
+            self._route(ctx)
         return self._returned(ctx)
 
     @staticmethod
@@ -823,9 +813,6 @@ class ServerlessRuntime:
             if not self._device_alive(ctx.device.device_id):
                 raise PlacementError(f"no live device for task {spec.task_id}")
         ctx.raylet = self.raylet_for_device(ctx.device.device_id)
-        for gate in self.dispatch_gates:
-            if not gate(ctx, preplaced):
-                return  # the gate that held it back re-dispatches it
         ctx.state = TaskState.SCHEDULED
         ctx.attempt += 1
         for hook in self.on_dispatch:
@@ -886,9 +873,6 @@ class ServerlessRuntime:
             if ctx.is_clone:
                 return  # the original will hit (and report) the same error
             self._fail_ctx(ctx, f"{type(exc).__name__}: {exc}")
-        finally:  # however the attempt ended
-            for hook in self.on_attempt_concluded:
-                hook(ctx, device)
 
     def _lease(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
         """Phase 1: the lease travels scheduler -> raylet; the raylet handles

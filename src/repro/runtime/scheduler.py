@@ -54,11 +54,6 @@ class Scheduler:
         # devices on suspected/dead nodes, excluded at placement time until
         # the failure detector (or an explicit restart) clears them
         self._blacklisted: set[str] = set()
-        # overload control: the runtime installs a circuit-breaker predicate
-        # here; devices it rejects are skipped *if* other candidates remain
-        # (a fully-tripped pool falls back to ignoring breakers rather than
-        # refusing placement outright)
-        self.breaker_filter: Callable[[str], bool] = lambda _device_id: True
 
     # -- blacklisting (failure detection feeds this) -------------------------
 
@@ -162,8 +157,7 @@ class Scheduler:
                 f"task {task.task_id} supports {sorted(k.value for k in task.supported_kinds)} "
                 f"but cluster has no schedulable device of those kinds"
             )
-        unbroken = [d for d in matches if self.breaker_filter(d.device_id)]
-        return unbroken or matches
+        return matches
 
     def place(self, task: TaskSpec) -> Device:
         return self._meter_placement(self._pick(task))

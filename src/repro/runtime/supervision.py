@@ -70,16 +70,13 @@ class Supervisor:
         """An attempt (or the placement of one) ended in a transient fault:
         retry after a backoff, give up, or let a retry gate shed the task."""
         rt = self.rt
-        # the failing attempt's device is what subscribers blame and budget
-        # against — capture it before the attempt state is cleared
+        # the failing attempt's device is what a retry gate budgets against —
+        # capture it before the attempt state is cleared
         failed_device = ctx.device
-        if failed_device is not None:
+        if failed_device is not None and rt.probe_edges is not None:
             # only a real attempt (one that held a device) reports a failure;
             # placement errors never started one
-            if rt.probe_edges is not None:
-                rt.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
-            for hook in rt.on_device_fault:
-                hook(failed_device, cause)
+            rt.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
         ctx.retries += 1
         ctx.device = None
         ctx.raylet = None

@@ -60,7 +60,6 @@ class TaskSpec:
     gang_group: Optional[str] = None  # SPMD gang id (gang scheduling)
     # overload control --------------------------------------------------------
     deadline: Optional[float] = None  # absolute sim time; propagates to consumers
-    priority: int = 0  # higher survives shed-lowest-priority admission
     # multi-tenant serving -----------------------------------------------------
     tenant: Optional[str] = None  # submitting tenant id (serving attribution)
     # bookkeeping --------------------------------------------------------------

@@ -4,8 +4,9 @@ This is the layer between "millions of users" and the single-driver task
 API.  Requests arrive open-loop (:mod:`repro.serving.workload`); the
 frontend decides — per tenant — what to shed, what to queue, and what to
 dispatch, then instantiates each admitted request's task DAG through the
-ordinary ``submit()`` path so PR 6's admission control, retry budgets and
-deadline propagation apply underneath.
+ordinary ``submit()`` path so the runtime's admission control, retry
+budgets and deadline propagation apply underneath, each when its own
+``RuntimeConfig`` switch is on.
 
 Mechanisms, each behind a ``RuntimeConfig`` switch (all-off = a naive
 pass-through that submits every request the instant it arrives, which is
@@ -20,10 +21,12 @@ exactly the single-driver behavior):
   cannot starve premium tenants.  Off: strict FIFO;
 * **tenant quotas** (``serving_tenant_isolation``): at most
   ``profile.max_open`` open requests per tenant, shed beyond;
-* **SLO deadlines** (``serving_slo_deadlines``): each request carries
-  ``deadline = arrival + profile.slo`` and the profile's priority into
-  ``submit(deadline=, priority=)``, so the runtime's deadline propagation
-  and priority shedding act on the tenant's actual promise.
+* **SLO deadlines** (``serving_slo_deadlines``): each request stage is
+  submitted with ``deadline = arrival + profile.slo``.  The stamp acts only
+  under the runtime's ``deadline_propagation`` switch, which then skips and
+  cancels a stage past its tenant's promise; without it (E23 and the
+  ledger's ``serving`` workload run without it) a stamped deadline changes
+  nothing.
 
 Every request opens a ``control`` span linked to its task spans (the
 request joins the causal trace plane), and ``skadi_serving_*`` metrics
@@ -196,11 +199,8 @@ class ServingFrontend:
         tenant = req.tenant
         profile = tenant.profile
         deadline = None
-        priority = 0
-        if self.slo_deadlines:
-            priority = profile.priority
-            if profile.slo is not None:
-                deadline = req.arrival + profile.slo
+        if self.slo_deadlines and profile.slo is not None:
+            deadline = req.arrival + profile.slo
         self.inflight += 1
         try:
             for stage_name, cost, deps in req.template.stages:
@@ -212,7 +212,6 @@ class ServingFrontend:
                     compute_cost=cost,
                     name=tenant.qualify(f"{req.request_id}/{stage_name}"),
                     deadline=deadline,
-                    priority=priority,
                     tenant=tenant.tenant_id,
                 )
                 pending.refs.append(ref)

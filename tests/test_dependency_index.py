@@ -3,9 +3,9 @@
 * **Differential.**  The parent commit re-tested every parked task's every
   dependency on every poke.  That scan is kept here, as a patch over the
   release pass, and is the reference: on seeded DAGs under PULL — clean, under
-  chaos, with a mid-run cancel, through an HA failover, with an admission
-  overflow re-routing in the middle of a pass — the index must replay it
-  exactly, early dispatches included.
+  chaos, with a mid-run cancel, through an HA failover, with a crash that
+  parks a replay inside a poke — the index must replay it exactly, early
+  dispatches included.
 * **Cost, by counting.**  Readiness is tested a bounded number of times per
   task, and a cancellation touches the readers, not the task table.
 * **The edge.**  ``LineageGraph.consumers``: submission order, each reader once.
@@ -23,7 +23,6 @@ from test_data_plane import assert_data_plane_drained
 from repro.chaos import ChaosMonkey, ChaosSchedule
 from repro.cluster.cluster import build_serverful
 from repro.runtime import (
-    AdmissionPolicy,
     ResolutionMode,
     RuntimeConfig,
     ServerlessRuntime,
@@ -194,17 +193,15 @@ def ha_failover(seed: int, arm) -> tuple:
     return rt, values
 
 
-def overflow_reroutes_during_a_pass(seed: int, arm) -> tuple:
-    """The admission queue is full, two tasks sit in its overflow.  A release
-    pass dispatches a consumer pinned to a dead device; with no retries left
-    it fails *inside the pass*, its slot frees, and the overflow pump routes
-    the next parked submission — which parks in the waiting room mid-pass."""
+def strike_inside_a_pass(seed: int, arm) -> tuple:
+    """The node holding a chain's objects crashes the instant the chain's
+    third object commits (a reactive chaos injection, run by the poke's
+    hooks): recovery replays the lost producers there and then, and the one
+    whose argument was lost too parks in the waiting room inside the poke,
+    ahead of its release walk.  No remaining path parks a task during the
+    walk itself."""
     rt = ServerlessRuntime(
-        build_serverful(n_servers=2),
-        RuntimeConfig(
-            resolution=PULL, max_retries=0, admission_control=True, admission_queue_depth=3,
-            admission_policy=AdmissionPolicy.QUEUE_WITH_DEADLINE, admission_overflow_depth=8,
-        ),
+        build_serverful(n_servers=2), RuntimeConfig(resolution=PULL, retry_backoff_base=2e-3)
     )
     arm(rt)
     holds_inside_a_pass = []
@@ -225,22 +222,26 @@ def overflow_reroutes_during_a_pass(seed: int, arm) -> tuple:
         return held
 
     rt._on_object_ready, rt.data.hold = counting_poke, counting_hold
-    p = rt.submit(lambda: 1, compute_cost=2e-3, pinned_device="server0/cpu", name="p")
-    doomed = rt.submit(lambda x: x, (p,), pinned_device="server1/cpu", name="doomed")
-    q = rt.submit(lambda: 2, compute_cost=9e-3, pinned_device="server0/cpu", name="q")
-    x = rt.submit(lambda v: v + 1, (q,), name="x")  # overflow; admitted when p closes
-    y = rt.submit(lambda v: v + 2, (q,), name="y")  # overflow; admitted when doomed fails
-    rt.fail_device("server1/cpu")
-    values = outcome(rt, [p, doomed, q, x, y])
-    assert values == [1, "TaskError", 2, 3, 4]
-    assert holds_inside_a_pass == ["y"]
+    on1 = dict(pinned_device="server1/cpu", compute_cost=1e-3)
+    a = rt.submit(lambda: 1, name="a", **on1)
+    b = rt.submit(lambda x: x + 1, (a,), name="b", **on1)
+    c = rt.submit(lambda x: x * 2, (b,), name="c", **on1)
+    slow = rt.submit(lambda: 5, compute_cost=2e-2, pinned_device="server0/cpu", name="slow")
+    d = rt.submit(lambda x, y: x + y, (b, slow), pinned_device="server0/cpu", name="d")
+    ChaosMonkey(rt, ChaosSchedule()).crash_on_object_ready(
+        c.object_id, "server1", restart_after=1e-3
+    )
+    values = outcome(rt, [a, b, c, slow, d])
+    assert values == [1, 2, 4, 5, 7]
+    assert holds_inside_a_pass == ["b"]
+    assert_recovery_drained(rt)
     return rt, values
 
 
 # (scenario, seed, at least this many early dispatches in the reference run)
 SCENARIOS = [
     (clean, 1, 1), (clean, 2, 1), (chaos, 3, 1), (chaos, 11, 1), (cancel_mid_run, 4, 1),
-    (ha_failover, 5, 0), (overflow_reroutes_during_a_pass, 0, 0),
+    (ha_failover, 5, 0), (strike_inside_a_pass, 0, 0),
 ]
 
 

@@ -86,10 +86,10 @@ class TestDistCli:
 
     def test_partial_skips_end_of_trace_checks(self, tmp_path):
         trace = DistTrace()
-        trace.record(0.0, "gcs", "adm_queue",
-                     detail=(("task", "t"), ("limit", 4)))
+        for kind in ("fetch_begin", "fetch_dedup"):
+            trace.record(0.0, "raylet@d", kind, detail=(("object", "o"), ("device", "d")))
         trace.dump(str(tmp_path / "t.json"))
-        assert dist_main([str(tmp_path)]) == 1  # parked at drain
+        assert dist_main([str(tmp_path)]) == 1  # a dedup follower parked at drain
         assert dist_main(["--partial", str(tmp_path)]) == 0
 
     def test_all_races_reports_every_instance(self, tmp_path, capsys):

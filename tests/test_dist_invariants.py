@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from repro.analysis.dist.events import DistTrace
 from repro.analysis.dist.invariants import (
-    AdmissionBoundsMonitor,
-    BreakerMonitor,
     DeadlineMonotonicityMonitor,
     DirectoryStateMonitor,
     FetchRegistryMonitor,
@@ -126,63 +124,6 @@ class TestLineageAcyclicity:
         ])
         assert len(violations) == 1
         assert "cycle" in violations[0].message
-
-
-class TestBreaker:
-    def test_legal_cycle_is_clean(self):
-        assert feed(BreakerMonitor(), [
-            ("breaker_flip", {"device": "d", "old": "CLOSED", "new": "OPEN"}),
-            ("breaker_flip", {"device": "d", "old": "OPEN", "new": "HALF_OPEN"}),
-            ("breaker_flip", {"device": "d", "old": "HALF_OPEN", "new": "OPEN"}),
-            ("breaker_flip", {"device": "d", "old": "OPEN", "new": "HALF_OPEN"}),
-            ("breaker_flip", {"device": "d", "old": "HALF_OPEN", "new": "CLOSED"}),
-        ]) == []
-
-    def test_illegal_edge_is_flagged(self):
-        violations = feed(BreakerMonitor(), [
-            ("breaker_flip", {"device": "d", "old": "CLOSED", "new": "HALF_OPEN"}),
-        ])
-        assert any("illegal transition" in v.message for v in violations)
-
-    def test_tracked_mismatch_is_flagged(self):
-        violations = feed(BreakerMonitor(), [
-            ("breaker_flip", {"device": "d", "old": "CLOSED", "new": "OPEN"}),
-            ("breaker_flip", {"device": "d", "old": "CLOSED", "new": "OPEN"}),
-        ])
-        assert any("tracked state is OPEN" in v.message for v in violations)
-
-
-class TestAdmissionBounds:
-    def test_within_depth_is_clean(self):
-        assert feed(AdmissionBoundsMonitor(), [
-            ("adm_queue", {"task": "t1", "limit": 2}),
-            ("adm_queue", {"task": "t2", "limit": 2}),
-            ("adm_release", {"task": "t1"}),
-            ("adm_release", {"task": "t2"}),
-        ]) == []
-
-    def test_overflow_is_flagged(self):
-        violations = feed(AdmissionBoundsMonitor(), [
-            ("adm_queue", {"task": "t1", "limit": 1}),
-            ("adm_queue", {"task": "t2", "limit": 1}),
-            ("adm_release", {"task": "t1"}),
-            ("adm_release", {"task": "t2"}),
-        ])
-        assert any("exceeds limit" in v.message for v in violations)
-
-    def test_release_of_unqueued_task_is_flagged(self):
-        violations = feed(AdmissionBoundsMonitor(), [
-            ("adm_release", {"task": "ghost"}),
-        ])
-        assert any("never queued" in v.message for v in violations)
-
-    def test_parked_at_drain_is_flagged_unless_partial(self):
-        rows = [("adm_queue", {"task": "t1", "limit": 4})]
-        assert any(
-            "parked at drain" in v.message
-            for v in feed(AdmissionBoundsMonitor(), rows)
-        )
-        assert feed(AdmissionBoundsMonitor(), rows, partial=True) == []
 
 
 class TestDeadlineMonotonicity:
@@ -320,11 +261,11 @@ class TestInvariantEngine:
         trace.record(1e-3, "t", "own_create",
                      detail=(("object", "o"), ("old", None),
                              ("new", "PENDING"), ("locations", 0)))
-        trace.record(2e-3, "t", "adm_queue",
-                     detail=(("task", "x"), ("limit", 4)))
+        trace.record(2e-3, "t", "fetch_begin",
+                     detail=(("object", "x"), ("device", "d")))
         engine = InvariantEngine.run(trace)
         violations = engine.violations()
-        # duplicate create (seq 1, two monitors may fire) + parked task (end)
+        # duplicate create (seq 1, two monitors may fire) + unended fetch (end)
         assert violations, "expected violations"
         seqs = [v.seq for v in violations]
         assert seqs == sorted(seqs, key=lambda s: (s is None, s or 0))
@@ -332,7 +273,7 @@ class TestInvariantEngine:
 
     def test_engine_partial_skips_end_checks(self):
         trace = DistTrace()
-        trace.record(0.0, "t", "adm_queue", detail=(("task", "x"), ("limit", 4)))
+        trace.record(0.0, "t", "fetch_begin", detail=(("object", "x"), ("device", "d")))
         assert InvariantEngine.run(trace, partial=True).violations() == []
 
     def test_finish_is_idempotent(self):

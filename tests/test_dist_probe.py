@@ -157,7 +157,7 @@ class TestCausalVocabulary:
     def test_chaos_events_have_no_ancestry(self):
         probe = make_probe()
         probe.submit("t")
-        probe.incident(RuntimeEvent(0.0, "chaos_node_crash", (("node", "server1"),)), 0)
+        probe.incident(RuntimeEvent(0.0, "chaos_node_crash", (("node", "server1"),)))
         assert probe.trace[1].site == "chaos"
         hb = build_hb(probe.trace)
         assert hb.concurrent(0, 1)

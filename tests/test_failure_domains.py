@@ -297,6 +297,19 @@ class TestBladeFailure:
         assert rt.health.probes_sent > 0
 
 
+def assert_capacity_gauges(rt, slots, devices):
+    """The scheduler's capacity gauges read what it can place on right now."""
+    sched = rt.scheduler
+    placeable = [
+        d for d in sched._devices
+        if not sched.is_blacklisted(d.device_id) and rt._device_alive(d.device_id)
+    ]
+    assert (sum(d.spec.slots for d in placeable), len(placeable)) == (slots, devices)
+    reg = rt.telemetry.registry
+    assert reg.value("skadi_scheduler_capacity_slots") == slots
+    assert reg.value("skadi_scheduler_schedulable_devices") == devices
+
+
 class TestDpuFailure:
     """Gen-1 homes the card raylet on the DPU; Gen-2 does not (§3)."""
 
@@ -327,6 +340,8 @@ class TestDpuFailure:
         assert rt._raylet_of_device["gpucard0/gpu0"] is head_raylet
         assert not rt.scheduler.is_blacklisted("gpucard0/gpu0")
         assert "gpucard0/dpu" in rt.failures.dead_devices
+        # the server CPU and both GPUs, the adopted one included
+        assert_capacity_gauges(rt, slots=24, devices=3)
 
     def test_gen1_dpu_recovery_hands_devices_back(self):
         rt = ServerlessRuntime(
@@ -343,6 +358,30 @@ class TestDpuFailure:
         assert not rt.failures.takeovers
         card_raylet = rt._raylets_by_node["gpucard0"][0]
         assert rt._raylet_of_device["gpucard0/gpu0"] is card_raylet
+        assert_capacity_gauges(rt, slots=24, devices=3)
+
+    def test_gen1_takeover_meters_capacity_while_the_dpu_is_down(self):
+        rt = ServerlessRuntime(
+            self._cluster(), omniscient_config(generation=Generation.GEN1)
+        )
+        sched = ChaosSchedule().fail_dpu(2e-3, "gpucard0", recover_after=6e-3)
+        ChaosMonkey(rt, sched).arm()
+        refs = self._gpu_work(rt, n=12, cost=4e-3)
+        while not rt.failures.takeovers:  # run up to the adoption
+            nxt = rt.sim.peek()
+            assert nxt is not None, "the takeover never happened"
+            rt.sim.run(until=nxt)
+        assert "gpucard0/dpu" in rt.failures.dead_devices
+        assert_capacity_gauges(rt, slots=24, devices=3)
+        assert rt.get(refs) == [i * 3 for i in range(12)]
+
+    def test_gen2_dpu_death_keeps_full_capacity(self):
+        rt = ServerlessRuntime(
+            self._cluster(), omniscient_config(generation=Generation.GEN2)
+        )
+        ChaosMonkey(rt, ChaosSchedule().fail_dpu(2e-3, "gpucard0")).arm()
+        assert rt.get(self._gpu_work(rt)) == [i * 3 for i in range(8)]
+        assert_capacity_gauges(rt, slots=24, devices=3)
 
     def test_gen2_dpu_death_is_a_noop(self):
         rt = ServerlessRuntime(

@@ -1,6 +1,6 @@
-"""Overload control: admission, retry budgets, deadlines, breakers.
+"""Overload control: admission, retry budgets, deadlines.
 
-Four mechanism families, each behind a :class:`RuntimeConfig` switch whose
+Three mechanisms, each behind a :class:`RuntimeConfig` switch whose
 all-off default reproduces legacy traces bit-for-bit (the equivalence
 tests at the bottom pin that on the E17 and E21 scenarios).  The
 deterministic retry-backoff jitter contract is pinned here too, so seeded
@@ -20,10 +20,7 @@ from repro.chaos import ChaosMonkey, ChaosSchedule, LoadBurst
 from repro.cluster import build_serverful
 from repro.cluster.hardware import GB, MB
 from repro.runtime import (
-    AdmissionPolicy,
     AdmissionRejectedError,
-    BreakerState,
-    CircuitBreaker,
     GetTimeoutError,
     ResolutionMode,
     RetryBudget,
@@ -39,7 +36,6 @@ OFF_SWITCHES = dict(
     admission_control=False,
     retry_budget=False,
     deadline_propagation=False,
-    device_circuit_breakers=False,
 )
 
 
@@ -148,67 +144,33 @@ class TestRetryBudget:
         assert b.try_consume("b")  # node b has its own bucket
 
 
-class TestCircuitBreaker:
-    def make(self, **kw):
-        kw.setdefault("threshold", 3)
-        kw.setdefault("reset_after", 1.0)
-        kw.setdefault("probe_successes", 2)
-        transitions = []
-        br = CircuitBreaker(
-            "dev0", on_transition=lambda d, a, b: transitions.append((a, b)), **kw
-        )
-        return br, transitions
+# -- which mechanisms a config installs ----------------------------------------
 
-    def test_trip_after_threshold(self):
-        br, transitions = self.make()
-        br.record_failure(0.0)
-        br.record_failure(0.0)
-        assert br.state is BreakerState.CLOSED
-        br.record_failure(0.0)
-        assert br.state is BreakerState.OPEN
-        assert transitions == [(BreakerState.CLOSED, BreakerState.OPEN)]
-        assert not br.allow(0.5, inflight=0)
 
-    def test_success_resets_the_failure_streak(self):
-        br, _ = self.make()
-        br.record_failure(0.0)
-        br.record_failure(0.0)
-        br.record_success(0.0)
-        br.record_failure(0.0)
-        br.record_failure(0.0)
-        assert br.state is BreakerState.CLOSED  # streak broken, never 3 in a row
+class TestInstall:
+    """A switch that is off subscribes nothing: its seam lists stay empty."""
 
-    def test_half_open_probe_and_close(self):
-        br, transitions = self.make()
-        for _ in range(3):
-            br.record_failure(0.0)
-        # the reset timer elapses: the next allow() flips to HALF_OPEN
-        assert br.allow(1.5, inflight=0)
-        assert br.state is BreakerState.HALF_OPEN
-        # single probe at a time: in-flight work blocks a second one
-        assert not br.allow(1.5, inflight=1)
-        br.record_success(1.6)
-        assert br.state is BreakerState.HALF_OPEN  # needs 2 consecutive
-        br.record_success(1.7)
-        assert br.state is BreakerState.CLOSED
-        assert transitions[-1] == (BreakerState.HALF_OPEN, BreakerState.CLOSED)
+    def test_both_switches_off_install_no_component(self):
+        rt = make_rt(**OFF_SWITCHES)
+        assert rt.overload is None
+        assert rt.submit_gates == [] and rt.retry_gates == []
 
-    def test_probe_failure_reopens(self):
-        br, _ = self.make()
-        for _ in range(3):
-            br.record_failure(0.0)
-        assert br.allow(1.5, inflight=0)
-        br.record_failure(1.6)
-        assert br.state is BreakerState.OPEN
-        assert not br.allow(1.7, inflight=0)  # timer restarted at 1.6
-        assert br.allow(2.7, inflight=0)
+    def test_deadlines_alone_install_no_component(self):
+        rt = make_rt(deadline_propagation=True)
+        assert rt.overload is None  # propagation is the core's own
 
-    def test_force_open_and_recovered(self):
-        br, _ = self.make()
-        br.force_open(0.0)
-        assert br.state is BreakerState.OPEN and br.trips == 1
-        br.on_recovered()
-        assert br.state is BreakerState.HALF_OPEN
+    def test_admission_alone_gates_submits_only(self):
+        rt = make_rt(admission_control=True)
+        assert [g.__name__ for g in rt.submit_gates] == ["_admission_gate"]
+        assert rt.retry_gates == [] and rt.on_task_finished == []
+        assert not hasattr(rt.overload, "budget")
+
+    def test_the_budget_alone_never_refuses_a_submit(self):
+        rt = make_rt(retry_budget=True)
+        assert rt.submit_gates == [] and rt.on_task_open == []
+        refs = [rt.submit(lambda i=i: i, compute_cost=1e-2) for i in range(100)]
+        assert rt.get(refs) == list(range(100))
+        assert rt.tasks_shed == 0 and rt.overload.admitted_open == 0
 
 
 # -- admission control --------------------------------------------------------
@@ -218,83 +180,138 @@ class TestAdmission:
     def test_reject_policy(self):
         rt = make_rt(admission_control=True, admission_queue_depth=2)
         refs = [rt.submit(lambda: 1, compute_cost=0.2) for _ in range(2)]
-        with pytest.raises(AdmissionRejectedError) as exc:
+        with pytest.raises(AdmissionRejectedError, match="admission queue full"):
             rt.submit(lambda: 2, compute_cost=0.2)
-        assert exc.value.reason == "admission_reject"
         assert rt.tasks_shed == 1
         assert rt.log.count("admission_rejected") == 1
         assert rt.get(refs) == [1, 1]
         # slots freed: the same submission is cleanly retryable now
         assert rt.get(rt.submit(lambda: 3)) == 3
 
-    def test_shed_lowest_priority(self):
-        rt = make_rt(
-            admission_control=True,
-            admission_queue_depth=2,
-            admission_policy=AdmissionPolicy.SHED_LOWEST_PRIORITY,
+    def test_a_rejected_submission_leaves_no_state(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=1)
+        rt.submit(lambda: 1, compute_cost=0.2)
+        state = lambda: (
+            len(rt._ctxs), len(rt._ctx_of_object), len(rt.lineage), rt._open_tasks
         )
-        producer = rt.submit(lambda: 10, compute_cost=0.1)
-        low = rt.submit(lambda x: x + 1, (producer,), priority=0, name="low")
-        high = rt.submit(lambda: 99, priority=5, name="high")  # displaces low
-        assert rt.get(high) == 99
-        assert rt.get(producer) == 10
-        with pytest.raises(TaskCancelledError, match="displaced_by_priority"):
-            rt.get(low)
-        events = rt.log.of_kind("task_cancelled")
-        assert [e["reason"] for e in events] == ["displaced_by_priority"]
-
-    def test_shed_needs_a_lower_priority_victim(self):
-        rt = make_rt(
-            admission_control=True,
-            admission_queue_depth=1,
-            admission_policy=AdmissionPolicy.SHED_LOWEST_PRIORITY,
-        )
-        rt.submit(lambda: 1, compute_cost=0.1, priority=5)
-        # the only candidate victim outranks the newcomer: reject instead
+        before = state()
         with pytest.raises(AdmissionRejectedError):
-            rt.submit(lambda: 2, priority=0)
+            rt.submit(lambda: 2, name="refused")
+        assert state() == before
+        assert rt.telemetry.registry.value("skadi_tasks_submitted_total") == 1
+        assert rt.overload.admitted_open == 1
 
-    def test_queue_with_deadline_parks_and_drains(self):
-        rt = make_rt(
-            admission_control=True,
-            admission_queue_depth=1,
-            admission_policy=AdmissionPolicy.QUEUE_WITH_DEADLINE,
-            admission_overflow_depth=2,
-        )
-        first = rt.submit(lambda: 0, compute_cost=0.05)
-        parked = [rt.submit(lambda i=i: i, name=f"parked{i}") for i in (1, 2)]
-        assert rt.log.count("admission_queued") == 2
-        with pytest.raises(AdmissionRejectedError):  # overflow is bounded too
+    def test_a_rejection_is_counted_by_reason(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=1)
+        rt.submit(lambda: 1, compute_cost=0.2)
+        for _ in range(3):
+            with pytest.raises(AdmissionRejectedError):
+                rt.submit(lambda: 2)
+        reg = rt.telemetry.registry
+        assert reg.value("skadi_shed_tasks_total", reason="admission_reject") == 3
+        assert rt.tasks_shed == 3
+
+    def test_the_rejection_names_the_depth_and_the_task(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=2)
+        rt.submit(lambda: 1, compute_cost=0.2)
+        rt.submit(lambda: 1, compute_cost=0.2)
+        with pytest.raises(AdmissionRejectedError, match=r"\(2/2 open tasks\)") as exc:
+            rt.submit(lambda: 2, name="third")
+        (ev,) = rt.log.of_kind("admission_rejected")
+        assert ev["task"] in str(exc.value)
+        assert ev["name"] == "third" and ev["open_tasks"] == 2
+        assert isinstance(exc.value, RuntimeError)
+
+    def test_the_rejected_event_carries_a_tenant_only_when_set(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=1)
+        rt.submit(lambda: 1, compute_cost=0.2)
+        with pytest.raises(AdmissionRejectedError):
+            rt.submit(lambda: 2, tenant="gold")
+        with pytest.raises(AdmissionRejectedError):
             rt.submit(lambda: 3)
-        assert rt.get([first, *parked]) == [0, 1, 2]
+        tenanted, bare = rt.log.of_kind("admission_rejected")
+        assert tenanted["tenant"] == "gold"
+        assert "tenant" not in bare.detail
 
-    def test_queue_sheds_past_deadline_entries(self):
+    def test_a_failed_task_releases_its_slot(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=1)
+
+        def boom():
+            raise ValueError("payload bug")
+
+        bad = rt.submit(boom, name="bad")
+        with pytest.raises(Exception):
+            rt.get(bad)
+        assert rt.overload.admitted_open == 0
+        assert rt.get(rt.submit(lambda: 5)) == 5
+
+    def test_a_cancelled_task_releases_its_slot(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=1)
+        slow = rt.submit(lambda: 1, compute_cost=1.0)
+        with pytest.raises(AdmissionRejectedError):
+            rt.submit(lambda: 2)
+        assert rt.cancel(slow) is True
+        assert rt.overload.admitted_open == 0
+        assert rt.get(rt.submit(lambda: 3)) == 3
+
+    def test_a_task_skipped_past_its_deadline_releases_its_slot(self):
         rt = make_rt(
-            admission_control=True,
-            admission_queue_depth=1,
-            admission_policy=AdmissionPolicy.QUEUE_WITH_DEADLINE,
+            admission_control=True, admission_queue_depth=1, deadline_propagation=True
         )
-        first = rt.submit(lambda: 0, compute_cost=0.5)
-        stale = rt.submit(lambda: 1, deadline=0.1)  # slot opens at ~0.5
-        assert rt.get(first) == 0
-        with pytest.raises(TaskCancelledError, match="queue_deadline"):
-            rt.get(stale)
-        assert rt.tasks_shed == 1
+        doomed = rt.submit(lambda: 1, deadline=0.0)
+        assert rt.task_state(doomed) is TaskState.CANCELLED
+        assert rt.overload.admitted_open == 0
+        assert rt.get(rt.submit(lambda: 2)) == 2
 
-    def test_raylet_admission_window(self):
-        rt = make_rt(n_servers=1, raylet_admission_depth=2)
-        refs = [rt.submit(lambda i=i: i * i, compute_cost=1e-3) for i in range(8)]
-        assert rt.get(refs) == [i * i for i in range(8)]
-        raylet = rt.raylet_for_device("server0/cpu")
-        assert raylet.admission_inflight == 0  # every attempt concluded
-        assert not rt.overload.deferred
-        depth = rt.telemetry.registry.gauge(
-            "skadi_admission_queue_depth",
-            "task attempts admitted and not yet concluded, per scope",
-            scope=raylet.raylet_id,
-        )
-        assert depth.value == 0.0
-        assert max(v for _, v in depth.samples) <= 2.0  # the window held
+    def test_a_waiting_consumer_holds_a_slot(self):
+        """Admission bounds *open* tasks, not running ones: a consumer parked
+        on its producer's output counts against the depth."""
+        rt = make_rt(admission_control=True, admission_queue_depth=2)
+        producer = rt.submit(lambda: 1, compute_cost=0.2)
+        consumer = rt.submit(lambda x: x + 1, (producer,))
+        assert rt.task_state(consumer) is not TaskState.RUNNING
+        with pytest.raises(AdmissionRejectedError):
+            rt.submit(lambda: 3)
+        assert rt.get(consumer) == 2
+        assert rt.overload.admitted_open == 0
+
+    def test_a_multi_output_task_takes_one_slot(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=2)
+        outs = rt.submit(lambda: (1, 2, 3), num_returns=3, compute_cost=0.2)
+        assert rt.overload.admitted_open == 1
+        one = rt.submit(lambda: 4, compute_cost=0.2)
+        with pytest.raises(AdmissionRejectedError):
+            rt.submit(lambda: 5)
+        assert rt.get(outs) == [1, 2, 3] and rt.get(one) == 4
+        assert rt.overload.admitted_open == 0
+
+    def test_gang_members_hold_slots_until_they_finish(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=2)
+        rt.submit(lambda: 1, gang_group="g")
+        rt.submit(lambda: 2, gang_group="g")
+        with pytest.raises(AdmissionRejectedError):
+            rt.submit(lambda: 3)
+        assert rt.get(rt.launch_gang("g")) == [1, 2]
+        assert rt.overload.admitted_open == 0
+
+    def test_a_retried_task_keeps_its_one_slot(self):
+        rt = make_rt(n_servers=1, admission_control=True, admission_queue_depth=1)
+        refusals = iter(["refused", "refused again"])
+        rt.lease_gates.append(lambda ctx, raylet: next(refusals, None))
+        opened = []
+        rt.on_task_open.append(lambda ctx: opened.append(ctx.spec.task_id))
+        ref = rt.submit(lambda: 9, name="retried")
+        assert rt.get(ref) == 9
+        assert rt.tasks_retried == 2 and len(opened) == 1
+        assert rt.overload.admitted_open == 0
+
+    def test_every_open_task_holds_exactly_one_slot(self):
+        rt = make_rt(admission_control=True, admission_queue_depth=8)
+        refs = [rt.submit(lambda i=i: i, compute_cost=0.05) for i in range(5)]
+        admitted = [ctx for ctx in rt._ctxs.values() if ctx.admitted]
+        assert len(admitted) == rt.overload.admitted_open == rt._open_tasks == 5
+        assert rt.get(refs) == list(range(5))
+        assert not any(ctx.admitted for ctx in rt._ctxs.values())
 
 
 # -- deadline propagation and cooperative cancellation ------------------------
@@ -347,6 +364,27 @@ class TestDeadlines:
             rt.get(grandchild)
         reasons = {e["reason"] for e in rt.log.of_kind("task_cancelled")}
         assert reasons == {"deadline_exceeded", "upstream_cancelled"}
+
+    def test_deadline_flows_down_a_chain(self):
+        rt = make_rt(deadline_propagation=True)
+        a = rt.submit(lambda: 1, deadline=0.25)
+        b = rt.submit(lambda x: x + 1, (a,))
+        c = rt.submit(lambda x: x + 1, (b,), deadline=0.9)
+        assert rt._ctx_of_object[b.object_id].spec.deadline == 0.25
+        assert rt._ctx_of_object[c.object_id].spec.deadline == 0.25
+        assert rt.get(c) == 3
+
+    def test_a_deadline_in_time_changes_nothing(self):
+        def run(**overrides):
+            rt = make_rt(**overrides)
+            a = rt.submit(lambda: 1, compute_cost=1e-3, deadline=1.0)
+            b = rt.submit(lambda x: x * 2, (a,), compute_cost=1e-3)
+            assert rt.get(b) == 2
+            return rt
+
+        legacy, armed = run(), run(deadline_propagation=True)
+        assert legacy.log.signature() == armed.log.signature()
+        assert armed.tasks_cancelled == 0
 
     def test_deadlines_inert_without_the_switch(self):
         rt = make_rt(deadline_propagation=False)
@@ -482,53 +520,93 @@ class TestRetryBudgetIntegration:
         # 4 first-attempt successes refilled ratio=1 each (clamped at cap)
         assert rt.overload.budget.tokens("server0") == 2.0
 
-
-# -- circuit breakers ---------------------------------------------------------
-
-
-class TestBreakerIntegration:
-    def test_open_breaker_steers_placement(self):
-        rt = make_rt(device_circuit_breakers=True)
-        rt.overload.breakers.breaker("server0/cpu").force_open(rt.sim.now)
-        assert rt.log.count("breaker_open") == 1
-        refs = [rt.submit(lambda i=i: i) for i in range(3)]
-        assert rt.get(refs) == [0, 1, 2]
-        devices = {rt._ctx_of_object[r.object_id].device.device_id for r in refs}
-        assert devices == {"server1/cpu"}  # routed around the tripped device
-
-    def test_all_open_falls_back_to_placing_anyway(self):
-        rt = make_rt(device_circuit_breakers=True, breaker_reset_after=100.0)
-        for dev in ("server0/cpu", "server1/cpu"):
-            rt.overload.breakers.breaker(dev).force_open(rt.sim.now)
-        # a fully-tripped pool must not brick the scheduler
-        assert rt.get(rt.submit(lambda: 5)) == 5
-
-    def test_recovery_goes_through_half_open_probing(self):
-        rt = make_rt(
-            device_circuit_breakers=True,
-            breaker_reset_after=1e-3,
-            breaker_probe_successes=1,
+    def test_a_retried_success_refills_nothing(self):
+        rt = self.flaky_runtime(
+            retry_budget=True, retry_budget_ratio=1.0, retry_budget_cap=4.0
         )
-        br = rt.overload.breakers.breaker("server0/cpu")
-        br.force_open(rt.sim.now)
-        tripped = [rt.submit(lambda i=i: i, compute_cost=5e-3) for i in range(2)]
-        assert rt.get(tripped) == [0, 1]  # placed elsewhere while OPEN
-        assert rt.sim.now > 1e-3  # the reset window has elapsed...
-        probe = rt.submit(lambda: 42)  # ...so this placement probes server0
-        assert rt.get(probe) == 42
-        assert br.state is BreakerState.CLOSED  # probe succeeded, re-closed
-        kinds = [
-            e.kind for e in rt.log.events if e.kind.startswith("breaker_")
-        ]
-        assert kinds[:1] == ["breaker_open"]
-        assert "breaker_half_open" in kinds and "breaker_closed" in kinds
+        refusals = iter(["refused"])
+        rt.lease_gates.append(lambda ctx, raylet: next(refusals, None))
+        assert rt.get(rt.submit(lambda: 1, name="retried")) == 1
+        assert rt.tasks_retried == 1
+        # the retry spent a token; its success is not a first attempt
+        assert rt.overload.budget.tokens("server0") == 3.0
+        assert rt.get(rt.submit(lambda: 2, name="fresh")) == 2
+        assert rt.overload.budget.tokens("server0") == 4.0
 
-    def test_dead_device_forces_the_breaker_open(self):
-        rt = make_rt(device_circuit_breakers=True)
-        rt.failures.device_dead("server1/cpu", cause="test")
-        assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.OPEN
-        rt.failures.device_alive("server1/cpu")
-        assert rt.overload.breakers.breaker("server1/cpu").state is BreakerState.HALF_OPEN
+    def test_the_gauge_tracks_each_nodes_tokens(self):
+        rt = self.flaky_runtime(
+            retry_budget=True, retry_budget_ratio=0.0, retry_budget_cap=3.0
+        )
+        ref = rt.submit(lambda: 1, compute_cost=1.0, name="stuck")
+        with pytest.raises(TaskCancelledError):
+            rt.get(ref)
+        gauge = rt.telemetry.registry.gauge(
+            "skadi_retry_budget_tokens", "remaining retry-budget tokens per node",
+            node="server0",
+        )
+        assert gauge.value == 0.0
+        assert [v for _, v in gauge.samples] == [2.0, 1.0, 0.0]
+
+    def test_exhaustion_cancels_the_consumers(self):
+        rt = self.flaky_runtime(
+            retry_budget=True, retry_budget_ratio=0.0, retry_budget_cap=1.0
+        )
+        stuck = rt.submit(lambda: 1, compute_cost=1.0, name="stuck")
+        child = rt.submit(lambda x: x + 1, (stuck,), name="child")
+        with pytest.raises(TaskCancelledError, match="upstream"):
+            rt.get(child)
+        reasons = [e["reason"] for e in rt.log.of_kind("task_cancelled")]
+        assert reasons == ["retry_budget_exhausted", "upstream_cancelled"]
+        assert rt.tasks_shed == 1  # the consumer was cancelled, not shed
+
+    def test_the_exhaustion_event_names_the_failing_cause(self):
+        rt = self.flaky_runtime(
+            retry_budget=True, retry_budget_ratio=0.0, retry_budget_cap=1.0
+        )
+        rt.lease_gates.append(lambda ctx, raylet: "lease refused")
+        ref = rt.submit(lambda: 1, name="refused")
+        with pytest.raises(TaskCancelledError, match="retry_budget_exhausted"):
+            rt.get(ref)
+        (ev,) = rt.log.of_kind("retry_budget_exhausted")
+        assert ev["cause"] == "lease refused" and ev["node"] == "server0"
+        assert ev["task"] == ref.task_id
+
+    def test_each_node_spends_its_own_bucket(self):
+        rt = make_rt(
+            n_servers=2, task_timeout=0.01, max_retries=10, retry_backoff_base=1e-3,
+            retry_budget=True, retry_budget_ratio=0.0, retry_budget_cap=2.0,
+        )
+        refs = [
+            rt.submit(
+                lambda: 1, compute_cost=1.0, name=f"stuck{i}",
+                pinned_device=f"server{i}/cpu",
+            )
+            for i in range(2)
+        ]
+        for ref in refs:
+            with pytest.raises(TaskCancelledError, match="retry_budget_exhausted"):
+                rt.get(ref)
+        assert rt.tasks_retried == 4  # two tokens on each node
+        nodes = sorted(e["node"] for e in rt.log.of_kind("retry_budget_exhausted"))
+        assert nodes == ["server0", "server1"]
+
+    def test_an_unplaceable_retry_spends_the_cluster_bucket(self):
+        """A retry the scheduler finds nowhere to place holds no device: it
+        is paid from the cluster-wide bucket, not from a node's."""
+        rt = make_rt(
+            n_servers=1, max_retries=10, retry_backoff_base=1e-3,
+            retry_budget=True, retry_budget_ratio=0.0, retry_budget_cap=2.0,
+        )
+        ref = rt.submit(lambda: 1, compute_cost=1.0, name="homeless")
+        rt.sim.run(until=1e-3)
+        rt.fail_device("server0/cpu")  # the cluster's only CPU
+        with pytest.raises(TaskCancelledError, match="retry_budget_exhausted"):
+            rt.get(ref)
+        (ev,) = rt.log.of_kind("retry_budget_exhausted")
+        assert ev["node"] == "<cluster>" and "no schedulable device" in ev["cause"]
+        assert rt.overload.budget.tokens("<cluster>") == 0.0
+        assert rt.overload.budget.tokens("server0") == 1.0  # the dead attempt
+        assert rt.tasks_retried == 3
 
 
 # -- the chaos-layer burst injector ------------------------------------------
@@ -629,7 +707,6 @@ class TestAllOffEquivalence:
             admission_queue_depth=10_000,
             retry_budget=True,
             deadline_propagation=True,
-            device_circuit_breakers=True,
         )
         assert legacy.log.signature() == armed.log.signature()
         assert legacy.sim.now == armed.sim.now
@@ -638,21 +715,18 @@ class TestAllOffEquivalence:
 # -- the sanitizer watching overload control -----------------------------------
 
 
-def struck_overload_run(policy, sanitizers=()):
+def struck_overload_run(sanitizers=()):
     """A 1 GB argument in flight to server1 when its CPU dies (3 ms) and
-    comes back (8 ms), next to a burst the 4-deep admission queue parks or
-    refuses, every task under a deadline.  Returns the runtime, every
-    protocol event the probe emitted as ``(time, site, kind, detail)``, and
-    how many submissions were refused."""
+    comes back (8 ms), next to a burst the 4-deep admission queue refuses,
+    every task under a deadline and every retry paid from the budget.
+    Returns the runtime, every protocol event the probe emitted as ``(time,
+    site, kind, detail)``, and how many submissions were refused."""
     rt = make_rt(
         n_servers=3,
         admission_control=True,
         admission_queue_depth=4,
-        admission_policy=policy,
-        admission_overflow_depth=4,
+        retry_budget=True,
         deadline_propagation=True,
-        device_circuit_breakers=True,
-        breaker_reset_after=2e-3,
         sanitizers=sanitizers,
     )
     emitted = []
@@ -693,25 +767,18 @@ def struck_overload_run(policy, sanitizers=()):
 
 
 class TestSanitizedOverload:
-    """The breaker, admission and deadline monitors watch a real run; no
-    other test run feeds them."""
+    """The admission, deadline and fetch-registry monitors watch a real
+    overloaded run; no other test run feeds the first two."""
 
-    def test_the_monitors_see_breakers_admission_and_deadlines(self):
-        seen = set()
-        for policy, refusals, digest in (
-            (AdmissionPolicy.QUEUE_WITH_DEADLINE, 0, "8aef2dcd7d2f"),
-            (AdmissionPolicy.REJECT, 2, "d72f1aa905b4"),
-        ):
-            legacy, _, _ = struck_overload_run(policy)
-            rt, emitted, refused = struck_overload_run(policy, sanitizers=("invariants",))
-            assert rt.log.signature() == legacy.log.signature()
-            assert refused == refusals
-            assert rt.probe.report().violations == []
-            seen.update(kind for _, _, kind, _ in emitted)
-            # every emitted event, pinned: moving where an event is emitted
-            # from must not move the event
-            assert hashlib.sha1(repr(emitted).encode()).hexdigest()[:12] == digest
-        assert seen >= {
-            "breaker_flip", "deadline_inherit", "adm_queue", "adm_release",
-            "adm_reject", "fetch_abort",
-        }
+    def test_the_monitors_see_admission_and_deadlines(self):
+        legacy, _, _ = struck_overload_run()
+        rt, emitted, refused = struck_overload_run(sanitizers=("invariants",))
+        assert rt.log.signature() == legacy.log.signature()
+        assert refused == 2
+        assert rt.tasks_retried > 0 and rt.overload.budget.consumed == rt.tasks_retried
+        assert rt.probe.report().violations == []
+        # every emitted event, pinned: moving where an event is emitted
+        # from must not move the event
+        assert hashlib.sha1(repr(emitted).encode()).hexdigest()[:12] == "f4d046f18a0a"
+        seen = {kind for _, _, kind, _ in emitted}
+        assert seen >= {"deadline_inherit", "adm_reject", "fetch_abort"}

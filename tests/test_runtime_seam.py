@@ -21,7 +21,6 @@ import pytest
 from repro.chaos import ChaosMonkey, ChaosSchedule
 from repro.cluster import build_serverful
 from repro.runtime import (
-    AdmissionPolicy,
     OwnershipTable,
     ResolutionMode,
     RuntimeConfig,
@@ -55,24 +54,9 @@ INSTALLS = {
             "on_task_closed": ["_task_closed"],
         },
     ),
-    "raylet_admission_depth": (
-        dict(raylet_admission_depth=2),
-        {"dispatch_gates": ["_window_gate"], "on_attempt_concluded": ["_release_window"]},
-    ),
     "retry_budget": (
         dict(retry_budget=True),
         {"on_task_finished": ["_refill_budget"], "retry_gates": ["_spend_budget"]},
-    ),
-    "device_circuit_breakers": (
-        dict(device_circuit_breakers=True),
-        {
-            "on_dispatch": ["_count_inflight"],
-            "on_task_finished": ["_breaker_success"],
-            "on_device_fault": ["_breaker_failure"],
-            "on_attempt_concluded": ["_uncount_inflight"],
-            "on_view_change": ["_breaker_follows_view"],
-            "on_view_rebuilt": ["_breakers_rebuilt"],
-        },
     ),
 }
 
@@ -99,6 +83,13 @@ def assert_names_neither_core_nor_component(tree: ast.AST) -> None:
 
 
 class TestOffMeansNotInstalled:
+    def test_the_seam_has_eleven_points(self):
+        assert SEAM == (
+            "submit_gates", "on_task_open", "on_route", "on_dispatch", "lease_gates",
+            "on_commit", "on_done", "on_task_closed", "on_task_finished", "retry_gates",
+            "on_view_change",
+        )
+
     def test_default_runtime_installs_nothing(self):
         rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig())
         assert subscribers(rt) == {}
@@ -122,8 +113,7 @@ class TestOffMeansNotInstalled:
 class TestTablesDrain:
     def test_admission_tables_are_empty_after_a_burst(self):
         """E22's shape: open-loop load at 2x one server's capacity, with a
-        straggler — through a full admission queue, its overflow parking and
-        a raylet window."""
+        straggler — through a full admission queue and the retry budget."""
         rt = ServerlessRuntime(
             build_serverful(n_servers=1),
             RuntimeConfig(
@@ -133,9 +123,6 @@ class TestTablesDrain:
                 retry_backoff_base=5e-3,
                 admission_control=True,
                 admission_queue_depth=16,
-                admission_policy=AdmissionPolicy.QUEUE_WITH_DEADLINE,
-                admission_overflow_depth=32,
-                raylet_admission_depth=8,
                 retry_budget=True,
             ),
         )
@@ -147,12 +134,10 @@ class TestTablesDrain:
             task_source=lambda i: rt.submit(lambda: i, compute_cost=2e-2, name=f"load{i}"),
         ).arm()
         rt.sim.run()
-        assert rt.log.count("admission_queued") > 0  # the overflow was used
-        assert monkey.load_rejected > 0  # ... and overflowed
+        assert monkey.load_rejected > 0  # the queue filled
         assert rt.tasks_finished > 0
-        assert rt.overload.overflow == [] and rt.overload.deferred == []
         assert rt.overload.admitted_open == 0
-        assert all(raylet.admission_inflight == 0 for raylet in rt._raylets)
+        assert not any(ctx.admitted for ctx in rt._ctxs.values())
 
     def test_failover_tables_are_empty_after_a_head_kill(self):
         rt = ServerlessRuntime(
@@ -294,7 +279,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 70 and len(source.splitlines()) <= 1360
+        assert len(methods) <= 70 and len(source.splitlines()) <= 1344
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -389,7 +374,7 @@ class TestStructureGuard:
         },
         "supervision.py": {
             "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe_edges", "gcs_up",
-            "on_device_fault", "retry_gates", "_dispatch", "_route",
+            "retry_gates", "_dispatch", "_route",
             "_place_or_retry", "_fail_ctx", "actors", "_span_of", "_record", "_ctxs",
         },
         "actors.py": {

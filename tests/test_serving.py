@@ -71,7 +71,7 @@ CHAIN = RequestTemplate("chain", (("a", 1e-3, ()), ("b", 1e-3, (0,))))
 
 
 def plain_tenant(name, **overrides):
-    fields = dict(weight=1.0, priority=0, slo=None, max_open=10_000, share=1.0)
+    fields = dict(weight=1.0, slo=None, max_open=10_000, share=1.0)
     fields.update(overrides)
     return Tenant(name, TenantProfile(name, **fields))
 
@@ -172,13 +172,13 @@ class TestTenants:
         assert counts["premium"] >= 1
 
     def test_share_and_profile_validation(self):
-        bad = TenantProfile("x", weight=1.0, priority=0, slo=None, max_open=1, share=0.5)
+        bad = TenantProfile("x", weight=1.0, slo=None, max_open=1, share=0.5)
         with pytest.raises(ValueError, match="sum"):
             TenantRegistry(10, profiles=(bad,))
         with pytest.raises(ValueError, match="weight"):
-            TenantProfile("x", weight=0.0, priority=0, slo=None, max_open=1, share=1.0)
+            TenantProfile("x", weight=0.0, slo=None, max_open=1, share=1.0)
         with pytest.raises(ValueError, match="max_open"):
-            TenantProfile("x", weight=1.0, priority=0, slo=None, max_open=0, share=1.0)
+            TenantProfile("x", weight=1.0, slo=None, max_open=0, share=1.0)
 
     def test_qualify_namespaces_object_names(self):
         t = TenantRegistry(10).tenant(3)
@@ -310,12 +310,11 @@ class TestFrontend:
     def test_slo_deadlines_flow_into_submit(self):
         rt = make_rt(serving_slo_deadlines=True, deadline_propagation=True)
         fe = ServingFrontend(rt, TenantRegistry(4))
-        t = plain_tenant("slo", slo=0.25, priority=3)
+        t = plain_tenant("slo", slo=0.25)
         pending = fe.offer(Request("r0", t, CHAIN, 0.0))
         for ref in pending.refs:
             spec = rt._ctx_of_object[ref.object_id].spec
             assert spec.deadline == 0.25
-            assert spec.priority == 3
             assert spec.tenant == "slo"
             assert spec.name.startswith("slo/r0/")
         rt.sim.run()

@@ -331,7 +331,7 @@ class TestInterruptVsTriggerRaces:
 class TestAnyOfLoserDetach:
     def test_losers_are_detached_when_winner_fires(self):
         sim = Simulator()
-        slow = live.Signal(sim)  # a long-lived signal (e.g. a breaker probe)
+        slow = live.Signal(sim)  # a long-lived signal (e.g. an HA beacon)
         race = sim.any_of([sim.timeout(1e-4, "fast"), slow])
         got = []
 
