@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .simtime import Process, Resource, Signal, Simulator
 from .topology import Topology
@@ -73,6 +73,35 @@ class NetworkStats:
         self.bytes_by_link[key] = self.bytes_by_link.get(key, 0) + nbytes
 
 
+class _Unmetered:
+    """Stands in for each link instrument while no registry is wired."""
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+
+_UNMETERED = _Unmetered()
+
+
+class _LinkMeters(NamedTuple):
+    """One link's instruments, bound once (see :meth:`Network._meters`)."""
+
+    bytes: Any  # skadi_link_bytes_total
+    busy: Any  # skadi_link_busy_seconds_total
+    transfers: Any  # skadi_link_transfers_total
+    messages: Any  # skadi_link_messages_total
+
+
+_UNMETERED_LINK = _LinkMeters(_UNMETERED, _UNMETERED, _UNMETERED, _UNMETERED)
+
+_LINK_SERIES = (
+    ("skadi_link_bytes_total", "payload bytes routed over each fabric link"),
+    ("skadi_link_busy_seconds_total", "virtual seconds each link spent serializing bytes"),
+    ("skadi_link_transfers_total", "bulk transfers carried per fabric link"),
+    ("skadi_link_messages_total", "control messages carried per fabric link"),
+)
+
+
 class Network:
     """Executes transfers as simulation processes.
 
@@ -107,15 +136,14 @@ class Network:
         self.stats = NetworkStats()
         self.chunk_bytes = chunk_bytes
         self.max_chunks = max_chunks
-        # a telemetry MetricsRegistry (duck-typed: this layer sits below
-        # repro.telemetry); the runtime wires it in so per-link bytes,
-        # messages, and busy-time land in the cluster-wide metrics plane
-        self.metrics = None
         self._link_slots: Dict[Tuple[str, str], Resource] = {}
         # directional (a, b) -> canonical resources/keys, cached because the
         # sort + tuple build showed up hot in transfer-heavy runs
         self._slot_of_pair: Dict[Tuple[str, str], Resource] = {}
         self._key_of_pair: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        # canonical link key -> its instruments, bound once per registry
+        self._link_meters: Dict[Tuple[str, str], _LinkMeters] = {}
+        self.metrics = None
         # contention ledger: admitted-but-not-yet-serialized bytes per link,
         # and the virtual time the chunk currently on the wire frees the link
         self._queued_bytes: Dict[Tuple[str, str], int] = {}
@@ -126,51 +154,57 @@ class Network:
 
     # -- telemetry -----------------------------------------------------------
 
-    @staticmethod
-    def link_label(a: str, b: str) -> str:
-        """Canonical metrics label for an undirected link."""
-        lo, hi = sorted((a, b))
-        return f"{lo}<->{hi}"
+    @property
+    def metrics(self) -> Optional[Any]:
+        """The telemetry MetricsRegistry (duck-typed: this layer sits below
+        repro.telemetry).  The runtime wires it in so per-link bytes,
+        messages and busy time land in the cluster-wide metrics plane;
+        wiring another registry re-binds every link's instruments to it."""
+        return self._metrics
 
-    def _meter_link_bytes(self, a: str, b: str, nbytes: int) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_link_bytes_total",
-                "payload bytes routed over each fabric link",
-                link=self.link_label(a, b),
-            ).inc(nbytes)
-
-    def _meter_link_carried(self, a: str, b: str, is_message: bool) -> None:
-        if self.metrics is None:
+    @metrics.setter
+    def metrics(self, registry: Optional[Any]) -> None:
+        self._metrics = registry
+        self._link_meters.clear()
+        if registry is None:
+            self._link_series: Tuple[Any, ...] = ()
+            self._dropped = self._multicast_saved = None
             return
-        if is_message:
-            self.metrics.counter(
-                "skadi_link_messages_total",
-                "control messages carried per fabric link",
-                link=self.link_label(a, b),
-            ).inc()
-        else:
-            self.metrics.counter(
-                "skadi_link_transfers_total",
-                "bulk transfers carried per fabric link",
-                link=self.link_label(a, b),
-            ).inc()
+        self._link_series = tuple(
+            registry.series("counter", name, help, "link") for name, help in _LINK_SERIES
+        )
+        self._dropped = registry.series(
+            "counter",
+            "skadi_net_dropped_total",
+            "messages/transfers chaos refused to deliver",
+            "kind",
+        )
+        self._multicast_saved = registry.series(
+            "counter",
+            "skadi_multicast_bytes_saved_total",
+            "bytes multicast trees avoided serializing vs. per-consumer unicasts",
+        ).of()
 
-    def _meter_busy(self, a: str, b: str, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_link_busy_seconds_total",
-                "virtual seconds each link spent serializing bytes",
-                link=self.link_label(a, b),
-            ).inc(seconds)
+    @staticmethod
+    def link_label(key: Tuple[str, str]) -> str:
+        """Canonical metrics label for the undirected link ``key`` (a
+        canonical pair, as :meth:`_link_key` returns)."""
+        return f"{key[0]}<->{key[1]}"
+
+    def _meters(self, key: Tuple[str, str]) -> _LinkMeters:
+        """The instruments of canonical link ``key``, bound on first use."""
+        meters = self._link_meters.get(key)
+        if meters is None:
+            if not self._link_series:
+                return _UNMETERED_LINK
+            label = self.link_label(key)
+            meters = _LinkMeters(*(series.of(label) for series in self._link_series))
+            self._link_meters[key] = meters
+        return meters
 
     def _meter_drop(self, kind: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_net_dropped_total",
-                "messages/transfers chaos refused to deliver",
-                kind=kind,
-            ).inc()
+        if self._dropped is not None:
+            self._dropped.of(kind).inc()
 
     # -- fault injection hooks ----------------------------------------------
 
@@ -287,7 +321,6 @@ class Network:
         chunks: Sequence[int],
         src_sigs: Sequence[Signal],
         dst_sigs: Sequence[Signal],
-        meter: bool = True,
     ) -> Generator:
         """One hop's forwarder: serialize each chunk onto the ``a->b`` link
         as it arrives, releasing the link between chunks so other traffic
@@ -296,6 +329,8 @@ class Network:
         link = self.topology.link(a, b)
         slot = self._slot(a, b)
         key = self._link_key(a, b)
+        meters = self._meters(key)
+        busy, carried = meters.busy, meters.bytes
         for c, clen in enumerate(chunks):
             yield src_sigs[c]
             yield slot.request()
@@ -303,15 +338,14 @@ class Network:
                 factor = self._hop_factor(a, b)
                 serialize = factor * clen / link.bandwidth
                 self._busy_until[key] = self.sim.now + serialize
-                self._meter_busy(a, b, serialize)
+                busy.inc(serialize)
                 yield self.sim.timeout(serialize)
             finally:
                 slot.release()
             left = self._queued_bytes.get(key, 0) - clen
             self._queued_bytes[key] = left if left > 0 else 0
-            if meter:
-                self.stats.record_link(key, clen)
-                self._meter_link_bytes(a, b, clen)
+            self.stats.record_link(key, clen)
+            carried.inc(clen)
             # propagation must not stall the pipeline: trigger the arrival
             # via the event queue instead of sleeping in this process
             self.sim.schedule(factor * link.latency, dst_sigs[c].trigger, clen)
@@ -355,20 +389,21 @@ class Network:
                     link = self.topology.link(a, b)
                     slot = self._slot(a, b)
                     key = self._link_key(a, b)
-                    self._meter_link_carried(a, b, is_message=False)
+                    meters = self._meters(key)
+                    meters.transfers.inc()
                     yield slot.request()
                     try:
                         factor = self._hop_factor(a, b)
                         serialize = factor * nbytes / link.bandwidth
                         self._busy_until[key] = self.sim.now + serialize
-                        self._meter_busy(a, b, serialize)
+                        meters.busy.inc(serialize)
                         yield self.sim.timeout(serialize)
                     finally:
                         slot.release()
                     left = self._queued_bytes.get(key, 0) - nbytes
                     self._queued_bytes[key] = left if left > 0 else 0
                     self.stats.record_link(key, nbytes)
-                    self._meter_link_bytes(a, b, nbytes)
+                    meters.bytes.inc(nbytes)
                     yield self.sim.timeout(factor * link.latency)
                 self.stats.transfers += 1
                 self.stats.bytes_moved += nbytes
@@ -381,7 +416,7 @@ class Network:
             for sig in arrivals[0]:
                 sig.trigger()
             for h, (a, b) in enumerate(hops):
-                self._meter_link_carried(a, b, is_message=False)
+                self._meters(self._link_key(a, b)).transfers.inc()
                 self.sim.process(
                     self._forward_hop(a, b, chunks, arrivals[h], arrivals[h + 1]),
                     name=f"net:{label}:hop:{a}->{b}",
@@ -456,7 +491,7 @@ class Network:
             for sig in arrive[src]:
                 sig.trigger()
             for a, b in edges:
-                self._meter_link_carried(a, b, is_message=False)
+                self._meters(self._link_key(a, b)).transfers.inc()
                 self.sim.process(
                     self._forward_hop(a, b, chunks, arrive[a], arrive[b]),
                     name=f"net:{label}:edge:{a}->{b}",
@@ -469,11 +504,8 @@ class Network:
             self.stats.bytes_moved += nbytes
             self.stats.multicasts += 1
             self.stats.multicast_bytes_saved += saved
-            if self.metrics is not None and saved:
-                self.metrics.counter(
-                    "skadi_multicast_bytes_saved_total",
-                    "bytes multicast trees avoided serializing vs. per-consumer unicasts",
-                ).inc(saved)
+            if self._multicast_saved is not None and saved:
+                self._multicast_saved.inc(saved)
             return list(reachable)
 
         return self.sim.process(_cast(), name=f"net:{label}:{src}->*{len(targets)}")
@@ -508,9 +540,11 @@ class Network:
                 yield self.sim.timeout(
                     self._hop_factor(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
                 )
-                self.stats.record_link(self._link_key(a, b), CONTROL_MSG_BYTES)
-                self._meter_link_carried(a, b, is_message=True)
-                self._meter_link_bytes(a, b, CONTROL_MSG_BYTES)
+                key = self._link_key(a, b)
+                self.stats.record_link(key, CONTROL_MSG_BYTES)
+                meters = self._meters(key)
+                meters.messages.inc()
+                meters.bytes.inc(CONTROL_MSG_BYTES)
             self.stats.messages_delivered += 1
             return True
 

@@ -59,9 +59,22 @@ class DataPlane:
         self.waiting: Dict[str, Tuple[int, Any, bool]] = {}
         self._turned_ready: List[str] = []
         self._parkings = 0
-        self._m_waiting = runtime.telemetry.registry.gauge(
+        reg = runtime.telemetry.registry
+        self._m_waiting = reg.gauge(
             "skadi_scheduler_waiting_tasks",
             "pull-mode tasks parked waiting for dependencies",
+        )
+        self._m_hits = reg.series(
+            "counter",
+            "skadi_store_hits_total",
+            "task arguments already resident on the executing device",
+            "device",
+        )
+        self._m_misses = reg.series(
+            "counter",
+            "skadi_store_misses_total",
+            "task arguments that had to be fetched over the fabric",
+            "device",
         )
         if not self.push_mode:
             runtime.ownership.observers.append(self._note_ready)
@@ -129,14 +142,20 @@ class DataPlane:
             else:
                 self.subs.setdefault(oid, []).append(ctx)
 
-    def resolve(
-        self, ctx: Any, raylet: Raylet, device: Device, missing: List[Any]
-    ) -> Generator:
-        """Inside the attempt: wait until the arguments are on ``device``.
-        Returns how many of ``missing`` still are not (a pull's misses)."""
+    def resolve(self, ctx: Any, raylet: Raylet, device: Device) -> Generator:
+        """Inside the attempt: wait until the arguments are in ``device``'s
+        own store, counting the ones already there (hits) and the rest
+        (misses).  Returns how many still are not (a pull's misses)."""
+        deps = ctx.spec.dependencies
+        local_store = raylet.store_of(device.device_id)
+        missing = [ref for ref in deps if not local_store.contains(ref.object_id)]
+        if len(missing) < len(deps):
+            self._m_hits.of(device.device_id).inc(len(deps) - len(missing))
+        if missing:
+            self._m_misses.of(device.device_id).inc(len(missing))
         sim = self.rt.sim
         if self.push_mode:
-            sigs = [self._arrival(r.object_id, device.device_id) for r in ctx.spec.dependencies]
+            sigs = [self._arrival(r.object_id, device.device_id) for r in deps]
             waits = [sig for sig in sigs if not sig.triggered]
             if waits:
                 yield sim.all_of(waits)
@@ -144,7 +163,7 @@ class DataPlane:
             if probe is not None:
                 probe.arrived(
                     probe.attempt_site(ctx.spec.task_id, ctx.attempt, ctx.is_clone),
-                    [r.object_id for r in ctx.spec.dependencies],
+                    [r.object_id for r in deps],
                     device.device_id,
                 )
             return 0

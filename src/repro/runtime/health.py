@@ -81,6 +81,16 @@ class HeartbeatMonitor:
         self.beats_sent = 0
         self.probes_sent = 0
         self.analytic_beats = 0  # beats credited by fast-forward jumps
+        reg = runtime.telemetry.registry
+        self._m_sent = reg.series(
+            "counter", "skadi_heartbeats_sent_total", "heartbeats emitted per node", "node"
+        )
+        self._m_received = reg.series(
+            "counter",
+            "skadi_heartbeats_received_total",
+            "heartbeats the GCS received per node",
+            "node",
+        )
         self._active = False
         self._epoch = 0  # loops from an earlier activation exit on mismatch
         # idle fast-forward interplay: the detector's poll rounds are the
@@ -208,18 +218,8 @@ class HeartbeatMonitor:
                     self.beats_sent += rounds
                     self.beats_received += rounds
                     self.analytic_beats += rounds
-                    self._meter(
-                        "skadi_heartbeats_sent_total",
-                        "heartbeats emitted per node",
-                        node_id,
-                        rounds,
-                    )
-                    self._meter(
-                        "skadi_heartbeats_received_total",
-                        "heartbeats the GCS received per node",
-                        node_id,
-                        rounds,
-                    )
+                    self._m_sent.of(node_id).inc(rounds)
+                    self._m_received.of(node_id).inc(rounds)
             if credited and node_id not in self.suspected:
                 self.last_seen[node_id] = new
 
@@ -248,7 +248,7 @@ class HeartbeatMonitor:
             probe = self.runtime.probe_edges
             if probe is not None:
                 probe.hb_send(raylet.endpoint, round_no)
-            self._meter("skadi_heartbeats_sent_total", "heartbeats emitted per node", node_id)
+            self._m_sent.of(node_id).inc()
             delivered = yield self.net.message(
                 raylet.endpoint, self.runtime.gcs_endpoint, label="heartbeat"
             )
@@ -262,11 +262,6 @@ class HeartbeatMonitor:
             devices.append(raylet.host_device)  # a DPU reports on itself too
         return devices
 
-    def _meter(
-        self, name: str, help_text: str, node_id: str, amount: float = 1.0
-    ) -> None:
-        self.runtime.telemetry.registry.counter(name, help_text, node=node_id).inc(amount)
-
     def _beat(
         self,
         node_id: str,
@@ -278,9 +273,7 @@ class HeartbeatMonitor:
         probe = self.runtime.probe_edges
         if probe is not None and round_no is not None:
             probe.hb_recv(raylet.endpoint, round_no)
-        self._meter(
-            "skadi_heartbeats_received_total", "heartbeats the GCS received per node", node_id
-        )
+        self._m_received.of(node_id).inc()
         now = self.sim.now
         failures = self.runtime.failures
         self.last_seen[node_id] = now

@@ -59,20 +59,41 @@ class LocalObjectStore:
         self.spilled_out = 0
         self.spilled_bytes = 0
         self._used = 0
-        # a telemetry MetricsRegistry, wired in by the runtime (this layer
-        # sits below repro.telemetry, so the attribute is duck-typed)
         self.metrics = None
         # poked after a successful spill so the runtime can move the object's
         # directory location from this device's node to the spill target's
         self.on_spill: Optional[Callable[[str, "LocalObjectStore"], None]] = None
 
+    @property
+    def metrics(self) -> Optional[Any]:
+        """A telemetry MetricsRegistry, wired in by the runtime (this layer
+        sits below repro.telemetry, so the attribute is duck-typed); wiring
+        binds this store's instruments to it."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional[Any]) -> None:
+        self._metrics = registry
+        if registry is None:
+            self._m_puts = self._m_evictions = self._m_resident = None
+            return
+        device = self.device.device_id
+        self._m_puts = registry.series(
+            "counter", "skadi_store_puts_total",
+            "objects written into each device's store", "device",
+        ).of(device)
+        self._m_evictions = registry.series(
+            "counter", "skadi_store_evictions_total",
+            "LRU spills out of each device's store", "device",
+        ).of(device)
+        self._m_resident = registry.series(
+            "gauge", "skadi_store_bytes_resident",
+            "bytes resident in each device's object store", "device",
+        ).of(device)
+
     def _meter_resident(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "skadi_store_bytes_resident",
-                "bytes resident in each device's object store",
-                device=self.device.device_id,
-            ).set(float(self._used))
+        if self._m_resident is not None:
+            self._m_resident.set(float(self._used))
 
     @property
     def node_id(self) -> str:
@@ -92,12 +113,8 @@ class LocalObjectStore:
         record = StoredObject(object_id, value, nbytes, self.device.device_id)
         self._objects[object_id] = record
         self._used += nbytes
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_store_puts_total",
-                "objects written into each device's store",
-                device=self.device.device_id,
-            ).inc()
+        if self._m_puts is not None:
+            self._m_puts.inc()
             self._meter_resident()
         return record, spilled
 
@@ -131,12 +148,8 @@ class LocalObjectStore:
         self.spilled_bytes += victim.nbytes
         if self.on_spill is not None:
             self.on_spill(victim_id, self.spill_target)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_store_evictions_total",
-                "LRU spills out of each device's store",
-                device=self.device.device_id,
-            ).inc()
+        if self._m_evictions is not None:
+            self._m_evictions.inc()
             self._meter_resident()
         return victim.nbytes
 

@@ -111,6 +111,12 @@ class OverloadControl:
         cfg = rt.config
         if cfg.retry_budget:
             self.budget = RetryBudget(cfg.retry_budget_ratio, cfg.retry_budget_cap)
+            self._m_budget = rt.telemetry.registry.series(
+                "gauge",
+                "skadi_retry_budget_tokens",
+                "remaining retry-budget tokens per node",
+                "node",
+            )
             rt.on_task_finished.append(self._refill_budget)
             rt.retry_gates.append(self._spend_budget)
         self.admitted_open = 0  # tasks holding a scheduler admission slot
@@ -157,11 +163,7 @@ class OverloadControl:
     # -- retry budget ----------------------------------------------------------
 
     def _meter_budget(self, node: str) -> None:
-        self.rt.telemetry.registry.gauge(
-            "skadi_retry_budget_tokens",
-            "remaining retry-budget tokens per node",
-            node=node,
-        ).set(self.budget.tokens(node))
+        self._m_budget.of(node).set(self.budget.tokens(node))
 
     def _refill_budget(self, main: Any, ctx: Any, device: Any) -> None:
         if main.retries == 0:

@@ -18,7 +18,7 @@ slow DPU a bottleneck for swarms of short-lived ops.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cluster.hardware import Device, DeviceKind
 from ..cluster.simtime import Resource, Signal, Simulator
@@ -56,7 +56,6 @@ class Raylet:
         # of paying the bytes again (fetch deduplication).
         self._inflight_fetches: Dict[Tuple[str, str], Signal] = {}
         self.fetches_deduped = 0
-        # telemetry MetricsRegistry, wired in by the runtime (duck-typed)
         self.metrics = None
         # dist-sanitizer probe, wired in by the runtime (duck-typed).  The
         # fetch registry is per-raylet state, so its begin/end/dedup/abort
@@ -73,6 +72,32 @@ class Raylet:
         # head dies before acking, the reports re-send at re-registration
         # so the new leader learns about commits the WAL missed.
         self._unacked_reports: List[Tuple] = []
+
+    @property
+    def metrics(self) -> Optional[Any]:
+        """The telemetry MetricsRegistry, wired in by the runtime
+        (duck-typed); wiring binds this raylet's instruments to it."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: Optional[Any]) -> None:
+        self._metrics = registry
+        if registry is None:
+            self._m_control = self._m_dedup = None
+            return
+        self._m_control = registry.series(
+            "counter",
+            "skadi_raylet_control_actions_total",
+            "control-plane actions serialized through each raylet",
+            "raylet",
+        ).of(self.raylet_id)
+        self._m_dedup = registry.series(
+            "counter",
+            "skadi_fetch_dedup_total",
+            "concurrent same-object fetches coalesced onto one transfer",
+            "raylet",
+            "device",
+        )
 
     @property
     def raylet_id(self) -> str:
@@ -133,13 +158,8 @@ class Raylet:
         if self.probe is not None:
             self.probe.fetch_dedup(self.endpoint, object_id, device_id)
         self.fetches_deduped += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_fetch_dedup_total",
-                "concurrent same-object fetches coalesced onto one transfer",
-                raylet=self.raylet_id,
-                device=device_id,
-            ).inc()
+        if self._m_dedup is not None:
+            self._m_dedup.of(self.raylet_id, device_id).inc()
 
     def abort_fetches(self) -> None:
         """Release every waiter parked on this raylet's in-flight fetches
@@ -161,12 +181,8 @@ class Raylet:
         """
         cost = self.host_device.spec.dispatch_overhead * actions
         self.control_actions += actions
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_raylet_control_actions_total",
-                "control-plane actions serialized through each raylet",
-                raylet=self.raylet_id,
-            ).inc(actions)
+        if self._m_control is not None:
+            self._m_control.inc(actions)
 
         def _handle() -> Generator:
             yield self.control_slot.request()

@@ -240,6 +240,9 @@ class ServerlessRuntime:
             "skadi_task_input_stall_seconds",
             "dispatch-to-inputs-ready stall per task (pull vs push attacks this)",
         )
+        self._m_shed = reg.series(
+            "counter", "skadi_shed_tasks_total", "tasks shed by overload control, by reason", "reason"
+        )
         self.tasks_shed = 0
         # -- overload control (repro.runtime.overload): installed only when
         # one of its switches is on; None otherwise
@@ -618,11 +621,7 @@ class ServerlessRuntime:
 
     def _count_shed(self, reason: str) -> None:
         self.tasks_shed += 1
-        self.telemetry.registry.counter(
-            "skadi_shed_tasks_total",
-            "tasks shed by overload control, by reason",
-            reason=reason,
-        ).inc()
+        self._m_shed.of(reason).inc()
 
     # -- overload control: deadlines ------------------------------------------
 
@@ -904,27 +903,10 @@ class ServerlessRuntime:
         """Phase 2: the arguments must reach *this device's* store — a copy
         on a sibling device of the same card still has to cross the intra-card
         link (through the DPU)."""
-        spec = ctx.spec
-        local_store = raylet.store_of(device.device_id)
-        missing = [ref for ref in spec.dependencies if not local_store.contains(ref.object_id)]
-        hits = len(spec.dependencies) - len(missing)
-        reg = self.telemetry.registry
-        if hits:
-            reg.counter(
-                "skadi_store_hits_total",
-                "task arguments already resident on the executing device",
-                device=device.device_id,
-            ).inc(hits)
-        if missing:
-            reg.counter(
-                "skadi_store_misses_total",
-                "task arguments that had to be fetched over the fabric",
-                device=device.device_id,
-            ).inc(len(missing))
-        unfetched = yield from self.data.resolve(ctx, raylet, device, missing)
+        unfetched = yield from self.data.resolve(ctx, raylet, device)
         if unfetched:
             raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
-        if self._deadline_expired(spec):
+        if self._deadline_expired(ctx.spec):
             # inputs took too long: skip the doomed execution
             raise _DeadlineExceededError()
         ctx.timeline.inputs_ready = self.sim.now

@@ -46,6 +46,21 @@ class Scheduler:
         self.policy = policy
         self.endpoint = endpoint  # where the scheduler runs (control messages)
         self.metrics = metrics  # optional telemetry MetricsRegistry
+        self._m_placements = self._m_outstanding = None
+        if metrics is not None:
+            self._m_placements = metrics.series(
+                "counter",
+                "skadi_placements_total",
+                "placement decisions by policy and chosen device",
+                "policy",
+                "device",
+            )
+            self._m_outstanding = metrics.series(
+                "gauge",
+                "skadi_device_outstanding_tasks",
+                "tasks running or queued on each device",
+                "device",
+            )
         self._devices = list(schedulable_devices)
         self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
         self._rr_cursor = 0
@@ -105,12 +120,8 @@ class Scheduler:
         self._meter_outstanding(device_id)
 
     def _meter_outstanding(self, device_id: str) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "skadi_device_outstanding_tasks",
-                "tasks running or queued on each device",
-                device=device_id,
-            ).set(float(self._outstanding.get(device_id, 0)))
+        if self._m_outstanding is not None:
+            self._m_outstanding.of(device_id).set(float(self._outstanding.get(device_id, 0)))
 
     def outstanding(self, device_id: str) -> int:
         return self._outstanding.get(device_id, 0)
@@ -177,13 +188,8 @@ class Scheduler:
         raise ValueError(f"unknown policy {self.policy}")
 
     def _meter_placement(self, device: Device) -> Device:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "skadi_placements_total",
-                "placement decisions by policy and chosen device",
-                policy=self.policy.value,
-                device=device.device_id,
-            ).inc()
+        if self._m_placements is not None:
+            self._m_placements.of(self.policy.value, device.device_id).inc()
         return device
 
     def _place_locality(self, task: TaskSpec, candidates: List[Device]) -> Device:

@@ -83,6 +83,12 @@ class HeadNodeBalancer:
         }
         self.sessions: Dict[str, str] = {}  # session id -> head node id
         self._skew_streak = 0
+        self._m_rate = runtime.telemetry.registry.series(
+            "gauge",
+            "skadi_serving_head_rate",
+            "per-head serving message rate (sliding window, msgs/s)",
+            "head",
+        )
 
     @property
     def failovers(self) -> int:
@@ -146,11 +152,7 @@ class HeadNodeBalancer:
         head = self.head_of(session_id)
         tracker = self.trackers[head]
         tracker.note(now)
-        self.runtime.telemetry.registry.gauge(
-            "skadi_serving_head_rate",
-            "per-head serving message rate (sliding window, msgs/s)",
-            head=head,
-        ).set(tracker.rate(now))
+        self._m_rate.of(head).set(tracker.rate(now))
         self._check_skew(now)
         return head
 

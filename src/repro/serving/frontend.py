@@ -42,6 +42,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..runtime.overload import AdmissionRejectedError
 from ..runtime.task import TaskState
+from ..telemetry.metrics import nearest_rank
 from .balancer import HeadNodeBalancer
 from .tenants import TenantRegistry
 from .workload import Request
@@ -109,6 +110,49 @@ class ServingFrontend:
         self.admitted_by_tenant: Dict[str, int] = {}
         self.shed_by_tenant: Dict[str, int] = {}
         self.latencies: List[float] = []  # completed-ok request latencies
+        reg = runtime.telemetry.registry
+        self._m_offered = reg.series(
+            "counter",
+            "skadi_serving_requests_offered_total",
+            "requests offered to the serving frontend, by tenant class",
+            "tenant_class",
+        )
+        self._m_admitted = reg.series(
+            "counter",
+            "skadi_serving_requests_admitted_total",
+            "requests whose task DAG entered the runtime, by tenant class",
+            "tenant_class",
+        )
+        self._m_concluded = reg.series(
+            "counter",
+            "skadi_serving_requests_completed_total",
+            "requests concluded, by tenant class and outcome",
+            "tenant_class",
+            "outcome",
+        )
+        self._m_shed = reg.series(
+            "counter",
+            "skadi_serving_requests_shed_total",
+            "requests refused by the serving frontend, by tenant class and reason",
+            "tenant_class",
+            "reason",
+        )
+        self._m_latency = reg.series(
+            "histogram",
+            "skadi_serving_request_latency",
+            "request latency (arrival to last stage done), by tenant class",
+            "tenant_class",
+        )
+        self._m_queue_depth = reg.series(
+            "gauge",
+            "skadi_serving_queue_depth",
+            "requests waiting in the frontend's bounded waiting room",
+        ).of()
+        self._m_inflight = reg.series(
+            "gauge",
+            "skadi_serving_inflight",
+            "requests dispatched into the runtime and not yet concluded",
+        ).of()
 
     # -- ingestion ------------------------------------------------------------
 
@@ -126,11 +170,7 @@ class ServingFrontend:
         self.offered_by_tenant[tenant.tenant_id] = (
             self.offered_by_tenant.get(tenant.tenant_id, 0) + 1
         )
-        self._counter(
-            "skadi_serving_requests_offered_total",
-            "requests offered to the serving frontend, by tenant class",
-            tenant_class=profile.name,
-        )
+        self._m_offered.of(profile.name).inc()
         if self.balancer is not None:
             self.balancer.note_message(tenant.tenant_id)
         if self.tenant_isolation and tenant.open_requests >= profile.max_open:
@@ -164,10 +204,7 @@ class ServingFrontend:
             heapq.heappush(self._heap, (pending.finish_tag, self._seq, pending))
         else:
             self._fifo.append(pending)
-        self._gauge(
-            "skadi_serving_queue_depth",
-            "requests waiting in the frontend's bounded waiting room",
-        ).set(float(self._queued()))
+        self._m_queue_depth.set(float(self._queued()))
 
     def _pop_next(self) -> Optional[PendingRequest]:
         if self._heap:
@@ -184,10 +221,7 @@ class ServingFrontend:
             if pending is None:
                 break
             self._dispatch(pending)
-        self._gauge(
-            "skadi_serving_queue_depth",
-            "requests waiting in the frontend's bounded waiting room",
-        ).set(float(self._queued()))
+        self._m_queue_depth.set(float(self._queued()))
 
     # -- dispatch -------------------------------------------------------------
 
@@ -226,15 +260,8 @@ class ServingFrontend:
         self.admitted_by_tenant[tenant.tenant_id] = (
             self.admitted_by_tenant.get(tenant.tenant_id, 0) + 1
         )
-        self._counter(
-            "skadi_serving_requests_admitted_total",
-            "requests whose task DAG entered the runtime, by tenant class",
-            tenant_class=profile.name,
-        )
-        self._gauge(
-            "skadi_serving_inflight",
-            "requests dispatched into the runtime and not yet concluded",
-        ).set(float(self.inflight))
+        self._m_admitted.of(profile.name).inc()
+        self._m_inflight.set(float(self.inflight))
         # the request-level span joins the first stage's trace and links to
         # every stage task span, so the causal graph shows the whole request
         first = self.rt.span_of(pending.refs[0])
@@ -287,26 +314,14 @@ class ServingFrontend:
         if ok:
             self.completed += 1
             self.latencies.append(latency)
-            self.rt.telemetry.registry.histogram(
-                "skadi_serving_request_latency",
-                "request latency (arrival to last stage done), by tenant class",
-                tenant_class=profile.name,
-            ).observe(latency)
+            self._m_latency.of(profile.name).observe(latency)
         else:
             self.failed += 1
-        self._counter(
-            "skadi_serving_requests_completed_total",
-            "requests concluded, by tenant class and outcome",
-            tenant_class=profile.name,
-            outcome="ok" if ok else "failed",
-        )
+        self._m_concluded.of(profile.name, "ok" if ok else "failed").inc()
         if pending.span is not None:
             pending.span.attrs["outcome"] = "ok" if ok else "failed"
             pending.span.finish(self.sim.now)
-        self._gauge(
-            "skadi_serving_inflight",
-            "requests dispatched into the runtime and not yet concluded",
-        ).set(float(self.inflight))
+        self._m_inflight.set(float(self.inflight))
         self._pump()
 
     # -- shedding / telemetry -------------------------------------------------
@@ -317,12 +332,7 @@ class ServingFrontend:
         self.shed_by_tenant[tenant.tenant_id] = (
             self.shed_by_tenant.get(tenant.tenant_id, 0) + 1
         )
-        self._counter(
-            "skadi_serving_requests_shed_total",
-            "requests refused by the serving frontend, by tenant class and reason",
-            tenant_class=tenant.profile.name,
-            reason=reason,
-        )
+        self._m_shed.of(tenant.profile.name, reason).inc()
         self.rt._record(
             "serving_request_shed",
             request=request.request_id,
@@ -330,28 +340,17 @@ class ServingFrontend:
             reason=reason,
         )
 
-    def _counter(self, name: str, help: str, **labels: str) -> None:
-        self.rt.telemetry.registry.counter(name, help, **labels).inc()
-
-    def _gauge(self, name: str, help: str):
-        return self.rt.telemetry.registry.gauge(name, help)
-
     def latency_percentiles(self, tenant_class: Optional[str] = None) -> Dict[str, float]:
         """p50/p99/p999 of completed-request latency (one class or overall),
         using the registry histograms' exact nearest-rank convention."""
         quantiles = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
         if tenant_class is not None:
+            # a cold read: get-or-create, so an unseen class reads as empty
             hist = self.rt.telemetry.registry.histogram(
-                "skadi_serving_request_latency",
-                "request latency (arrival to last stage done), by tenant class",
-                tenant_class=tenant_class,
+                self._m_latency.name, self._m_latency.help, tenant_class=tenant_class
             )
             return {name: hist.percentile(q) for name, q in quantiles}
         values = sorted(self.latencies)
         if not values:
             return {name: float("nan") for name, _q in quantiles}
-
-        def nearest_rank(q: float) -> float:
-            return values[max(0, min(len(values) - 1, round(q * len(values)) - 1))]
-
-        return {name: nearest_rank(q) for name, q in quantiles}
+        return {name: nearest_rank(values, q) for name, q in quantiles}

@@ -8,17 +8,39 @@ here, stamped with *virtual* time from the simulator clock.  Because the
 clock is deterministic, the metrics output itself is assertable in tests:
 two identically-seeded runs export byte-identical snapshots.
 
-Instruments are identified by ``(name, labels)``; the registry
-get-or-creates on access so call sites stay one-liners::
+Instruments are identified by ``(name, labels)``.  A hot site (one that
+runs per chunk, message, task or request) binds its instruments once and
+keeps them: :meth:`MetricsRegistry.series` names a family and its label
+names, and :meth:`SeriesHandle.of` resolves one tuple of label values, caching
+the result, so the sort-and-lookup of a labelled name is paid once per
+label value, not once per event::
 
-    registry.counter("skadi_link_bytes_total", link="a<->b").inc(nbytes)
+    link_bytes = registry.series("counter", "skadi_link_bytes_total",
+                                 "payload bytes routed over each link", "link")
+    per_hop = link_bytes.of("a<->b")   # once per hop
+    per_hop.inc(nbytes)                # once per chunk: no registry lookup
+
+Series stay lazy: a bound series joins the registry on its first
+``inc``/``set``/``observe``, so binding one that is never written leaves
+every export unchanged.  Cold sites (failover, incidents, once-per-run
+gauges) use the plain get-or-create accessors
+``registry.counter/gauge/histogram(name, help, **labels)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricFamily",
+    "MetricsRegistry",
+    "SeriesHandle",
+    "nearest_rank",
+]
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -27,6 +49,12 @@ DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def nearest_rank(sorted_values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of a sorted, non-empty sample: the value at
+    rank ``ceil(p * n)`` (1-based), and the minimum for ``p == 0``."""
+    return sorted_values[max(1, math.ceil(p * len(sorted_values))) - 1]
 
 
 class Instrument:
@@ -134,16 +162,15 @@ class Histogram(Instrument):
         if not self._sorted:
             self._values.sort()
             self._sorted = True
-        rank = max(0, min(len(self._values) - 1, round(p * len(self._values)) - 1))
-        if p == 0.0:
-            rank = 0
-        return self._values[rank]
+        return nearest_rank(self._values, p)
 
     def quantiles(self, qs: Iterable[float] = DEFAULT_QUANTILES) -> Dict[float, float]:
         return {q: self.percentile(q) for q in qs}
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+# the calls that write an instrument of each kind (and so create its series)
+_WRITES = {"counter": ("inc",), "gauge": ("set", "inc", "dec"), "histogram": ("observe",)}
 
 
 class MetricFamily:
@@ -165,12 +192,81 @@ class MetricFamily:
         return len(self._instruments)
 
 
+class _Unwritten:
+    """A bound series nobody has written yet.  Its first write creates the
+    series in the registry; the write methods are then rebound to the
+    instrument's own, so a caller that kept this handle pays nothing extra."""
+
+    def __init__(self, series: "SeriesHandle", values: Tuple[Any, ...]):
+        self._series = series
+        self._values = values
+
+    def __getattr__(self, method: str) -> Callable[..., None]:
+        if method.startswith("_"):
+            raise AttributeError(method)
+        writes = _WRITES[self._series.kind]
+        if method not in writes:
+            raise AttributeError(
+                f"unwritten {self._series.kind} {self._series.name} has no {method!r}"
+            )
+
+        def first_write(*args: Any) -> None:
+            inst = self._series._create(self._values)
+            for name in writes:
+                setattr(self, name, getattr(inst, name))
+            getattr(inst, method)(*args)
+
+        return first_write
+
+
+class SeriesHandle:
+    """A family bound for a hot site: :meth:`of` resolves one tuple of label
+    values (in ``label_names`` order) to its instrument once and caches it.
+
+    The handle belongs to the registry that made it; a component re-wired to
+    another registry asks that one for a new handle.
+    """
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        kind: str,
+        name: str,
+        help: str,
+        label_names: Tuple[str, ...],
+    ):
+        self._registry = registry
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.label_names = label_names
+        self._bound: Dict[Tuple[Any, ...], Any] = {}
+
+    def of(self, *values: Any):
+        """The instrument labelled ``values``: the registry's own when the
+        series exists, else a handle that creates it on its first write."""
+        bound = self._bound.get(values)
+        if bound is None:
+            bound = self._registry.get(self.name, **dict(zip(self.label_names, values)))
+            if bound is None:
+                bound = _Unwritten(self, values)
+            self._bound[values] = bound
+        return bound
+
+    def _create(self, values: Tuple[Any, ...]) -> Instrument:
+        labels = dict(zip(self.label_names, values))
+        inst = self._registry._instrument(self.kind, self.name, self.help, labels)
+        self._bound[values] = inst
+        return inst
+
+
 class MetricsRegistry:
     """The cluster-wide metric store; deterministic iteration order."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._families: Dict[str, MetricFamily] = {}
+        self._series: Dict[str, SeriesHandle] = {}
 
     # -- get-or-create accessors --------------------------------------------
 
@@ -200,6 +296,28 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "", **labels: Any) -> Histogram:
         return self._instrument("histogram", name, help, labels)
+
+    # -- bound handles for hot sites -----------------------------------------
+
+    def series(self, kind: str, name: str, help: str, *label_names: str) -> SeriesHandle:
+        """The hot-site handle of family ``name`` (one per name and registry).
+        Creates nothing: each series appears on its first write."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        handle = self._series.get(name)
+        if handle is None:
+            family = self._families.get(name)
+            if family is not None and family.kind != kind:
+                raise ValueError(
+                    f"metric {name!r} already registered as {family.kind}, not {kind}"
+                )
+            handle = self._series[name] = SeriesHandle(self, kind, name, help, label_names)
+        elif (handle.kind, handle.label_names) != (kind, label_names):
+            raise ValueError(
+                f"metric {name!r} already bound as {handle.kind}{handle.label_names}, "
+                f"not {kind}{label_names}"
+            )
+        return handle
 
     # -- introspection -------------------------------------------------------
 

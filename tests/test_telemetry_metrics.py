@@ -11,6 +11,7 @@ from repro.telemetry import (
     parse_prometheus_text,
     to_prometheus_text,
 )
+from repro.telemetry.metrics import nearest_rank
 
 
 class FakeClock:
@@ -92,6 +93,18 @@ class TestHistogram:
         assert h.percentile(0.0) == 1.0
         assert h.percentile(1.0) == 100.0
 
+    def test_nearest_rank_on_five_values(self, registry):
+        # rank ceil(q * n): p50 of 1..5 is the 3rd value, p90 the 5th
+        h = registry.histogram("skadi_latency_seconds")
+        for v in (4, 1, 5, 3, 2):
+            h.observe(float(v))
+        assert h.percentile(0.5) == 3.0
+        assert h.percentile(0.9) == 5.0
+        assert h.percentile(0.0) == 1.0
+        assert [nearest_rank([1, 2, 3, 4, 5], q) for q in (0.0, 0.2, 0.5, 0.9, 1.0)] == [
+            1, 1, 3, 5, 5,
+        ]
+
     def test_empty_percentile_is_nan(self, registry):
         h = registry.histogram("skadi_latency_seconds")
         assert math.isnan(h.percentile(0.5))
@@ -132,6 +145,58 @@ class TestRegistry:
     def test_value_default_when_absent(self, registry):
         assert registry.value("skadi_missing_total") == 0.0
         assert registry.value("skadi_missing_total", default=7.0) == 7.0
+
+
+class TestSeriesHandle:
+    def test_binding_creates_nothing_until_the_first_write(self, registry, clock):
+        handle = registry.series("counter", "skadi_link_bytes_total", "bytes", "link")
+        bound = handle.of("a<->b")
+        assert len(registry) == 0 and registry.get("skadi_link_bytes_total", link="a<->b") is None
+        clock.now = 2.0
+        bound.inc(5)
+        bound.inc(3)
+        inst = registry.get("skadi_link_bytes_total", link="a<->b")
+        assert inst.value == 8.0 and inst.last_updated == 2.0
+        assert registry.family("skadi_link_bytes_total").help == "bytes"
+        # once written, the cache hands out the registry's own instrument
+        assert handle.of("a<->b") is inst
+
+    def test_an_existing_series_is_returned_as_is(self, registry):
+        inst = registry.gauge("skadi_depth", node="n0")
+        handle = registry.series("gauge", "skadi_depth", "", "node")
+        assert handle.of("n0") is inst
+        handle.of("n0").set(4.0)
+        assert inst.value == 4.0
+
+    def test_one_handle_per_name_and_registry(self, registry):
+        a = registry.series("counter", "skadi_x_total", "x", "device")
+        assert registry.series("counter", "skadi_x_total", "x", "device") is a
+        assert MetricsRegistry().series("counter", "skadi_x_total", "x", "device") is not a
+
+    def test_conflicting_kind_or_labels_raise(self, registry):
+        registry.series("counter", "skadi_x_total", "", "device")
+        with pytest.raises(ValueError, match="already bound"):
+            registry.series("gauge", "skadi_x_total", "", "device")
+        with pytest.raises(ValueError, match="already bound"):
+            registry.series("counter", "skadi_x_total", "", "node")
+        registry.gauge("skadi_depth")
+        with pytest.raises(ValueError, match="already registered as gauge"):
+            registry.series("counter", "skadi_depth", "")
+
+    def test_a_write_the_kind_lacks_creates_no_series(self, registry):
+        bound = registry.series("counter", "skadi_x_total", "").of()
+        with pytest.raises(AttributeError):
+            bound.set(1.0)
+        assert registry.get("skadi_x_total") is None
+
+    def test_unwritten_gauge_and_histogram(self, registry):
+        gauge = registry.series("gauge", "skadi_depth", "").of()
+        gauge.inc(2)
+        gauge.dec()
+        hist = registry.series("histogram", "skadi_lat", "", "cls").of("gold")
+        hist.observe(0.5)
+        assert registry.value("skadi_depth") == 1.0
+        assert registry.get("skadi_lat", cls="gold").count == 1
 
 
 class TestPrometheusRoundTrip:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 
@@ -19,7 +20,8 @@ from repro.runtime import (
     to_chrome_trace,
 )
 from repro.runtime.runtime import make_reliable_cache
-from repro.telemetry import parse_prometheus_text, to_prometheus_text
+from repro.serving import HeadNodeBalancer, ServingFrontend, TenantRegistry, WorkloadGenerator
+from repro.telemetry import MetricsRegistry, parse_prometheus_text, to_prometheus_text
 
 
 def pull_runtime(cluster=None, **cfg):
@@ -130,6 +132,148 @@ class TestRuntimeMetrics:
         assert texts[0] == texts[1]
         parsed = parse_prometheus_text(texts[0])
         assert parsed.value("skadi_tasks_finished_total") == 4
+
+
+def _const(value):
+    return lambda: value
+
+
+def _total(*xs):
+    return sum(xs)
+
+
+def hot_pass(rt, frontend, tenants):
+    """One round of every hot metering site: a 3x3 shuffle of 1 MiB objects
+    (chunked, multi-hop), a batch of small tasks, the heartbeats that run
+    beside them, and a few serving requests."""
+    cpus = [f"server{i}/cpu" for i in range(3)]
+    producers = [
+        rt.submit(_const(i), compute_cost=1e-4, output_nbytes=1 << 20, pinned_device=cpu)
+        for i, cpu in enumerate(cpus)
+    ]
+    consumers = [
+        rt.submit(_total, tuple(producers), compute_cost=1e-4, pinned_device=cpu)
+        for cpu in cpus
+    ]
+    batch = [rt.submit(_const(i), compute_cost=1e-3) for i in range(8)]
+    assert rt.get(rt.submit(_total, tuple(consumers + batch))) == 3 * 3 + 28
+    offset = rt.sim.now
+    requests = WorkloadGenerator(tenants, rate=400.0, duration=0.02, seed=3).requests()
+    frontend.play([dataclasses.replace(r, arrival=r.arrival + offset) for r in requests])
+    rt.sim.run(until=offset + 1.0)
+
+
+class TestBoundInstruments:
+    """Hot sites bind their instruments once: after a warm-up pass, an
+    identical pass makes no registry lookup at all."""
+
+    @pytest.mark.parametrize("mode", [ResolutionMode.PUSH, ResolutionMode.PULL])
+    def test_a_warm_pass_looks_nothing_up(self, mode, monkeypatch):
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=3),
+            RuntimeConfig(
+                resolution=mode,
+                heartbeat_interval=1e-3,
+                heartbeat_miss_threshold=3,
+                serving_max_inflight=2,
+                serving_queue_depth=64,
+                serving_fair_queueing=True,
+            ),
+        )
+        tenants = TenantRegistry(20)
+        frontend = ServingFrontend(rt, tenants, balancer=HeadNodeBalancer(rt))
+        hot_pass(rt, frontend, tenants)
+        lookups = []
+        for method in ("counter", "gauge", "histogram"):
+            original = getattr(MetricsRegistry, method)
+
+            def counting(self, name, *args, _original=original, **labels):
+                lookups.append(name)
+                return _original(self, name, *args, **labels)
+
+            monkeypatch.setattr(MetricsRegistry, method, counting)
+        reg = rt.telemetry.registry
+        before = dict(
+            link=reg.value("skadi_link_bytes_total", link="server1/cpu<->tor-switch"),
+            beats=rt.health.beats_received,
+            completed=frontend.completed,
+            queued=reg.get("skadi_serving_queue_depth").last_updated,
+        )
+        hot_pass(rt, frontend, tenants)
+        assert lookups == []
+        # ... and the pass did meter every kind of hot site
+        assert reg.value("skadi_link_bytes_total", link="server1/cpu<->tor-switch") > before["link"]
+        assert rt.health.beats_received > before["beats"]
+        assert frontend.completed > before["completed"]
+        assert reg.get("skadi_serving_queue_depth").last_updated > before["queued"]
+
+    def test_a_second_runtime_meters_into_its_own_registry(self):
+        cluster = build_serverful(n_servers=3)
+        first = pull_runtime(cluster)
+        run_diamond(first, spread=True)
+        frozen = first.metrics_summary()
+        second = pull_runtime(cluster)
+        _, answer = run_diamond(second, spread=True)
+        assert answer == 23
+        assert first.metrics_summary() == frozen
+        reg = second.telemetry.registry
+        for name in (
+            "skadi_link_bytes_total",
+            "skadi_link_busy_seconds_total",
+            "skadi_link_transfers_total",
+            "skadi_store_puts_total",
+            "skadi_store_bytes_resident",
+            "skadi_raylet_control_actions_total",
+        ):
+            family = reg.family(name)
+            assert family is not None and len(family) > 0, name
+        # the second runtime's traffic alone: its link bytes equal the first's
+        assert {
+            k: v for k, v in second.metrics_summary().items() if k.startswith("skadi_link_")
+        } == {k: v for k, v in frozen.items() if k.startswith("skadi_link_")}
+
+    def test_nothing_carried_means_no_series(self):
+        # server2 and its link carry nothing: no link, store, raylet or
+        # device series names them
+        rt = pull_runtime(build_serverful(n_servers=3))
+        a = rt.submit(_const(1), compute_cost=1e-3, output_nbytes=1 << 20,
+                      pinned_device="server0/cpu")
+        b = rt.submit(lambda x: x + 1, (a,), compute_cost=1e-3, pinned_device="server1/cpu")
+        assert rt.get(b) == 2
+        links = ("server0/cpu<->tor-switch", "server1/cpu<->tor-switch")
+        assert set(rt.metrics_summary()) == {
+            "skadi_actor_restarts_total",
+            "skadi_lineage_replays_total",
+            "skadi_scheduler_capacity_slots",
+            "skadi_scheduler_schedulable_devices",
+            "skadi_scheduler_waiting_tasks",
+            "skadi_speculations_total",
+            "skadi_task_input_stall_seconds",
+            "skadi_task_latency_seconds",
+            "skadi_tasks_failed_total",
+            "skadi_tasks_finished_total",
+            "skadi_tasks_retried_total",
+            "skadi_tasks_submitted_total",
+            *(
+                f"skadi_link_{kind}_total{{link={link}}}"
+                for kind in ("busy_seconds", "bytes", "messages", "transfers")
+                for link in links
+            ),
+            *(
+                f"{name}{{device=server{i}/cpu}}"
+                for name in (
+                    "skadi_device_outstanding_tasks",
+                    "skadi_store_bytes_resident",
+                    "skadi_store_puts_total",
+                )
+                for i in (0, 1)
+            ),
+            "skadi_placements_total{device=server0/cpu,policy=locality}",
+            "skadi_placements_total{device=server1/cpu,policy=locality}",
+            "skadi_raylet_control_actions_total{raylet=raylet@server0/cpu}",
+            "skadi_raylet_control_actions_total{raylet=raylet@server1/cpu}",
+            "skadi_store_misses_total{device=server1/cpu}",
+        }
 
 
 class TestRuntimeSpans:
