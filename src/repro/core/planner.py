@@ -56,8 +56,9 @@ def _estimate_rows(op: Operation, est_rows: Dict[int, float], default_rows: int)
         return max(ins) if ins else base
     if op.name in ("aggregate", "hash_aggregate"):
         return max(base * _AGGREGATE_SELECTIVITY, 1.0)
-    if op.name == "limit":
-        return min(base, float(op.attrs.get("n", base)))
+    if op.name in ("sort", "limit"):  # a sort may carry a folded limit
+        n = op.attrs.get("n" if op.name == "limit" else "limit")
+        return base if n is None else min(base, float(n))
     if op.name == "distinct":
         return max(base * 0.5, 1.0)
     return base

@@ -138,6 +138,8 @@ def _infer_sort(types: Sequence[IRType], attrs: Dict[str, Any]) -> List[IRType]:
     for name in by:
         if not frame.has_column(name):
             raise KeyError(f"sort key {name!r} missing")
+    if "limit" in attrs and frame.num_rows is not None:  # typed as the limit it folds
+        return [FrameType(frame.columns, None)]
     return [frame]
 
 
@@ -181,6 +183,9 @@ def _verify_sort(op: Operation) -> "str | None":
     ascending = op.attrs.get("ascending", True)
     if not isinstance(ascending, bool):
         return f"'ascending' attribute must be a bool, got {ascending!r}"
+    limit = op.attrs.get("limit", 0)
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+        return f"'limit' attribute must be a non-negative int, got {limit!r}"
     return None
 
 

@@ -1,5 +1,5 @@
 """Relational-level rewrite rules: conjunction splitting, filter pushdown,
-column pruning.
+top-n folding, column pruning.
 
 §2.1 step (2): Skadi "optimizes the graph using predefined rules".  These
 are the classic relational rules that matter most in a disaggregated
@@ -11,10 +11,13 @@ fabric — the rows a shuffle carries, and the columns a scan ships:
 * :class:`PushFilterThroughJoin` — a filter over a join whose predicate
   touches only one side's columns slides below the join (undoing the
   ``r_`` rename for right-side pushes);
+* :class:`FoldLimitIntoSort` — ``limit(sort(x), n)`` becomes a sort that
+  keeps only its first ``n`` rows, which its kernel finds without sorting
+  the rest (this one saves compute, not traffic);
 * :class:`PruneScanColumns` — every scan declares, and so ships, only the
   columns something downstream reads.
 
-All three operate on the ``relational`` and ``df`` dialects alike.
+All four operate on the ``relational`` and ``df`` dialects alike.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .types import FrameType
 __all__ = [
     "SplitConjunctiveFilter",
     "PushFilterThroughJoin",
+    "FoldLimitIntoSort",
     "PruneScanColumns",
     "relational_optimizer",
 ]
@@ -158,6 +162,33 @@ class PushFilterThroughJoin(Pass):
         func.ops.remove(filt)
 
 
+class FoldLimitIntoSort(Pass):
+    """limit(sort(x), n)  ->  sort(x){limit=n}, when the limit is the sort's
+    only reader and the sort is not returned.  A sort that already carries a
+    limit keeps the smaller one."""
+
+    name = "fold-limit-into-sort"
+
+    def run(self, func: Function, stats: PassStats) -> bool:
+        chains = def_use(func)
+        for index, op in enumerate(func.ops):
+            if (op.dialect, op.name) not in _LIMIT_NAMES:
+                continue
+            sort = op.operands[0].producer
+            if sort is None or (sort.dialect, sort.name) not in _SORT_NAMES:
+                continue
+            sorted_rows = id(sort.result())
+            if len(chains.use_sites[sorted_rows]) != 1 or sorted_rows in chains.returned:
+                continue
+            n = op.attrs["n"]
+            sort.attrs = {**sort.attrs, "limit": min(n, sort.attrs.get("limit", n))}
+            _replace_uses(func, op.result(), sort.result(), index)
+            del func.ops[index]
+            stats.ops_removed += 1
+            return True
+        return False
+
+
 class PruneScanColumns(Pass):
     """Narrow each scan to the columns its query reads.
 
@@ -251,4 +282,9 @@ class PruneScanColumns(Pass):
 
 def relational_optimizer() -> List[Pass]:
     """The rule set Skadi applies before lowering relational plans."""
-    return [SplitConjunctiveFilter(), PushFilterThroughJoin(), PruneScanColumns()]
+    return [
+        SplitConjunctiveFilter(),
+        PushFilterThroughJoin(),
+        FoldLimitIntoSort(),
+        PruneScanColumns(),
+    ]

@@ -6,6 +6,11 @@ inventory lines of ``columnar.py`` and ``kernels.py``).
   here and are the reference: on seeded random batches the numpy kernels must
   give the same rows **in the same order** with the same dtypes — except where
   the old aggregate mistyped an empty result, which is the bug fixed.
+* **Fast paths.**  A top-n sort, a radix-sorted group order and a
+  direct-address join lookup must give what the general path (a full
+  lexsort, ``np.searchsorted``) and the loop references give, on the inputs
+  where such paths go wrong: narrow dtypes at their bounds, uint64 against
+  negative int64 keys, spans at the cut-offs, ties, NaN and -0.0.
 * **An aggregate has the dtype the IR declares**, also over no rows, through
   the distributed path (where partitions outnumber groups) and the interpreter.
 * **Cross-commit witness.**  Plan size, virtual cost and a digest of the rows
@@ -30,7 +35,19 @@ from repro.cluster import build_physical_disagg
 from repro.flowgraph import FlowGraph, launch_physical_graph, to_physical
 from repro.frontends.sql import sql_to_ir
 from repro.ir import FrameType, hash_partition, run_function
-from repro.ir.kernels import k_aggregate, k_join
+from repro.ir.kernels import (
+    HANDCRAFTED,
+    _group_code,
+    _group_order,
+    _heads_by_address,
+    _heads_by_search,
+    _sort_order,
+    k_aggregate,
+    k_distinct,
+    k_join,
+    k_limit,
+    k_sort,
+)
 from repro.runtime import ServerlessRuntime
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
@@ -413,6 +430,244 @@ class TestAggregate:
         assert k_aggregate({"keys": ["g"], "aggs": [("out", fn, "i")]}, empty).num_rows == 0
 
 
+# -- fast paths against the general path and the loop references ----------------
+
+
+def ref_sort_rows(keys: List[np.ndarray], ascending: bool) -> List[int]:
+    """Row positions in key order by Python's stable sort: NaN after every
+    number, -0.0 equal to 0.0, and descending the ascending order reversed."""
+    columns = [k.tolist() for k in keys]
+
+    def key(i):  # NaN as (1, 0): equal to each other, so the next key decides
+        return tuple((1, 0) if v != v else (0, v) for v in (c[i] for c in columns))
+
+    rows = sorted(range(len(keys[0])), key=key)
+    return rows[::-1] if not ascending else rows
+
+
+def ref_distinct(batch: RecordBatch) -> RecordBatch:
+    seen, first = set(), []
+    columns = [batch.column(n).tolist() for n in batch.schema.names]
+    for i, row in enumerate(zip(*columns)):
+        if row not in seen:
+            seen.add(row)
+            first.append(i)
+    return batch.take(np.asarray(first, dtype=np.intp))
+
+
+def sort_batch(rng: np.random.Generator, rows: int, first: np.ndarray) -> RecordBatch:
+    """A first sort key drawn from ``first`` (so ties are many), then two
+    tie-breakers with ties of their own, and the row position."""
+    return RecordBatch.from_arrays({
+        "a": rng.choice(first, rows),
+        "b": rng.integers(0, 3, rows).astype(np.int8),
+        "c": rng.choice(np.array([0.5, -0.0, 0.0, np.nan]), rows),
+        "row": np.arange(rows, dtype=np.int64),
+    })
+
+
+FIRST_KEYS = {
+    "int": np.arange(-4, 5),
+    "float": np.array([-1.5, -0.0, 0.0, 2.0, 2.0, 7.25]),
+    "nan": np.array([np.nan, 1.0, -0.0, 0.0, np.nan, 3.0]),
+    "bool": np.array([False, True]),
+    "uint8": np.array([0, 1, 254, 255], dtype=np.uint8),
+}
+
+
+class TestTopN:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("first", sorted(FIRST_KEYS))
+    @pytest.mark.parametrize("by", [("a",), ("a", "b"), ("a", "c", "b")])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_is_the_full_sort_cut(self, seed, first, by, ascending):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 200))
+        batch = sort_batch(rng, rows, FIRST_KEYS[first])
+        keys = [batch.column(name) for name in by]
+        full = k_sort({"by": by, "ascending": ascending}, batch)
+        want_rows = ref_sort_rows(keys, ascending)
+        assert full.column("row").tolist() == want_rows
+        # 0, 1, a cut through a run of ties (few distinct first keys), all, more
+        for n in sorted({0, 1, 2, rows // 3, rows // 2, rows - 1, rows, rows + 5}):
+            got = k_sort({"by": by, "ascending": ascending, "limit": n}, batch)
+            assert_same_rows(got, k_limit({"n": n}, full))
+            assert got.column("row").tolist() == want_rows[:n]
+
+    def test_a_nan_nth_value_takes_the_full_sort(self):
+        keys = [np.array([np.nan, 1.0, np.nan, 0.0, np.nan])]
+        # ascending the third value is NaN; descending NaN comes first
+        assert _sort_order(keys, True, 3).tolist() == [3, 1, 0]
+        assert _sort_order(keys, False, 2).tolist() == [4, 2]
+        assert _sort_order(keys, False, 4).tolist() == [4, 2, 0, 1]
+
+    def test_plus_and_minus_zero_tie_in_row_order(self):
+        keys = [np.array([0.0, -0.0, 1.0, -0.0, 0.0])]
+        assert _sort_order(keys, True, 3).tolist() == [0, 1, 3]
+        assert _sort_order(keys, False, 3).tolist() == [2, 4, 3]
+
+    def test_a_non_numeric_first_key_takes_the_full_sort(self):
+        keys = [np.array(["b", "a", "c", "a"]), np.arange(4)]
+        assert _sort_order(keys, True, 2).tolist() == [1, 3]
+        assert _sort_order(keys, False, 2).tolist() == [2, 0]
+
+    def test_handcrafted_top_k_is_the_descending_top_n(self):
+        rng = np.random.default_rng(4)
+        batch = sort_batch(rng, 120, FIRST_KEYS["int"])
+        for k in (0, 1, 7, 120, 130):
+            got = HANDCRAFTED["misc.top_k"](batch, "a", k)
+            assert_same_rows(got, k_sort({"by": ("a",), "ascending": False, "limit": k}, batch))
+        with pytest.raises(ValueError, match="k >= 0"):
+            HANDCRAFTED["misc.top_k"](batch, "a", -1)
+
+
+def general_group_order(key_arrays: List[np.ndarray]):
+    """The general path on the same keys: as float64 no key has a group code."""
+    as_float = [arr.astype(np.float64) for arr in key_arrays]
+    assert _group_code(as_float) is None
+    return _group_order(as_float)
+
+
+class TestGroupOrder:
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int64, np.uint64])
+    def test_narrow_dtypes_at_their_bounds(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(int(info.bits))
+        # the 256 values at the top and the bottom of the dtype's range
+        values = np.concatenate([
+            np.arange(int(info.min), int(info.min) + 128, dtype=object),
+            np.arange(int(info.max) - 127, int(info.max) + 1, dtype=object),
+        ]).astype(dtype)
+        keys = [rng.choice(values, 900), rng.random(900) < 0.5]
+        if info.bits > 8:  # the two ends are far apart: one key alone spans too much
+            assert _group_code(keys) is None
+            keys = [rng.choice(values[:128], 900), keys[1]]
+        assert _group_code(keys) is not None
+        order, starts = _group_order(keys)
+        assert order.tolist() == np.lexsort(keys[::-1]).tolist()
+        if info.bits <= 16:  # float64 holds every value exactly
+            want_order, want_starts = general_group_order(keys)
+            assert (order.tolist(), starts.tolist()) == (want_order.tolist(), want_starts.tolist())
+        batch = RecordBatch.from_arrays({"g": keys[0], "h": keys[1], "i": rng.integers(0, 9, 900)})
+        attrs = {"keys": ["g", "h"], "aggs": [("n", "count", None), ("s", "sum", "i")]}
+        assert_same_aggregates(k_aggregate(attrs, batch), ref_aggregate(attrs, batch), 900)
+
+    @pytest.mark.parametrize("spans,fast", [
+        ((1 << 16,), True), (((1 << 16) + 1,), False),
+        ((256, 256), True), ((256, 257), False), ((2, 2, 2), True),
+    ])
+    def test_the_sixteen_bit_cut_off(self, spans, fast):
+        rng = np.random.default_rng(len(spans))
+        keys = []
+        for span in spans:
+            column = rng.integers(0, span, 500)
+            column[:2] = (0, span - 1)  # the span is exactly ``span``
+            keys.append(column)
+        assert (_group_code(keys) is not None) == fast
+        order, starts = _group_order(keys)
+        want_order, want_starts = general_group_order(keys)
+        assert (order.tolist(), starts.tolist()) == (want_order.tolist(), want_starts.tolist())
+
+    def test_bool_keys_and_empty_frames(self):
+        rng = np.random.default_rng(8)
+        batch = agg_batch(rng, 300, groups=5)
+        attrs = {"keys": ["b", "g"], "aggs": AGGS}
+        assert _group_code([batch.column("b"), batch.column("g")]) is not None
+        assert_same_aggregates(k_aggregate(attrs, batch), ref_aggregate(attrs, batch), 300)
+        empty = batch.slice(0, 0)
+        assert _group_code([empty.column("b")]) is None
+        assert k_aggregate(attrs, empty).schema == k_aggregate(attrs, batch).schema
+        assert k_aggregate(attrs, empty).num_rows == 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_distinct_keeps_first_occurrences(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(0, 300))
+        ints = RecordBatch.from_arrays({
+            "a": rng.integers(-128, 128, rows).astype(np.int8),
+            "b": rng.random(rows) < 0.5,
+            "c": rng.integers(0, 3, rows).astype(np.uint16),
+        })
+        assert rows == 0 or _group_code([ints.column(n) for n in ints.schema.names]) is not None
+        assert_same_rows(k_distinct({}, ints), ref_distinct(ints))
+        mixed = RecordBatch.from_arrays({**ints.columns(), "f": rng.choice([0.0, -0.0, 1.5], rows)})
+        got = k_distinct({}, mixed)
+        assert got.num_rows == ref_distinct(mixed).num_rows
+        assert got.column("a").tobytes() == ref_distinct(mixed).column("a").tobytes()
+
+
+def assert_same_heads(sorted_build: np.ndarray, probe: np.ndarray) -> None:
+    starts = np.flatnonzero(np.r_[True, sorted_build[1:] != sorted_build[:-1]])
+    got = _heads_by_address(sorted_build, starts, probe)
+    assert got is not None
+    assert got.tolist() == _heads_by_search(sorted_build, probe).tolist()
+
+
+class TestDirectAddressJoin:
+    @pytest.mark.parametrize("probe_dtype,build_dtype", [
+        (np.int8, np.int8), (np.int8, np.int64), (np.int64, np.int8),
+        (np.uint8, np.int8), (np.int8, np.uint8), (np.int16, np.int8),
+    ])
+    def test_narrow_dtypes_at_their_bounds(self, probe_dtype, build_dtype):
+        rng = np.random.default_rng(1)
+
+        def draw(dtype, rows):  # from -128...255, as far as the dtype holds them
+            info = np.iinfo(dtype)
+            pool = np.arange(max(-128, info.min), min(255, info.max) + 1)
+            return rng.choice(pool, rows).astype(dtype)
+
+        left, right = join_sides(rng, draw(probe_dtype, 500), draw(build_dtype, 300))
+        assert_same_rows(k_join(ON, left, right), ref_join(ON, left, right))
+        assert_same_heads(np.sort(right.column("rk"), kind="stable"), left.column("lk"))
+
+    def test_uint64_above_int64_never_matches_a_negative_key(self):
+        rng = np.random.default_rng(2)
+        build = np.array([-3, -2, -1, 0, 1, 2, -1], dtype=np.int64)
+        probe = np.array(
+            [2**64 - 1, 2**64 - 2, 2**63, 2**63 + 1, 0, 1, 2, 3], dtype=np.uint64
+        )  # as int64 the first two would be -1 and -2
+        left, right = join_sides(rng, probe, build)
+        got = k_join(ON, left, right)
+        assert_same_rows(got, ref_join(ON, left, right))
+        assert sorted(got.column("lk").tolist()) == [0, 1, 2]
+        assert_same_heads(np.sort(build, kind="stable"), probe)
+        # and the other way round: a uint64 build above 2**63, an int64 probe
+        high = np.array([2**63 + 5, 2**63 + 1, 2**63 + 5], dtype=np.uint64)
+        signed = np.array([-1, 1, 5, 2**62], dtype=np.int64)
+        left, right = join_sides(rng, signed, high)
+        assert k_join(ON, left, right).num_rows == 0 == ref_join(ON, left, right).num_rows
+        assert_same_heads(np.sort(high, kind="stable"), signed)
+
+    @pytest.mark.parametrize("extra,dense", [(0, True), (1, False)])
+    def test_spans_at_the_cut_off(self, extra, dense):
+        rng = np.random.default_rng(3)
+        rows = 50
+        build = rng.integers(0, 4 * rows + extra, rows)
+        build[:2] = (0, 4 * rows - 1 + extra)  # spans 4 slots per row, or one more
+        probe = rng.integers(-3, 4 * rows + 3, 400)
+        left, right = join_sides(rng, probe, build)
+        sorted_build = np.sort(build, kind="stable")
+        starts = np.flatnonzero(np.r_[True, sorted_build[1:] != sorted_build[:-1]])
+        assert (_heads_by_address(sorted_build, starts, probe) is not None) == dense
+        assert_same_rows(k_join(ON, left, right), ref_join(ON, left, right))
+
+    def test_bool_keys_and_empty_sides(self):
+        rng = np.random.default_rng(4)
+        flags = rng.random(40) < 0.5
+        assert_same_heads(np.sort(rng.random(9) < 0.5), flags)
+        assert_same_heads(np.array([0, 1, 1, 2]), flags)
+        assert_same_heads(np.array([0, 1, 1, 2]), np.zeros(0, dtype=np.int64))
+        assert _heads_by_address(np.zeros(0, dtype=np.int64), np.zeros(0, np.intp), flags) is None
+        left, right = join_sides(rng, flags, np.array([True, True, False]))
+        assert_same_rows(k_join(ON, left, right), ref_join(ON, left, right))
+
+    def test_float_keys_take_the_search(self):
+        build = np.array([0.0, 1.0, 2.0])
+        starts = np.arange(3)
+        assert _heads_by_address(build, starts, np.array([1, 2])) is None
+        assert _heads_by_address(build.astype(np.int64), starts, np.array([1.0])) is None
+
+
 # -- an aggregate has the dtype the IR declares ----------------------------------
 
 
@@ -479,7 +734,9 @@ def test_aggregate_result_has_the_declared_dtype(sql, shards, tables):
 # ``broadcast_threshold=0``) were re-recorded when a keyed edge started to
 # hash-partition inside its producer: each of the m source shards on each side
 # lost its split task (2 messages each, and its share of the time); bytes and
-# digests did not move.
+# digests did not move.  top_k's seconds were re-recorded when its limit folded
+# into the sort (``FoldLimitIntoSort``): the gathered vertex runs one op, not
+# two, and is priced for one; tasks, bytes, messages and digests did not move.
 WITNESS = {
     ("join_group", 1, 0): (4, "0x1.c732fbfee97fap-12", 33600, 8, "8acbb804fb7ed424"),
     ("join_group", 1, 5000): (4, "0x1.c732fbfee97fap-12", 33600, 8, "8acbb804fb7ed424"),
@@ -499,12 +756,12 @@ WITNESS = {
     ("selective_filter", 2, 5000): (5, "0x1.8b113b1ca120ap-12", 72000, 10, "3f284819853302d1"),
     ("selective_filter", 4, 0): (9, "0x1.9f323bfe12c01p-12", 72000, 18, "3f284819853302d1"),
     ("selective_filter", 4, 5000): (9, "0x1.9f323bfe12c01p-12", 72000, 18, "3f284819853302d1"),
-    ("top_k", 1, 0): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
-    ("top_k", 1, 5000): (2, "0x1.840e9750e9fd8p-12", 32000, 4, "7d29d79fabd20b88"),
-    ("top_k", 2, 0): (5, "0x1.66125c6129e6ap-12", 32000, 10, "7d29d79fabd20b88"),
-    ("top_k", 2, 5000): (5, "0x1.66125c6129e6ap-12", 32000, 10, "7d29d79fabd20b88"),
-    ("top_k", 4, 0): (9, "0x1.96ec0b8645ffdp-12", 32000, 18, "7d29d79fabd20b88"),
-    ("top_k", 4, 5000): (9, "0x1.96ec0b8645ffdp-12", 32000, 18, "7d29d79fabd20b88"),
+    ("top_k", 1, 0): (2, "0x1.79923c8c78490p-12", 32000, 4, "7d29d79fabd20b88"),
+    ("top_k", 1, 5000): (2, "0x1.79923c8c78490p-12", 32000, 4, "7d29d79fabd20b88"),
+    ("top_k", 2, 0): (5, "0x1.5b96019cb8323p-12", 32000, 10, "7d29d79fabd20b88"),
+    ("top_k", 2, 5000): (5, "0x1.5b96019cb8323p-12", 32000, 10, "7d29d79fabd20b88"),
+    ("top_k", 4, 0): (9, "0x1.8c6fb0c1d44b5p-12", 32000, 18, "7d29d79fabd20b88"),
+    ("top_k", 4, 5000): (9, "0x1.8c6fb0c1d44b5p-12", 32000, 18, "7d29d79fabd20b88"),
 }
 
 

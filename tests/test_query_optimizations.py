@@ -12,11 +12,12 @@ from repro import RecordBatch, Skadi
 from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
 from repro.core.planner import ir_to_flowgraph
 from repro.frontends.sql import sql_to_ir
-from repro.ir import Builder, FrameType, PassManager, run_function
+from repro.ir import Builder, FrameType, IRVerificationError, PassManager, run_function
 from repro.ir.expr import BinOp, Col, FuncCall, Lit, UnaryOp
 from repro.ir.lowering import lower_relational_to_df
 from repro.ir.passes import PassStats
 from repro.ir.relational_passes import (
+    FoldLimitIntoSort,
     PruneScanColumns,
     SplitConjunctiveFilter,
     relational_optimizer,
@@ -348,3 +349,141 @@ class TestScanReturnsItsSchema:
             by_key.setdefault(key, []).append(x)
         want = [x for g in collide["t"].column("g").tolist() for x in by_key.get(g, [])]
         assert out.column("x").tolist() == want
+
+
+# -- a limit folds into its sort --------------------------------------------------
+
+
+def top_n_plan(tables, by, ascending, *limits, extra_reader=None, return_sort=False):
+    """scan -> sort -> limit(limits[0]) -> limit(limits[1]) ..., optionally
+    with the sort also read by ``extra_reader`` or also returned."""
+    catalog = catalog_of(tables)
+    b = Builder("f")
+    scan = b.emit("relational", "scan", (), {"table": "t", "schema": catalog["t"]})
+    sort = b.emit("relational", "sort", [scan.result()], {"by": by, "ascending": ascending})
+    current = sort
+    for n in limits:
+        current = b.emit("relational", "limit", [current.result()], {"n": n})
+    returns = [current.result()]
+    if extra_reader is not None:
+        returns.append(b.emit("relational", extra_reader, [sort.result()]).result())
+    if return_sort:
+        returns.append(sort.result())
+    func = b.ret(*returns)
+    func.verify()
+    return func
+
+
+def sorts_and_limits(func):
+    return [
+        (op.name, op.attrs.get("limit", op.attrs.get("n")))
+        for op in func.ops
+        if op.name in ("sort", "limit")
+    ]
+
+
+def same_rows(got, want):
+    assert got.schema == want.schema and got.num_rows == want.num_rows
+    for name in want.schema.names:
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+def frame(rng, rows):
+    return {"t": RecordBatch.from_arrays({
+        "a": rng.choice(np.array([np.nan, -0.0, 0.0, 1.5, 3.0]), rows),
+        "b": rng.integers(-3, 3, rows),
+        "c": rng.integers(0, 2, rows).astype(np.int8),
+        "row": np.arange(rows),
+    })}
+
+
+class TestFoldLimitIntoSort:
+    def test_a_sole_reader_limit_folds(self, orders):
+        sql = "SELECT oid, amount FROM orders ORDER BY amount DESC LIMIT 5"
+        func = sql_to_ir(sql, CATALOG)
+        (want,) = run_function(func, tables={"orders": orders})
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        assert sorts_and_limits(func) == [("sort", 5)]
+        (got,) = run_function(func, tables={"orders": orders})
+        same_rows(got, want)
+        assert func.returns[0].producer.name == "sort"
+
+    @pytest.mark.parametrize("reader,returned", [("distinct", False), (None, True)])
+    def test_a_sort_read_twice_or_returned_keeps_its_limit(self, reader, returned):
+        tables = frame(np.random.default_rng(0), 30)
+        func = top_n_plan(tables, ("a",), True, 4, extra_reader=reader, return_sort=returned)
+        want = run_function(func, tables=tables)
+        assert not FoldLimitIntoSort().run(func, PassStats())
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        assert sorts_and_limits(func) == [("sort", None), ("limit", 4)]
+        for got, expected in zip(run_function(func, tables=tables), want, strict=True):
+            same_rows(got, expected)
+
+    @pytest.mark.parametrize("limits", [(3, 7), (7, 3), (5, 5), (0, 9)])
+    def test_nested_limits_keep_the_smaller_n(self, limits):
+        tables = frame(np.random.default_rng(1), 40)
+        func = top_n_plan(tables, ("b", "row"), False, *limits)
+        (want,) = run_function(func, tables=tables)
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        assert sorts_and_limits(func) == [("sort", min(limits))]
+        (got,) = run_function(func, tables=tables)
+        same_rows(got, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_optimized_and_plain_plans_give_the_same_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(0, 120))
+        tables = frame(rng, rows)
+        width = int(rng.integers(1, 4))
+        by = tuple(rng.permutation(["a", "b", "c"])[:width].tolist())
+        limits = tuple(int(n) for n in rng.integers(0, rows + 3, int(rng.integers(1, 3))))
+        ascending = bool(rng.random() < 0.5)
+        (want,) = run_function(top_n_plan(tables, by, ascending, *limits), tables=tables)
+        func = top_n_plan(tables, by, ascending, *limits)
+        PassManager(relational_optimizer(), verify_each=True).run(func)
+        assert [name for name, _ in sorts_and_limits(func)] == ["sort"]
+        (got,) = run_function(func, tables=tables)
+        same_rows(got, want)
+
+    def test_the_distributed_top_n_matches_the_oracle(self, orders):
+        sql = "SELECT oid, amount FROM orders ORDER BY amount DESC, oid DESC LIMIT 10"
+        (want,) = run_function(sql_to_ir(sql, CATALOG), tables={"orders": orders})
+        skadi = Skadi(shards=4)
+        same_rows(skadi.sql(sql, {"orders": orders}), want)
+        plan = skadi.explain(sql, {"orders": orders})
+        assert "limit=10" in plan and "df.limit" not in plan
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_a_folded_limit_keeps_the_planners_row_estimate(self, fold):
+        """A top-n of 3 rows is small enough to broadcast into a join, folded
+        or not."""
+        tables = frame(np.random.default_rng(3), 10)
+        catalog = catalog_of(tables)
+        b = Builder("f")
+        left = b.emit("relational", "scan", (), {"table": "t", "schema": catalog["t"]})
+        right = b.emit("relational", "scan", (), {"table": "t", "schema": catalog["t"]})
+        sort = b.emit("relational", "sort", [right.result()], {"by": ("b",)})
+        top = b.emit("relational", "limit", [sort.result()], {"n": 3})
+        join = b.emit(
+            "relational", "join", [left.result(), top.result()], {"left_on": "b", "right_on": "b"}
+        )
+        func = b.ret(join.result())
+        if fold:
+            assert FoldLimitIntoSort().run(func, PassStats())
+        graph, _ = ir_to_flowgraph(
+            func, shards=4, table_rows={"t": 50_000}, broadcast_threshold=10
+        )
+        assert any(v.name.endswith(":broadcast") for v in graph.vertices.values())
+        assert all(e.key is None for e in graph.edges)
+
+    @pytest.mark.parametrize("limit", [-1, 2.0, "3", True, None])
+    def test_verify_rejects_a_limit_that_is_not_a_non_negative_int(self, limit):
+        tables = frame(np.random.default_rng(2), 5)
+        func = top_n_plan(tables, ("a",), True)
+        sort = func.ops[1]
+        sort.attrs = {**sort.attrs, "limit": limit}
+        codes = [(code, message) for code, _index, message in func.findings()]
+        assert ("op-invariant", f"relational.sort: 'limit' attribute must be a non-negative "
+                f"int, got {limit!r}") in codes
+        with pytest.raises(IRVerificationError, match="'limit' attribute"):
+            func.verify()
