@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .simtime import Resource, Simulator
+from .simtime import Hold, Resource, Simulator
 
 __all__ = [
     "DeviceKind",
@@ -200,8 +200,8 @@ class Device:
         """The device comes back — empty (its memory did not survive)."""
         self.alive = True
 
-    def execute(self, cpu_seconds: float, label: str = "task"):
-        """A process that occupies one slot for the scaled duration.
+    def execute(self, cpu_seconds: float, label: str = "task") -> Hold:
+        """An awaitable that occupies one slot for the scaled duration.
 
         Includes the device's dispatch overhead; this is the leaf primitive
         the runtime layers use to burn virtual compute time.  ``slowdown``
@@ -211,18 +211,10 @@ class Device:
         duration = self.slowdown * (
             self.spec.dispatch_overhead + self.spec.scaled_duration(cpu_seconds)
         )
+        return Hold(self.slots, duration, self._burned, label)
 
-        def _run():
-            grant = self.slots.request()
-            yield grant
-            try:
-                yield self.sim.timeout(duration)
-                self.busy_seconds += duration
-            finally:
-                self.slots.release()
-            return duration
-
-        return self.sim.process(_run(), name=f"{self.device_id}:{label}")
+    def _burned(self, duration: float) -> None:
+        self.busy_seconds += duration
 
     def utilization(self, horizon: float) -> float:
         """Busy slot-seconds over capacity across ``horizon`` seconds."""

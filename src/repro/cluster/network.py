@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .simtime import Process, Resource, Signal, Simulator
+from .simtime import Process, Resource, Signal, Simulator, Step
 from .topology import Topology
 
 __all__ = [
@@ -254,9 +254,6 @@ class Network:
             return False
         return self._endpoint_group(src) != self._endpoint_group(dst)
 
-    def _hop_factor(self, a: str, b: str) -> float:
-        return self.topology.degradation(a, b)
-
     def _link_key(self, a: str, b: str) -> Tuple[str, str]:
         key = self._key_of_pair.get((a, b))
         if key is None:
@@ -335,7 +332,7 @@ class Network:
             yield src_sigs[c]
             yield slot.request()
             try:
-                factor = self._hop_factor(a, b)
+                factor = self.topology.degradation(a, b)
                 serialize = factor * clen / link.bandwidth
                 self._busy_until[key] = self.sim.now + serialize
                 busy.inc(serialize)
@@ -393,7 +390,7 @@ class Network:
                     meters.transfers.inc()
                     yield slot.request()
                     try:
-                        factor = self._hop_factor(a, b)
+                        factor = self.topology.degradation(a, b)
                         serialize = factor * nbytes / link.bandwidth
                         self._busy_until[key] = self.sim.now + serialize
                         meters.busy.inc(serialize)
@@ -512,56 +509,28 @@ class Network:
 
     # -- control messages ----------------------------------------------------
 
-    def message(self, src: str, dst: str, label: str = "msg") -> Process:
+    def message(self, src: str, dst: str, label: str = "msg") -> Step:
         """A small control-plane message (fixed frame, latency-dominated).
 
-        The process value is ``True`` when the message arrived, ``False``
-        when chaos dropped it (loss or partition).  Callers that predate
-        fault injection ignore the value; delivery-sensitive protocols
-        (heartbeats, leases) check it.
+        An awaitable whose value is ``True`` when the message arrived,
+        ``False`` when chaos dropped it (loss or partition).  Callers that
+        predate fault injection ignore the value; delivery-sensitive
+        protocols (heartbeats, leases) check it.
         """
         hops = self.topology.route(src, dst)
         self.stats.messages += 1
         dropped = self.crosses_partition(src, dst) or (
             self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate
         )
+        return _Message(self, hops, dropped, label)
 
-        def _send() -> Generator:
-            if dropped:
-                self.stats.dropped_messages += 1
-                self._meter_drop("message")
-                if hops:
-                    yield self.sim.timeout(
-                        self.topology.link(*hops[0]).transfer_time(CONTROL_MSG_BYTES)
-                    )
-                return False
-            for a, b in hops:
-                link = self.topology.link(a, b)
-                yield self.sim.timeout(
-                    self._hop_factor(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
-                )
-                key = self._link_key(a, b)
-                self.stats.record_link(key, CONTROL_MSG_BYTES)
-                meters = self._meters(key)
-                meters.messages.inc()
-                meters.bytes.inc(CONTROL_MSG_BYTES)
-            self.stats.messages_delivered += 1
-            return True
-
-        return self.sim.process(_send(), name=f"net:{label}:{src}->{dst}")
-
-    def rpc(self, src: str, dst: str, label: str = "rpc") -> Process:
+    def rpc(self, src: str, dst: str, label: str = "rpc") -> Step:
         """Request/response control-message pair (two one-way messages).
 
-        The process value is ``True`` only when both legs were delivered.
+        An awaitable whose value is ``True`` only when both legs were
+        delivered.
         """
-
-        def _roundtrip() -> Generator:
-            req_ok = yield self.message(src, dst, label=f"{label}:req")
-            rsp_ok = yield self.message(dst, src, label=f"{label}:rsp")
-            return bool(req_ok and rsp_ok)
-
-        return self.sim.process(_roundtrip(), name=f"net:{label}:{src}<->{dst}")
+        return _Rpc(self, src, dst, label)
 
     # -- the placement cost model --------------------------------------------
 
@@ -593,3 +562,66 @@ class Network:
                 free = start + clen * inv_bw
                 ready[c] = free + latency
         return ready[-1]
+
+
+class _Message(Step):
+    """:meth:`Network.message`: one timer per hop, each made as the one
+    before fires; a dropped message burns its first hop and gives up."""
+
+    __slots__ = ("net", "hops", "dropped")
+
+    def __init__(self, net: Network, hops: Sequence[Tuple[str, str]], dropped: bool, label: str):
+        self.net = net
+        self.hops = hops
+        self.dropped = dropped
+        Step.__init__(self, net.sim, label)
+
+    def _advance(self, _value: Any, _exc: None) -> None:
+        net, hops, hop = self.net, self.hops, self._phase
+        self._phase = hop + 1
+        if self.dropped:
+            if hop == 0:
+                net.stats.dropped_messages += 1
+                net._meter_drop("message")
+            if hop or not hops:
+                self.trigger(False)
+            else:
+                link = net.topology.link(*hops[0])
+                self._wait(net.sim.timeout(link.transfer_time(CONTROL_MSG_BYTES)))
+            return
+        if hop:  # hop - 1 is across
+            key = net._link_key(*hops[hop - 1])
+            net.stats.record_link(key, CONTROL_MSG_BYTES)
+            meters = net._meters(key)
+            meters.messages.inc()
+            meters.bytes.inc(CONTROL_MSG_BYTES)
+        if hop < len(hops):
+            a, b = hops[hop]
+            link = net.topology.link(a, b)
+            delay = net.topology.degradation(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
+            self._wait(net.sim.timeout(delay))
+        else:
+            net.stats.messages_delivered += 1
+            self.trigger(True)
+
+
+class _Rpc(Step):
+    """:meth:`Network.rpc`: the response leaves once the request is in (or lost)."""
+
+    __slots__ = ("net", "src", "dst", "_req_ok")
+
+    def __init__(self, net: Network, src: str, dst: str, label: str):
+        self.net = net
+        self.src = src
+        self.dst = dst
+        Step.__init__(self, net.sim, label)
+
+    def _advance(self, value: Any, _exc: None) -> None:
+        self._phase += 1
+        if self._phase == 1:
+            self._wait(self.net.message(self.src, self.dst, self.name))
+        elif self._phase == 2:
+            self._req_ok = value
+            self._wait(self.net.message(self.dst, self.src, self.name))
+        else:
+            self.trigger(bool(self._req_ok and value))

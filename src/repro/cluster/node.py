@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 from .hardware import Device, DeviceKind
@@ -32,6 +33,9 @@ class Node:
 
     def add_device(self, device: Device) -> None:
         self.devices.append(device)
+        # attachment_device and dominant_device are resolved once per device set
+        self.__dict__.pop("attachment_device", None)
+        self.__dict__.pop("dominant_device", None)
 
     def devices_of_kind(self, kind: DeviceKind) -> List[Device]:
         return [d for d in self.devices if d.kind == kind]
@@ -40,7 +44,7 @@ class Node:
         matches = self.devices_of_kind(kind)
         return matches[0] if matches else None
 
-    @property
+    @cached_property
     def attachment_device(self) -> Device:
         """The device that terminates the node's network link."""
         preferred = {
@@ -60,7 +64,7 @@ class Node:
     def attachment_endpoint(self) -> str:
         return self.attachment_device.device_id
 
-    @property
+    @cached_property
     def dominant_device(self) -> Device:
         """The device a scheduler targets when placing work on this node.
 

@@ -31,6 +31,11 @@ single-heap kernel:
   awaitable resumes immediately, without a scheduler round trip, whenever
   the ring is empty and no trigger callback chain is active (i.e. exactly
   when the scheduled continuation would have been the very next event).
+* **generator-free steps** — the leaf primitives (a control message, a
+  :class:`Hold` of a slot, an :class:`After` watchdog) are :class:`Step`
+  state machines that dispatch exactly as the processes they replace, and a
+  finished :class:`Process` breaks its own reference cycle: both are freed by
+  refcounting, not the cycle collector.
 * **idle fast-forward** (opt-in, ``Simulator.fast_forward``) — periodic
   *poller* ticks created with :meth:`Simulator.poll_timeout` are deferred
   and coalesced onto the next regular event when nothing else is pending
@@ -64,6 +69,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 __all__ = [
     "Simulator",
     "Process",
+    "Step", "Hold", "After",
     "Timeout",
     "Signal",
     "AllOf",
@@ -389,8 +395,8 @@ class Process(Awaitable):
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        # Field init inlined (see Timeout): a process is born per message
-        # send and per task attempt, so creation is on the hot path.
+        # Field init inlined (see Timeout): a process is born per task
+        # attempt and per transfer, so creation is on the hot path.
         self.sim = sim
         self.triggered = False
         self.value = None
@@ -410,7 +416,7 @@ class Process(Awaitable):
         # most processes never need it.
         self._wait_cb = None
         # The start event, with _push0's fast path inlined (a process is
-        # born per message send; the helper frame is measurable).
+        # born per task attempt; the helper frame is measurable).
         if sim._fastpath:
             sim._ring.append((step, _START_ARGS))
             return
@@ -448,12 +454,11 @@ class Process(Awaitable):
                     awaited = self._gen.throw(throw_exc)
                 else:
                     awaited = send(send_value)
-            except StopIteration as stop:
-                self.trigger(stop.value)
-                return
-            except Interrupt:
-                # Process chose not to handle its interrupt: treat as clean exit.
-                self.trigger(None)
+            except (StopIteration, Interrupt) as end:
+                # An unhandled interrupt is a clean exit.  The cached bound
+                # methods point back here: drop them, so refcounting frees us.
+                self._send = self._step_cb = self._wait_cb = None
+                self.trigger(end.value if isinstance(end, StopIteration) else None)
                 return
             if not isinstance(awaited, Awaitable):
                 raise SimulationError(
@@ -484,6 +489,80 @@ class Process(Awaitable):
                         cb = self._wait_cb = self._on_waited
                     awaited.add_callback(cb)
             return
+
+
+class Step(Awaitable):
+    """A generator-free process.  A subclass implements ``_advance(value,
+    _exc)``, its body up to the next wait: it parks on an awaitable it just
+    made (:meth:`_wait`) or ends with ``self.trigger(value)``; ``_phase`` (0
+    at the start) says where it is.  The start entry is a :class:`Process`'s
+    and the step is the sole ``_waiter`` of what it awaits, so ``_advance``
+    runs exactly when a generator body would resume.  Nothing interrupts it."""
+
+    __slots__ = ("name", "_waiting_on", "_phase")
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._step = cls._advance  # the waiter protocol's entry, without a frame
+
+    def __init__(self, sim: "Simulator", name: str) -> None:
+        Awaitable.__init__(self, sim)
+        self.name = name
+        self._waiting_on: Optional[Awaitable] = None
+        self._phase = 0
+        if sim._fastpath:  # the start entry, as in Process.__init__
+            sim._ring.append((self._step, _START_ARGS))
+            return
+        sim.schedule(0.0, self._step, None, None)
+
+    def _wait(self, awaitable: Awaitable) -> None:
+        self._waiting_on = awaitable
+        awaitable._waiter = self  # fresh: no other waiter, no callbacks
+
+
+class Hold(Step):
+    """Hold a slot of ``resource`` for ``duration`` (the value); ``then(duration)``
+    runs as the hold ends, before the slot is released."""
+
+    __slots__ = ("resource", "duration", "then")
+
+    def __init__(self, resource: "Resource", duration: float, then: Any = None, name: str = ""):
+        self.resource = resource
+        self.duration = duration
+        self.then = then
+        Step.__init__(self, resource.sim, name)
+
+    def _advance(self, _value: Any, _exc: None) -> None:
+        self._phase += 1
+        if self._phase == 1:
+            self._wait(self.resource.request())
+        elif self._phase == 2:  # granted
+            self._wait(_make_timeout(self.sim, self.duration))
+        else:
+            if self.then is not None:
+                self.then(self.duration)
+            self.resource.release()
+            self.trigger(self.duration)
+
+
+class After(Step):
+    """Call ``fn(*args)`` ``delay`` after the start step (a watchdog)."""
+
+    __slots__ = ("delay", "fn", "args")
+
+    def __init__(self, sim: "Simulator", delay: float, fn: Callable, *args: Any) -> None:
+        self.delay = delay
+        self.fn = fn
+        self.args = args
+        Step.__init__(self, sim, "after")
+
+    def _advance(self, _value: Any, _exc: None) -> None:
+        self._phase += 1
+        if self._phase == 1:
+            self._wait(_make_timeout(self.sim, self.delay))
+        else:
+            self.fn(*self.args)
+            self.trigger(None)
 
 
 class Resource:

@@ -18,10 +18,10 @@ slow DPU a bottleneck for swarms of short-lived ops.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.hardware import Device, DeviceKind
-from ..cluster.simtime import Resource, Signal, Simulator
+from ..cluster.simtime import Hold, Resource, Signal, Simulator
 from .object_store import LocalObjectStore
 
 __all__ = ["Raylet"]
@@ -173,8 +173,8 @@ class Raylet:
             if not sig.triggered:
                 sig.succeed(False)
 
-    def control(self, actions: int = 1):
-        """A process charging ``actions`` control-plane handling costs.
+    def control(self, actions: int = 1) -> Hold:
+        """An awaitable charging ``actions`` control-plane handling costs.
 
         Control work is serialized on this raylet — the heart of the
         CPU(DPU)-centric bottleneck Gen-2 removes.
@@ -183,15 +183,7 @@ class Raylet:
         self.control_actions += actions
         if self._m_control is not None:
             self._m_control.inc(actions)
-
-        def _handle() -> Generator:
-            yield self.control_slot.request()
-            try:
-                yield self.sim.timeout(cost)
-            finally:
-                self.control_slot.release()
-
-        return self.sim.process(_handle(), name=f"{self.raylet_id}:ctrl")
+        return Hold(self.control_slot, cost, name="ctrl")
 
     # -- control-plane HA: fencing epochs and report buffering ----------------
 

@@ -22,8 +22,9 @@ dispatched (starts the watchers the config asks for) and
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Generator
+from typing import Any
 
+from ..cluster.simtime import After
 from .scheduler import PlacementError
 from .task import IN_FLIGHT_STATES, TaskState
 
@@ -58,13 +59,16 @@ class Supervisor:
         """At dispatch: start the watchers the config asks for."""
         rt, spec = self.rt, ctx.spec
         if rt.config.task_timeout is not None:
-            rt.sim.process(self._timeout_watch(ctx, ctx.attempt), name=f"ttl:{spec.task_id}")
+            After(rt.sim, rt.config.task_timeout, self._timed_out, ctx, ctx.attempt)
         if (
             rt.config.speculation_factor is not None
             and spec.actor_id is None  # actors are stateful: never speculate
             and not ctx.is_clone
         ):
-            rt.sim.process(self._speculation_watch(ctx, ctx.attempt), name=f"spy:{spec.task_id}")
+            dev = ctx.device.spec
+            expected = dev.dispatch_overhead + dev.scaled_duration(spec.compute_cost)
+            delay = rt.config.speculation_factor * max(expected, 1e-9)
+            After(rt.sim, delay, self._straggling, ctx, ctx.attempt)
 
     def failed(self, ctx: Any, cause: str) -> None:
         """An attempt (or the placement of one) ended in a transient fault:
@@ -130,26 +134,22 @@ class Supervisor:
             and not self.rt._outputs_ready(ctx)
         )
 
-    def _timeout_watch(self, ctx: Any, attempt: int) -> Generator:
-        """Interrupt an attempt that outlives ``task_timeout`` (it will be
-        retried elsewhere by the normal transient-failure path)."""
-        yield self.rt.sim.timeout(self.rt.config.task_timeout)
+    def _timed_out(self, ctx: Any, attempt: int) -> None:
+        """``task_timeout`` after dispatch: interrupt the attempt if it still
+        runs (the transient-failure path retries it elsewhere)."""
         # a backup that stood down keeps its in-flight state: nothing to interrupt
         if self._live(ctx, attempt) and not ctx.proc.triggered:
             self.rt._record("task_timeout", task=ctx.spec.task_id, attempt=attempt)
             ctx.proc.interrupt("execution timeout")
 
-    def _speculation_watch(self, ctx: Any, attempt: int) -> Generator:
-        """After ``speculation_factor`` x the expected runtime, launch a
-        backup copy on a different device — the straggler mitigation."""
-        rt, dev = self.rt, ctx.device.spec
-        expected = dev.dispatch_overhead + dev.scaled_duration(ctx.spec.compute_cost)
-        yield rt.sim.timeout(rt.config.speculation_factor * max(expected, 1e-9))
+    def _straggling(self, ctx: Any, attempt: int) -> None:
+        """``speculation_factor`` x the expected runtime after dispatch: launch
+        a backup copy on a different device — the straggler mitigation."""
         if (
             self._live(ctx, attempt)
             and ctx.twin is None
-            and rt._ctxs.get(ctx.spec.task_id) is ctx
-            and rt.gcs_up  # nobody to grant the backup's lease
+            and self.rt._ctxs.get(ctx.spec.task_id) is ctx
+            and self.rt.gcs_up  # nobody to grant the backup's lease
         ):
             self._speculate(ctx)
 

@@ -10,8 +10,8 @@ from repro.cluster.cluster import (
     build_tightly_coupled,
 )
 from repro.cluster.durable import DurableStore
-from repro.cluster.hardware import MB, DeviceKind
-from repro.cluster.node import NodeKind
+from repro.cluster.hardware import CPU_SERVER_SPEC, DPU_SPEC, GPU_SPEC, MB, Device, DeviceKind
+from repro.cluster.node import Node, NodeKind
 
 
 class TestServerful:
@@ -88,6 +88,32 @@ class TestPhysicalDisagg:
             phys_cluster.device("nope")
         with pytest.raises(KeyError):
             phys_cluster.node("nope")
+
+
+class TestNodeDevices:
+    """A node resolves its attachment and dominant device once; adding a
+    device resolves them afresh."""
+
+    def test_a_device_added_later_changes_the_answer(self, sim):
+        card = Node("card", NodeKind.DISAGG_DEVICE)
+        with pytest.raises(ValueError, match="no devices"):
+            card.attachment_device
+        gpu = Device(sim, GPU_SPEC, node_id="card", device_id="card/gpu")
+        card.add_device(gpu)
+        assert card.attachment_device is gpu and card.dominant_device is gpu
+        dpu = Device(sim, DPU_SPEC, node_id="card", device_id="card/dpu")
+        card.add_device(dpu)
+        assert card.attachment_device is dpu and card.attachment_endpoint == "card/dpu"
+        assert card.dominant_device is gpu
+
+    def test_a_server_attaches_at_its_first_cpu(self, sim):
+        server = Node("s", NodeKind.SERVER)
+        gpu = Device(sim, GPU_SPEC, node_id="s", device_id="s/gpu")
+        server.add_device(gpu)
+        assert server.dominant_device is gpu  # no CPU yet: the first device
+        cpu = Device(sim, CPU_SERVER_SPEC, node_id="s", device_id="s/cpu")
+        server.add_device(cpu)
+        assert server.attachment_device is cpu and server.dominant_device is cpu
 
 
 class TestTightlyCoupled:

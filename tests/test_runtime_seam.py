@@ -307,8 +307,8 @@ class TestStructureGuard:
 
     # what left for repro.runtime.supervision: retry, timeout and speculation
     SUPERVISION_NAMES = {
-        "_retry_or_fail", "_requeue", "_backoff_delay", "_timeout_watch",
-        "_speculation_watch", "_speculate",
+        "_retry_or_fail", "_requeue", "_backoff_delay", "_timed_out",
+        "_straggling", "_speculate",
     }
 
     def test_supervision_left_the_core(self):

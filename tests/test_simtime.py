@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cluster.simtime import Channel, Interrupt, Resource, Signal, SimulationError
+from repro.chaos.perturb import TiePerturbation
+from repro.cluster.cluster import build_serverful
+from repro.cluster.hardware import Device
+from repro.cluster.network import CONTROL_MSG_BYTES, Network
+from repro.cluster.simtime import (
+    After,
+    Channel,
+    Hold,
+    Interrupt,
+    Resource,
+    Signal,
+    SimulationError,
+    Simulator,
+)
+from repro.cluster.topology import LinkSpec, Topology
+from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
+from repro.runtime.raylet import Raylet
+from repro.runtime.supervision import Supervisor
 
 
 class TestScheduling:
@@ -275,3 +296,400 @@ class TestChannel:
         sim.process(getter())
         sim.run()
         assert got == [0, 1, 2]
+
+
+# -- generator-free steps ------------------------------------------------------------
+#
+# The generator bodies the steps replaced, kept here as the reference: a step
+# must give the same dispatch log (time, order, value), the same
+# events_executed() and the same inline_steps as its generator, on the fast
+# path and under a schedule perturbation.
+
+
+def ref_message(net, src, dst, label="msg"):
+    hops = net.topology.route(src, dst)
+    net.stats.messages += 1
+    dropped = net.crosses_partition(src, dst) or (
+        net._loss_rate > 0.0 and net._loss_rng.random() < net._loss_rate
+    )
+
+    def _send():
+        if dropped:
+            net.stats.dropped_messages += 1
+            net._meter_drop("message")
+            if hops:
+                yield net.sim.timeout(net.topology.link(*hops[0]).transfer_time(CONTROL_MSG_BYTES))
+            return False
+        for a, b in hops:
+            link = net.topology.link(a, b)
+            yield net.sim.timeout(
+                net.topology.degradation(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
+            )
+            key = net._link_key(a, b)
+            net.stats.record_link(key, CONTROL_MSG_BYTES)
+            meters = net._meters(key)
+            meters.messages.inc()
+            meters.bytes.inc(CONTROL_MSG_BYTES)
+        net.stats.messages_delivered += 1
+        return True
+
+    return net.sim.process(_send())
+
+
+def ref_rpc(net, src, dst, label="rpc"):
+    def _roundtrip():
+        req_ok = yield ref_message(net, src, dst)
+        rsp_ok = yield ref_message(net, dst, src)
+        return bool(req_ok and rsp_ok)
+
+    return net.sim.process(_roundtrip())
+
+
+def ref_hold(resource, duration, then=None, name=""):
+    def _run():
+        yield resource.request()
+        try:
+            yield resource.sim.timeout(duration)
+            if then is not None:
+                then(duration)
+        finally:
+            resource.release()
+        return duration
+
+    return resource.sim.process(_run())
+
+
+def ref_after(sim, delay, fn, *args):
+    def _watch():
+        yield sim.timeout(delay)
+        fn(*args)
+
+    return sim.process(_watch())
+
+
+def ref_execute(self, cpu_seconds, label="task"):
+    duration = self.slowdown * (
+        self.spec.dispatch_overhead + self.spec.scaled_duration(cpu_seconds)
+    )
+    return ref_hold(self.slots, duration, self._burned)
+
+
+def ref_control(self, actions=1):
+    cost = self.host_device.spec.dispatch_overhead * actions
+    self.control_actions += actions
+    if self._m_control is not None:
+        self._m_control.inc(actions)
+
+    def _handle():
+        yield self.control_slot.request()
+        try:
+            yield self.sim.timeout(cost)
+        finally:
+            self.control_slot.release()
+
+    return self.sim.process(_handle())
+
+
+def ref_watch(self, ctx):
+    rt, spec = self.rt, ctx.spec
+
+    def _timeout_watch(attempt):
+        yield rt.sim.timeout(rt.config.task_timeout)
+        self._timed_out(ctx, attempt)
+
+    def _speculation_watch(attempt):
+        dev = ctx.device.spec
+        expected = dev.dispatch_overhead + dev.scaled_duration(spec.compute_cost)
+        yield rt.sim.timeout(rt.config.speculation_factor * max(expected, 1e-9))
+        self._straggling(ctx, attempt)
+
+    if rt.config.task_timeout is not None:
+        rt.sim.process(_timeout_watch(ctx.attempt))
+    if rt.config.speculation_factor is not None and spec.actor_id is None and not ctx.is_clone:
+        rt.sim.process(_speculation_watch(ctx.attempt))
+
+
+STEPS = {"message": Network.message, "rpc": Network.rpc, "hold": Hold, "after": After}
+REFS = {"message": ref_message, "rpc": ref_rpc, "hold": ref_hold, "after": ref_after}
+PERTURBATIONS = pytest.mark.parametrize(
+    "perturb", [None, TiePerturbation(seed=7, jitter=0.05)], ids=["fast", "perturbed"]
+)
+
+
+class Witness:
+    """One simulator and a log of (time, tag, value, counters).  A probe notes
+    from a timer made *now*, so it fires before any timer a start step makes
+    later for the same instant."""
+
+    def __init__(self, perturb):
+        self.sim = Simulator()
+        if perturb is not None:
+            self.sim.set_perturbation(perturb)
+        self.counters = lambda: None
+        self.log = []
+
+    def note(self, tag, value=None):
+        self.log.append((self.sim.now, tag, value, self.counters()))
+
+    def probe(self, delay, tag):
+        self.sim.timeout(delay).add_callback(lambda _aw: self.note(tag))
+
+    def wait(self, awaitable, tag):
+        def _waiter():
+            self.note(tag, (yield awaitable))
+
+        return self.sim.process(_waiter())
+
+    def run(self, driver):
+        self.sim.process(driver())
+        self.sim.run()
+        return self.log, self.sim.events_executed(), self.sim.inline_steps
+
+
+def net_witness(perturb):
+    """A four-endpoint line a-b-c-d; returns the witness, the network and the
+    message time of each hop."""
+    topo = Topology()
+    topo.add_link("a", "b", LinkSpec(latency=1e-6, bandwidth=1e9))
+    topo.add_link("b", "c", LinkSpec(latency=2e-6, bandwidth=2e9))
+    topo.add_link("c", "d", LinkSpec(latency=1e-6, bandwidth=1e9))
+    w = Witness(perturb)
+    net = Network(w.sim, topo)
+    stats = net.stats
+    w.counters = lambda: (
+        stats.messages, stats.messages_delivered, stats.dropped_messages,
+        tuple(sorted(stats.bytes_by_link.items())),
+    )
+    hop = [topo.link(*h).transfer_time(CONTROL_MSG_BYTES) for h in topo.route("a", "d")]
+    return w, net, hop
+
+
+def message_run(impl, perturb, case):
+    w, net, hop = net_witness(perturb)
+    if case == "partitioned":
+        net.partition({"d"})
+    elif case == "lost":
+        net.set_message_loss(1.0, seed=3)
+    dst = "a" if case == "zero_hop" else "d"
+
+    def driver():
+        yield w.sim.timeout(1e-6)
+        msg = impl["message"](net, "a", dst, "m")
+        w.note("called")  # before the start step: only the send is counted
+        w.probe(0.0, "started")
+        w.probe(hop[0], "hop 1")  # ties with the first hop's timer, made first
+        w.probe(hop[0] + hop[1], "hop 2")
+        w.wait(msg, "waiter")
+        w.note("driver", (yield msg))
+
+    return w.run(driver)
+
+
+def rpc_run(impl, perturb, case):
+    w, net, hop = net_witness(perturb)
+    if case == "lost":
+        net.set_message_loss(0.5, seed=1)  # seeded: the request is lost, the response goes
+
+    def driver():
+        call = impl["rpc"](net, "a", "d", "r")
+        w.note("called")
+        w.probe(0.0, "started")
+        w.probe(hop[0], "req hop 1")
+        w.probe(sum(hop), "req in")
+        w.note("driver", (yield call))
+        yield impl["rpc"](net, "d", "a", "r2")
+        w.note("second")
+
+    return w.run(driver)
+
+
+def hold_run(impl, perturb, case):
+    w = Witness(perturb)
+    res = Resource(w.sim, capacity=1, name="slot")
+    burned = []
+    w.counters = lambda: (res.in_use, res.queued, tuple(burned))
+    duration = 0.0 if case == "zero" else 2e-3
+
+    def driver():
+        first = impl["hold"](res, duration, burned.append)
+        w.note("called")
+        w.probe(0.0, "started")
+        w.probe(duration, "held")
+        if case == "queued":
+            second = impl["hold"](res, 1e-3)
+            w.probe(duration / 2, "one holds, one waits")
+            w.probe(duration + 1e-3, "second held")
+            w.wait(second, "second")
+        w.note("driver", (yield first))
+
+    return w.run(driver)
+
+
+def after_run(impl, perturb, case):
+    w = Witness(perturb)
+
+    def driver():
+        yield w.sim.timeout(1e-3)
+        watchdog = impl["after"](w.sim, 5e-3, w.note, "fired", case)
+        w.note("called")
+        w.probe(5e-3, "tie")  # made before the watchdog's timer: fires first
+        w.note("driver", (yield watchdog))
+
+    return w.run(driver)
+
+
+def interrupted_run(impl, perturb, case):
+    """A waiter interrupted while its message is in flight is not resumed
+    by the message's arrival: it is already waiting on something else."""
+    w, net, hop = net_witness(perturb)
+
+    def waiter():
+        msg = impl["message"](net, "a", "d", "m")
+        try:
+            w.note("resumed", (yield msg))
+        except Interrupt as intr:
+            w.note("interrupted", intr.cause)
+        w.note("slept", (yield w.sim.timeout(sum(hop), "alarm")))
+
+    def driver():
+        proc = w.sim.process(waiter())
+        yield w.sim.timeout(hop[0])
+        proc.interrupt("stop")
+        w.note("done", (yield proc))
+
+    return w.run(driver)
+
+
+class TestSteps:
+    @PERTURBATIONS
+    @pytest.mark.parametrize("case", ["delivered", "partitioned", "lost", "zero_hop"])
+    def test_message(self, perturb, case):
+        got = message_run(STEPS, perturb, case)
+        assert got == message_run(REFS, perturb, case)
+        log = got[0]
+        assert [e[2] for e in log if e[1] == "driver"] == [case in ("delivered", "zero_hop")]
+        assert log[0][1] == "called" and log[0][3][:3] == (1, 0, 0)
+
+    @PERTURBATIONS
+    @pytest.mark.parametrize("case", ["delivered", "lost"])
+    def test_rpc(self, perturb, case):
+        got = rpc_run(STEPS, perturb, case)
+        assert got == rpc_run(REFS, perturb, case)
+        assert [e[2] for e in got[0] if e[1] == "driver"] == [case == "delivered"]
+
+    @PERTURBATIONS
+    @pytest.mark.parametrize("case", ["free", "queued", "zero"])
+    def test_hold(self, perturb, case):
+        got = hold_run(STEPS, perturb, case)
+        assert got == hold_run(REFS, perturb, case)
+        assert got[0][-1][3][:2] == (0, 0)  # every slot returned
+        assert any(e[3][:2] == (1, 1) for e in got[0]) is (case == "queued")
+
+    @PERTURBATIONS
+    def test_after(self, perturb):
+        got = after_run(STEPS, perturb, "watchdog")
+        assert got == after_run(REFS, perturb, "watchdog")
+        assert [e[1] for e in got[0]] == ["called", "tie", "fired", "driver"]
+
+    @PERTURBATIONS
+    def test_interrupted_waiter_is_not_resumed(self, perturb):
+        got = interrupted_run(STEPS, perturb, None)
+        assert got == interrupted_run(REFS, perturb, None)
+        assert [e[1:3] for e in got[0]] == [
+            ("interrupted", "stop"), ("slept", "alarm"), ("done", None),
+        ]
+
+    @PERTURBATIONS
+    def test_a_runtime_dispatches_as_with_generators(self, perturb, monkeypatch):
+        """Leases, PULL fetches (rpc), raylet control, execution and both
+        watchdogs in one run with message loss and a straggler: the event
+        log, the clock and the kernel's counters are the generators'."""
+        got = soak(perturb)
+        monkeypatch.setattr(Network, "message", ref_message)
+        monkeypatch.setattr(Network, "rpc", ref_rpc)
+        monkeypatch.setattr(Device, "execute", ref_execute)
+        monkeypatch.setattr(Raylet, "control", ref_control)
+        monkeypatch.setattr(Supervisor, "watch", ref_watch)
+        assert got == soak(perturb)
+        counts = got[1]
+        assert counts["task_timeout"] and counts["speculate"] and counts["task_retry"]
+
+
+def soak(perturb):
+    return drive_soak(build_soak(perturb))
+
+
+def build_soak(perturb):
+    rt = ServerlessRuntime(
+        build_serverful(n_servers=3),
+        RuntimeConfig(
+            resolution=ResolutionMode.PULL,
+            max_retries=20,
+            retry_backoff_base=1e-3,
+            speculation_factor=3.0,
+            task_timeout=0.015,
+        ),
+    )
+    if perturb is not None:
+        rt.sim.set_perturbation(perturb)
+    rt.net.set_message_loss(0.02, seed=5)
+    return rt
+
+
+def drive_soak(rt):
+    # server0/cpu turns slow just before the 1e-2 tasks launch: those it
+    # runs time out (15 ms) before their speculation timer (30 ms) fires
+    rt.sim.schedule(6e-3, setattr, rt.cluster.device("server0/cpu"), "slowdown", 10.0)
+    lanes = []
+    for lane in range(6):
+        ref = rt.submit(lambda lane=lane: lane, compute_cost=1e-3)
+        for step in range(5):
+            cost = 1e-2 if step == 2 else 2e-3
+            ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=cost, output_nbytes=1 << 16)
+        lanes.append(ref)
+    answer = rt.get(rt.submit(lambda *xs: sum(xs), tuple(lanes), compute_cost=1e-3))
+    return (
+        answer, rt.log.counts(), rt.log.signature(), rt.sim.now,
+        rt.sim.events_executed(), rt.sim.inline_steps, rt.net.stats.messages,
+    )
+
+
+BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+
+
+def ledger_workloads():
+    if BENCHMARKS not in sys.path:
+        sys.path.insert(0, BENCHMARKS)
+    from ledger import workloads
+
+    return workloads
+
+
+class TestNoCyclicGarbage:
+    """A finished process breaks its own reference cycle and a step never
+    makes one, so a run leaves nothing for the cycle collector."""
+
+    @staticmethod
+    def garbage_of(run):
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", [ResolutionMode.PUSH, ResolutionMode.PULL], ids=str)
+    def test_task_graph(self, mode):
+        W = ledger_workloads()
+        wl = W.TaskGraphWorkload("graph", 300, mode)
+        (ep,) = wl.generate(0, 1.0)
+        rt = wl.build(ep)
+        assert self.garbage_of(lambda: wl.check(ep, rt, wl.run(ep, rt))) == 0
+        assert len(ep.tasks) >= 300 and rt.sim.now > 0
+
+    def test_watchdogs_backups_and_retries(self):
+        rt, got = build_soak(None), []
+        assert self.garbage_of(lambda: got.append(drive_soak(rt))) == 0
+        counts = got[0][1]
+        assert counts["task_timeout"] and counts["speculate"] and counts["task_retry"]
