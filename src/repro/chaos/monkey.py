@@ -188,13 +188,13 @@ class ChaosMonkey:
     def _degrade(self, fault: LinkDegradation) -> None:
         rt = self.runtime
         rt._record("chaos_link_degraded", a=fault.a, b=fault.b, factor=fault.factor)
-        rt.net.topology.degrade_link(fault.a, fault.b, fault.factor)
+        rt.net.degrade_link(fault.a, fault.b, fault.factor)
         if fault.duration is not None:
             self.sim.schedule(fault.duration, self._restore_link, fault.a, fault.b)
 
     def _restore_link(self, a: str, b: str) -> None:
         self.runtime._record("chaos_link_restored", a=a, b=b)
-        self.runtime.net.topology.restore_link(a, b)
+        self.runtime.net.restore_link(a, b)
 
     def _lose(self, fault: MessageLoss) -> None:
         rt = self.runtime

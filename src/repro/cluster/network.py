@@ -1,30 +1,47 @@
-"""Message and bulk-data transfer over the topology, with link contention.
+"""Message and bulk-data transfer over the topology, as max-min-fair flows.
 
-Each link gets a FIFO :class:`~repro.cluster.simtime.Resource`.  Bulk
-transfers are split into fixed-size *chunks* pipelined across hops
-(cut-through forwarding): while chunk *c* serializes on hop *h*, chunk
-*c+1* serializes on hop *h-1*, so an H-hop route costs roughly one full
-serialization plus (H-1) chunk-times instead of H full serializations.
-A payload no larger than :attr:`Network.chunk_bytes` is one chunk, which
-each hop stores and forwards whole.
+Each bulk transfer is one *flow* over its route, and each multicast one flow
+over its spanning tree's edges.  Links are half-duplex (both directions share
+one capacity, ``bandwidth / degradation``) and keyed by their canonical
+endpoint pair.  The table of flows on the fabric changes only when a flow
+starts, drains, or a link's degradation changes, so a transfer costs a few
+events however many bytes and hops it spans.
+
+* **A flow alone on its links replays the chunk pipeline exactly.**  The
+  payload is cut into chunks (:meth:`Network._chunk_sizes`) pipelined across
+  hops (cut-through forwarding): while chunk *c* serializes on hop *h*,
+  chunk *c+1* serializes on hop *h-1*, so an H-hop route costs roughly one
+  full serialization plus (H-1) chunk-times instead of H full
+  serializations; a payload no larger than :attr:`Network.chunk_bytes` is
+  one chunk, which each hop stores and forwards whole.  The flow runs that
+  recurrence's float arithmetic when it starts and enqueues its landing at
+  that absolute time, so it lands exactly when a hop-by-hop chunk forwarder
+  would have delivered its last chunk.
+* **Flows that share a link share it byte-fairly.**  Rates are max-min fair
+  (progressive filling over link capacities), recomputed when the table
+  changes, the changes queued at one instant coalesced into one reshape,
+  with one timer armed for the earliest drain.
+  A flow that drained at its rate then pays the pipeline fill and
+  propagation tail of its idle replay (idle finish minus idle drain).
 
 Small control messages use a fixed frame size so that the control plane's
 hop count — the quantity Gen-2 reduces — shows up directly in virtual time.
 
-The network also keeps a *contention ledger* per link (queued-but-unsent
-bytes and the busy-until horizon of the chunk currently on the wire);
-:meth:`transfer_time_estimate` folds that ledger plus chaos degradation
-into the placement cost model, steering the locality scheduler off hot
-and degraded links.
+The network also keeps a *contention ledger* per link: bytes admitted at
+submit that have not started yet, plus the unsent bytes of the flows on the
+link.  :meth:`transfer_time_estimate` folds that ledger plus chaos
+degradation into the placement cost model, steering the locality scheduler
+off hot and degraded links.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .simtime import Process, Resource, Signal, Simulator, Step
+from .simtime import Simulator, Step
 from .topology import Topology
 
 __all__ = [
@@ -96,14 +113,31 @@ _UNMETERED_LINK = _LinkMeters(_UNMETERED, _UNMETERED, _UNMETERED, _UNMETERED)
 
 _LINK_SERIES = (
     ("skadi_link_bytes_total", "payload bytes routed over each fabric link"),
-    ("skadi_link_busy_seconds_total", "virtual seconds each link spent serializing bytes"),
+    (
+        "skadi_link_busy_seconds_total",
+        "virtual seconds each link spends serializing bytes, booked when a flow starts",
+    ),
     ("skadi_link_transfers_total", "bulk transfers carried per fabric link"),
     ("skadi_link_messages_total", "control messages carried per fabric link"),
 )
 
 
+def _pipeline(
+    ready: Sequence[float], chunks: Sequence[int], factor: float, bandwidth: float,
+    latency: float, free: float = -math.inf,
+) -> List[float]:
+    """One hop of the chunk pipeline: when each chunk is across, given when
+    each is ready to leave.  A chunk serializes once it is ready and the one
+    before it is out (or the link is ``free``), then propagates."""
+    out = []
+    for at, clen in zip(ready, chunks):
+        free = (at if at > free else free) + factor * clen / bandwidth
+        out.append(free + latency)
+    return out
+
+
 class Network:
-    """Executes transfers as simulation processes.
+    """Executes transfers and multicasts as flows, messages hop by hop.
 
     Fault-injection hooks (driven by :mod:`repro.chaos`):
 
@@ -115,9 +149,9 @@ class Network:
     * **Message loss** — a seeded Bernoulli drop applied to control
       messages only; bulk transfers ride a retransmitting transport and
       instead see partitions/degradation.
-    * **Degradation** — per-link slowdown factors (see
-      :meth:`Topology.degrade_link`) multiply serialization and
-      propagation time.
+    * **Degradation** — per-link slowdown factors multiply serialization
+      and propagation time.  Set them through :meth:`degrade_link` /
+      :meth:`restore_link`, so the flows on the link re-rate.
     """
 
     def __init__(
@@ -136,18 +170,21 @@ class Network:
         self.stats = NetworkStats()
         self.chunk_bytes = chunk_bytes
         self.max_chunks = max_chunks
-        self._link_slots: Dict[Tuple[str, str], Resource] = {}
-        # directional (a, b) -> canonical resources/keys, cached because the
-        # sort + tuple build showed up hot in transfer-heavy runs
-        self._slot_of_pair: Dict[Tuple[str, str], Resource] = {}
+        # directional (a, b) -> canonical key, cached because the sort +
+        # tuple build showed up hot in transfer-heavy runs
         self._key_of_pair: Dict[Tuple[str, str], Tuple[str, str]] = {}
         # canonical link key -> its instruments, bound once per registry
         self._link_meters: Dict[Tuple[str, str], _LinkMeters] = {}
         self.metrics = None
-        # contention ledger: admitted-but-not-yet-serialized bytes per link,
-        # and the virtual time the chunk currently on the wire frees the link
-        self._queued_bytes: Dict[Tuple[str, str], int] = {}
-        self._busy_until: Dict[Tuple[str, str], float] = {}
+        # the flow table: the flows on each link (either one idle replay, see
+        # _Flow, or only flows draining at a fair rate), and the latter
+        self._on_link: Dict[Tuple[str, str], Dict[_Flow, None]] = {}
+        self._fluid: Dict[_Flow, None] = {}
+        self._reshape_pending = False
+        self._timer: Any = None  # call_at handle of the earliest-drain timer
+        self._timer_at = math.inf
+        # contention ledger: bytes admitted at submit whose flow has not started
+        self._admitted: Dict[Tuple[str, str], int] = {}
         self._partition_groups: Tuple[frozenset, ...] = ()
         self._loss_rate = 0.0
         self._loss_rng = random.Random(0)
@@ -254,6 +291,16 @@ class Network:
             return False
         return self._endpoint_group(src) != self._endpoint_group(dst)
 
+    def degrade_link(self, a: str, b: str, factor: float) -> None:
+        """Slow the ``a<->b`` link by ``factor`` (see
+        :meth:`Topology.degrade_link`); the flows on it re-rate now."""
+        self.topology.degrade_link(a, b, factor)
+        self._rerate(self._link_key(a, b))
+
+    def restore_link(self, a: str, b: str) -> None:
+        self.topology.restore_link(a, b)
+        self._rerate(self._link_key(a, b))
+
     def _link_key(self, a: str, b: str) -> Tuple[str, str]:
         key = self._key_of_pair.get((a, b))
         if key is None:
@@ -261,44 +308,48 @@ class Network:
             self._key_of_pair[(a, b)] = key
         return key
 
-    def _slot(self, a: str, b: str) -> Resource:
-        slot = self._slot_of_pair.get((a, b))
-        if slot is None:
-            key = self._link_key(a, b)
-            slot = self._link_slots.get(key)
-            if slot is None:
-                slot = Resource(self.sim, capacity=1, name=f"link:{key[0]}<->{key[1]}")
-                self._link_slots[key] = slot
-            self._slot_of_pair[(a, b)] = slot
-        return slot
-
     # -- contention ledger ---------------------------------------------------
 
     def _admit(self, hops: Sequence[Tuple[str, str]], nbytes: int) -> None:
+        admitted = self._admitted
         for a, b in hops:
             key = self._link_key(a, b)
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) + nbytes
+            admitted[key] = admitted.get(key, 0) + nbytes
 
     def _unadmit(self, hops: Sequence[Tuple[str, str]], nbytes: int) -> None:
+        admitted = self._admitted
         for a, b in hops:
             key = self._link_key(a, b)
-            left = self._queued_bytes.get(key, 0) - nbytes
-            self._queued_bytes[key] = left if left > 0 else 0
+            left = admitted.get(key, 0) - nbytes
+            if left > 0:
+                admitted[key] = left
+            else:
+                admitted.pop(key, None)
 
-    def queued_bytes(self, a: str, b: str) -> int:
-        """Bytes admitted for the ``a<->b`` link but not yet across it."""
-        return self._queued_bytes.get(self._link_key(a, b), 0)
+    def queued_bytes(self, a: str, b: str) -> float:
+        """Bytes admitted for the ``a<->b`` link but not yet across it: those
+        of transfers not started yet, plus the unsent rest of its flows."""
+        key = self._link_key(a, b)
+        queued = self._admitted.get(key, 0)
+        flows = self._on_link.get(key)
+        if flows:
+            now = self.sim.now
+            for f in flows:
+                left = f.rem - f.rate * (now - f.settled)
+                if left > 0.0:
+                    queued += left
+        return queued
 
     def link_wait_estimate(self, a: str, b: str) -> float:
-        """How long a new arrival would wait for the ``a<->b`` link: the
-        backlog's serialization time or the current holder's residual busy
-        window, whichever dominates (degradation included)."""
-        key = self._link_key(a, b)
-        backlog = self._queued_bytes.get(key, 0)
+        """How long a new arrival would wait for the ``a<->b`` link: its
+        backlog's serialization time, degradation included."""
         factor = self.topology.degradation(a, b)
-        wait = factor * backlog / self.topology.link(a, b).bandwidth
-        residual = self._busy_until.get(key, 0.0) - self.sim.now
-        return wait if wait >= residual else max(0.0, residual)
+        return factor * self.queued_bytes(a, b) / self.topology.link(a, b).bandwidth
+
+    @property
+    def flows(self) -> List["_Flow"]:
+        """The flows in the table, each once (empty at quiescence)."""
+        return list(dict.fromkeys(f for flows in self._on_link.values() for f in flows))
 
     # -- chunking ------------------------------------------------------------
 
@@ -311,49 +362,180 @@ class Network:
         base, rem = divmod(nbytes, n)
         return [base + 1] * rem + [base] * (n - rem)
 
-    def _forward_hop(
-        self,
-        a: str,
-        b: str,
-        chunks: Sequence[int],
-        src_sigs: Sequence[Signal],
-        dst_sigs: Sequence[Signal],
-    ) -> Generator:
-        """One hop's forwarder: serialize each chunk onto the ``a->b`` link
-        as it arrives, releasing the link between chunks so other traffic
-        can interleave, and propagate it (latency) without blocking the
-        next chunk's serialization."""
-        link = self.topology.link(a, b)
-        slot = self._slot(a, b)
-        key = self._link_key(a, b)
-        meters = self._meters(key)
-        busy, carried = meters.busy, meters.bytes
-        for c, clen in enumerate(chunks):
-            yield src_sigs[c]
-            yield slot.request()
-            try:
-                factor = self.topology.degradation(a, b)
-                serialize = factor * clen / link.bandwidth
-                self._busy_until[key] = self.sim.now + serialize
-                busy.inc(serialize)
-                yield self.sim.timeout(serialize)
-            finally:
-                slot.release()
-            left = self._queued_bytes.get(key, 0) - clen
-            self._queued_bytes[key] = left if left > 0 else 0
-            self.stats.record_link(key, clen)
-            carried.inc(clen)
-            # propagation must not stall the pipeline: trigger the arrival
-            # via the event queue instead of sleeping in this process
-            self.sim.schedule(factor * link.latency, dst_sigs[c].trigger, clen)
+    # -- the flow table ------------------------------------------------------
 
-    def transfer(self, src: str, dst: str, nbytes: int, label: str = "xfer") -> Process:
-        """Move ``nbytes`` from ``src`` to ``dst``; returns the process.
+    def _open(self, flow: "_Flow", edges: Sequence[Tuple[str, str]], dsts: Sequence[str]) -> None:
+        """Put ``flow`` on ``edges`` (a route, or a tree whose every edge
+        leaves the source or an earlier edge's far end), landing once its
+        last chunk reaches every endpoint in ``dsts``."""
+        sim, topology, nbytes = self.sim, self.topology, flow.nbytes
+        now = sim.now
+        chunks = self._chunk_sizes(nbytes)
+        # the chunk pipeline on an idle fabric, float op for float op: hop
+        # h serializes chunk c once it has arrived and chunk c-1 is out
+        arrive = {edges[0][0]: [now] * len(chunks)}
+        admitted, on_link = self._admitted, self._on_link
+        keys: List[Tuple[str, str]] = []
+        serial = []
+        cap = math.inf
+        contended = False
+        for a, b in edges:
+            link = topology.link(a, b)
+            factor = topology.degradation(a, b)
+            bandwidth = link.bandwidth
+            arrive[b] = _pipeline(arrive[a], chunks, factor, bandwidth, factor * link.latency)
+            if bandwidth / factor < cap:
+                cap = bandwidth / factor
+            key = self._link_key(a, b)
+            keys.append(key)
+            left = admitted.get(key, 0) - nbytes
+            if left > 0:
+                admitted[key] = left
+            else:
+                admitted.pop(key, None)
+            meters = self._meters(key)
+            meters.transfers.inc()
+            serial.append((meters.busy, factor, bandwidth))
+            flows = on_link.get(key)
+            if flows:
+                g = next(iter(flows))
+                if g.landing is None:
+                    contended = True
+                elif g.due <= now:
+                    self._evict(g)  # an idle replay that drained: only its tail is left
+                else:
+                    contended = True
+                    self._convert(g, now)
+        finish = max(arrive[d][-1] for d in dsts)
+        drain = now + nbytes / cap
+        flow.keys = keys
+        flow.rem = nbytes
+        flow.settled = now
+        flow.tail = finish - drain if finish > drain else 0.0
+        # busy seconds are charged now, at the factors now in force: an idle
+        # replay chunk by chunk, in order, so the float sum is the pipeline's
+        if contended:
+            flow.rate = 0.0
+            flow.due = math.inf
+            flow.landing = None
+            self._fluid[flow] = None
+            self._touch()
+            for busy, factor, bandwidth in serial:
+                busy.inc(factor * nbytes / bandwidth)
+        else:
+            flow.rate = cap
+            flow.due = drain
+            flow.landing = sim.call_at(finish, flow._land)
+            for busy, factor, bandwidth in serial:
+                inc = busy.inc
+                for clen in chunks:
+                    inc(factor * clen / bandwidth)
+        for key in keys:
+            flows = on_link.get(key)
+            if flows is None:
+                on_link[key] = {flow: None}
+            else:
+                flows[flow] = None
 
-        The process value is ``nbytes`` on success, ``None`` when a
-        partition blocked the transfer (callers treat that as a fetch
-        failure and retry).  Zero-hop transfers (src == dst) complete after
-        a zero timeout so callers can always ``yield`` the result uniformly.
+    def _evict(self, flow: "_Flow") -> None:
+        """Take ``flow`` off its links (it drained)."""
+        on_link = self._on_link
+        for key in flow.keys:
+            flows = on_link[key]
+            del flows[flow]
+            if not flows:
+                del on_link[key]
+        self._fluid.pop(flow, None)
+
+    def _convert(self, flow: "_Flow", now: float) -> None:
+        """An idle replay meets another flow: from ``now`` on it drains at
+        a fair rate, then pays its idle tail."""
+        self.sim.cancel(flow.landing)
+        flow.landing = None
+        left = flow.rem - flow.rate * (now - flow.settled)
+        flow.rem = left if left > 0.0 else 0.0
+        flow.settled = now
+        self._fluid[flow] = None
+        self._touch()
+
+    def _rerate(self, key: Tuple[str, str]) -> None:
+        flows = self._on_link.get(key)
+        if not flows:
+            return
+        now = self.sim.now
+        for flow in list(flows):
+            if flow.landing is None:
+                self._touch()
+            elif flow.due <= now:
+                self._evict(flow)
+            else:
+                self._convert(flow, now)
+
+    def _touch(self) -> None:
+        """The table changed: re-rate once, after this instant's queued events."""
+        if not self._reshape_pending:
+            self._reshape_pending = True
+            self.sim.schedule(0.0, self._reshape)
+
+    def _reshape(self) -> None:
+        """Settle every draining flow at its old rate, give each its max-min
+        fair rate (progressive filling), and arm the earliest drain."""
+        self._reshape_pending = False
+        now = self.sim.now
+        fluid, on_link, topology = self._fluid, self._on_link, self.topology
+        for f in fluid:
+            if f.settled != now:
+                left = f.rem - f.rate * (now - f.settled)
+                f.rem = left if left > 0.0 else 0.0
+                f.settled = now
+        links = dict.fromkeys(key for f in fluid for key in f.keys)
+        count = {key: len(on_link[key]) for key in links}
+        room = {key: topology.link(*key).bandwidth / topology.degradation(*key) for key in links}
+        unfrozen = dict.fromkeys(fluid)
+        while count:
+            bottleneck = min(count, key=lambda k: room[k] / count[k])
+            share = room[bottleneck] / count[bottleneck]
+            for f in on_link[bottleneck]:
+                if f in unfrozen:
+                    del unfrozen[f]
+                    f.rate = share
+                    for key in f.keys:
+                        n = count[key] - 1
+                        if n:
+                            count[key] = n
+                            room[key] -= share
+                        else:
+                            del count[key]
+        earliest = math.inf
+        for f in fluid:
+            f.due = due = now + f.rem / f.rate
+            if due < earliest:
+                earliest = due
+        if earliest != self._timer_at:
+            if self._timer is not None:
+                self.sim.cancel(self._timer)
+            self._timer = self.sim.call_at(earliest, self._drain) if fluid else None
+            self._timer_at = earliest
+
+    def _drain(self) -> None:
+        """The earliest-drain timer: drained flows leave the table and land
+        after their tails; the rest re-rate."""
+        self._timer, self._timer_at = None, math.inf
+        now = self.sim.now
+        for f in [f for f in self._fluid if f.due <= now]:
+            self._evict(f)
+            f.rem = 0.0
+            self.sim.schedule(f.tail, f._land)
+        if not self._reshape_pending:
+            self._reshape()
+
+    def transfer(self, src: str, dst: str, nbytes: int, label: str = "xfer") -> Step:
+        """Move ``nbytes`` from ``src`` to ``dst``; returns an awaitable.
+
+        Its value is ``nbytes`` on success, ``None`` when a partition blocked
+        the transfer as it started (callers treat that as a fetch failure and
+        retry).  Zero-hop transfers (src == dst) complete after a zero
+        timeout so callers can always ``yield`` the result uniformly.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -361,69 +543,7 @@ class Network:
         self.stats.attempted_transfers += 1
         self.stats.attempted_bytes += nbytes
         self._admit(hops, nbytes)
-
-        def _move() -> Generator:
-            if self.crosses_partition(src, dst):
-                # the sender burns a connect-timeout's worth of first-hop
-                # latency before declaring the peer unreachable
-                self.stats.blocked_transfers += 1
-                self._meter_drop("blocked_transfer")
-                self._unadmit(hops, nbytes)
-                if hops:
-                    yield self.sim.timeout(self.topology.link(*hops[0]).latency)
-                return None
-            if not hops:
-                yield self.sim.timeout(0.0)
-                self.stats.transfers += 1
-                self.stats.bytes_moved += nbytes
-                return nbytes
-            chunks = self._chunk_sizes(nbytes)
-            if len(chunks) == 1:
-                # single chunk: nothing to pipeline, so walk the hops inline
-                # (identical timing, a fraction of the events — control-sized
-                # transfers dominate event counts in runtime workloads)
-                for a, b in hops:
-                    link = self.topology.link(a, b)
-                    slot = self._slot(a, b)
-                    key = self._link_key(a, b)
-                    meters = self._meters(key)
-                    meters.transfers.inc()
-                    yield slot.request()
-                    try:
-                        factor = self.topology.degradation(a, b)
-                        serialize = factor * nbytes / link.bandwidth
-                        self._busy_until[key] = self.sim.now + serialize
-                        meters.busy.inc(serialize)
-                        yield self.sim.timeout(serialize)
-                    finally:
-                        slot.release()
-                    left = self._queued_bytes.get(key, 0) - nbytes
-                    self._queued_bytes[key] = left if left > 0 else 0
-                    self.stats.record_link(key, nbytes)
-                    meters.bytes.inc(nbytes)
-                    yield self.sim.timeout(factor * link.latency)
-                self.stats.transfers += 1
-                self.stats.bytes_moved += nbytes
-                return nbytes
-            # arrival signal per (hop boundary, chunk); the source has every
-            # chunk available immediately ("one serialization" total)
-            arrivals = [
-                [Signal(self.sim) for _ in chunks] for _ in range(len(hops) + 1)
-            ]
-            for sig in arrivals[0]:
-                sig.trigger()
-            for h, (a, b) in enumerate(hops):
-                self._meters(self._link_key(a, b)).transfers.inc()
-                self.sim.process(
-                    self._forward_hop(a, b, chunks, arrivals[h], arrivals[h + 1]),
-                    name=f"net:{label}:hop:{a}->{b}",
-                )
-            yield arrivals[len(hops)][-1]
-            self.stats.transfers += 1
-            self.stats.bytes_moved += nbytes
-            return nbytes
-
-        return self.sim.process(_move(), name=f"net:{label}:{src}->{dst}")
+        return _Transfer(self, src, dst, nbytes, hops, label)
 
     # -- multicast -----------------------------------------------------------
 
@@ -448,64 +568,24 @@ class Network:
 
     def multicast(
         self, src: str, dsts: Sequence[str], nbytes: int, label: str = "mcast"
-    ) -> Process:
+    ) -> Step:
         """Distribute ``nbytes`` from ``src`` to every endpoint in ``dsts``
         along a spanning tree: each tree link serializes the payload once,
-        however many consumers sit behind it.  Chunks pipeline down the
-        tree exactly as in :meth:`transfer`.
+        however many consumers sit behind it.  The tree is one flow; alone
+        on its links it lands when the chunk pipeline down the tree would.
 
-        The process value is the sorted list of destination endpoints the
-        payload reached (endpoints cut off by a partition are skipped).
+        The value is the sorted list of destination endpoints the payload
+        reached (endpoints cut off by a partition at submit are skipped).
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         targets = sorted(set(dsts))
         reachable = [d for d in targets if not self.crosses_partition(src, d)]
-        blocked = len(targets) - len(reachable)
         edges, unicast_hops = self.multicast_tree(src, reachable)
-        saved = nbytes * max(0, unicast_hops - len(edges))
         self.stats.attempted_transfers += 1
         self.stats.attempted_bytes += nbytes
-        for a, b in edges:
-            key = self._link_key(a, b)
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) + nbytes
-
-        def _cast() -> Generator:
-            if blocked:
-                self.stats.blocked_transfers += blocked
-                self._meter_drop("blocked_multicast")
-            if not reachable:
-                first = self.topology.route(src, targets[0]) if targets else []
-                if first:
-                    yield self.sim.timeout(self.topology.link(*first[0]).latency)
-                return []
-            chunks = self._chunk_sizes(nbytes)
-            arrive: Dict[str, List[Signal]] = {
-                src: [Signal(self.sim) for _ in chunks]
-            }
-            for _a, b in edges:
-                arrive[b] = [Signal(self.sim) for _ in chunks]
-            for sig in arrive[src]:
-                sig.trigger()
-            for a, b in edges:
-                self._meters(self._link_key(a, b)).transfers.inc()
-                self.sim.process(
-                    self._forward_hop(a, b, chunks, arrive[a], arrive[b]),
-                    name=f"net:{label}:edge:{a}->{b}",
-                )
-            if edges:
-                yield self.sim.all_of([arrive[d][-1] for d in reachable])
-            else:
-                yield self.sim.timeout(0.0)  # every consumer was the source
-            self.stats.transfers += 1
-            self.stats.bytes_moved += nbytes
-            self.stats.multicasts += 1
-            self.stats.multicast_bytes_saved += saved
-            if self._multicast_saved is not None and saved:
-                self._multicast_saved.inc(saved)
-            return list(reachable)
-
-        return self.sim.process(_cast(), name=f"net:{label}:{src}->*{len(targets)}")
+        self._admit(edges, nbytes)
+        return _Multicast(self, src, targets, reachable, edges, unicast_hops, nbytes, label)
 
     # -- control messages ----------------------------------------------------
 
@@ -543,7 +623,7 @@ class Network:
         chunked cut-through recurrence over the route's hops, with chaos
         degradation factors applied per hop.  With ``contended=True`` the
         per-link contention ledger is added: a new transfer waits behind
-        the queued backlog (or the residual busy window) of every hop, so
+        the queued backlog of every hop (:meth:`link_wait_estimate`), so
         hot links look expensive to the locality scheduler.
         """
         hops = self.topology.route(src, dst)
@@ -555,13 +635,135 @@ class Network:
             link = self.topology.link(a, b)
             factor = self.topology.degradation(a, b)
             free = self.link_wait_estimate(a, b) if contended else 0.0
-            latency = factor * link.latency
-            inv_bw = factor / link.bandwidth
-            for c, clen in enumerate(chunks):
-                start = ready[c] if ready[c] > free else free
-                free = start + clen * inv_bw
-                ready[c] = free + latency
+            ready = _pipeline(ready, chunks, factor, link.bandwidth, factor * link.latency, free)
         return ready[-1]
+
+
+class _Flow(Step):
+    """A transfer or multicast: a :class:`Step` that starts, puts its flow
+    in the :class:`Network`'s table, and lands when the flow is through.
+
+    While ``landing`` holds a handle the flow is *idle*: alone on its links,
+    draining at its bottleneck capacity ``rate`` until ``due``, landing at
+    its exact replay time.  Otherwise it drains at the fair ``rate`` the
+    last reshape gave it; ``rem`` bytes were left at ``settled``."""
+
+    __slots__ = ("net", "nbytes", "keys", "rem", "rate", "settled", "due", "tail", "landing")
+
+    def __init__(self, net: Network, nbytes: int, name: str) -> None:
+        self.net = net
+        self.nbytes = nbytes
+        self.keys: List[Tuple[str, str]] = []
+        self.landing: Any = None
+        Step.__init__(self, net.sim, name)
+
+    def _advance(self, value: Any, _exc: None) -> None:
+        raise NotImplementedError
+
+    def _land(self) -> None:
+        """The last chunk is in: per-link delivered bytes, then the value."""
+        net, nbytes = self.net, self.nbytes
+        if self.landing is not None:  # an idle replay: off the table if still on it
+            self.landing = None
+            if self in net._on_link.get(self.keys[0], ()):
+                net._evict(self)
+        for key in self.keys:
+            net.stats.record_link(key, nbytes)
+            net._meters(key).bytes.inc(nbytes)
+        net.stats.transfers += 1
+        net.stats.bytes_moved += nbytes
+        self._delivered()
+
+    def _delivered(self) -> None:
+        raise NotImplementedError
+
+
+class _Transfer(_Flow):
+    """:meth:`Network.transfer`: the partition check as it starts, then one
+    flow over the route (or a zero timeout for a zero-hop transfer)."""
+
+    __slots__ = ("src", "dst", "hops")
+
+    def __init__(
+        self, net: Network, src: str, dst: str, nbytes: int,
+        hops: List[Tuple[str, str]], label: str,
+    ):
+        self.src = src
+        self.dst = dst
+        self.hops = hops
+        _Flow.__init__(self, net, nbytes, f"net:{label}:{src}->{dst}")
+
+    def _advance(self, _value: Any, _exc: None) -> None:
+        net, hops = self.net, self.hops
+        self._phase += 1
+        if self._phase == 2:  # a blocked transfer's connect timeout, or zero hops
+            if hops:
+                self.trigger(None)
+            else:
+                self._land()
+        elif net.crosses_partition(self.src, self.dst):
+            # the sender burns a connect-timeout's worth of first-hop latency
+            # before declaring the peer unreachable
+            net.stats.blocked_transfers += 1
+            net._meter_drop("blocked_transfer")
+            net._unadmit(hops, self.nbytes)
+            self._wait(net.sim.timeout(net.topology.link(*hops[0]).latency))
+        elif hops:
+            net._open(self, hops, (self.dst,))
+        else:
+            self._wait(net.sim.timeout(0.0))
+
+    def _delivered(self) -> None:
+        self.trigger(self.nbytes)
+
+
+class _Multicast(_Flow):
+    """:meth:`Network.multicast`: one flow over the tree edges."""
+
+    __slots__ = ("src", "targets", "reachable", "edges", "saved")
+
+    def __init__(
+        self, net: Network, src: str, targets: List[str], reachable: List[str],
+        edges: List[Tuple[str, str]], unicast_hops: int, nbytes: int, label: str,
+    ):
+        self.src = src
+        self.targets = targets
+        self.reachable = reachable
+        self.edges = edges
+        self.saved = nbytes * max(0, unicast_hops - len(edges))
+        _Flow.__init__(self, net, nbytes, f"net:{label}:{src}->*{len(targets)}")
+
+    def _advance(self, _value: Any, _exc: None) -> None:
+        net, reachable = self.net, self.reachable
+        self._phase += 1
+        if self._phase == 2:  # every consumer blocked, or every one the source
+            if reachable:
+                self._land()
+            else:
+                self.trigger([])
+            return
+        blocked = len(self.targets) - len(reachable)
+        if blocked:
+            net.stats.blocked_transfers += blocked
+            net._meter_drop("blocked_multicast")
+        if not reachable:
+            first = net.topology.route(self.src, self.targets[0]) if self.targets else []
+            if first:
+                self._wait(net.sim.timeout(net.topology.link(*first[0]).latency))
+            else:
+                self.trigger([])
+        elif self.edges:
+            net._open(self, self.edges, reachable)
+        else:
+            self._wait(net.sim.timeout(0.0))
+
+    def _delivered(self) -> None:
+        net = self.net
+        net.stats.multicasts += 1
+        net.stats.multicast_bytes_saved += self.saved
+        if net._multicast_saved is not None and self.saved:
+            net._multicast_saved.inc(self.saved)
+        self.trigger(list(self.reachable))
 
 
 class _Message(Step):

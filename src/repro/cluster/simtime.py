@@ -32,10 +32,14 @@ single-heap kernel:
   the ring is empty and no trigger callback chain is active (i.e. exactly
   when the scheduled continuation would have been the very next event).
 * **generator-free steps** — the leaf primitives (a control message, a
-  :class:`Hold` of a slot, an :class:`After` watchdog) are :class:`Step`
-  state machines that dispatch exactly as the processes they replace, and a
-  finished :class:`Process` breaks its own reference cycle: both are freed by
-  refcounting, not the cycle collector.
+  transfer or multicast, a :class:`Hold` of a slot, an :class:`After`
+  watchdog) are :class:`Step` state machines that dispatch exactly as the
+  processes they replace, and a finished :class:`Process` breaks its own
+  reference cycle: both are freed by refcounting, not the cycle collector.
+* **exact absolute enqueue** — :meth:`Simulator.call_at` lands an entry at
+  exactly the time it is given (a flow replaying a pipeline's arithmetic
+  must land on the pipeline's last bit), and :meth:`Simulator.cancel`
+  withdraws one; an instant left empty is skipped by the run loops.
 * **idle fast-forward** (opt-in, ``Simulator.fast_forward``) — periodic
   *poller* ticks created with :meth:`Simulator.poll_timeout` are deferred
   and coalesced onto the next regular event when nothing else is pending
@@ -815,38 +819,7 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        if not self._fastpath:
-            # Only the perturbation queue materializes seq as a tie key; the
-            # fast structures below are FIFO by construction, so they carry
-            # the (time, seq) order without numbering each entry (dispatch
-            # counting lives in the run loops — see events_executed).
-            self._seq += 1
-            rank, delay = self._perturb(self._seq, delay)
-            heapq.heappush(
-                self._queue,
-                _ScheduledEvent(self._now + delay, (rank, self._seq), fn, args),
-            )
-            return
-        now = self._now
-        t = now + delay
-        if t == now:
-            # Zero-delay (or underflowed-to-now) event: it belongs to the
-            # current instant and its seq is larger than everything already
-            # pending there, so a FIFO append preserves (time, seq) order.
-            self._ring.append((fn, args))
-            return
-        # A bucket is a bare (fn, args) tuple while it holds one event —
-        # most distinct timestamps never see a second — and becomes a FIFO
-        # deque on the first collision.
-        buckets = self._buckets
-        lst = buckets.get(t)
-        if lst is None:
-            buckets[t] = (fn, args)
-            heapq.heappush(self._times, t)
-        elif type(lst) is deque:
-            lst.append((fn, args))
-        else:
-            buckets[t] = deque((lst, (fn, args)))
+        self._enqueue(self._now + delay, delay, fn, args)
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn`` at an *absolute* virtual time.
@@ -856,6 +829,79 @@ class Simulator:
         rather than raising, so a schedule can be attached mid-run.
         """
         self.schedule(max(0.0, when - self._now), fn, *args)
+
+    def call_at(self, when: float, fn: Callable, *args: Any) -> Any:
+        """Enqueue ``fn(*args)`` at exactly ``when`` (not ``now + (when -
+        now)``, which can miss by one ulp), behind everything already
+        pending there.  Returns a handle for :meth:`cancel`."""
+        now = self._now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past (when={when}, now={now})")
+        return self._enqueue(when, when - now, fn, args)
+
+    def _enqueue(self, t: float, delay: float, fn: Callable, args: tuple) -> Any:
+        """Put ``fn(*args)`` at ``t`` (``delay`` after now), behind everything
+        already pending there; returns the handle :meth:`cancel` takes."""
+        if not self._fastpath:
+            # Only the perturbation queue materializes seq as a tie key; the
+            # fast structures below are FIFO by construction, so they carry
+            # the (time, seq) order without numbering each entry (dispatch
+            # counting lives in the run loops — see events_executed).  A
+            # jittered delay lands at now + jitter; an unjittered one at t.
+            self._seq += 1
+            rank, jittered = self._perturb(self._seq, delay)
+            ev = _ScheduledEvent(
+                t if jittered == delay else self._now + jittered, (rank, self._seq), fn, args
+            )
+            heapq.heappush(self._queue, ev)
+            return ev
+        entry = (fn, args)
+        if t == self._now:
+            # Zero-delay (or underflowed-to-now) event: it belongs to the
+            # current instant and its seq is larger than everything already
+            # pending there, so a FIFO append preserves (time, seq) order.
+            self._ring.append(entry)
+            return t, entry
+        # A bucket is a bare (fn, args) tuple while it holds one event —
+        # most distinct timestamps never see a second — and becomes a FIFO
+        # deque on the first collision.
+        buckets = self._buckets
+        lst = buckets.get(t)
+        if lst is None:
+            buckets[t] = entry
+            heapq.heappush(self._times, t)
+        elif type(lst) is deque:
+            lst.append(entry)
+        else:
+            buckets[t] = deque((lst, entry))
+        return t, entry
+
+    def cancel(self, handle: Any) -> None:
+        """Withdraw a :meth:`call_at` entry that has not been dispatched; a
+        handle that is not pending raises ``ValueError``.  An instant left
+        empty stays in the time heap until a loop skips it."""
+        if not self._fastpath:
+            self._queue.remove(handle)
+            heapq.heapify(self._queue)
+            return
+        when, entry = handle
+        buckets = self._buckets
+        lst = buckets.get(when)
+        if lst is entry:
+            del buckets[when]
+            return
+        # The entry sits in its instant's bucket, or, once that instant is
+        # being dispatched, in the ring the bucket was promoted to (at now,
+        # the bucket can still be pending after an idle fast-forward jump).
+        for pending in (lst, self._ring if when == self._now else None):
+            if type(pending) is deque:
+                for i, e in enumerate(pending):
+                    if e is entry:
+                        del pending[i]
+                        if not pending and pending is lst:
+                            del buckets[when]
+                        return
+        raise ValueError(f"cancel: no pending entry {entry!r} at {when}")
 
     # -- idle fast-forward -----------------------------------------------------
 
@@ -875,24 +921,11 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         tick = Signal(self)
-        if self.fast_forward and self._fastpath:
-            now = self._now
-            t = now + delay
-            if t == now:
-                # degenerate interval: never deferrable, plain ring event
-                self._ring.append((tick.trigger, (value,)))
-                return tick
-            lst = self._buckets.get(t)
-            if lst is None:
-                self._buckets[t] = (tick.trigger, (value,))
-                heapq.heappush(self._times, t)
-            elif type(lst) is deque:
-                lst.append((tick.trigger, (value,)))
-            else:
-                self._buckets[t] = deque((lst, (tick.trigger, (value,))))
+        t = self._now + delay
+        self._enqueue(t, delay, tick.trigger, (value,))
+        if t != self._now and self.fast_forward and self._fastpath:
+            # a deferrable tick (a degenerate interval is a plain ring event)
             self._poll_counts[t] = self._poll_counts.get(t, 0) + 1
-        else:
-            self.schedule(delay, tick.trigger, value)
         return tick
 
     def arm_poller(self) -> None:
@@ -932,6 +965,9 @@ class Simulator:
         popped: List[Tuple[float, Any, int]] = []
         while times:
             t0 = times[0]
+            if t0 not in buckets:  # an instant cancel emptied
+                heapq.heappop(times)
+                continue
             n = counts.get(t0)
             if not n:
                 break  # a regular instant: stop here
@@ -999,7 +1035,10 @@ class Simulator:
             return self._queue[0].time if self._queue else None
         if self._ring:
             return self._now  # the calendar only holds later instants
-        return self._times[0] if self._times else None
+        times, buckets = self._times, self._buckets
+        while times and times[0] not in buckets:
+            heapq.heappop(times)  # an instant cancel emptied
+        return times[0] if times else None
 
     def pending_events(self) -> int:
         """Events scheduled but not yet dispatched (across all tiers)."""
@@ -1104,13 +1143,16 @@ class Simulator:
                     and self._try_fast_forward(until)
                 ):
                     continue
-                t = times[0]
+                t = heappop(times)
+                lst = buckets.pop(t, None)
+                if lst is None:
+                    continue  # every entry of this instant was cancelled
                 if t > horizon:
+                    buckets[t] = lst
+                    heapq.heappush(times, t)
                     self._now = until
                     break
                 self._now = t
-                heappop(times)
-                lst = buckets.pop(t)
                 if pc:
                     pc.pop(t, None)
                 if type(lst) is tup:

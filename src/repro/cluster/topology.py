@@ -76,6 +76,10 @@ class Topology:
         Degradation multiplies serialization and propagation time charged by
         the network layer; routing still uses the healthy latencies (real
         routing tables do not react instantly to a flaky cable either).
+
+        This sets up a topology before traffic runs over it.  At run time
+        call :meth:`Network.degrade_link` instead: it also re-rates the
+        flows already on the link, which this leaves at their old rates.
         """
         if factor < 1.0:
             raise ValueError(f"degradation factor must be >= 1.0, got {factor}")
@@ -87,6 +91,7 @@ class Topology:
             self._degraded[key] = factor
 
     def restore_link(self, a: str, b: str) -> None:
+        """Undo :meth:`degrade_link` (at run time: :meth:`Network.restore_link`)."""
         self._degraded.pop(tuple(sorted((a, b))), None)
 
     def degradation(self, a: str, b: str) -> float:

@@ -20,7 +20,11 @@ __all__ = ["TelemetryReport", "link_utilization"]
 
 
 def link_utilization(registry: MetricsRegistry, elapsed: float, link: str) -> float:
-    """Fraction of the run a link spent serializing bytes."""
+    """Fraction of the run a link spent serializing bytes.
+
+    A flow books its busy seconds when it starts and its bytes when it
+    lands, so read mid-run (flows in flight) busy time runs ahead of the
+    clock and the fraction can exceed 1; it is exact at quiescence."""
     if elapsed <= 0:
         return 0.0
     busy = registry.value("skadi_link_busy_seconds_total", link=link)

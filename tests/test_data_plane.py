@@ -130,7 +130,7 @@ class TestChunkedTransfers:
 
 class TestLinkContention:
     def test_concurrent_transfers_serialize_back_to_back(self, sim):
-        """One FIFO link: two 1-second transfers take 2 seconds total."""
+        """One link: two 1-second transfers take 2 seconds total."""
         topo = Topology()
         topo.add_link("a", "b", LinkSpec(latency=0.0, bandwidth=100.0))
         net = Network(sim, topo)
@@ -140,9 +140,9 @@ class TestLinkContention:
         assert sim.now == pytest.approx(2.0)
 
     def test_chunked_contention_preserves_fifo_and_bytes(self, sim):
-        """Chunks of concurrent transfers interleave on a shared link, but
-        FIFO per-link order holds: the first-submitted transfer finishes
-        first, total time is unchanged, and bytes are conserved."""
+        """Concurrent transfers share a link byte-fairly: equal ones drain
+        together, the first-submitted lands first, total time is unchanged,
+        and bytes are conserved."""
         topo = Topology()
         topo.add_link("a", "b", LinkSpec(latency=0.0, bandwidth=1000.0))
         net = Network(sim, topo, chunk_bytes=100)
@@ -436,6 +436,8 @@ def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
     ]
     assert not stale, f"subscriptions outlived their tasks: {stale}"
     assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
+    assert not rt.net.flows, f"flows still on the fabric: {[f.name for f in rt.net.flows]}"
+    assert not rt.net._admitted, f"admitted bytes never started: {rt.net._admitted}"
 
 
 class TestCrossCommitWitness:
@@ -456,11 +458,16 @@ class TestCrossCommitWitness:
     # The PUSH cells in which a push lands were re-recorded when a landing
     # started to send a ``land:`` message that the attempt it fed receives:
     # only the probe trace moved (one ``land`` event per landing, one receive).
+    # All four were re-recorded when transfers became byte-fair flows: the
+    # consumers' fetches and pushes share the producers' links, which now
+    # split by bytes rather than chunk by chunk, so spans, probe event times,
+    # busy seconds and (under PULL) the final clock moved; the log signature
+    # did not.
     PINNED = {
-        (ResolutionMode.PUSH, Generation.GEN1): "800f3a5f7a45",
-        (ResolutionMode.PUSH, Generation.GEN2): "338bed12113c",
-        (ResolutionMode.PULL, Generation.GEN1): "f97bfc7dd2ba",
-        (ResolutionMode.PULL, Generation.GEN2): "db78af66fe41",
+        (ResolutionMode.PUSH, Generation.GEN1): "913a3d0e488d",
+        (ResolutionMode.PUSH, Generation.GEN2): "ada52ea6de5c",
+        (ResolutionMode.PULL, Generation.GEN1): "1814f6ef63ff",
+        (ResolutionMode.PULL, Generation.GEN2): "d0f82d3193bf",
     }
 
     @staticmethod

@@ -237,9 +237,12 @@ class TestSanitizedFailover:
         assert monitors["leader-per-epoch"]._leader_of_epoch == {2: "server1"}
         assert monitors["epoch-monotonic"]._last_leader_epoch == 2
         # the whole protocol trace, pinned: moving where an event is emitted
-        # from must not move the event
+        # from must not move the event.  Re-recorded when transfers became
+        # byte-fair flows: at 36.6 ms three pulls into server2 share its NIC
+        # link, so they land later than the chunk round-robin put them and
+        # the events after them move in time; the log signature did not move.
         signature = repr(trace.signature()).encode()
-        assert hashlib.sha1(signature).hexdigest()[:12] == "f5f51bf200c5"
+        assert hashlib.sha1(signature).hexdigest()[:12] == "9823cf84e743"
 
 
 class TestSlowHeadLink:

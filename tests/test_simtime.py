@@ -69,6 +69,106 @@ class TestScheduling:
         assert sim.peek() == 2.0
 
 
+class TestCallAt:
+    # 0.3 + (0.9 - 0.3) != 0.9: a relative delay misses by one ulp
+    NOW, WHEN = 0.3, 0.9
+
+    def test_lands_at_exactly_the_time_given(self, sim):
+        assert self.NOW + (self.WHEN - self.NOW) != self.WHEN
+        seen = []
+        sim.schedule(self.NOW, lambda: sim.call_at(self.WHEN, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [self.WHEN]
+
+    def test_queues_behind_what_is_already_there(self, sim):
+        seen = []
+        sim.schedule(1.0, seen.append, "scheduled")
+        sim.call_at(1.0, seen.append, "called")
+        sim.call_at(0.0, seen.append, "now")
+        sim.run()
+        assert seen == ["now", "scheduled", "called"]
+        with pytest.raises(ValueError):
+            sim.call_at(0.5, seen.append, "past")
+
+    @pytest.mark.parametrize("where", ["alone", "shared", "now"])
+    def test_a_cancelled_entry_never_runs_nor_moves_the_clock(self, sim, where):
+        seen = []
+        if where == "shared":
+            sim.schedule(2.0, seen.append, "kept")
+        handle = sim.call_at(0.0 if where == "now" else 2.0, seen.append, "cancelled")
+        sim.schedule(1.0, seen.append, "last")
+        sim.cancel(handle)
+        assert sim.peek() == 1.0
+        sim.run()
+        assert seen == (["last", "kept"] if where == "shared" else ["last"])
+        assert sim.now == (2.0 if where == "shared" else 1.0)
+
+    def test_a_cancelled_instant_does_not_end_a_bounded_run(self, sim):
+        handle = sim.call_at(3.0, lambda: None)
+        sim.cancel(handle)
+        assert sim.run(until=5.0) == 0.0 and sim.peek() is None
+
+    def test_an_instant_cancelled_and_filled_again_runs_once(self, sim):
+        seen = []
+        sim.cancel(sim.call_at(2.0, seen.append, "cancelled"))
+        sim.call_at(2.0, seen.append, "again")
+        sim.schedule(3.0, seen.append, "last")
+        sim.run()
+        assert seen == ["again", "last"] and sim.events_executed() == 2
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_cancel_from_a_tick_fast_forwarded_onto_the_instant(self, sim, shared):
+        # the jump makes 5.0 now while its bucket is still pending
+        sim.fast_forward = True
+        seen = []
+        if shared:
+            sim.schedule(5.0, seen.append, "kept")
+        handle = sim.call_at(5.0, seen.append, "cancelled")
+
+        def poller():
+            yield sim.poll_timeout(1.0)
+            seen.append(("tick", sim.now))
+            sim.cancel(handle)
+
+        sim.process(poller())
+        sim.run()
+        assert sim.ff_jumps == 1
+        assert seen == [("tick", 5.0)] + (["kept"] if shared else [])
+
+    def test_a_cancelled_instant_does_not_stop_a_fast_forward(self, sim):
+        sim.fast_forward = True
+        ticks = []
+
+        def poller(delay):
+            yield sim.poll_timeout(delay)
+            ticks.append(sim.now)
+
+        sim.process(poller(1.0))
+        sim.process(poller(3.0))
+        sim.cancel(sim.call_at(2.0, lambda: None))
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        assert sim.ff_jumps == 1 and ticks == [10.0, 10.0]
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_cancelling_what_is_not_pending_raises(self, sim, perturbed):
+        if perturbed:
+            sim.set_perturbation(TiePerturbation(seed=7))
+        handle = sim.call_at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.cancel(handle)
+
+    def test_under_a_perturbation(self, sim):
+        sim.set_perturbation(TiePerturbation(seed=7))
+        seen = []
+        keep = sim.call_at(self.WHEN, seen.append, "kept")
+        drop = sim.call_at(self.WHEN, seen.append, "cancelled")
+        sim.cancel(drop)
+        sim.run()
+        assert keep is not drop and seen == ["kept"] and sim.now == self.WHEN
+
+
 class TestProcesses:
     def test_process_advances_virtual_time(self, sim):
         def proc():
