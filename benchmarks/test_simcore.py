@@ -2,20 +2,16 @@
 
 Every flagship experiment now bottoms out in ``repro.cluster.simtime``
 (ROADMAP item 3: the event loop *is* the hardware), so this experiment
-benchmarks the kernel itself.  Each workload kernel runs under three
+benchmarks the kernel itself.  Each workload kernel runs under two
 stages:
 
 * **seed** — the frozen pre-rebuild kernel (``repro.bench.legacy_simtime``):
   one binary heap, dataclass events, trampolined zero-delay hops;
 * **live** — ``repro.cluster.simtime`` as shipped: microtask ring, bucket
-  calendar, same-instant batching, inline resumption;
-* **fastforward** — live plus opt-in analytic idle fast-forward
-  (``RuntimeConfig(sim_fast_forward=True)``), measured on wall clock
-  because it removes events rather than dispatching them faster.
+  calendar, same-instant batching, inline resumption.
 
 ``run_kernel`` enforces the bit-for-bit witness internally: seed and live
-must produce an identical execution checksum, and fast-forward must
-preserve the model-visible trace.  Results land in
+must produce an identical execution checksum.  Results land in
 ``BENCH_SIMCORE.json``; CI replays this at reduced scale and fails its
 (non-blocking) step on a >20% events/sec regression vs. the committed
 baseline.
@@ -50,11 +46,6 @@ def test_e26_simcore_throughput():
     for name, k in kernels.items():
         for stage, r in k["stages"].items():
             assert r["events"] > 0, f"{name}/{stage} ran no events"
-    # fast-forward actually jumped the idle-poll kernel and beat exact
-    # simulation on wall clock
-    idle_ff = kernels["idle_poll"]["stages"]["fastforward"]
-    assert idle_ff["ff_jumps"] > 0
-    assert idle_ff["wall_speedup_vs_live"] > 1.0
 
     artifacts = os.environ.get("BENCH_ARTIFACTS")
     out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")

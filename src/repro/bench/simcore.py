@@ -21,18 +21,16 @@ Four kernels:
   ``timeout(0)`` hops, channel ping-pong.  Stresses the microtask ring and
   the inline resumption fast path.
 * ``idle_poll`` — 1 ms pollers over long idle spans with sparse real work.
-  Stresses the opt-in idle fast-forward.
+  Stresses the calendar with timer-heavy traffic: every tick is simulated.
 
-Each kernel runs under three stages::
+Each kernel runs under two stages::
 
     seed        the frozen pre-rebuild kernel (bench/legacy_simtime.py)
     live        repro.cluster.simtime as shipped
-    fastforward live + analytic idle skip (only meaningful for idle_poll)
 
 ``seed`` and ``live`` must produce a bit-for-bit identical execution — the
 kernels record completion traces and the harness asserts the checksums
-match (fast-forward is exempt: it coalesces poller wake-ups by design, so
-only its model-visible trace is compared).
+match.
 
 Run directly for a table + JSON::
 
@@ -62,7 +60,7 @@ __all__ = [
     "compare_results",
 ]
 
-STAGES: List[str] = ["seed", "live", "fastforward"]
+STAGES: List[str] = ["seed", "live"]
 
 
 def _checksum(trace: List) -> str:
@@ -88,14 +86,12 @@ def _cancel_grant(resource: Any, grant: Any) -> None:
 
 # ---------------------------------------------------------------------------
 # kernels — each takes the simtime module to run against (the live one or
-# the frozen seed) and returns (full_trace, model_trace).  full_trace must
-# be bit-for-bit stable across every exact stage *and* the seed kernel;
-# model_trace additionally across fast-forward (it excludes poller-
-# observation timing).
+# the frozen seed) and returns its completion trace, which must be
+# bit-for-bit the same under both.
 # ---------------------------------------------------------------------------
 
 
-def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, List]:
+def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     """The E17 chaos-soak event mix as a pure kernel loop.
 
     Shaped like the real soak (``benchmarks/test_e17_chaos_soak.py``):
@@ -217,10 +213,10 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, List]
     sim.run()
     trace.append(beats[0])
     trace.append(round(sim.now, 9))
-    return trace, trace
+    return trace
 
 
-def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, List]:
+def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     """The E21 data-plane mix: chunked cut-through pipelines.
 
     Each route is a 4-stage forwarder chain (channel get → link grant →
@@ -261,10 +257,10 @@ def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, L
             sim.process(forwarder(r, h, chans[h], nxt), name=f"fwd{r}.{h}")
     sim.run()
     trace.append(round(sim.now, 9))
-    return trace, trace
+    return trace
 
 
-def zero_delay_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, List]:
+def zero_delay_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     """Pure same-instant traffic: ring + inline-resumption stress."""
     n_workers = 64
     rounds = max(1, int(400 * scale))
@@ -287,47 +283,36 @@ def zero_delay_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, Lis
         sim.process(worker(i), name=f"w{i}")
     sim.run()
     trace.append(round(sim.now, 9))
-    return trace, trace
+    return trace
 
 
-def idle_poll_kernel(mod: Any, sim: Any, scale: float = 1.0) -> Tuple[List, List]:
-    """Pollers every 1 ms across long idle spans; work every 250 ms.
-
-    The poller bodies are pure observations, so the idle fast-forward may
-    coalesce their wake-ups; ``model_trace`` holds only the work-visible
-    part, which must be identical with and without fast-forward.
-    """
+def idle_poll_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
+    """Pollers every 1 ms across long idle spans; work every 250 ms."""
     n_pollers = 8
     n_work = max(1, int(8 * scale))
     active = [True]
     observed = [0]
-    model_trace: List = []
-    poll = getattr(sim, "poll_timeout", sim.timeout)  # seed kernel: plain tick
+    trace: List = []
 
     def poller(i: int):
         while active[0]:
-            yield poll(1e-3)
+            yield sim.timeout(1e-3)
             observed[0] += 1
 
     def worker():
         for k in range(n_work):
             yield sim.timeout(0.25)
-            model_trace.append((k, round(sim.now, 9)))
+            trace.append((k, round(sim.now, 9)))
         active[0] = False
 
     for i in range(n_pollers):
         sim.process(poller(i), name=f"poll{i}")
     sim.process(worker(), name="worker")
     sim.run()
-    # The final drain time (the last poller wake-up after the work ends) is
-    # exact-stage state, not model state: a deferred tick re-arms from its
-    # jump target, so its successor differs from the accumulated tick chain
-    # in the last float ulp.  The exact stages still pin it via ``full``.
-    full = model_trace + [round(sim.now, 9), observed[0]]
-    return full, list(model_trace)
+    return trace + [round(sim.now, 9), observed[0]]
 
 
-KERNELS: List[Tuple[str, Callable[[Any, Any, float], Tuple[List, List]]]] = [
+KERNELS: List[Tuple[str, Callable[[Any, Any, float], List]]] = [
     ("e17_soak_loop", e17_soak_kernel),
     ("e21_transfer_loop", e21_transfer_kernel),
     ("zero_delay_loop", zero_delay_kernel),
@@ -341,7 +326,7 @@ KERNELS: List[Tuple[str, Callable[[Any, Any, float], Tuple[List, List]]]] = [
 
 
 def run_stage(
-    kernel: Callable[[Any, Any, float], Tuple[List, List]],
+    kernel: Callable[[Any, Any, float], List],
     stage: str,
     scale: float,
 ) -> Dict[str, Any]:
@@ -351,9 +336,8 @@ def run_stage(
     else:
         mod = simtime
         sim = simtime.Simulator()
-        sim.fast_forward = stage == "fastforward"
     t0 = time.perf_counter()
-    full_trace, model_trace = kernel(mod, sim, scale)
+    trace = kernel(mod, sim, scale)
     wall = time.perf_counter() - t0
     if stage == "seed":
         # the frozen kernel predates events_executed(): every scheduled
@@ -363,23 +347,18 @@ def run_stage(
     else:
         events = sim.events_executed()
         inline = sim.inline_steps
-    result: Dict[str, Any] = {
+    return {
         "wall_s": wall,
         "events": events,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "inline_steps": inline,
-        "checksum": _checksum(full_trace),
-        "model_checksum": _checksum(model_trace),
+        "checksum": _checksum(trace),
     }
-    if stage == "fastforward":
-        result["ff_jumps"] = sim.ff_jumps
-        result["ff_ticks_deferred"] = sim.ff_ticks_deferred
-    return result
 
 
 def run_kernel(
     name: str,
-    kernel: Callable[[Any, Any, float], Tuple[List, List]],
+    kernel: Callable[[Any, Any, float], List],
     scale: float,
     repeats: int = 1,
 ) -> Dict[str, Any]:
@@ -397,26 +376,15 @@ def run_kernel(
 
     # Bit-for-bit witness: the live kernel replays the frozen seed kernel's
     # execution.
-    exact = [s for s in STAGES if s != "fastforward"]
-    checks = {stages[s]["checksum"] for s in exact}
-    if len(checks) != 1:
+    if len({r["checksum"] for r in stages.values()}) != 1:
         raise AssertionError(
             f"{name}: stages diverged: "
-            + ", ".join(f"{s}={stages[s]['checksum']}" for s in exact)
+            + ", ".join(f"{s}={r['checksum']}" for s, r in stages.items())
         )
-    # Fast-forward must preserve the model-visible execution.
-    if stages["fastforward"]["model_checksum"] != stages["live"]["model_checksum"]:
-        raise AssertionError(f"{name}: fast-forward changed the model-visible trace")
 
     base = stages["seed"]["events_per_sec"]
-    for s, r in stages.items():
+    for r in stages.values():
         r["speedup_vs_seed"] = r["events_per_sec"] / base if base > 0 else 0.0
-    # Wall-clock attribution for fast-forward (it *removes* events, so
-    # events/sec is the wrong lens for it).
-    ff, live = stages["fastforward"], stages["live"]
-    ff["wall_speedup_vs_live"] = (
-        live["wall_s"] / ff["wall_s"] if ff["wall_s"] > 0 else 0.0
-    )
     return {
         "scale": scale,
         "events": stages["seed"]["events"],
@@ -483,19 +451,13 @@ def render_table(results: Dict[str, Any]) -> str:
     )
     for name, k in results["kernels"].items():
         for stage, r in k["stages"].items():
-            extra = ""
-            if stage == "fastforward":
-                extra = (
-                    f" ({r['ff_jumps']} jumps, "
-                    f"{r['wall_speedup_vs_live']:.1f}x wall vs live)"
-                )
             table.add_row(
                 name,
                 stage,
                 r["events"],
                 f"{r['wall_s'] * 1e3:7.1f} ms",
                 f"{r['events_per_sec'] / 1e6:6.3f}",
-                f"{r['speedup_vs_seed']:5.2f}x" + extra,
+                f"{r['speedup_vs_seed']:5.2f}x",
             )
     return table.to_text()
 

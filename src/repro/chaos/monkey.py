@@ -82,13 +82,6 @@ class ChaosMonkey:
             extra_endpoints=(cluster.switch_id,),
         )
         self._armed = True
-        if any(not isinstance(f, LoadBurst) for f in self.schedule.faults):
-            # Disruptive faults make every poll round load-bearing (silence
-            # counting and probes must be simulated exactly):
-            # block the simulator's idle fast-forward for the whole run.
-            # Pure LoadBurst schedules inject work, not failures, so the
-            # detector's analytic model stays valid and jumps stay legal.
-            self.sim.arm_poller()
         for fault in self.schedule.ordered():
             self.sim.schedule_at(fault.at, self._inject, fault)
         return self
@@ -105,9 +98,6 @@ class ChaosMonkey:
                 self._reactive_fired.add(key)
                 self._inject(NodeCrash(self.sim.now, node_id, restart_after))
 
-        # a reactive crash is a disruptive fault with no known time: exact
-        # polling must hold for the rest of the run
-        self.sim.arm_poller()
         self.runtime.object_ready_hooks.append(hook)
 
     # -- injection -----------------------------------------------------------

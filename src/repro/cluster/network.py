@@ -261,16 +261,6 @@ class Network:
     def partitioned(self) -> bool:
         return bool(self._partition_groups)
 
-    @property
-    def message_loss_rate(self) -> float:
-        """Current seeded control-message drop probability (read-only).
-
-        Exposed so observers (the heartbeat monitor's fast-forward
-        listener) can ask "is the control network clean?" without
-        reaching into ``_loss_rate``.
-        """
-        return self._loss_rate
-
     def set_message_loss(self, rate: float, seed: int = 0) -> None:
         """Drop control messages with probability ``rate`` (seeded, so a
         given chaos schedule reproduces the identical drop pattern)."""

@@ -40,13 +40,6 @@ single-heap kernel:
   exactly the time it is given (a flow replaying a pipeline's arithmetic
   must land on the pipeline's last bit), and :meth:`Simulator.cancel`
   withdraws one; an instant left empty is skipped by the run loops.
-* **idle fast-forward** (opt-in, ``Simulator.fast_forward``) — periodic
-  *poller* ticks created with :meth:`Simulator.poll_timeout` are deferred
-  and coalesced onto the next regular event when nothing else is pending
-  and no poller has demanded exact simulation (:meth:`Simulator.arm_poller`),
-  so idle regions are skipped analytically instead of simulated
-  tick-by-tick (the estimate-instead-of-simulate style of the data plane's
-  ``transfer_time_estimate``).
 
 Installing a schedule perturbation (:meth:`Simulator.set_perturbation`)
 switches to the *perturbation queue*: a single heap keyed ``(time, (rank,
@@ -769,13 +762,6 @@ class Simulator:
         # constraints.
         self._perturb: Optional[Callable[[int, float], tuple]] = None
         self._trigger_depth = 0
-        # -- idle fast-forward (opt-in; see poll_timeout/arm_poller) ---------
-        self.fast_forward = False
-        self._ff_armed = 0  # pollers demanding exact tick-by-tick simulation
-        self._ff_listeners: List[Callable[[float, float], None]] = []
-        self._poll_counts: dict = {}  # instant -> deferrable poll ticks in it
-        self.ff_jumps = 0  # idle regions skipped analytically
-        self.ff_ticks_deferred = 0  # poll ticks coalesced onto a jump target
         # -- counters ---------------------------------------------------------
         self.inline_steps = 0  # process resumptions that skipped the queue
         self._dispatched = 0  # queue entries fired (flushed per instant)
@@ -886,129 +872,21 @@ class Simulator:
             return
         when, entry = handle
         buckets = self._buckets
-        lst = buckets.get(when)
-        if lst is entry:
+        # A later entry sits in its instant's bucket; one at now sits in the
+        # ring (its bucket, if it had one, was promoted to the ring).
+        at_now = when == self._now
+        pending = self._ring if at_now else buckets.get(when)
+        if pending is entry:
             del buckets[when]
             return
-        # The entry sits in its instant's bucket, or, once that instant is
-        # being dispatched, in the ring the bucket was promoted to (at now,
-        # the bucket can still be pending after an idle fast-forward jump).
-        for pending in (lst, self._ring if when == self._now else None):
-            if type(pending) is deque:
-                for i, e in enumerate(pending):
-                    if e is entry:
-                        del pending[i]
-                        if not pending and pending is lst:
-                            del buckets[when]
-                        return
+        if type(pending) is deque:
+            for i, e in enumerate(pending):
+                if e is entry:
+                    del pending[i]
+                    if not pending and not at_now:
+                        del buckets[when]
+                    return
         raise ValueError(f"cancel: no pending entry {entry!r} at {when}")
-
-    # -- idle fast-forward -----------------------------------------------------
-
-    def poll_timeout(self, delay: float, value: Any = None) -> Awaitable:
-        """A timeout the idle fast-forward may defer.
-
-        Semantically identical to :meth:`timeout` — with ``fast_forward``
-        off (the default) it *is* the same scheduled trigger, bit-for-bit.
-        With ``fast_forward`` on, the tick is additionally marked as a
-        *poller* wake-up: when an instant contains only poller ticks, no
-        poller is armed, and a later regular event exists, the kernel jumps
-        straight to that event and fires the skipped ticks once, there.
-        Callers promise the tick's handler is a pure observation whose
-        skipped rounds can be accounted analytically (fast-forward
-        listeners run at each jump for exactly that purpose).
-        """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        tick = Signal(self)
-        t = self._now + delay
-        self._enqueue(t, delay, tick.trigger, (value,))
-        if t != self._now and self.fast_forward and self._fastpath:
-            # a deferrable tick (a degenerate interval is a plain ring event)
-            self._poll_counts[t] = self._poll_counts.get(t, 0) + 1
-        return tick
-
-    def arm_poller(self) -> None:
-        """Demand exact tick-by-tick simulation of poller wake-ups.
-
-        Refcounted; while any poller is armed, fast-forward never skips.
-        Arm whenever an analytic account of skipped ticks would be wrong:
-        chaos is active, suspicion is pending, a liveness protocol is load-
-        bearing.
-        """
-        self._ff_armed += 1
-
-    def disarm_poller(self) -> None:
-        if self._ff_armed <= 0:
-            raise SimulationError("disarm_poller without a matching arm_poller")
-        self._ff_armed -= 1
-
-    def add_fast_forward_listener(self, cb: Callable[[float, float], None]) -> None:
-        """Register ``cb(old_now, new_now)`` to run at every idle jump.
-
-        Listeners apply the analytic model of the skipped region (e.g. the
-        failure detector credits heartbeats that idle, healthy raylets
-        would have delivered).
-        """
-        self._ff_listeners.append(cb)
-
-    def _try_fast_forward(self, until: Optional[float]) -> bool:
-        """Defer leading pure-poller instants onto the next regular event.
-
-        Returns True when a jump happened (deferred ticks installed as the
-        ring at the jump target); the caller re-enters its loop.
-        """
-        times = self._times
-        buckets = self._buckets
-        counts = self._poll_counts
-        deferred: List[tuple] = []
-        popped: List[Tuple[float, Any, int]] = []
-        while times:
-            t0 = times[0]
-            if t0 not in buckets:  # an instant cancel emptied
-                heapq.heappop(times)
-                continue
-            n = counts.get(t0)
-            if not n:
-                break  # a regular instant: stop here
-            lst = buckets[t0]
-            size = len(lst) if type(lst) is deque else 1
-            if n != size:
-                break  # a regular event shares this instant: stop here
-            if until is not None and t0 > until:
-                break  # past the horizon; run() will stop before it anyway
-            heapq.heappop(times)
-            del buckets[t0]
-            del counts[t0]
-            popped.append((t0, lst, n))
-            if type(lst) is deque:
-                deferred.extend(lst)
-            else:
-                deferred.append(lst)
-        if not deferred:
-            return False
-        if times:
-            target: Optional[float] = times[0]
-        elif until is not None:
-            target = until
-        else:
-            # Nothing to land on (only pollers remain, no horizon): put the
-            # instants back and simulate them normally.
-            for t0, lst, n in reversed(popped):
-                buckets[t0] = lst
-                counts[t0] = n
-                heapq.heappush(times, t0)
-            return False
-        if until is not None and target > until:
-            target = until
-        old = self._now
-        self._now = target
-        self.ff_jumps += 1
-        self.ff_ticks_deferred += len(deferred)
-        for cb in self._ff_listeners:
-            cb(old, target)
-        self._ring = deque(deferred)
-        return True
 
     # -- factories -------------------------------------------------------------
 
@@ -1097,7 +975,6 @@ class Simulator:
         """The fast path: ring + bucket calendar with same-instant batching."""
         times = self._times
         buckets = self._buckets
-        pc = self._poll_counts  # mutated in place everywhere: safe to hoist
         heappop = heapq.heappop
         tup = tuple  # local: checked once per dispatched event
         # ``t > horizon`` is never true for an unbounded run, so the horizon
@@ -1136,13 +1013,6 @@ class Simulator:
                         else:
                             e.trigger(e.value)
             elif times:
-                if (
-                    self.fast_forward
-                    and pc
-                    and self._ff_armed == 0
-                    and self._try_fast_forward(until)
-                ):
-                    continue
                 t = heappop(times)
                 lst = buckets.pop(t, None)
                 if lst is None:
@@ -1153,8 +1023,6 @@ class Simulator:
                     self._now = until
                     break
                 self._now = t
-                if pc:
-                    pc.pop(t, None)
                 if type(lst) is tup:
                     # singleton instant: dispatch directly; the ring stays
                     # empty so zero-delay follow-ups (and the inline fast

@@ -139,16 +139,6 @@ class RuntimeConfig:
     ha_replicas: int = 0
     # seed mixed with the new epoch for the deterministic winner draw
     ha_election_seed: int = 0
-    # -- simulator core.  Opt-in analytic idle fast-forward: when every
-    # event at the queue head is a *poller* tick (heartbeats and WAL syncs,
-    # created via ``Simulator.poll_timeout``) and no
-    # component has armed exact polling (``Simulator.arm_poller`` — chaos
-    # schedules and failure detection do), the kernel jumps virtual time
-    # to the next real event instead of stepping through empty poll
-    # rounds.  Off by default: the all-off setting replays legacy event
-    # traces bit-for-bit, and fast-forward intentionally elides idle poll
-    # events (event *counts* differ even though outcomes do not).
-    sim_fast_forward: bool = False
 
     def describe(self) -> str:
         return (

@@ -130,11 +130,6 @@ class HAController:
         )
         self._m_epoch.set(float(self.epoch))
         self._m_up.set(1.0)
-        # The WAL sync beacon doubles as the standbys' liveness protocol:
-        # eliding sync rounds analytically would hide exactly the silence an
-        # election counts, so HA runs pinned to exact simulation (idle
-        # fast-forward never skips while a poller is armed).
-        self.sim.arm_poller()
         # subscriptions: the seam points this protocol acts at, in place
         runtime.on_route.append(self.ensure_running)
         runtime.on_dispatch.append(self._stamp_lease)

@@ -80,7 +80,6 @@ class HeartbeatMonitor:
         self.beats_received = 0
         self.beats_sent = 0
         self.probes_sent = 0
-        self.analytic_beats = 0  # beats credited by fast-forward jumps
         reg = runtime.telemetry.registry
         self._m_sent = reg.series(
             "counter", "skadi_heartbeats_sent_total", "heartbeats emitted per node", "node"
@@ -93,12 +92,6 @@ class HeartbeatMonitor:
         )
         self._active = False
         self._epoch = 0  # loops from an earlier activation exit on mismatch
-        # idle fast-forward interplay: the detector's poll rounds are the
-        # canonical deferrable ticks.  The listener applies the analytic
-        # model of a skipped region; the guard (see _update_guard) demands
-        # exact simulation while any suspicion is live.
-        self._guard_armed = False
-        self.sim.add_fast_forward_listener(self._on_fast_forward)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -169,59 +162,7 @@ class HeartbeatMonitor:
             for node_id in dead_nodes
             for raylet in self.runtime._raylets_by_node.get(node_id, [])
         }
-        self._update_guard()
         self.ensure_running()
-
-    # -- fast-forward interplay ----------------------------------------------
-
-    def _update_guard(self) -> None:
-        """Arm/disarm exact polling to track the suspicion sets.
-
-        While anything is suspected, the poll rounds are load-bearing —
-        counting silence and driving triage — so an armed poller blocks
-        idle fast-forward until every suspicion resolves.  Must be called
-        after every mutation of ``suspected``/``suspected_endpoints``.
-        """
-        want = bool(self.suspected or self.suspected_endpoints)
-        if want and not self._guard_armed:
-            self.sim.arm_poller()
-            self._guard_armed = True
-        elif not want and self._guard_armed:
-            self.sim.disarm_poller()
-            self._guard_armed = False
-
-    def _on_fast_forward(self, old: float, new: float) -> None:
-        """Analytic model of a skipped idle region.
-
-        Only reachable while nothing is suspected (suspicion arms the
-        poller, which blocks jumps).  On a clean control network — no
-        partition, zero message loss — every alive raylet's beats in
-        ``(old, new]`` would have been delivered, so ``last_seen`` is
-        credited wholesale and the beat counters advance by the elided
-        round count.  On a dirty network no credit is given: silence
-        keeps counting from the last *real* beat, which errs toward
-        re-detection, never away from it.
-        """
-        if not self._active:
-            return
-        if self.net.partitioned or self.net.message_loss_rate > 0.0:
-            return
-        rounds = int((new - old) / self.interval)
-        for node_id, raylets in self.runtime._raylets_by_node.items():
-            credited = False
-            for raylet in raylets:
-                if not raylet.alive or raylet.endpoint in self.suspected_endpoints:
-                    continue
-                credited = True
-                self.last_seen_endpoint[raylet.endpoint] = new
-                if rounds > 0:
-                    self.beats_sent += rounds
-                    self.beats_received += rounds
-                    self.analytic_beats += rounds
-                    self._m_sent.of(node_id).inc(rounds)
-                    self._m_received.of(node_id).inc(rounds)
-            if credited and node_id not in self.suspected:
-                self.last_seen[node_id] = new
 
     # -- the wire protocol ---------------------------------------------------
 
@@ -232,10 +173,7 @@ class HeartbeatMonitor:
             and self._epoch == epoch
             and self.runtime._has_pending_work()
         ):
-            # a poller tick: idle fast-forward may defer it (the listener
-            # above credits the elided beats); identical to timeout() with
-            # fast-forward off
-            yield self.sim.poll_timeout(self.interval)
+            yield self.sim.timeout(self.interval)
             if not raylet.alive:
                 continue  # a dead raylet does not beat; silence is the signal
             # device status is sampled when the beat leaves the node, not
@@ -288,7 +226,6 @@ class HeartbeatMonitor:
             self.suspected.discard(node_id)
             self.runtime._record("node_unsuspected", node=node_id)
             failures.node_alive(node_id)
-        self._update_guard()
         for device_id, alive in status:
             if alive:
                 failures.device_alive(device_id)
@@ -318,7 +255,7 @@ class HeartbeatMonitor:
         stall = 0
         progress = self.runtime._progress_counter()
         while self._epoch == epoch and self.runtime._has_pending_work():
-            yield self.sim.poll_timeout(self.interval)
+            yield self.sim.timeout(self.interval)
             now = self.sim.now
             for node_id in self.monitored_nodes():
                 raylets = self.runtime._raylets_by_node[node_id]
@@ -338,7 +275,6 @@ class HeartbeatMonitor:
                     for r in raylets
                 )
                 self.suspected_endpoints.update(r.endpoint for r in newly_silent)
-                self._update_guard()
                 if all_silent and node_id not in self.suspected:
                     self.suspected.add(node_id)
                     self.runtime._record(
@@ -411,7 +347,6 @@ class HeartbeatMonitor:
             # not a node death after all — the silent endpoints stay
             # suspected individually and are handled per-domain below
             self.suspected.discard(node_id)
-            self._update_guard()
         # orphaned live devices go to a takeover raylet
         for dev in dead:
             self.runtime.failures.device_dead(dev.device_id, cause="failed probe")
@@ -427,7 +362,7 @@ class HeartbeatMonitor:
             and self._epoch == epoch
             and self.runtime._has_pending_work()
         ):
-            yield self.sim.poll_timeout(self.interval)
+            yield self.sim.timeout(self.interval)
             ok = yield from self._probe(blade)
             if self._epoch != epoch:
                 return
@@ -437,11 +372,9 @@ class HeartbeatMonitor:
                     self.suspected.discard(node_id)
                     self.runtime._record("blade_unsuspected", node=node_id)
                     self.runtime.failures.blade_alive(node_id)
-                    self._update_guard()
             else:
                 misses += 1
                 if misses >= self.miss_threshold and node_id not in self.suspected:
                     self.suspected.add(node_id)
                     self.runtime._record("blade_suspected", node=node_id, misses=misses)
                     self.runtime.failures.blade_dead(node_id, cause="missed probes")
-                    self._update_guard()

@@ -161,10 +161,6 @@ class ServerlessRuntime:
         self.sim = cluster.sim
         self.net = cluster.network
         self.config = config or RuntimeConfig()
-        if self.config.sim_fast_forward:
-            # Opt-in analytic idle fast-forward (see RuntimeConfig): the
-            # kernel jumps over instants holding only poller ticks.
-            self.sim.fast_forward = True
         self.reliable_cache = reliable_cache
         self.durable_store = durable_store
         self.ids = IdGenerator()

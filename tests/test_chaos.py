@@ -22,6 +22,7 @@ from repro.chaos import (
 from repro.cluster.cluster import build_serverful
 from repro.cluster.hardware import DeviceKind
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
+from repro.runtime.health import STALL_TICKS
 from repro.runtime.runtime import make_reliable_cache
 
 from conftest import assert_recovery_drained
@@ -251,25 +252,22 @@ class TestHeartbeatDetection:
         # heartbeats ride the same accounted control plane as everything else
         assert rt.net.stats.messages > rt.health.beats_sent
 
-    def test_fast_forward_skips_idle_heartbeat_rounds(self):
-        """One long task on a quiet cluster: with ``sim_fast_forward`` the
-        kernel jumps the idle heartbeat rounds (crediting the beats healthy
-        raylets would have sent) instead of simulating them — same answer,
-        nobody suspected, a fraction of the events."""
-
-        def run(fast_forward):
-            rt = ServerlessRuntime(
-                build_serverful(n_servers=3),
-                chaos_config(sim_fast_forward=fast_forward),
-            )
-            assert rt.get(rt.submit(lambda: 42, compute_cost=0.5, name="long")) == 42
-            assert rt.log.count("node_suspected") == 0
-            return rt
-
-        exact, skipped = run(False), run(True)
-        assert exact.sim.ff_jumps == 0 and skipped.sim.ff_jumps >= 1
-        assert skipped.sim.events_executed() * 10 < exact.sim.events_executed()
-        assert skipped.health.beats_received >= exact.health.beats_received
+    def test_idle_heartbeat_rounds_are_all_sent(self):
+        """One long task on a quiet cluster: every idle round is simulated,
+        one beat per raylet per round, until the stall guard parks the
+        detector ``STALL_TICKS`` monitor ticks in; nobody is suspected."""
+        rt = ServerlessRuntime(build_serverful(n_servers=3), chaos_config())
+        assert rt.get(rt.submit(lambda: 42, compute_cost=0.5, name="long")) == 42
+        assert rt.log.count("node_suspected") == 0
+        (parked,) = rt.log.of_kind("detector_stalled")
+        assert parked["ticks"] == STALL_TICKS
+        interval = rt.config.heartbeat_interval
+        assert parked.time == pytest.approx(STALL_TICKS * interval)
+        senders = len(rt.health.monitored_nodes())
+        # a remote beat's round also pays its message time, so a remote
+        # raylet may fall a round behind the monitor before it parks
+        assert senders * (STALL_TICKS - 2) <= rt.health.beats_sent <= senders * STALL_TICKS
+        assert rt.health.beats_received == rt.health.beats_sent
 
     def test_heartbeats_off_by_default(self):
         rt = ServerlessRuntime(

@@ -1,8 +1,8 @@
 """Edge semantics of the simulator core.
 
 The kernel runs on a two-tier queue (microtask ring + bucket calendar) with
-same-instant batching and an opt-in idle fast-forward; an installed schedule
-perturbation moves every event onto the perturbation queue (one heap).
+same-instant batching; an installed schedule perturbation moves every event
+onto the perturbation queue (one heap).
 These tests pin, on both queue disciplines:
 
 * ``run(until=)`` stopping exactly at an event's timestamp, and never
@@ -15,7 +15,7 @@ These tests pin, on both queue disciplines:
   under an identity perturbation produce identical traces on a randomized
   process soup,
 * the satellite fixes (AnyOf loser detach, interrupt-safe ``Resource.use``,
-  ``Channel.cancel_get``) and the fast-forward contract.
+  ``Channel.cancel_get``), and timer-only loops simulated round by round.
 """
 
 from __future__ import annotations
@@ -441,81 +441,63 @@ class TestChannelCancelGet:
         assert got == ["a", "b"]
 
 
-class TestFastForward:
-    def _poll_loop(self, sim, ticks, rounds):
+class TestTimerLoops:
+    """A loop that only sleeps — a heartbeat sender, a prober — is simulated
+    round by round: every wake-up lands on its own instant."""
+
+    STEP = 1 / 1024  # a power of two: k * STEP is exact, so ticks compare with ==
+
+    def _loop(self, sim, ticks, rounds):
         def poller():
             for _ in range(rounds):
-                yield sim.poll_timeout(1e-3)
-                ticks.append(round(sim.now, 9))
+                yield sim.timeout(self.STEP)
+                ticks.append(sim.now)
 
         sim.process(poller())
 
-    def test_pure_poller_region_jumps(self):
-        sim = Simulator()
-        sim.fast_forward = True
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_every_round_of_an_idle_loop_runs(self, queue):
+        sim = new_sim(queue)
         ticks: list = []
-        self._poll_loop(sim, ticks, rounds=1000)
-        jumps: list = []
-        sim.add_fast_forward_listener(lambda old, new: jumps.append((old, new)))
-        end = sim.run(until=1.0)
-        assert end == 1.0
-        assert sim.ff_jumps >= 1 and sim.ff_ticks_deferred >= 1
-        assert jumps and jumps[0][1] > jumps[0][0]
-        # far fewer simulated wake-ups than the thousand exact rounds
-        assert len(ticks) < 10
+        self._loop(sim, ticks, rounds=1000)
+        assert sim.run(until=1000 * self.STEP) == 1000 * self.STEP
+        assert ticks == [k * self.STEP for k in range(1, 1001)]
+        assert sim.peek() is None
 
-    def test_armed_poller_blocks_jumps(self):
-        sim = Simulator()
-        sim.fast_forward = True
-        sim.arm_poller()
-        ticks: list = []
-        self._poll_loop(sim, ticks, rounds=20)
-        sim.run()
-        assert sim.ff_jumps == 0
-        assert len(ticks) == 20  # every round simulated exactly
-        sim.disarm_poller()
-        with pytest.raises(SimulationError):
-            sim.disarm_poller()
-
-    def test_regular_event_in_instant_blocks_skip(self):
-        sim = Simulator()
-        sim.fast_forward = True
-        ticks: list = []
-        self._poll_loop(sim, ticks, rounds=5)
-        marks: list = []
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_a_shared_instant_runs_in_queue_order(self, queue):
+        sim = new_sim(queue)
+        log: list = []
+        self._loop(sim, log, rounds=5)
         for k in range(1, 6):
-            sim.schedule(k * 1e-3, marks.append, k)  # shares every poll instant
+            # queued before the loop's first timeout exists, so first at k
+            sim.schedule(k * self.STEP, log.append, ("mark", k))
         sim.run()
-        assert sim.ff_jumps == 0
-        assert len(ticks) == 5 and marks == [1, 2, 3, 4, 5]
+        expected: list = []
+        for k in range(1, 6):
+            expected += [("mark", k), k * self.STEP]
+        assert log == expected
 
-    def test_poll_timeout_identical_with_ff_off(self):
-        def scenario(factory):
-            sim = Simulator()
-            out = []
-
-            def proc():
-                for _ in range(5):
-                    yield factory(sim)(1e-3)
-                    out.append(round(sim.now, 9))
-
-            sim.process(proc())
-            sim.run()
-            return out, sim.events_executed()
-
-        a = scenario(lambda s: s.timeout)
-        b = scenario(lambda s: s.poll_timeout)
-        assert a == b
-
-    def test_perturbation_disables_fast_forward(self):
-        sim = Simulator()
-        sim.set_perturbation(identity_perturbation)
-        sim.fast_forward = True
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_a_bounded_run_stops_inside_the_loop_and_resumes(self, queue):
+        sim = new_sim(queue)
         ticks: list = []
-        self._poll_loop(sim, ticks, rounds=10)
-        sim.run()
-        assert sim.ff_jumps == 0
-        assert len(ticks) == 10
+        self._loop(sim, ticks, rounds=20)
+        assert sim.run(until=5 * self.STEP) == 5 * self.STEP
+        assert ticks == [k * self.STEP for k in range(1, 6)]
+        assert sim.peek() == 6 * self.STEP
+        assert sim.run() == 20 * self.STEP
+        assert ticks == [k * self.STEP for k in range(1, 21)]
+
+    def test_a_timer_loop_matches_the_frozen_kernel(self):
+        def trace(sim):
+            ticks: list = []
+            self._loop(sim, ticks, rounds=50)
+            return ticks, sim.run()
+
+        reference = trace(legacy.Simulator())
+        for queue in QUEUES:
+            assert trace(new_sim(queue)) == reference, f"{queue} queue diverged"
 
 
 class TestConfigurationGuards:
@@ -524,6 +506,14 @@ class TestConfigurationGuards:
         # installed perturbation
         assert not inspect.signature(Simulator).parameters
         assert not hasattr(Simulator, "configure")
+        # nor any mode flag: the public data on a fresh simulator is its
+        # one counter (the factory partials are callables)
+        data = {
+            name
+            for name, value in vars(Simulator()).items()
+            if not name.startswith("_") and not callable(value)
+        }
+        assert data == {"inline_steps"}
 
     def test_perturbation_requires_idle_queue(self):
         sim = Simulator()

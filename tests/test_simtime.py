@@ -90,18 +90,23 @@ class TestCallAt:
         with pytest.raises(ValueError):
             sim.call_at(0.5, seen.append, "past")
 
-    @pytest.mark.parametrize("where", ["alone", "shared", "now"])
+    @pytest.mark.parametrize("where", ["alone", "shared", "now", "promoted"])
     def test_a_cancelled_entry_never_runs_nor_moves_the_clock(self, sim, where):
         seen = []
         if where == "shared":
             sim.schedule(2.0, seen.append, "kept")
+        elif where == "promoted":
+            # dispatched at 2.0, once the instant's bucket has become the ring
+            sim.schedule(2.0, lambda: (seen.append("kept"), sim.cancel(handle)))
         handle = sim.call_at(0.0 if where == "now" else 2.0, seen.append, "cancelled")
         sim.schedule(1.0, seen.append, "last")
-        sim.cancel(handle)
-        assert sim.peek() == 1.0
+        if where != "promoted":
+            sim.cancel(handle)
+            assert sim.peek() == 1.0
         sim.run()
-        assert seen == (["last", "kept"] if where == "shared" else ["last"])
-        assert sim.now == (2.0 if where == "shared" else 1.0)
+        kept = where in ("shared", "promoted")
+        assert seen == (["last", "kept"] if kept else ["last"])
+        assert sim.now == (2.0 if kept else 1.0)
 
     def test_a_cancelled_instant_does_not_end_a_bounded_run(self, sim):
         handle = sim.call_at(3.0, lambda: None)
@@ -117,38 +122,41 @@ class TestCallAt:
         assert seen == ["again", "last"] and sim.events_executed() == 2
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_cancel_from_a_tick_fast_forwarded_onto_the_instant(self, sim, shared):
-        # the jump makes 5.0 now while its bucket is still pending
-        sim.fast_forward = True
+    def test_cancel_from_a_timeout_on_the_same_instant(self, sim, shared):
+        # the entry is queued at 1.0, behind the timeout already waiting on
+        # 5.0, so the woken process cancels it from inside the instant
         seen = []
-        if shared:
-            sim.schedule(5.0, seen.append, "kept")
-        handle = sim.call_at(5.0, seen.append, "cancelled")
+        handles = []
 
-        def poller():
-            yield sim.poll_timeout(1.0)
+        def enqueue():
+            if shared:
+                sim.schedule(4.0, seen.append, "kept")
+            handles.append(sim.call_at(5.0, seen.append, "cancelled"))
+
+        def sleeper():
+            yield sim.timeout(5.0)
             seen.append(("tick", sim.now))
-            sim.cancel(handle)
+            sim.cancel(handles[0])
 
-        sim.process(poller())
+        sim.process(sleeper())
+        sim.schedule(1.0, enqueue)
         sim.run()
-        assert sim.ff_jumps == 1
         assert seen == [("tick", 5.0)] + (["kept"] if shared else [])
+        assert sim.now == 5.0
 
-    def test_a_cancelled_instant_does_not_stop_a_fast_forward(self, sim):
-        sim.fast_forward = True
+    def test_a_cancelled_instant_between_timeouts_changes_nothing(self, sim):
         ticks = []
 
-        def poller(delay):
-            yield sim.poll_timeout(delay)
+        def sleeper(delay):
+            yield sim.timeout(delay)
             ticks.append(sim.now)
 
-        sim.process(poller(1.0))
-        sim.process(poller(3.0))
+        sim.process(sleeper(1.0))
+        sim.process(sleeper(3.0))
         sim.cancel(sim.call_at(2.0, lambda: None))
         sim.schedule(10.0, lambda: None)
-        sim.run()
-        assert sim.ff_jumps == 1 and ticks == [10.0, 10.0]
+        assert sim.run() == 10.0
+        assert ticks == [1.0, 3.0]
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_cancelling_what_is_not_pending_raises(self, sim, perturbed):
