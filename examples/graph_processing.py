@@ -2,9 +2,10 @@
 """Graph processing on the distributed runtime: PageRank as a FlowGraph.
 
 One of the execution models the runtime must host (§1): graph systems.
-PageRank supersteps unroll into FlowGraph vertices; the runtime executes
-them over the simulated disaggregated cluster and the result matches the
-single-process oracle bit-for-bit.
+PageRank supersteps unroll into P-way sharded FlowGraph vertices whose
+messages ride a keyed scatter -> apply edge; the runtime executes them over
+the simulated disaggregated cluster and the result matches the
+single-process oracle to float tolerance.
 
 Run:  python examples/graph_processing.py
 """
@@ -32,7 +33,7 @@ def main() -> None:
 
     # --- distributed PageRank ---------------------------------------------
     iterations = 8
-    graph, sink, tables = pagerank_flowgraph(edges, iterations=iterations)
+    graph, sink, tables = pagerank_flowgraph(edges, iterations=iterations, partitions=4)
     cluster = build_physical_disagg()
     rt = ServerlessRuntime(cluster)
     outputs = launch_physical_graph(rt, to_physical(graph), tables=tables)

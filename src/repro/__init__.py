@@ -10,7 +10,7 @@ Layers (bottom-up):
 * :mod:`repro.ir`       — multi-level IR (MLIR substitute) with fusion and
   multi-backend lowering.
 * :mod:`repro.flowgraph`— logical FlowGraph and physical sharded graph.
-* :mod:`repro.frontends`— SQL, dataframe, MapReduce, graph, ML tiers.
+* :mod:`repro.frontends`— SQL, dataframe, graph, streaming, ML tiers.
 * :mod:`repro.telemetry`— metrics plane, causal span tracing, critical path.
 * :mod:`repro.core`     — the Skadi facade.
 

@@ -3,7 +3,8 @@
 Paper §1: "a fast caching layer with a standard format is the bedrock of
 our data plane."  This package provides that layer — the Arrow-like
 columnar format, tiered memory (DRAM/HBM/disaggregated), replication and
-Reed-Solomon erasure coding, and the location-transparent KV store.
+Reed-Solomon erasure coding, and the location-transparent KV store
+(:class:`CachingLayer`, Fig. 2 note (5)).
 """
 
 from .columnar import (
@@ -16,7 +17,7 @@ from .columnar import (
     serialize_columnar,
     serialize_marshalled,
 )
-from .kv import InMemoryKV, KVStore, ObjectMeta, estimate_nbytes
+from .kv import estimate_nbytes
 from .replication import ErasureCode, ReplicationScheme, Shard, redundancy_overhead
 from .store import CacheNode, CachingLayer, ObjectLostError, default_transfer_time
 from .tiers import (
@@ -38,9 +39,6 @@ __all__ = [
     "deserialize_columnar",
     "serialize_marshalled",
     "deserialize_marshalled",
-    "KVStore",
-    "InMemoryKV",
-    "ObjectMeta",
     "estimate_nbytes",
     "ReplicationScheme",
     "ErasureCode",

@@ -1,60 +1,17 @@
-"""The caching layer's user-facing KV API.
+"""Object-size accounting for the caching layer's KV API.
 
 Figure 2, note (5): "The caching layer exposes KV APIs... Users of it only
-see KV APIs."  Everything else — tiering, replication, location — is an
-implementation detail behind this interface.
+see KV APIs."  That API is :class:`repro.caching.store.CachingLayer`
+(``put/get/delete/contains/locations``); tiering, replication and
+location stay behind it.  This module keeps the one helper every writer
+shares: the size a value is charged when the caller gives none.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Any, Dict, Iterator, Optional
+from typing import Any
 
-__all__ = ["KVStore", "InMemoryKV", "ObjectMeta"]
-
-
-class ObjectMeta:
-    """Metadata the caching layer keeps per object."""
-
-    __slots__ = ("key", "nbytes", "location")
-
-    def __init__(self, key: str, nbytes: int, location: str = ""):
-        self.key = key
-        self.nbytes = nbytes
-        self.location = location
-
-    def __repr__(self) -> str:
-        return f"ObjectMeta({self.key!r}, {self.nbytes}B @ {self.location or '?'})"
-
-
-class KVStore(abc.ABC):
-    """Minimal KV contract: get/put/delete/contains."""
-
-    @abc.abstractmethod
-    def put(self, key: str, value: Any, nbytes: Optional[int] = None) -> None:
-        """Store ``value`` under ``key``, replacing any prior value."""
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Any:
-        """Return the value for ``key``; raise ``KeyError`` if absent."""
-
-    @abc.abstractmethod
-    def delete(self, key: str) -> bool:
-        """Remove ``key``; return whether it existed."""
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        ...
-
-    @abc.abstractmethod
-    def keys(self) -> Iterator[str]:
-        ...
-
-    def get_or_default(self, key: str, default: Any = None) -> Any:
-        try:
-            return self.get(key)
-        except KeyError:
-            return default
+__all__ = ["estimate_nbytes"]
 
 
 def estimate_nbytes(value: Any) -> int:
@@ -73,43 +30,3 @@ def estimate_nbytes(value: Any) -> int:
             estimate_nbytes(k) + estimate_nbytes(v) for k, v in value.items()
         )
     return 32  # scalars, small objects
-
-
-class InMemoryKV(KVStore):
-    """A plain dict-backed KV store (the degenerate single-tier cache)."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, Any] = {}
-        self._meta: Dict[str, ObjectMeta] = {}
-
-    def put(self, key: str, value: Any, nbytes: Optional[int] = None) -> None:
-        self._data[key] = value
-        self._meta[key] = ObjectMeta(
-            key, nbytes if nbytes is not None else estimate_nbytes(value), "memory"
-        )
-
-    def get(self, key: str) -> Any:
-        if key not in self._data:
-            raise KeyError(f"object {key!r} not in cache")
-        return self._data[key]
-
-    def delete(self, key: str) -> bool:
-        existed = key in self._data
-        self._data.pop(key, None)
-        self._meta.pop(key, None)
-        return existed
-
-    def contains(self, key: str) -> bool:
-        return key in self._data
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._data.keys()))
-
-    def meta(self, key: str) -> ObjectMeta:
-        if key not in self._meta:
-            raise KeyError(f"object {key!r} not in cache")
-        return self._meta[key]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.nbytes for m in self._meta.values())

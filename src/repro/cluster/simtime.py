@@ -121,7 +121,7 @@ def _push0(sim: "Simulator", item: tuple) -> None:
 
 
 def _push0_aw(sim: "Simulator", aw: "Awaitable") -> None:
-    """Zero-delay enqueue of a pre-valued awaitable (see Timeout.__init__).
+    """Zero-delay enqueue of a pre-valued awaitable (see _make_timeout).
 
     The entry is the awaitable itself with ``aw.value`` already holding the
     trigger value; the dispatch loop fires it without a tuple or a bound
@@ -213,55 +213,23 @@ class Awaitable:
 
 
 class Timeout(Awaitable):
-    """Fires after ``delay`` units of virtual time."""
+    """Fires after ``delay`` units of virtual time.
+
+    Made only by :func:`_make_timeout` (``sim.timeout(delay)``), never by
+    calling the class.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Field init and the enqueue are inlined (no super().__init__, no
-        # schedule() call): a timeout is created per timed wait and the
-        # call frames are measurable.  This block mirrors Simulator.schedule
-        # exactly — keep them in sync.
-        self.sim = sim
-        self.triggered = False
-        self._callbacks = _NO_CALLBACKS
-        self._waiter = None
-        self.delay = delay
-        if sim._fastpath:
-            # Pre-valued enqueue: the queue entry is this awaitable itself
-            # (``value`` already stored), not a ``(bound trigger, (value,))``
-            # pair — two tuples and a bound-method allocation saved per
-            # timed wait, and the dispatch loop fires it without the generic
-            # trigger frame.  ``trigger(value)`` would store the same value,
-            # so the dispatch is observably identical.
-            self.value = value
-            now = sim._now
-            t = now + delay
-            if t == now:
-                sim._ring.append(self)
-                return
-            buckets = sim._buckets
-            lst = buckets.get(t)
-            if lst is None:
-                buckets[t] = self
-                heapq.heappush(sim._times, t)
-            elif type(lst) is deque:
-                lst.append(self)
-            else:
-                buckets[t] = deque((lst, self))
-        else:
-            self.value = None
-            sim.schedule(delay, self.trigger, value)
-
 
 def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
-    """Fast construction path for :meth:`Simulator.timeout`.
+    """The one way to make a :class:`Timeout` (:meth:`Simulator.timeout`).
 
-    Mirror of ``Timeout.__init__`` reached through ``object.__new__`` so
-    the call skips ``type.__call__`` — keep the two bodies in sync.
-    Direct ``Timeout(sim, ...)`` construction still works identically.
+    Built through ``object.__new__`` so the call skips ``type.__call__``;
+    field init and the enqueue are inlined (no ``Awaitable.__init__``, no
+    schedule() call): a timeout is created per timed wait and the call
+    frames are measurable.  The enqueue mirrors Simulator.schedule exactly
+    — keep them in sync.
     """
     if delay < 0:
         raise ValueError(f"negative timeout delay: {delay}")
@@ -272,6 +240,12 @@ def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
     self._waiter = None
     self.delay = delay
     if sim._fastpath:
+        # Pre-valued enqueue: the queue entry is this awaitable itself
+        # (``value`` already stored), not a ``(bound trigger, (value,))``
+        # pair — two tuples and a bound-method allocation saved per timed
+        # wait, and the dispatch loop fires it without the generic trigger
+        # frame.  ``trigger(value)`` would store the same value, so the
+        # dispatch is observably identical.
         self.value = value
         now = sim._now
         t = now + delay
@@ -392,7 +366,7 @@ class Process(Awaitable):
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        # Field init inlined (see Timeout): a process is born per task
+        # Field init inlined (see _make_timeout): a process is born per task
         # attempt and per transfer, so creation is on the hot path.
         self.sim = sim
         self.triggered = False
@@ -643,7 +617,7 @@ class Resource:
                 self.cancel(grant)
                 raise
             try:
-                yield Timeout(self.sim, duration)
+                yield _make_timeout(self.sim, duration)
             finally:
                 self.release()
 
@@ -668,7 +642,7 @@ class Channel:
         if self._getters:
             getter = self._getters.popleft()
             # Pre-valued hand-off, _push0_aw inlined: every message delivery
-            # is one of these (see Timeout.__init__ for the entry format).
+            # is one of these (see _make_timeout for the entry format).
             getter.value = item
             sim = self.sim
             if sim._fastpath:
@@ -766,7 +740,7 @@ class Simulator:
         self.inline_steps = 0  # process resumptions that skipped the queue
         self._dispatched = 0  # queue entries fired (flushed per instant)
         # True iff no perturbation is installed: the ring + calendar carry
-        # the order, the inlined enqueue blocks (Timeout.__init__, _push0)
+        # the order, the inlined enqueue blocks (_make_timeout, _push0)
         # and inline resumption are open.  False routes everything through
         # the perturbation queue.
         self._fastpath = True
@@ -894,7 +868,7 @@ class Simulator:
         return Process(self, gen, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        return _make_timeout(self, delay, value)
 
     def signal(self) -> Signal:
         return Signal(self)
@@ -999,7 +973,7 @@ class Simulator:
                     if type(e) is tup:
                         e[0](*e[1])
                     else:
-                        # Pre-valued awaitable entry (see Timeout.__init__):
+                        # Pre-valued awaitable entry (see _make_timeout):
                         # the sole-waiter trigger inlined — keep in sync
                         # with Awaitable.trigger.  Tail position: no depth
                         # bump (cf. the trigger fast lane).

@@ -1,4 +1,4 @@
-"""The Skadi facade: one runtime for SQL, dataframes, MapReduce, graphs, ML.
+"""The Skadi facade: one runtime for SQL, dataframes, graphs, streaming, ML.
 
 "Skadi enables users to use only one runtime to express all of their
 programs" (§2.1).  This class wires the whole stack: declarative input ->

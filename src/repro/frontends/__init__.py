@@ -1,5 +1,7 @@
-"""The domain-specific declarative tier: SQL, dataframes, MapReduce,
-graph processing, and ML — all lowering onto the same FlowGraph/IR."""
+"""The domain-specific declarative tier: SQL, dataframes, graph
+processing, streaming and ML — all lowering onto the same FlowGraph/IR.
+
+A map/shuffle/reduce job is a keyed FlowGraph edge, or SQL ``GROUP BY``."""
 
 from . import sql
 from .dataframe import DataFrame, from_batch, from_table
@@ -8,10 +10,8 @@ from .graph import (
     connected_components,
     pagerank,
     pagerank_flowgraph,
-    pagerank_partitioned_flowgraph,
     sssp,
 )
-from .mapreduce import MapReduceJob, group_apply
 from .matrix import Matrix, constant, param
 from .mpmd import (
     PipelineParallelTrainer,
@@ -40,8 +40,6 @@ __all__ = [
     "DataFrame",
     "from_table",
     "from_batch",
-    "MapReduceJob",
-    "group_apply",
     "Matrix",
     "param",
     "constant",
@@ -50,7 +48,6 @@ __all__ = [
     "sssp",
     "connected_components",
     "pagerank_flowgraph",
-    "pagerank_partitioned_flowgraph",
     "LinearModel",
     "LogisticModel",
     "ParameterServer",

@@ -3,8 +3,8 @@
 Covers the "graph" execution model of §1 (PowerGraph/GraphX lineage).
 Provides exact single-process algorithms (PageRank, SSSP, connected
 components, used as oracles) plus :func:`pagerank_flowgraph`, which unrolls
-supersteps into a FlowGraph whose message exchange rides the keyed-edge
-shuffle — the distributed path the benchmarks exercise.
+P-way sharded supersteps into a FlowGraph whose message exchange rides the
+keyed-edge shuffle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "sssp",
     "connected_components",
     "pagerank_flowgraph",
-    "pagerank_partitioned_flowgraph",
 ]
 
 
@@ -129,78 +128,17 @@ def pagerank_flowgraph(
     partitions: int = 4,
     damping: float = 0.85,
 ) -> Tuple[FlowGraph, Vertex, Dict[str, RecordBatch]]:
-    """Unroll PageRank supersteps into a FlowGraph.
+    """Pregel PageRank unrolled into P-way sharded supersteps.
 
-    Vertices are hash-partitioned by id; each superstep has one *scatter*
-    stage per partition (emit contributions keyed by destination partition)
-    and one *gather/apply* stage behind a keyed shuffle edge.  Returns
-    (graph, final sink vertex, source tables).
-
-    Note: partitioning here matches the physical tier's hash scheme because
-    both use hash_partition on the same key column.
-    """
-    n = edges.num_vertices
-    deg = edges.out_degree().astype(np.float64)
-    dangling = deg == 0
-
-    edges_table = RecordBatch.from_arrays(
-        {
-            "src": edges.src.astype(np.int64),
-            "dst": edges.dst.astype(np.int64),
-        }
-    )
-    rank_table = RecordBatch.from_arrays(
-        {
-            "vid": np.arange(n, dtype=np.int64),
-            "rank": np.full(n, 1.0 / n),
-        }
-    )
-    tables = {"edges": edges_table, "rank0": rank_table}
-
-    graph = FlowGraph(f"pagerank[{iterations}]")
-    edge_source = graph.add_vertex("edges", source_table="edges", parallelism=1)
-    current = graph.add_vertex("rank0", source_table="rank0", parallelism=1)
-
-    def scatter(rank_batch: RecordBatch, edge_batch: RecordBatch) -> RecordBatch:
-        rank = np.zeros(n)
-        rank[rank_batch.column("vid")] = rank_batch.column("rank")
-        share = np.where(dangling, 0.0, rank / np.maximum(deg, 1.0))
-        contrib = np.zeros(n)
-        np.add.at(contrib, edge_batch.column("dst"), share[edge_batch.column("src")])
-        dangling_mass = rank[dangling].sum() / n
-        new_rank = (1 - damping) / n + damping * (contrib + dangling_mass)
-        return RecordBatch.from_arrays(
-            {"vid": np.arange(n, dtype=np.int64), "rank": new_rank}
-        )
-
-    for step in range(iterations):
-        nxt = graph.add_vertex(
-            f"superstep{step}",
-            py_func=scatter,
-            compute_cost=max(edges.num_edges, 1) * 2e-9,
-            parallelism=1,
-        )
-        graph.add_edge(current, nxt, dst_port=0)
-        graph.add_edge(edge_source, nxt, dst_port=1)
-        current = nxt
-    graph.validate()
-    return graph, current, tables
-
-
-def pagerank_partitioned_flowgraph(
-    edges: EdgeList,
-    iterations: int = 5,
-    partitions: int = 4,
-    damping: float = 0.85,
-) -> Tuple[FlowGraph, Vertex, Dict[str, RecordBatch]]:
-    """Truly partitioned Pregel PageRank: P-way sharded supersteps.
-
-    Per superstep, each *scatter* shard emits (dst, contrib) messages for
-    the edges out of its vertices (plus zero-rows for its own vertices so
-    every vertex reappears downstream); the keyed edge hash-shuffles
-    messages to the *apply* shard owning each destination; a parallel
-    small reduction computes the global dangling mass, broadcast to every
-    apply shard.  Results are numerically identical to :func:`pagerank`.
+    The state is a (vid, rank) table in ``partitions`` shards.  Per
+    superstep, each *scatter* shard emits (dst, contrib) messages for the
+    edges out of its vertices (plus zero-rows for its own vertices so every
+    vertex reappears downstream); the keyed edge hash-shuffles messages to
+    the *apply* shard owning each destination; a one-task reduction
+    computes the global dangling mass, broadcast to every apply shard.
+    That is ``partitions + iterations * (2 * partitions + 1)`` tasks.
+    Returns (graph, final sink vertex, source tables); the result matches
+    :func:`pagerank` to float tolerance (the shuffle reorders the sums).
     """
     if partitions < 1:
         raise ValueError(f"partitions must be >= 1, got {partitions}")
@@ -212,14 +150,14 @@ def pagerank_partitioned_flowgraph(
 
     tables = {
         "rank0": RecordBatch.from_arrays(
-            {"dst": np.arange(n, dtype=np.int64), "rank": np.full(n, 1.0 / n)}
+            {"vid": np.arange(n, dtype=np.int64), "rank": np.full(n, 1.0 / n)}
         )
     }
-    graph = FlowGraph(f"pagerank-part[{iterations}x{partitions}]")
+    graph = FlowGraph(f"pagerank[{iterations}x{partitions}]")
     current = graph.add_vertex("rank0", source_table="rank0", parallelism=partitions)
 
     def scatter(state: RecordBatch) -> RecordBatch:
-        vids = state.column("dst")
+        vids = state.column("vid")
         ranks = state.column("rank")
         # contributions along out-edges of the vertices this shard owns
         mask = np.isin(src_arr, vids)
@@ -238,7 +176,7 @@ def pagerank_partitioned_flowgraph(
         )
 
     def dangling_mass(state: RecordBatch) -> RecordBatch:
-        vids = state.column("dst")
+        vids = state.column("vid")
         ranks = state.column("rank")
         mass = float(ranks[dangling[vids]].sum()) / n
         return RecordBatch.from_arrays({"mass": np.asarray([mass])})
@@ -254,7 +192,7 @@ def pagerank_partitioned_flowgraph(
         unique_vids = vids[boundaries]
         sums = np.add.reduceat(contribs, boundaries)
         new_rank = (1 - damping) / n + damping * (sums + mass)
-        return RecordBatch.from_arrays({"dst": unique_vids, "rank": new_rank})
+        return RecordBatch.from_arrays({"vid": unique_vids, "rank": new_rank})
 
     edge_work = max(edges.num_edges, 1) * 2e-9
     for step in range(iterations):

@@ -178,12 +178,6 @@ INCIDENTS: Dict[str, Incident] = {
     "ha_stale_lease_rejected": _counted(
         None, "skadi_ha_stale_leases_rejected_total", "deposed-leader leases fenced at raylets"
     ),
-    "serving_session_failover": _counted(
-        None, "skadi_serving_failovers_total", "sessions reassigned off a dead head node"
-    ),
-    "serving_rebalanced": _counted(
-        None, "skadi_serving_rebalances_total", "sessions migrated off a sustained-hot head node"
-    ),
 }
 
 _NOTHING = Incident()

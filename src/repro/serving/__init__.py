@@ -2,14 +2,13 @@
 
 Turns the single-driver task API into a service: seeded open-loop workload
 synthesis for 10k–1M tenants (:mod:`.workload`, :mod:`.arrivals`), tenant
-identity/quotas/namespaces (:mod:`.tenants`), an SLO-aware weighted-fair
-frontend feeding the runtime's admission machinery (:mod:`.frontend`), and
-a head-node load balancer with per-head message-rate tracking, skew
-rebalancing and crash failover (:mod:`.balancer`).
+identity/quotas/namespaces (:mod:`.tenants`) and an SLO-aware
+weighted-fair frontend feeding the runtime's admission machinery
+(:mod:`.frontend`).  Sessions terminate on one head; head failover is
+the GCS leader election's job (:mod:`repro.runtime.ha`).
 """
 
 from .arrivals import poisson_offsets, uniform_offsets
-from .balancer import HeadNodeBalancer, MessageRateTracker
 from .frontend import PendingRequest, ServingFrontend
 from .tenants import DEFAULT_PROFILES, Tenant, TenantProfile, TenantRegistry
 from .workload import (
@@ -23,8 +22,6 @@ from .workload import (
 __all__ = [
     "poisson_offsets",
     "uniform_offsets",
-    "HeadNodeBalancer",
-    "MessageRateTracker",
     "PendingRequest",
     "ServingFrontend",
     "DEFAULT_PROFILES",

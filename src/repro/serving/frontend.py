@@ -43,7 +43,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..runtime.overload import AdmissionRejectedError
 from ..runtime.task import TaskState
 from ..telemetry.metrics import nearest_rank
-from .balancer import HeadNodeBalancer
 from .tenants import TenantRegistry
 from .workload import Request
 
@@ -80,12 +79,10 @@ class ServingFrontend:
         self,
         runtime: "ServerlessRuntime",
         tenants: TenantRegistry,
-        balancer: Optional[HeadNodeBalancer] = None,
     ):
         self.rt = runtime
         self.sim = runtime.sim
         self.tenants = tenants
-        self.balancer = balancer
         cfg = runtime.config
         self.fair_queueing: bool = cfg.serving_fair_queueing
         self.tenant_isolation: bool = cfg.serving_tenant_isolation
@@ -171,8 +168,6 @@ class ServingFrontend:
             self.offered_by_tenant.get(tenant.tenant_id, 0) + 1
         )
         self._m_offered.of(profile.name).inc()
-        if self.balancer is not None:
-            self.balancer.note_message(tenant.tenant_id)
         if self.tenant_isolation and tenant.open_requests >= profile.max_open:
             self._shed(request, "tenant_quota")
             return None

@@ -4,20 +4,24 @@
     PYTHONPATH=src:tests python -m pytest -p census --census=benchmarks.txt \
         benchmarks/test_*.py --benchmark-disable
     python tests/census.py --ledger ledger.txt
-    python tests/census.py --report tests.txt benchmarks.txt ledger.txt
+    python tests/census.py --examples examples.txt
+    python tests/census.py --report tests.txt benchmarks.txt ledger.txt examples.txt
 
-The first three forms record every ``src/`` function that was called, one
+The first four forms record every ``src/`` function that was called, one
 ``path:qualname`` per line.  Recording uses ``sys.settrace`` call events only
 (the tracer returns None, so no line of any frame is traced).  pytest-benchmark
 pauses tracers while it times, so the benchmarks run with
 ``--benchmark-disable``.  ``--ledger`` runs every episode of each workload in
 ``ledger.workloads.WORKLOADS`` in this process (seed 1, scale 1.0): generate,
-build, run, check.
+build, run, check.  ``--examples`` runs every ``examples/*.py`` as
+``__main__`` and each ``python -m repro.analysis ...`` line of the CI workflow,
+from the repo root, in this process.
 
 ``--report`` sorts every function defined under ``src/`` (found with ``ast``)
-into one class — reached by the ``ledger``, by ``tests+benchmarks`` only, by
-``tests`` only, by ``benchmarks`` only, or from ``nowhere`` — and lists the
-last three classes function by function.  Only the standard library is used;
+into one class — reached by the ``ledger``, by the ``examples`` (and CI's
+analysis commands), by ``tests+benchmarks`` only, by ``tests`` only, by
+``benchmarks`` only, or from ``nowhere`` — and lists the last three classes
+function by function.  Only the standard library is used;
 it needs Python 3.11 or later (``code.co_qualname``).
 """
 
@@ -25,7 +29,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
+import runpy
+import shlex
 import sys
 import threading
 from pathlib import Path
@@ -33,7 +40,8 @@ from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-CLASSES = ("ledger", "tests+benchmarks", "tests", "benchmarks", "nowhere")
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+CLASSES = ("ledger", "examples", "tests+benchmarks", "tests", "benchmarks", "nowhere")
 
 
 class Census:
@@ -120,6 +128,44 @@ def run_ledger(path: str) -> None:
     census.write(path)
 
 
+# -- the examples driver -------------------------------------------------------------
+
+
+def ci_analysis_commands() -> List[List[str]]:
+    """The arguments of every ``python -m repro.analysis ...`` line in CI."""
+    prefix = "python -m repro.analysis "
+    return [
+        shlex.split(line.strip()[len(prefix):])
+        for line in CI_WORKFLOW.read_text().splitlines()
+        if line.strip().startswith(prefix)
+    ]
+
+
+def run_examples(path: str) -> None:
+    sys.path[:0] = [str(SRC)]
+    commands = ci_analysis_commands()
+    census = Census()
+    os.chdir(ROOT)  # CI runs the commands from the repo root
+    argv = sys.argv
+    census.start()  # before the first import: import-time calls count too
+    try:
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            for example in sorted((ROOT / "examples").glob("*.py")):
+                runpy.run_path(str(example), run_name="__main__")
+            for args in commands:
+                sys.argv = ["repro.analysis", *args]
+                try:
+                    runpy.run_module("repro.analysis", run_name="__main__", alter_sys=True)
+                except SystemExit as done:
+                    if done.code:
+                        failed = f"repro.analysis {args} exited {done.code}"
+                        raise RuntimeError(failed) from done
+    finally:
+        census.stop()
+        sys.argv = argv
+    census.write(path)
+
+
 # -- the report ------------------------------------------------------------------------
 
 
@@ -147,12 +193,18 @@ def defined() -> Dict[str, int]:
 
 
 def classify(
-    names: Iterable[str], tests: Set[str], benchmarks: Set[str], ledger: Set[str]
+    names: Iterable[str],
+    tests: Set[str],
+    benchmarks: Set[str],
+    ledger: Set[str],
+    examples: Set[str],
 ) -> Dict[str, List[str]]:
     classes: Dict[str, List[str]] = {cls: [] for cls in CLASSES}
     for name in names:
         if name in ledger:
             cls = "ledger"
+        elif name in examples:
+            cls = "examples"
         elif name in tests:
             cls = "tests+benchmarks" if name in benchmarks else "tests"
         elif name in benchmarks:
@@ -163,13 +215,15 @@ def classify(
     return classes
 
 
-def report(tests_file: str, benchmarks_file: str, ledger_file: str) -> str:
+def report(tests_file: str, benchmarks_file: str, ledger_file: str, examples_file: str) -> str:
     def load(path: str) -> Set[str]:
         with open(path) as lines:
             return {line.strip() for line in lines if line.strip()}
 
     defs = defined()
-    classes = classify(defs, load(tests_file), load(benchmarks_file), load(ledger_file))
+    classes = classify(
+        defs, load(tests_file), load(benchmarks_file), load(ledger_file), load(examples_file)
+    )
     lines = [f"{len(defs)} functions under src/"]
     lines += [f"  {cls:<17} {len(names):>5}" for cls, names in classes.items()]
     for cls in ("nowhere", "tests", "benchmarks"):
@@ -185,12 +239,18 @@ def main() -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--ledger", metavar="FILE", help="record the ledger's workloads to FILE")
     action.add_argument(
-        "--report", nargs=3, metavar=("TESTS", "BENCHMARKS", "LEDGER"),
-        help="classify every src/ function by the three recorded files",
+        "--examples", metavar="FILE",
+        help="record the examples and CI's repro.analysis commands to FILE",
+    )
+    action.add_argument(
+        "--report", nargs=4, metavar=("TESTS", "BENCHMARKS", "LEDGER", "EXAMPLES"),
+        help="classify every src/ function by the four recorded files",
     )
     args = parser.parse_args()
     if args.ledger:
         run_ledger(args.ledger)
+    elif args.examples:
+        run_examples(args.examples)
     else:
         print(report(*args.report))
     return 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.caching.kv import estimate_nbytes
 from repro.caching.replication import ErasureCode, ReplicationScheme
 from repro.caching.store import CacheNode, CachingLayer, ObjectLostError
 from repro.caching.tiers import TieredCache, TierSpec
@@ -69,6 +70,22 @@ class TestSingleCopy:
         layer.put("k", "old")
         layer.put("k", "new")
         assert layer.get("k")[0] == "new"
+
+    def test_keys_lists_what_is_stored(self):
+        layer = make_layer()
+        for k in "abc":
+            layer.put(k, k)
+        layer.put("a", "again")
+        layer.delete("b")
+        assert sorted(layer.keys()) == ["a", "c"]
+
+    def test_size_defaults_to_the_estimate(self):
+        layer = make_layer()
+        value = {"k": b"1234", "v": [b"12", b"345"]}
+        layer.put("k", value)
+        assert layer.size_of("k") == estimate_nbytes(value)
+        layer.put("k", value, nbytes=1000)
+        assert layer.size_of("k") == 1000
 
     def test_storage_overhead_is_one(self):
         assert make_layer().storage_overhead() == 1.0
@@ -151,6 +168,15 @@ class TestValidation:
         layer.put("k", "v")
         with pytest.raises(ValueError, match="single-copy"):
             layer.migrate("k", "n0")
+
+    def test_deleted_key_is_unknown(self):
+        layer = make_layer(4, redundancy=ReplicationScheme(2))
+        layer.put("k", "v")
+        layer.delete("k")
+        with pytest.raises(KeyError):
+            layer.get("k")
+        with pytest.raises(KeyError):
+            layer.size_of("k")
 
     def test_size_of(self):
         layer = make_layer()

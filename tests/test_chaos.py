@@ -509,6 +509,55 @@ class TestDeterminism:
         assert hashlib.sha1(repr(sig).encode()).hexdigest()[:12] == digest
 
 
+class TestTimedLinkDegradation:
+    """A ``LinkDegradation`` with a ``duration`` ends: the monkey logs
+    ``chaos_link_restored`` and the flow in flight re-rates at once."""
+
+    START, DURATION, FACTOR = 1e-3, 2e-3, 8.0
+    NBYTES = 64 << 20  # ~5 ms on the uncontended route
+
+    def _landing(self, duration, degrade=True):
+        rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig())
+        schedule = ChaosSchedule()
+        if degrade:
+            schedule.degrade_link(
+                self.START, "server0/cpu", "tor-switch", self.FACTOR, duration=duration
+            )
+        ChaosMonkey(rt, schedule).arm()
+        landed = []
+
+        def mover():
+            yield rt.net.transfer("server0/cpu", "server1/cpu", self.NBYTES)
+            landed.append(rt.sim.now)
+
+        rt.sim.process(mover())
+        rt.sim.run()
+        assert not rt.net.flows
+        return rt, landed[0]
+
+    def test_restore_is_logged_at_start_plus_duration(self):
+        rt, _ = self._landing(self.DURATION)
+        (restored,) = rt.log.of_kind("chaos_link_restored")
+        assert restored.time == pytest.approx(self.START + self.DURATION)
+        assert (restored["a"], restored["b"]) == ("server0/cpu", "tor-switch")
+        assert rt.cluster.topology.degradation("server0/cpu", "tor-switch") == 1.0
+
+    def test_without_a_duration_the_link_stays_degraded(self):
+        rt, _ = self._landing(None)
+        assert not rt.log.of_kind("chaos_link_restored")
+        assert rt.cluster.topology.degradation("server0/cpu", "tor-switch") == self.FACTOR
+
+    def test_a_flow_in_flight_re_rates_on_restore(self):
+        _, clean = self._landing(None, degrade=False)
+        rt, timed = self._landing(self.DURATION)
+        _, degraded = self._landing(None)
+        # the restore lands mid-flow, so the flow is only partly slowed
+        assert self.START + self.DURATION < clean
+        assert clean < timed < degraded
+        # for DURATION the slowed hop ran at 1/FACTOR of its rate
+        assert timed == pytest.approx(clean + self.DURATION * (1 - 1 / self.FACTOR))
+
+
 class TestReactiveInjection:
     def test_crash_on_object_ready_fires_once(self):
         rt = ServerlessRuntime(build_serverful(n_servers=3), chaos_config())

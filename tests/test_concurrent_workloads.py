@@ -1,7 +1,7 @@
 """Integration tests: several data systems sharing one runtime.
 
 The paper's whole point is that one runtime hosts many systems at once
-("data systems integration").  These tests interleave SQL, MapReduce,
+("data systems integration").  These tests interleave SQL, graph,
 streaming, and ML work on a single Skadi/ServerlessRuntime instance and
 check that results stay correct and isolated.
 """
@@ -12,13 +12,16 @@ import numpy as np
 
 from repro import RecordBatch, Skadi
 from repro.cluster import build_physical_disagg
+from repro.flowgraph import collect_sink, launch_physical_graph, to_physical
 from repro.frontends import (
-    MapReduceJob,
+    EdgeList,
     ParameterServer,
     StreamJob,
     WindowAggregate,
     make_regression,
     micro_batches,
+    pagerank,
+    pagerank_flowgraph,
 )
 from repro.frontends.sql import sql_to_ir
 from repro.ir import run_function
@@ -48,27 +51,21 @@ class TestSharedRuntime:
         assert out.column("n").tolist() == [orders.num_rows]
         assert skadi.get(refs) == [0, 1, 4, 9, 16]
 
-    def test_mapreduce_and_ml_share_a_runtime(self, rng):
+    def test_pagerank_and_ml_share_a_runtime(self):
         rt = ServerlessRuntime(build_physical_disagg())
-        table = RecordBatch.from_arrays(
-            {"k": rng.integers(0, 4, 200), "x": rng.random(200)}
-        )
-        job = MapReduceJob(
-            mapper=lambda b: b,
-            reducer=lambda k, g: {"k": k, "total": float(g.column("x").sum())},
-            key="k",
-        )
-        mr_out = job.run(rt, table)
+        edges = EdgeList.random(100, 400, seed=6)
+        graph, sink, tables = pagerank_flowgraph(edges, iterations=3, partitions=2)
+        outs = launch_physical_graph(rt, to_physical(graph), tables=tables)
 
         X, y, w_true = make_regression(200, 4, seed=9)
         ps = ParameterServer(rt, 4, lr=0.05)
         weights = ps.train(X, y, rounds=20, workers=3)
 
         # both systems got correct answers off the same runtime
-        local = job.run_local(table)
-        got = dict(zip(mr_out.column("k").tolist(), mr_out.column("total").tolist(), strict=False))
-        want = dict(zip(local.column("k").tolist(), local.column("total").tolist(), strict=False))
-        assert set(got) == set(want)
+        result = collect_sink(rt, outs, sink)
+        ranks = np.zeros(edges.num_vertices)
+        ranks[result.column("vid")] = result.column("rank")
+        np.testing.assert_allclose(ranks, pagerank(edges, iterations=3))
         assert np.abs(weights - w_true).max() < 0.2
 
     def test_stream_and_batch_coexist(self, rng):

@@ -1,22 +1,19 @@
-"""Tests for dataframe, MapReduce, graph, and ML frontends."""
+"""Tests for dataframe, graph, and ML frontends."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.caching.columnar import RecordBatch
 from repro.cluster import build_physical_disagg
 from repro.flowgraph import collect_sink, launch_physical_graph, to_physical
 from repro.frontends import (
     EdgeList,
     LinearModel,
     LogisticModel,
-    MapReduceJob,
     ParameterServer,
     connected_components,
     from_batch,
-    group_apply,
     make_classification,
     make_regression,
     pagerank,
@@ -80,58 +77,6 @@ class TestDataFrame:
             from_batch("t", small_batch).groupby("k").agg()
 
 
-class TestMapReduce:
-    def make_job(self, **kw):
-        return MapReduceJob(
-            mapper=lambda b: b,
-            reducer=lambda k, g: {"k": k, "total": float(g.column("x").sum())},
-            key="k",
-            **kw,
-        )
-
-    def test_distributed_matches_local(self, rng):
-        table = RecordBatch.from_arrays(
-            {"k": rng.integers(0, 6, 500), "x": rng.random(500)}
-        )
-        job = self.make_job(map_parallelism=3, reduce_parallelism=2)
-        rt = ServerlessRuntime(build_physical_disagg())
-        dist = job.run(rt, table)
-        local = job.run_local(table)
-        got = dict(zip(dist.column("k").tolist(), dist.column("total").tolist(), strict=False))
-        want = dict(zip(local.column("k").tolist(), local.column("total").tolist(), strict=False))
-        assert set(got) == set(want)
-        for k in want:
-            assert got[k] == pytest.approx(want[k])
-
-    def test_mapper_must_emit_key(self, rng):
-        table = RecordBatch.from_arrays({"k": rng.integers(0, 3, 10), "x": rng.random(10)})
-        job = MapReduceJob(
-            mapper=lambda b: b.select(["x"]),  # drops the key
-            reducer=lambda k, g: {"k": k},
-            key="k",
-        )
-        rt = ServerlessRuntime(build_physical_disagg())
-        from repro.runtime import TaskError
-
-        with pytest.raises(TaskError, match="missing the shuffle key"):
-            job.run(rt, table)
-
-    def test_group_apply(self, small_batch):
-        out = group_apply(
-            small_batch, "k", lambda k, g: {"k": int(k), "n": g.num_rows}
-        )
-        assert dict(zip(out.column("k").tolist(), out.column("n").tolist(), strict=False)) == {
-            0: 2,
-            1: 2,
-            2: 1,
-        }
-
-    def test_group_apply_empty_rejected(self):
-        empty = RecordBatch.from_arrays({"k": np.array([], dtype=np.int64)})
-        with pytest.raises(ValueError, match="empty"):
-            group_apply(empty, "k", lambda k, g: {"k": k})
-
-
 class TestGraphAlgorithms:
     def test_pagerank_sums_to_one(self):
         el = EdgeList.random(200, 800, seed=0)
@@ -181,38 +126,56 @@ class TestGraphAlgorithms:
         with pytest.raises(ValueError, match="length"):
             EdgeList(2, np.array([0]), np.array([1, 0]))
 
-    def test_pagerank_flowgraph_matches_local(self):
-        el = EdgeList.random(80, 300, seed=4)
-        graph, sink, tables = pagerank_flowgraph(el, iterations=3)
-        rt = ServerlessRuntime(build_physical_disagg())
-        outs = launch_physical_graph(rt, to_physical(graph), tables=tables)
-        result = collect_sink(rt, outs, sink)
-        got = np.zeros(80)
-        got[result.column("vid")] = result.column("rank")
-        np.testing.assert_allclose(got, pagerank(el, iterations=3))
-
     @pytest.mark.parametrize("partitions", [1, 2, 4])
-    def test_partitioned_pagerank_matches_local(self, partitions):
-        from repro.frontends.graph import pagerank_partitioned_flowgraph
-
+    def test_pagerank_flowgraph_shape_and_result(self, partitions):
         el = EdgeList.random(120, 500, seed=5)
-        graph, sink, tables = pagerank_partitioned_flowgraph(
-            el, iterations=4, partitions=partitions
+        iterations = 4
+        graph, sink, tables = pagerank_flowgraph(
+            el, iterations=iterations, partitions=partitions
         )
+        physical = to_physical(graph)
+        # the rank0 shards, then per superstep P scatters, one dangling-mass
+        # reduction and P applies behind the keyed edge
+        assert len(physical.tasks) == partitions + iterations * (2 * partitions + 1)
         rt = ServerlessRuntime(build_physical_disagg())
-        outs = launch_physical_graph(rt, to_physical(graph), tables=tables)
+        outs = launch_physical_graph(rt, physical, tables=tables)
         result = collect_sink(rt, outs, sink)
         got = np.zeros(120)
-        got[result.column("dst")] = result.column("rank")
-        np.testing.assert_allclose(got, pagerank(el, iterations=4))
+        got[result.column("vid")] = result.column("rank")
+        np.testing.assert_allclose(got, pagerank(el, iterations=iterations))
         assert result.num_rows == 120  # every vertex survived the shuffles
 
-    def test_partitioned_pagerank_validation(self):
-        from repro.frontends.graph import pagerank_partitioned_flowgraph
+    def test_pagerank_flowgraph_task_count_at_the_examples_size(self):
+        # examples/graph_processing.py runs k=8 supersteps over P=4 shards
+        graph, _, _ = pagerank_flowgraph(
+            EdgeList.random(64, 256, seed=0), iterations=8, partitions=4
+        )
+        assert len(to_physical(graph).tasks) == 76
 
+    def test_pagerank_flowgraph_shuffles_only_scatter_to_apply(self):
+        graph, _, _ = pagerank_flowgraph(
+            EdgeList.random(20, 60, seed=1), iterations=3, partitions=2
+        )
+        name = {vid: v.name for vid, v in graph.vertices.items()}
+        keyed = [(name[e.src], name[e.dst], e.key) for e in graph.edges if e.key is not None]
+        assert keyed == [(f"scatter{s}", f"apply{s}", "dst") for s in range(3)]
+
+    def test_pagerank_flowgraph_with_no_supersteps_is_the_uniform_start(self):
+        el = EdgeList.random(30, 90, seed=2)
+        graph, sink, tables = pagerank_flowgraph(el, iterations=0, partitions=3)
+        physical = to_physical(graph)
+        assert len(physical.tasks) == 3
+        rt = ServerlessRuntime(build_physical_disagg())
+        outs = launch_physical_graph(rt, physical, tables=tables)
+        result = collect_sink(rt, outs, sink)
+        got = np.zeros(30)
+        got[result.column("vid")] = result.column("rank")
+        np.testing.assert_allclose(got, pagerank(el, iterations=0))
+
+    def test_pagerank_flowgraph_rejects_zero_partitions(self):
         el = EdgeList.random(10, 20, seed=0)
         with pytest.raises(ValueError, match="partitions"):
-            pagerank_partitioned_flowgraph(el, partitions=0)
+            pagerank_flowgraph(el, partitions=0)
 
 
 class TestML:

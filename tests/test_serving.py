@@ -1,4 +1,4 @@
-"""Multi-tenant serving: arrivals, tenants, workload, frontend, balancer.
+"""Multi-tenant serving: arrivals, tenants, workload, frontend.
 
 The serving layer sits *on top of* the runtime, so two properties get
 pinned hard here: (1) the shared arrival helper reproduces the legacy
@@ -28,8 +28,6 @@ from repro.runtime import (
 )
 from repro.serving import (
     DEFAULT_PROFILES,
-    HeadNodeBalancer,
-    MessageRateTracker,
     Request,
     RequestTemplate,
     ServingFrontend,
@@ -477,79 +475,6 @@ class TestTenantAttribution:
         assert rt.telemetry.registry.value(
             "skadi_tasks_cancelled_total", reason="user"
         ) == 1.0
-
-
-# -- head-node balancer -------------------------------------------------------
-
-
-class TestBalancer:
-    def test_rate_tracker_slides_its_window(self):
-        tr = MessageRateTracker(window=0.1)
-        for t in (0.00, 0.01, 0.02):
-            tr.note(t)
-        assert tr.rate(0.05) == pytest.approx(30.0)
-        assert tr.rate(0.115) == pytest.approx(10.0)  # only t=0.02 survives
-        assert tr.rate(1.0) == 0.0
-
-    def test_sessions_spread_across_heads(self):
-        rt = make_rt(n_servers=3)
-        bal = HeadNodeBalancer(rt)
-        assert len(bal.heads) == 3
-        first = bal.assign("s0")
-        for _ in range(5):
-            bal.note_message("s0")
-        second = bal.assign("s1")
-        assert second != first  # least-loaded, not first-listed
-        assert len(rt.log.of_kind("serving_session_assigned")) == 2
-
-    def test_failover_when_chaos_kills_a_head(self):
-        rt = make_rt(n_servers=2)
-        bal = HeadNodeBalancer(rt)
-        head = bal.assign("s0")
-        for raylet in rt._raylets_by_node[head]:
-            raylet.fail()
-        new_head = bal.head_of("s0")
-        assert new_head != head and bal.head_alive(new_head)
-        assert bal.failovers == 1
-        ev = rt.log.of_kind("serving_session_failover")[0]
-        assert ev["dead_head"] == head and ev["head"] == new_head
-        assert rt.telemetry.registry.value("skadi_serving_failovers_total") == 1.0
-
-    def test_every_head_dead_is_fatal(self):
-        rt = make_rt(n_servers=1)
-        bal = HeadNodeBalancer(rt)
-        bal.assign("s0")
-        for raylet in rt._raylets:
-            raylet.fail()
-        with pytest.raises(RuntimeError, match="every head node is dead"):
-            bal.head_of("s0")
-
-    def test_sustained_skew_triggers_one_rebalance(self):
-        rt = make_rt(n_servers=2)
-        bal = HeadNodeBalancer(rt)
-        hot = bal.assign("hot-session")
-        cold = bal.assign("cold-session")
-        assert hot != cold
-        bal.note_message("cold-session")  # give the cold head a tiny rate
-        for _ in range(10):
-            bal.note_message("hot-session")
-        assert bal.rebalances >= 1
-        first = rt.log.of_kind("serving_rebalanced")[0]
-        assert first["hot_head"] == hot and first["cold_head"] == cold
-        assert len(rt.log.of_kind("serving_rebalanced")) == bal.rebalances
-        assert rt.telemetry.registry.value("skadi_serving_rebalances_total") == float(
-            bal.rebalances
-        )
-
-    def test_frontend_accounts_messages_against_the_balancer(self):
-        rt = make_rt(n_servers=2)
-        bal = HeadNodeBalancer(rt)
-        fe = ServingFrontend(rt, TenantRegistry(8), balancer=bal)
-        t = plain_tenant("bt")
-        fe.play([Request(f"r{i}", t, UNIT, 0.001 * i) for i in range(6)])
-        rt.sim.run()
-        assert "bt" in bal.sessions
-        assert fe.completed == 6
 
 
 # -- all-off equivalence: serving switches never touch the driver path --------

@@ -177,6 +177,47 @@ class TestCallAt:
         assert keep is not drop and seen == ["kept"] and sim.now == self.WHEN
 
 
+class TestTimeout:
+    """``sim.timeout`` and ``Resource.use`` share one constructor; it must
+    behave alike on the inlined enqueue and under a perturbation."""
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="negative timeout delay"):
+            sim.timeout(-1.0)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_resumes_with_its_value(self, sim, perturbed):
+        if perturbed:
+            sim.set_perturbation(TiePerturbation(seed=7))
+
+        def proc():
+            first = yield sim.timeout(1.0, "a")
+            second = yield sim.timeout(0.5)
+            return first, second
+
+        assert sim.run_until_complete(sim.process(proc())) == ("a", None)
+        assert sim.now == 1.5
+
+    def test_zero_delay_fires_without_moving_the_clock(self, sim):
+        seen = []
+
+        def proc():
+            yield sim.timeout(2.0)
+            seen.append((yield sim.timeout(0.0, "now")))
+            seen.append(sim.now)
+
+        sim.run_until_complete(sim.process(proc()))
+        assert seen == ["now", 2.0]
+
+    def test_resource_use_under_a_perturbation(self, sim):
+        sim.set_perturbation(TiePerturbation(seed=7))
+        res = Resource(sim, capacity=1)
+        holds = [res.use(d) for d in (2.0, 3.0)]
+        sim.run()
+        assert all(h.triggered for h in holds)
+        assert sim.now == 5.0
+
+
 class TestProcesses:
     def test_process_advances_virtual_time(self, sim):
         def proc():

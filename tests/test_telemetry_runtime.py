@@ -20,7 +20,7 @@ from repro.runtime import (
     to_chrome_trace,
 )
 from repro.runtime.runtime import make_reliable_cache
-from repro.serving import HeadNodeBalancer, ServingFrontend, TenantRegistry, WorkloadGenerator
+from repro.serving import ServingFrontend, TenantRegistry, WorkloadGenerator
 from repro.telemetry import MetricsRegistry, parse_prometheus_text, to_prometheus_text
 
 
@@ -181,7 +181,7 @@ class TestBoundInstruments:
             ),
         )
         tenants = TenantRegistry(20)
-        frontend = ServingFrontend(rt, tenants, balancer=HeadNodeBalancer(rt))
+        frontend = ServingFrontend(rt, tenants)
         hot_pass(rt, frontend, tenants)
         lookups = []
         for method in ("counter", "gauge", "histogram"):

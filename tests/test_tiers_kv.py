@@ -1,11 +1,11 @@
-"""Tests for the KV API and tiered memory caching."""
+"""Tests for object-size accounting and tiered memory caching."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.caching.kv import InMemoryKV, estimate_nbytes
+from repro.caching.kv import estimate_nbytes
 from repro.caching.tiers import (
     DEVICE_HBM_TIER,
     DISAGG_MEMORY_TIER,
@@ -26,35 +26,6 @@ def two_tier(fast_cap=100, slow_cap=1000, **kwargs) -> TieredCache:
     )
 
 
-class TestInMemoryKV:
-    def test_put_get_delete(self):
-        kv = InMemoryKV()
-        kv.put("a", [1, 2, 3])
-        assert kv.get("a") == [1, 2, 3]
-        assert kv.contains("a")
-        assert kv.delete("a") is True
-        assert kv.delete("a") is False
-        with pytest.raises(KeyError):
-            kv.get("a")
-
-    def test_get_or_default(self):
-        kv = InMemoryKV()
-        assert kv.get_or_default("missing", 42) == 42
-
-    def test_meta_and_total_bytes(self):
-        kv = InMemoryKV()
-        kv.put("a", b"12345")
-        assert kv.meta("a").nbytes == 5
-        kv.put("b", b"123", nbytes=1000)
-        assert kv.total_bytes == 1005
-
-    def test_keys_iteration(self):
-        kv = InMemoryKV()
-        for k in "abc":
-            kv.put(k, k)
-        assert sorted(kv.keys()) == ["a", "b", "c"]
-
-
 class TestEstimateNbytes:
     def test_numpy_uses_real_nbytes(self):
         assert estimate_nbytes(np.zeros(100)) == 800
@@ -69,6 +40,19 @@ class TestEstimateNbytes:
 
     def test_scalar_fallback(self):
         assert estimate_nbytes(3.14) == 32
+
+    def test_buffers_count_their_length(self):
+        assert estimate_nbytes(bytearray(7)) == 7
+        assert estimate_nbytes(memoryview(b"abc")) == 3
+
+    def test_dict_keys_are_charged(self):
+        assert estimate_nbytes({"ab": b"1234"}) == 16 + 2 + 4
+        assert estimate_nbytes(("ab", {})) == 16 + 2 + 16
+
+    def test_tier_put_without_size_charges_the_estimate(self):
+        cache = two_tier()
+        cache.put("a", b"x" * 40)
+        assert cache.used_bytes("fast") == 40
 
 
 class TestTieredCachePlacement:
