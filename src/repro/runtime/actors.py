@@ -186,7 +186,7 @@ class Actors:
         """Before requeueing a call: is the actor somewhere live?"""
         if actor_id in self.dead:
             return False
-        if not self.rt._device_alive(self.device[actor_id]):
+        if self.rt.scheduler.is_blacklisted(self.device[actor_id]):
             return self.restore(actor_id, cause="home device unavailable")
         return True
 

@@ -42,6 +42,8 @@ class FailureDomains:
         self.dead_blades: Set[str] = set()  # memory-blade node ids
         self.takeovers: Dict[str, List[str]] = {}  # node -> adopted device ids
         self.adopted_from: Dict[str, "Raylet"] = {}  # device id -> original raylet
+        # no detector: devices out of the view only because they are down
+        self.unmanaged: Set[str] = set()
         # unreplicated, the GCS dies with the head; HA re-points this at itself
         self.head_lost: Callable[[str], None] = runtime._on_gcs_lost
 
@@ -89,12 +91,14 @@ class FailureDomains:
             raylet.restart()
         if self._announced():
             self.node_alive(node_id)
+            self._follow_raylets()  # a struck head had no verdict to undo
 
     def fail_head(self) -> None:
         """Crash the current head node — and the GCS with it.  The victim is
         resolved now (after a failover the head is the elected standby)."""
         node_id = self.rt.head_node_id
         self._crash(self._node(node_id), "head crashed")
+        self._follow_raylets()  # no verdict will ever declare the head dead
         self.head_lost(node_id)
 
     def _wipe(self, device: Device) -> None:
@@ -188,13 +192,33 @@ class FailureDomains:
         (members.add if dead else members.discard)(member)
         for device_id in devices:
             (scheduler.blacklist if dead else scheduler.unblacklist)(device_id)
+        self._follow_raylets()
+
+    def _follow_raylets(self) -> None:
+        """With no detector a strike is its own verdict down to the raylets: a
+        device that is down, or whose raylet is (a struck head, a head whose
+        host died, a death a failover did not replay), leaves the view until
+        both are up.  What a verdict or the driver took out stays theirs."""
+        if not self._announced():
+            return
+        rt, scheduler = self.rt, self.rt.scheduler
+        for device_id, raylet in rt._raylet_of_device.items():
+            down = not (raylet.alive and rt._device_by_id[device_id].alive)
+            if down and not scheduler.is_blacklisted(device_id):
+                self.unmanaged.add(device_id)
+                scheduler.blacklist(device_id)
+            elif not down and device_id in self.unmanaged:
+                self.unmanaged.discard(device_id)
+                scheduler.unblacklist(device_id)
 
     def reset_view(self) -> None:
-        """Forget every verdict (a failover is about to replay them)."""
-        self.dead_nodes.clear()
-        self.dead_devices.clear()
+        """Forget every verdict (a failover is about to replay them).  The
+        driver's exclusions and the unmanaged ones are in no WAL, and stay."""
+        for node_id in sorted(self.dead_nodes):
+            self.apply_view("node_alive", node=node_id)
+        for device_id in sorted(self.dead_devices):
+            self.apply_view("device_alive", device=device_id)
         self.dead_blades.clear()
-        self.rt.scheduler.clear_blacklist()
 
     def _view_change(self, kind: str, **ids: str) -> None:
         self.apply_view(kind, **ids)
@@ -328,9 +352,7 @@ class FailureDomains:
                 self._interrupt_raylet(raylet, f"raylet takeover: {cause}")
         if new:
             self.takeovers[node_id] = adopted
-            # the adopted devices are placeable again; the capacity gauges
-            # were last metered while their daemon lay dead
-            rt.scheduler._meter_capacity()
+            self._follow_raylets()  # adopted by a live head: placeable again
             rt._record(
                 "raylet_takeover",
                 node=node_id,
@@ -353,7 +375,7 @@ class FailureDomains:
             head_raylet.devices = [
                 d for d in head_raylet.devices if d.device_id != dev_id
             ]
-        rt.scheduler._meter_capacity()
+        self._follow_raylets()
         # attempts mid-flight through the takeover raylet must re-dispatch
         rt._interrupt_attempts(
             lambda v: v.raylet is head_raylet

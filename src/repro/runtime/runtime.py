@@ -202,7 +202,6 @@ class ServerlessRuntime:
             endpoint=self.gcs_endpoint,
             metrics=self.telemetry.registry,
         )
-        self.scheduler.alive_filter = self._device_alive
 
         self._ctxs: Dict[str, _TaskCtx] = {}
         self._ctx_of_object: Dict[str, _TaskCtx] = {}
@@ -279,7 +278,6 @@ class ServerlessRuntime:
         # replicas are requested; None otherwise.  After the probe, so the
         # WAL observes each directory mutation second.
         self.ha = ha.install(self)
-        self.scheduler._meter_capacity()  # publish the healthy-cluster baseline
 
     # -- construction ----------------------------------------------------------
 
@@ -338,17 +336,6 @@ class ServerlessRuntime:
         if raylet is None:
             raise KeyError(f"no raylet manages device {device_id!r}")
         return raylet
-
-    def _device_alive(self, device_id: str) -> bool:
-        raylet = self._raylet_of_device.get(device_id)
-        if raylet is None or self.scheduler.is_blacklisted(device_id):
-            return False
-        if self.health is not None:
-            # with a failure detector, the control plane only knows what the
-            # heartbeats told it — no peeking at the physical alive bit
-            return True
-        device = self._device_by_id.get(device_id)
-        return raylet.alive and (device is None or device.alive)
 
     # -- event log / liveness -----------------------------------------------
 
@@ -804,8 +791,8 @@ class ServerlessRuntime:
             self.actors.home(spec)
         if not preplaced or ctx.device is None:
             ctx.device = self.scheduler.place(spec)
-            # only a pinned device can be dead here: candidates() filters the rest
-            if not self._device_alive(ctx.device.device_id):
+            # only a pinned device can be out of the view: candidates() filters the rest
+            if self.scheduler.is_blacklisted(ctx.device.device_id):
                 raise PlacementError(f"no live device for task {spec.task_id}")
         ctx.raylet = self.raylet_for_device(ctx.device.device_id)
         ctx.state = TaskState.SCHEDULED

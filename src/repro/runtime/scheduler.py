@@ -5,17 +5,17 @@ utilization, and forgoes the CPU-centric model to better support
 short-lived operators on heterogeneous hardware.  If necessary, it could
 also integrate gang-scheduling to support SPMD-style sub-graphs."
 
-The scheduler is a pure placement engine: given a task, the candidate
-devices, and the object directory, pick a device.  The runtime owns the
-event-driven plumbing around it.
+The scheduler is a pure placement engine behind three verbs: ``blacklist``
+and ``unblacklist`` change the placement view it keeps, ``place`` (and
+``place_gang``) pick from it.  The runtime owns the event-driven plumbing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
-from ..cluster.hardware import Device
+from ..cluster.hardware import Device, DeviceKind
 from .config import SchedulingPolicy
 from .ownership import OwnershipTable, ValueState
 from .task import TaskSpec
@@ -62,52 +62,45 @@ class Scheduler:
                 "device",
             )
         self._devices = list(schedulable_devices)
+        self._by_id: Dict[str, Device] = {d.device_id: d for d in self._devices}
         self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
         self._rr_cursor = 0
-        # the runtime narrows this to "raylet is alive" after node failures
-        self.alive_filter: Callable[[str], bool] = lambda _device_id: True
-        # devices on suspected/dead nodes, excluded at placement time until
-        # the failure detector (or an explicit restart) clears them
+        # the placement view: every schedulable device not blacklisted (by a
+        # verdict, a down raylet or the driver); only the two verbs change it
         self._blacklisted: set[str] = set()
+        self._view_changed()  # builds self.placeable
 
-    # -- blacklisting (failure detection feeds this) -------------------------
+    # -- the view: the verbs that change it ----------------------------------
 
     def blacklist(self, device_id: str) -> None:
+        """Take a device out of the placement view."""
         self._blacklisted.add(device_id)
-        self._meter_capacity()
+        self._view_changed()
 
     def unblacklist(self, device_id: str) -> None:
+        """Put a device back into the placement view."""
         self._blacklisted.discard(device_id)
-        self._meter_capacity()
-
-    def _meter_capacity(self) -> None:
-        """Degraded-mode visibility: how much of the cluster can still be
-        scheduled onto.  Killing a single GPU shrinks these gauges without
-        failing the job — the telemetry face of device-granular failure."""
-        if self.metrics is None:
-            return
-        live = [
-            d
-            for d in self._devices
-            if d.device_id not in self._blacklisted and self.alive_filter(d.device_id)
-        ]
-        self.metrics.gauge(
-            "skadi_scheduler_capacity_slots",
-            "total task slots across schedulable (non-blacklisted, live) devices",
-        ).set(float(sum(d.spec.slots for d in live)))
-        self.metrics.gauge(
-            "skadi_scheduler_schedulable_devices",
-            "devices the scheduler may currently place work on",
-        ).set(float(len(live)))
-
-    def clear_blacklist(self) -> None:
-        """Forget every placement exclusion (control-plane HA failover: the
-        winner re-derives the blacklist from its replicated WAL)."""
-        self._blacklisted.clear()
-        self._meter_capacity()
+        self._view_changed()
 
     def is_blacklisted(self, device_id: str) -> bool:
         return device_id in self._blacklisted
+
+    def _view_changed(self) -> None:
+        self.placeable = tuple(d for d in self._devices if d.device_id not in self._blacklisted)
+        # kind set -> its candidates, kept until the view changes again
+        self._by_kinds: Dict[FrozenSet[DeviceKind], Tuple[Device, ...]] = {}
+        self._plan_view = None
+        if self.metrics is None:
+            return
+        # degraded mode: killing a single GPU shrinks these without failing the job
+        self.metrics.gauge(
+            "skadi_scheduler_capacity_slots",
+            "total task slots across schedulable (non-blacklisted, live) devices",
+        ).set(float(sum(d.spec.slots for d in self.placeable)))
+        self.metrics.gauge(
+            "skadi_scheduler_schedulable_devices",
+            "devices the scheduler may currently place work on",
+        ).set(float(len(self.placeable)))
 
     # -- bookkeeping the runtime drives -------------------------------------
 
@@ -129,46 +122,48 @@ class Scheduler:
     # -- static plan sanitation ----------------------------------------------
 
     def sanitize_plan(self, pgraph):
-        """Statically check a physical plan against this scheduler's world
-        view: the schedulable device list plus everything currently
-        blacklisted or failed.  Returns the full ``DiagnosticSet``; strict
-        callers raise on ``not diags.ok``."""
+        """Statically check a physical plan against the placement view.
+        Returns the full ``DiagnosticSet``; strict callers raise on
+        ``not diags.ok``."""
         from ..analysis.sanitizer import DeviceView, sanitize_plan
 
-        dead = set(self._blacklisted)
-        dead.update(
-            d.device_id for d in self._devices if not self.alive_filter(d.device_id)
-        )
-        view = getattr(self, "_plan_view", None)
-        if view is None or view.blacklist != dead:
-            view = DeviceView(self._devices, dead)
-            self._plan_view = view
-        return sanitize_plan(pgraph, devices=view)
+        if self._plan_view is None:
+            self._plan_view = DeviceView(self._devices, self._blacklisted)
+        return sanitize_plan(pgraph, devices=self._plan_view)
 
     # -- placement -----------------------------------------------------------
 
-    def candidates(self, task: TaskSpec) -> List[Device]:
+    def candidates(self, task: TaskSpec) -> Tuple[Device, ...]:
+        """The devices in the view that can run ``task``.  A pinned task gets
+        its device whether or not it is in the view."""
         if task.pinned_device is not None:
-            matches = [d for d in self._devices if d.device_id == task.pinned_device]
-            if not matches:
+            device = self._by_id.get(task.pinned_device)
+            if device is None:
                 raise PlacementError(
                     f"task {task.task_id} pinned to unknown/unschedulable device "
                     f"{task.pinned_device!r}"
                 )
-            return matches
-        matches = [
-            d
-            for d in self._devices
-            if d.kind in task.supported_kinds
-            and d.device_id not in self._blacklisted
-            and self.alive_filter(d.device_id)
-        ]
+            return (device,)
+        kinds = task.supported_kinds
+        matches = self._by_kinds.get(kinds)
+        if matches is None:
+            matches = self._by_kinds[kinds] = tuple(d for d in self.placeable if d.kind in kinds)
         if not matches:
             raise PlacementError(
                 f"task {task.task_id} supports {sorted(k.value for k in task.supported_kinds)} "
                 f"but cluster has no schedulable device of those kinds"
             )
         return matches
+
+    def least_loaded(self, task: TaskSpec, excluded: Collection[str] = ()) -> Optional[Device]:
+        """The one least-loaded rule (the policy, a gang member, a backup):
+        fewest outstanding tasks, then the lowest id, among ``task``'s
+        candidates outside ``excluded``; None when none is left."""
+        return min(
+            (d for d in self.candidates(task) if d.device_id not in excluded),
+            key=lambda d: (self.outstanding(d.device_id), d.device_id),
+            default=None,
+        )
 
     def place(self, task: TaskSpec) -> Device:
         return self._meter_placement(self._pick(task))
@@ -182,7 +177,7 @@ class Scheduler:
             self._rr_cursor += 1
             return device
         if self.policy == SchedulingPolicy.LEAST_LOADED:
-            return min(candidates, key=lambda d: (self.outstanding(d.device_id), d.device_id))
+            return self.least_loaded(task)
         if self.policy == SchedulingPolicy.LOCALITY:
             return self._place_locality(task, candidates)
         raise ValueError(f"unknown policy {self.policy}")
@@ -192,7 +187,7 @@ class Scheduler:
             self._m_placements.of(self.policy.value, device.device_id).inc()
         return device
 
-    def _place_locality(self, task: TaskSpec, candidates: List[Device]) -> Device:
+    def _place_locality(self, task: TaskSpec, candidates: Sequence[Device]) -> Device:
         """Data-centric: minimize estimated bytes-over-links to gather inputs,
         then compute time, then queueing.
 
@@ -236,20 +231,15 @@ class Scheduler:
 
         Raises :class:`PlacementError` when the gang cannot fit.
         """
-        if not tasks:
-            return {}
         placements: Dict[str, Device] = {}
         taken: set[str] = set()
         # Greedy by most-constrained-first for determinism and better packing.
         for task in sorted(tasks, key=lambda t: (len(self.candidates(t)), t.task_id)):
-            options = [d for d in self.candidates(task) if d.device_id not in taken]
-            if not options:
+            device = self.least_loaded(task, taken)
+            if device is None:
                 raise PlacementError(
                     f"gang {task.gang_group!r}: no distinct device left for {task.task_id}"
                 )
-            device = min(
-                options, key=lambda d: (self.outstanding(d.device_id), d.device_id)
-            )
             placements[task.task_id] = self._meter_placement(device)
             taken.add(device.device_id)
         return placements

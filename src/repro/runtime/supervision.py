@@ -156,13 +156,11 @@ class Supervisor:
     def _speculate(self, ctx: Any) -> None:
         rt, slow = self.rt, ctx.device.device_id
         try:
-            candidates = [d for d in rt.scheduler.candidates(ctx.spec) if d.device_id != slow]
+            backup = rt.scheduler.least_loaded(ctx.spec, (slow,))
         except PlacementError:
             return
-        if not candidates:
+        if backup is None:
             return
-        outstanding = rt.scheduler.outstanding
-        backup = min(candidates, key=lambda d: (outstanding(d.device_id), d.device_id))
         # the same kind of record as the original, sharing its outputs and completion
         clone = ctx.twin = type(ctx)(ctx.spec, ctx.outputs, ctx.done)
         clone.is_clone = True

@@ -142,6 +142,28 @@ class TestDeviceFailureOmniscient:
         # the replay could not use the blacklisted device
         assert rt.ownership.entry(a.object_id).device_id != victim
 
+    def test_a_dead_head_host_takes_the_heads_other_devices_out_of_the_view(self):
+        """The head's CPU hosts its raylet, and nobody can adopt the head's
+        own GPU.  With no detector the strike is its own verdict down to the
+        raylet: the GPU is out of the view until the CPU is back."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=2, gpus_per_server=1), omniscient_config()
+        )
+        rt.fail_device("server0/cpu")
+        assert rt.scheduler.is_blacklisted("server0/gpu0")
+        assert "server0/gpu0" not in rt.failures.dead_devices  # no verdict names it
+        survivors = [rt.cluster.device(f"server1/{d}").spec.slots for d in ("cpu", "gpu0")]
+        assert_capacity_gauges(rt, slots=sum(survivors), devices=2)
+        refs = [
+            rt.submit(lambda i=i: i, compute_cost=1e-3, supported_kinds=GPU) for i in range(8)
+        ]
+        assert rt.get(refs) == list(range(8))
+        assert {tl.device_id for tl in rt.timelines} == {"server1/gpu0"}
+        rt.restore_device("server0/cpu")
+        assert not rt.scheduler.is_blacklisted("server0/gpu0")
+        assert not rt.failures.unmanaged
+        assert len(rt.scheduler.placeable) == 4
+
 
 class TestDeviceFailureDetected:
     """Heartbeat payloads carry device status: the GCS learns a GPU died
@@ -299,11 +321,7 @@ class TestBladeFailure:
 
 def assert_capacity_gauges(rt, slots, devices):
     """The scheduler's capacity gauges read what it can place on right now."""
-    sched = rt.scheduler
-    placeable = [
-        d for d in sched._devices
-        if not sched.is_blacklisted(d.device_id) and rt._device_alive(d.device_id)
-    ]
+    placeable = rt.scheduler.placeable
     assert (sum(d.spec.slots for d in placeable), len(placeable)) == (slots, devices)
     reg = rt.telemetry.registry
     assert reg.value("skadi_scheduler_capacity_slots") == slots

@@ -163,6 +163,74 @@ class TestFailover:
             ServerlessRuntime(build_serverful(n_servers=2), ha_config(4))
 
 
+class TestThePlacementViewAcrossAFailover:
+    """What the scheduler may place on survives a failover: the WAL replay
+    rebuilds the verdicts, and exclusions that are no verdict stay put."""
+
+    @staticmethod
+    def no_detector() -> RuntimeConfig:
+        return RuntimeConfig(
+            resolution=ResolutionMode.PULL, max_retries=10, retry_backoff_base=2e-3, ha_replicas=1
+        )
+
+    def _placements(self, rt):
+        """Every device ``place`` returns, with the virtual time it did."""
+        placed, place = [], rt.scheduler.place
+
+        def recording(spec):
+            device = place(spec)
+            placed.append((rt.sim.now, device.device_id))
+            return device
+
+        rt.scheduler.place = recording
+        return placed
+
+    def _run_through_a_failover(self, rt, restart_after=None, n=32):
+        """``n`` independent tasks across a head kill at 1 ms, then ``n``
+        fresh ones once the failover is done: the devices each batch ran on."""
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=1e-3, restart_after=restart_after)).arm()
+
+        def batch(name):
+            refs = [
+                rt.submit(lambda i=i: i, name=f"{name}{i}", compute_cost=4e-3) for i in range(n)
+            ]
+            assert rt.get(refs) == list(range(n))
+            ran = {tl.name: tl.device_id for tl in rt.timelines}
+            return {ran[f"{name}{i}"] for i in range(n)}
+
+        across = batch("across")
+        assert rt.ha.failovers == 1
+        return across, batch("after")
+
+    def test_a_struck_head_stays_out_of_the_view_without_a_detector(self):
+        """No heartbeats: nothing will ever declare the old head dead, yet no
+        task runs there after the failover and ``place`` never picks it
+        after the strike."""
+        rt = ServerlessRuntime(build_serverful(n_servers=4), self.no_detector())
+        placed = self._placements(rt)
+        for ran in self._run_through_a_failover(rt):
+            assert ran and not {dev for dev in ran if dev.startswith("server0/")}
+        assert "server0" not in rt.failures.dead_nodes  # no verdict keeps it out
+        after = {dev for t, dev in placed if t >= 1e-3}
+        assert after and not {dev for dev in after if dev.startswith("server0/")}
+        assert_recovery_drained(rt)
+
+    def test_a_restarted_head_rejoins_the_view_without_a_detector(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=4), self.no_detector())
+        _across, after = self._run_through_a_failover(rt, restart_after=1e-3)
+        assert "server0/cpu" in after
+
+    def test_a_drivers_exclusion_survives_a_failover(self):
+        """The driver's ``blacklist`` is no verdict and in no WAL: the
+        failover's replay must not forget it."""
+        rt = ServerlessRuntime(build_serverful(n_servers=4), ha_config(1))
+        rt.scheduler.blacklist("server3/cpu")
+        _across, after = self._run_through_a_failover(rt)
+        assert rt.scheduler.is_blacklisted("server3/cpu")
+        assert after and "server3/cpu" not in after
+        assert_recovery_drained(rt)
+
+
 class TestSplitBrainFencing:
     """A partitioned (not dead) leader is deposed, never obeyed again."""
 

@@ -279,7 +279,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 70 and len(source.splitlines()) <= 1344
+        assert len(methods) <= 68 and len(source.splitlines()) <= 1309
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -379,7 +379,7 @@ class TestStructureGuard:
         },
         "actors.py": {
             "sim", "ids", "cluster", "config", "scheduler", "reliable_cache",
-            "recovery", "_record", "_submit_spec", "_device_alive", "actor_restarts",
+            "recovery", "_record", "_submit_spec", "actor_restarts",
         },
     }
 
@@ -470,6 +470,27 @@ class TestStructureGuard:
             and ast.unparse(a.value).startswith(("rt", "self.runtime"))
         ]
         assert not private, f"monkey reads private runtime names: {private}"
+
+    def test_the_scheduler_owns_the_placement_view(self):
+        """Only the scheduler decides what is placeable: no liveness callback
+        into the core, capacity metered where the view changes, and one
+        least-loaded rule that a speculative backup asks for by name."""
+        sources = {
+            str(path.relative_to(SRC)): path.read_text() for path in SRC.rglob("*.py")
+        }
+        for gone in ("alive_filter", "_device_alive", "clear_blacklist"):
+            assert not [name for name, text in sources.items() if gone in text], gone
+        for metered in ("_meter_capacity(", "skadi_scheduler_capacity_slots"):
+            assert {name for name, text in sources.items() if metered in text} <= {
+                "runtime/scheduler.py"
+            }, metered
+        supervision = sources["runtime/supervision.py"]
+        for read in ("scheduler.candidates", "scheduler.outstanding"):
+            assert read not in supervision, read
+        assert supervision.count("scheduler.least_loaded(") == 1
+        scheduler = sources["runtime/scheduler.py"]
+        assert scheduler.count("self.least_loaded(") == 2  # LEAST_LOADED, a gang member
+        assert scheduler.count("(self.outstanding(d.device_id), d.device_id)") == 1
 
     def test_the_detector_assumes_a_whole_runtime(self):
         assert "getattr(" not in (SRC / "runtime/health.py").read_text()

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import build_physical_disagg
+from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import DeviceKind
-from repro.runtime.config import SchedulingPolicy
+from repro.runtime.config import RuntimeConfig, SchedulingPolicy
 from repro.runtime.object_ref import ObjectRef
 from repro.runtime.ownership import OwnershipTable
+from repro.runtime.runtime import ServerlessRuntime
 from repro.runtime.scheduler import PlacementError, Scheduler
 from repro.runtime.task import ANY_COMPUTE_KIND, TaskSpec
 
@@ -58,13 +59,15 @@ class TestCandidates:
         with pytest.raises(PlacementError, match="pinned"):
             sched.place(task(pinned_device="ghost"))
 
-    def test_alive_filter_excludes(self):
+    def test_blacklist_excludes(self):
         _, _, sched = make_scheduler()
         all_cpu = sched.candidates(task())
         dead = all_cpu[0].device_id
-        sched.alive_filter = lambda d: d != dead
+        sched.blacklist(dead)
         remaining = sched.candidates(task())
         assert dead not in [d.device_id for d in remaining]
+        sched.unblacklist(dead)
+        assert sched.candidates(task()) == all_cpu
 
     def test_no_devices_at_all(self):
         cluster, ownership, _ = make_scheduler()
@@ -133,3 +136,35 @@ class TestGang:
     def test_empty_gang(self):
         _, _, sched = make_scheduler()
         assert sched.place_gang([]) == {}
+
+
+class TestOneLeastLoadedRule:
+    def test_policy_gang_member_and_backup_pick_the_same_device(self):
+        """On the cluster state a speculative backup is launched from, the
+        ``LEAST_LOADED`` policy and a gang member kept off the straggler's
+        device choose the device the backup got."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=4),
+            RuntimeConfig(scheduling=SchedulingPolicy.LEAST_LOADED, speculation_factor=4.0),
+        )
+        sched = rt.scheduler
+        for busy in ("server1/cpu", "server1/cpu", "server2/cpu"):
+            sched.task_started(busy)  # uneven load, so the lowest id is not the answer
+        rt.cluster.device("server0/cpu").slowdown = 50.0
+        picks = []
+
+        def on_speculate(ev):
+            if ev.kind != "speculate":
+                return
+            probe = task("probe")
+            straggler = task("straggler", pinned_device=ev["slow"], gang_group="g")
+            member = task("member", gang_group="g")
+            picks.append((
+                ev["backup"],
+                sched.place(probe).device_id,
+                sched.place_gang([straggler, member])["member"].device_id,
+            ))
+
+        rt.log.add_observer(on_speculate)
+        assert rt.get(rt.submit(lambda: 7, compute_cost=1e-3)) == 7
+        assert picks == [("server3/cpu",) * 3]
