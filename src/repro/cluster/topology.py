@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .hardware import GB, USEC
 
@@ -45,6 +45,7 @@ class Topology:
     def __init__(self) -> None:
         self._adj: Dict[str, Dict[str, LinkSpec]] = {}
         self._route_cache: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        self._min_latency: Optional[float] = None  # reset with the route cache
         self._degraded: Dict[Tuple[str, str], float] = {}
 
     # -- construction ------------------------------------------------------
@@ -61,6 +62,7 @@ class Topology:
         self._adj[a][b] = spec
         self._adj[b][a] = spec
         self._route_cache.clear()
+        self._min_latency = None
 
     def link(self, a: str, b: str) -> LinkSpec:
         try:
@@ -146,6 +148,18 @@ class Topology:
         hops.reverse()
         self._route_cache[key] = hops
         return hops
+
+    def min_link_latency(self) -> float:
+        """The smallest healthy hop latency in the topology.  A route of at
+        least one hop takes at least this long to cross, whatever its size
+        or backlog: degradation only multiplies a hop's latency by a factor
+        >= 1.0."""
+        if self._min_latency is None:
+            self._min_latency = min(
+                (spec.latency for links in self._adj.values() for spec in links.values()),
+                default=0.0,
+            )
+        return self._min_latency
 
     def path_latency(self, src: str, dst: str) -> float:
         return sum(self.link(a, b).latency for a, b in self.route(src, dst))

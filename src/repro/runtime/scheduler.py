@@ -12,6 +12,7 @@ and ``unblacklist`` change the placement view it keeps, ``place`` (and
 
 from __future__ import annotations
 
+import heapq
 from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
@@ -58,7 +59,7 @@ class Scheduler:
             self._m_outstanding = metrics.series(
                 "gauge",
                 "skadi_device_outstanding_tasks",
-                "tasks running or queued on each device",
+                "tasks started and not yet finished on each device",
                 "device",
             )
         self._devices = list(schedulable_devices)
@@ -188,38 +189,62 @@ class Scheduler:
         return device
 
     def _place_locality(self, task: TaskSpec, candidates: Sequence[Device]) -> Device:
-        """Data-centric: minimize estimated bytes-over-links to gather inputs,
-        then compute time, then queueing.
+        """Data-centric: the candidate with the least ``(cost, device_id)``,
+        where cost is one summed time, ``move + compute + queue``.  ``move``
+        adds up, input by input, the contended transfer estimate from each
+        READY input's cheapest copy; ``compute`` is the task's scaled
+        duration on the device; ``queue`` its outstanding tasks times its
+        dispatch overhead.  The estimates price in each link's queued
+        backlog, so a candidate behind a hot link loses to an
+        equally-distant candidate on an idle path.
 
-        The estimates price in each link's queued backlog and residual busy
-        window, so a candidate behind a hot link loses to an equally-distant
-        candidate on an idle path."""
-        deps = task.dependencies
+        Only candidates that can win are priced.  Each gets an exact lower
+        bound, ``compute + queue``, plus the fabric's smallest hop latency
+        first when it holds no copy of some input: that input's every route
+        has a hop, and degradation never makes a hop faster.  Float addition
+        is monotone, so the bound never exceeds the cost summed in the same
+        order.  Candidates are priced in ``(bound, device_id)`` order, popped
+        from a heap built for this placement, and the scan stops at the first
+        whose ``(bound, device_id)`` is above the best ``(cost, device_id)``:
+        no later candidate can beat it."""
+        # each READY input's copy endpoints and size, read once
+        inputs = []
+        for ref in task.dependencies:
+            if not self.ownership.contains(ref.object_id):
+                continue
+            entry = self.ownership.entry(ref.object_id)
+            if entry.state != ValueState.READY or not entry.locations:
+                continue
+            sources = tuple(self._node_data_endpoint(loc) for loc in sorted(entry.locations))
+            inputs.append((sources, entry.nbytes))
+        # the endpoints holding a copy of every input: only they may move nothing
+        holders = set.intersection(*(set(sources) for sources, _ in inputs)) if inputs else set()
+        hop = self.cluster.topology.min_link_latency() if inputs else 0.0
+        outstanding, compute_cost = self._outstanding, task.compute_cost
+        order = []
+        for device in candidates:
+            device_id, spec = device.device_id, device.spec
+            compute_time = spec.scaled_duration(compute_cost)
+            queue_penalty = outstanding.get(device_id, 0) * spec.dispatch_overhead
+            bound = (0.0 if device_id in holders else hop) + compute_time + queue_penalty
+            order.append((bound, device_id, compute_time, queue_penalty, device))
+        heapq.heapify(order)
 
-        def cost(device: Device) -> tuple:
+        estimate = self.cluster.network.transfer_time_estimate
+        best = best_device = None
+        while order:
+            bound, device_id, compute_time, queue_penalty, device = heapq.heappop(order)
+            if best is not None and (bound, device_id) > best:
+                break
             move_time = 0.0
-            for ref in deps:
-                if not self.ownership.contains(ref.object_id):
-                    continue
-                entry = self.ownership.entry(ref.object_id)
-                if entry.state != ValueState.READY or not entry.locations:
-                    continue
-                # cheapest source copy
-                best = min(
-                    self.cluster.network.transfer_time_estimate(
-                        self._node_data_endpoint(loc),
-                        device.device_id,
-                        entry.nbytes,
-                        contended=True,
-                    )
-                    for loc in sorted(entry.locations)
+            for sources, nbytes in inputs:
+                move_time += min(
+                    estimate(src, device_id, nbytes, contended=True) for src in sources
                 )
-                move_time += best
-            compute_time = device.spec.scaled_duration(task.compute_cost)
-            queue_penalty = self.outstanding(device.device_id) * device.spec.dispatch_overhead
-            return (move_time + compute_time + queue_penalty, device.device_id)
-
-        return min(candidates, key=cost)
+            cost = (move_time + compute_time + queue_penalty, device_id)
+            if best is None or cost < best:
+                best, best_device = cost, device
+        return best_device
 
     def _node_data_endpoint(self, node_id: str) -> str:
         return self.cluster.node(node_id).dominant_device.device_id

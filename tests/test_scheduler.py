@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import DeviceKind
 from repro.runtime.config import RuntimeConfig, SchedulingPolicy
 from repro.runtime.object_ref import ObjectRef
-from repro.runtime.ownership import OwnershipTable
+from repro.runtime.ownership import OwnershipTable, ValueState
 from repro.runtime.runtime import ServerlessRuntime
 from repro.runtime.scheduler import PlacementError, Scheduler
 from repro.runtime.task import ANY_COMPUTE_KIND, TaskSpec
@@ -168,3 +170,162 @@ class TestOneLeastLoadedRule:
         rt.log.add_observer(on_speculate)
         assert rt.get(rt.submit(lambda: 7, compute_cost=1e-3)) == 7
         assert picks == [("server3/cpu",) * 3]
+
+
+def full_scan_locality(sched, task, candidates):
+    """The locality rule as a full scan: every candidate priced for every
+    input copy, then the least ``(cost, device_id)``.  ``Scheduler.place``
+    must pick the same device while pricing only those that can win."""
+    deps = task.dependencies
+
+    def cost(device):
+        move_time = 0.0
+        for ref in deps:
+            if not sched.ownership.contains(ref.object_id):
+                continue
+            entry = sched.ownership.entry(ref.object_id)
+            if entry.state != ValueState.READY or not entry.locations:
+                continue
+            best = min(
+                sched.cluster.network.transfer_time_estimate(
+                    sched._node_data_endpoint(loc),
+                    device.device_id,
+                    entry.nbytes,
+                    contended=True,
+                )
+                for loc in sorted(entry.locations)
+            )
+            move_time += best
+        compute_time = device.spec.scaled_duration(task.compute_cost)
+        queue_penalty = sched.outstanding(device.device_id) * device.spec.dispatch_overhead
+        return (move_time + compute_time + queue_penalty, device.device_id)
+
+    return min(candidates, key=cost)
+
+
+def count_estimates(monkeypatch, network):
+    """Wrap ``network.transfer_time_estimate``; the list grows one per call."""
+    calls = []
+    estimate = network.transfer_time_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(network, "transfer_time_estimate", counted)
+    return calls
+
+
+COMPUTE_KINDS = (DeviceKind.CPU, DeviceKind.GPU, DeviceKind.FPGA)
+
+
+def locality_scheduler(cluster):
+    devices = [d for d in cluster.all_devices() if d.kind in COMPUTE_KINDS]
+    return Scheduler(
+        cluster, OwnershipTable(), SchedulingPolicy.LOCALITY, devices, devices[0].device_id
+    )
+
+
+class TestBoundedPricing:
+    def test_a_local_input_is_priced_once_per_copy(self, monkeypatch):
+        cluster = build_serverful(64)
+        sched = locality_scheduler(cluster)
+        sched.ownership.create("small", "driver", "p")
+        sched.ownership.mark_ready("small", "server5", 4096)
+        t = task("t", args=(ObjectRef("small"),), compute_cost=1e-4)
+        calls = count_estimates(monkeypatch, cluster.network)
+        placed = sched.place(t)
+        assert placed.device_id == "server5/cpu"
+        assert len(calls) <= 1  # one input with one copy
+        del calls[:]
+        assert full_scan_locality(sched, t, sched.candidates(t)) is placed
+        assert len(calls) == 64  # the full scan prices every candidate
+
+    def test_no_ready_input_prices_nothing(self, monkeypatch):
+        cluster = build_serverful(64)
+        sched = locality_scheduler(cluster)
+        sched.ownership.create("pending", "driver", "p")
+        calls = count_estimates(monkeypatch, cluster.network)
+        sched.task_started("server0/cpu")
+        placed = sched.place(task("t", args=(ObjectRef("pending"), ObjectRef("unknown"))))
+        assert placed.device_id == "server1/cpu" and calls == []
+
+    @pytest.mark.parametrize(
+        "compute_cost, winner", [(0.5e-6, "server1/cpu"), (1.1e-6, "server1/gpu0")]
+    )
+    def test_a_win_by_less_than_a_hop(self, compute_cost, winner):
+        """The bound is tight: the CPU holding the input and the GPU one PCIe
+        hop (the smallest latency) from it differ by less than that hop."""
+        cluster = build_serverful(4, gpus_per_server=1)
+        sched = locality_scheduler(cluster)
+        sched.ownership.create("small", "driver", "p")
+        sched.ownership.mark_ready("small", "server1", 64)
+        t = task("t", frozenset({DeviceKind.CPU, DeviceKind.GPU}), args=(ObjectRef("small"),),
+                 compute_cost=compute_cost)
+        assert cluster.topology.min_link_latency() == 1e-6
+        assert sched.place(t).device_id == winner
+        assert full_scan_locality(sched, t, sched.candidates(t)).device_id == winner
+
+
+def random_locality_state(seed):
+    """A seeded cluster state for the locality rule: queues (or all equal),
+    blacklisted devices, degraded links, flows in flight and objects with
+    one to three copies (or none yet) of one chunk up to ``max_chunks``."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        cluster = build_physical_disagg(
+            n_servers=rng.randint(1, 4), n_gpu_cards=rng.randint(0, 3),
+            n_fpga_cards=rng.randint(0, 2),
+        )
+    else:
+        cluster = build_serverful(rng.randint(2, 12), gpus_per_server=rng.randint(0, 2))
+    sched = locality_scheduler(cluster)
+    net, topology = cluster.network, cluster.topology
+    devices = list(sched.placeable)
+    tied = rng.random() < 0.3  # equal queues and compute: device ids decide
+    if not tied:
+        for device in devices:
+            for _ in range(rng.randint(0, 3)):
+                sched.task_started(device.device_id)
+    for device in rng.sample(devices, rng.randint(0, len(devices) // 3)):
+        sched.blacklist(device.device_id)
+    endpoints = [d.device_id for d in cluster.all_devices()]
+    for _ in range(rng.randint(0, 4)):
+        hops = topology.route(*rng.sample(endpoints, 2))
+        net.degrade_link(*rng.choice(hops), rng.uniform(1.0, 8.0))
+    payload = net.chunk_bytes * net.max_chunks
+    for _ in range(rng.randint(0, 6)):
+        net.transfer(*rng.sample(endpoints, 2), rng.randint(1, 2 * payload))
+    cluster.sim.run(until=rng.uniform(0.0, 2e-4))
+    nodes = sorted(cluster.nodes)
+    for i in range(6):
+        oid = f"o{i}"
+        sched.ownership.create(oid, "driver", f"p{i}")
+        if rng.random() < 0.2:
+            continue  # PENDING
+        copies = rng.sample(nodes, min(len(nodes), rng.randint(1, 3)))
+        nbytes = rng.choice([0, 1, net.chunk_bytes, payload, rng.randint(1, 2 * payload)])
+        sched.ownership.mark_ready(oid, copies[0], nbytes)
+        for node in copies[1:]:
+            sched.ownership.add_location(oid, node)
+    return rng, sched, tied
+
+
+class TestLocalityMatchesFullScan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_device_as_the_full_scan(self, seed):
+        rng, sched, tied = random_locality_state(seed)
+        objects = [f"o{i}" for i in range(6)] + ["unknown"]
+        for j in range(25):
+            kinds = frozenset(rng.sample(COMPUTE_KINDS, rng.randint(1, 3)))
+            deps = tuple(ObjectRef(oid) for oid in rng.sample(objects, rng.randint(0, 3)))
+            compute = 0.0 if tied else rng.choice([0.0, 1e-5, 1e-3, 0.1])
+            t = task(f"t{j}", kinds, args=deps, compute_cost=compute)
+            try:
+                candidates = sched.candidates(t)
+            except PlacementError:
+                continue
+            placed = sched.place(t)
+            assert placed is full_scan_locality(sched, t, candidates), (seed, j)
+            if not tied:
+                sched.task_started(placed.device_id)

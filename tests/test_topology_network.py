@@ -67,6 +67,15 @@ class TestTopology:
         assert topo.bottleneck_bandwidth("a", "c") == 1e9
         assert topo.hop_count("a", "c") == 2
 
+    def test_min_link_latency_follows_new_links(self):
+        topo = line_topology()
+        assert topo.min_link_latency() == 1e-6
+        topo.add_link("c", "d", LinkSpec(latency=1e-9, bandwidth=1e9))
+        assert topo.min_link_latency() == 1e-9
+        topo.degrade_link("c", "d", 4.0)  # a degraded hop is never faster
+        assert topo.min_link_latency() == 1e-9
+        assert Topology().min_link_latency() == 0.0
+
     def test_link_catalog_ordering(self):
         # sanity: on-chip is fastest, NIC is slowest of the fast links
         assert ONCHIP_LINK.latency < PCIE_LINK.latency < NIC_LINK.latency
