@@ -74,9 +74,6 @@ class DiagnosticSet:
     def warning(self, code: str, message: str, **kwargs) -> Diagnostic:
         return self.add(Diagnostic(Severity.WARNING, code, message, **kwargs))
 
-    def info(self, code: str, message: str, **kwargs) -> Diagnostic:
-        return self.add(Diagnostic(Severity.INFO, code, message, **kwargs))
-
     def extend(self, other: Iterable[Diagnostic]) -> "DiagnosticSet":
         for diag in other:
             self.add(diag)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .events import DistTrace, ProtoEvent
-from .invariants import InvariantEngine, Violation
+from .invariants import InvariantEngine
 from .report import SanitizerReport, sanitize_trace
 
 __all__ = ["DistProbe"]
@@ -587,10 +587,6 @@ class DistProbe:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-
-    def violations(self) -> list[Violation]:
-        """Violations flagged so far (end-of-trace checks not yet run)."""
-        return self.engine.violations() if self.engine is not None else []
 
     def report(
         self, hb: Optional[bool] = None, partial: bool = False

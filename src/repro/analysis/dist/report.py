@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -65,9 +64,6 @@ class SanitizerReport:
             ],
             "dangling_recvs": self.dangling_recvs,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         """Human-readable multi-line summary."""

@@ -89,10 +89,6 @@ class AnalysisSession:
     # -- reporting -----------------------------------------------------------
 
     @property
-    def ok(self) -> bool:
-        return self.diagnostics.ok
-
-    @property
     def clean(self) -> bool:
         return self.diagnostics.clean
 

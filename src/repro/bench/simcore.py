@@ -1,4 +1,4 @@
-"""BENCH_SIMCORE — events/sec on the simulator core vs. the frozen seed.
+"""BENCH_SIMCORE — events/sec on the simulator core, checked against goldens.
 
 The flagship scenarios (E17 soak, E21 data plane, E22/E23 overload+serving,
 E25 HA) all bottom out in ``repro.cluster.simtime``; at serving scale the
@@ -23,19 +23,18 @@ Four kernels:
 * ``idle_poll`` — 1 ms pollers over long idle spans with sparse real work.
   Stresses the calendar with timer-heavy traffic: every tick is simulated.
 
-Each kernel runs under two stages::
+Every run is a determinism witness: :data:`GOLDEN` holds the trace checksum
+and executed-event count the frozen pre-rebuild kernel (one binary heap,
+dataclass events, trampolined zero-delay hops) produced for each kernel at
+each recorded scale, and :func:`run_kernel` raises unless the live kernel
+reproduces both.  Kernel speed across commits is the ledger's
+``simtime.events_per_cpu_s``; the events/sec printed here is this host's.
 
-    seed        the frozen pre-rebuild kernel (bench/legacy_simtime.py)
-    live        repro.cluster.simtime as shipped
+Run directly for a table + JSON (exit 1 on a golden mismatch or a scale
+with no golden)::
 
-``seed`` and ``live`` must produce a bit-for-bit identical execution — the
-kernels record completion traces and the harness asserts the checksums
-match.
-
-Run directly for a table + JSON::
-
+    python -m repro.bench.simcore --scale 0.1
     python -m repro.bench.simcore --json BENCH_SIMCORE.json
-    python -m repro.bench.simcore --check new.json baselines/BENCH_SIMCORE.json
 """
 
 from __future__ import annotations
@@ -48,50 +47,46 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bench import legacy_simtime
 from repro.cluster import simtime
 
 __all__ = [
-    "STAGES",
+    "GOLDEN",
     "KERNELS",
-    "run_stage",
+    "check_golden",
+    "checksum",
     "run_kernel",
     "run_benchmarks",
-    "compare_results",
 ]
 
-STAGES: List[str] = ["seed", "live"]
+# (kernel, scale) -> (trace checksum, events executed), as the frozen
+# pre-rebuild kernel ran them.
+GOLDEN: Dict[Tuple[str, float], Tuple[str, int]] = {
+    ("e17_soak_loop", 0.1): ("819272d0716f7680", 8514),
+    ("e17_soak_loop", 0.5): ("534f26e16a04864f", 42125),
+    ("e17_soak_loop", 1.0): ("562f4ede1fc3f337", 84570),
+    ("e21_transfer_loop", 0.1): ("777433f073505396", 1268),
+    ("e21_transfer_loop", 0.5): ("7213980ca7c229fd", 7608),
+    ("e21_transfer_loop", 1.0): ("9b36686211d7273d", 15216),
+    ("zero_delay_loop", 0.1): ("ef739b8a909cfb33", 7744),
+    ("zero_delay_loop", 0.5): ("d7395bfb974f598f", 38464),
+    ("zero_delay_loop", 1.0): ("934f190998f592c6", 76864),
+    ("idle_poll", 0.1): ("b405aeef9c335e53", 2010),
+    ("idle_poll", 0.5): ("2e12cb444956673f", 8013),
+    ("idle_poll", 1.0): ("1d5c4a91456b3082", 16025),
+}
 
 
-def _checksum(trace: List) -> str:
+def checksum(trace: Any) -> str:
     return hashlib.md5(repr(trace).encode()).hexdigest()[:16]
 
 
-def _cancel_grant(resource: Any, grant: Any) -> None:
-    """Withdraw a resource grant, portably across kernel generations.
-
-    The live kernel has ``Resource.cancel``; the frozen seed kernel predates
-    it (the slot-leak satellite fix), so the same logic is applied by hand
-    there to keep the executions comparable.
-    """
-    cancel = getattr(resource, "cancel", None)
-    if cancel is not None:
-        cancel(grant)
-        return
-    try:
-        resource._queue.remove(grant)
-    except ValueError:
-        resource.release()
-
-
 # ---------------------------------------------------------------------------
-# kernels — each takes the simtime module to run against (the live one or
-# the frozen seed) and returns its completion trace, which must be
-# bit-for-bit the same under both.
+# kernels — each runs on the simulator it is given and returns its
+# completion trace.
 # ---------------------------------------------------------------------------
 
 
-def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
+def e17_soak_kernel(sim: simtime.Simulator, scale: float) -> List:
     """The E17 chaos-soak event mix as a pure kernel loop.
 
     Shaped like the real soak (``benchmarks/test_e17_chaos_soak.py``):
@@ -110,14 +105,13 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     hb_interval = 1e-3
     hop_latency = 25e-6
     slots = [
-        mod.Resource(sim, capacity=2, name=f"server{i}") for i in range(n_servers)
+        simtime.Resource(sim, capacity=2, name=f"server{i}") for i in range(n_servers)
     ]
     active = [True]
     trace: List = []
     # Hoist the factory lookups once for the whole kernel: the metric
     # targets the event loop, so the harness keeps its own attribute-lookup
-    # overhead out of the measurement (the event mix is unchanged — both
-    # kernel generations run this exact code).
+    # overhead out of the measurement.
     timeout = sim.timeout
     process = sim.process
     uniform = rng.uniform
@@ -127,8 +121,8 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     # real soak (beats land in the health monitor's receive loop, results in
     # the owning raylet's) — each delivery is a zero-delay channel hand-off,
     # which is what makes ``schedule(0.0, ...)`` ~half of all pushes in real
-    # runs (see ISSUE/ROADMAP item 3).
-    inbox = mod.Channel(sim, name="head_inbox")
+    # runs.
+    inbox = simtime.Channel(sim, name="head_inbox")
     beats = [0]
 
     def hop_message(payload):  # the 2-hop message body, hop loop unrolled
@@ -165,8 +159,8 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
         grant = slots[server].request()
         try:
             yield grant
-        except mod.Interrupt:
-            _cancel_grant(slots[server], grant)
+        except simtime.Interrupt:
+            slots[server].cancel(grant)
             return "killed"
         try:
             try:
@@ -175,9 +169,9 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
                 slots[server].release()
             # ship the result over two hops, then surface a resolved future
             yield process(hop_message((lane, d)), name="result")
-        except mod.Interrupt:
+        except simtime.Interrupt:
             return "killed"
-        ready = mod.Signal(sim)
+        ready = simtime.Signal(sim)
         ready.succeed(d)
         yield ready  # a consumer waiting on an already-resolved object
         return "ok"
@@ -206,7 +200,7 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     sim.process(head_receiver(), name="head_rx")
 
     def workload():
-        yield mod.AllOf(sim, [sim.process(lane_proc(ln)) for ln in range(lanes)])
+        yield simtime.AllOf(sim, [sim.process(lane_proc(ln)) for ln in range(lanes)])
         active[0] = False
 
     sim.process(workload(), name="workload")
@@ -216,7 +210,7 @@ def e17_soak_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     return trace
 
 
-def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
+def e21_transfer_kernel(sim: simtime.Simulator, scale: float) -> List:
     """The E21 data-plane mix: chunked cut-through pipelines.
 
     Each route is a 4-stage forwarder chain (channel get → link grant →
@@ -227,7 +221,7 @@ def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     n_chunks = 24
     hops = 4
     chunk_time = 4e-5
-    links = [mod.Resource(sim, capacity=1, name=f"link{i}") for i in range(6)]
+    links = [simtime.Resource(sim, capacity=1, name=f"link{i}") for i in range(6)]
     trace: List = []
 
     def forwarder(route: int, hop: int, inbox: Any, outbox: Optional[Any]):
@@ -250,7 +244,7 @@ def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
             yield sim.timeout(chunk_time)
 
     for r in range(n_routes):
-        chans = [mod.Channel(sim, name=f"r{r}h{h}") for h in range(hops)]
+        chans = [simtime.Channel(sim, name=f"r{r}h{h}") for h in range(hops)]
         sim.process(source(r, chans[0]), name=f"src{r}")
         for h in range(hops):
             nxt = chans[h + 1] if h + 1 < hops else None
@@ -260,17 +254,17 @@ def e21_transfer_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     return trace
 
 
-def zero_delay_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
+def zero_delay_kernel(sim: simtime.Simulator, scale: float) -> List:
     """Pure same-instant traffic: ring + inline-resumption stress."""
     n_workers = 64
     rounds = max(1, int(400 * scale))
-    ch = mod.Channel(sim, name="ring")
+    ch = simtime.Channel(sim, name="ring")
     trace: List = []
 
     def worker(i: int):
         total = 0
         for k in range(rounds):
-            sig = mod.Signal(sim)
+            sig = simtime.Signal(sim)
             sig.succeed(k)
             total += yield sig  # resolved future: inline fast path
             yield sim.timeout(0.0)  # explicit trampoline hop
@@ -286,7 +280,7 @@ def zero_delay_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     return trace
 
 
-def idle_poll_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
+def idle_poll_kernel(sim: simtime.Simulator, scale: float) -> List:
     """Pollers every 1 ms across long idle spans; work every 250 ms."""
     n_pollers = 8
     n_work = max(1, int(8 * scale))
@@ -312,7 +306,7 @@ def idle_poll_kernel(mod: Any, sim: Any, scale: float = 1.0) -> List:
     return trace + [round(sim.now, 9), observed[0]]
 
 
-KERNELS: List[Tuple[str, Callable[[Any, Any, float], List]]] = [
+KERNELS: List[Tuple[str, Callable[[simtime.Simulator, float], List]]] = [
     ("e17_soak_loop", e17_soak_kernel),
     ("e21_transfer_loop", e21_transfer_kernel),
     ("zero_delay_loop", zero_delay_kernel),
@@ -325,72 +319,44 @@ KERNELS: List[Tuple[str, Callable[[Any, Any, float], List]]] = [
 # ---------------------------------------------------------------------------
 
 
-def run_stage(
-    kernel: Callable[[Any, Any, float], List],
-    stage: str,
-    scale: float,
-) -> Dict[str, Any]:
-    if stage == "seed":
-        mod: Any = legacy_simtime
-        sim = legacy_simtime.Simulator()
-    else:
-        mod = simtime
-        sim = simtime.Simulator()
-    t0 = time.perf_counter()
-    trace = kernel(mod, sim, scale)
-    wall = time.perf_counter() - t0
-    if stage == "seed":
-        # the frozen kernel predates events_executed(): every scheduled
-        # event except the still-pending ones was dispatched
-        events = sim._seq - len(sim._queue)
-        inline = 0
-    else:
-        events = sim.events_executed()
-        inline = sim.inline_steps
-    return {
-        "wall_s": wall,
-        "events": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "inline_steps": inline,
-        "checksum": _checksum(trace),
-    }
+def check_golden(name: str, scale: float, trace_checksum: str, events: int) -> None:
+    """Raise ``AssertionError`` unless a run reproduced ``GOLDEN[(name, scale)]``."""
+    golden = GOLDEN.get((name, scale))
+    if golden is None:
+        raise AssertionError(f"{name}: no golden at scale {scale}")
+    if (trace_checksum, events) != golden:
+        raise AssertionError(
+            f"{name} at scale {scale}: checksum {trace_checksum}, {events} events; "
+            f"the golden is {golden[0]}, {golden[1]} events"
+        )
 
 
 def run_kernel(
     name: str,
-    kernel: Callable[[Any, Any, float], List],
+    kernel: Callable[[simtime.Simulator, float], List],
     scale: float,
     repeats: int = 1,
 ) -> Dict[str, Any]:
-    # Interleave the repeats round-robin across stages (not stage-by-stage):
-    # machine-speed drift within one benchmark run then biases every stage
-    # equally instead of penalizing whichever stage happens to run last;
-    # best-of-rounds per stage does the rest.
-    stages: Dict[str, Dict[str, Any]] = {}
+    """Best-of-``repeats`` live run of one kernel, checked against its golden."""
+    best: Dict[str, Any] = {}
     for _ in range(max(1, repeats)):
-        for stage in STAGES:
-            r = run_stage(kernel, stage, scale)
-            best = stages.get(stage)
-            if best is None or r["wall_s"] < best["wall_s"]:
-                stages[stage] = r
-
-    # Bit-for-bit witness: the live kernel replays the frozen seed kernel's
-    # execution.
-    if len({r["checksum"] for r in stages.values()}) != 1:
-        raise AssertionError(
-            f"{name}: stages diverged: "
-            + ", ".join(f"{s}={r['checksum']}" for s, r in stages.items())
-        )
-
-    base = stages["seed"]["events_per_sec"]
-    for r in stages.values():
-        r["speedup_vs_seed"] = r["events_per_sec"] / base if base > 0 else 0.0
-    return {
-        "scale": scale,
-        "events": stages["seed"]["events"],
-        "stages": stages,
-        "speedup_total": stages["live"]["speedup_vs_seed"],
-    }
+        sim = simtime.Simulator()
+        t0 = time.perf_counter()
+        trace = kernel(sim, scale)
+        wall = time.perf_counter() - t0
+        events = sim.events_executed()
+        digest = checksum(trace)
+        check_golden(name, scale, digest, events)
+        if not best or wall < best["wall_s"]:
+            best = {
+                "scale": scale,
+                "events": events,
+                "wall_s": wall,
+                "events_per_sec": events / wall if wall > 0 else 0.0,
+                "inline_steps": sim.inline_steps,
+                "checksum": digest,
+            }
+    return best
 
 
 def run_benchmarks(scale: float = 1.0, repeats: int = 1) -> Dict[str, Any]:
@@ -400,65 +366,21 @@ def run_benchmarks(scale: float = 1.0, repeats: int = 1) -> Dict[str, Any]:
     return {"experiment": "SIMCORE", "scale": scale, "kernels": kernels}
 
 
-# ---------------------------------------------------------------------------
-# regression check (CI)
-# ---------------------------------------------------------------------------
-
-REGRESSION_TOLERANCE = 0.20  # >20% speedup-vs-seed drop vs. baseline fails
-
-
-def compare_results(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = REGRESSION_TOLERANCE,
-) -> List[str]:
-    """Return a list of regression messages (empty = within tolerance).
-
-    Compares each stage's ``speedup_vs_seed``, not raw events/sec: the
-    frozen seed kernel runs in the same process, so the ratio cancels out
-    machine speed and a CI runner can be meaningfully held against a
-    baseline committed from a faster box.  A >``tolerance`` drop in the
-    ratio means the fast path itself regressed relative to the seed.
-    """
-    problems: List[str] = []
-    for name, base_k in baseline.get("kernels", {}).items():
-        cur_k = current.get("kernels", {}).get(name)
-        if cur_k is None:
-            problems.append(f"{name}: kernel missing from current results")
-            continue
-        for stage, base_s in base_k.get("stages", {}).items():
-            cur_s = cur_k.get("stages", {}).get(stage)
-            if cur_s is None:
-                problems.append(f"{name}/{stage}: stage missing from current results")
-                continue
-            base_ratio = base_s.get("speedup_vs_seed", 0.0)
-            cur_ratio = cur_s.get("speedup_vs_seed", 0.0)
-            if base_ratio > 0 and cur_ratio < base_ratio * (1.0 - tolerance):
-                problems.append(
-                    f"{name}/{stage}: {cur_ratio:.2f}x vs seed is "
-                    f"{(1 - cur_ratio / base_ratio) * 100:.0f}% below the "
-                    f"baseline's {base_ratio:.2f}x"
-                )
-    return problems
-
-
 def render_table(results: Dict[str, Any]) -> str:
     from repro.bench.harness import ResultTable
 
     table = ResultTable(
-        "SIMCORE: simulator-core events/sec, live kernel vs. the frozen seed",
-        ["kernel", "stage", "events", "wall", "M ev/s", "vs seed"],
+        "SIMCORE: simulator-core events/sec, live kernel (goldens reproduced)",
+        ["kernel", "events", "wall", "M ev/s", "checksum"],
     )
-    for name, k in results["kernels"].items():
-        for stage, r in k["stages"].items():
-            table.add_row(
-                name,
-                stage,
-                r["events"],
-                f"{r['wall_s'] * 1e3:7.1f} ms",
-                f"{r['events_per_sec'] / 1e6:6.3f}",
-                f"{r['speedup_vs_seed']:5.2f}x",
-            )
+    for name, r in results["kernels"].items():
+        table.add_row(
+            name,
+            r["events"],
+            f"{r['wall_s'] * 1e3:7.1f} ms",
+            f"{r['events_per_sec'] / 1e6:6.3f}",
+            r["checksum"],
+        )
     return table.to_text()
 
 
@@ -467,27 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--scale", type=float, default=1.0, help="kernel size multiplier")
     ap.add_argument("--repeats", type=int, default=1, help="take best-of-N walls")
     ap.add_argument("--json", metavar="PATH", help="write results JSON here")
-    ap.add_argument(
-        "--check",
-        nargs=2,
-        metavar=("CURRENT", "BASELINE"),
-        help="compare two result JSONs; exit 1 on >20%% speedup-vs-seed regression",
-    )
     args = ap.parse_args(argv)
-
-    if args.check:
-        with open(args.check[0]) as fh:
-            current = json.load(fh)
-        with open(args.check[1]) as fh:
-            baseline = json.load(fh)
-        problems = compare_results(current, baseline)
-        if problems:
-            print("BENCH_SIMCORE regression vs. committed baseline:")
-            for p in problems:
-                print(f"  REGRESSION {p}")
-            return 1
-        print("BENCH_SIMCORE: within tolerance of the committed baseline")
-        return 0
 
     results = run_benchmarks(scale=args.scale, repeats=args.repeats)
     print(render_table(results))

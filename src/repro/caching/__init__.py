@@ -18,7 +18,7 @@ from .columnar import (
     serialize_marshalled,
 )
 from .kv import estimate_nbytes
-from .replication import ErasureCode, ReplicationScheme, Shard, redundancy_overhead
+from .replication import ErasureCode, ReplicationScheme, Shard
 from .store import CacheNode, CachingLayer, ObjectLostError, default_transfer_time
 from .tiers import (
     DEVICE_HBM_TIER,
@@ -43,7 +43,6 @@ __all__ = [
     "ReplicationScheme",
     "ErasureCode",
     "Shard",
-    "redundancy_overhead",
     "CacheNode",
     "CachingLayer",
     "ObjectLostError",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .gf256 import gf_inv, gf_mat_inv, gf_matmul
 
-__all__ = ["ReplicationScheme", "ErasureCode", "Shard", "redundancy_overhead"]
+__all__ = ["ReplicationScheme", "ErasureCode", "Shard"]
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,3 @@ class ErasureCode:
         inverse = gf_mat_inv(matrix)
         stripes = gf_matmul(inverse, rows)
         return stripes.reshape(-1).tobytes()[:original_len]
-
-
-def redundancy_overhead(scheme) -> float:
-    """Uniform accessor used by the fault-tolerance experiment."""
-    return scheme.storage_overhead

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.hardware import GB, USEC
 from .kv import estimate_nbytes
@@ -243,9 +243,6 @@ class TieredCache:
 
     def contains(self, key: str) -> bool:
         return key in self._values
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._values.keys()))
 
     def tier_of(self, key: str) -> str:
         if key not in self._tier_of:

@@ -45,8 +45,9 @@ Installing a schedule perturbation (:meth:`Simulator.set_perturbation`)
 switches to the *perturbation queue*: a single heap keyed ``(time, (rank,
 seq))``, the only structure that can order re-ranked ties.  The ring and
 calendar re-engage when it is cleared.  Unperturbed, the kernel reproduces
-the frozen seed kernel's (``repro.bench.legacy_simtime``) dispatch order
-bit-for-bit.
+the pre-rebuild single-heap kernel's dispatch order bit-for-bit: the
+goldens in ``repro.bench.simcore`` and ``tests/test_simcore_kernel.py`` are
+what that kernel recorded.
 
 One invariant keeps the enqueue paths short: a non-empty ring always
 belongs to the current instant, so a zero-delay enqueue is a bare append.

@@ -385,13 +385,6 @@ def hk_distinct(batch: RecordBatch, column: str) -> np.ndarray:
     return np.unique(batch.column(column))
 
 
-@register_handcrafted("cudf.normalize")
-def hk_normalize(tensor: np.ndarray) -> np.ndarray:
-    std = tensor.std(axis=0)
-    std[std == 0] = 1.0
-    return (tensor - tensor.mean(axis=0)) / std
-
-
 def hash_partition(batch: RecordBatch, column: str, num_partitions: int) -> List[RecordBatch]:
     """Split a batch by hash of a key column (keyed-edge semantics): every
     partition, in order, rows in input order."""

@@ -64,10 +64,6 @@ class _Worker:
         self.retired_at: Optional[float] = None
         self.busy_until = sim.now
 
-    @property
-    def idle(self) -> bool:
-        return self.retired_at is None and self.busy_until <= self.sim.now
-
 
 class _BasePool:
     """Shared queueing machinery: jobs queue FIFO, idle workers serve them."""

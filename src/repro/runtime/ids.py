@@ -34,6 +34,3 @@ class IdGenerator:
 
     def actor_id(self) -> str:
         return self.next("actor")
-
-    def worker_id(self) -> str:
-        return self.next("worker")

@@ -30,7 +30,7 @@ gauges) use the plain get-or-create accessors
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -163,9 +163,6 @@ class Histogram(Instrument):
             self._values.sort()
             self._sorted = True
         return nearest_rank(self._values, p)
-
-    def quantiles(self, qs: Iterable[float] = DEFAULT_QUANTILES) -> Dict[float, float]:
-        return {q: self.percentile(q) for q in qs}
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

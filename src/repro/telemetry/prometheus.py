@@ -92,12 +92,6 @@ class ParsedMetrics:
                 return value
         raise KeyError(f"no sample {name!r} with labels {want!r}")
 
-    def series(self, name: str) -> List[Tuple[Dict[str, str], float]]:
-        return [(lbl, v) for n, lbl, v in self.samples if n == name]
-
-    def names(self) -> List[str]:
-        return sorted({n for n, _, _ in self.samples})
-
 
 def parse_prometheus_text(text: str) -> ParsedMetrics:
     """Parse an exposition produced by :func:`to_prometheus_text`."""

@@ -14,12 +14,13 @@ pauses tracers while it times, so the benchmarks run with
 ``--benchmark-disable``.  ``--ledger`` runs every episode of each workload in
 ``ledger.workloads.WORKLOADS`` in this process (seed 1, scale 1.0): generate,
 build, run, check.  ``--examples`` runs every ``examples/*.py`` as
-``__main__`` and each ``python -m repro.analysis ...`` line of the CI workflow,
-from the repo root, in this process.
+``__main__`` and each ``python -m repro.<module> ...`` line of the CI
+workflow's blocking jobs (``repro.analysis`` twice, ``repro.bench.simcore``
+once), from the repo root, in this process.
 
 ``--report`` sorts every function defined under ``src/`` (found with ``ast``)
 into one class — reached by the ``ledger``, by the ``examples`` (and CI's
-analysis commands), by ``tests+benchmarks`` only, by ``tests`` only, by
+``repro`` module commands), by ``tests+benchmarks`` only, by ``tests`` only, by
 ``benchmarks`` only, or from ``nowhere`` — and lists the last three classes
 function by function.  Only the standard library is used;
 it needs Python 3.11 or later (``code.co_qualname``).
@@ -31,6 +32,7 @@ import argparse
 import ast
 import contextlib
 import os
+import re
 import runpy
 import shlex
 import sys
@@ -131,19 +133,26 @@ def run_ledger(path: str) -> None:
 # -- the examples driver -------------------------------------------------------------
 
 
-def ci_analysis_commands() -> List[List[str]]:
-    """The arguments of every ``python -m repro.analysis ...`` line in CI."""
-    prefix = "python -m repro.analysis "
-    return [
-        shlex.split(line.strip()[len(prefix):])
-        for line in CI_WORKFLOW.read_text().splitlines()
-        if line.strip().startswith(prefix)
-    ]
+def ci_module_commands() -> List[Tuple[str, List[str]]]:
+    """``(module, args)`` of every ``python -m repro.<module> ...`` line in
+    CI's blocking jobs.  A ``continue-on-error`` job is left out: its
+    commands read artifacts that the benchmark suite writes first."""
+    workflow = CI_WORKFLOW.read_text().split("\njobs:\n", 1)[1]
+    commands = []
+    for job in re.split(r"^  \S+:\n", workflow, flags=re.M):
+        if re.search(r"^\s+continue-on-error: true$", job, flags=re.M):
+            continue
+        for line in job.splitlines():
+            line = line.strip().removeprefix("run: ")
+            if line.startswith("python -m repro."):
+                module, *args = shlex.split(line)[2:]
+                commands.append((module, args))
+    return commands
 
 
 def run_examples(path: str) -> None:
     sys.path[:0] = [str(SRC)]
-    commands = ci_analysis_commands()
+    commands = ci_module_commands()
     census = Census()
     os.chdir(ROOT)  # CI runs the commands from the repo root
     argv = sys.argv
@@ -152,14 +161,13 @@ def run_examples(path: str) -> None:
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
             for example in sorted((ROOT / "examples").glob("*.py")):
                 runpy.run_path(str(example), run_name="__main__")
-            for args in commands:
-                sys.argv = ["repro.analysis", *args]
+            for module, args in commands:
+                sys.argv = [module, *args]
                 try:
-                    runpy.run_module("repro.analysis", run_name="__main__", alter_sys=True)
+                    runpy.run_module(module, run_name="__main__", alter_sys=True)
                 except SystemExit as done:
                     if done.code:
-                        failed = f"repro.analysis {args} exited {done.code}"
-                        raise RuntimeError(failed) from done
+                        raise RuntimeError(f"{module} {args} exited {done.code}") from done
     finally:
         census.stop()
         sys.argv = argv
@@ -240,7 +248,7 @@ def main() -> int:
     action.add_argument("--ledger", metavar="FILE", help="record the ledger's workloads to FILE")
     action.add_argument(
         "--examples", metavar="FILE",
-        help="record the examples and CI's repro.analysis commands to FILE",
+        help="record the examples and CI's blocking repro commands to FILE",
     )
     action.add_argument(
         "--report", nargs=4, metavar=("TESTS", "BENCHMARKS", "LEDGER", "EXAMPLES"),

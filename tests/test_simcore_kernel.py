@@ -10,10 +10,11 @@ These tests pin, on both queue disciplines:
 * ``schedule_at`` clamping into the current instant mid-run,
 * ``peek()`` agreeing across both queue tiers and the perturbation queue,
 * interrupt-vs-trigger races under the microtask ring,
-* a determinism witness — the frozen pre-rebuild kernel
-  (``repro.bench.legacy_simtime``), the live kernel, and the live kernel
-  under an identity perturbation produce identical traces on a randomized
-  process soup,
+* a determinism witness — the live kernel, and the live kernel under an
+  identity perturbation, reproduce the traces the frozen pre-rebuild kernel
+  recorded on a randomized process soup and a timer loop (digests below),
+* the BENCH_SIMCORE golden check failing on a reordered run, an event-count
+  mismatch and an unrecorded scale,
 * the satellite fixes (AnyOf loser detach, interrupt-safe ``Resource.use``,
   ``Channel.cancel_get``), and timer-only loops simulated round by round.
 """
@@ -25,7 +26,13 @@ import random
 
 import pytest
 
-from repro.bench import legacy_simtime as legacy
+from repro.bench.simcore import (
+    GOLDEN,
+    KERNELS,
+    check_golden,
+    checksum,
+    run_benchmarks,
+)
 from repro.cluster import simtime as live
 from repro.cluster.simtime import (
     Resource,
@@ -52,15 +59,24 @@ QUEUES = ["ring", "perturbed"]
 
 
 # ---------------------------------------------------------------------------
-# randomized process soup: one script, replayed on every kernel
+# randomized process soup: one script, replayed on both queues
+
+# checksum(run_soup(...)) per seed, as the frozen pre-rebuild kernel ran it
+SOUP_GOLDEN = {
+    1: "5e2c1d26fdd6da76",
+    2: "d28a34fa791b8cd2",
+    3: "5225cec346a8b58c",
+    4: "f7c6e0f8d072a1ee",
+    5: "855335646939dd0f",
+}
 
 
-def run_soup(mod, sim, seed: int):
+def run_soup(sim, seed: int):
     """Run a scripted random soup; returns (trace, final_now, n_procs)."""
     rng = random.Random(seed)
     trace: list = []
-    chan = mod.Channel(sim, name="c")
-    res = mod.Resource(sim, capacity=2, name="r")
+    chan = live.Channel(sim, name="c")
+    res = live.Resource(sim, capacity=2, name="r")
 
     scripts = []
     for _ in range(12):
@@ -105,7 +121,7 @@ def run_soup(mod, sim, seed: int):
                 v = yield sim.process(child(op[1], i, k), name=f"ch{i}.{k}")
                 trace.append(("joined", i, v, round(sim.now, 9)))
             elif kind == "race":
-                won = yield mod.AnyOf(
+                won = yield live.AnyOf(
                     sim, [sim.timeout(op[1], "a"), sim.timeout(op[2], "b")]
                 )
                 trace.append(("race", i, won, round(sim.now, 9)))
@@ -129,10 +145,9 @@ def run_soup(mod, sim, seed: int):
 class TestDeterminismWitness:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_live_kernel_matches_the_frozen_kernel(self, seed):
-        reference = run_soup(legacy, legacy.Simulator(), seed)
         for queue in QUEUES:
-            got = run_soup(live, new_sim(queue), seed)
-            assert got == reference, f"{queue} queue diverged on seed {seed}"
+            got = checksum(run_soup(new_sim(queue), seed))
+            assert got == SOUP_GOLDEN[seed], f"{queue} queue diverged on seed {seed}"
 
     def test_event_counts_agree_across_queues(self):
         # inline resumptions replace queue dispatches one-for-one, so the
@@ -140,11 +155,56 @@ class TestDeterminismWitness:
         counts = set()
         for queue in QUEUES:
             sim = new_sim(queue)
-            run_soup(live, sim, seed=9)
+            run_soup(sim, seed=9)
             n = sim.events_executed()
             assert n > 0
             counts.add(n)
         assert len(counts) == 1, f"queue counts diverged: {counts}"
+
+
+class TestGoldens:
+    """BENCH_SIMCORE's golden check passes the live kernel and fails a run
+    that dispatched differently."""
+
+    @pytest.mark.parametrize("queue", QUEUES)
+    @pytest.mark.parametrize("name, scale", sorted(GOLDEN))
+    def test_each_queue_reproduces_every_golden(self, name, scale, queue):
+        sim = new_sim(queue)
+        digest = checksum(dict(KERNELS)[name](sim, scale))
+        check_golden(name, scale, digest, sim.events_executed())
+
+    def test_the_harness_reports_the_golden_runs(self):
+        results = run_benchmarks(scale=0.1)
+        assert {
+            (name, 0.1): (r["checksum"], r["events"])
+            for name, r in results["kernels"].items()
+        } == {key: value for key, value in GOLDEN.items() if key[1] == 0.1}
+
+    @pytest.mark.parametrize(
+        "name", ["e17_soak_loop", "e21_transfer_loop", "zero_delay_loop"]
+    )
+    def test_a_tie_reversing_perturbation_fails_the_check(self, name):
+        kernel = dict(KERNELS)[name]
+        sim = Simulator()
+        sim.set_perturbation(lambda seq, delay: (-seq, delay))
+        digest = checksum(kernel(sim, 0.1))
+        events = sim.events_executed()
+        assert digest != GOLDEN[(name, 0.1)][0]
+        if name == "e17_soak_loop":
+            # reordered ties also change what runs: 8514 -> 8891 events
+            assert events != GOLDEN[(name, 0.1)][1]
+        with pytest.raises(AssertionError, match="the golden is"):
+            check_golden(name, 0.1, digest, events)
+
+    def test_an_event_count_mismatch_alone_fails_the_check(self):
+        digest, events = GOLDEN[("idle_poll", 0.1)]
+        check_golden("idle_poll", 0.1, digest, events)
+        with pytest.raises(AssertionError, match="the golden is"):
+            check_golden("idle_poll", 0.1, digest, events + 1)
+
+    def test_a_scale_with_no_golden_fails_the_check(self):
+        with pytest.raises(AssertionError, match="no golden at scale 0.3"):
+            run_benchmarks(scale=0.3)
 
 
 class TestRunUntil:
@@ -490,14 +550,13 @@ class TestTimerLoops:
         assert ticks == [k * self.STEP for k in range(1, 21)]
 
     def test_a_timer_loop_matches_the_frozen_kernel(self):
-        def trace(sim):
+        for queue in QUEUES:
+            sim = new_sim(queue)
             ticks: list = []
             self._loop(sim, ticks, rounds=50)
-            return ticks, sim.run()
-
-        reference = trace(legacy.Simulator())
-        for queue in QUEUES:
-            assert trace(new_sim(queue)) == reference, f"{queue} queue diverged"
+            # checksum((ticks, end)) as the frozen pre-rebuild kernel ran it
+            got = checksum((ticks, sim.run()))
+            assert got == "39d00363c5a4d962", f"{queue} queue diverged"
 
 
 class TestConfigurationGuards:
