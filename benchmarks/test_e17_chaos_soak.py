@@ -200,10 +200,7 @@ def test_e17_chaos_soak(benchmark):
         from repro.telemetry import to_prometheus_text
 
         os.makedirs(artifacts, exist_ok=True)
-        write_chrome_trace(
-            rt, os.path.join(artifacts, "e17_trace.json"),
-            spans=True, counters=True,
-        )
+        write_chrome_trace(rt, os.path.join(artifacts, "e17_trace.json"))
         with open(os.path.join(artifacts, "e17_metrics.prom"), "w") as fh:
             fh.write(to_prometheus_text(rt.telemetry.registry))
         # protocol trace for the offline dist-sanitizer pass in CI

@@ -183,9 +183,7 @@ def test_e18_critical_path(benchmark):
     assert (
         parsed.value("skadi_task_latency_seconds_count") == pull_rt.tasks_finished
     )
-    events = json.loads(
-        json.dumps(to_chrome_trace(pull_rt, spans=True, counters=True))
-    )
+    events = json.loads(json.dumps(to_chrome_trace(pull_rt)))
     phases = {e["ph"] for e in events}
     assert {"X", "C", "s", "f"} <= phases
 
@@ -216,9 +214,6 @@ def test_e18_critical_path(benchmark):
         from repro.runtime.trace import write_chrome_trace
 
         os.makedirs(artifacts, exist_ok=True)
-        write_chrome_trace(
-            pull_rt, os.path.join(artifacts, "e18_trace.json"),
-            spans=True, counters=True,
-        )
+        write_chrome_trace(pull_rt, os.path.join(artifacts, "e18_trace.json"))
         with open(os.path.join(artifacts, "e18_metrics.prom"), "w") as fh:
             fh.write(prom_text)

@@ -5,7 +5,7 @@ The paper's second motivating trend: "giant model training has evolved
 from using SPMD to MPMD over multiple highly-specialized clusters".  A
 3-stage MLP trains GPipe-style — one stage actor per GPU, microbatches
 pipelined through — with results identical to serial training, and the
-task timeline exported as a Chrome trace you can load in chrome://tracing
+run's spans exported as a Chrome trace you can load in chrome://tracing
 to see the pipeline ramp and bubble.
 
 Run:  python examples/pipeline_training.py
@@ -58,7 +58,7 @@ def main() -> None:
 
     trace_path = os.path.join(tempfile.gettempdir(), "skadi_pipeline_trace.json")
     events = write_chrome_trace(runtime, trace_path)
-    print(f"\nwrote {events} task spans to {trace_path}")
+    print(f"\nwrote {events} trace events to {trace_path}")
     print("open chrome://tracing and load it to see the pipeline schedule")
 
 

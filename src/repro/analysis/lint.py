@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ir.core import Function, Module, def_use, is_pure
+from ..ir.core import Function, def_use, is_pure
 from ..ir.passes import _attr_key, _fusable
 from .diagnostics import DiagnosticSet
 
-__all__ = ["lint_function", "lint_module"]
+__all__ = ["lint_function"]
 
 DEAD_VALUE = "dead-value"
 REDUNDANT_MATERIALIZATION = "redundant-materialization"
@@ -120,9 +120,3 @@ def lint_function(func: Function, diags: Optional[DiagnosticSet] = None) -> Diag
             )
     return diags
 
-
-def lint_module(module: Module, diags: Optional[DiagnosticSet] = None) -> DiagnosticSet:
-    diags = diags if diags is not None else DiagnosticSet()
-    for func in module.functions.values():
-        lint_function(func, diags)
-    return diags

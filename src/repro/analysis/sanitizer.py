@@ -28,7 +28,7 @@ from ..cluster.hardware import Device, DeviceKind
 from ..flowgraph.physical import PhysicalGraph, PhysicalTask
 from .diagnostics import DiagnosticSet
 
-__all__ = ["DeviceView", "sanitize_plan", "strict_sanitize", "PlanSanitizerError"]
+__all__ = ["DeviceView", "sanitize_plan", "PlanSanitizerError"]
 
 
 class DeviceView:
@@ -350,14 +350,3 @@ def _report_capacity(
                 hint="relax supported_kinds or shrink shard outputs",
             )
 
-
-def strict_sanitize(
-    pgraph: PhysicalGraph,
-    devices: Optional[Iterable[Device]] = None,
-    blacklisted: Iterable[str] = (),
-) -> DiagnosticSet:
-    """Sanitize and raise :class:`PlanSanitizerError` on any ERROR."""
-    diags = sanitize_plan(pgraph, devices=devices, blacklisted=blacklisted)
-    if not diags.ok:
-        raise PlanSanitizerError(diags)
-    return diags

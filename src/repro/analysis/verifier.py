@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.core import Function, IRVerificationError, Module, _safe_text
+from ..ir.core import Function, _safe_text
 from .diagnostics import DiagnosticSet
 
-__all__ = ["verify_function", "verify_module", "strict_verify"]
+__all__ = ["verify_function"]
 
 HINTS = {
     "duplicate-param": "rename the colliding parameters",
@@ -42,25 +42,3 @@ def verify_function(
         )
     return diags
 
-
-def verify_module(
-    module: Module, diags: Optional[DiagnosticSet] = None
-) -> DiagnosticSet:
-    diags = diags if diags is not None else DiagnosticSet()
-    for func in module.functions.values():
-        verify_function(func, diags)
-    return diags
-
-
-def strict_verify(target) -> DiagnosticSet:
-    """Collect-all verify, then raise :class:`IRVerificationError` with the
-    full rendered report when any ERROR was found.  Returns the (possibly
-    warning-bearing) diagnostic set otherwise."""
-    diags = (
-        verify_module(target)
-        if isinstance(target, Module)
-        else verify_function(target)
-    )
-    if not diags.ok:
-        raise IRVerificationError(diags.render())
-    return diags

@@ -1,6 +1,6 @@
 """Benchmark harness: workload generators, result tables, Table 1 data."""
 
-from .harness import ResultTable, fmt_bytes, fmt_seconds, speedup
+from .harness import ResultTable, fmt_bytes, fmt_seconds
 from .related_work import RELATED_WORK, SystemRow, render_table1, skadi_unique_claim
 from .workloads import (
     bursty_trace,
@@ -14,7 +14,6 @@ __all__ = [
     "ResultTable",
     "fmt_seconds",
     "fmt_bytes",
-    "speedup",
     "RELATED_WORK",
     "SystemRow",
     "render_table1",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-__all__ = ["ResultTable", "fmt_seconds", "fmt_bytes", "speedup"]
+__all__ = ["ResultTable", "fmt_seconds", "fmt_bytes"]
 
 
 def fmt_seconds(seconds: float) -> str:
@@ -26,12 +26,6 @@ def fmt_bytes(nbytes: float) -> str:
             return f"{nbytes:.1f} {unit}" if unit != "B" else f"{int(nbytes)} B"
         nbytes /= 1024
     raise AssertionError("unreachable")
-
-
-def speedup(baseline: float, measured: float) -> str:
-    if measured <= 0:
-        return "inf"
-    return f"{baseline / measured:.2f}x"
 
 
 class ResultTable:
@@ -67,7 +61,3 @@ class ResultTable:
     def show(self) -> None:
         print()
         print(self.to_text())
-
-    def column_values(self, name: str) -> List[str]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]

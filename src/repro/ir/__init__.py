@@ -21,7 +21,6 @@ from .core import (
     Builder,
     Function,
     IRVerificationError,
-    Module,
     OpDef,
     Operation,
     Value,
@@ -35,7 +34,6 @@ from .kernels import HANDCRAFTED, KERNELS, hash_partition, register_handcrafted
 from .lowering import (
     RELATIONAL_TO_DF,
     lower_relational_to_df,
-    lower_to_physical,
     optimize_and_lower,
 )
 from .passes import (
@@ -53,7 +51,6 @@ from .types import FrameType, IRType, ScalarType, TensorType, boolean, f64, i64
 __all__ = [
     "Builder",
     "Function",
-    "Module",
     "Operation",
     "Value",
     "OpDef",
@@ -78,7 +75,6 @@ __all__ = [
     "hash_partition",
     "lower_relational_to_df",
     "optimize_and_lower",
-    "lower_to_physical",
     "RELATIONAL_TO_DF",
     "Pass",
     "PassManager",

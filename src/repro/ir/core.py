@@ -1,4 +1,4 @@
-"""SSA core of the multi-level IR: values, operations, functions, modules.
+"""SSA core of the multi-level IR: values, operations, functions.
 
 Mirrors MLIR's structure at the scale this project needs: a flat SSA region
 per function, dialect-namespaced operations with attribute dictionaries,
@@ -24,7 +24,6 @@ __all__ = [
     "Value",
     "Operation",
     "Function",
-    "Module",
     "Builder",
     "OpDef",
     "register_op",
@@ -303,43 +302,15 @@ PARAM_SITE = -1  # def site index meaning "function parameter"
 @dataclass
 class DefUse:
     """Def-use chains: value id -> def site (op index or PARAM_SITE) and
-    the op indices that read it (returns tracked separately).  In SSA a
-    value has one definition, so liveness and reaching definitions are
-    questions to these sites, not dataflow problems."""
+    the op indices that read it (returns tracked separately)."""
 
     func: Function
     def_site: Dict[int, int] = field(default_factory=dict)
     use_sites: Dict[int, List[int]] = field(default_factory=dict)
     returned: Set[int] = field(default_factory=set)
 
-    def uses_of(self, value: Value) -> List[int]:
-        return list(self.use_sites.get(id(value), []))
-
     def is_dead(self, value: Value) -> bool:
         return not self.use_sites.get(id(value)) and id(value) not in self.returned
-
-    def dead_results(self) -> List[Tuple[int, Operation, Value]]:
-        """(op index, op, result) for every result nothing consumes."""
-        return [
-            (index, op, value)
-            for index, op in enumerate(self.func.ops)
-            for value in op.results
-            if self.is_dead(value)
-        ]
-
-    def live_after(self, index: int, value: Value) -> bool:
-        """Is ``value`` still needed once op ``index`` has run: defined by
-        then, and read by a later op or returned?"""
-        if self.def_site.get(id(value), PARAM_SITE) > index:
-            return False
-        return id(value) in self.returned or any(
-            site > index for site in self.use_sites.get(id(value), ())
-        )
-
-    def reaches(self, index: int, value: Value) -> bool:
-        """Is ``value`` defined before op ``index``, so legal for it to read?"""
-        site = self.def_site.get(id(value))
-        return site is not None and site < index
 
 
 def def_use(func: Function) -> DefUse:
@@ -359,30 +330,6 @@ def _fmt_attr(value: Any) -> str:
     if callable(value):
         return getattr(value, "__name__", "fn")
     return repr(value)
-
-
-class Module:
-    def __init__(self, name: str = "module"):
-        self.name = name
-        self.functions: Dict[str, Function] = {}
-
-    def add(self, func: Function) -> Function:
-        if func.name in self.functions:
-            raise ValueError(f"function {func.name!r} already in module")
-        self.functions[func.name] = func
-        return func
-
-    def func(self, name: str) -> Function:
-        if name not in self.functions:
-            raise KeyError(f"no function {name!r}; have {sorted(self.functions)}")
-        return self.functions[name]
-
-    def verify(self) -> None:
-        for func in self.functions.values():
-            func.verify()
-
-    def to_text(self) -> str:
-        return "\n\n".join(f.to_text() for f in self.functions.values())
 
 
 class Builder:

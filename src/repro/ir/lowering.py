@@ -1,17 +1,16 @@
-"""Dialect lowering: relational -> df, plus backend assignment.
+"""Dialect lowering: relational -> df.
 
 The access layer "collectively lowers" domain declarations "onto one
 logical graph" (§1); within the IR that means rewriting the logical
 ``relational`` ops into physical ``df`` ops (algorithm choices become
-explicit: joins become hash joins) and then annotating each op with a
-hardware backend (see :mod:`repro.ir.backends`).
+explicit: joins become hash joins).  Annotating each op with a hardware
+backend is :func:`repro.ir.backends.select_backends`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from .backends import ALL_BACKENDS, Backend, SelectionPolicy, select_backends
 from .core import Builder, Function, Value
 from .passes import PassManager
 from .relational_passes import relational_optimizer
@@ -19,7 +18,6 @@ from .relational_passes import relational_optimizer
 __all__ = [
     "lower_relational_to_df",
     "optimize_and_lower",
-    "lower_to_physical",
     "RELATIONAL_TO_DF",
 ]
 
@@ -67,15 +65,3 @@ def optimize_and_lower(func: Function) -> Function:
     PassManager().run(lowered)
     return lowered
 
-
-def lower_to_physical(
-    func: Function,
-    backends: Sequence[Backend] = ALL_BACKENDS,
-    policy: SelectionPolicy = SelectionPolicy.CHEAPEST,
-    default_rows: int = 100_000,
-) -> Function:
-    """Full lowering: relational->df (if needed) + backend annotation."""
-    if any(op.dialect == "relational" for op in func.ops):
-        func = lower_relational_to_df(func)
-    select_backends(func, backends, policy, default_rows)
-    return func

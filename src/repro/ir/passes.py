@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .core import Function, IRVerificationError, Module, Operation, Value, def_use, is_pure
+from .core import Function, IRVerificationError, Operation, Value, def_use, is_pure
 from .dialects.kernel import FusedStep
 from .types import IRType
 
@@ -333,31 +333,27 @@ class PassManager:
         self.max_iterations = max_iterations
         self.verify_each = verify_each
 
-    def run(self, target, verify_each: Optional[bool] = None) -> PassStats:
+    def run(self, func: Function, verify_each: Optional[bool] = None) -> PassStats:
         session = OBSERVER.session
         if verify_each is None:
-            # an active analysis session forces bisection mode everywhere
+            # an active analysis session forces verify-after-each-pass everywhere
             verify_each = self.verify_each or session is not None
         stats = PassStats()
-        functions = (
-            list(target.functions.values()) if isinstance(target, Module) else [target]
-        )
-        for func in functions:
-            try:
-                for iteration in range(self.max_iterations):
-                    changed = False
-                    for p in self.passes:
-                        sub = stats.for_pass(p.name)
-                        while self._apply(p, func, sub, iteration, verify_each):
-                            changed = True
-                    stats.iterations = iteration + 1
-                    if not changed:
-                        break
-                func.verify()
-            except MiscompileError as exc:
-                if session is not None:
-                    session.record_miscompile(exc)
-                raise
+        try:
+            for iteration in range(self.max_iterations):
+                changed = False
+                for p in self.passes:
+                    sub = stats.for_pass(p.name)
+                    while self._apply(p, func, sub, iteration, verify_each):
+                        changed = True
+                stats.iterations = iteration + 1
+                if not changed:
+                    break
+            func.verify()
+        except MiscompileError as exc:
+            if session is not None:
+                session.record_miscompile(exc)
+            raise
         stats.aggregate()
         return stats
 

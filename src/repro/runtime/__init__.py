@@ -41,7 +41,7 @@ from .runtime import (
 )
 from .scheduler import PlacementError, Scheduler
 from .supervision import backoff_jitter_fraction, retry_backoff_delay
-from .task import ANY_COMPUTE_KIND, ActorSpec, TaskSpec, TaskState
+from .task import ANY_COMPUTE_KIND, TaskSpec, TaskState
 from .trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "PlacementError",
     "TaskSpec",
     "TaskState",
-    "ActorSpec",
     "ANY_COMPUTE_KIND",
     "LocalRuntime",
     "LocalActorHandle",

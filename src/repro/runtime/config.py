@@ -39,23 +39,17 @@ class RuntimeConfig:
     generation: Generation = Generation.GEN2
     resolution: ResolutionMode = ResolutionMode.PUSH
     scheduling: SchedulingPolicy = SchedulingPolicy.LOCALITY
-    # fault tolerance: lineage replay is always available; a reliable cache
+    # fault tolerance: lineage replay is always available (at most
+    # ``runtime.MAX_LINEAGE_REPLAYS`` rounds per ``get``); a reliable cache
     # (replication/EC) can be layered on via ``reliable_cache``.
-    max_lineage_replays: int = 32
     # -- retry policy (transient failures: interrupts, lost leases, fetch
     # failures).  Backoff is exponential (doubling, see
     # ``supervision.RETRY_BACKOFF_FACTOR``) with deterministic per-attempt
-    # jitter so reruns of a seeded chaos schedule are bit-identical.
+    # jitter (``supervision.RETRY_JITTER`` of the backoff, hashed from the
+    # task id and attempt, see ``supervision.retry_backoff_delay``) so reruns
+    # of a seeded chaos schedule are bit-identical.
     max_retries: int = 4
     retry_backoff_base: float = 1e-3  # seconds before the first retry
-    # jitter fraction of the backoff.  The per-attempt jitter is *hashed*,
-    # not drawn: ``frac = int(md5(f"{task_id}:{retries}")[:8], 16) / 0xFFFFFFFF``
-    # and ``delay = base * 2**(retries-1) * (1 + retry_jitter * frac)``
-    # (see ``supervision.backoff_jitter_fraction``).  md5 is stable across
-    # processes, platforms and Python versions, so seeded chaos replays are
-    # bit-identical; tests/test_overload.py pins exact values of the
-    # sequence to keep refactors honest.
-    retry_jitter: float = 0.25
     # execution watchdog: interrupt + retry a task attempt that has not
     # finished this long after dispatch (None disables)
     task_timeout: Optional[float] = None
@@ -136,9 +130,8 @@ class RuntimeConfig:
     # ``fail_gcs`` fault).  The zero default installs no controller — the
     # runtime's seam lists stay empty — so the legacy event traces (and
     # their virtual timings) are reproduced bit-for-bit.
+    # The winner draw is seeded with ``ha.ELECTION_SEED``.
     ha_replicas: int = 0
-    # seed mixed with the new epoch for the deterministic winner draw
-    ha_election_seed: int = 0
 
     def describe(self) -> str:
         return (

@@ -48,6 +48,8 @@ SYNC_INTERVAL = 1e-3
 MISS_THRESHOLD = 3
 # virtual seconds the election winner spends replaying one WAL record
 REPLAY_COST = 2e-7
+# seed mixed with the new epoch for the deterministic winner draw
+ELECTION_SEED = 0
 
 
 class WalRecord:
@@ -389,7 +391,7 @@ class HAController:
                 yield self.net.rpc(init_ep, self._endpoint(peer), label="ha-vote")
             if not self._live(gen):
                 return
-            rng = random.Random((self.cfg.ha_election_seed << 16) ^ new_epoch)
+            rng = random.Random((ELECTION_SEED << 16) ^ new_epoch)
             winner = rng.choice(candidates)
             log = list(self.replica_logs.get(winner, ()))
             if log:

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _TERMINAL = TERMINAL_STATES
+# rounds of lineage replay one ``get`` runs before UnrecoverableObjectError
+MAX_LINEAGE_REPLAYS = 32
 _Committed = List[Tuple[str, Any, int]]  # (object id, value, nbytes) an attempt committed
 
 # The lifecycle seam: one plain list per point on the runtime, called in list
@@ -414,7 +416,7 @@ class ServerlessRuntime:
         ref_list: List[ObjectRef] = [refs] if single else list(refs)
         deadline = None if timeout is None else self.sim.now + timeout
         object_ids = [ref.object_id for ref in ref_list]
-        for _attempt in range(self.config.max_lineage_replays + 1):
+        for _attempt in range(MAX_LINEAGE_REPLAYS + 1):
             self.sim.run(until=deadline)
             failed, where, lost, unresolved = self.recovery.triage(object_ids)
             if failed is not None:
@@ -433,7 +435,7 @@ class ServerlessRuntime:
                 self.recovery.recover(oid)
         else:
             raise UnrecoverableObjectError(
-                f"objects still lost after {self.config.max_lineage_replays} replays"
+                f"objects still lost after {MAX_LINEAGE_REPLAYS} replays"
             )
         if self.probe_edges is not None:
             # get() returning is the completion flowing back to the driver:
@@ -1281,14 +1283,6 @@ class ServerlessRuntime:
         if span is None:
             raise KeyError(f"no traced task produced {ref.object_id!r}")
         return extract_critical_path(self.telemetry.tracer.finished_spans(), span)
-
-    def telemetry_report(
-        self, critical_path: Optional[CriticalPathResult] = None
-    ):
-        """Paper-style summary tables over the metrics plane."""
-        from ..telemetry.report import TelemetryReport  # sits above this layer
-
-        return TelemetryReport(self, critical_path)
 
 
 def make_reliable_cache(cluster: Cluster, redundancy) -> CachingLayer:

@@ -13,7 +13,7 @@ dispatched (starts the watchers the config asks for) and
   out stands down silently; a task gets at most one per incarnation, and none
   while no leader is serving (its next dispatch arms a fresh watcher).
 * **Hashed jitter.**  A retry waits ``retry_backoff_base * 2**(retries-1) *
-  (1 + retry_jitter * frac)`` with ``frac = int(md5(f"{task_id}:{retries}")
+  (1 + RETRY_JITTER * frac)`` with ``frac = int(md5(f"{task_id}:{retries}")
   [:8], 16) / 0xFFFFFFFF`` — hashed, not drawn from a shared RNG, so retry
   timing never depends on event order and is stable across processes,
   platforms and Python versions.  ``tests/test_overload.py`` pins exact values.
@@ -32,6 +32,8 @@ __all__ = ["Supervisor", "backoff_jitter_fraction", "retry_backoff_delay"]
 
 # each retry waits this many times longer than the one before it
 RETRY_BACKOFF_FACTOR = 2.0
+# the hashed jitter's share of each backoff
+RETRY_JITTER = 0.25
 
 
 def backoff_jitter_fraction(task_id: str, retries: int) -> float:
@@ -44,7 +46,7 @@ def retry_backoff_delay(config: Any, task_id: str, retries: int) -> float:
     """Exponential backoff with deterministic per-attempt jitter; ``retries``
     is the attempt number being scheduled (1 for the first retry)."""
     base = config.retry_backoff_base * RETRY_BACKOFF_FACTOR ** max(0, retries - 1)
-    return base * (1.0 + config.retry_jitter * backoff_jitter_fraction(task_id, retries))
+    return base * (1.0 + RETRY_JITTER * backoff_jitter_fraction(task_id, retries))
 
 
 class Supervisor:

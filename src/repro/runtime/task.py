@@ -1,4 +1,4 @@
-"""Task and actor specifications for the distributed task API.
+"""Task specifications for the distributed task API.
 
 A task carries its *real* Python payload (so results are genuine) plus a
 *cost model* (CPU-seconds of nominal work and output size) so the simulator
@@ -18,7 +18,7 @@ from ..cluster.hardware import DeviceKind
 from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
-    "TaskSpec", "TaskState", "TERMINAL_STATES", "IN_FLIGHT_STATES", "TaskResult", "ActorSpec",
+    "TaskSpec", "TaskState", "TERMINAL_STATES", "IN_FLIGHT_STATES",
     "ANY_COMPUTE_KIND", "check_num_returns", "split_returns",
 ]
 
@@ -102,30 +102,3 @@ def split_returns(value: Any, num_returns: int, name: str) -> Tuple[Any, ...]:
         raise ValueError(f"{name} returned {len(values)} values for num_returns={num_returns}")
     return values
 
-
-@dataclass
-class TaskResult:
-    task_id: str
-    object_id: str
-    nbytes: int
-    node_id: str
-    device_id: str
-    finished_at: float
-    state: TaskState = TaskState.FINISHED
-    error: Optional[str] = None
-
-
-@dataclass
-class ActorSpec:
-    """A stateful worker: methods run serially against retained state."""
-
-    actor_id: str
-    ctor: Callable[..., Any]
-    args: Tuple[Any, ...] = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    supported_kinds: FrozenSet[DeviceKind] = frozenset({DeviceKind.CPU})
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = getattr(self.ctor, "__name__", "actor")

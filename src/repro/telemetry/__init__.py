@@ -13,9 +13,9 @@ optimization targets:
 * analysis on top — :mod:`repro.telemetry.critical_path` attributes
   end-to-end latency to compute/transfer/queue/recovery,
   :mod:`repro.telemetry.prometheus` round-trips the registry through the
-  standard text format, :mod:`repro.telemetry.chrome` adds flow arrows
-  and counter events to Chrome traces, and
-  :mod:`repro.telemetry.report` prints paper-style summary tables.
+  standard text format, and :mod:`repro.telemetry.chrome` turns spans
+  (with their phases and flow arrows) and gauge samples into the Chrome
+  trace events that ``repro.runtime.trace`` writes.
 
 Everything is deterministic under a fixed seed: timestamps come from the
 simulator clock, ids are sequential, and exports are sorted — telemetry
@@ -56,8 +56,6 @@ __all__ = [
     "ParsedMetrics",
     "spans_to_chrome_events",
     "counters_to_chrome_events",
-    "TelemetryReport",
-    "link_utilization",
 ]
 
 
@@ -69,13 +67,3 @@ class Telemetry:
         self.registry = MetricsRegistry(clock=clock)
         self.tracer = Tracer(clock=clock)
 
-
-def __getattr__(name: str):
-    # .report reuses the bench harness tables, and repro.bench pulls in
-    # workload builders that import the runtime — which imports this
-    # package.  Resolving the report lazily keeps the layering acyclic.
-    if name in ("TelemetryReport", "link_utilization"):
-        from . import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """Chrome-trace event generation from spans and metric time series.
 
-Three additions over the timeline-only exporter in ``repro.runtime.trace``:
+``repro.runtime.trace`` writes these next to the runtime's incident instants:
 
+* **span slices** — every finished span (task, transfer, actor call,
+  replay) is a complete ("X") event on its node's row;
 * **phase slices** — a finished task span is drawn with its non-empty
   phases (``<task>:schedule``, ``:resolve-inputs``, ``:wait-device``,
   ``:execute``) nested under it, read from its milestone attrs through
@@ -33,7 +35,7 @@ def _tid(span: Span) -> str:
     return span.device or span.category
 
 
-def spans_to_chrome_events(spans: Sequence[Span], flows: bool = True) -> List[dict]:
+def spans_to_chrome_events(spans: Sequence[Span]) -> List[dict]:
     """Finished spans as complete ("X") events plus causal flow arrows."""
     events: List[dict] = []
     by_id = {s.span_id: s for s in spans}
@@ -73,8 +75,6 @@ def spans_to_chrome_events(spans: Sequence[Span], flows: bool = True) -> List[di
                 for phase, bucket, lo, hi in task_phases(span)
                 if hi - lo > 0
             )
-    if not flows:
-        return events
     flow_id = 0
     for span in spans:
         if span.is_open:
@@ -107,9 +107,7 @@ def spans_to_chrome_events(spans: Sequence[Span], flows: bool = True) -> List[di
     return events
 
 
-def counters_to_chrome_events(
-    registry: MetricsRegistry, pid: str = "metrics"
-) -> List[dict]:
+def counters_to_chrome_events(registry: MetricsRegistry) -> List[dict]:
     """Every gauge sample as a counter ("C") event on a metrics process."""
     events: List[dict] = []
     for family in registry.families():
@@ -129,7 +127,7 @@ def counters_to_chrome_events(
                     "cat": "metric",
                     "ph": "C",
                     "ts": t * 1e6,
-                    "pid": pid,
+                    "pid": "metrics",
                     "args": {"value": value},
                 }
                 for t, value in inst.samples

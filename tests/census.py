@@ -21,9 +21,15 @@ once), from the repo root, in this process.
 ``--report`` sorts every function defined under ``src/`` (found with ``ast``)
 into one class — reached by the ``ledger``, by the ``examples`` (and CI's
 ``repro`` module commands), by ``tests+benchmarks`` only, by ``tests`` only, by
-``benchmarks`` only, or from ``nowhere`` — and lists the last three classes
-function by function.  Only the standard library is used;
-it needs Python 3.11 or later (``code.co_qualname``).
+``benchmarks`` only, or from ``nowhere`` — and prints each class's function
+count and body lines, a per-file table of the ``tests`` and ``nowhere`` lines,
+and the last three classes function by function.  A function's body lines
+are the lines from its ``def`` to its end, less those of the functions
+defined inside it, so no line is counted twice.  A class with no called
+method is invisible to a call census; :func:`unnamed_classes` (the report's
+last section, and ``tests/test_census.py``) finds the top-level classes that
+no code names.  Only the standard library is used; it needs Python 3.11 or
+later (``code.co_qualname``).
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+# where a class counts as named: the package and every tree that runs it
+NAMED_IN = ("src", "tests", "benchmarks", "examples")
 CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 CLASSES = ("ledger", "examples", "tests+benchmarks", "tests", "benchmarks", "nowhere")
 
@@ -177,12 +185,12 @@ def run_examples(path: str) -> None:
 # -- the report ------------------------------------------------------------------------
 
 
-def _defs(node: ast.AST, prefix: str) -> Iterator[Tuple[str, int]]:
-    """``(qualname, line)`` of every function under ``node``, as
-    ``code.co_qualname`` spells it."""
+def _defs(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualname, def node)`` of every function under ``node``, with the
+    qualname spelled as ``code.co_qualname`` spells it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield prefix + child.name, child.lineno
+            yield prefix + child.name, child
             yield from _defs(child, f"{prefix}{child.name}.<locals>.")
         elif isinstance(child, ast.ClassDef):
             yield from _defs(child, f"{prefix}{child.name}.")
@@ -190,13 +198,30 @@ def _defs(node: ast.AST, prefix: str) -> Iterator[Tuple[str, int]]:
             yield from _defs(child, prefix)
 
 
-def defined() -> Dict[str, int]:
-    """``path:qualname`` -> line, for every function defined under ``src/``."""
-    out: Dict[str, int] = {}
+def _span(node: ast.AST) -> int:
+    return node.end_lineno - node.lineno + 1
+
+
+def _body_lines(func: ast.AST) -> int:
+    """Lines from ``def`` to the end, less those of the functions nested in
+    it (and not in another nested function, which already subtracts its own)."""
+    lines, stack = _span(func), list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines -= _span(node)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return lines
+
+
+def defined() -> Dict[str, Tuple[int, int]]:
+    """``path:qualname`` -> (line, body lines), for every function under ``src/``."""
+    out: Dict[str, Tuple[int, int]] = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        for qualname, line in _defs(ast.parse(path.read_text()), ""):
-            out.setdefault(f"{rel}:{qualname}", line)
+        for qualname, node in _defs(ast.parse(path.read_text()), ""):
+            out.setdefault(f"{rel}:{qualname}", (node.lineno, _body_lines(node)))
     return out
 
 
@@ -223,6 +248,32 @@ def classify(
     return classes
 
 
+def unnamed_classes() -> List[str]:
+    """``path:Class`` of every top-level class under ``src/`` that no code in
+    ``NAMED_IN`` names (as a ``Name`` or an ``Attribute``) outside the class
+    itself.  ``__all__`` entries are strings and import lines hold aliases,
+    so neither counts as a use."""
+    classes: Dict[str, List[str]] = {}
+    uses: List[Tuple[str, str]] = []  # (name, "path:Class" it sits in, or "")
+    for top in NAMED_IN:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix() if top == "src" else ""
+            for stmt in ast.parse(path.read_text()).body:
+                owner = ""
+                if isinstance(stmt, ast.ClassDef) and rel:
+                    owner = f"{rel}:{stmt.name}"
+                    classes.setdefault(stmt.name, []).append(owner)
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        uses.append((node.id, owner))
+                    elif isinstance(node, ast.Attribute):
+                        uses.append((node.attr, owner))
+    named = {
+        cls for name, owner in uses for cls in classes.get(name, ()) if cls != owner
+    }
+    return sorted(cls for found in classes.values() for cls in found if cls not in named)
+
+
 def report(tests_file: str, benchmarks_file: str, ledger_file: str, examples_file: str) -> str:
     def load(path: str) -> Set[str]:
         with open(path) as lines:
@@ -232,13 +283,29 @@ def report(tests_file: str, benchmarks_file: str, ledger_file: str, examples_fil
     classes = classify(
         defs, load(tests_file), load(benchmarks_file), load(ledger_file), load(examples_file)
     )
-    lines = [f"{len(defs)} functions under src/"]
-    lines += [f"  {cls:<17} {len(names):>5}" for cls, names in classes.items()]
+
+    def body(names: Iterable[str]) -> int:
+        return sum(defs[name][1] for name in names)
+
+    lines = [f"{len(defs)} functions ({body(defs)} body lines) under src/"]
+    lines += [
+        f"  {cls:<17} {len(names):>5} {body(names):>7} lines" for cls, names in classes.items()
+    ]
+    per_file: Dict[str, Dict[str, int]] = {}
+    for cls in ("tests", "nowhere"):
+        for name in classes[cls]:
+            row = per_file.setdefault(name.split(":")[0], {"tests": 0, "nowhere": 0})
+            row[cls] += defs[name][1]
+    lines.append(f"\n{'tests-only and nowhere lines by file':<40} {'tests':>7} {'nowhere':>7}")
+    for path, row in sorted(per_file.items()):
+        lines.append(f"  {path:<38} {row['tests']:>7} {row['nowhere']:>7}")
     for cls in ("nowhere", "tests", "benchmarks"):
         lines.append(f"\n{cls}:")
         for name in classes[cls]:
             path, qualname = name.split(":")
-            lines.append(f"  {path}:{defs[name]} {qualname}")
+            lines.append(f"  {path}:{defs[name][0]} {qualname}")
+    lines.append("\nclasses no code names:")
+    lines += [f"  {cls}" for cls in unnamed_classes()]
     return "\n".join(lines)
 
 

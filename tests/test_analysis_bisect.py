@@ -1,18 +1,16 @@
-"""Pass-level miscompile bisection and per-pass statistics.
+"""Pass-level miscompile attribution and per-pass statistics.
 
 Five deliberately miscompiling passes — each breaking a different
-invariant — must each be attributed by name, even when interleaved with
-the healthy pipeline."""
+invariant — must each be attributed by name by ``PassManager(verify_each=True)``,
+even when interleaved with the healthy pipeline."""
 
 import pytest
 
-from repro.analysis import bisect_miscompile, clone_function
 from repro.ir import (
     Builder,
     CommonSubexpressionElimination,
     ConstantFold,
     DeadCodeElimination,
-    FuseElementwise,
     MiscompileError,
     PassManager,
 )
@@ -115,26 +113,28 @@ class EmitsUnregisteredOp(Pass):
     ],
 )
 def test_each_seeded_miscompile_is_attributed(bad_pass, cause_fragment):
-    func = _chain()
     passes = [ConstantFold(), CommonSubexpressionElimination(), bad_pass]
-    report = bisect_miscompile(func, passes=passes)
-    assert report is not None
-    assert report.pass_name == bad_pass.name
-    assert cause_fragment in report.cause
-    # the non-destructive default leaves the input verifiable
-    func.verify()
+    with pytest.raises(MiscompileError) as info:
+        PassManager(passes, verify_each=True).run(_chain())
+    assert info.value.pass_name == bad_pass.name
+    assert cause_fragment in info.value.cause
 
 
 def test_report_diff_shows_the_guilty_rewrite():
-    report = bisect_miscompile(_chain(), passes=[DropsNeededOp()])
-    diff = report.diff()
+    with pytest.raises(MiscompileError) as info:
+        PassManager([DropsNeededOp()], verify_each=True).run(_chain())
+    diff = info.value.diff()
     assert "-  %v0 = linalg.add(%x, %x)" in diff
     assert "before drops-needed-op" in diff
-    assert "linalg.add" in report.render()
+    assert "linalg.add" in info.value.render()
+    assert info.value.before_text != info.value.after_text
 
 
 def test_clean_pipeline_reports_nothing():
-    assert bisect_miscompile(_chain()) is None
+    func = _chain()
+    stats = PassManager(verify_each=True).run(func)  # raises nothing
+    assert stats.ops_fused >= 1  # the healthy pipeline did rewrite the chain
+    func.verify()
 
 
 def test_passmanager_verify_each_raises_named_error():
@@ -150,8 +150,8 @@ def test_passmanager_verify_each_raises_named_error():
 
 
 def test_without_verify_each_the_break_surfaces_late():
-    """The contrast bisection exists for: the plain manager only notices at
-    the final whole-function verify, with no pass attribution."""
+    """The contrast verify-after-each-pass exists for: the plain manager only
+    notices at the final whole-function verify, with no pass attribution."""
     func = _chain()
     manager = PassManager([CorruptsResultType()])
     with pytest.raises(MiscompileError) as info_each:
@@ -166,32 +166,44 @@ def test_without_verify_each_the_break_surfaces_late():
 
 
 def test_in_place_keeps_broken_ir_for_inspection():
-    func = _chain()
-    report = bisect_miscompile(func, passes=[DropsNeededOp()], in_place=True)
-    assert report is not None
-    assert all(op.name != "add" for op in func.ops)  # the bad rewrite stuck
-
-
-def test_clone_function_is_deep_and_equivalent():
-    func = _chain()
-    copy = clone_function(func)
-    assert copy.to_text() == func.to_text()
-    assert copy.ops[0] is not func.ops[0]
-    assert copy.ops[0].results[0] is not func.ops[0].results[0]
-    copy.verify()
-    # mutating the clone leaves the original alone
-    del copy.ops[0]
-    func.verify()
-
-
-def test_bisection_returns_the_raised_error():
+    """Passes rewrite in place: after the error the function holds the
+    guilty rewrite, which is what ``after_text`` prints."""
     func = _chain()
     with pytest.raises(MiscompileError) as info:
         PassManager([DropsNeededOp()], verify_each=True).run(func)
-    report = bisect_miscompile(_chain(), passes=[DropsNeededOp()])
-    assert isinstance(report, MiscompileError)
-    assert report.before_text != report.after_text
-    assert (report.pass_name, report.render()) == (info.value.pass_name, info.value.render())
+    assert all(op.name != "add" for op in func.ops)  # the bad rewrite stuck
+    assert func.to_text() == info.value.after_text
+
+
+class BreaksOnSecondVisit(Pass):
+    """Clean on its first run, then drops the op the function returns."""
+
+    name = "breaks-on-second-visit"
+
+    def __init__(self):
+        self.visits = 0
+
+    def run(self, func, stats):
+        self.visits += 1
+        if self.visits < 2:
+            return False
+        func.ops.pop()
+        return True
+
+
+def test_the_error_names_the_fixpoint_iteration():
+    """DCE's rewrite in iteration 0 forces a second sweep, and the breaker
+    only strikes in it: the error names iteration 1, not the first."""
+    b = Builder("victim")
+    x = b.add_param("x", _tensor())
+    b.emit("linalg", "exp", [x])  # dead: DCE removes it in iteration 0
+    relu = b.emit("linalg", "relu", [x])
+    func = b.ret(relu.result())
+    manager = PassManager([DeadCodeElimination(), BreaksOnSecondVisit()], verify_each=True)
+    with pytest.raises(MiscompileError) as info:
+        manager.run(func)
+    assert (info.value.pass_name, info.value.iteration) == ("breaks-on-second-visit", 1)
+    assert "linalg.exp" not in info.value.before_text  # DCE's rewrite had landed
 
 
 # -- per-pass statistics (the PassManager satellite) -----------------------------

@@ -3,8 +3,8 @@ pipeline output is always clean (no false positives after the passes ran)."""
 
 import numpy as np
 
-from repro.analysis import lint_function, lint_module
-from repro.ir import Builder, Module, PassManager
+from repro.analysis import lint_function
+from repro.ir import Builder, PassManager
 from repro.ir.types import TensorType
 
 
@@ -96,15 +96,3 @@ def test_optimized_pipeline_output_is_lint_clean():
     PassManager().run(func)
     after = lint_function(func)
     assert not after, after.render()
-
-
-def test_lint_module_collects_across_functions():
-    module = Module()
-    for name in ("f", "g"):
-        b = Builder(name)
-        x = b.add_param("x", _tensor())
-        b.emit("linalg", "exp", [x])
-        relu = b.emit("linalg", "relu", [x])
-        module.add(b.ret(relu.result()))
-    diags = lint_module(module)
-    assert sorted({d.func for d in diags}) == ["f", "g"]

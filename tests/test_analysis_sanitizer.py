@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import PlanSanitizerError, sanitize_plan, strict_sanitize
+from repro.analysis import PlanSanitizerError, sanitize_plan
 from repro.caching.columnar import RecordBatch
 from repro.cluster.cluster import build_physical_disagg
 from repro.cluster.hardware import DeviceKind
@@ -172,15 +172,6 @@ def test_kind_memory_oversubscription_is_warning():
 # -- strict mode / scheduler integration ----------------------------------------
 
 
-def test_strict_sanitize_raises_on_errors():
-    _, pgraph = _plan()
-    pgraph.tasks["v1.0"].pinned_device = "ghost"
-    with pytest.raises(PlanSanitizerError) as info:
-        strict_sanitize(pgraph, devices=_cluster().all_devices())
-    assert "pin-unknown-device" in str(info.value)
-    assert not info.value.diagnostics.ok
-
-
 def test_scheduler_sanitize_plan_sees_blacklist():
     runtime = ServerlessRuntime(_cluster())
     victim = runtime.scheduler._devices[0].device_id
@@ -195,8 +186,10 @@ def test_strict_launch_refuses_hazardous_plan():
     runtime = ServerlessRuntime(_cluster(), RuntimeConfig(strict_plans=True))
     _, pgraph = _plan()
     pgraph.tasks["v1.0"].pinned_device = "ghost"
-    with pytest.raises(PlanSanitizerError):
+    with pytest.raises(PlanSanitizerError) as info:
         launch_physical_graph(runtime, pgraph, tables={"t": _table()})
+    assert "pin-unknown-device" in str(info.value)
+    assert not info.value.diagnostics.ok
 
 
 def test_strict_launch_allows_clean_plan():

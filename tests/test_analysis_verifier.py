@@ -2,11 +2,10 @@
 module per rule, flagged by ``verify_function`` and raised by
 ``Function.verify()``."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import strict_verify, verify_function, verify_module
-from repro.ir import Builder, FusedStep, IRVerificationError, Module
+from repro.analysis import verify_function
+from repro.ir import Builder, FusedStep, IRVerificationError
 from repro.ir.core import Function, Operation, Value
 from repro.ir.types import TensorType, f64
 
@@ -173,25 +172,6 @@ def test_collect_all_reports_every_violation_at_once():
     codes = diags.codes()
     assert {"type-mismatch", "undefined-return", "op-after-return"} <= set(codes)
     assert len(diags.errors) >= 3
-
-
-def test_strict_verify_raises_with_rendered_report():
-    func, x, add, _ = _chain()
-    add.result().type = TensorType((9,), "float64")
-    with pytest.raises(IRVerificationError, match="type-mismatch"):
-        strict_verify(func)
-
-
-def test_verify_module_walks_every_function():
-    good, *_ = _chain()
-    bad, _, add, _ = _chain()
-    bad.name = "bad"
-    add.result().type = TensorType((9,), "float64")
-    module = Module()
-    module.add(good)
-    module.add(bad)
-    diags = verify_module(module)
-    assert [d.func for d in diags.errors] == ["bad"] * len(diags.errors)
 
 
 def test_diagnostic_rendering_mentions_op_text_and_hint():

@@ -13,7 +13,6 @@ from repro.bench import (
     orders_table,
     render_table1,
     skadi_unique_claim,
-    speedup,
 )
 
 
@@ -29,20 +28,16 @@ class TestFormatting:
         assert fmt_bytes(3 * 1024 * 1024) == "3.0 MiB"
         assert fmt_bytes(5 * 1024**3) == "5.0 GiB"
 
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == "2.00x"
-        assert speedup(1.0, 0.0) == "inf"
-
 
 class TestResultTable:
-    def test_render_and_lookup(self):
+    def test_render(self):
         table = ResultTable("demo", ["a", "b"])
         table.add_row(1, "x")
         table.add_row(22, "yy")
         text = table.to_text()
         assert "== demo ==" in text
         assert "a  | b" in text
-        assert table.column_values("b") == ["x", "yy"]
+        assert text.splitlines()[-1] == "22 | yy"
 
     def test_row_arity_checked(self):
         table = ResultTable("demo", ["a"])

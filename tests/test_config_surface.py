@@ -14,7 +14,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import enum
+import importlib
 from pathlib import Path
+
+import pytest
 
 from repro.runtime import RuntimeConfig
 
@@ -60,3 +63,21 @@ def test_every_field_is_moved_off_its_default_somewhere():
         f"{'/, '.join(SCANNED)}/: {idle} — exercise the option in a test, or "
         f"make it a constant next to its reader"
     )
+
+
+# fields that only the tests of their own mechanism ever set: each is now a
+# module constant next to its one reader, with the field's old default
+RETIRED = {
+    "max_lineage_replays": ("repro.runtime.runtime", "MAX_LINEAGE_REPLAYS", 32),
+    "retry_jitter": ("repro.runtime.supervision", "RETRY_JITTER", 0.25),
+    "ha_election_seed": ("repro.runtime.ha", "ELECTION_SEED", 0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(RETIRED))
+def test_a_retired_field_is_a_constant_with_its_old_default(field):
+    module, constant, default = RETIRED[field]
+    assert field not in DEFAULTS
+    with pytest.raises(TypeError):
+        RuntimeConfig(**{field: default})
+    assert getattr(importlib.import_module(module), constant) == default

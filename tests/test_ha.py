@@ -146,10 +146,9 @@ class TestFailover:
         assert rt.ha is not None and rt.ha.cluster_lost
         assert "ha_cluster_lost" in [e.kind for e in rt.events]
 
-    def test_election_winner_is_the_seeded_draw(self):
-        rt = ServerlessRuntime(
-            build_serverful(n_servers=5), ha_config(3, ha_election_seed=11)
-        )
+    def test_election_winner_is_the_seeded_draw(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.ha.ELECTION_SEED", 11)
+        rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(3))
         ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=10e-3)).arm()
         rt.get(lane_workload(rt))
         candidates = sorted(["server1", "server2", "server3"])
@@ -157,6 +156,21 @@ class TestFailover:
         assert rt.ha is not None and rt.ha.leader_node == expected
         assert rt.log.count("detector_stalled") == 0
         assert_recovery_drained(rt)
+
+    def test_the_election_seed_steers_the_winner(self, monkeypatch):
+        """The default seed and one that draws another standby elect what
+        their draws name, so the constant is what the election reads."""
+        candidates = ["server1", "server2", "server3"]
+        leaders = []
+        for seed in (0, 1):  # 0 is ha.ELECTION_SEED's default
+            monkeypatch.setattr("repro.runtime.ha.ELECTION_SEED", seed)
+            rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(3))
+            ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=10e-3)).arm()
+            rt.get(lane_workload(rt))
+            assert rt.ha is not None
+            assert rt.ha.leader_node == random.Random((seed << 16) ^ 2).choice(candidates)
+            leaders.append(rt.ha.leader_node)
+        assert leaders == ["server1", "server3"]
 
     def test_replicas_must_fit_the_cluster(self):
         with pytest.raises(ValueError, match="ha_replicas"):

@@ -18,7 +18,6 @@ from repro.ir import (
     estimated_cost,
     lit,
     lower_relational_to_df,
-    lower_to_physical,
     op_work_elements,
     run_function,
     select_backends,
@@ -79,10 +78,10 @@ class TestLowering:
             "linalg.frame_to_tensor",
         ]
 
-    def test_lower_to_physical_annotates_backends(self):
-        func = relational_query()
-        physical = lower_to_physical(func)
-        assert all("backend" in op.attrs for op in physical.ops)
+    def test_select_backends_annotates_the_lowered_ops(self):
+        lowered = lower_relational_to_df(relational_query())
+        select_backends(lowered)
+        assert all("backend" in op.attrs for op in lowered.ops)
 
 
 class TestWorkModel:

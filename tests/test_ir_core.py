@@ -8,7 +8,6 @@ from repro.ir import (
     Builder,
     FrameType,
     IRVerificationError,
-    Module,
     TensorType,
     col,
     lit,
@@ -127,30 +126,6 @@ class TestPrinting:
             return b.ret(scan.result()).to_text()
 
         assert build() == build()
-
-
-class TestModule:
-    def test_add_and_lookup(self):
-        m = Module("m")
-        b = Builder("f")
-        scan = b.emit("relational", "scan", (), {"table": "t", "schema": simple_frame()})
-        func = b.ret(scan.result())
-        m.add(func)
-        assert m.func("f") is func
-        m.verify()
-        assert "func @f" in m.to_text()
-
-    def test_duplicate_function_rejected(self):
-        m = Module()
-        b = Builder("f")
-        scan = b.emit("relational", "scan", (), {"table": "t", "schema": simple_frame()})
-        m.add(b.ret(scan.result()))
-        with pytest.raises(ValueError):
-            m.add(b.function)
-
-    def test_missing_function(self):
-        with pytest.raises(KeyError):
-            Module().func("ghost")
 
 
 class TestOpRegistry:

@@ -30,6 +30,7 @@ from repro.runtime import (
     TaskState,
     backoff_jitter_fraction,
     retry_backoff_delay,
+    supervision,
 )
 
 OFF_SWITCHES = dict(
@@ -87,8 +88,9 @@ class TestBackoffJitterPin:
                 assert 0.0 <= frac <= 1.0
                 assert frac == backoff_jitter_fraction(tid, retries)
 
-    def test_delay_sequence_exact_values(self):
-        cfg = RuntimeConfig(retry_backoff_base=1e-3, retry_jitter=0.5)
+    def test_delay_sequence_exact_values(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.supervision.RETRY_JITTER", 0.5)
+        cfg = RuntimeConfig(retry_backoff_base=1e-3)
         delays = [retry_backoff_delay(cfg, "task1", r) for r in (1, 2, 3, 4)]
         assert delays == [
             0.001313637645173268,
@@ -97,10 +99,24 @@ class TestBackoffJitterPin:
             0.009675217714550722,
         ]
 
-    def test_runtime_uses_the_pinned_delay(self):
+    def test_default_delay_sequence_exact_values(self):
+        """The default jitter (``supervision.RETRY_JITTER`` = 0.25), pinned:
+        the values every seeded chaos replay has used."""
+        assert supervision.RETRY_JITTER == 0.25
+        cfg = RuntimeConfig(retry_backoff_base=1e-3)
+        delays = [retry_backoff_delay(cfg, "task1", r) for r in (1, 2, 3, 4)]
+        assert delays == [
+            0.0011568188225866338,
+            0.0020898574905213567,
+            0.004827654130018236,
+            0.008837608857275362,
+        ]
+
+    def test_runtime_uses_the_pinned_delay(self, monkeypatch):
         """Pinned through what the runtime does: one refused lease, and the
         re-dispatch comes exactly the pinned delay after the ``task_retry``."""
-        rt = make_rt(n_servers=1, retry_jitter=0.5)
+        monkeypatch.setattr("repro.runtime.supervision.RETRY_JITTER", 0.5)
+        rt = make_rt(n_servers=1)
         refusals, dispatched = iter(["refused once"]), []
         rt.lease_gates.append(lambda ctx, raylet: next(refusals, None))
         rt.on_dispatch.append(lambda ctx: dispatched.append(rt.sim.now))

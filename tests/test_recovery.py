@@ -31,7 +31,6 @@ def config(mode) -> RuntimeConfig:
         resolution=mode,
         max_retries=10,
         retry_backoff_base=2e-3,
-        max_lineage_replays=2,
         sanitizers=("trace", "invariants", "hb"),
     )
 
@@ -47,6 +46,10 @@ class TestCrossCommitWitness:
     """Every way a lost object comes back (or an object goes), pinned across
     commits: log records, protocol events, spans, metrics, the clock, the
     fabric counters and what the driver saw must all replay exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _two_lineage_replays(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.runtime.MAX_LINEAGE_REPLAYS", 2)
 
     VICTIM = "gpucard0/gpu0"  # the chain's home; restores land on the head node
     CONSUMER = "server1/cpu"
@@ -156,7 +159,7 @@ class TestCrossCommitWitness:
             rt.fail_device(self.VICTIM)
             rt.restore_device(self.VICTIM)
 
-        strikes_left = 3  # one more than max_lineage_replays
+        strikes_left = 3  # one more than MAX_LINEAGE_REPLAYS
 
         def saboteur(ready_oid):
             nonlocal strikes_left

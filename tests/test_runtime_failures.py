@@ -14,7 +14,7 @@ from repro.runtime import (
     ServerlessRuntime,
     UnrecoverableObjectError,
 )
-from repro.runtime.runtime import make_reliable_cache
+from repro.runtime.runtime import MAX_LINEAGE_REPLAYS, make_reliable_cache
 
 from conftest import assert_recovery_drained
 
@@ -370,12 +370,10 @@ class TestDeadActorPath:
 
 
 class TestReplayExhaustion:
-    def test_unrecoverable_after_max_replays(self):
+    def test_unrecoverable_after_max_replays(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.runtime.MAX_LINEAGE_REPLAYS", 2)
         cluster = build_serverful(n_servers=1)
-        rt = ServerlessRuntime(
-            cluster,
-            RuntimeConfig(resolution=ResolutionMode.PULL, max_lineage_replays=2),
-        )
+        rt = ServerlessRuntime(cluster, RuntimeConfig(resolution=ResolutionMode.PULL))
         cpu = cluster.node("server0").first_of_kind(DeviceKind.CPU)
         ref = build_chain(rt, 3, device=cpu.device_id)
         assert rt.get(ref) == 3
@@ -394,14 +392,40 @@ class TestReplayExhaustion:
         rt.object_ready_hooks.remove(saboteur)
         assert_recovery_drained(rt)
 
+    def test_the_default_budget_is_the_constant(self):
+        """Without a patch a ``get`` spends exactly MAX_LINEAGE_REPLAYS (32)
+        rounds on an object that keeps getting lost."""
+        assert MAX_LINEAGE_REPLAYS == 32
+        cluster = build_serverful(n_servers=1)
+        rt = ServerlessRuntime(cluster, RuntimeConfig(resolution=ResolutionMode.PULL))
+        cpu = cluster.node("server0").first_of_kind(DeviceKind.CPU)
+        ref = build_chain(rt, 2, device=cpu.device_id)
+        assert rt.get(ref) == 2
+        strikes = []
+
+        def saboteur(ready_oid):
+            if ready_oid == ref.object_id:
+                strikes.append(rt.sim.now)
+                rt.fail_node("server0")
+                rt.restart_node("server0")
+
+        rt.fail_node("server0")
+        rt.restart_node("server0")
+        rt.object_ready_hooks.append(saboteur)
+        with pytest.raises(UnrecoverableObjectError, match="after 32 replays"):
+            rt.get(ref)
+        assert len(strikes) == MAX_LINEAGE_REPLAYS  # every round's replay was lost again
+        rt.object_ready_hooks.remove(saboteur)
+        assert_recovery_drained(rt)
+
     def test_replay_budget_not_consumed_by_success(self):
         rt = pull_runtime()
         cpu = rt.cluster.node("server0").first_of_kind(DeviceKind.CPU)
         ref = build_chain(rt, 3, device=cpu.device_id)
         assert rt.get(ref) == 3
-        # lose and recover max_lineage_replays times in *separate* gets:
+        # lose and recover MAX_LINEAGE_REPLAYS times in *separate* gets:
         # the budget is per-get, not per-object lifetime
-        for _ in range(rt.config.max_lineage_replays):
+        for _ in range(MAX_LINEAGE_REPLAYS):
             rt.fail_node("server0")
             rt.restart_node("server0")
             assert rt.get(ref) == 3

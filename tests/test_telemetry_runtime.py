@@ -17,6 +17,7 @@ from repro.runtime import (
     ResolutionMode,
     RuntimeConfig,
     ServerlessRuntime,
+    TaskError,
     to_chrome_trace,
 )
 from repro.runtime.runtime import make_reliable_cache
@@ -296,7 +297,7 @@ class TestRuntimeSpans:
         (_, _, _, d), _ = run_diamond(rt)
         span = rt.span_of(d)
         phases = [
-            e for e in to_chrome_trace(rt, spans=True)
+            e for e in to_chrome_trace(rt)
             if e["ph"] == "X" and e["name"].startswith(f"{span.name}:")
             and e["args"]["parent_id"] == span.span_id
         ]
@@ -403,12 +404,18 @@ class TestIncidentRoundTrip:
 
 
 class TestChromeTraceIntegration:
-    def test_default_output_unchanged_shape(self):
+    def test_one_task_slice_per_timeline(self):
+        """The span graph and the timelines the ledger reads agree: one task
+        slice per finished task, on the device the timeline names."""
         rt = pull_runtime()
         run_diamond(rt)
         events = to_chrome_trace(rt)
-        assert all(e["ph"] in ("X", "i") for e in events)
-        assert sum(1 for e in events if e["ph"] == "X") == 4
+        assert {e["ph"] for e in events} <= {"X", "i", "s", "f", "C"}
+        task_x = sorted(
+            (e["name"], e["tid"]) for e in events if e["ph"] == "X" and e["cat"] == "task"
+        )
+        assert task_x == sorted((tl.name, tl.device_id) for tl in rt.timelines)
+        assert len(task_x) == 4
 
     def test_node_scoped_instants_use_process_scope(self):
         rt = pull_runtime()
@@ -454,10 +461,10 @@ class TestChromeTraceIntegration:
             ("raylet_takeover", "recovery"), ("blade_dead", "failure"), ("gcs_lost", "failure"),
         ]
 
-    def test_spans_mode_replaces_timeline_slices(self):
+    def test_trace_holds_the_span_graph_and_counters(self):
         rt = pull_runtime()
         run_diamond(rt)
-        events = to_chrome_trace(rt, spans=True, counters=True)
+        events = to_chrome_trace(rt)
         x_events = [e for e in events if e["ph"] == "X"]
         task_x = [e for e in x_events if e["cat"] == "task"]
         assert len(task_x) == 4
@@ -468,6 +475,39 @@ class TestChromeTraceIntegration:
         # flows bind to enclosing slices so Perfetto draws arrows onto spans
         assert all(e.get("bp") == "e" for e in events if e["ph"] == "f")
 
+    def test_incidents_spans_and_counters_share_one_trace(self):
+        rt = pull_runtime()
+        (_, _, _, d), _ = run_diamond(rt)
+        rt.fail_node("server1")
+        events = to_chrome_trace(rt)
+        kinds = [e["ph"] for e in events]
+        # spans first, then the incident instants, then the gauge samples
+        assert kinds.index("i") > max(i for i, ph in enumerate(kinds) if ph in "Xsf")
+        assert kinds.index("C") > max(i for i, ph in enumerate(kinds) if ph == "i")
+        assert rt.span_of(d).span_id in {e.get("args", {}).get("span_id") for e in events}
+
+    def test_a_failed_task_is_drawn_without_phases(self):
+        rt = pull_runtime()
+
+        def boom():
+            raise ValueError("no")
+
+        ref = rt.submit(boom, name="boom")
+        with pytest.raises(TaskError):
+            rt.get(ref)
+        events = to_chrome_trace(rt)
+        (slice_,) = [e for e in events if e["ph"] == "X" and e["name"] == "boom"]
+        assert slice_["cat"] == "task"
+        assert not [e for e in events if e["name"].startswith("boom:")]
+
+    def test_the_exporters_take_no_flags(self):
+        from repro.runtime import write_chrome_trace
+
+        assert list(inspect.signature(to_chrome_trace).parameters) == ["runtime"]
+        assert list(inspect.signature(write_chrome_trace).parameters) == [
+            "runtime", "path_or_file",
+        ]
+
     def test_trace_is_json_serializable(self, tmp_path):
         import json
 
@@ -476,26 +516,6 @@ class TestChromeTraceIntegration:
         rt = pull_runtime()
         run_diamond(rt)
         out = tmp_path / "trace.json"
-        n = write_chrome_trace(rt, str(out), spans=True, counters=True)
+        n = write_chrome_trace(rt, str(out))
         payload = json.loads(out.read_text())
         assert len(payload["traceEvents"]) == n
-
-
-class TestTelemetryReport:
-    def test_report_renders_all_tables(self):
-        rt = pull_runtime()
-        (_, _, _, d), _ = run_diamond(rt)
-        report = rt.telemetry_report(rt.critical_path(d))
-        text = report.to_text()
-        assert "telemetry: tasks" in text
-        assert "telemetry: task latency" in text
-        assert "telemetry: fabric links" in text
-        assert "telemetry: critical-path attribution" in text
-        assert "100.0%" in text
-
-    def test_report_works_on_physical_disagg(self):
-        rt = ServerlessRuntime(
-            build_physical_disagg(), RuntimeConfig(resolution=ResolutionMode.PULL)
-        )
-        run_diamond(rt)
-        assert "telemetry: tasks" in rt.telemetry_report().to_text()

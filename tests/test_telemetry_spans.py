@@ -156,7 +156,7 @@ class TestChromeExport:
     def test_spans_become_complete_events(self):
         tracer = Tracer()
         span = tracer.emit("t", "task", 0.0, 1.0, node="server0", device="server0/cpu0")
-        (event,) = spans_to_chrome_events([span], flows=False)
+        (event,) = spans_to_chrome_events([span])
         assert event["ph"] == "X"
         assert event["pid"] == "server0"
         assert event["tid"] == "server0/cpu0"
