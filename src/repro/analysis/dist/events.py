@@ -23,9 +23,9 @@ Sites
 ``attempt:<task>#<n>``
     one execution attempt of one task — a fresh site per attempt, since
     attempts of the same task may overlap under speculation.
-``push:<oid>-><dev>`` / ``raylet@<endpoint>``
-    data-plane push processes and per-raylet local state (fetch-dedup
-    registry, heartbeat sender).
+``push:<oid>`` / ``raylet@<endpoint>``
+    data-plane push waves (one site per object) and per-raylet local state
+    (fetch-dedup registry, heartbeat sender).
 ``chaos``
     the external adversary.  Chaos events have no causal ancestry: a
     fault races with everything not ordered after its effects.

@@ -445,7 +445,7 @@ class DistProbe:
         )
 
     def push_start(self, site: str, object_id: str, targets: int = 1) -> None:
-        """A push/multicast process woke up to distribute a ready object.
+        """A push wave woke up to distribute a ready object.
 
         The ``ready:`` recv is what orders the push's ``add_location``
         writes after the producer's commit (or the driver's put).

@@ -2,11 +2,11 @@
 
 §2.3.2's axis is who starts the move.  Under PULL the consumer's raylet
 locates the object through the GCS and fetches it on demand; under PUSH the
-producer's side ships it to every subscribed consumer device the moment it is
-ready, one multicast tree per wave.  The three protocols here (pull, unicast
-push, multicast push) differ in that, in when the fetch-dedup leader registers
-and in their spans; what they share — carry the bytes to a device, put them in
-its store, tell the directory — is written once (``_carry``, ``_land``).
+producer's side ships it to every waiting consumer device the moment it is
+ready, one spanning tree per wave.  The two protocols differ in that, in when
+the fetch-dedup leader registers and in their spans; what they share — land
+the bytes in a store and tell the directory, ride a pending fetch — is
+written once (``_land``, ``_join``).
 
 The miss contract: a move that does not end with the copy in the destination
 store — source lost before the start, a partition, a source emptied
@@ -14,15 +14,16 @@ mid-flight, a refused put — is a *miss*, reported the same way whatever went
 wrong, never an exception and never a silent success.  Each protocol turns a
 miss into its retry currency: a pull leaves the argument missing and
 ``resolve`` hands the core the count; a push interrupts the attempts still
-waiting on that (object, device) arrival, and their retry re-subscribes them.
+waiting on that (object, device) arrival, and each retry is pushed it again.
 
-Both modes' "who waits for this commit" lives here: PUSH dispatches at once
-and keeps ``subs``, the attempts awaiting a push; PULL parks a task until its
-arguments are all READY and keeps ``waiting``.  A release pass rescans nothing:
-it takes the parked readers of every object that turned READY since the last
-pass — not only of the one being reported: the directory says READY at the
-commit, one ``done`` message before the report, and another object's report in
-that window is what dispatches the task — and confirms each before it goes.
+"Who waits for this commit" is the readers the lineage records: PUSH
+dispatches at once and pushes a commit to the readers' attempts still waiting;
+PULL parks a task until its arguments are all READY and keeps ``waiting``.  A
+release pass rescans nothing: it takes the parked readers of every object that
+turned READY since the last pass — not only of the one being reported: the
+directory says READY at the commit, one ``done`` message before the report, and
+another object's report in that window is what dispatches the task — and
+confirms each before it goes.
 """
 
 from __future__ import annotations
@@ -39,18 +40,20 @@ from .task import TaskState
 
 __all__ = ["DataPlane"]
 
+_AWAITING = (TaskState.SCHEDULED, TaskState.RESOLVING)  # dispatched, arguments not all in
+
 
 class DataPlane:
-    """Subscriptions, the waiting room, arrivals, the three protocols and the
-    one mover."""
+    """The waiting room, arrivals, the two protocols and what they share."""
 
     def __init__(self, runtime: Any):  # the core (it imports this module, not the reverse)
         self.rt = runtime
         self.push_mode = runtime.config.resolution == ResolutionMode.PUSH
         # a live store holding the object, else a miss (with recovery started)
         self._source = runtime.recovery.source
-        self.subs: Dict[str, List[Any]] = {}  # object -> attempts awaiting its commit
-        self.arrivals: Dict[Tuple[str, str], Signal] = {}  # (object, device) landed
+        # (object, device) -> landed: an un-triggered one lives only while an
+        # attempt on that device waits for it
+        self.arrivals: Dict[Tuple[str, str], Signal] = {}
         # pushes of one object queued this instant, flushed as a single
         # spanning-tree distribution
         self.pending_pushes: Dict[str, List[Any]] = {}
@@ -121,8 +124,8 @@ class DataPlane:
             self._m_waiting.set(float(len(self.waiting)))
 
     def subscribe(self, ctx: Any) -> None:
-        """At dispatch (PUSH only): the attempt will wait for each argument to
-        arrive on its device; one that is already ready starts moving now."""
+        """At dispatch (PUSH only): an argument already ready starts moving to
+        the attempt's device now; the rest reach it when they commit."""
         if not self.push_mode:
             return
         device_id = ctx.device.device_id
@@ -132,15 +135,12 @@ class DataPlane:
             if local.contains(oid):
                 self._arrived(oid, device_id)
                 continue
-            sig = self.arrivals.get((oid, device_id))
-            if sig is not None and sig.triggered:
+            if self._landed(oid, device_id):
                 # an arrival lives only as long as its copy: this one announced
                 # a copy the store has since lost, and must not stop the push
                 del self.arrivals[oid, device_id]
             if self.rt.ownership.is_ready(oid):
                 self._queue_push(oid, ctx)
-            else:
-                self.subs.setdefault(oid, []).append(ctx)
 
     def resolve(self, ctx: Any, raylet: Raylet, device: Device) -> Generator:
         """Inside the attempt: wait until the arguments are in ``device``'s
@@ -155,10 +155,13 @@ class DataPlane:
             self._m_misses.of(device.device_id).inc(len(missing))
         sim = self.rt.sim
         if self.push_mode:
-            sigs = [self._arrival(r.object_id, device.device_id) for r in deps]
-            waits = [sig for sig in sigs if not sig.triggered]
+            sigs = {r.object_id: self._arrival(r.object_id, device.device_id) for r in deps}
+            waits = [sig for sig in sigs.values() if not sig.triggered]
             if waits:
-                yield sim.all_of(waits)
+                try:
+                    yield sim.all_of(waits)
+                finally:
+                    self._stop_waiting(ctx, device.device_id, sigs)
             probe = self.rt.probe_edges
             if probe is not None:
                 probe.arrived(
@@ -184,11 +187,12 @@ class DataPlane:
         return sum(not local.contains(r.object_id) for r in missing)
 
     def publish(self, object_id: str) -> None:
-        """At commit: start the pushes the object's subscribers wait for (a
-        wave of consumers coalesces into one multicast distribution)."""
-        for sub in self.subs.pop(object_id, ()):
-            if sub.state is not TaskState.CANCELLED:
-                self._queue_push(object_id, sub)
+        """At commit (PUSH only): push the object to every attempt still
+        waiting for it — its readers' and their speculative twins' (a wave of
+        consumers coalesces into one distribution)."""
+        if self.push_mode:
+            for attempt in self._waiting_for(object_id):
+                self._queue_push(object_id, attempt)
 
     # -- the waiting room (pull) -----------------------------------------------
 
@@ -205,11 +209,6 @@ class DataPlane:
             self._turned_ready.append(object_id)
 
     # -- the mover -------------------------------------------------------------
-
-    def _carry(self, src: LocalObjectStore, device_id: str, nbytes: int, label: str) -> Generator:
-        """The bulk transfer.  Returns False when a partition blocked it."""
-        moved = yield self.rt.net.transfer(src.device.device_id, device_id, nbytes, label=label)
-        return moved is not None
 
     def _land(self, oid: str, src: LocalObjectStore, dst: LocalObjectStore, site: str) -> bool:
         """The bytes have crossed: put them in the destination store and tell
@@ -249,11 +248,39 @@ class DataPlane:
 
     # -- push ------------------------------------------------------------------
 
+    def _waiting_for(self, oid: str) -> Iterator[Any]:
+        """The attempts that wait for ``oid`` to reach their device: each
+        reader's and its speculative twin's, from dispatch until their
+        arguments are in."""
+        for ctx in self.rt._readers(oid):
+            for attempt in (ctx, ctx.twin):
+                # a dispatched attempt has a device; one whose process ended
+                # (a backup that stood down) waits for nothing
+                if attempt and attempt.state in _AWAITING and not attempt.proc.triggered:
+                    yield attempt
+
+    def _stop_waiting(self, ctx: Any, device_id: str, sigs: Dict[str, Signal]) -> None:
+        """An attempt stopped waiting before every argument arrived (it was
+        interrupted): an arrival no other attempt on the device is waiting on
+        goes with it."""
+        for oid, sig in sigs.items():
+            if not sig.triggered and self.arrivals.get((oid, device_id)) is sig and not any(
+                other is not ctx
+                and other.state is TaskState.RESOLVING
+                and other.device.device_id == device_id
+                for other in self._waiting_for(oid)
+            ):
+                del self.arrivals[oid, device_id]
+
     def _arrival(self, oid: str, device_id: str) -> Signal:
         sig = self.arrivals.get((oid, device_id))
         if sig is None:
             sig = self.arrivals[oid, device_id] = Signal(self.rt.sim)
         return sig
+
+    def _landed(self, oid: str, device_id: str) -> bool:
+        sig = self.arrivals.get((oid, device_id))
+        return sig is not None and sig.triggered
 
     def _arrived(self, oid: str, device_id: str) -> None:
         sig = self._arrival(oid, device_id)
@@ -262,8 +289,8 @@ class DataPlane:
 
     def _missed(self, oid: str, device_id: str) -> None:
         """A push did not land: every attempt still waiting on this arrival
-        (not just the one whose subscription started the push) retries."""
-        if not self._arrival(oid, device_id).triggered:
+        (not just the one whose commit or dispatch started the push) retries."""
+        if not self._landed(oid, device_id):
             self.rt._interrupt_attempts(
                 lambda c: c.device.device_id == device_id,
                 f"push of {oid} to {device_id} missed",
@@ -273,104 +300,71 @@ class DataPlane:
     def _queue_push(self, oid: str, ctx: Any) -> None:
         """Start (or coalesce) a push of one object to one consumer.  Pushes
         of the same object queued at the same virtual instant are flushed one
-        event later as a single spanning-tree distribution (a unicast when
-        only one device is waiting)."""
+        event later as a single wave."""
         batch = self.pending_pushes.setdefault(oid, [])
         batch.append(ctx)
         if len(batch) == 1:
             self.rt.sim.schedule(0.0, self._flush_pushes, oid)
 
     def _flush_pushes(self, oid: str) -> None:
-        by_dev: Dict[str, Any] = {}
+        wave: Dict[str, Any] = {}  # device -> the first consumer queued there
         for ctx in self.pending_pushes.pop(oid, ()):
-            if ctx.device is not None:  # else between attempts: its retry re-subscribes
-                by_dev.setdefault(ctx.device.device_id, ctx)
-        if len(by_dev) == 1:
-            # a single consumer device: a tree would degenerate to the route
-            ((device_id, ctx),) = by_dev.items()
-            self.rt.sim.process(
-                self._push(oid, ctx, ctx.device), name=f"push:{oid}->{device_id}"
-            )
-        elif by_dev:
-            self.rt.sim.process(self._multicast(oid, sorted(by_dev)), name=f"mcast:{oid}")
+            if ctx.device is not None:  # else between attempts: its retry pushes again
+                wave.setdefault(ctx.device.device_id, ctx)
+        if wave:
+            self.rt.sim.process(self._push(oid, dict(sorted(wave.items()))), name=f"push:{oid}")
 
-    def _push(self, oid: str, ctx: Any, device: Device) -> Generator:
-        """Producer-side proactive push of one object to one consumer device."""
-        rt, device_id = self.rt, device.device_id
-        if self._arrival(oid, device_id).triggered:
-            return
-        raylet = rt._raylet_of_device[device_id]
-        dst_store = raylet.store_of(device_id)
-        site = f"push:{oid}->{device_id}"
-        if rt.probe_edges is not None:
-            rt.probe_edges.push_start(site, oid)
-        pending = raylet.pending_fetch(oid, device_id)
-        if pending is not None:
-            # another push is already moving this object here; should it
-            # miss, its miss reaches every waiter on the arrival, ours included
-            yield from self._join(pending, raylet, device_id, oid, site)
-            if dst_store.contains(oid):
-                self._arrived(oid, device_id)
-            return
-        src_store = self._source(oid)
-        landed = src_store is not None
-        if landed and src_store is not dst_store:
-            # nothing is pending here (checked above, no yield since), so this
-            # push leads, around the transfer only: concurrent pushes ride it
-            nbytes = rt.ownership.entry(oid).nbytes
-            raylet.begin_fetch(oid, device_id)
-            span = self._span(f"push:{oid}", ctx, device, object_id=oid, nbytes=nbytes)
-            try:
-                crossed = yield from self._carry(src_store, device_id, nbytes, f"push:{oid}")
-            finally:
-                span.finish(rt.sim.now)
-                raylet.end_fetch(oid, device_id)
-            landed = crossed and self._land(oid, src_store, dst_store, site)
-        if landed:
-            self._arrived(oid, device_id)
-        else:
-            self._missed(oid, device_id)
-
-    def _multicast(self, oid: str, device_ids: List[str]) -> Generator:
+    def _push(self, oid: str, wave: Dict[str, Any]) -> Generator:
         """Distribute one ready object to a wave of consumer devices along a
         spanning tree: each fabric link serializes the payload once, however
-        many consumers sit behind it."""
+        many consumers sit behind it (one device's tree is the route).  A leg
+        whose device already has a fetch of the object pending rides it; each
+        other leg leads the fetch-dedup registry for the transfer."""
         rt = self.rt
+        targets = [device_id for device_id in wave if not self._landed(oid, device_id)]
+        if not targets:
+            return
+        site = f"push:{oid}"
+        if rt.probe_edges is not None:
+            rt.probe_edges.push_start(site, oid, targets=len(targets))
+        legs: Dict[str, Raylet] = {}  # the devices the bytes must travel to
+        for device_id in targets:
+            raylet = rt._raylet_of_device[device_id]
+            pending = raylet.pending_fetch(oid, device_id)
+            if pending is None:
+                legs[device_id] = raylet
+            else:
+                # a push leads it (only pushes fetch under PUSH): its landing,
+                # or its miss, reaches every waiter on this arrival
+                rt.sim.process(self._join(pending, raylet, device_id, oid, site), name=site)
+        if not legs:
+            return
         src_store = self._source(oid)
         if src_store is None:
-            for device_id in device_ids:
+            for device_id in legs:
                 self._missed(oid, device_id)
             return
         src_dev = src_store.device.device_id
-        legs: Dict[str, Raylet] = {}  # the devices the bytes must travel to
-        for device_id in device_ids:
-            if self._arrival(oid, device_id).triggered:
-                continue
-            raylet = rt._raylet_of_device[device_id]
+        for device_id, raylet in list(legs.items()):
             if device_id == src_dev or raylet.store_of(device_id).contains(oid):
+                del legs[device_id]
                 self._arrived(oid, device_id)
-            else:
-                legs[device_id] = raylet
         if not legs:
             return
+        for device_id, raylet in legs.items():
+            raylet.begin_fetch(oid, device_id)
+        first = next(iter(legs))
         nbytes = rt.ownership.entry(oid).nbytes
-        site = f"mcast:{oid}"
-        if rt.probe_edges is not None:
-            rt.probe_edges.push_start(site, oid, targets=len(legs))
-        # a leg leads the fetch-dedup registry only where nothing is pending
-        # (concurrent pushes of the object ride this distribution); it never joins
-        led = [d for d, raylet in legs.items() if raylet.pending_fetch(oid, d) is None]
-        for device_id in led:
-            legs[device_id].begin_fetch(oid, device_id)
-        span = rt.telemetry.tracer.start_span(
-            site, "transfer", object_id=oid, nbytes=nbytes, consumers=len(legs)
+        span = self._span(
+            site, wave[first], legs[first].store_of(first).device,
+            object_id=oid, nbytes=nbytes, consumers=len(legs),
         )
         try:
-            delivered = yield rt.net.multicast(src_dev, list(legs), nbytes, label=f"push:{oid}")
+            delivered = yield rt.net.multicast(src_dev, list(legs), nbytes, label=site)
         finally:
             span.finish(rt.sim.now)
-            for device_id in led:
-                legs[device_id].end_fetch(oid, device_id)
+            for device_id, raylet in legs.items():
+                raylet.end_fetch(oid, device_id)
         for device_id, raylet in legs.items():
             # a leg the partition cut off was never delivered
             if device_id in delivered and self._land(
@@ -415,7 +409,10 @@ class DataPlane:
                 if src_store is None or not rt.ownership.contains(oid):
                     return  # no source, or the entry vanished (failover rebuild, free)
                 nbytes = rt.ownership.entry(oid).nbytes
-                if (yield from self._carry(src_store, device_id, nbytes, f"pull:{oid}")):
+                moved = yield rt.net.transfer(
+                    src_store.device.device_id, device_id, nbytes, label=f"pull:{oid}"
+                )
+                if moved is not None:  # else a partition blocked it
                     self._land(oid, src_store, raylet.store_of(device_id), site)
             finally:
                 raylet.end_fetch(oid, device_id)

@@ -100,6 +100,9 @@ class TestCrossCommitWitness:
     # The PUSH cells in which a push lands were re-recorded when a landing
     # started to send a ``land:`` message that the attempt it fed receives:
     # only the probe trace moved (one ``land`` event per landing, one receive).
+    # (detector, requeued, device_rehome) x PUSH were re-recorded when push
+    # became one protocol: probe sites ``push:<oid>-><dev>`` became
+    # ``push:<oid>`` and push spans carry ``consumers``; nothing else moved.
     PINNED = {
         ('cadence', 0, 'PUSH'): "5ebaf9fb7950",
         ('cadence', 0, 'PULL'): "5ebaf9fb7950",
@@ -107,15 +110,15 @@ class TestCrossCommitWitness:
         ('cadence', 1, 'PULL'): "06e989702428",
         ('cadence', 2, 'PUSH'): "0d207d74d019",
         ('cadence', 2, 'PULL'): "0d207d74d019",
-        ('detector', 'PUSH'): "47ba4bb031ca",
+        ('detector', 'PUSH'): "7b040c4c3cba",
         ('detector', 'PULL'): "1c63992c49ca",
-        ('requeued', 'PUSH'): "fa18e3b4d1a7",
+        ('requeued', 'PUSH'): "4ccd560ef016",
         ('requeued', 'PULL'): "0ec09a41e9e6",
         ('no_checkpoint', 'PUSH'): "a3852cb2bf87",
         ('no_checkpoint', 'PULL'): "a3852cb2bf87",
         ('no_surviving_device', 'PUSH'): "78ea0059a589",
         ('no_surviving_device', 'PULL'): "78ea0059a589",
-        ('device_rehome', 'PUSH'): "910e86d1132e",
+        ('device_rehome', 'PUSH'): "eed3ed1b13b8",
         ('device_rehome', 'PULL'): "0430550716d1",
     }
 

@@ -427,24 +427,31 @@ def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
     assert not rt.data.pending_pushes
     assert all(not raylet._inflight_fetches for raylet in rt._raylets)
     assert all(not ctx.pulls for ctx in rt._ctxs.values())
-    terminal = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
-    stale = [
-        (oid, sub.spec.task_id)
-        for oid, subs in rt.data.subs.items()
-        for sub in subs
-        if sub.state in terminal
-    ]
-    assert not stale, f"subscriptions outlived their tasks: {stale}"
+    # an arrival nobody has yet is kept only for an attempt still waiting on it
+    waited = {
+        (ref.object_id, attempt.device.device_id)
+        for ctx in rt._ctxs.values()
+        for attempt in (ctx, ctx.twin)
+        if attempt is not None
+        and attempt.state is TaskState.RESOLVING
+        and attempt.proc is not None
+        and not attempt.proc.triggered
+        for ref in attempt.spec.dependencies
+    }
+    stale = sorted(
+        key for key, sig in rt.data.arrivals.items() if not sig.triggered and key not in waited
+    )
+    assert not stale, f"arrivals outlived the attempts waiting for them: {stale}"
     assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
     assert not rt.net.flows, f"flows still on the fabric: {[f.name for f in rt.net.flows]}"
     assert not rt.net._admitted, f"admitted bytes never started: {rt.net._admitted}"
 
 
 class TestCrossCommitWitness:
-    """One run through every protocol arm — unicast lead + join, multicast,
-    pull lead + joins, the Gen-1 sibling fast path and the zero-hop case —
-    pinned across commits: every log record, protocol event, span, metric and
-    fabric counter must replay exactly."""
+    """One run through every protocol arm — one-leg and multi-leg push waves
+    (a leg leads or joins), pull lead + joins, the Gen-1 sibling fast path and
+    the zero-hop case — pinned across commits: every log record, protocol
+    event, span, metric and fabric counter must replay exactly."""
 
     CONSUMER_DEVICES = (
         "server1/cpu", "server1/cpu", "gpucard0/gpu0", "gpucard1/gpu0",
@@ -463,9 +470,15 @@ class TestCrossCommitWitness:
     # split by bytes rather than chunk by chunk, so spans, probe event times,
     # busy seconds and (under PULL) the final clock moved; the log signature
     # did not.
+    # The PUSH cells were re-recorded when push became one protocol (a wave of
+    # one device replaced the unicast): the waves' ``mcast:<oid>`` spans, which
+    # had no parent, became ``push:<oid>`` under the first consumer's task span
+    # on its device, every push span carries ``consumers``, and the probe sites
+    # ``mcast:<oid>`` / ``push:<oid>-><dev>`` became ``push:<oid>``.  The log,
+    # metrics, clock, bytes, transfers and messages did not move.
     PINNED = {
-        (ResolutionMode.PUSH, Generation.GEN1): "913a3d0e488d",
-        (ResolutionMode.PUSH, Generation.GEN2): "ada52ea6de5c",
+        (ResolutionMode.PUSH, Generation.GEN1): "110012097e6d",
+        (ResolutionMode.PUSH, Generation.GEN2): "46bf034f20ba",
         (ResolutionMode.PULL, Generation.GEN1): "1814f6ef63ff",
         (ResolutionMode.PULL, Generation.GEN2): "d0f82d3193bf",
     }
@@ -700,4 +713,35 @@ def test_an_arrival_lives_only_as_long_as_its_copy():
     assert rt.net.stats.bytes_moved == 2 * MB  # one push per life of the GPU's copy
     assert rt.tasks_retried == 0
     rt.sim.run()
+    assert_data_plane_drained(rt)
+
+
+@pytest.mark.parametrize("producer", ["commits", "raises"])
+def test_an_arrival_goes_with_the_last_attempt_waiting_for_it(producer):
+    """A consumer cancelled while it waits for a push leaves no arrival
+    behind, whether its producer later commits or raises: the signal nobody
+    waits for any more goes with the attempt.  Before the fix the un-triggered
+    signal for ``(object, server1/cpu)`` stayed for good (and, when the
+    producer raised, so did the cancelled consumer's subscription)."""
+    from repro.cluster.cluster import build_serverful
+
+    def produce():
+        if producer == "raises":
+            raise ValueError("no data")
+        return b"x" * 10
+
+    rt = ServerlessRuntime(
+        build_serverful(n_servers=3), RuntimeConfig(resolution=ResolutionMode.PUSH)
+    )
+    data = rt.submit(produce, compute_cost=5e-3, output_nbytes=MB, pinned_device="server0/cpu")
+    consumer = rt.submit(lambda x: len(x), (data,), pinned_device="server1/cpu")
+    rt.run(until=1e-3)
+    assert not rt.data.arrivals[data.object_id, "server1/cpu"].triggered  # it waits
+    assert rt.cancel(consumer)
+    rt.sim.run()
+    assert rt.task_state(data) is (
+        TaskState.FINISHED if producer == "commits" else TaskState.FAILED
+    )
+    assert (data.object_id, "server1/cpu") not in rt.data.arrivals
+    assert not rt._store_of_device["server1/cpu"].contains(data.object_id)
     assert_data_plane_drained(rt)

@@ -68,36 +68,44 @@ class TestCrossCommitWitness:
     # The PUSH cells in which a push lands were re-recorded when a landing
     # started to send a ``land:`` message that the attempt it fed receives:
     # only the probe trace moved (one ``land`` event per landing, one receive).
+    # The 13 PUSH cells with a push were re-recorded when push became one
+    # protocol with no subscriber table: probe sites ``push:<oid>-><dev>``
+    # became ``push:<oid>`` and push spans carry ``consumers``.  In the
+    # proactive cells of checkpoint, frontier, lineage and unrecoverable and in
+    # (spill_then_blade_death, True) the replay's commit is pushed to the
+    # consumer whose first push is still in flight, and that push joins it: one
+    # more ``skadi_fetch_dedup_total`` hit.  Log, clock, bytes, transfers,
+    # messages, outcome, replays and open tasks did not move.
     PINNED = {
-        ('matrix', 'checkpoint', 'get', 'PUSH'): "4c675da94f75",
+        ('matrix', 'checkpoint', 'get', 'PUSH'): "40497826f36b",
         ('matrix', 'checkpoint', 'get', 'PULL'): "df675e1da435",
-        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "f79c2d014289",
+        ('matrix', 'checkpoint', 'proactive', 'PUSH'): "a72c9599433a",
         ('matrix', 'checkpoint', 'proactive', 'PULL'): "52dd732554d0",
-        ('matrix', 'frontier', 'get', 'PUSH'): "3fe4ff5f1145",
+        ('matrix', 'frontier', 'get', 'PUSH'): "4ed4c8d0b49e",
         ('matrix', 'frontier', 'get', 'PULL'): "a6f97b8344fa",
-        ('matrix', 'frontier', 'proactive', 'PUSH'): "9549015fb26a",
+        ('matrix', 'frontier', 'proactive', 'PUSH'): "b31856744b6b",
         ('matrix', 'frontier', 'proactive', 'PULL'): "1f234cc19266",
-        ('matrix', 'cache', 'get', 'PUSH'): "33eca6f18621",
+        ('matrix', 'cache', 'get', 'PUSH'): "23567d318ff4",
         ('matrix', 'cache', 'get', 'PULL'): "a540bf31ef48",
-        ('matrix', 'cache', 'proactive', 'PUSH'): "75d8888e0ed8",
+        ('matrix', 'cache', 'proactive', 'PUSH'): "37f20e43489d",
         ('matrix', 'cache', 'proactive', 'PULL'): "567d8c8c83ee",
-        ('matrix', 'lineage', 'get', 'PUSH'): "f4dc699a031f",
+        ('matrix', 'lineage', 'get', 'PUSH'): "e4613b38a327",
         ('matrix', 'lineage', 'get', 'PULL'): "7598fea3d5db",
-        ('matrix', 'lineage', 'proactive', 'PUSH'): "099e0ec4e96f",
+        ('matrix', 'lineage', 'proactive', 'PUSH'): "1bca7dc8731a",
         ('matrix', 'lineage', 'proactive', 'PULL'): "9400d8b86b5e",
-        ('matrix', 'unrecoverable', 'get', 'PUSH'): "e5e5dfffb887",
+        ('matrix', 'unrecoverable', 'get', 'PUSH'): "f39746ba5693",
         ('matrix', 'unrecoverable', 'get', 'PULL'): "26e5cb418e86",
-        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "c98105fa002b",
+        ('matrix', 'unrecoverable', 'proactive', 'PUSH'): "a731edc925bd",
         ('matrix', 'unrecoverable', 'proactive', 'PULL'): "5279fd1745b8",
-        ('deferred_free', 'PUSH'): "5301ed57de64",
+        ('deferred_free', 'PUSH'): "a0ac64528063",
         ('deferred_free', 'PULL'): "b1b03feb9c0e",
         ('spill_then_blade_death', False, 'PUSH'): "fead5f708e91",
         ('spill_then_blade_death', False, 'PULL'): "fead5f708e91",
-        ('spill_then_blade_death', True, 'PUSH'): "3e386fab9b2e",
+        ('spill_then_blade_death', True, 'PUSH'): "eae31da842df",
         ('spill_then_blade_death', True, 'PULL'): "f7aade62fc45",
         ('stale_entry', False, 'PUSH'): "09d2f4d437bb",
         ('stale_entry', False, 'PULL'): "09d2f4d437bb",
-        ('stale_entry', True, 'PUSH'): "7f63890ddf0f",
+        ('stale_entry', True, 'PUSH'): "e8bb62bbdcf2",
         ('stale_entry', True, 'PULL'): "57436221674f",
     }
 

@@ -5,8 +5,9 @@ speculation.
   or backed up, pinned across commits in both resolution modes (recorded at the
   commit before supervision left ``ServerlessRuntime``).
 * **One launch path.**  A speculative backup is dispatched like every other
-  attempt, so it is subscribed under PUSH, carries the leader's lease epoch
-  under HA, gets the watchdog, and is never launched while no leader serves.
+  attempt, so it is pushed its arguments under PUSH, carries the leader's lease
+  epoch under HA, gets the watchdog, and is never launched while no leader
+  serves.
 """
 
 from __future__ import annotations
@@ -77,16 +78,20 @@ class TestCrossCommitWitness:
     # The PUSH cells in which a push lands were re-recorded when a landing
     # started to send a ``land:`` message that the attempt it fed receives:
     # only the probe trace moved (one ``land`` event per landing, one receive).
+    # (crash_restart, timeout_straggler, placement_backoff) x PUSH were
+    # re-recorded when push became one protocol: probe sites
+    # ``push:<oid>-><dev>`` became ``push:<oid>`` and push spans carry
+    # ``consumers``; nothing else moved.
     PINNED = {
-        ('crash_restart', 'PUSH'): "1609c94e10d5",
+        ('crash_restart', 'PUSH'): "f3466ca5f6b3",
         ('crash_restart', 'PULL'): "0dd7aa683e1d",
-        ('timeout_straggler', 'PUSH'): "45e2db9180a9",
+        ('timeout_straggler', 'PUSH'): "30321c981694",
         ('timeout_straggler', 'PULL'): "a73a64996f33",
         ('retries_exhausted', 'PUSH'): "872605472467",
         ('retries_exhausted', 'PULL'): "872605472467",
         ('budget_shed', 'PUSH'): "083d27dfabc3",
         ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "7dd579795227",
+        ('placement_backoff', 'PUSH'): "305c172da685",
         ('placement_backoff', 'PULL'): "e99c9b9ce269",
         ('actor_requeue', 'PUSH'): "3180ed627924",
         ('actor_requeue', 'PULL'): "3180ed627924",
@@ -260,6 +265,36 @@ class TestOneLaunchPath:
         assert_data_plane_drained(rt)
         assert_recovery_drained(rt)
         assert rt.probe.report().clean  # Skadi-TSan: trace + invariants + hb
+
+    def test_a_backup_dispatched_before_the_commit_is_pushed_the_argument(self):
+        """PUSH: the consumer is dispatched at submit, and its backup goes out
+        while the 10 ms producer still computes.  The commit is pushed to both
+        attempts' devices — a backup is a reader's attempt like the original —
+        and the backup, on a device running at full speed, wins."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=3),
+            RuntimeConfig(resolution=PUSH, speculation_factor=4.0, sanitizers=TSAN),
+        )
+        data = rt.submit(
+            lambda: 7, compute_cost=1e-2, output_nbytes=MB, pinned_device="server2/cpu",
+            name="producer",
+        )
+        victim = rt.submit(lambda x: x + 1, (data,), compute_cost=1e-3, name="victim")
+        rt.cluster.device("server0/cpu").slowdown = 50.0  # where the victim was placed
+        assert rt.get(victim) == 8
+        (speculate,) = rt.log.of_kind("speculate")
+        assert dict(speculate.detail) == {
+            "task": victim.task_id, "slow": "server0/cpu", "backup": "server1/cpu",
+        }
+        assert speculate.time < rt.timeline_of(data).finished  # before the commit
+        assert rt.timeline_of(victim).device_id == "server1/cpu"
+        for device_id in ("server0/cpu", "server1/cpu"):
+            assert rt._store_of_device[device_id].contains(data.object_id)
+            assert rt.data.arrivals[data.object_id, device_id].triggered
+        rt.sim.run()
+        assert rt.tasks_finished == 2
+        assert_data_plane_drained(rt)
+        assert rt.probe.report().clean
 
     def test_a_backup_carries_the_leaders_lease_epoch(self):
         """HA with no failover at all: the backup's lease is stamped and logged
