@@ -752,6 +752,9 @@ class Simulator:
         self.timeout = partial(_make_timeout, self)
         self.process = partial(Process, self)
         self.signal = partial(Signal, self)
+        # the virtual clock as a C-level callable, for the telemetry plane's
+        # stamps (several per task): no Python frame per read
+        self.clock = partial(getattr, self, "_now")
 
     @property
     def now(self) -> float:

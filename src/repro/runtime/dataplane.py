@@ -17,7 +17,9 @@ miss into its retry currency: a pull leaves the argument missing and
 waiting on that (object, device) arrival, and each retry is pushed it again.
 
 "Who waits for this commit" is the readers the lineage records: PUSH
-dispatches at once and pushes a commit to the readers' attempts still waiting;
+dispatches at once and pushes a commit to the readers' attempts still waiting
+(one whose device already holds the object, the producer's own, is signalled
+at the commit as at dispatch, so a wave carries only legs with bytes to move);
 PULL parks a task until its arguments are all READY and keeps ``waiting``.  A
 release pass rescans nothing: it takes the parked readers of every object that
 turned READY since the last pass — not only of the one being reported: the
@@ -124,16 +126,15 @@ class DataPlane:
             self._m_waiting.set(float(len(self.waiting)))
 
     def subscribe(self, ctx: Any) -> None:
-        """At dispatch (PUSH only): an argument already ready starts moving to
-        the attempt's device now; the rest reach it when they commit."""
+        """At dispatch (PUSH only): an argument the attempt's device already
+        holds is signalled now, one already ready starts moving there, and the
+        rest reach it when they commit."""
         if not self.push_mode:
             return
         device_id = ctx.device.device_id
-        local = ctx.raylet.store_of(device_id)
         for ref in ctx.spec.dependencies:
             oid = ref.object_id
-            if local.contains(oid):
-                self._arrived(oid, device_id)
+            if self._held(oid, ctx):
                 continue
             if self._landed(oid, device_id):
                 # an arrival lives only as long as its copy: this one announced
@@ -187,12 +188,13 @@ class DataPlane:
         return sum(not local.contains(r.object_id) for r in missing)
 
     def publish(self, object_id: str) -> None:
-        """At commit (PUSH only): push the object to every attempt still
-        waiting for it — its readers' and their speculative twins' (a wave of
-        consumers coalesces into one distribution)."""
+        """At commit (PUSH only): signal the attempts still waiting for the
+        object (its readers' and their speculative twins') whose device holds
+        it, as dispatch does, and push it to the rest as one wave."""
         if self.push_mode:
             for attempt in self._waiting_for(object_id):
-                self._queue_push(object_id, attempt)
+                if not self._held(object_id, attempt):
+                    self._queue_push(object_id, attempt)
 
     # -- the waiting room (pull) -----------------------------------------------
 
@@ -277,6 +279,14 @@ class DataPlane:
         if sig is None:
             sig = self.arrivals[oid, device_id] = Signal(self.rt.sim)
         return sig
+
+    def _held(self, oid: str, ctx: Any) -> bool:
+        """Signal the attempt's arrival now if its device holds ``oid``."""
+        device_id = ctx.device.device_id
+        if not ctx.raylet.store_of(device_id).contains(oid):
+            return False
+        self._arrived(oid, device_id)
+        return True
 
     def _landed(self, oid: str, device_id: str) -> bool:
         sig = self.arrivals.get((oid, device_id))

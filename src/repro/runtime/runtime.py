@@ -168,7 +168,7 @@ class ServerlessRuntime:
         self.ids = IdGenerator()
         # the telemetry plane must exist before raylets/stores are built so
         # the lower layers can be handed their (duck-typed) registries
-        self.telemetry = Telemetry(clock=lambda: self.sim.now)
+        self.telemetry = Telemetry(clock=self.sim.clock)
         self.net.metrics = self.telemetry.registry
         self.ownership = OwnershipTable()
         self.lineage = LineageGraph()
@@ -267,7 +267,7 @@ class ServerlessRuntime:
 
             self.probe = DistProbe(
                 self.config.sanitizers,
-                clock=lambda: self.sim.now,
+                clock=self.sim.clock,
                 meta={"config": self.config.describe()},
             )
             if self.probe.any_live(*DistProbe.HB_EDGE_KINDS):

@@ -72,9 +72,6 @@ class Instrument:
     def labels_dict(self) -> Dict[str, str]:
         return dict(self.labels)
 
-    def _touch(self) -> None:
-        self.last_updated = self._clock()
-
 
 class Counter(Instrument):
     """Monotonically increasing count (events, bytes, messages)."""
@@ -89,7 +86,7 @@ class Counter(Instrument):
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
-        self._touch()
+        self.last_updated = self._clock()
 
 
 class Gauge(Instrument):
@@ -108,7 +105,7 @@ class Gauge(Instrument):
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        self._touch()
+        self.last_updated = self._clock()
         # coalesce same-instant updates: only the final value at a given
         # virtual time is observable
         if self.samples and self.samples[-1][0] == self.last_updated:
@@ -142,7 +139,7 @@ class Histogram(Instrument):
         self._values.append(float(value))
         self._sorted = False
         self.sum += value
-        self._touch()
+        self.last_updated = self._clock()
 
     @property
     def count(self) -> int:

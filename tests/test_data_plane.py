@@ -4,10 +4,11 @@ deduplication, multicast trees, and the contention-aware cost model."""
 from __future__ import annotations
 
 import hashlib
+from typing import Dict, Union
 
 import pytest
 
-from repro.cluster.hardware import DeviceKind, MB
+from repro.cluster.hardware import GB, MB, DeviceKind
 from repro.cluster.network import Network
 from repro.cluster.simtime import Simulator
 from repro.cluster.topology import LinkSpec, Topology
@@ -25,6 +26,10 @@ from repro.runtime.task import ANY_COMPUTE_KIND, TaskState
 # a chunk size no payload here reaches: every transfer is one chunk, which
 # each hop stores and forwards whole (the comparator for cut-through)
 ONE_CHUNK = 1 << 40
+
+
+def sha12(value) -> str:
+    return hashlib.sha1(repr(value).encode()).hexdigest()[:12]
 
 
 def line_topology(n_hops: int = 3) -> Topology:
@@ -476,9 +481,25 @@ class TestCrossCommitWitness:
     # on its device, every push span carries ``consumers``, and the probe sites
     # ``mcast:<oid>`` / ``push:<oid>-><dev>`` became ``push:<oid>``.  The log,
     # metrics, clock, bytes, transfers and messages did not move.
+    # A cell pinned by one string has not moved since; a cell that moves is
+    # re-pinned per component, so the next move names what it moved.
+    # The PUSH cells were re-pinned per component when a commit started to
+    # signal the waiting readers whose device already holds the object instead
+    # of launching a wave for them: ``late``'s wave no longer counts its
+    # consumer on server0/cpu (``push_start`` targets 6 -> 5), and the three
+    # outputs committed on server1/cpu, the tail's device, launch no wave and
+    # emit no ``push_start``.  Only the probe trace moved.
     PINNED = {
-        (ResolutionMode.PUSH, Generation.GEN1): "110012097e6d",
-        (ResolutionMode.PUSH, Generation.GEN2): "46bf034f20ba",
+        (ResolutionMode.PUSH, Generation.GEN1): {
+            "log": "97d170e1550e", "probe": "d4f88232ec20", "spans": "17526afa5b21",
+            "metrics": "cb0ee46500aa", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
+            "messages": "4d134bc07221",
+        },
+        (ResolutionMode.PUSH, Generation.GEN2): {
+            "log": "97d170e1550e", "probe": "907b0bbc7b41", "spans": "a3e09a337c49",
+            "metrics": "e5a2049a58e0", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
+            "messages": "91032ad7bbcb",
+        },
         (ResolutionMode.PULL, Generation.GEN1): "1814f6ef63ff",
         (ResolutionMode.PULL, Generation.GEN2): "d0f82d3193bf",
     }
@@ -524,7 +545,11 @@ class TestCrossCommitWitness:
         return rt
 
     @staticmethod
-    def digest(rt: ServerlessRuntime) -> str:
+    def digest(
+        rt: ServerlessRuntime, pinned: Union[str, Dict[str, str]]
+    ) -> Union[str, Dict[str, str]]:
+        """The run in the form ``pinned`` has: one hash of every component, or
+        one hash per component."""
         spans = [
             (
                 s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
@@ -538,21 +563,24 @@ class TestCrossCommitWitness:
             # retired in PR 15 (read by nothing); excluded so the pin spans it
             if not name.startswith("skadi_fetch_dedup_bytes_saved_total")
         )
-        blob = repr(
-            (
-                rt.log.signature(), rt.probe.trace.signature(), spans, metrics,
-                rt.sim.now, rt.net.stats.bytes_moved, rt.net.stats.transfers,
-                rt.control_messages,
-            )
-        )
-        return hashlib.sha1(blob.encode()).hexdigest()[:12]
+        parts = {
+            "log": rt.log.signature(), "probe": rt.probe.trace.signature(), "spans": spans,
+            "metrics": metrics, "clock": rt.sim.now,
+            "bytes": (rt.net.stats.bytes_moved, rt.net.stats.transfers),
+            "messages": rt.control_messages,
+        }
+        if isinstance(pinned, str):
+            log, probe, spans, metrics, clock, (moved, transfers), messages = parts.values()
+            return sha12((log, probe, spans, metrics, clock, moved, transfers, messages))
+        return {name: sha12(value) for name, value in parts.items()}
 
     @pytest.mark.parametrize(
         "resolution,generation", sorted(PINNED, key=lambda k: (k[0].name, k[1].name))
     )
     def test_every_protocol_arm_replays_exactly(self, resolution, generation):
         rt = self.run(resolution, generation)
-        assert self.digest(rt) == self.PINNED[resolution, generation]
+        pinned = self.PINNED[resolution, generation]
+        assert self.digest(rt, pinned) == pinned
         rt.sim.run()
         assert_data_plane_drained(rt)
 
@@ -744,4 +772,105 @@ def test_an_arrival_goes_with_the_last_attempt_waiting_for_it(producer):
     )
     assert (data.object_id, "server1/cpu") not in rt.data.arrivals
     assert not rt._store_of_device["server1/cpu"].contains(data.object_id)
+    assert_data_plane_drained(rt)
+
+
+# -- a reader whose device already holds the copy ------------------------------
+
+
+@pytest.mark.parametrize("remote_reader", [False, True], ids=["local", "local+remote"])
+def test_a_commit_signals_the_reader_on_its_own_device(monkeypatch, remote_reader):
+    """The producer and a reader share server0/cpu: the reader is signalled
+    inside the producer's ``_finish``, as a dispatch finds a held copy, and
+    no wave carries the object to the device that made it.  A second reader
+    on server1/cpu still gets a one-leg wave landing at the same time and
+    with the same bytes as before the rule."""
+    rt = _fanout_runtime(resolution=ResolutionMode.PUSH, sanitizers=("trace", "invariants", "hb"))
+    x = rt.submit(
+        lambda: b"x" * 10, compute_cost=1e-3, output_nbytes=MB, pinned_device="server0/cpu"
+    )
+    readers = ["server0/cpu"] + (["server1/cpu"] if remote_reader else [])
+    outs = [
+        rt.submit(lambda v: len(v), (x,), compute_cost=1e-3, pinned_device=device)
+        for device in readers
+    ]
+    signalled_at_finish = []
+    finish = rt._finish
+
+    def spy_finish(ctx, main, device, committed):
+        finish(ctx, main, device, committed)
+        if ctx.spec.task_id == x.task_id:
+            signalled_at_finish.append(rt.data.arrivals[x.object_id, "server0/cpu"].triggered)
+
+    queued = []
+    queue_push = rt.data._queue_push
+
+    def spy_queue(oid, ctx):
+        queued.append((oid, ctx.device.device_id))
+        queue_push(oid, ctx)
+
+    monkeypatch.setattr(rt, "_finish", spy_finish)
+    monkeypatch.setattr(rt.data, "_queue_push", spy_queue)
+    assert rt.get(outs) == [10] * len(readers)
+    rt.sim.run()
+    assert signalled_at_finish == [True]
+    site = f"push:{x.object_id}"
+    waves = [s for s in rt.telemetry.tracer.spans if s.name == site]
+    if not remote_reader:
+        assert queued == []  # ``pending_pushes`` never held the object
+        assert not any(e.site == site for e in rt.probe.trace)
+        assert waves == []
+        assert rt.net.stats.bytes_moved == 0
+    else:
+        assert queued == [(x.object_id, "server1/cpu")]
+        [wave] = waves
+        assert (wave.device, wave.attrs["consumers"]) == ("server1/cpu", 1)
+        assert (rt.net.stats.bytes_moved, rt.net.stats.transfers) == (MB, 1)
+        assert rt.timeline_of(outs[1]).inputs_ready == wave.end == 0.00120765625
+    assert rt.timeline_of(outs[0]).inputs_ready == rt.timeline_of(x).finished
+    assert rt.probe.report().violations == []
+    assert_data_plane_drained(rt)
+
+
+def test_a_same_device_chain_stays_within_its_event_budget():
+    """200 tasks in a chain on one device, each reading the one before: no
+    wave is launched, so a task costs 9 kernel events (11 while every commit
+    still queued a push and started a wave to its own device)."""
+    rt = _fanout_runtime(resolution=ResolutionMode.PUSH)
+    n = 200
+    ref = rt.submit(lambda: 0, compute_cost=1e-5, pinned_device="server0/cpu")
+    for _ in range(n - 1):
+        ref = rt.submit(lambda v: v + 1, (ref,), compute_cost=1e-5, pinned_device="server0/cpu")
+    assert rt.get(ref) == n - 1
+    rt.sim.run()
+    assert rt.sim.events_executed() <= 9.1 * n
+    assert rt.net.stats.bytes_moved == 0
+
+
+def test_a_replay_on_the_readers_device_ends_its_wait_at_the_commit():
+    """The reader's input was spilled to a blade and is on its way back over
+    the fabric when the blade dies; the replay recomputes it on the reader's
+    own device.  The reader goes on at the replay's commit instead of riding
+    the in-flight push of the lost copy to its end, two seconds later."""
+    from repro.cluster.cluster import build_physical_disagg
+
+    cluster = build_physical_disagg(n_servers=1, n_gpu_cards=0, n_fpga_cards=0, n_mem_blades=1)
+    rt = ServerlessRuntime(cluster, RuntimeConfig(resolution=ResolutionMode.PUSH))
+    # three 24 GB outputs overflow the 64 GB head CPU store: the oldest spills
+    a, b, c = (
+        rt.submit(lambda t=tag: t, compute_cost=1e-3, output_nbytes=24 * GB) for tag in "ABC"
+    )
+    assert rt.get([a, b, c]) == ["A", "B", "C"]
+    assert rt.ownership.locations(a.object_id) == ["memblade0"]
+    reader = rt.submit(lambda v: v * 2, (a,), compute_cost=1e-3)
+    rt.run(until=rt.sim.now + 1e-4)
+    rt.failures.fail_blade("memblade0", "killed by driver", announce=True)
+    rt.free([b, c])  # make room: the replay must land in live memory
+    assert rt.get(reader) == "AA"
+    rt.sim.run()
+    replay, waiting = rt.timeline_of(a), rt.timeline_of(reader)
+    assert replay.device_id == waiting.device_id == "server0/cpu"
+    [push] = [s for s in rt.telemetry.tracer.spans if s.name == f"push:{a.object_id}"]
+    assert waiting.inputs_ready == replay.finished < push.end
+    assert rt.sim.now == push.end
     assert_data_plane_drained(rt)
