@@ -174,7 +174,7 @@ def bench_contention() -> dict:
     }
 
 
-def test_e21_fast_data_plane():
+def test_e21_fast_data_plane(write_result):
     chunking = bench_chunking()
     dedup = bench_dedup()
     multicast = bench_multicast()
@@ -238,9 +238,4 @@ def test_e21_fast_data_plane():
         "multicast": multicast,
         "contention": contention,
     }
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_E21.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_E21.json", results)

@@ -24,7 +24,6 @@ Numbers land in ``BENCH_E22.json`` for the perf trajectory.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.bench import ResultTable
@@ -85,7 +84,7 @@ def completions_in(rt: ServerlessRuntime, lo: float, hi: float) -> int:
     return sum(1 for t in rt.timelines if lo <= t.finished < hi)
 
 
-def test_e22_overload():
+def test_e22_overload(write_result):
     base_rt, _ = run_scenario(spike=False)  # burst-free capacity witness
     off_rt, off_monkey = run_scenario(spike=True)
     on_rt, on_monkey = run_scenario(spike=True, **OVERLOAD_SWITCHES)
@@ -150,15 +149,11 @@ def test_e22_overload():
             "shed": on_rt.tasks_shed,
         },
     }
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_E22.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_E22.json", results)
 
     # CI sanitizes dumped protocol traces offline (the burst ends mid-run
     # for shed work, so the trace is partial by construction)
+    artifacts = os.environ.get("BENCH_ARTIFACTS")
     if artifacts:
         traced_rt, _ = run_scenario(spike=True, sanitizers=("trace",))
         traced_rt.probe.trace.dump(

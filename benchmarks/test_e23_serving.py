@@ -12,9 +12,8 @@ failures long after the trigger has passed.
 The serving frontend holds the tail instead: pacing bounds how much work
 is in the runtime at once, the bounded waiting room sheds the excess at
 the door in weighted-fair order, and admission control + retry budgets
-underneath catch whatever still leaks through.  The on-config also stamps
-each stage with its tenant's SLO deadline (``serving_slo_deadlines``), but
-it leaves ``deadline_propagation`` off, so the stamps change nothing here.
+underneath catch whatever still leaks through.  A request carries no
+deadline into the runtime: its latency is measured at the frontend.
 
 Scenario: one 16-slot CPU server (~800 tasks/s at the 2e-2 task cost; the
 stock template mix averages 2 tasks/request, so ~400 req/s of capacity).
@@ -38,9 +37,7 @@ Numbers land in ``BENCH_E23.json`` for the perf trajectory.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 from repro.bench import ResultTable
 from repro.chaos import ChaosMonkey, ChaosSchedule
@@ -63,7 +60,6 @@ SPIKE_REQS = 120  # 800 req/s for 0.15 s: 2x capacity on top of the steady load
 SERVING_SWITCHES = dict(
     serving_fair_queueing=True,
     serving_tenant_isolation=True,
-    serving_slo_deadlines=True,
     serving_max_inflight=8,
     serving_queue_depth=32,
     admission_control=True,
@@ -113,7 +109,7 @@ def tail_ratio(pcts: dict) -> float:
     return pcts["p999"] / pcts["p50"]
 
 
-def test_e23_serving():
+def test_e23_serving(write_result):
     table = ResultTable(
         "E23: tail latency vs. offered load — pass-through vs. serving frontend",
         ["scenario", "offered", "ok/failed/shed", "p50", "p99", "p999", "p999/p50"],
@@ -227,9 +223,4 @@ def test_e23_serving():
             # the off drain outlives the trigger; the on drain does not
             assert off.rt.sim.now > on.rt.sim.now + 1.0
 
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_E23.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_E23.json", results)

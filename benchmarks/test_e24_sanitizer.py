@@ -3,7 +3,7 @@
 The distributed sanitizer (``repro.analysis.dist``) must earn its keep in
 three ways, measured here on the flagship workloads:
 
-1. **Online cost** — running the eight protocol invariant monitors inline
+1. **Online cost** — running the seven protocol invariant monitors inline
    (``sanitizers=("invariants",)``) on the E17 chaos soak should cost a
    few percent of wall time (target <5%; the measured ratio is recorded
    in BENCH_E24.json either way).  Full tracing + happens-before replay
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import gc
 import importlib.util
-import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -195,7 +193,7 @@ def run_hunt():
 # The experiment
 # ----------------------------------------------------------------------
 
-def test_e24_sanitizer(benchmark, tmp_path):
+def test_e24_sanitizer(benchmark, tmp_path, write_result):
     e17 = load_bench("test_e17_chaos_soak")
     e22 = load_bench("test_e22_overload")
 
@@ -279,9 +277,4 @@ def test_e24_sanitizer(benchmark, tmp_path):
         "seeded_race": seeded,
         "hunt": hunt_result,
     }
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_E24.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_E24.json", payload)

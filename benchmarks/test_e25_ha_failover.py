@@ -24,9 +24,6 @@ event signature twice (the determinism witness below).
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.bench import ResultTable, fmt_seconds
 from repro.chaos import ChaosMonkey, ChaosSchedule
 from repro.cluster import build_serverful
@@ -109,7 +106,7 @@ def run_failover(replicas: int):
     return row
 
 
-def test_e25_ha_failover(benchmark):
+def test_e25_ha_failover(benchmark, write_result):
     def sweep():
         rows = [run_failover(r) for r in REPLICA_SWEEP]
         # determinism witness: the flagship replicated run replays bit-for-bit
@@ -171,9 +168,4 @@ def test_e25_ha_failover(benchmark):
         ],
         "deterministic": witness["signature"] == by_replicas[2]["signature"],
     }
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_E25.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_E25.json", payload)

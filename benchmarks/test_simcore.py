@@ -15,7 +15,6 @@ kernel speed across commits is the ledger's ``simtime.events_per_cpu_s``.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.bench.simcore import render_table, run_benchmarks
@@ -25,7 +24,7 @@ SCALE = float(os.environ.get("SIMCORE_SCALE", "0.5"))
 REPEATS = int(os.environ.get("SIMCORE_REPEATS", "2"))
 
 
-def test_e26_simcore_throughput():
+def test_e26_simcore_throughput(write_result):
     results = run_benchmarks(scale=SCALE, repeats=REPEATS)
     print(render_table(results))
 
@@ -34,9 +33,4 @@ def test_e26_simcore_throughput():
         assert r["events"] > 0, f"{name} ran no events"
         assert r["events_per_sec"] > 0, f"{name} has no rate"
 
-    artifacts = os.environ.get("BENCH_ARTIFACTS")
-    out_dir = artifacts or os.path.join(os.path.dirname(__file__), "baselines")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "BENCH_SIMCORE.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_SIMCORE.json", results)

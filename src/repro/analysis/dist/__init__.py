@@ -1,14 +1,14 @@
 """Skadi-TSan: a sanitizer layer for the distributed runtime's protocols.
 
-Four cooperating parts (ISSUE 8):
+Four cooperating parts:
 
 - **Happens-before inference** (:mod:`.hb`): vector clocks over the
   probe's protocol-event stream, flagging conflicting causally-unordered
   accesses to shared control-plane state (object-directory entries).
 - **Protocol invariant monitors** (:mod:`.invariants`): declarative
   checkers for single ownership, directory-state legality, lineage
-  acyclicity, deadline monotonicity, and fetch-dedup cancel-cascade
-  completeness — runnable online behind ``RuntimeConfig(sanitizers=...)``
+  acyclicity, fetch-dedup cancel-cascade completeness, task lifecycles and
+  leader epochs — runnable online behind ``RuntimeConfig(sanitizers=...)``
   or offline over a dumped trace.
 - **Replay-divergence checking** (:mod:`.replay`): same seed twice,
   diff signatures, localize the first diverging event.
@@ -24,7 +24,6 @@ set and ``probe.trace.dump(path)`` is called.
 from .events import ACCESS_CLASSES, CONFLICTS, DistTrace, ProtoEvent
 from .hb import Access, HBResult, Race, build_hb, vc_leq
 from .invariants import (
-    DeadlineMonotonicityMonitor,
     DirectoryStateMonitor,
     FetchRegistryMonitor,
     InvariantEngine,
@@ -57,7 +56,6 @@ __all__ = [
     "SingleOwnerMonitor",
     "DirectoryStateMonitor",
     "LineageAcyclicityMonitor",
-    "DeadlineMonotonicityMonitor",
     "FetchRegistryMonitor",
     "TaskLifecycleMonitor",
     "DistProbe",

@@ -15,7 +15,6 @@ The monitors:
 SingleOwnerMonitor            at most one live owner record per object id
 DirectoryStateMonitor         object-directory transitions follow the legal FSM
 LineageAcyclicityMonitor      lineage edges never form a cycle
-DeadlineMonotonicityMonitor   effective deadline == min(own, inherited-from-producers)
 FetchRegistryMonitor          dedup begin/end pairing; cancelled leaders release followers
 TaskLifecycleMonitor          submit once; at most one terminal per incarnation
 LeaderPerEpochMonitor         at most one GCS leader installed per fencing epoch
@@ -38,7 +37,6 @@ __all__ = [
     "SingleOwnerMonitor",
     "DirectoryStateMonitor",
     "LineageAcyclicityMonitor",
-    "DeadlineMonotonicityMonitor",
     "FetchRegistryMonitor",
     "TaskLifecycleMonitor",
     "LeaderPerEpochMonitor",
@@ -226,39 +224,6 @@ class LineageAcyclicityMonitor(Monitor):
                 continue
             seen.add(node)
             stack.extend(self._deps.get(node, ()))
-
-
-class DeadlineMonotonicityMonitor(Monitor):
-    """Effective deadline == min(own, inherited) — never looser than either."""
-
-    name = "deadline-monotonic"
-    kinds = ("deadline_inherit",)
-
-    _EPS = 1e-9
-
-    def on_event(self, event: ProtoEvent) -> None:
-        if event.kind != "deadline_inherit":
-            return
-        task = event.get("task")
-        own = event.get("own")
-        inherited = event.get("inherited")
-        effective = event.get("effective")
-        if effective is None:
-            if own is not None or inherited is not None:
-                self.flag("deadline dropped during inheritance", event.seq, task)
-            return
-        bounds = [b for b in (own, inherited) if b is not None]
-        if not bounds:
-            self.flag(f"effective deadline {effective} appeared from nowhere",
-                      event.seq, task)
-            return
-        expected = min(bounds)
-        if abs(effective - expected) > self._EPS:
-            self.flag(
-                f"effective {effective} != min(own={own}, inherited={inherited})",
-                event.seq,
-                task,
-            )
 
 
 class FetchRegistryMonitor(Monitor):
@@ -477,7 +442,6 @@ def default_monitors() -> List[Monitor]:
         SingleOwnerMonitor(),
         DirectoryStateMonitor(),
         LineageAcyclicityMonitor(),
-        DeadlineMonotonicityMonitor(),
         FetchRegistryMonitor(),
         TaskLifecycleMonitor(),
         LeaderPerEpochMonitor(),

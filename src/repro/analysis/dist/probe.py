@@ -385,24 +385,6 @@ class DistProbe:
     def adm_reject(self, task_id: str) -> None:
         self.emit("gcs", "adm_reject", (("task", task_id),))
 
-    def deadline_inherit(
-        self,
-        task_id: str,
-        own: Optional[float],
-        inherited: Optional[float],
-        effective: Optional[float],
-    ) -> None:
-        self.emit(
-            "gcs",
-            "deadline_inherit",
-            (
-                ("task", task_id),
-                ("own", own),
-                ("inherited", inherited),
-                ("effective", effective),
-            ),
-        )
-
     # ------------------------------------------------------------------
     # data plane: fetch dedup registry (per-raylet) + arrivals
     # ------------------------------------------------------------------

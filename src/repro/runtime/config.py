@@ -73,12 +73,11 @@ class RuntimeConfig:
     # orphan tasks, placement hazards, memory over-subscription) before any
     # task is submitted, and refuse to launch plans with errors.
     strict_plans: bool = False
-    # -- overload control (repro.runtime.overload).  Three independent
+    # -- overload control (repro.runtime.overload).  Two independent
     # mechanisms, each behind its own switch; a switch that is on *installs*
-    # its subscribers on the runtime's lifecycle seam (deadlines are the
-    # core's own check), and the all-off default installs nothing, so
-    # pre-overload event traces replay bit-for-bit (no extra events, no
-    # extra virtual time).
+    # its subscribers on the runtime's lifecycle seam, and the all-off
+    # default installs nothing, so pre-overload event traces replay
+    # bit-for-bit (no extra events, no extra virtual time).
     # bounded admission: refuse work beyond ``admission_queue_depth`` open
     # tasks (AdmissionRejectedError) instead of queueing without bound.
     admission_control: bool = False
@@ -89,10 +88,6 @@ class RuntimeConfig:
     retry_budget: bool = False
     retry_budget_ratio: float = 0.2
     retry_budget_cap: float = 16.0
-    # deadline propagation: submit(deadline=) flows min(own, producers')
-    # through the graph; attempts past their deadline are skipped and the
-    # task cancelled (cancellation cascades to downstream consumers).
-    deadline_propagation: bool = False
     # -- serving frontend (repro.serving).  These gate how a
     # ServingFrontend attached to this runtime behaves; none of them touch
     # the single-driver path, so the all-off defaults (and any setting,
@@ -104,9 +99,8 @@ class RuntimeConfig:
     # per-tenant quotas: shed a tenant's requests beyond its profile's
     # max_open open requests.
     serving_tenant_isolation: bool = False
-    # SLO deadlines: stamp submit(deadline=arrival+slo) from the tenant
-    # profile onto every request stage (they act only under
-    # deadline_propagation).
+    # unread, and stamps nothing: kept only because the benchmark ledger's
+    # serving workload still passes it.
     serving_slo_deadlines: bool = False
     # pacing: at most this many requests in flight in the runtime (None:
     # unbounded — every request dispatches the instant it arrives); excess

@@ -20,8 +20,9 @@ Two mechanisms live here:
   by first-attempt successes and drained by retries, capping retry volume at
   a fraction of useful volume so storms cannot self-amplify.
 
-Deadline propagation, the third overload switch, is the core's own
-(``ServerlessRuntime._inherit_deadline``): it subscribes nothing here.
+These two are the runtime's whole overload defense.  As in Ray's task API, a
+task carries no time limit of its own: a caller that gives up on one calls
+``ServerlessRuntime.cancel``.
 """
 
 from __future__ import annotations

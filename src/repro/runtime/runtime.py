@@ -87,11 +87,6 @@ class _TransientTaskError(Exception):
     retry policy — not the application — should absorb."""
 
 
-class _DeadlineExceededError(Exception):
-    """An attempt noticed its task's deadline already passed — the raylet
-    skips the doomed work and the task is cancelled, not retried."""
-
-
 @dataclass
 class TaskTimeline:
     """Per-task virtual-time milestones (benchmark raw material)."""
@@ -478,7 +473,6 @@ class ServerlessRuntime:
         pinned_device: Optional[str] = None,
         name: str = "",
         gang_group: Optional[str] = None,
-        deadline: Optional[float] = None,
         tenant: Optional[str] = None,
         num_returns: int = 1,
     ) -> Union[ObjectRef, List[ObjectRef]]:
@@ -491,11 +485,9 @@ class ServerlessRuntime:
         and a replay rebuilds only the outputs that were lost.
         ``output_nbytes`` is the size of each output.
 
-        ``deadline`` is an *absolute* virtual time; with deadline propagation
-        enabled it flows to downstream consumers (min over producers) and
-        attempts past it are skipped and cancelled.  ``tenant`` attributes
-        the task to a serving tenant: cancellation and admission-rejection
-        events/metrics carry it as a label (and nothing else changes).
+        ``tenant`` attributes the task to a serving tenant: cancellation and
+        admission-rejection events/metrics carry it as a label (and nothing
+        else changes).
         """
         spec = TaskSpec(
             task_id=self.ids.task_id(),
@@ -508,15 +500,12 @@ class ServerlessRuntime:
             pinned_device=pinned_device,
             name=name,
             gang_group=gang_group,
-            deadline=deadline,
             tenant=tenant,
             num_returns=num_returns,
         )
         return self._submit_spec(spec)
 
     def _submit_spec(self, spec: TaskSpec) -> Union[ObjectRef, List[ObjectRef]]:
-        if self.config.deadline_propagation:
-            self._inherit_deadline(spec)
         # a gate may raise (AdmissionRejectedError) — before any ownership
         # state exists, so a rejected submission is cleanly retryable
         for gate in self.submit_gates:
@@ -577,10 +566,6 @@ class ServerlessRuntime:
 
     def _route(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
         """Dispatch now, unless the data plane holds the task for its arguments."""
-        if self._deadline_expired(ctx.spec):
-            # scheduler-side skip: never dispatch work that is already doomed
-            self._cancel_and_propagate(ctx, reason="deadline_exceeded")
-            return
         if self.health is not None and self.gcs_up:
             # a dead GCS counts no silence: detection stays down until a
             # failover restarts it on the election winner
@@ -607,34 +592,6 @@ class ServerlessRuntime:
     def _count_shed(self, reason: str) -> None:
         self.tasks_shed += 1
         self._m_shed.of(reason).inc()
-
-    # -- overload control: deadlines ------------------------------------------
-
-    def _inherit_deadline(self, spec: TaskSpec) -> None:
-        """Effective deadline = min(own, every producer's) — a consumer can
-        never outlive the data it waits for."""
-        own = spec.deadline
-        inherited: Optional[float] = None
-        for dep in spec.dependencies:
-            producer = self._ctx_of_object.get(dep.object_id)
-            if producer is None:
-                continue
-            upstream = producer.spec.deadline
-            if upstream is not None and (inherited is None or upstream < inherited):
-                inherited = upstream
-        deadline = own
-        if inherited is not None and (deadline is None or inherited < deadline):
-            deadline = inherited
-        spec.deadline = deadline
-        if self.probe is not None:
-            self.probe.deadline_inherit(spec.task_id, own, inherited, deadline)
-
-    def _deadline_expired(self, spec: TaskSpec) -> bool:
-        return (
-            self.config.deadline_propagation
-            and spec.deadline is not None
-            and self.sim.now >= spec.deadline
-        )
 
     # -- overload control: cancellation ---------------------------------------
 
@@ -843,11 +800,6 @@ class ServerlessRuntime:
             # winner) carries on
             if not (ctx.is_clone or self._attempt_superseded(ctx)):
                 self.supervisor.failed(ctx, cause=str(intr.cause or "interrupted"))
-        except _DeadlineExceededError:
-            if not (ctx.is_clone or self._attempt_superseded(ctx)):
-                self._cancel_and_propagate(
-                    self._ctxs.get(spec.task_id, ctx), reason="deadline_exceeded"
-                )
         except _TransientTaskError as exc:
             if not (ctx.is_clone or self._attempt_superseded(ctx)):
                 self.supervisor.failed(ctx, cause=str(exc))
@@ -878,9 +830,6 @@ class ServerlessRuntime:
             # the raylet can see its own silicon (local knowledge, no
             # network): it refuses to launch onto a dead companion
             raise _TransientTaskError(f"device {device.device_id} is dead")
-        if self._deadline_expired(ctx.spec):
-            # raylet-side skip: the lease arrived past the deadline
-            raise _DeadlineExceededError()
         ctx.timeline.dispatched = self.sim.now
         ctx.state = TaskState.RESOLVING
 
@@ -891,9 +840,6 @@ class ServerlessRuntime:
         unfetched = yield from self.data.resolve(ctx, raylet, device)
         if unfetched:
             raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
-        if self._deadline_expired(ctx.spec):
-            # inputs took too long: skip the doomed execution
-            raise _DeadlineExceededError()
         ctx.timeline.inputs_ready = self.sim.now
 
     def _execute(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:

@@ -34,7 +34,7 @@ class TaskState(enum.Enum):
     RUNNING = "running"  # occupying a device slot
     FINISHED = "finished"
     FAILED = "failed"
-    CANCELLED = "cancelled"  # deadline passed, shed under overload, or upstream cancelled
+    CANCELLED = "cancelled"  # cancel(), shed under overload, or upstream cancelled
 
 
 # the task has concluded, one way or another: nothing more will run for it
@@ -58,8 +58,6 @@ class TaskSpec:
     supported_kinds: FrozenSet[DeviceKind] = frozenset({DeviceKind.CPU})
     pinned_device: Optional[str] = None  # explicit device id, overrides policy
     gang_group: Optional[str] = None  # SPMD gang id (gang scheduling)
-    # overload control --------------------------------------------------------
-    deadline: Optional[float] = None  # absolute sim time; propagates to consumers
     # multi-tenant serving -----------------------------------------------------
     tenant: Optional[str] = None  # submitting tenant id (serving attribution)
     # bookkeeping --------------------------------------------------------------

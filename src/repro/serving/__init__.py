@@ -2,10 +2,10 @@
 
 Turns the single-driver task API into a service: seeded open-loop workload
 synthesis for 10k–1M tenants (:mod:`.workload`, :mod:`.arrivals`), tenant
-identity/quotas/namespaces (:mod:`.tenants`) and an SLO-aware
-weighted-fair frontend feeding the runtime's admission machinery
-(:mod:`.frontend`).  Sessions terminate on one head; head failover is
-the GCS leader election's job (:mod:`repro.runtime.ha`).
+identity/quotas/namespaces (:mod:`.tenants`) and a weighted-fair
+frontend feeding the runtime's admission machinery (:mod:`.frontend`).
+Sessions terminate on one head; head failover is the GCS leader
+election's job (:mod:`repro.runtime.ha`).
 """
 
 from .arrivals import poisson_offsets, uniform_offsets

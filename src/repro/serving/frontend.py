@@ -1,12 +1,11 @@
-"""The multi-tenant serving frontend: SLO-aware fair queueing over the runtime.
+"""The multi-tenant serving frontend: fair queueing and quotas over the runtime.
 
 This is the layer between "millions of users" and the single-driver task
 API.  Requests arrive open-loop (:mod:`repro.serving.workload`); the
 frontend decides — per tenant — what to shed, what to queue, and what to
 dispatch, then instantiates each admitted request's task DAG through the
-ordinary ``submit()`` path so the runtime's admission control, retry
-budgets and deadline propagation apply underneath, each when its own
-``RuntimeConfig`` switch is on.
+ordinary ``submit()`` path so the runtime's admission control and retry
+budgets apply underneath, each when its own ``RuntimeConfig`` switch is on.
 
 Mechanisms, each behind a ``RuntimeConfig`` switch (all-off = a naive
 pass-through that submits every request the instant it arrives, which is
@@ -20,13 +19,10 @@ exactly the single-driver behavior):
   contention is proportional to profile weight, so a free-tier flood
   cannot starve premium tenants.  Off: strict FIFO;
 * **tenant quotas** (``serving_tenant_isolation``): at most
-  ``profile.max_open`` open requests per tenant, shed beyond;
-* **SLO deadlines** (``serving_slo_deadlines``): each request stage is
-  submitted with ``deadline = arrival + profile.slo``.  The stamp acts only
-  under the runtime's ``deadline_propagation`` switch, which then skips and
-  cancels a stage past its tenant's promise; without it (E23 and the
-  ledger's ``serving`` workload run without it) a stamped deadline changes
-  nothing.
+  ``profile.max_open`` open requests per tenant, shed beyond.
+
+A request carries no time limit into the runtime: its latency is measured
+here and judged against an SLO by whoever reads it.
 
 Every request opens a ``control`` span linked to its task spans (the
 request joins the causal trace plane), and ``skadi_serving_*`` metrics
@@ -73,7 +69,7 @@ class PendingRequest:
 
 
 class ServingFrontend:
-    """Offers requests to the runtime under fair queueing, quotas and SLOs."""
+    """Offers requests to the runtime under pacing, fair queueing and quotas."""
 
     def __init__(
         self,
@@ -86,7 +82,6 @@ class ServingFrontend:
         cfg = runtime.config
         self.fair_queueing: bool = cfg.serving_fair_queueing
         self.tenant_isolation: bool = cfg.serving_tenant_isolation
-        self.slo_deadlines: bool = cfg.serving_slo_deadlines
         self.max_inflight: Optional[int] = cfg.serving_max_inflight
         self.queue_depth: int = cfg.serving_queue_depth
         # waiting room: a WFQ heap of (finish_tag, seq, pending) or a FIFO
@@ -227,9 +222,6 @@ class ServingFrontend:
         req = pending.request
         tenant = req.tenant
         profile = tenant.profile
-        deadline = None
-        if self.slo_deadlines and profile.slo is not None:
-            deadline = req.arrival + profile.slo
         self.inflight += 1
         try:
             for stage_name, cost, deps in req.template.stages:
@@ -240,7 +232,6 @@ class ServingFrontend:
                     args,
                     compute_cost=cost,
                     name=tenant.qualify(f"{req.request_id}/{stage_name}"),
-                    deadline=deadline,
                     tenant=tenant.tenant_id,
                 )
                 pending.refs.append(ref)

@@ -1,11 +1,10 @@
 """Tenant identity, quotas, and namespace isolation.
 
 A *tenant* is one paying user of the serving layer: it owns a weight (its
-fair-queueing share), an SLO (a relative completion deadline stamped onto
-every request), and a depth quota (how many of its requests may be open at
-once).  Tenants are grouped into a handful of *profiles* (free / standard
-/ premium by default) so telemetry stays low-cardinality even when the
-population is a million strong.
+fair-queueing share) and a depth quota (how many of its requests may be
+open at once).  Tenants are grouped into a handful of *profiles* (free /
+standard / premium by default) so telemetry stays low-cardinality even
+when the population is a million strong.
 
 The registry is **lazy**: a million-tenant population costs nothing until
 a request actually touches a tenant, and profile assignment is a stable
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 __all__ = ["TenantProfile", "Tenant", "TenantRegistry", "DEFAULT_PROFILES"]
 
@@ -33,7 +32,6 @@ class TenantProfile:
 
     name: str
     weight: float  # weighted-fair-queueing share (bigger = more throughput)
-    slo: Optional[float]  # relative deadline per request (None: best-effort)
     max_open: int  # per-tenant quota of open (offered, not finished) requests
     share: float  # fraction of the population in this class
 
@@ -47,11 +45,11 @@ class TenantProfile:
 
 
 # free tier dominates the population but not the capacity: premium tenants
-# carry 16x the fair-queueing weight, a tighter SLO, and a deeper quota
+# carry 16x the fair-queueing weight and a deeper quota
 DEFAULT_PROFILES: Tuple[TenantProfile, ...] = (
-    TenantProfile("free", weight=1.0, slo=None, max_open=4, share=0.90),
-    TenantProfile("standard", weight=4.0, slo=0.5, max_open=8, share=0.09),
-    TenantProfile("premium", weight=16.0, slo=0.2, max_open=16, share=0.01),
+    TenantProfile("free", weight=1.0, max_open=4, share=0.90),
+    TenantProfile("standard", weight=4.0, max_open=8, share=0.09),
+    TenantProfile("premium", weight=16.0, max_open=16, share=0.01),
 )
 
 

@@ -27,7 +27,7 @@ from repro.runtime import (
 from repro.runtime.runtime import make_reliable_cache
 
 import test_recovery
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 from test_recovery import outcome_of
 
 GPU = frozenset({DeviceKind.GPU})

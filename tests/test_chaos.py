@@ -25,7 +25,7 @@ from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.health import STALL_TICKS
 from repro.runtime.runtime import make_reliable_cache
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 
 def chaos_config(**overrides):

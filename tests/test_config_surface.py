@@ -6,7 +6,8 @@ clothes — it doubles the configurations to reason about and tests nothing.
 This walks the dataclass and the source of ``tests/``, ``benchmarks/`` and
 ``examples/`` and fails on any field that is never passed (as a keyword
 argument, or as a key of a dict that gets splatted into the config) with a
-value other than its default.
+value other than its default.  It also fails on a field that no ``src/``
+module reads, and on a removed field that the config still accepts.
 """
 
 from __future__ import annotations
@@ -81,3 +82,51 @@ def test_a_retired_field_is_a_constant_with_its_old_default(field):
     with pytest.raises(TypeError):
         RuntimeConfig(**{field: default})
     assert getattr(importlib.import_module(module), constant) == default
+
+
+# fields the runtime keeps although no code of its reads them, each with why;
+# an exemption whose field gains a reader is stale and fails below
+UNREAD = {
+    "serving_slo_deadlines": "the benchmark ledger's serving workload still passes it",
+}
+
+
+CONFIG_PY = ROOT / "src/repro/runtime/config.py"
+
+
+def _attributes_read_in_src() -> set:
+    """Every attribute name some ``src/`` module other than the config's own
+    mentions (``cfg.x``, ``self.config.x``, ...)."""
+    names: set = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path == CONFIG_PY:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_field_is_read_by_the_runtime():
+    read = _attributes_read_in_src()
+    unread = sorted(set(DEFAULTS) - read - set(UNREAD))
+    assert not unread, (
+        f"RuntimeConfig fields no src/ module reads: {unread} — a switch that "
+        f"switches nothing; delete it"
+    )
+    stale = sorted(set(UNREAD) & read)
+    assert not stale, f"exempted as unread, but read: {stale} — drop the exemption"
+    assert set(UNREAD) <= set(DEFAULTS)
+
+
+# fields deleted together with the mechanism they switched
+REMOVED = {
+    "deadline_propagation": "the runtime has no task deadlines",
+}
+
+
+@pytest.mark.parametrize("field", sorted(REMOVED))
+def test_a_removed_field_is_refused(field):
+    assert field not in DEFAULTS
+    with pytest.raises(TypeError):
+        RuntimeConfig(**{field: False})

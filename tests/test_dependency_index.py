@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 from test_data_plane import assert_data_plane_drained
 
 from repro.chaos import ChaosMonkey, ChaosSchedule

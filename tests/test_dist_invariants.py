@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.analysis.dist.events import DistTrace
 from repro.analysis.dist.invariants import (
-    DeadlineMonotonicityMonitor,
     DirectoryStateMonitor,
     FetchRegistryMonitor,
     InvariantEngine,
@@ -124,39 +123,6 @@ class TestLineageAcyclicity:
         ])
         assert len(violations) == 1
         assert "cycle" in violations[0].message
-
-
-class TestDeadlineMonotonicity:
-    def test_min_of_bounds_is_clean(self):
-        assert feed(DeadlineMonotonicityMonitor(), [
-            ("deadline_inherit", {"task": "t", "own": 5.0, "inherited": 3.0,
-                                  "effective": 3.0}),
-            ("deadline_inherit", {"task": "u", "own": None, "inherited": 2.0,
-                                  "effective": 2.0}),
-            ("deadline_inherit", {"task": "v", "own": None, "inherited": None,
-                                  "effective": None}),
-        ]) == []
-
-    def test_looser_than_min_is_flagged(self):
-        violations = feed(DeadlineMonotonicityMonitor(), [
-            ("deadline_inherit", {"task": "t", "own": 5.0, "inherited": 3.0,
-                                  "effective": 5.0}),
-        ])
-        assert any("!= min" in v.message for v in violations)
-
-    def test_dropped_deadline_is_flagged(self):
-        violations = feed(DeadlineMonotonicityMonitor(), [
-            ("deadline_inherit", {"task": "t", "own": 5.0, "inherited": None,
-                                  "effective": None}),
-        ])
-        assert any("dropped" in v.message for v in violations)
-
-    def test_deadline_from_nowhere_is_flagged(self):
-        violations = feed(DeadlineMonotonicityMonitor(), [
-            ("deadline_inherit", {"task": "t", "own": None, "inherited": None,
-                                  "effective": 1.0}),
-        ])
-        assert any("from nowhere" in v.message for v in violations)
 
 
 class TestFetchRegistry:

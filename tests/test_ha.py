@@ -43,7 +43,7 @@ from repro.runtime import (
 )
 from repro.runtime.raylet import Raylet
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 
 def load_bench(name):

@@ -33,7 +33,7 @@ from repro.runtime import (
     ValueState,
 )
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 from test_data_plane import assert_data_plane_drained
 from test_ha import ha_config, lane_workload
 

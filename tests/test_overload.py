@@ -1,6 +1,6 @@
-"""Overload control: admission, retry budgets, deadlines.
+"""Overload control: admission and retry budgets.
 
-Three mechanisms, each behind a :class:`RuntimeConfig` switch whose
+Two mechanisms, each behind a :class:`RuntimeConfig` switch whose
 all-off default reproduces legacy traces bit-for-bit (the equivalence
 tests at the bottom pin that on the E17 and E21 scenarios).  The
 deterministic retry-backoff jitter contract is pinned here too, so seeded
@@ -36,7 +36,6 @@ from repro.runtime import (
 OFF_SWITCHES = dict(
     admission_control=False,
     retry_budget=False,
-    deadline_propagation=False,
 )
 
 
@@ -171,10 +170,6 @@ class TestInstall:
         assert rt.overload is None
         assert rt.submit_gates == [] and rt.retry_gates == []
 
-    def test_deadlines_alone_install_no_component(self):
-        rt = make_rt(deadline_propagation=True)
-        assert rt.overload is None  # propagation is the core's own
-
     def test_admission_alone_gates_submits_only(self):
         rt = make_rt(admission_control=True)
         assert [g.__name__ for g in rt.submit_gates] == ["_admission_gate"]
@@ -270,15 +265,6 @@ class TestAdmission:
         assert rt.overload.admitted_open == 0
         assert rt.get(rt.submit(lambda: 3)) == 3
 
-    def test_a_task_skipped_past_its_deadline_releases_its_slot(self):
-        rt = make_rt(
-            admission_control=True, admission_queue_depth=1, deadline_propagation=True
-        )
-        doomed = rt.submit(lambda: 1, deadline=0.0)
-        assert rt.task_state(doomed) is TaskState.CANCELLED
-        assert rt.overload.admitted_open == 0
-        assert rt.get(rt.submit(lambda: 2)) == 2
-
     def test_a_waiting_consumer_holds_a_slot(self):
         """Admission bounds *open* tasks, not running ones: a consumer parked
         on its producer's output counts against the depth."""
@@ -330,84 +316,7 @@ class TestAdmission:
         assert not any(ctx.admitted for ctx in rt._ctxs.values())
 
 
-# -- deadline propagation and cooperative cancellation ------------------------
-
-
-class TestDeadlines:
-    def test_expired_at_submit_is_cancelled(self):
-        rt = make_rt(deadline_propagation=True)
-        ref = rt.submit(lambda: 1, deadline=0.0)  # now == 0.0 already
-        with pytest.raises(TaskCancelledError, match="deadline_exceeded"):
-            rt.get(ref)
-        assert rt.log.of_kind("task_cancelled")[0]["reason"] == "deadline_exceeded"
-
-    def test_deadline_inherited_from_producers(self):
-        rt = make_rt(deadline_propagation=True)
-        a = rt.submit(lambda: 1, deadline=0.5)
-        b = rt.submit(lambda: 2, deadline=0.3)
-        c = rt.submit(lambda x, y: x + y, (a, b))  # no deadline of its own
-        assert rt._ctx_of_object[c.object_id].spec.deadline == 0.3  # the min
-        assert rt.get(c) == 3
-
-    def test_fanin_consumer_inherits_min_across_two_producer_deadlines(self):
-        """Two producers with *different* deadlines feed one consumer: the
-        effective deadline is the min over all of them, even when the
-        consumer brings its own (looser) deadline to the join."""
-        rt = make_rt(deadline_propagation=True)
-        tight = rt.submit(lambda: 1, deadline=0.2)
-        loose = rt.submit(lambda: 2, deadline=0.7)
-        joined = rt.submit(lambda x, y: x + y, (tight, loose), deadline=0.5)
-        assert rt._ctx_of_object[joined.object_id].spec.deadline == 0.2
-        assert rt.get(joined) == 3
-
-    def test_fanin_consumer_keeps_own_deadline_when_tightest(self):
-        rt = make_rt(deadline_propagation=True)
-        a = rt.submit(lambda: 1, deadline=0.4)
-        b = rt.submit(lambda: 2)  # deadline-free producer must not loosen it
-        c = rt.submit(lambda x, y: x + y, (a, b), deadline=0.1)
-        assert rt._ctx_of_object[c.object_id].spec.deadline == 0.1
-        assert rt.get(c) == 3
-
-    def test_consumer_skipped_when_inputs_arrive_too_late(self):
-        rt = make_rt(deadline_propagation=True)
-        slow = rt.submit(lambda: 1, compute_cost=0.2)
-        doomed = rt.submit(lambda x: x, (slow,), deadline=0.05)
-        grandchild = rt.submit(lambda x: x, (doomed,))
-        assert rt.get(slow) == 1  # the producer itself had no deadline
-        with pytest.raises(TaskCancelledError):
-            rt.get(doomed)
-        with pytest.raises(TaskCancelledError, match="upstream"):
-            rt.get(grandchild)
-        reasons = {e["reason"] for e in rt.log.of_kind("task_cancelled")}
-        assert reasons == {"deadline_exceeded", "upstream_cancelled"}
-
-    def test_deadline_flows_down_a_chain(self):
-        rt = make_rt(deadline_propagation=True)
-        a = rt.submit(lambda: 1, deadline=0.25)
-        b = rt.submit(lambda x: x + 1, (a,))
-        c = rt.submit(lambda x: x + 1, (b,), deadline=0.9)
-        assert rt._ctx_of_object[b.object_id].spec.deadline == 0.25
-        assert rt._ctx_of_object[c.object_id].spec.deadline == 0.25
-        assert rt.get(c) == 3
-
-    def test_a_deadline_in_time_changes_nothing(self):
-        def run(**overrides):
-            rt = make_rt(**overrides)
-            a = rt.submit(lambda: 1, compute_cost=1e-3, deadline=1.0)
-            b = rt.submit(lambda x: x * 2, (a,), compute_cost=1e-3)
-            assert rt.get(b) == 2
-            return rt
-
-        legacy, armed = run(), run(deadline_propagation=True)
-        assert legacy.log.signature() == armed.log.signature()
-        assert armed.tasks_cancelled == 0
-
-    def test_deadlines_inert_without_the_switch(self):
-        rt = make_rt(deadline_propagation=False)
-        slow = rt.submit(lambda: 1, compute_cost=0.2)
-        late = rt.submit(lambda x: x + 1, (slow,), deadline=0.05)
-        assert rt.get(late) == 2  # legacy behavior: deadline is ignored
-        assert rt.tasks_cancelled == 0
+# -- cooperative cancellation --------------------------------------------------
 
 
 class TestCancellation:
@@ -448,8 +357,8 @@ class TestCancellation:
         assert reasons == ["user", "upstream_cancelled", "upstream_cancelled"]
 
     def test_every_cancellation_event_carries_a_reason(self):
-        rt = make_rt(deadline_propagation=True)
-        rt.submit(lambda: 1, deadline=0.0)
+        rt = make_rt()
+        rt.submit(lambda: 1)
         victim = rt.submit(lambda: 2, compute_cost=1.0)
         rt.sim.run(until=0.01)
         rt.cancel(victim, reason="user")
@@ -706,7 +615,7 @@ class TestAllOffEquivalence:
 
     def test_switches_on_are_inert_on_a_healthy_run(self):
         """With every mechanism enabled but never triggered (huge depths, no
-        deadlines, no failures), the trace still matches legacy exactly."""
+        failures), the trace still matches legacy exactly."""
 
         def run(**overrides):
             rt = make_rt(**overrides)
@@ -722,7 +631,6 @@ class TestAllOffEquivalence:
             admission_control=True,
             admission_queue_depth=10_000,
             retry_budget=True,
-            deadline_propagation=True,
         )
         assert legacy.log.signature() == armed.log.signature()
         assert legacy.sim.now == armed.sim.now
@@ -734,7 +642,7 @@ class TestAllOffEquivalence:
 def struck_overload_run(sanitizers=()):
     """A 1 GB argument in flight to server1 when its CPU dies (3 ms) and
     comes back (8 ms), next to a burst the 4-deep admission queue refuses,
-    every task under a deadline and every retry paid from the budget.
+    and every retry paid from the budget.
     Returns the runtime, every protocol event the probe emitted as ``(time,
     site, kind, detail)``, and how many submissions were refused."""
     rt = make_rt(
@@ -742,7 +650,6 @@ def struck_overload_run(sanitizers=()):
         admission_control=True,
         admission_queue_depth=4,
         retry_budget=True,
-        deadline_propagation=True,
         sanitizers=sanitizers,
     )
     emitted = []
@@ -760,13 +667,13 @@ def struck_overload_run(sanitizers=()):
         compute_cost=1e-3,
     )
     reader = rt.submit(
-        lambda x: x + 1, (big,), name="reader", deadline=1.0,
+        lambda x: x + 1, (big,), name="reader",
         pinned_device="server1/cpu", compute_cost=1e-3,
     )
     refused = 0
     for i in range(4):
         try:
-            rt.submit(lambda i=i: i, name=f"late{i}", deadline=5e-4, compute_cost=1e-3)
+            rt.submit(lambda i=i: i, name=f"late{i}", compute_cost=1e-3)
         except AdmissionRejectedError:
             refused += 1
 
@@ -783,10 +690,10 @@ def struck_overload_run(sanitizers=()):
 
 
 class TestSanitizedOverload:
-    """The admission, deadline and fetch-registry monitors watch a real
-    overloaded run; no other test run feeds the first two."""
+    """The monitors watch a real overloaded run: admission refusals and the
+    fetch registry's aborts both reach them."""
 
-    def test_the_monitors_see_admission_and_deadlines(self):
+    def test_the_monitors_see_admission_and_the_fetch_registry(self):
         legacy, _, _ = struck_overload_run()
         rt, emitted, refused = struck_overload_run(sanitizers=("invariants",))
         assert rt.log.signature() == legacy.log.signature()
@@ -798,6 +705,8 @@ class TestSanitizedOverload:
         # byte-fair flows: the abandoned 1 GB fetch still holds server1's link
         # when its retry starts, so the retry drains at half the link, not
         # behind the chunk round-robin; the log signature did not move.
-        assert hashlib.sha1(repr(emitted).encode()).hexdigest()[:12] == "23b743ef9e53"
+        # Re-recorded when deadline propagation left the runtime: the list
+        # lost its six deadline_inherit events and nothing else.
+        assert hashlib.sha1(repr(emitted).encode()).hexdigest()[:12] == "803f2a6f43ad"
         seen = {kind for _, _, kind, _ in emitted}
-        assert seen >= {"deadline_inherit", "adm_reject", "fetch_abort"}
+        assert seen >= {"adm_reject", "fetch_abort"}

@@ -21,7 +21,7 @@ from repro.cluster.hardware import GB, MB, DeviceKind
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import make_reliable_cache
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 GPU = frozenset({DeviceKind.GPU})
 PUSH, PULL = ResolutionMode.PUSH, ResolutionMode.PULL

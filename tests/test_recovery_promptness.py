@@ -26,7 +26,7 @@ from repro.runtime.local import LocalRuntime
 from repro.runtime.runtime import make_reliable_cache
 from repro.runtime.task import TaskState
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 if BENCHMARKS not in sys.path:

@@ -16,7 +16,7 @@ from repro.runtime import (
 )
 from repro.runtime.runtime import MAX_LINEAGE_REPLAYS, make_reliable_cache
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 
 def pull_runtime(cluster=None, **kwargs):

@@ -16,7 +16,7 @@ from repro.runtime import (
     write_chrome_trace,
 )
 
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 
 
 def runtime_with_durable():

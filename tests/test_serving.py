@@ -43,7 +43,6 @@ from repro.telemetry import parse_prometheus_text, to_prometheus_text
 SERVING_SWITCHES = dict(
     serving_fair_queueing=True,
     serving_tenant_isolation=True,
-    serving_slo_deadlines=True,
     serving_max_inflight=64,
 )
 
@@ -69,7 +68,7 @@ CHAIN = RequestTemplate("chain", (("a", 1e-3, ()), ("b", 1e-3, (0,))))
 
 
 def plain_tenant(name, **overrides):
-    fields = dict(weight=1.0, slo=None, max_open=10_000, share=1.0)
+    fields = dict(weight=1.0, max_open=10_000, share=1.0)
     fields.update(overrides)
     return Tenant(name, TenantProfile(name, **fields))
 
@@ -170,13 +169,13 @@ class TestTenants:
         assert counts["premium"] >= 1
 
     def test_share_and_profile_validation(self):
-        bad = TenantProfile("x", weight=1.0, slo=None, max_open=1, share=0.5)
+        bad = TenantProfile("x", weight=1.0, max_open=1, share=0.5)
         with pytest.raises(ValueError, match="sum"):
             TenantRegistry(10, profiles=(bad,))
         with pytest.raises(ValueError, match="weight"):
-            TenantProfile("x", weight=0.0, slo=None, max_open=1, share=1.0)
+            TenantProfile("x", weight=0.0, max_open=1, share=1.0)
         with pytest.raises(ValueError, match="max_open"):
-            TenantProfile("x", weight=1.0, slo=None, max_open=0, share=1.0)
+            TenantProfile("x", weight=1.0, max_open=0, share=1.0)
 
     def test_qualify_namespaces_object_names(self):
         t = TenantRegistry(10).tenant(3)
@@ -232,7 +231,7 @@ class TestWorkload:
 class TestFrontend:
     def test_all_off_is_a_passthrough(self):
         """Default config: every request dispatches the instant it arrives —
-        no queueing, no shedding, no deadlines, nothing held back."""
+        no queueing, no shedding, nothing held back."""
         rt = make_rt()
         fe = ServingFrontend(rt, TenantRegistry(4))
         t = plain_tenant("t0")
@@ -305,19 +304,6 @@ class TestFrontend:
         heavy_fifo, light_fifo = run(fair=False)
         assert heavy_fifo > light_fifo / 2  # FIFO is weight-blind
 
-    def test_slo_deadlines_flow_into_submit(self):
-        rt = make_rt(serving_slo_deadlines=True, deadline_propagation=True)
-        fe = ServingFrontend(rt, TenantRegistry(4))
-        t = plain_tenant("slo", slo=0.25)
-        pending = fe.offer(Request("r0", t, CHAIN, 0.0))
-        for ref in pending.refs:
-            spec = rt._ctx_of_object[ref.object_id].spec
-            assert spec.deadline == 0.25
-            assert spec.tenant == "slo"
-            assert spec.name.startswith("slo/r0/")
-        rt.sim.run()
-        assert fe.completed == 1
-
     def test_runtime_admission_rejection_shreds_partial_dag(self):
         """When PR 6's admission gate rejects a stage mid-request, the whole
         request sheds and its already-submitted stages are cancelled."""
@@ -355,7 +341,7 @@ class TestFrontend:
         via the frontend's request abort (which fires before the runtime
         cascade can reach it) and cascades upstream_cancelled into a
         driver-side consumer of the request's output."""
-        rt = make_rt(deadline_propagation=True)
+        rt = make_rt()
         fe = ServingFrontend(rt, TenantRegistry(4))
         t = plain_tenant("casc")
         pending = fe.offer(Request("r0", t, CHAIN, 0.0))

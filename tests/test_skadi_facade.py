@@ -12,7 +12,7 @@ from repro.frontends.sql import sql_to_ir
 from repro.ir import Builder, TensorType, run_function
 from repro.runtime import Generation, ResolutionMode, RuntimeConfig
 
-from conftest import assert_batches_close
+from asserts import assert_batches_close
 
 
 class TestPlanner:

@@ -22,7 +22,7 @@ from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime, Task
 from repro.runtime.runtime import make_reliable_cache
 
 import test_recovery
-from conftest import assert_recovery_drained
+from asserts import assert_recovery_drained
 from test_data_plane import assert_data_plane_drained
 from test_recovery import outcome_of
 
