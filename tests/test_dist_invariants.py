@@ -10,9 +10,12 @@ from __future__ import annotations
 from repro.analysis.dist.events import DistTrace
 from repro.analysis.dist.invariants import (
     DirectoryStateMonitor,
+    EpochMonotonicityMonitor,
     FetchRegistryMonitor,
     InvariantEngine,
+    LeaderPerEpochMonitor,
     LineageAcyclicityMonitor,
+    Monitor,
     SingleOwnerMonitor,
     TaskLifecycleMonitor,
 )
@@ -107,6 +110,18 @@ class TestDirectoryState:
                           "locations": 0}),
         ]) == []
 
+
+    def test_restore_reseeds_the_tracked_state(self):
+        """A failover re-installs an entry from its WAL snapshot: ``old`` is
+        None whatever was tracked, and the restored state is the new truth."""
+        assert feed(DirectoryStateMonitor(), [
+            ("own_create", {"object": "o", "old": None, "new": "PENDING",
+                            "locations": 0}),
+            ("own_restore", {"object": "o", "old": None, "new": "READY",
+                             "locations": 1}),
+            ("own_add_location", {"object": "o", "old": "READY", "new": "READY",
+                                  "locations": 2}),
+        ]) == []
 
 class TestLineageAcyclicity:
     def test_chain_and_diamond_are_clean(self):
@@ -218,6 +233,60 @@ class TestTaskLifecycle:
         ]) == []
 
 
+class TestLeaderPerEpoch:
+    def test_one_leader_per_epoch_is_clean(self):
+        assert feed(LeaderPerEpochMonitor(), [
+            ("ha_leader", {"epoch": 1, "node": "server0"}),
+            ("ha_leader", {"epoch": 2, "node": "server1"}),
+        ]) == []
+
+    def test_two_leaders_in_one_epoch_is_flagged(self):
+        violations = feed(LeaderPerEpochMonitor(), [
+            ("ha_leader", {"epoch": 2, "node": "server0"}),
+            ("ha_leader", {"epoch": 2, "node": "server1"}),
+        ])
+        assert [v.subject for v in violations] == ["server1"]
+        assert "two leaders: server0 then server1" in violations[0].message
+
+
+def fence(endpoint, lease, raylet, accepted):
+    return ("ha_fence", {"endpoint": endpoint, "lease_epoch": lease,
+                         "raylet_epoch": raylet, "accepted": accepted})
+
+
+class TestEpochMonotonicity:
+    def test_rising_epochs_and_current_leases_are_clean(self):
+        assert feed(EpochMonotonicityMonitor(), [
+            ("ha_leader", {"epoch": 1, "node": "server0"}),
+            fence("r0", 1, 1, True),
+            ("ha_leader", {"epoch": 2, "node": "server1"}),
+            fence("r0", 2, 1, True),  # a newer lease moves the raylet forward
+            fence("r0", 2, 2, True),
+        ]) == []
+
+    def test_a_refused_stale_lease_is_the_fence_working(self):
+        assert feed(EpochMonotonicityMonitor(), [fence("r0", 1, 2, False)]) == []
+
+    def test_a_leader_for_an_old_epoch_is_flagged(self):
+        violations = feed(EpochMonotonicityMonitor(), [
+            ("ha_leader", {"epoch": 3, "node": "server0"}),
+            ("ha_leader", {"epoch": 3, "node": "server1"}),
+        ])
+        assert any("epoch 3 after epoch 3" in v.message for v in violations)
+
+    def test_a_raylet_epoch_going_backwards_is_flagged(self):
+        violations = feed(EpochMonotonicityMonitor(), [
+            fence("r0", 2, 2, True),
+            fence("r0", 2, 1, True),
+        ])
+        assert [v.subject for v in violations] == ["r0"]
+        assert "went backwards: 2 -> 1" in violations[0].message
+
+    def test_an_accepted_stale_lease_is_flagged(self):
+        violations = feed(EpochMonotonicityMonitor(), [fence("r0", 1, 2, True)])
+        assert any("accepted stale lease epoch 1" in v.message for v in violations)
+
+
 class TestInvariantEngine:
     def test_engine_runs_all_monitors_and_sorts_violations(self):
         trace = DistTrace()
@@ -247,3 +316,44 @@ class TestInvariantEngine:
         engine.finish()
         engine.finish()
         assert engine.violations() == []
+
+    def test_the_default_set_is_every_protocol_monitor(self):
+        names = [m.name for m in InvariantEngine().monitors]
+        assert names == [
+            "single-owner",
+            "directory-state",
+            "lineage-acyclic",
+            "fetch-registry",
+            "task-lifecycle",
+            "leader-per-epoch",
+            "epoch-monotonic",
+        ]
+
+    def test_an_event_reaches_only_the_monitors_that_subscribe_to_it(self):
+        engine = InvariantEngine()
+        assert [m.name for m in engine.route("ha_leader")] == [
+            "leader-per-epoch", "epoch-monotonic",
+        ]
+        assert engine.route("no_such_kind") == ()
+        assert engine.route("ha_leader") is engine.route("ha_leader")  # cached
+
+    def test_a_monitor_without_kinds_hears_every_event(self):
+        class Everything(Monitor):
+            name = "everything"
+
+            def __init__(self):
+                super().__init__()
+                self.kinds_seen = []
+
+            def on_event(self, event):
+                self.kinds_seen.append(event.kind)
+
+        listener = Everything()
+        trace = DistTrace()
+        for kind in ("submit", "no_such_kind", "ha_leader"):
+            trace.record(0.0, "t", kind, detail=(("task", "t"), ("epoch", 1),
+                                                 ("node", "n")))
+        engine = InvariantEngine(monitors=[listener])
+        for event in trace:
+            engine.on_event(event)
+        assert listener.kinds_seen == ["submit", "no_such_kind", "ha_leader"]

@@ -356,6 +356,16 @@ class TestCancellation:
         reasons = [e["reason"] for e in rt.log.of_kind("task_cancelled")]
         assert reasons == ["user", "upstream_cancelled", "upstream_cancelled"]
 
+    def test_submit_takes_no_deadline(self):
+        """Tasks carry no deadline: a late consumer runs to completion."""
+        rt = make_rt()
+        with pytest.raises(TypeError, match="deadline"):
+            rt.submit(lambda: 1, deadline=1.0)
+        slow = rt.submit(lambda: 1, compute_cost=0.2)
+        late = rt.submit(lambda x: x + 1, (slow,))
+        assert rt.get(late) == 2
+        assert rt.tasks_cancelled == 0
+
     def test_every_cancellation_event_carries_a_reason(self):
         rt = make_rt()
         rt.submit(lambda: 1)

@@ -304,6 +304,17 @@ class TestFrontend:
         heavy_fifo, light_fifo = run(fair=False)
         assert heavy_fifo > light_fifo / 2  # FIFO is weight-blind
 
+    def test_stages_carry_the_tenant_and_request_name(self):
+        rt = make_rt()
+        fe = ServingFrontend(rt, TenantRegistry(4))
+        t = plain_tenant("named")
+        pending = fe.offer(Request("r0", t, CHAIN, 0.0))
+        specs = [rt._ctx_of_object[ref.object_id].spec for ref in pending.refs]
+        assert [s.tenant for s in specs] == ["named", "named"]
+        assert [s.name for s in specs] == ["named/r0/a", "named/r0/b"]
+        rt.sim.run()
+        assert fe.completed == 1
+
     def test_runtime_admission_rejection_shreds_partial_dag(self):
         """When PR 6's admission gate rejects a stage mid-request, the whole
         request sheds and its already-submitted stages are cancelled."""
@@ -483,6 +494,23 @@ class TestServingEquivalence:
         )
         assert legacy.log.signature() == gated.log.signature()
         assert legacy.sim.now == gated.sim.now
+
+    def test_the_slo_deadline_switch_moves_no_trace(self):
+        """``serving_slo_deadlines`` is kept only because the benchmark
+        ledger passes it: the runtime has no task deadlines to stamp."""
+
+        def run(**overrides):
+            rt = make_rt(serving_fair_queueing=True, **overrides)
+            fe = ServingFrontend(rt, TenantRegistry(4))
+            t = plain_tenant("slo")
+            fe.play([Request(f"r{i}", t, CHAIN, 1e-3 * i) for i in range(8)])
+            rt.sim.run()
+            assert fe.completed == 8
+            return rt
+
+        legacy, stamped = run(), run(serving_slo_deadlines=True)
+        assert legacy.log.signature() == stamped.log.signature()
+        assert legacy.sim.now == stamped.sim.now
 
     def test_e22_overload_trace_identical_with_serving_switches_on(self):
         """The burst-heavy E22 scenario also pins the ChaosMonkey._burst
