@@ -39,29 +39,30 @@ single-heap kernel:
 * **exact absolute enqueue** — :meth:`Simulator.call_at` lands an entry at
   exactly the time it is given (a flow replaying a pipeline's arithmetic
   must land on the pipeline's last bit), and :meth:`Simulator.cancel`
-  withdraws one; an instant left empty is skipped by the run loops.
+  withdraws one; an instant left empty is skipped by the run loop.
 
-Installing a schedule perturbation (:meth:`Simulator.set_perturbation`)
-switches to the *perturbation queue*: a single heap keyed ``(time, (rank,
-seq))``, the only structure that can order re-ranked ties.  The ring and
-calendar re-engage when it is cleared.  Unperturbed, the kernel reproduces
-the pre-rebuild single-heap kernel's dispatch order bit-for-bit: the
-goldens in ``repro.bench.simcore`` and ``tests/test_simcore_kernel.py`` are
-what that kernel recorded.
+A schedule perturbation (:meth:`Simulator.set_perturbation`) keeps both
+tiers and the one run loop: it only re-keys ties.  Each entry is numbered
+and carries ``(rank, seq)``, and goes into the ring or its instant's bucket
+in key order instead of at the tail.  Unperturbed, the kernel reproduces the
+pre-rebuild single-heap kernel's dispatch order bit-for-bit: the goldens in
+``repro.bench.simcore`` and ``tests/test_simcore_kernel.py`` are what that
+kernel recorded.
 
 One invariant keeps the enqueue paths short: a non-empty ring always
-belongs to the current instant, so a zero-delay enqueue is a bare append.
-Virtual time only moves in the run loops, which drain the ring before
-advancing, and ``run(until)`` never rewinds the clock.
+belongs to the current instant, so an unperturbed zero-delay enqueue is a
+bare append.  Virtual time only moves in the run loop, which drains the
+ring before advancing, and ``run(until)`` never rewinds the clock.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from collections import deque
 from functools import partial
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -106,6 +107,10 @@ _START_ARGS = (None, None)
 # ~60ns per construction, and timeouts/signals are created once per
 # timed wait and once per channel get respectively.
 _new = object.__new__
+
+# The tie key of an entry enqueued under a perturbation: ``(fn, args, (rank,
+# seq))``.  Its instant's deque is kept sorted by it.
+_tie_key = itemgetter(2)
 
 
 def _push0(sim: "Simulator", item: tuple) -> None:
@@ -282,10 +287,6 @@ class Signal(Awaitable):
 
     def succeed(self, value: Any = None) -> None:
         self.trigger(value)
-
-    @property
-    def ok(self) -> bool:
-        return self.triggered
 
 
 class AllOf(Awaitable):
@@ -544,7 +545,7 @@ class Resource:
     holder must call ``release()`` exactly once.  FIFO granting keeps the
     model deterministic.  A grant that will never be consumed (its requester
     was interrupted) must be withdrawn with :meth:`cancel`, otherwise the
-    slot leaks — :meth:`use` does this for its own request.
+    slot leaks.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue")
@@ -600,30 +601,6 @@ class Resource:
             pass
         self.release()
 
-    def use(self, duration: float) -> Process:
-        """Convenience: hold one slot for ``duration`` virtual time.
-
-        Interrupt-safe: an interrupt that lands while the slot request is
-        still queued (or granted but undelivered) cancels the request, so
-        the slot is never leaked into a process that already unwound.
-        """
-
-        def _use() -> Generator:
-            grant = self.request()
-            try:
-                yield grant
-            except BaseException:
-                # Interrupted (or closed) before the grant was consumed:
-                # give the slot back / withdraw the queued request.
-                self.cancel(grant)
-                raise
-            try:
-                yield _make_timeout(self.sim, duration)
-            finally:
-                self.release()
-
-        return self.sim.process(_use())
-
 
 class Channel:
     """An unbounded FIFO message channel between processes."""
@@ -675,35 +652,6 @@ class Channel:
             self._getters.append(sig)
         return sig
 
-    def cancel_get(self, sig: Awaitable) -> None:
-        """Withdraw a :meth:`get` whose consumer unwound (was interrupted).
-
-        A still-waiting getter is removed from the queue.  A getter whose
-        item was already dispatched (or delivered) puts the item back at the
-        *head* of the channel so FIFO order is preserved for the next get.
-        """
-        try:
-            self._getters.remove(sig)
-            return
-        except ValueError:
-            pass
-        if sig.triggered:
-            self._items.appendleft(sig.value)
-        # else: the succeed event is in flight; when it lands the item sits
-        # in sig.value of a signal nobody waits on — callers cancelling an
-        # in-flight get should do so via a zero-delay event of their own,
-        # after the succeed has landed (cancel_get is idempotent until then).
-
-
-@dataclass(order=True, slots=True)
-class _ScheduledEvent:
-    time: float
-    # ``(rank, seq)``: the perturbation's rank re-keys ties at one instant;
-    # the order stays total because the seq component is unique
-    seq: Any
-    fn: Callable = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
 
 class Simulator:
     """The event loop: a total order of timestamped callbacks.
@@ -716,15 +664,11 @@ class Simulator:
       deques plus a heap of distinct times; advancing to an instant promotes
       its whole bucket to the ring in one heap pop.
 
-    While a schedule perturbation is installed both tiers stand empty and
-    the **perturbation queue** — one heap keyed ``(time, (rank, seq))`` —
-    carries every event: re-ranked tie keys need a real priority queue.
+    While a schedule perturbation is installed each instant's deque (ring
+    or bucket) is kept sorted by ``(rank, seq)`` instead of arrival.
     """
 
     def __init__(self) -> None:
-        # perturbation queue (used only while a perturbation is installed)
-        self._queue: list[_ScheduledEvent] = []
-        # two-tier fast path
         self._ring: deque = deque()
         self._buckets: dict = {}
         self._times: list = []
@@ -740,10 +684,10 @@ class Simulator:
         # -- counters ---------------------------------------------------------
         self.inline_steps = 0  # process resumptions that skipped the queue
         self._dispatched = 0  # queue entries fired (flushed per instant)
-        # True iff no perturbation is installed: the ring + calendar carry
-        # the order, the inlined enqueue blocks (_make_timeout, _push0)
-        # and inline resumption are open.  False routes everything through
-        # the perturbation queue.
+        # True iff no perturbation is installed: entries append in FIFO
+        # order, the inlined enqueue blocks (_make_timeout, _push0) and
+        # inline resumption are open.  False routes every enqueue through
+        # schedule(), which keys it.
         self._fastpath = True
         # Instance attributes shadow the factory methods below with
         # C-dispatched partials: model code calls sim.timeout()/sim.process()
@@ -765,11 +709,11 @@ class Simulator:
     ) -> None:
         """Install (or clear) a schedule perturbation.
 
-        Must be called while the simulator is idle: entries authored under
-        one queue discipline cannot be re-keyed into the other.  While
-        installed, every event goes through the perturbation queue (the
-        perturbation re-ranks its tie keys); clearing it restores the
-        ring + calendar.
+        Must be called while the simulator is idle: an entry enqueued in
+        arrival order carries no tie key, and a keyed one no place in a FIFO.
+        While installed, every enqueue is numbered and put in ``(rank,
+        seq)`` order within its instant (the perturbation picks the rank and
+        may stretch the delay); clearing it restores FIFO appends.
         """
         if self.pending_events():
             raise SimulationError(
@@ -805,20 +749,27 @@ class Simulator:
 
     def _enqueue(self, t: float, delay: float, fn: Callable, args: tuple) -> Any:
         """Put ``fn(*args)`` at ``t`` (``delay`` after now), behind everything
-        already pending there; returns the handle :meth:`cancel` takes."""
+        already pending there unless a perturbation ranks it ahead; returns
+        the handle :meth:`cancel` takes."""
         if not self._fastpath:
-            # Only the perturbation queue materializes seq as a tie key; the
-            # fast structures below are FIFO by construction, so they carry
-            # the (time, seq) order without numbering each entry (dispatch
-            # counting lives in the run loops — see events_executed).  A
-            # jittered delay lands at now + jitter; an unjittered one at t.
+            # Only a perturbation numbers entries: the entry carries its tie
+            # key (rank, seq) and goes into its instant's deque (the ring, or
+            # a bucket that is always a deque here) in key order.  The FIFO
+            # path below needs no numbers (dispatch counting lives in the run
+            # loop — see events_executed).  A jittered delay lands at now +
+            # jitter; an unjittered one at t.
             self._seq += 1
             rank, jittered = self._perturb(self._seq, delay)
-            ev = _ScheduledEvent(
-                t if jittered == delay else self._now + jittered, (rank, self._seq), fn, args
-            )
-            heapq.heappush(self._queue, ev)
-            return ev
+            if jittered != delay:
+                t = self._now + jittered
+            entry = (fn, args, (rank, self._seq))
+            pending = self._ring if t == self._now else self._buckets.get(t)
+            if pending is None:
+                self._buckets[t] = deque((entry,))
+                heapq.heappush(self._times, t)
+            else:
+                insort(pending, entry, key=_tie_key)
+            return t, entry
         entry = (fn, args)
         if t == self._now:
             # Zero-delay (or underflowed-to-now) event: it belongs to the
@@ -844,10 +795,6 @@ class Simulator:
         """Withdraw a :meth:`call_at` entry that has not been dispatched; a
         handle that is not pending raises ``ValueError``.  An instant left
         empty stays in the time heap until a loop skips it."""
-        if not self._fastpath:
-            self._queue.remove(handle)
-            heapq.heapify(self._queue)
-            return
         when, entry = handle
         buckets = self._buckets
         # A later entry sits in its instant's bucket; one at now sits in the
@@ -887,8 +834,6 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None when idle."""
-        if not self._fastpath:
-            return self._queue[0].time if self._queue else None
         if self._ring:
             return self._now  # the calendar only holds later instants
         times, buckets = self._times, self._buckets
@@ -898,7 +843,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Events scheduled but not yet dispatched (across all tiers)."""
-        n = len(self._ring) + len(self._queue)
+        n = len(self._ring)
         if self._buckets:
             n += sum(
                 len(b) if type(b) is deque else 1 for b in self._buckets.values()
@@ -908,7 +853,7 @@ class Simulator:
     def events_executed(self) -> int:
         """Total events dispatched so far, including inline resumptions.
 
-        The run loops count dispatches locally and flush the tally once per
+        The run loop counts dispatches locally and flushes the tally once per
         instant (fast-path enqueues do not number entries — FIFO structures
         carry the order), so mid-run reads may lag by the instant currently
         draining; at run boundaries the count is exact.
@@ -929,28 +874,12 @@ class Simulator:
             return self._now
         self._running = True
         try:
-            if self._fastpath:
-                return self._run_batched(until)
-            return self._run_perturbed(until)
+            return self._run_batched(until)
         finally:
             self._running = False
 
-    def _run_perturbed(self, until: Optional[float]) -> float:
-        """The perturbation-queue loop: one heap pop per event."""
-        queue = self._queue
-        heappop = heapq.heappop
-        while queue:
-            if until is not None and queue[0].time > until:
-                self._now = until
-                break
-            ev = heappop(queue)
-            self._now = ev.time
-            self._dispatched += 1
-            ev.fn(*ev.args)
-        return self._now
-
     def _run_batched(self, until: Optional[float]) -> float:
-        """The fast path: ring + bucket calendar with same-instant batching."""
+        """The one dispatch loop: ring + bucket calendar, same-instant batching."""
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop

@@ -190,10 +190,16 @@ class DataPlane:
     def publish(self, object_id: str) -> None:
         """At commit (PUSH only): signal the attempts still waiting for the
         object (its readers' and their speculative twins') whose device holds
-        it, as dispatch does, and push it to the rest as one wave."""
+        it, as dispatch does, and push it to the rest as one wave.  A device
+        is looked up once; every attempt on one that lacks the object is
+        queued, since the first may lose its device before the wave leaves."""
         if self.push_mode:
+            held: Dict[str, bool] = {}
             for attempt in self._waiting_for(object_id):
-                if not self._held(object_id, attempt):
+                device_id = attempt.device.device_id
+                if device_id not in held:
+                    held[device_id] = self._held(object_id, attempt)
+                if not held[device_id]:
                     self._queue_push(object_id, attempt)
 
     # -- the waiting room (pull) -----------------------------------------------

@@ -581,6 +581,11 @@ class HAController:
         self._failover_span = rt.telemetry.tracer.start_span(
             "ha-failover", "control", epoch=self.epoch, cause="head killed"
         )
+        if not self.standbys:
+            # an earlier election used up the last standby: nobody is left
+            # to watch the silence, let alone to elect
+            self._declare_cluster_lost("no live standby to elect")
+            return
         # the watch loops may have drained during an idle gap; the kill is
         # itself the event that must restart them
         self.ensure_running()

@@ -1,22 +1,25 @@
 """Edge semantics of the simulator core.
 
 The kernel runs on a two-tier queue (microtask ring + bucket calendar) with
-same-instant batching; an installed schedule perturbation moves every event
-onto the perturbation queue (one heap).
-These tests pin, on both queue disciplines:
+same-instant batching; an installed schedule perturbation keeps both tiers
+and puts each entry in ``(rank, seq)`` order within its instant instead of
+appending it.  These tests pin, unperturbed and perturbed:
 
 * ``run(until=)`` stopping exactly at an event's timestamp, and never
   rewinding the clock,
 * ``schedule_at`` clamping into the current instant mid-run,
-* ``peek()`` agreeing across both queue tiers and the perturbation queue,
+* ``peek()`` and ``pending_events()`` agreeing across both tiers,
+  ``call_at`` + ``cancel`` of a keyed entry,
 * interrupt-vs-trigger races under the microtask ring,
 * a determinism witness — the live kernel, and the live kernel under an
   identity perturbation, reproduce the traces the frozen pre-rebuild kernel
   recorded on a randomized process soup and a timer loop (digests below),
+* perturbed goldens — the soup and the BENCH_SIMCORE kernels under seeded
+  re-ranking, jitter and a partial window dispatch as they were recorded,
 * the BENCH_SIMCORE golden check failing on a reordered run, an event-count
   mismatch and an unrecorded scale,
-* the satellite fixes (AnyOf loser detach, interrupt-safe ``Resource.use``,
-  ``Channel.cancel_get``), and timer-only loops simulated round by round.
+* AnyOf loser detach, a cancelled slot request not leaking its slot, and
+  timer-only loops simulated round by round.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.bench.simcore import (
     checksum,
     run_benchmarks,
 )
+from repro.chaos.perturb import TiePerturbation
 from repro.cluster import simtime as live
 from repro.cluster.simtime import (
     Resource,
@@ -43,7 +47,7 @@ from repro.cluster.simtime import (
 
 
 def identity_perturbation(seq, delay):
-    """rank == seq: the perturbation queue must reproduce ``(time, seq)``."""
+    """rank == seq: the keyed ring and calendar must reproduce ``(time, seq)``."""
     return seq, delay
 
 
@@ -54,7 +58,7 @@ def new_sim(queue):
     return sim
 
 
-# both queue disciplines of the live kernel
+# the live kernel, unperturbed and keyed by an identity perturbation
 QUEUES = ["ring", "perturbed"]
 
 
@@ -160,6 +164,81 @@ class TestDeterminismWitness:
             assert n > 0
             counts.add(n)
         assert len(counts) == 1, f"queue counts diverged: {counts}"
+
+
+# Every even sequence number a soup run can reach: a partial window, as the
+# shrinker installs.
+EVEN_SEQS = frozenset(range(0, 100_000, 2))
+
+# (seed, jitter, window) -> (checksum(run_soup(...)), sim.now,
+# events_executed()) under TiePerturbation(seed, active=window, jitter=jitter),
+# as the kernel that still kept a separate perturbation heap ran it
+PERTURBED_SOUP_GOLDEN = {
+    (1, 0.0, "all"): ("61cb03f3d3b6fb13", 0.002078483204330972, 64),
+    (1, 0.0, "even"): ("120bb460dd7a478f", 0.0014948462267713393, 62),
+    (1, 0.1, "all"): ("f17e94647e4faa56", 0.0021653887534118866, 64),
+    (1, 0.1, "even"): ("6553edebf4849894", 0.0015012433136925797, 62),
+    (2, 0.0, "all"): ("c8440c1c578cf186", 0.002448170643679662, 88),
+    (2, 0.0, "even"): ("9f57e43c6677cfed", 0.002448170643679662, 88),
+    (2, 0.1, "all"): ("6800475541b63b13", 0.0025672418120044884, 88),
+    (2, 0.1, "even"): ("bd31f008ae6f56ce", 0.0025896450030117903, 88),
+    (3, 0.0, "all"): ("1dba728893f9edee", 0.0019312865197748915, 79),
+    (3, 0.0, "even"): ("ca8dd8769271e0d1", 0.0019312865197748915, 84),
+    (3, 0.1, "all"): ("6d22917e3cfb6bcf", 0.002067334046534039, 78),
+    (3, 0.1, "even"): ("677cb140d8c49d54", 0.0020458070381786796, 83),
+    (4, 0.0, "all"): ("9c40b04325308d93", 0.002460334451624871, 84),
+    (4, 0.0, "even"): ("6b33fc9bd9995121", 0.002460334451624871, 84),
+    (4, 0.1, "all"): ("40706552cf5681e1", 0.0025884589839539163, 84),
+    (4, 0.1, "even"): ("9646448b1868dfb1", 0.002465988633499148, 84),
+    (5, 0.0, "all"): ("8d1532747050d2ea", 0.0034569139682521124, 86),
+    (5, 0.0, "even"): ("bf22d82a1eadd833", 0.0034569139682521124, 86),
+    (5, 0.1, "all"): ("2fc87fa554f75866", 0.0035855155840568923, 86),
+    (5, 0.1, "even"): ("84177fcc170f225d", 0.003572263277536885, 86),
+}
+
+# (kernel, seed, jitter) -> the same triple for each BENCH_SIMCORE kernel at
+# scale 0.1 under TiePerturbation(seed, jitter=jitter), recorded alike
+PERTURBED_KERNEL_GOLDEN = {
+    ("e17_soak_loop", 1, 0.0): ("86efa00667b5446f", 0.10805000000000008, 8628),
+    ("e17_soak_loop", 1, 0.1): ("9317bd72028b2dac", 0.11344906746998233, 8569),
+    ("e17_soak_loop", 2, 0.0): ("31632a669a5eb146", 0.11705000000000008, 9233),
+    ("e17_soak_loop", 2, 0.1): ("5f9163c0de9819d8", 0.110605865968197, 8425),
+    ("e21_transfer_loop", 1, 0.0): ("422b70ce50ab7bea", 0.0038400000000000075, 1268),
+    ("e21_transfer_loop", 1, 0.1): ("1f6725b85d547f83", 0.004038401501887106, 1268),
+    ("e21_transfer_loop", 2, 0.0): ("1b24952396f30a1d", 0.0038400000000000075, 1268),
+    ("e21_transfer_loop", 2, 0.1): ("041bd2a7a8b0d0e5", 0.004029398380673817, 1268),
+    ("zero_delay_loop", 1, 0.0): ("a65c7c0167365d74", 0.0, 7744),
+    ("zero_delay_loop", 1, 0.1): ("a65c7c0167365d74", 0.0, 7744),
+    ("zero_delay_loop", 2, 0.0): ("c15c1dbf60528f85", 0.0, 7744),
+    ("zero_delay_loop", 2, 0.1): ("c15c1dbf60528f85", 0.0, 7744),
+    ("idle_poll", 1, 0.0): ("b405aeef9c335e53", 0.25000000000000017, 2010),
+    ("idle_poll", 1, 0.1): ("2923238b5df27b95", 0.25917218580762214, 1983),
+    ("idle_poll", 2, 0.0): ("b405aeef9c335e53", 0.25000000000000017, 2010),
+    ("idle_poll", 2, 0.1): ("7a504e6f5921ef91", 0.273853096413811, 2095),
+}
+
+
+class TestPerturbedGoldens:
+    """A seeded TiePerturbation's schedule is pinned: re-ranked ties, jittered
+    delays and a partial window dispatch as they did when the perturbed run
+    had a queue of its own."""
+
+    @pytest.mark.parametrize("key", sorted(PERTURBED_SOUP_GOLDEN))
+    def test_soup(self, key):
+        seed, jitter, window = key
+        sim = Simulator()
+        active = None if window == "all" else EVEN_SEQS
+        sim.set_perturbation(TiePerturbation(seed, active=active, jitter=jitter))
+        got = checksum(run_soup(sim, seed))
+        assert (got, sim.now, sim.events_executed()) == PERTURBED_SOUP_GOLDEN[key]
+
+    @pytest.mark.parametrize("key", sorted(PERTURBED_KERNEL_GOLDEN))
+    def test_simcore_kernel(self, key):
+        name, seed, jitter = key
+        sim = Simulator()
+        sim.set_perturbation(TiePerturbation(seed, jitter=jitter))
+        got = checksum(dict(KERNELS)[name](sim, 0.1))
+        assert (got, sim.now, sim.events_executed()) == PERTURBED_KERNEL_GOLDEN[key]
 
 
 class TestGoldens:
@@ -278,12 +357,6 @@ class TestPeekAcrossTiers:
         sim.schedule(0.0, lambda: None)  # ring (current instant)
         assert sim.peek() == 0.0
 
-    def test_perturbation_queue(self):
-        sim = new_sim("perturbed")
-        sim.schedule(2e-3, lambda: None)
-        sim.schedule(1e-3, lambda: None)
-        assert sim.peek() == 1e-3
-
     def test_mid_run_peek_sees_current_instant(self):
         sim = Simulator()
         seen = []
@@ -296,6 +369,73 @@ class TestPeekAcrossTiers:
         sim.process(proc())
         sim.run()
         assert seen == [1e-3]
+
+
+class TestPerturbedCalendar:
+    """Keyed entries in the ring and the calendar: cancelled, peeked, counted
+    and bounded by ``run(until)`` like FIFO ones."""
+
+    @staticmethod
+    def new():
+        sim = Simulator()
+        sim.set_perturbation(lambda seq, delay: (-seq, delay))  # reverses ties
+        return sim
+
+    @pytest.mark.parametrize("where", ["ring", "bucket", "promoted"])
+    def test_call_at_then_cancel(self, where):
+        sim = self.new()
+        seen = []
+        when = 0.0 if where == "ring" else 2.0
+        handle = sim.call_at(when, seen.append, "cancelled")
+        if where == "promoted":
+            # enqueued later, so dispatched first: it cancels the entry from
+            # the bucket that became the ring
+            sim.call_at(when, lambda: (seen.append("kept"), sim.cancel(handle)))
+        else:
+            sim.call_at(when, seen.append, "kept")
+            sim.cancel(handle)
+            assert (sim.peek(), sim.pending_events()) == (when, 1)
+        sim.schedule(3.0, seen.append, "last")
+        sim.run()
+        assert seen == ["kept", "last"] and sim.events_executed() == 2
+        with pytest.raises(ValueError):
+            sim.cancel(handle)
+
+    def test_peek_and_pending_events_across_ring_and_buckets(self):
+        sim = self.new()
+        assert (sim.peek(), sim.pending_events()) == (None, 0)
+        for t in (2.0, 1.0, 2.0):
+            sim.schedule(t, lambda: None)
+        assert (sim.peek(), sim.pending_events()) == (1.0, 3)
+        sim.schedule(0.0, lambda: None)
+        assert (sim.peek(), sim.pending_events()) == (0.0, 4)
+        seen = []
+        # ties with the 1.0 entry and runs first: the other one is pending
+        # in the ring, the two at 2.0 in their bucket
+        sim.schedule(1.0, lambda: seen.append((sim.now, sim.peek(), sim.pending_events())))
+        sim.run()
+        assert seen == [(1.0, 1.0, 3)]
+        assert (sim.peek(), sim.pending_events()) == (None, 0)
+
+    def test_run_until_stops_between_two_instants(self):
+        sim = self.new()
+        seen = []
+        for tag, t in (("a", 1.0), ("b", 1.0), ("c", 3.0)):
+            sim.schedule(t, seen.append, tag)
+        assert sim.run(until=2.0) == 2.0
+        assert seen == ["b", "a"]
+        assert (sim.peek(), sim.pending_events()) == (3.0, 1)
+        sim.schedule(0.0, seen.append, "now")  # the instant the run stopped at
+        assert sim.run() == 3.0
+        assert seen == ["b", "a", "now", "c"]
+
+    def test_a_jittered_delay_lands_at_now_plus_the_jitter(self):
+        sim = Simulator()
+        sim.set_perturbation(lambda seq, delay: (0, delay * 1.5))
+        seen = []
+        sim.schedule(0.5, lambda: sim.schedule(2.0, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [0.75 + 3.0]
 
 
 class TestInterruptVsTriggerRaces:
@@ -428,9 +568,20 @@ class TestResourceInterruptSafety:
     def test_queued_request_interrupt_does_not_leak_slot(self):
         sim = Simulator()
         res = Resource(sim, capacity=1, name="slot")
-        holder = res.use(5e-4)
-        waiter = res.use(1e-4)
-        assert holder is not None
+
+        def user(duration):
+            # Actors.turn's pattern: a waiter that unwinds withdraws its request
+            grant = res.request()
+            try:
+                yield grant
+            except live.Interrupt:
+                res.cancel(grant)
+                raise
+            yield sim.timeout(duration)
+            res.release()
+
+        live.Hold(res, 5e-4)
+        waiter = sim.process(user(1e-4))
 
         def killer():
             yield sim.timeout(1e-4)
@@ -438,18 +589,14 @@ class TestResourceInterruptSafety:
 
         sim.process(killer())
         sim.run()
+        assert sim.now == 5e-4
         assert res.in_use == 0
         assert res.queued == 0
-        # the slot is genuinely free: a fresh user acquires immediately
-        done = []
-
-        def user():
-            yield res.use(1e-4)
-            done.append(sim.now)
-
-        sim.process(user())
+        # the slot is genuinely free: a fresh holder starts at once
+        hold = live.Hold(res, 1e-4)
         sim.run()
-        assert done and res.in_use == 0
+        assert hold.value == 1e-4 and sim.now == 5e-4 + 1e-4
+        assert res.in_use == 0
 
     def test_cancel_of_issued_grant_hands_slot_to_next_waiter(self):
         sim = Simulator()
@@ -470,35 +617,6 @@ class TestResourceInterruptSafety:
         sim.run()
         assert order == ["second"]
         assert res.in_use == 0
-
-
-class TestChannelCancelGet:
-    def test_waiting_getter_is_withdrawn(self):
-        sim = Simulator()
-        chan = live.Channel(sim)
-        sig = chan.get()  # no items: parked
-        chan.cancel_get(sig)
-        chan.put("x")
-        assert len(chan) == 1  # nobody consumed it
-
-    def test_delivered_item_is_returned_to_head(self):
-        sim = Simulator()
-        chan = live.Channel(sim)
-        chan.put("a")
-        chan.put("b")
-        sig = chan.get()  # "a" dispatched into sig
-        sim.run()
-        assert sig.triggered and sig.value == "a"
-        chan.cancel_get(sig)  # consumer unwound: item back at the head
-        got = []
-
-        def consumer():
-            got.append((yield chan.get()))
-            got.append((yield chan.get()))
-
-        sim.process(consumer())
-        sim.run()
-        assert got == ["a", "b"]
 
 
 class TestTimerLoops:
@@ -580,15 +698,25 @@ class TestConfigurationGuards:
         with pytest.raises(SimulationError):
             sim.set_perturbation(identity_perturbation)
 
-    def test_perturbation_switches_queue_and_restores(self):
+    def test_perturbation_keys_entries_in_the_ring_and_calendar(self):
+        # a perturbation keeps the ring and calendar and keys their entries
+        # (rank, seq); clearing it restores bare FIFO (fn, args) entries
         sim = Simulator()
-        assert sim._fastpath
-        sim.set_perturbation(identity_perturbation)
+        noop = lambda _tag: None  # noqa: E731
+        sim.set_perturbation(lambda seq, delay: (-seq, delay))
         assert not sim._fastpath
-        sim.schedule(0.0, lambda: None)
-        assert sim._queue and not sim._ring
+        for tag in "ab":
+            sim.schedule(0.0, noop, tag)
+            sim.schedule(1.0, noop, tag)
+        # the later entry has the smaller rank, so it goes first
+        assert [e[1:] for e in sim._ring] == [(("b",), (-3, 3)), (("a",), (-1, 1))]
+        (bucket,) = sim._buckets.values()
+        assert [e[1:] for e in bucket] == [(("b",), (-4, 4)), (("a",), (-2, 2))]
+        assert sim._times == [1.0]
         sim.run()
         sim.set_perturbation(None)
         assert sim._fastpath
-        sim.schedule(0.0, lambda: None)
-        assert sim._ring and not sim._queue
+        sim.schedule(0.0, noop, "c")
+        sim.schedule(1.0, noop, "c")
+        assert [e[1] for e in sim._ring] == [("c",)]
+        assert [e[1] for e in sim._buckets.values()] == [("c",)]

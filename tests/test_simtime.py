@@ -108,7 +108,10 @@ class TestCallAt:
         assert seen == (["last", "kept"] if kept else ["last"])
         assert sim.now == (2.0 if kept else 1.0)
 
-    def test_a_cancelled_instant_does_not_end_a_bounded_run(self, sim):
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_a_cancelled_instant_does_not_end_a_bounded_run(self, sim, perturbed):
+        if perturbed:
+            sim.set_perturbation(TiePerturbation(seed=7))
         handle = sim.call_at(3.0, lambda: None)
         sim.cancel(handle)
         assert sim.run(until=5.0) == 0.0 and sim.peek() is None
@@ -178,7 +181,7 @@ class TestCallAt:
 
 
 class TestTimeout:
-    """``sim.timeout`` and ``Resource.use`` share one constructor; it must
+    """``sim.timeout`` and :class:`Hold` share one constructor; it must
     behave alike on the inlined enqueue and under a perturbation."""
 
     def test_negative_delay_rejected(self, sim):
@@ -209,13 +212,13 @@ class TestTimeout:
         sim.run_until_complete(sim.process(proc()))
         assert seen == ["now", 2.0]
 
-    def test_resource_use_under_a_perturbation(self, sim):
+    def test_holds_under_a_perturbation(self, sim):
         sim.set_perturbation(TiePerturbation(seed=7))
         res = Resource(sim, capacity=1)
-        holds = [res.use(d) for d in (2.0, 3.0)]
+        holds = [Hold(res, d) for d in (2.0, 3.0)]
         sim.run()
-        assert all(h.triggered for h in holds)
-        assert sim.now == 5.0
+        assert [h.value for h in holds] == [2.0, 3.0]
+        assert sim.now == 5.0 and res.in_use == 0
 
 
 class TestProcesses:
@@ -399,13 +402,13 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
-    def test_use_helper(self, sim):
+    def test_holds_take_turns_on_one_slot(self, sim):
         res = Resource(sim, capacity=1)
-        p1 = res.use(2.0)
-        p2 = res.use(3.0)
+        h1 = Hold(res, 2.0)
+        h2 = Hold(res, 3.0)
         sim.run()
-        assert p1.triggered and p2.triggered
-        assert sim.now == 5.0
+        assert (h1.value, h2.value) == (2.0, 3.0)
+        assert sim.now == 5.0 and res.in_use == 0
 
 
 class TestChannel:
