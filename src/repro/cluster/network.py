@@ -23,6 +23,8 @@ events however many bytes and hops it spans.
   with one timer armed for the earliest drain.
   A flow that drained at its rate then pays the pipeline fill and
   propagation tail of its idle replay (idle finish minus idle drain).
+  A reshape gathers each draining link once and takes a step's share off
+  it once per frozen flow, in a row: a per-flow, per-link loop's floats.
 
 Small control messages use a fixed frame size so that the control plane's
 hop count — the quantity Gen-2 reduces — shows up directly in virtual time.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -357,13 +360,18 @@ class Network:
     def _open(self, flow: "_Flow", edges: Sequence[Tuple[str, str]], dsts: Sequence[str]) -> None:
         """Put ``flow`` on ``edges`` (a route, or a tree whose every edge
         leaves the source or an earlier edge's far end), landing once its
-        last chunk reaches every endpoint in ``dsts``."""
+        last chunk reaches every endpoint in ``dsts``.
+
+        Each endpoint is entered once, so its chunk arrivals are fixed
+        before an edge leaves it: the edges that leave one endpoint over
+        equal links (a tree's ToR-to-server legs) share one pipeline."""
         sim, topology, nbytes = self.sim, self.topology, flow.nbytes
         now = sim.now
         chunks = self._chunk_sizes(nbytes)
         # the chunk pipeline on an idle fabric, float op for float op: hop
         # h serializes chunk c once it has arrived and chunk c-1 is out
         arrive = {edges[0][0]: [now] * len(chunks)}
+        legs: Dict[Tuple[str, float, float, float], List[float]] = {}
         admitted, on_link = self._admitted, self._on_link
         keys: List[Tuple[str, str]] = []
         serial = []
@@ -373,7 +381,13 @@ class Network:
             link = topology.link(a, b)
             factor = topology.degradation(a, b)
             bandwidth = link.bandwidth
-            arrive[b] = _pipeline(arrive[a], chunks, factor, bandwidth, factor * link.latency)
+            leg = (a, factor, bandwidth, link.latency)
+            out = legs.get(leg)
+            if out is None:
+                out = legs[leg] = _pipeline(
+                    arrive[a], chunks, factor, bandwidth, factor * link.latency
+                )
+            arrive[b] = out
             if bandwidth / factor < cap:
                 cap = bandwidth / factor
             key = self._link_key(a, b)
@@ -469,7 +483,14 @@ class Network:
 
     def _reshape(self) -> None:
         """Settle every draining flow at its old rate, give each its max-min
-        fair rate (progressive filling), and arm the earliest drain."""
+        fair rate (progressive filling), and arm the earliest drain.
+
+        A link holds one idle replay or only draining flows, so the links
+        to fill are the table's links whose first flow drains: the scan of
+        the draining flows' links stops once it has met them all.  Each
+        step freezes the flows of the link with the least fair share (the
+        first such, as ``min`` picks) and takes that share off each of
+        their other links once per flow, unless no flow is left."""
         self._reshape_pending = False
         now = self.sim.now
         fluid, on_link, topology = self._fluid, self._on_link, self.topology
@@ -478,24 +499,43 @@ class Network:
                 left = f.rem - f.rate * (now - f.settled)
                 f.rem = left if left > 0.0 else 0.0
                 f.settled = now
-        links = dict.fromkeys(key for f in fluid for key in f.keys)
-        count = {key: len(on_link[key]) for key in links}
-        room = {key: topology.link(*key).bandwidth / topology.degradation(*key) for key in links}
+        want = sum(1 for flows in on_link.values() if next(iter(flows)).landing is None)
+        count: Dict[Tuple[str, str], int] = {}
+        room: Dict[Tuple[str, str], float] = {}
+        for f in fluid:
+            if len(count) == want:
+                break
+            for key in f.keys:
+                if key not in count:
+                    count[key] = len(on_link[key])
+                    room[key] = topology.link(*key).bandwidth / topology.degradation(*key)
         unfrozen = dict.fromkeys(fluid)
         while count:
-            bottleneck = min(count, key=lambda k: room[k] / count[k])
-            share = room[bottleneck] / count[bottleneck]
+            shares = iter(count.items())
+            bottleneck, n = next(shares)
+            share = room[bottleneck] / n
+            for key, n in shares:
+                fair = room[key] / n
+                if fair < share:
+                    bottleneck, share = key, fair
+            frozen: List[Tuple[str, str]] = []
             for f in on_link[bottleneck]:
                 if f in unfrozen:
                     del unfrozen[f]
                     f.rate = share
-                    for key in f.keys:
-                        n = count[key] - 1
-                        if n:
-                            count[key] = n
-                            room[key] -= share
-                        else:
-                            del count[key]
+                    frozen += f.keys
+            if not unfrozen:
+                break  # every link is filled
+            for key, k in Counter(frozen).items():
+                n = count[key] - k
+                if n:
+                    count[key] = n
+                    left = room[key]
+                    for _ in range(k):
+                        left -= share
+                    room[key] = left
+                else:
+                    del count[key]
         earliest = math.inf
         for f in fluid:
             f.due = due = now + f.rem / f.rate

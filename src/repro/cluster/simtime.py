@@ -229,7 +229,7 @@ class Timeout(Awaitable):
 
 
 def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
-    """The one way to make a :class:`Timeout` (:meth:`Simulator.timeout`).
+    """The one way to make a :class:`Timeout`: ``sim.timeout`` is this, bound.
 
     Built through ``object.__new__`` so the call skips ``type.__call__``;
     field init and the enqueue are inlined (no ``Awaitable.__init__``, no
@@ -429,8 +429,12 @@ class Process(Awaitable):
                     awaited = send(send_value)
             except (StopIteration, Interrupt) as end:
                 # An unhandled interrupt is a clean exit.  The cached bound
-                # methods point back here: drop them, so refcounting frees us.
-                self._send = self._step_cb = self._wait_cb = None
+                # methods point back here: drop them, so refcounting frees us,
+                # and the finished generator.  An interrupt's traceback keeps
+                # this frame: its locals must not keep the generator or the
+                # interrupt (a cycle) either.
+                self._gen = self._send = self._step_cb = self._wait_cb = None
+                send = throw_exc = None
                 self.trigger(end.value if isinstance(end, StopIteration) else None)
                 return
             if not isinstance(awaited, Awaitable):
@@ -613,9 +617,6 @@ class Channel:
         self._items: deque[Any] = deque()
         self._getters: deque[Signal] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             getter = self._getters.popleft()
@@ -666,6 +667,12 @@ class Simulator:
 
     While a schedule perturbation is installed each instant's deque (ring
     or bucket) is kept sorted by ``(rank, seq)`` instead of arrival.
+
+    The three hot factories are instance attributes, set in ``__init__``:
+
+    * ``sim.process(gen, name="") -> Process`` runs a generator;
+    * ``sim.timeout(delay, value=None) -> Timeout`` fires ``delay`` from now;
+    * ``sim.signal() -> Signal`` is an untriggered signal.
     """
 
     def __init__(self) -> None:
@@ -689,10 +696,9 @@ class Simulator:
         # inline resumption are open.  False routes every enqueue through
         # schedule(), which keys it.
         self._fastpath = True
-        # Instance attributes shadow the factory methods below with
-        # C-dispatched partials: model code calls sim.timeout()/sim.process()
-        # tens of thousands of times per run and the pure-Python wrapper
-        # frame is measurable.  The methods stay as the documented API.
+        # The factories are C-dispatched partials, not methods: model code
+        # calls sim.timeout()/sim.process() tens of thousands of times per
+        # run and a pure-Python wrapper frame is measurable.
         self.timeout = partial(_make_timeout, self)
         self.process = partial(Process, self)
         self.signal = partial(Signal, self)
@@ -814,15 +820,6 @@ class Simulator:
         raise ValueError(f"cancel: no pending entry {entry!r} at {when}")
 
     # -- factories -------------------------------------------------------------
-
-    def process(self, gen: Generator, name: str = "") -> Process:
-        return Process(self, gen, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return _make_timeout(self, delay, value)
-
-    def signal(self) -> Signal:
-        return Signal(self)
 
     def all_of(self, children: Iterable[Awaitable]) -> AllOf:
         return AllOf(self, children)

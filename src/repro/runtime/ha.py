@@ -418,6 +418,8 @@ class HAController:
         rt._record("ha_leader_elected", epoch=new_epoch, node=winner, wal_records=len(log))
         self._reregister_driver()
         yield from self._reregister_raylets(rt.gcs_endpoint, new_epoch)
+        if self.cluster_lost:
+            return  # the new leader was killed with no standby left behind it
         self._reconcile_after_failover()
         if rt.health is not None:
             # the detector restarts seeded with the rebuilt dead-node view —

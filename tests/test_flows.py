@@ -7,16 +7,27 @@ walk a single-chunk transfer takes.  A flow that shares no link must land at
 bit-for-bit the same time and leave bit-for-bit the same per-link bytes,
 busy seconds and transfer counts.  Flows that share a link split it
 byte-fairly (max-min), which the chunk pipeline never did.
+
+Contended soups on a ToR star are pinned twice: by a golden of their
+landings, link meters and reshape count, and against ``reference_open`` /
+``reference_reshape``, the per-edge and per-incidence forms of ``_open`` and
+``_reshape``, which must give every fluid flow the same rate, drain time and
+tail at every reshape, float for float.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
 from typing import Dict, Generator, List, Sequence, Tuple
 
 import pytest
 
 from repro.cluster.hardware import MB
-from repro.cluster.network import DEFAULT_CHUNK_BYTES, MAX_CHUNKS_PER_TRANSFER, Network
+from repro.cluster.network import (
+    DEFAULT_CHUNK_BYTES, MAX_CHUNKS_PER_TRANSFER, Network, _pipeline,
+)
 from repro.cluster.simtime import Resource, Signal, Simulator
 from repro.cluster.topology import LinkSpec, Topology
 from repro.telemetry.metrics import MetricsRegistry
@@ -380,3 +391,202 @@ class TestFlowsThatShareALink:
         sim.run()
         # both drain at half rate (16 MB at 1 GB/s), then the idle tail
         assert sim.now == pytest.approx(alone + 8 * MB / 1e9)
+
+
+def reference_open(self: Network, flow, edges, dsts) -> None:
+    """``Network._open`` in its per-edge form: one pipeline per edge."""
+    sim, topology, nbytes = self.sim, self.topology, flow.nbytes
+    now = sim.now
+    chunks = self._chunk_sizes(nbytes)
+    arrive = {edges[0][0]: [now] * len(chunks)}
+    admitted, on_link = self._admitted, self._on_link
+    keys: List[Key] = []
+    serial = []
+    cap = math.inf
+    contended = False
+    for a, b in edges:
+        link = topology.link(a, b)
+        factor = topology.degradation(a, b)
+        bandwidth = link.bandwidth
+        arrive[b] = _pipeline(arrive[a], chunks, factor, bandwidth, factor * link.latency)
+        if bandwidth / factor < cap:
+            cap = bandwidth / factor
+        key = self._link_key(a, b)
+        keys.append(key)
+        left = admitted.get(key, 0) - nbytes
+        if left > 0:
+            admitted[key] = left
+        else:
+            admitted.pop(key, None)
+        meters = self._meters(key)
+        meters.transfers.inc()
+        serial.append((meters.busy, factor, bandwidth))
+        flows = on_link.get(key)
+        if flows:
+            g = next(iter(flows))
+            if g.landing is None:
+                contended = True
+            elif g.due <= now:
+                self._evict(g)
+            else:
+                contended = True
+                self._convert(g, now)
+    finish = max(arrive[d][-1] for d in dsts)
+    drain = now + nbytes / cap
+    flow.keys = keys
+    flow.rem = nbytes
+    flow.settled = now
+    flow.tail = finish - drain if finish > drain else 0.0
+    if contended:
+        flow.rate = 0.0
+        flow.due = math.inf
+        flow.landing = None
+        self._fluid[flow] = None
+        self._touch()
+        for busy, factor, bandwidth in serial:
+            busy.inc(factor * nbytes / bandwidth)
+    else:
+        flow.rate = cap
+        flow.due = drain
+        flow.landing = sim.call_at(finish, flow._land)
+        for busy, factor, bandwidth in serial:
+            inc = busy.inc
+            for clen in chunks:
+                inc(factor * clen / bandwidth)
+    for key in keys:
+        flows = on_link.get(key)
+        if flows is None:
+            on_link[key] = {flow: None}
+        else:
+            flows[flow] = None
+
+
+def reference_reshape(self: Network) -> None:
+    """``Network._reshape`` in its per-incidence form: the link set from
+    every flow x link incidence, ``min`` with a key, and the counts and
+    rooms updated once per incidence."""
+    self._reshape_pending = False
+    now = self.sim.now
+    fluid, on_link, topology = self._fluid, self._on_link, self.topology
+    for f in fluid:
+        if f.settled != now:
+            left = f.rem - f.rate * (now - f.settled)
+            f.rem = left if left > 0.0 else 0.0
+            f.settled = now
+    links = dict.fromkeys(key for f in fluid for key in f.keys)
+    count = {key: len(on_link[key]) for key in links}
+    room = {key: topology.link(*key).bandwidth / topology.degradation(*key) for key in links}
+    unfrozen = dict.fromkeys(fluid)
+    while count:
+        bottleneck = min(count, key=lambda k: room[k] / count[k])
+        share = room[bottleneck] / count[bottleneck]
+        for f in on_link[bottleneck]:
+            if f in unfrozen:
+                del unfrozen[f]
+                f.rate = share
+                for key in f.keys:
+                    n = count[key] - 1
+                    if n:
+                        count[key] = n
+                        room[key] -= share
+                    else:
+                        del count[key]
+    earliest = math.inf
+    for f in fluid:
+        f.due = due = now + f.rem / f.rate
+        if due < earliest:
+            earliest = due
+    if earliest != self._timer_at:
+        if self._timer is not None:
+            self.sim.cancel(self._timer)
+        self._timer = self.sim.call_at(earliest, self._drain) if fluid else None
+        self._timer_at = earliest
+
+
+SERVERS = 6
+UPLINK = LinkSpec(latency=1e-6, bandwidth=12.5e9)
+DOWNLINK = LinkSpec(latency=0.5e-6, bandwidth=32e9)
+
+
+def tor_star() -> Topology:
+    """tor - s0..s5 on equal uplinks (so fair shares tie), a gpu behind each
+    server on equal downlinks; s2's uplink is degraded 2.5x."""
+    topo = Topology()
+    for i in range(SERVERS):
+        topo.add_link("tor", f"s{i}", UPLINK)
+        topo.add_link(f"s{i}", f"s{i}/gpu", DOWNLINK)
+    topo.degrade_link("tor", "s2", 2.5)
+    return topo
+
+
+def fabric_soup(seed: int):
+    """48 seeded transfers and multicasts started on a 50 us grid over
+    2 ms, with s4's uplink degraded 3x from 0.7 ms to 1.6 ms.  Returns
+    (each landing as ``(index, float.hex(time))``, each link's
+    ``(bytes, busy seconds hex, transfers)``, and per reshape each fluid
+    flow's ``(rate, due, tail)`` in hex)."""
+    rng = random.Random(seed)
+    sim, net, registry = metered(tor_star())
+    endpoints = [f"s{i}" for i in range(SERVERS)] + [f"s{i}/gpu" for i in range(SERVERS)]
+    landed: List[Tuple[int, str]] = []
+    reshapes: List[tuple] = []
+    reshape = net._reshape
+
+    def traced_reshape() -> None:
+        reshape()
+        reshapes.append(tuple((f.rate.hex(), f.due.hex(), f.tail.hex()) for f in net._fluid))
+
+    net._reshape = traced_reshape
+
+    def start(i: int, src: str, dsts: List[str], nbytes: int) -> None:
+        if len(dsts) == 1:
+            step = net.transfer(src, dsts[0], nbytes)
+        else:
+            step = net.multicast(src, dsts, nbytes)
+        step.add_callback(lambda _s: landed.append((i, sim.now.hex())))
+
+    for i in range(48):
+        src = rng.choice(endpoints)
+        others = [e for e in endpoints if e != src]
+        dsts = rng.sample(others, rng.choice((1, 1, 2, 4, 6)))
+        nbytes = rng.choice((100 * 1024, 2 * MB, 8 * MB, 8 * MB, 8 * MB + 5, 30 * MB))
+        sim.schedule(rng.randrange(40) * 5e-5, start, i, src, dsts, nbytes)
+    sim.schedule(7e-4, net.degrade_link, "tor", "s4", 3.0)
+    sim.schedule(1.6e-3, net.restore_link, "tor", "s4")
+    sim.run()
+    assert len(landed) == 48 and not net.flows and not net._admitted
+    meters = link_meters(registry, sorted(net.stats.bytes_by_link))
+    links = {
+        label: (nbytes, busy.hex(), transfers)
+        for label, (nbytes, busy, transfers) in meters.items()
+    }
+    return landed, links, reshapes
+
+
+def sha12(value) -> str:
+    return hashlib.sha1(repr(value).encode()).hexdigest()[:12]
+
+
+# recorded with the reference forms in Network: (reshapes, sha12 of the
+# landings, sha12 of the link meters)
+SOUP_GOLDEN = {
+    0: (72, "f06e6041233c", "418d2de5d5eb"),
+    1: (75, "05f1b5ced4dd", "ffdbccc862ff"),
+    2: (71, "92ee3ad3eb30", "1bcc83c76155"),
+    3: (73, "b66198b28c18", "e5451ba52221"),
+    4: (78, "853186b02530", "76b979b83255"),
+}
+
+
+class TestContendedSoups:
+    @pytest.mark.parametrize("seed", sorted(SOUP_GOLDEN))
+    def test_golden(self, seed):
+        landed, links, reshapes = fabric_soup(seed)
+        assert (len(reshapes), sha12(landed), sha12(links)) == SOUP_GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(SOUP_GOLDEN))
+    def test_every_reshape_matches_the_reference(self, seed, monkeypatch):
+        landed, links, reshapes = fabric_soup(seed)
+        monkeypatch.setattr(Network, "_open", reference_open)
+        monkeypatch.setattr(Network, "_reshape", reference_reshape)
+        assert fabric_soup(seed) == (landed, links, reshapes)

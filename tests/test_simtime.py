@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,22 @@ class TestProcesses:
         # delivered at t=1, long before the stale timeout would have fired
         assert caught == [("die", 1.0)]
         assert p.value == "survived"
+
+    @pytest.mark.parametrize("ending", ["return", "unhandled-interrupt"])
+    def test_a_finished_process_drops_its_generator(self, sim, ending):
+        def body():
+            yield sim.timeout(1.0)
+            return "done"
+
+        gen = body()
+        finished = weakref.ref(gen)
+        p = sim.process(gen)
+        del gen
+        if ending == "unhandled-interrupt":
+            sim.schedule(0.5, p.interrupt, "stop")
+        sim.run()
+        assert p.triggered and p.value == ("done" if ending == "return" else None)
+        assert finished() is None
 
     def test_interrupt_after_completion_is_noop(self, sim):
         def quick():
