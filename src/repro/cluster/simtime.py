@@ -36,6 +36,14 @@ single-heap kernel:
   watchdog) are :class:`Step` state machines that dispatch exactly as the
   processes they replace, and a finished :class:`Process` breaks its own
   reference cycle: both are freed by refcounting, not the cycle collector.
+* **no cyclic collector** — :meth:`Simulator.run` pauses Python's cyclic
+  garbage collector while it dispatches and restores the caller's setting
+  on the way out.  A run allocates per-task objects by the hundred thousand,
+  and the collector's generation walks over them found nothing to free: the
+  model makes no reference cycle (an interrupt delivery and an abandoned
+  combinator break theirs), so refcounting frees everything.  A cycle made
+  inside a run now lives until the run ends; ``tests/acyclic.py`` fails any
+  test whose run leaves one.
 * **exact absolute enqueue** — :meth:`Simulator.call_at` lands an entry at
   exactly the time it is given (a flow replaying a pipeline's arithmetic
   must land on the pipeline's last bit), and :meth:`Simulator.cancel`
@@ -57,6 +65,7 @@ ring before advancing, and ``run(until)`` never rewinds the clock.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from bisect import insort
@@ -312,6 +321,15 @@ class AllOf(Awaitable):
         if self._pending == 0 and not self.triggered:
             self.trigger([c.value for c in self._children])
 
+    def _abandon(self) -> None:
+        """Its sole waiter was interrupted: withdraw from the children still
+        pending, as :class:`AnyOf` does from its losers, so a child that
+        never fires holds no cycle through this combinator."""
+        on_child = self._on_child
+        for child in self._children:
+            if not child.triggered:
+                child.remove_callback(on_child)
+
 
 class AnyOf(Awaitable):
     """Triggered when the first child awaitable triggers.
@@ -345,10 +363,16 @@ class AnyOf(Awaitable):
             # they no longer reference this combinator.  (A loser that was
             # already triggered has its callback in flight as a scheduled
             # event; it lands on a triggered AnyOf and no-ops.)
-            for other, cb in self._child_cbs:
-                if other is not child and not other.triggered:
-                    other.remove_callback(cb)
-            self._child_cbs = []
+            self._abandon()
+
+    def _abandon(self) -> None:
+        """Withdraw from every child still pending (the race is decided, or
+        the sole waiter was interrupted) and drop the callbacks, which close
+        over this combinator."""
+        for other, cb in self._child_cbs:
+            if not other.triggered:
+                other.remove_callback(cb)
+        self._child_cbs = []
 
 
 class Process(Awaitable):
@@ -407,8 +431,19 @@ class Process(Awaitable):
         if self.triggered or self._interrupted is None:
             return
         exc, self._interrupted = self._interrupted, None
-        self._waiting_on = None
+        awaited, self._waiting_on = self._waiting_on, None
+        if (
+            isinstance(awaited, (AllOf, AnyOf))
+            and awaited._waiter is self
+            and not awaited._callbacks
+        ):
+            awaited._abandon()
         self._step(None, exc)
+        # An interrupt that ended the generator carries _step's frame in its
+        # traceback, and that frame's f_back is this one: holding ``exc``
+        # here past the step would close a cycle (and pin the run loop's
+        # frame).
+        exc = None
 
     def _on_waited(self, awaited: Awaitable) -> None:
         # Stale wake-up after an interrupt already resumed us.
@@ -864,16 +899,25 @@ class Simulator:
 
         Returns the virtual time at which the run stopped.  The clock never
         rewinds: ``until`` in the past dispatches nothing and returns ``now``.
+
+        The cyclic garbage collector is off while the loop dispatches: the
+        model keeps no reference cycles, so its walks over every live task
+        object free nothing and only cost time.  It is turned back on at the
+        end, also when a callback raises, unless the caller had it off.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         if until is not None and until < self._now:
             return self._now
         self._running = True
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return self._run_batched(until)
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
 
     def _run_batched(self, until: Optional[float]) -> float:
         """The one dispatch loop: ring + bucket calendar, same-instant batching."""

@@ -392,11 +392,21 @@ class HAController:
             if not self._live(gen):
                 return
             rng = random.Random((ELECTION_SEED << 16) ^ new_epoch)
-            winner = rng.choice(candidates)
-            log = list(self.replica_logs.get(winner, ()))
-            if log:
-                yield self.sim.timeout(REPLAY_COST * len(log))
-            self.records_replayed += len(log)
+            while True:
+                winner = rng.choice(candidates)
+                log = list(self.replica_logs.get(winner, ()))
+                if log:
+                    yield self.sim.timeout(REPLAY_COST * len(log))
+                self.records_replayed += len(log)
+                if self._node_alive(winner):
+                    break
+                # the winner died during the vote or its replay: a dead node
+                # must not lead, so draw again among the live candidates
+                candidates = [s for s in candidates if self._node_alive(s)]
+                if not candidates:
+                    if not self.cluster_lost:
+                        self._declare_cluster_lost("no live standby to elect")
+                    return
             yield from self._complete_failover(winner, new_epoch, log)
         finally:
             self._election_running = False

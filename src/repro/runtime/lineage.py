@@ -15,7 +15,7 @@ walking the task table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .ownership import OwnershipTable, ValueState
 from .task import TaskSpec
@@ -86,27 +86,36 @@ class LineageGraph:
         recomputed; the depth of this plan is what experiment E5 charts."""
         plan: List[TaskSpec] = []
         planned: Set[str] = set()
-
-        def visit(oid: str, chain: Set[str]) -> None:
+        # depth first with an explicit stack: each frame is a task and the
+        # ids of the dependencies it has yet to visit (the bottom frame's one
+        # id is the root); ``path`` holds the ids of the frames' tasks, the
+        # chain a dependency must not lead back into
+        stack: List[Tuple[Optional[TaskSpec], Iterator[str]]] = [(None, iter((object_id,)))]
+        path: Set[str] = set()
+        while stack:
+            task, oids = stack[-1]
+            oid = next(oids, None)
+            if oid is None:
+                stack.pop()
+                if task is not None:
+                    path.discard(task.task_id)
+                    planned.add(task.task_id)
+                    plan.append(task)
+                continue
             if ownership.contains(oid) and ownership.entry(oid).state == ValueState.READY:
-                return
-            task = self.producer(oid)
-            if task is None:
+                continue
+            producer = self.producer(oid)
+            if producer is None:
                 raise UnrecoverableObjectError(
                     f"object {oid!r} is lost and has no recorded lineage"
                 )
-            if task.task_id in chain:
+            if producer.task_id in path:
                 raise UnrecoverableObjectError(
-                    f"lineage cycle detected at task {task.task_id!r}"
+                    f"lineage cycle detected at task {producer.task_id!r}"
                 )
-            if task.task_id in planned:
-                return
-            for dep in task.dependencies:
-                visit(dep.object_id, chain | {task.task_id})
-            planned.add(task.task_id)
-            plan.append(task)
-
-        visit(object_id, set())
+            if producer.task_id not in planned:
+                path.add(producer.task_id)
+                stack.append((producer, (ref.object_id for ref in producer.dependencies)))
         return plan
 
     def __len__(self) -> int:

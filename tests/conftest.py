@@ -11,6 +11,9 @@ from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.simtime import Simulator
 from repro.ir.types import FrameType
 
+# every Simulator.run in the suite must leave no cyclic garbage (tests/acyclic.py)
+pytest_plugins = ["acyclic"]
+
 
 @pytest.fixture
 def sim() -> Simulator:

@@ -177,6 +177,33 @@ class TestFailover:
         if not failovers:
             assert rt.ha.last_unavailability is None and rt.ha.last_failover_report == {}
 
+    def test_a_winner_that_dies_before_it_leads_loses_the_cluster(self):
+        """The only standby wins the draw, then crashes while it replays its
+        log: a dead node must not lead, and nobody else is left to."""
+        rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(1))
+        sched = ChaosSchedule().fail_gcs(at=10e-3).crash_node(13.001e-3, "server1")
+        ChaosMonkey(rt, sched).arm()
+        with pytest.raises(TaskError, match="control plane lost"):
+            rt.get(lane_workload(rt, lanes=8, depth=5))
+        assert rt.ha is not None and rt.ha.cluster_lost and not rt.gcs_up
+        assert rt.ha.leader_node == "server0" and rt.ha.failovers == 0
+        assert rt.log.count("ha_leader_elected") == 0
+        assert rt.log.count("ha_cluster_lost") == 1
+
+    def test_a_winner_that_dies_before_it_leads_hands_over_to_the_next_draw(self):
+        """Two standbys: the seeded draw (server1) crashes during its replay,
+        the election draws again among the live candidates and server2 leads."""
+        rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(2))
+        assert random.Random((0 << 16) ^ 2).choice(["server1", "server2"]) == "server1"
+        sched = ChaosSchedule().fail_gcs(at=10e-3).crash_node(13.001e-3, "server1")
+        ChaosMonkey(rt, sched).arm()
+        assert rt.get(lane_workload(rt, lanes=8, depth=5)) == expected_total(8, 5)
+        assert rt.ha is not None and not rt.ha.cluster_lost
+        assert rt.ha.leader_node == "server2" and rt.ha.failovers == 1
+        assert [e["node"] for e in rt.log.of_kind("ha_leader_elected")] == ["server2"]
+        assert rt.log.count("detector_stalled") == 0
+        assert_recovery_drained(rt)
+
     def test_election_winner_is_the_seeded_draw(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.ha.ELECTION_SEED", 11)
         rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(3))

@@ -311,6 +311,18 @@ class TestProcesses:
         assert p.triggered and p.value == ("done" if ending == "return" else None)
         assert finished() is None
 
+    def test_an_unhandled_interrupt_leaves_no_cycle(self, sim):
+        """The interrupt's traceback holds the step's frame, whose caller is
+        the delivery's frame: once delivered, nothing may keep the interrupt
+        there."""
+        def body():
+            yield sim.timeout(1.0)
+
+        p = sim.process(body())
+        sim.schedule(0.5, p.interrupt, "stop")
+        assert cyclic_garbage(sim.run) == []
+        assert p.triggered
+
     def test_interrupt_after_completion_is_noop(self, sim):
         def quick():
             yield sim.timeout(0.1)
@@ -324,6 +336,44 @@ class TestProcesses:
 
 
 class TestSignalsAndCombinators:
+    @pytest.mark.parametrize("waited", ["all_of", "any_of"])
+    def test_an_interrupted_waiter_detaches_its_combinator(self, sim, waited):
+        """A combinator whose only waiter was interrupted withdraws from the
+        children still pending: one that never fires holds no cycle."""
+        never = Signal(sim)
+        if waited == "all_of":
+            fired, later = Signal(sim), Signal(sim)
+            fired.succeed("early")
+            sim.schedule(2.0, later.succeed, "after the interrupt")
+            children = [fired, later, never]
+        else:
+            children = [never, Signal(sim)]  # neither fires: nothing decides the race
+
+        def waiter():
+            yield getattr(sim, waited)(children)
+
+        p = sim.process(waiter())
+        sim.schedule(1.0, p.interrupt, "stop")
+        assert cyclic_garbage(sim.run) == []
+        assert p.triggered and not never._callbacks
+
+    def test_an_all_of_with_another_waiter_stays_attached(self, sim):
+        """Only an abandoned AllOf detaches: one a callback still watches
+        fires when its last child does."""
+        child = Signal(sim)
+        seen = []
+
+        def waiter(combined):
+            yield combined
+
+        combined = sim.all_of([child])
+        p = sim.process(waiter(combined))
+        combined.add_callback(lambda c: seen.append(c.value))
+        sim.schedule(1.0, p.interrupt, "stop")
+        sim.schedule(2.0, child.succeed, "late")
+        sim.run()
+        assert seen == [["late"]]
+
     def test_signal_resumes_all_waiters(self, sim):
         sig = Signal(sim)
         values = []
@@ -834,6 +884,74 @@ def ledger_workloads():
     return workloads
 
 
+def cyclic_garbage(run):
+    """The objects ``run()`` left in reference cycles (``DEBUG_SAVEALL``)."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+class TestRunPausesTheCollector:
+    """``run()`` turns the cyclic collector off while it dispatches and gives
+    the caller back the state it had."""
+
+    @staticmethod
+    def sampled(sim):
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        return seen
+
+    def test_an_enabled_collector_is_paused_and_restored(self, sim):
+        assert gc.isenabled()
+        seen = self.sampled(sim)
+        sim.run()
+        assert seen == [False] and gc.isenabled()
+
+    def test_a_disabled_collector_stays_off(self, sim):
+        seen = self.sampled(sim)
+        gc.disable()
+        try:
+            sim.run()
+            assert seen == [False] and not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_raising_callback_restores_the_collector(self, sim):
+        def boom():
+            raise ValueError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert gc.isenabled() and not sim._running
+
+    def test_no_collection_runs_inside_a_serving_episode(self):
+        W = ledger_workloads()
+        wl = W.ServingWorkload()
+        (ep,) = wl.generate(0, 0.05)
+        state = wl.build(ep)
+        sim, inside = state.rt.sim, []
+
+        def watch(phase, info):
+            if phase == "start" and sim._running:
+                inside.append(info["generation"])
+
+        gc.callbacks.append(watch)
+        try:
+            fe = wl.run(ep, state)
+        finally:
+            gc.callbacks.remove(watch)
+        assert wl.check(ep, state, fe) > 0
+        assert inside == []
+
+
 class TestNoCyclicGarbage:
     """A finished process breaks its own reference cycle and a step never
     makes one, so a run leaves nothing for the cycle collector."""
@@ -862,3 +980,22 @@ class TestNoCyclicGarbage:
         assert self.garbage_of(lambda: got.append(drive_soak(rt))) == 0
         counts = got[0][1]
         assert counts["task_timeout"] and counts["speculate"] and counts["task_retry"]
+
+    def test_serving_episode(self):
+        W = ledger_workloads()
+        wl = W.ServingWorkload()
+        (ep,) = wl.generate(0, 0.05)
+        state, served = wl.build(ep), []
+        assert self.garbage_of(lambda: served.append(wl.run(ep, state))) == 0
+        assert wl.check(ep, state, served[0]) > 0
+
+    def test_lineage_replay(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig())
+        ref = rt.submit(lambda: 1, compute_cost=1e-3)
+        for _ in range(4):
+            ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=1e-3)
+        assert rt.get(ref) == 5
+        rt.fail_device(rt.timeline_of(ref).device_id)
+        got = []
+        assert self.garbage_of(lambda: got.append(rt.get(ref))) == 0
+        assert got == [5] and rt.lineage.replays > 0
