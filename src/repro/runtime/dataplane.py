@@ -259,12 +259,12 @@ class DataPlane:
     def _waiting_for(self, oid: str) -> Iterator[Any]:
         """The attempts that wait for ``oid`` to reach their device: each
         reader's and its speculative twin's, from dispatch until their
-        arguments are in."""
+        arguments are in (a finished reader has no ctx, and waits for nothing)."""
         for ctx in self.rt._readers(oid):
             for attempt in (ctx, ctx.twin):
                 # a dispatched attempt has a device; one whose process ended
-                # (a backup that stood down) waits for nothing
-                if attempt and attempt.state in _AWAITING and not attempt.proc.triggered:
+                # (a backup that stood down) has let go of it and waits for nothing
+                if attempt and attempt.state in _AWAITING and attempt.proc is not None:
                     yield attempt
 
     def _stop_waiting(self, ctx: Any, device_id: str, sigs: Dict[str, Signal]) -> None:

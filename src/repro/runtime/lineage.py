@@ -27,7 +27,7 @@ class UnrecoverableObjectError(RuntimeError):
     """No lineage and no live copy — the object cannot come back."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _LineageRecord:
     task: TaskSpec
     output_ids: List[str]

@@ -41,7 +41,7 @@ class StoreUnavailableError(RuntimeError):
     """The store's backing device is dead; reads and writes are impossible."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredObject:
     object_id: str
     value: Any

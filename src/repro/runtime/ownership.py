@@ -26,7 +26,7 @@ class ValueState(enum.Enum):
     LOST = "lost"  # all copies gone (lineage or reliable cache must recover)
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnershipEntry:
     object_id: str
     owner: str  # worker/driver id that holds the ref (ownership protocol)

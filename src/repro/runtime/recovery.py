@@ -248,11 +248,12 @@ class Recovery:
             self._restore(object_id, value, "reliable_cache")
             return
         # a producer whose current incarnation has not concluded is on its
-        # way (an earlier recovery already replayed it): not planned again
+        # way (an earlier recovery already replayed it): not planned again.
+        # One that finished has no ctx left.
         plan = [
             spec
             for spec in rt.lineage.plan_recovery(object_id, ownership)
-            if rt._ctxs[spec.task_id].state in TERMINAL_STATES
+            if spec.task_id not in rt._ctxs or rt._ctxs[spec.task_id].state in TERMINAL_STATES
         ]
         rt.lineage.replays += len(plan)
         if plan:

@@ -14,7 +14,6 @@ and performance shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple, Union
 
 from ..caching.kv import estimate_nbytes
@@ -44,7 +43,10 @@ from .raylet import Raylet
 from .recovery import Recovery
 from .scheduler import PlacementError, Scheduler
 from .supervision import Supervisor
-from .task import IN_FLIGHT_STATES, TERMINAL_STATES, TaskSpec, TaskState, split_returns
+from .task import (
+    IN_FLIGHT_STATES, TERMINAL_STATES, FinishedTask, TaskSpec, TaskState, TaskTimeline,
+    split_returns,
+)
 
 __all__ = [
     "ServerlessRuntime",
@@ -87,31 +89,9 @@ class _TransientTaskError(Exception):
     retry policy — not the application — should absorb."""
 
 
-@dataclass
-class TaskTimeline:
-    """Per-task virtual-time milestones (benchmark raw material)."""
-
-    task_id: str
-    name: str
-    submitted: float = 0.0
-    dispatched: float = 0.0  # lease reached the raylet
-    inputs_ready: float = 0.0  # all arguments local
-    started: float = 0.0  # device slot acquired
-    finished: float = 0.0
-    device_id: str = ""
-
-    @property
-    def input_stall(self) -> float:
-        """Time spent waiting for arguments — pull vs push attacks this."""
-        return self.inputs_ready - self.dispatched
-
-    @property
-    def latency(self) -> float:
-        return self.finished - self.submitted
-
-
 class _TaskCtx:
-    """Book-keeping for one in-flight task."""
+    """Book-keeping for one task until it finishes (a ``FinishedTask`` takes
+    over); a failed or cancelled task keeps it, with its error."""
 
     __slots__ = (
         "spec", "outputs", "device", "raylet", "done", "state", "timeline",
@@ -576,9 +556,10 @@ class ServerlessRuntime:
             self._dispatch(ctx, preplaced=preplaced)
 
     def _readers(self, object_id: str) -> List[_TaskCtx]:
-        """The live incarnation of every task that lists ``object_id`` as a
-        dependency, in submission order: the one answer to who reads it."""
-        return [self._ctxs[task_id] for task_id in self.lineage.consumers(object_id)]
+        """Who reads ``object_id``: the live incarnation of every task listing it
+        as a dependency, in submission order (a finished task has none)."""
+        ctxs = self._ctxs
+        return [ctxs[task_id] for task_id in self.lineage.consumers(object_id) if task_id in ctxs]
 
     def _task_closed(self, ctx: "_TaskCtx") -> None:
         """A task reached a terminal state."""
@@ -622,7 +603,10 @@ class ServerlessRuntime:
         ctx = self._ctx_of_object.get(ref.object_id)
         if ctx is None:
             raise KeyError(f"no task produces object {ref.object_id!r}")
-        ctx.done.add_callback(lambda _sig: callback(ref))
+        if type(ctx) is FinishedTask:  # its signal went with it: fire as a fired one does
+            self.sim.schedule(0.0, callback, ref)
+        else:
+            ctx.done.add_callback(lambda _sig: callback(ref))
 
     def _cancel_and_propagate(self, ctx: "_TaskCtx", reason: str) -> bool:
         if not self._cancel_ctx(ctx, reason=reason):
@@ -708,10 +692,10 @@ class ServerlessRuntime:
         )
 
     def _span_of(self, ctx: _TaskCtx) -> Optional[Span]:
-        """The task's span — clones borrow the original's."""
+        """The task's span — a clone borrows its task's (kept by output once finished)."""
         if ctx.span is not None:
             return ctx.span
-        main = self._ctxs.get(ctx.spec.task_id)
+        main = self._ctxs.get(ctx.spec.task_id) or self._ctx_of_object.get(ctx.outputs[0])
         return main.span if main is not None else None
 
     def _finish_task_span(self, main: _TaskCtx, winner: _TaskCtx) -> None:
@@ -773,8 +757,8 @@ class ServerlessRuntime:
 
     def _run_task(self, ctx: _TaskCtx) -> Generator:
         """One attempt, phase by phase; however a phase ends, the attempt is
-        judged here."""
-        spec, device, raylet = ctx.spec, ctx.device, ctx.raylet
+        judged here, and the ctx lets go of its process."""
+        spec, device, raylet, attempt = ctx.spec, ctx.device, ctx.raylet, ctx.attempt
         assert device is not None and raylet is not None
         try:
             yield from self._lease(ctx, device, raylet)
@@ -809,6 +793,9 @@ class ServerlessRuntime:
             if ctx.is_clone:
                 return  # the original will hit (and report) the same error
             self._fail_ctx(ctx, f"{type(exc).__name__}: {exc}")
+        finally:
+            if ctx.attempt == attempt:  # else a later dispatch holds the ctx's process
+                ctx.proc = None
 
     def _lease(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
         """Phase 1: the lease travels scheduler -> raylet; the raylet handles
@@ -963,15 +950,24 @@ class ServerlessRuntime:
             self._on_object_ready(oid)
         if not main.done.triggered:
             main.done.succeed()
+        # the driver and recovery still read the task's state, spec, timeline
+        # and span; the ctx, its signal and its attempts go
+        if self._ctxs.get(main.spec.task_id) is main:
+            del self._ctxs[main.spec.task_id]
+        kept = FinishedTask(main.spec, main.timeline, main.span)
+        for oid in main.outputs:
+            if self._ctx_of_object.get(oid) is main:
+                self._ctx_of_object[oid] = kept
 
     def _attempt_superseded(self, ctx: _TaskCtx) -> bool:
         """This attempt's outcome no longer matters: its task concluded, its
         results already committed (a speculative twin or a lineage replay got
         there first), or the task was reincarnated under it.  First commit
         wins; the rest stand down."""
-        main = self._ctxs.get(ctx.spec.task_id, ctx)
+        main = self._ctxs.get(ctx.spec.task_id)
         return (
-            (ctx is not main and ctx is not main.twin)  # a replay took the task over
+            main is None  # the task finished (and its ctx was released)
+            or (ctx is not main and ctx is not main.twin)  # a replay took the task over
             or main.state in _TERMINAL
             or self._outputs_ready(ctx)
         )
@@ -1101,9 +1097,13 @@ class ServerlessRuntime:
         self, hit: Callable[[_TaskCtx], bool], cause: str, among: Optional[List[_TaskCtx]] = None
     ) -> None:
         """Interrupt every in-flight attempt (speculative twins included)
-        that ``hit`` selects among these tasks (a fault strikes by device: all
-        of them); each resubmits itself via the retry path."""
-        for ctx in list(self._ctxs.values()) if among is None else among:
+        that ``hit`` selects among these tasks (a fault strikes by device: every
+        task with a ctx, in submission order); each resubmits itself via the retry path."""
+        if among is None:  # a replay re-registers at the end of the table
+            among = sorted(
+                self._ctxs.values(), key=lambda c: (len(c.spec.task_id), c.spec.task_id)
+            )
+        for ctx in among:
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None

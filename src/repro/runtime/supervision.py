@@ -139,8 +139,9 @@ class Supervisor:
     def _timed_out(self, ctx: Any, attempt: int) -> None:
         """``task_timeout`` after dispatch: interrupt the attempt if it still
         runs (the transient-failure path retries it elsewhere)."""
-        # a backup that stood down keeps its in-flight state: nothing to interrupt
-        if self._live(ctx, attempt) and not ctx.proc.triggered:
+        # a backup that stood down keeps its in-flight state, but its process
+        # is gone: nothing to interrupt
+        if self._live(ctx, attempt) and ctx.proc is not None:
             self.rt._record("task_timeout", task=ctx.spec.task_id, attempt=attempt)
             ctx.proc.interrupt("execution timeout")
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..cluster.hardware import DeviceKind
 from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
-    "TaskSpec", "TaskState", "TERMINAL_STATES", "IN_FLIGHT_STATES",
-    "ANY_COMPUTE_KIND", "check_num_returns", "split_returns",
+    "TaskSpec", "TaskTimeline", "FinishedTask", "TaskState", "TERMINAL_STATES",
+    "IN_FLIGHT_STATES", "ANY_COMPUTE_KIND", "check_num_returns", "split_returns",
 ]
 
 ANY_COMPUTE_KIND: FrozenSet[DeviceKind] = frozenset(
@@ -43,7 +42,7 @@ TERMINAL_STATES = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
 IN_FLIGHT_STATES = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskSpec:
     """One invocation of a remote function."""
 
@@ -64,6 +63,9 @@ class TaskSpec:
     name: str = ""
     actor_id: Optional[str] = None  # set for actor method calls
     num_returns: int = 1  # outputs one attempt commits (see ``split_returns``)
+    # the refs among args/kwargs, found once: both are fixed at submission,
+    # and every spec is read at submit (lineage records its readers)
+    dependencies: List[ObjectRef] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.compute_cost < 0:
@@ -73,15 +75,48 @@ class TaskSpec:
         check_num_returns(self.num_returns)
         if not self.name:
             self.name = getattr(self.func, "__name__", "task")
-
-    @cached_property
-    def dependencies(self) -> List[ObjectRef]:
-        # args/kwargs are fixed at submission, so the recursive ref walk
-        # only needs to happen once; this sits on the dispatch hot path
-        return collect_refs((self.args, self.kwargs))
+        self.dependencies = collect_refs((self.args, self.kwargs))
 
     def __repr__(self) -> str:
         return f"TaskSpec({self.task_id}, {self.name})"
+
+
+@dataclass(slots=True)
+class TaskTimeline:
+    """Per-task virtual-time milestones (benchmark raw material)."""
+
+    task_id: str
+    name: str
+    submitted: float = 0.0
+    dispatched: float = 0.0  # lease reached the raylet
+    inputs_ready: float = 0.0  # all arguments local
+    started: float = 0.0  # device slot acquired
+    finished: float = 0.0
+    device_id: str = ""
+
+    @property
+    def input_stall(self) -> float:
+        """Time spent waiting for arguments — pull vs push attacks this."""
+        return self.inputs_ready - self.dispatched
+
+    @property
+    def latency(self) -> float:
+        return self.finished - self.submitted
+
+
+class FinishedTask:
+    """What a finished task leaves in the runtime's object table, by output:
+    the reads the driver (``task_state``, ``timeline_of``, ``span_of``) and
+    recovery still make of it.  Its ctx, done signal and attempts are gone; a
+    failed or cancelled task keeps its ctx, which carries the error."""
+
+    __slots__ = ("spec", "timeline", "span")
+    state = TaskState.FINISHED
+
+    def __init__(self, spec: TaskSpec, timeline: TaskTimeline, span: Any):
+        self.spec = spec
+        self.timeline = timeline
+        self.span = span
 
 
 def check_num_returns(num_returns: int) -> None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..runtime.overload import AdmissionRejectedError
@@ -48,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry.spans import Span
 
 __all__ = ["ServingFrontend", "PendingRequest"]
+
+
+def _stage(*inputs: object) -> int:
+    """Every stage's body: it returns how many inputs it read.  One function
+    serves every stage (``submit`` gets the stage's name on its own)."""
+    return len(inputs)
 
 
 class PendingRequest:
@@ -225,11 +232,9 @@ class ServingFrontend:
         self.inflight += 1
         try:
             for stage_name, cost, deps in req.template.stages:
-                args = tuple(pending.refs[d] for d in deps)
-                n_inputs = len(deps)
                 ref = self.rt.submit(
-                    lambda *xs, n=n_inputs: n,
-                    args,
+                    _stage,
+                    tuple(pending.refs[d] for d in deps),
                     compute_cost=cost,
                     name=tenant.qualify(f"{req.request_id}/{stage_name}"),
                     tenant=tenant.tenant_id,
@@ -267,8 +272,9 @@ class ServingFrontend:
             request=req.request_id,
         )
         pending.remaining = len(pending.refs)
+        on_done = partial(self._on_stage_done, pending)
         for ref in pending.refs:
-            self.rt.when_done(ref, lambda r, p=pending: self._on_stage_done(p, r))
+            self.rt.when_done(ref, on_done)
 
     # -- completion -----------------------------------------------------------
 

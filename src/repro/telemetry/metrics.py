@@ -30,6 +30,7 @@ gauges) use the plain get-or-create accessors
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -93,7 +94,9 @@ class Gauge(Instrument):
     """A value that goes up and down (queue depth, bytes resident).
 
     Every ``set`` records a ``(sim_time, value)`` sample, so the full
-    time series is available for Chrome-trace counter ("C") events.
+    time series is available for Chrome-trace counter ("C") events.  The
+    series is packed, two doubles per sample in two arrays, since a gauge
+    the runtime sets per task keeps a sample per task for the whole run.
     """
 
     kind = "gauge"
@@ -101,17 +104,25 @@ class Gauge(Instrument):
     def __init__(self, name: str, labels: LabelKey, clock: Callable[[], float]):
         super().__init__(name, labels, clock)
         self.value = 0.0
-        self.samples: List[Tuple[float, float]] = []
+        self._times = array("d")
+        self._values = array("d")
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """The series as ``(sim_time, value)`` pairs, oldest first."""
+        return list(zip(self._times, self._values))
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        self.last_updated = self._clock()
+        self.last_updated = now = self._clock()
         # coalesce same-instant updates: only the final value at a given
         # virtual time is observable
-        if self.samples and self.samples[-1][0] == self.last_updated:
-            self.samples[-1] = (self.last_updated, self.value)
+        times = self._times
+        if times and times[-1] == now:
+            self._values[-1] = self.value
         else:
-            self.samples.append((self.last_updated, self.value))
+            times.append(now)
+            self._values.append(self.value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
@@ -124,19 +135,20 @@ class Histogram(Instrument):
     """Distribution summary with exact nearest-rank percentiles.
 
     The simulation is small enough to keep raw observations, so p50/p95/p99
-    are exact rather than bucket-approximated.
+    are exact rather than bucket-approximated; they are packed, one double
+    each.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, labels: LabelKey, clock: Callable[[], float]):
         super().__init__(name, labels, clock)
-        self._values: List[float] = []
+        self._values = array("d")
         self._sorted = True
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self._values.append(float(value))
+        self._values.append(value)
         self._sorted = False
         self.sum += value
         self.last_updated = self._clock()
@@ -157,7 +169,7 @@ class Histogram(Instrument):
         if not self._values:
             return float("nan")
         if not self._sorted:
-            self._values.sort()
+            self._values = array("d", sorted(self._values))
             self._sorted = True
         return nearest_rank(self._values, p)
 

@@ -22,7 +22,7 @@ __all__ = ["Span", "Tracer", "SPAN_CATEGORIES", "task_phases"]
 SPAN_CATEGORIES = ("task", "compute", "transfer", "queue", "recovery", "control")
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, causally-linked unit of work."""
 

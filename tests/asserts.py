@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.caching.columnar import RecordBatch
-from repro.runtime.task import TERMINAL_STATES
+from repro.runtime.task import TERMINAL_STATES, TaskState
 
 
 def assert_batches_close(a: RecordBatch, b: RecordBatch, rtol: float = 1e-9) -> None:
@@ -29,8 +29,8 @@ def assert_recovery_drained(rt) -> None:
     """Drain the simulation, then: recovery and object lifetime hold nothing
     back (the fourth brick of the quiescence invariant, ROADMAP item 4) — no
     free is still deferred, every checkpoint belongs to a live directory
-    entry, every task, replays included, concluded, and no actor's turn is
-    held or waited for."""
+    entry, every task, replays included, concluded and let go of what it no
+    longer needs, and no actor's turn is held or waited for."""
     rt.sim.run()
     assert all(turn.in_use == 0 and turn.queued == 0 for turn in rt.actors.turns.values())
     assert not rt.recovery.deferred_frees
@@ -38,3 +38,9 @@ def assert_recovery_drained(rt) -> None:
     assert rt._open_tasks == 0
     open_tasks = [c.spec.task_id for c in rt._ctxs.values() if c.state not in TERMINAL_STATES]
     assert not open_tasks, f"tasks never concluded: {open_tasks}"
+    # what is left of a concluded task: a finished one keeps no ctx, a failed
+    # or cancelled one keeps its ctx (the error) but no attempt process
+    kept = [c.spec.task_id for c in rt._ctxs.values() if c.state is TaskState.FINISHED]
+    assert not kept, f"finished tasks kept their ctx: {kept}"
+    held = [c.spec.task_id for c in rt._ctxs.values() if c.proc is not None]
+    assert not held, f"concluded tasks kept an attempt process: {held}"

@@ -238,6 +238,14 @@ def strike_inside_a_pass(seed: int, arm) -> tuple:
     return rt, values
 
 
+def dispatch_times(rt):
+    """Every task's dispatch time, from its record: the ctx of an open, failed
+    or cancelled task, what a finished one keeps by output."""
+    times = {r.spec.task_id: r.timeline.dispatched for r in rt._ctx_of_object.values()}
+    times.update((t, c.timeline.dispatched) for t, c in rt._ctxs.items())
+    return times
+
+
 # (scenario, seed, at least this many early dispatches in the reference run)
 SCENARIOS = [
     (clean, 1, 1), (clean, 2, 1), (chaos, 3, 1), (chaos, 11, 1), (cancel_mid_run, 4, 1),
@@ -256,8 +264,7 @@ def test_the_index_replays_the_full_scan(scenario, seed, early_at_least):
     assert len(early) >= early_at_least
     assert values == ref_values
     assert rt.log.signature() == ref_rt.log.signature()
-    dispatched = {t: c.timeline.dispatched for t, c in rt._ctxs.items()}
-    assert dispatched == {t: c.timeline.dispatched for t, c in ref_rt._ctxs.items()}
+    assert dispatch_times(rt) == dispatch_times(ref_rt)
     assert rt.net.stats == ref_rt.net.stats
     assert rt.sim.now == ref_rt.sim.now
     assert rt.metrics_summary() == ref_rt.metrics_summary()
@@ -344,16 +351,38 @@ class TestConsumers:
         ]
         assert rt.get(readers) == [1, 2, 3]
         before = list(rt.lineage.consumers(a.object_id))
-        first_lives = rt._readers(a.object_id)
+        assert rt._readers(a.object_id) == []  # a finished reader keeps no ctx
         rt.fail_node("server1")
         rt.restart_node("server1")
-        assert rt.get(readers[1]) == 2  # lineage replays a, then r1
+        rt.run()
+        rt.recovery.recover(readers[1].object_id)  # as ``get`` does: replays a, then r1
         assert rt.lineage.replays == 2
         assert list(rt.lineage.consumers(a.object_id)) == before
+        assert [c.spec.name for c in rt._readers(a.object_id)] == ["r1"]
+        assert rt.get(readers[1]) == 2
+        assert rt._readers(a.object_id) == []
+
+    def test_a_replay_takes_its_place_among_open_readers(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=3), RuntimeConfig(resolution=PULL))
+        a = rt.submit(lambda: 1, pinned_device="server1/cpu", name="a")
+        # r0 and r2 fail for good, so their ctxs stay; r1 finishes
+        readers = [
+            rt.submit(
+                lambda x, i=i: x + i if i == 1 else x / 0, (a,),
+                pinned_device="server1/cpu", name=f"r{i}",
+            )
+            for i in range(3)
+        ]
+        assert rt.get(readers[1]) == 2
+        first_lives = rt._readers(a.object_id)
+        assert [c.spec.name for c in first_lives] == ["r0", "r2"]
+        rt.fail_node("server1")
+        rt.restart_node("server1")
+        rt.recovery.recover(readers[1].object_id)  # lineage replays a, then r1
         now = rt._readers(a.object_id)
         assert [c.spec.name for c in now] == ["r0", "r1", "r2"]
-        assert now[0] is first_lives[0] and now[2] is first_lives[2]
-        assert now[1] is not first_lives[1]  # the live incarnation, in the old one's place
+        assert now[0] is first_lives[0] and now[2] is first_lives[1]
+        assert rt.get(readers[1]) == 2
 
 
 # -- a parked task that concludes stops waiting ----------------------------------

@@ -105,8 +105,8 @@ class TestLineageRecovery:
         victim_node = victim_ctx.device.node_id
         rt.fail_node(victim_node)
         assert rt.get(ref) == "done"
-        final = rt._ctx_of_object[ref.object_id]
-        assert final.device.node_id != victim_node
+        # a finished task keeps no ctx: its timeline says where it ran
+        assert rt.cluster.device(rt.timeline_of(ref).device_id).node_id != victim_node
         assert_recovery_drained(rt)
 
 

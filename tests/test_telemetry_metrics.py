@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +126,83 @@ class TestHistogram:
         h = registry.histogram("skadi_latency_seconds")
         with pytest.raises(ValueError):
             h.percentile(1.5)
+
+
+class TestPackedSeries:
+    """A gauge keeps its series in two arrays of doubles and a histogram its
+    observations in one; what readers see is unchanged."""
+
+    def test_a_gauge_packs_two_doubles_per_instant(self, registry, clock):
+        g = registry.gauge("skadi_depth")
+        for t, values in ((0.0, (1, 2, 3)), (0.5, (4,)), (2.0, (5, 6))):
+            clock.now = t
+            for v in values:
+                g.set(v)
+        g.inc()  # same instant again: coalesces into the last sample
+        assert g._times == array("d", [0.0, 0.5, 2.0])
+        assert g._values == array("d", [3.0, 4.0, 7.0])
+        assert g.samples == [(0.0, 3.0), (0.5, 4.0), (2.0, 7.0)]
+
+    def test_coalescing_is_by_exact_instant(self, registry, clock):
+        g = registry.gauge("skadi_depth")
+        clock.now = 0.1 + 0.2
+        g.set(1)
+        clock.now = 0.3  # a different double: a sample of its own
+        g.set(2)
+        g.dec(2)
+        assert g.samples == [(0.1 + 0.2, 1.0), (0.3, 0.0)]
+
+    def test_samples_is_a_fresh_list_of_float_pairs(self, registry, clock):
+        g = registry.gauge("skadi_depth")
+        assert g.samples == []
+        g.set(True)
+        clock.now = 1
+        g.set(2)
+        pairs = g.samples
+        assert type(pairs) is list and all(type(p) is tuple and len(p) == 2 for p in pairs)
+        assert all(type(x) is float for p in pairs for x in p)
+        pairs.append((9.0, 9.0))
+        assert g.samples == [(0.0, 1.0), (1.0, 2.0)]
+
+    def test_histogram_percentiles_on_duplicates(self, registry):
+        h = registry.histogram("skadi_latency_seconds")
+        for v in (3, 1, 3, 2, 3, 1):
+            h.observe(v)
+        assert isinstance(h._values, array) and h._values.typecode == "d"
+        # sorted: 1 1 2 3 3 3
+        assert [h.percentile(q) for q in (0.0, 0.34, 0.5, 0.51, 1.0)] == [1.0, 2.0, 2.0, 3.0, 3.0]
+        assert (h.count, h.sum) == (6, 13.0)
+
+    def test_histogram_percentiles_on_unsorted_input_observed_after_a_read(self, registry):
+        h = registry.histogram("skadi_latency_seconds")
+        for v in (0.5, 0.25, 0.75):
+            h.observe(v)
+        assert h.percentile(0.5) == 0.5
+        h.observe(0.125)  # after a sorted read: sorted again on the next one
+        h.observe(1.0)
+        assert [h.percentile(q) for q in (0.0, 0.4, 0.6, 1.0)] == [0.125, 0.25, 0.5, 1.0]
+        assert list(h._values) == [0.125, 0.25, 0.5, 0.75, 1.0]
+
+    # recorded at the parent of the change that packed the series, whose
+    # gauges kept a list of tuples
+    COUNTERS_SHA256 = "d8cf2a199db5de022288075124695dad312b97bc75f9ddf38fbfb548126e39d1"
+
+    def test_the_chrome_counter_export_of_a_seeded_run_is_unchanged(self):
+        from repro.telemetry.chrome import counters_to_chrome_events
+
+        benchmarks = str(Path(__file__).resolve().parents[1] / "benchmarks")
+        if benchmarks not in sys.path:
+            sys.path.insert(0, benchmarks)
+        from ledger import workloads
+
+        wl = workloads.ServingWorkload()
+        (ep,) = wl.generate(0, 0.05)
+        state = wl.build(ep)
+        assert wl.check(ep, state, wl.run(ep, state)) > 0
+        events = counters_to_chrome_events(state.rt.telemetry.registry)
+        assert len(events) == 3088
+        blob = json.dumps(events).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.COUNTERS_SHA256
 
 
 class TestRegistry:
