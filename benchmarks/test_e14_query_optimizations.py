@@ -107,12 +107,13 @@ def test_e14_broadcast_vs_shuffle_join(benchmark):
     )
     # round-robin places each broadcast join away from its fact shard, so the
     # shard crosses whole, while each shuffle producer partitions its shard
-    # where it lies and ships about 3/4 of it; the partitioning runs inside
-    # the source task, so the shuffle needs no extra task either, while the
-    # broadcast side adds a coalesce: the shuffle join is smaller, moves
-    # fewer bytes and finishes sooner
+    # where it lies and ships about 3/4 of it: the shuffle join moves fewer
+    # bytes and finishes sooner.  The broadcast side is a scan only the join
+    # reads, so it is scanned as one shard with no coalesce, and the broadcast
+    # join launches fewer tasks (10: 4 + 1 scans, 4 joins, 1 final) than the
+    # shuffle (13: 4 + 4 scans, 4 joins, 1 final)
     assert rep_shuffle.bytes_moved < rep_bcast.bytes_moved
-    assert rep_shuffle.physical_tasks < rep_bcast.physical_tasks
+    assert (rep_bcast.physical_tasks, rep_shuffle.physical_tasks) == (10, 13)
     assert rep_shuffle.sim_seconds < rep_bcast.sim_seconds
 
 

@@ -8,7 +8,8 @@ degrees and keyed edges chosen by operator kind:
 * elementwise ops (filter/project) inherit their input's parallelism;
 * joins hash-shuffle both inputs on the join keys (partition-wise join), or
   broadcast a small side, gathered by a ``coalesce`` vertex, to every shard
-  of the big one;
+  of the big one; a small side that is a scan nothing else reads is scanned
+  as one shard instead, with no ``coalesce``;
 * an aggregate whose result is gathered anyway (it is keyless, its only user
   is a sort or a limit, or it is the query's result) runs in two phases: a
   partial aggregate on every shard of its input and a final one at
@@ -23,7 +24,7 @@ degrees and keyed edges chosen by operator kind:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..flowgraph.launch import coalesce
 from ..flowgraph.logical import FlowGraph, Vertex
@@ -141,6 +142,88 @@ def _work_seconds(func: Function, rows: float) -> float:
     return sum(op_work_elements(op, round(rows)) for op in func.ops) * _SECONDS_PER_ELEMENT
 
 
+class _Step(NamedTuple):
+    """How one op is planned.  ``how`` is ``"source"`` (a scan), ``"vertex"``
+    (one vertex, each input edge keyed by ``keys``, empty for none),
+    ``"two_phase"`` (a partial at its input's parallelism, a final at 1) or
+    ``"broadcast"`` (a join that replicates operand ``small`` to every shard
+    of the other).  ``parallelism`` is that of the vertex holding the op's
+    result."""
+
+    how: str
+    parallelism: int
+    keys: Tuple[str, ...] = ()
+    small: int = 0
+
+
+def _decide(
+    func: Function,
+    shards: int,
+    default_rows: int,
+    table_rows: Dict[str, int],
+    broadcast_threshold: int,
+) -> Tuple[Dict[int, _Step], Dict[int, float]]:
+    """Every op's step (by op id) and every value's estimated rows (by value
+    id), decided before any vertex is built, so that a scan can look ahead to
+    the join that reads it.
+
+    A broadcast join's small side that is a scan nothing else reads is
+    scanned as one shard: its rows are gathered anyway, and a ``coalesce``
+    would be a stage of tasks that only concatenates them."""
+    users: Dict[int, List[Operation]] = {}
+    for op in func.ops:
+        for operand in op.operands:
+            users.setdefault(id(operand), []).append(op)
+    steps: Dict[int, _Step] = {}
+    est_rows: Dict[int, float] = {}
+
+    for op in func.ops:
+        ins = [steps[id(v.producer)].parallelism for v in op.operands]
+        if op.name in ("scan", "source"):
+            steps[id(op)] = _Step("source", shards)
+            est_rows[id(op.result())] = float(table_rows.get(op.attrs["table"], default_rows))
+            continue
+        if op.name in _ELEMENTWISE or (op.qualified == "kernel.fused" and len(ins) == 1):
+            step = _Step("vertex", ins[0])  # row-parallel like its input
+        elif op.name in ("join", "hash_join"):
+            ests = [est_rows[id(v)] for v in op.operands]
+            small = 0 if ests[0] <= ests[1] else 1
+            if (
+                broadcast_threshold > 0
+                and shards > 1
+                and ests[small] <= broadcast_threshold
+                and ins[1 - small] > 1
+            ):
+                step = _Step("broadcast", ins[1 - small], small=small)
+                side = op.operands[small].producer
+                if steps[id(side)].how == "source" and len(users[id(side.result())]) == 1:
+                    steps[id(side)] = _Step("source", 1)
+            else:
+                step = _Step("vertex", shards, (op.attrs["left_on"], op.attrs["right_on"]))
+        elif op.name in ("aggregate", "hash_aggregate"):
+            keys = tuple(op.attrs.get("keys", ()))
+            if ins[0] > 1 and _is_gathered(op, func, users):
+                step = _Step("two_phase", 1)
+            elif keys and ins[0] > 1:
+                step = _Step("vertex", shards, keys[:1])
+            else:
+                step = _Step("vertex", 1)
+        elif op.name == "distinct":
+            frame = op.operands[0].type
+            if isinstance(frame, FrameType) and shards > 1 and ins[0] > 1:
+                # identical rows share every column, so hash-sharding on the
+                # first column keeps duplicates together: local dedup is exact
+                step = _Step("vertex", shards, frame.names[:1])
+            else:
+                step = _Step("vertex", 1)
+        else:
+            # sorts, limits and any other op gather everything to one task
+            step = _Step("vertex", 1)
+        steps[id(op)] = step
+        est_rows[id(op.result())] = _estimate_rows(op, est_rows, default_rows)
+    return steps, est_rows
+
+
 def ir_to_flowgraph(
     func: Function,
     shards: int = 1,
@@ -170,151 +253,75 @@ def ir_to_flowgraph(
     if shards < 1:
         raise PlanningError(f"shards must be >= 1, got {shards}")
 
-    table_rows = dict(table_rows or {})
-    users: Dict[int, List[Operation]] = {}
-    for op in func.ops:
-        for operand in op.operands:
-            users.setdefault(id(operand), []).append(op)
+    steps, est_rows = _decide(func, shards, default_rows, table_rows or {}, broadcast_threshold)
     graph = FlowGraph(name or func.name)
-    produced: Dict[int, Tuple[Vertex, int]] = {}  # value id -> (vertex, parallelism)
-    est_rows: Dict[int, float] = {}  # value id -> estimated cardinality
+    produced: Dict[int, Vertex] = {}  # value id -> its vertex
 
     for op in func.ops:
+        step = steps[id(op)]
         cost = op_work_elements(op, default_rows) * _SECONDS_PER_ELEMENT
-        if op.name in ("scan", "source"):
+        if step.how == "source":
             vertex = graph.add_vertex(
                 f"scan:{op.attrs['table']}",
                 source_table=op.attrs["table"],
                 source_columns=op.attrs["schema"].names,
-                parallelism=shards,
+                parallelism=step.parallelism,
                 compute_cost=cost,
             )
-            produced[id(op.result())] = (vertex, shards)
-            est_rows[id(op.result())] = float(
-                table_rows.get(op.attrs["table"], default_rows)
-            )
+            produced[id(op.result())] = vertex
             continue
 
-        in_info = [produced[id(v)] for v in op.operands]
+        inputs = [produced[id(v)] for v in op.operands]
         wrapped = _single_op_func(op, f"{func.name}:{op.qualified}")
-
-        if op.qualified == "kernel.fused" and len(op.operands) == 1:
-            # fused elementwise chains stay row-parallel like their inputs
-            parallelism = in_info[0][1]
+        if step.how == "two_phase":
+            partial_func, final_func = _two_phase(op, wrapped.name)
+            partial = graph.add_vertex(
+                f"{op.qualified}:partial",
+                ir_func=partial_func,
+                parallelism=inputs[0].parallelism,
+                compute_cost=_work_seconds(partial_func, default_rows),
+            )
+            graph.add_edge(inputs[0], partial, dst_port=0)
+            # the final reads groups, not rows: priced at the same guess
+            # of groups per row that the cardinality estimate makes
             vertex = graph.add_vertex(
-                op.qualified, ir_func=wrapped, parallelism=parallelism, compute_cost=cost
+                f"{op.qualified}:final",
+                ir_func=final_func,
+                parallelism=1,
+                compute_cost=_work_seconds(
+                    final_func, default_rows * _AGGREGATE_SELECTIVITY
+                ),
             )
-            graph.add_edge(in_info[0][0], vertex, dst_port=0)
-        elif op.name in _ELEMENTWISE:
-            parallelism = in_info[0][1]
-            vertex = graph.add_vertex(
-                op.qualified, ir_func=wrapped, parallelism=parallelism, compute_cost=cost
-            )
-            graph.add_edge(in_info[0][0], vertex, dst_port=0)
-        elif op.name in ("join", "hash_join"):
-            ests = [est_rows.get(id(v), float(default_rows)) for v in op.operands]
-            small = 0 if ests[0] <= ests[1] else 1
-            big = 1 - small
-            use_broadcast = (
-                broadcast_threshold > 0
-                and shards > 1
-                and ests[small] <= broadcast_threshold
-                and in_info[big][1] > 1
-            )
-            if use_broadcast:
-                small_vertex, small_par = in_info[small]
-                if small_par > 1:
-                    gathered = graph.add_vertex(
-                        f"coalesce:{op.qualified}",
-                        py_func=coalesce,
-                        parallelism=1,
-                        compute_cost=ests[small] * _SECONDS_PER_ELEMENT,
-                    )
-                    graph.add_edge(small_vertex, gathered)
-                    small_vertex = gathered
-                big_vertex, big_par = in_info[big]
-                vertex = graph.add_vertex(
-                    f"{op.qualified}:broadcast",
-                    ir_func=wrapped,
-                    parallelism=big_par,
-                    compute_cost=cost,
-                )
-                graph.add_edge(big_vertex, vertex, dst_port=big)
-                graph.add_edge(small_vertex, vertex, dst_port=small)
-            else:
-                vertex = graph.add_vertex(
-                    op.qualified, ir_func=wrapped, parallelism=shards, compute_cost=cost
-                )
-                graph.add_edge(
-                    in_info[0][0], vertex, dst_port=0, key=op.attrs["left_on"]
-                )
-                graph.add_edge(
-                    in_info[1][0], vertex, dst_port=1, key=op.attrs["right_on"]
-                )
-        elif op.name in ("aggregate", "hash_aggregate"):
-            keys = tuple(op.attrs.get("keys", ()))
-            in_vertex, in_par = in_info[0]
-            if in_par > 1 and _is_gathered(op, func, users):
-                partial_func, final_func = _two_phase(op, wrapped.name)
-                partial = graph.add_vertex(
-                    f"{op.qualified}:partial",
-                    ir_func=partial_func,
-                    parallelism=in_par,
-                    compute_cost=_work_seconds(partial_func, default_rows),
-                )
-                graph.add_edge(in_vertex, partial, dst_port=0)
-                # the final reads groups, not rows: priced at the same guess
-                # of groups per row that the cardinality estimate makes
-                vertex = graph.add_vertex(
-                    f"{op.qualified}:final",
-                    ir_func=final_func,
+            graph.add_edge(partial, vertex, dst_port=0)
+        elif step.how == "broadcast":
+            small, big = step.small, 1 - step.small
+            small_vertex = inputs[small]
+            if small_vertex.parallelism > 1:
+                gathered = graph.add_vertex(
+                    f"coalesce:{op.qualified}",
+                    py_func=coalesce,
                     parallelism=1,
-                    compute_cost=_work_seconds(
-                        final_func, default_rows * _AGGREGATE_SELECTIVITY
-                    ),
+                    compute_cost=est_rows[id(op.operands[small])] * _SECONDS_PER_ELEMENT,
                 )
-                graph.add_edge(partial, vertex, dst_port=0)
-            elif keys and in_par > 1:
-                vertex = graph.add_vertex(
-                    op.qualified, ir_func=wrapped, parallelism=shards, compute_cost=cost
-                )
-                graph.add_edge(in_vertex, vertex, dst_port=0, key=keys[0])
-            else:
-                vertex = graph.add_vertex(
-                    op.qualified, ir_func=wrapped, parallelism=1, compute_cost=cost
-                )
-                graph.add_edge(in_vertex, vertex, dst_port=0)
-        elif op.name == "distinct":
-            in_vertex, in_par = in_info[0]
-            frame = op.operands[0].type
-            key = frame.names[0] if isinstance(frame, FrameType) else None
-            if key is not None and shards > 1 and in_par > 1:
-                # identical rows share every column, so hash-sharding on the
-                # first column keeps duplicates together: local dedup is exact
-                vertex = graph.add_vertex(
-                    op.qualified, ir_func=wrapped, parallelism=shards, compute_cost=cost
-                )
-                graph.add_edge(in_vertex, vertex, dst_port=0, key=key)
-            else:
-                vertex = graph.add_vertex(
-                    op.qualified, ir_func=wrapped, parallelism=1, compute_cost=cost
-                )
-                graph.add_edge(in_vertex, vertex, dst_port=0)
-        elif op.name in ("sort", "limit"):
+                graph.add_edge(small_vertex, gathered)
+                small_vertex = gathered
             vertex = graph.add_vertex(
-                op.qualified, ir_func=wrapped, parallelism=1, compute_cost=cost
+                f"{op.qualified}:broadcast",
+                ir_func=wrapped,
+                parallelism=step.parallelism,
+                compute_cost=cost,
             )
-            graph.add_edge(in_info[0][0], vertex, dst_port=0)
+            graph.add_edge(inputs[big], vertex, dst_port=big)
+            graph.add_edge(small_vertex, vertex, dst_port=small)
         else:
-            # generic op: gather everything to one task
             vertex = graph.add_vertex(
-                op.qualified, ir_func=wrapped, parallelism=1, compute_cost=cost
+                op.qualified, ir_func=wrapped, parallelism=step.parallelism, compute_cost=cost
             )
-            for port, (src_vertex, _) in enumerate(in_info):
-                graph.add_edge(src_vertex, vertex, dst_port=port)
-        produced[id(op.result())] = (vertex, vertex.parallelism)
-        est_rows[id(op.result())] = _estimate_rows(op, est_rows, default_rows)
+            keys = step.keys or (None,) * len(inputs)
+            for port, (src_vertex, key) in enumerate(zip(inputs, keys, strict=True)):
+                graph.add_edge(src_vertex, vertex, dst_port=port, key=key)
+        produced[id(op.result())] = vertex
 
-    sink, _ = produced[id(func.returns[0])]
+    sink = produced[id(func.returns[0])]
     graph.validate()
     return graph, sink

@@ -1,5 +1,5 @@
 """Relational-level rewrite rules: conjunction splitting, filter pushdown,
-top-n folding, column pruning.
+top-n folding, column pruning, identity projections.
 
 §2.1 step (2): Skadi "optimizes the graph using predefined rules".  These
 are the classic relational rules that matter most in a disaggregated
@@ -15,9 +15,13 @@ fabric — the rows a shuffle carries, and the columns a scan ships:
   keeps only its first ``n`` rows, which its kernel finds without sorting
   the rest (this one saves compute, not traffic);
 * :class:`PruneScanColumns` — every scan declares, and so ships, only the
-  columns something downstream reads.
+  columns something downstream reads;
+* :class:`DropIdentityProject` — a projection that passes its input's
+  columns through unchanged, in order (often one that pruning narrowed to
+  what the scan now ships), goes: it would be a stage of tasks that only
+  copy rows.
 
-All four operate on the ``relational`` and ``df`` dialects alike.
+All five operate on the ``relational`` and ``df`` dialects alike.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "PushFilterThroughJoin",
     "FoldLimitIntoSort",
     "PruneScanColumns",
+    "DropIdentityProject",
     "relational_optimizer",
 ]
 
@@ -280,6 +285,25 @@ class PruneScanColumns(Pass):
         ]
 
 
+class DropIdentityProject(Pass):
+    """project(x){columns = x's columns, in order; no derived}  ->  x."""
+
+    name = "drop-identity-project"
+
+    def run(self, func: Function, stats: PassStats) -> bool:
+        for index, op in enumerate(func.ops):
+            if (op.dialect, op.name) not in _PROJECT_NAMES or op.attrs.get("derived"):
+                continue
+            source = op.operands[0]
+            if tuple(op.attrs.get("columns", ())) != source.type.names:
+                continue
+            _replace_uses(func, op.result(), source, index)
+            del func.ops[index]
+            stats.ops_removed += 1
+            return True
+        return False
+
+
 def relational_optimizer() -> List[Pass]:
     """The rule set Skadi applies before lowering relational plans."""
     return [
@@ -287,4 +311,5 @@ def relational_optimizer() -> List[Pass]:
         PushFilterThroughJoin(),
         FoldLimitIntoSort(),
         PruneScanColumns(),
+        DropIdentityProject(),
     ]

@@ -29,7 +29,7 @@ from ..cluster.simtime import Resource
 from .object_ref import ObjectRef
 from .recovery import ABSENT
 from .scheduler import PlacementError
-from .task import ANY_COMPUTE_KIND, TaskSpec
+from .task import ANY_COMPUTE_KIND, NO_KWARGS, TaskSpec
 
 __all__ = ["Actors", "ActorHandle"]
 
@@ -62,7 +62,7 @@ class ActorHandle:
             task_id=rt.ids.task_id(),
             func=method,
             args=tuple(args),
-            kwargs=dict(kwargs),
+            kwargs=kwargs or NO_KWARGS,  # **kwargs is already this call's own dict
             compute_cost=compute_cost,
             output_nbytes=output_nbytes,
             supported_kinds=ANY_COMPUTE_KIND,

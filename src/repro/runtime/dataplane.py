@@ -53,9 +53,12 @@ class DataPlane:
         self.push_mode = runtime.config.resolution == ResolutionMode.PUSH
         # a live store holding the object, else a miss (with recovery started)
         self._source = runtime.recovery.source
-        # (object, device) -> landed: an un-triggered one lives only while an
-        # attempt on that device waits for it
+        # (object, device) -> landed: one lives only while an attempt on that
+        # device waits for it (a fired one, while one there has yet to take it)
         self.arrivals: Dict[Tuple[str, str], Signal] = {}
+        # device -> attempts dispatched there that have not yet taken their
+        # arrivals (one that never resolves stays counted: it only costs a scan)
+        self._unresolved: Dict[str, int] = {}
         # pushes of one object queued this instant, flushed as a single
         # spanning-tree distribution
         self.pending_pushes: Dict[str, List[Any]] = {}
@@ -132,11 +135,13 @@ class DataPlane:
         if not self.push_mode:
             return
         device_id = ctx.device.device_id
+        self._unresolved[device_id] = self._unresolved.get(device_id, 0) + 1
         for ref in ctx.spec.dependencies:
             oid = ref.object_id
             if self._held(oid, ctx):
                 continue
-            if self._landed(oid, device_id):
+            arrival = self.arrivals.get((oid, device_id))
+            if arrival is not None and arrival.triggered:
                 # an arrival lives only as long as its copy: this one announced
                 # a copy the store has since lost, and must not stop the push
                 del self.arrivals[oid, device_id]
@@ -157,12 +162,13 @@ class DataPlane:
         sim = self.rt.sim
         if self.push_mode:
             sigs = {r.object_id: self._arrival(r.object_id, device.device_id) for r in deps}
+            self._unresolved[device.device_id] -= 1
             waits = [sig for sig in sigs.values() if not sig.triggered]
-            if waits:
-                try:
+            try:
+                if waits:
                     yield sim.all_of(waits)
-                finally:
-                    self._stop_waiting(ctx, device.device_id, sigs)
+            finally:
+                self._stop_waiting(ctx, device.device_id, sigs)
             probe = self.rt.probe_edges
             if probe is not None:
                 probe.arrived(
@@ -268,17 +274,33 @@ class DataPlane:
                     yield attempt
 
     def _stop_waiting(self, ctx: Any, device_id: str, sigs: Dict[str, Signal]) -> None:
-        """An attempt stopped waiting before every argument arrived (it was
-        interrupted): an arrival no other attempt on the device is waiting on
-        goes with it."""
+        """An attempt stopped waiting, its arguments in or interrupted: an
+        arrival no other attempt on the device waits on goes with it.  One that
+        has not fired stays while another attempt there resolves on it; one
+        that has fired, while one there has yet to take it (see ``_untaken``)."""
         for oid, sig in sigs.items():
-            if not sig.triggered and self.arrivals.get((oid, device_id)) is sig and not any(
+            if self.arrivals.get((oid, device_id)) is not sig:
+                continue
+            if sig.triggered:
+                if self._untaken(oid, device_id):
+                    continue
+            elif any(
                 other is not ctx
                 and other.state is TaskState.RESOLVING
                 and other.device.device_id == device_id
                 for other in self._waiting_for(oid)
             ):
-                del self.arrivals[oid, device_id]
+                continue
+            del self.arrivals[oid, device_id]
+
+    def _untaken(self, oid: str, device_id: str) -> bool:
+        """Whether an attempt dispatched to the device has yet to take its
+        arrival of ``oid``: its resolve must find the one that fired, or it
+        would wait for a push that never comes."""
+        return bool(self._unresolved.get(device_id)) and any(
+            attempt.state is TaskState.SCHEDULED and attempt.device.device_id == device_id
+            for attempt in self._waiting_for(oid)
+        )
 
     def _arrival(self, oid: str, device_id: str) -> Signal:
         sig = self.arrivals.get((oid, device_id))
@@ -295,13 +317,25 @@ class DataPlane:
         return True
 
     def _landed(self, oid: str, device_id: str) -> bool:
+        """Whether the object reached the device: its arrival fired, or, with
+        no arrival kept, the device's store holds it."""
         sig = self.arrivals.get((oid, device_id))
-        return sig is not None and sig.triggered
+        if sig is not None:
+            return sig.triggered
+        return self.rt._raylet_of_device[device_id].store_of(device_id).contains(oid)
 
     def _arrived(self, oid: str, device_id: str) -> None:
         sig = self._arrival(oid, device_id)
         if not sig.triggered:
             sig.succeed()
+
+    def _delivered(self, oid: str, device_id: str) -> None:
+        """A push put the object on the device: its arrival fires, and is kept
+        only while an attempt there has yet to take it (the ones waiting on it
+        wake holding it)."""
+        self._arrived(oid, device_id)
+        if not self._untaken(oid, device_id):
+            self.arrivals.pop((oid, device_id), None)  # a woken waiter may have let go
 
     def _missed(self, oid: str, device_id: str) -> None:
         """A push did not land: every attempt still waiting on this arrival
@@ -364,7 +398,7 @@ class DataPlane:
         for device_id, raylet in list(legs.items()):
             if device_id == src_dev or raylet.store_of(device_id).contains(oid):
                 del legs[device_id]
-                self._arrived(oid, device_id)
+                self._delivered(oid, device_id)
         if not legs:
             return
         for device_id, raylet in legs.items():
@@ -386,7 +420,7 @@ class DataPlane:
             if device_id in delivered and self._land(
                 oid, src_store, raylet.store_of(device_id), site
             ):
-                self._arrived(oid, device_id)
+                self._delivered(oid, device_id)
             else:
                 self._missed(oid, device_id)
 

@@ -44,8 +44,8 @@ from .recovery import Recovery
 from .scheduler import PlacementError, Scheduler
 from .supervision import Supervisor
 from .task import (
-    IN_FLIGHT_STATES, TERMINAL_STATES, FinishedTask, TaskSpec, TaskState, TaskTimeline,
-    split_returns,
+    IN_FLIGHT_STATES, NO_KWARGS, TERMINAL_STATES, FinishedTask, TaskSpec, TaskState,
+    TaskTimeline, split_returns,
 )
 
 __all__ = [
@@ -473,7 +473,7 @@ class ServerlessRuntime:
             task_id=self.ids.task_id(),
             func=func,
             args=tuple(args),
-            kwargs=dict(kwargs or {}),
+            kwargs=dict(kwargs) if kwargs else NO_KWARGS,
             compute_cost=compute_cost,
             output_nbytes=output_nbytes,
             supported_kinds=frozenset(supported_kinds),

@@ -18,7 +18,7 @@ from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
     "TaskSpec", "TaskTimeline", "FinishedTask", "TaskState", "TERMINAL_STATES",
-    "IN_FLIGHT_STATES", "ANY_COMPUTE_KIND", "check_num_returns", "split_returns",
+    "IN_FLIGHT_STATES", "ANY_COMPUTE_KIND", "NO_KWARGS", "check_num_returns", "split_returns",
 ]
 
 ANY_COMPUTE_KIND: FrozenSet[DeviceKind] = frozenset(
@@ -40,6 +40,11 @@ class TaskState(enum.Enum):
 TERMINAL_STATES = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
 # an attempt is live on a device (leased, fetching arguments, or executing)
 IN_FLIGHT_STATES = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+
+
+# the keyword arguments of every task submitted without any: one shared dict,
+# never written (an attempt copies a spec's kwargs before it substitutes refs)
+NO_KWARGS: Dict[str, Any] = {}
 
 
 @dataclass(slots=True)

@@ -15,7 +15,7 @@ pauses tracers while it times, so the benchmarks run with
 ``ledger.workloads.WORKLOADS`` in this process (seed 1, scale 1.0): generate,
 build, run, check.  ``--examples`` runs every ``examples/*.py`` as
 ``__main__`` and each ``python -m repro.<module> ...`` line of the CI
-workflow's blocking jobs (``repro.analysis`` twice, ``repro.bench.simcore``
+workflow's blocking jobs (``repro.analysis`` three times, ``repro.bench.simcore``
 once), from the repo root, in this process.
 
 ``--report`` sorts every function defined under ``src/`` (found with ``ast``)

@@ -432,19 +432,23 @@ def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
     assert not rt.data.pending_pushes
     assert all(not raylet._inflight_fetches for raylet in rt._raylets)
     assert all(not ctx.pulls for ctx in rt._ctxs.values())
-    # an arrival nobody has yet is kept only for an attempt still waiting on it
-    waited = {
-        (ref.object_id, attempt.device.device_id)
+    # an arrival is kept only for an attempt on its device still resolving on
+    # it or, once it fired, for one dispatched there that has yet to take it
+    waiting = {
+        (ref.object_id, attempt.device.device_id, attempt.state)
         for ctx in rt._ctxs.values()
         for attempt in (ctx, ctx.twin)
         if attempt is not None
-        and attempt.state is TaskState.RESOLVING
+        and attempt.state in (TaskState.SCHEDULED, TaskState.RESOLVING)
         and attempt.proc is not None
         and not attempt.proc.triggered
         for ref in attempt.spec.dependencies
     }
     stale = sorted(
-        key for key, sig in rt.data.arrivals.items() if not sig.triggered and key not in waited
+        key
+        for key, sig in rt.data.arrivals.items()
+        if (*key, TaskState.RESOLVING) not in waiting
+        and not (sig.triggered and (*key, TaskState.SCHEDULED) in waiting)
     )
     assert not stale, f"arrivals outlived the attempts waiting for them: {stale}"
     assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
@@ -798,9 +802,12 @@ def test_a_commit_signals_the_reader_on_its_own_device(monkeypatch, remote_reade
     finish = rt._finish
 
     def spy_finish(ctx, main, device, committed):
+        # the reader's arrival (it resolves already); signalled, it wakes the
+        # reader, which lets go of it
+        arrival = rt.data.arrivals.get((x.object_id, "server0/cpu"))
         finish(ctx, main, device, committed)
         if ctx.spec.task_id == x.task_id:
-            signalled_at_finish.append(rt.data.arrivals[x.object_id, "server0/cpu"].triggered)
+            signalled_at_finish.append(arrival is not None and arrival.triggered)
 
     queued = []
     queue_push = rt.data._queue_push

@@ -22,7 +22,7 @@ from repro.cluster.cluster import build_serverful
 from repro.cluster.simtime import Process
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import TaskCancelledError, TaskError, _TaskCtx
-from repro.runtime.task import FinishedTask, TaskState
+from repro.runtime.task import NO_KWARGS, FinishedTask, TaskState
 from repro.runtime.trace import write_chrome_trace
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
@@ -83,6 +83,16 @@ class TestNothingFinishedStays:
         # one record per finished task, shared by its outputs
         kept = {id(r) for r in rt._ctx_of_object.values() if type(r) is FinishedTask}
         assert rt.lineage.replays == 0 and len(kept) == rt.tasks_finished
+
+    @pytest.mark.parametrize("episode", sorted(EPISODES))
+    def test_no_arrival_stays_and_empty_kwargs_are_shared(self, episode):
+        wl, ep, state, rt = EPISODES[episode]()
+        assert wl.check(ep, state, wl.run(ep, state)) > 0
+        # an arrival is kept only while an attempt on its device has yet to
+        # take it: at the end of the run, none
+        assert rt.data.arrivals == {}
+        specs = {id(r.spec): r.spec for r in rt._ctx_of_object.values() if type(r) is FinishedTask}
+        assert specs and all(spec.kwargs is NO_KWARGS for spec in specs.values())
 
     # the whole Chrome trace (spans, their links and phases, incidents,
     # counters), recorded before finished tasks were released

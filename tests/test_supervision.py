@@ -290,7 +290,10 @@ class TestOneLaunchPath:
         assert rt.timeline_of(victim).device_id == "server1/cpu"
         for device_id in ("server0/cpu", "server1/cpu"):
             assert rt._store_of_device[device_id].contains(data.object_id)
-            assert rt.data.arrivals[data.object_id, device_id].triggered
+            # landed; no attempt there waits on it any more, so its arrival
+            # is gone and the store answers
+            assert rt.data._landed(data.object_id, device_id)
+            assert (data.object_id, device_id) not in rt.data.arrivals
         rt.sim.run()
         assert rt.tasks_finished == 2
         assert_data_plane_drained(rt)

@@ -1,5 +1,6 @@
-"""Skadi lays each immutable table out once: the puts, source shards, hash
-partitions and gathered broadcast side of a table are kept across queries
+"""Skadi lays each immutable table out once: the puts, source shards (a
+broadcast side's one shard among them), hash partitions and gathered
+broadcast sides of a table are kept across queries
 (``flowgraph.launch.TableLayouts``).
 
 * A repeated query reuses them and moves no payload bytes; a query over other
@@ -27,6 +28,7 @@ import pytest
 
 from repro import RecordBatch, Skadi
 from repro.bench.workloads import customers_table, lineitem_like_table, orders_table
+from repro.frontends.dataframe import from_batch
 from repro.frontends.sql import sql_to_ir
 from repro.ir import FrameType, run_function
 from repro.runtime.supervision import retry_backoff_delay
@@ -74,17 +76,50 @@ def test_a_repeated_query_reuses_the_layout_and_moves_nothing(tables):
     assert report.physical_tasks == plan.physical_tasks
 
 
-def test_the_broadcast_side_is_kept_and_a_lost_copy_replays_from_the_kept_shards(tables):
+def test_the_broadcast_side_is_kept_and_a_lost_copy_replays_its_source_shard(tables):
     skadi = Skadi(shards=4)
     sql = QUERIES["join_group"]
     first = skadi.sql(sql, tables)
     again = skadi.sql(sql, tables)
     report = skadi.last_report
     assert again == first
-    # both tables' 4 source shards and the coalesce of customers' are kept;
-    # the filtered join with its partial aggregate (4) and the final (1) run
-    assert report.reused_tasks == 9
+    # orders' 4 source shards and customers' one (the broadcast side, scanned
+    # as one shard) are kept; the filtered join with its partial aggregate (4)
+    # and the final (1) run
+    assert report.reused_tasks == 5
     assert report.physical_tasks - report.reused_tasks == 5
+    assert report.bytes_moved == 0
+    ((key, (shard,)),) = skadi.layouts.kept["customers"].tasks.items()
+    assert key[1:3] == (0, 1)  # shard 0 of 1
+    rt = skadi.runtime
+    for store in rt._store_of_device.values():
+        store.delete(shard.object_id)  # memory gone, nobody told the GCS
+    assert skadi.sql(sql, tables) == first
+    # one replay, of the source shard alone: the table's put is still there
+    assert rt.lineage.replays == 1
+    assert skadi.last_report.reused_tasks == 5
+
+
+def test_a_gathered_broadcast_side_is_kept_and_a_lost_copy_replays_from_the_kept_shards(
+    tables,
+):
+    # customers joined twice: one scan read by both joins keeps its 4 shards,
+    # and each join gathers them with a coalesce, kept once for the table
+    orders = from_batch("orders", tables["orders"])
+    customers = from_batch("customers", tables["customers"])
+    frame = orders.join(customers, left_on="cust", right_on="cid").join(
+        customers, left_on="cust", right_on="cid"
+    )
+    skadi = Skadi(shards=4)
+    first = skadi.dataframe(frame, tables)
+    # the second join's coalesce is the first one's kept copy
+    assert skadi.last_report.reused_tasks == 1
+    assert skadi.dataframe(frame, tables) == first
+    report = skadi.last_report
+    # both tables' 4 source shards and the coalesce (twice) are kept; the
+    # 4 tasks of the two fused joins run
+    assert report.reused_tasks == 10
+    assert report.physical_tasks - report.reused_tasks == 4
     assert report.bytes_moved == 0
     ((key, (coalesced,)),) = [
         (key, refs) for key, refs in skadi.layouts.kept["customers"].tasks.items()
@@ -94,10 +129,10 @@ def test_the_broadcast_side_is_kept_and_a_lost_copy_replays_from_the_kept_shards
     rt = skadi.runtime
     for store in rt._store_of_device.values():
         store.delete(coalesced.object_id)  # memory gone, nobody told the GCS
-    assert skadi.sql(sql, tables) == first
+    assert skadi.dataframe(frame, tables) == first
     # one replay, of the coalesce alone: its input shards are still there
     assert rt.lineage.replays == 1
-    assert skadi.last_report.reused_tasks == 9
+    assert skadi.last_report.reused_tasks == 10
 
 
 def test_a_repeated_shuffle_join_reuses_the_partitioned_shards(tables):

@@ -189,8 +189,11 @@ def test_one_shard_plans_have_no_partial(tables, query):
 
 
 # physical tasks of a first pass over 4 shards; before the two phases, scan_agg
-# was 13 (4 scans, 4 splits, 4 aggregates, 1 sort) and join_group 22
-PLAN_SIZES = {"scan_agg": 9, "selective_filter": 9, "join_group": 14, "top_k": 9}
+# was 13 (4 scans, 4 splits, 4 aggregates, 1 sort) and join_group 22.  Before
+# the plan stopped launching pass-through tasks, join_group was 14 (its
+# customers side was 4 scan shards and a coalesce, now one shard) and top_k 9
+# (4 tasks of an identity select, now folded away)
+PLAN_SIZES = {"scan_agg": 9, "selective_filter": 9, "join_group": 10, "top_k": 5}
 
 
 def test_the_ledger_shapes_plan_sizes_and_what_a_later_pass_launches(tables):
@@ -200,7 +203,7 @@ def test_the_ledger_shapes_plan_sizes_and_what_a_later_pass_launches(tables):
         assert skadi.last_report.physical_tasks == PLAN_SIZES[name], name
     skadi.sql(QUERIES["join_group"], tables)
     report = skadi.last_report
-    # the 8 source shards and the broadcast side are kept: the filtered join
+    # the 4 orders shards and the one customers shard are kept: the filtered join
     # with its partial aggregate (4 tasks) and the final with the sort (1)
     # run, where a shuffle ran 14 (4 joins, 4 splits, 4 aggregates, the
     # coalesce and the sort)
