@@ -16,6 +16,14 @@ miss into its retry currency: a pull leaves the argument missing and
 ``resolve`` hands the core the count; a push interrupts the attempts still
 waiting on that (object, device) arrival, and each retry is pushed it again.
 
+Whether an object has reached a device is that device's store's to say, and
+nobody else's.  A PUSH attempt waits only for the arguments its store lacks,
+each on an *arrival* that lives only while an attempt is blocked on it: the
+copy landing, or found on the device at dispatch or at a commit, fires it and
+it goes; an interrupted waiter takes it along unless another attempt there
+still resolves on it.  A copy an LRU spill moves off a device is offered
+again, so an attempt dispatched there before the spill is pushed it back.
+
 "Who waits for this commit" is the readers the lineage records: PUSH
 dispatches at once and pushes a commit to the readers' attempts still waiting
 (one whose device already holds the object, the producer's own, is signalled
@@ -54,11 +62,8 @@ class DataPlane:
         # a live store holding the object, else a miss (with recovery started)
         self._source = runtime.recovery.source
         # (object, device) -> landed: one lives only while an attempt on that
-        # device waits for it (a fired one, while one there has yet to take it)
+        # device is blocked on it, and goes as it fires (the store is the record)
         self.arrivals: Dict[Tuple[str, str], Signal] = {}
-        # device -> attempts dispatched there that have not yet taken their
-        # arrivals (one that never resolves stays counted: it only costs a scan)
-        self._unresolved: Dict[str, int] = {}
         # pushes of one object queued this instant, flushed as a single
         # spanning-tree distribution
         self.pending_pushes: Dict[str, List[Any]] = {}
@@ -130,22 +135,13 @@ class DataPlane:
 
     def subscribe(self, ctx: Any) -> None:
         """At dispatch (PUSH only): an argument the attempt's device already
-        holds is signalled now, one already ready starts moving there, and the
+        holds needs nothing, one already ready starts moving there, and the
         rest reach it when they commit."""
         if not self.push_mode:
             return
-        device_id = ctx.device.device_id
-        self._unresolved[device_id] = self._unresolved.get(device_id, 0) + 1
         for ref in ctx.spec.dependencies:
             oid = ref.object_id
-            if self._held(oid, ctx):
-                continue
-            arrival = self.arrivals.get((oid, device_id))
-            if arrival is not None and arrival.triggered:
-                # an arrival lives only as long as its copy: this one announced
-                # a copy the store has since lost, and must not stop the push
-                del self.arrivals[oid, device_id]
-            if self.rt.ownership.is_ready(oid):
+            if not self._held(oid, ctx) and self.rt.ownership.is_ready(oid):
                 self._queue_push(oid, ctx)
 
     def resolve(self, ctx: Any, raylet: Raylet, device: Device) -> Generator:
@@ -161,12 +157,11 @@ class DataPlane:
             self._m_misses.of(device.device_id).inc(len(missing))
         sim = self.rt.sim
         if self.push_mode:
-            sigs = {r.object_id: self._arrival(r.object_id, device.device_id) for r in deps}
-            self._unresolved[device.device_id] -= 1
-            waits = [sig for sig in sigs.values() if not sig.triggered]
+            # the store is the record: wait only for what it lacks
+            sigs = {r.object_id: self._arrival(r.object_id, device.device_id) for r in missing}
             try:
-                if waits:
-                    yield sim.all_of(waits)
+                if sigs:
+                    yield sim.all_of(sigs.values())
             finally:
                 self._stop_waiting(ctx, device.device_id, sigs)
             probe = self.rt.probe_edges
@@ -194,11 +189,12 @@ class DataPlane:
         return sum(not local.contains(r.object_id) for r in missing)
 
     def publish(self, object_id: str) -> None:
-        """At commit (PUSH only): signal the attempts still waiting for the
-        object (its readers' and their speculative twins') whose device holds
-        it, as dispatch does, and push it to the rest as one wave.  A device
-        is looked up once; every attempt on one that lacks the object is
-        queued, since the first may lose its device before the wave leaves."""
+        """At commit, and when an LRU spill moves a copy off a device (PUSH
+        only): signal the attempts still waiting for the object (its readers'
+        and their speculative twins') whose device holds it, as dispatch does,
+        and push it to the rest as one wave.  A device is looked up once;
+        every attempt on one that lacks the object is queued, since the first
+        may lose its device before the wave leaves."""
         if self.push_mode:
             held: Dict[str, bool] = {}
             for attempt in self._waiting_for(object_id):
@@ -274,33 +270,16 @@ class DataPlane:
                     yield attempt
 
     def _stop_waiting(self, ctx: Any, device_id: str, sigs: Dict[str, Signal]) -> None:
-        """An attempt stopped waiting, its arguments in or interrupted: an
-        arrival no other attempt on the device waits on goes with it.  One that
-        has not fired stays while another attempt there resolves on it; one
-        that has fired, while one there has yet to take it (see ``_untaken``)."""
+        """An attempt stopped waiting: a fired arrival is already gone, and an
+        interrupted one goes unless another attempt there still resolves on it."""
         for oid, sig in sigs.items():
-            if self.arrivals.get((oid, device_id)) is not sig:
-                continue
-            if sig.triggered:
-                if self._untaken(oid, device_id):
-                    continue
-            elif any(
+            if self.arrivals.get((oid, device_id)) is sig and not any(
                 other is not ctx
                 and other.state is TaskState.RESOLVING
                 and other.device.device_id == device_id
                 for other in self._waiting_for(oid)
             ):
-                continue
-            del self.arrivals[oid, device_id]
-
-    def _untaken(self, oid: str, device_id: str) -> bool:
-        """Whether an attempt dispatched to the device has yet to take its
-        arrival of ``oid``: its resolve must find the one that fired, or it
-        would wait for a push that never comes."""
-        return bool(self._unresolved.get(device_id)) and any(
-            attempt.state is TaskState.SCHEDULED and attempt.device.device_id == device_id
-            for attempt in self._waiting_for(oid)
-        )
+                del self.arrivals[oid, device_id]
 
     def _arrival(self, oid: str, device_id: str) -> Signal:
         sig = self.arrivals.get((oid, device_id))
@@ -309,33 +288,23 @@ class DataPlane:
         return sig
 
     def _held(self, oid: str, ctx: Any) -> bool:
-        """Signal the attempt's arrival now if its device holds ``oid``."""
+        """Whether the attempt's device holds ``oid``; if so, whoever waits
+        for it there wakes now."""
         device_id = ctx.device.device_id
-        if not ctx.raylet.store_of(device_id).contains(oid):
+        if not self._landed(oid, device_id):
             return False
-        self._arrived(oid, device_id)
+        self._delivered(oid, device_id)
         return True
 
     def _landed(self, oid: str, device_id: str) -> bool:
-        """Whether the object reached the device: its arrival fired, or, with
-        no arrival kept, the device's store holds it."""
-        sig = self.arrivals.get((oid, device_id))
-        if sig is not None:
-            return sig.triggered
         return self.rt._raylet_of_device[device_id].store_of(device_id).contains(oid)
 
-    def _arrived(self, oid: str, device_id: str) -> None:
-        sig = self._arrival(oid, device_id)
-        if not sig.triggered:
-            sig.succeed()
-
     def _delivered(self, oid: str, device_id: str) -> None:
-        """A push put the object on the device: its arrival fires, and is kept
-        only while an attempt there has yet to take it (the ones waiting on it
-        wake holding it)."""
-        self._arrived(oid, device_id)
-        if not self._untaken(oid, device_id):
-            self.arrivals.pop((oid, device_id), None)  # a woken waiter may have let go
+        """The object is on the device: the attempts blocked on its arrival
+        there wake, and the arrival goes."""
+        sig = self.arrivals.pop((oid, device_id), None)
+        if sig is not None:
+            sig.succeed()
 
     def _missed(self, oid: str, device_id: str) -> None:
         """A push did not land: every attempt still waiting on this arrival
@@ -395,12 +364,6 @@ class DataPlane:
                 self._missed(oid, device_id)
             return
         src_dev = src_store.device.device_id
-        for device_id, raylet in list(legs.items()):
-            if device_id == src_dev or raylet.store_of(device_id).contains(oid):
-                del legs[device_id]
-                self._delivered(oid, device_id)
-        if not legs:
-            return
         for device_id, raylet in legs.items():
             raylet.begin_fetch(oid, device_id)
         first = next(iter(legs))

@@ -127,7 +127,9 @@ class Recovery:
         """Directory upkeep after an LRU spill: the copy now lives on the
         spill target's node, and any origin node that no longer holds a
         sibling copy must be dropped — otherwise a later blade death cannot
-        tell which objects it actually took down."""
+        tell which objects it actually took down.  The object is then offered
+        again: an attempt dispatched to the origin device before the spill
+        is pushed it back (a no-op under PULL, whose resolve fetches it)."""
         ownership = self.rt.ownership
         if not ownership.contains(object_id):
             return
@@ -142,6 +144,7 @@ class Recovery:
                 ownership.drop_location(object_id, node_id)
         if probe is not None:
             probe.site = caller_site
+        self.rt.data.publish(object_id)
 
     def read_value(self, object_id: str) -> Any:
         """The driver's read at the end of ``get`` (free in virtual time)."""

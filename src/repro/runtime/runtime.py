@@ -924,13 +924,9 @@ class ServerlessRuntime:
         parked ones."""
         if self.probe is not None:
             self.probe.task_finish(ctx.spec.task_id)
-        ctx.state = TaskState.FINISHED
+        ctx.state = main.state = TaskState.FINISHED  # main is not ctx when a clone won
         ctx.timeline.finished = self.sim.now
         ctx.timeline.device_id = device.device_id
-        if main is not ctx:  # a clone won: reflect completion on the main ctx
-            main.state = TaskState.FINISHED
-            main.timeline.finished = self.sim.now
-            main.timeline.device_id = device.device_id
         loser = main.twin if ctx is main else main
         main.twin = None
         if loser is not None and loser.proc is not None and loser.state in IN_FLIGHT_STATES:
@@ -950,11 +946,11 @@ class ServerlessRuntime:
             self._on_object_ready(oid)
         if not main.done.triggered:
             main.done.succeed()
-        # the driver and recovery still read the task's state, spec, timeline
-        # and span; the ctx, its signal and its attempts go
+        # the driver and recovery still read the task's state, spec, the
+        # winner's timeline and span; the ctx, its signal and its attempts go
         if self._ctxs.get(main.spec.task_id) is main:
             del self._ctxs[main.spec.task_id]
-        kept = FinishedTask(main.spec, main.timeline, main.span)
+        kept = FinishedTask(main.spec, ctx.timeline, main.span)
         for oid in main.outputs:
             if self._ctx_of_object.get(oid) is main:
                 self._ctx_of_object[oid] = kept

@@ -426,31 +426,33 @@ class TestContentionAwarePlacement:
 # -- the mover across commits and under faults ---------------------------------
 
 
+def assert_arrivals_blocked(rt: ServerlessRuntime) -> None:
+    """An arrival is kept only while an attempt is blocked on it (at any
+    instant, not only once drained): none has fired — the store records what
+    landed — and each has a resolving attempt on its device that reads it."""
+    fired = sorted(key for key, sig in rt.data.arrivals.items() if sig.triggered)
+    assert not fired, f"fired arrivals kept: {fired}"
+    resolving = {
+        (ref.object_id, attempt.device.device_id)
+        for ctx in rt._ctxs.values()
+        for attempt in (ctx, ctx.twin)
+        if attempt is not None
+        and attempt.state is TaskState.RESOLVING
+        and attempt.proc is not None
+        and not attempt.proc.triggered
+        for ref in attempt.spec.dependencies
+    }
+    stale = sorted(set(rt.data.arrivals) - resolving)
+    assert not stale, f"arrivals outlived the attempts waiting for them: {stale}"
+
+
 def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
     """Once ``rt.sim.run()`` returns, nothing is left mid-move (the data-plane
     brick of the quiescence invariant, ROADMAP item 4)."""
     assert not rt.data.pending_pushes
     assert all(not raylet._inflight_fetches for raylet in rt._raylets)
     assert all(not ctx.pulls for ctx in rt._ctxs.values())
-    # an arrival is kept only for an attempt on its device still resolving on
-    # it or, once it fired, for one dispatched there that has yet to take it
-    waiting = {
-        (ref.object_id, attempt.device.device_id, attempt.state)
-        for ctx in rt._ctxs.values()
-        for attempt in (ctx, ctx.twin)
-        if attempt is not None
-        and attempt.state in (TaskState.SCHEDULED, TaskState.RESOLVING)
-        and attempt.proc is not None
-        and not attempt.proc.triggered
-        for ref in attempt.spec.dependencies
-    }
-    stale = sorted(
-        key
-        for key, sig in rt.data.arrivals.items()
-        if (*key, TaskState.RESOLVING) not in waiting
-        and not (sig.triggered and (*key, TaskState.SCHEDULED) in waiting)
-    )
-    assert not stale, f"arrivals outlived the attempts waiting for them: {stale}"
+    assert_arrivals_blocked(rt)
     assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
     assert not rt.net.flows, f"flows still on the fabric: {[f.name for f in rt.net.flows]}"
     assert not rt.net._admitted, f"admitted bytes never started: {rt.net._admitted}"
@@ -748,6 +750,42 @@ def test_an_arrival_lives_only_as_long_as_its_copy():
     assert_data_plane_drained(rt)
 
 
+@pytest.mark.parametrize("max_retries", [None, 0], ids=["default-retries", "no-retries"])
+def test_an_argument_spilled_after_dispatch_is_pushed_back(max_retries):
+    """PUSH: ``a(x)`` is dispatched to server1/cpu while its store holds the
+    24 GB ``x``; before ``a`` resolves, ``p``'s 48 GB commit there LRU-spills
+    ``x`` to the blade.  The store is the record, so ``a`` waits for ``x``,
+    and the spill offers ``x`` again, so it is pushed back.  Before the fix a
+    fired arrival kept from dispatch let ``a`` through to fail at execute with
+    "vanished before execution": one retry (the clock ended at 1.953657 s),
+    and with no retries the task failed."""
+    from repro.cluster.cluster import build_physical_disagg
+
+    config = RuntimeConfig() if max_retries is None else RuntimeConfig(max_retries=max_retries)
+    rt = ServerlessRuntime(
+        build_physical_disagg(n_servers=2, n_gpu_cards=0, n_fpga_cards=0, n_mem_blades=1), config
+    )
+    assert rt.config.resolution is ResolutionMode.PUSH
+    here = dict(compute_cost=1e-3, pinned_device="server1/cpu")
+    x = rt.submit(lambda: "X", output_nbytes=24 * GB, **here)
+    assert rt.get(x) == "X"
+    rt.submit(lambda: "P", output_nbytes=48 * GB, **here)
+    rt.run(until=rt.sim.now + 1.06e-3)
+    a = rt.submit(lambda v: v + "!", (x,), pinned_device="server1/cpu")
+    rt.run(until=rt.sim.now + 0.1)  # p committed; x is on its way back
+    assert not rt._store_of_device["server1/cpu"].contains(x.object_id)
+    assert rt.task_state(a) is TaskState.RESOLVING
+    assert (x.object_id, "server1/cpu") in rt.data.arrivals
+    assert_arrivals_blocked(rt)
+    assert rt.get(a) == "X!"
+    rt.sim.run()
+    assert rt.log.count("task_retry") == 0
+    assert f"{rt.sim.now:.6f}" == "1.952398"
+    assert rt.net.stats.bytes_moved == 24 * GB  # the one push back from the blade
+    assert rt.data.arrivals == {}
+    assert_data_plane_drained(rt)
+
+
 @pytest.mark.parametrize("producer", ["commits", "raises"])
 def test_an_arrival_goes_with_the_last_attempt_waiting_for_it(producer):
     """A consumer cancelled while it waits for a push leaves no arrival
@@ -768,7 +806,8 @@ def test_an_arrival_goes_with_the_last_attempt_waiting_for_it(producer):
     data = rt.submit(produce, compute_cost=5e-3, output_nbytes=MB, pinned_device="server0/cpu")
     consumer = rt.submit(lambda x: len(x), (data,), pinned_device="server1/cpu")
     rt.run(until=1e-3)
-    assert not rt.data.arrivals[data.object_id, "server1/cpu"].triggered  # it waits
+    assert (data.object_id, "server1/cpu") in rt.data.arrivals  # it waits
+    assert_arrivals_blocked(rt)
     assert rt.cancel(consumer)
     rt.sim.run()
     assert rt.task_state(data) is (

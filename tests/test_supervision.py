@@ -260,11 +260,29 @@ class TestOneLaunchPath:
         assert rt.log.count("speculate") == 1 and rt.tasks_finished == 2
         rt.sim.run()
         # nobody is left waiting on an arrival that will never come
-        for (oid, device_id), arrival in rt.data.arrivals.items():
-            assert arrival.triggered, f"{oid} never arrived on {device_id}"
+        assert rt.data.arrivals == {}
         assert_data_plane_drained(rt)
         assert_recovery_drained(rt)
         assert rt.probe.report().clean  # Skadi-TSan: trace + invariants + hb
+
+    @BOTH_MODES
+    def test_a_backup_that_wins_leaves_its_own_timeline(self, mode):
+        """The finished task keeps the winning backup's timeline, not the
+        straggler's with the winner's device and finish patched on: the one
+        ``rt.timelines`` records and the task span closes with.  Before the
+        fix ``timeline_of`` reported ``server1/cpu`` with the straggler's
+        milestones (a 7.45 ms input stall under PUSH against the winner's
+        0.048 ms)."""
+        rt, _, victim = straggler_pair(mode)
+        assert rt.get(victim) == 8
+        tl = rt.timeline_of(victim)
+        (recorded,) = [t for t in rt.timelines if t.task_id == victim.task_id]
+        assert tl is recorded and tl.device_id == "server1/cpu"
+        span = rt.span_of(victim)
+        assert span.device == tl.device_id and span.end == tl.finished
+        assert (span.attrs["dispatched"], span.attrs["inputs_ready"], span.attrs["started"]) == (
+            tl.dispatched, tl.inputs_ready, tl.started,
+        )
 
     def test_a_backup_dispatched_before_the_commit_is_pushed_the_argument(self):
         """PUSH: the consumer is dispatched at submit, and its backup goes out
@@ -289,10 +307,8 @@ class TestOneLaunchPath:
         assert speculate.time < rt.timeline_of(data).finished  # before the commit
         assert rt.timeline_of(victim).device_id == "server1/cpu"
         for device_id in ("server0/cpu", "server1/cpu"):
+            # landed: the store is the one record, and the arrival went as it fired
             assert rt._store_of_device[device_id].contains(data.object_id)
-            # landed; no attempt there waits on it any more, so its arrival
-            # is gone and the store answers
-            assert rt.data._landed(data.object_id, device_id)
             assert (data.object_id, device_id) not in rt.data.arrivals
         rt.sim.run()
         assert rt.tasks_finished == 2
