@@ -87,7 +87,7 @@ def test_e10_gang_scheduling_spmd(benchmark):
             rt.launch_gang("spmd")
         rt.get(refs)
         timelines = [rt.timeline_of(r) for r in refs]
-        devices = {t.device_id for t in timelines}
+        devices = {t.device for t in timelines}
         starts = [t.started for t in timelines]
         return devices, max(starts) - min(starts)
 

@@ -8,7 +8,9 @@ causal spans, critical-path extraction, Prometheus and Chrome-trace
 exports — and checks three properties:
 
 1. **Exactness** — on a hand-built pinned chain the extractor's breakdown
-   equals the attribution recomputed independently from ``rt.timelines``.
+   equals the attribution recomputed by hand from each task's milestones
+   (a task's span is its timeline, so this checks the gating-producer walk
+   and the clipping, not a second record).
 2. **Determinism** — two runs with the same seed produce byte-identical
    Prometheus text and an identical critical path.
 3. **Explanatory power** — on the E1 producer/consumer workload the
@@ -98,33 +100,33 @@ def run_pairs(resolution: ResolutionMode):
 
 
 # ---------------------------------------------------------------------------
-# independent re-derivation of the attribution from task timelines
+# independent re-derivation of the attribution from the chain's milestones
 
 
 def expected_breakdown(rt, refs):
-    """Recompute the chain's attribution straight from ``rt.timelines``.
+    """Recompute the chain's attribution from each task's milestones.
 
     Mirrors the published semantics (clip each task to the window after
-    its gating producer finished; split by milestone) but reads the
-    TaskTimeline records, not the span graph — so it cross-checks that the
-    spans faithfully carry the runtime's own milestones.
+    its gating producer finished; split by milestone) but walks the chain
+    the driver built, not the span graph's links, and clips by hand — so it
+    cross-checks the extractor's gating-producer walk and its clipping.
     """
     tls = [rt.timeline_of(r) for r in refs]
     buckets = {"compute": 0.0, "transfer": 0.0, "queue": 0.0, "recovery": 0.0}
-    lo = tls[0].submitted
+    lo = tls[0].start
     for i, tl in enumerate(tls):
-        gate = tls[i - 1].finished if i else tl.submitted
-        lo = max(tl.submitted, gate)
+        gate = tls[i - 1].end if i else tl.start
+        lo = max(tl.start, gate)
         for a, b, bucket in (
-            (tl.submitted, tl.dispatched, "queue"),
+            (tl.start, tl.dispatched, "queue"),
             (tl.dispatched, tl.inputs_ready, "transfer"),
             (tl.inputs_ready, tl.started, "queue"),
-            (tl.started, tl.finished, "compute"),
+            (tl.started, tl.end, "compute"),
         ):
             a = max(a, lo)
             if b > a:
                 buckets[bucket] += b - a
-    total = tls[-1].finished - tls[0].submitted
+    total = tls[-1].end - tls[0].start
     return buckets, total
 
 

@@ -53,7 +53,7 @@ def producer_consumer_pairs(resolution: ResolutionMode, op_cost: float):
     assert values == [2 * i for i in range(PAIRS)]
     by_name = {t.name: t for t in rt.timelines}
     gaps = [
-        by_name[f"cons{i}"].finished - by_name[f"prod{i}"].finished
+        by_name[f"cons{i}"].end - by_name[f"prod{i}"].end
         for i in range(PAIRS)
     ]
     return rt.sim.now, sum(gaps) / len(gaps), rt.control_messages

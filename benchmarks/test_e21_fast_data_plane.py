@@ -164,9 +164,9 @@ def bench_contention() -> dict:
 
     nearest = run(pinned="server0/gpu0")
     steered = run(pinned=None)
-    assert all(t.device_id != "server0/gpu0" for t in steered.timelines)
-    hot = max(t.finished for t in nearest.timelines)
-    cool = max(t.finished for t in steered.timelines)
+    assert all(t.device != "server0/gpu0" for t in steered.timelines)
+    hot = max(t.end for t in nearest.timelines)
+    cool = max(t.end for t in steered.timelines)
     return {
         "makespan_idle_model": hot,
         "makespan_contention_aware": cool,

@@ -81,7 +81,7 @@ def run_scenario(spike: bool = True, **overrides):
 
 
 def completions_in(rt: ServerlessRuntime, lo: float, hi: float) -> int:
-    return sum(1 for t in rt.timelines if lo <= t.finished < hi)
+    return sum(1 for t in rt.timelines if lo <= t.end < hi)
 
 
 def test_e22_overload(write_result):

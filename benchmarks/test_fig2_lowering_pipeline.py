@@ -112,16 +112,16 @@ def test_fig2_dual_backend_vertex(benchmark):
 
     d1 = timelines["D[0/2]"]
     d2 = timelines["D[1/2]"]
-    assert d1.device_id == gpu.device_id  # D1 ran on the GPU
-    assert d2.device_id == fpga.device_id  # D2 ran on the FPGA
+    assert d1.device == gpu.device_id  # D1 ran on the GPU
+    assert d2.device == fpga.device_id  # D2 ran on the FPGA
 
     table = ResultTable("Figure 2: D lowered to two backends", ["variant", "device", "exec time"])
-    table.add_row("D1", d1.device_id, fmt_seconds(d1.finished - d1.started))
-    table.add_row("D2", d2.device_id, fmt_seconds(d2.finished - d2.started))
+    table.add_row("D1", d1.device, fmt_seconds(d1.end - d1.started))
+    table.add_row("D2", d2.device, fmt_seconds(d2.end - d2.started))
     table.show()
 
     # same op, directly comparable: the faster device wins on compute time
-    assert (d1.finished - d1.started) < (d2.finished - d2.started)
+    assert (d1.end - d1.started) < (d2.end - d2.started)
     # and the fused result is still correct
     np.testing.assert_allclose(
         np.sort(merged.column("y")), np.sort(t.column("x") * 3 + 1)

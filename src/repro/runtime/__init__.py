@@ -36,7 +36,6 @@ from .runtime import (
     ServerlessRuntime,
     TaskCancelledError,
     TaskError,
-    TaskTimeline,
     make_reliable_cache,
 )
 from .scheduler import PlacementError, Scheduler
@@ -78,7 +77,6 @@ __all__ = [
     "WalRecord",
     "EventLog",
     "RuntimeEvent",
-    "TaskTimeline",
     "make_reliable_cache",
     "Scheduler",
     "PlacementError",

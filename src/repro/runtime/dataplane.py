@@ -252,7 +252,7 @@ class DataPlane:
     def _span(self, name: str, ctx: Any, device: Device, **attrs: Any) -> Any:
         """A transfer span under the attempt's task span, on its device."""
         return self.rt.telemetry.tracer.start_span(
-            name, "transfer", parent=self.rt._span_of(ctx),
+            name, "transfer", parent=ctx.span,
             node=device.node_id, device=device.device_id, **attrs,
         )
 

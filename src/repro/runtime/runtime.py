@@ -26,7 +26,7 @@ from ..cluster.simtime import Interrupt, Signal
 from ..telemetry import Telemetry
 from ..telemetry.critical_path import CriticalPathResult
 from ..telemetry.critical_path import critical_path as extract_critical_path
-from ..telemetry.spans import Span
+from ..telemetry.spans import TaskSpan
 from . import ha, overload
 from .actors import ActorHandle, Actors
 from .config import Generation, RuntimeConfig
@@ -45,7 +45,7 @@ from .scheduler import PlacementError, Scheduler
 from .supervision import Supervisor
 from .task import (
     IN_FLIGHT_STATES, NO_KWARGS, TERMINAL_STATES, FinishedTask, TaskSpec, TaskState,
-    TaskTimeline, split_returns,
+    split_returns,
 )
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "TaskError",
     "TaskCancelledError",
     "GetTimeoutError",
-    "TaskTimeline",
 ]
 
 _TERMINAL = TERMINAL_STATES
@@ -91,29 +90,32 @@ class _TransientTaskError(Exception):
 
 class _TaskCtx:
     """Book-keeping for one task until it finishes (a ``FinishedTask`` takes
-    over); a failed or cancelled task keeps it, with its error."""
+    over); a failed or cancelled task keeps it, with its error.  A backup is
+    one too, sharing its task's outputs, completion and span."""
 
     __slots__ = (
-        "spec", "outputs", "device", "raylet", "done", "state", "timeline",
+        "spec", "outputs", "device", "raylet", "done", "state", "span",
+        "dispatched", "inputs_ready", "started",
         "error", "proc", "attempt", "retries", "twin", "is_clone",
-        "span", "pulls", "admitted", "lease_epoch",
+        "pulls", "admitted", "lease_epoch",
     )
 
-    def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal):
+    def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal, span: TaskSpan):
         self.spec = spec
         self.outputs = outputs  # the task's output object ids, in return order
         self.device: Optional[Device] = None
         self.raylet: Optional[Raylet] = None
         self.done = done
         self.state = TaskState.PENDING
-        self.timeline = TaskTimeline(spec.task_id, spec.name)
+        self.span = span  # the task's one record: submitted at its start
+        # this attempt's milestones: the winner's go onto the span
+        self.dispatched = self.inputs_ready = self.started = 0.0
         self.error: Optional[str] = None
         self.proc = None
         self.attempt = 0  # bumped per dispatch (watchdogs key off this)
         self.retries = 0  # transient-failure retries consumed
         self.twin: Optional["_TaskCtx"] = None  # speculative copy, if any
         self.is_clone = False
-        self.span: Optional[Span] = None  # causal task span (telemetry)
         self.pulls: Tuple = ()  # this attempt's in-flight pull processes
         self.admitted = False  # holds a scheduler-level admission slot
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
@@ -187,8 +189,7 @@ class ServerlessRuntime:
         self.actors = Actors(self)  # always: an actor can always be created
         self.failures = FailureDomains(self)  # always: a fault can always happen
         self.supervisor = Supervisor(self)  # always: an attempt can always fail
-        self.timelines: List[TaskTimeline] = []
-        self.tasks_finished = 0
+        self.timelines: List[TaskSpan] = []  # every finished task's span, in finish order
         self._open_tasks = 0  # not yet FINISHED/FAILED (heartbeat liveness)
         self.log = EventLog()
         reg = self.telemetry.registry
@@ -324,6 +325,7 @@ class ServerlessRuntime:
     tasks_cancelled = _log_count("task_cancelled")
     tasks_retried = _log_count("task_retry")
     actor_restarts = _log_count("actor_restart")
+    tasks_finished = property(lambda rt: len(rt.timelines))  # each finished task's span
 
     def _probe_site(self, site: str) -> None:
         """Attribute the directly-following directory mutation to ``site``.
@@ -503,9 +505,7 @@ class ServerlessRuntime:
             # after the owner record: the submit message the dispatch joins
             # on represents the fully-registered task
             self.probe.submit(spec.task_id)
-        ctx = _TaskCtx(spec, outputs, Signal(self.sim))
-        ctx.timeline.submitted = self.sim.now
-        self._open_task_span(ctx)
+        ctx = _TaskCtx(spec, outputs, Signal(self.sim), self._open_task_span(spec))
         self._m_submitted.inc()
         self._ctxs[spec.task_id] = ctx
         for oid in outputs:
@@ -623,7 +623,7 @@ class ServerlessRuntime:
             return False
         ctx.state = TaskState.CANCELLED
         ctx.error = f"cancelled: {reason}"
-        self._close_failed_span(ctx, ctx.error)
+        self._close_task_span(ctx)
         # tenant attribution only when the submitter carried one — the
         # label-less legacy series and event detail stay byte-identical
         tenant_label = {} if ctx.spec.tenant is None else {"tenant": ctx.spec.tenant}
@@ -668,20 +668,19 @@ class ServerlessRuntime:
 
     # -- span tracing --------------------------------------------------------
 
-    def _open_task_span(self, ctx: _TaskCtx, replayed: bool = False) -> None:
+    def _open_task_span(self, spec: TaskSpec, replayed: bool = False) -> TaskSpan:
         """Open the task's causal span.  Links point at the spans of the
         input producers; the trace id propagates from the first one, so a
         connected DAG shares one trace."""
-        spec = ctx.spec
         links: List[str] = []
         trace_id: Optional[str] = None
         for dep in spec.dependencies:
             producer = self._ctx_of_object.get(dep.object_id)
-            if producer is not None and producer.span is not None:
+            if producer is not None:
                 links.append(producer.span.span_id)
                 if trace_id is None:
                     trace_id = producer.span.trace_id
-        ctx.span = self.telemetry.tracer.start_span(
+        return self.telemetry.tracer.start_span(
             spec.name or spec.task_id,
             "task",
             trace_id=trace_id,
@@ -691,35 +690,19 @@ class ServerlessRuntime:
             replayed=replayed,
         )
 
-    def _span_of(self, ctx: _TaskCtx) -> Optional[Span]:
-        """The task's span — a clone borrows its task's (kept by output once finished)."""
-        if ctx.span is not None:
-            return ctx.span
-        main = self._ctxs.get(ctx.spec.task_id) or self._ctx_of_object.get(ctx.outputs[0])
-        return main.span if main is not None else None
-
-    def _finish_task_span(self, main: _TaskCtx, winner: _TaskCtx) -> None:
-        """Close the task span with the winning attempt's milestones (the
-        attrs ``telemetry.spans.task_phases`` reads its phases from)."""
-        span = main.span
-        if span is None or not span.is_open:
-            return
-        tl = winner.timeline
-        if winner.device is not None:
-            span.node = winner.device.node_id
-            span.device = winner.device.device_id
-        span.attrs.update(
-            dispatched=tl.dispatched,
-            inputs_ready=tl.inputs_ready,
-            started=tl.started,
-            retries=main.retries,
-        )
-        span.finish(tl.finished)
-
-    def _close_failed_span(self, ctx: _TaskCtx, error: str) -> None:
-        if ctx.span is not None and ctx.span.is_open:
-            ctx.span.attrs.update(error=error, retries=ctx.retries)
-            ctx.span.finish(self.sim.now)
+    def _close_task_span(self, ctx: _TaskCtx, winner: Optional[_TaskCtx] = None) -> TaskSpan:
+        """Close the task span, once: with the winning attempt's milestones
+        and device, or with the error that concluded the task."""
+        span = ctx.span
+        if winner is None:
+            span.attrs["error"] = ctx.error
+        else:
+            span.dispatched, span.inputs_ready, span.started = (
+                winner.dispatched, winner.inputs_ready, winner.started,
+            )
+            span.node, span.device = winner.device.node_id, winner.device.device_id
+        span.attrs["retries"] = ctx.retries
+        return span.finish(self.sim.now)
 
     def _dispatch(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
         spec = ctx.spec
@@ -817,7 +800,7 @@ class ServerlessRuntime:
             # the raylet can see its own silicon (local knowledge, no
             # network): it refuses to launch onto a dead companion
             raise _TransientTaskError(f"device {device.device_id} is dead")
-        ctx.timeline.dispatched = self.sim.now
+        ctx.dispatched = self.sim.now
         ctx.state = TaskState.RESOLVING
 
     def _resolve(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
@@ -827,7 +810,7 @@ class ServerlessRuntime:
         unfetched = yield from self.data.resolve(ctx, raylet, device)
         if unfetched:
             raise _TransientTaskError(f"failed to fetch {unfetched} argument(s)")
-        ctx.timeline.inputs_ready = self.sim.now
+        ctx.inputs_ready = self.sim.now
 
     def _execute(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
         """Phase 3: take the actor's turn if any, burn device time, run the
@@ -844,7 +827,7 @@ class ServerlessRuntime:
             self.scheduler.task_started(device.device_id)
             try:
                 started_proc = device.execute(spec.compute_cost, label=spec.name)
-                ctx.timeline.started = self.sim.now
+                ctx.started = self.sim.now
                 yield started_proc
                 if not raylet.alive:
                     raise _TransientTaskError("raylet died during execution")
@@ -925,32 +908,29 @@ class ServerlessRuntime:
         if self.probe is not None:
             self.probe.task_finish(ctx.spec.task_id)
         ctx.state = main.state = TaskState.FINISHED  # main is not ctx when a clone won
-        ctx.timeline.finished = self.sim.now
-        ctx.timeline.device_id = device.device_id
         loser = main.twin if ctx is main else main
         main.twin = None
         if loser is not None and loser.proc is not None and loser.state in IN_FLIGHT_STATES:
             loser.proc.interrupt("speculative twin won")
-        self.tasks_finished += 1
+        span = self._close_task_span(main, ctx)
+        self.timelines.append(span)
         self._m_finished.inc()
-        self._m_latency.observe(ctx.timeline.latency)
-        self._m_stall.observe(ctx.timeline.input_stall)
-        self._finish_task_span(main, ctx)
+        self._m_latency.observe(span.latency)
+        self._m_stall.observe(span.input_stall)
         self._open_tasks = max(0, self._open_tasks - 1)
         self._task_closed(main)
         for hook in self.on_task_finished:
             hook(main, ctx, device)
-        self.timelines.append(ctx.timeline)
         for oid, _value, _nbytes in committed:
             self.data.publish(oid)
             self._on_object_ready(oid)
         if not main.done.triggered:
             main.done.succeed()
-        # the driver and recovery still read the task's state, spec, the
-        # winner's timeline and span; the ctx, its signal and its attempts go
+        # the driver and recovery still read the task's state, spec and span;
+        # the ctx, its signal and its attempts go
         if self._ctxs.get(main.spec.task_id) is main:
             del self._ctxs[main.spec.task_id]
-        kept = FinishedTask(main.spec, ctx.timeline, main.span)
+        kept = FinishedTask(main.spec, span)
         for oid in main.outputs:
             if self._ctx_of_object.get(oid) is main:
                 self._ctx_of_object[oid] = kept
@@ -984,7 +964,7 @@ class ServerlessRuntime:
         if self.probe is not None:
             # the attempt it closes is in no record: emitted here
             self.probe.task_fail(ctx.spec.task_id, ctx.attempt, error)
-        self._close_failed_span(ctx, error)
+        self._close_task_span(ctx)
         self._open_tasks = max(0, self._open_tasks - 1)
         self._record(
             "task_failed", task=ctx.spec.task_id, name=ctx.spec.name, error=error
@@ -1168,9 +1148,7 @@ class ServerlessRuntime:
         lost = [oid for oid in outputs if self.ownership.awaits_commit(oid)]
         for oid in lost:
             self.ownership.reset_pending(oid)
-        ctx = _TaskCtx(spec, outputs, Signal(self.sim))
-        ctx.timeline.submitted = self.sim.now
-        self._open_task_span(ctx, replayed=True)
+        ctx = _TaskCtx(spec, outputs, Signal(self.sim), self._open_task_span(spec, replayed=True))
         self._ctxs[spec.task_id] = ctx
         for oid in lost:
             self._ctx_of_object[oid] = ctx
@@ -1191,11 +1169,13 @@ class ServerlessRuntime:
         """Drive the simulation (drains everything unless ``until``)."""
         return self.sim.run(until=until)
 
-    def timeline_of(self, ref: ObjectRef) -> TaskTimeline:
+    def timeline_of(self, ref: ObjectRef) -> TaskSpan:
+        """The span of the task that produced ``ref``: its milestones (a
+        KeyError for driver puts)."""
         ctx = self._ctx_of_object.get(ref.object_id)
         if ctx is None:
             raise KeyError(f"no task produced {ref.object_id!r}")
-        return ctx.timeline
+        return ctx.span
 
     # -- telemetry introspection ---------------------------------------------
 
@@ -1214,7 +1194,7 @@ class ServerlessRuntime:
                 out[family.name + suffix] = float(inst.value)
         return out
 
-    def span_of(self, ref: ObjectRef) -> Optional[Span]:
+    def span_of(self, ref: ObjectRef) -> Optional[TaskSpan]:
         """The task span that produced ``ref`` (None for driver puts)."""
         ctx = self._ctx_of_object.get(ref.object_id)
         return None if ctx is None else ctx.span

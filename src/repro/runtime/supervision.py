@@ -95,18 +95,16 @@ class Supervisor:
             if not gate(ctx, failed_device, cause):
                 return  # the gate shed the task instead
         delay = retry_backoff_delay(rt.config, ctx.spec.task_id, ctx.retries)
-        span = rt._span_of(ctx)
-        if span is not None:
-            # the backoff window is pure recovery time on any path through it
-            rt.telemetry.tracer.emit(
-                f"{ctx.spec.name or ctx.spec.task_id}:backoff",
-                "recovery",
-                rt.sim.now,
-                rt.sim.now + delay,
-                parent=span,
-                retry=ctx.retries,
-                cause=cause,
-            )
+        # the backoff window is pure recovery time on any path through it
+        rt.telemetry.tracer.emit(
+            f"{ctx.spec.name or ctx.spec.task_id}:backoff",
+            "recovery",
+            rt.sim.now,
+            rt.sim.now + delay,
+            parent=ctx.span,
+            retry=ctx.retries,
+            cause=cause,
+        )
         if rt.probe_edges is not None:
             # the attempt it answers is in no record: emitted here
             rt.probe_edges.retry(ctx.spec.task_id, ctx.attempt)
@@ -164,10 +162,10 @@ class Supervisor:
             return
         if backup is None:
             return
-        # the same kind of record as the original, sharing its outputs and completion
-        clone = ctx.twin = type(ctx)(ctx.spec, ctx.outputs, ctx.done)
+        # the same kind of record as the original, sharing its outputs,
+        # completion and span (its milestones stay its own until it wins)
+        clone = ctx.twin = type(ctx)(ctx.spec, ctx.outputs, ctx.done, ctx.span)
         clone.is_clone = True
-        clone.timeline.submitted = ctx.timeline.submitted
         clone.device = backup
         rt._record("speculate", task=ctx.spec.task_id, slow=slow, backup=backup.device_id)
         rt._dispatch(clone, preplaced=True)

@@ -17,7 +17,7 @@ from ..cluster.hardware import DeviceKind
 from .object_ref import ObjectRef, collect_refs
 
 __all__ = [
-    "TaskSpec", "TaskTimeline", "FinishedTask", "TaskState", "TERMINAL_STATES",
+    "TaskSpec", "FinishedTask", "TaskState", "TERMINAL_STATES",
     "IN_FLIGHT_STATES", "ANY_COMPUTE_KIND", "NO_KWARGS", "check_num_returns", "split_returns",
 ]
 
@@ -86,41 +86,17 @@ class TaskSpec:
         return f"TaskSpec({self.task_id}, {self.name})"
 
 
-@dataclass(slots=True)
-class TaskTimeline:
-    """Per-task virtual-time milestones (benchmark raw material)."""
-
-    task_id: str
-    name: str
-    submitted: float = 0.0
-    dispatched: float = 0.0  # lease reached the raylet
-    inputs_ready: float = 0.0  # all arguments local
-    started: float = 0.0  # device slot acquired
-    finished: float = 0.0
-    device_id: str = ""
-
-    @property
-    def input_stall(self) -> float:
-        """Time spent waiting for arguments — pull vs push attacks this."""
-        return self.inputs_ready - self.dispatched
-
-    @property
-    def latency(self) -> float:
-        return self.finished - self.submitted
-
-
 class FinishedTask:
     """What a finished task leaves in the runtime's object table, by output:
     the reads the driver (``task_state``, ``timeline_of``, ``span_of``) and
     recovery still make of it.  Its ctx, done signal and attempts are gone; a
     failed or cancelled task keeps its ctx, which carries the error."""
 
-    __slots__ = ("spec", "timeline", "span")
+    __slots__ = ("spec", "span")
     state = TaskState.FINISHED
 
-    def __init__(self, spec: TaskSpec, timeline: TaskTimeline, span: Any):
+    def __init__(self, spec: TaskSpec, span: Any):
         self.spec = spec
-        self.timeline = timeline
         self.span = span
 
 

@@ -35,7 +35,7 @@ from .critical_path import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricFamily, MetricsRegistry
 from .prometheus import ParsedMetrics, parse_prometheus_text, to_prometheus_text
-from .spans import SPAN_CATEGORIES, Span, Tracer
+from .spans import SPAN_CATEGORIES, Span, TaskSpan, Tracer
 
 __all__ = [
     "Telemetry",
@@ -45,6 +45,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Span",
+    "TaskSpan",
     "Tracer",
     "SPAN_CATEGORIES",
     "critical_path",

@@ -6,7 +6,7 @@
   replay) is a complete ("X") event on its node's row;
 * **phase slices** — a finished task span is drawn with its non-empty
   phases (``<task>:schedule``, ``:resolve-inputs``, ``:wait-device``,
-  ``:execute``) nested under it, read from its milestone attrs through
+  ``:execute``) nested under it, read from its milestones through
   :func:`~repro.telemetry.spans.task_phases`;
 * **flow arrows** — every causal link between task spans becomes a paired
   ``"s"`` (start, at the producer's finish) / ``"f"`` (finish, at the
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .metrics import MetricsRegistry
-from .spans import Span, task_phases
+from .spans import Span, exported_attrs, task_phases
 
 __all__ = ["spans_to_chrome_events", "counters_to_chrome_events"]
 
@@ -42,6 +42,7 @@ def spans_to_chrome_events(spans: Sequence[Span]) -> List[dict]:
     for span in spans:
         if span.is_open:
             continue
+        attrs = exported_attrs(span)
         events.append(
             {
                 "name": span.name,
@@ -55,12 +56,12 @@ def spans_to_chrome_events(spans: Sequence[Span]) -> List[dict]:
                     "span_id": span.span_id,
                     "trace_id": span.trace_id,
                     "parent_id": span.parent_id or "",
-                    **{k: repr(v) for k, v in sorted(span.attrs.items())},
+                    **{k: repr(v) for k, v in sorted(attrs.items())},
                 },
             }
         )
         # milestones are set only when an attempt wins; a failed task has none
-        if span.category == "task" and "started" in span.attrs:
+        if span.category == "task" and "started" in attrs:
             events.extend(
                 {
                     "name": f"{span.name}:{phase}",

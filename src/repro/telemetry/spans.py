@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-__all__ = ["Span", "Tracer", "SPAN_CATEGORIES", "task_phases"]
+__all__ = ["Span", "TaskSpan", "Tracer", "SPAN_CATEGORIES", "task_phases", "exported_attrs"]
 
 # the attribution buckets critical-path analysis resolves spans into
 SPAN_CATEGORIES = ("task", "compute", "transfer", "queue", "recovery", "control")
@@ -55,20 +55,54 @@ class Span:
         return self
 
 
-def task_phases(span: Span) -> List[Tuple[str, str, float, float]]:
-    """A task span's milestones as ``(phase, bucket, start, end)`` windows,
-    read from the attrs the runtime sets when it closes the span.  The one
-    table behind the critical path's attribution and the Chrome export's
-    phase slices."""
-    dispatched = span.attrs.get("dispatched", span.start)
-    inputs_ready = span.attrs.get("inputs_ready", dispatched)
-    started = span.attrs.get("started", inputs_ready)
+@dataclass(slots=True)
+class TaskSpan(Span):
+    """A task's span: the one record of its milestones.  Submitted at
+    ``start``, finished at ``end`` on ``device``; the winning attempt's
+    milestones are None until an attempt wins (a failed or cancelled task
+    has none)."""
+
+    dispatched: Optional[float] = None  # lease reached the raylet
+    inputs_ready: Optional[float] = None  # all arguments local
+    started: Optional[float] = None  # device slot acquired
+
+    @property
+    def latency(self) -> float:
+        return self.end - self.start
+
+    @property
+    def input_stall(self) -> float:
+        """Time spent waiting for arguments — pull vs push attacks this."""
+        return self.inputs_ready - self.dispatched
+
+
+def task_phases(span: TaskSpan) -> List[Tuple[str, str, float, float]]:
+    """A task span's milestones as ``(phase, bucket, start, end)`` windows.
+    The one table behind the critical path's attribution and the Chrome
+    export's phase slices; a task no attempt won is all ``execute``."""
+    if span.started is None:
+        dispatched = inputs_ready = started = span.start
+    else:
+        dispatched, inputs_ready, started = span.dispatched, span.inputs_ready, span.started
     return [
         ("schedule", "queue", span.start, dispatched),  # scheduling + lease + retry backoff
         ("resolve-inputs", "transfer", dispatched, inputs_ready),  # argument resolution
         ("wait-device", "queue", inputs_ready, started),  # device slot / actor lock wait
         ("execute", "compute", started, span.end),
     ]
+
+
+def exported_attrs(span: Span) -> Dict[str, Any]:
+    """A span's attrs as exports write them: a task's milestones among them
+    once an attempt won."""
+    if not isinstance(span, TaskSpan) or span.started is None:
+        return span.attrs
+    return {
+        **span.attrs,
+        "dispatched": span.dispatched,
+        "inputs_ready": span.inputs_ready,
+        "started": span.started,
+    }
 
 
 class Tracer:
@@ -105,14 +139,15 @@ class Tracer:
         start: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
-        """Open a span.  Trace id propagates parent → child unless given."""
+        """Open a span (a :class:`TaskSpan` for category ``task``).  Trace id
+        propagates parent → child unless given."""
         parent_id = parent.span_id if isinstance(parent, Span) else parent
         if trace_id is None:
             if isinstance(parent, Span):
                 trace_id = parent.trace_id
             else:
                 trace_id = self.new_trace_id()
-        span = Span(
+        span = (TaskSpan if category == "task" else Span)(
             trace_id=trace_id,
             span_id=self._new_span_id(),
             name=name,
@@ -159,9 +194,3 @@ class Tracer:
 
     def finished_spans(self) -> List[Span]:
         return [s for s in self.spans if not s.is_open]
-
-    def children_of(self, span_id: str) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
-    def __len__(self) -> int:
-        return len(self.spans)

@@ -21,6 +21,7 @@ from repro.runtime import (
     TaskError,
 )
 from repro.runtime.task import ANY_COMPUTE_KIND, TaskState
+from repro.telemetry.spans import exported_attrs
 
 
 # a chunk size no payload here reaches: every transfer is one chunk, which
@@ -414,7 +415,7 @@ class TestContentionAwarePlacement:
             name="gpu-task",
         )
         rt.get(out)
-        return rt.timelines[-1].device_id
+        return rt.timelines[-1].device
 
     def test_steers_off_hot_link(self):
         # idle fabric: the local GPU is nearest
@@ -559,7 +560,7 @@ class TestCrossCommitWitness:
         spans = [
             (
                 s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
-                s.node, s.device, sorted(s.attrs.items()),
+                s.node, s.device, sorted(exported_attrs(s).items()),
             )
             for s in rt.telemetry.tracer.spans
         ]
@@ -873,7 +874,7 @@ def test_a_commit_signals_the_reader_on_its_own_device(monkeypatch, remote_reade
         assert (wave.device, wave.attrs["consumers"]) == ("server1/cpu", 1)
         assert (rt.net.stats.bytes_moved, rt.net.stats.transfers) == (MB, 1)
         assert rt.timeline_of(outs[1]).inputs_ready == wave.end == 0.00120765625
-    assert rt.timeline_of(outs[0]).inputs_ready == rt.timeline_of(x).finished
+    assert rt.timeline_of(outs[0]).inputs_ready == rt.timeline_of(x).end
     assert rt.probe.report().violations == []
     assert_data_plane_drained(rt)
 
@@ -915,8 +916,8 @@ def test_a_replay_on_the_readers_device_ends_its_wait_at_the_commit():
     assert rt.get(reader) == "AA"
     rt.sim.run()
     replay, waiting = rt.timeline_of(a), rt.timeline_of(reader)
-    assert replay.device_id == waiting.device_id == "server0/cpu"
+    assert replay.device == waiting.device == "server0/cpu"
     [push] = [s for s in rt.telemetry.tracer.spans if s.name == f"push:{a.object_id}"]
-    assert waiting.inputs_ready == replay.finished < push.end
+    assert waiting.inputs_ready == replay.end < push.end
     assert rt.sim.now == push.end
     assert_data_plane_drained(rt)

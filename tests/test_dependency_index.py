@@ -30,7 +30,7 @@ from repro.runtime import (
     TaskError,
 )
 from repro.runtime.lineage import LineageGraph
-from repro.runtime.task import TERMINAL_STATES, TaskSpec, TaskState
+from repro.runtime.task import TERMINAL_STATES, FinishedTask, TaskSpec, TaskState
 
 PULL = ResolutionMode.PULL
 CHAOS = dict(
@@ -240,9 +240,13 @@ def strike_inside_a_pass(seed: int, arm) -> tuple:
 
 def dispatch_times(rt):
     """Every task's dispatch time, from its record: the ctx of an open, failed
-    or cancelled task, what a finished one keeps by output."""
-    times = {r.spec.task_id: r.timeline.dispatched for r in rt._ctx_of_object.values()}
-    times.update((t, c.timeline.dispatched) for t, c in rt._ctxs.items())
+    or cancelled task (its last attempt's), the span a finished one keeps by
+    output."""
+    times = {
+        r.spec.task_id: r.span.dispatched if type(r) is FinishedTask else r.dispatched
+        for r in rt._ctx_of_object.values()
+    }
+    times.update((t, c.dispatched) for t, c in rt._ctxs.items())
     return times
 
 

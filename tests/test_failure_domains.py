@@ -158,7 +158,7 @@ class TestDeviceFailureOmniscient:
             rt.submit(lambda i=i: i, compute_cost=1e-3, supported_kinds=GPU) for i in range(8)
         ]
         assert rt.get(refs) == list(range(8))
-        assert {tl.device_id for tl in rt.timelines} == {"server1/gpu0"}
+        assert {tl.device for tl in rt.timelines} == {"server1/gpu0"}
         rt.restore_device("server0/cpu")
         assert not rt.scheduler.is_blacklisted("server0/gpu0")
         assert not rt.failures.unmanaged

@@ -267,7 +267,7 @@ class TestThePlacementViewAcrossAFailover:
                 rt.submit(lambda i=i: i, name=f"{name}{i}", compute_cost=4e-3) for i in range(n)
             ]
             assert rt.get(refs) == list(range(n))
-            ran = {tl.name: tl.device_id for tl in rt.timelines}
+            ran = {tl.name: tl.device for tl in rt.timelines}
             return {ran[f"{name}{i}"] for i in range(n)}
 
         across = batch("across")

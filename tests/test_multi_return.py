@@ -130,7 +130,7 @@ def lose_one_output(mode, sanitizers=(), num_returns=4):
         ]
     copies = [rt.submit(add, (ref, 0), pinned_device="server1/cpu") for ref in refs[1:]]
     assert rt.get(copies) == [11, 12, 13]
-    gpu = rt.timeline_of(refs[0]).device_id
+    gpu = rt.timeline_of(refs[0]).device
     moves = transfer_spans(rt)
     assert rt.fail_device(gpu) == [refs[0].object_id]
     siblings = {r.object_id: set(rt.ownership.entry(r.object_id).locations) for r in refs[1:]}
@@ -154,7 +154,7 @@ class TestLosingOneOutput:
     def test_one_replay_commits_only_the_lost_output(self, mode):
         rt, refs, gpu, siblings, moves = lose_one_output(mode)
         assert rt.lineage.replays == 1 and rt.log.count("lineage_replay") == 1
-        replay = rt.timeline_of(refs[0]).device_id
+        replay = rt.timeline_of(refs[0]).device
         assert replay != gpu
         # the survivors are the copies on server1, and they stay exactly that
         assert list(siblings.values()) == [{"server1"}] * 3
@@ -180,12 +180,12 @@ class TestLosingOneOutput:
         refs = rt.submit(four, (10,), num_returns=4, output_nbytes=SIZE, supported_kinds=GPU)
         rt.run()
         rt.free(refs[3])
-        gpu = rt.timeline_of(refs[0]).device_id
+        gpu = rt.timeline_of(refs[0]).device
         assert rt.fail_device(gpu) == [r.object_id for r in refs[:3]]
         assert rt.get(refs[0]) == 10
         assert rt.lineage.replays == 1
         assert rt.get(refs[:3]) == [10, 11, 12]
-        replay = rt.timeline_of(refs[0]).device_id
+        replay = rt.timeline_of(refs[0]).device
         assert not rt.ownership.contains(refs[3].object_id)
         assert not rt.raylet_for_device(replay).store_of(replay).contains(refs[3].object_id)
         with pytest.raises(KeyError):

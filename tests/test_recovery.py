@@ -20,6 +20,7 @@ from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import GB, MB, DeviceKind
 from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import make_reliable_cache
+from repro.telemetry.spans import exported_attrs
 
 from asserts import assert_recovery_drained
 
@@ -181,7 +182,7 @@ class TestCrossCommitWitness:
         spans = [
             (
                 s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
-                s.node, s.device, sorted(s.attrs.items()),
+                s.node, s.device, sorted(exported_attrs(s).items()),
             )
             for s in rt.telemetry.tracer.spans
         ]

@@ -95,7 +95,7 @@ class TestNodeDeathRecoversAtTheVerdict:
         # spans crash + detection, and keeps the consumer waiting (parked under PULL)
         slow = rt.submit(lambda: 22, compute_cost=30e-3, pinned_device="server2/cpu")
         rt.run(until=4e-3)
-        assert rt.timeline_of(lost).device_id == "server1/cpu"
+        assert rt.timeline_of(lost).device == "server1/cpu"
         assert rt.ownership.locations(lost.object_id) == ["server1"]
         rt.failures.fail_node("server1", "crashed by the test")  # detection must earn the verdict
         consumer = rt.submit(
@@ -103,7 +103,7 @@ class TestNodeDeathRecoversAtTheVerdict:
         )
         assert rt.get(consumer, timeout=10.0) == expected
         assert_recovered_at_the_verdict(rt, lost, cached)
-        assert rt.timeline_of(consumer).finished < 0.05
+        assert rt.timeline_of(consumer).end < 0.05
         assert_recovery_drained(rt)
 
 
@@ -146,7 +146,7 @@ class TestTheCommitterClosesItsTask:
         assert rt.get(consumer, timeout=10.0) == 42
         assert main.state is TaskState.FINISHED and main.done.triggered
         assert_recovered_at_the_verdict(rt, ref, cached)
-        assert rt.timeline_of(consumer).finished < 0.05  # not the straggler's 0.5 s
+        assert rt.timeline_of(consumer).end < 0.05  # not the straggler's 0.5 s
         assert rt.tasks_finished == (3 if cached else 4)
         assert_recovery_drained(rt)
 

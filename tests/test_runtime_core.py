@@ -91,7 +91,7 @@ class TestTasks:
             lambda: 1, supported_kinds=frozenset({DeviceKind.FPGA}), name="fpga_op"
         )
         rt.get(ref)
-        assert "fpga" in rt.timeline_of(ref).device_id
+        assert "fpga" in rt.timeline_of(ref).device
 
     def test_timeline_milestones_ordered(self):
         rt = make_runtime()
@@ -99,9 +99,9 @@ class TestTasks:
         ref = rt.submit(lambda x: x, (a,), compute_cost=1e-3)
         rt.get(ref)
         tl = rt.timeline_of(ref)
-        assert tl.submitted <= tl.dispatched <= tl.inputs_ready <= tl.finished
+        assert tl.start <= tl.dispatched <= tl.inputs_ready <= tl.end
         assert tl.latency > 0
-        assert tl.device_id
+        assert tl.device
 
     def test_wait_returns_ready_subset(self):
         rt = make_runtime()
@@ -196,7 +196,7 @@ class TestActors:
         actor = rt.create_actor(S)
         refs = [actor.call(noop) for _ in range(4)]
         rt.get(refs)
-        devices = {rt.timeline_of(r).device_id for r in refs}
+        devices = {rt.timeline_of(r).device for r in refs}
         assert devices == {actor.device_id}
 
 
@@ -214,7 +214,7 @@ class TestGang:
         ]
         rt.launch_gang("spmd")
         assert rt.get(refs) == [0, 1, 2, 3]
-        devices = {rt.timeline_of(r).device_id for r in refs}
+        devices = {rt.timeline_of(r).device for r in refs}
         assert len(devices) == 4
 
     @pytest.mark.parametrize("resolution", [ResolutionMode.PUSH, ResolutionMode.PULL])
@@ -230,7 +230,7 @@ class TestGang:
         ]
         rt.launch_gang("spmd")
         assert rt.get(refs) == [7, 8, 9, 10]
-        devices = sorted(rt.timeline_of(r).device_id for r in refs)
+        devices = sorted(rt.timeline_of(r).device for r in refs)
         assert devices == [f"server{i}/cpu" for i in range(4)]
 
     def test_gang_tasks_do_not_run_before_launch(self):

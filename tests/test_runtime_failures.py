@@ -106,7 +106,7 @@ class TestLineageRecovery:
         rt.fail_node(victim_node)
         assert rt.get(ref) == "done"
         # a finished task keeps no ctx: its timeline says where it ran
-        assert rt.cluster.device(rt.timeline_of(ref).device_id).node_id != victim_node
+        assert rt.cluster.device(rt.timeline_of(ref).device).node_id != victim_node
         assert_recovery_drained(rt)
 
 
@@ -227,7 +227,7 @@ class TestSchedulerAfterFailure:
         rt.fail_node("server1")
         refs = [rt.submit(lambda i=i: i, name=f"t{i}") for i in range(6)]
         rt.get(refs)
-        nodes = {rt.timeline_of(r).device_id.split("/")[0] for r in refs}
+        nodes = {rt.timeline_of(r).device.split("/")[0] for r in refs}
         assert "server1" not in nodes
         assert_recovery_drained(rt)
 

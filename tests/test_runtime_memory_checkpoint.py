@@ -141,7 +141,7 @@ class TestChromeTrace:
         by_name = {tl.name: tl for tl in rt.timelines}
         for event in tasks:
             assert event["dur"] > 0
-            assert event["tid"] == by_name[event["name"]].device_id  # device row
+            assert event["tid"] == by_name[event["name"]].device  # device row
         assert_recovery_drained(rt)
 
     def test_write_to_file_object(self):

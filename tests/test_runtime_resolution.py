@@ -75,7 +75,7 @@ class TestResolutionSemantics:
         def gap(rt):
             run_chain(rt, length=2)
             producer, consumer = rt.timelines[0], rt.timelines[1]
-            return consumer.finished - producer.finished
+            return consumer.end - producer.end
 
         gap_pull = gap(chain_runtime(Generation.GEN2, ResolutionMode.PULL))
         gap_push = gap(chain_runtime(Generation.GEN2, ResolutionMode.PUSH))

@@ -309,7 +309,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 65 and len(source.splitlines()) <= 1245
+        assert len(methods) <= 65 and len(source.splitlines()) <= 1225
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -383,7 +383,7 @@ class TestStructureGuard:
             for node in ast.walk(speculate)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         }
-        assert stores == {"twin", "is_clone", "submitted", "device"}  # no raylet/state/attempt
+        assert stores == {"twin", "is_clone", "device"}  # no raylet/state/attempt/milestone
         assert "sim.process(" not in ast.unparse(speculate)
         assert ast.unparse(speculate).count("rt._dispatch(clone, preplaced=True)") == 1
         assert_names_neither_core_nor_component(tree)
@@ -393,7 +393,7 @@ class TestStructureGuard:
     CALLBACK_SURFACE = {
         "dataplane.py": {
             "config", "recovery", "telemetry", "ownership", "sim", "net", "probe", "probe_edges",
-            "gcs_up", "gcs_endpoint", "_span_of", "_probe_site", "_interrupt_attempts",
+            "gcs_up", "gcs_endpoint", "_probe_site", "_interrupt_attempts",
             "_raylet_of_device", "_readers",
         },
         "recovery.py": {
@@ -405,7 +405,7 @@ class TestStructureGuard:
         "supervision.py": {
             "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe_edges", "gcs_up",
             "retry_gates", "_dispatch", "_route",
-            "_place_or_retry", "_fail_ctx", "actors", "_span_of", "_record", "_ctxs",
+            "_place_or_retry", "_fail_ctx", "actors", "_record", "_ctxs",
         },
         "actors.py": {
             "sim", "ids", "cluster", "config", "scheduler", "reliable_cache",

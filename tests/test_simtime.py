@@ -995,7 +995,7 @@ class TestNoCyclicGarbage:
         for _ in range(4):
             ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=1e-3)
         assert rt.get(ref) == 5
-        rt.fail_device(rt.timeline_of(ref).device_id)
+        rt.fail_device(rt.timeline_of(ref).device)
         got = []
         assert self.garbage_of(lambda: got.append(rt.get(ref))) == 0
         assert got == [5] and rt.lineage.replays > 0

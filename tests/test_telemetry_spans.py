@@ -54,19 +54,11 @@ class TestTracer:
 
 def _task_span(tracer, name, submitted, dispatched, inputs_ready, started,
                finished, links=(), **attrs):
-    """A task span shaped exactly like the runtime's (milestones in attrs)."""
-    return tracer.emit(
-        name,
-        "task",
-        submitted,
-        finished,
-        links=links,
-        task_id=name,
-        dispatched=dispatched,
-        inputs_ready=inputs_ready,
-        started=started,
-        **attrs,
-    )
+    """A task span shaped exactly like the runtime's: opened at submission,
+    given the winning attempt's milestones, closed at the finish."""
+    span = tracer.start_span(name, "task", links=links, start=submitted, task_id=name, **attrs)
+    span.dispatched, span.inputs_ready, span.started = dispatched, inputs_ready, started
+    return span.finish(finished)
 
 
 class TestCriticalPath:
