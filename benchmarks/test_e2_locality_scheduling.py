@@ -7,12 +7,19 @@ data transfer" and the control plane "embraces data-centric scheduling".
 Workload: large shards resident on specific nodes; a map-like stage
 consumes them.  Compute-centric (round-robin) placement ships the data;
 data-centric (locality) placement ships the task.
+
+E2b: near-zero-work lanes under PULL on the physically-disaggregated
+cluster, where what a task costs is its raylet's lease queue and its pulls'
+protocol, not bytes.  Locality must not lose to round-robin there: it prices
+the leases in flight to a device and each remote input's locate and
+pull-request round trips, so a lane stays with its data until the queue
+ahead of it costs more than the fetch.
 """
 
 from __future__ import annotations
 
 from repro.bench import ResultTable, fmt_bytes, fmt_seconds
-from repro.cluster import MB, DeviceKind, build_serverful
+from repro.cluster import MB, DeviceKind, build_physical_disagg, build_serverful
 from repro.runtime import (
     ResolutionMode,
     RuntimeConfig,
@@ -85,3 +92,48 @@ def test_e2_locality_vs_compute_centric(benchmark):
     assert loc_bytes == 0
     assert rr_bytes >= 4 * SHARD_BYTES  # most shards cross nodes
     assert loc_time < rr_time / 5
+
+
+N_LANES, LANE_DEPTH = 25, 20
+LANE_TASK_COST = 1e-5  # near-zero work: the control plane is the cost
+
+
+def run_lanes(policy: SchedulingPolicy):
+    """``N_LANES`` chains of ``LANE_DEPTH`` + 1 tasks, each passing 64 B on;
+    returns the makespan and the bytes moved."""
+    rt = ServerlessRuntime(
+        build_physical_disagg(),
+        RuntimeConfig(resolution=ResolutionMode.PULL, scheduling=policy),
+    )
+    tails = []
+    for lane in range(N_LANES):
+        ref = rt.submit(
+            lambda i=lane: i, compute_cost=LANE_TASK_COST, output_nbytes=64, name=f"lane{lane}"
+        )
+        for d in range(LANE_DEPTH):
+            ref = rt.submit(
+                lambda x: x + 1, (ref,), compute_cost=LANE_TASK_COST, output_nbytes=64,
+                name=f"lane{lane}d{d}",
+            )
+        tails.append(ref)
+    assert rt.get(tails) == [lane + LANE_DEPTH for lane in range(N_LANES)]
+    return rt.sim.now, rt.bytes_moved
+
+
+def test_e2b_locality_on_near_zero_work_lanes(benchmark):
+    def both():
+        return run_lanes(SchedulingPolicy.ROUND_ROBIN), run_lanes(SchedulingPolicy.LOCALITY)
+
+    (rr_time, rr_bytes), (loc_time, loc_bytes) = benchmark.pedantic(
+        both, rounds=1, iterations=1
+    )
+    table = ResultTable(
+        f"E2b: {N_LANES} near-zero-work lanes of {LANE_DEPTH + 1} tasks under PULL",
+        ["policy", "bytes moved", "makespan"],
+    )
+    table.add_row("compute-centric (round-robin)", fmt_bytes(rr_bytes), fmt_seconds(rr_time))
+    table.add_row("data-centric (locality)", fmt_bytes(loc_bytes), fmt_seconds(loc_time))
+    table.show()
+
+    # the policy gate: locality's makespan is no worse than round-robin's
+    assert loc_time <= rr_time

@@ -668,6 +668,16 @@ class Network:
             ready = _pipeline(ready, chunks, factor, link.bandwidth, factor * link.latency, free)
         return ready[-1]
 
+    def message_time_estimate(self, src: str, dst: str) -> float:
+        """How long a delivered :meth:`message` takes: one control frame
+        per hop, degradation included, summed as its timers are."""
+        topology, total = self.topology, 0.0
+        for a, b in topology.route(src, dst):
+            total += topology.degradation(a, b) * topology.link(a, b).transfer_time(
+                CONTROL_MSG_BYTES
+            )
+        return total
+
 
 class _Flow(Step):
     """A transfer or multicast: a :class:`Step` that starts, puts its flow

@@ -91,6 +91,7 @@ class DataPlane:
         )
         if not self.push_mode:
             runtime.ownership.observers.append(self._note_ready)
+            runtime.scheduler.fetch_overhead = self.fetch_overhead
 
     # -- the core's six entry points -------------------------------------------
 
@@ -431,6 +432,23 @@ class DataPlane:
                 raylet.end_fetch(oid, device_id)
         finally:
             span.finish(rt.sim.now)
+
+    def fetch_overhead(self, src: str, dst: str) -> float:
+        """What a pull of a copy on ``src`` into ``dst`` pays besides the
+        transfer, for placement to price: ``_locate``'s round trips to the GCS
+        and to the copy's raylet plus that raylet's handling, or only the
+        handling when ``dst``'s own raylet manages the copy."""
+        rt = self.rt
+        raylet, src_raylet = rt._raylet_of_device[dst], rt._raylet_of_device.get(src)
+        if src_raylet is raylet:
+            return raylet.host_device.spec.dispatch_overhead
+        message, here = rt.net.message_time_estimate, raylet.endpoint
+        there = src if src_raylet is None else src_raylet.endpoint
+        cost = message(here, rt.gcs_endpoint) + message(rt.gcs_endpoint, here)
+        cost += message(here, there) + message(there, here)
+        if src_raylet is not None:  # else a blade controller serves the spilled copy
+            cost += src_raylet.host_device.spec.dispatch_overhead
+        return cost
 
     def _locate(self, oid: str, raylet: Raylet, site: str) -> Generator:
         """A pull's pre-flight: ask the GCS where the object is, then ask the

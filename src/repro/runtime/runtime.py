@@ -97,7 +97,7 @@ class _TaskCtx:
         "spec", "outputs", "device", "raylet", "done", "state", "span",
         "dispatched", "inputs_ready", "started",
         "error", "proc", "attempt", "retries", "twin", "is_clone",
-        "pulls", "admitted", "lease_epoch",
+        "pulls", "admitted", "lease_epoch", "avoid",
     )
 
     def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal, span: TaskSpan):
@@ -119,6 +119,7 @@ class _TaskCtx:
         self.pulls: Tuple = ()  # this attempt's in-flight pull processes
         self.admitted = False  # holds a scheduler-level admission slot
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
+        self.avoid: Optional[str] = None  # the next placement leaves it out (a timeout's)
 
 
 def _log_count(kind: str) -> property:
@@ -628,10 +629,7 @@ class ServerlessRuntime:
         # label-less legacy series and event detail stay byte-identical
         tenant_label = {} if ctx.spec.tenant is None else {"tenant": ctx.spec.tenant}
         self._record(
-            "task_cancelled",
-            task=ctx.spec.task_id,
-            name=ctx.spec.name,
-            reason=reason,
+            "task_cancelled", task=ctx.spec.task_id, name=ctx.spec.name, reason=reason,
             **tenant_label,
         )
         self._open_tasks = max(0, self._open_tasks - 1)
@@ -716,7 +714,7 @@ class ServerlessRuntime:
         if spec.actor_id is not None:
             self.actors.home(spec)
         if not preplaced or ctx.device is None:
-            ctx.device = self.scheduler.place(spec)
+            ctx.device = self.scheduler.place(spec, ctx.avoid)
             # only a pinned device can be out of the view: candidates() filters the rest
             if self.scheduler.is_blacklisted(ctx.device.device_id):
                 raise PlacementError(f"no live device for task {spec.task_id}")
@@ -781,21 +779,26 @@ class ServerlessRuntime:
                 ctx.proc = None
 
     def _lease(self, ctx: _TaskCtx, device: Device, raylet: Raylet) -> Generator:
-        """Phase 1: the lease travels scheduler -> raylet; the raylet handles
-        it.  A dropped lease, or a raylet that died before handling it, is a
-        transient failure the retry policy absorbs."""
-        delivered = yield self.net.message(
-            self.scheduler.endpoint, raylet.endpoint, label="lease"
-        )
-        if delivered is False or not raylet.alive:
-            raise _TransientTaskError("lease lost in transit")
-        for gate in self.lease_gates:
-            refusal = gate(ctx, raylet)
-            if refusal is not None:
-                raise _TransientTaskError(refusal)
-        if self.probe_edges is not None:
-            self.probe_edges.attempt_start(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
-        yield raylet.control()
+        """Phase 1: the lease travels scheduler -> raylet (in flight for placement
+        until it ends); the raylet handles it.  A dropped lease, or a raylet that
+        died before handling it, is a transient failure the retry policy absorbs."""
+        handling = raylet.host_device.spec.dispatch_overhead
+        sent = self.scheduler.lease_sent(device.device_id, handling)
+        try:
+            delivered = yield self.net.message(
+                self.scheduler.endpoint, raylet.endpoint, label="lease"
+            )
+            if delivered is False or not raylet.alive:
+                raise _TransientTaskError("lease lost in transit")
+            for gate in self.lease_gates:
+                refusal = gate(ctx, raylet)
+                if refusal is not None:
+                    raise _TransientTaskError(refusal)
+            if self.probe_edges is not None:
+                self.probe_edges.attempt_start(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
+            yield raylet.control()
+        finally:
+            self.scheduler.lease_ended(device.device_id, sent)
         if not device.alive:
             # the raylet can see its own silicon (local knowledge, no
             # network): it refuses to launch onto a dead companion
@@ -1081,11 +1084,8 @@ class ServerlessRuntime:
             )
         for ctx in among:
             for victim in (ctx, ctx.twin):
-                if (
-                    victim is not None
-                    and victim.state in IN_FLIGHT_STATES
-                    and victim.proc is not None
-                    and hit(victim)
+                if victim is not None and victim.state in IN_FLIGHT_STATES and (
+                    victim.proc is not None and hit(victim)
                 ):
                     victim.proc.interrupt(cause)
 

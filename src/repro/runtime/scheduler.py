@@ -7,13 +7,22 @@ also integrate gang-scheduling to support SPMD-style sub-graphs."
 
 The scheduler is a pure placement engine behind three verbs: ``blacklist``
 and ``unblacklist`` change the placement view it keeps, ``place`` (and
-``place_gang``) pick from it.  The runtime owns the event-driven plumbing.
+``place_gang``) pick from it.  The runtime owns the event-driven plumbing
+and reports what placement prices: the tasks running on each device
+(``task_started``/``task_finished``, read by the least-loaded rule) and the
+leases in flight to each device's raylet (``lease_sent``/``lease_ended``,
+read by the locality rule, which prices the queue a new task would join:
+those leases, each at its raylet's handling cost, plus the device's tasks
+waiting for a slot).  A lease counts from the instant after it was sent, so
+every placement made in one instant sees the same view.  Under PULL the data
+plane sets ``fetch_overhead``, what a pull pays besides its bytes.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
+import math
+from typing import Callable, Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.hardware import Device, DeviceKind
@@ -65,6 +74,16 @@ class Scheduler:
         self._devices = list(schedulable_devices)
         self._by_id: Dict[str, Device] = {d.device_id: d for d in self._devices}
         self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
+        # leases in flight per device: those sent before ``_fresh_at`` count,
+        # those sent at it wait for the next instant; each costs its raylet
+        # ``_lease_cost`` seconds of handling
+        self._leases: Dict[str, int] = {}
+        self._fresh: Dict[str, int] = {}
+        self._fresh_at = -math.inf
+        self._lease_cost: Dict[str, float] = {}
+        # (copy endpoint, destination) -> seconds a pull pays besides the
+        # transfer; None prices the transfer alone (PUSH)
+        self.fetch_overhead: Optional[Callable[[str, str], float]] = None
         self._rr_cursor = 0
         # the placement view: every schedulable device not blacklisted (by a
         # verdict, a down raylet or the driver); only the two verbs change it
@@ -120,6 +139,36 @@ class Scheduler:
     def outstanding(self, device_id: str) -> int:
         return self._outstanding.get(device_id, 0)
 
+    def lease_sent(self, device_id: str, handling: float) -> float:
+        """A lease left for ``device_id``'s raylet, which spends ``handling``
+        seconds on it.  Returns the instant, which :meth:`lease_ended` takes."""
+        self._count_fresh()
+        self._fresh[device_id] = self._fresh.get(device_id, 0) + 1
+        self._lease_cost[device_id] = handling
+        return self._fresh_at
+
+    def lease_ended(self, device_id: str, sent_at: float) -> None:
+        """The lease sent at ``sent_at`` is over, however it ended."""
+        leases = self._fresh if sent_at == self._fresh_at else self._leases
+        left = leases[device_id] - 1
+        if left:
+            leases[device_id] = left
+        else:
+            del leases[device_id]
+
+    def leases_in_flight(self, device_id: str) -> int:
+        return self._leases.get(device_id, 0) + self._fresh.get(device_id, 0)
+
+    def _count_fresh(self) -> None:
+        """At a new instant, the leases sent at an earlier one start to count."""
+        now = self.cluster.sim.now
+        if now != self._fresh_at:
+            leases = self._leases
+            for device_id, n in self._fresh.items():
+                leases[device_id] = leases.get(device_id, 0) + n
+            self._fresh.clear()
+            self._fresh_at = now
+
     # -- static plan sanitation ----------------------------------------------
 
     def sanitize_plan(self, pgraph):
@@ -166,11 +215,15 @@ class Scheduler:
             default=None,
         )
 
-    def place(self, task: TaskSpec) -> Device:
-        return self._meter_placement(self._pick(task))
+    def place(self, task: TaskSpec, avoid: Optional[str] = None) -> Device:
+        """Pick ``task``'s device by the policy; ``avoid`` (a device the last
+        attempt timed out on) is left out unless it is the only candidate."""
+        return self._meter_placement(self._pick(task, avoid))
 
-    def _pick(self, task: TaskSpec) -> Device:
+    def _pick(self, task: TaskSpec, avoid: Optional[str]) -> Device:
         candidates = self.candidates(task)
+        if avoid is not None and len(candidates) > 1:
+            candidates = tuple(d for d in candidates if d.device_id != avoid)
         if len(candidates) == 1:
             return candidates[0]
         if self.policy == SchedulingPolicy.ROUND_ROBIN:
@@ -178,7 +231,7 @@ class Scheduler:
             self._rr_cursor += 1
             return device
         if self.policy == SchedulingPolicy.LEAST_LOADED:
-            return self.least_loaded(task)
+            return self.least_loaded(task, () if avoid is None else (avoid,))
         if self.policy == SchedulingPolicy.LOCALITY:
             return self._place_locality(task, candidates)
         raise ValueError(f"unknown policy {self.policy}")
@@ -190,23 +243,32 @@ class Scheduler:
 
     def _place_locality(self, task: TaskSpec, candidates: Sequence[Device]) -> Device:
         """Data-centric: the candidate with the least ``(cost, device_id)``,
-        where cost is one summed time, ``move + compute + queue``.  ``move``
-        adds up, input by input, the contended transfer estimate from each
-        READY input's cheapest copy; ``compute`` is the task's scaled
-        duration on the device; ``queue`` its outstanding tasks times its
-        dispatch overhead.  The estimates price in each link's queued
-        backlog, so a candidate behind a hot link loses to an
-        equally-distant candidate on an idle path.
+        where cost is one summed time, ``move + compute + queue``.
+
+        * ``move`` adds up, input by input, what bringing each READY input
+          from its cheapest copy costs: the contended transfer estimate,
+          which prices in each link's queued backlog (a candidate behind a
+          hot link loses to an equally-distant one on an idle path), plus,
+          under PULL, ``fetch_overhead``: the locate round trip to the GCS,
+          the pull-request round trip to the copy's raylet and that
+          raylet's handling.  A candidate holding a copy moves nothing.
+        * ``compute`` is the task's scaled duration on the device.
+        * ``queue`` is the queue the task would join there: the leases in
+          flight to it (sent at an earlier instant, not yet handled), each
+          at its raylet's handling cost, plus its tasks waiting for a slot,
+          each at its dispatch overhead.  Tasks that hold a slot are no
+          queue: a slow device does not look busy.
 
         Only candidates that can win are priced.  Each gets an exact lower
         bound, ``compute + queue``, plus the fabric's smallest hop latency
         first when it holds no copy of some input: that input's every route
-        has a hop, and degradation never makes a hop faster.  Float addition
-        is monotone, so the bound never exceeds the cost summed in the same
-        order.  Candidates are priced in ``(bound, device_id)`` order, popped
-        from a heap built for this placement, and the scan stops at the first
-        whose ``(bound, device_id)`` is above the best ``(cost, device_id)``:
-        no later candidate can beat it."""
+        has a hop, and degradation never makes a hop faster (the fetch
+        overhead only adds).  Float addition is monotone, so the bound never
+        exceeds the cost summed in the same order.  Candidates are priced in
+        ``(bound, device_id)`` order, popped from a heap built for this
+        placement, and the scan stops at the first whose ``(bound,
+        device_id)`` is above the best ``(cost, device_id)``: no later
+        candidate can beat it."""
         # each READY input's copy endpoints and size, read once
         inputs = []
         for ref in task.dependencies:
@@ -220,28 +282,35 @@ class Scheduler:
         # the endpoints holding a copy of every input: only they may move nothing
         holders = set.intersection(*(set(sources) for sources, _ in inputs)) if inputs else set()
         hop = self.cluster.topology.min_link_latency() if inputs else 0.0
-        outstanding, compute_cost = self._outstanding, task.compute_cost
+        self._count_fresh()
+        leases, lease_cost, compute_cost = self._leases, self._lease_cost, task.compute_cost
         order = []
         for device in candidates:
             device_id, spec = device.device_id, device.spec
             compute_time = spec.scaled_duration(compute_cost)
-            queue_penalty = outstanding.get(device_id, 0) * spec.dispatch_overhead
-            bound = (0.0 if device_id in holders else hop) + compute_time + queue_penalty
-            order.append((bound, device_id, compute_time, queue_penalty, device))
+            queue_time = device.slots.queued * spec.dispatch_overhead
+            if device_id in leases:
+                queue_time += leases[device_id] * lease_cost[device_id]
+            bound = (0.0 if device_id in holders else hop) + compute_time + queue_time
+            order.append((bound, device_id, compute_time, queue_time, device))
         heapq.heapify(order)
 
-        estimate = self.cluster.network.transfer_time_estimate
+        estimate, fetch = self.cluster.network.transfer_time_estimate, self.fetch_overhead
         best = best_device = None
         while order:
-            bound, device_id, compute_time, queue_penalty, device = heapq.heappop(order)
+            bound, device_id, compute_time, queue_time, device = heapq.heappop(order)
             if best is not None and (bound, device_id) > best:
                 break
             move_time = 0.0
             for sources, nbytes in inputs:
+                if device_id in sources:
+                    continue
                 move_time += min(
-                    estimate(src, device_id, nbytes, contended=True) for src in sources
+                    estimate(src, device_id, nbytes, contended=True)
+                    + (0.0 if fetch is None else fetch(src, device_id))
+                    for src in sources
                 )
-            cost = (move_time + compute_time + queue_penalty, device_id)
+            cost = (move_time + compute_time + queue_time, device_id)
             if best is None or cost < best:
                 best, best_device = cost, device
         return best_device

@@ -34,6 +34,8 @@ __all__ = ["Supervisor", "backoff_jitter_fraction", "retry_backoff_delay"]
 RETRY_BACKOFF_FACTOR = 2.0
 # the hashed jitter's share of each backoff
 RETRY_JITTER = 0.25
+# the interrupt cause of an attempt the watchdog stopped
+EXECUTION_TIMEOUT = "execution timeout"
 
 
 def backoff_jitter_fraction(task_id: str, retries: int) -> float:
@@ -84,6 +86,10 @@ class Supervisor:
             # placement errors never started one
             rt.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
         ctx.retries += 1
+        # a retry leaves out the device the attempt timed out on: a slow
+        # device does not look busy to placement
+        timed_out = failed_device is not None and cause == EXECUTION_TIMEOUT
+        ctx.avoid = failed_device.device_id if timed_out else None
         ctx.device = None
         ctx.raylet = None
         ctx.proc = None
@@ -136,12 +142,14 @@ class Supervisor:
 
     def _timed_out(self, ctx: Any, attempt: int) -> None:
         """``task_timeout`` after dispatch: interrupt the attempt if it still
-        runs (the transient-failure path retries it elsewhere)."""
+        runs.  The transient-failure path retries it elsewhere: :meth:`failed`
+        marks the device for the retry's placement to leave out, unless it
+        is the task's only candidate."""
         # a backup that stood down keeps its in-flight state, but its process
         # is gone: nothing to interrupt
         if self._live(ctx, attempt) and ctx.proc is not None:
             self.rt._record("task_timeout", task=ctx.spec.task_id, attempt=attempt)
-            ctx.proc.interrupt("execution timeout")
+            ctx.proc.interrupt(EXECUTION_TIMEOUT)
 
     def _straggling(self, ctx: Any, attempt: int) -> None:
         """``speculation_factor`` x the expected runtime after dispatch: launch

@@ -79,11 +79,12 @@ class TaskSpan(Span):
 def task_phases(span: TaskSpan) -> List[Tuple[str, str, float, float]]:
     """A task span's milestones as ``(phase, bucket, start, end)`` windows.
     The one table behind the critical path's attribution and the Chrome
-    export's phase slices; a task no attempt won is all ``execute``."""
+    export's phase slices.  A task no attempt won (failed or cancelled) is one
+    ``recovery`` window: its time went to queueing, retries or a run that
+    never committed, and none of it was a result's compute."""
     if span.started is None:
-        dispatched = inputs_ready = started = span.start
-    else:
-        dispatched, inputs_ready, started = span.dispatched, span.inputs_ready, span.started
+        return [("unwon", "recovery", span.start, span.end)]
+    dispatched, inputs_ready, started = span.dispatched, span.inputs_ready, span.started
     return [
         ("schedule", "queue", span.start, dispatched),  # scheduling + lease + retry backoff
         ("resolve-inputs", "transfer", dispatched, inputs_ready),  # argument resolution

@@ -25,13 +25,26 @@ def assert_batches_close(a: RecordBatch, b: RecordBatch, rtol: float = 1e-9) -> 
             np.testing.assert_array_equal(ca, cb)
 
 
+def assert_no_lease_in_flight(rt) -> None:
+    """Every lease the scheduler counted for placement ended: handled, lost,
+    refused, or its attempt interrupted."""
+    leases = {
+        d.device_id: rt.scheduler.leases_in_flight(d.device_id)
+        for d in rt.cluster.all_devices()
+        if rt.scheduler.leases_in_flight(d.device_id)
+    }
+    assert not leases, f"leases still in flight: {leases}"
+
+
 def assert_recovery_drained(rt) -> None:
     """Drain the simulation, then: recovery and object lifetime hold nothing
     back (the fourth brick of the quiescence invariant, ROADMAP item 4) — no
     free is still deferred, every checkpoint belongs to a live directory
     entry, every task, replays included, concluded and let go of what it no
-    longer needs, and no actor's turn is held or waited for."""
+    longer needs, no actor's turn is held or waited for, and no lease is
+    still counted in flight."""
     rt.sim.run()
+    assert_no_lease_in_flight(rt)
     assert all(turn.in_use == 0 and turn.queued == 0 for turn in rt.actors.turns.values())
     assert not rt.recovery.deferred_frees
     assert all(rt.ownership.contains(oid) for oid in rt.recovery.checkpoints)

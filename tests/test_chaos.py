@@ -478,7 +478,10 @@ class TestDeterminism:
         ChaosMonkey(rt, schedule).arm()
         lanes = []
         for lane in range(4):
-            ref = rt.submit(lambda lane=lane: lane, compute_cost=3e-3)
+            # sources pinned to the faulty servers: locality keeps each chain
+            # next to its source, so the faults on server1/2 meet work
+            pinned = f"server{1 + lane % 2}/cpu"
+            ref = rt.submit(lambda lane=lane: lane, compute_cost=3e-3, pinned_device=pinned)
             for _ in range(3):
                 ref = rt.submit(lambda x: x + 1, (ref,), compute_cost=3e-3)
             lanes.append(ref)
@@ -502,7 +505,10 @@ class TestDeterminism:
         # recorded at the commit before failure domains left ServerlessRuntime
         # (PR 14).  The detector-less row is the only pin on an omniscient
         # NodeCrash interrupting twice (retries log cause "chaos crash").
-        [(1e-3, "da43b8793f65"), (None, "e74685497642")],
+        # Re-recorded when locality stopped pricing running tasks as queue:
+        # every chain then stayed on server0, out of the faults' reach, so the
+        # sources are pinned to server1/2 (two "chaos crash" retries).
+        [(1e-3, "3df000c3b8f9"), (None, "e7b7cc213b99")],
     )
     def test_signature_is_pinned_across_commits(self, heartbeat_interval, digest):
         sig, _ = self._soak(42, heartbeat_interval)

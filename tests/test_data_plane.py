@@ -7,6 +7,7 @@ import hashlib
 from typing import Dict, Union
 
 import pytest
+from asserts import assert_no_lease_in_flight
 
 from repro.cluster.hardware import GB, MB, DeviceKind
 from repro.cluster.network import Network
@@ -457,6 +458,7 @@ def assert_data_plane_drained(rt: ServerlessRuntime) -> None:
     assert not rt.data.waiting, f"tasks still parked: {sorted(rt.data.waiting)}"
     assert not rt.net.flows, f"flows still on the fabric: {[f.name for f in rt.net.flows]}"
     assert not rt.net._admitted, f"admitted bytes never started: {rt.net._admitted}"
+    assert_no_lease_in_flight(rt)
 
 
 class TestCrossCommitWitness:

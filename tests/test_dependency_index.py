@@ -250,9 +250,13 @@ def dispatch_times(rt):
     return times
 
 
-# (scenario, seed, at least this many early dispatches in the reference run)
+# (scenario, seed, at least this many early dispatches in the reference run).
+# Seeds clean 2, chaos 3 and 11 and cancel_mid_run 4 gave way to the next ones
+# that open the window when locality stopped pricing running tasks as queue:
+# their DAGs then ran mostly on server0 (79 of 80 tasks for chaos 11), and no
+# commit fell inside another object's commit -> ``done`` window.
 SCENARIOS = [
-    (clean, 1, 1), (clean, 2, 1), (chaos, 3, 1), (chaos, 11, 1), (cancel_mid_run, 4, 1),
+    (clean, 1, 1), (clean, 3, 1), (chaos, 4, 1), (chaos, 10, 1), (cancel_mid_run, 9, 1),
     (ha_failover, 5, 0), (strike_inside_a_pass, 0, 0),
 ]
 

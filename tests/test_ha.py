@@ -69,12 +69,18 @@ def ha_config(replicas: int, **overrides) -> RuntimeConfig:
     )
 
 
-def lane_workload(rt: ServerlessRuntime, lanes: int = 6, depth: int = 4):
+def lane_workload(rt: ServerlessRuntime, lanes: int = 6, depth: int = 4, spread: int = 0):
     """Chains of small tasks: wide enough to spread across nodes, deep
-    enough that a mid-run head kill strands work in every lifecycle state."""
+    enough that a mid-run head kill strands work in every lifecycle state.
+    ``spread`` > 0 pins lane ``i``'s source to ``server{1 + i % spread}/cpu``,
+    so the chains start on that many nodes off the head, whatever placement
+    does."""
     outs = []
     for lane in range(lanes):
-        ref = rt.submit(lambda i=lane: i, name=f"src{lane}", compute_cost=4e-3)
+        pinned = f"server{1 + lane % spread}/cpu" if spread else None
+        ref = rt.submit(
+            lambda i=lane: i, name=f"src{lane}", compute_cost=4e-3, pinned_device=pinned
+        )
         for d in range(depth):
             ref = rt.submit(
                 lambda x: x + 1, args=(ref,), name=f"l{lane}d{d}", compute_cost=4e-3
@@ -249,8 +255,8 @@ class TestThePlacementViewAcrossAFailover:
         """Every device ``place`` returns, with the virtual time it did."""
         placed, place = [], rt.scheduler.place
 
-        def recording(spec):
-            device = place(spec)
+        def recording(spec, avoid=None):
+            device = place(spec, avoid)
             placed.append((rt.sim.now, device.device_id))
             return device
 
@@ -348,12 +354,13 @@ class TestSplitBrainFencing:
 
 def fenced_failover(sanitizers=()):
     """E25's failover (two standbys, heartbeats on) with the head's link
-    slowed 300x at 8 ms: leases the leader sends in its last 2 ms land after
-    the raylets re-registered under epoch 2, and the fence rejects them."""
+    slowed 300x at 8 ms and the lanes started off the head: leases the leader
+    sends in its last 2 ms land after the raylets re-registered under epoch 2,
+    and the fence rejects them."""
     rt = ServerlessRuntime(build_serverful(n_servers=5), ha_config(2, sanitizers=sanitizers))
     schedule = ChaosSchedule().degrade_link(8e-3, "server0/cpu", "tor-switch", 300.0)
     ChaosMonkey(rt, schedule.fail_gcs(at=10e-3)).arm()
-    assert rt.get(lane_workload(rt)) == expected_total()
+    assert rt.get(lane_workload(rt, spread=4)) == expected_total()
     return rt
 
 
@@ -369,9 +376,9 @@ class TestSanitizedFailover:
         assert leaders == [(("epoch", 2), ("node", "server1"))]
         fences = [e for e in trace if e.kind == "ha_fence"]
         rejected = [e for e in fences if not e.get("accepted")]
-        assert (len(fences), len(rejected)) == (36, 2)
+        assert (len(fences), len(rejected)) == (37, 6)
         assert all(e.get("lease_epoch") == 1 and e.get("raylet_epoch") == 2 for e in rejected)
-        assert rt.log.count("ha_stale_lease_rejected") == 2
+        assert rt.log.count("ha_stale_lease_rejected") == 6
         assert rt.probe.report().violations == []
         monitors = {m.name: m for m in rt.probe.engine.monitors}
         assert monitors["leader-per-epoch"]._leader_of_epoch == {2: "server1"}
@@ -381,8 +388,12 @@ class TestSanitizedFailover:
         # byte-fair flows: at 36.6 ms three pulls into server2 share its NIC
         # link, so they land later than the chunk round-robin put them and
         # the events after them move in time; the log signature did not move.
+        # Re-recorded when locality stopped pricing running tasks as queue: the
+        # lanes' sources are pinned off the head (``spread=4``), else every
+        # chain stays on the head and no lease crosses its slowed link, and
+        # each lane's second task's lease is now the one fenced.
         signature = repr(trace.signature()).encode()
-        assert hashlib.sha1(signature).hexdigest()[:12] == "9823cf84e743"
+        assert hashlib.sha1(signature).hexdigest()[:12] == "77f7f704035a"
 
 
 class TestSlowHeadLink:

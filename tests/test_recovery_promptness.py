@@ -40,7 +40,10 @@ HEAD = "server0/cpu"  # never crashed: consumers and restores live here
 
 def detecting_runtime(mode=PULL, cached=True, **overrides) -> ServerlessRuntime:
     """Heartbeats on, retry budget spanning the detection window, and the
-    head's CPU kept busy so the next unpinned task lands on ``server1``."""
+    head's CPU kept busy.  The clock stops while the busy task's lease is
+    still in flight to the head (sent at an earlier instant, not yet
+    handled), so locality prices that queue and the next unpinned task lands
+    on ``server1``; a running task is no queue."""
     cluster = build_serverful(n_servers=3)
     config = dict(
         resolution=mode,
@@ -56,7 +59,7 @@ def detecting_runtime(mode=PULL, cached=True, **overrides) -> ServerlessRuntime:
         reliable_cache=make_reliable_cache(cluster, ReplicationScheme(2)) if cached else None,
     )
     rt.submit(lambda: 0, compute_cost=5e-3, pinned_device=HEAD)
-    rt.run(until=5e-4)
+    rt.run(until=1e-5)
     return rt
 
 

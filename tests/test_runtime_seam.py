@@ -394,7 +394,7 @@ class TestStructureGuard:
         "dataplane.py": {
             "config", "recovery", "telemetry", "ownership", "sim", "net", "probe", "probe_edges",
             "gcs_up", "gcs_endpoint", "_probe_site", "_interrupt_attempts",
-            "_raylet_of_device", "_readers",
+            "_raylet_of_device", "_readers", "scheduler",
         },
         "recovery.py": {
             "cluster", "ownership", "lineage", "reliable_cache", "durable_store", "sim",

@@ -172,13 +172,16 @@ class TestOneLeastLoadedRule:
         assert picks == [("server3/cpu",) * 3]
 
 
-def full_scan_locality(sched, task, candidates):
+def full_scan_locality(sched, task, candidates, leases=()):
     """The locality rule as a full scan: every candidate priced for every
-    input copy, then the least ``(cost, device_id)``.  ``Scheduler.place``
-    must pick the same device while pricing only those that can win."""
-    deps = task.dependencies
+    input copy, then the least ``(cost, device_id)``.  ``leases`` lists the
+    leases in flight as ``(device id, raylet handling, sent at)``; those sent
+    before this instant are queue.  ``Scheduler.place`` must pick the same
+    device while pricing only those that can win."""
+    deps, now, fetch = task.dependencies, sched.cluster.sim.now, sched.fetch_overhead
 
     def cost(device):
+        device_id = device.device_id
         move_time = 0.0
         for ref in deps:
             if not sched.ownership.contains(ref.object_id):
@@ -188,17 +191,18 @@ def full_scan_locality(sched, task, candidates):
                 continue
             best = min(
                 sched.cluster.network.transfer_time_estimate(
-                    sched._node_data_endpoint(loc),
-                    device.device_id,
-                    entry.nbytes,
-                    contended=True,
+                    src, device_id, entry.nbytes, contended=True
                 )
-                for loc in sorted(entry.locations)
+                + (0.0 if fetch is None or src == device_id else fetch(src, device_id))
+                for src in (sched._node_data_endpoint(loc) for loc in sorted(entry.locations))
             )
             move_time += best
         compute_time = device.spec.scaled_duration(task.compute_cost)
-        queue_penalty = sched.outstanding(device.device_id) * device.spec.dispatch_overhead
-        return (move_time + compute_time + queue_penalty, device.device_id)
+        queue_time = device.slots.queued * device.spec.dispatch_overhead
+        counted = [handling for dev, handling, sent in leases if dev == device_id and sent < now]
+        if counted:
+            queue_time += len(counted) * counted[0]
+        return (move_time + compute_time + queue_time, device_id)
 
     return min(candidates, key=cost)
 
@@ -246,7 +250,9 @@ class TestBoundedPricing:
         sched = locality_scheduler(cluster)
         sched.ownership.create("pending", "driver", "p")
         calls = count_estimates(monkeypatch, cluster.network)
-        sched.task_started("server0/cpu")
+        sched.lease_sent("server0/cpu", 50e-6)
+        cluster.sim.timeout(1e-6)
+        cluster.sim.run()  # the next instant: the lease counts
         placed = sched.place(task("t", args=(ObjectRef("pending"), ObjectRef("unknown"))))
         assert placed.device_id == "server1/cpu" and calls == []
 
@@ -268,9 +274,12 @@ class TestBoundedPricing:
 
 
 def random_locality_state(seed):
-    """A seeded cluster state for the locality rule: queues (or all equal),
-    blacklisted devices, degraded links, flows in flight and objects with
-    one to three copies (or none yet) of one chunk up to ``max_chunks``."""
+    """A seeded cluster state for the locality rule: leases in flight and
+    tasks waiting for a slot (or no queue at all), blacklisted devices,
+    degraded links, flows in flight, objects with one to three copies (or
+    none yet) of one chunk up to ``max_chunks``, and PULL's fetch overhead
+    or none.  Returns each device's raylet handling cost and the leases as
+    ``full_scan_locality`` takes them."""
     rng = random.Random(seed)
     if rng.random() < 0.5:
         cluster = build_physical_disagg(
@@ -283,10 +292,15 @@ def random_locality_state(seed):
     net, topology = cluster.network, cluster.topology
     devices = list(sched.placeable)
     tied = rng.random() < 0.3  # equal queues and compute: device ids decide
+    handling = {d.device_id: rng.choice([d.spec.dispatch_overhead, 1e-4]) for d in devices}
+    leases = []
     if not tied:
         for device in devices:
             for _ in range(rng.randint(0, 3)):
-                sched.task_started(device.device_id)
+                sched.lease_sent(device.device_id, handling[device.device_id])
+                leases.append((device.device_id, handling[device.device_id], 0.0))
+            for _ in range(rng.randint(0, device.spec.slots + 2)):
+                device.slots.request()  # beyond its slots, a task waits
     for device in rng.sample(devices, rng.randint(0, len(devices) // 3)):
         sched.blacklist(device.device_id)
     endpoints = [d.device_id for d in cluster.all_devices()]
@@ -308,13 +322,20 @@ def random_locality_state(seed):
         sched.ownership.mark_ready(oid, copies[0], nbytes)
         for node in copies[1:]:
             sched.ownership.add_location(oid, node)
-    return rng, sched, tied
+    if rng.random() < 0.5:  # PULL: a seeded per-pair protocol price
+
+        def fetch_overhead(src, dst):
+            return 1e-6 * (1 + (sum(map(ord, src + dst)) % 7))
+
+        sched.fetch_overhead = fetch_overhead
+    return rng, sched, tied, handling, leases
 
 
 class TestLocalityMatchesFullScan:
     @pytest.mark.parametrize("seed", range(40))
     def test_same_device_as_the_full_scan(self, seed):
-        rng, sched, tied = random_locality_state(seed)
+        rng, sched, tied, handling, leases = random_locality_state(seed)
+        now = sched.cluster.sim.now
         objects = [f"o{i}" for i in range(6)] + ["unknown"]
         for j in range(25):
             kinds = frozenset(rng.sample(COMPUTE_KINDS, rng.randint(1, 3)))
@@ -326,6 +347,7 @@ class TestLocalityMatchesFullScan:
             except PlacementError:
                 continue
             placed = sched.place(t)
-            assert placed is full_scan_locality(sched, t, candidates), (seed, j)
-            if not tied:
-                sched.task_started(placed.device_id)
+            assert placed is full_scan_locality(sched, t, candidates, leases), (seed, j)
+            if not tied:  # sent in this instant: no placement after it counts it
+                sched.lease_sent(placed.device_id, handling[placed.device_id])
+                leases.append((placed.device_id, handling[placed.device_id], now))

@@ -342,18 +342,22 @@ class TestOneLaunchPath:
     def test_a_stuck_backup_is_timed_out_and_stands_down(self, backup_dies):
         """Timeout x speculation.  A backup's watchdog can only fire before
         the original's result if the original was re-dispatched meanwhile, so:
-        the original times out and retries once its device is healthy again,
+        the original times out and retries once both devices are healthy again,
         while the backup landed on a device just as slow and is still there
-        when its own watchdog fires.  It records the timeout and stands down —
-        nothing is retried on its account — and the original's second attempt
-        finishes.  (A partition would not do: in both modes a transfer that
-        does not land is a miss, which ends the backup at once.)  A backup
-        that a fault already ended leaves nothing for its watchdog to do."""
+        (its slowdown was sampled at launch) when its own watchdog fires.  It
+        records the timeout and stands down — nothing is retried on its
+        account — and the original's second attempt finishes, on the backup's
+        device: a retry leaves out the device it timed out on.  (A partition
+        would not do: in both modes a transfer that does not land is a miss,
+        which ends the backup at once.)  A backup that a fault already ended
+        leaves nothing for its watchdog to do, and with its node dead the
+        retry falls back to the device it timed out on, the only one left."""
         rt, data, victim = straggler_pair(
             PULL, task_timeout=5e-2, max_retries=2, retry_backoff_base=4e-2,
         )
         rt.cluster.device("server1/cpu").slowdown = 50.0
-        rt.sim.schedule(8e-2, setattr, rt.cluster.device("server0/cpu"), "slowdown", 1.0)
+        for device in ("server0/cpu", "server1/cpu"):
+            rt.sim.schedule(8e-2, setattr, rt.cluster.device(device), "slowdown", 1.0)
         if backup_dies:
             rt.sim.schedule(6e-2, rt.fail_node, "server1")
         assert rt.get(victim) == 8
@@ -361,7 +365,8 @@ class TestOneLaunchPath:
         original, *backup = rt.log.of_kind("task_timeout")
         assert launched.time < original.time < 6e-2 and original["attempt"] == 1
         tl = rt.timeline_of(victim)
-        assert tl.device == "server0/cpu" and tl.end > launched.time + 5e-2
+        assert tl.device == ("server0/cpu" if backup_dies else "server1/cpu")
+        assert tl.end > launched.time + 5e-2
         if backup_dies:
             assert backup == []
         else:
