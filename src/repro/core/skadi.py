@@ -21,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..caching.columnar import RecordBatch
 from ..cluster.cluster import Cluster, build_physical_disagg
-from ..flowgraph.launch import TableLayouts, collect_sink, launch_physical_graph
+from ..flowgraph.launch import TableLayouts, collect_sink, launch_physical_graph, source_key
 from ..flowgraph.logical import FlowGraph, Vertex
 from ..flowgraph.optimizer import GraphOptStats, optimize
 from ..flowgraph.physical import to_physical
@@ -97,7 +97,8 @@ class Skadi:
         """Plan a SQL query without executing it; returns the plan report.
 
         Shows the logical relational IR, the optimized/lowered df IR, and
-        the FlowGraph/physical shape — the tiers of Figure 2 as text.
+        the FlowGraph/physical shape — the tiers of Figure 2 as text — and
+        which kept layout answers each source (``exact``, ``wider`` or ``none``).
         """
         func = sql_to_ir(query, _catalog_of(tables))
         lines = ["== logical (relational) IR ==", func.to_text()]
@@ -113,7 +114,14 @@ class Skadi:
         for edge in graph.edges:
             keyed = f" [shuffle on {edge.key!r}]" if edge.key else ""
             lines.append(f"  {edge.src} -> {edge.dst}:{edge.dst_port}{keyed}")
-        lines.append(f"  physical tasks: {to_physical(graph).num_tasks}")
+        pgraph = to_physical(graph)
+        lines += [f"  physical tasks: {pgraph.num_tasks}", "", "== kept layouts =="]
+        for vertex in (v for v in graph.topological_order() if v.is_source):
+            layout = self.layouts.layout(self.runtime, tables, vertex.source_table)
+            key = source_key(vertex, pgraph.tasks[pgraph.shards_of[vertex.vertex_id][0]])
+            kept = layout and layout.answer(key)
+            said = "none" if kept is None else "exact" if kept == key else f"wider {kept[0]}"
+            lines.append(f"  {vertex.vertex_id} {vertex.name}: {said}")
         return "\n".join(lines)
 
     def _plan(self, func: Function, tables: Mapping[str, RecordBatch]):

@@ -3,7 +3,7 @@
 The bridge Figure 2 sketches as pseudo-code ("b = [B.remote() ...]"): walk
 the physical graph in topological order and submit one runtime task per
 physical task, passing futures between them.  Each table is ``put`` once per
-set of columns its sources ship; source shards slice it.  The producer of a
+set of columns no kept shard holds; source shards slice it.  The producer of a
 keyed edge hash-partitions its own slice or payload in the same task, one
 output per consumer shard (``submit(num_returns=...)``).  A task that reads
 several shards of one input concatenates them (a shuffle's partitions, a sort,
@@ -16,9 +16,11 @@ objects are immutable, which is what lets every later query share one copy).
 A source task is keyed on ``(source columns, shard, parallelism, partition
 key, partition count)`` of its table, a coalesce on ``("coalesce", *its input
 shards' keys)``; a task downstream of a compute vertex belongs to its query and
-is never reused.  On a hit the launch hands out the kept refs and submits
-nothing; a lost copy comes back by lineage replay from the kept put or the kept
-shards, like any other task output.
+is never reused.  A source is also answered by kept shards that hold more
+columns (``TableLayout.answer``), and its readers take a view of its own, so a
+table's column crosses to a device once, not once per column set.  On a hit
+the launch hands out the kept refs and submits nothing; a lost copy comes back
+by lineage replay from the kept put or the kept shards, like any task output.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ class TableLayout:
     def refs(self) -> List[ObjectRef]:
         return [*self.puts.values(), *(ref for outs in self.tasks.values() for ref in outs)]
 
+    def answer(self, key: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
+        """The kept key that answers source ``key``: itself, else the narrowest
+        that only adds columns (``None``: all; a tie goes to the first kept)."""
+        if key in self.tasks:
+            return key
+        wider = [  # a coalesce key never matches key[1:]
+            kept for kept in self.tasks if kept[1:] == key[1:]
+            and (kept[0] is None or key[0] is not None and set(key[0]) <= set(kept[0]))
+        ]
+        return min(wider, key=lambda kept: len(kept[0] or self.table.schema.names), default=None)
+
 
 class TableLayouts:
     """The layouts kept across launches, by table name.
@@ -75,16 +88,18 @@ class TableLayouts:
         self.kept: Dict[str, TableLayout] = {}
         self.reused = 0  # memo hits, over every launch
 
+    def layout(self, runtime: ServerlessRuntime, tables: Mapping[str, Any], name: str):
+        """The kept layout of ``tables[name]``, if its puts still have a copy."""
+        old, is_ready = self.kept.get(name), runtime.ownership.is_ready
+        whole = old is not None and all(is_ready(r.object_id) for r in old.puts.values())
+        return old if whole and old.table is tables[name] else None
+
     def keep(self, runtime: ServerlessRuntime, tables: Mapping[str, Any]) -> None:
         for name, table in tables.items():
-            if not isinstance(table, RecordBatch):
+            if not isinstance(table, RecordBatch) or self.layout(runtime, tables, name):
                 continue
-            old = self.kept.get(name)
-            if old is not None:
-                is_ready = runtime.ownership.is_ready
-                if old.table is table and all(is_ready(r.object_id) for r in old.puts.values()):
-                    continue
-                runtime.free(old.refs())
+            if name in self.kept:
+                runtime.free(self.kept[name].refs())
             for array in table.columns().values():
                 while isinstance(array, np.ndarray):
                     array.flags.writeable = False
@@ -92,7 +107,9 @@ class TableLayouts:
             self.kept[name] = TableLayout(table)
 
 
-def _gather(values: List[Any]) -> Any:
+def _gather(values: List[Any], columns: Optional[Tuple[str, ...]] = None) -> Any:
+    if columns is not None:  # read from wider kept shards: view the columns asked for
+        values = [v.select(columns) for v in values]
     if len(values) == 1:
         return values[0]
     if all(isinstance(v, RecordBatch) for v in values):
@@ -129,9 +146,15 @@ def _make_source_fn(vertex: Vertex, task: PhysicalTask):
     return run_source
 
 
-def _make_compute_fn(vertex: Vertex, task: PhysicalTask, tables: Mapping[str, Any]):
+def source_key(vertex: Vertex, task: PhysicalTask) -> Tuple[Any, ...]:
+    """A source task's memo key in its table's layout."""
+    return (vertex.source_columns, task.shard, task.parallelism, task.partition_key,
+            task.num_outputs)
+
+
+def _make_compute_fn(vertex: Vertex, task: PhysicalTask, tables: Mapping[str, Any], views):
     def run_compute(*port_values: Any) -> Any:
-        values = [_gather(list(v)) for v in port_values]
+        values = [_gather(list(v), c) for v, c in zip(port_values, views, strict=True)]
         if vertex.ir_func is not None:
             inputs = {
                 param.name: value
@@ -192,6 +215,8 @@ def launch_physical_graph(
     laid_out = dict(layouts.kept)
     memo_keys: Dict[str, Tuple[TableLayout, Tuple[Any, ...]]] = {}  # ptask -> its memo slot
     refs: Dict[str, List[ObjectRef]] = {}  # ptask -> its outputs
+    # ptask -> its columns if its refs hold more; every shard of a vertex is answered alike
+    views: Dict[str, Optional[Tuple[str, ...]]] = {}
 
     def read(producer_id: str, shard: int) -> ObjectRef:
         return refs[producer_id][pgraph.tasks[producer_id].output_read_by(shard)]
@@ -212,21 +237,26 @@ def launch_physical_graph(
             layout = laid_out.get(table_name)
             if layout is None or layout.table is not table:
                 layout = laid_out[table_name] = TableLayout(table)
-            key = (columns, task.shard, task.parallelism, task.partition_key, task.num_outputs)
-            if columns not in layout.puts:
+            key = source_key(vertex, task)
+            wider = layout.answer(key)
+            if wider is not None and wider != key:
+                key, views[ptask_id] = wider, columns
+            elif wider is None and columns not in layout.puts:
                 # a projection is a view: no copy, and only its columns count
                 layout.puts[columns] = runtime.put(
                     table if columns is None else table.select(columns)
                 )
             fn = _make_source_fn(vertex, task)
-            args = (layout.puts[columns],)
+            args = (layout.puts.get(columns),)
         else:
-            fn = _make_compute_fn(vertex, task, tables)
+            port_views = [views.get(pids[0]) for pids in task.inputs]
             args = tuple([read(pid, task.shard) for pid in pids] for pids in task.inputs)
-            if vertex.py_func is coalesce:
+            if vertex.py_func is coalesce:  # passes wider shards on whole: its readers view
+                views[ptask_id], port_views = port_views[0], [None]
                 kept = [memo_keys.get(pid) for pids in task.inputs for pid in pids]
                 if all(kept) and len({id(slot[0]) for slot in kept}) == 1:
                     layout, key = kept[0][0], ("coalesce", *(slot[1] for slot in kept))
+            fn = _make_compute_fn(vertex, task, tables, port_views)
 
         if layout is not None:
             memo_keys[ptask_id] = (layout, key)
@@ -266,6 +296,8 @@ def collect_sink(
 ) -> Any:
     """Fetch and merge one vertex's shard outputs (concat for frames)."""
     values = runtime.get(outputs[vertex.vertex_id])
+    if vertex.source_columns is not None:  # a source sink may read wider kept shards
+        values = [v.select(vertex.source_columns) for v in values]
     if len(values) == 1:
         return values[0]
     if all(isinstance(v, RecordBatch) for v in values):

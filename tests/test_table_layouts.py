@@ -3,8 +3,10 @@ broadcast side's one shard among them), hash partitions and gathered
 broadcast sides of a table are kept across queries
 (``flowgraph.launch.TableLayouts``).
 
-* A repeated query reuses them and moves no payload bytes; a query over other
-  columns, or hash-partitioned on another key, shares nothing.
+* A repeated query reuses them and moves no payload bytes.  A query over
+  fewer columns reuses the narrowest kept shards that hold them (its readers
+  select a view); a query over columns no kept shard holds, or
+  hash-partitioned on another key, shares nothing.
 * A keyed edge's source shard partitions itself, so a lost partition replays
   that source task once.
 * The contract that makes this safe: a queried table is read-only, and a name
@@ -206,15 +208,111 @@ def test_a_table_partitioned_on_two_keys_keeps_two_layouts(tables):
     assert len(refs) == len(set(refs)) == 4 * (1 + 4 + 4)
 
 
-def test_queries_over_different_columns_share_nothing(tables):
+def test_a_narrower_query_reuses_a_kept_wider_layout(tables):
     narrow = "SELECT SUM(amount) AS s FROM orders"
     skadi = Skadi(shards=4)
     skadi.sql("SELECT oid, amount FROM orders ORDER BY amount DESC, oid DESC LIMIT 5", tables)
-    skadi.sql(narrow, tables)
+    out = skadi.sql(narrow, tables)
     fresh = Skadi(shards=4)
-    fresh.sql(narrow, tables)
+    assert out == fresh.sql(narrow, tables)
+    # the 4 (oid, amount) shards answer the (amount) scan: no put, no shard
+    assert skadi.last_report.reused_tasks == 4
+    assert skadi.last_report.bytes_moved == 0 < fresh.last_report.bytes_moved
+    assert [key[0] for key in skadi.layouts.kept["orders"].tasks] == [("oid", "amount")] * 4
+    assert "v0 scan:orders: wider ('oid', 'amount')" in skadi.explain(narrow, tables)
+
+
+def test_overlapping_columns_that_are_not_contained_share_nothing(tables):
+    second = "SELECT cust, amount FROM orders ORDER BY amount DESC, cust DESC LIMIT 5"
+    skadi = Skadi(shards=4)
+    skadi.sql("SELECT oid, amount FROM orders ORDER BY amount DESC, oid DESC LIMIT 5", tables)
+    assert "v0 scan:orders: none" in skadi.explain(second, tables)
+    out = skadi.sql(second, tables)
+    fresh = Skadi(shards=4)
+    assert out == fresh.sql(second, tables)
     assert skadi.last_report.reused_tasks == 0
     assert skadi.last_report.bytes_moved == fresh.last_report.bytes_moved > 0
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT oid, amount FROM orders",  # the sink is the scan
+    "SELECT oid, amount FROM orders WHERE amount > 50",  # a filter passes every column on
+])
+def test_a_narrower_query_returns_only_its_own_columns(tables, sql):
+    skadi = Skadi(shards=4)
+    skadi.sql("SELECT oid, cust, amount FROM orders", tables)
+    out = skadi.sql(sql, tables)
+    assert skadi.last_report.reused_tasks == 4
+    assert out.schema.names == ["oid", "amount"]
+    assert out == reference(sql, tables)
+
+
+def test_a_hash_partitioned_source_reuses_a_wider_layout_keyed_the_same_way(tables):
+    skadi = Skadi(shards=4, broadcast_threshold=0)
+    skadi.sql(QUERIES["join_group"], tables)  # customers (cid, region), hashed on cid
+    sql = "SELECT COUNT(*) AS n, SUM(qty) AS q FROM orders JOIN customers ON cust = cid"
+    assert skadi.sql(sql, tables) == reference(sql, tables)
+    # customers' (cid) shards hashed on cid are the kept (cid, region) ones;
+    # orders' (cust, qty) hashed on cust match no kept shard
+    assert skadi.last_report.reused_tasks == 4
+    kept = skadi.layouts.kept["customers"].tasks
+    assert sorted({key[0] for key in kept}) == [("cid", "region")]
+
+
+def test_a_broadcast_sides_coalesce_is_reused_through_a_wider_layout(tables):
+    orders = from_batch("orders", tables["orders"])
+    customers = from_batch("customers", tables["customers"])
+    wide = orders.join(customers, left_on="cust", right_on="cid").join(
+        customers, left_on="cust", right_on="cid"
+    )
+    # customers' (cid, region) of 3 columns, and the joins pass them all on
+    two = customers.select("cid", "region")
+    narrow = orders.join(two, left_on="cust", right_on="cid").join(
+        two, left_on="cust", right_on="cid"
+    )
+    skadi = Skadi(shards=4)
+    skadi.dataframe(wide, tables)
+    out = skadi.dataframe(narrow, tables)
+    fresh = Skadi(shards=4)
+    assert out == fresh.dataframe(narrow, tables)
+    assert "credit" not in out.schema.names and "r_region" in out.schema.names
+    # both tables' 4 shards and the coalesce (twice) are the wide query's
+    assert skadi.last_report.reused_tasks == 10
+    assert skadi.last_report.bytes_moved == 0
+    assert sum(key[0] == "coalesce" for key in skadi.layouts.kept["customers"].tasks) == 1
+
+
+def test_of_two_covering_layouts_the_narrowest_answers(tables):
+    skadi = Skadi(shards=4)
+    skadi.sql("SELECT oid, cust, amount FROM orders", tables)
+    skadi.sql("SELECT * FROM orders", tables)  # holds qty too, kept beside it
+    assert skadi.last_report.reused_tasks == 0
+    sql = "SELECT oid, amount FROM orders"
+    assert "v0 scan:orders: wider ('oid', 'cust', 'amount')" in skadi.explain(sql, tables)
+    assert skadi.sql(sql, tables) == reference(sql, tables)
+    assert skadi.last_report.reused_tasks == 4
+    layout = skadi.layouts.kept["orders"]
+    # the narrowest wins; on a tie, the first kept
+    assert layout.answer((("amount",), 0, 4, None, 1))[0] == ("oid", "cust", "amount")
+    assert layout.answer((("amount", "oid"), 0, 4, None, 1))[0] == ("oid", "cust", "amount")
+
+
+def test_a_narrow_query_after_the_shard_copies_device_fails(tables):
+    skadi = Skadi(shards=4)
+    skadi.sql(QUERIES["scan_agg"], tables)
+    rt = skadi.runtime
+    shards = [ref for outs in skadi.layouts.kept["lineitem"].tasks.values() for ref in outs]
+    # made on the head's CPU, copied to the GPU card the compute ran on
+    node = GPU.split("/")[0]
+    assert all(rt.ownership.entry(r.object_id).locations == {"server0", node} for r in shards)
+    rt.fail_device(GPU)
+    sql = QUERIES["selective_filter"]
+    (got,), (want,) = (batch.column("revenue").tolist() for batch in (
+        skadi.sql(sql, tables), reference(sql, tables)
+    ))
+    assert got == pytest.approx(want, rel=1e-9)  # a float sum, in another order
+    # the wider shards still answer, from the head's copies
+    assert skadi.last_report.reused_tasks == 4 and skadi.last_report.bytes_moved > 0
 
 
 def test_a_replaced_table_is_laid_out_afresh_and_the_old_layout_freed(tables):
@@ -283,6 +381,9 @@ def test_a_lost_put_lays_its_table_out_afresh(tables):
         puts.extend(r for layout in skadi.layouts.kept.values() for r in layout.puts.values())
         skadi.runtime.fail_device("server0/cpu")
         skadi.runtime.restore_device("server0/cpu")
+        for sql in QUERIES.values():  # explain and the launch read one rule
+            kept = skadi.explain(sql, tables).split("== kept layouts ==")[1].splitlines()[1:]
+            assert kept and all(line.endswith(": none") for line in kept), sql
 
     skadi = two_passes(tables, lose_the_head_store)
     assert skadi.last_report.reused_tasks == 0
