@@ -234,7 +234,7 @@ class DataPlane:
         except (SpillFailedError, StoreUnavailableError):
             return False  # refused: nowhere to spill, or the device died under us
         self.rt._probe_site(site)  # no yield between this and the mutation
-        self.rt.ownership.add_location(oid, dst.node_id)
+        self.rt.ownership.add_location(oid, dst.device.device_id)
         if self.push_mode and self.rt.probe_edges is not None:
             self.rt.probe_edges.land(site, oid, dst.device.device_id)
         return True

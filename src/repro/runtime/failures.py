@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..cluster.hardware import Device
 from ..cluster.node import Node, NodeKind
-from .ownership import ValueState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .raylet import Raylet
@@ -247,32 +246,21 @@ class FailureDomains:
         return lost
 
     def device_dead(self, device_id: str, cause: str) -> List[str]:
-        """One device died: blacklist exactly that device, sever dangling
-        DeviceHandles, mark objects whose only copy sat in its memory LOST,
-        re-home actors, and proactively recover what open tasks still need.
-        Idempotent per death."""
+        """One device died: blacklist exactly that device, drop its store's
+        copies (an object whose only copy sat there is LOST, and dangling
+        DeviceHandles are severed), re-home actors, and proactively recover
+        what open tasks still need.  Idempotent per death."""
         rt = self.rt
         if device_id in self.dead_devices:
             return []
         device = self._device(device_id)
         self._view_change("device_dead", device=device_id)
         rt._probe_site("gcs")  # death declarations are the detector's act
-        rt.ownership.drop_device(device_id)
-        node_id = device.node_id
-        lost: List[str] = []
-        for entry in rt.ownership.objects():
-            if (
-                node_id in entry.locations
-                and entry.state == ValueState.READY
-                and not rt.recovery.node_has_copy(node_id, entry.object_id)
-            ):
-                rt.ownership.drop_location(entry.object_id, node_id)
-                if entry.state == ValueState.LOST:
-                    lost.append(entry.object_id)
+        lost = rt.ownership.drop_device(device_id)
         rt._record(
             "device_dead",
             device=device_id,
-            node=node_id,
+            node=device.node_id,
             cause=cause,
             objects_lost=len(lost),
         )

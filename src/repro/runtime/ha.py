@@ -227,7 +227,7 @@ class HAController:
     def _report(ctx: Any, device: Any, committed: List[Tuple]) -> Tuple:
         """One done-report for every output the attempt committed."""
         outputs = tuple((oid, nbytes) for oid, _value, nbytes in committed)
-        return (ctx.spec.task_id, device.node_id, device.device_id, outputs)
+        return (ctx.spec.task_id, device.device_id, outputs)
 
     def _buffer_report(self, ctx: Any, device: Any, committed: List[Tuple]) -> None:
         """The raylet holds the ready-report until the GCS acks it; a head
@@ -503,7 +503,7 @@ class HAController:
             raylet.observe_epoch(epoch)
             yield raylet.control()
             for report in raylet.unacked_reports():
-                task_id, node_id, device_id, outputs = report
+                task_id, device_id, outputs = report
                 store = rt._store_of_device.get(device_id)
                 for oid, nbytes in outputs:
                     if not rt.ownership.contains(oid):
@@ -513,7 +513,7 @@ class HAController:
                         )
                     if store is not None and store.contains(oid):
                         rt._probe_site("gcs")
-                        rt.ownership.mark_ready(oid, node_id, nbytes, device_id)
+                        rt.ownership.mark_ready(oid, device_id, nbytes)
                 raylet.ack_report(report)
             for dev_id in sorted(raylet.stores):
                 device = rt._device_by_id.get(dev_id)
@@ -526,14 +526,12 @@ class HAController:
                     entry = rt.ownership.entry(oid)
                     if entry.state in (ValueState.READY, ValueState.LOST):
                         rt._probe_site("gcs")
-                        rt.ownership.add_location(oid, device.node_id)
+                        rt.ownership.add_location(oid, dev_id)
                     elif entry.state == ValueState.PENDING:
                         ctx = rt._ctx_of_object.get(oid)
                         if ctx is not None and ctx.state == TaskState.FINISHED:
                             rt._probe_site("gcs")
-                            rt.ownership.mark_ready(
-                                oid, device.node_id, stored.nbytes, dev_id
-                            )
+                            rt.ownership.mark_ready(oid, dev_id, stored.nbytes)
 
     def _reconcile_after_failover(self) -> None:
         """PENDING entries whose producing task FINISHED but whose bytes
@@ -582,11 +580,12 @@ class HAController:
         # audit baseline for the zero-lost-READY claim: READY objects whose
         # bytes survive somewhere other than the dying head are the ones a
         # correct failover must bring back
+        devices = rt._device_by_id
         self._survivable_ready = {
             e.object_id: e.nbytes
             for e in rt.ownership.objects()
             if e.state.name == "READY"
-            and any(loc != node_id for loc in e.locations)
+            and any(devices[store_id].node_id != node_id for store_id in e.locations)
         }
         if rt.health is not None:
             rt.health.pause()

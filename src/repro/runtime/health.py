@@ -35,7 +35,8 @@ The loops run only while the runtime has open tasks (otherwise they would
 keep the event queue non-empty forever and ``sim.run()`` would never
 drain); a stall guard stops the monitor if nothing has made progress for a
 long time so an unrecoverable cluster still surfaces its error instead of
-spinning.
+spinning.  A device that dies while no task is open is found by its first
+reader instead (``Recovery.reconcile``).
 """
 
 from __future__ import annotations

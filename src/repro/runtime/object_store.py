@@ -60,9 +60,11 @@ class LocalObjectStore:
         self.spilled_bytes = 0
         self._used = 0
         self.metrics = None
-        # poked after a successful spill so the runtime can move the object's
-        # directory location from this device's node to the spill target's
-        self.on_spill: Optional[Callable[[str, "LocalObjectStore"], None]] = None
+        # poked after a successful spill as on_spill(object id, this store,
+        # the target) so the runtime can move the object's directory location
+        self.on_spill: Optional[
+            Callable[[str, "LocalObjectStore", "LocalObjectStore"], None]
+        ] = None
 
     @property
     def metrics(self) -> Optional[Any]:
@@ -147,7 +149,7 @@ class LocalObjectStore:
         self.spilled_out += 1
         self.spilled_bytes += victim.nbytes
         if self.on_spill is not None:
-            self.on_spill(victim_id, self.spill_target)
+            self.on_spill(victim_id, self, self.spill_target)
         if self._m_evictions is not None:
             self._m_evictions.inc()
             self._meter_resident()

@@ -5,7 +5,9 @@ location.  Figure 3(2): "We make Ray's ownership table heterogeneity-aware
 by adding a device ID and a handle to the device driver (DeviceID and
 DeviceHandle)" — that is exactly the :class:`OwnershipEntry` here.  The
 handle is opaque: in the real system it is a driver context, here an
-integer token minted per (device, object).
+integer token minted per (device, object).  A location is the id of the
+store that holds a copy: each device has its own store, so that is the
+holding device's id (a memory blade's store is its memory device's).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class OwnershipEntry:
     task_id: str  # producing task (lineage edge)
     state: ValueState = ValueState.PENDING
     nbytes: int = 0
-    locations: Set[str] = field(default_factory=set)  # node ids with a copy
+    locations: Set[str] = field(default_factory=set)  # ids of the stores with a copy
     # -- the paper's extension (Figure 3) --
     device_id: Optional[str] = None  # device holding the primary copy
     device_handle: Optional[int] = None  # opaque handle to the device driver
@@ -85,84 +87,75 @@ class OwnershipTable:
     def contains(self, object_id: str) -> bool:
         return object_id in self._entries
 
-    def mark_ready(
-        self,
-        object_id: str,
-        node_id: str,
-        nbytes: int,
-        device_id: Optional[str] = None,
-    ) -> OwnershipEntry:
+    def mark_ready(self, object_id: str, store_id: str, nbytes: int) -> OwnershipEntry:
+        """The value landed in ``store_id``'s store (a commit, or a restore):
+        the entry is READY there, and that device holds the primary copy."""
         entry = self.entry(object_id)
         old = entry.state
         entry.state = ValueState.READY
         entry.nbytes = nbytes
-        entry.locations.add(node_id)
-        if device_id is not None:
-            entry.device_id = device_id
-            entry.device_handle = next(self._handles)
+        entry.locations.add(store_id)
+        entry.device_id = store_id
+        entry.device_handle = next(self._handles)
         self._observe("mark_ready", entry, old)
         return entry
 
-    def add_location(self, object_id: str, node_id: str) -> None:
+    def add_location(self, object_id: str, store_id: str) -> None:
         entry = self.entry(object_id)
         old = entry.state
-        entry.locations.add(node_id)
+        entry.locations.add(store_id)
         if entry.state == ValueState.LOST:
             entry.state = ValueState.READY
         self._observe("add_location", entry, old)
 
-    def drop_location(self, object_id: str, node_id: str) -> None:
+    def drop_location(self, object_id: str, store_id: str) -> None:
         entry = self.entry(object_id)
         old = entry.state
-        had = node_id in entry.locations
-        entry.locations.discard(node_id)
+        had = store_id in entry.locations
+        entry.locations.discard(store_id)
         if not entry.locations and entry.state == ValueState.READY:
             entry.state = ValueState.LOST
         if had or entry.state is not old:
             self._observe("drop_location", entry, old)
 
     def reset_pending(self, object_id: str) -> None:
-        """Lineage replay re-runs the producer: the entry awaits it afresh."""
+        """Lineage replay re-runs the producer: the entry awaits it afresh,
+        with no copy and no primary device."""
         entry = self.entry(object_id)
         old = entry.state
         entry.state = ValueState.PENDING
         entry.locations.clear()
+        entry.device_id = entry.device_handle = None
         self._observe("replay_reset", entry, old)
 
-    def drop_node(self, node_id: str) -> List[str]:
-        """A node died: forget its copies; return newly-lost object ids."""
+    def _drop_stores(self, op: str, dead: Callable[[str], bool]) -> List[str]:
+        """Forget every copy in a store ``dead`` names, and sever the Figure 3
+        columns that point into one (no one may dereference a driver handle
+        into dead silicon); return the object ids this made LOST."""
         lost = []
         for entry in self._entries.values():
-            if node_id in entry.locations:
-                old = entry.state
-                entry.locations.discard(node_id)
-                if not entry.locations and entry.state == ValueState.READY:
-                    entry.state = ValueState.LOST
-                    lost.append(entry.object_id)
-                self._observe("drop_node", entry, old)
-            if entry.device_id is not None and entry.device_id.startswith(node_id + "/"):
-                entry.device_id = None
-                entry.device_handle = None
+            gone = [store_id for store_id in entry.locations if dead(store_id)]
+            severed = entry.device_id is not None and dead(entry.device_id)
+            if not (gone or severed):
+                continue
+            old = entry.state
+            entry.locations.difference_update(gone)
+            if severed:
+                entry.device_id = entry.device_handle = None
+            if not entry.locations and old == ValueState.READY:
+                entry.state = ValueState.LOST
+                lost.append(entry.object_id)
+            self._observe(op, entry, old)
         return lost
 
-    def drop_device(self, device_id: str) -> List[str]:
-        """A single device died while its node lived: invalidate the Figure 3
-        extension columns for every entry whose primary copy sat on it.
+    def drop_node(self, node_id: str) -> List[str]:
+        """A node (or a blade) died: forget the copies in all its stores."""
+        prefix = node_id + "/"
+        return self._drop_stores("drop_node", lambda store_id: store_id.startswith(prefix))
 
-        Location entries are node-granular, so the caller (the runtime, which
-        knows which sibling stores survived) decides whether the node location
-        itself must also be dropped; this method only severs the now-dangling
-        ``device_id``/``device_handle`` so no one dereferences a driver handle
-        into dead silicon.  Returns the invalidated object ids.
-        """
-        invalidated = []
-        for entry in self._entries.values():
-            if entry.device_id == device_id:
-                entry.device_id = None
-                entry.device_handle = None
-                invalidated.append(entry.object_id)
-                self._observe("drop_device", entry, entry.state)
-        return invalidated
+    def drop_device(self, device_id: str) -> List[str]:
+        """One device died while its node lived: forget the copies in its store."""
+        return self._drop_stores("drop_device", lambda store_id: store_id == device_id)
 
     def restore(
         self,

@@ -63,22 +63,13 @@ class Recovery:
         return dev.alive and (raylet is None or raylet.alive)
 
     def find_store(self, object_id: str) -> Optional[LocalObjectStore]:
-        """A live, reachable store holding ``object_id``, if any."""
-        rt = self.rt
-        nodes, stores = rt.cluster.nodes, rt._store_of_device
-        for node_id in sorted(rt.ownership.entry(object_id).locations):
-            node = nodes.get(node_id)
-            if node is None:
-                continue
-            for dev in node.devices:
-                store = stores.get(dev.device_id)
-                if store is not None and store.contains(object_id) and self._serving(dev):
-                    return store
-        # overflow objects live on the disaggregated-memory blade; an
-        # untracked copy (pre-directory spill) is still found here
-        spill = rt._spill_store
-        if spill is not None and spill.device.alive and spill.contains(object_id):
-            return spill
+        """The first recorded store, in id order, that holds ``object_id``
+        and serves it; ``None`` when there is none."""
+        stores = self.rt._store_of_device
+        for store_id in sorted(self.rt.ownership.entry(object_id).locations):
+            store = stores[store_id]
+            if store.contains(object_id) and self._serving(store.device):
+                return store
         return None
 
     def source(self, object_id: str) -> Optional[LocalObjectStore]:
@@ -91,45 +82,40 @@ class Recovery:
         return store
 
     def reconcile(self, object_id: str) -> bool:
-        """The directory claims READY copies, but every claimed location is
-        live, healthy hardware that does not actually hold the object — a
-        fault wiped the memory and healed before any detector noticed
-        (e.g. a device power-cycled while the cluster sat idle).  Drop the
-        phantom locations so the entry goes LOST and normal recovery takes
-        over.  Copies on *dead* hardware are left alone: declaring those is
-        the failure detector's job, not ours."""
+        """The directory claims READY copies, but no recorded store serves
+        one — a fault wiped memory before any detector noticed (a device
+        that died, or power-cycled, while the cluster sat idle).  Drop each
+        recorded store that holds no copy, provided its node still has a
+        serving device; returns whether that left the entry LOST, for normal
+        recovery to take over.  A store whose whole node is down is left
+        alone: declaring that is the node verdict's job, not ours."""
         rt = self.rt
         entry = rt.ownership.entry(object_id)
         if entry.state != ValueState.READY or self.find_store(object_id) is not None:
             return False
-        for node_id in entry.locations:
-            node = rt.cluster.nodes.get(node_id)
-            if node is None or not all(self._serving(dev) for dev in node.devices):
-                return False
-        stale = sorted(entry.locations)
-        rt._probe_site("gcs")  # reconciliation is a directory-side act
-        for node_id in stale:
-            rt.ownership.drop_location(object_id, node_id)
-        rt._record("object_reconciled", object=object_id, stale_locations=stale)
-        return True
-
-    def node_has_copy(self, node_id: str, object_id: str) -> bool:
-        node = self.rt.cluster.nodes.get(node_id)
-        if node is None:
+        stores, nodes = rt._store_of_device, rt.cluster.nodes
+        stale = [
+            store_id
+            for store_id in sorted(entry.locations)
+            if not stores[store_id].contains(object_id)
+            and any(self._serving(dev) for dev in nodes[stores[store_id].node_id].devices)
+        ]
+        if not stale:
             return False
-        stores = self.rt._store_of_device
-        return any(
-            dev.device_id in stores and stores[dev.device_id].contains(object_id)
-            for dev in node.devices
-        )
+        rt._probe_site("gcs")  # reconciliation is a directory-side act
+        for store_id in stale:
+            rt.ownership.drop_location(object_id, store_id)
+        rt._record("object_reconciled", object=object_id, stale_locations=stale)
+        return entry.state == ValueState.LOST
 
-    def on_spilled(self, object_id: str, target: LocalObjectStore) -> None:
-        """Directory upkeep after an LRU spill: the copy now lives on the
-        spill target's node, and any origin node that no longer holds a
-        sibling copy must be dropped — otherwise a later blade death cannot
-        tell which objects it actually took down.  The object is then offered
-        again: an attempt dispatched to the origin device before the spill
-        is pushed it back (a no-op under PULL, whose resolve fetches it)."""
+    def on_spilled(
+        self, object_id: str, origin: LocalObjectStore, target: LocalObjectStore
+    ) -> None:
+        """Directory upkeep after an LRU spill: the copy moved from the
+        origin store to the spill target — otherwise a later blade death
+        cannot tell which objects it actually took down.  The object is then
+        offered again: an attempt dispatched to the origin device before the
+        spill is pushed it back (a no-op under PULL, whose resolve fetches it)."""
         ownership = self.rt.ownership
         if not ownership.contains(object_id):
             return
@@ -138,10 +124,8 @@ class Recovery:
         probe = self.rt.probe
         if probe is not None:
             caller_site, probe.site = probe.site, "gcs"
-        ownership.add_location(object_id, target.node_id)
-        for node_id in ownership.locations(object_id):
-            if node_id != target.node_id and not self.node_has_copy(node_id, object_id):
-                ownership.drop_location(object_id, node_id)
+        ownership.add_location(object_id, target.device.device_id)
+        ownership.drop_location(object_id, origin.device.device_id)
         if probe is not None:
             probe.site = caller_site
         self.rt.data.publish(object_id)
@@ -370,13 +354,9 @@ class Recovery:
         rt = self.rt
         entry = rt.ownership.entry(oid)
         released = 0
-        for node_id in list(entry.locations):
-            for raylet in rt._raylets_by_node.get(node_id, []):
-                store = raylet.find_object(oid)
-                if store is not None and store.delete(oid):
-                    released += entry.nbytes
-        if rt._spill_store is not None:
-            rt._spill_store.delete(oid)
+        for store_id in entry.locations:
+            if rt._store_of_device[store_id].delete(oid):
+                released += entry.nbytes
         if rt.reliable_cache is not None:
             rt.reliable_cache.delete(oid)
         self.checkpoints.discard(oid)

@@ -378,7 +378,7 @@ class ServerlessRuntime:
         if not store.contains(object_id):
             store.put(object_id, value, nbytes or estimate_nbytes(value))
         self._probe_site(site)
-        self.ownership.mark_ready(object_id, host.node_id, nbytes, host.device_id)
+        self.ownership.mark_ready(object_id, host.device_id, nbytes)
         if self.probe_edges is not None:
             self.probe_edges.object_ready(site, object_id)
 
@@ -876,7 +876,7 @@ class ServerlessRuntime:
         if self.probe is not None:
             self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
         for oid, _value, nbytes in committed:
-            self.ownership.mark_ready(oid, device.node_id, nbytes, device.device_id)
+            self.ownership.mark_ready(oid, device.device_id, nbytes)
             if self.probe_edges is not None:
                 # the commit point: the done/ready announcements every
                 # downstream recv pairs with originate here

@@ -73,6 +73,12 @@ class Scheduler:
             )
         self._devices = list(schedulable_devices)
         self._by_id: Dict[str, Device] = {d.device_id: d for d in self._devices}
+        # store id -> where placement prices a copy in it: its node's dominant device
+        self._data_endpoint: Dict[str, str] = {
+            dev.device_id: node.dominant_device.device_id
+            for node in cluster.nodes.values()
+            for dev in node.devices
+        }
         self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
         # leases in flight per device: those sent before ``_fresh_at`` count,
         # those sent at it wait for the next instant; each costs its raylet
@@ -246,9 +252,10 @@ class Scheduler:
         where cost is one summed time, ``move + compute + queue``.
 
         * ``move`` adds up, input by input, what bringing each READY input
-          from its cheapest copy costs: the contended transfer estimate,
-          which prices in each link's queued backlog (a candidate behind a
-          hot link loses to an equally-distant one on an idle path), plus,
+          from its cheapest copy costs (a copy is priced at the dominant
+          device of the node whose store holds it): the contended transfer
+          estimate, which prices in each link's queued backlog (a candidate
+          behind a hot link loses to an equally-distant one on an idle path), plus,
           under PULL, ``fetch_overhead``: the locate round trip to the GCS,
           the pull-request round trip to the copy's raylet and that
           raylet's handling.  A candidate holding a copy moves nothing.
@@ -270,14 +277,14 @@ class Scheduler:
         device_id)`` is above the best ``(cost, device_id)``: no later
         candidate can beat it."""
         # each READY input's copy endpoints and size, read once
-        inputs = []
+        inputs, endpoint = [], self._data_endpoint
         for ref in task.dependencies:
             if not self.ownership.contains(ref.object_id):
                 continue
             entry = self.ownership.entry(ref.object_id)
             if entry.state != ValueState.READY or not entry.locations:
                 continue
-            sources = tuple(self._node_data_endpoint(loc) for loc in sorted(entry.locations))
+            sources = tuple({endpoint[loc]: None for loc in sorted(entry.locations)})
             inputs.append((sources, entry.nbytes))
         # the endpoints holding a copy of every input: only they may move nothing
         holders = set.intersection(*(set(sources) for sources, _ in inputs)) if inputs else set()
@@ -314,9 +321,6 @@ class Scheduler:
             if best is None or cost < best:
                 best, best_device = cost, device
         return best_device
-
-    def _node_data_endpoint(self, node_id: str) -> str:
-        return self.cluster.node(node_id).dominant_device.device_id
 
     # -- gang scheduling -------------------------------------------------------
 

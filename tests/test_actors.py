@@ -103,6 +103,11 @@ class TestCrossCommitWitness:
     # (detector, requeued, device_rehome) x PUSH were re-recorded when push
     # became one protocol: probe sites ``push:<oid>-><dev>`` became
     # ``push:<oid>`` and push spans carry ``consumers``; nothing else moved.
+    # (no_surviving_device, device_rehome) x both were re-recorded when the
+    # directory started to record store ids: a device death drops its store's
+    # copies in one ``own_drop_device`` event per entry (READY -> LOST) where it
+    # used to sever the device columns and then drop the node location in a
+    # second event; only the probe trace moved.
     PINNED = {
         ('cadence', 0, 'PUSH'): "5ebaf9fb7950",
         ('cadence', 0, 'PULL'): "5ebaf9fb7950",
@@ -116,10 +121,10 @@ class TestCrossCommitWitness:
         ('requeued', 'PULL'): "0ec09a41e9e6",
         ('no_checkpoint', 'PUSH'): "a3852cb2bf87",
         ('no_checkpoint', 'PULL'): "a3852cb2bf87",
-        ('no_surviving_device', 'PUSH'): "78ea0059a589",
-        ('no_surviving_device', 'PULL'): "78ea0059a589",
-        ('device_rehome', 'PUSH'): "eed3ed1b13b8",
-        ('device_rehome', 'PULL'): "0430550716d1",
+        ('no_surviving_device', 'PUSH'): "5a80bc54b166",
+        ('no_surviving_device', 'PULL'): "5a80bc54b166",
+        ('device_rehome', 'PUSH'): "c597003870a6",
+        ('device_rehome', 'PULL'): "425c24f0a57f",
     }
 
     @staticmethod

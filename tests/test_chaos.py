@@ -508,7 +508,10 @@ class TestDeterminism:
         # Re-recorded when locality stopped pricing running tasks as queue:
         # every chain then stayed on server0, out of the faults' reach, so the
         # sources are pinned to server1/2 (two "chaos crash" retries).
-        [(1e-3, "3df000c3b8f9"), (None, "e7b7cc213b99")],
+        # Re-recorded when the directory started to record store ids: the two
+        # ``object_reconciled`` records name the store, ``server1/cpu``, where
+        # they named the node; no other record moved.
+        [(1e-3, "9cb7e95f32d8"), (None, "e7b7cc213b99")],
     )
     def test_signature_is_pinned_across_commits(self, heartbeat_interval, digest):
         sig, _ = self._soak(42, heartbeat_interval)

@@ -498,19 +498,31 @@ class TestCrossCommitWitness:
     # consumer on server0/cpu (``push_start`` targets 6 -> 5), and the three
     # outputs committed on server1/cpu, the tail's device, launch no wave and
     # emit no ``push_start``.  Only the probe trace moved.
+    # All four were re-pinned when the directory started to record store ids:
+    # a landing's ``locations`` count in the probe trace counts stores, so the
+    # copies on ``fpgacard0/fpga0`` and ``fpgacard0/fpga1`` are two, not one
+    # node.  Only the probe trace moved.
     PINNED = {
         (ResolutionMode.PUSH, Generation.GEN1): {
-            "log": "97d170e1550e", "probe": "d4f88232ec20", "spans": "17526afa5b21",
+            "log": "97d170e1550e", "probe": "37e7659f454a", "spans": "17526afa5b21",
             "metrics": "cb0ee46500aa", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
             "messages": "4d134bc07221",
         },
         (ResolutionMode.PUSH, Generation.GEN2): {
-            "log": "97d170e1550e", "probe": "907b0bbc7b41", "spans": "a3e09a337c49",
+            "log": "97d170e1550e", "probe": "c8a0f541526d", "spans": "a3e09a337c49",
             "metrics": "e5a2049a58e0", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
             "messages": "91032ad7bbcb",
         },
-        (ResolutionMode.PULL, Generation.GEN1): "1814f6ef63ff",
-        (ResolutionMode.PULL, Generation.GEN2): "d0f82d3193bf",
+        (ResolutionMode.PULL, Generation.GEN1): {
+            "log": "97d170e1550e", "probe": "d2e3abdfa07d", "spans": "29a1e78f3837",
+            "metrics": "5047e1cf2e71", "clock": "5b2a39e6f001", "bytes": "9c8366ee333f",
+            "messages": "be461a0cd1fd",
+        },
+        (ResolutionMode.PULL, Generation.GEN2): {
+            "log": "97d170e1550e", "probe": "56ccabf182b5", "spans": "2618d5ee6d2d",
+            "metrics": "b25451e138e3", "clock": "07fa9324afee", "bytes": "9c8366ee333f",
+            "messages": "b888b29826bb",
+        },
     }
 
     @staticmethod
@@ -910,7 +922,7 @@ def test_a_replay_on_the_readers_device_ends_its_wait_at_the_commit():
         rt.submit(lambda t=tag: t, compute_cost=1e-3, output_nbytes=24 * GB) for tag in "ABC"
     )
     assert rt.get([a, b, c]) == ["A", "B", "C"]
-    assert rt.ownership.locations(a.object_id) == ["memblade0"]
+    assert rt.ownership.locations(a.object_id) == ["memblade0/mem"]
     reader = rt.submit(lambda v: v * 2, (a,), compute_cost=1e-3)
     rt.run(until=rt.sim.now + 1e-4)
     rt.failures.fail_blade("memblade0", "killed by driver", announce=True)

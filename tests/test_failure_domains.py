@@ -26,6 +26,8 @@ from repro.runtime import (
 from repro.runtime.ownership import ValueState
 from repro.runtime.runtime import make_reliable_cache
 
+from asserts import assert_recovery_drained
+
 GPU = frozenset({DeviceKind.GPU})
 
 
@@ -212,6 +214,45 @@ class TestDeviceFailureDetected:
         assert not rt.scheduler.is_blacklisted(victim)
 
 
+class TestIdleDeviceDeath:
+    """A GPU dies 1 ms after its only task finished, with nothing left
+    running.  The detector does not beat while the cluster is idle, so no
+    verdict comes; the driver's read finds the recorded store wiped under a
+    living host, reconciles that store, and lineage rebuilds the object.  The
+    replay's lease to the dead GPU wakes the detector, which then declares
+    the device dead.  With no detector the strike is its own verdict."""
+
+    @pytest.mark.parametrize("detector", [True, False], ids=["detector", "no-detector"])
+    @pytest.mark.parametrize(
+        "mode", [ResolutionMode.PULL, ResolutionMode.PUSH], ids=lambda m: m.name
+    )
+    def test_a_device_that_dies_while_idle_comes_back_through_lineage(self, mode, detector):
+        config = (detect_config if detector else omniscient_config)(resolution=mode)
+        rt = ServerlessRuntime(build_serverful(n_servers=3, gpus_per_server=1), config)
+        a = rt.submit(lambda: 7, compute_cost=1e-3, supported_kinds=GPU)
+        rt.sim.run()
+        first = rt.timeline_of(a)
+        victim = first.device
+        ChaosMonkey(rt, ChaosSchedule().fail_device(first.end + 1e-3, victim)).arm()
+        assert rt.get(a) == 7
+        assert rt.lineage.replays == 1
+        [dead] = rt.log.of_kind("device_dead")
+        assert dead["device"] == victim
+        [recovered] = rt.log.of_kind("object_recovered")
+        assert recovered["object"] == a.object_id and recovered["source"] == "lineage"
+        reconciled = rt.log.of_kind("object_reconciled")
+        retries = [ev["cause"] for ev in rt.log.of_kind("task_retry")]
+        if detector:
+            assert [ev["stale_locations"] for ev in reconciled] == [[victim]]
+            # the replay's lease found the dead GPU, and woke the detector
+            assert retries == [f"device {victim} is dead"]
+            assert dead.time > recovered.time
+        else:
+            assert not reconciled and not retries  # the verdict dropped the store first
+        assert rt.timeline_of(a).device != victim
+        assert_recovery_drained(rt)
+
+
 class TestBladeFailure:
     """A memory blade dies: exactly the spilled objects are lost."""
 
@@ -225,7 +266,7 @@ class TestBladeFailure:
         # the oldest object was LRU-spilled to the blade, and the directory
         # tracked the move
         assert rt._spill_store is not None and rt._spill_store.contains(a.object_id)
-        assert rt.ownership.locations(a.object_id) == ["memblade0"]
+        assert rt.ownership.locations(a.object_id) == ["memblade0/mem"]
         return a, b, c
 
     def _cluster(self):
@@ -239,7 +280,7 @@ class TestBladeFailure:
         rt = ServerlessRuntime(self._cluster(), omniscient_config(sanitizers=("trace",)))
         refs = [rt.put(tag, nbytes=self.NB) for tag in "ABC"]
         spilled = refs[0].object_id
-        assert rt.ownership.locations(spilled) == ["memblade0"]
+        assert rt.ownership.locations(spilled) == ["memblade0/mem"]
         moves = [
             (e.site, e.kind, e.get("locations"))
             for e in rt.probe.trace
@@ -457,7 +498,7 @@ class TestStaleDirectoryReconciliation:
         assert rt.get(b) == 8
         reconciled = rt.log.of_kind("object_reconciled")
         assert reconciled and reconciled[0]["object"] == a.object_id
-        assert reconciled[0]["stale_locations"] == [victim.rsplit("/", 1)[0]]
+        assert reconciled[0]["stale_locations"] == [victim]
         recovered = [
             ev for ev in rt.log.of_kind("object_recovered") if ev["object"] == a.object_id
         ]

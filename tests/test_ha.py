@@ -477,7 +477,7 @@ class TestWalReplay:
         ]
         rt.get(refs)
         oldest = refs[0].object_id  # LRU-spilled to the blade
-        assert rt.ownership.locations(oldest) == ["memblade0"]
+        assert rt.ownership.locations(oldest) == ["memblade0/mem"]
         self._assert_wal_tracks(rt, oldest)
 
     def test_lineage_reset_reaches_the_wal(self):

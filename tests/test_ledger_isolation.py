@@ -15,7 +15,7 @@ BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 if BENCHMARKS not in sys.path:
     sys.path.insert(0, BENCHMARKS)
 
-from ledger import child, workloads  # noqa: E402
+from ledger import child, trace, workloads  # noqa: E402
 
 
 def test_raising_episode_is_recorded_not_raised(capsys):
@@ -37,3 +37,22 @@ def test_raising_episode_is_recorded_not_raised(capsys):
     assert record["clean_episodes"] == 1 and record["episodes"] == 2
     assert record["failed"] == record["attempted"] // 2 > 0
     assert any(f.startswith("KeyError") for f in record["failures"])
+
+
+def test_every_traced_target_resolves():
+    """The ledger's traced child patches every ``trace.TARGETS`` entry by
+    name, and dies if one is gone or is no plain method.  Installing the
+    tracer here makes a rename fail in tier-1 instead; uninstalling must
+    put every original back."""
+    tracer = trace.LayerTracer().install()
+    patched = list(tracer._patched)
+    try:
+        holders = {(getattr(holder, "__name__", ""), attr) for holder, attr, _ in patched}
+        for _layer, module_name, owner, attrs in trace.TARGETS:
+            for attr in attrs:
+                assert (owner or module_name, attr) in holders, (module_name, owner, attr)
+    finally:
+        tracer.uninstall()
+    assert not tracer._patched
+    for holder, attr, original in patched:
+        assert holder.__dict__[attr] is original, (holder, attr)

@@ -156,8 +156,8 @@ class TestLosingOneOutput:
         assert rt.lineage.replays == 1 and rt.log.count("lineage_replay") == 1
         replay = rt.timeline_of(refs[0]).device
         assert replay != gpu
-        # the survivors are the copies on server1, and they stay exactly that
-        assert list(siblings.values()) == [{"server1"}] * 3
+        # the survivors are the copies on server1's CPU, and they stay exactly that
+        assert list(siblings.values()) == [{"server1/cpu"}] * 3
         for oid, locations in siblings.items():
             entry = rt.ownership.entry(oid)
             assert entry.state is ValueState.READY and entry.locations == locations
@@ -240,14 +240,14 @@ class TestFailoverAfterTheCommit:
         assert all(map(rt.ownership.is_ready, oids))
         assert not set(oids) & ready_in(rt.ha.replica_logs[rt.ha.standbys[0]])
         (report,) = rt.raylet_for_device("server2/cpu").unacked_reports()
-        assert report == (refs[0].task_id, "server2", "server2/cpu", tuple((o, SIZE) for o in oids))
+        assert report == (refs[0].task_id, "server2/cpu", tuple((o, SIZE) for o in oids))
         rt.get(target)
         assert rt.ha.failovers == 1
         assert set(oids) <= ready_in(rt.ha.wal)
         for oid in oids:
             entry = rt.ownership.entry(oid)
             assert (entry.state, entry.nbytes) == (ValueState.READY, SIZE)
-            assert entry.locations == {"server2"}
+            assert entry.locations == {"server2/cpu"}
         assert rt.get(refs) == [7, 8, 9, 10]
         assert_recovery_drained(rt)
 

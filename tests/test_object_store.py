@@ -151,10 +151,10 @@ class TestSpillCrashConsistency:
         calls = []
         blade = tiny_blade(sim, capacity=100)
         store = LocalObjectStore(small_device(sim, capacity=150), spill_target=blade)
-        store.on_spill = lambda oid, target: calls.append((oid, target))
+        store.on_spill = lambda oid, origin, target: calls.append((oid, origin, target))
         store.put("a", "A", 100)
         store.put("b", "B", 100)  # spills a successfully
-        assert calls == [("a", blade)]
+        assert calls == [("a", store, blade)]
         with pytest.raises(SpillFailedError):
             store.put("c", "C", 100)  # blade full: b must NOT be reported
-        assert calls == [("a", blade)]
+        assert calls == [("a", store, blade)]

@@ -27,69 +27,94 @@ class TestOwnershipTable:
             table.create("o1", "driver", "t2")
 
     def test_mark_ready_records_device_fields(self):
-        """Figure 3: the table gains DeviceID and DeviceHandle columns."""
+        """Figure 3: the table gains DeviceID and DeviceHandle columns; a
+        copy's location is the id of the store (the device) that holds it."""
         table = OwnershipTable()
         table.create("o1", "w1", "t1")
-        entry = table.mark_ready("o1", "gpucard0", 1024, device_id="gpucard0/gpu0")
+        entry = table.mark_ready("o1", "gpucard0/gpu0", 1024)
         assert entry.state == ValueState.READY
         assert entry.device_id == "gpucard0/gpu0"
         assert entry.device_handle is not None
         assert entry.nbytes == 1024
-        assert table.locations("o1") == ["gpucard0"]
+        assert table.locations("o1") == ["gpucard0/gpu0"]
 
     def test_device_handles_are_unique(self):
         table = OwnershipTable()
         table.create("a", "w", "t1")
         table.create("b", "w", "t2")
-        ha = table.mark_ready("a", "n0", 1, device_id="d0").device_handle
-        hb = table.mark_ready("b", "n0", 1, device_id="d1").device_handle
+        ha = table.mark_ready("a", "n0/d0", 1).device_handle
+        hb = table.mark_ready("b", "n0/d1", 1).device_handle
         assert ha != hb
 
     def test_drop_last_location_marks_lost(self):
         table = OwnershipTable()
         table.create("o1", "w", "t")
-        table.mark_ready("o1", "n0", 10)
-        table.drop_location("o1", "n0")
+        table.mark_ready("o1", "n0/cpu", 10)
+        table.drop_location("o1", "n0/cpu")
         assert table.entry("o1").state == ValueState.LOST
 
     def test_extra_location_keeps_ready(self):
         table = OwnershipTable()
         table.create("o1", "w", "t")
-        table.mark_ready("o1", "n0", 10)
-        table.add_location("o1", "n1")
-        table.drop_location("o1", "n0")
+        table.mark_ready("o1", "n0/cpu", 10)
+        table.add_location("o1", "n1/cpu")
+        table.drop_location("o1", "n0/cpu")
         assert table.is_ready("o1")
-        assert table.locations("o1") == ["n1"]
+        assert table.locations("o1") == ["n1/cpu"]
 
     def test_drop_node_reports_lost_objects(self):
         table = OwnershipTable()
         for oid in ("a", "b", "c"):
             table.create(oid, "w", f"t-{oid}")
-        table.mark_ready("a", "n0", 1)
-        table.mark_ready("b", "n0", 1)
-        table.add_location("b", "n1")
-        table.mark_ready("c", "n2", 1)
-        lost = table.drop_node("n0")
+        table.mark_ready("a", "n0/cpu", 1)
+        table.add_location("a", "n0/gpu0")
+        table.mark_ready("b", "n0/gpu0", 1)
+        table.add_location("b", "n1/cpu")
+        table.mark_ready("c", "n2/cpu", 1)
+        lost = table.drop_node("n0")  # every store of the node
         assert lost == ["a"]
         assert table.is_ready("b") and table.is_ready("c")
+        assert table.locations("b") == ["n1/cpu"]
+        assert table.entry("b").device_id is None  # severed: it pointed into n0
+        assert table.entry("c").device_id == "n2/cpu"
+
+    def test_drop_device_drops_only_that_store(self):
+        table = OwnershipTable()
+        for oid in ("a", "b"):
+            table.create(oid, "w", f"t-{oid}")
+        table.mark_ready("a", "n0/gpu0", 1)
+        table.mark_ready("b", "n0/gpu0", 1)
+        table.add_location("b", "n0/cpu")  # a sibling store on the same node
+        seen = []
+        table.observers.append(lambda *op: seen.append(op))
+        assert table.drop_device("n0/gpu0") == ["a"]
+        assert table.entry("a").state is ValueState.LOST and not table.locations("a")
+        assert table.locations("b") == ["n0/cpu"]
+        assert table.entry("a").device_id is table.entry("b").device_id is None
+        assert table.entry("b").device_handle is None
+        assert seen == [
+            ("drop_device", "a", "READY", "LOST", 0),
+            ("drop_device", "b", "READY", "READY", 1),
+        ]
 
     def test_add_location_revives_lost(self):
         table = OwnershipTable()
         table.create("o1", "w", "t")
-        table.mark_ready("o1", "n0", 10)
+        table.mark_ready("o1", "n0/cpu", 10)
         table.drop_node("n0")
-        table.add_location("o1", "n1")
+        table.add_location("o1", "n1/cpu")
         assert table.is_ready("o1")
 
     def test_reset_pending_clears_copies_and_tells_the_observer(self):
         table = OwnershipTable()
         table.create("o1", "w", "t")
-        table.mark_ready("o1", "n0", 10)
+        table.mark_ready("o1", "n0/cpu", 10)
         seen = []
         table.observers.append(lambda *op: seen.append(op))
         table.reset_pending("o1")
         entry = table.entry("o1")
         assert entry.state is ValueState.PENDING and not entry.locations
+        assert entry.device_id is entry.device_handle is None
         assert seen == [("replay_reset", "o1", "READY", "PENDING", 0)]
 
     def test_unknown_object_raises(self):
@@ -131,7 +156,7 @@ class TestLineageGraph:
         for t, oid in ((t1, "o1"), (t2, "o2")):
             table.create(oid, "w", t.task_id)
             lineage.record(t, [oid])
-        table.mark_ready("o1", "n0", 1)
+        table.mark_ready("o1", "n0/cpu", 1)
         plan = lineage.plan_recovery("o2", table)
         assert [t.task_id for t in plan] == ["t2"]
 
@@ -168,10 +193,10 @@ class TestLineageGraph:
         """Only the LOST branch replays: the READY sibling is reused."""
         table, lineage = self._diamond()
         for oid in ("ob", "ol", "or", "oj"):
-            table.mark_ready(oid, "n0", 1)
+            table.mark_ready(oid, "n0/cpu", 1)
         # a device failure takes out the left intermediate and the join
         for oid in ("ol", "oj"):
-            table.drop_location(oid, "n0")
+            table.drop_location(oid, "n0/cpu")
             assert table.entry(oid).state == ValueState.LOST
         plan = lineage.plan_recovery("oj", table)
         ids = [t.task_id for t in plan]
@@ -180,9 +205,9 @@ class TestLineageGraph:
     def test_diamond_with_lost_base_replays_the_whole_slice(self):
         table, lineage = self._diamond()
         for oid in ("ob", "ol", "or", "oj"):
-            table.mark_ready(oid, "n0", 1)
+            table.mark_ready(oid, "n0/cpu", 1)
         for oid in ("ob", "ol", "oj"):  # right survives on another node
-            table.drop_location(oid, "n0")
+            table.drop_location(oid, "n0/cpu")
         plan = lineage.plan_recovery("oj", table)
         ids = [t.task_id for t in plan]
         assert ids.count("base") == 1 and "right" not in ids
@@ -197,8 +222,8 @@ class TestLineageGraph:
         t2 = _task("t2", args=(ObjectRef("o1"),))
         table.create("o2", "w", "t2")
         lineage.record(t2, ["o2"])
-        table.mark_ready("o1", "n0", 1)
-        table.mark_ready("o2", "n0", 1)
+        table.mark_ready("o1", "n0/cpu", 1)
+        table.mark_ready("o2", "n0/cpu", 1)
         table.drop_node("n0")  # both copies gone
         with pytest.raises(UnrecoverableObjectError):
             lineage.plan_recovery("o2", table)
@@ -216,7 +241,7 @@ class TestLineageGraph:
         t = _task("t1")
         table.create("o1", "w", "t1")
         lineage.record(t, ["o1"])
-        table.mark_ready("o1", "n0", 1)
+        table.mark_ready("o1", "n0/cpu", 1)
         assert lineage.plan_recovery("o1", table) == []
 
 
@@ -284,7 +309,7 @@ class TestIterativePlanner:
                 continue  # a lost put: no recorded producer
             lineage.record(_task(f"t{i}", args=tuple(ObjectRef(f"o{r}") for r in reads)), [f"o{i}"])
             if rng.random() < 0.3:
-                table.mark_ready(f"o{i}", "n0", 1)
+                table.mark_ready(f"o{i}", "n0/cpu", 1)
         for root in range(n):
             oid = f"o{root}"
             assert outcome(lineage.plan_recovery, oid, table) == outcome(

@@ -18,7 +18,7 @@ from repro.caching.replication import ReplicationScheme
 from repro.cluster import DurableStore
 from repro.cluster.cluster import build_physical_disagg, build_serverful
 from repro.cluster.hardware import GB, MB, DeviceKind
-from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
+from repro.runtime import Generation, ResolutionMode, RuntimeConfig, ServerlessRuntime
 from repro.runtime.runtime import make_reliable_cache
 from repro.telemetry.spans import exported_attrs
 
@@ -96,67 +96,115 @@ class TestCrossCommitWitness:
     # goes 1.952258 -> 1.951208 s, the ``skadi_fetch_dedup_total`` hit is gone,
     # and the task span ends earlier.  Its log, bytes, messages and outcome did
     # not move.
+    # Re-pinned when the directory started to record store ids.  The twenty
+    # matrix cells: the victim's death drops its store's copies in one
+    # ``own_drop_device`` event per entry (READY -> LOST) where it used to
+    # sever the device columns and then drop the node location in a second
+    # event; only the probe trace moved.  The stale_entry cells: the
+    # ``object_reconciled`` record names the wiped store (``server0/gpu0``),
+    # not its node, and with a consumer open the consumer's copy on
+    # ``server0/cpu`` counts as a second location in the probe trace.
     PINNED = {
         ('matrix', 'checkpoint', 'get', 'PUSH'): {
-            "outcome": "bfea02c47de2", "log": "d8cdd1fe3b4f", "probe": "e35febcfd943",
+            "outcome": "bfea02c47de2", "log": "d8cdd1fe3b4f", "probe": "3722137ba1c2",
             "spans": "438466c704e8", "metrics": "cd63720237a7", "clock": "9bd8a8cf7fc4",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
-        ('matrix', 'checkpoint', 'get', 'PULL'): "df675e1da435",
+        ('matrix', 'checkpoint', 'get', 'PULL'): {
+            "outcome": "bfea02c47de2", "log": "7f9be96911cd", "probe": "59668280f0a5",
+            "spans": "57e61b6beb7e", "metrics": "894236d47a46", "clock": "01473eeab566",
+            "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
+        },
         ('matrix', 'checkpoint', 'proactive', 'PUSH'): {
-            "outcome": "47f77b4fb3b7", "log": "28162d00def3", "probe": "b54d4b1df505",
+            "outcome": "47f77b4fb3b7", "log": "28162d00def3", "probe": "08b4c02ae138",
             "spans": "fcd4b0914fff", "metrics": "2e423399e6d3", "clock": "9a1bcadd18b5",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
-        ('matrix', 'checkpoint', 'proactive', 'PULL'): "52dd732554d0",
+        ('matrix', 'checkpoint', 'proactive', 'PULL'): {
+            "outcome": "47f77b4fb3b7", "log": "e6ee6f06937e", "probe": "33baf6cb5221",
+            "spans": "ed1831a4df62", "metrics": "c3b67012ca62", "clock": "d5e0fe99bd05",
+            "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
+        },
         ('matrix', 'frontier', 'get', 'PUSH'): {
-            "outcome": "7e583957a7ea", "log": "734bed2b29d9", "probe": "0b8b97d3001c",
+            "outcome": "7e583957a7ea", "log": "734bed2b29d9", "probe": "4e9b8ec3924f",
             "spans": "487553e36c31", "metrics": "3d6420e7d89e", "clock": "eef12d9d4318",
             "bytes": "28593d2da73e", "messages": "fe5dbbcea5ce",
         },
-        ('matrix', 'frontier', 'get', 'PULL'): "a6f97b8344fa",
+        ('matrix', 'frontier', 'get', 'PULL'): {
+            "outcome": "7e583957a7ea", "log": "913fd96ee87f", "probe": "8f64a6a509b1",
+            "spans": "e5d55858b8f2", "metrics": "661ee252cf0b", "clock": "f5bb9185e122",
+            "bytes": "28593d2da73e", "messages": "7b52009b64fd",
+        },
         ('matrix', 'frontier', 'proactive', 'PUSH'): {
-            "outcome": "47f77b4fb3b7", "log": "f1217b6b0b69", "probe": "5c504554d23e",
+            "outcome": "47f77b4fb3b7", "log": "f1217b6b0b69", "probe": "adf62325dfe0",
             "spans": "6b4eb6959c33", "metrics": "2e423399e6d3", "clock": "008a6c38076d",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
-        ('matrix', 'frontier', 'proactive', 'PULL'): "1f234cc19266",
+        ('matrix', 'frontier', 'proactive', 'PULL'): {
+            "outcome": "47f77b4fb3b7", "log": "1e4607fd6cd7", "probe": "201eba0a1e55",
+            "spans": "1710bafc157d", "metrics": "c3b67012ca62", "clock": "7da37a96868e",
+            "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
+        },
         ('matrix', 'cache', 'get', 'PUSH'): {
-            "outcome": "bfea02c47de2", "log": "2fb20ffed35d", "probe": "830f79bbac36",
+            "outcome": "bfea02c47de2", "log": "2fb20ffed35d", "probe": "e48be024f855",
             "spans": "78a40624f672", "metrics": "2a89e81fcd06", "clock": "b6e81c31c3a0",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
-        ('matrix', 'cache', 'get', 'PULL'): "a540bf31ef48",
+        ('matrix', 'cache', 'get', 'PULL'): {
+            "outcome": "bfea02c47de2", "log": "f266b2bd1d7a", "probe": "640ed0dfd546",
+            "spans": "7e52a3f6a978", "metrics": "f8ac118d3ec1", "clock": "a4d163b3e786",
+            "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
+        },
         ('matrix', 'cache', 'proactive', 'PUSH'): {
-            "outcome": "c0f552242bdd", "log": "bc73112d9ff8", "probe": "a4352e17269e",
+            "outcome": "c0f552242bdd", "log": "bc73112d9ff8", "probe": "d9b8d03693af",
             "spans": "239c1695bca2", "metrics": "144a989f4ffc", "clock": "2d4ae01339e9",
             "bytes": "78326d0a7298", "messages": "0ade7c2cf97f",
         },
-        ('matrix', 'cache', 'proactive', 'PULL'): "567d8c8c83ee",
+        ('matrix', 'cache', 'proactive', 'PULL'): {
+            "outcome": "c0f552242bdd", "log": "4111e29bb80d", "probe": "76947cda383d",
+            "spans": "002b8ac8805c", "metrics": "92d3b4b1a6f3", "clock": "f5794687497c",
+            "bytes": "78326d0a7298", "messages": "0716d9708d32",
+        },
         ('matrix', 'lineage', 'get', 'PUSH'): {
-            "outcome": "889bdee52bed", "log": "1e8a8a01a536", "probe": "e2bb6904b47f",
+            "outcome": "889bdee52bed", "log": "1e8a8a01a536", "probe": "15e0aa499e9b",
             "spans": "a3b8075afae0", "metrics": "d823650b11ab", "clock": "df864d60bf13",
             "bytes": "52faafd10264", "messages": "7b52009b64fd",
         },
-        ('matrix', 'lineage', 'get', 'PULL'): "7598fea3d5db",
+        ('matrix', 'lineage', 'get', 'PULL'): {
+            "outcome": "889bdee52bed", "log": "f97b4ca55590", "probe": "878d6b21eaec",
+            "spans": "a88a9e87d663", "metrics": "d279217a052e", "clock": "cd65ca4d6fcd",
+            "bytes": "52faafd10264", "messages": "7b52009b64fd",
+        },
         ('matrix', 'lineage', 'proactive', 'PUSH'): {
-            "outcome": "47f77b4fb3b7", "log": "abe5d264b73f", "probe": "0bb17ff4b08a",
+            "outcome": "47f77b4fb3b7", "log": "abe5d264b73f", "probe": "535f268dc29d",
             "spans": "ca0a8c87b99b", "metrics": "2e423399e6d3", "clock": "d0f1c8a404f9",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
-        ('matrix', 'lineage', 'proactive', 'PULL'): "9400d8b86b5e",
+        ('matrix', 'lineage', 'proactive', 'PULL'): {
+            "outcome": "47f77b4fb3b7", "log": "9f6d23d457a5", "probe": "c1c6628e0434",
+            "spans": "4b81c32650de", "metrics": "c3b67012ca62", "clock": "c365d6083b63",
+            "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
+        },
         ('matrix', 'unrecoverable', 'get', 'PUSH'): {
-            "outcome": "97e033160be2", "log": "e845c56b9cab", "probe": "1edfc119524a",
+            "outcome": "97e033160be2", "log": "e845c56b9cab", "probe": "244a0d5f7c6a",
             "spans": "756d7bb30e7d", "metrics": "617b5d269a69", "clock": "3a91bd448bc2",
             "bytes": "52faafd10264", "messages": "4d134bc07221",
         },
-        ('matrix', 'unrecoverable', 'get', 'PULL'): "26e5cb418e86",
+        ('matrix', 'unrecoverable', 'get', 'PULL'): {
+            "outcome": "97e033160be2", "log": "e7b3ba09c924", "probe": "10257a232796",
+            "spans": "007cd8272cdd", "metrics": "145e74c4d081", "clock": "2bbeed803acb",
+            "bytes": "52faafd10264", "messages": "4d134bc07221",
+        },
         ('matrix', 'unrecoverable', 'proactive', 'PUSH'): {
-            "outcome": "3b2b7d769063", "log": "e778d5f9a0a7", "probe": "46e814b769a6",
+            "outcome": "3b2b7d769063", "log": "e778d5f9a0a7", "probe": "f43015329511",
             "spans": "1330795cc571", "metrics": "33b6a9d8e92c", "clock": "5003ffcdd474",
             "bytes": "78326d0a7298", "messages": "f1f836cb4ea6",
         },
-        ('matrix', 'unrecoverable', 'proactive', 'PULL'): "5279fd1745b8",
+        ('matrix', 'unrecoverable', 'proactive', 'PULL'): {
+            "outcome": "3b2b7d769063", "log": "f95224bf1fb2", "probe": "9b367d5e2059",
+            "spans": "c2f7c277eac3", "metrics": "a7373b9ec62d", "clock": "58b454913d06",
+            "bytes": "78326d0a7298", "messages": "761f22b2c159",
+        },
         ('deferred_free', 'PUSH'): "a0ac64528063",
         ('deferred_free', 'PULL'): "b1b03feb9c0e",
         ('spill_then_blade_death', False, 'PUSH'): "fead5f708e91",
@@ -167,10 +215,26 @@ class TestCrossCommitWitness:
             "bytes": "1e686433557e", "messages": "b1d5781111d8",
         },
         ('spill_then_blade_death', True, 'PULL'): "f7aade62fc45",
-        ('stale_entry', False, 'PUSH'): "09d2f4d437bb",
-        ('stale_entry', False, 'PULL'): "09d2f4d437bb",
-        ('stale_entry', True, 'PUSH'): "e8bb62bbdcf2",
-        ('stale_entry', True, 'PULL'): "57436221674f",
+        ('stale_entry', False, 'PUSH'): {
+            "outcome": "595ed3c1ed24", "log": "afd345788692", "probe": "72ae0957ebf4",
+            "spans": "7bad6bd4cdf5", "metrics": "fd247bf39b7f", "clock": "fa78cf3e1471",
+            "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
+        },
+        ('stale_entry', False, 'PULL'): {
+            "outcome": "595ed3c1ed24", "log": "afd345788692", "probe": "72ae0957ebf4",
+            "spans": "7bad6bd4cdf5", "metrics": "fd247bf39b7f", "clock": "fa78cf3e1471",
+            "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
+        },
+        ('stale_entry', True, 'PUSH'): {
+            "outcome": "bfec0743fbfb", "log": "4b119ed6532b", "probe": "38a172e14826",
+            "spans": "f10daf365dc3", "metrics": "1edc440ee285", "clock": "583e1cb5aa9c",
+            "bytes": "677e85a3d31a", "messages": "0ade7c2cf97f",
+        },
+        ('stale_entry', True, 'PULL'): {
+            "outcome": "bfec0743fbfb", "log": "6384f8149ddf", "probe": "36a6ac366359",
+            "spans": "fa01ba3b2ceb", "metrics": "b0204d0272de", "clock": "740d83fbe912",
+            "bytes": "677e85a3d31a", "messages": "17ba0791499d",
+        },
     }
 
     @staticmethod
@@ -282,7 +346,7 @@ class TestCrossCommitWitness:
             for tag in "ABC"
         )
         assert rt.get([a, b, c]) == ["A", "B", "C"]
-        assert rt.ownership.locations(a.object_id) == ["memblade0"]
+        assert rt.ownership.locations(a.object_id) == ["memblade0/mem"]
         target = a
         if consumer_open:
             target = rt.submit(lambda v: v * 2, (a,), compute_cost=1e-3)
@@ -324,3 +388,27 @@ class TestCrossCommitWitness:
         pinned = self.PINNED[(*scenario, mode.name)]
         assert self.digest(rt, outcome, pinned) == pinned
         assert_recovery_drained(rt)
+
+
+@pytest.mark.parametrize("mode", [PUSH, PULL], ids=lambda m: m.name)
+def test_a_free_deletes_every_copy_on_one_card(mode):
+    """Under Gen-1 one raylet serves both FPGAs of a card.  An object read on
+    the sibling FPGA has a copy in each store; the directory names both, and
+    a free deletes both and counts both."""
+    rt = ServerlessRuntime(
+        build_physical_disagg(), RuntimeConfig(resolution=mode, generation=Generation.GEN1)
+    )
+    fpga = frozenset({DeviceKind.FPGA})
+    a = rt.submit(
+        lambda: 1, compute_cost=1e-3, output_nbytes=MB, supported_kinds=fpga,
+        pinned_device="fpgacard0/fpga0",
+    )
+    b = rt.submit(
+        lambda v: v + 1, (a,), compute_cost=1e-3, supported_kinds=fpga,
+        pinned_device="fpgacard0/fpga1",
+    )
+    assert rt.get(b) == 2
+    assert rt.ownership.locations(a.object_id) == ["fpgacard0/fpga0", "fpgacard0/fpga1"]
+    assert rt.free(a) == 2 * MB
+    assert not any(store.contains(a.object_id) for store in rt._store_of_device.values())
+    assert_recovery_drained(rt)

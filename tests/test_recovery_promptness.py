@@ -99,7 +99,7 @@ class TestNodeDeathRecoversAtTheVerdict:
         slow = rt.submit(lambda: 22, compute_cost=30e-3, pinned_device="server2/cpu")
         rt.run(until=4e-3)
         assert rt.timeline_of(lost).device == "server1/cpu"
-        assert rt.ownership.locations(lost.object_id) == ["server1"]
+        assert rt.ownership.locations(lost.object_id) == ["server1/cpu"]
         rt.failures.fail_node("server1", "crashed by the test")  # detection must earn the verdict
         consumer = rt.submit(
             lambda x, y: x + y, (lost, slow), compute_cost=1e-3, pinned_device="server2/cpu"

@@ -399,8 +399,8 @@ class TestStructureGuard:
         "recovery.py": {
             "cluster", "ownership", "lineage", "reliable_cache", "durable_store", "sim",
             "probe", "_record", "_probe_site", "_ready_at_head", "_on_object_ready",
-            "_replay_task", "_ctxs", "_ctx_of_object", "_raylet_of_device", "_raylets_by_node",
-            "_store_of_device", "_spill_store", "_readers", "data",
+            "_replay_task", "_ctxs", "_ctx_of_object", "_raylet_of_device", "_store_of_device",
+            "_readers", "data",
         },
         "supervision.py": {
             "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe_edges", "gcs_up",

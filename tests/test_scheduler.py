@@ -99,7 +99,7 @@ class TestPolicies:
         gpu = cluster.devices_of_kind(DeviceKind.GPU)[0]
         gpu_node = cluster.node_of_device(gpu.device_id)
         ownership.create("big", "w", "t")
-        ownership.mark_ready("big", gpu_node.node_id, 512 << 20, device_id=gpu.device_id)
+        ownership.mark_ready("big", gpu.device_id, 512 << 20)
         t = task("t1", ANY_COMPUTE_KIND, args=(ObjectRef("big"),))
         placed = sched.place(t)
         assert placed.node_id == gpu_node.node_id
@@ -174,7 +174,8 @@ class TestOneLeastLoadedRule:
 
 def full_scan_locality(sched, task, candidates, leases=()):
     """The locality rule as a full scan: every candidate priced for every
-    input copy, then the least ``(cost, device_id)``.  ``leases`` lists the
+    input copy (each at the dominant device of the node whose store holds
+    it), then the least ``(cost, device_id)``.  ``leases`` lists the
     leases in flight as ``(device id, raylet handling, sent at)``; those sent
     before this instant are queue.  ``Scheduler.place`` must pick the same
     device while pricing only those that can win."""
@@ -194,7 +195,10 @@ def full_scan_locality(sched, task, candidates, leases=()):
                     src, device_id, entry.nbytes, contended=True
                 )
                 + (0.0 if fetch is None or src == device_id else fetch(src, device_id))
-                for src in (sched._node_data_endpoint(loc) for loc in sorted(entry.locations))
+                for src in (
+                    sched.cluster.node_of_device(store_id).dominant_device.device_id
+                    for store_id in sorted(entry.locations)
+                )
             )
             move_time += best
         compute_time = device.spec.scaled_duration(task.compute_cost)
@@ -235,7 +239,7 @@ class TestBoundedPricing:
         cluster = build_serverful(64)
         sched = locality_scheduler(cluster)
         sched.ownership.create("small", "driver", "p")
-        sched.ownership.mark_ready("small", "server5", 4096)
+        sched.ownership.mark_ready("small", "server5/cpu", 4096)
         t = task("t", args=(ObjectRef("small"),), compute_cost=1e-4)
         calls = count_estimates(monkeypatch, cluster.network)
         placed = sched.place(t)
@@ -265,7 +269,7 @@ class TestBoundedPricing:
         cluster = build_serverful(4, gpus_per_server=1)
         sched = locality_scheduler(cluster)
         sched.ownership.create("small", "driver", "p")
-        sched.ownership.mark_ready("small", "server1", 64)
+        sched.ownership.mark_ready("small", "server1/cpu", 64)
         t = task("t", frozenset({DeviceKind.CPU, DeviceKind.GPU}), args=(ObjectRef("small"),),
                  compute_cost=compute_cost)
         assert cluster.topology.min_link_latency() == 1e-6
@@ -311,17 +315,18 @@ def random_locality_state(seed):
     for _ in range(rng.randint(0, 6)):
         net.transfer(*rng.sample(endpoints, 2), rng.randint(1, 2 * payload))
     cluster.sim.run(until=rng.uniform(0.0, 2e-4))
-    nodes = sorted(cluster.nodes)
+    # every device but a DPU has a store; two copies may sit on one node
+    stores = sorted(d.device_id for d in cluster.all_devices() if d.kind is not DeviceKind.DPU)
     for i in range(6):
         oid = f"o{i}"
         sched.ownership.create(oid, "driver", f"p{i}")
         if rng.random() < 0.2:
             continue  # PENDING
-        copies = rng.sample(nodes, min(len(nodes), rng.randint(1, 3)))
+        copies = rng.sample(stores, min(len(stores), rng.randint(1, 3)))
         nbytes = rng.choice([0, 1, net.chunk_bytes, payload, rng.randint(1, 2 * payload)])
         sched.ownership.mark_ready(oid, copies[0], nbytes)
-        for node in copies[1:]:
-            sched.ownership.add_location(oid, node)
+        for store_id in copies[1:]:
+            sched.ownership.add_location(oid, store_id)
     if rng.random() < 0.5:  # PULL: a seeded per-pair protocol price
 
         def fetch_overhead(src, dst):

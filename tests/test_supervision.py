@@ -82,6 +82,11 @@ class TestCrossCommitWitness:
     # re-recorded when push became one protocol: probe sites
     # ``push:<oid>-><dev>`` became ``push:<oid>`` and push spans carry
     # ``consumers``; nothing else moved.
+    # (placement_backoff) x both were re-recorded when the directory started
+    # to record store ids: each GPU death drops its store's copies in one
+    # ``own_drop_device`` event per entry where it used to sever the device
+    # columns and then drop the node location in a second event; only the
+    # probe trace moved.
     PINNED = {
         ('crash_restart', 'PUSH'): "f3466ca5f6b3",
         ('crash_restart', 'PULL'): "0dd7aa683e1d",
@@ -91,8 +96,8 @@ class TestCrossCommitWitness:
         ('retries_exhausted', 'PULL'): "872605472467",
         ('budget_shed', 'PUSH'): "083d27dfabc3",
         ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "305c172da685",
-        ('placement_backoff', 'PULL'): "e99c9b9ce269",
+        ('placement_backoff', 'PUSH'): "431d40c0489f",
+        ('placement_backoff', 'PULL'): "2186d8eb981a",
         ('actor_requeue', 'PUSH'): "3180ed627924",
         ('actor_requeue', 'PULL'): "3180ed627924",
         ('backup_wins', 'PUSH'): "bb409473b2d5",

@@ -303,8 +303,7 @@ def test_a_narrow_query_after_the_shard_copies_device_fails(tables):
     rt = skadi.runtime
     shards = [ref for outs in skadi.layouts.kept["lineitem"].tasks.values() for ref in outs]
     # made on the head's CPU, copied to the GPU card the compute ran on
-    node = GPU.split("/")[0]
-    assert all(rt.ownership.entry(r.object_id).locations == {"server0", node} for r in shards)
+    assert all(rt.ownership.entry(r.object_id).locations == {"server0/cpu", GPU} for r in shards)
     rt.fail_device(GPU)
     sql = QUERIES["selective_filter"]
     (got,), (want,) = (batch.column("revenue").tolist() for batch in (
