@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from repro.bench import ResultTable, fmt_seconds
 from repro.cluster import DeviceKind, build_physical_disagg
-from repro.runtime import (
-    ResolutionMode,
-    RuntimeConfig,
-    SchedulingPolicy,
-    ServerlessRuntime,
-)
+from repro.runtime import ResolutionMode, RuntimeConfig, ServerlessRuntime
 
 N_TASKS = 32  # per system
 CPU_COST = 1e-3
@@ -64,9 +59,7 @@ def run_deployment(pooled: bool):
     cluster = build_physical_disagg(n_servers=2, n_gpu_cards=2, n_fpga_cards=0)
     rt = ServerlessRuntime(
         cluster,
-        RuntimeConfig(
-            resolution=ResolutionMode.PUSH, scheduling=SchedulingPolicy.LEAST_LOADED
-        ),
+        RuntimeConfig(resolution=ResolutionMode.PUSH),
     )
     gpus = [d.device_id for d in cluster.devices_of_kind(DeviceKind.GPU)]
     cpus = [d.device_id for d in cluster.devices_of_kind(DeviceKind.CPU)]

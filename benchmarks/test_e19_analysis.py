@@ -35,7 +35,7 @@ from repro.flowgraph.physical import to_physical
 from repro.frontends.sql.planner import sql_to_ir
 from repro.ir.lowering import optimize_and_lower
 from repro.ir.types import FrameType
-from repro.runtime import RuntimeConfig, ServerlessRuntime
+from repro.runtime import ServerlessRuntime
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def test_e19_analysis_overhead(benchmark):
 def test_e19_sanitizer_catches_chaos_placement_hazard(benchmark):
     def scenario():
         cluster = build_serverful(n_servers=4)
-        runtime = ServerlessRuntime(cluster, RuntimeConfig(strict_plans=True))
+        runtime = ServerlessRuntime(cluster)
         victim_cpu = cluster.node("server3").first_of_kind(DeviceKind.CPU)
 
         # a plan whose second stage is pinned to server3's CPU (a perfectly
@@ -160,7 +160,7 @@ def test_e19_sanitizer_catches_chaos_placement_hazard(benchmark):
         )
         refused = False
         try:
-            launch_physical_graph(runtime, pgraph, tables={"t": table})
+            launch_physical_graph(runtime, pgraph, tables={"t": table}, strict=True)
         except PlanSanitizerError:
             refused = True
         return clean, after, refused

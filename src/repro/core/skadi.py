@@ -176,7 +176,7 @@ class Skadi:
         sink: Vertex,
         tables: Mapping[str, Any],
         report: Optional[QueryReport] = None,
-        strict: Optional[bool] = None,
+        strict: bool = False,
     ) -> Any:
         pgraph = to_physical(graph)
         start_time = self.runtime.sim.now

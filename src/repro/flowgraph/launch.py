@@ -170,15 +170,12 @@ def _make_compute_fn(vertex: Vertex, task: PhysicalTask, tables: Mapping[str, An
 
 
 def _sanitize_before_launch(
-    runtime: ServerlessRuntime, pgraph: PhysicalGraph, strict: Optional[bool]
+    runtime: ServerlessRuntime, pgraph: PhysicalGraph, strict: bool
 ) -> None:
     """Static plan checks before any task is submitted.
 
-    Strict mode (explicit, or ``RuntimeConfig.strict_plans``) refuses to
-    launch a plan with errors; an active analysis session additionally
-    collects every finding even when not strict."""
-    if strict is None:
-        strict = runtime.config.strict_plans
+    Strict mode refuses to launch a plan with errors; an active analysis
+    session additionally collects every finding even when not strict."""
     session = OBSERVER.session
     if not strict and session is None:
         return
@@ -196,7 +193,7 @@ def launch_physical_graph(
     pgraph: PhysicalGraph,
     tables: Optional[Mapping[str, Any]] = None,
     gang_group: Optional[str] = None,
-    strict: Optional[bool] = None,
+    strict: bool = False,
     layouts: Optional[TableLayouts] = None,
 ) -> Dict[str, List[ObjectRef]]:
     """Submit every physical task; returns sink vertex_id -> shard output refs
@@ -204,10 +201,10 @@ def launch_physical_graph(
 
     ``tables`` backs source vertices and IR ``scan`` ops.  When
     ``gang_group`` is given, all tasks are submitted as one gang (SPMD).
-    ``strict`` sanitizes the plan first and refuses to launch on errors
-    (defaults to the runtime's ``strict_plans`` config).  ``layouts`` are the
-    table layouts kept from earlier launches (a table it does not keep is
-    laid out for this launch only).
+    ``strict`` sanitizes the plan first (cycles, orphan tasks, placement
+    hazards, memory over-subscription) and refuses to launch on errors.
+    ``layouts`` are the table layouts kept from earlier launches (a table it
+    does not keep is laid out for this launch only).
     """
     _sanitize_before_launch(runtime, pgraph, strict)
     tables = dict(tables or {})

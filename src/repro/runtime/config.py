@@ -31,7 +31,6 @@ class ResolutionMode(enum.Enum):
 class SchedulingPolicy(enum.Enum):
     ROUND_ROBIN = "round_robin"  # CPU-centric baseline
     LOCALITY = "locality"  # data-centric: minimize estimated input movement
-    LEAST_LOADED = "least_loaded"
 
 
 @dataclass
@@ -69,10 +68,6 @@ class RuntimeConfig:
     # at-least-once across a restart (calls after the last checkpoint
     # may re-execute), so recoverable actors should be idempotent.
     actor_checkpoint_every: int = 1
-    # -- strict plans: statically sanitize every physical plan (cycles,
-    # orphan tasks, placement hazards, memory over-subscription) before any
-    # task is submitted, and refuse to launch plans with errors.
-    strict_plans: bool = False
     # -- overload control (repro.runtime.overload).  Two independent
     # mechanisms, each behind its own switch; a switch that is on *installs*
     # its subscribers on the runtime's lifecycle seam, and the all-off

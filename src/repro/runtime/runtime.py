@@ -827,20 +827,16 @@ class ServerlessRuntime:
             turn = yield from self.actors.turn(spec.actor_id)
         try:
             ctx.state = TaskState.RUNNING
-            self.scheduler.task_started(device.device_id)
-            try:
-                started_proc = device.execute(spec.compute_cost, label=spec.name)
-                ctx.started = self.sim.now
-                yield started_proc
-                if not raylet.alive:
-                    raise _TransientTaskError("raylet died during execution")
-                if not device.alive:
-                    raise _TransientTaskError("device died during execution")
-                values = self._execute_payload(ctx)
-                if spec.actor_id is not None:
-                    yield from self.actors.called(spec.actor_id)
-            finally:
-                self.scheduler.task_finished(device.device_id)
+            started_proc = device.execute(spec.compute_cost, label=spec.name)
+            ctx.started = self.sim.now
+            yield started_proc
+            if not raylet.alive:
+                raise _TransientTaskError("raylet died during execution")
+            if not device.alive:
+                raise _TransientTaskError("device died during execution")
+            values = self._execute_payload(ctx)
+            if spec.actor_id is not None:
+                yield from self.actors.called(spec.actor_id)
         finally:
             if turn is not None:
                 turn.release()  # the one taken: a restore gives the actor a fresh one

@@ -7,15 +7,16 @@ also integrate gang-scheduling to support SPMD-style sub-graphs."
 
 The scheduler is a pure placement engine behind three verbs: ``blacklist``
 and ``unblacklist`` change the placement view it keeps, ``place`` (and
-``place_gang``) pick from it.  The runtime owns the event-driven plumbing
-and reports what placement prices: the tasks running on each device
-(``task_started``/``task_finished``, read by the least-loaded rule) and the
-leases in flight to each device's raylet (``lease_sent``/``lease_ended``,
-read by the locality rule, which prices the queue a new task would join:
-those leases, each at its raylet's handling cost, plus the device's tasks
-waiting for a slot).  A lease counts from the instant after it was sent, so
-every placement made in one instant sees the same view.  Under PULL the data
-plane sets ``fetch_overhead``, what a pull pays besides its bytes.
+``place_gang``) pick from it.  One rule picks: the configured policy, which a
+gang member and a speculative backup go through too, each with the devices it
+must not share left out.  The runtime owns the event-driven plumbing and
+reports what placement prices: the leases in flight to each device's raylet
+(``lease_sent``/``lease_ended``, read by the locality rule, which prices the
+queue a new task would join: those leases, each at its raylet's handling
+cost, plus the device's tasks waiting for a slot).  A lease counts from the
+instant after it was sent, so every placement made in one instant sees the
+same view.  Under PULL the data plane sets ``fetch_overhead``, what a pull
+pays besides its bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Scheduler:
         self.policy = policy
         self.endpoint = endpoint  # where the scheduler runs (control messages)
         self.metrics = metrics  # optional telemetry MetricsRegistry
-        self._m_placements = self._m_outstanding = None
+        self._m_placements = None
         if metrics is not None:
             self._m_placements = metrics.series(
                 "counter",
@@ -65,21 +66,8 @@ class Scheduler:
                 "policy",
                 "device",
             )
-            self._m_outstanding = metrics.series(
-                "gauge",
-                "skadi_device_outstanding_tasks",
-                "tasks started and not yet finished on each device",
-                "device",
-            )
         self._devices = list(schedulable_devices)
         self._by_id: Dict[str, Device] = {d.device_id: d for d in self._devices}
-        # store id -> where placement prices a copy in it: its node's dominant device
-        self._data_endpoint: Dict[str, str] = {
-            dev.device_id: node.dominant_device.device_id
-            for node in cluster.nodes.values()
-            for dev in node.devices
-        }
-        self._outstanding: Dict[str, int] = {d.device_id: 0 for d in self._devices}
         # leases in flight per device: those sent before ``_fresh_at`` count,
         # those sent at it wait for the next instant; each costs its raylet
         # ``_lease_cost`` seconds of handling
@@ -129,21 +117,6 @@ class Scheduler:
         ).set(float(len(self.placeable)))
 
     # -- bookkeeping the runtime drives -------------------------------------
-
-    def task_started(self, device_id: str) -> None:
-        self._outstanding[device_id] = self._outstanding.get(device_id, 0) + 1
-        self._meter_outstanding(device_id)
-
-    def task_finished(self, device_id: str) -> None:
-        self._outstanding[device_id] = max(0, self._outstanding.get(device_id, 0) - 1)
-        self._meter_outstanding(device_id)
-
-    def _meter_outstanding(self, device_id: str) -> None:
-        if self._m_outstanding is not None:
-            self._m_outstanding.of(device_id).set(float(self._outstanding.get(device_id, 0)))
-
-    def outstanding(self, device_id: str) -> int:
-        return self._outstanding.get(device_id, 0)
 
     def lease_sent(self, device_id: str, handling: float) -> float:
         """A lease left for ``device_id``'s raylet, which spends ``handling``
@@ -211,33 +184,29 @@ class Scheduler:
             )
         return matches
 
-    def least_loaded(self, task: TaskSpec, excluded: Collection[str] = ()) -> Optional[Device]:
-        """The one least-loaded rule (the policy, a gang member, a backup):
-        fewest outstanding tasks, then the lowest id, among ``task``'s
-        candidates outside ``excluded``; None when none is left."""
-        return min(
-            (d for d in self.candidates(task) if d.device_id not in excluded),
-            key=lambda d: (self.outstanding(d.device_id), d.device_id),
-            default=None,
-        )
-
     def place(self, task: TaskSpec, avoid: Optional[str] = None) -> Device:
         """Pick ``task``'s device by the policy; ``avoid`` (a device the last
         attempt timed out on) is left out unless it is the only candidate."""
-        return self._meter_placement(self._pick(task, avoid))
-
-    def _pick(self, task: TaskSpec, avoid: Optional[str]) -> Device:
         candidates = self.candidates(task)
         if avoid is not None and len(candidates) > 1:
             candidates = tuple(d for d in candidates if d.device_id != avoid)
+        return self._meter_placement(self._choose(task, candidates))
+
+    def place_apart(self, task: TaskSpec, excluded: Collection[str]) -> Optional[Device]:
+        """Pick ``task``'s device by the policy among its candidates outside
+        ``excluded`` (a gang's members placed so far, a backup's straggler);
+        None when none is left.  Unmetered: a backup is no placement."""
+        candidates = tuple(d for d in self.candidates(task) if d.device_id not in excluded)
+        return self._choose(task, candidates) if candidates else None
+
+    def _choose(self, task: TaskSpec, candidates: Sequence[Device]) -> Device:
+        """The one placement rule: the configured policy over ``candidates``."""
         if len(candidates) == 1:
             return candidates[0]
         if self.policy == SchedulingPolicy.ROUND_ROBIN:
             device = candidates[self._rr_cursor % len(candidates)]
             self._rr_cursor += 1
             return device
-        if self.policy == SchedulingPolicy.LEAST_LOADED:
-            return self.least_loaded(task, () if avoid is None else (avoid,))
         if self.policy == SchedulingPolicy.LOCALITY:
             return self._place_locality(task, candidates)
         raise ValueError(f"unknown policy {self.policy}")
@@ -252,10 +221,11 @@ class Scheduler:
         where cost is one summed time, ``move + compute + queue``.
 
         * ``move`` adds up, input by input, what bringing each READY input
-          from its cheapest copy costs (a copy is priced at the dominant
-          device of the node whose store holds it): the contended transfer
-          estimate, which prices in each link's queued backlog (a candidate
-          behind a hot link loses to an equally-distant one on an idle path), plus,
+          from its cheapest copy costs (a copy is priced at the store the
+          directory records for it, so a copy in a GPU's store is priced from
+          that GPU): the contended transfer estimate, which prices in each
+          link's queued backlog (a candidate behind a hot link loses to an
+          equally-distant one on an idle path), plus,
           under PULL, ``fetch_overhead``: the locate round trip to the GCS,
           the pull-request round trip to the copy's raylet and that
           raylet's handling.  A candidate holding a copy moves nothing.
@@ -276,17 +246,16 @@ class Scheduler:
         placement, and the scan stops at the first whose ``(bound,
         device_id)`` is above the best ``(cost, device_id)``: no later
         candidate can beat it."""
-        # each READY input's copy endpoints and size, read once
-        inputs, endpoint = [], self._data_endpoint
+        # each READY input's copy stores and size, read once
+        inputs = []
         for ref in task.dependencies:
             if not self.ownership.contains(ref.object_id):
                 continue
             entry = self.ownership.entry(ref.object_id)
             if entry.state != ValueState.READY or not entry.locations:
                 continue
-            sources = tuple({endpoint[loc]: None for loc in sorted(entry.locations)})
-            inputs.append((sources, entry.nbytes))
-        # the endpoints holding a copy of every input: only they may move nothing
+            inputs.append((tuple(sorted(entry.locations)), entry.nbytes))
+        # the stores holding a copy of every input: only they may move nothing
         holders = set.intersection(*(set(sources) for sources, _ in inputs)) if inputs else set()
         hop = self.cluster.topology.min_link_latency() if inputs else 0.0
         self._count_fresh()
@@ -333,7 +302,7 @@ class Scheduler:
         taken: set[str] = set()
         # Greedy by most-constrained-first for determinism and better packing.
         for task in sorted(tasks, key=lambda t: (len(self.candidates(t)), t.task_id)):
-            device = self.least_loaded(task, taken)
+            device = self.place_apart(task, taken)
             if device is None:
                 raise PlacementError(
                     f"gang {task.gang_group!r}: no distinct device left for {task.task_id}"

@@ -165,7 +165,7 @@ class Supervisor:
     def _speculate(self, ctx: Any) -> None:
         rt, slow = self.rt, ctx.device.device_id
         try:
-            backup = rt.scheduler.least_loaded(ctx.spec, (slow,))
+            backup = rt.scheduler.place_apart(ctx.spec, (slow,))
         except PlacementError:
             return
         if backup is None:

@@ -13,8 +13,8 @@
   consumer's resume) flow event, so Perfetto draws the arrows that make a
   distributed DAG legible;
 * **counter events** — every gauge sample becomes a ``"C"`` event, so
-  queue depths, bytes resident, and outstanding tasks render as stacked
-  area charts under the span rows.
+  queue depths, bytes resident, and tasks waiting for their inputs render
+  as stacked area charts under the span rows.
 """
 
 from __future__ import annotations

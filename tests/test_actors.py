@@ -108,23 +108,25 @@ class TestCrossCommitWitness:
     # copies in one ``own_drop_device`` event per entry (READY -> LOST) where it
     # used to sever the device columns and then drop the node location in a
     # second event; only the probe trace moved.
+    # All sixteen were re-recorded when the scheduler's running-task gauge
+    # (``skadi_device_outstanding_tasks``) was deleted: only the metrics moved.
     PINNED = {
-        ('cadence', 0, 'PUSH'): "5ebaf9fb7950",
-        ('cadence', 0, 'PULL'): "5ebaf9fb7950",
-        ('cadence', 1, 'PUSH'): "06e989702428",
-        ('cadence', 1, 'PULL'): "06e989702428",
-        ('cadence', 2, 'PUSH'): "0d207d74d019",
-        ('cadence', 2, 'PULL'): "0d207d74d019",
-        ('detector', 'PUSH'): "7b040c4c3cba",
-        ('detector', 'PULL'): "1c63992c49ca",
-        ('requeued', 'PUSH'): "4ccd560ef016",
-        ('requeued', 'PULL'): "0ec09a41e9e6",
-        ('no_checkpoint', 'PUSH'): "a3852cb2bf87",
-        ('no_checkpoint', 'PULL'): "a3852cb2bf87",
-        ('no_surviving_device', 'PUSH'): "5a80bc54b166",
-        ('no_surviving_device', 'PULL'): "5a80bc54b166",
-        ('device_rehome', 'PUSH'): "c597003870a6",
-        ('device_rehome', 'PULL'): "425c24f0a57f",
+        ('cadence', 0, 'PUSH'): "e0e41762ff48",
+        ('cadence', 0, 'PULL'): "e0e41762ff48",
+        ('cadence', 1, 'PUSH'): "c921220844ac",
+        ('cadence', 1, 'PULL'): "c921220844ac",
+        ('cadence', 2, 'PUSH'): "06a9a8963c80",
+        ('cadence', 2, 'PULL'): "06a9a8963c80",
+        ('detector', 'PUSH'): "24c5c41d1257",
+        ('detector', 'PULL'): "e7a9b65a6056",
+        ('requeued', 'PUSH'): "0b6b4dad9abb",
+        ('requeued', 'PULL'): "be0da5f4865f",
+        ('no_checkpoint', 'PUSH'): "2898f392494b",
+        ('no_checkpoint', 'PULL'): "2898f392494b",
+        ('no_surviving_device', 'PUSH'): "4be22fc8b2c9",
+        ('no_surviving_device', 'PULL'): "4be22fc8b2c9",
+        ('device_rehome', 'PUSH'): "09a01b6fc529",
+        ('device_rehome', 'PULL'): "c5095e9fe369",
     }
 
     @staticmethod

@@ -183,29 +183,26 @@ def test_scheduler_sanitize_plan_sees_blacklist():
 
 
 def test_strict_launch_refuses_hazardous_plan():
-    runtime = ServerlessRuntime(_cluster(), RuntimeConfig(strict_plans=True))
+    runtime = ServerlessRuntime(_cluster())
     _, pgraph = _plan()
     pgraph.tasks["v1.0"].pinned_device = "ghost"
     with pytest.raises(PlanSanitizerError) as info:
-        launch_physical_graph(runtime, pgraph, tables={"t": _table()})
+        launch_physical_graph(runtime, pgraph, tables={"t": _table()}, strict=True)
     assert "pin-unknown-device" in str(info.value)
     assert not info.value.diagnostics.ok
 
 
 def test_strict_launch_allows_clean_plan():
-    runtime = ServerlessRuntime(_cluster(), RuntimeConfig(strict_plans=True))
+    runtime = ServerlessRuntime(_cluster())
     graph, pgraph = _plan()
-    outputs = launch_physical_graph(runtime, pgraph, tables={"t": _table()})
+    outputs = launch_physical_graph(runtime, pgraph, tables={"t": _table()}, strict=True)
     values = runtime.get(outputs["v1"])
     assert sum(v.num_rows for v in values) == 64
 
 
-def test_explicit_strict_overrides_config():
-    runtime = ServerlessRuntime(_cluster())  # strict_plans defaults off
-    _, pgraph = _plan()
-    pgraph.tasks["v1.0"].pinned_device = "ghost"
-    with pytest.raises(PlanSanitizerError):
-        launch_physical_graph(runtime, pgraph, tables={"t": _table()}, strict=True)
+def test_strict_is_an_argument_of_the_launch_not_a_config_field():
+    with pytest.raises(TypeError):
+        RuntimeConfig(strict_plans=True)
 
 
 def test_consumers_helper():

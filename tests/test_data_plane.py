@@ -502,25 +502,27 @@ class TestCrossCommitWitness:
     # a landing's ``locations`` count in the probe trace counts stores, so the
     # copies on ``fpgacard0/fpga0`` and ``fpgacard0/fpga1`` are two, not one
     # node.  Only the probe trace moved.
+    # All four were re-pinned when the scheduler's running-task gauge
+    # (``skadi_device_outstanding_tasks``) was deleted: only the metrics moved.
     PINNED = {
         (ResolutionMode.PUSH, Generation.GEN1): {
             "log": "97d170e1550e", "probe": "37e7659f454a", "spans": "17526afa5b21",
-            "metrics": "cb0ee46500aa", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
+            "metrics": "ffb6e0390168", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
             "messages": "4d134bc07221",
         },
         (ResolutionMode.PUSH, Generation.GEN2): {
             "log": "97d170e1550e", "probe": "c8a0f541526d", "spans": "a3e09a337c49",
-            "metrics": "e5a2049a58e0", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
+            "metrics": "f41808207f39", "clock": "046d13cdb165", "bytes": "2ebba8e1aad7",
             "messages": "91032ad7bbcb",
         },
         (ResolutionMode.PULL, Generation.GEN1): {
             "log": "97d170e1550e", "probe": "d2e3abdfa07d", "spans": "29a1e78f3837",
-            "metrics": "5047e1cf2e71", "clock": "5b2a39e6f001", "bytes": "9c8366ee333f",
+            "metrics": "c94506a012b9", "clock": "5b2a39e6f001", "bytes": "9c8366ee333f",
             "messages": "be461a0cd1fd",
         },
         (ResolutionMode.PULL, Generation.GEN2): {
             "log": "97d170e1550e", "probe": "56ccabf182b5", "spans": "2618d5ee6d2d",
-            "metrics": "b25451e138e3", "clock": "07fa9324afee", "bytes": "9c8366ee333f",
+            "metrics": "b20fd59b9cd0", "clock": "07fa9324afee", "bytes": "9c8366ee333f",
             "messages": "b888b29826bb",
         },
     }

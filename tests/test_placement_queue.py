@@ -83,8 +83,7 @@ class TestOneInstantOneView:
         cluster, sched = cpu_scheduler()
         server0 = cluster.device("server0/cpu")
         for _ in range(server0.spec.slots):
-            server0.slots.request()
-            sched.task_started("server0/cpu")
+            server0.slots.request()  # a running task holds a slot
         assert sched.place(spec("a")).device_id == "server0/cpu"  # busy is not slow
         server0.slots.request()  # one more than its slots: it waits
         assert sched.place(spec("b")).device_id == "server1/cpu"

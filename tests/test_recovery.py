@@ -104,135 +104,137 @@ class TestCrossCommitWitness:
     # ``object_reconciled`` record names the wiped store (``server0/gpu0``),
     # not its node, and with a consumer open the consumer's copy on
     # ``server0/cpu`` counts as a second location in the probe trace.
+    # All thirty were re-pinned when the scheduler's running-task gauge
+    # (``skadi_device_outstanding_tasks``) was deleted: only the metrics moved.
     PINNED = {
         ('matrix', 'checkpoint', 'get', 'PUSH'): {
             "outcome": "bfea02c47de2", "log": "d8cdd1fe3b4f", "probe": "3722137ba1c2",
-            "spans": "438466c704e8", "metrics": "cd63720237a7", "clock": "9bd8a8cf7fc4",
+            "spans": "438466c704e8", "metrics": "b4b1feb5b6c7", "clock": "9bd8a8cf7fc4",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('matrix', 'checkpoint', 'get', 'PULL'): {
             "outcome": "bfea02c47de2", "log": "7f9be96911cd", "probe": "59668280f0a5",
-            "spans": "57e61b6beb7e", "metrics": "894236d47a46", "clock": "01473eeab566",
+            "spans": "57e61b6beb7e", "metrics": "4d97f817b05e", "clock": "01473eeab566",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('matrix', 'checkpoint', 'proactive', 'PUSH'): {
             "outcome": "47f77b4fb3b7", "log": "28162d00def3", "probe": "08b4c02ae138",
-            "spans": "fcd4b0914fff", "metrics": "2e423399e6d3", "clock": "9a1bcadd18b5",
+            "spans": "fcd4b0914fff", "metrics": "8d2e378b0640", "clock": "9a1bcadd18b5",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
         ('matrix', 'checkpoint', 'proactive', 'PULL'): {
             "outcome": "47f77b4fb3b7", "log": "e6ee6f06937e", "probe": "33baf6cb5221",
-            "spans": "ed1831a4df62", "metrics": "c3b67012ca62", "clock": "d5e0fe99bd05",
+            "spans": "ed1831a4df62", "metrics": "4cee58e1d94c", "clock": "d5e0fe99bd05",
             "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
         },
         ('matrix', 'frontier', 'get', 'PUSH'): {
             "outcome": "7e583957a7ea", "log": "734bed2b29d9", "probe": "4e9b8ec3924f",
-            "spans": "487553e36c31", "metrics": "3d6420e7d89e", "clock": "eef12d9d4318",
+            "spans": "487553e36c31", "metrics": "ea35d5a2f03e", "clock": "eef12d9d4318",
             "bytes": "28593d2da73e", "messages": "fe5dbbcea5ce",
         },
         ('matrix', 'frontier', 'get', 'PULL'): {
             "outcome": "7e583957a7ea", "log": "913fd96ee87f", "probe": "8f64a6a509b1",
-            "spans": "e5d55858b8f2", "metrics": "661ee252cf0b", "clock": "f5bb9185e122",
+            "spans": "e5d55858b8f2", "metrics": "01569b0fc9b4", "clock": "f5bb9185e122",
             "bytes": "28593d2da73e", "messages": "7b52009b64fd",
         },
         ('matrix', 'frontier', 'proactive', 'PUSH'): {
             "outcome": "47f77b4fb3b7", "log": "f1217b6b0b69", "probe": "adf62325dfe0",
-            "spans": "6b4eb6959c33", "metrics": "2e423399e6d3", "clock": "008a6c38076d",
+            "spans": "6b4eb6959c33", "metrics": "8d2e378b0640", "clock": "008a6c38076d",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
         ('matrix', 'frontier', 'proactive', 'PULL'): {
             "outcome": "47f77b4fb3b7", "log": "1e4607fd6cd7", "probe": "201eba0a1e55",
-            "spans": "1710bafc157d", "metrics": "c3b67012ca62", "clock": "7da37a96868e",
+            "spans": "1710bafc157d", "metrics": "4cee58e1d94c", "clock": "7da37a96868e",
             "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
         },
         ('matrix', 'cache', 'get', 'PUSH'): {
             "outcome": "bfea02c47de2", "log": "2fb20ffed35d", "probe": "e48be024f855",
-            "spans": "78a40624f672", "metrics": "2a89e81fcd06", "clock": "b6e81c31c3a0",
+            "spans": "78a40624f672", "metrics": "ed52ebb8b08a", "clock": "b6e81c31c3a0",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('matrix', 'cache', 'get', 'PULL'): {
             "outcome": "bfea02c47de2", "log": "f266b2bd1d7a", "probe": "640ed0dfd546",
-            "spans": "7e52a3f6a978", "metrics": "f8ac118d3ec1", "clock": "a4d163b3e786",
+            "spans": "7e52a3f6a978", "metrics": "e334f9ba28ed", "clock": "a4d163b3e786",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('matrix', 'cache', 'proactive', 'PUSH'): {
             "outcome": "c0f552242bdd", "log": "bc73112d9ff8", "probe": "d9b8d03693af",
-            "spans": "239c1695bca2", "metrics": "144a989f4ffc", "clock": "2d4ae01339e9",
+            "spans": "239c1695bca2", "metrics": "6591a12baca2", "clock": "2d4ae01339e9",
             "bytes": "78326d0a7298", "messages": "0ade7c2cf97f",
         },
         ('matrix', 'cache', 'proactive', 'PULL'): {
             "outcome": "c0f552242bdd", "log": "4111e29bb80d", "probe": "76947cda383d",
-            "spans": "002b8ac8805c", "metrics": "92d3b4b1a6f3", "clock": "f5794687497c",
+            "spans": "002b8ac8805c", "metrics": "332bdcb32d1c", "clock": "f5794687497c",
             "bytes": "78326d0a7298", "messages": "0716d9708d32",
         },
         ('matrix', 'lineage', 'get', 'PUSH'): {
             "outcome": "889bdee52bed", "log": "1e8a8a01a536", "probe": "15e0aa499e9b",
-            "spans": "a3b8075afae0", "metrics": "d823650b11ab", "clock": "df864d60bf13",
+            "spans": "a3b8075afae0", "metrics": "4665c0de1f08", "clock": "df864d60bf13",
             "bytes": "52faafd10264", "messages": "7b52009b64fd",
         },
         ('matrix', 'lineage', 'get', 'PULL'): {
             "outcome": "889bdee52bed", "log": "f97b4ca55590", "probe": "878d6b21eaec",
-            "spans": "a88a9e87d663", "metrics": "d279217a052e", "clock": "cd65ca4d6fcd",
+            "spans": "a88a9e87d663", "metrics": "3dc7cb829ece", "clock": "cd65ca4d6fcd",
             "bytes": "52faafd10264", "messages": "7b52009b64fd",
         },
         ('matrix', 'lineage', 'proactive', 'PUSH'): {
             "outcome": "47f77b4fb3b7", "log": "abe5d264b73f", "probe": "535f268dc29d",
-            "spans": "ca0a8c87b99b", "metrics": "2e423399e6d3", "clock": "d0f1c8a404f9",
+            "spans": "ca0a8c87b99b", "metrics": "8d2e378b0640", "clock": "d0f1c8a404f9",
             "bytes": "bf12930b23e2", "messages": "fa35e192121e",
         },
         ('matrix', 'lineage', 'proactive', 'PULL'): {
             "outcome": "47f77b4fb3b7", "log": "9f6d23d457a5", "probe": "c1c6628e0434",
-            "spans": "4b81c32650de", "metrics": "c3b67012ca62", "clock": "c365d6083b63",
+            "spans": "4b81c32650de", "metrics": "4cee58e1d94c", "clock": "c365d6083b63",
             "bytes": "bf12930b23e2", "messages": "9e6a55b6b456",
         },
         ('matrix', 'unrecoverable', 'get', 'PUSH'): {
             "outcome": "97e033160be2", "log": "e845c56b9cab", "probe": "244a0d5f7c6a",
-            "spans": "756d7bb30e7d", "metrics": "617b5d269a69", "clock": "3a91bd448bc2",
+            "spans": "756d7bb30e7d", "metrics": "64d192d4666a", "clock": "3a91bd448bc2",
             "bytes": "52faafd10264", "messages": "4d134bc07221",
         },
         ('matrix', 'unrecoverable', 'get', 'PULL'): {
             "outcome": "97e033160be2", "log": "e7b3ba09c924", "probe": "10257a232796",
-            "spans": "007cd8272cdd", "metrics": "145e74c4d081", "clock": "2bbeed803acb",
+            "spans": "007cd8272cdd", "metrics": "49fb749f8568", "clock": "2bbeed803acb",
             "bytes": "52faafd10264", "messages": "4d134bc07221",
         },
         ('matrix', 'unrecoverable', 'proactive', 'PUSH'): {
             "outcome": "3b2b7d769063", "log": "e778d5f9a0a7", "probe": "f43015329511",
-            "spans": "1330795cc571", "metrics": "33b6a9d8e92c", "clock": "5003ffcdd474",
+            "spans": "1330795cc571", "metrics": "d6c28a929624", "clock": "5003ffcdd474",
             "bytes": "78326d0a7298", "messages": "f1f836cb4ea6",
         },
         ('matrix', 'unrecoverable', 'proactive', 'PULL'): {
             "outcome": "3b2b7d769063", "log": "f95224bf1fb2", "probe": "9b367d5e2059",
-            "spans": "c2f7c277eac3", "metrics": "a7373b9ec62d", "clock": "58b454913d06",
+            "spans": "c2f7c277eac3", "metrics": "f49119921c88", "clock": "58b454913d06",
             "bytes": "78326d0a7298", "messages": "761f22b2c159",
         },
-        ('deferred_free', 'PUSH'): "a0ac64528063",
-        ('deferred_free', 'PULL'): "b1b03feb9c0e",
-        ('spill_then_blade_death', False, 'PUSH'): "fead5f708e91",
-        ('spill_then_blade_death', False, 'PULL'): "fead5f708e91",
+        ('deferred_free', 'PUSH'): "4fe00d0225b3",
+        ('deferred_free', 'PULL'): "6c608dfbc493",
+        ('spill_then_blade_death', False, 'PUSH'): "723b20bd4226",
+        ('spill_then_blade_death', False, 'PULL'): "723b20bd4226",
         ('spill_then_blade_death', True, 'PUSH'): {
             "outcome": "b3b8b1e34e55", "log": "b33a51a9ee7c", "probe": "9b42177c0256",
-            "spans": "85f01108f26e", "metrics": "9ad5bd0bb876", "clock": "118edbaa20e7",
+            "spans": "85f01108f26e", "metrics": "80997212e983", "clock": "118edbaa20e7",
             "bytes": "1e686433557e", "messages": "b1d5781111d8",
         },
-        ('spill_then_blade_death', True, 'PULL'): "f7aade62fc45",
+        ('spill_then_blade_death', True, 'PULL'): "4290497e94fd",
         ('stale_entry', False, 'PUSH'): {
             "outcome": "595ed3c1ed24", "log": "afd345788692", "probe": "72ae0957ebf4",
-            "spans": "7bad6bd4cdf5", "metrics": "fd247bf39b7f", "clock": "fa78cf3e1471",
+            "spans": "7bad6bd4cdf5", "metrics": "8b45d9389571", "clock": "fa78cf3e1471",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('stale_entry', False, 'PULL'): {
             "outcome": "595ed3c1ed24", "log": "afd345788692", "probe": "72ae0957ebf4",
-            "spans": "7bad6bd4cdf5", "metrics": "fd247bf39b7f", "clock": "fa78cf3e1471",
+            "spans": "7bad6bd4cdf5", "metrics": "8b45d9389571", "clock": "fa78cf3e1471",
             "bytes": "52faafd10264", "messages": "c1dfd96eea8c",
         },
         ('stale_entry', True, 'PUSH'): {
             "outcome": "bfec0743fbfb", "log": "4b119ed6532b", "probe": "38a172e14826",
-            "spans": "f10daf365dc3", "metrics": "1edc440ee285", "clock": "583e1cb5aa9c",
+            "spans": "f10daf365dc3", "metrics": "2f0d75039fa1", "clock": "583e1cb5aa9c",
             "bytes": "677e85a3d31a", "messages": "0ade7c2cf97f",
         },
         ('stale_entry', True, 'PULL'): {
             "outcome": "bfec0743fbfb", "log": "6384f8149ddf", "probe": "36a6ac366359",
-            "spans": "fa01ba3b2ceb", "metrics": "b0204d0272de", "clock": "740d83fbe912",
+            "spans": "fa01ba3b2ceb", "metrics": "bca592494129", "clock": "740d83fbe912",
             "bytes": "677e85a3d31a", "messages": "17ba0791499d",
         },
     }

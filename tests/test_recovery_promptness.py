@@ -114,10 +114,10 @@ class TestTheCommitterClosesItsTask:
     """An attempt interrupted between ``mark_ready`` and its ``done`` report."""
 
     @staticmethod
-    def producer_in_its_commit_window(rt):
+    def producer_in_its_commit_window(rt, args=()):
         """A 64 MB result makes the announcement (cache write, ``done``) long;
         stop the clock right after the commit point."""
-        ref = rt.submit(lambda: 20, compute_cost=1e-3, output_nbytes=64 * MB)
+        ref = rt.submit(lambda *_: 20, args, compute_cost=1e-3, output_nbytes=64 * MB)
         consumer = rt.submit(lambda x: x + 22, (ref,), compute_cost=1e-3, pinned_device=HEAD)
         while not rt.ownership.is_ready(ref.object_id):
             rt.run(until=rt.sim.peek())
@@ -140,9 +140,15 @@ class TestTheCommitterClosesItsTask:
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cache", "lineage"])
     def test_a_clone_commits_and_dies_while_its_original_straggles(self, cached):
+        """The producer reads an input with copies on ``server1`` and
+        ``server2``: it lands on the first, and its backup on the other copy,
+        not on the head, which would have to move the input."""
         rt = detecting_runtime(cached=cached, speculation_factor=4.0)
+        seed = rt.submit(lambda: 0, compute_cost=1e-3, pinned_device="server2/cpu")
+        rt.get(rt.submit(lambda x: x, (seed,), compute_cost=1e-3, pinned_device="server1/cpu"))
+        assert rt.ownership.locations(seed.object_id) == ["server1/cpu", "server2/cpu"]
         rt.cluster.device("server1/cpu").slowdown = 500.0  # the original: 0.5 s
-        ref, consumer, main = self.producer_in_its_commit_window(rt)
+        ref, consumer, main = self.producer_in_its_commit_window(rt, (seed,))
         assert main.device.device_id == "server1/cpu"
         assert main.twin.device.device_id == "server2/cpu"
         rt.failures.fail_node("server2", "crashed by the test")
@@ -150,7 +156,9 @@ class TestTheCommitterClosesItsTask:
         assert main.state is TaskState.FINISHED and main.done.triggered
         assert_recovered_at_the_verdict(rt, ref, cached)
         assert rt.timeline_of(consumer).end < 0.05  # not the straggler's 0.5 s
-        assert rt.tasks_finished == (3 if cached else 4)
+        # busy + the input's two tasks + producer + consumer, and the producer
+        # once more when replayed
+        assert rt.tasks_finished == (5 if cached else 6)
         assert_recovery_drained(rt)
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cache", "lineage"])

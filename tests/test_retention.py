@@ -97,10 +97,12 @@ class TestNothingFinishedStays:
         assert specs and all(spec.kwargs is NO_KWARGS for spec in specs.values())
 
     # the whole Chrome trace (spans, their links and phases, incidents,
-    # counters), recorded before finished tasks were released
+    # counters), recorded before finished tasks were released; re-recorded
+    # when the scheduler's running-task gauge was deleted (its counter track
+    # was all that moved)
     TRACE_SHA256 = {
-        "serving": "939b0e932d0006f1e79863e838decfaaf9820315fe6784c6844fc407a38bf9d8",
-        "taskgraph_push": "23b924919f904e0089b76db0039684dca33b79dcad45d9da0b3f9c313ea0bbb8",
+        "serving": "14012404bd5af8fcc43f082bae93eb8b256c6c61d52002be88723d5b12db536f",
+        "taskgraph_push": "2d56a58435e4236de6cbe12837f9dab0db10248fe7c3b8026d321fb840b17f03",
     }
 
     @pytest.mark.parametrize("episode", sorted(EPISODES))

@@ -309,7 +309,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 65 and len(source.splitlines()) <= 1225
+        assert len(methods) <= 65 and len(source.splitlines()) <= 1221
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -504,7 +504,8 @@ class TestStructureGuard:
     def test_the_scheduler_owns_the_placement_view(self):
         """Only the scheduler decides what is placeable: no liveness callback
         into the core, capacity metered where the view changes, and one
-        least-loaded rule that a speculative backup asks for by name."""
+        placement rule, the policy, that a speculative backup asks for by
+        name: no running-task counter, no second location map."""
         sources = {
             str(path.relative_to(SRC)): path.read_text() for path in SRC.rglob("*.py")
         }
@@ -514,13 +515,15 @@ class TestStructureGuard:
             assert {name for name, text in sources.items() if metered in text} <= {
                 "runtime/scheduler.py"
             }, metered
+        for gone in ("least_loaded", "outstanding(", "task_started", "_data_endpoint",
+                     "LEAST_LOADED"):
+            assert not [name for name, text in sources.items() if gone in text], gone
         supervision = sources["runtime/supervision.py"]
-        for read in ("scheduler.candidates", "scheduler.outstanding"):
-            assert read not in supervision, read
-        assert supervision.count("scheduler.least_loaded(") == 1
+        assert "scheduler.candidates" not in supervision
+        assert supervision.count("scheduler.place_apart(") == 1
         scheduler = sources["runtime/scheduler.py"]
-        assert scheduler.count("self.least_loaded(") == 2  # LEAST_LOADED, a gang member
-        assert scheduler.count("(self.outstanding(d.device_id), d.device_id)") == 1
+        assert scheduler.count("self._choose(") == 2  # place, place_apart
+        assert scheduler.count("self.place_apart(") == 1  # a gang member
 
     def test_the_detector_assumes_a_whole_runtime(self):
         assert "getattr(" not in (SRC / "runtime/health.py").read_text()

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from repro.cluster.cluster import build_physical_disagg, build_serverful
-from repro.cluster.hardware import DeviceKind
-from repro.runtime.config import RuntimeConfig, SchedulingPolicy
+from repro.cluster.hardware import MB, DeviceKind
+from repro.runtime.config import ResolutionMode, RuntimeConfig, SchedulingPolicy
 from repro.runtime.object_ref import ObjectRef
 from repro.runtime.ownership import OwnershipTable, ValueState
 from repro.runtime.runtime import ServerlessRuntime
@@ -85,15 +85,6 @@ class TestPolicies:
         second = sched.place(task("t1", kinds))
         assert first is not second
 
-    def test_least_loaded_avoids_busy_device(self):
-        _, _, sched = make_scheduler(SchedulingPolicy.LEAST_LOADED)
-        busy = sched.place(task("t0"))
-        sched.task_started(busy.device_id)
-        other = sched.place(task("t1"))
-        assert other is not busy
-        sched.task_finished(busy.device_id)
-        assert sched.outstanding(busy.device_id) == 0
-
     def test_locality_follows_data(self):
         cluster, ownership, sched = make_scheduler(SchedulingPolicy.LOCALITY)
         gpu = cluster.devices_of_kind(DeviceKind.GPU)[0]
@@ -103,6 +94,16 @@ class TestPolicies:
         t = task("t1", ANY_COMPUTE_KIND, args=(ObjectRef("big"),))
         placed = sched.place(t)
         assert placed.node_id == gpu_node.node_id
+
+    def test_a_copy_in_a_gpu_store_is_priced_from_that_gpu(self):
+        """The GPU holding the input moves nothing; its node's CPU would pull
+        256 MiB over PCIe."""
+        cluster = build_serverful(2, gpus_per_server=1)
+        sched = locality_scheduler(cluster)
+        sched.ownership.create("big", "w", "t")
+        sched.ownership.mark_ready("big", "server1/gpu0", 256 << 20)
+        t = task("t1", frozenset({DeviceKind.CPU, DeviceKind.GPU}), args=(ObjectRef("big"),))
+        assert sched.place(t).device_id == "server1/gpu0"
 
     def test_locality_ignores_pending_objects(self):
         _, ownership, sched = make_scheduler(SchedulingPolicy.LOCALITY)
@@ -118,8 +119,9 @@ class TestPolicies:
 
 
 class TestGang:
-    def test_gang_gets_distinct_devices(self):
-        _, _, sched = make_scheduler(SchedulingPolicy.LEAST_LOADED)
+    @pytest.mark.parametrize("policy", [SchedulingPolicy.ROUND_ROBIN, SchedulingPolicy.LOCALITY])
+    def test_gang_gets_distinct_devices(self, policy):
+        _, _, sched = make_scheduler(policy)
         tasks = [task(f"g{i}", frozenset({DeviceKind.FPGA}), gang_group="g") for i in range(4)]
         placements = sched.place_gang(tasks)
         ids = [d.device_id for d in placements.values()]
@@ -140,18 +142,19 @@ class TestGang:
         assert sched.place_gang([]) == {}
 
 
-class TestOneLeastLoadedRule:
+class TestOnePlacementRule:
     def test_policy_gang_member_and_backup_pick_the_same_device(self):
-        """On the cluster state a speculative backup is launched from, the
-        ``LEAST_LOADED`` policy and a gang member kept off the straggler's
-        device choose the device the backup got."""
+        """On the cluster state a speculative backup is launched from,
+        ``place`` with the straggler's device avoided and a gang member kept
+        off it choose the device the backup got: one rule, the policy."""
         rt = ServerlessRuntime(
             build_serverful(n_servers=4),
-            RuntimeConfig(scheduling=SchedulingPolicy.LEAST_LOADED, speculation_factor=4.0),
+            RuntimeConfig(scheduling=SchedulingPolicy.LOCALITY, speculation_factor=4.0),
         )
         sched = rt.scheduler
-        for busy in ("server1/cpu", "server1/cpu", "server2/cpu"):
-            sched.task_started(busy)  # uneven load, so the lowest id is not the answer
+        for _ in range(2):  # uneven queues, so the lowest id is not the answer
+            sched.lease_sent("server1/cpu", 50e-6)
+        sched.lease_sent("server2/cpu", 50e-6)
         rt.cluster.device("server0/cpu").slowdown = 50.0
         picks = []
 
@@ -163,7 +166,7 @@ class TestOneLeastLoadedRule:
             member = task("member", gang_group="g")
             picks.append((
                 ev["backup"],
-                sched.place(probe).device_id,
+                sched.place(probe, avoid=ev["slow"]).device_id,
                 sched.place_gang([straggler, member])["member"].device_id,
             ))
 
@@ -171,13 +174,35 @@ class TestOneLeastLoadedRule:
         assert rt.get(rt.submit(lambda: 7, compute_cost=1e-3)) == 7
         assert picks == [("server3/cpu",) * 3]
 
+    @pytest.mark.parametrize("mode", [ResolutionMode.PUSH, ResolutionMode.PULL],
+                             ids=lambda m: m.name)
+    def test_a_backup_goes_where_its_input_is(self, mode):
+        """A straggler's input has a copy on another server: the backup runs
+        there and moves nothing, where a backup on the idle head would move
+        the 64 MiB input again."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=3),
+            RuntimeConfig(resolution=mode, speculation_factor=4.0),
+        )
+        data = rt.submit(lambda: 1, compute_cost=1e-3, output_nbytes=64 * MB,
+                         pinned_device="server2/cpu")
+        rt.get(rt.submit(lambda x: x, (data,), compute_cost=1e-3, pinned_device="server1/cpu"))
+        assert rt.ownership.locations(data.object_id) == ["server1/cpu", "server2/cpu"]
+        assert rt.bytes_moved == 64 * MB
+        rt.cluster.device("server1/cpu").slowdown = 500.0
+        reader = rt.submit(lambda x: x + 1, (data,), compute_cost=1e-3)
+        assert rt.get(reader) == 2
+        (speculate,) = rt.log.of_kind("speculate")
+        assert (speculate["slow"], speculate["backup"]) == ("server1/cpu", "server2/cpu")
+        assert rt.timeline_of(reader).device == "server2/cpu"
+        assert rt.bytes_moved == 64 * MB  # the backup read its input where it ran
+
 
 def full_scan_locality(sched, task, candidates, leases=()):
     """The locality rule as a full scan: every candidate priced for every
-    input copy (each at the dominant device of the node whose store holds
-    it), then the least ``(cost, device_id)``.  ``leases`` lists the
-    leases in flight as ``(device id, raylet handling, sent at)``; those sent
-    before this instant are queue.  ``Scheduler.place`` must pick the same
+    input copy (each at the store that holds it), then the least ``(cost,
+    device_id)``.  ``leases`` lists the leases in flight as ``(device id,
+    raylet handling, sent at)``; those sent before this instant are queue.  ``Scheduler.place`` must pick the same
     device while pricing only those that can win."""
     deps, now, fetch = task.dependencies, sched.cluster.sim.now, sched.fetch_overhead
 
@@ -195,10 +220,7 @@ def full_scan_locality(sched, task, candidates, leases=()):
                     src, device_id, entry.nbytes, contended=True
                 )
                 + (0.0 if fetch is None or src == device_id else fetch(src, device_id))
-                for src in (
-                    sched.cluster.node_of_device(store_id).dominant_device.device_id
-                    for store_id in sorted(entry.locations)
-                )
+                for src in sorted(entry.locations)
             )
             move_time += best
         compute_time = device.spec.scaled_duration(task.compute_cost)

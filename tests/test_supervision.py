@@ -87,23 +87,25 @@ class TestCrossCommitWitness:
     # ``own_drop_device`` event per entry where it used to sever the device
     # columns and then drop the node location in a second event; only the
     # probe trace moved.
+    # All fourteen were re-recorded when the scheduler's running-task gauge
+    # (``skadi_device_outstanding_tasks``) was deleted: only the metrics moved.
     PINNED = {
-        ('crash_restart', 'PUSH'): "f3466ca5f6b3",
-        ('crash_restart', 'PULL'): "0dd7aa683e1d",
-        ('timeout_straggler', 'PUSH'): "30321c981694",
-        ('timeout_straggler', 'PULL'): "a73a64996f33",
+        ('crash_restart', 'PUSH'): "ba53ef5c59ef",
+        ('crash_restart', 'PULL'): "59fae75a7ad5",
+        ('timeout_straggler', 'PUSH'): "fcd4c9150133",
+        ('timeout_straggler', 'PULL'): "d0aba2a0b766",
         ('retries_exhausted', 'PUSH'): "872605472467",
         ('retries_exhausted', 'PULL'): "872605472467",
-        ('budget_shed', 'PUSH'): "083d27dfabc3",
-        ('budget_shed', 'PULL'): "083d27dfabc3",
-        ('placement_backoff', 'PUSH'): "431d40c0489f",
-        ('placement_backoff', 'PULL'): "2186d8eb981a",
-        ('actor_requeue', 'PUSH'): "3180ed627924",
-        ('actor_requeue', 'PULL'): "3180ed627924",
-        ('backup_wins', 'PUSH'): "bb409473b2d5",
-        ('backup_wins', 'PULL'): "a34fe335ff1b",
-        ('backup_loses', 'PUSH'): "eac2ee296401",
-        ('backup_loses', 'PULL'): "eac2ee296401",
+        ('budget_shed', 'PUSH'): "342f13b9c753",
+        ('budget_shed', 'PULL'): "342f13b9c753",
+        ('placement_backoff', 'PUSH'): "112007469cce",
+        ('placement_backoff', 'PULL'): "72d6771704a3",
+        ('actor_requeue', 'PUSH'): "dd6e2702effe",
+        ('actor_requeue', 'PULL'): "dd6e2702effe",
+        ('backup_wins', 'PUSH'): "1b287c4ee9ca",
+        ('backup_wins', 'PULL'): "daa687e845b6",
+        ('backup_loses', 'PUSH'): "f04cb288a7d5",
+        ('backup_loses', 'PULL'): "f04cb288a7d5",
     }
 
     @staticmethod

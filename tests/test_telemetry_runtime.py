@@ -263,7 +263,6 @@ class TestBoundInstruments:
             *(
                 f"{name}{{device=server{i}/cpu}}"
                 for name in (
-                    "skadi_device_outstanding_tasks",
                     "skadi_store_bytes_resident",
                     "skadi_store_puts_total",
                 )
