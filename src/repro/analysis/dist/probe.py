@@ -1,12 +1,15 @@
 """The online probe: the runtime's single point of contact with Skadi-TSan.
 
 ``ServerlessRuntime`` creates one :class:`DistProbe` when
-``RuntimeConfig.sanitizers`` is non-empty, calls its hook methods at the
-protocol's synchronization points, and subscribes :meth:`DistProbe.incident`
-to its event log for the facts an incident record already states.  The
-probe owns the event vocabulary — message-key formats, site names, access
-classes — so the runtime hooks stay one-liners and the HB builder and
-monitors agree on the encoding by construction.
+``RuntimeConfig.sanitizers`` is non-empty, in place of the do-nothing
+``repro.runtime.events.NoProbe`` it starts with; it calls the same hook
+methods at the protocol's synchronization points either way, and subscribes
+:meth:`DistProbe.incident` to its event log for the facts an incident record
+already states.  The probe owns the event vocabulary — message-key formats,
+site names, access classes — and builds each hook's arguments from what the
+runtime already holds (a task spec, an attempt's record), so the runtime
+hooks stay one-liners and the HB builder and monitors agree on the encoding
+by construction.
 
 Modes (``sanitizers`` tuple values):
 
@@ -18,13 +21,13 @@ Modes (``sanitizers`` tuple values):
     implies trace collection; ``report(hb=True)`` runs race detection
     over the collected trace.
 
-With all modes off the runtime never constructs a probe, and every hook
-site is a ``probe is not None`` check — the bit-for-bit legacy path.
+With all modes off the runtime keeps its ``NoProbe``: every hook is a call
+that does nothing, and the runtime's traces are those of no sanitizer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .events import DistTrace, ProtoEvent
 from .invariants import InvariantEngine
@@ -36,28 +39,12 @@ VALID_SANITIZERS = ("trace", "invariants", "hb")
 
 
 class DistProbe:
-    """Collects protocol events and/or feeds them to online monitors."""
+    """Collects protocol events and/or feeds them to online monitors.
 
-    # event kinds that exist purely to induce happens-before edges (no
-    # default monitor subscribes to them).  The runtime checks
-    # ``any_live(*HB_EDGE_KINDS)`` once at wiring time and drops the
-    # whole hook family when only monitors are on, so the invariants-only
-    # mode never even evaluates these hooks' arguments.
-    HB_EDGE_KINDS = (
-        "dispatch",
-        "attempt_start",
-        "attempt_commit",
-        "attempt_fail",
-        "retry",
-        "object_ready",
-        "get_resolve",
-        "speculate",
-        "dir_read",
-        "push_start",
-        "land",
-        "hb_send",
-        "hb_recv",
-    )
+    Each hook asks :meth:`_skip` before it builds anything, so in the
+    invariants-only mode the hooks whose events only induce happens-before
+    edges (no default monitor subscribes to them) cost a call and a set
+    lookup."""
 
     def __init__(
         self,
@@ -113,13 +100,6 @@ class DistProbe:
         live = self._live_kinds
         return live is not None and kind not in live
 
-    def any_live(self, *kinds: str) -> bool:
-        """Whether any of ``kinds`` has a sink.  Hot call sites use this
-        at wiring time to skip even the hook-argument evaluation for
-        event families nobody subscribed to."""
-        live = self._live_kinds
-        return live is None or any(kind in live for kind in kinds)
-
     def emit(
         self,
         site: str,
@@ -173,29 +153,38 @@ class DistProbe:
     # task lifecycle (driver / gcs)
     # ------------------------------------------------------------------
 
-    def submit(self, task_id: str) -> None:
+    def submit(self, spec: Any, outputs: Sequence[str]) -> None:
+        """A task was registered (after the admission gate and the owner
+        records): the lineage record of each output, then the submit message
+        its first dispatch joins on."""
+        task_id = spec.task_id
+        if not self._skip("lineage_record"):
+            deps = tuple(r.object_id for r in spec.dependencies)
+            for oid in outputs:
+                self.emit(
+                    "gcs",
+                    "lineage_record",
+                    (("object", oid), ("task", task_id), ("deps", deps)),
+                )
         if self._skip("submit"):
             return
         self.emit(
             "driver", "submit", (("task", task_id),), sends=(f"submit:{task_id}",)
         )
 
-    def dispatch(
-        self,
-        task_id: str,
-        attempt: int,
-        device: str,
-        deps: Iterable[str] = (),
-    ) -> None:
-        if self._skip("dispatch"):
+    def dispatch(self, ctx: Any) -> None:
+        """An attempt was leased to ``ctx.device``.  A speculative backup's
+        lease is the speculation decision's (:meth:`speculate`)."""
+        if ctx.is_clone or self._skip("dispatch"):
             return
-        recvs: Tuple[str, ...] = tuple(f"ready:{dep}" for dep in deps)
+        task_id, attempt = ctx.spec.task_id, ctx.attempt
+        recvs: Tuple[str, ...] = tuple(f"ready:{r.object_id}" for r in ctx.spec.dependencies)
         if attempt == 1:
             recvs = (f"submit:{task_id}", *recvs)
         self.emit(
             "gcs",
             "dispatch",
-            (("task", task_id), ("attempt", attempt), ("device", device)),
+            (("task", task_id), ("attempt", attempt), ("device", ctx.device.device_id)),
             sends=(self._lease_key(task_id, attempt),),
             recvs=recvs,
         )
@@ -208,9 +197,10 @@ class DistProbe:
         inc = self._incarnation.get(task_id, 0)
         return f"lease:{task_id}:{inc}:clone"
 
-    def attempt_start(self, task_id: str, attempt: int, clone: bool = False) -> None:
+    def attempt_start(self, ctx: Any) -> None:
         if self._skip("attempt_start"):
             return
+        task_id, attempt, clone = ctx.spec.task_id, ctx.attempt, ctx.is_clone
         lease = (
             self._clone_lease_key(task_id)
             if clone
@@ -223,17 +213,20 @@ class DistProbe:
             recvs=(lease,),
         )
 
-    def attempt_commit(
-        self, task_id: str, attempt: int, object_id: str, clone: bool = False
-    ) -> None:
-        if self._skip("attempt_commit"):
-            return
-        self.emit(
-            self.attempt_site(task_id, attempt, clone),
-            "attempt_commit",
-            (("task", task_id), ("attempt", attempt), ("object", object_id)),
-            sends=(f"done:{task_id}",),
-        )
+    def attempt_commit(self, ctx: Any, object_id: str) -> None:
+        """The commit point of one output: the ``done`` and ``ready``
+        announcements every downstream recv pairs with originate here.  The
+        ``object_ready`` goes out at the ambient site, which the runtime set
+        to the attempt's for the commit."""
+        if not self._skip("attempt_commit"):
+            task_id, attempt = ctx.spec.task_id, ctx.attempt
+            self.emit(
+                self.attempt_site(task_id, attempt, ctx.is_clone),
+                "attempt_commit",
+                (("task", task_id), ("attempt", attempt), ("object", object_id)),
+                sends=(f"done:{task_id}",),
+            )
+        self.object_ready(self.site, object_id)
 
     def object_ready(self, site: str, object_id: str) -> None:
         """An object reached READY (commit, put, or recovery): the
@@ -449,14 +442,20 @@ class DistProbe:
         self._landed.add(key)
         self.emit(site, "land", (("object", object_id), ("device", device)), sends=(key,))
 
-    def arrived(self, site: str, object_ids: Sequence[str], device: str) -> None:
-        """A PUSH attempt's arguments are on its device: the attempt's next
-        event receives the landing of each one a push brought, which orders
-        the pushes' directory writes before everything the attempt causes."""
+    def arrived(self, ctx: Any, deps: Sequence[Any], device: str) -> None:
+        """A PUSH attempt's arguments (object refs) are on its device: the
+        attempt's next event receives the landing of each one a push brought,
+        which orders the pushes' directory writes before everything the
+        attempt causes."""
+        if self._skip("land"):
+            return  # no landing is recorded, so none can be received
         keys = tuple(
-            key for key in (f"land:{oid}:{device}" for oid in object_ids) if key in self._landed
+            key
+            for key in (f"land:{r.object_id}:{device}" for r in deps)
+            if key in self._landed
         )
         if keys:
+            site = self.attempt_site(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
             self._inbox[site] = self._inbox.get(site, ()) + keys
 
     def fetch_join(self, site: str, object_id: str, device: str) -> None:
@@ -528,21 +527,6 @@ class DistProbe:
                 ("raylet_epoch", raylet_epoch),
                 ("accepted", accepted),
             ),
-        )
-
-    # ------------------------------------------------------------------
-    # lineage
-    # ------------------------------------------------------------------
-
-    def lineage_record(
-        self, object_id: str, task_id: str, deps: Iterable[str]
-    ) -> None:
-        if self._skip("lineage_record"):
-            return
-        self.emit(
-            "gcs",
-            "lineage_record",
-            (("object", object_id), ("task", task_id), ("deps", tuple(deps))),
         )
 
     # ------------------------------------------------------------------

@@ -106,9 +106,9 @@ class RuntimeConfig:
     # probe modes to arm: "trace" collects the protocol-event stream,
     # "invariants" runs the protocol monitors online, "hb" collects the
     # stream and enables happens-before race detection at report time.
-    # The empty default constructs no probe at all — every hook site is a
-    # ``probe is not None`` check, so the legacy event traces (and their
-    # virtual timings) are reproduced bit-for-bit.
+    # The empty default keeps the runtime's do-nothing probe
+    # (``events.NoProbe``), whose hooks emit nothing and cost no virtual
+    # time, so the legacy event traces are reproduced bit-for-bit.
     sanitizers: Tuple[str, ...] = ()
     # -- control-plane HA (repro.runtime.ha).  ``ha_replicas > 0`` keeps a
     # write-ahead log of control-plane mutations (ownership transitions,

@@ -165,13 +165,7 @@ class DataPlane:
                     yield sim.all_of(sigs.values())
             finally:
                 self._stop_waiting(ctx, device.device_id, sigs)
-            probe = self.rt.probe_edges
-            if probe is not None:
-                probe.arrived(
-                    probe.attempt_site(ctx.spec.task_id, ctx.attempt, ctx.is_clone),
-                    [r.object_id for r in deps],
-                    device.device_id,
-                )
+            self.rt.probe.arrived(ctx, deps, device.device_id)
             return 0
         if not missing:
             return 0
@@ -233,10 +227,10 @@ class DataPlane:
             dst.put(oid, record.value, record.nbytes)
         except (SpillFailedError, StoreUnavailableError):
             return False  # refused: nowhere to spill, or the device died under us
-        self.rt._probe_site(site)  # no yield between this and the mutation
+        self.rt.probe.site = site  # no yield between this and the mutation
         self.rt.ownership.add_location(oid, dst.device.device_id)
-        if self.push_mode and self.rt.probe_edges is not None:
-            self.rt.probe_edges.land(site, oid, dst.device.device_id)
+        if self.push_mode:
+            self.rt.probe.land(site, oid, dst.device.device_id)
         return True
 
     def _join(
@@ -247,7 +241,7 @@ class DataPlane:
         raylet.note_deduped_fetch(device_id, oid)
         ended = yield pending
         # an aborted fetch (the raylet died) has no end to join
-        if ended is not False and self.rt.probe is not None:
+        if ended is not False:
             self.rt.probe.fetch_join(site, oid, device_id)
 
     def _span(self, name: str, ctx: Any, device: Device, **attrs: Any) -> Any:
@@ -345,8 +339,7 @@ class DataPlane:
         if not targets:
             return
         site = f"push:{oid}"
-        if rt.probe_edges is not None:
-            rt.probe_edges.push_start(site, oid, targets=len(targets))
+        rt.probe.push_start(site, oid, targets=len(targets))
         legs: Dict[str, Raylet] = {}  # the devices the bytes must travel to
         for device_id in targets:
             raylet = rt._raylet_of_device[device_id]
@@ -399,10 +392,8 @@ class DataPlane:
         handling and the intra-card transfer through the DPU.  Every early
         return is a miss: ``resolve`` finds the argument still absent.
         """
-        rt, device_id, probe = self.rt, device.device_id, self.rt.probe
-        site = "" if probe is None else probe.attempt_site(
-            ctx.spec.task_id, ctx.attempt, ctx.is_clone
-        )
+        rt, device_id = self.rt, device.device_id
+        site = rt.probe.attempt_site(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
         span = self._span(f"pull:{oid}", ctx, device, object_id=oid)
         try:
             pending = raylet.pending_fetch(oid, device_id)
@@ -461,10 +452,9 @@ class DataPlane:
             # entry is gone (a failover rebuild or a free dropped it)
             return None
         entry = rt.ownership.entry(oid)
-        if rt.probe_edges is not None:
-            # a stability-assuming read: the fetch plan built from this
-            # state races with any concurrent LOST/reconcile transition
-            rt.probe_edges.dir_read(site, oid, entry.state.name)
+        # a stability-assuming read: the fetch plan built from this state
+        # races with any concurrent LOST/reconcile transition
+        rt.probe.dir_read(site, oid, entry.state.name)
         src_store = self._source(oid) if entry.state == ValueState.READY else None
         if src_store is None:
             return None  # lost/pending, or no live copy (the fetcher's retry finds one)

@@ -10,6 +10,9 @@ exporter marks recovery storms as instants (:func:`instant_category`).
 :data:`INCIDENTS` says what each kind feeds.  Chaos tests assert that a
 seeded fault schedule reproduces the *identical* log (the determinism
 contract).
+
+The protocol events the log does not state go to the runtime's probe, whose
+off state is :class:`NoProbe`: every hook the runtime calls, doing nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import (
 
 __all__ = [
     "RuntimeEvent", "EventLog", "Series", "Incident", "INCIDENTS",
-    "instant_category", "incident_counter", "declare_series",
+    "instant_category", "incident_counter", "declare_series", "NoProbe",
 ]
 
 
@@ -222,3 +225,27 @@ def declare_series(registry: Any, kinds: Iterable[str]) -> None:
     for kind in kinds:
         for s in INCIDENTS[kind].series:
             registry.counter(s.name, s.help)
+
+
+# -- the sanitizer's off state -------------------------------------------------
+
+
+class NoProbe:
+    """The probe of a runtime with no sanitizer: each hook the runtime calls,
+    doing nothing, so a hook site is a plain call.  ``ServerlessRuntime.probe``
+    and every ``Raylet.probe`` start as one; a ``DistProbe``
+    (``repro.analysis.dist``), which defines the same hooks and says what each
+    one takes, replaces it when ``RuntimeConfig.sanitizers`` is non-empty."""
+
+    site: str = ""  # the ambient site a DistProbe attributes a directory mutation to
+
+    def attempt_site(self, task_id: str, attempt: int, clone: bool = False) -> str:
+        return ""
+
+    def _nothing(self, *args: Any, **kwargs: Any) -> None:
+        """A hook with no sink."""
+
+    submit = dispatch = attempt_start = attempt_commit = attempt_fail = retry = _nothing
+    object_ready = task_finish = task_fail = get_resolve = replay = dir_read = _nothing
+    fetch_begin = fetch_end = fetch_abort = fetch_dedup = fetch_join = _nothing
+    push_start = land = arrived = hb_send = hb_recv = ha_fence = _nothing

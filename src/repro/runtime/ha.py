@@ -215,9 +215,8 @@ class HAController:
                 raylet_epoch=raylet.gcs_epoch,
                 endpoint=raylet.endpoint,
             )
-        if rt.probe is not None:
-            # an accepted lease is in no record: emitted here
-            rt.probe.ha_fence(raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, accepted)
+        # an accepted lease is in no record: emitted here
+        rt.probe.ha_fence(raylet.endpoint, ctx.lease_epoch, raylet.gcs_epoch, accepted)
         if not accepted:
             return f"lease epoch {ctx.lease_epoch} fenced (raylet saw {raylet.gcs_epoch})"
         raylet.observe_epoch(ctx.lease_epoch)
@@ -454,7 +453,7 @@ class HAController:
         for rec in log:
             d = rec.get()
             if rec.kind == "own":
-                rt._probe_site("gcs")
+                rt.probe.site = "gcs"
                 rt.ownership.restore(
                     d["object"],
                     d["owner"],
@@ -481,7 +480,7 @@ class HAController:
                 continue
             if rt.ownership.contains(oid):
                 continue
-            rt._probe_site("gcs")
+            rt.probe.site = "gcs"
             rt.ownership.restore(
                 oid, DRIVER, ctx.spec.task_id, ValueState.PENDING, 0, (), None
             )
@@ -507,12 +506,12 @@ class HAController:
                 store = rt._store_of_device.get(device_id)
                 for oid, nbytes in outputs:
                     if not rt.ownership.contains(oid):
-                        rt._probe_site("gcs")
+                        rt.probe.site = "gcs"
                         rt.ownership.restore(
                             oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
                         )
                     if store is not None and store.contains(oid):
-                        rt._probe_site("gcs")
+                        rt.probe.site = "gcs"
                         rt.ownership.mark_ready(oid, device_id, nbytes)
                 raylet.ack_report(report)
             for dev_id in sorted(raylet.stores):
@@ -525,12 +524,12 @@ class HAController:
                         continue  # freed, or a put the driver no longer holds
                     entry = rt.ownership.entry(oid)
                     if entry.state in (ValueState.READY, ValueState.LOST):
-                        rt._probe_site("gcs")
+                        rt.probe.site = "gcs"
                         rt.ownership.add_location(oid, dev_id)
                     elif entry.state == ValueState.PENDING:
                         ctx = rt._ctx_of_object.get(oid)
                         if ctx is not None and ctx.state == TaskState.FINISHED:
-                            rt._probe_site("gcs")
+                            rt.probe.site = "gcs"
                             rt.ownership.mark_ready(oid, dev_id, stored.nbytes)
 
     def _reconcile_after_failover(self) -> None:
@@ -549,7 +548,7 @@ class HAController:
             ctx = rt._ctx_of_object.get(entry.object_id)
             if ctx is None or ctx.state is not TaskState.FINISHED:
                 continue
-            rt._probe_site("gcs")
+            rt.probe.site = "gcs"
             rt.ownership.restore(
                 entry.object_id,
                 entry.owner,

@@ -41,7 +41,7 @@ reader instead (``Recovery.reconcile``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Set, Tuple
 
 from ..cluster.hardware import Device
 from ..cluster.node import NodeKind
@@ -184,9 +184,7 @@ class HeartbeatMonitor:
             )
             self.beats_sent += 1
             round_no = self.beats_sent
-            probe = self.runtime.probe_edges
-            if probe is not None:
-                probe.hb_send(raylet.endpoint, round_no)
+            self.runtime.probe.hb_send(raylet.endpoint, round_no)
             self._m_sent.of(node_id).inc()
             delivered = yield self.net.message(
                 raylet.endpoint, self.runtime.gcs_endpoint, label="heartbeat"
@@ -205,13 +203,11 @@ class HeartbeatMonitor:
         self,
         node_id: str,
         raylet: "Raylet",
-        status: Tuple[Tuple[str, bool], ...] = (),
-        round_no: Optional[int] = None,
+        status: Tuple[Tuple[str, bool], ...],
+        round_no: int,
     ) -> None:
         self.beats_received += 1
-        probe = self.runtime.probe_edges
-        if probe is not None and round_no is not None:
-            probe.hb_recv(raylet.endpoint, round_no)
+        self.runtime.probe.hb_recv(raylet.endpoint, round_no)
         self._m_received.of(node_id).inc()
         now = self.sim.now
         failures = self.runtime.failures

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.hardware import Device, DeviceKind
 from ..cluster.simtime import Hold, Resource, Signal, Simulator
+from .events import NoProbe
 from .object_store import LocalObjectStore
 
 __all__ = ["Raylet"]
@@ -57,10 +58,10 @@ class Raylet:
         self._inflight_fetches: Dict[Tuple[str, str], Signal] = {}
         self.fetches_deduped = 0
         self.metrics = None
-        # dist-sanitizer probe, wired in by the runtime (duck-typed).  The
-        # fetch registry is per-raylet state, so its begin/end/dedup/abort
-        # ops are attributed to this raylet's site.
-        self.probe = None
+        # dist-sanitizer probe (a DistProbe wired in by the runtime replaces
+        # the do-nothing one).  The fetch registry is per-raylet state, so its
+        # begin/end/dedup/abort ops are attributed to this raylet's site.
+        self.probe = NoProbe()
         self.alive = True
         self.incarnation = 0  # bumped on every restart (stale-lease detection)
         self.failures = 0
@@ -142,21 +143,18 @@ class Raylet:
         """
         sig = Signal(self.sim)
         self._inflight_fetches[(object_id, device_id)] = sig
-        if self.probe is not None:
-            self.probe.fetch_begin(self.endpoint, object_id, device_id)
+        self.probe.fetch_begin(self.endpoint, object_id, device_id)
         return sig
 
     def end_fetch(self, object_id: str, device_id: str) -> None:
         sig = self._inflight_fetches.pop((object_id, device_id), None)
         if sig is not None:
-            if self.probe is not None:
-                self.probe.fetch_end(self.endpoint, object_id, device_id)
+            self.probe.fetch_end(self.endpoint, object_id, device_id)
             if not sig.triggered:
                 sig.succeed()
 
     def note_deduped_fetch(self, device_id: str, object_id: str) -> None:
-        if self.probe is not None:
-            self.probe.fetch_dedup(self.endpoint, object_id, device_id)
+        self.probe.fetch_dedup(self.endpoint, object_id, device_id)
         self.fetches_deduped += 1
         if self._m_dedup is not None:
             self._m_dedup.of(self.raylet_id, device_id).inc()
@@ -168,8 +166,7 @@ class Raylet:
         ended for them to join."""
         pending, self._inflight_fetches = self._inflight_fetches, {}
         for (object_id, device_id), sig in pending.items():
-            if self.probe is not None:
-                self.probe.fetch_abort(self.endpoint, object_id, device_id)
+            self.probe.fetch_abort(self.endpoint, object_id, device_id)
             if not sig.triggered:
                 sig.succeed(False)
 

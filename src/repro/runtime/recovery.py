@@ -87,8 +87,12 @@ class Recovery:
         that died, or power-cycled, while the cluster sat idle).  Drop each
         recorded store that holds no copy, provided its node still has a
         serving device; returns whether that left the entry LOST, for normal
-        recovery to take over.  A store whose whole node is down is left
-        alone: declaring that is the node verdict's job, not ours."""
+        recovery to take over.  A dropped store whose device is dead also
+        gets the ``device_dead`` verdict the detector has not reached yet (the
+        node's serving raylet sees its own silicon), so placement's view
+        loses the device before anything is replayed onto it.  A store whose
+        whole node is down is left alone: declaring that is the node
+        verdict's job, not ours."""
         rt = self.rt
         entry = rt.ownership.entry(object_id)
         if entry.state != ValueState.READY or self.find_store(object_id) is not None:
@@ -102,10 +106,13 @@ class Recovery:
         ]
         if not stale:
             return False
-        rt._probe_site("gcs")  # reconciliation is a directory-side act
+        rt.probe.site = "gcs"  # reconciliation is a directory-side act
         for store_id in stale:
             rt.ownership.drop_location(object_id, store_id)
         rt._record("object_reconciled", object=object_id, stale_locations=stale)
+        for store_id in stale:
+            if not stores[store_id].device.alive:
+                rt.failures.device_dead(store_id, cause="reported by raylet")
         return entry.state == ValueState.LOST
 
     def on_spilled(
@@ -122,12 +129,10 @@ class Recovery:
         # directory upkeep is the GCS acting, whichever caller's put forced
         # the eviction; that caller's own attribution resumes afterwards
         probe = self.rt.probe
-        if probe is not None:
-            caller_site, probe.site = probe.site, "gcs"
+        caller_site, probe.site = probe.site, "gcs"
         ownership.add_location(object_id, target.device.device_id)
         ownership.drop_location(object_id, origin.device.device_id)
-        if probe is not None:
-            probe.site = caller_site
+        probe.site = caller_site
         self.rt.data.publish(object_id)
 
     def read_value(self, object_id: str) -> Any:
@@ -364,7 +369,7 @@ class Recovery:
         # consumer's done-report: same-site program order is the honest
         # happens-before edge that makes the drop race-free.  Only the
         # legacy force path keeps the racy driver attribution.
-        rt._probe_site(site)
+        rt.probe.site = site
         rt.ownership.free(oid)
         rt._ctx_of_object.pop(oid, None)
         return released

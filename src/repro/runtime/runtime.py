@@ -31,7 +31,7 @@ from . import ha, overload
 from .actors import ActorHandle, Actors
 from .config import Generation, RuntimeConfig
 from .dataplane import DataPlane
-from .events import EventLog, RuntimeEvent, declare_series, incident_counter
+from .events import EventLog, NoProbe, RuntimeEvent, declare_series, incident_counter
 from .failures import FailureDomains
 from .health import HeartbeatMonitor
 from .ids import IdGenerator
@@ -231,14 +231,10 @@ class ServerlessRuntime:
                 self.config.heartbeat_interval,
                 self.config.heartbeat_miss_threshold,
             )
-        # -- distributed sanitizer ("Skadi-TSan"): built only when asked for,
-        # so the empty default adds no state and no events — every hook below
-        # is a ``probe is not None`` check on its legacy path.
-        self.probe = None
-        # handle for the hooks that only induce happens-before edges; stays
-        # None in invariants-only mode so those (hot) call sites skip even
-        # their argument evaluation
-        self.probe_edges = None
+        # -- distributed sanitizer ("Skadi-TSan"): a DistProbe replaces the
+        # do-nothing probe only when asked for, so the empty default adds no
+        # state and no events, and every hook site is a plain call.
+        self.probe = NoProbe()
         if self.config.sanitizers:
             from ..analysis.dist.probe import DistProbe  # lazy: analysis is optional
 
@@ -247,8 +243,6 @@ class ServerlessRuntime:
                 clock=self.sim.clock,
                 meta={"config": self.config.describe()},
             )
-            if self.probe.any_live(*DistProbe.HB_EDGE_KINDS):
-                self.probe_edges = self.probe
             self.ownership.observers.append(self.probe.ownership_op)
             for raylet in self._raylets:
                 raylet.probe = self.probe
@@ -328,15 +322,6 @@ class ServerlessRuntime:
     actor_restarts = _log_count("actor_restart")
     tasks_finished = property(lambda rt: len(rt.timelines))  # each finished task's span
 
-    def _probe_site(self, site: str) -> None:
-        """Attribute the directly-following directory mutation to ``site``.
-
-        Only meaningful with a probe; callers must not yield between this
-        and the mutation or another process could re-attribute it.
-        """
-        if self.probe is not None:
-            self.probe.site = site
-
     @property
     def events(self) -> List[RuntimeEvent]:
         return self.log.events
@@ -362,7 +347,7 @@ class ServerlessRuntime:
         """Driver-side put: store on the head node, immediately ready."""
         oid = self.ids.object_id()
         nbytes = nbytes if nbytes is not None else estimate_nbytes(value)
-        self._probe_site("driver")
+        self.probe.site = "driver"
         self.ownership.create(oid, owner=DRIVER, task_id="")
         self._ready_at_head(oid, value, nbytes, "driver")
         self._on_object_ready(oid)
@@ -377,10 +362,9 @@ class ServerlessRuntime:
         store = raylet.store_of(host.device_id)
         if not store.contains(object_id):
             store.put(object_id, value, nbytes or estimate_nbytes(value))
-        self._probe_site(site)
+        self.probe.site = site
         self.ownership.mark_ready(object_id, host.device_id, nbytes)
-        if self.probe_edges is not None:
-            self.probe_edges.object_ready(site, object_id)
+        self.probe.object_ready(site, object_id)
 
     def get(self, refs, timeout: Optional[float] = None) -> Any:
         """Block the driver until ref(s) resolve; returns real value(s).
@@ -415,11 +399,10 @@ class ServerlessRuntime:
             raise UnrecoverableObjectError(
                 f"objects still lost after {MAX_LINEAGE_REPLAYS} replays"
             )
-        if self.probe_edges is not None:
-            # get() returning is the completion flowing back to the driver:
-            # each producer's work is now ordered before whatever the driver
-            # does next (a later free() is sanctioned, not racy).
-            self.probe_edges.get_resolve(object_ids)
+        # get() returning is the completion flowing back to the driver: each
+        # producer's work is now ordered before whatever the driver does next
+        # (a later free() is sanctioned, not racy).
+        self.probe.get_resolve(object_ids)
         values = [self.recovery.read_value(oid) for oid in object_ids]
         return values[0] if single else values
 
@@ -494,18 +477,14 @@ class ServerlessRuntime:
         for gate in self.submit_gates:
             gate(spec)
         outputs = [self.ids.object_id() for _ in range(spec.num_returns)]
-        self._probe_site("driver")
+        self.probe.site = "driver"
         for oid in outputs:
             self.ownership.create(oid, owner=DRIVER, task_id=spec.task_id)
         self.lineage.record(spec, outputs)  # keeps the list, which the ctx shares
-        if self.probe is not None:
-            deps = [r.object_id for r in spec.dependencies]
-            for oid in outputs:
-                self.probe.lineage_record(oid, spec.task_id, deps)
-            # after the gate (a rejected submission never became a task) and
-            # after the owner record: the submit message the dispatch joins
-            # on represents the fully-registered task
-            self.probe.submit(spec.task_id)
+        # after the gate (a rejected submission never became a task) and after
+        # the owner record: the submit message the dispatch joins on
+        # represents the fully-registered task
+        self.probe.submit(spec, outputs)
         ctx = _TaskCtx(spec, outputs, Signal(self.sim), self._open_task_span(spec))
         self._m_submitted.inc()
         self._ctxs[spec.task_id] = ctx
@@ -723,13 +702,7 @@ class ServerlessRuntime:
         ctx.attempt += 1
         for hook in self.on_dispatch:
             hook(ctx)
-        if self.probe_edges is not None and not ctx.is_clone:
-            self.probe_edges.dispatch(
-                spec.task_id,
-                ctx.attempt,
-                ctx.device.device_id,
-                [r.object_id for r in spec.dependencies],
-            )
+        self.probe.dispatch(ctx)
         self.data.subscribe(ctx)
         ctx.proc = self.sim.process(self._run_task(ctx), name=f"task:{spec.task_id}")
         self.supervisor.watch(ctx)
@@ -794,8 +767,7 @@ class ServerlessRuntime:
                 refusal = gate(ctx, raylet)
                 if refusal is not None:
                     raise _TransientTaskError(refusal)
-            if self.probe_edges is not None:
-                self.probe_edges.attempt_start(ctx.spec.task_id, ctx.attempt, ctx.is_clone)
+            self.probe.attempt_start(ctx)
             yield raylet.control()
         finally:
             self.scheduler.lease_ended(device.device_id, sent)
@@ -869,15 +841,10 @@ class ServerlessRuntime:
             for oid, _value, _nbytes in committed:
                 store.delete(oid)
             raise _TransientTaskError(str(exc)) from None
-        if self.probe is not None:
-            self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
+        self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
         for oid, _value, nbytes in committed:
             self.ownership.mark_ready(oid, device.device_id, nbytes)
-            if self.probe_edges is not None:
-                # the commit point: the done/ready announcements every
-                # downstream recv pairs with originate here
-                self.probe_edges.attempt_commit(spec.task_id, ctx.attempt, oid, ctx.is_clone)
-                self.probe_edges.object_ready(self.probe_edges.site, oid)
+            self.probe.attempt_commit(ctx, oid)
         return committed
 
     def _announce(
@@ -904,8 +871,7 @@ class ServerlessRuntime:
         """Phase 5: first commit wins — close the task on its main record,
         stand the loser down, then push to subscribed consumers and wake the
         parked ones."""
-        if self.probe is not None:
-            self.probe.task_finish(ctx.spec.task_id)
+        self.probe.task_finish(ctx.spec.task_id)
         ctx.state = main.state = TaskState.FINISHED  # main is not ctx when a clone won
         loser = main.twin if ctx is main else main
         main.twin = None
@@ -960,9 +926,8 @@ class ServerlessRuntime:
     def _fail_ctx(self, ctx: _TaskCtx, error: str) -> None:
         ctx.state = TaskState.FAILED
         ctx.error = error
-        if self.probe is not None:
-            # the attempt it closes is in no record: emitted here
-            self.probe.task_fail(ctx.spec.task_id, ctx.attempt, error)
+        # the attempt it closes is in no record: emitted here
+        self.probe.task_fail(ctx.spec.task_id, ctx.attempt, error)
         self._close_task_span(ctx)
         self._open_tasks = max(0, self._open_tasks - 1)
         self._record(
@@ -1135,12 +1100,10 @@ class ServerlessRuntime:
         (lineage recovery's way into the task lifecycle).  A READY output
         keeps its entry and copies, and a freed one is not brought back."""
         outputs = self.lineage.outputs_of(spec.task_id)
-        if self.probe is not None:
-            # reincarnation: later attempts of this task get distinct
-            # sites and lease keys, so a replay is not confused with
-            # the task's first life
-            self.probe.replay(spec.task_id)
-            self.probe.site = "gcs"  # recovery is a control-plane act
+        # reincarnation: later attempts of this task get distinct sites and
+        # lease keys, so a replay is not confused with the task's first life
+        self.probe.replay(spec.task_id)
+        self.probe.site = "gcs"  # recovery is a control-plane act
         lost = [oid for oid in outputs if self.ownership.awaits_commit(oid)]
         for oid in lost:
             self.ownership.reset_pending(oid)

@@ -81,10 +81,10 @@ class Supervisor:
         # the failing attempt's device is what a retry gate budgets against —
         # capture it before the attempt state is cleared
         failed_device = ctx.device
-        if failed_device is not None and rt.probe_edges is not None:
+        if failed_device is not None:
             # only a real attempt (one that held a device) reports a failure;
             # placement errors never started one
-            rt.probe_edges.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
+            rt.probe.attempt_fail(ctx.spec.task_id, ctx.attempt, cause)
         ctx.retries += 1
         # a retry leaves out the device the attempt timed out on: a slow
         # device does not look busy to placement
@@ -111,9 +111,8 @@ class Supervisor:
             retry=ctx.retries,
             cause=cause,
         )
-        if rt.probe_edges is not None:
-            # the attempt it answers is in no record: emitted here
-            rt.probe_edges.retry(ctx.spec.task_id, ctx.attempt)
+        # the attempt it answers is in no record: emitted here
+        rt.probe.retry(ctx.spec.task_id, ctx.attempt)
         rt._record(
             "task_retry", task=ctx.spec.task_id, name=ctx.spec.name,
             retry=ctx.retries, cause=cause,

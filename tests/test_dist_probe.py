@@ -8,6 +8,7 @@ round-trip, which CI relies on to sanitize dumped artifacts offline.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,21 @@ def make_probe(sanitizers=("hb",)):
     return DistProbe(sanitizers, clock=clock)
 
 
+def spec(task_id, deps=()):
+    """The fields of a ``TaskSpec`` the probe reads."""
+    return SimpleNamespace(
+        task_id=task_id, dependencies=tuple(SimpleNamespace(object_id=d) for d in deps)
+    )
+
+
+def ctx(task_id, attempt, device="dev", deps=(), clone=False):
+    """The fields of an attempt's record the probe reads."""
+    return SimpleNamespace(
+        spec=spec(task_id, deps), attempt=attempt,
+        device=SimpleNamespace(device_id=device), is_clone=clone,
+    )
+
+
 class TestProbeModes:
     def test_unknown_sanitizer_is_rejected(self):
         with pytest.raises(ValueError, match="unknown sanitizers"):
@@ -39,7 +55,7 @@ class TestProbeModes:
 
     def test_invariants_only_keeps_no_trace(self):
         probe = make_probe(("invariants",))
-        probe.submit("t1")
+        probe.submit(spec("t1"), [])
         assert probe.engine is not None
         assert len(probe.trace) == 0  # monitors fed online, nothing stored
 
@@ -50,8 +66,8 @@ class TestProbeModes:
 
     def test_seq_and_clock_are_recorded(self):
         probe = make_probe(("trace",))
-        probe.submit("t1")
-        probe.submit("t2")
+        probe.submit(spec("t1"), [])
+        probe.submit(spec("t2"), [])
         assert [e.seq for e in probe.trace] == [0, 1]
         assert [e.time for e in probe.trace] == [1e-3, 2e-3]
 
@@ -79,52 +95,73 @@ class TestCausalVocabulary:
 
     def test_submit_dispatch_attempt_chain_is_ordered(self):
         probe = make_probe()
-        probe.submit("t")                      # 0 driver
-        probe.dispatch("t", 1, "dev", ())      # 1 gcs (recv submit)
-        probe.attempt_start("t", 1)            # 2 attempt (recv lease)
-        probe.attempt_commit("t", 1, "o")      # 3 attempt
-        probe.task_finish("t")                 # 4 gcs (recv done)
+        probe.submit(spec("t"), [])             # 0 driver
+        probe.dispatch(ctx("t", 1))             # 1 gcs (recv submit)
+        probe.attempt_start(ctx("t", 1))        # 2 attempt (recv lease)
+        probe.site = "attempt:t#1"              # the runtime's, for the commit
+        probe.attempt_commit(ctx("t", 1), "o")  # 3 attempt, 4 its object_ready
+        probe.task_finish("t")                  # 5 gcs (recv done)
+        assert [e.kind for e in probe.trace][3:5] == ["attempt_commit", "object_ready"]
         hb = build_hb(probe.trace)
-        for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]:
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 5), (0, 5)]:
             assert hb.ordered(a, b), (a, b)
         assert hb.dangling_recvs == []
 
     def test_dependency_ready_edge_orders_producer_before_consumer(self):
         probe = make_probe()
-        probe.submit("p")                      # 0
-        probe.dispatch("p", 1, "dev", ())      # 1
-        probe.attempt_start("p", 1)            # 2
-        probe.attempt_commit("p", 1, "o")      # 3
-        probe.object_ready("attempt:p#1", "o")  # 4 sends ready:o
-        probe.submit("c")                      # 5
-        probe.dispatch("c", 1, "dev", ("o",))  # 6 recvs ready:o
-        probe.attempt_start("c", 1)            # 7
+        probe.submit(spec("p"), [])               # 0
+        probe.dispatch(ctx("p", 1))               # 1
+        probe.attempt_start(ctx("p", 1))          # 2
+        probe.site = "attempt:p#1"
+        probe.attempt_commit(ctx("p", 1), "o")    # 3, and 4 sends ready:o
+        probe.submit(spec("c"), [])               # 5
+        probe.dispatch(ctx("c", 1, deps=("o",)))  # 6 recvs ready:o
+        probe.attempt_start(ctx("c", 1))          # 7
         hb = build_hb(probe.trace)
         assert hb.ordered(4, 7)  # consumer attempt after producer commit
 
     def test_failure_report_orders_attempt_before_retry(self):
         probe = make_probe()
-        probe.submit("t")
-        probe.dispatch("t", 1, "dev", ())
-        probe.attempt_start("t", 1)
+        probe.submit(spec("t"), [])
+        probe.dispatch(ctx("t", 1))
+        probe.attempt_start(ctx("t", 1))
         probe.attempt_fail("t", 1, "boom")     # 3 sends rep
         probe.retry("t", 1)                    # 4 recvs rep
-        probe.dispatch("t", 2, "dev", ())      # 5 fresh lease
-        probe.attempt_start("t", 2)            # 6
+        probe.dispatch(ctx("t", 2))            # 5 fresh lease
+        probe.attempt_start(ctx("t", 2))       # 6
         hb = build_hb(probe.trace)
         assert hb.ordered(3, 4) and hb.ordered(4, 6)
 
     def test_speculative_clone_gets_its_own_lease(self):
         probe = make_probe()
-        probe.submit("t")
-        probe.dispatch("t", 1, "dev", ())
-        probe.attempt_start("t", 1)
+        probe.submit(spec("t"), [])
+        probe.dispatch(ctx("t", 1))
+        probe.attempt_start(ctx("t", 1))
         probe.speculate("t")                       # 3 sends clone lease
-        probe.attempt_start("t", 2, clone=True)    # 4 recvs clone lease
+        probe.attempt_start(ctx("t", 2, clone=True))  # 4 recvs clone lease
         hb = build_hb(probe.trace)
         assert hb.ordered(3, 4)
         assert hb.concurrent(2, 4)  # original and clone genuinely overlap
         assert hb.dangling_recvs == []
+
+    def test_submit_records_lineage_and_a_backup_lease_is_the_speculations(self):
+        probe = make_probe()
+        probe.submit(spec("t", deps=("a",)), ["o1", "o2"])
+        probe.dispatch(ctx("t", 1, clone=True))  # no event: speculate sent its lease
+        assert [(e.kind, e.get("object"), e.get("deps")) for e in probe.trace] == [
+            ("lineage_record", "o1", ("a",)),
+            ("lineage_record", "o2", ("a",)),
+            ("submit", None, None),
+        ]
+
+    def test_an_attempt_receives_only_the_landings_it_was_fed(self):
+        probe = make_probe()
+        probe.land("push:a", "a", "dev")                     # 0 sends land:a:dev
+        probe.arrived(ctx("c", 1), spec("c", ("a", "b")).dependencies, "dev")
+        probe.attempt_start(ctx("c", 1))                     # 1 recvs it (and the lease)
+        assert probe.trace[1].recvs == ("lease:c:0:1", "land:a:dev")
+        hb = build_hb(probe.trace)
+        assert hb.ordered(0, 1)
 
     def test_heartbeat_round_links_raylet_to_gcs(self):
         probe = make_probe()
@@ -156,7 +193,7 @@ class TestCausalVocabulary:
 
     def test_chaos_events_have_no_ancestry(self):
         probe = make_probe()
-        probe.submit("t")
+        probe.submit(spec("t"), [])
         probe.incident(RuntimeEvent(0.0, "chaos_node_crash", (("node", "server1"),)))
         assert probe.trace[1].site == "chaos"
         hb = build_hb(probe.trace)
@@ -176,9 +213,9 @@ class TestCausalVocabulary:
 class TestTraceRoundTrip:
     def test_json_round_trip_preserves_signature(self, tmp_path):
         probe = make_probe()
-        probe.submit("t")
-        probe.dispatch("t", 1, "dev", ())
-        probe.attempt_start("t", 1)
+        probe.submit(spec("t"), [])
+        probe.dispatch(ctx("t", 1))
+        probe.attempt_start(ctx("t", 1))
         probe.ownership_op("create", "o", None, "PENDING", 0)
         path = tmp_path / "trace.json"
         probe.trace.dump(str(path))

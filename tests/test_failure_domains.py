@@ -218,9 +218,9 @@ class TestIdleDeviceDeath:
     """A GPU dies 1 ms after its only task finished, with nothing left
     running.  The detector does not beat while the cluster is idle, so no
     verdict comes; the driver's read finds the recorded store wiped under a
-    living host, reconciles that store, and lineage rebuilds the object.  The
-    replay's lease to the dead GPU wakes the detector, which then declares
-    the device dead.  With no detector the strike is its own verdict."""
+    living host, reconciles that store and, the device being dead, declares
+    it so (its host's raylet sees it) before lineage rebuilds the object
+    elsewhere.  With no detector the strike is its own verdict."""
 
     @pytest.mark.parametrize("detector", [True, False], ids=["detector", "no-detector"])
     @pytest.mark.parametrize(
@@ -244,9 +244,10 @@ class TestIdleDeviceDeath:
         retries = [ev["cause"] for ev in rt.log.of_kind("task_retry")]
         if detector:
             assert [ev["stale_locations"] for ev in reconciled] == [[victim]]
-            # the replay's lease found the dead GPU, and woke the detector
-            assert retries == [f"device {victim} is dead"]
-            assert dead.time > recovered.time
+            # the reconcile's verdict took the GPU out of placement's view
+            # first, so the replay's lease never went to it
+            assert dead["cause"] == "reported by raylet" and not retries
+            assert rt.log.events.index(dead) < rt.log.events.index(recovered)
         else:
             assert not reconciled and not retries  # the verdict dropped the store first
         assert rt.timeline_of(a).device != victim

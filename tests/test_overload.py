@@ -663,7 +663,7 @@ def struck_overload_run(sanitizers=()):
         sanitizers=sanitizers,
     )
     emitted = []
-    if rt.probe is not None:
+    if rt.config.sanitizers:
         # "invariants" keeps no trace: record what the monitors are offered
         emit = rt.probe.emit
 

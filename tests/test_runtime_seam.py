@@ -8,12 +8,15 @@
   that left it, nobody but ``failures.py`` strikes hardware or second-guesses
   the announce rule, and nobody but ``dataplane.py`` moves an object's bytes
   (which it lands in one place): an ``ast``/text walk fails on the names that
-  would mean they do.
+  would mean they do.  The sanitizer is a probe the runtime calls without
+  testing for it, and each call binds a ``DistProbe`` hook.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,8 @@ from repro.runtime import (
     RuntimeConfig,
     ServerlessRuntime,
 )
+from repro.analysis.dist.probe import DistProbe
+from repro.runtime.events import NoProbe
 from repro.runtime.runtime import SEAM
 
 from asserts import assert_recovery_drained
@@ -309,7 +314,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 65 and len(source.splitlines()) <= 1221
+        assert len(methods) <= 65 and len(source.splitlines()) <= 1184
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -392,18 +397,18 @@ class TestStructureGuard:
     # use (DESIGN.md lists them per module)
     CALLBACK_SURFACE = {
         "dataplane.py": {
-            "config", "recovery", "telemetry", "ownership", "sim", "net", "probe", "probe_edges",
-            "gcs_up", "gcs_endpoint", "_probe_site", "_interrupt_attempts",
+            "config", "recovery", "telemetry", "ownership", "sim", "net", "probe",
+            "gcs_up", "gcs_endpoint", "_interrupt_attempts",
             "_raylet_of_device", "_readers", "scheduler",
         },
         "recovery.py": {
             "cluster", "ownership", "lineage", "reliable_cache", "durable_store", "sim",
-            "probe", "_record", "_probe_site", "_ready_at_head", "_on_object_ready",
+            "probe", "_record", "failures", "_ready_at_head", "_on_object_ready",
             "_replay_task", "_ctxs", "_ctx_of_object", "_raylet_of_device", "_store_of_device",
             "_readers", "data",
         },
         "supervision.py": {
-            "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe_edges", "gcs_up",
+            "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe", "gcs_up",
             "retry_gates", "_dispatch", "_route",
             "_place_or_retry", "_fail_ctx", "actors", "_record", "_ctxs",
         },
@@ -524,6 +529,45 @@ class TestStructureGuard:
         scheduler = sources["runtime/scheduler.py"]
         assert scheduler.count("self._choose(") == 2  # place, place_apart
         assert scheduler.count("self.place_apart(") == 1  # a gang member
+
+    def test_the_sanitizer_does_not_branch_the_core(self):
+        """Off is a do-nothing probe, not ``None``: no guard, no second
+        handle, no site wrapper, no wiring-time liveness check."""
+        gone = re.compile(r"probe(_edges)? is (not )?None|probe_edges|_probe_site|any_live|HB_EDGE_KINDS")
+        hits = [
+            f"{path.relative_to(SRC)}:{n}"
+            for path in sorted(SRC.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)
+        ]
+        assert not hits, hits
+        rt = ServerlessRuntime(build_serverful(n_servers=1), RuntimeConfig())
+        assert type(rt.probe) is NoProbe and all(type(r.probe) is NoProbe for r in rt._raylets)
+
+    def test_every_probe_call_binds_a_dist_probe_hook(self):
+        """Each ``probe.<hook>(...)`` under ``runtime/`` names a ``NoProbe``
+        hook that ``DistProbe`` defines too (not inherits), with arguments its
+        signature binds: a renamed or re-signed hook fails here instead of
+        silently doing nothing."""
+        calls = [
+            (f"{path.name}:{node.lineno}", node)
+            for path in sorted((SRC / "runtime").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value).split(".")[-1] == "probe"
+        ]
+        assert len(calls) >= 25
+        for where, call in calls:
+            hook = call.func.attr
+            assert callable(getattr(NoProbe, hook, None)), f"{where}: NoProbe has no {hook}"
+            assert hook in vars(DistProbe), f"{where}: DistProbe has no {hook}"
+            args = [None] * len(call.args)
+            kwargs = dict.fromkeys(keyword.arg for keyword in call.keywords)
+            try:
+                inspect.signature(getattr(DistProbe, hook)).bind(None, *args, **kwargs)
+            except TypeError as exc:
+                pytest.fail(f"{where}: DistProbe.{hook} does not bind the call: {exc}")
 
     def test_the_detector_assumes_a_whole_runtime(self):
         assert "getattr(" not in (SRC / "runtime/health.py").read_text()

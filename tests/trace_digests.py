@@ -5,16 +5,20 @@ any two commits can be diffed trace by trace.
         tests benchmarks/test_*.py
 
 Each line is ``nodeid #i sha1(log.signature()) n_events sim.now
-control_messages bytes_moved sha1(metrics_summary)``, written at the test's
-teardown for the runtimes built since the previous one.  Without the option
-the plugin does nothing.  Set ``BENCH_ARTIFACTS`` when running it over
+control_messages bytes_moved probe sha1(metrics_summary)``, written at the
+test's teardown for the runtimes built since the previous one; ``probe`` is
+the sha1 of the sanitizer's protocol-event stream
+(``rt.probe.trace.signature()``) when a sanitizer is on, ``-`` otherwise.
+Without the option the plugin does nothing.  Set ``BENCH_ARTIFACTS`` when running it over
 ``benchmarks/`` so no committed baseline is rewritten.
 
     python tests/trace_digests.py --compare A B [--expect tests/trace_moves.txt]
 
 exits 1 and lists the runtimes whose line differs in any column before the
 last (a trace moved); a line that differs only in its final-metrics column, or
-exists in one file only, is printed and does not fail.
+exists in one file only, is printed and does not fail.  Only the trace columns
+both files have are compared, so a file written before the ``probe`` column
+existed still compares with one written after.
 
 A change that means to move traces lists them in the ``--expect`` file, one
 ``<nodeid prefix>  # reason`` per line (blank lines and lines starting with
@@ -67,10 +71,11 @@ class _Recorder:
         if item.nodeid.startswith(UNSEEDED):
             return
         for i, rt in enumerate(built):
+            probe = _sha(rt.probe.trace.signature()) if rt.config.sanitizers else "-"
             print(
                 item.nodeid, f"#{i}", _sha(rt.log.signature()), len(rt.log), repr(rt.sim.now),
-                rt.control_messages, rt.bytes_moved, _sha(sorted(rt.metrics_summary().items())),
-                file=self.out,
+                rt.control_messages, rt.bytes_moved, probe,
+                _sha(sorted(rt.metrics_summary().items())), file=self.out,
             )
 
     def pytest_unconfigure(self, config):
@@ -92,11 +97,20 @@ def load_expected(path: str) -> dict:
 
 def compare(path_a: str, path_b: str, expected: Optional[dict] = None) -> int:
     def load(path):
+        rows = {}
         with open(path) as lines:
-            rows = [line.split() for line in lines]
-        return {" ".join(row[:-6]): (row[-6:-1], row[-1]) for row in rows}
+            for line in lines:
+                row = line.split()
+                # the runtime number ("#i") ends the key; the trace columns follow it
+                end = max(i for i, token in enumerate(row) if token.startswith("#")) + 1
+                rows[" ".join(row[:end])] = (row[end:-1], row[-1])
+        return rows
 
     a, b = load(path_a), load(path_b)
+    # a file written before a trace column existed is compared on the ones it has
+    width = min((len(trace) for trace, _ in (*a.values(), *b.values())), default=0)
+    a = {key: (trace[:width], metrics) for key, (trace, metrics) in a.items()}
+    b = {key: (trace[:width], metrics) for key, (trace, metrics) in b.items()}
     for key in sorted(a.keys() ^ b.keys()):
         print(f"only in {path_a if key in a else path_b}: {key}")
     both = sorted(a.keys() & b.keys())
