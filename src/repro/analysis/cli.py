@@ -1,22 +1,19 @@
 """``python -m repro.analysis`` — lint whole programs end to end.
 
-Three modes:
+Two modes:
 
 * **file mode** — run each Python program (or every ``*.py`` under a
   directory) inside an analysis session: the pipeline hooks verify every
   IR function after each pass, lint the optimized IR, and sanitize every
   physical plan the program launches.  The program's own stdout is
   suppressed; only the diagnostic report is printed.
-* **trace mode** — a target that is a dumped dist-trace JSON file (or a
-  directory containing them) is routed through the distributed sanitizer
-  (``repro.analysis.dist``): protocol invariant monitors plus
-  happens-before race detection.  Mixed directories work: ``*.py`` files
-  are linted, ``*.json`` files that sniff as dist traces are sanitized.
 * **SQL mode** — ``--sql QUERY --table name=col:dtype,...`` plans the query
   through the full relational -> df/kernel pipeline and lints the result,
   without needing any data.
 
 Exit status is 0 only when every target is clean (INFO notes allowed).
+A dumped dist trace is no program: ``python -m repro.analysis.dist``
+sanitizes it.
 """
 
 from __future__ import annotations
@@ -34,33 +31,11 @@ __all__ = ["main"]
 
 
 def _expand_targets(paths: List[str]) -> List[Path]:
-    from .dist.events import DistTrace
-
     targets: List[Path] = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            targets.extend(sorted(path.glob("*.py")))
-            # dist traces can sit anywhere under an artifact directory
-            targets.extend(
-                candidate
-                for candidate in sorted(path.rglob("*.json"))
-                if DistTrace.is_trace_file(str(candidate))
-            )
-        else:
-            targets.append(path)
+        targets.extend(sorted(path.glob("*.py")) if path.is_dir() else [path])
     return targets
-
-
-def _sanitize_dist_trace(path: Path) -> "tuple[bool, str]":
-    """Route a dumped dist trace through the distributed sanitizer."""
-    from .dist.cli import sanitize_path
-
-    try:
-        report = sanitize_path(path)
-    except (OSError, ValueError, KeyError) as exc:
-        return False, f"error[bad-trace]: {path}: {exc}"
-    return report.clean, report.render()
 
 
 def _lint_program(path: Path) -> "tuple[bool, str]":
@@ -160,9 +135,13 @@ def main(argv=None) -> int:
             failures += 1
             continue
         if path.suffix == ".json":
-            clean, report = _sanitize_dist_trace(path)
-        else:
-            clean, report = _lint_program(path)
+            print(
+                f"error[not-a-program]: {path}: "
+                "sanitize a dist trace with python -m repro.analysis.dist"
+            )
+            failures += 1
+            continue
+        clean, report = _lint_program(path)
         print(report)
         failures += 0 if clean else 1
 

@@ -67,17 +67,19 @@ class HuntResult:
         return self.baseline_failed or self.failing_seed is not None
 
     def to_dict(self) -> Dict[str, Any]:
+        """The same for two equal hunts: a result with no ``to_dict`` of its
+        own is written as its type name, not as a ``repr`` that may hold a
+        memory address."""
+        result = self.minimal_result
         return {
             "trials": len(self.trials),
             "baseline_failed": self.baseline_failed,
             "failing_seed": self.failing_seed,
             "minimal_schedule": list(self.minimal) if self.minimal is not None else None,
             "minimal_result": (
-                self.minimal_result.to_dict()
-                if isinstance(self.minimal_result, SanitizerReport)
-                else repr(self.minimal_result)
-                if self.minimal_result is not None
-                else None
+                None if result is None
+                else result.to_dict() if hasattr(result, "to_dict")
+                else type(result).__name__
             ),
         }
 

@@ -79,10 +79,6 @@ class DistProbe:
                 self._live_kinds = frozenset(
                     kind for m in self.engine.monitors for kind in m.kinds
                 )
-        # ambient site for ownership-observer attribution: the runtime sets
-        # this immediately before a table mutation (no yield points between
-        # the set and the mutation, so it cannot be clobbered mid-flight)
-        self.site = "driver"
         # replay incarnation per task id: replayed attempts get distinct
         # attempt sites so a replay is not confused with its first life
         self._incarnation: Dict[str, int] = {}
@@ -215,18 +211,18 @@ class DistProbe:
 
     def attempt_commit(self, ctx: Any, object_id: str) -> None:
         """The commit point of one output: the ``done`` and ``ready``
-        announcements every downstream recv pairs with originate here.  The
-        ``object_ready`` goes out at the ambient site, which the runtime set
-        to the attempt's for the commit."""
+        announcements every downstream recv pairs with originate here, at
+        the attempt's site."""
+        task_id, attempt = ctx.spec.task_id, ctx.attempt
+        site = self.attempt_site(task_id, attempt, ctx.is_clone)
         if not self._skip("attempt_commit"):
-            task_id, attempt = ctx.spec.task_id, ctx.attempt
             self.emit(
-                self.attempt_site(task_id, attempt, ctx.is_clone),
+                site,
                 "attempt_commit",
                 (("task", task_id), ("attempt", attempt), ("object", object_id)),
                 sends=(f"done:{task_id}",),
             )
-        self.object_ready(self.site, object_id)
+        self.object_ready(site, object_id)
 
     def object_ready(self, site: str, object_id: str) -> None:
         """An object reached READY (commit, put, or recovery): the
@@ -335,11 +331,10 @@ class DistProbe:
         old: Optional[str],
         new: Optional[str],
         locations: int,
+        site: str,
     ) -> None:
-        """Observer callback for :class:`OwnershipTable` mutations.
-
-        Attribution uses the ambient ``self.site`` (set by the runtime just
-        before the mutation); the access class encodes whether interleaving
+        """Observer callback for :class:`OwnershipTable` mutations, at the
+        writer's ``site``; the access class encodes whether interleaving
         matters (``add_location`` commutes, everything else is exclusive).
         """
         kind = f"own_{op}"
@@ -347,7 +342,7 @@ class DistProbe:
         if live is not None and kind not in live:
             return
         self.emit(
-            self.site,
+            site,
             kind,
             (
                 ("object", object_id),

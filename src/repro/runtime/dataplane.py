@@ -67,9 +67,9 @@ class DataPlane:
         # pushes of one object queued this instant, flushed as a single
         # spanning-tree distribution
         self.pending_pushes: Dict[str, List[Any]] = {}
-        # PULL: task -> (parking number, ctx, preplaced), parked until every
-        # argument is READY; and the objects that turned READY since the last pass
-        self.waiting: Dict[str, Tuple[int, Any, bool]] = {}
+        # PULL: task -> (parking number, ctx), parked until every argument
+        # is READY; and the objects that turned READY since the last pass
+        self.waiting: Dict[str, Tuple[int, Any]] = {}
         self._turned_ready: List[str] = []
         self._parkings = 0
         reg = runtime.telemetry.registry
@@ -95,21 +95,21 @@ class DataPlane:
 
     # -- the core's six entry points -------------------------------------------
 
-    def hold(self, ctx: Any, preplaced: bool) -> bool:
+    def hold(self, ctx: Any) -> bool:
         """At routing: under PULL a task with an argument that is not READY
         parks (keeping the devices a gang placement gave it) instead of being
         dispatched.  PUSH never holds: its attempts wait on the device."""
         if self.push_mode or self._args_ready(ctx.spec):
             return False
         self._parkings += 1
-        self.waiting[ctx.spec.task_id] = (self._parkings, ctx, preplaced)
+        self.waiting[ctx.spec.task_id] = (self._parkings, ctx)
         self._m_waiting.set(float(len(self.waiting)))
         return True
 
-    def released(self) -> Iterator[Tuple[Any, bool]]:
-        """At a commit report: the parked tasks to dispatch now, as ``(ctx,
-        preplaced)`` in parking order.  Lazy — each is confirmed only after
-        the core dispatched the one before it, which may have concluded it."""
+    def released(self) -> Iterator[Any]:
+        """At a commit report: the parked tasks to dispatch now, in parking
+        order.  Lazy — each is confirmed only after the core dispatched the
+        one before it, which may have concluded it."""
         if not self._turned_ready:
             return
         turned, self._turned_ready = self._turned_ready, []
@@ -121,10 +121,10 @@ class DataPlane:
             if ctx.spec.task_id in waiting
         }
         for parked in sorted(due):  # by parking number: no two are equal
-            _, ctx, preplaced = parked
+            _, ctx = parked
             if waiting.get(ctx.spec.task_id) is parked and self._args_ready(ctx.spec):
                 del waiting[ctx.spec.task_id]
-                yield ctx, preplaced
+                yield ctx
         if due:
             self._m_waiting.set(float(len(waiting)))
 
@@ -206,7 +206,8 @@ class DataPlane:
         return all(is_ready(ref.object_id) for ref in spec.dependencies)
 
     def _note_ready(
-        self, op: str, object_id: str, old: Optional[str], new: Optional[str], copies: int
+        self, op: str, object_id: str, old: Optional[str], new: Optional[str],
+        copies: int, site: str,
     ) -> None:
         """Directory observer: a commit, a copy landing for a LOST entry and
         an HA restore are how an object turns READY.  Nobody parked, nobody to wake."""
@@ -227,8 +228,7 @@ class DataPlane:
             dst.put(oid, record.value, record.nbytes)
         except (SpillFailedError, StoreUnavailableError):
             return False  # refused: nowhere to spill, or the device died under us
-        self.rt.probe.site = site  # no yield between this and the mutation
-        self.rt.ownership.add_location(oid, dst.device.device_id)
+        self.rt.ownership.add_location(oid, dst.device.device_id, site)
         if self.push_mode:
             self.rt.probe.land(site, oid, dst.device.device_id)
         return True

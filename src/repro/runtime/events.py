@@ -237,8 +237,6 @@ class NoProbe:
     (``repro.analysis.dist``), which defines the same hooks and says what each
     one takes, replaces it when ``RuntimeConfig.sanitizers`` is non-empty."""
 
-    site: str = ""  # the ambient site a DistProbe attributes a directory mutation to
-
     def attempt_site(self, task_id: str, attempt: int, clone: bool = False) -> str:
         return ""
 

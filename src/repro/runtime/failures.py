@@ -234,7 +234,6 @@ class FailureDomains:
         if node_id in self.dead_nodes:
             return []
         self._view_change("node_dead", node=node_id)
-        rt.probe.site = "gcs"  # death declarations are the detector's act
         lost = rt.ownership.drop_node(node_id)
         rt._record("node_dead", node=node_id, cause=cause, objects_lost=len(lost))
         rt.actors.rehome(
@@ -255,7 +254,6 @@ class FailureDomains:
             return []
         device = self._device(device_id)
         self._view_change("device_dead", device=device_id)
-        rt.probe.site = "gcs"  # death declarations are the detector's act
         lost = rt.ownership.drop_device(device_id)
         rt._record(
             "device_dead",
@@ -282,7 +280,6 @@ class FailureDomains:
         if node_id in self.dead_blades:
             return []
         self._view_change("blade_dead", node=node_id)
-        rt.probe.site = "gcs"  # death declarations are the detector's act
         lost = rt.ownership.drop_node(node_id)
         rt._record("blade_dead", node=node_id, cause=cause, objects_lost=len(lost))
         rt.recovery.objects_lost(lost)

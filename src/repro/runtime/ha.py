@@ -166,7 +166,7 @@ class HAController:
         self._m_wal.inc()
 
     def _on_ownership_op(
-        self, op: str, object_id: str, old: Optional[str], new: Optional[str], locs: int
+        self, op: str, object_id: str, old: Optional[str], new: Optional[str], locs: int, site: str
     ) -> None:
         """Directory observer: snapshot the entry after every mutation.
 
@@ -453,7 +453,6 @@ class HAController:
         for rec in log:
             d = rec.get()
             if rec.kind == "own":
-                rt.probe.site = "gcs"
                 rt.ownership.restore(
                     d["object"],
                     d["owner"],
@@ -480,7 +479,6 @@ class HAController:
                 continue
             if rt.ownership.contains(oid):
                 continue
-            rt.probe.site = "gcs"
             rt.ownership.restore(
                 oid, DRIVER, ctx.spec.task_id, ValueState.PENDING, 0, (), None
             )
@@ -506,12 +504,10 @@ class HAController:
                 store = rt._store_of_device.get(device_id)
                 for oid, nbytes in outputs:
                     if not rt.ownership.contains(oid):
-                        rt.probe.site = "gcs"
                         rt.ownership.restore(
                             oid, DRIVER, task_id, ValueState.PENDING, 0, (), None
                         )
                     if store is not None and store.contains(oid):
-                        rt.probe.site = "gcs"
                         rt.ownership.mark_ready(oid, device_id, nbytes)
                 raylet.ack_report(report)
             for dev_id in sorted(raylet.stores):
@@ -524,12 +520,10 @@ class HAController:
                         continue  # freed, or a put the driver no longer holds
                     entry = rt.ownership.entry(oid)
                     if entry.state in (ValueState.READY, ValueState.LOST):
-                        rt.probe.site = "gcs"
                         rt.ownership.add_location(oid, dev_id)
                     elif entry.state == ValueState.PENDING:
                         ctx = rt._ctx_of_object.get(oid)
                         if ctx is not None and ctx.state == TaskState.FINISHED:
-                            rt.probe.site = "gcs"
                             rt.ownership.mark_ready(oid, dev_id, stored.nbytes)
 
     def _reconcile_after_failover(self) -> None:
@@ -548,7 +542,6 @@ class HAController:
             ctx = rt._ctx_of_object.get(entry.object_id)
             if ctx is None or ctx.state is not TaskState.FINISHED:
                 continue
-            rt.probe.site = "gcs"
             rt.ownership.restore(
                 entry.object_id,
                 entry.owner,

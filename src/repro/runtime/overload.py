@@ -27,7 +27,7 @@ task carries no time limit of its own: a caller that gives up on one calls
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import ServerlessRuntime
@@ -120,13 +120,18 @@ class OverloadControl:
             )
             rt.on_task_finished.append(self._refill_budget)
             rt.retry_gates.append(self._spend_budget)
-        self.admitted_open = 0  # tasks holding a scheduler admission slot
+        self.slots: Set[str] = set()  # ids of the tasks holding an admission slot
         if cfg.admission_control:
             rt.submit_gates.append(self._admission_gate)
             rt.on_task_open.append(self._task_open)
             rt.on_task_closed.append(self._task_closed)
 
     # -- admission -------------------------------------------------------------
+
+    @property
+    def admitted_open(self) -> int:
+        """Open tasks holding a scheduler admission slot."""
+        return len(self.slots)
 
     def _admission_gate(self, spec: "TaskSpec") -> None:
         """Scheduler-level bounded admission: raises
@@ -152,14 +157,11 @@ class OverloadControl:
         )
 
     def _task_open(self, ctx: Any) -> None:
-        ctx.admitted = True
-        self.admitted_open += 1
+        self.slots.add(ctx.spec.task_id)
 
     def _task_closed(self, ctx: Any) -> None:
         """Release the task's admission slot."""
-        if ctx.admitted:
-            ctx.admitted = False
-            self.admitted_open = max(0, self.admitted_open - 1)
+        self.slots.discard(ctx.spec.task_id)
 
     # -- retry budget ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 __all__ = ["DRIVER", "ValueState", "OwnershipEntry", "OwnershipTable"]
 
 DRIVER = "driver"  # owner id of every ref the (single) driver program holds
+GCS = "gcs"  # the writer of every directory mutation no caller names
 
 
 class ValueState(enum.Enum):
@@ -48,11 +49,13 @@ class OwnershipTable:
         self._entries: Dict[str, OwnershipEntry] = {}
         self._handles = itertools.count(1)
         # subscribers called in list order as observer(op, object_id,
-        # old_state, new_state, location_count) after every directory
-        # mutation: the dist-sanitizer probe and the HA write-ahead log each
-        # append themselves; the empty default costs one truth test
+        # old_state, new_state, location_count, site) after every directory
+        # mutation, ``site`` naming the writer: the driver creates, an
+        # attempt commits, a push lands, the GCS does the rest.  The
+        # dist-sanitizer probe and the HA write-ahead log each append
+        # themselves; the empty default costs one truth test
         self.observers: List[
-            Callable[[str, str, Optional[str], Optional[str], int], None]
+            Callable[[str, str, Optional[str], Optional[str], int, str], None]
         ] = []
 
     # enum ``.name`` goes through a descriptor on every read; the observer
@@ -60,14 +63,14 @@ class OwnershipTable:
     _STATE_NAMES = {state: state.name for state in ValueState}
 
     def _observe(
-        self, op: str, entry: OwnershipEntry, old: Optional[ValueState]
+        self, op: str, entry: OwnershipEntry, old: Optional[ValueState], site: str = GCS
     ) -> None:
         if self.observers:
             names = self._STATE_NAMES
             old_name = None if old is None else names[old]
             for observer in self.observers:
                 observer(
-                    op, entry.object_id, old_name, names[entry.state], len(entry.locations)
+                    op, entry.object_id, old_name, names[entry.state], len(entry.locations), site
                 )
 
     def create(self, object_id: str, owner: str, task_id: str) -> OwnershipEntry:
@@ -75,7 +78,7 @@ class OwnershipTable:
             raise KeyError(f"object {object_id!r} already registered")
         entry = OwnershipEntry(object_id=object_id, owner=owner, task_id=task_id)
         self._entries[object_id] = entry
-        self._observe("create", entry, None)
+        self._observe("create", entry, None, DRIVER)
         return entry
 
     def entry(self, object_id: str) -> OwnershipEntry:
@@ -87,9 +90,12 @@ class OwnershipTable:
     def contains(self, object_id: str) -> bool:
         return object_id in self._entries
 
-    def mark_ready(self, object_id: str, store_id: str, nbytes: int) -> OwnershipEntry:
-        """The value landed in ``store_id``'s store (a commit, or a restore):
-        the entry is READY there, and that device holds the primary copy."""
+    def mark_ready(
+        self, object_id: str, store_id: str, nbytes: int, site: str = GCS
+    ) -> OwnershipEntry:
+        """The value landed in ``store_id``'s store (``site``'s commit or put,
+        or a restore): the entry is READY there, and that device holds the
+        primary copy."""
         entry = self.entry(object_id)
         old = entry.state
         entry.state = ValueState.READY
@@ -97,16 +103,16 @@ class OwnershipTable:
         entry.locations.add(store_id)
         entry.device_id = store_id
         entry.device_handle = next(self._handles)
-        self._observe("mark_ready", entry, old)
+        self._observe("mark_ready", entry, old, site)
         return entry
 
-    def add_location(self, object_id: str, store_id: str) -> None:
+    def add_location(self, object_id: str, store_id: str, site: str = GCS) -> None:
         entry = self.entry(object_id)
         old = entry.state
         entry.locations.add(store_id)
         if entry.state == ValueState.LOST:
             entry.state = ValueState.READY
-        self._observe("add_location", entry, old)
+        self._observe("add_location", entry, old, site)
 
     def drop_location(self, object_id: str, store_id: str) -> None:
         entry = self.entry(object_id)
@@ -187,15 +193,15 @@ class OwnershipTable:
         self._observe("restore", entry, None)
         return entry
 
-    def free(self, object_id: str) -> None:
-        """The application released the object: the entry goes, and observers
-        see op ``"free"`` with no new state (the WAL logs it as a drop)."""
+    def free(self, object_id: str, site: str = GCS) -> None:
+        """``site`` released the object: the entry goes, and observers see op
+        ``"free"`` with no new state (the WAL logs it as a drop)."""
         entry = self.entry(object_id)
         old_name = self._STATE_NAMES[entry.state]
         entry.locations.clear()  # anyone still holding the entry sees no copy
         self.remove(object_id)
         for observer in self.observers:
-            observer("free", object_id, old_name, None, 0)
+            observer("free", object_id, old_name, None, 0, site)
 
     def remove(self, object_id: str) -> None:
         """Forget an entry silently (WAL ``own_drop`` replay)."""

@@ -106,7 +106,6 @@ class Recovery:
         ]
         if not stale:
             return False
-        rt.probe.site = "gcs"  # reconciliation is a directory-side act
         for store_id in stale:
             rt.ownership.drop_location(object_id, store_id)
         rt._record("object_reconciled", object=object_id, stale_locations=stale)
@@ -127,12 +126,9 @@ class Recovery:
         if not ownership.contains(object_id):
             return
         # directory upkeep is the GCS acting, whichever caller's put forced
-        # the eviction; that caller's own attribution resumes afterwards
-        probe = self.rt.probe
-        caller_site, probe.site = probe.site, "gcs"
+        # the eviction
         ownership.add_location(object_id, target.device.device_id)
         ownership.drop_location(object_id, origin.device.device_id)
-        probe.site = caller_site
         self.rt.data.publish(object_id)
 
     def read_value(self, object_id: str) -> Any:
@@ -369,7 +365,6 @@ class Recovery:
         # consumer's done-report: same-site program order is the honest
         # happens-before edge that makes the drop race-free.  Only the
         # legacy force path keeps the racy driver attribution.
-        rt.probe.site = site
-        rt.ownership.free(oid)
+        rt.ownership.free(oid, site)
         rt._ctx_of_object.pop(oid, None)
         return released

@@ -97,7 +97,7 @@ class _TaskCtx:
         "spec", "outputs", "device", "raylet", "done", "state", "span",
         "dispatched", "inputs_ready", "started",
         "error", "proc", "attempt", "retries", "twin", "is_clone",
-        "pulls", "admitted", "lease_epoch", "avoid",
+        "pulls", "lease_epoch", "avoid",
     )
 
     def __init__(self, spec: TaskSpec, outputs: List[str], done: Signal, span: TaskSpan):
@@ -117,7 +117,6 @@ class _TaskCtx:
         self.twin: Optional["_TaskCtx"] = None  # speculative copy, if any
         self.is_clone = False
         self.pulls: Tuple = ()  # this attempt's in-flight pull processes
-        self.admitted = False  # holds a scheduler-level admission slot
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
         self.avoid: Optional[str] = None  # the next placement leaves it out (a timeout's)
 
@@ -347,7 +346,6 @@ class ServerlessRuntime:
         """Driver-side put: store on the head node, immediately ready."""
         oid = self.ids.object_id()
         nbytes = nbytes if nbytes is not None else estimate_nbytes(value)
-        self.probe.site = "driver"
         self.ownership.create(oid, owner=DRIVER, task_id="")
         self._ready_at_head(oid, value, nbytes, "driver")
         self._on_object_ready(oid)
@@ -362,8 +360,7 @@ class ServerlessRuntime:
         store = raylet.store_of(host.device_id)
         if not store.contains(object_id):
             store.put(object_id, value, nbytes or estimate_nbytes(value))
-        self.probe.site = site
-        self.ownership.mark_ready(object_id, host.device_id, nbytes)
+        self.ownership.mark_ready(object_id, host.device_id, nbytes, site)
         self.probe.object_ready(site, object_id)
 
     def get(self, refs, timeout: Optional[float] = None) -> Any:
@@ -477,7 +474,6 @@ class ServerlessRuntime:
         for gate in self.submit_gates:
             gate(spec)
         outputs = [self.ids.object_id() for _ in range(spec.num_returns)]
-        self.probe.site = "driver"
         for oid in outputs:
             self.ownership.create(oid, owner=DRIVER, task_id=spec.task_id)
         self.lineage.record(spec, outputs)  # keeps the list, which the ctx shares
@@ -521,10 +517,10 @@ class ServerlessRuntime:
         placements = self.scheduler.place_gang([c.spec for c in pending])
         for ctx in pending:
             ctx.device = placements[ctx.spec.task_id]
-            self._route(ctx, preplaced=True)
+            self._route(ctx)
         return [self._returned(c) for c in ctxs]
 
-    def _route(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
+    def _route(self, ctx: _TaskCtx) -> None:
         """Dispatch now, unless the data plane holds the task for its arguments."""
         if self.health is not None and self.gcs_up:
             # a dead GCS counts no silence: detection stays down until a
@@ -532,8 +528,8 @@ class ServerlessRuntime:
             self.health.ensure_running()
         for hook in self.on_route:
             hook()
-        if not self.data.hold(ctx, preplaced):
-            self._dispatch(ctx, preplaced=preplaced)
+        if not self.data.hold(ctx):
+            self._dispatch(ctx)
 
     def _readers(self, object_id: str) -> List[_TaskCtx]:
         """Who reads ``object_id``: the live incarnation of every task listing it
@@ -681,7 +677,7 @@ class ServerlessRuntime:
         span.attrs["retries"] = ctx.retries
         return span.finish(self.sim.now)
 
-    def _dispatch(self, ctx: _TaskCtx, preplaced: bool = False) -> None:
+    def _dispatch(self, ctx: _TaskCtx) -> None:
         spec = ctx.spec
         if not self.gcs_up:
             # the control plane is down: no leader can grant a lease.  Park
@@ -692,7 +688,7 @@ class ServerlessRuntime:
             return
         if spec.actor_id is not None:
             self.actors.home(spec)
-        if not preplaced or ctx.device is None:
+        if ctx.device is None:  # a gang member and a backup come placed
             ctx.device = self.scheduler.place(spec, ctx.avoid)
             # only a pinned device can be out of the view: candidates() filters the rest
             if self.scheduler.is_blacklisted(ctx.device.device_id):
@@ -841,9 +837,9 @@ class ServerlessRuntime:
             for oid, _value, _nbytes in committed:
                 store.delete(oid)
             raise _TransientTaskError(str(exc)) from None
-        self.probe.site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
+        site = self.probe.attempt_site(spec.task_id, ctx.attempt, ctx.is_clone)
         for oid, _value, nbytes in committed:
-            self.ownership.mark_ready(oid, device.device_id, nbytes)
+            self.ownership.mark_ready(oid, device.device_id, nbytes, site)
             self.probe.attempt_commit(ctx, oid)
         return committed
 
@@ -913,13 +909,11 @@ class ServerlessRuntime:
             or self._outputs_ready(ctx)
         )
 
-    def _place_or_retry(
-        self, step: Callable[[_TaskCtx, bool], None], ctx: _TaskCtx, preplaced: bool = False
-    ) -> None:
+    def _place_or_retry(self, step: Callable[[_TaskCtx], None], ctx: _TaskCtx) -> None:
         """Run a placement step (``_route`` or ``_dispatch``); mid-chaos the
         cluster may have nowhere to run it right now — back off and retry."""
         try:
-            step(ctx, preplaced)
+            step(ctx)
         except PlacementError as exc:
             self.supervisor.failed(ctx, cause=str(exc))
 
@@ -965,8 +959,8 @@ class ServerlessRuntime:
         """Newly-ready objects poke observers and may unblock waiting tasks."""
         for hook in list(self.object_ready_hooks):
             hook(object_id)
-        for ctx, preplaced in self.data.released():
-            self._place_or_retry(self._dispatch, ctx, preplaced)
+        for ctx in self.data.released():
+            self._place_or_retry(self._dispatch, ctx)
 
     # -- actors ------------------------------------------------------------------------
 
@@ -1103,7 +1097,6 @@ class ServerlessRuntime:
         # reincarnation: later attempts of this task get distinct sites and
         # lease keys, so a replay is not confused with the task's first life
         self.probe.replay(spec.task_id)
-        self.probe.site = "gcs"  # recovery is a control-plane act
         lost = [oid for oid in outputs if self.ownership.awaits_commit(oid)]
         for oid in lost:
             self.ownership.reset_pending(oid)

@@ -175,4 +175,4 @@ class Supervisor:
         clone.is_clone = True
         clone.device = backup
         rt._record("speculate", task=ctx.spec.task_id, slow=slow, backup=backup.device_id)
-        rt._dispatch(clone, preplaced=True)
+        rt._dispatch(clone)

@@ -33,9 +33,8 @@ at a million tenants.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from functools import partial
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..runtime.overload import AdmissionRejectedError
 from ..runtime.task import TaskState
@@ -91,9 +90,9 @@ class ServingFrontend:
         self.tenant_isolation: bool = cfg.serving_tenant_isolation
         self.max_inflight: Optional[int] = cfg.serving_max_inflight
         self.queue_depth: int = cfg.serving_queue_depth
-        # waiting room: a WFQ heap of (finish_tag, seq, pending) or a FIFO
+        # waiting room: a heap of (finish_tag, seq, pending); without fair
+        # queueing every tag stays 0.0, so arrival order rules (FIFO)
         self._heap: List[Tuple[float, int, PendingRequest]] = []
-        self._fifo: Deque[PendingRequest] = deque()
         self._seq = 0
         self._vtime = 0.0  # WFQ system virtual time
         self._tenant_finish: Dict[str, float] = {}  # tenant id -> last finish tag
@@ -188,7 +187,7 @@ class ServingFrontend:
     # -- fair queueing --------------------------------------------------------
 
     def _queued(self) -> int:
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
     def _enqueue(self, pending: PendingRequest) -> None:
         self._seq += 1
@@ -198,9 +197,7 @@ class ServingFrontend:
             start = max(self._vtime, self._tenant_finish.get(tenant.tenant_id, 0.0))
             pending.finish_tag = start + req.template.total_cost / tenant.profile.weight
             self._tenant_finish[tenant.tenant_id] = pending.finish_tag
-            heapq.heappush(self._heap, (pending.finish_tag, self._seq, pending))
-        else:
-            self._fifo.append(pending)
+        heapq.heappush(self._heap, (pending.finish_tag, self._seq, pending))
         self._m_queue_depth.set(float(self._queued()))
 
     def _pop_next(self) -> Optional[PendingRequest]:
@@ -208,8 +205,6 @@ class ServingFrontend:
             tag, _seq, pending = heapq.heappop(self._heap)
             self._vtime = max(self._vtime, tag)
             return pending
-        if self._fifo:
-            return self._fifo.popleft()
         return None
 
     def _pump(self) -> None:

@@ -60,12 +60,12 @@ def rescan_on_every_poke(rt: ServerlessRuntime, early: list) -> None:
             parked = min((p for p in data.waiting.values() if p[0] > visited), default=None)
             if parked is None:
                 break
-            visited, ctx, preplaced = parked
+            visited, ctx = parked
             if all(is_ready(ref.object_id) for ref in ctx.spec.dependencies):
                 del data.waiting[ctx.spec.task_id]
                 if all(ref.object_id != object_id for ref in ctx.spec.dependencies):
                     early.append(ctx.spec.task_id)
-                rt._place_or_retry(rt._dispatch, ctx, preplaced)
+                rt._place_or_retry(rt._dispatch, ctx)
         data._m_waiting.set(float(len(data.waiting)))
 
     rt._on_object_ready = _on_object_ready
@@ -215,8 +215,8 @@ def strike_inside_a_pass(seed: int, arm) -> tuple:
         finally:
             depth[0] -= 1
 
-    def counting_hold(ctx, preplaced):
-        held = hold(ctx, preplaced)
+    def counting_hold(ctx):
+        held = hold(ctx)
         if held and depth[0]:
             holds_inside_a_pass.append(ctx.spec.name)
         return held

@@ -1,5 +1,5 @@
 """CLI coverage: ``python -m repro.analysis.dist`` over trace files and
-directories, and the dist-trace routing inside ``python -m repro.analysis``."""
+directories, the one command that sanitizes a dist trace."""
 
 from __future__ import annotations
 
@@ -118,34 +118,11 @@ class TestDistCli:
         assert "no trace files found" in capsys.readouterr().out
 
 
-class TestAnalysisCliTraceMode:
-    """``python -m repro.analysis`` routes dist traces to the sanitizer."""
-
-    def test_trace_file_target(self, tmp_path, capsys):
+class TestAnalysisCliTakesNoTraces:
+    def test_a_trace_target_points_to_the_dist_cli(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         clean_trace().dump(str(path))
-        assert analysis_main([str(path)]) == 0
-        assert "dist-sanitizer" in capsys.readouterr().out
-
-    def test_dirty_trace_file_fails(self, tmp_path, capsys):
-        path = tmp_path / "t.json"
-        dirty_trace().dump(str(path))
         assert analysis_main([str(path)]) == 1
-        assert "race" in capsys.readouterr().out
-
-    def test_mixed_directory_lints_programs_and_sanitizes_traces(
-        self, tmp_path, capsys
-    ):
-        clean_trace().dump(str(tmp_path / "trace.json"))
-        (tmp_path / "bench.json").write_text(json.dumps({"metric": 1}))
-        (tmp_path / "prog.py").write_text("x = 1 + 1\n")
-        assert analysis_main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "dist-sanitizer" in out  # the trace was sanitized
-        assert "bench.json" not in out  # the non-trace json was skipped
-
-    def test_bad_trace_through_analysis_cli(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
-        assert analysis_main([str(bogus)]) == 1
-        assert "error[bad-trace]" in capsys.readouterr().out
+        assert "error[not-a-program]" in out and "python -m repro.analysis.dist" in out
+        assert "dist-sanitizer" not in out

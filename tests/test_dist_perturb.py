@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.dist.perturb import ddmin, default_predicate, hunt
@@ -192,6 +194,19 @@ class TestHunt:
         payload = result.to_dict()
         assert payload["failing_seed"] == result.failing_seed
         assert payload["minimal_schedule"] == list(result.minimal)
+
+    def test_two_equal_hunts_write_the_same_result(self):
+        """A failing result with no ``to_dict`` (here an object whose repr
+        is its memory address) is written as its type name."""
+
+        class Outcome:
+            pass
+
+        # both kept alive, so the two outcomes cannot share an address
+        hunts = [hunt(lambda p: Outcome(), seeds=(1,), predicate=bool) for _ in range(2)]
+        first, second = (json.dumps(h.to_dict()) for h in hunts)
+        assert first == second
+        assert json.loads(first)["minimal_result"] == "Outcome"
 
 
 def free_under_consumer_scenario(perturbation, force=False, free_at=52e-3):

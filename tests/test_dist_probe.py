@@ -98,7 +98,6 @@ class TestCausalVocabulary:
         probe.submit(spec("t"), [])             # 0 driver
         probe.dispatch(ctx("t", 1))             # 1 gcs (recv submit)
         probe.attempt_start(ctx("t", 1))        # 2 attempt (recv lease)
-        probe.site = "attempt:t#1"              # the runtime's, for the commit
         probe.attempt_commit(ctx("t", 1), "o")  # 3 attempt, 4 its object_ready
         probe.task_finish("t")                  # 5 gcs (recv done)
         assert [e.kind for e in probe.trace][3:5] == ["attempt_commit", "object_ready"]
@@ -112,7 +111,6 @@ class TestCausalVocabulary:
         probe.submit(spec("p"), [])               # 0
         probe.dispatch(ctx("p", 1))               # 1
         probe.attempt_start(ctx("p", 1))          # 2
-        probe.site = "attempt:p#1"
         probe.attempt_commit(ctx("p", 1), "o")    # 3, and 4 sends ready:o
         probe.submit(spec("c"), [])               # 5
         probe.dispatch(ctx("c", 1, deps=("o",)))  # 6 recvs ready:o
@@ -181,12 +179,10 @@ class TestCausalVocabulary:
 
     def test_get_resolve_orders_producer_before_driver_followups(self):
         probe = make_probe()
-        probe.site = "attempt:p#1"
-        probe.ownership_op("mark_ready", "o", "PENDING", "READY", 1)  # 0
-        probe.object_ready("attempt:p#1", "o")                        # 1
-        probe.get_resolve(["o"])                                      # 2 driver
-        probe.site = "driver"
-        probe.ownership_op("free", "o", "READY", None, 0)             # 3
+        probe.ownership_op("mark_ready", "o", "PENDING", "READY", 1, "attempt:p#1")  # 0
+        probe.object_ready("attempt:p#1", "o")                                      # 1
+        probe.get_resolve(["o"])                                                    # 2 driver
+        probe.ownership_op("free", "o", "READY", None, 0, "driver")                 # 3
         hb = build_hb(probe.trace)
         assert hb.ordered(0, 3)  # sanctioned free: no race
         assert build_hb(probe.trace).races == []
@@ -201,8 +197,8 @@ class TestCausalVocabulary:
 
     def test_ownership_access_classes(self):
         probe = make_probe()
-        probe.ownership_op("add_location", "o", "READY", "READY", 2)
-        probe.ownership_op("drop_node", "o", "READY", "LOST", 0)
+        probe.ownership_op("add_location", "o", "READY", "READY", 2, "push:o")
+        probe.ownership_op("drop_node", "o", "READY", "LOST", 0, "gcs")
         probe.dir_read("attempt:c#1", "o", "READY")
         accesses = [e.accesses[0] for e in probe.trace]
         assert accesses == [
@@ -216,7 +212,7 @@ class TestTraceRoundTrip:
         probe.submit(spec("t"), [])
         probe.dispatch(ctx("t", 1))
         probe.attempt_start(ctx("t", 1))
-        probe.ownership_op("create", "o", None, "PENDING", 0)
+        probe.ownership_op("create", "o", None, "PENDING", 0, "driver")
         path = tmp_path / "trace.json"
         probe.trace.dump(str(path))
         loaded = DistTrace.load(str(path))

@@ -308,6 +308,24 @@ class TestThePlacementViewAcrossAFailover:
         assert after and "server3/cpu" not in after
         assert_recovery_drained(rt)
 
+    def test_a_gang_launched_while_no_leader_serves_keeps_its_devices(self):
+        """The members park with the devices ``launch_gang`` gave them; the
+        failover dispatches them there, not one by one by the policy (which
+        put all three on ``server1/cpu``)."""
+        rt = ServerlessRuntime(build_serverful(n_servers=4), self.no_detector())
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=1e-3)).arm()
+        filler = rt.submit(lambda: 0, compute_cost=4e-3, name="filler")
+        rt.run(until=1.2e-3)
+        assert not rt.gcs_up
+        refs = [rt.submit(lambda i=i: i, gang_group="g", name=f"rank{i}") for i in range(3)]
+        rt.launch_gang("g")
+        placed = [rt._ctxs[ref.task_id].device.device_id for ref in refs]
+        assert len(set(placed)) == 3
+        assert rt.get(refs) == [0, 1, 2] and rt.get(filler) == 0
+        assert rt.ha.failovers == 1
+        assert [rt.timeline_of(ref).device for ref in refs] == placed
+        assert_recovery_drained(rt)
+
 
 class TestSplitBrainFencing:
     """A partitioned (not dead) leader is deposed, never obeyed again."""

@@ -310,10 +310,10 @@ class TestAdmission:
     def test_every_open_task_holds_exactly_one_slot(self):
         rt = make_rt(admission_control=True, admission_queue_depth=8)
         refs = [rt.submit(lambda i=i: i, compute_cost=0.05) for i in range(5)]
-        admitted = [ctx for ctx in rt._ctxs.values() if ctx.admitted]
-        assert len(admitted) == rt.overload.admitted_open == rt._open_tasks == 5
+        assert rt.overload.slots == set(rt._ctxs)
+        assert len(rt.overload.slots) == rt.overload.admitted_open == rt._open_tasks == 5
         assert rt.get(refs) == list(range(5))
-        assert not any(ctx.admitted for ctx in rt._ctxs.values())
+        assert not rt.overload.slots
 
 
 # -- cooperative cancellation --------------------------------------------------

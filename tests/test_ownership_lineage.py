@@ -93,8 +93,8 @@ class TestOwnershipTable:
         assert table.entry("a").device_id is table.entry("b").device_id is None
         assert table.entry("b").device_handle is None
         assert seen == [
-            ("drop_device", "a", "READY", "LOST", 0),
-            ("drop_device", "b", "READY", "READY", 1),
+            ("drop_device", "a", "READY", "LOST", 0, "gcs"),
+            ("drop_device", "b", "READY", "READY", 1, "gcs"),
         ]
 
     def test_add_location_revives_lost(self):
@@ -115,7 +115,22 @@ class TestOwnershipTable:
         entry = table.entry("o1")
         assert entry.state is ValueState.PENDING and not entry.locations
         assert entry.device_id is entry.device_handle is None
-        assert seen == [("replay_reset", "o1", "READY", "PENDING", 0)]
+        assert seen == [("replay_reset", "o1", "READY", "PENDING", 0, "gcs")]
+
+    def test_each_write_names_its_writer(self):
+        table = OwnershipTable()
+        seen = []
+        table.observers.append(lambda *op: seen.append((op[0], op[-1])))
+        table.create("o1", "w", "t")
+        table.mark_ready("o1", "n0/cpu", 10, "attempt:t#1")
+        table.add_location("o1", "n1/cpu", "push:o1")
+        table.add_location("o1", "n2/cpu")
+        table.drop_location("o1", "n2/cpu")
+        table.free("o1", "driver")
+        assert seen == [
+            ("create", "driver"), ("mark_ready", "attempt:t#1"), ("add_location", "push:o1"),
+            ("add_location", "gcs"), ("drop_location", "gcs"), ("free", "driver"),
+        ]
 
     def test_unknown_object_raises(self):
         table = OwnershipTable()
