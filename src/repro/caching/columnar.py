@@ -190,10 +190,14 @@ class RecordBatch:
         return RecordBatch(Schema(fields), cols)
 
     def filter(self, mask: np.ndarray) -> "RecordBatch":
+        return self.take(self.kept_rows(mask))  # scan the mask once, not once per column
+
+    def kept_rows(self, mask: np.ndarray) -> np.ndarray:
+        """The positions a boolean mask matching ``num_rows`` keeps."""
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or len(mask) != self.num_rows:
             raise ValueError("mask must be a boolean array matching num_rows")
-        return self.take(np.flatnonzero(mask))  # scan the mask once, not once per column
+        return np.flatnonzero(mask)
 
     def take(self, indices: np.ndarray) -> "RecordBatch":
         indices = np.asarray(indices)

@@ -3,13 +3,19 @@
 These are the "predefined operators" of §1 (cudf ops, arrow ops, ...) and
 the execution bodies the interpreter dispatches to.  All frame kernels are
 vectorized column-at-a-time — the execution style the shared columnar
-format exists to support.
+format exists to support — and sort only where the result needs it: a
+grouped count, float sum or mean is a ``bincount`` over a direct-address
+group code, a join on distinct build keys reads each probe row's one match
+without expanding runs, ``hash_partition`` sorts the bucket ids once, and
+``where_rows`` evaluates a chain of predicates each over the rows the ones
+before it kept.  The sort-based forms serve every input the fast ones do
+not.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +43,24 @@ def k_scan(attrs: Dict[str, Any], *, tables: Mapping[str, RecordBatch]) -> Recor
 
 
 def k_filter(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
-    pred: Expr = attrs["pred"]
-    mask = np.asarray(pred.evaluate(_columns(batch)), dtype=bool)
-    return batch.filter(mask)
+    return batch.take(where_rows([attrs["pred"]], batch))
+
+
+def where_rows(preds: Sequence[Expr], batch: RecordBatch) -> np.ndarray:
+    """The rows of ``batch`` that every predicate keeps, in row order: the
+    first predicate is evaluated over the whole batch, each later one only over
+    the rows the ones before it kept, with just the columns it reads gathered.
+    No predicate sees a row an earlier one excluded."""
+    first, *rest = preds
+    rows = _kept_rows(first, batch)
+    for pred in rest:
+        view = batch.select(list(dict.fromkeys(pred.referenced_columns()))).take(rows)
+        rows = rows[_kept_rows(pred, view)]
+    return rows
+
+
+def _kept_rows(pred: Expr, batch: RecordBatch) -> np.ndarray:
+    return batch.kept_rows(np.asarray(pred.evaluate(_columns(batch)), dtype=bool))
 
 
 def k_project(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
@@ -60,7 +81,10 @@ def k_project(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
 def k_join(attrs: Dict[str, Any], left: RecordBatch, right: RecordBatch) -> RecordBatch:
     """Inner equi-join: rows in probe (left) order, then build (right) order
     within a key.  Keys compare as numpy compares them (mixed widths and
-    int/float after promotion); a NaN key matches nothing."""
+    int/float after promotion); a NaN key matches nothing.  When every build
+    key is distinct, a probe row matches at most one build row: the expansion
+    by run lengths is skipped, and when every probe row matches, the probe
+    side's columns pass through as they are (views, not copies)."""
     left_on, right_on = attrs["left_on"], attrs["right_on"]
     build, probe = right.column(right_on), left.column(left_on)
     order = np.argsort(build, kind="stable")  # equal keys stay in build order
@@ -68,15 +92,23 @@ def k_join(attrs: Dict[str, Any], left: RecordBatch, right: RecordBatch) -> Reco
     head = np.ones(len(build), dtype=bool)  # first row of each run of equal keys
     head[1:] = sorted_build[1:] != sorted_build[:-1]
     starts = np.flatnonzero(head)
-    run_len = np.zeros(len(build) + 1, dtype=np.intp)  # by sorted position; 0 past the end
-    run_len[starts] = np.diff(starts, append=len(build))
     heads = _heads_by_address(sorted_build, starts, probe)
     if heads is None:
         heads = _heads_by_search(sorted_build, probe)
-    counts = run_len[heads]
-    li = np.repeat(np.arange(len(probe)), counts)
-    first_out = np.cumsum(counts) - counts  # where each probe row's matches start
-    ri = order[np.arange(len(li)) + np.repeat(heads - first_out, counts)]
+    if len(starts) == len(build):  # unique build keys: one match or none
+        matched = heads != len(build)
+        if matched.all():  # every probe row, once: its columns pass as they are
+            li, ri = slice(None), order[heads]
+        else:
+            li = np.flatnonzero(matched)
+            ri = order[heads[li]]
+    else:
+        run_len = np.zeros(len(build) + 1, dtype=np.intp)  # by sorted position; 0 past the end
+        run_len[starts] = np.diff(starts, append=len(build))
+        counts = run_len[heads]
+        li = np.repeat(np.arange(len(probe)), counts)
+        first_out = np.cumsum(counts) - counts  # where each probe row's matches start
+        ri = order[np.arange(len(li)) + np.repeat(heads - first_out, counts)]
     sides = ((left, li), (right, ri))
     cols: Dict[str, np.ndarray] = {}
     for out_name, (side, name) in join_output(
@@ -99,13 +131,20 @@ def k_aggregate(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
     ``partial`` makes this the first phase of a two-phase aggregate (see
     ``core.planner``): a ``mean`` stops at its float64 sum, which the final
     phase divides, and a keyless aggregate of no rows yields no group, so a
-    shard with no rows adds nothing to the merge."""
+    shard with no rows adds nothing to the merge.
+
+    Grouped counts and float sums and means are read off a direct-address
+    table when the keys allow (``_dense_aggregate``); every other aggregate
+    sorts the rows into groups and reduces each with ``reduceat``."""
     keys = list(attrs.get("keys", ()))
     partial = attrs.get("partial", False)
     n = batch.num_rows
     cols: Dict[str, np.ndarray] = {}
     if keys:
         key_arrays = [batch.column(k) for k in keys]
+        dense = _dense_aggregate(keys, key_arrays, attrs["aggs"], partial, batch)
+        if dense is not None:
+            return dense
         order, starts = _group_order(key_arrays)
         first_rows = order[starts]
         for key_name, arr in zip(keys, key_arrays, strict=True):
@@ -128,6 +167,51 @@ def k_aggregate(attrs: Dict[str, Any], batch: RecordBatch) -> RecordBatch:
             cols[out_name] = sums if partial else sums / counts
         else:
             cols[out_name] = _REDUCE[fn].reduceat(source, starts)
+    return RecordBatch.from_arrays(cols)
+
+
+def _dense_aggregate(
+    keys: List[str],
+    key_arrays: List[np.ndarray],
+    aggs: List[Tuple[str, str, Optional[str]]],
+    partial: bool,
+    batch: RecordBatch,
+) -> Optional[RecordBatch]:
+    """``k_aggregate``'s grouped answer without a sort: each row's group code
+    addresses its group, ``np.bincount`` counts the rows and sums the values
+    of each, and the codes present, ascending, are the groups in key order.
+    None unless the keys have a group code (``_group_code``) and every
+    aggregate is a ``count`` or a ``sum`` or ``mean`` of a float column at
+    most float64 wide.  Counts and keys are exact; a float sum adds the same
+    values in float64, so it may differ from ``reduceat``'s by reassociation
+    (and a float32 sum is rounded once, at the end)."""
+    sources: List[Optional[np.ndarray]] = []
+    for _out_name, fn, colname in aggs:
+        if fn == "count":
+            sources.append(None)
+            continue
+        source = batch.column(colname)
+        if fn not in ("sum", "mean") or source.dtype.kind != "f" or source.dtype.itemsize > 8:
+            return None
+        sources.append(source)
+    grouped = _group_code(key_arrays)
+    if grouped is None:
+        return None
+    lows, spans = grouped[1:]
+    code = grouped[0].astype(np.intp)  # once, not in every bincount
+    counts = np.bincount(code)
+    present = np.flatnonzero(counts)
+    counts = counts[present]
+    cols = dict(zip(keys, _decode_keys(present, key_arrays, lows, spans), strict=True))
+    for (out_name, fn, _colname), source in zip(aggs, sources, strict=True):
+        if source is None:
+            cols[out_name] = counts.astype(np.int64, copy=False)
+            continue
+        sums = np.bincount(code, weights=source)[present]
+        if fn == "sum":
+            cols[out_name] = sums.astype(source.dtype, copy=False)
+        else:
+            cols[out_name] = sums if partial else sums / counts
     return RecordBatch.from_arrays(cols)
 
 
@@ -224,8 +308,9 @@ def _group_order(key_arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     n = len(key_arrays[0])
     changed = np.zeros(n, dtype=bool)
     changed[:1] = True
-    code = _group_code(key_arrays)
-    if code is not None:
+    grouped = _group_code(key_arrays)
+    if grouped is not None:
+        code = grouped[0]
         order = np.argsort(code, kind="stable")
         sorted_code = code[order]
         changed[1:] = sorted_code[1:] != sorted_code[:-1]
@@ -237,11 +322,14 @@ def _group_order(key_arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(changed)
 
 
-def _group_code(key_arrays: List[np.ndarray]) -> Optional[np.ndarray]:
+def _group_code(
+    key_arrays: List[np.ndarray],
+) -> Optional[Tuple[np.ndarray, List[int], List[int]]]:
     """One uint16 per row that orders the rows as their keys do, first key
     most significant, so a stable argsort of it (a radix sort) is lexsort's
-    permutation; None unless every key is an integer or bool column and the
-    product of the keys' spans fits 16 bits."""
+    permutation, with each key's lowest value and span (``_decode_keys``
+    turns codes back into keys); None unless every key is an integer or bool
+    column and the product of the keys' spans fits 16 bits."""
     if not len(key_arrays[0]) or any(arr.dtype.kind not in "biu" for arr in key_arrays):
         return None
     lows, spans = [], []
@@ -251,11 +339,30 @@ def _group_code(key_arrays: List[np.ndarray]) -> Optional[np.ndarray]:
         spans.append(int(arr.max()) - low + 1)
     if math.prod(spans) > _RADIX_CODES:
         return None
-    code = _offsets(key_arrays[0], lows[0])
+    # uint16 arithmetic wraps, and casts to it too: each step is exact modulo
+    # 2**16, and so is the code, which is below 2**16
+    code = key_arrays[0].astype(np.uint16)
+    code -= np.uint16(lows[0] % _RADIX_CODES)
     for arr, low, span in zip(key_arrays[1:], lows[1:], spans[1:], strict=True):
-        code *= span
-        code += _offsets(arr, low)
-    return code.astype(np.uint16)
+        code *= np.uint16(span % _RADIX_CODES)
+        code += arr.astype(np.uint16)
+        code -= np.uint16(low % _RADIX_CODES)
+    return code, lows, spans
+
+
+def _decode_keys(
+    codes: np.ndarray, key_arrays: List[np.ndarray], lows: List[int], spans: List[int]
+) -> List[np.ndarray]:
+    """The key values ``_group_code`` encoded as ``codes``, one array per key
+    in its column's dtype: the offsets are added to the low in 64 bits (uint64
+    for unsigned keys), where every value the dtype holds is exact."""
+    keys: List[np.ndarray] = []
+    rest = codes
+    for arr, low, span in zip(key_arrays[::-1], lows[::-1], spans[::-1], strict=True):
+        rest, offset = np.divmod(rest, span)
+        wide = np.uint64 if arr.dtype.kind == "u" else np.int64
+        keys.append((offset.astype(wide) + wide(low)).astype(arr.dtype))
+    return keys[::-1]
 
 
 def _heads_by_search(sorted_build: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -387,11 +494,16 @@ def hk_distinct(batch: RecordBatch, column: str) -> np.ndarray:
 
 def hash_partition(batch: RecordBatch, column: str, num_partitions: int) -> List[RecordBatch]:
     """Split a batch by hash of a key column (keyed-edge semantics): every
-    partition, in order, rows in input order."""
+    partition, in order, rows in input order.  One stable sort of the bucket
+    ids (a radix sort up to 2**16 partitions) puts each partition's rows
+    together; their counts say where each one ends."""
     if num_partitions < 1:
         raise ValueError(f"need >= 1 partitions, got {num_partitions}")
     keys = batch.column(column)
-    # deterministic integer hash (avoid PYTHONHASHSEED nondeterminism)
+    # deterministic integer hash (avoid PYTHONHASHSEED nondeterminism); numpy's
+    # % takes the divisor's sign, so every bucket is in range
     buckets = (keys.astype(np.int64, copy=False) * np.int64(2654435761)) % num_partitions
-    buckets = np.abs(buckets)
-    return [batch.filter(buckets == p) for p in range(num_partitions)]
+    narrow = np.uint16 if num_partitions <= _RADIX_CODES else np.intp
+    order = np.argsort(buckets.astype(narrow), kind="stable")
+    ends = np.cumsum(np.bincount(buckets, minlength=num_partitions))
+    return [batch.take(rows) for rows in np.split(order, ends[:-1])]

@@ -469,8 +469,10 @@ class ServerlessRuntime:
         return self._submit_spec(spec)
 
     def _submit_spec(self, spec: TaskSpec) -> Union[ObjectRef, List[ObjectRef]]:
-        # a gate may raise (AdmissionRejectedError) — before any ownership
-        # state exists, so a rejected submission is cleanly retryable
+        # a pin nothing can place (PlacementError) and a gate (AdmissionRejectedError)
+        # refuse before any ownership state exists: a refusal is cleanly retryable
+        if spec.pinned_device is not None:
+            self.scheduler.check_pin(spec)
         for gate in self.submit_gates:
             gate(spec)
         outputs = [self.ids.object_id() for _ in range(spec.num_returns)]
@@ -690,9 +692,7 @@ class ServerlessRuntime:
             self.actors.home(spec)
         if ctx.device is None:  # a gang member and a backup come placed
             ctx.device = self.scheduler.place(spec, ctx.avoid)
-            # only a pinned device can be out of the view: candidates() filters the rest
-            if self.scheduler.is_blacklisted(ctx.device.device_id):
-                raise PlacementError(f"no live device for task {spec.task_id}")
+            self.scheduler.check_pin(spec)  # the view may have lost a pinned device since submit
         ctx.raylet = self.raylet_for_device(ctx.device.device_id)
         ctx.state = TaskState.SCHEDULED
         ctx.attempt += 1

@@ -184,6 +184,16 @@ class Scheduler:
             )
         return matches
 
+    def check_pin(self, task: TaskSpec) -> None:
+        """Raise :class:`PlacementError` when ``task`` is pinned to a device no
+        placement can give it now: one the cluster does not schedule, or one
+        out of the view."""
+        if task.pinned_device is None:
+            return
+        (device,) = self.candidates(task)
+        if self.is_blacklisted(device.device_id):
+            raise PlacementError(f"no live device for task {task.task_id}")
+
     def place(self, task: TaskSpec, avoid: Optional[str] = None) -> Device:
         """Pick ``task``'s device by the policy; ``avoid`` (a device the last
         attempt timed out on) is left out unless it is the only candidate."""

@@ -10,7 +10,12 @@ inventory lines of ``columnar.py`` and ``kernels.py``).
   direct-address join lookup must give what the general path (a full
   lexsort, ``np.searchsorted``) and the loop references give, on the inputs
   where such paths go wrong: narrow dtypes at their bounds, uint64 against
-  negative int64 keys, spans at the cut-offs, ties, NaN and -0.0.
+  negative int64 keys, spans at the cut-offs, ties, NaN and -0.0.  The
+  paths that skip a sort or a copy are held to the loop references on the
+  same kind of inputs: the direct-address aggregate (``bincount``; float sums
+  within a reassociation's tolerance), the join on distinct build keys, and
+  a fused chain of ``where`` steps, which must not evaluate a predicate on a
+  row an earlier one excluded and must gather each column it outputs once.
 * **An aggregate has the dtype the IR declares**, also over no rows, through
   the distributed path (where partitions outnumber groups) and the interpreter.
 * **Cross-commit witness.**  Plan size, virtual cost and a digest of the rows
@@ -35,8 +40,12 @@ from repro.cluster import build_physical_disagg
 from repro.flowgraph import FlowGraph, launch_physical_graph, to_physical
 from repro.frontends.sql import sql_to_ir
 from repro.ir import FrameType, hash_partition, run_function
+from repro.ir.dialects.kernel import FusedStep
+from repro.ir.expr import Expr, col
+from repro.ir.interpreter import _execute_fused
 from repro.ir.kernels import (
     HANDCRAFTED,
+    _dense_aggregate,
     _group_code,
     _group_order,
     _heads_by_address,
@@ -46,8 +55,10 @@ from repro.ir.kernels import (
     k_distinct,
     k_join,
     k_limit,
+    k_project,
     k_sort,
 )
+from repro.ir.lowering import optimize_and_lower
 from repro.runtime import ServerlessRuntime
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
@@ -666,6 +677,236 @@ class TestDirectAddressJoin:
         starts = np.arange(3)
         assert _heads_by_address(build, starts, np.array([1, 2])) is None
         assert _heads_by_address(build.astype(np.int64), starts, np.array([1.0])) is None
+
+
+# -- a dense aggregate, a unique-key join and a where-chain ---------------------
+
+DENSE_AGGS = [("n", "count", None), ("s", "sum", "f"), ("a", "mean", "f"), ("s32", "sum", "f32")]
+
+
+def dense_batch(rng: np.random.Generator, keys: Dict[str, np.ndarray]) -> RecordBatch:
+    rows = len(next(iter(keys.values())))
+    f = rng.random(rows) * 100  # same-signed: the float tolerance is relative
+    return RecordBatch.from_arrays({**keys, "f": f, "f32": f.astype(np.float32), "i": rng.integers(-9, 9, rows)})
+
+
+def is_dense(attrs: Dict[str, Any], batch: RecordBatch) -> bool:
+    keys = list(attrs["keys"])
+    dense = _dense_aggregate(keys, [batch.column(k) for k in keys], attrs["aggs"], False, batch)
+    return dense is not None
+
+
+class TestDenseAggregate:
+    @pytest.mark.parametrize("spans,dense", [((256, 256), True), ((256, 257), False), ((1 << 16,), True)])
+    def test_span_products_at_the_cut_off(self, spans, dense):
+        rng = np.random.default_rng(len(spans))
+        keys = {}
+        for i, span in enumerate(spans):
+            column = rng.integers(0, span, 3000)
+            column[:2] = (0, span - 1)  # the span is exactly ``span``
+            keys[f"k{i}"] = column
+        batch = dense_batch(rng, keys)
+        attrs = {"keys": list(keys), "aggs": DENSE_AGGS}
+        assert is_dense(attrs, batch) == dense
+        assert_same_aggregates(k_aggregate(attrs, batch), ref_aggregate(attrs, batch), 3000)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint64])
+    def test_keys_at_their_bounds(self, dtype):
+        rng = np.random.default_rng(7)
+        if dtype is np.bool_:
+            pool = np.array([False, True])
+        else:  # the lowest and the highest values the dtype holds, 128 of each
+            info = np.iinfo(dtype)
+            ends = (int(info.min), int(info.max) - 127) if info.bits == 8 else (int(info.max) - 255,) * 2
+            pool = np.concatenate([np.arange(e, e + 128, dtype=object) for e in ends]).astype(dtype)
+        batch = dense_batch(rng, {"g": rng.choice(pool, 900), "h": rng.random(900) < 0.5})
+        for keys in (["g"], ["g", "h"], ["h", "g"]):
+            attrs = {"keys": keys, "aggs": DENSE_AGGS}
+            assert is_dense(attrs, batch)
+            got = k_aggregate(attrs, batch)
+            assert got.schema.field("g").dtype == np.dtype(dtype)
+            assert_same_aggregates(got, ref_aggregate(attrs, batch), 900)
+        assert set(got.column("g").tolist()) == set(batch.column("g").tolist())
+
+    def test_float32_sums_and_partial_means(self):
+        rng = np.random.default_rng(3)
+        batch = dense_batch(rng, {"g": rng.integers(0, 7, 5000)})
+        f64 = RecordBatch.from_arrays({**batch.columns(), "f32": batch.column("f32").astype(np.float64)})
+        partial = {"keys": ["g"], "aggs": [("s32", "sum", "f32"), ("a32", "mean", "f32")], "partial": True}
+        assert is_dense(partial, batch)
+        got = k_aggregate(partial, batch)
+        assert got.schema.field("s32").dtype == np.float32
+        assert got.schema.field("a32").dtype == np.float64
+        # a partial mean stops at the float64 sum of the float32 values
+        want = ref_aggregate({"keys": ["g"], "aggs": [("a32", "sum", "f32")]}, f64)
+        np.testing.assert_allclose(got.column("a32"), want.column("a32"), rtol=5000 * np.finfo(np.float64).eps)
+        sums = ref_aggregate({"keys": ["g"], "aggs": [("s32", "sum", "f32")]}, batch)
+        np.testing.assert_allclose(got.column("s32"), sums.column("s32"), rtol=5000 * np.finfo(np.float32).eps)
+
+    def test_nan_and_negative_zero_values(self):
+        g = np.array([0, 0, 1, 1, 2, 2, 3, 3, 3])
+        f = np.array([1.0, np.nan, -0.0, -0.0, 0.0, -0.0, 2.5, -0.0, 4.0])
+        batch = RecordBatch.from_arrays({"g": g, "f": f, "f32": f.astype(np.float32)})
+        attrs = {"keys": ["g"], "aggs": DENSE_AGGS}
+        assert is_dense(attrs, batch)
+        got = k_aggregate(attrs, batch)
+        assert_same_aggregates(got, ref_aggregate(attrs, batch), len(g))
+        assert np.isnan(got.column("s")[0]) and np.isnan(got.column("a")[0])
+        assert got.column("s").tolist()[1:] == [0.0, 0.0, 6.5]  # -0.0 == 0.0
+        assert got.column("n").tolist() == [2, 2, 2, 3]
+
+    @pytest.mark.parametrize("extra", [("m", "min", "f"), ("x", "max", "f"), ("si", "sum", "i"), ("ai", "mean", "i")])
+    def test_anything_else_takes_the_general_path(self, extra):
+        rng = np.random.default_rng(5)
+        batch = dense_batch(rng, {"g": rng.integers(0, 30, 800)})
+        attrs = {"keys": ["g"], "aggs": DENSE_AGGS + [extra]}
+        assert not is_dense(attrs, batch)
+        assert is_dense({"keys": ["g"], "aggs": DENSE_AGGS}, batch)
+        assert_same_aggregates(k_aggregate(attrs, batch), ref_aggregate(attrs, batch), 800)
+
+    def test_float_keys_and_no_rows_take_the_general_path(self):
+        rng = np.random.default_rng(6)
+        batch = dense_batch(rng, {"g": rng.integers(0, 5, 100).astype(np.float64)})
+        attrs = {"keys": ["g"], "aggs": DENSE_AGGS}
+        assert not is_dense(attrs, batch)
+        assert not is_dense(attrs, dense_batch(rng, {"g": np.zeros(0, dtype=np.int64)}))
+
+
+def count_repeats(monkeypatch) -> List[int]:
+    """Count the calls of ``np.repeat``: the general join's expansion."""
+    calls: List[int] = []
+    repeat = np.repeat
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return repeat(*args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", spy)
+    return calls
+
+
+class TestUniqueKeyJoin:
+    @pytest.mark.parametrize("build_dtype", [np.int64, np.int8, np.float64])
+    def test_unique_build_keys_and_one_duplicate(self, build_dtype, monkeypatch):
+        rng = np.random.default_rng(2)
+        build = rng.permutation(np.arange(-20, 40, 3)).astype(build_dtype)
+        probe = rng.integers(-60, 80, 400)  # most fall outside the build range or between keys
+        repeats = count_repeats(monkeypatch)
+        left, right = join_sides(rng, probe, build)
+        unique = k_join(ON, left, right)
+        assert not repeats  # every build key distinct: no expansion
+        assert_same_rows(unique, ref_join(ON, left, right))
+        left, right = join_sides(rng, probe, np.concatenate([build, build[3:4]]))
+        duplicated = k_join(ON, left, right)
+        assert repeats  # one duplicate: the general expansion
+        assert_same_rows(duplicated, ref_join(ON, left, right))
+        assert duplicated.num_rows == unique.num_rows + (probe == build[3]).sum() > unique.num_rows
+
+    def test_probe_keys_outside_the_build_range(self):
+        rng = np.random.default_rng(4)
+        build = np.array([5, 3, 9, 7], dtype=np.int16)
+        for probe in (np.array([-(2**40), 2, 10, 2**40]), np.array([0, 1, 2**15 - 1], dtype=np.int16),
+                      np.array([3, 9, 9, 4, 7, 5, 5]), np.zeros(0, dtype=np.int64)):
+            left, right = join_sides(rng, probe, build)
+            assert_same_rows(k_join(ON, left, right), ref_join(ON, left, right))
+
+    def test_nan_build_keys_are_distinct_and_match_nothing(self):
+        rng = np.random.default_rng(8)
+        build = np.array([np.nan, 1.0, np.nan, -0.0, 2.0])
+        left, right = join_sides(rng, np.array([np.nan, 0.0, 1.0, 2.0, 3.0, 0.0]), build)
+        got = k_join(ON, left, right)
+        assert_same_rows(got, ref_join(ON, left, right))
+        assert got.column("lk").tolist() == [0.0, 1.0, 2.0, 0.0]
+
+
+def where(ref: int, pred: Expr) -> FusedStep:
+    return FusedStep("df", "where", (ref,), (("pred", pred),))
+
+
+def select(ref: int, columns=(), derived=()) -> FusedStep:
+    return FusedStep("df", "select", (ref,), (("columns", tuple(columns)), ("derived", tuple(derived))))
+
+
+def ref_where_chain(batch: RecordBatch, preds: List[Expr]) -> RecordBatch:
+    """One boolean-mask filter after another, each over the whole of what the
+    one before it kept."""
+    for pred in preds:
+        batch = ref_filter(batch, np.asarray(pred.evaluate(batch.columns()), dtype=bool))
+    return batch
+
+
+def chain_batch(rng: np.random.Generator, rows: int) -> RecordBatch:
+    return RecordBatch.from_arrays({
+        "a": rng.integers(-5, 5, rows), "b": rng.random(rows), "c": rng.integers(0, 3, rows).astype(np.int8),
+        "x": rng.random(rows), "y": rng.integers(0, 100, rows), "z": rng.random(rows) < 0.5,
+    })
+
+
+CHAIN_PREDS = [col("a") > -3, col("b") < 0.7, (col("c") != 1) | col("z"), col("a") * col("b") < 2.0]
+
+
+class TestWhereChain:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_same_rows_and_order_as_one_filter_after_another(self, seed, length):
+        rng = np.random.default_rng(seed)
+        batch = chain_batch(rng, int(rng.integers(0, 600)))
+        preds = [CHAIN_PREDS[i] for i in rng.permutation(len(CHAIN_PREDS))[:length]]
+        steps = [where(0, preds[0])] + [where(-i, p) for i, p in enumerate(preds[1:], start=1)]
+        want = ref_where_chain(batch, preds)
+        assert_same_rows(_execute_fused(steps, [batch], None), want)
+        tail = select(-length, ["y", "a"], [("xy", col("x") * col("y"), "float64")])
+        got = _execute_fused(steps + [tail], [batch], None)
+        assert got.schema.names == ["y", "a", "xy"]
+        assert_same_rows(got, k_project(tail.attrs_dict(), want))
+
+    def test_an_intermediate_read_twice_is_gathered(self):
+        rng = np.random.default_rng(1)
+        batch = chain_batch(rng, 300)
+        steps = [
+            where(0, col("a") > 0),
+            where(-1, col("b") < 0.5),
+            FusedStep("df", "hash_join", (-2, -1), (("left_on", "y"), ("right_on", "y"))),
+        ]  # the join reads the first where's rows, and the second's
+        first = ref_where_chain(batch, [col("a") > 0])
+        second = ref_where_chain(first, [col("b") < 0.5])
+        on = {"left_on": "y", "right_on": "y"}
+        assert_same_rows(_execute_fused(steps, [batch], None), ref_join(on, second, first))
+
+    def test_a_later_conjunct_never_sees_an_excluded_row(self):
+        rng = np.random.default_rng(2)
+        tables = {"t": RecordBatch.from_arrays({"n": rng.integers(-9, 9, 500), "d": rng.integers(-2, 3, 500)})}
+        catalog = {"t": FrameType((("n", "int64"), ("d", "int64")))}
+        func = optimize_and_lower(sql_to_ir("SELECT n FROM t WHERE d <> 0 AND n / d > 1", catalog))
+        (fused,) = [op for op in func.ops if op.qualified == "kernel.fused"]
+        assert [s.name for s in fused.attrs["steps"]] == ["where", "where", "select"]
+        with np.errstate(all="raise"):
+            (got,) = run_function(func, tables=tables)
+            with pytest.raises(FloatingPointError):  # the division over every row
+                (col("n") / col("d")).evaluate(tables["t"].columns())
+        d, n = tables["t"].column("d"), tables["t"].column("n")
+        keep = [i for i in range(500) if d[i] != 0 and n[i] / d[i] > 1]
+        assert_same_rows(got, tables["t"].take(np.asarray(keep, dtype=np.intp)).select(["n"]))
+
+    def test_three_wheres_and_a_select_gather_each_column_once(self, monkeypatch):
+        """The guard: a where-chain gathers no column it does not read, and the
+        trailing select's columns once, not once per where."""
+        gathered: List[List[str]] = []
+        take = RecordBatch.take
+
+        def spy(self, indices):
+            gathered.append(self.schema.names)
+            return take(self, indices)
+
+        monkeypatch.setattr(RecordBatch, "take", spy)
+        batch = chain_batch(np.random.default_rng(3), 400)
+        steps = [
+            where(0, col("a") > -3), where(-1, col("b") < 0.7), where(-2, col("c") != 1),
+            select(-3, ["y"], [("xy", col("x") * col("y"), "float64")]),
+        ]
+        got = _execute_fused(steps, [batch], None)
+        assert gathered == [["b"], ["c"], ["y", "x"]]
+        assert got.num_rows == ref_where_chain(batch, [s.attrs_dict()["pred"] for s in steps[:3]]).num_rows
 
 
 # -- an aggregate has the dtype the IR declares ----------------------------------

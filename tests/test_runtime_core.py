@@ -16,6 +16,7 @@ from repro.runtime import (
     TaskError,
     TaskState,
 )
+from repro.runtime.scheduler import PlacementError
 
 
 def make_runtime(**cfg) -> ServerlessRuntime:
@@ -117,6 +118,22 @@ class TestTasks:
         ref = rt.submit(lambda: 1)
         with pytest.raises(ValueError):
             rt.wait([ref], num_returns=2)
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    @pytest.mark.parametrize("pin", ["blacklisted", "ghost"])
+    def test_a_pin_nothing_can_place_is_refused_before_the_task_opens(self, cfg, pin):
+        rt = make_runtime(**cfg)
+        a = rt.put(1)
+        device = rt.scheduler.placeable[0].device_id
+        if pin == "blacklisted":
+            rt.scheduler.blacklist(device)
+        with pytest.raises(PlacementError):
+            rt.submit(lambda x: x, (a,), pinned_device=device if pin == "blacklisted" else pin)
+        assert rt._open_tasks == 0 and rt._ctxs == {}
+        assert not rt.lineage.consumers(a.object_id)
+        rt.scheduler.unblacklist(device)  # the refusal left nothing to retry around
+        assert rt.get(rt.submit(lambda x: x + 1, (a,), pinned_device=device)) == 2
+        assert rt._open_tasks == 0 and rt._ctxs == {}
 
 
 class TestPut:

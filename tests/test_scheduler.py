@@ -61,6 +61,18 @@ class TestCandidates:
         with pytest.raises(PlacementError, match="pinned"):
             sched.place(task(pinned_device="ghost"))
 
+    def test_check_pin_refuses_what_placement_cannot_give(self):
+        _, _, sched = make_scheduler()
+        live = sched.candidates(task())[0].device_id
+        sched.check_pin(task())
+        sched.check_pin(task(pinned_device=live))
+        with pytest.raises(PlacementError, match="pinned"):
+            sched.check_pin(task(pinned_device="ghost"))
+        sched.blacklist(live)
+        with pytest.raises(PlacementError, match="no live device"):
+            sched.check_pin(task(pinned_device=live))
+        assert sched.place(task(pinned_device=live)).device_id == live  # place does not judge the view
+
     def test_blacklist_excludes(self):
         _, _, sched = make_scheduler()
         all_cpu = sched.candidates(task())
