@@ -233,9 +233,9 @@ def declare_series(registry: Any, kinds: Iterable[str]) -> None:
 class NoProbe:
     """The probe of a runtime with no sanitizer: each hook the runtime calls,
     doing nothing, so a hook site is a plain call.  ``ServerlessRuntime.probe``
-    and every ``Raylet.probe`` start as one; a ``DistProbe``
+    is one, and every raylet is built with it; a ``DistProbe``
     (``repro.analysis.dist``), which defines the same hooks and says what each
-    one takes, replaces it when ``RuntimeConfig.sanitizers`` is non-empty."""
+    one takes, takes its place when ``RuntimeConfig.sanitizers`` is non-empty."""
 
     def attempt_site(self, task_id: str, attempt: int, clone: bool = False) -> str:
         return ""

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..cluster.node import NodeKind
 from .events import declare_series
-from .health import STALL_TICKS
+from .health import StallGuard
 from .ownership import DRIVER, ValueState
 from .task import TaskState
 
@@ -253,7 +253,7 @@ class HAController:
 
     def ensure_running(self) -> None:
         """Start (or restart) the sync pump and standby watch loops; called
-        whenever work is routed, mirroring the heartbeat monitor."""
+        whenever work is routed, after the heartbeat monitor's hook."""
         if self._active or self.cluster_lost:
             return
         self._active = True
@@ -279,8 +279,7 @@ class HAController:
         each standby as one message.  The batch is also the liveness beacon —
         an idle leader still syncs (empty batches), so silence means death
         or partition, never mere quiet."""
-        stall = 0
-        progress = self.runtime._progress_counter()
+        guard = StallGuard(self.runtime)
         while self._live(gen) and self.runtime._has_pending_work():
             yield self.sim.timeout(SYNC_INTERVAL)
             if not self._live(gen):
@@ -304,14 +303,11 @@ class HAController:
                 self.last_sync[standby] = self.sim.now
                 self.syncs_delivered += 1
                 self._m_syncs.inc()
-            latest = self.runtime._progress_counter()
-            stall = stall + 1 if latest == progress else 0
-            progress = latest
-            if stall >= STALL_TICKS:
+            if guard.stalled():
                 # nothing is moving: park the pump (like the heartbeat
                 # detector) so the simulation can drain and the driver's
                 # get() can run its recovery pass
-                self.runtime._record("ha_pump_stalled", loop="sync", ticks=stall)
+                self.runtime._record("ha_pump_stalled", loop="sync", ticks=guard.ticks)
                 break
         if self._gen == gen:
             self._active = False
@@ -321,8 +317,7 @@ class HAController:
     def _watch_loop(self, node_id: str, gen: int) -> Generator:
         """Standby-side: count silent sync intervals; elect on the threshold."""
         deadline = MISS_THRESHOLD * SYNC_INTERVAL
-        stall = 0
-        progress = self.runtime._progress_counter()
+        guard = StallGuard(self.runtime)
         while self._live(gen) and self.runtime._has_pending_work():
             yield self.sim.timeout(SYNC_INTERVAL)
             if not self._live(gen):
@@ -345,14 +340,11 @@ class HAController:
                 self.sim.process(
                     self._election(node_id, gen), name=f"ha:elect:{node_id}"
                 )
-            latest = self.runtime._progress_counter()
-            stall = stall + 1 if latest == progress else 0
-            progress = latest
-            if stall >= STALL_TICKS and self.runtime.gcs_up and not self._election_running:
+            if guard.stalled() and self.runtime.gcs_up and not self._election_running:
                 # park only while a live leader is serving — a standby must
                 # never stop watching mid-outage, that is its whole job
                 self.runtime._record(
-                    "ha_pump_stalled", loop=f"watch:{node_id}", ticks=stall
+                    "ha_pump_stalled", loop=f"watch:{node_id}", ticks=guard.ticks
                 )
                 break
         if self._gen == gen:

@@ -33,15 +33,21 @@ Disaggregation changes the failure *unit*, so detection is device-granular:
 
 The loops run only while the runtime has open tasks (otherwise they would
 keep the event queue non-empty forever and ``sim.run()`` would never
-drain); a stall guard stops the monitor if nothing has made progress for a
-long time so an unrecoverable cluster still surfaces its error instead of
-spinning.  A device that dies while no task is open is found by its first
-reader instead (``Recovery.reconcile``).
+drain); a stall guard (:class:`StallGuard`, which HA's loops share) stops the
+monitor if nothing has made progress for a long time so an unrecoverable
+cluster still surfaces its error instead of spinning.  A device that dies
+while no task is open is found by its first reader instead
+(``Recovery.reconcile``).
+
+:func:`install` builds the detector only when
+``RuntimeConfig.heartbeat_interval`` is set; it subscribes to the runtime's
+``on_route`` seam point and starts detection on routed work while a leader
+serves.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
 
 from ..cluster.hardware import Device
 from ..cluster.node import NodeKind
@@ -50,10 +56,43 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .raylet import Raylet
     from .runtime import ServerlessRuntime
 
-__all__ = ["HeartbeatMonitor"]
+__all__ = ["HeartbeatMonitor", "StallGuard", "install"]
 
-# monitor ticks without any task progress before the detector parks itself
+# loop ticks without any task progress before a protocol loop parks itself
 STALL_TICKS = 200
+
+
+class StallGuard:
+    """One protocol loop's stall guard (the heartbeat monitor's, HA's sync
+    pump's, each standby watch's): counts its consecutive ticks without
+    forward progress."""
+
+    def __init__(self, runtime: "ServerlessRuntime"):
+        self.runtime = runtime
+        self.ticks = 0
+        self._progress = self._fingerprint()
+
+    def _fingerprint(self) -> Tuple[int, ...]:
+        rt = self.runtime
+        return (
+            rt.tasks_finished, rt.tasks_failed, rt.tasks_retried, rt.lineage.replays,
+            rt.actor_restarts,
+        )
+
+    def stalled(self) -> bool:
+        """Count one tick; True once ``STALL_TICKS`` in a row made no progress."""
+        progress = self._fingerprint()
+        self.ticks = self.ticks + 1 if progress == self._progress else 0
+        self._progress = progress
+        return self.ticks >= STALL_TICKS
+
+
+def install(runtime: "ServerlessRuntime") -> Optional["HeartbeatMonitor"]:
+    """The detector, subscribed to ``runtime`` — or None with no heartbeat interval."""
+    cfg = runtime.config
+    if cfg.heartbeat_interval is None:
+        return None
+    return HeartbeatMonitor(runtime, cfg.heartbeat_interval, cfg.heartbeat_miss_threshold)
 
 
 class HeartbeatMonitor:
@@ -93,8 +132,16 @@ class HeartbeatMonitor:
         )
         self._active = False
         self._epoch = 0  # loops from an earlier activation exit on mismatch
+        runtime.on_route.append(self._on_route)
 
     # -- lifecycle -----------------------------------------------------------
+
+    def _on_route(self) -> None:
+        """Work was routed: detection runs while it is open.  A dead GCS
+        counts no silence, so detection stays down until a failover restarts
+        it on the election winner."""
+        if self.runtime.gcs_up:
+            self.ensure_running()
 
     def monitored_nodes(self) -> List[str]:
         return sorted(
@@ -111,7 +158,7 @@ class HeartbeatMonitor:
         )
 
     def ensure_running(self) -> None:
-        """Start (or restart) detection; called whenever work is submitted."""
+        """Start (or restart) detection: on routed work, and on a failover."""
         if self._active:
             return
         self._active = True
@@ -249,8 +296,7 @@ class HeartbeatMonitor:
 
     def _monitor_loop(self, epoch: int) -> Generator:
         deadline = self.miss_threshold * self.interval
-        stall = 0
-        progress = self.runtime._progress_counter()
+        guard = StallGuard(self.runtime)
         while self._epoch == epoch and self.runtime._has_pending_work():
             yield self.sim.timeout(self.interval)
             now = self.sim.now
@@ -294,13 +340,10 @@ class HeartbeatMonitor:
                         self._triage(node_id, newly_silent, False, epoch),
                         name=f"triage:{node_id}",
                     )
-            latest = self.runtime._progress_counter()
-            stall = stall + 1 if latest == progress else 0
-            progress = latest
-            if stall >= STALL_TICKS:
+            if guard.stalled():
                 # nothing is moving: park the detector so the simulation can
                 # drain and the driver sees the underlying error
-                self.runtime._record("detector_stalled", ticks=stall)
+                self.runtime._record("detector_stalled", ticks=guard.ticks)
                 break
         if self._epoch == epoch:
             self._active = False

@@ -52,50 +52,41 @@ class StoredObject:
 class LocalObjectStore:
     """Object storage backed by one device's memory, LRU-spilled."""
 
-    def __init__(self, device: Device, spill_target: Optional["LocalObjectStore"] = None):
+    def __init__(
+        self,
+        device: Device,
+        spill_target: Optional["LocalObjectStore"] = None,
+        *,
+        metrics: Any,
+        on_spill: Callable[[str, "LocalObjectStore", "LocalObjectStore"], None],
+    ):
         self.device = device
         self.spill_target = spill_target
         self._objects: "OrderedDict[str, StoredObject]" = OrderedDict()
         self.spilled_out = 0
         self.spilled_bytes = 0
         self._used = 0
-        self.metrics = None
         # poked after a successful spill as on_spill(object id, this store,
         # the target) so the runtime can move the object's directory location
-        self.on_spill: Optional[
-            Callable[[str, "LocalObjectStore", "LocalObjectStore"], None]
-        ] = None
-
-    @property
-    def metrics(self) -> Optional[Any]:
-        """A telemetry MetricsRegistry, wired in by the runtime (this layer
-        sits below repro.telemetry, so the attribute is duck-typed); wiring
-        binds this store's instruments to it."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: Optional[Any]) -> None:
-        self._metrics = registry
-        if registry is None:
-            self._m_puts = self._m_evictions = self._m_resident = None
-            return
-        device = self.device.device_id
-        self._m_puts = registry.series(
+        self.on_spill = on_spill
+        # ``metrics``, a telemetry MetricsRegistry, is duck-typed: this layer
+        # sits below repro.telemetry
+        device_id = device.device_id
+        self._m_puts = metrics.series(
             "counter", "skadi_store_puts_total",
             "objects written into each device's store", "device",
-        ).of(device)
-        self._m_evictions = registry.series(
+        ).of(device_id)
+        self._m_evictions = metrics.series(
             "counter", "skadi_store_evictions_total",
             "LRU spills out of each device's store", "device",
-        ).of(device)
-        self._m_resident = registry.series(
+        ).of(device_id)
+        self._m_resident = metrics.series(
             "gauge", "skadi_store_bytes_resident",
             "bytes resident in each device's object store", "device",
-        ).of(device)
+        ).of(device_id)
 
     def _meter_resident(self) -> None:
-        if self._m_resident is not None:
-            self._m_resident.set(float(self._used))
+        self._m_resident.set(float(self._used))
 
     @property
     def node_id(self) -> str:
@@ -115,9 +106,8 @@ class LocalObjectStore:
         record = StoredObject(object_id, value, nbytes, self.device.device_id)
         self._objects[object_id] = record
         self._used += nbytes
-        if self._m_puts is not None:
-            self._m_puts.inc()
-            self._meter_resident()
+        self._m_puts.inc()
+        self._meter_resident()
         return record, spilled
 
     def _spill_one(self, needed: int) -> int:
@@ -148,11 +138,9 @@ class LocalObjectStore:
         self._used -= victim.nbytes
         self.spilled_out += 1
         self.spilled_bytes += victim.nbytes
-        if self.on_spill is not None:
-            self.on_spill(victim_id, self, self.spill_target)
-        if self._m_evictions is not None:
-            self._m_evictions.inc()
-            self._meter_resident()
+        self.on_spill(victim_id, self, self.spill_target)
+        self._m_evictions.inc()
+        self._meter_resident()
         return victim.nbytes
 
     def get(self, object_id: str) -> StoredObject:

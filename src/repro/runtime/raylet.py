@@ -18,11 +18,10 @@ slow DPU a bottleneck for swarms of short-lived ops.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.hardware import Device, DeviceKind
 from ..cluster.simtime import Hold, Resource, Signal, Simulator
-from .events import NoProbe
 from .object_store import LocalObjectStore
 
 __all__ = ["Raylet"]
@@ -37,6 +36,10 @@ class Raylet:
         host_device: Device,
         devices: List[Device],
         spill_store: Optional[LocalObjectStore] = None,
+        *,
+        metrics: Any,
+        probe: Any,
+        on_spill: Callable[[str, LocalObjectStore, LocalObjectStore], None],
     ):
         if host_device not in devices and host_device.kind != DeviceKind.DPU:
             # A DPU raylet manages companions without being a compute target;
@@ -45,8 +48,25 @@ class Raylet:
         self.sim = sim
         self.host_device = host_device
         self.devices = list(devices)
+        # ``metrics`` is a telemetry MetricsRegistry (duck-typed): the raylet
+        # binds its instruments, then each store it builds binds its own
+        self._m_control = metrics.series(
+            "counter",
+            "skadi_raylet_control_actions_total",
+            "control-plane actions serialized through each raylet",
+            "raylet",
+        ).of(self.raylet_id)
+        self._m_dedup = metrics.series(
+            "counter",
+            "skadi_fetch_dedup_total",
+            "concurrent same-object fetches coalesced onto one transfer",
+            "raylet",
+            "device",
+        )
         self.stores: Dict[str, LocalObjectStore] = {
-            dev.device_id: LocalObjectStore(dev, spill_target=spill_store)
+            dev.device_id: LocalObjectStore(
+                dev, spill_store, metrics=metrics, on_spill=on_spill
+            )
             for dev in self.devices
         }
         self.control_slot = Resource(sim, capacity=1, name=f"ctrl:{self.raylet_id}")
@@ -57,11 +77,10 @@ class Raylet:
         # of paying the bytes again (fetch deduplication).
         self._inflight_fetches: Dict[Tuple[str, str], Signal] = {}
         self.fetches_deduped = 0
-        self.metrics = None
-        # dist-sanitizer probe (a DistProbe wired in by the runtime replaces
-        # the do-nothing one).  The fetch registry is per-raylet state, so its
+        # the runtime's dist-sanitizer probe (a do-nothing NoProbe when no
+        # sanitizer is on).  The fetch registry is per-raylet state, so its
         # begin/end/dedup/abort ops are attributed to this raylet's site.
-        self.probe = NoProbe()
+        self.probe = probe
         self.alive = True
         self.incarnation = 0  # bumped on every restart (stale-lease detection)
         self.failures = 0
@@ -73,32 +92,6 @@ class Raylet:
         # head dies before acking, the reports re-send at re-registration
         # so the new leader learns about commits the WAL missed.
         self._unacked_reports: List[Tuple] = []
-
-    @property
-    def metrics(self) -> Optional[Any]:
-        """The telemetry MetricsRegistry, wired in by the runtime
-        (duck-typed); wiring binds this raylet's instruments to it."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: Optional[Any]) -> None:
-        self._metrics = registry
-        if registry is None:
-            self._m_control = self._m_dedup = None
-            return
-        self._m_control = registry.series(
-            "counter",
-            "skadi_raylet_control_actions_total",
-            "control-plane actions serialized through each raylet",
-            "raylet",
-        ).of(self.raylet_id)
-        self._m_dedup = registry.series(
-            "counter",
-            "skadi_fetch_dedup_total",
-            "concurrent same-object fetches coalesced onto one transfer",
-            "raylet",
-            "device",
-        )
 
     @property
     def raylet_id(self) -> str:
@@ -156,8 +149,7 @@ class Raylet:
     def note_deduped_fetch(self, device_id: str, object_id: str) -> None:
         self.probe.fetch_dedup(self.endpoint, object_id, device_id)
         self.fetches_deduped += 1
-        if self._m_dedup is not None:
-            self._m_dedup.of(self.raylet_id, device_id).inc()
+        self._m_dedup.of(self.raylet_id, device_id).inc()
 
     def abort_fetches(self) -> None:
         """Release every waiter parked on this raylet's in-flight fetches
@@ -178,8 +170,7 @@ class Raylet:
         """
         cost = self.host_device.spec.dispatch_overhead * actions
         self.control_actions += actions
-        if self._m_control is not None:
-            self._m_control.inc(actions)
+        self._m_control.inc(actions)
         return Hold(self.control_slot, cost, name="ctrl")
 
     # -- control-plane HA: fencing epochs and report buffering ----------------

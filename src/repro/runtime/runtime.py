@@ -27,13 +27,12 @@ from ..telemetry import Telemetry
 from ..telemetry.critical_path import CriticalPathResult
 from ..telemetry.critical_path import critical_path as extract_critical_path
 from ..telemetry.spans import TaskSpan
-from . import ha, overload
+from . import ha, health, overload
 from .actors import ActorHandle, Actors
 from .config import Generation, RuntimeConfig
 from .dataplane import DataPlane
 from .events import EventLog, NoProbe, RuntimeEvent, declare_series, incident_counter
 from .failures import FailureDomains
-from .health import HeartbeatMonitor
 from .ids import IdGenerator
 from .lineage import LineageGraph, UnrecoverableObjectError
 from .object_ref import ObjectRef, replace_refs
@@ -146,6 +145,8 @@ class ServerlessRuntime:
         # the telemetry plane must exist before raylets/stores are built so
         # the lower layers can be handed their (duck-typed) registries
         self.telemetry = Telemetry(clock=self.sim.clock)
+        # the one registry set from outside: a cluster outlives a runtime, so
+        # each runtime re-binds the shared network to its own registry
         self.net.metrics = self.telemetry.registry
         self.ownership = OwnershipTable()
         self.lineage = LineageGraph()
@@ -164,6 +165,19 @@ class ServerlessRuntime:
         self._raylet_of_device: Dict[str, Raylet] = {}
         self._raylets_by_node: Dict[str, List[Raylet]] = {}
         self.recovery = Recovery(self)  # always: an object can always be lost
+        # -- distributed sanitizer ("Skadi-TSan"): a DistProbe replaces the
+        # do-nothing probe only when asked for, so the empty default adds no
+        # state and no events, and every hook site is a plain call.  Chosen
+        # before the raylets, which are built with it.
+        self.probe = NoProbe()
+        if self.config.sanitizers:
+            from ..analysis.dist.probe import DistProbe  # lazy: analysis is optional
+
+            self.probe = DistProbe(
+                self.config.sanitizers,
+                clock=self.sim.clock,
+                meta={"config": self.config.describe()},
+            )
         self._build_raylets()
 
         self.gcs_endpoint = cluster.node(self.head_node_id).attachment_endpoint
@@ -223,28 +237,11 @@ class ServerlessRuntime:
         # observers poked whenever an object becomes ready (chaos uses this
         # for reactive fault injection: "kill the node when X materializes")
         self.object_ready_hooks: List[Callable[[str], None]] = []
-        self.health: Optional[HeartbeatMonitor] = None
-        if self.config.heartbeat_interval is not None:
-            self.health = HeartbeatMonitor(
-                self,
-                self.config.heartbeat_interval,
-                self.config.heartbeat_miss_threshold,
-            )
-        # -- distributed sanitizer ("Skadi-TSan"): a DistProbe replaces the
-        # do-nothing probe only when asked for, so the empty default adds no
-        # state and no events, and every hook site is a plain call.
-        self.probe = NoProbe()
-        if self.config.sanitizers:
-            from ..analysis.dist.probe import DistProbe  # lazy: analysis is optional
-
-            self.probe = DistProbe(
-                self.config.sanitizers,
-                clock=self.sim.clock,
-                meta={"config": self.config.describe()},
-            )
+        # -- heartbeat failure detection (repro.runtime.health): installed
+        # only when a heartbeat interval is set; None otherwise
+        self.health = health.install(self)
+        if self.config.sanitizers:  # the probe observes after the data plane, before HA
             self.ownership.observers.append(self.probe.ownership_op)
-            for raylet in self._raylets:
-                raylet.probe = self.probe
             self.log.add_observer(self.probe.incident)  # the incidents the log already states
         # -- control-plane HA (repro.runtime.ha): installed only when standby
         # replicas are requested; None otherwise.  After the probe, so the
@@ -266,14 +263,9 @@ class ServerlessRuntime:
             raylets = self._raylets_for_node(node, spill_store)
             self._raylets.extend(raylets)
             self._raylets_by_node[node.node_id] = raylets
-            for raylet in raylets:
-                raylet.metrics = self.telemetry.registry
-                for dev_id, store in raylet.stores.items():
-                    store.metrics = self.telemetry.registry
-                    store.on_spill = self.recovery.on_spilled
-                    self._store_of_device[dev_id] = store
-                for dev in raylet.devices:
-                    self._raylet_of_device[dev.device_id] = raylet
+            for raylet in raylets:  # a raylet's stores are its devices'
+                self._store_of_device.update(raylet.stores)
+                self._raylet_of_device.update(dict.fromkeys(raylet.stores, raylet))
         if spill_store is not None:
             self._store_of_device[spill_store.device.device_id] = spill_store
 
@@ -281,25 +273,32 @@ class ServerlessRuntime:
         blades = self.cluster.nodes_of_kind(NodeKind.MEMORY_BLADE)
         if not blades:
             return None
-        store = LocalObjectStore(blades[0].attachment_device)
-        store.metrics = self.telemetry.registry
-        return store
+        return LocalObjectStore(
+            blades[0].attachment_device,
+            metrics=self.telemetry.registry,
+            on_spill=self.recovery.on_spilled,
+        )
 
     def _raylets_for_node(self, node, spill_store) -> List[Raylet]:
+        def raylet(host: Device, devices: List[Device]) -> Raylet:
+            return Raylet(
+                self.sim, host, devices, spill_store, metrics=self.telemetry.registry,
+                probe=self.probe, on_spill=self.recovery.on_spilled,
+            )
+
         if node.kind == NodeKind.SERVER:
-            cpu = node.first_of_kind(DeviceKind.CPU)
-            return [Raylet(self.sim, cpu, list(node.devices), spill_store)]
+            return [raylet(node.first_of_kind(DeviceKind.CPU), list(node.devices))]
         if node.kind == NodeKind.MEMORY_BLADE:
             return []  # blades store spilled objects; no compute raylet
         if node.kind == NodeKind.ACCELERATOR:
-            return [Raylet(self.sim, node.devices[0], [node.devices[0]], spill_store)]
+            return [raylet(node.devices[0], [node.devices[0]])]
         # physically-disaggregated card
         dpu = node.first_of_kind(DeviceKind.DPU)
         companions = [d for d in node.devices if d.kind != DeviceKind.DPU]
         if self.config.generation == Generation.GEN1:
-            return [Raylet(self.sim, dpu, companions, spill_store)]
+            return [raylet(dpu, companions)]
         # Gen-2: device-specific raylet on every heterogeneous device
-        return [Raylet(self.sim, dev, [dev], spill_store) for dev in companions]
+        return [raylet(dev, [dev]) for dev in companions]
 
     # -- helpers -----------------------------------------------------------------
 
@@ -329,16 +328,6 @@ class ServerlessRuntime:
         """True while any task is neither finished nor permanently failed
         (drives the heartbeat loops' lifetime)."""
         return self._open_tasks > 0
-
-    def _progress_counter(self) -> Tuple[int, ...]:
-        """A cheap fingerprint of forward progress for the stall guard."""
-        return (
-            self.tasks_finished,
-            self.tasks_failed,
-            self.tasks_retried,
-            self.lineage.replays,
-            self.actor_restarts,
-        )
 
     # -- public API: objects ------------------------------------------------------
 
@@ -524,10 +513,6 @@ class ServerlessRuntime:
 
     def _route(self, ctx: _TaskCtx) -> None:
         """Dispatch now, unless the data plane holds the task for its arguments."""
-        if self.health is not None and self.gcs_up:
-            # a dead GCS counts no silence: detection stays down until a
-            # failover restarts it on the election winner
-            self.health.ensure_running()
         for hook in self.on_route:
             hook()
         if not self.data.hold(ctx):
@@ -609,7 +594,7 @@ class ServerlessRuntime:
             "task_cancelled", task=ctx.spec.task_id, name=ctx.spec.name, reason=reason,
             **tenant_label,
         )
-        self._open_tasks = max(0, self._open_tasks - 1)
+        self._open_tasks -= 1
         for pull in ctx.pulls:  # a finished one ignores the interrupt
             pull.interrupt(f"cancelled: {reason}")
         ctx.pulls = ()
@@ -878,7 +863,7 @@ class ServerlessRuntime:
         self._m_finished.inc()
         self._m_latency.observe(span.latency)
         self._m_stall.observe(span.input_stall)
-        self._open_tasks = max(0, self._open_tasks - 1)
+        self._open_tasks -= 1
         self._task_closed(main)
         for hook in self.on_task_finished:
             hook(main, ctx, device)
@@ -923,7 +908,7 @@ class ServerlessRuntime:
         # the attempt it closes is in no record: emitted here
         self.probe.task_fail(ctx.spec.task_id, ctx.attempt, error)
         self._close_task_span(ctx)
-        self._open_tasks = max(0, self._open_tasks - 1)
+        self._open_tasks -= 1
         self._record(
             "task_failed", task=ctx.spec.task_id, name=ctx.spec.name, error=error
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Collection, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.hardware import Device, DeviceKind
@@ -48,7 +48,7 @@ class Scheduler:
         policy: SchedulingPolicy,
         schedulable_devices: Sequence[Device],
         endpoint: str,
-        metrics=None,
+        metrics: Any,
     ):
         if not schedulable_devices:
             raise PlacementError("no schedulable devices in the cluster")
@@ -56,16 +56,23 @@ class Scheduler:
         self.ownership = ownership
         self.policy = policy
         self.endpoint = endpoint  # where the scheduler runs (control messages)
-        self.metrics = metrics  # optional telemetry MetricsRegistry
-        self._m_placements = None
-        if metrics is not None:
-            self._m_placements = metrics.series(
-                "counter",
-                "skadi_placements_total",
-                "placement decisions by policy and chosen device",
-                "policy",
-                "device",
-            )
+        # ``metrics`` is a telemetry MetricsRegistry (duck-typed)
+        self._m_placements = metrics.series(
+            "counter",
+            "skadi_placements_total",
+            "placement decisions by policy and chosen device",
+            "policy",
+            "device",
+        )
+        # degraded mode: killing a single GPU shrinks these without failing the job
+        self._m_capacity = metrics.gauge(
+            "skadi_scheduler_capacity_slots",
+            "total task slots across schedulable (non-blacklisted, live) devices",
+        )
+        self._m_schedulable = metrics.gauge(
+            "skadi_scheduler_schedulable_devices",
+            "devices the scheduler may currently place work on",
+        )
         self._devices = list(schedulable_devices)
         self._by_id: Dict[str, Device] = {d.device_id: d for d in self._devices}
         # leases in flight per device: those sent before ``_fresh_at`` count,
@@ -104,17 +111,8 @@ class Scheduler:
         # kind set -> its candidates, kept until the view changes again
         self._by_kinds: Dict[FrozenSet[DeviceKind], Tuple[Device, ...]] = {}
         self._plan_view = None
-        if self.metrics is None:
-            return
-        # degraded mode: killing a single GPU shrinks these without failing the job
-        self.metrics.gauge(
-            "skadi_scheduler_capacity_slots",
-            "total task slots across schedulable (non-blacklisted, live) devices",
-        ).set(float(sum(d.spec.slots for d in self.placeable)))
-        self.metrics.gauge(
-            "skadi_scheduler_schedulable_devices",
-            "devices the scheduler may currently place work on",
-        ).set(float(len(self.placeable)))
+        self._m_capacity.set(float(sum(d.spec.slots for d in self.placeable)))
+        self._m_schedulable.set(float(len(self.placeable)))
 
     # -- bookkeeping the runtime drives -------------------------------------
 
@@ -222,8 +220,7 @@ class Scheduler:
         raise ValueError(f"unknown policy {self.policy}")
 
     def _meter_placement(self, device: Device) -> Device:
-        if self._m_placements is not None:
-            self._m_placements.of(self.policy.value, device.device_id).inc()
+        self._m_placements.of(self.policy.value, device.device_id).inc()
         return device
 
     def _place_locality(self, task: TaskSpec, candidates: Sequence[Device]) -> Device:

@@ -41,7 +41,9 @@ from repro.runtime import (
     TaskError,
     ValueState,
 )
+from repro.runtime.events import NoProbe
 from repro.runtime.raylet import Raylet
+from repro.telemetry.metrics import MetricsRegistry
 
 from asserts import assert_recovery_drained
 
@@ -359,7 +361,10 @@ class TestSplitBrainFencing:
     def test_stale_epoch_leases_are_fenced_at_the_raylet(self):
         cluster = build_serverful(n_servers=1)
         dev = cluster.node("server0").devices[0]
-        raylet = Raylet(cluster.sim, dev, [dev])
+        raylet = Raylet(
+            cluster.sim, dev, [dev], metrics=MetricsRegistry(), probe=NoProbe(),
+            on_spill=lambda oid, origin, target: None,
+        )
         assert raylet.gcs_epoch == 0
         assert raylet.accepts_epoch(1)
         raylet.observe_epoch(2)

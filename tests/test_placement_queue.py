@@ -24,6 +24,7 @@ from repro.runtime.object_ref import ObjectRef
 from repro.runtime.ownership import OwnershipTable
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskSpec, TaskState
+from repro.telemetry.metrics import MetricsRegistry
 
 PULL, PUSH = ResolutionMode.PULL, ResolutionMode.PUSH
 HANDLING = 50e-6  # a server CPU raylet's dispatch overhead
@@ -33,7 +34,8 @@ def cpu_scheduler(n_servers=2):
     cluster = build_serverful(n_servers)
     devices = [d for d in cluster.all_devices() if d.kind == DeviceKind.CPU]
     sched = Scheduler(
-        cluster, OwnershipTable(), SchedulingPolicy.LOCALITY, devices, devices[0].device_id
+        cluster, OwnershipTable(), SchedulingPolicy.LOCALITY, devices, devices[0].device_id,
+        MetricsRegistry(),
     )
     return cluster, sched
 

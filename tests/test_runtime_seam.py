@@ -4,12 +4,16 @@
   and no component handle; each switch installs exactly its own subscribers.
 * **Tables drain.**  After the work is done, the components' parking lists
   are empty (the first brick of the quiescence invariant, ROADMAP item 4).
+* **Open tasks close once.**  However a task concludes, the open-task count
+  that keeps the protocol loops alive is back at 0 once a run drains.
 * **Structure guard.**  ``runtime.py`` does not reach back into the protocols
   that left it, nobody but ``failures.py`` strikes hardware or second-guesses
   the announce rule, and nobody but ``dataplane.py`` moves an object's bytes
   (which it lands in one place): an ``ast``/text walk fails on the names that
   would mean they do.  The sanitizer is a probe the runtime calls without
-  testing for it, and each call binds a ``DistProbe`` hook.
+  testing for it, and each call binds a ``DistProbe`` hook.  A part is built
+  whole: nobody sets a store's, raylet's or scheduler's registry, probe or
+  spill hook after construction.
 """
 
 from __future__ import annotations
@@ -28,15 +32,20 @@ from repro.runtime import (
     ResolutionMode,
     RuntimeConfig,
     ServerlessRuntime,
+    TaskError,
 )
 from repro.analysis.dist.probe import DistProbe
 from repro.runtime.events import NoProbe
+from repro.runtime.object_store import LocalObjectStore
+from repro.runtime.raylet import Raylet
 from repro.runtime.runtime import SEAM
 
 from asserts import assert_recovery_drained
 
 SRC = Path(__file__).resolve().parents[1] / "src/repro"
 RUNTIME_PY = SRC / "runtime/runtime.py"
+PUSH, PULL = ResolutionMode.PUSH, ResolutionMode.PULL
+BOTH_MODES = pytest.mark.parametrize("mode", [PUSH, PULL], ids=lambda m: m.name)
 
 # switch -> the subscribers it (alone) installs, per seam point, in list order
 INSTALLS = {
@@ -63,6 +72,12 @@ INSTALLS = {
         dict(retry_budget=True),
         {"on_task_finished": ["_refill_budget"], "retry_gates": ["_spend_budget"]},
     ),
+    "heartbeat_interval": (dict(heartbeat_interval=1e-3), {"on_route": ["_on_route"]}),
+}
+# switch -> the runtime attribute holding the component it installs
+COMPONENT = {
+    "ha_replicas": "ha", "admission_control": "overload", "retry_budget": "overload",
+    "heartbeat_interval": "health",
 }
 
 
@@ -98,7 +113,7 @@ class TestOffMeansNotInstalled:
     def test_default_runtime_installs_nothing(self):
         rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig())
         assert subscribers(rt) == {}
-        assert rt.ha is None and rt.overload is None
+        assert rt.ha is None and rt.overload is None and rt.health is None
         assert rt.ownership.observers == []
 
     @pytest.mark.parametrize("switch", sorted(INSTALLS))
@@ -106,13 +121,50 @@ class TestOffMeansNotInstalled:
         overrides, expected = INSTALLS[switch]
         rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig(**overrides))
         assert subscribers(rt) == expected
-        component = rt.ha if switch == "ha_replicas" else rt.overload
-        other = rt.overload if switch == "ha_replicas" else rt.ha
-        assert component is not None and other is None
+        component = getattr(rt, COMPONENT[switch])
+        others = [getattr(rt, name) for name in set(COMPONENT.values()) - {COMPONENT[switch]}]
+        assert component is not None and others == [None, None]
         for point in expected:
             assert all(hook.__self__ is component for hook in getattr(rt, point))
         observers = [hook.__name__ for hook in rt.ownership.observers]
         assert observers == (["_on_ownership_op"] if switch == "ha_replicas" else [])
+
+    def test_the_detector_routes_before_ha(self):
+        """Process-creation order is event order: the detector's loops start
+        before the WAL's, as they did when the core started them itself."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=2), RuntimeConfig(heartbeat_interval=1e-3, ha_replicas=1)
+        )
+        assert [hook.__self__ for hook in rt.on_route] == [rt.health, rt.ha]
+        assert [hook.__name__ for hook in rt.on_route] == ["_on_route", "ensure_running"]
+
+    def test_a_submit_after_an_unreplicated_head_loss_does_not_restart_detection(self):
+        """A dead GCS counts no silence: the detector's route hook holds the
+        gate, so work submitted after the loss parks without a heartbeat."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=3),
+            RuntimeConfig(heartbeat_interval=1e-3, heartbeat_miss_threshold=3),
+        )
+        beats = []
+        message = rt.net.message
+
+        def spy(src, dst, label="msg"):
+            if label == "heartbeat":
+                beats.append(rt.sim.now)
+            return message(src, dst, label)
+
+        rt.net.message = spy
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=5e-3)).arm()
+        doomed = rt.submit(lambda: 1, compute_cost=2e-2)
+        with pytest.raises(TaskError, match="control plane lost"):
+            rt.get(doomed)
+        assert rt.log.count("gcs_lost") == 1 and not rt.gcs_up
+        assert beats and not rt.health._active  # it ran, and the loss stopped it
+        resubmitted_at, beats_before = rt.sim.now, len(beats)
+        rt.submit(lambda: 2)
+        rt.run(until=resubmitted_at + 0.05)
+        assert len(beats) == beats_before and not rt.health._active
+        assert rt._parked and rt._open_tasks == 1  # parked: no leader grants a lease
 
 
 class TestTablesDrain:
@@ -201,12 +253,87 @@ class TestTablesDrain:
         assert_recovery_drained(rt)
 
 
+def _boom():
+    raise ValueError("boom")
+
+
+class TestOpenTasksClose:
+    """Every task that opens closes once, so ``_open_tasks`` (what keeps the
+    heartbeat and HA loops alive) is 0 once a run drains, however its tasks
+    concluded.  A second close of one task would leave it at -1."""
+
+    SCENARIOS = ("cancel", "payload_failure", "twin_wins", "lineage_replay", "head_loss")
+
+    @staticmethod
+    def runtime(mode, **overrides):
+        return ServerlessRuntime(
+            build_serverful(n_servers=2), RuntimeConfig(resolution=mode, **overrides)
+        )
+
+    def cancel(self, mode):
+        rt = self.runtime(mode)
+        root = rt.submit(lambda: 1, compute_cost=1e-2, name="root")
+        rt.submit(lambda x: x + 1, (root,), name="reader")
+        rt.run(until=1e-3)
+        assert rt.cancel(root)
+        rt.run()
+        assert rt.tasks_cancelled == 2  # the root and, by cascade, its reader
+        return rt
+
+    def payload_failure(self, mode):
+        rt = self.runtime(mode)
+        bad = rt.submit(_boom, name="bad")
+        good = rt.submit(lambda: 2, name="good")
+        with pytest.raises(TaskError, match="boom"):
+            rt.get(bad)
+        assert rt.get(good) == 2 and rt.tasks_failed == 1
+        return rt
+
+    def twin_wins(self, mode):
+        rt = self.runtime(mode, speculation_factor=4.0)
+        rt.cluster.device("server0/cpu").slowdown = 50.0
+        victim = rt.submit(lambda: 8, compute_cost=1e-2, name="victim")
+        assert rt.get(victim) == 8
+        assert rt.log.count("speculate") == 1
+        assert rt.timeline_of(victim).device == "server1/cpu"  # the backup's
+        return rt
+
+    def lineage_replay(self, mode):
+        rt = self.runtime(mode)
+        head = rt.submit(lambda: 1, pinned_device="server1/cpu", name="head")
+        tail = rt.submit(lambda x: x + 1, (head,), pinned_device="server1/cpu", name="tail")
+        assert rt.get(tail) == 2
+        rt.fail_node("server1")
+        rt.restart_node("server1")
+        assert rt.get(tail) == 2 and rt.lineage.replays == 2
+        return rt
+
+    def head_loss(self, mode):
+        """Unreplicated: ``_fail_open_tasks`` fails the running task and its
+        waiting reader."""
+        rt = self.runtime(mode, heartbeat_interval=1e-3)
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=5e-3)).arm()
+        root = rt.submit(lambda: 1, compute_cost=2e-2, name="root")
+        reader = rt.submit(lambda x: x, (root,), name="reader")
+        with pytest.raises(TaskError, match="control plane lost"):
+            rt.get(reader)
+        assert rt.log.count("gcs_lost") == 1 and rt.tasks_failed == 2
+        return rt
+
+    @BOTH_MODES
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_open_task_closes_once(self, scenario, mode):
+        rt = getattr(self, scenario)(mode)
+        rt.run()
+        assert rt._open_tasks == 0
+
+
 class TestStructureGuard:
     """``runtime.py`` knows the seam, not the protocols behind it."""
 
     BANNED_NAMES = {
         "HAController", "BreakerBoard", "RetryBudget", "_breakers", "_retry_budget",
-        "_admitted_open", "_admission_overflow", "_admission_deferred",
+        "_admitted_open", "_admission_overflow", "_admission_deferred", "HeartbeatMonitor",
     }
 
     def test_the_core_does_not_reach_into_its_components(self):
@@ -230,6 +357,42 @@ class TestStructureGuard:
             if isinstance(node, ast.Attribute) and node.attr == "ha"
         ]
         assert not reads, f"ServerlessRuntime reads .ha outside __init__: {reads}"
+        (route,) = [
+            method for method in runtime_cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "_route"
+        ]
+        assert "health" not in ast.unparse(route)  # the detector's own hook holds its gate
+
+    # the one wiring done after construction: a cluster (and its network)
+    # outlives a runtime, so each runtime re-binds the shared network's registry
+    WIRED_AFTER_CONSTRUCTION = {("runtime/runtime.py", "self.net.metrics")}
+
+    def test_a_part_is_built_whole(self):
+        """A store, raylet and scheduler get their registry, probe and spill
+        hook as constructor arguments: nothing under ``src/repro`` sets one on
+        another object, no part tests an instrument or its hook against
+        ``None``, and neither a raylet nor a store has a ``metrics`` setter."""
+        wired = {
+            (str(path.relative_to(SRC)), ast.unparse(target))
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for assigned in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for target in ast.walk(assigned)
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.ctx, ast.Store)
+            and target.attr in ("metrics", "probe", "on_spill")
+            and ast.unparse(target.value) != "self"
+        }
+        assert wired == self.WIRED_AFTER_CONSTRUCTION
+        guard = re.compile(r"(_m_\w+|on_spill|metrics) is (not )?None")
+        for part in ("raylet.py", "object_store.py", "scheduler.py"):
+            hits = [
+                n for n, line in enumerate((SRC / "runtime" / part).read_text().splitlines(), 1)
+                if guard.search(line)
+            ]
+            assert not hits, f"{part}: {hits}"
+        assert not hasattr(Raylet, "metrics") and not hasattr(LocalObjectStore, "metrics")
 
     # what left for repro.runtime.failures: the 19 methods and the five tables
     FAILURE_NAMES = {
@@ -313,7 +476,7 @@ class TestStructureGuard:
         ]
         methods = {m.name for m in runtime_cls.body if isinstance(m, ast.FunctionDef)}
         assert {"put", "get", "wait", "free", "checkpoint", "submit"} <= methods
-        assert len(methods) <= 65 and len(source.splitlines()) <= 1177
+        assert len(methods) <= 65 and len(source.splitlines()) <= 1162
 
     def test_a_lost_object_comes_back_one_way(self):
         source = (SRC / "runtime/recovery.py").read_text()
@@ -550,6 +713,7 @@ class TestStructureGuard:
             build_serverful(n_servers=1), RuntimeConfig(sanitizers=("invariants",))
         )
         assert not hasattr(rt.probe, "site") and not hasattr(sanitized.probe, "site")
+        assert all(r.probe is sanitized.probe for r in sanitized._raylets)  # built with it
 
     def test_every_probe_call_binds_a_dist_probe_hook(self):
         """Each ``probe.<hook>(...)`` under ``runtime/`` names a ``NoProbe``

@@ -14,6 +14,7 @@ from repro.runtime.ownership import OwnershipTable, ValueState
 from repro.runtime.runtime import ServerlessRuntime
 from repro.runtime.scheduler import PlacementError, Scheduler
 from repro.runtime.task import ANY_COMPUTE_KIND, TaskSpec
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def make_scheduler(policy=SchedulingPolicy.ROUND_ROBIN):
@@ -25,7 +26,7 @@ def make_scheduler(policy=SchedulingPolicy.ROUND_ROBIN):
         if d.kind in (DeviceKind.CPU, DeviceKind.GPU, DeviceKind.FPGA)
     ]
     sched = Scheduler(
-        cluster, ownership, policy, devices, endpoint="server0/cpu"
+        cluster, ownership, policy, devices, endpoint="server0/cpu", metrics=MetricsRegistry()
     )
     return cluster, ownership, sched
 
@@ -45,7 +46,7 @@ class TestCandidates:
         cluster, ownership, _ = make_scheduler()
         cpu_devices = [d for d in cluster.all_devices() if d.kind == DeviceKind.CPU]
         sched = Scheduler(
-            cluster, ownership, SchedulingPolicy.ROUND_ROBIN, cpu_devices, "e"
+            cluster, ownership, SchedulingPolicy.ROUND_ROBIN, cpu_devices, "e", MetricsRegistry()
         )
         with pytest.raises(PlacementError, match="no schedulable device"):
             sched.candidates(task(kinds=frozenset({DeviceKind.GPU})))
@@ -86,7 +87,9 @@ class TestCandidates:
     def test_no_devices_at_all(self):
         cluster, ownership, _ = make_scheduler()
         with pytest.raises(PlacementError):
-            Scheduler(cluster, ownership, SchedulingPolicy.ROUND_ROBIN, [], "e")
+            Scheduler(
+                cluster, ownership, SchedulingPolicy.ROUND_ROBIN, [], "e", MetricsRegistry()
+            )
 
 
 class TestPolicies:
@@ -264,7 +267,8 @@ COMPUTE_KINDS = (DeviceKind.CPU, DeviceKind.GPU, DeviceKind.FPGA)
 def locality_scheduler(cluster):
     devices = [d for d in cluster.all_devices() if d.kind in COMPUTE_KINDS]
     return Scheduler(
-        cluster, OwnershipTable(), SchedulingPolicy.LOCALITY, devices, devices[0].device_id
+        cluster, OwnershipTable(), SchedulingPolicy.LOCALITY, devices, devices[0].device_id,
+        MetricsRegistry(),
     )
 
 
