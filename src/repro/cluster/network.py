@@ -28,6 +28,9 @@ events however many bytes and hops it spans.
 
 Small control messages use a fixed frame size so that the control plane's
 hop count — the quantity Gen-2 reduces — shows up directly in virtual time.
+A frame is priced at send (its hop times at the degradation then, added hop
+by hop) and is one calendar entry, which books every hop as it lands; a
+dropped frame fires ``False`` after its first hop, a zero-hop one now.
 
 The network also keeps a *contention ledger* per link: bytes admitted at
 submit that have not started yet, plus the unsent bytes of the flows on the
@@ -41,10 +44,12 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import add
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .simtime import Simulator, Step
+from .simtime import Awaitable, Simulator, Step
 from .topology import Topology
 
 __all__ = [
@@ -140,7 +145,7 @@ def _pipeline(
 
 
 class Network:
-    """Executes transfers and multicasts as flows, messages hop by hop.
+    """Executes transfers and multicasts as flows, a control frame as one entry.
 
     Fault-injection hooks (driven by :mod:`repro.chaos`):
 
@@ -619,20 +624,52 @@ class Network:
 
     # -- control messages ----------------------------------------------------
 
-    def message(self, src: str, dst: str, label: str = "msg") -> Step:
-        """A small control-plane message (fixed frame, latency-dominated).
+    def message(self, src: str, dst: str, label: str = "msg") -> Awaitable:
+        """A small control-plane frame (fixed size, latency-dominated).
 
-        An awaitable whose value is ``True`` when the message arrived,
+        An awaitable whose value is ``True`` when the frame arrived,
         ``False`` when chaos dropped it (loss or partition).  Callers that
         predate fault injection ignore the value; delivery-sensitive
-        protocols (heartbeats, leases) check it.
+        protocols (heartbeats, leases) check it.  Priced at send, it is one
+        calendar entry (see the module docstring).
         """
         hops = self.topology.route(src, dst)
-        self.stats.messages += 1
-        dropped = self.crosses_partition(src, dst) or (
+        sim, stats = self.sim, self.stats
+        stats.messages += 1
+        if self.crosses_partition(src, dst) or (
             self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate
-        )
-        return _Message(self, hops, dropped, label)
+        ):
+            stats.dropped_messages += 1
+            self._meter_drop("message")
+            spent = self.topology.link(*hops[0]).transfer_time(CONTROL_MSG_BYTES) if hops else 0.0
+            return sim.timeout(spent, False)  # the sender burns its first hop
+        if not hops:
+            stats.messages_delivered += 1
+            return sim.timeout(0.0, True)
+        frame = sim.signal()
+        # one add per hop, in the order hop-by-hop timers added them
+        sim.call_at(reduce(add, self._hop_times(hops), sim.now), self._land_frame, frame, hops)
+        return frame
+
+    def _hop_times(self, hops: Sequence[Tuple[str, str]]) -> List[float]:
+        """Each hop's control-frame time, degradation included."""
+        topology = self.topology
+        return [
+            topology.degradation(a, b) * topology.link(a, b).transfer_time(CONTROL_MSG_BYTES)
+            for a, b in hops
+        ]
+
+    def _land_frame(self, frame: Awaitable, hops: Sequence[Tuple[str, str]]) -> None:
+        """A delivered frame is in: each hop's bytes, then the waiter."""
+        stats = self.stats
+        for a, b in hops:
+            key = self._link_key(a, b)
+            stats.record_link(key, CONTROL_MSG_BYTES)
+            meters = self._meters(key)
+            meters.messages.inc()
+            meters.bytes.inc(CONTROL_MSG_BYTES)
+        stats.messages_delivered += 1
+        frame.trigger(True)
 
     def rpc(self, src: str, dst: str, label: str = "rpc") -> Step:
         """Request/response control-message pair (two one-way messages).
@@ -670,13 +707,8 @@ class Network:
 
     def message_time_estimate(self, src: str, dst: str) -> float:
         """How long a delivered :meth:`message` takes: one control frame
-        per hop, degradation included, summed as its timers are."""
-        topology, total = self.topology, 0.0
-        for a, b in topology.route(src, dst):
-            total += topology.degradation(a, b) * topology.link(a, b).transfer_time(
-                CONTROL_MSG_BYTES
-            )
-        return total
+        per hop, degradation included, summed hop by hop."""
+        return reduce(add, self._hop_times(self.topology.route(src, dst)), 0.0)
 
 
 class _Flow(Step):
@@ -804,47 +836,6 @@ class _Multicast(_Flow):
         if net._multicast_saved is not None and self.saved:
             net._multicast_saved.inc(self.saved)
         self.trigger(list(self.reachable))
-
-
-class _Message(Step):
-    """:meth:`Network.message`: one timer per hop, each made as the one
-    before fires; a dropped message burns its first hop and gives up."""
-
-    __slots__ = ("net", "hops", "dropped")
-
-    def __init__(self, net: Network, hops: Sequence[Tuple[str, str]], dropped: bool, label: str):
-        self.net = net
-        self.hops = hops
-        self.dropped = dropped
-        Step.__init__(self, net.sim, label)
-
-    def _advance(self, _value: Any, _exc: None) -> None:
-        net, hops, hop = self.net, self.hops, self._phase
-        self._phase = hop + 1
-        if self.dropped:
-            if hop == 0:
-                net.stats.dropped_messages += 1
-                net._meter_drop("message")
-            if hop or not hops:
-                self.trigger(False)
-            else:
-                link = net.topology.link(*hops[0])
-                self._wait(net.sim.timeout(link.transfer_time(CONTROL_MSG_BYTES)))
-            return
-        if hop:  # hop - 1 is across
-            key = net._link_key(*hops[hop - 1])
-            net.stats.record_link(key, CONTROL_MSG_BYTES)
-            meters = net._meters(key)
-            meters.messages.inc()
-            meters.bytes.inc(CONTROL_MSG_BYTES)
-        if hop < len(hops):
-            a, b = hops[hop]
-            link = net.topology.link(a, b)
-            delay = net.topology.degradation(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
-            self._wait(net.sim.timeout(delay))
-        else:
-            net.stats.messages_delivered += 1
-            self.trigger(True)
 
 
 class _Rpc(Step):

@@ -31,11 +31,12 @@ single-heap kernel:
   awaitable resumes immediately, without a scheduler round trip, whenever
   the ring is empty and no trigger callback chain is active (i.e. exactly
   when the scheduled continuation would have been the very next event).
-* **generator-free steps** — the leaf primitives (a control message, a
-  transfer or multicast, a :class:`Hold` of a slot, an :class:`After`
-  watchdog) are :class:`Step` state machines that dispatch exactly as the
-  processes they replace, and a finished :class:`Process` breaks its own
-  reference cycle: both are freed by refcounting, not the cycle collector.
+* **generator-free steps** — the leaf primitives that wait twice (an rpc, a
+  transfer or multicast, a :class:`Hold` of a slot) are :class:`Step` state
+  machines that dispatch exactly as the processes they replace, and a
+  finished :class:`Process` breaks its own reference cycle: both are freed by
+  refcounting, not the cycle collector.  A one-shot timer (a control frame,
+  a watchdog) is one :meth:`Simulator.call_at` entry and no step at all.
 * **no cyclic collector** — :meth:`Simulator.run` pauses Python's cyclic
   garbage collector while it dispatches and restores the caller's setting
   on the way out.  A run allocates per-task objects by the hundred thousand,
@@ -77,7 +78,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 __all__ = [
     "Simulator",
     "Process",
-    "Step", "Hold", "After",
+    "Step", "Hold",
     "Timeout",
     "Signal",
     "AllOf",
@@ -555,26 +556,6 @@ class Hold(Step):
                 self.then(self.duration)
             self.resource.release()
             self.trigger(self.duration)
-
-
-class After(Step):
-    """Call ``fn(*args)`` ``delay`` after the start step (a watchdog)."""
-
-    __slots__ = ("delay", "fn", "args")
-
-    def __init__(self, sim: "Simulator", delay: float, fn: Callable, *args: Any) -> None:
-        self.delay = delay
-        self.fn = fn
-        self.args = args
-        Step.__init__(self, sim, "after")
-
-    def _advance(self, _value: Any, _exc: None) -> None:
-        self._phase += 1
-        if self._phase == 1:
-            self._wait(_make_timeout(self.sim, self.delay))
-        else:
-            self.fn(*self.args)
-            self.trigger(None)
 
 
 class Resource:

@@ -32,6 +32,7 @@ from .ownership import OwnershipEntry, OwnershipTable, ValueState
 from .raylet import Raylet
 from .runtime import (
     ActorHandle,
+    ControlPlaneLostError,
     GetTimeoutError,
     ServerlessRuntime,
     TaskCancelledError,
@@ -49,6 +50,7 @@ __all__ = [
     "SchedulingPolicy",
     "RuntimeConfig",
     "AdmissionRejectedError",
+    "ControlPlaneLostError",
     "RetryBudget",
     "backoff_jitter_fraction",
     "retry_backoff_delay",

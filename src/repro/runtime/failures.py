@@ -44,7 +44,7 @@ class FailureDomains:
         # no detector: devices out of the view only because they are down
         self.unmanaged: Set[str] = set()
         # unreplicated, the GCS dies with the head; HA re-points this at itself
-        self.head_lost: Callable[[str], None] = runtime._on_gcs_lost
+        self.head_lost: Callable[[str], None] = self.gcs_lost
 
     # -- strikes ---------------------------------------------------------------
 
@@ -99,6 +99,18 @@ class FailureDomains:
         self._crash(self._node(node_id), "head crashed")
         self._follow_raylets()  # no verdict will ever declare the head dead
         self.head_lost(node_id)
+
+    def gcs_lost(self, node_id: str) -> None:
+        """Unreplicated head death: the GCS state — ownership table, detector
+        views, blacklist — died with the node and nothing holds a copy.
+        Every open task fails and driver handles surface the loss."""
+        rt = self.rt
+        rt._record("gcs_lost", node=node_id)
+        rt.gcs_up = False
+        if rt.health is not None:
+            rt.health.pause()
+        rt.ownership.clear()
+        rt._fail_open_tasks(f"control plane lost: GCS on {node_id} died with no standby")
 
     def _wipe(self, device: Device) -> None:
         store = self.rt._store_of_device.get(device.device_id)

@@ -14,6 +14,7 @@ and performance shapes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple, Union
 
 from ..caching.kv import estimate_nbytes
@@ -80,6 +81,16 @@ class TaskCancelledError(TaskError):
 
 class GetTimeoutError(TimeoutError):
     """``get(timeout=...)`` expired with refs still unresolved."""
+
+
+class ControlPlaneLostError(TaskError, overload.AdmissionRejectedError):
+    """A submit after the control plane became unrecoverable: refused before
+    any state exists, as an admission is, but no retry will ever run it."""
+
+
+def _refuse(reason: str, spec: TaskSpec) -> None:
+    """The submit gate of a lost control plane: no leader will ever run a task."""
+    raise ControlPlaneLostError(f"task {spec.task_id} ({spec.name}) refused: {reason}")
 
 
 class _TransientTaskError(Exception):
@@ -1038,10 +1049,12 @@ class ServerlessRuntime:
     # and the two steps every outcome shares.
 
     def _fail_open_tasks(self, reason: str) -> None:
-        """Permanently fail every non-terminal task: the control plane is
-        unrecoverable (no standby, or none left alive).  Failing before
-        interrupting matters — the Interrupt handler sees a terminal state
-        and returns instead of scheduling a retry against a dead GCS."""
+        """Permanently fail every non-terminal task, and refuse every later
+        submit before it becomes one: the control plane is unrecoverable (no
+        standby, or none left alive).  Failing before interrupting matters —
+        the Interrupt handler sees a terminal state and returns instead of
+        scheduling a retry against a dead GCS."""
+        self.submit_gates.insert(0, partial(_refuse, reason))
         for task_id in sorted(self._ctxs):
             ctx = self._ctxs[task_id]
             if ctx.state in _TERMINAL:
@@ -1050,19 +1063,6 @@ class ServerlessRuntime:
             for victim in (ctx, ctx.twin):
                 if victim is not None and victim.proc is not None:
                     victim.proc.interrupt(reason)
-
-    def _on_gcs_lost(self, node_id: str) -> None:
-        """Unreplicated head death: the GCS state — ownership table, detector
-        views, blacklist — died with the node and nothing holds a copy.
-        Every open task fails and driver handles surface the loss."""
-        self._record("gcs_lost", node=node_id)
-        self.gcs_up = False
-        if self.health is not None:
-            self.health.pause()
-        self.ownership.clear()
-        self._fail_open_tasks(
-            f"control plane lost: GCS on {node_id} died with no standby"
-        )
 
     def _resume_parked(self) -> None:
         """A leader serves again: dispatches frozen during the leaderless

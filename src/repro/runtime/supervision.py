@@ -3,7 +3,9 @@
 Ray's promise about a task that does not finish — transparent re-execution, a
 watchdog, a backup copy — is control-plane policy, not task lifecycle.  The
 core calls in at two places: :meth:`Supervisor.watch` when an attempt is
-dispatched (starts the watchers the config asks for) and
+dispatched (arms the guards the config asks for, each one ``sim.call_at`` entry
+that its task's close cancels; a failed attempt's guard fires and finds its
+attempt over) and
 :meth:`Supervisor.failed` when one ends in a fault rather than a result.
 
 * **One launch path.**  A retry goes back through routing and a speculative
@@ -11,7 +13,7 @@ dispatched (starts the watchers the config asks for) and
   ``on_dispatch`` (HA stamps and logs its lease), is subscribed under PUSH and
   gets the watchdog when ``task_timeout`` is set.  A backup that fails or times
   out stands down silently; a task gets at most one per incarnation, and none
-  while no leader is serving (its next dispatch arms a fresh watcher).
+  while no leader is serving (its next dispatch arms a fresh guard).
 * **Hashed jitter.**  A retry waits ``retry_backoff_base * 2**(retries-1) *
   (1 + RETRY_JITTER * frac)`` with ``frac = int(md5(f"{task_id}:{retries}")
   [:8], 16) / 0xFFFFFFFF`` — hashed, not drawn from a shared RNG, so retry
@@ -22,9 +24,8 @@ dispatched (starts the watchers the config asks for) and
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Callable, Dict, List
 
-from ..cluster.simtime import After
 from .scheduler import PlacementError
 from .task import IN_FLIGHT_STATES, TaskState
 
@@ -56,14 +57,17 @@ class Supervisor:
 
     def __init__(self, runtime: Any):  # the core (it imports this module, not the reverse)
         self.rt = runtime
+        self._guards: Dict[str, List[Any]] = {}  # task id -> its calendar handles
+        if runtime.config.task_timeout is not None or runtime.config.speculation_factor is not None:
+            runtime.on_task_closed.append(self._withdraw)
 
     # -- the core's two entry points -------------------------------------------
 
     def watch(self, ctx: Any) -> None:
-        """At dispatch: start the watchers the config asks for."""
+        """At dispatch: arm the guards the config asks for."""
         rt, spec = self.rt, ctx.spec
         if rt.config.task_timeout is not None:
-            After(rt.sim, rt.config.task_timeout, self._timed_out, ctx, ctx.attempt)
+            self._arm(ctx, rt.config.task_timeout, self._timed_out)
         if (
             rt.config.speculation_factor is not None
             and spec.actor_id is None  # actors are stateful: never speculate
@@ -71,8 +75,7 @@ class Supervisor:
         ):
             dev = ctx.device.spec
             expected = dev.dispatch_overhead + dev.scaled_duration(spec.compute_cost)
-            delay = rt.config.speculation_factor * max(expected, 1e-9)
-            After(rt.sim, delay, self._straggling, ctx, ctx.attempt)
+            self._arm(ctx, rt.config.speculation_factor * max(expected, 1e-9), self._straggling)
 
     def failed(self, ctx: Any, cause: str) -> None:
         """An attempt (or the placement of one) ended in a transient fault:
@@ -129,7 +132,20 @@ class Supervisor:
             return
         rt._place_or_retry(rt._route, ctx)
 
-    # -- the watchers ----------------------------------------------------------
+    # -- the guards ------------------------------------------------------------
+
+    def _arm(self, ctx: Any, delay: float, guard: Callable[[Any, int], None]) -> None:
+        sim = self.rt.sim
+        handle = sim.call_at(sim.now + delay, guard, ctx, ctx.attempt)
+        self._guards.setdefault(ctx.spec.task_id, []).append(handle)
+
+    def _withdraw(self, ctx: Any) -> None:
+        """Take the closing task's guards off the calendar, except one whose
+        instant has come: it fired, or fires now and finds its attempt over."""
+        sim = self.rt.sim
+        for handle in self._guards.pop(ctx.spec.task_id, ()):
+            if handle[0] > sim.now:  # a handle is (when, entry)
+                sim.cancel(handle)
 
     def _live(self, ctx: Any, attempt: int) -> bool:
         """This attempt is still the one in flight and its result still wanted."""

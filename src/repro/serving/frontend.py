@@ -37,6 +37,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..runtime.overload import AdmissionRejectedError
+from ..runtime.runtime import ControlPlaneLostError
 from ..runtime.task import TaskState
 from ..telemetry.metrics import nearest_rank
 from .tenants import TenantRegistry
@@ -219,8 +220,9 @@ class ServingFrontend:
 
     def _dispatch(self, pending: PendingRequest) -> None:
         """Instantiate the request's task DAG through the ordinary submit
-        path; a runtime-level admission rejection sheds the whole request
-        (and cancels any stages already in)."""
+        path; a runtime-level admission rejection, or the refusal of a lost
+        control plane, sheds the whole request (and cancels any stages
+        already in)."""
         req = pending.request
         tenant = req.tenant
         profile = tenant.profile
@@ -235,12 +237,13 @@ class ServingFrontend:
                     tenant=tenant.tenant_id,
                 )
                 pending.refs.append(ref)
-        except AdmissionRejectedError:
+        except AdmissionRejectedError as refused:
             self.inflight -= 1
             for ref in pending.refs:
                 self.rt.cancel(ref, reason="request_rejected")
             tenant.open_requests -= 1
-            self._shed(req, "admission")
+            lost = isinstance(refused, ControlPlaneLostError)
+            self._shed(req, "control_plane_lost" if lost else "admission")
             return
         self.admitted += 1
         self.admitted_by_tenant[tenant.tenant_id] = (

@@ -153,6 +153,12 @@ class TestFailover:
             rt.get(target)
         assert rt.ha is not None and rt.ha.cluster_lost
         assert "ha_cluster_lost" in [e.kind for e in rt.events]
+        # nothing can ever lead again: a later submit is refused with the
+        # loss's cause instead of parking forever
+        tasks = dict(rt._ctxs)
+        with pytest.raises(TaskError, match="refused: control plane lost: no live standby"):
+            rt.submit(lambda: 2)
+        assert rt._ctxs == tasks and rt._open_tasks == 0 and rt._parked == []
 
     @pytest.mark.parametrize(
         "schedule,failovers",

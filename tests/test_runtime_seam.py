@@ -28,6 +28,8 @@ import pytest
 from repro.chaos import ChaosMonkey, ChaosSchedule
 from repro.cluster import build_serverful
 from repro.runtime import (
+    AdmissionRejectedError,
+    ControlPlaneLostError,
     OwnershipTable,
     ResolutionMode,
     RuntimeConfig,
@@ -139,8 +141,8 @@ class TestOffMeansNotInstalled:
         assert [hook.__name__ for hook in rt.on_route] == ["_on_route", "ensure_running"]
 
     def test_a_submit_after_an_unreplicated_head_loss_does_not_restart_detection(self):
-        """A dead GCS counts no silence: the detector's route hook holds the
-        gate, so work submitted after the loss parks without a heartbeat."""
+        """A dead GCS counts no silence: work submitted after the loss is
+        refused before it routes, and no heartbeat starts again."""
         rt = ServerlessRuntime(
             build_serverful(n_servers=3),
             RuntimeConfig(heartbeat_interval=1e-3, heartbeat_miss_threshold=3),
@@ -161,10 +163,62 @@ class TestOffMeansNotInstalled:
         assert rt.log.count("gcs_lost") == 1 and not rt.gcs_up
         assert beats and not rt.health._active  # it ran, and the loss stopped it
         resubmitted_at, beats_before = rt.sim.now, len(beats)
-        rt.submit(lambda: 2)
+        with pytest.raises(TaskError, match="refused: control plane lost"):
+            rt.submit(lambda: 2)
         rt.run(until=resubmitted_at + 0.05)
         assert len(beats) == beats_before and not rt.health._active
-        assert rt._parked and rt._open_tasks == 1  # parked: no leader grants a lease
+        assert not rt._parked and rt._open_tasks == 0
+
+    def test_a_submit_in_the_leaderless_window_does_not_restart_detection(self):
+        """The detector's route hook holds the ``gcs_up`` gate: work routed
+        while HA elects parks without restarting detection, which the
+        failover restarts on the winner."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=4),
+            RuntimeConfig(heartbeat_interval=1e-3, heartbeat_miss_threshold=3, ha_replicas=1),
+        )
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=5e-3)).arm()
+        rt.submit(lambda: 1, compute_cost=2e-3)
+        rt.run(until=5e-3)
+        assert not rt.gcs_up and not rt.health._active
+        ref = rt.submit(lambda: 2)
+        assert rt._parked and not rt.health._active
+        assert rt.get(ref) == 2 and rt.log.count("ha_failover_complete") == 1
+
+    def test_a_submit_after_an_unreplicated_head_loss_is_refused(self):
+        """No leader will ever grant a lease: the submit fails with the loss's
+        cause before any ownership, lineage or task state exists, instead of
+        parking forever and surfacing at ``get`` as a lost object."""
+        rt = ServerlessRuntime(build_serverful(n_servers=3), RuntimeConfig())
+        ChaosMonkey(rt, ChaosSchedule().fail_gcs(at=5e-3)).arm()
+        doomed = rt.submit(lambda: 1, compute_cost=2e-2)
+        with pytest.raises(TaskError, match="control plane lost"):
+            rt.get(doomed)
+        tasks, tables = dict(rt._ctxs), (len(rt.ownership), len(rt.lineage))
+        with pytest.raises(TaskError, match="GCS on server0 died with no standby"):
+            rt.get(rt.submit(lambda: 2))
+        assert rt._ctxs == tasks and (len(rt.ownership), len(rt.lineage)) == tables
+        assert rt._open_tasks == 0 and not rt._parked and rt.sim.peek() is None
+
+    def test_a_burst_after_an_unreplicated_head_loss_is_counted_refused(self):
+        """A submit from inside the simulator meets the refusal as it meets
+        the admission gate: the burst counts it and the run goes on."""
+        rt = ServerlessRuntime(build_serverful(n_servers=3), RuntimeConfig())
+        schedule = ChaosSchedule().fail_gcs(at=5e-3).burst(at=10e-3, n_tasks=4, duration=2e-3)
+        monkey = ChaosMonkey(
+            rt, schedule, task_source=lambda i: rt.submit(lambda: i, compute_cost=1e-3)
+        )
+        monkey.arm()
+        doomed = rt.submit(lambda: 1, compute_cost=2e-2)
+        rt.run()
+        assert monkey.load_rejected == 4 and monkey.load_submitted == 0
+        assert rt._open_tasks == 0 and not rt._parked and rt.sim.peek() is None
+        with pytest.raises(TaskError, match="control plane lost"):
+            rt.get(doomed)
+        with pytest.raises(ControlPlaneLostError) as refused:
+            rt.submit(lambda: 2)
+        assert isinstance(refused.value, TaskError)
+        assert isinstance(refused.value, AdmissionRejectedError)
 
 
 class TestTablesDrain:
@@ -571,12 +625,18 @@ class TestStructureGuard:
         },
         "supervision.py": {
             "config", "sim", "telemetry", "_outputs_ready", "scheduler", "probe", "gcs_up",
-            "retry_gates", "_dispatch", "_route",
+            "retry_gates", "_dispatch", "_route", "on_task_closed",
             "_place_or_retry", "_fail_ctx", "actors", "_record", "_ctxs",
         },
         "actors.py": {
             "sim", "ids", "cluster", "config", "scheduler", "reliable_cache",
             "recovery", "_record", "_submit_spec", "actor_restarts",
+        },
+        "failures.py": {
+            "cluster", "scheduler", "recovery", "actors", "ownership", "health", "telemetry",
+            "head_node_id", "gcs_up", "on_view_change", "_record", "_fail_open_tasks",
+            "_interrupt_attempts", "_device_by_id", "_raylets_by_node", "_raylet_of_device",
+            "_store_of_device",
         },
     }
 

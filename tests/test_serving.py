@@ -264,6 +264,31 @@ class TestFrontend:
             reason="tenant_quota",
         ) == 3.0
 
+    @pytest.mark.parametrize("replicas", [0, 1], ids=["unreplicated", "every_standby_lost"])
+    def test_arrivals_after_the_control_plane_is_lost_are_shed(self, replicas):
+        """A lost control plane refuses every later submit: the frontend sheds
+        those requests under their own reason, and the episode runs out with
+        nothing left open."""
+        from repro.chaos import ChaosMonkey
+
+        schedule = ChaosSchedule()
+        if replicas:  # the only standby dies first: nothing can elect
+            schedule.crash_node(5e-3, "server1")
+        rt = make_rt(
+            n_servers=3, heartbeat_interval=1e-3, heartbeat_miss_threshold=3,
+            ha_replicas=replicas,
+        )
+        ChaosMonkey(rt, schedule.fail_gcs(at=10e-3)).arm()
+        fe = ServingFrontend(rt, TenantRegistry(4))
+        t = plain_tenant("t0")
+        fe.play([Request(f"r{i}", t, UNIT, 2e-3 * i) for i in range(30)])
+        rt.sim.run()
+        lost = fe.shed.get("control_plane_lost", 0)
+        assert lost and fe.shed == {"control_plane_lost": lost}
+        assert fe.completed + fe.failed + lost == fe.offered == 30
+        assert fe.inflight == 0 and t.open_requests == 0
+        assert rt._open_tasks == 0 and rt.sim.peek() is None
+
     def test_bounded_waiting_room_sheds_at_the_door(self):
         rt = make_rt(serving_max_inflight=1, serving_queue_depth=2)
         fe = ServingFrontend(rt, TenantRegistry(4))

@@ -14,7 +14,6 @@ from repro.cluster.cluster import build_serverful
 from repro.cluster.hardware import Device
 from repro.cluster.network import CONTROL_MSG_BYTES, Network
 from repro.cluster.simtime import (
-    After,
     Channel,
     Hold,
     Interrupt,
@@ -517,42 +516,50 @@ class TestChannel:
         assert got == [0, 1, 2]
 
 
-# -- generator-free steps ------------------------------------------------------------
+# -- generator-free steps and one-entry timers ------------------------------------
 #
-# The generator bodies the steps replaced, kept here as the reference: a step
-# must give the same dispatch log (time, order, value), the same
-# events_executed() and the same inline_steps as its generator, on the fast
+# The references the kernel's leaf primitives are held to: a step (an rpc, a
+# hold) must give the same dispatch log (time, order, value), the same
+# events_executed() and the same inline_steps as the generator it replaced,
+# and a frame or a guard the same as one plain calendar entry, on the fast
 # path and under a schedule perturbation.
 
 
 def ref_message(net, src, dst, label="msg"):
-    hops = net.topology.route(src, dst)
-    net.stats.messages += 1
+    """A frame is one entry, priced at send: delivered, a ``call_at`` at the
+    hop-by-hop sum of its hop times that books each hop; dropped, a timeout
+    of its first hop with ``False``; zero-hop, a timeout of nothing."""
+    sim, topology, stats = net.sim, net.topology, net.stats
+    hops = topology.route(src, dst)
+    stats.messages += 1
     dropped = net.crosses_partition(src, dst) or (
         net._loss_rate > 0.0 and net._loss_rng.random() < net._loss_rate
     )
+    if dropped:
+        stats.dropped_messages += 1
+        net._meter_drop("message")
+        first = topology.link(*hops[0]).transfer_time(CONTROL_MSG_BYTES) if hops else 0.0
+        return sim.timeout(first, False)
+    if not hops:
+        stats.messages_delivered += 1
+        return sim.timeout(0.0, True)
+    at = sim.now
+    for a, b in hops:
+        at += topology.degradation(a, b) * topology.link(a, b).transfer_time(CONTROL_MSG_BYTES)
+    frame = sim.signal()
 
-    def _send():
-        if dropped:
-            net.stats.dropped_messages += 1
-            net._meter_drop("message")
-            if hops:
-                yield net.sim.timeout(net.topology.link(*hops[0]).transfer_time(CONTROL_MSG_BYTES))
-            return False
+    def land():
         for a, b in hops:
-            link = net.topology.link(a, b)
-            yield net.sim.timeout(
-                net.topology.degradation(a, b) * link.transfer_time(CONTROL_MSG_BYTES)
-            )
             key = net._link_key(a, b)
-            net.stats.record_link(key, CONTROL_MSG_BYTES)
+            stats.record_link(key, CONTROL_MSG_BYTES)
             meters = net._meters(key)
             meters.messages.inc()
             meters.bytes.inc(CONTROL_MSG_BYTES)
-        net.stats.messages_delivered += 1
-        return True
+        stats.messages_delivered += 1
+        frame.trigger(True)
 
-    return net.sim.process(_send())
+    sim.call_at(at, land)
+    return frame
 
 
 def ref_rpc(net, src, dst, label="rpc"):
@@ -576,14 +583,6 @@ def ref_hold(resource, duration, then=None, name=""):
         return duration
 
     return resource.sim.process(_run())
-
-
-def ref_after(sim, delay, fn, *args):
-    def _watch():
-        yield sim.timeout(delay)
-        fn(*args)
-
-    return sim.process(_watch())
 
 
 def ref_execute(self, cpu_seconds, label="task"):
@@ -610,26 +609,24 @@ def ref_control(self, actions=1):
 
 
 def ref_watch(self, ctx):
-    rt, spec = self.rt, ctx.spec
+    """A guard is a ``call_at`` at dispatch plus its delay, filed under its
+    task so the supervisor can withdraw it."""
+    rt, spec, sim = self.rt, ctx.spec, self.rt.sim
 
-    def _timeout_watch(attempt):
-        yield rt.sim.timeout(rt.config.task_timeout)
-        self._timed_out(ctx, attempt)
-
-    def _speculation_watch(attempt):
-        dev = ctx.device.spec
-        expected = dev.dispatch_overhead + dev.scaled_duration(spec.compute_cost)
-        yield rt.sim.timeout(rt.config.speculation_factor * max(expected, 1e-9))
-        self._straggling(ctx, attempt)
+    def arm(delay, guard):
+        handle = sim.call_at(sim.now + delay, guard, ctx, ctx.attempt)
+        self._guards.setdefault(spec.task_id, []).append(handle)
 
     if rt.config.task_timeout is not None:
-        rt.sim.process(_timeout_watch(ctx.attempt))
+        arm(rt.config.task_timeout, self._timed_out)
     if rt.config.speculation_factor is not None and spec.actor_id is None and not ctx.is_clone:
-        rt.sim.process(_speculation_watch(ctx.attempt))
+        dev = ctx.device.spec
+        expected = dev.dispatch_overhead + dev.scaled_duration(spec.compute_cost)
+        arm(rt.config.speculation_factor * max(expected, 1e-9), self._straggling)
 
 
-STEPS = {"message": Network.message, "rpc": Network.rpc, "hold": Hold, "after": After}
-REFS = {"message": ref_message, "rpc": ref_rpc, "hold": ref_hold, "after": ref_after}
+STEPS = {"message": Network.message, "rpc": Network.rpc, "hold": Hold}
+REFS = {"message": ref_message, "rpc": ref_rpc, "hold": ref_hold}
 PERTURBATIONS = pytest.mark.parametrize(
     "perturb", [None, TiePerturbation(seed=7, jitter=0.05)], ids=["fast", "perturbed"]
 )
@@ -694,7 +691,7 @@ def message_run(impl, perturb, case):
     def driver():
         yield w.sim.timeout(1e-6)
         msg = impl["message"](net, "a", dst, "m")
-        w.note("called")  # before the start step: only the send is counted
+        w.note("called")  # the send: a drop and a zero-hop delivery are counted here
         w.probe(0.0, "started")
         w.probe(hop[0], "hop 1")  # ties with the first hop's timer, made first
         w.probe(hop[0] + hop[1], "hop 2")
@@ -744,19 +741,6 @@ def hold_run(impl, perturb, case):
     return w.run(driver)
 
 
-def after_run(impl, perturb, case):
-    w = Witness(perturb)
-
-    def driver():
-        yield w.sim.timeout(1e-3)
-        watchdog = impl["after"](w.sim, 5e-3, w.note, "fired", case)
-        w.note("called")
-        w.probe(5e-3, "tie")  # made before the watchdog's timer: fires first
-        w.note("driver", (yield watchdog))
-
-    return w.run(driver)
-
-
 def interrupted_run(impl, perturb, case):
     """A waiter interrupted while its message is in flight is not resumed
     by the message's arrival: it is already waiting on something else."""
@@ -787,7 +771,8 @@ class TestSteps:
         assert got == message_run(REFS, perturb, case)
         log = got[0]
         assert [e[2] for e in log if e[1] == "driver"] == [case in ("delivered", "zero_hop")]
-        assert log[0][1] == "called" and log[0][3][:3] == (1, 0, 0)
+        sent = {"delivered": (1, 0, 0), "zero_hop": (1, 1, 0)}.get(case, (1, 0, 1))
+        assert log[0][1] == "called" and log[0][3][:3] == sent
 
     @PERTURBATIONS
     @pytest.mark.parametrize("case", ["delivered", "lost"])
@@ -803,12 +788,6 @@ class TestSteps:
         assert got == hold_run(REFS, perturb, case)
         assert got[0][-1][3][:2] == (0, 0)  # every slot returned
         assert any(e[3][:2] == (1, 1) for e in got[0]) is (case == "queued")
-
-    @PERTURBATIONS
-    def test_after(self, perturb):
-        got = after_run(STEPS, perturb, "watchdog")
-        assert got == after_run(REFS, perturb, "watchdog")
-        assert [e[1] for e in got[0]] == ["called", "tie", "fired", "driver"]
 
     @PERTURBATIONS
     def test_interrupted_waiter_is_not_resumed(self, perturb):
@@ -832,6 +811,27 @@ class TestSteps:
         assert got == soak(perturb)
         counts = got[1]
         assert counts["task_timeout"] and counts["speculate"] and counts["task_retry"]
+
+
+class TestEventBudget:
+    """Kernel events a run spends, pinned so that a per-hop timer or a
+    watchdog step cannot creep back in (one frame's budget is
+    ``tests/test_topology_network.py::TestControlFrames``)."""
+
+    def test_the_soak_spends_a_frame_and_a_guard_one_event_each(self):
+        """801 events while each hop had a timer and each guard a step, 511 now."""
+        assert soak(None)[4] <= 520
+
+    def test_a_small_serving_episode_stays_within_its_events_per_op(self):
+        """17.2 events per request at scale 0.05 while each hop had a timer and
+        each guard a step, 10.7 now."""
+        W = ledger_workloads()
+        wl = W.ServingWorkload()
+        (ep,) = wl.generate(0, 0.05)
+        state = wl.build(ep)
+        fe = wl.run(ep, state)
+        assert wl.check(ep, state, fe) > 0
+        assert state.rt.sim.events_executed() <= 11.0 * wl.ops(ep, state)
 
 
 def soak(perturb):

@@ -4,6 +4,10 @@ speculation.
 * **Cross-commit witness.**  Every way an attempt is retried, given up on, shed
   or backed up, pinned across commits in both resolution modes (recorded at the
   commit before supervision left ``ServerlessRuntime``).
+* **A guard leaves the calendar with its attempt.**  The watchdog and the
+  speculation timer are one calendar entry each; an attempt that fails takes
+  its own along, a task that closes all of its (its backup's included), so a
+  run drains at its last close.
 * **One launch path.**  A speculative backup is dispatched like every other
   attempt, so it is pushed its arguments under PUSH, carries the leader's lease
   epoch under HA, gets the watchdog, and is never launched while no leader
@@ -11,6 +15,8 @@ speculation.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
@@ -25,6 +31,7 @@ import test_recovery
 from asserts import assert_recovery_drained
 from test_data_plane import assert_data_plane_drained
 from test_recovery import outcome_of
+from test_simtime import build_soak, drive_soak
 
 GPU = frozenset({DeviceKind.GPU})
 PUSH, PULL = ResolutionMode.PUSH, ResolutionMode.PULL
@@ -414,3 +421,68 @@ class TestOneLaunchPath:
         assert rt.log.count("speculate") == 0
         assert rt._parked == [] and rt.timeline_of(victim).device == slow.device_id
         assert_recovery_drained(rt)
+
+
+def armed(rt):
+    """(guard, attempt) of every guard entry still on the calendar."""
+    sim, entries = rt.sim, list(rt.sim._ring)
+    for bucket in sim._buckets.values():
+        entries.extend(bucket if type(bucket) is deque else [bucket])
+    return sorted(
+        (e[0].__name__, e[1][1])
+        for e in entries
+        if type(e) is tuple and getattr(e[0], "__name__", "") in ("_timed_out", "_straggling")
+    )
+
+
+class TestGuardsLeaveTheCalendar:
+    def test_a_failed_attempts_guards_leave_with_its_task(self):
+        """A failed attempt's guards stay filed (each fires to find its
+        attempt over); the task's close takes every guard it still has."""
+        rt = ServerlessRuntime(
+            build_serverful(n_servers=3),
+            RuntimeConfig(task_timeout=5e-2, speculation_factor=8.0, retry_backoff_base=1e-3),
+        )
+        ref = rt.submit(lambda: 1, compute_cost=1e-2, pinned_device="server1/cpu")
+        rt.run(until=2e-3)
+        assert armed(rt) == [("_straggling", 1), ("_timed_out", 1)]
+        rt.fail_device("server1/cpu")
+        rt.run(until=rt.sim.now)  # the interrupt lands: the attempt failed
+        assert rt.log.count("task_retry") == 1
+        assert armed(rt) == [("_straggling", 1), ("_timed_out", 1)]
+        rt.restore_device("server1/cpu")
+        assert rt.get(ref) == 1
+        assert armed(rt) == [] and rt.supervisor._guards == {}
+        assert rt.log.count("task_timeout") == 0 and rt.log.count("speculate") == 0
+
+    def test_the_clock_stops_at_the_last_close(self):
+        """Watchdogs, backups and retries with message loss and no
+        heartbeats: once the last task closes nothing is left to dispatch,
+        and ``get`` returns at that instant (0.0372 s; 0.0510 s while each
+        guard kept its timer to the end)."""
+        rt, closes = build_soak(None), []
+        rt.on_task_closed.append(lambda ctx: closes.append((rt.sim.now, rt.sim.peek())))
+        got = drive_soak(rt)
+        counts = got[1]
+        assert counts["task_timeout"] and counts["speculate"] and counts["task_retry"]
+        last, pending = closes[-1]
+        assert pending is None and rt.sim.peek() is None
+        assert rt.sim.now == last == 0.03723312273369249
+        assert rt.supervisor._guards == {}
+
+    @BOTH_MODES
+    def test_a_backups_guards_leave_with_its_task(self, mode):
+        rt, _, victim = straggler_pair(mode, task_timeout=1.0)
+        assert rt.get(victim) == 8 and rt.log.count("speculate") == 1
+        assert armed(rt) == [] and rt.supervisor._guards == {}
+        assert rt.sim.now < 1.0  # the original's watchdog left with the task
+
+    def test_a_runtime_without_guards_files_nothing(self):
+        rt = ServerlessRuntime(build_serverful(n_servers=2), RuntimeConfig(retry_backoff_base=1e-3))
+        ChaosMonkey(rt, ChaosSchedule().crash_node(2e-3, "server1", restart_after=4e-3)).arm()
+        refs = [
+            rt.submit(lambda i=i: i, compute_cost=5e-3, pinned_device="server1/cpu")
+            for i in range(2)
+        ]
+        assert rt.get(refs) == [0, 1] and rt.tasks_retried
+        assert rt.on_task_closed == [] and rt.supervisor._guards == {}

@@ -255,3 +255,102 @@ class TestChaosHooks:
             topo.degrade_link("a", "b", 0.5)
         with pytest.raises(KeyError):
             topo.degrade_link("a", "zzz", 2.0)
+
+
+class TestControlFrames:
+    """A frame is priced at send and is one calendar entry: it lands at the
+    hop-by-hop sum of its hop times, a dropped one fires ``False`` after its
+    first hop, a zero-hop one at this instant in send order."""
+
+    @staticmethod
+    def hop_times(topo, factors=(1.0, 1.0)):
+        return [
+            factor * topo.link(a, b).transfer_time(CONTROL_MSG_BYTES)
+            for factor, (a, b) in zip(factors, topo.route("a", "c"))
+        ]
+
+    @staticmethod
+    def landed(sim, frame):
+        got = []
+
+        def waiter():
+            got.append(((yield frame), sim.now))
+
+        sim.process(waiter())
+        return got
+
+    def test_a_delivered_two_hop_frame_dispatches_one_event(self, sim):
+        net = Network(sim, line_topology())
+        frame = net.message("a", "c")
+        assert sim.pending_events() == 1
+        sim.run()
+        assert frame.triggered and frame.value is True
+        assert sim.events_executed() == 1
+        first, second = self.hop_times(net.topology)
+        assert sim.now == (0.0 + first) + second  # summed hop by hop
+        assert net.stats.bytes_by_link == {("a", "b"): CONTROL_MSG_BYTES, ("b", "c"): CONTROL_MSG_BYTES}
+        assert net.stats.messages_delivered == 1
+
+    def test_every_hop_is_booked_when_the_frame_lands(self, sim):
+        net = Network(sim, line_topology())
+        net.message("a", "c")
+        first, _ = self.hop_times(net.topology)
+        sim.run(until=first * 1.5)  # past the first hop
+        assert net.stats.bytes_by_link == {} and net.stats.messages_delivered == 0
+        sim.run()
+        assert len(net.stats.bytes_by_link) == 2
+
+    def test_a_degraded_hop_is_priced_at_send(self, sim):
+        net = Network(sim, line_topology())
+        net.degrade_link("b", "c", 4.0)
+        slow = self.landed(sim, net.message("a", "c"))
+        net.restore_link("b", "c")  # in flight: the frame keeps its price
+        sim.run()
+        first, second = self.hop_times(net.topology, (1.0, 4.0))
+        assert slow == [(True, (0.0 + first) + second)]
+        start = sim.now
+        healthy = self.landed(sim, net.message("a", "c"))
+        net.degrade_link("a", "b", 10.0)  # after send: not this frame's
+        sim.run()
+        first, second = self.hop_times(net.topology)
+        assert healthy == [(True, (start + first) + second)]
+        assert net.message_time_estimate("a", "c") == 10.0 * first + second
+
+    def test_a_dropped_frame_fires_after_its_first_hop(self, sim):
+        net = Network(sim, line_topology())
+        net.set_message_loss(1.0)
+        net.degrade_link("a", "b", 3.0)  # a drop burns the healthy first hop
+        dropped = self.landed(sim, net.message("a", "c"))
+        sim.run()
+        first = net.topology.link("a", "b").transfer_time(CONTROL_MSG_BYTES)
+        assert dropped == [(False, first)] and sim.events_executed() == 2  # the timer, the waiter
+        assert net.stats.dropped_messages == 1 and net.stats.bytes_by_link == {}
+
+    def test_zero_hop_frames_keep_fifo_order(self, sim):
+        net = Network(sim, line_topology())
+        order = []
+
+        def sender(tag, dropped):
+            net.set_message_loss(1.0 if dropped else 0.0)
+            frame = net.message("b", "b")
+            order.append((tag, "sent"))
+            order.append((tag, (yield frame), sim.now))
+
+        for tag, dropped in (("x", False), ("y", True), ("z", False)):
+            sim.process(sender(tag, dropped))
+        sim.schedule(0.0, order.append, "between")
+        sim.run()
+        assert order == [
+            ("x", "sent"), ("y", "sent"), ("z", "sent"), "between",
+            ("x", True, 0.0), ("y", False, 0.0), ("z", True, 0.0),
+        ]
+        assert net.stats.messages_delivered == 2 and net.stats.dropped_messages == 1
+
+    def test_a_frame_follows_a_new_link(self, sim):
+        topo = line_topology()
+        net = Network(sim, topo)
+        net.message("a", "c")
+        topo.add_link("a", "c", LinkSpec(latency=1e-9, bandwidth=1e9))  # a shortcut
+        net.message("a", "c")
+        sim.run()
+        assert net.stats.bytes_by_link[("a", "c")] == CONTROL_MSG_BYTES
